@@ -9,6 +9,7 @@
 package align
 
 import (
+	"slices"
 	"sort"
 	"strings"
 
@@ -87,41 +88,33 @@ func DetectSynonyms(stmts []rdf.Statement, cfg Config) map[string]string {
 	if cfg.MinSharedEntities <= 0 {
 		cfg.MinSharedEntities = 3
 	}
-	// Support and per-entity values per attribute name.
 	support := map[string]int{}
-	values := map[string]map[string]string{} // attr -> entity -> first value
 	for _, s := range stmts {
-		attr := extract.AttrFromIRI(s.Predicate)
-		entity := extract.AttrFromIRI(s.Subject)
-		support[attr]++
-		ev := values[attr]
-		if ev == nil {
-			ev = map[string]string{}
-			values[attr] = ev
-		}
-		if _, ok := ev[entity]; !ok {
-			ev[entity] = s.Object.Value
-		}
+		support[extract.AttrFromIRI(s.Predicate)]++
 	}
 	names := make([]string, 0, len(support))
 	for a := range support {
 		names = append(names, a)
 	}
 	sort.Strings(names)
-
-	parent := map[string]string{}
-	var find func(string) string
-	find = func(a string) string {
-		p, ok := parent[a]
-		if !ok || p == a {
-			parent[a] = a
-			return a
-		}
-		r := find(p)
-		parent[a] = r
-		return r
+	// Attribute names are handled by their rank in names from here on.
+	rank := make(map[string]int, len(names))
+	for i, a := range names {
+		rank[a] = i
 	}
-	union := func(a, b string) {
+
+	parent := make([]int, len(names))
+	for i := range parent {
+		parent[i] = i
+	}
+	find := func(a int) int {
+		for parent[a] != a {
+			parent[a] = parent[parent[a]]
+			a = parent[a]
+		}
+		return a
+	}
+	union := func(a, b int) {
 		ra, rb := find(a), find(b)
 		if ra != rb {
 			parent[rb] = ra
@@ -129,48 +122,83 @@ func DetectSynonyms(stmts []rdf.Statement, cfg Config) map[string]string {
 	}
 
 	// Signal 1: identical token signatures.
-	bySig := map[string][]string{}
-	for _, a := range names {
+	bySig := map[string]int{}
+	for i, a := range names {
 		sig := tokenSignature(a)
-		bySig[sig] = append(bySig[sig], a)
-	}
-	for _, group := range bySig {
-		for i := 1; i < len(group); i++ {
-			union(group[0], group[i])
-		}
-	}
-	// Signal 2: value agreement on shared entities.
-	for i := 0; i < len(names); i++ {
-		for j := i + 1; j < len(names); j++ {
-			a, b := names[i], names[j]
-			if find(a) == find(b) {
-				continue
-			}
-			shared, agree := 0, 0
-			va, vb := values[a], values[b]
-			if len(vb) < len(va) {
-				va, vb = vb, va
-			}
-			for e, v := range va {
-				if w, ok := vb[e]; ok {
-					shared++
-					if v == w {
-						agree++
-					}
-				}
-			}
-			if shared >= cfg.MinSharedEntities &&
-				float64(agree)/float64(shared) >= cfg.MinValueAgreement {
-				union(a, b)
-			}
+		if first, ok := bySig[sig]; ok {
+			union(first, i)
+		} else {
+			bySig[sig] = i
 		}
 	}
 
+	// Signal 2: value agreement on shared entities. Two names can only
+	// share an entity they both occur on, so instead of testing every pair
+	// of names against every entity, walk each name's entities and count,
+	// per co-occurring name, the entities shared and the values agreed.
+	// Pairs that never meet have shared == 0 and could not have merged.
+	type attrValue struct {
+		attr  int
+		value string // the first value seen for (attr, entity)
+	}
+	var byEntity [][]attrValue // entity -> the names it occurs under
+	byAttr := make([][]int, len(names))
+	entityIDs := map[string]int{}
+	for _, s := range stmts {
+		entity := extract.AttrFromIRI(s.Subject)
+		e, ok := entityIDs[entity]
+		if !ok {
+			e = len(byEntity)
+			entityIDs[entity] = e
+			byEntity = append(byEntity, nil)
+		}
+		a := rank[extract.AttrFromIRI(s.Predicate)]
+		if slices.ContainsFunc(byEntity[e], func(av attrValue) bool { return av.attr == a }) {
+			continue // only the first value of (attr, entity) counts
+		}
+		byEntity[e] = append(byEntity[e], attrValue{a, s.Object.Value})
+		byAttr[a] = append(byAttr[a], e)
+	}
+	shared := make([]int, len(names))
+	agree := make([]int, len(names))
+	var met []int // names with shared > 0 for the current a
+	for a := range names {
+		for _, e := range byAttr[a] {
+			var va string
+			for _, av := range byEntity[e] {
+				if av.attr == a {
+					va = av.value
+					break
+				}
+			}
+			for _, av := range byEntity[e] {
+				if av.attr <= a {
+					continue
+				}
+				if shared[av.attr] == 0 {
+					met = append(met, av.attr)
+				}
+				shared[av.attr]++
+				if av.value == va {
+					agree[av.attr]++
+				}
+			}
+		}
+		for _, b := range met {
+			if shared[b] >= cfg.MinSharedEntities &&
+				float64(agree[b])/float64(shared[b]) >= cfg.MinValueAgreement {
+				union(a, b)
+			}
+			shared[b], agree[b] = 0, 0
+		}
+		met = met[:0]
+	}
+
 	// Pick canonical representatives per cluster.
-	clusters := map[string][]string{}
-	for _, a := range names {
-		r := find(a)
-		clusters[r] = append(clusters[r], a)
+	clusters := make([][]int, len(names))
+	for i := range names {
+		r := find(i)
+		clusters[r] = append(clusters[r], i)
 	}
 	out := map[string]string{}
 	for _, members := range clusters {
@@ -179,14 +207,15 @@ func DetectSynonyms(stmts []rdf.Statement, cfg Config) map[string]string {
 		}
 		canon := members[0]
 		for _, m := range members[1:] {
-			if support[m] > support[canon] ||
-				(support[m] == support[canon] && (len(m) < len(canon) || (len(m) == len(canon) && m < canon))) {
+			sm, sc := support[names[m]], support[names[canon]]
+			if sm > sc || (sm == sc && (len(names[m]) < len(names[canon]) ||
+				(len(names[m]) == len(names[canon]) && names[m] < names[canon]))) {
 				canon = m
 			}
 		}
 		for _, m := range members {
 			if m != canon {
-				out[m] = canon
+				out[names[m]] = names[canon]
 			}
 		}
 	}
@@ -198,41 +227,51 @@ func DetectSynonyms(stmts []rdf.Statement, cfg Config) map[string]string {
 // its sub-attribute ("total urban population" ⊂ "population"). Each
 // sub-attribute maps to its most general parent.
 func DetectSubAttributes(attrs []string) map[string]string {
-	tokens := make(map[string]map[string]bool, len(attrs))
-	for _, a := range attrs {
-		set := map[string]bool{}
-		for _, t := range strings.Fields(a) {
-			set[t] = true
-		}
-		tokens[a] = set
-	}
 	sorted := append([]string(nil), attrs...)
 	sort.Strings(sorted)
+	sorted = slices.Compact(sorted)
+	// Distinct tokens per attribute, and for each token the attributes
+	// (by rank in sorted) that carry it: a parent's tokens all occur in the
+	// sub-attribute, so only attributes sharing a token with it can qualify.
+	tokens := make([][]string, len(sorted))
+	byToken := map[string][]int{}
+	for i, a := range sorted {
+		fields := strings.Fields(a)
+		sort.Strings(fields)
+		tokens[i] = slices.Compact(fields)
+		for _, t := range tokens[i] {
+			byToken[t] = append(byToken[t], i)
+		}
+	}
 	out := map[string]string{}
-	for _, sub := range sorted {
-		var best string
-		for _, parent := range sorted {
-			if parent == sub || len(tokens[parent]) >= len(tokens[sub]) {
-				continue
-			}
-			contained := true
-			for t := range tokens[parent] {
-				if !tokens[sub][t] {
-					contained = false
-					break
+	hits := make([]int, len(sorted)) // tokens of the current sub each attribute carries
+	var touched []int
+	for sub, name := range sorted {
+		for _, t := range tokens[sub] {
+			for _, p := range byToken[t] {
+				if hits[p] == 0 {
+					touched = append(touched, p)
 				}
+				hits[p]++
 			}
+		}
+		best := -1
+		for _, p := range touched {
+			// Contained: every token of p is one of sub's, and p has fewer.
+			contained := hits[p] == len(tokens[p]) && len(tokens[p]) < len(tokens[sub])
+			hits[p] = 0
 			if !contained {
 				continue
 			}
 			// Most general parent: fewest tokens, then lexicographic.
-			if best == "" || len(tokens[parent]) < len(tokens[best]) ||
-				(len(tokens[parent]) == len(tokens[best]) && parent < best) {
-				best = parent
+			if best < 0 || len(tokens[p]) < len(tokens[best]) ||
+				(len(tokens[p]) == len(tokens[best]) && p < best) {
+				best = p
 			}
 		}
-		if best != "" {
-			out[sub] = best
+		touched = touched[:0]
+		if best >= 0 {
+			out[name] = sorted[best]
 		}
 	}
 	return out

@@ -350,11 +350,11 @@ func (st *pageState) valueAt(i int) string {
 }
 
 // pageScratch holds per-shard reusable buffers for extractPage, so the
-// per-pass known/candidate partitions and induced-pattern list stop
+// per-pass known/candidate partitions and the prepared pattern set stop
 // allocating on every (page, pass) visit.
 type pageScratch struct {
 	known, cand []int // text indices
-	induced     []htmldom.TagPath
+	patterns    htmldom.PatternSet
 }
 
 func extractSite(site Site, idx *extract.EntityIndex, cr *ClassResult, cfg Config, claims map[claim]*claimEvidence, seen map[seenKey]struct{}, scratch *pageScratch) []EntityFact {
@@ -413,7 +413,7 @@ func extractSite(site Site, idx *extract.EntityIndex, cr *ClassResult, cfg Confi
 		}
 	}
 	if cfg.DiscoverEntities {
-		return discoverOnSite(site, unknown, cr, cfg)
+		return discoverOnSite(site, unknown, cr, cfg, &scratch.patterns)
 	}
 	return nil
 }
@@ -423,14 +423,14 @@ func extractSite(site Site, idx *extract.EntityIndex, cr *ClassResult, cfg Confi
 // pattern set. Site templates keep label paths regular across pages, which
 // is what makes cross-page pattern application sound here even though
 // Algorithm 1 proper induces patterns per page.
-func discoverOnSite(site Site, unknown []Page, cr *ClassResult, cfg Config) []EntityFact {
+func discoverOnSite(site Site, unknown []Page, cr *ClassResult, cfg Config, sitePatterns *htmldom.PatternSet) []EntityFact {
 	if len(cr.patternSet) == 0 {
 		return nil
 	}
 	var facts []EntityFact
-	sitePatterns := make([]htmldom.TagPath, 0, len(cr.patternSet))
-	for _, st := range sortedPatternKeys(cr.patternSet) {
-		sitePatterns = append(sitePatterns, parsePatternKey(st))
+	sitePatterns.Reset()
+	for st := range cr.patternSet {
+		sitePatterns.Add(parsePatternKey(st))
 	}
 	for _, p := range unknown {
 		texts := bodyTextNodes(p.Doc)
@@ -460,7 +460,7 @@ func discoverOnSite(site Site, unknown []Page, cr *ClassResult, cfg Config) []En
 				continue
 			}
 			path, ok := htmldom.PathBetweenFunc(candNode, tn, cfg.Step)
-			if !ok || bestSimilarity(path, sitePatterns) < cfg.SimilarityThreshold {
+			if !ok || sitePatterns.BestSimilarity(path) < cfg.SimilarityThreshold {
 				continue
 			}
 			value := valueAfter(texts, i)
@@ -487,16 +487,6 @@ func pathSignature(n *htmldom.Node, step htmldom.StepFunc) string {
 		}
 	}
 	return b.String()
-}
-
-// sortedPatternKeys returns pattern strings deterministically.
-func sortedPatternKeys(set map[string]struct{}) []string {
-	out := make([]string, 0, len(set))
-	for k := range set {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // parsePatternKey reconstructs a TagPath from its canonical string
@@ -553,15 +543,15 @@ func extractPage(site Site, st *pageState, cr *ClassResult, cfg Config, claims m
 	if len(known) == 0 {
 		return false
 	}
-	induced := scratch.induced[:0]
+	induced := &scratch.patterns
+	induced.Reset()
 	for _, i := range known {
 		if norm, str, ok := st.normPathAt(i, cfg.Step); ok {
-			induced = append(induced, norm)
+			induced.Add(norm)
 			cr.patternSet[str] = struct{}{}
 		}
 	}
-	scratch.induced = induced
-	if len(induced) == 0 {
+	if induced.Len() == 0 {
 		return false
 	}
 	if !st.counted {
@@ -614,7 +604,7 @@ func extractPage(site Site, st *pageState, cr *ClassResult, cfg Config, claims m
 		if !ok {
 			continue
 		}
-		if bestSimilarity(p, induced) < cfg.SimilarityThreshold {
+		if induced.BestSimilarity(p) < cfg.SimilarityThreshold {
 			continue
 		}
 		key := seenKey{label: label, host: site.Host, url: st.page.URL}
@@ -629,16 +619,6 @@ func extractPage(site Site, st *pageState, cr *ClassResult, cfg Config, claims m
 		emit(i)
 	}
 	return grew
-}
-
-func bestSimilarity(p htmldom.TagPath, induced []htmldom.TagPath) float64 {
-	best := 0.0
-	for _, q := range induced {
-		if s := htmldom.Similarity(p, q); s > best {
-			best = s
-		}
-	}
-	return best
 }
 
 // findEntityNode locates the first body text node whose content is a known

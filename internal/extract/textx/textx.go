@@ -156,21 +156,26 @@ func Extract(ctx context.Context, docs []*webgen.Document, idx *extract.EntityIn
 	// a seed attribute. Support counting is additive per document, so the
 	// per-doc abstraction maps in parallel and the counts aggregate
 	// serially in document order; the attribute sets are only read here.
-	entityNames := idx.Names()
+	// The phrase sets are built once here and only read by the workers.
+	entityNames := newPhraseSet(idx.Names())
+	seedAttrs := make(map[string]*phraseSet, len(res.PerClass))
+	for class, cr := range res.PerClass {
+		seedAttrs[class] = newPhraseSet(cr.All.Names())
+	}
 	templateSupport := map[string]int{}
 	seedTmpls := mapreduce.Map(mrCfg, works, func(w docWork) []string {
 		var out []string
 		for _, sent := range w.sents {
-			e := findEntity(sent, entityNames)
+			e := entityNames.longestIn(sent)
 			if e == "" {
 				continue
 			}
 			class, _ := idx.Class(e)
-			cr := res.PerClass[class]
-			if cr == nil {
+			attrs := seedAttrs[class]
+			if attrs == nil {
 				continue
 			}
-			attr := findSeedAttr(sent, e, cr.All)
+			attr := findSeedAttr(sent, e, attrs)
 			if attr == "" {
 				continue
 			}
@@ -335,49 +340,80 @@ func TokenizeSentence(s string) []string {
 	return strings.Fields(s)
 }
 
-// findEntity returns the longest known entity name contained in the
-// sentence, or "".
-func findEntity(sent string, names []string) string {
+// phraseSet answers "which is the longest of these phrases mentioned in
+// this sentence" in one pass over the sentence, however many phrases there
+// are: every stretch of the sentence that starts and ends at a word
+// boundary and is no longer than the longest phrase is looked up in a hash
+// set. Testing each phrase against the sentence instead costs
+// phrases × sentences substring searches, which is what made text
+// extraction superlinear in the corpus scale. A phraseSet is read-only
+// after construction and safe for concurrent use.
+type phraseSet struct {
+	phrases        map[string]struct{}
+	minLen, maxLen int // byte lengths of the shortest and longest phrase
+}
+
+func newPhraseSet(phrases []string) *phraseSet {
+	ps := &phraseSet{phrases: make(map[string]struct{}, len(phrases))}
+	for _, p := range phrases {
+		if p == "" {
+			continue
+		}
+		if len(ps.phrases) == 0 || len(p) < ps.minLen {
+			ps.minLen = len(p)
+		}
+		if len(p) > ps.maxLen {
+			ps.maxLen = len(p)
+		}
+		ps.phrases[p] = struct{}{}
+	}
+	return ps
+}
+
+// longestIn returns the longest phrase that occurs in sent at word
+// boundaries, the lexicographically smallest of them when several share
+// that length, or "" when none occurs. A mention starts at the start of
+// the sentence or after a space, and ends at the end of the sentence or
+// before a space, period, comma or apostrophe (so "Paris." and "Paris's"
+// both mention "Paris").
+func (ps *phraseSet) longestIn(sent string) string {
+	if len(ps.phrases) == 0 {
+		return ""
+	}
 	best := ""
-	for _, n := range names {
-		if len(n) > len(best) && containsWord(sent, n) {
-			best = n
+	for i := 0; i+ps.minLen <= len(sent); i++ {
+		if i > 0 && sent[i-1] != ' ' {
+			continue
+		}
+		// Longest first: the first hit is this position's longest, and
+		// nothing shorter than the best so far can replace it.
+		shortest := max(ps.minLen, len(best))
+		for j := min(i+ps.maxLen, len(sent)); j >= i+shortest; j-- {
+			if j < len(sent) && !endsWord(sent[j]) {
+				continue
+			}
+			cand := sent[i:j]
+			if _, ok := ps.phrases[cand]; !ok {
+				continue
+			}
+			if len(cand) > len(best) || cand < best {
+				best = cand
+			}
+			break
 		}
 	}
 	return best
 }
 
-// findSeedAttr returns a seed attribute mentioned in the sentence outside
-// the entity span, or "".
-func findSeedAttr(sent, entity string, seeds extract.AttrSet) string {
-	masked := strings.Replace(sent, entity, "", 1)
-	best := ""
-	for attr := range seeds {
-		if len(attr) > len(best) && containsWord(masked, attr) {
-			best = attr
-		}
-	}
-	return best
+// endsWord reports whether c may directly follow a mention.
+func endsWord(c byte) bool {
+	return c == ' ' || c == '.' || c == ',' || c == '\''
 }
 
-// containsWord reports whether needle occurs in haystack at word
-// boundaries.
-func containsWord(haystack, needle string) bool {
-	for start := 0; ; {
-		i := strings.Index(haystack[start:], needle)
-		if i < 0 {
-			return false
-		}
-		i += start
-		leftOK := i == 0 || haystack[i-1] == ' '
-		j := i + len(needle)
-		rightOK := j == len(haystack) || haystack[j] == ' ' || haystack[j] == '.' ||
-			haystack[j] == ',' || haystack[j] == '\''
-		if leftOK && rightOK {
-			return true
-		}
-		start = i + 1
-	}
+// findSeedAttr returns the seed attribute mentioned in the sentence outside
+// the entity span — the longest, then lexicographically smallest — or "".
+func findSeedAttr(sent, entity string, seeds *phraseSet) string {
+	return seeds.longestIn(strings.Replace(sent, entity, "", 1))
 }
 
 // abstractSentence turns a seed sentence into a token template by replacing

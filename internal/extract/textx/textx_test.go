@@ -235,6 +235,9 @@ func TestContainsWord(t *testing.T) {
 		if got := containsWord(c.hay, c.needle); got != c.want {
 			t.Errorf("containsWord(%q, %q) = %v, want %v", c.hay, c.needle, got, c.want)
 		}
+		if got := newPhraseSet([]string{c.needle}).longestIn(c.hay) == c.needle; got != c.want {
+			t.Errorf("phraseSet{%q}.longestIn(%q) found = %v, want %v", c.needle, c.hay, got, c.want)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package htmldom
 
 import (
+	"slices"
 	"strings"
 )
 
@@ -164,16 +165,6 @@ func (p TagPath) String() string {
 	return b.String()
 }
 
-// Steps returns the path flattened into a single step sequence used by the
-// similarity metric: up tags, apex, down tags.
-func (p TagPath) Steps() []string {
-	steps := make([]string, 0, len(p.Up)+1+len(p.Down))
-	steps = append(steps, p.Up...)
-	steps = append(steps, p.Apex)
-	steps = append(steps, p.Down...)
-	return steps
-}
-
 // Len returns the number of steps in the path.
 func (p TagPath) Len() int { return len(p.Up) + 1 + len(p.Down) }
 
@@ -182,33 +173,111 @@ func (p TagPath) Equal(q TagPath) bool {
 	return p.Normalize().String() == q.Normalize().String()
 }
 
-// Similarity returns a structural similarity in [0, 1] between two tag
-// paths: 1 - editDistance/maxLen over the normalised step sequences. Paths
-// from the same page template typically differ by zero or one step (an extra
-// wrapper), scoring >= 0.8; unrelated paths score much lower.
-func Similarity(p, q TagPath) float64 {
-	a, b := p.Normalize().Steps(), q.Normalize().Steps()
-	maxLen := len(a)
-	if len(b) > maxLen {
-		maxLen = len(b)
-	}
-	if maxLen == 0 {
-		return 1
-	}
-	d := editDistance(a, b)
-	return 1 - float64(d)/float64(maxLen)
+// PatternSet is a set of tag-path patterns prepared for repeated similarity
+// queries. Algorithm 1 compares every candidate node's path against every
+// pattern induced on the page, so the per-pattern work — dropping noisy
+// tags, flattening to one step sequence — is done once when the pattern is
+// added, not once per comparison. The zero value is an empty set; Reset
+// empties it for reuse, keeping its buffers. A PatternSet carries query
+// scratch and must not be used from two goroutines at once.
+type PatternSet struct {
+	steps []string // the patterns' normalised step sequences, back to back
+	ends  []int    // pattern i is steps[ends[i-1]:ends[i]]
+
+	query     []string // scratch: the queried path's normalised steps
+	prev, cur []int    // scratch: edit-distance rows
 }
 
-// editDistance is the Levenshtein distance over step sequences.
-func editDistance(a, b []string) int {
-	if len(a) == 0 {
-		return len(b)
+// Reset empties the set.
+func (ps *PatternSet) Reset() {
+	ps.steps = ps.steps[:0]
+	ps.ends = ps.ends[:0]
+}
+
+// Len returns the number of distinct patterns in the set.
+func (ps *PatternSet) Len() int { return len(ps.ends) }
+
+// Add inserts the normalised form of p. A pattern already present is
+// skipped: the rows of one infobox share a single path, and a duplicate
+// cannot change the best similarity.
+func (ps *PatternSet) Add(p TagPath) {
+	start := len(ps.steps)
+	ps.steps = appendNormalizedSteps(ps.steps, p)
+	added := ps.steps[start:]
+	for i := range ps.ends {
+		if slices.Equal(ps.pattern(i), added) {
+			ps.steps = ps.steps[:start]
+			return
+		}
 	}
-	if len(b) == 0 {
-		return len(a)
+	ps.ends = append(ps.ends, len(ps.steps))
+}
+
+func (ps *PatternSet) pattern(i int) []string {
+	start := 0
+	if i > 0 {
+		start = ps.ends[i-1]
 	}
-	prev := make([]int, len(b)+1)
-	cur := make([]int, len(b)+1)
+	return ps.steps[start:ps.ends[i]]
+}
+
+// BestSimilarity returns the highest structural similarity in [0, 1]
+// between p and any pattern of the set, 0 for an empty set. The similarity
+// of two paths is 1 - editDistance/maxLen over their normalised step
+// sequences: paths from the same page template typically differ by zero or
+// one step (an extra wrapper), scoring >= 0.8; unrelated paths score much
+// lower.
+func (ps *PatternSet) BestSimilarity(p TagPath) float64 {
+	ps.query = appendNormalizedSteps(ps.query[:0], p)
+	a := ps.query
+	best := 0.0
+	for i := range ps.ends {
+		b := ps.pattern(i)
+		maxLen, diff := len(a), len(a)-len(b)
+		if diff < 0 {
+			maxLen, diff = len(b), -diff
+		}
+		// The distance is at least the length difference, which bounds
+		// this pattern's similarity from above.
+		if 1-float64(diff)/float64(maxLen) <= best {
+			continue
+		}
+		d := ps.editDistance(a, b)
+		if d == 0 {
+			return 1
+		}
+		if s := 1 - float64(d)/float64(maxLen); s > best {
+			best = s
+		}
+	}
+	return best
+}
+
+// appendNormalizedSteps appends p's step sequence — up tags, apex, down
+// tags, with noisy tags dropped from both legs as Normalize does — to dst.
+func appendNormalizedSteps(dst []string, p TagPath) []string {
+	for _, t := range p.Up {
+		if !isNoisyStep(t) {
+			dst = append(dst, t)
+		}
+	}
+	dst = append(dst, p.Apex)
+	for _, t := range p.Down {
+		if !isNoisyStep(t) {
+			dst = append(dst, t)
+		}
+	}
+	return dst
+}
+
+// editDistance is the Levenshtein distance over step sequences, computed in
+// the set's reusable rows.
+func (ps *PatternSet) editDistance(a, b []string) int {
+	if cap(ps.prev) <= len(b) {
+		ps.prev = make([]int, 2*(len(b)+1))
+		ps.cur = make([]int, 2*(len(b)+1))
+	}
+	prev, cur := ps.prev[:len(b)+1], ps.cur[:len(b)+1]
 	for j := range prev {
 		prev[j] = j
 	}

@@ -49,8 +49,8 @@ func TestPathBetweenAcrossRows(t *testing.T) {
 		t.Errorf("template paths should be equal after normalisation: %q vs %q",
 			p0.Normalize().String(), p1.Normalize().String())
 	}
-	if Similarity(p0, p1) != 1 {
-		t.Errorf("similarity = %g, want 1", Similarity(p0, p1))
+	if similarity(p0, p1) != 1 {
+		t.Errorf("similarity = %g, want 1", similarity(p0, p1))
 	}
 }
 
@@ -110,14 +110,14 @@ func TestNormalizeRemovesNoisyTags(t *testing.T) {
 func TestSimilarityBounds(t *testing.T) {
 	a := TagPath{Up: []string{"td"}, Apex: "tr", Down: []string{"td"}}
 	b := TagPath{Up: []string{"li"}, Apex: "ul", Down: []string{"li"}}
-	if s := Similarity(a, a); s != 1 {
+	if s := similarity(a, a); s != 1 {
 		t.Errorf("self similarity = %g", s)
 	}
-	if s := Similarity(a, b); s != 0 {
+	if s := similarity(a, b); s != 0 {
 		t.Errorf("disjoint similarity = %g, want 0", s)
 	}
 	c := TagPath{Up: []string{"td"}, Apex: "tr", Down: []string{"th"}}
-	s := Similarity(a, c)
+	s := similarity(a, c)
 	if s <= 0 || s >= 1 {
 		t.Errorf("one-step-different similarity = %g, want in (0,1)", s)
 	}
@@ -139,16 +139,16 @@ func TestSimilarityPropertyBounds(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		p, q := gen(r), gen(r)
-		s := Similarity(p, q)
+		s := similarity(p, q)
 		if s < 0 || s > 1 {
 			return false
 		}
 		// Symmetry.
-		if s != Similarity(q, p) {
+		if s != similarity(q, p) {
 			return false
 		}
 		// Identity.
-		return Similarity(p, p) == 1
+		return similarity(p, p) == 1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
@@ -183,7 +183,7 @@ func TestEditDistance(t *testing.T) {
 		{[]string{"a", "b", "c"}, []string{"a", "b", "c"}, 0},
 	}
 	for _, c := range cases {
-		if got := editDistance(c.a, c.b); got != c.want {
+		if got := new(PatternSet).editDistance(c.a, c.b); got != c.want {
 			t.Errorf("editDistance(%v, %v) = %d, want %d", c.a, c.b, got, c.want)
 		}
 	}

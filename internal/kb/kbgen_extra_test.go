@@ -121,3 +121,27 @@ func TestGlobalAttributeNamesUnique(t *testing.T) {
 		seen[n] = true
 	}
 }
+
+// TestEntityNamesAllocationFree pins that the per-class name lists are built
+// once with the world: the query-stream generator and the entity index ask
+// for them per class (formerly per noise record), and a copy per call was
+// 12% of a pipeline run's allocated bytes.
+func TestEntityNamesAllocationFree(t *testing.T) {
+	w := NewWorld(WorldConfig{Seed: 2, EntitiesPerClass: 40, AttrsPerEntity: 10})
+	for _, cls := range w.Ontology.ClassNames() {
+		names, entities := w.EntityNames(cls), w.EntitiesOf(cls)
+		if len(names) != len(entities) {
+			t.Fatalf("%s: %d names for %d entities", cls, len(names), len(entities))
+		}
+		for i, e := range entities {
+			if names[i] != e.Name {
+				t.Fatalf("%s: names[%d] = %q, entity is %q", cls, i, names[i], e.Name)
+			}
+		}
+	}
+	var sink []string
+	if allocs := testing.AllocsPerRun(100, func() { sink = w.EntityNames("Film") }); allocs != 0 {
+		t.Errorf("EntityNames allocates %.0f times per call, want 0", allocs)
+	}
+	_ = sink
+}

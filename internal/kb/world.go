@@ -79,6 +79,7 @@ type World struct {
 	Hier *hierarchy.Forest
 
 	entities map[string][]*Entity // class -> entities
+	names    map[string][]string  // class -> entity names, aligned with entities
 	byName   map[string]*Entity
 	places   []placeChain
 	specs    map[string]ClassSpec
@@ -107,6 +108,7 @@ func NewWorld(cfg WorldConfig) *World {
 		Ontology: NewOntology(),
 		Hier:     hierarchy.NewForest(),
 		entities: make(map[string][]*Entity),
+		names:    make(map[string][]string),
 		byName:   make(map[string]*Entity),
 		specs:    make(map[string]ClassSpec),
 	}
@@ -209,6 +211,7 @@ func (w *World) populateClass(cls *Class, r *rand.Rand) {
 			e.Values[a.Canonical] = vals
 		}
 		w.entities[cls.Name] = append(w.entities[cls.Name], e)
+		w.names[cls.Name] = append(w.names[cls.Name], e.Name)
 		w.byName[e.Name] = e
 	}
 }
@@ -268,14 +271,9 @@ func (w *World) Entity(name string) (*Entity, bool) {
 }
 
 // EntityNames returns the names of a class's entities in generation order.
-func (w *World) EntityNames(class string) []string {
-	es := w.entities[class]
-	out := make([]string, len(es))
-	for i, e := range es {
-		out[i] = e.Name
-	}
-	return out
-}
+// The slice is the world's own, built once at generation: callers must not
+// modify it.
+func (w *World) EntityNames(class string) []string { return w.names[class] }
 
 // Spec returns the ClassSpec for a class.
 func (w *World) Spec(class string) (ClassSpec, bool) {

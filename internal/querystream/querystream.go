@@ -137,14 +137,15 @@ func Generate(w *kb.World, cfg GenConfig) *Stream {
 		cfg.Plans = DefaultPlans()
 	}
 	r := rand.New(rand.NewSource(cfg.Seed))
-	var records []Record
+	records := make([]Record, 0, max(cfg.TotalRecords, 0))
 
 	for _, plan := range cfg.Plans {
 		records = append(records, generateClassRecords(w, plan, cfg.Threshold, r)...)
 	}
 	noise := cfg.TotalRecords - len(records)
+	classes := w.Ontology.ClassNames()
 	for i := 0; i < noise; i++ {
-		records = append(records, noiseRecord(w, r))
+		records = append(records, noiseRecord(w, classes, r))
 	}
 	// Shuffle so class records are interleaved like a real log.
 	r.Shuffle(len(records), func(i, j int) {
@@ -292,8 +293,9 @@ var noiseTails = []string{
 
 // noiseRecord produces a record that must not count as relevant for any
 // class: either it has no attribute-question pattern, or its pattern names
-// an entity outside every class's entity set.
-func noiseRecord(w *kb.World, r *rand.Rand) Record {
+// an entity outside every class's entity set. classes is the ontology's
+// sorted class list, computed once per stream.
+func noiseRecord(w *kb.World, classes []string, r *rand.Rand) Record {
 	switch r.Intn(4) {
 	case 0: // navigational
 		return Record{
@@ -301,11 +303,9 @@ func noiseRecord(w *kb.World, r *rand.Rand) Record {
 			Origin: origin(r),
 		}
 	case 1: // entity mention without a pattern
-		classes := w.Ontology.ClassNames()
-		cls := classes[r.Intn(len(classes))]
-		names := w.EntityNames(cls)
+		entities := w.EntitiesOf(classes[r.Intn(len(classes))])
 		return Record{
-			Text:   names[r.Intn(len(names))] + " " + noiseTails[r.Intn(len(noiseTails))],
+			Text:   entities[r.Intn(len(entities))].Name + " " + noiseTails[r.Intn(len(noiseTails))],
 			Origin: origin(r),
 		}
 	case 2: // pattern with an unknown entity

@@ -235,3 +235,17 @@ func TestFullScaleGeneration(t *testing.T) {
 		t.Fatalf("full stream = %d records, want 292839 (29,283,918 / 100)", s.Len())
 	}
 }
+
+// TestGenerateAllocationBound pins stream generation's allocation
+// behaviour: a record costs its text (a concatenation, plus the proper-noun
+// builder for the noise shapes that invent one) and nothing else — the
+// record slice is sized once, and a noise record neither re-sorts the class
+// list nor copies a class's entity names. ~3.2 allocations per record on
+// this fixture; the per-record copies alone put it at 3.6.
+func TestGenerateAllocationBound(t *testing.T) {
+	w, cfg := smallWorld(), smallConfig()
+	allocs := testing.AllocsPerRun(10, func() { Generate(w, cfg) })
+	if limit := 3.5 * float64(cfg.TotalRecords); allocs > limit {
+		t.Errorf("Generate allocates %.0f times for %d records, want <= %.0f", allocs, cfg.TotalRecords, limit)
+	}
+}

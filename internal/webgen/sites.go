@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"strings"
 
+	"akb/internal/htmldom"
 	"akb/internal/kb"
 )
 
@@ -340,7 +341,6 @@ func noiseBlock(r *rand.Rand) string {
 	}
 }
 
-func esc(s string) string {
-	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
-	return r.Replace(s)
-}
+// esc runs several times per rendered row, so it must not build anything
+// per call: htmldom's escaper is a package-level Replacer.
+func esc(s string) string { return htmldom.EscapeText(s) }

@@ -235,3 +235,22 @@ func TestLabelText(t *testing.T) {
 		t.Errorf("labelText = %q", got)
 	}
 }
+
+// TestGenerateSitesAllocationBound pins page rendering's allocation
+// behaviour: a page is a handful of string concatenations per row plus the
+// builder's growth. Building the HTML escaper inside esc — one
+// strings.Replacer per escaped string — cost ~325 allocations per page on
+// this fixture; with the escaper hoisted it is ~101, and 130 is that plus
+// 25%.
+func TestGenerateSitesAllocationBound(t *testing.T) {
+	w := kb.NewWorld(kb.WorldConfig{Seed: 5, EntitiesPerClass: 25, AttrsPerEntity: 14})
+	cfg := DefaultSiteConfig()
+	pages := 0
+	for _, s := range GenerateSites(w, cfg) {
+		pages += len(s.Pages)
+	}
+	allocs := testing.AllocsPerRun(10, func() { GenerateSites(w, cfg) })
+	if limit := float64(130 * pages); allocs > limit {
+		t.Errorf("GenerateSites allocates %.0f times for %d pages, want <= %.0f", allocs, pages, limit)
+	}
+}
