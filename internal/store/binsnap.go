@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bufio"
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
@@ -32,11 +31,16 @@ import (
 // String IDs are assigned in sorted-string order, so the fixed-width
 // big-endian key tuples sort bytewise exactly like the store's canonical
 // (entity, attr, value, class) fact order — the sort-order-preserving
-// key encoding janus-datalog uses for its storage layer. A shard's key
-// section is therefore sorted flat fixed-width records: binary-searchable
-// in place, mmap-friendly, no decode needed to navigate. The current
-// reader materialises facts eagerly; the layout is what makes a future
-// zero-copy reader possible without a codec bump.
+// key encoding janus-datalog uses for its storage layer. The store's
+// entity index *is* that order (see Store), so a shard's facts come off
+// the file ready to index. The reader therefore verifies what the format
+// promises instead of redoing it — checksum first, then string table and
+// keys strictly increasing (integer compares), every string referenced,
+// shard placement, declared counts, minimal varints, no trailing bytes —
+// and hands the facts to the index builder as they are. A failed check is
+// a format error, never a panic; an accepted file re-encodes to the same
+// bytes. Every fact is still materialised: the layout leaves room for a
+// zero-copy reader without a codec bump.
 //
 // Facts are segmented per shard by entity hash (ShardOf), so a loader
 // can reconstruct the sharded store without re-partitioning and a future
@@ -51,125 +55,118 @@ const (
 	binHeaderLen  = len(binMagic) + 4 + 4 + 8 + 8
 	binTrailerLen = sha256.Size
 	binKeyWidth   = 16
+	// binMinFactLen is the fewest bytes a fact occupies: its key, its
+	// confidence and one byte each in the sources and ancestors columns.
+	binMinFactLen = binKeyWidth + 8 + 1 + 1
+	// binAncestorChunk is how many ancestor slots the reader allocates at
+	// a time; facts' ancestor lists are windows of such chunks.
+	binAncestorChunk = 4096
 )
 
 // WriteBinarySnapshot serialises the sharded store in the version-3
 // binary layout. The encoding is deterministic: equal stores produce
-// byte-identical snapshots.
+// byte-identical snapshots. The file is encoded in memory, hashed once
+// and handed to w in a single Write.
 func (s *Sharded) WriteBinarySnapshot(w io.Writer) error {
 	strs, ids, err := binStringTable(s)
 	if err != nil {
 		return err
 	}
-	h := sha256.New()
-	bw := bufio.NewWriter(w)
-	out := io.MultiWriter(bw, h)
-
-	var hdr bytes.Buffer
-	hdr.WriteString(binMagic)
-	be := binary.BigEndian
-	var u32 [4]byte
-	var u64 [8]byte
-	be.PutUint32(u32[:], BinarySnapshotVersion)
-	hdr.Write(u32[:])
-	be.PutUint32(u32[:], uint32(len(s.shards)))
-	hdr.Write(u32[:])
-	be.PutUint64(u64[:], uint64(s.Len()))
-	hdr.Write(u64[:])
-	be.PutUint64(u64[:], uint64(len(strs)))
-	hdr.Write(u64[:])
-	if _, err := out.Write(hdr.Bytes()); err != nil {
-		return fmt.Errorf("store: write binary header: %w", err)
-	}
-
-	var varint [binary.MaxVarintLen64]byte
-	writeUvarint := func(v uint64) error {
-		n := binary.PutUvarint(varint[:], v)
-		_, err := out.Write(varint[:n])
-		return err
-	}
+	// Sized for one-byte source counts and three-byte ancestor IDs; a
+	// store outside that still encodes, by growing the buffer.
+	size := binHeaderLen + binTrailerLen
 	for _, str := range strs {
-		if err := writeUvarint(uint64(len(str))); err != nil {
-			return fmt.Errorf("store: write string table: %w", err)
-		}
-		if _, err := io.WriteString(out, str); err != nil {
-			return fmt.Errorf("store: write string table: %w", err)
-		}
+		size += len(str) + 2
 	}
-
 	for _, sh := range s.shards {
-		facts := sh.Facts()
-		be.PutUint64(u64[:], uint64(len(facts)))
-		if _, err := out.Write(u64[:]); err != nil {
-			return fmt.Errorf("store: write shard header: %w", err)
+		size += 8 + sh.Len()*binMinFactLen + 3*(len(sh.byValue.arena)-sh.Len())
+	}
+	be := binary.BigEndian
+	buf := make([]byte, 0, size)
+	buf = append(buf, binMagic...)
+	buf = be.AppendUint32(buf, BinarySnapshotVersion)
+	buf = be.AppendUint32(buf, uint32(len(s.shards)))
+	buf = be.AppendUint64(buf, uint64(s.Len()))
+	buf = be.AppendUint64(buf, uint64(len(strs)))
+	for _, str := range strs {
+		buf = binary.AppendUvarint(buf, uint64(len(str)))
+		buf = append(buf, str...)
+	}
+	for _, sh := range s.shards {
+		facts := sh.facts
+		buf = be.AppendUint64(buf, uint64(len(facts)))
+		var entity, class uint32
+		for i := range facts {
+			f := &facts[i]
+			// Entity and class repeat down an entity's run: look them up
+			// when they change, not per fact.
+			if i == 0 || f.Entity != facts[i-1].Entity {
+				entity = ids[f.Entity]
+			}
+			if i == 0 || f.Class != facts[i-1].Class {
+				class = ids[f.Class]
+			}
+			buf = be.AppendUint32(buf, entity)
+			buf = be.AppendUint32(buf, ids[f.Attr])
+			buf = be.AppendUint32(buf, ids[f.Value])
+			buf = be.AppendUint32(buf, class)
 		}
-		var key [binKeyWidth]byte
-		for _, f := range facts {
-			be.PutUint32(key[0:4], ids[f.Entity])
-			be.PutUint32(key[4:8], ids[f.Attr])
-			be.PutUint32(key[8:12], ids[f.Value])
-			be.PutUint32(key[12:16], ids[f.Class])
-			if _, err := out.Write(key[:]); err != nil {
-				return fmt.Errorf("store: write keys: %w", err)
-			}
+		for i := range facts {
+			buf = be.AppendUint64(buf, math.Float64bits(facts[i].Confidence))
 		}
-		for _, f := range facts {
-			be.PutUint64(u64[:], math.Float64bits(f.Confidence))
-			if _, err := out.Write(u64[:]); err != nil {
-				return fmt.Errorf("store: write confidences: %w", err)
+		for i := range facts {
+			if facts[i].Sources < 0 {
+				return fmt.Errorf("store: negative source count %d for %q", facts[i].Sources, facts[i].Entity)
 			}
+			buf = binary.AppendUvarint(buf, uint64(facts[i].Sources))
 		}
-		for _, f := range facts {
-			if f.Sources < 0 {
-				return fmt.Errorf("store: negative source count %d for %q", f.Sources, f.Entity)
-			}
-			if err := writeUvarint(uint64(f.Sources)); err != nil {
-				return fmt.Errorf("store: write sources: %w", err)
-			}
-		}
-		for _, f := range facts {
-			if err := writeUvarint(uint64(len(f.Ancestors))); err != nil {
-				return fmt.Errorf("store: write ancestors: %w", err)
-			}
-			for _, anc := range f.Ancestors {
-				if err := writeUvarint(uint64(ids[anc])); err != nil {
-					return fmt.Errorf("store: write ancestors: %w", err)
-				}
+		for i := range facts {
+			buf = binary.AppendUvarint(buf, uint64(len(facts[i].Ancestors)))
+			for _, anc := range facts[i].Ancestors {
+				buf = binary.AppendUvarint(buf, uint64(ids[anc]))
 			}
 		}
 	}
-
-	if _, err := bw.Write(h.Sum(nil)); err != nil {
-		return fmt.Errorf("store: write checksum: %w", err)
+	sum := sha256.Sum256(buf)
+	if _, err := w.Write(append(buf, sum[:]...)); err != nil {
+		return fmt.Errorf("store: write binary snapshot: %w", err)
 	}
-	return bw.Flush()
+	return nil
 }
 
 // binStringTable collects every distinct string of the store — entities,
 // classes, attributes, values, ancestors — sorted, and maps each to its
-// ID. Sorted assignment is what makes the fixed-width keys sortable.
+// ID. Sorted assignment is what makes the fixed-width keys sortable. The
+// distinct strings are exactly the keys of the shards' indexes (plus the
+// empty class, which is not indexed), so they are gathered from those:
+// one insertion per distinct key instead of five per fact.
 func binStringTable(s *Sharded) ([]string, map[string]uint32, error) {
-	set := make(map[string]bool)
+	n := 0
 	for _, sh := range s.shards {
-		for _, f := range sh.Facts() {
-			set[f.Entity] = true
-			set[f.Class] = true
-			set[f.Attr] = true
-			set[f.Value] = true
-			for _, anc := range f.Ancestors {
-				set[anc] = true
+		n += len(sh.byEntity) + len(sh.byValue.list)
+	}
+	ids := make(map[string]uint32, n)
+	for _, sh := range s.shards {
+		for str := range sh.byEntity {
+			ids[str] = 0
+		}
+		for _, p := range []postings{sh.byAttr, sh.byClass, sh.byValue} {
+			for str := range p.list {
+				ids[str] = 0
 			}
 		}
+		if len(sh.byClass.arena) < len(sh.facts) {
+			ids[""] = 0
+		}
 	}
-	if uint64(len(set)) > math.MaxUint32 {
-		return nil, nil, fmt.Errorf("store: %d distinct strings exceed the u32 ID space", len(set))
+	if uint64(len(ids)) > math.MaxUint32 {
+		return nil, nil, fmt.Errorf("store: %d distinct strings exceed the u32 ID space", len(ids))
 	}
-	strs := make([]string, 0, len(set))
-	for str := range set {
+	strs := make([]string, 0, len(ids))
+	for str := range ids {
 		strs = append(strs, str)
 	}
 	sort.Strings(strs)
-	ids := make(map[string]uint32, len(strs))
 	for i, str := range strs {
 		ids[str] = uint32(i)
 	}
@@ -184,15 +181,23 @@ func (s *Sharded) WriteBinarySnapshotFile(path string) error {
 }
 
 // binReader walks a fully-read snapshot with bounds-checked cursors so a
-// truncated or bit-flipped file (that somehow passed the checksum —
-// impossible — or a logic error here) fails loudly, never misparses.
+// crafted file — anyone can append a valid checksum — fails with a format
+// error, never misparses or panics.
 type binReader struct {
 	data []byte
 	off  int
+
+	strs  []string // the string table, once read
+	used  []bool   // per string: some fact references it
+	arena []string // unused tail of the current ancestor chunk
 }
 
+// left is the number of unread bytes. Every count the file declares is
+// held against it before anything is allocated for that count.
+func (r *binReader) left() int { return len(r.data) - r.off }
+
 func (r *binReader) take(n int) ([]byte, error) {
-	if n < 0 || r.off+n > len(r.data) {
+	if n < 0 || n > r.left() {
 		return nil, fmt.Errorf("store: binary snapshot truncated at offset %d (need %d more bytes)", r.off, n)
 	}
 	b := r.data[r.off : r.off+n]
@@ -200,9 +205,11 @@ func (r *binReader) take(n int) ([]byte, error) {
 	return b, nil
 }
 
+// uvarint reads one varint in its shortest encoding — the only one the
+// writer produces, so accepting a padded one would break decode∘encode.
 func (r *binReader) uvarint() (uint64, error) {
 	v, n := binary.Uvarint(r.data[r.off:])
-	if n <= 0 {
+	if n <= 0 || n > 1 && r.data[r.off+n-1] == 0 {
 		return 0, fmt.Errorf("store: binary snapshot: bad varint at offset %d", r.off)
 	}
 	r.off += n
@@ -241,161 +248,185 @@ func binVerify(data []byte) (binHeader, *binReader, error) {
 	if version != BinarySnapshotVersion {
 		return hdr, nil, fmt.Errorf("store: unsupported binary snapshot version %d (this build reads %d)", version, BinarySnapshotVersion)
 	}
-	hdr.shards = int(be.Uint32(b[4:8]))
-	hdr.facts = int(be.Uint64(b[8:16]))
-	hdr.strings = int(be.Uint64(b[16:24]))
-	if hdr.shards <= 0 {
-		return hdr, nil, fmt.Errorf("store: binary snapshot declares %d shards", hdr.shards)
+	shards, facts, strs := uint64(be.Uint32(b[4:8])), be.Uint64(b[8:16]), be.Uint64(b[16:24])
+	if shards == 0 {
+		return hdr, nil, fmt.Errorf("store: binary snapshot declares 0 shards")
 	}
+	// A shard occupies at least its 8-byte count, a fact binMinFactLen
+	// bytes, a string its length byte: a header that declares more than
+	// the file can hold is refused here, before the counts size anything.
+	if left := uint64(r.left()); shards > left/8 || facts > left/binMinFactLen || strs > left {
+		return hdr, nil, fmt.Errorf("store: binary snapshot header declares %d shards, %d facts, %d strings in %d bytes", shards, facts, strs, left)
+	}
+	hdr.shards, hdr.facts, hdr.strings = int(shards), int(facts), int(strs)
 	return hdr, r, nil
 }
 
 // ReadBinarySnapshot loads a version-3 snapshot written by
-// WriteBinarySnapshot, rebuilding every shard's indexes. The checksum is
-// verified over the whole file before any parsing, so a torn or
-// bit-flipped snapshot is rejected up front.
+// WriteBinarySnapshot and indexes every shard. The checksum is verified
+// over the whole file before any parsing, so a torn or bit-flipped
+// snapshot is rejected up front; see the codec comment for what is
+// checked after that.
 func ReadBinarySnapshot(rd io.Reader) (*Sharded, error) {
-	data, err := io.ReadAll(rd)
-	if err != nil {
+	var buf bytes.Buffer
+	if sized, ok := rd.(interface{ Len() int }); ok {
+		buf.Grow(sized.Len() + bytes.MinRead) // one read, no regrowth
+	}
+	if _, err := buf.ReadFrom(rd); err != nil {
 		return nil, fmt.Errorf("store: read binary snapshot: %w", err)
 	}
-	hdr, r, err := binVerify(data)
-	if err != nil {
-		return nil, err
-	}
-	strs := make([]string, hdr.strings)
-	for i := range strs {
-		n, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		b, err := r.take(int(n))
-		if err != nil {
-			return nil, err
-		}
-		strs[i] = string(b)
-	}
-	str := func(id uint64) (string, error) {
-		if id >= uint64(len(strs)) {
-			return "", fmt.Errorf("store: binary snapshot references string %d of %d", id, len(strs))
-		}
-		return strs[id], nil
-	}
-
-	be := binary.BigEndian
-	total := 0
-	parts := make([][]Fact, hdr.shards)
-	for si := range parts {
-		nb, err := r.take(8)
-		if err != nil {
-			return nil, err
-		}
-		n := int(be.Uint64(nb))
-		if n < 0 || total+n > hdr.facts {
-			return nil, fmt.Errorf("store: binary snapshot shard %d overflows declared fact count %d", si, hdr.facts)
-		}
-		total += n
-		facts := make([]Fact, n)
-		keys, err := r.take(n * binKeyWidth)
-		if err != nil {
-			return nil, err
-		}
-		for i := 0; i < n; i++ {
-			k := keys[i*binKeyWidth:]
-			f := &facts[i]
-			if f.Entity, err = str(uint64(be.Uint32(k[0:4]))); err != nil {
-				return nil, err
-			}
-			if f.Attr, err = str(uint64(be.Uint32(k[4:8]))); err != nil {
-				return nil, err
-			}
-			if f.Value, err = str(uint64(be.Uint32(k[8:12]))); err != nil {
-				return nil, err
-			}
-			if f.Class, err = str(uint64(be.Uint32(k[12:16]))); err != nil {
-				return nil, err
-			}
-			if got := ShardOf(f.Entity, hdr.shards); got != si {
-				return nil, fmt.Errorf("store: binary snapshot misplaces entity %q in shard %d (hashes to %d)", f.Entity, si, got)
-			}
-		}
-		confs, err := r.take(n * 8)
-		if err != nil {
-			return nil, err
-		}
-		for i := 0; i < n; i++ {
-			facts[i].Confidence = math.Float64frombits(be.Uint64(confs[i*8:]))
-		}
-		for i := 0; i < n; i++ {
-			v, err := r.uvarint()
-			if err != nil {
-				return nil, err
-			}
-			facts[i].Sources = int(v)
-		}
-		for i := 0; i < n; i++ {
-			cnt, err := r.uvarint()
-			if err != nil {
-				return nil, err
-			}
-			if cnt > uint64(len(strs)) {
-				return nil, fmt.Errorf("store: binary snapshot fact claims %d ancestors", cnt)
-			}
-			if cnt == 0 {
-				continue
-			}
-			anc := make([]string, cnt)
-			for j := range anc {
-				id, err := r.uvarint()
-				if err != nil {
-					return nil, err
-				}
-				if anc[j], err = str(id); err != nil {
-					return nil, err
-				}
-			}
-			facts[i].Ancestors = anc
-		}
-		parts[si] = facts
-	}
-	if total != hdr.facts {
-		return nil, fmt.Errorf("store: binary snapshot truncated: header says %d facts, found %d", hdr.facts, total)
-	}
-	if r.off != len(r.data) {
-		return nil, fmt.Errorf("store: binary snapshot has %d trailing bytes", len(r.data)-r.off)
-	}
-
-	s := &Sharded{shards: make([]*Store, hdr.shards)}
-	classSet := make(map[string]bool)
-	for i, part := range parts {
-		sh := New(part)
-		s.shards[i] = sh
-		s.nFacts += sh.Len()
-		s.nEntity += sh.EntityCount()
-		for _, c := range sh.Classes() {
-			classSet[c] = true
-		}
-	}
-	s.classes = make([]string, 0, len(classSet))
-	for c := range classSet {
-		s.classes = append(s.classes, c)
-	}
-	sort.Strings(s.classes)
-	return s, nil
+	return decodeBinarySnapshot(buf.Bytes())
 }
 
-// ReadBinarySnapshotFile loads a binary snapshot from a file.
-func ReadBinarySnapshotFile(path string) (*Sharded, error) {
-	f, err := os.Open(path)
+func decodeBinarySnapshot(data []byte) (*Sharded, error) {
+	hdr, d, err := binVerify(data)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	s, err := ReadBinarySnapshot(f)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
+	if err := d.stringTable(hdr.strings); err != nil {
+		return nil, err
 	}
-	return s, nil
+	// Every shard's facts are windows of one array.
+	facts := make([]Fact, hdr.facts)
+	shards := make([]*Store, hdr.shards)
+	for si := range shards {
+		nb, err := d.take(8)
+		if err != nil {
+			return nil, err
+		}
+		n := binary.BigEndian.Uint64(nb)
+		if n > uint64(len(facts)) {
+			return nil, fmt.Errorf("store: binary snapshot shard %d overflows declared fact count %d", si, hdr.facts)
+		}
+		part := facts[:n:n]
+		facts = facts[n:]
+		if err := d.shard(si, len(shards), part); err != nil {
+			return nil, err
+		}
+		shards[si] = build(part)
+	}
+	if len(facts) != 0 {
+		return nil, fmt.Errorf("store: binary snapshot truncated: header says %d facts, found %d", hdr.facts, hdr.facts-len(facts))
+	}
+	if d.left() != 0 {
+		return nil, fmt.Errorf("store: binary snapshot has %d trailing bytes", d.left())
+	}
+	for id, used := range d.used {
+		if !used {
+			return nil, fmt.Errorf("store: binary snapshot string %d (%q) is referenced by no fact", id, d.strs[id])
+		}
+	}
+	return newSharded(shards), nil
+}
+
+// stringTable reads the n strings, all cut from one conversion of the
+// table's bytes, and checks they are strictly increasing — which is what
+// lets ID order stand in for string order everywhere after.
+func (d *binReader) stringTable(n int) error {
+	start := d.off
+	for i := 0; i < n; i++ {
+		l, err := d.uvarint()
+		if err != nil {
+			return err
+		}
+		if l > uint64(d.left()) {
+			return fmt.Errorf("store: binary snapshot truncated in string %d of %d", i, n)
+		}
+		d.off += int(l)
+	}
+	table := string(d.data[start:d.off])
+	d.strs, d.used = make([]string, n), make([]bool, n)
+	d.off = start
+	for i := range d.strs {
+		l, _ := d.uvarint()
+		d.strs[i] = table[d.off-start : d.off-start+int(l)]
+		d.off += int(l)
+		if i > 0 && d.strs[i] <= d.strs[i-1] {
+			return fmt.Errorf("store: binary snapshot string table is not strictly increasing at string %d", i)
+		}
+	}
+	return nil
+}
+
+// shard decodes the columns of shard si of n into facts (already sized to
+// the shard's declared count) and checks that they arrive canonical: keys
+// strictly increasing, compared as the two big-endian integers they are.
+func (d *binReader) shard(si, n int, facts []Fact) error {
+	be := binary.BigEndian
+	// len(facts) is at most the header's count, which binVerify bounded:
+	// the products below cannot overflow.
+	keys, err := d.take(len(facts) * binKeyWidth)
+	if err != nil {
+		return err
+	}
+	var prevHi, prevLo uint64
+	for i := range facts {
+		hi, lo := be.Uint64(keys[i*binKeyWidth:]), be.Uint64(keys[i*binKeyWidth+8:])
+		if i > 0 && (hi < prevHi || hi == prevHi && lo <= prevLo) {
+			return fmt.Errorf("store: binary snapshot shard %d keys are not strictly increasing at fact %d", si, i)
+		}
+		e, a, v, c := hi>>32, hi&math.MaxUint32, lo>>32, lo&math.MaxUint32
+		if top := max(e, a, v, c); top >= uint64(len(d.strs)) {
+			return fmt.Errorf("store: binary snapshot references string %d of %d", top, len(d.strs))
+		}
+		f := &facts[i]
+		f.Entity, f.Attr, f.Value, f.Class = d.strs[e], d.strs[a], d.strs[v], d.strs[c]
+		d.used[e], d.used[a], d.used[v], d.used[c] = true, true, true, true
+		if i == 0 || hi>>32 != prevHi>>32 {
+			if got := ShardOf(f.Entity, n); got != si {
+				return fmt.Errorf("store: binary snapshot misplaces entity %q in shard %d (hashes to %d)", f.Entity, si, got)
+			}
+		}
+		prevHi, prevLo = hi, lo
+	}
+	confs, err := d.take(len(facts) * 8)
+	if err != nil {
+		return err
+	}
+	for i := range facts {
+		facts[i].Confidence = math.Float64frombits(be.Uint64(confs[i*8:]))
+	}
+	for i := range facts {
+		v, err := d.uvarint()
+		if err != nil {
+			return err
+		}
+		if v > math.MaxInt {
+			return fmt.Errorf("store: binary snapshot source count %d overflows", v)
+		}
+		facts[i].Sources = int(v)
+	}
+	for i := range facts {
+		cnt, err := d.uvarint()
+		if err != nil {
+			return err
+		}
+		if cnt == 0 {
+			continue
+		}
+		// Each ancestor is at least one byte of what is left to read,
+		// which bounds both this list and the chunk allocated for it.
+		if cnt > uint64(d.left()) {
+			return fmt.Errorf("store: binary snapshot fact claims %d ancestors", cnt)
+		}
+		if uint64(len(d.arena)) < cnt {
+			d.arena = make([]string, max(int(cnt), min(binAncestorChunk, d.left())))
+		}
+		anc := d.arena[:cnt:cnt]
+		d.arena = d.arena[cnt:]
+		for j := range anc {
+			id, err := d.uvarint()
+			if err != nil {
+				return err
+			}
+			if id >= uint64(len(d.strs)) {
+				return fmt.Errorf("store: binary snapshot references string %d of %d", id, len(d.strs))
+			}
+			anc[j], d.used[id] = d.strs[id], true
+		}
+		facts[i].Ancestors = anc
+	}
+	return nil
 }
 
 // verifyBinarySnapshot checks a binary snapshot's integrity without

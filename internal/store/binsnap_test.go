@@ -2,9 +2,12 @@ package store
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -128,6 +131,192 @@ func TestBinarySnapshotRejectsCorruption(t *testing.T) {
 	t.Run("wrong magic", func(t *testing.T) {
 		if _, err := ReadBinarySnapshot(strings.NewReader("notasnap" + string(raw[8:]))); err == nil {
 			t.Error("wrong magic accepted")
+		}
+	})
+}
+
+// signed appends the sha256 trailer a version-3 file ends with: what
+// anyone crafting a snapshot can do, so the checksum is no defence for
+// the parser behind it.
+func signed(payload []byte) []byte {
+	sum := sha256.Sum256(payload)
+	return append(append([]byte(nil), payload...), sum[:]...)
+}
+
+// binPayload is the store's version-3 encoding without its trailer.
+func binPayload(t testing.TB, sh *Sharded) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := sh.WriteBinarySnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()[:buf.Len()-binTrailerLen]
+}
+
+// TestBinarySnapshotRejectsCraftedCounts feeds the reader files whose
+// checksum is valid and whose declared counts are absurd. Each used to
+// reach make() unchecked — a 56-byte file declaring 2^62 strings
+// panicked the process, 2^40 ran it out of memory — and each must be a
+// format error, through the reader and the verifier alike.
+func TestBinarySnapshotRejectsCraftedCounts(t *testing.T) {
+	be := binary.BigEndian
+	header := func(shards uint32, facts, strs uint64) []byte {
+		b := append([]byte(binMagic), make([]byte, 24)...)
+		be.PutUint32(b[8:], BinarySnapshotVersion)
+		be.PutUint32(b[12:], shards)
+		be.PutUint64(b[16:], facts)
+		be.PutUint64(b[24:], strs)
+		return b
+	}
+	one := binPayload(t, NewSharded([]Fact{{Entity: "E", Class: "C", Attr: "a", Value: "v"}}, 1))
+	shardCount := bytes.LastIndex(one, be.AppendUint64(nil, 1)) // the shard's u64 fact count
+	for name, payload := range map[string][]byte{
+		"2^62 strings":    header(1, 0, 1<<62),
+		"2^40 strings":    header(1, 0, 1<<40),
+		"2^62 facts":      header(1, 1<<62, 0),
+		"2^40 facts":      header(1, 1<<40, 0),
+		"2^32-1 shards":   header(1<<32-1, 0, 0),
+		"2^61 shard size": append(append([]byte(nil), one[:shardCount]...), append(be.AppendUint64(nil, 1<<61), one[shardCount+8:]...)...),
+		"2^40 ancestors":  append(one[:len(one)-1:len(one)-1], binary.AppendUvarint(nil, 1<<40)...),
+	} {
+		t.Run(name, func(t *testing.T) {
+			file := signed(payload)
+			if _, err := ReadBinarySnapshot(bytes.NewReader(file)); err == nil {
+				t.Error("ReadBinarySnapshot accepted it")
+			} else {
+				t.Log(err)
+			}
+			if name == "2^61 shard size" || name == "2^40 ancestors" {
+				return // past the header, which is all the verifier parses
+			}
+			if _, err := verifyBinarySnapshot(file); err == nil {
+				t.Error("verifyBinarySnapshot accepted it")
+			}
+		})
+	}
+}
+
+// TestBinarySnapshotRejectsNonCanonical covers what the reader verifies
+// instead of redoing: files with a valid checksum whose string table or
+// keys are not in the strictly increasing order the format promises (the
+// store's entity index is that order, so accepting them would serve wrong
+// answers), and the encodings the writer never produces.
+func TestBinarySnapshotRejectsNonCanonical(t *testing.T) {
+	// One shard, two facts; the string table is "C" "E" "a" "v" "w", one
+	// length byte and one byte each, and the keys follow the shard's count.
+	good := binPayload(t, NewSharded([]Fact{
+		{Entity: "E", Class: "C", Attr: "a", Value: "v"},
+		{Entity: "E", Class: "C", Attr: "a", Value: "w"},
+	}, 1))
+	if _, err := ReadBinarySnapshot(bytes.NewReader(signed(good))); err != nil {
+		t.Fatalf("unmodified file: %v", err)
+	}
+	table, keys := binHeaderLen, binHeaderLen+2*5+8
+	mutate := func(edit func(b []byte) []byte) []byte {
+		return edit(append([]byte(nil), good...))
+	}
+	for name, payload := range map[string][]byte{
+		"unsorted string table": mutate(func(b []byte) []byte {
+			b[table+1], b[table+3] = b[table+3], b[table+1]
+			return b
+		}),
+		"repeated string": mutate(func(b []byte) []byte {
+			b[table+3] = b[table+1]
+			return b
+		}),
+		"unsorted keys": mutate(func(b []byte) []byte {
+			first := append([]byte(nil), b[keys:keys+binKeyWidth]...)
+			copy(b[keys:], b[keys+binKeyWidth:keys+2*binKeyWidth])
+			copy(b[keys+binKeyWidth:], first)
+			return b
+		}),
+		"duplicate key": mutate(func(b []byte) []byte {
+			copy(b[keys+binKeyWidth:], b[keys:keys+binKeyWidth])
+			return b
+		}),
+		"unreferenced string": mutate(func(b []byte) []byte {
+			// The first fact's value becomes "a": the keys still increase,
+			// and "v" stays in the table with no fact naming it.
+			binary.BigEndian.PutUint32(b[keys+8:], 2)
+			return b
+		}),
+		"padded varint": mutate(func(b []byte) []byte {
+			// The last byte is the second fact's ancestor count, 0; 0x80 0x00
+			// decodes to 0 as well.
+			return append(b[:len(b)-1], 0x80, 0x00)
+		}),
+	} {
+		t.Run(name, func(t *testing.T) {
+			if _, err := ReadBinarySnapshot(bytes.NewReader(signed(payload))); err == nil {
+				t.Error("accepted")
+			} else if strings.Contains(err.Error(), "checksum") {
+				t.Errorf("rejected by the checksum, not by the check under test: %v", err)
+			} else {
+				t.Log(err)
+			}
+		})
+	}
+}
+
+// TestReadBinarySnapshotAllocationBound pins what loading costs the
+// allocator. The hash-map store allocated 4.2 times per fact (a postings
+// slice per key, two key strings per fact, a string per table entry); the
+// reader now cuts strings, facts, ancestors and postings from a few
+// arrays per shard.
+func TestReadBinarySnapshotAllocationBound(t *testing.T) {
+	w := kb.NewWorld(kb.WorldConfig{Seed: 1, EntitiesPerClass: 100, AttrsPerEntity: 6})
+	sh := NewSharded(WorldFacts(w), DefaultShards)
+	var buf bytes.Buffer
+	if err := sh.WriteBinarySnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := ReadBinarySnapshot(bytes.NewReader(buf.Bytes())); err != nil {
+			t.Fatal(err)
+		}
+	})
+	perFact := allocs / float64(sh.Len())
+	t.Logf("%d facts: %.0f allocations, %.3f per fact", sh.Len(), allocs, perFact)
+	if perFact > 0.5 {
+		t.Errorf("ReadBinarySnapshot allocates %.2f times per fact, want <= 0.5", perFact)
+	}
+}
+
+// FuzzReadBinarySnapshot fuzzes the version-3 reader behind a correct
+// checksum: the input is a payload, the harness signs it. Whatever the
+// bytes, the reader returns (never panics), allocates no more than a small
+// multiple of the input — 64x covers the dearest legitimate shape, a file
+// of empty shards — and anything it accepts re-encodes to the same bytes.
+func FuzzReadBinarySnapshot(f *testing.F) {
+	for _, sh := range []*Sharded{
+		NewSharded(nil, 2),
+		NewSharded([]Fact{{Entity: "E", Attr: "a", Value: "v", Confidence: 0.5}}, 1),
+		NewSharded(testFacts(), 3),
+		NewSharded([]Fact{
+			{Entity: "E", Class: "C", Attr: "a", Value: "Wuhan", Confidence: 1, Sources: 9, Ancestors: []string{"Hubei", "China"}},
+			{Entity: "F", Attr: "a", Value: "Hubei", Confidence: 0.25, Sources: 300, Ancestors: []string{"China"}},
+		}, 2),
+	} {
+		f.Add(binPayload(f, sh))
+	}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		file := signed(payload)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		sh, err := ReadBinarySnapshot(bytes.NewReader(file))
+		runtime.ReadMemStats(&after)
+		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(64*len(file)+1<<16); got > limit {
+			t.Errorf("decoding %d bytes allocated %d, more than %d", len(file), got, limit)
+		}
+		if err != nil {
+			return
+		}
+		var again bytes.Buffer
+		if err := sh.WriteBinarySnapshot(&again); err != nil {
+			t.Fatalf("accepted file does not re-encode: %v", err)
+		}
+		if !bytes.Equal(again.Bytes(), file) {
+			t.Errorf("accepted file re-encodes to different bytes:\n in: %x\nout: %x", file, again.Bytes())
 		}
 	})
 }

@@ -21,7 +21,7 @@ func TestChaosQuerierInjectsPanics(t *testing.T) {
 		fn()
 		return nil
 	}
-	rec := recovered(func() { q.Lookup(Query{Class: "Film"}) })
+	rec := recovered(func() { q.Lookup(Pattern{Class: "Film"}) })
 	if rec == nil {
 		t.Fatal("FailProb=1 did not panic")
 	}
@@ -41,7 +41,7 @@ func TestChaosQuerierInjectsPanics(t *testing.T) {
 
 	// Permanent faults panic with a string, not an error value.
 	ctl2 := NewChaosController(&resilience.FaultPlan{Seed: 7, Default: resilience.StageFault{FailProb: 1}})
-	rec = recovered(func() { ctl2.Wrap(base).Lookup(Query{Class: "Film"}) })
+	rec = recovered(func() { ctl2.Wrap(base).Lookup(Pattern{Class: "Film"}) })
 	if _, isErr := rec.(error); rec == nil || isErr {
 		t.Fatalf("permanent fault panicked with %v, want plain string", rec)
 	}
@@ -58,8 +58,8 @@ func TestChaosQuerierDisableRestoresCleanReads(t *testing.T) {
 
 	// With injection off the wrapper is transparent: same answers, no
 	// panics, no latency bookkeeping.
-	got := q.Lookup(Query{Class: "Film"})
-	want := base.Lookup(Query{Class: "Film"})
+	got := q.Lookup(Pattern{Class: "Film"})
+	want := base.Lookup(Pattern{Class: "Film"})
 	if len(got) != len(want) {
 		t.Fatalf("disabled chaos changed results: %d vs %d", len(got), len(want))
 	}
@@ -86,7 +86,7 @@ func TestChaosQuerierLatency(t *testing.T) {
 	})
 	q := ctl.Wrap(base)
 	start := time.Now()
-	q.Lookup(Query{Class: "Film"})
+	q.Lookup(Pattern{Class: "Film"})
 	if d := time.Since(start); d < 5*time.Millisecond {
 		t.Errorf("latency fault not applied: took %v", d)
 	}

@@ -1,0 +1,253 @@
+package store
+
+import (
+	"bytes"
+	"fmt"
+	"hash/fnv"
+	"math/rand"
+	"testing"
+)
+
+// nastyNames is the shared pool entities, attributes, values, classes and
+// ancestors are all drawn from, so an entity can equal a value, attributes
+// are prefixes of one another, and NULs sit where a concatenated
+// (entity, attr) key would have put its separator.
+var nastyNames = []string{
+	"a", "ab", "abc", "a\x00b", "a\x00", "\x00", "b", "b\x00c", "c",
+	`q"uo\te`, "new\nline", "é", "Film 1", "Film 12",
+}
+
+// nastyFacts generates one small adversarial KB: few names, so keys
+// collide in every position; empty classes; ancestor chains (distinct and
+// never the value itself, as a hierarchy's are); duplicates. A repeated
+// key repeats the whole fact: which of two facts that differ only outside
+// the key survives dedup is the sort's choice, and not the same choice in
+// every layout.
+func nastyFacts(r *rand.Rand) []Fact {
+	name := func() string { return nastyNames[r.Intn(len(nastyNames))] }
+	facts := make([]Fact, 0, 64)
+	byKey := map[[4]string]Fact{}
+	for n := r.Intn(60); len(facts) < n; {
+		if len(facts) > 0 && r.Intn(8) == 0 {
+			facts = append(facts, facts[r.Intn(len(facts))])
+			continue
+		}
+		f := Fact{Entity: name(), Attr: name(), Value: name(), Confidence: r.Float64(), Sources: r.Intn(5)}
+		if r.Intn(4) > 0 {
+			f.Class = name()
+		}
+		for _, i := range r.Perm(len(nastyNames))[:r.Intn(4)] {
+			if nastyNames[i] != f.Value {
+				f.Ancestors = append(f.Ancestors, nastyNames[i])
+			}
+		}
+		key := [4]string{f.Entity, f.Attr, f.Value, f.Class}
+		if first, ok := byKey[key]; ok {
+			f = first
+		}
+		byKey[key] = f
+		facts = append(facts, f)
+	}
+	return facts
+}
+
+// nastyPattern draws each field from the pool or leaves it a wildcard.
+func nastyPattern(r *rand.Rand) Pattern {
+	pick := func() string {
+		if r.Intn(2) == 0 {
+			return ""
+		}
+		return nastyNames[r.Intn(len(nastyNames))]
+	}
+	return Pattern{Entity: pick(), Attr: pick(), Class: pick(), Value: pick(), Exact: r.Intn(3) == 0}
+}
+
+// parentEstimate is CountEstimate as the hash-map store (before the fact
+// order became the entity index) computed it: the length of the postings
+// list its candidates() chose. Datalog plans, and through them row order,
+// depend on these exact numbers.
+func parentEstimate(facts []Fact, q Pattern) int {
+	n := 0
+	for _, f := range facts {
+		switch {
+		case q.Entity != "" && q.Attr != "":
+			if f.Entity == q.Entity && f.Attr == q.Attr {
+				n++
+			}
+		case q.Entity != "":
+			if f.Entity == q.Entity {
+				n++
+			}
+		case q.Class != "":
+			if f.Class == q.Class {
+				n++
+			}
+		case q.Attr != "":
+			if f.Attr == q.Attr {
+				n++
+			}
+		case q.Value != "":
+			if f.Value == q.Value {
+				n++
+			}
+			for _, anc := range f.Ancestors {
+				if anc == q.Value {
+					n++
+				}
+			}
+		default:
+			n++
+		}
+	}
+	return n
+}
+
+// fullQuerier is every read the store offers.
+type fullQuerier interface {
+	LimitedQuerier
+	Iterator
+	Selector
+	CountEstimator
+	Scan(Pattern) []Fact
+}
+
+// TestReadsMatchScanOnNastyKBs is the differential test of the read
+// paths: on generated adversarial KBs, every way of reading a pattern
+// returns exactly what the brute-force Scan returns, and CountEstimate
+// returns what the parent store's postings lengths were — on the flat
+// store, on sharded layouts (some shards empty), and on both after a
+// version-3 snapshot round trip.
+func TestReadsMatchScanOnNastyKBs(t *testing.T) {
+	kbs := 150
+	if testing.Short() {
+		kbs = 30
+	}
+	for seed := 0; seed < kbs; seed++ {
+		r := rand.New(rand.NewSource(int64(seed)))
+		facts := nastyFacts(r)
+		flat := New(facts)
+		layouts := map[string]fullQuerier{"flat": flat}
+		for _, n := range []int{1, 3, 8} {
+			sh := NewSharded(facts, n)
+			layouts[fmt.Sprintf("sharded-%d", n)] = sh
+			if n == 1 {
+				continue
+			}
+			var buf bytes.Buffer
+			if err := sh.WriteBinarySnapshot(&buf); err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+			back, err := ReadBinarySnapshot(&buf)
+			if err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+			layouts[fmt.Sprintf("v3-sharded-%d", n)] = back
+			layouts[fmt.Sprintf("v3-flattened-%d", n)] = back.Flatten()
+		}
+		patterns := make([]Pattern, 40)
+		for i := range patterns {
+			patterns[i] = nastyPattern(r)
+		}
+		for name, q := range layouts {
+			if !factsEqual(q.Scan(Pattern{}), flat.Facts()) {
+				t.Fatalf("seed %d %s: facts differ from the flat store's", seed, name)
+			}
+			for _, p := range patterns {
+				checkReads(t, fmt.Sprintf("seed %d %s %#v", seed, name, p), q, flat.Facts(), p, 1+r.Intn(4))
+			}
+		}
+	}
+}
+
+func checkReads(t *testing.T, where string, q fullQuerier, all []Fact, p Pattern, limit int) {
+	t.Helper()
+	want := q.Scan(p)
+	if got := q.Lookup(p); !factsEqual(got, want) {
+		t.Errorf("%s: Lookup\n got: %+v\nwant: %+v", where, got, want)
+	}
+	got, total := q.LookupN(p, limit)
+	if total != len(want) || !factsEqual(got, want[:min(limit, len(want))]) {
+		t.Errorf("%s: LookupN(%d) = %+v, total %d\nwant the first of %+v", where, limit, got, total, want)
+	}
+	var pushed []Fact
+	q.Iterate(p, func(f Fact) bool { pushed = append(pushed, f); return true })
+	if !factsEqual(pushed, want) {
+		t.Errorf("%s: Iterate\n got: %+v\nwant: %+v", where, pushed, want)
+	}
+	var pulled []Fact
+	for cur := q.Select(p); ; {
+		f, ok := cur.Next()
+		if !ok {
+			break
+		}
+		pulled = append(pulled, f)
+	}
+	if !factsEqual(pulled, want) {
+		t.Errorf("%s: Select\n got: %+v\nwant: %+v", where, pulled, want)
+	}
+	if got, want := q.CountEstimate(p), parentEstimate(all, p); got != want {
+		t.Errorf("%s: CountEstimate = %d, the parent's postings list had %d", where, got, want)
+	}
+
+	// Entity and Triples address verbatim — an empty name is a name, not
+	// a wildcard — so their reference is a plain filter.
+	var entity, triples []Fact
+	for _, f := range all {
+		if f.Entity == p.Entity {
+			entity = append(entity, f)
+			if f.Attr == p.Attr {
+				triples = append(triples, f)
+			}
+		}
+	}
+	if got := q.Entity(p.Entity); !factsEqual(got, entity) {
+		t.Errorf("%s: Entity\n got: %+v\nwant: %+v", where, got, entity)
+	}
+	if got := q.Triples(p.Entity, p.Attr); !factsEqual(got, triples) {
+		t.Errorf("%s: Triples\n got: %+v\nwant: %+v", where, got, triples)
+	}
+}
+
+// TestTriplesNULInNames is the regression for the concatenated
+// (entity, attr) key the store used to index by: ("a", "b\x00c") and
+// ("a\x00b", "c") both keyed to "a\x00b\x00c", so each read the other's
+// facts.
+func TestTriplesNULInNames(t *testing.T) {
+	for _, q := range []Querier{
+		New([]Fact{{Entity: "a\x00b", Attr: "c", Value: "v"}}),
+		NewSharded([]Fact{{Entity: "a\x00b", Attr: "c", Value: "v"}}, 1),
+	} {
+		if got := q.Triples("a", "b\x00c"); len(got) != 0 {
+			t.Errorf(`%T: Triples("a", "b\x00c") = %+v, want nothing: those are the facts of ("a\x00b", "c")`, q, got)
+		}
+		if got := q.Lookup(Pattern{Entity: "a", Attr: "b\x00c"}); len(got) != 0 {
+			t.Errorf(`%T: Lookup(entity "a", attr "b\x00c") = %+v, want nothing`, q, got)
+		}
+		if got := q.Triples("a\x00b", "c"); len(got) != 1 {
+			t.Errorf(`%T: Triples("a\x00b", "c") = %+v, want its one fact`, q, got)
+		}
+	}
+}
+
+// TestShardOfIsFNV1a pins ShardOf to the hash every existing snapshot was
+// segmented with — hash/fnv's 64-bit FNV-1a — and to costing no heap.
+func TestShardOfIsFNV1a(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	for i := 0; i < 2000; i++ {
+		b := make([]byte, r.Intn(40))
+		r.Read(b)
+		h := fnv.New64a()
+		h.Write(b)
+		for _, n := range []int{1, 2, 8, 13, 64} {
+			if got, want := ShardOf(string(b), n), int(h.Sum64()%uint64(n)); got != want {
+				t.Fatalf("ShardOf(%q, %d) = %d, hash/fnv says %d", b, n, got, want)
+			}
+		}
+	}
+	if got := ShardOf("Casablanca", 8); got != 0 {
+		t.Errorf(`ShardOf("Casablanca", 8) = %d, want 0`, got)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { ShardOf("Alladel T19", 8) }); allocs != 0 {
+		t.Errorf("ShardOf allocates %.0f times a call, want 0", allocs)
+	}
+}

@@ -56,10 +56,11 @@ type Iterator interface {
 }
 
 // CountEstimator is the optional selectivity oracle: CountEstimate
-// returns an upper bound on the matches for q straight from the
-// postings-list lengths, in O(1) and with zero allocation. It powers the
-// datalog planner's greedy clause ordering — statistics-free in the
-// janus-datalog sense, because the index is the statistic.
+// returns an upper bound on the matches for q straight from the length
+// of the run or postings list a read would walk, at the cost of finding
+// it and with zero allocation. It powers the datalog planner's greedy
+// clause ordering — statistics-free in the janus-datalog sense, because
+// the index is the statistic.
 type CountEstimator interface {
 	CountEstimate(q Pattern) int
 }

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"hash/fnv"
 	"sort"
 
 	"akb/internal/core"
@@ -19,13 +18,17 @@ const DefaultShards = 8
 // one shard, and the assignment is stable across processes and runs, so
 // the same snapshot always shards the same way.
 func ShardOf(entity string, n int) int {
-	h := fnv.New64a()
-	h.Write([]byte(entity))
-	return int(h.Sum64() % uint64(n))
+	// hash/fnv's 64-bit FNV-1a, inlined: no hasher and no []byte copy on
+	// a call every entity-keyed read makes.
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(entity); i++ {
+		h = (h ^ uint64(entity[i])) * 1099511628211
+	}
+	return int(h % uint64(n))
 }
 
 // Sharded partitions the fused KB by entity hash into independent
-// Stores, each with its own postings-list indexes. It implements Querier
+// Stores, each with its own indexes. It implements Querier
 // with the exact semantics of one big Store — Lookup results are
 // byte-identical, ordering included — while bounding per-shard index
 // size and creating the seam for multi-process deployment: a shard is
@@ -53,16 +56,33 @@ func NewSharded(facts []Fact, n int) *Sharded {
 	if n <= 0 {
 		n = DefaultShards
 	}
-	parts := make([][]Fact, n)
-	for _, f := range facts {
-		i := ShardOf(f.Entity, n)
-		parts[i] = append(parts[i], f)
+	// Count first, so each part is allocated once at its final size and
+	// sorted in place.
+	home := make([]int32, len(facts))
+	sizes := make([]int, n)
+	for i := range facts {
+		home[i] = int32(ShardOf(facts[i].Entity, n))
+		sizes[home[i]]++
 	}
-	s := &Sharded{shards: make([]*Store, n)}
-	classSet := make(map[string]bool)
+	parts := make([][]Fact, n)
+	for i, size := range sizes {
+		parts[i] = make([]Fact, 0, size)
+	}
+	for i, f := range facts {
+		parts[home[i]] = append(parts[home[i]], f)
+	}
+	shards := make([]*Store, n)
 	for i, part := range parts {
-		sh := New(part)
-		s.shards[i] = sh
+		shards[i] = build(canonical(part))
+	}
+	return newSharded(shards)
+}
+
+// newSharded assembles the shards and their summed counts.
+func newSharded(shards []*Store) *Sharded {
+	s := &Sharded{shards: shards}
+	classSet := make(map[string]bool)
+	for _, sh := range shards {
 		s.nFacts += sh.Len()
 		s.nEntity += sh.EntityCount()
 		for _, c := range sh.Classes() {
@@ -111,8 +131,9 @@ func (s *Sharded) Facts() []Fact {
 	return mergeFacts(lists, -1)
 }
 
-// Flatten rebuilds the equivalent single Store.
-func (s *Sharded) Flatten() *Store { return New(s.Facts()) }
+// Flatten rebuilds the equivalent single Store. The merged facts are
+// already canonical, so they are indexed as they are.
+func (s *Sharded) Flatten() *Store { return build(s.Facts()) }
 
 // Entity returns every fact about the entity; exactly one shard is
 // consulted.
@@ -187,8 +208,8 @@ func (s *Sharded) Iterate(q Pattern, yield func(Fact) bool) bool {
 
 // CountEstimate returns an upper bound on the matches for q: one shard's
 // estimate for entity-constrained patterns, the sum of every shard's
-// otherwise. Like Store.CountEstimate it reads postings-list lengths
-// only — no statistics catalog, no scan.
+// otherwise. Like Store.CountEstimate it reads run and postings-list
+// lengths only — no statistics catalog, no scan.
 func (s *Sharded) CountEstimate(q Pattern) int {
 	if q.Entity != "" {
 		return s.shards[ShardOf(q.Entity, len(s.shards))].CountEstimate(q)

@@ -9,8 +9,8 @@ import (
 
 // shardedQueries is the query matrix every equivalence test runs: single
 // routes, every index dimension, hierarchy values and misses.
-func shardedQueries(s *Store) []Query {
-	qs := []Query{
+func shardedQueries(s *Store) []Pattern {
+	qs := []Pattern{
 		{}, // full wildcard: the widest scatter-gather merge
 		{Entity: "missing"},
 		{Attr: "language"},
@@ -18,18 +18,18 @@ func shardedQueries(s *Store) []Query {
 		{Value: "missing"},
 	}
 	for _, class := range s.Classes() {
-		qs = append(qs, Query{Class: class})
+		qs = append(qs, Pattern{Class: class})
 	}
 	if facts := s.Facts(); len(facts) > 0 {
 		f := facts[len(facts)/2]
 		qs = append(qs,
-			Query{Entity: f.Entity},
-			Query{Entity: f.Entity, Attr: f.Attr},
-			Query{Class: f.Class, Attr: f.Attr},
-			Query{Value: f.Value},
+			Pattern{Entity: f.Entity},
+			Pattern{Entity: f.Entity, Attr: f.Attr},
+			Pattern{Class: f.Class, Attr: f.Attr},
+			Pattern{Value: f.Value},
 		)
 		for _, anc := range f.Ancestors {
-			qs = append(qs, Query{Value: anc})
+			qs = append(qs, Pattern{Value: anc})
 		}
 	}
 	return qs
@@ -158,10 +158,10 @@ func TestShardedEmptyAndDegenerate(t *testing.T) {
 	if empty.Len() != 0 || empty.EntityCount() != 0 {
 		t.Errorf("empty sharded store: Len=%d EntityCount=%d", empty.Len(), empty.EntityCount())
 	}
-	if got := empty.Lookup(Query{}); got != nil {
+	if got := empty.Lookup(Pattern{}); got != nil {
 		t.Errorf("wildcard on empty store = %+v, want nil", got)
 	}
-	if facts, total := empty.LookupN(Query{}, 10); facts != nil || total != 0 {
+	if facts, total := empty.LookupN(Pattern{}, 10); facts != nil || total != 0 {
 		t.Errorf("LookupN on empty store = %+v, %d", facts, total)
 	}
 	if got := empty.Entity("nobody"); got != nil {
@@ -177,10 +177,10 @@ func TestShardedEmptyAndDegenerate(t *testing.T) {
 		{Entity: "E", Class: "C", Attr: "a", Value: "v1", Confidence: 1},
 		{Entity: "E", Class: "C", Attr: "a", Value: "v2", Confidence: 1},
 	}, 8)
-	if got := one.Lookup(Query{}); len(got) != 2 {
+	if got := one.Lookup(Pattern{}); len(got) != 2 {
 		t.Errorf("single-shard wildcard = %+v", got)
 	}
-	if facts, total := one.LookupN(Query{}, 1); len(facts) != 1 || total != 2 {
+	if facts, total := one.LookupN(Pattern{}, 1); len(facts) != 1 || total != 2 {
 		t.Errorf("single-shard LookupN = %d facts, total %d", len(facts), total)
 	}
 }
@@ -208,8 +208,8 @@ func TestShardedValueHierarchyAcrossShards(t *testing.T) {
 	}
 	sh := NewSharded(facts, n)
 	flat := New(facts)
-	got := sh.Lookup(Query{Value: "China"})
-	if !reflect.DeepEqual(got, flat.Lookup(Query{Value: "China"})) {
+	got := sh.Lookup(Pattern{Value: "China"})
+	if !reflect.DeepEqual(got, flat.Lookup(Pattern{Value: "China"})) {
 		t.Fatalf("ancestor query across shards = %+v", got)
 	}
 	if len(got) != 2 || got[0].Entity != "Alice" || got[1].Entity != "Bob" {
@@ -248,7 +248,7 @@ func TestShardedDedupWithinShard(t *testing.T) {
 	if sh.Len() != 2 {
 		t.Errorf("dedup kept %d facts, want 2 (one per entity)", sh.Len())
 	}
-	if !reflect.DeepEqual(sh.Lookup(Query{Attr: "x"}), flat.Lookup(Query{Attr: "x"})) {
+	if !reflect.DeepEqual(sh.Lookup(Pattern{Attr: "x"}), flat.Lookup(Pattern{Attr: "x"})) {
 		t.Error("colliding-entity lookup differs from flat store")
 	}
 }

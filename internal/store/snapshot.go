@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -180,19 +181,12 @@ func writeSyncClose(f syncWriteCloser, write func(io.Writer) error) error {
 	return errors.Join(werr, serr, f.Close())
 }
 
-// sniffBinarySnapshot reports whether the file starts with the binary
+// isBinarySnapshot reports whether the file starts with the binary
 // codec's magic. JSON snapshots start with '{', so the 8-byte magic
 // disambiguates every valid snapshot; a file too short to carry either
 // is simply "not binary" and fails in the JSON decoder with a clear
 // error.
-func sniffBinarySnapshot(f *os.File) (bool, error) {
-	var magic [len(binMagic)]byte
-	n, err := f.ReadAt(magic[:], 0)
-	if err != nil && n < len(magic) {
-		return false, nil
-	}
-	return string(magic[:]) == binMagic, nil
-}
+func isBinarySnapshot(data []byte) bool { return bytes.HasPrefix(data, []byte(binMagic)) }
 
 // ReadSnapshotFile loads a snapshot from a file into a single flat
 // store, whichever codec version wrote it: JSON (versions 1 and 2)
@@ -200,23 +194,11 @@ func sniffBinarySnapshot(f *os.File) (bool, error) {
 // that want to preserve — or impose — a sharded layout use
 // OpenSnapshotFile instead.
 func ReadSnapshotFile(path string) (*Store, error) {
-	f, err := os.Open(path)
+	q, _, err := OpenSnapshotFile(path, 1)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	if bin, _ := sniffBinarySnapshot(f); bin {
-		sh, err := ReadBinarySnapshot(f)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", path, err)
-		}
-		return sh.Flatten(), nil
-	}
-	st, err := ReadSnapshot(f)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return st, nil
+	return q.(*Store), nil
 }
 
 // OpenSnapshotFile loads any snapshot version into a servable querier.
@@ -224,16 +206,14 @@ func ReadSnapshotFile(path string) (*Store, error) {
 // binary file's stored segments; DefaultShards for a JSON file), 1
 // forces a single flat store, and any larger value re-partitions into
 // that many shards. The returned info describes the file as stored, not
-// the serving layout.
+// the serving layout. The file is read whole, in one read sized by stat.
 func OpenSnapshotFile(path string, shards int) (Querier, SnapshotInfo, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, SnapshotInfo{Path: path}, err
 	}
-	defer f.Close()
-	bin, _ := sniffBinarySnapshot(f)
-	if bin {
-		sh, err := ReadBinarySnapshot(f)
+	if isBinarySnapshot(data) {
+		sh, err := decodeBinarySnapshot(data)
 		if err != nil {
 			return nil, SnapshotInfo{Path: path}, fmt.Errorf("%s: %w", path, err)
 		}
@@ -251,7 +231,7 @@ func OpenSnapshotFile(path string, shards int) (Querier, SnapshotInfo, error) {
 		}
 	}
 	var sf snapshotFile
-	if err := json.NewDecoder(f).Decode(&sf); err != nil {
+	if err := json.NewDecoder(bytes.NewReader(data)).Decode(&sf); err != nil {
 		return nil, SnapshotInfo{Path: path}, fmt.Errorf("%s: store: decode snapshot: %w", path, err)
 	}
 	info, err := sf.validate()
@@ -274,28 +254,20 @@ func OpenSnapshotFile(path string, shards int) (Querier, SnapshotInfo, error) {
 // count, shard count, checksum). It backs `akb snapshot verify|info` and
 // the pre-swap validation of the server's hot reload.
 func VerifySnapshotFile(path string) (SnapshotInfo, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return SnapshotInfo{Path: path}, err
 	}
-	defer f.Close()
-	if bin, _ := sniffBinarySnapshot(f); bin {
-		data, err := io.ReadAll(f)
-		if err != nil {
-			return SnapshotInfo{Path: path}, fmt.Errorf("%s: store: read snapshot: %w", path, err)
+	var info SnapshotInfo
+	if isBinarySnapshot(data) {
+		info, err = verifyBinarySnapshot(data)
+	} else {
+		var sf snapshotFile
+		if err := json.NewDecoder(bytes.NewReader(data)).Decode(&sf); err != nil {
+			return SnapshotInfo{Path: path}, fmt.Errorf("%s: store: decode snapshot: %w", path, err)
 		}
-		info, err := verifyBinarySnapshot(data)
-		info.Path = path
-		if err != nil {
-			return info, fmt.Errorf("%s: %w", path, err)
-		}
-		return info, nil
+		info, err = sf.validate()
 	}
-	var sf snapshotFile
-	if err := json.NewDecoder(f).Decode(&sf); err != nil {
-		return SnapshotInfo{Path: path}, fmt.Errorf("%s: store: decode snapshot: %w", path, err)
-	}
-	info, err := sf.validate()
 	info.Path = path
 	if err != nil {
 		return info, fmt.Errorf("%s: %w", path, err)

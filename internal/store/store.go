@@ -9,16 +9,21 @@
 // snapshot written earlier), never mutated afterwards, and therefore safe
 // for lock-free concurrent reads from any number of server goroutines.
 //
-// Four inverted indexes back the query shapes the HTTP API
-// (internal/serve) exposes: by entity, by (entity, attribute), by class,
-// and by value. The by-value index is hierarchy-aware: a fact is indexed
-// under its accepted value and under every generalisation of that value,
-// so querying value=Australia also finds entities whose accepted birth
-// place is Adelaide — the paper's hierarchical-value-space semantics
-// carried through to serving.
+// The facts are kept sorted in the canonical (entity, attribute, value,
+// class) order, and that order is the first index: an entity's facts are
+// one contiguous run of the array and an attribute's facts one run inside
+// it, so by-entity and by-(entity, attribute) reads are a map probe, a
+// short binary search and a copy. Three inverted indexes — by attribute,
+// by class and by value — cover the patterns that name no entity; each
+// keeps all its postings lists in one array. The by-value index is
+// hierarchy-aware: a fact is indexed under its accepted value and under
+// every generalisation of that value, so querying value=Australia also
+// finds entities whose accepted birth place is Adelaide — the paper's
+// hierarchical-value-space semantics carried through to serving.
 package store
 
 import (
+	"slices"
 	"sort"
 
 	"akb/internal/core"
@@ -70,26 +75,89 @@ type Pattern struct {
 	Exact bool
 }
 
-// Query is the former name of Pattern.
-//
-// Deprecated: use Pattern. The type was renamed when the read surface
-// grew multi-clause datalog queries, where "query" means a conjunction of
-// patterns rather than one of them.
-type Query = Pattern
-
 // Store is the immutable, indexed snapshot. All methods are safe for
 // unsynchronised concurrent use: nothing is written after New returns.
 type Store struct {
+	// facts is in canonical order without duplicate keys, so every
+	// entity's facts are contiguous and ordered by attribute.
 	facts []Fact
 
-	byEntity     map[string][]int32
-	byEntityAttr map[string][]int32
-	byAttr       map[string][]int32
-	byClass      map[string][]int32
-	byValue      map[string][]int32
+	byEntity map[string]span // entity → its run of facts
+	byAttr   postings
+	byClass  postings // facts with an empty class are not listed
+	byValue  postings // a fact is listed under its value and each ancestor
 
 	classes []string
-	nEntity int
+}
+
+// span is the half-open range [lo, hi) of positions in Store.facts.
+type span struct{ lo, hi int32 }
+
+// postings is one inverted index: key → ascending fact positions. Every
+// list is a window of one shared arena, so an index is three allocations
+// however many keys it holds.
+type postings struct {
+	list  map[string]int32 // key → list number
+	off   []int32          // list i is arena[off[i]:off[i+1]]
+	arena []int32
+}
+
+func (p *postings) of(key string) []int32 {
+	i, ok := p.list[key]
+	if !ok {
+		return nil
+	}
+	return p.arena[p.off[i]:p.off[i+1]]
+}
+
+// postingsBuilder collects one index's (key, position) pairs in fact
+// order and lays them out in a single count → prefix sum → fill pass: each
+// key is hashed once per posting and no list is ever grown.
+type postingsBuilder struct {
+	list map[string]int32
+	n    []int32 // postings per list
+	key  []int32 // list number of every posting, in the order added
+	pos  []int32 // fact position of every posting
+	last int32   // list of the previous posting: runs of one key skip the hash
+	prev string
+}
+
+func newPostingsBuilder(postings int) *postingsBuilder {
+	return &postingsBuilder{
+		list: make(map[string]int32),
+		key:  make([]int32, 0, postings),
+		pos:  make([]int32, 0, postings),
+	}
+}
+
+func (b *postingsBuilder) add(key string, pos int32) {
+	if len(b.key) == 0 || key != b.prev {
+		i, ok := b.list[key]
+		if !ok {
+			i = int32(len(b.n))
+			b.list[key] = i
+			b.n = append(b.n, 0)
+		}
+		b.last, b.prev = i, key
+	}
+	b.n[b.last]++
+	b.key = append(b.key, b.last)
+	b.pos = append(b.pos, pos)
+}
+
+func (b *postingsBuilder) postings() postings {
+	off := make([]int32, len(b.n)+1)
+	for i, n := range b.n {
+		off[i+1] = off[i] + n
+	}
+	arena := make([]int32, len(b.key))
+	next := b.n // reused as each list's fill cursor
+	copy(next, off)
+	for j, i := range b.key {
+		arena[next[i]] = b.pos[j]
+		next[i]++
+	}
+	return postings{list: b.list, off: off, arena: arena}
 }
 
 // New builds a store over the facts. The input is copied, sorted into the
@@ -99,40 +167,55 @@ type Store struct {
 func New(facts []Fact) *Store {
 	fs := make([]Fact, len(facts))
 	copy(fs, facts)
-	sort.Slice(fs, func(i, j int) bool { return factLess(fs[i], fs[j]) })
-	// Deduplicate on the identity key; the first (highest-sorted) wins.
-	dedup := fs[:0]
-	for i, f := range fs {
-		if i > 0 && sameFactKey(f, fs[i-1]) {
-			continue
-		}
-		dedup = append(dedup, f)
-	}
-	fs = dedup
+	return build(canonical(fs))
+}
 
-	s := &Store{
-		facts:        fs,
-		byEntity:     make(map[string][]int32),
-		byEntityAttr: make(map[string][]int32),
-		byAttr:       make(map[string][]int32),
-		byClass:      make(map[string][]int32),
-		byValue:      make(map[string][]int32),
+// canonical sorts fs in place into canonical order and drops facts that
+// repeat an identity key; the first (highest-sorted) wins.
+func canonical(fs []Fact) []Fact {
+	sort.Slice(fs, func(i, j int) bool { return factLess(fs[i], fs[j]) })
+	return slices.CompactFunc(fs, sameFactKey)
+}
+
+// build indexes facts that are already canonical — sorted, no duplicate
+// keys — and takes ownership of the slice. It is the one index builder:
+// New reaches it after copy, sort and dedup; the binary snapshot decoder
+// (which verifies the order instead of re-establishing it) and Flatten
+// reach it directly.
+func build(facts []Fact) *Store {
+	if facts == nil {
+		facts = []Fact{} // Facts() is never nil, so the JSON codec writes [] for an empty store
 	}
-	for i, f := range fs {
-		idx := int32(i)
-		s.byEntity[f.Entity] = append(s.byEntity[f.Entity], idx)
-		s.byEntityAttr[entityAttrKey(f.Entity, f.Attr)] = append(s.byEntityAttr[entityAttrKey(f.Entity, f.Attr)], idx)
-		s.byAttr[f.Attr] = append(s.byAttr[f.Attr], idx)
+	s := &Store{facts: facts}
+	attrs, classes, values := newPostingsBuilder(len(facts)), newPostingsBuilder(len(facts)), newPostingsBuilder(len(facts))
+	entities := 0
+	for i := range facts {
+		f, pos := &facts[i], int32(i)
+		if i == 0 || f.Entity != facts[i-1].Entity {
+			entities++
+		}
+		attrs.add(f.Attr, pos)
 		if f.Class != "" {
-			s.byClass[f.Class] = append(s.byClass[f.Class], idx)
+			classes.add(f.Class, pos)
 		}
-		s.byValue[f.Value] = append(s.byValue[f.Value], idx)
+		values.add(f.Value, pos)
 		for _, anc := range f.Ancestors {
-			s.byValue[anc] = append(s.byValue[anc], idx)
+			values.add(anc, pos)
 		}
 	}
-	s.nEntity = len(s.byEntity)
-	for c := range s.byClass {
+	s.byAttr, s.byClass, s.byValue = attrs.postings(), classes.postings(), values.postings()
+
+	s.byEntity = make(map[string]span, entities)
+	for lo := 0; lo < len(facts); {
+		hi := lo + 1
+		for hi < len(facts) && facts[hi].Entity == facts[lo].Entity {
+			hi++
+		}
+		s.byEntity[facts[lo].Entity] = span{int32(lo), int32(hi)}
+		lo = hi
+	}
+	s.classes = make([]string, 0, len(s.byClass.list))
+	for c := range s.byClass.list {
 		s.classes = append(s.classes, c)
 	}
 	sort.Strings(s.classes)
@@ -227,7 +310,7 @@ func FromWorld(w *kb.World) *Store { return New(WorldFacts(w)) }
 func (s *Store) Len() int { return len(s.facts) }
 
 // EntityCount returns the number of distinct entities.
-func (s *Store) EntityCount() int { return s.nEntity }
+func (s *Store) EntityCount() int { return len(s.byEntity) }
 
 // Classes returns the distinct entity classes in sorted order. The
 // returned slice must not be modified.
@@ -237,64 +320,116 @@ func (s *Store) Classes() []string { return s.classes }
 // not be modified.
 func (s *Store) Facts() []Fact { return s.facts }
 
+// entityRun returns the entity's facts as a window of s.facts.
+func (s *Store) entityRun(id string) []Fact {
+	sp := s.byEntity[id]
+	return s.facts[sp.lo:sp.hi]
+}
+
+// attrRun narrows one entity's run to one attribute's facts: inside an
+// entity the canonical order is by attribute, so they are contiguous.
+func attrRun(run []Fact, attr string) []Fact {
+	lo, end := 0, len(run)
+	for lo < end {
+		if mid := int(uint(lo+end) >> 1); run[mid].Attr < attr {
+			lo = mid + 1
+		} else {
+			end = mid
+		}
+	}
+	hi := lo
+	for hi < len(run) && run[hi].Attr == attr {
+		hi++
+	}
+	return run[lo:hi]
+}
+
 // Entity returns every fact about the entity in canonical order, nil when
 // the entity is unknown.
 func (s *Store) Entity(id string) []Fact {
-	return s.gather(s.byEntity[id], Pattern{})
+	return append([]Fact(nil), s.entityRun(id)...)
 }
 
 // Triples returns the accepted values for (entity, attr) — all of them,
 // with confidences and ancestors, since multi-truth attributes accept
 // several values at once.
 func (s *Store) Triples(entity, attr string) []Fact {
-	return s.gather(s.byEntityAttr[entityAttrKey(entity, attr)], Pattern{})
+	return append([]Fact(nil), attrRun(s.entityRun(entity), attr)...)
 }
 
-// candidates resolves the most selective postings list for q and strips
-// the fields that list already guarantees. all reports the wildcard
-// query, whose answer is every fact.
-func (s *Store) candidates(q Pattern) (cand []int32, rest Pattern, all bool) {
-	rest = q
+// cursor is how one pattern is read, and the FactCursor Select returns.
+// A pattern that names an entity, or nothing at all, reads a contiguous
+// run of the fact array (cand is nil, facts is the run); any other reads
+// the most selective postings list (cand, positions into facts). rest is
+// what of the pattern that choice does not already guarantee.
+type cursor struct {
+	facts []Fact
+	cand  []int32
+	rest  Pattern
+	pos   int
+}
+
+func (s *Store) cursor(q Pattern) cursor {
+	c := cursor{rest: q}
 	switch {
-	case q.Entity != "" && q.Attr != "":
-		cand = s.byEntityAttr[entityAttrKey(q.Entity, q.Attr)]
-		rest.Entity, rest.Attr = "", ""
 	case q.Entity != "":
-		cand = s.byEntity[q.Entity]
-		rest.Entity = ""
+		c.facts, c.rest.Entity = s.entityRun(q.Entity), ""
+		if q.Attr != "" {
+			c.facts, c.rest.Attr = attrRun(c.facts, q.Attr), ""
+		}
+		return c
 	case q.Class != "":
-		cand = s.byClass[q.Class]
-		rest.Class = ""
+		c.cand, c.rest.Class = s.byClass.of(q.Class), ""
 	case q.Attr != "":
-		cand = s.byAttr[q.Attr]
-		rest.Attr = ""
+		c.cand, c.rest.Attr = s.byAttr.of(q.Attr), ""
 	case q.Value != "":
 		// The by-value postings already encode the hierarchy semantics
 		// (facts are posted under their value and every ancestor), so no
 		// residual value filter is needed — unless the pattern is Exact,
 		// where the postings are a superset (they include specialisations)
 		// and the verbatim check stays in the residual.
-		cand = s.byValue[q.Value]
+		c.cand = s.byValue.of(q.Value)
 		if !q.Exact {
-			rest.Value = ""
+			c.rest.Value = ""
 		}
 	default:
-		return nil, rest, true
+		c.facts = s.facts
+		return c
 	}
-	return cand, rest, false
+	if c.cand != nil {
+		c.facts = s.facts
+	}
+	return c
 }
 
-// Lookup answers a query through the most selective index available, then
-// filters the candidate list on the remaining fields. Its output is
-// always identical to Scan's; only the cost differs.
-func (s *Store) Lookup(q Pattern) []Fact {
-	cand, rest, all := s.candidates(q)
-	if all {
-		out := make([]Fact, len(s.facts))
-		copy(out, s.facts)
-		return out
+// size is the number of facts the cursor visits before filtering.
+func (c *cursor) size() int {
+	if c.cand != nil {
+		return len(c.cand)
 	}
-	return s.gather(cand, rest)
+	return len(c.facts)
+}
+
+func (c *cursor) Next() (Fact, bool) {
+	for n := c.size(); c.pos < n; {
+		i := c.pos
+		if c.cand != nil {
+			i = int(c.cand[i])
+		}
+		c.pos++
+		if f := &c.facts[i]; matches(f, &c.rest) {
+			return *f, true
+		}
+	}
+	return Fact{}, false
+}
+
+// Lookup answers a query through the most selective access path
+// available, then filters on the remaining fields. Its output is always
+// identical to Scan's; only the cost differs.
+func (s *Store) Lookup(q Pattern) []Fact {
+	out, _ := s.LookupN(q, 0)
+	return out
 }
 
 // LookupN answers a query like Lookup but materialises at most limit
@@ -303,28 +438,18 @@ func (s *Store) Lookup(q Pattern) []Fact {
 // result cap: the response needs only the first page plus the true
 // total, so the tail is counted, never copied.
 func (s *Store) LookupN(q Pattern, limit int) (out []Fact, total int) {
-	if limit <= 0 {
-		out = s.Lookup(q)
-		return out, len(out)
-	}
-	cand, rest, all := s.candidates(q)
-	if all {
-		total = len(s.facts)
-		n := limit
-		if n > total {
-			n = total
+	c := s.cursor(q)
+	if c.cand == nil && c.rest == (Pattern{}) {
+		// The run is the answer.
+		n := len(c.facts)
+		if limit > 0 && limit < n {
+			n = limit
 		}
-		out = make([]Fact, n)
-		copy(out, s.facts[:n])
-		return out, total
+		return append(out, c.facts[:n]...), len(c.facts)
 	}
-	for _, i := range cand {
-		f := s.facts[i]
-		if !matches(f, rest) {
-			continue
-		}
+	for f, ok := c.Next(); ok; f, ok = c.Next() {
 		total++
-		if len(out) < limit {
+		if limit <= 0 || len(out) < limit {
 			out = append(out, f)
 		}
 	}
@@ -336,9 +461,9 @@ func (s *Store) LookupN(q Pattern, limit int) (out []Fact, total int) {
 // BenchmarkStoreLookup baseline measures the index advantage against it.
 func (s *Store) Scan(q Pattern) []Fact {
 	var out []Fact
-	for _, f := range s.facts {
-		if matches(f, q) {
-			out = append(out, f)
+	for i := range s.facts {
+		if f := &s.facts[i]; matches(f, &q) {
+			out = append(out, *f)
 		}
 	}
 	return out
@@ -349,41 +474,34 @@ func (s *Store) Scan(q Pattern) []Fact {
 // result slice. Iteration stops early when yield returns false; the
 // return value reports whether the walk ran to completion. It is the
 // allocation-free read the datalog executor's index-nested-loop probes
-// are built on: a probe per binding costs postings-walk time and zero
-// heap.
+// are built on: a probe per binding costs the walk and zero heap.
 func (s *Store) Iterate(q Pattern, yield func(Fact) bool) bool {
-	cand, rest, all := s.candidates(q)
-	if all {
-		for _, f := range s.facts {
-			if !yield(f) {
+	c := s.cursor(q)
+	if c.cand == nil {
+		for i := range c.facts {
+			if f := &c.facts[i]; matches(f, &c.rest) && !yield(*f) {
 				return false
 			}
 		}
 		return true
 	}
-	for _, i := range cand {
-		if f := s.facts[i]; matches(f, rest) {
-			if !yield(f) {
-				return false
-			}
+	for _, i := range c.cand {
+		if f := &c.facts[i]; matches(f, &c.rest) && !yield(*f) {
+			return false
 		}
 	}
 	return true
 }
 
-// CountEstimate returns an upper bound on how many facts match q,
-// computed in O(1) from the postings list Lookup would walk — the length
-// of the most selective index entry, or the store size for the wildcard
-// pattern. No statistics catalog backs it: the indexes that answer the
-// query are themselves the statistic, which is exactly what the datalog
-// planner's greedy clause ordering needs (estimates that are free,
-// deterministic and never stale).
+// CountEstimate returns an upper bound on how many facts match q: the
+// length of the run or postings list Lookup would walk, or the store size
+// for the wildcard pattern. No statistics catalog backs it: the indexes
+// that answer the query are themselves the statistic, which is exactly
+// what the datalog planner's greedy clause ordering needs (estimates that
+// are free, deterministic and never stale).
 func (s *Store) CountEstimate(q Pattern) int {
-	cand, _, all := s.candidates(q)
-	if all {
-		return len(s.facts)
-	}
-	return len(cand)
+	c := s.cursor(q)
+	return c.size()
 }
 
 // Select returns a pull cursor over the facts matching q, in canonical
@@ -392,61 +510,11 @@ func (s *Store) CountEstimate(q Pattern) int {
 // k-way merge, the datalog executor's batch dispatcher) without buffering
 // whole relations.
 func (s *Store) Select(q Pattern) FactCursor {
-	cand, rest, all := s.candidates(q)
-	if all {
-		return &sliceCursor{facts: s.facts}
-	}
-	return &postingsCursor{facts: s.facts, cand: cand, rest: rest}
+	c := s.cursor(q)
+	return &c
 }
 
-// postingsCursor walks one postings list applying the residual filter.
-type postingsCursor struct {
-	facts []Fact
-	cand  []int32
-	rest  Pattern
-	pos   int
-}
-
-func (c *postingsCursor) Next() (Fact, bool) {
-	for c.pos < len(c.cand) {
-		f := c.facts[c.cand[c.pos]]
-		c.pos++
-		if matches(f, c.rest) {
-			return f, true
-		}
-	}
-	return Fact{}, false
-}
-
-// sliceCursor walks a fact slice that needs no filtering.
-type sliceCursor struct {
-	facts []Fact
-	pos   int
-}
-
-func (c *sliceCursor) Next() (Fact, bool) {
-	if c.pos >= len(c.facts) {
-		return Fact{}, false
-	}
-	f := c.facts[c.pos]
-	c.pos++
-	return f, true
-}
-
-// gather materialises the facts at the candidate positions that survive
-// the residual filter. Postings are ascending, so output stays in
-// canonical order.
-func (s *Store) gather(cand []int32, rest Pattern) []Fact {
-	var out []Fact
-	for _, i := range cand {
-		if f := s.facts[i]; matches(f, rest) {
-			out = append(out, f)
-		}
-	}
-	return out
-}
-
-func matches(f Fact, q Pattern) bool {
+func matches(f *Fact, q *Pattern) bool {
 	if q.Entity != "" && f.Entity != q.Entity {
 		return false
 	}
@@ -456,25 +524,11 @@ func matches(f Fact, q Pattern) bool {
 	if q.Class != "" && f.Class != q.Class {
 		return false
 	}
-	if q.Value != "" && f.Value != q.Value {
-		if q.Exact {
-			return false
-		}
-		matched := false
-		for _, anc := range f.Ancestors {
-			if anc == q.Value {
-				matched = true
-				break
-			}
-		}
-		if !matched {
-			return false
-		}
+	if q.Value != "" && f.Value != q.Value && (q.Exact || !slices.Contains(f.Ancestors, q.Value)) {
+		return false
 	}
 	return true
 }
-
-func entityAttrKey(entity, attr string) string { return entity + "\x00" + attr }
 
 func factLess(a, b Fact) bool {
 	if a.Entity != b.Entity {

@@ -31,7 +31,7 @@ func testFacts() []Fact {
 
 func TestLookupMatchesScan(t *testing.T) {
 	s := New(testFacts())
-	queries := []Query{
+	queries := []Pattern{
 		{},
 		{Entity: "Casablanca"},
 		{Entity: "Casablanca", Attr: "language"},
@@ -108,7 +108,7 @@ func TestNewDeduplicatesAndSorts(t *testing.T) {
 // the full match count, and non-positive limits mean unlimited.
 func TestLookupN(t *testing.T) {
 	s := New(testFacts())
-	queries := []Query{
+	queries := []Pattern{
 		{}, {Entity: "Casablanca"}, {Class: "Film"}, {Attr: "language"},
 		{Value: "China"}, {Entity: "missing"},
 	}
@@ -172,13 +172,13 @@ func TestFromResultAgainstFusion(t *testing.T) {
 	}
 	// Index answers must equal scan answers on live data too.
 	for _, class := range s.Classes() {
-		q := Query{Class: class}
+		q := Pattern{Class: class}
 		if !reflect.DeepEqual(s.Lookup(q), s.Scan(q)) {
 			t.Errorf("Lookup != Scan for class %q", class)
 		}
 	}
 	ent := s.Facts()[0].Entity
-	for _, q := range []Query{{Entity: ent}, {Entity: ent, Attr: s.Facts()[0].Attr}} {
+	for _, q := range []Pattern{{Entity: ent}, {Entity: ent, Attr: s.Facts()[0].Attr}} {
 		if !reflect.DeepEqual(s.Lookup(q), s.Scan(q)) {
 			t.Errorf("Lookup != Scan for %+v", q)
 		}
@@ -190,7 +190,7 @@ func TestFromResultAgainstFusion(t *testing.T) {
 // safe (nothing is written after New).
 func TestConcurrentReaders(t *testing.T) {
 	s := New(testFacts())
-	queries := []Query{
+	queries := []Pattern{
 		{Entity: "Casablanca"},
 		{Class: "Film"},
 		{Value: "Australia"},
@@ -231,7 +231,7 @@ func BenchmarkLookupVsScanSmall(b *testing.B) {
 		})
 	}
 	s := New(facts)
-	q := Query{Entity: "E42", Attr: "a2"}
+	q := Pattern{Entity: "E42", Attr: "a2"}
 	b.Run("indexed", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			s.Lookup(q)
