@@ -136,13 +136,20 @@ func cmdChaosServe(args []string) error {
 		}
 	}()
 	ids := newIDTracker()
-	faulted := hammer(base, targets, *requests, *workers, ids)
+	faulted := hammer(base, targets, *requests, *workers, *timeout/4, ids)
 	<-reloadDone
 	panicsAfterFaults := reg.Counter("akb_serve_panics").Value()
 
 	// --- phase 2: faults off; service must be spotless ---------------
 	ctl.SetEnabled(false)
-	clean := hammer(base, targets, *requests, *workers, ids)
+	// A request answered 503 at its deadline keeps its in-flight slot until
+	// its handler returns — here, until the injected sleep ends. The clean
+	// phase starts once those stragglers are gone, or it would be shed by
+	// the faulted phase's leftovers.
+	for wait := time.Now(); reg.Gauge("akb_serve_inflight").Value() != 0 && time.Since(wait) < 10*time.Second; {
+		time.Sleep(time.Millisecond)
+	}
+	clean := hammer(base, targets, *requests, *workers, *timeout/4, ids)
 
 	status, health := probeHealth(base)
 
@@ -259,9 +266,13 @@ func (t *tally) serverErrors() int {
 }
 
 // hammer drives requests/workers concurrent clients over the target
-// routes and classifies every response. The shared ids tracker spans
-// phases so uniqueness is asserted across the whole run.
-func hammer(base string, targets []string, requests, workers int, ids *idTracker) *tally {
+// routes and classifies every response. A worker that is shed backs off
+// before its next request, as a client told Retry-After would: a timed-out
+// request holds its in-flight slot until its handler returns, and workers
+// that spent their whole budget on instant 429s behind two such stragglers
+// would never reach the faults the phase is there to show. The shared ids
+// tracker spans phases so uniqueness is asserted across the whole run.
+func hammer(base string, targets []string, requests, workers int, backoff time.Duration, ids *idTracker) *tally {
 	res := &tally{counts: map[int]int{}}
 	client := &http.Client{Timeout: 5 * time.Second}
 	per := requests / workers
@@ -283,6 +294,9 @@ func hammer(base string, targets []string, requests, workers int, ids *idTracker
 				resp.Body.Close()
 				ids.record(resp.Header.Get(serve.RequestIDHeader))
 				classify(res, resp, raw)
+				if resp.StatusCode == http.StatusTooManyRequests {
+					time.Sleep(backoff)
+				}
 			}
 		}(w)
 	}

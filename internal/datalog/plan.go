@@ -16,8 +16,8 @@ const (
 	StrategyScan Strategy = iota
 	// StrategyProbe runs an index-nested-loop join: per binding, the
 	// bound variables are substituted into the pattern (entity or attr
-	// position) and the store's most selective postings list is walked
-	// in place.
+	// position) and the entity's run, or the shortest postings list the
+	// substituted pattern offers, is walked in place.
 	StrategyProbe
 	// StrategyHash builds the clause's base relation once, hashed on
 	// the join key, and probes the table per binding. Chosen when the
@@ -89,32 +89,10 @@ func basePattern(c Clause) store.Pattern {
 }
 
 // estimate returns the clause's selectivity upper bound: the store's
-// postings-based CountEstimate when available (Store and Sharded both
-// provide it), otherwise a fixed preference order over the bound
-// positions so planning still works against opaque queriers.
+// postings-based CountEstimate (Store and Sharded both provide it), which
+// store.Estimate works out the slow way for a querier that does not.
 func estimate(src store.Querier, c Clause) int {
-	p := basePattern(c)
-	if est, ok := src.(store.CountEstimator); ok {
-		return est.CountEstimate(p)
-	}
-	// Heuristic fallback mirroring the index preference in
-	// store.candidates: more specific patterns rank earlier.
-	switch {
-	case p.Entity != "" && p.Attr != "":
-		return 4
-	case p.Entity != "":
-		return 32
-	case p.Class != "" && p.Attr != "":
-		return 1 << 10
-	case p.Value != "":
-		return 1 << 12
-	case p.Class != "":
-		return 1 << 14
-	case p.Attr != "":
-		return 1 << 16
-	default:
-		return 1 << 20
-	}
+	return store.Estimate(src, basePattern(c))
 }
 
 // PlanQuery orders the query's clauses greedily by selectivity: start

@@ -32,19 +32,6 @@ type datalogRequest struct {
 	Explain     bool     `json:"explain,omitempty"`
 }
 
-// datalogResponse mirrors /v1/query's envelope: generation, count/total/
-// truncated semantics, plus the variable bindings as one object per row.
-type datalogResponse struct {
-	Generation uint64              `json:"generation"`
-	Query      string              `json:"query"`
-	Plan       []string            `json:"plan,omitempty"`
-	Vars       []string            `json:"vars"`
-	Count      int                 `json:"count"`
-	Total      int                 `json:"total"`
-	Truncated  bool                `json:"truncated,omitempty"`
-	Bindings   []map[string]string `json:"bindings"`
-}
-
 // handleDatalog answers conjunctive queries over the serving generation.
 // The engine streams bindings off the same querier every other route
 // reads, so results are consistent with /v1/query under hot reload and
@@ -104,9 +91,8 @@ func (s *Server) handleDatalog(g *generation, r *http.Request) routeResult {
 	span.Annotate("query", q.String())
 	start := time.Now()
 	res, err := datalog.RunPlan(ctx, g.q, q, plan, datalog.Options{Parallelism: req.Parallelism})
-	s.reg.Histogram("akb_datalog_latency_seconds", obs.ServeLatencyBuckets()).
-		Observe(time.Since(start).Seconds())
-	s.counter("akb_datalog_queries_total").Inc()
+	s.m.datalogLatency.Observe(time.Since(start).Seconds())
+	s.m.datalogQueries.Inc()
 	if err != nil {
 		span.RecordError(err)
 		if errors.Is(err, ctx.Err()) {
@@ -114,34 +100,25 @@ func (s *Server) handleDatalog(g *generation, r *http.Request) routeResult {
 		}
 		return errRes(http.StatusBadRequest, "%v", err)
 	}
-	s.counter("akb_datalog_rows_total").Add(int64(res.Total))
-	s.counter("akb_datalog_probes_total").Add(res.Probes)
+	s.m.datalogRows.Add(int64(res.Total))
+	s.m.datalogProbes.Add(res.Probes)
 	span.AnnotateInt("rows", int64(res.Total))
 	span.AnnotateInt("probes", res.Probes)
 
-	out := datalogResponse{
-		Generation: g.num,
-		Query:      q.String(),
-		Vars:       res.Vars,
-		Count:      len(res.Rows),
-		Total:      res.Total,
-		Truncated:  res.Truncated,
-		Bindings:   make([]map[string]string, 0, len(res.Rows)),
-	}
-	if out.Vars == nil {
-		out.Vars = []string{}
+	// The answer mirrors /v1/query's envelope: generation, count/total/
+	// truncated semantics, plus the variable bindings as one object per row.
+	out := datalogAnswer{
+		generation: g.num,
+		query:      q.String(),
+		vars:       res.Vars,
+		rows:       res.Rows,
+		total:      res.Total,
+		truncated:  res.Truncated,
 	}
 	if req.Explain {
 		for i, st := range plan.Steps {
-			out.Plan = append(out.Plan, fmt.Sprintf("%d. [%s, est %d] %s", i+1, st.Strategy, st.Estimate, st.Clause))
+			out.plan = append(out.plan, fmt.Sprintf("%d. [%s, est %d] %s", i+1, st.Strategy, st.Estimate, st.Clause))
 		}
 	}
-	for _, row := range res.Rows {
-		b := make(map[string]string, len(res.Vars))
-		for i, v := range res.Vars {
-			b[v] = row[i]
-		}
-		out.Bindings = append(out.Bindings, b)
-	}
-	return routeResult{http.StatusOK, out}
+	return routeResult{http.StatusOK, encodeDatalog(out)}
 }

@@ -1,0 +1,327 @@
+package serve
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"math"
+	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"testing"
+
+	"akb/internal/obs"
+	"akb/internal/store"
+)
+
+// The reference: the shapes the data routes marshalled through
+// encoding/json before the encoders in encode.go replaced them. The
+// encoders must write, byte for byte, what json.Marshal writes for these.
+
+// valueOut is one accepted value in an entity or triples response.
+type valueOut struct {
+	Value      string   `json:"value"`
+	Confidence float64  `json:"confidence"`
+	Sources    int      `json:"sources,omitempty"`
+	Ancestors  []string `json:"ancestors,omitempty"`
+}
+
+func toValueOut(f store.Fact) valueOut {
+	return valueOut{Value: f.Value, Confidence: f.Confidence, Sources: f.Sources, Ancestors: f.Ancestors}
+}
+
+func refEntity(id string, facts []store.Fact) ([]byte, error) {
+	attrs := make(map[string][]valueOut)
+	for _, f := range facts {
+		attrs[f.Attr] = append(attrs[f.Attr], toValueOut(f))
+	}
+	return json.Marshal(struct {
+		Entity     string                `json:"entity"`
+		Class      string                `json:"class,omitempty"`
+		Facts      int                   `json:"facts"`
+		Attributes map[string][]valueOut `json:"attributes"`
+	}{id, facts[0].Class, len(facts), attrs})
+}
+
+func refTriples(entity, attr string, facts []store.Fact) ([]byte, error) {
+	values := make([]valueOut, 0, len(facts))
+	for _, f := range facts {
+		values = append(values, toValueOut(f))
+	}
+	return json.Marshal(struct {
+		Entity string     `json:"entity"`
+		Attr   string     `json:"attr"`
+		Values []valueOut `json:"values"`
+	}{entity, attr, values})
+}
+
+func refQuery(generation uint64, total int, facts []store.Fact) ([]byte, error) {
+	if facts == nil {
+		facts = []store.Fact{}
+	}
+	return json.Marshal(struct {
+		Generation uint64       `json:"generation"`
+		Count      int          `json:"count"`
+		Total      int          `json:"total"`
+		Truncated  bool         `json:"truncated,omitempty"`
+		Facts      []store.Fact `json:"facts"`
+	}{generation, len(facts), total, total > len(facts), facts})
+}
+
+func refDatalog(a datalogAnswer) ([]byte, error) {
+	out := struct {
+		Generation uint64              `json:"generation"`
+		Query      string              `json:"query"`
+		Plan       []string            `json:"plan,omitempty"`
+		Vars       []string            `json:"vars"`
+		Count      int                 `json:"count"`
+		Total      int                 `json:"total"`
+		Truncated  bool                `json:"truncated,omitempty"`
+		Bindings   []map[string]string `json:"bindings"`
+	}{a.generation, a.query, a.plan, a.vars, len(a.rows), a.total, a.truncated, make([]map[string]string, 0, len(a.rows))}
+	if out.Vars == nil {
+		out.Vars = []string{}
+	}
+	for _, row := range a.rows {
+		b := make(map[string]string, len(a.vars))
+		for i, v := range a.vars {
+			b[v] = row[i]
+		}
+		out.Bindings = append(out.Bindings, b)
+	}
+	return json.Marshal(out)
+}
+
+// encodeNames is the differential test's name pool: the adversarial names
+// of store/differential_test.go (keys that collide, NULs, prefixes) plus one
+// of every kind of byte the JSON writer treats specially.
+var encodeNames = []string{
+	"a", "ab", "abc", "a\x00b", "a\x00", "\x00", "b", "b\x00c", "c",
+	`q"uo\te`, "new\nline", "é", "Film 1", "Film 12",
+	"", "<tag> & </tag>", "tab\tcr\rbs\bff\f", "\x01\x1f\x7f", "bad\xffutf8", "cut\xe2\x82",
+	"sep\u2028\u2029", "\ufffd", "😀 astral", "\xf0\x9f\x98", "\xc0\xaf", "\xed\xa0\x80",
+}
+
+var encodeFloats = []float64{
+	0, 1, 1e-7, 1e-6, 1e21, 5e-324, -0.25, 0.12345678901234568,
+	math.Copysign(0, -1), 999999999999999868928, 1e-5, 0.000001234, 1e20, 123456789.125, math.MaxFloat64, -1e-9, 100,
+}
+
+// encodeFacts generates one fact set: few names so attributes repeat,
+// every float corner, sources 0, empty classes, nil and empty ancestors.
+func encodeFacts(r *rand.Rand) []store.Fact {
+	name := func() string { return encodeNames[r.Intn(len(encodeNames))] }
+	facts := make([]store.Fact, r.Intn(12))
+	for i := range facts {
+		f := store.Fact{Entity: name(), Attr: name(), Value: name(),
+			Confidence: encodeFloats[r.Intn(len(encodeFloats))], Sources: r.Intn(4) - 1}
+		if r.Intn(3) > 0 {
+			f.Class = name()
+		}
+		switch r.Intn(4) {
+		case 0:
+			f.Ancestors = []string{}
+		case 1, 2:
+			for n := r.Intn(4); n > 0; n-- {
+				f.Ancestors = append(f.Ancestors, name())
+			}
+		}
+		facts[i] = f
+	}
+	return facts
+}
+
+func encodeAnswer(r *rand.Rand) datalogAnswer {
+	name := func() string { return encodeNames[r.Intn(len(encodeNames))] }
+	a := datalogAnswer{generation: uint64(r.Intn(3)) * math.MaxUint32, query: name() + " . " + name(), total: r.Intn(1000)}
+	if r.Intn(2) == 0 {
+		a.truncated = true
+	}
+	for n := r.Intn(3); n > 0; n-- {
+		a.plan = append(a.plan, name())
+	}
+	// Variable names: letters, digits, underscores — and repeated, as a
+	// select list may repeat them (the same variable, so the same value).
+	pool := []string{"x", "y", "f", "v1", "v10", "v2", "_", "A", "a_b"}
+	value := map[string]int{}
+	for n := r.Intn(6); n > 0; n-- {
+		v := pool[r.Intn(len(pool))]
+		if _, ok := value[v]; !ok {
+			value[v] = len(value)
+		}
+		a.vars = append(a.vars, v)
+	}
+	for n := r.Intn(8); n > 0; n-- {
+		slots := make([]string, len(value))
+		for i := range slots {
+			slots[i] = name()
+		}
+		row := make([]string, len(a.vars))
+		for i, v := range a.vars {
+			row[i] = slots[value[v]]
+		}
+		a.rows = append(a.rows, row)
+	}
+	return a
+}
+
+// checkEncoders compares the four encoders with the reference on one input.
+func checkEncoders(t *testing.T, where string, facts []store.Fact, a datalogAnswer, id, attr string, total int) {
+	t.Helper()
+	same := func(shape string, got []byte, gotErr error, want []byte, wantErr error) {
+		t.Helper()
+		if (gotErr != nil) != (wantErr != nil) {
+			t.Fatalf("%s %s: error %v, encoding/json's %v", where, shape, gotErr, wantErr)
+		}
+		if gotErr == nil && !bytes.Equal(got, append(want, '\n')) {
+			t.Fatalf("%s %s:\n got %s\nwant %s", where, shape, got, want)
+		}
+	}
+	if len(facts) > 0 {
+		got, gotErr := encodeEntity(id, facts)
+		want, wantErr := refEntity(id, facts)
+		same("entity", got, gotErr, want, wantErr)
+	}
+	got, gotErr := encodeTriples(id, attr, facts)
+	want, wantErr := refTriples(id, attr, facts)
+	same("triples", got, gotErr, want, wantErr)
+
+	got, gotErr = encodeQuery(a.generation, len(facts)+total, facts)
+	want, wantErr = refQuery(a.generation, len(facts)+total, facts)
+	same("query", got, gotErr, want, wantErr)
+
+	want, wantErr = refDatalog(a)
+	same("datalog", encodeDatalog(a), nil, want, wantErr)
+}
+
+// TestEncodersMatchEncodingJSON is the differential test of the four
+// response encoders: on generated fact sets and datalog answers drawn from
+// names that need every escape and floats at every formatting corner, the
+// bytes equal json.Marshal of the reference shapes. Facts come unsorted, so
+// the entity encoder's regrouping is compared with the map's too.
+func TestEncodersMatchEncodingJSON(t *testing.T) {
+	sets := 4000
+	if testing.Short() {
+		sets = 500
+	}
+	for seed := 0; seed < sets; seed++ {
+		r := rand.New(rand.NewSource(int64(seed)))
+		facts := encodeFacts(r)
+		if seed%5 == 0 {
+			facts = store.New(facts).Facts() // canonical, as the store hands them over
+		}
+		if seed%97 == 0 {
+			facts = nil
+		}
+		checkEncoders(t, fmt.Sprintf("seed %d", seed), facts, encodeAnswer(r),
+			encodeNames[r.Intn(len(encodeNames))], encodeNames[r.Intn(len(encodeNames))], r.Intn(2)*r.Intn(50))
+	}
+	// The shapes' own corners: no rows at all, nil against empty vars, a
+	// ground query (no variables, one empty binding per match).
+	for i, a := range []datalogAnswer{
+		{},
+		{vars: []string{}, rows: [][]string{}},
+		{query: "a b c", rows: [][]string{{}, {}}, total: 2},
+		{vars: []string{"v", "e", "v"}, rows: [][]string{{"1", "2", "1"}}, total: 1, plan: []string{"1. [scan, est 1] <&>"}},
+	} {
+		checkEncoders(t, fmt.Sprintf("corner %d", i), nil, a, "", "", 0)
+	}
+}
+
+// FuzzAppendJSONMatchesEncodingJSON lets the fuzzer pick the strings and
+// the float: whatever bytes they hold, every encoder agrees with
+// encoding/json, including on refusing NaN and the infinities.
+func FuzzAppendJSONMatchesEncodingJSON(f *testing.F) {
+	for _, s := range encodeNames {
+		f.Add(s, "attr", s, 0.5)
+	}
+	f.Add("e", "<a>", "v\u2028", 1e-7)
+	f.Add("e", "a", "v", math.NaN())
+	f.Add("e", "a", "v", math.Inf(-1))
+	f.Add("\xff", "\x00", "\"\\", 1e21)
+	f.Fuzz(func(t *testing.T, entity, attr, value string, conf float64) {
+		facts := []store.Fact{
+			{Entity: entity, Class: value, Attr: attr, Value: value, Confidence: conf, Sources: len(attr), Ancestors: []string{entity, attr}},
+			{Entity: entity, Attr: attr + "x", Value: attr, Confidence: -conf},
+			{Entity: entity, Attr: attr, Value: entity, Confidence: conf * 1e-7, Ancestors: []string{}},
+		}
+		a := datalogAnswer{
+			query: value, plan: []string{attr, entity}, vars: []string{"b", "a", "b"},
+			rows: [][]string{{entity, attr, entity}, {value, value, value}}, total: len(value),
+		}
+		checkEncoders(t, "fuzz", facts, a, entity, attr, len(entity)%3)
+
+		if got, want := appendString(nil, value), mustMarshal(t, value); !bytes.Equal(got, want) {
+			t.Fatalf("appendString(%q) = %s, encoding/json writes %s", value, got, want)
+		}
+		got, gotErr := appendFloat(nil, conf)
+		want, wantErr := json.Marshal(conf)
+		if (gotErr != nil) != (wantErr != nil) || gotErr == nil && !bytes.Equal(got, want) {
+			t.Fatalf("appendFloat(%v) = %s (%v), encoding/json writes %s (%v)", conf, got, gotErr, want, wantErr)
+		}
+	})
+}
+
+func mustMarshal(t *testing.T, v any) []byte {
+	t.Helper()
+	raw, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
+// TestEncoderAllocations bounds the heap cost of a body: the buffer and
+// nothing that grows with the rows.
+func TestEncoderAllocations(t *testing.T) {
+	for _, rows := range []int{1, 50, 1000} {
+		facts := make([]store.Fact, rows)
+		for i := range facts {
+			facts[i] = store.Fact{Entity: "Film 12", Class: "Film", Attr: fmt.Sprintf("attr %04d", i/2), Value: "Adelaide",
+				Confidence: 0.875, Sources: 3, Ancestors: []string{"South Australia", "Australia"}}
+		}
+		a := datalogAnswer{query: `?f:Film director ?d . ?f "release year" ?y`, vars: []string{"f", "d", "y"}, total: rows}
+		for i := 0; i < rows; i++ {
+			a.rows = append(a.rows, []string{"Film 12", "Michael Curtiz", "1942"})
+		}
+		for _, tc := range []struct {
+			shape string
+			max   float64
+			run   func()
+		}{
+			{"entity", 3, func() { encodeEntity("Film 12", facts) }},
+			{"triples", 3, func() { encodeTriples("Film 12", "attr 0000", facts) }},
+			{"query", 3, func() { encodeQuery(1, rows, facts) }},
+			{"datalog", 8, func() { encodeDatalog(a) }},
+		} {
+			if got := testing.AllocsPerRun(20, tc.run); got > tc.max {
+				t.Errorf("%s body of %d rows: %.0f allocations, want at most %.0f", tc.shape, rows, got, tc.max)
+			}
+		}
+	}
+}
+
+// TestNaNConfidenceIs500 keeps the contract encoding/json gave: a fact
+// whose confidence JSON cannot express is a 500 with the standard envelope
+// and an akb_serve_errors_total increment, on every data route.
+func TestNaNConfidenceIs500(t *testing.T) {
+	reg := obs.NewRegistry()
+	s := New(store.New([]store.Fact{
+		{Entity: "e", Class: "C", Attr: "a", Value: "v", Confidence: math.NaN()},
+		{Entity: "inf", Class: "C", Attr: "a", Value: "v", Confidence: math.Inf(1)},
+	}), reg, DefaultConfig())
+	for i, target := range []string{"/v1/entity/e", "/v1/triples/e/a", "/v1/query?class=C", "/v1/entity/inf", "/v1/query?entity=inf"} {
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", target, nil))
+		if rec.Code != http.StatusInternalServerError || strings.TrimSpace(rec.Body.String()) != `{"error":"encode response","status":500}` {
+			t.Errorf("%s: %d %s, want the 500 envelope", target, rec.Code, rec.Body)
+		}
+		if got := reg.Counter("akb_serve_errors_total").Value(); got != int64(i+1) {
+			t.Errorf("%s: akb_serve_errors_total = %d, want %d", target, got, i+1)
+		}
+	}
+	if keys := s.cur.Load().cache.Keys(); len(keys) != 0 {
+		t.Errorf("failed responses were cached: %v", keys)
+	}
+}

@@ -4,7 +4,10 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
+	"io"
 	"net/http"
+	"strconv"
+	"sync"
 	"time"
 
 	"akb/internal/obs"
@@ -56,6 +59,10 @@ type statusRecorder struct {
 	status int
 	bytes  int
 }
+
+// Unwrap hands http.ResponseController the connection's own writer, so the
+// layers behind observe can flush.
+func (sr *statusRecorder) Unwrap() http.ResponseWriter { return sr.ResponseWriter }
 
 func (sr *statusRecorder) WriteHeader(code int) {
 	if sr.status == 0 {
@@ -112,6 +119,9 @@ func (s *Server) observe(next http.Handler) http.Handler {
 			span.End()
 		}
 		log := s.cfg.AccessLog
+		if log == nil {
+			return // no line, and no arguments built for one
+		}
 		if status >= http.StatusInternalServerError {
 			log.Error("request",
 				"id", id, "method", r.Method, "path", r.URL.RequestURI(),
@@ -124,4 +134,121 @@ func (s *Server) observe(next http.Handler) http.Handler {
 			"status", status, "bytes", rec.bytes, "dur_us", dur.Microseconds(),
 			"gen", s.Generation())
 	})
+}
+
+// timeoutBody is the envelope a request gets when its deadline passes
+// before its handler has answered.
+const timeoutBody = `{"error":"request timed out","status":503}`
+
+// deadline bounds one request's handling time without leaving the
+// connection's goroutine: the handler runs where net/http called it, under
+// a context that a timer cancels at Config.RequestTimeout. At the deadline
+// the timer also answers for a handler that has not started its response —
+// 503 and the timeout envelope, flushed — and from then on drops whatever
+// the handler writes; a response the handler has already started is left
+// to it. The client-visible contract is a 503 at the deadline, not a hang;
+// the handler itself returns when it notices the cancelled context, and
+// until it does the connection (and the in-flight slot) stay occupied.
+func (s *Server) deadline(next http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		ctx, cancel := context.WithCancel(r.Context())
+		dw := &deadlineWriter{w: w}
+		dw.expiring.Add(1)
+		timer := time.AfterFunc(s.cfg.RequestTimeout, func() {
+			defer dw.expiring.Done()
+			cancel()
+			dw.expire()
+		})
+		defer func() {
+			// A timer that can no longer be stopped is running expire right
+			// now: wait it out, so nothing writes to w after this returns
+			// and observe reads a settled status.
+			if !timer.Stop() {
+				dw.expiring.Wait()
+			}
+			cancel()
+		}()
+		next.ServeHTTP(dw, r.WithContext(ctx))
+	})
+}
+
+// deadlineWriter is the ResponseWriter a handler behind deadline sees. The
+// mutex orders the handler's writes against the timer's: whichever starts
+// the response first owns it. Headers the handler sets collect in a map of
+// its own and reach the connection's header only with its WriteHeader, under
+// the mutex — the timer writes its envelope into the connection's header
+// while the handler may be setting headers, and two writers on one map are a
+// crash, not a garbled response.
+type deadlineWriter struct {
+	w        http.ResponseWriter
+	h        http.Header    // the handler's headers; nil until it asks
+	expiring sync.WaitGroup // held by the timer's function until it returns
+
+	mu       sync.Mutex
+	started  bool // the handler wrote its header: the response is its own
+	timedOut bool // the timer answered: the handler's writes are dropped
+}
+
+func (d *deadlineWriter) Header() http.Header {
+	if d.h == nil {
+		d.h = make(http.Header, 4)
+	}
+	return d.h
+}
+
+func (d *deadlineWriter) WriteHeader(code int) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.writeHeader(code)
+}
+
+func (d *deadlineWriter) writeHeader(code int) {
+	if d.timedOut || d.started {
+		return
+	}
+	d.started = true
+	dst := d.w.Header()
+	for k, v := range d.h {
+		dst[k] = v
+	}
+	d.w.WriteHeader(code)
+}
+
+func (d *deadlineWriter) Write(p []byte) (int, error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.timedOut {
+		return 0, http.ErrHandlerTimeout
+	}
+	d.writeHeader(http.StatusOK)
+	return d.w.Write(p)
+}
+
+// FlushError lets a streaming handler flush through http.ResponseController
+// without reaching past the mutex.
+func (d *deadlineWriter) FlushError() error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.timedOut {
+		return http.ErrHandlerTimeout
+	}
+	return http.NewResponseController(d.w).Flush()
+}
+
+// expire is the timer's side: answer 503 unless the handler already has.
+func (d *deadlineWriter) expire() {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.started {
+		return
+	}
+	d.timedOut = true
+	h := d.w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(timeoutBody)))
+	d.w.WriteHeader(http.StatusServiceUnavailable)
+	io.WriteString(d.w, timeoutBody)
+	// The handler may hold the connection for a long time yet; the answer
+	// must not wait in net/http's buffer for it.
+	http.NewResponseController(d.w).Flush()
 }

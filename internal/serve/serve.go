@@ -182,6 +182,7 @@ type generation struct {
 // Server serves atomically swappable store generations. Create with New.
 type Server struct {
 	reg     *obs.Registry
+	m       metrics
 	cfg     Config
 	started time.Time
 	version string
@@ -197,6 +198,47 @@ type Server struct {
 
 	inflight chan struct{}
 	handler  http.Handler
+}
+
+// metrics are the server's series, resolved from the registry once in New:
+// a request touches six to nine of them, and a lookup by name is a lock and
+// a key build each. A nil registry resolves them all to nil, whose methods
+// are no-ops.
+type metrics struct {
+	requests, shed, cacheHits, cacheMisses *obs.Counter
+	errors, panics                         *obs.Counter
+	reloads, reloadFailures                *obs.Counter
+	inflight, health, generation, uptime   *obs.Gauge
+	latency                                *obs.Histogram
+
+	datalogQueries, datalogRows, datalogProbes *obs.Counter
+	datalogLatency                             *obs.Histogram
+}
+
+func resolveMetrics(reg *obs.Registry) metrics {
+	// Route latencies are tens of microseconds off the indexed store, so
+	// the histograms use the sub-millisecond serve bounds, not the coarser
+	// pipeline-stage defaults.
+	buckets := obs.ServeLatencyBuckets()
+	return metrics{
+		requests:       reg.Counter("akb_serve_requests_total"),
+		shed:           reg.Counter("akb_serve_shed_total"),
+		cacheHits:      reg.Counter("akb_serve_cache_hits_total"),
+		cacheMisses:    reg.Counter("akb_serve_cache_misses_total"),
+		errors:         reg.Counter("akb_serve_errors_total"),
+		panics:         reg.Counter("akb_serve_panics"),
+		reloads:        reg.Counter("akb_serve_reloads_total"),
+		reloadFailures: reg.Counter("akb_serve_reload_failures_total"),
+		inflight:       reg.Gauge("akb_serve_inflight"),
+		health:         reg.Gauge("akb_serve_health_state"),
+		generation:     reg.Gauge("akb_serve_store_generation"),
+		uptime:         reg.Gauge("akb_serve_uptime_seconds"),
+		latency:        reg.Histogram("akb_serve_latency_seconds", buckets),
+		datalogQueries: reg.Counter("akb_datalog_queries_total"),
+		datalogRows:    reg.Counter("akb_datalog_rows_total"),
+		datalogProbes:  reg.Counter("akb_datalog_probes_total"),
+		datalogLatency: reg.Histogram("akb_datalog_latency_seconds", buckets),
+	}
 }
 
 // New builds a server over the store — a flat *store.Store or a
@@ -225,6 +267,7 @@ func New(st store.Querier, reg *obs.Registry, cfg Config) *Server {
 	version, commit := obs.BuildInfo()
 	s := &Server{
 		reg:      reg,
+		m:        resolveMetrics(reg),
 		cfg:      cfg,
 		started:  time.Now(),
 		version:  version,
@@ -252,13 +295,13 @@ func (s *Server) install(st store.Querier) *generation {
 	}
 	g := &generation{st: st, q: q, num: s.genSeq.Add(1), cache: newRespCache(s.cfg.CacheSize)}
 	s.cur.Store(g)
-	s.gauge("akb_serve_store_generation").Set(float64(g.num))
+	s.m.generation.Set(float64(g.num))
 	return g
 }
 
 func (s *Server) setHealth(h Health) {
 	s.health.Store(int32(h))
-	s.gauge("akb_serve_health_state").Set(float64(h))
+	s.m.health.Set(float64(h))
 }
 
 // Health returns the current lifecycle state.
@@ -300,7 +343,7 @@ func (s *Server) Reload() (ReloadInfo, error) {
 	}
 	fail := func(err error) (ReloadInfo, error) {
 		span.RecordError(err)
-		s.counter("akb_serve_reload_failures_total").Inc()
+		s.m.reloadFailures.Inc()
 		msg := err.Error()
 		s.lastReloadErr.Store(&msg)
 		// Only a server that ever served can be degraded; a failed first
@@ -326,7 +369,7 @@ func (s *Server) Reload() (ReloadInfo, error) {
 	if h := s.Health(); h == HealthStarting || h == HealthDegraded {
 		s.setHealth(HealthServing)
 	}
-	s.counter("akb_serve_reloads_total").Inc()
+	s.m.reloads.Inc()
 	return ReloadInfo{Generation: g.num, Facts: st.Len(), Entities: st.EntityCount()}, nil
 }
 
@@ -373,10 +416,9 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 
 // buildHandler assembles the middleware chain, outermost first: request
 // identity + access log + tracing (observe), panic recovery, metrics +
-// load shedding, the request timeout, then cache + routes (each route
+// load shedding, the request deadline, then cache + routes (each route
 // handler carries its own recovery too, so a panic inside a handler
-// yields a JSON 500 instead of bubbling into the timeout wrapper's
-// plainer one).
+// yields a JSON 500 with the route's headers).
 func (s *Server) buildHandler() http.Handler {
 	// Routes register without a method in the pattern and enforce it via
 	// methodGuard instead: the Go 1.22 mux answers a method mismatch with
@@ -395,32 +437,29 @@ func (s *Server) buildHandler() http.Handler {
 		writeJSON(w, http.StatusNotFound, errBody(http.StatusNotFound, "unknown route"))
 	})
 
-	var inner http.Handler = mux
-	inner = http.TimeoutHandler(inner, s.cfg.RequestTimeout,
-		`{"error":"request timed out","status":503}`)
+	inner := s.deadline(mux)
 
 	shed := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		s.counter("akb_serve_requests_total").Inc()
+		s.m.requests.Inc()
 		select {
 		case s.inflight <- struct{}{}:
 		default:
 			// At capacity: shed instead of queueing, so overload degrades
 			// into fast 429s rather than collapse.
-			s.counter("akb_serve_shed_total").Inc()
+			s.m.shed.Inc()
 			w.Header().Set("Retry-After", "1")
 			writeJSON(w, http.StatusTooManyRequests, errBody(http.StatusTooManyRequests, "server at capacity, retry later"))
 			return
 		}
-		s.gauge("akb_serve_inflight").Add(1)
+		s.m.inflight.Add(1)
 		start := time.Now()
+		// The slot is held until the handler has really returned: a request
+		// answered 503 at its deadline still occupies the server until its
+		// handler notices the cancelled context.
 		defer func() {
 			<-s.inflight
-			s.gauge("akb_serve_inflight").Add(-1)
-			// Route latencies are tens of microseconds off the indexed
-			// store, so the histogram uses the sub-millisecond serve bounds,
-			// not the coarser pipeline-stage defaults.
-			s.reg.Histogram("akb_serve_latency_seconds", obs.ServeLatencyBuckets()).
-				Observe(time.Since(start).Seconds())
+			s.m.inflight.Add(-1)
+			s.m.latency.Observe(time.Since(start).Seconds())
 		}()
 		inner.ServeHTTP(w, r)
 	})
@@ -464,7 +503,7 @@ func methodGuard(method string, h http.HandlerFunc) http.HandlerFunc {
 func (s *Server) handleMetricsNegotiated(jsonHandler http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		// Scrape-time gauges: computed on read, not on a ticker.
-		s.gauge("akb_serve_uptime_seconds").Set(time.Since(s.started).Seconds())
+		s.m.uptime.Set(time.Since(s.started).Seconds())
 		if !wantsProm(r) {
 			jsonHandler(w, r)
 			return
@@ -474,7 +513,7 @@ func (s *Server) handleMetricsNegotiated(jsonHandler http.HandlerFunc) http.Hand
 			w.Header().Set("X-Akb-Generation", strconv.FormatUint(g.num, 10))
 		}
 		if err := s.reg.WritePrometheus(w); err != nil {
-			s.counter("akb_serve_errors_total").Inc()
+			s.m.errors.Inc()
 		}
 	}
 }
@@ -507,7 +546,7 @@ func (s *Server) recoverPanic(h http.Handler) http.Handler {
 			if err, ok := rec.(error); ok && errors.Is(err, http.ErrAbortHandler) {
 				panic(rec)
 			}
-			s.counter("akb_serve_panics").Inc()
+			s.m.panics.Inc()
 			writeJSON(w, http.StatusInternalServerError,
 				errBody(http.StatusInternalServerError, "internal error: %v", rec))
 		}()
@@ -515,10 +554,11 @@ func (s *Server) recoverPanic(h http.Handler) http.Handler {
 	})
 }
 
-// routeResult is a handler's outcome before encoding.
+// routeResult is a handler's outcome: the status and the encoded body,
+// newline included.
 type routeResult struct {
 	status int
-	body   any
+	body   []byte
 }
 
 // errorBody is the uniform error envelope every non-2xx response uses.
@@ -532,8 +572,30 @@ func errBody(status int, format string, args ...any) errorBody {
 }
 
 func errRes(status int, format string, args ...any) routeResult {
-	return routeResult{status, errBody(status, format, args...)}
+	return jsonRes(status, errBody(status, format, args...))
 }
+
+// jsonRes encodes a response shape that is not on the data path (health,
+// metrics, reload, the error envelope) through encoding/json.
+func jsonRes(status int, body any) routeResult {
+	raw, err := json.Marshal(body)
+	if err != nil {
+		return encodeFailed
+	}
+	return routeResult{status, append(raw, '\n')}
+}
+
+// dataRes wraps a data route's hand-encoded body; the encoders fail only on
+// a confidence JSON cannot express.
+func dataRes(body []byte, err error) routeResult {
+	if err != nil {
+		return encodeFailed
+	}
+	return routeResult{http.StatusOK, body}
+}
+
+// encodeFailed answers for a response that could not be encoded.
+var encodeFailed = routeResult{http.StatusInternalServerError, []byte(`{"error":"encode response","status":500}` + "\n")}
 
 // jsonRoute adapts a typed handler into an http.HandlerFunc. The handler
 // reads exactly one store generation (loaded once, up front) and
@@ -552,32 +614,27 @@ func (s *Server) jsonRoute(h func(*generation, *http.Request) routeResult, cache
 				errBody(http.StatusServiceUnavailable, "no store loaded yet (state %s)", s.Health()))
 			return
 		}
-		key := r.URL.RequestURI()
+		var key string
 		if cacheable {
+			key = r.URL.RequestURI()
 			if status, body, ok := g.cache.get(key); ok {
-				s.counter("akb_serve_cache_hits_total").Inc()
+				s.m.cacheHits.Inc()
 				writeRaw(w, status, body)
 				return
 			}
-			s.counter("akb_serve_cache_misses_total").Inc()
+			s.m.cacheMisses.Inc()
 		}
 		res, panicked := s.callRoute(h, g, r)
 		if panicked {
-			s.counter("akb_serve_panics").Inc()
+			s.m.panics.Inc()
 		}
 		if res.status >= http.StatusInternalServerError {
-			s.counter("akb_serve_errors_total").Inc()
-		}
-		raw, err := json.Marshal(res.body)
-		if err != nil {
-			s.counter("akb_serve_errors_total").Inc()
-			writeJSON(w, http.StatusInternalServerError, errBody(http.StatusInternalServerError, "encode response"))
-			return
+			s.m.errors.Inc()
 		}
 		if cacheable && res.status == http.StatusOK {
-			g.cache.put(key, res.status, raw)
+			g.cache.put(key, res.status, res.body)
 		}
-		writeRaw(w, res.status, raw)
+		writeRaw(w, res.status, res.body)
 	}
 }
 
@@ -599,31 +656,15 @@ func (s *Server) callRoute(h func(*generation, *http.Request) routeResult, g *ge
 }
 
 func writeJSON(w http.ResponseWriter, status int, body any) {
-	raw, err := json.Marshal(body)
-	if err != nil {
-		raw = []byte(`{"error":"encode response","status":500}`)
-		status = http.StatusInternalServerError
-	}
-	writeRaw(w, status, raw)
+	res := jsonRes(status, body)
+	writeRaw(w, res.status, res.body)
 }
 
+// writeRaw writes an encoded body, its trailing newline included.
 func writeRaw(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	w.Write(body)
-	w.Write([]byte("\n"))
-}
-
-// valueOut is one accepted value in an API response.
-type valueOut struct {
-	Value      string   `json:"value"`
-	Confidence float64  `json:"confidence"`
-	Sources    int      `json:"sources,omitempty"`
-	Ancestors  []string `json:"ancestors,omitempty"`
-}
-
-func toValueOut(f store.Fact) valueOut {
-	return valueOut{Value: f.Value, Confidence: f.Confidence, Sources: f.Sources, Ancestors: f.Ancestors}
 }
 
 // entityID decodes a path segment into a store entity name. Entity IRIs
@@ -679,7 +720,7 @@ func (s *Server) healthBody(g *generation) healthzBody {
 // handleHealthz is the liveness probe: 200 in every state, because the
 // process is demonstrably up; the body carries the state machine.
 func (s *Server) handleHealthz(g *generation, _ *http.Request) routeResult {
-	return routeResult{http.StatusOK, s.healthBody(g)}
+	return jsonRes(http.StatusOK, s.healthBody(g))
 }
 
 // handleReadyz is the readiness probe: 200 only when query traffic is
@@ -688,9 +729,9 @@ func (s *Server) handleHealthz(g *generation, _ *http.Request) routeResult {
 func (s *Server) handleReadyz(g *generation, _ *http.Request) routeResult {
 	body := s.healthBody(g)
 	if !body.Ready {
-		return routeResult{http.StatusServiceUnavailable, body}
+		return jsonRes(http.StatusServiceUnavailable, body)
 	}
-	return routeResult{http.StatusOK, body}
+	return jsonRes(http.StatusOK, body)
 }
 
 func (s *Server) handleReload(_ *generation, _ *http.Request) routeResult {
@@ -698,10 +739,10 @@ func (s *Server) handleReload(_ *generation, _ *http.Request) routeResult {
 	if err != nil {
 		return errRes(http.StatusInternalServerError, "%v", err)
 	}
-	return routeResult{http.StatusOK, struct {
+	return jsonRes(http.StatusOK, struct {
 		Status string `json:"status"`
 		ReloadInfo
-	}{"reloaded", info}}
+	}{"reloaded", info})
 }
 
 func (s *Server) handleMetrics(_ *generation, _ *http.Request) routeResult {
@@ -709,9 +750,9 @@ func (s *Server) handleMetrics(_ *generation, _ *http.Request) routeResult {
 	if snap == nil {
 		snap = []obs.Metric{}
 	}
-	return routeResult{http.StatusOK, struct {
+	return jsonRes(http.StatusOK, struct {
 		Metrics []obs.Metric `json:"metrics"`
-	}{snap}}
+	}{snap})
 }
 
 func (s *Server) handleEntity(g *generation, r *http.Request) routeResult {
@@ -720,16 +761,7 @@ func (s *Server) handleEntity(g *generation, r *http.Request) routeResult {
 	if len(facts) == 0 {
 		return errRes(http.StatusNotFound, "no fused knowledge about entity %q", id)
 	}
-	attrs := make(map[string][]valueOut)
-	for _, f := range facts {
-		attrs[f.Attr] = append(attrs[f.Attr], toValueOut(f))
-	}
-	return routeResult{http.StatusOK, struct {
-		Entity     string                `json:"entity"`
-		Class      string                `json:"class,omitempty"`
-		Facts      int                   `json:"facts"`
-		Attributes map[string][]valueOut `json:"attributes"`
-	}{id, facts[0].Class, len(facts), attrs}}
+	return dataRes(encodeEntity(id, facts))
 }
 
 func (s *Server) handleTriples(g *generation, r *http.Request) routeResult {
@@ -745,15 +777,7 @@ func (s *Server) handleTriples(g *generation, r *http.Request) routeResult {
 	if len(facts) == 0 {
 		return errRes(http.StatusNotFound, "no accepted values for (%s, %s)", entity, attr)
 	}
-	values := make([]valueOut, 0, len(facts))
-	for _, f := range facts {
-		values = append(values, toValueOut(f))
-	}
-	return routeResult{http.StatusOK, struct {
-		Entity string     `json:"entity"`
-		Attr   string     `json:"attr"`
-		Values []valueOut `json:"values"`
-	}{entity, attr, values}}
+	return dataRes(encodeTriples(entity, attr, facts))
 }
 
 func (s *Server) handleQuery(g *generation, r *http.Request) routeResult {
@@ -799,21 +823,8 @@ func (s *Server) handleQuery(g *generation, r *http.Request) routeResult {
 			facts = facts[:limit]
 		}
 	}
-	truncated := total > len(facts)
-	if facts == nil {
-		facts = []store.Fact{}
-	}
-	return routeResult{http.StatusOK, struct {
-		Generation uint64       `json:"generation"`
-		Count      int          `json:"count"`
-		Total      int          `json:"total"`
-		Truncated  bool         `json:"truncated,omitempty"`
-		Facts      []store.Fact `json:"facts"`
-	}{g.num, len(facts), total, truncated, facts}}
+	return dataRes(encodeQuery(g.num, total, facts))
 }
-
-func (s *Server) counter(name string) *obs.Counter { return s.reg.Counter(name) }
-func (s *Server) gauge(name string) *obs.Gauge     { return s.reg.Gauge(name) }
 
 // respCache is a bounded response cache over one immutable store
 // generation. It never evicts (the key space is finite and the
@@ -823,6 +834,7 @@ func (s *Server) gauge(name string) *obs.Gauge     { return s.reg.Gauge(name) }
 type respCache struct {
 	mu     sync.RWMutex
 	max    int
+	full   atomic.Bool // len(bodies) reached max; set under mu, never cleared
 	bodies map[string]cachedResp
 }
 
@@ -845,8 +857,11 @@ func (c *respCache) get(key string) (int, []byte, bool) {
 	return r.status, r.body, ok
 }
 
+// put admits the body while there is room. A full cache stays full, so a
+// miss on one — most requests of a key space wider than the cache — is
+// turned away without the exclusive lock that would stall every reader.
 func (c *respCache) put(key string, status int, body []byte) {
-	if c.max <= 0 {
+	if c.max <= 0 || c.full.Load() {
 		return
 	}
 	c.mu.Lock()
@@ -855,6 +870,9 @@ func (c *respCache) put(key string, status int, body []byte) {
 		return
 	}
 	c.bodies[key] = cachedResp{status, body}
+	if len(c.bodies) >= c.max {
+		c.full.Store(true)
+	}
 }
 
 // Keys returns the cached keys in sorted order (for tests).

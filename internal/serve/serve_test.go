@@ -346,37 +346,3 @@ func TestGracefulShutdownDrains(t *testing.T) {
 		t.Error("listener still accepting after shutdown")
 	}
 }
-
-// TestRequestTimeout503 asserts a handler exceeding the request timeout
-// yields 503, not a hung connection.
-func TestRequestTimeout503(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.RequestTimeout = 30 * time.Millisecond
-	s := New(testStore(), obs.NewRegistry(), cfg)
-
-	// Rebuild the handler with an artificial slow route inside the
-	// timeout wrapper: easiest is to wrap the store route path through a
-	// stalling middleware at the mux level, so exercise it via a stalled
-	// cacheable handler instead — patch the handler chain directly.
-	stall := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		select {
-		case <-r.Context().Done():
-		case <-time.After(2 * time.Second):
-		}
-		w.WriteHeader(http.StatusOK)
-	})
-	s.handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		http.TimeoutHandler(stall, cfg.RequestTimeout, `{"error":"request timed out"}`).ServeHTTP(w, r)
-	})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	resp, err := http.Get(ts.URL + "/v1/query?class=Film")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("status = %d, want 503", resp.StatusCode)
-	}
-}

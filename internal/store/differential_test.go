@@ -62,31 +62,45 @@ func nastyPattern(r *rand.Rand) Pattern {
 	return Pattern{Entity: pick(), Attr: pick(), Class: pick(), Value: pick(), Exact: r.Intn(3) == 0}
 }
 
-// parentEstimate is CountEstimate as the hash-map store (before the fact
-// order became the entity index) computed it: the length of the postings
-// list its candidates() chose. Datalog plans, and through them row order,
-// depend on these exact numbers.
-func parentEstimate(facts []Fact, q Pattern) int {
-	n := 0
-	for _, f := range facts {
-		switch {
-		case q.Entity != "" && q.Attr != "":
-			if f.Entity == q.Entity && f.Attr == q.Attr {
+// bruteEstimate is the contract of CountEstimate by brute force: the
+// entity's (or the (entity, attr) pair's) facts when the pattern names an
+// entity; otherwise the smallest, over the fields the pattern sets, of the
+// number of postings that field alone has — a fact counts once under its
+// value and once under each ancestor — and every fact for the wildcard.
+// Datalog plans, and through them row order, depend on these exact numbers,
+// and they must not depend on the layout.
+func bruteEstimate(facts []Fact, q Pattern) int {
+	if q.Entity != "" {
+		n := 0
+		for _, f := range facts {
+			if f.Entity == q.Entity && (q.Attr == "" || f.Attr == q.Attr) {
 				n++
 			}
-		case q.Entity != "":
-			if f.Entity == q.Entity {
-				n++
-			}
-		case q.Class != "":
+		}
+		return n
+	}
+	best := len(facts)
+	if q.Class != "" {
+		n := 0
+		for _, f := range facts {
 			if f.Class == q.Class {
 				n++
 			}
-		case q.Attr != "":
+		}
+		best = min(best, n)
+	}
+	if q.Attr != "" {
+		n := 0
+		for _, f := range facts {
 			if f.Attr == q.Attr {
 				n++
 			}
-		case q.Value != "":
+		}
+		best = min(best, n)
+	}
+	if q.Value != "" {
+		n := 0
+		for _, f := range facts {
 			if f.Value == q.Value {
 				n++
 			}
@@ -95,11 +109,10 @@ func parentEstimate(facts []Fact, q Pattern) int {
 					n++
 				}
 			}
-		default:
-			n++
 		}
+		best = min(best, n)
 	}
-	return n
+	return best
 }
 
 // fullQuerier is every read the store offers.
@@ -114,9 +127,9 @@ type fullQuerier interface {
 // TestReadsMatchScanOnNastyKBs is the differential test of the read
 // paths: on generated adversarial KBs, every way of reading a pattern
 // returns exactly what the brute-force Scan returns, and CountEstimate
-// returns what the parent store's postings lengths were — on the flat
-// store, on sharded layouts (some shards empty), and on both after a
-// version-3 snapshot round trip.
+// returns the brute-force shortest postings length — on the flat store, on
+// sharded layouts (some shards empty), and on both after a version-3
+// snapshot round trip.
 func TestReadsMatchScanOnNastyKBs(t *testing.T) {
 	kbs := 150
 	if testing.Short() {
@@ -185,8 +198,8 @@ func checkReads(t *testing.T, where string, q fullQuerier, all []Fact, p Pattern
 	if !factsEqual(pulled, want) {
 		t.Errorf("%s: Select\n got: %+v\nwant: %+v", where, pulled, want)
 	}
-	if got, want := q.CountEstimate(p), parentEstimate(all, p); got != want {
-		t.Errorf("%s: CountEstimate = %d, the parent's postings list had %d", where, got, want)
+	if got, want := q.CountEstimate(p), bruteEstimate(all, p); got != want {
+		t.Errorf("%s: CountEstimate = %d, the shortest postings list has %d", where, got, want)
 	}
 
 	// Entity and Triples address verbatim — an empty name is a name, not
@@ -205,6 +218,78 @@ func checkReads(t *testing.T, where string, q fullQuerier, all []Fact, p Pattern
 	}
 	if got := q.Triples(p.Entity, p.Attr); !factsEqual(got, triples) {
 		t.Errorf("%s: Triples\n got: %+v\nwant: %+v", where, got, triples)
+	}
+}
+
+// TestCursorWalksShortestList pins the cost side of a read, which
+// TestReadsMatchScanOnNastyKBs cannot see: the facts a cursor visits before
+// filtering are the shortest postings list among the fields the pattern
+// sets — exactly CountEstimate on a flat store, at most CountEstimate summed
+// over a sharded one's shards (each shard picks its own shortest list) —
+// whatever order the fields come in.
+func TestCursorWalksShortestList(t *testing.T) {
+	var facts []Fact
+	for i := 0; i < 40; i++ {
+		f := Fact{Entity: fmt.Sprintf("e%02d", i), Class: "big", Attr: "common", Value: "v", Ancestors: []string{"root"}}
+		if i%10 == 0 {
+			f.Attr = "rare"
+		}
+		if i == 7 {
+			f.Value = "needle"
+		}
+		if i >= 36 {
+			f.Class = "small"
+		}
+		facts = append(facts, f)
+	}
+	flat, sharded := New(facts), NewSharded(facts, 4)
+	for _, tc := range []struct {
+		p    Pattern
+		want int
+	}{
+		{Pattern{Class: "big"}, 36},
+		{Pattern{Class: "big", Attr: "rare"}, 4},      // attr list, not the 36-fact class list
+		{Pattern{Class: "small", Attr: "common"}, 4},  // class list, not the 36-fact attr list
+		{Pattern{Attr: "common", Value: "needle"}, 1}, // value list, not the attr list
+		{Pattern{Class: "big", Attr: "common", Value: "needle", Exact: true}, 1},
+		{Pattern{Class: "big", Value: "root"}, 36}, // the ancestor's list holds all 40
+		{Pattern{Attr: "rare", Value: "absent"}, 0},
+		{Pattern{}, 40},
+	} {
+		c := flat.cursor(tc.p)
+		if got := c.size(); got != tc.want || got != flat.CountEstimate(tc.p) {
+			t.Errorf("%+v: flat cursor visits %d facts, CountEstimate %d, want %d", tc.p, got, flat.CountEstimate(tc.p), tc.want)
+		}
+		if got := sharded.CountEstimate(tc.p); got != tc.want {
+			t.Errorf("%+v: sharded CountEstimate = %d, want the flat store's %d", tc.p, got, tc.want)
+		}
+	}
+
+	for seed := 0; seed < 50; seed++ {
+		r := rand.New(rand.NewSource(int64(seed)))
+		facts := nastyFacts(r)
+		flat, sharded := New(facts), NewSharded(facts, 3)
+		for i := 0; i < 40; i++ {
+			p := nastyPattern(r)
+			want := bruteEstimate(flat.Facts(), p)
+			c := flat.cursor(p)
+			if got := c.size(); got != want {
+				t.Errorf("seed %d %#v: flat cursor visits %d facts, the shortest list has %d", seed, p, got, want)
+			}
+			visits := 0
+			for _, sh := range sharded.shards {
+				c := sh.cursor(p)
+				visits += c.size()
+			}
+			if p.Entity != "" {
+				// One shard answers; the others are never opened.
+				c := sharded.shards[ShardOf(p.Entity, 3)].cursor(p)
+				visits = c.size()
+			}
+			if est := sharded.CountEstimate(p); visits > est || est != want {
+				t.Errorf("seed %d %#v: sharded cursors visit %d facts, CountEstimate %d, the shortest list has %d", seed, p, visits, est, want)
+			}
+		}
 	}
 }
 

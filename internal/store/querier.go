@@ -65,6 +65,41 @@ type CountEstimator interface {
 	CountEstimate(q Pattern) int
 }
 
+// Estimate is CountEstimate for any querier: the querier's own when it is a
+// CountEstimator, otherwise the same number worked out from Lookups — the
+// entity's matches when the pattern names one, else the fewest matches any
+// one of its class, attribute and value has alone — so that what is planned
+// from the estimate does not depend on which optional interfaces a querier
+// happens to implement. (The slow way agrees with the postings lengths as
+// long as no fact lists one ancestor twice.)
+func Estimate(q Querier, p Pattern) int {
+	if est, ok := q.(CountEstimator); ok {
+		return est.CountEstimate(p)
+	}
+	if p.Entity != "" {
+		return len(q.Lookup(Pattern{Entity: p.Entity, Attr: p.Attr}))
+	}
+	if n := fewestByField(p, func(field Pattern) int { return len(q.Lookup(field)) }); n >= 0 {
+		return n
+	}
+	return q.Len()
+}
+
+// fewestByField returns the smallest count(field) over the one-field
+// patterns of the class, attribute and value p sets, -1 when it sets none.
+func fewestByField(p Pattern, count func(Pattern) int) int {
+	best := -1
+	for _, field := range [...]Pattern{{Class: p.Class}, {Attr: p.Attr}, {Value: p.Value}} {
+		if field == (Pattern{}) {
+			continue
+		}
+		if n := count(field); best < 0 || n < best {
+			best = n
+		}
+	}
+	return best
+}
+
 // Selector is the optional pull-based read: Select opens a cursor over
 // the matches for q. The datalog executor uses it to batch the first
 // clause's stream for deterministic parallel execution.

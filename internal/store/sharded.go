@@ -194,79 +194,94 @@ func (s *Sharded) Iterate(q Pattern, yield func(Fact) bool) bool {
 	if q.Entity != "" {
 		return s.shards[ShardOf(q.Entity, len(s.shards))].Iterate(q, yield)
 	}
-	cur := s.Select(q)
-	for {
-		f, ok := cur.Next()
-		if !ok {
-			return true
-		}
-		if !yield(f) {
+	m := s.merge(q)
+	for f := m.next(); f != nil; f = m.next() {
+		if !yield(*f) {
 			return false
 		}
 	}
+	return true
 }
 
-// CountEstimate returns an upper bound on the matches for q: one shard's
-// estimate for entity-constrained patterns, the sum of every shard's
-// otherwise. Like Store.CountEstimate it reads run and postings-list
-// lengths only — no statistics catalog, no scan.
+// CountEstimate returns an upper bound on the matches for q, and the same
+// number the equivalent single Store returns, so a datalog plan does not
+// depend on the layout: one shard's estimate for entity-constrained
+// patterns; otherwise, for each field the pattern sets, that field's
+// postings lengths summed over the shards, and the smallest of those sums.
+// Each shard's own cursor walks its own shortest list, so the facts a read
+// visits are at most this many. Like Store.CountEstimate it reads run and
+// postings-list lengths only — no statistics catalog, no scan.
 func (s *Sharded) CountEstimate(q Pattern) int {
 	if q.Entity != "" {
 		return s.shards[ShardOf(q.Entity, len(s.shards))].CountEstimate(q)
 	}
-	total := 0
-	for _, sh := range s.shards {
-		total += sh.CountEstimate(q)
+	sum := func(field Pattern) int {
+		n := 0
+		for _, sh := range s.shards {
+			n += sh.CountEstimate(field)
+		}
+		return n
 	}
-	return total
+	if n := fewestByField(q, sum); n >= 0 {
+		return n
+	}
+	return s.nFacts
 }
 
 // Select returns a pull cursor over the facts matching q in global
 // canonical order: one shard's cursor when the pattern names an entity, a
-// lazy k-way merge of every shard's cursor otherwise. Merging compares
-// with factLess alone, which is deterministic because identity keys pin
-// entities to shards (see mergeFacts).
+// lazy k-way merge of every shard's cursor otherwise.
 func (s *Sharded) Select(q Pattern) FactCursor {
 	if q.Entity != "" {
 		return s.shards[ShardOf(q.Entity, len(s.shards))].Select(q)
 	}
+	return s.merge(q)
+}
+
+// mergeCursor k-way merges the shards' cursors. It holds each shard's next
+// match by reference — a pointer into that shard's immutable fact array —
+// and compares the heads in place, so a fact is copied once, when it is
+// emitted. Comparing with factLess alone is deterministic because identity
+// keys pin entities to shards (see mergeFacts). Linear minimum selection
+// over the shard count beats heap bookkeeping at the 8–64 shard sizes this
+// store runs at.
+type mergeCursor struct {
+	cursors []cursor
+	heads   []*Fact // nil: that shard is exhausted
+}
+
+func (s *Sharded) merge(q Pattern) *mergeCursor {
 	m := &mergeCursor{
-		cursors: make([]FactCursor, len(s.shards)),
-		heads:   make([]Fact, len(s.shards)),
-		ok:      make([]bool, len(s.shards)),
+		cursors: make([]cursor, len(s.shards)),
+		heads:   make([]*Fact, len(s.shards)),
 	}
 	for i, sh := range s.shards {
-		m.cursors[i] = sh.Select(q)
-		m.heads[i], m.ok[i] = m.cursors[i].Next()
+		m.cursors[i] = sh.cursor(q)
+		m.heads[i] = m.cursors[i].next()
 	}
 	return m
 }
 
-// mergeCursor k-way merges per-shard cursors, pulling one fact ahead per
-// shard. Linear minimum selection over the shard count beats heap
-// bookkeeping at the 8–64 shard sizes this store runs at.
-type mergeCursor struct {
-	cursors []FactCursor
-	heads   []Fact
-	ok      []bool
-}
-
-func (m *mergeCursor) Next() (Fact, bool) {
+func (m *mergeCursor) next() *Fact {
 	best := -1
-	for i := range m.cursors {
-		if !m.ok[i] {
-			continue
-		}
-		if best < 0 || factLess(m.heads[i], m.heads[best]) {
+	for i, h := range m.heads {
+		if h != nil && (best < 0 || factLess(h, m.heads[best])) {
 			best = i
 		}
 	}
 	if best < 0 {
-		return Fact{}, false
+		return nil
 	}
 	f := m.heads[best]
-	m.heads[best], m.ok[best] = m.cursors[best].Next()
-	return f, true
+	m.heads[best] = m.cursors[best].next()
+	return f
+}
+
+func (m *mergeCursor) Next() (Fact, bool) {
+	if f := m.next(); f != nil {
+		return *f, true
+	}
+	return Fact{}, false
 }
 
 // Scan answers a query by brute force over every shard, merged; the
@@ -314,7 +329,7 @@ func mergeFacts(lists [][]Fact, limit int) []Fact {
 			if pos[i] >= len(l) {
 				continue
 			}
-			if best < 0 || factLess(l[pos[i]], lists[best][pos[best]]) {
+			if best < 0 || factLess(&l[pos[i]], &lists[best][pos[best]]) {
 				best = i
 			}
 		}

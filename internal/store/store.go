@@ -173,7 +173,7 @@ func New(facts []Fact) *Store {
 // canonical sorts fs in place into canonical order and drops facts that
 // repeat an identity key; the first (highest-sorted) wins.
 func canonical(fs []Fact) []Fact {
-	sort.Slice(fs, func(i, j int) bool { return factLess(fs[i], fs[j]) })
+	sort.Slice(fs, func(i, j int) bool { return factLess(&fs[i], &fs[j]) })
 	return slices.CompactFunc(fs, sameFactKey)
 }
 
@@ -359,9 +359,12 @@ func (s *Store) Triples(entity, attr string) []Fact {
 
 // cursor is how one pattern is read, and the FactCursor Select returns.
 // A pattern that names an entity, or nothing at all, reads a contiguous
-// run of the fact array (cand is nil, facts is the run); any other reads
-// the most selective postings list (cand, positions into facts). rest is
-// what of the pattern that choice does not already guarantee.
+// run of the fact array (cand is nil, facts is the run). Any other walks
+// one postings list (cand, positions into facts): the shortest of the
+// lists of the fields the pattern sets, class before attribute before
+// value on a tie. Every list is in ascending position order, so which one
+// is walked changes the cost of a read and never its output. rest is what
+// of the pattern that choice does not already guarantee.
 type cursor struct {
 	facts []Fact
 	cand  []int32
@@ -371,30 +374,39 @@ type cursor struct {
 
 func (s *Store) cursor(q Pattern) cursor {
 	c := cursor{rest: q}
-	switch {
-	case q.Entity != "":
+	if q.Entity != "" {
 		c.facts, c.rest.Entity = s.entityRun(q.Entity), ""
 		if q.Attr != "" {
 			c.facts, c.rest.Attr = attrRun(c.facts, q.Attr), ""
 		}
 		return c
-	case q.Class != "":
-		c.cand, c.rest.Class = s.byClass.of(q.Class), ""
-	case q.Attr != "":
-		c.cand, c.rest.Attr = s.byAttr.of(q.Attr), ""
-	case q.Value != "":
-		// The by-value postings already encode the hierarchy semantics
-		// (facts are posted under their value and every ancestor), so no
-		// residual value filter is needed — unless the pattern is Exact,
-		// where the postings are a superset (they include specialisations)
-		// and the verbatim check stays in the residual.
-		c.cand = s.byValue.of(q.Value)
-		if !q.Exact {
-			c.rest.Value = ""
+	}
+	// drop is the residual field the walked list makes redundant.
+	var drop *string
+	if q.Class != "" {
+		c.cand, drop = s.byClass.of(q.Class), &c.rest.Class
+	}
+	if q.Attr != "" {
+		if l := s.byAttr.of(q.Attr); drop == nil || len(l) < len(c.cand) {
+			c.cand, drop = l, &c.rest.Attr
 		}
-	default:
+	}
+	if q.Value != "" {
+		if l := s.byValue.of(q.Value); drop == nil || len(l) < len(c.cand) {
+			c.cand, drop = l, &c.rest.Value
+		}
+	}
+	if drop == nil {
 		c.facts = s.facts
 		return c
+	}
+	// The by-value postings already encode the hierarchy semantics (facts
+	// are posted under their value and every ancestor), so no residual
+	// value filter is needed — unless the pattern is Exact, where the
+	// postings are a superset (they include specialisations) and the
+	// verbatim check stays in the residual.
+	if drop != &c.rest.Value || !q.Exact {
+		*drop = ""
 	}
 	if c.cand != nil {
 		c.facts = s.facts
@@ -410,7 +422,9 @@ func (c *cursor) size() int {
 	return len(c.facts)
 }
 
-func (c *cursor) Next() (Fact, bool) {
+// next returns the next matching fact in place — a pointer into the
+// store's immutable fact array — or nil when the stream is exhausted.
+func (c *cursor) next() *Fact {
 	for n := c.size(); c.pos < n; {
 		i := c.pos
 		if c.cand != nil {
@@ -418,15 +432,23 @@ func (c *cursor) Next() (Fact, bool) {
 		}
 		c.pos++
 		if f := &c.facts[i]; matches(f, &c.rest) {
-			return *f, true
+			return f
 		}
+	}
+	return nil
+}
+
+func (c *cursor) Next() (Fact, bool) {
+	if f := c.next(); f != nil {
+		return *f, true
 	}
 	return Fact{}, false
 }
 
-// Lookup answers a query through the most selective access path
-// available, then filters on the remaining fields. Its output is always
-// identical to Scan's; only the cost differs.
+// Lookup answers a query by walking the entity's run or the shortest
+// postings list the pattern's fields offer (see cursor), then filters on
+// the remaining fields. Its output is always identical to Scan's; only the
+// cost differs.
 func (s *Store) Lookup(q Pattern) []Fact {
 	out, _ := s.LookupN(q, 0)
 	return out
@@ -447,10 +469,10 @@ func (s *Store) LookupN(q Pattern, limit int) (out []Fact, total int) {
 		}
 		return append(out, c.facts[:n]...), len(c.facts)
 	}
-	for f, ok := c.Next(); ok; f, ok = c.Next() {
+	for f := c.next(); f != nil; f = c.next() {
 		total++
 		if limit <= 0 || len(out) < limit {
-			out = append(out, f)
+			out = append(out, *f)
 		}
 	}
 	return out, total
@@ -494,11 +516,12 @@ func (s *Store) Iterate(q Pattern, yield func(Fact) bool) bool {
 }
 
 // CountEstimate returns an upper bound on how many facts match q: the
-// length of the run or postings list Lookup would walk, or the store size
-// for the wildcard pattern. No statistics catalog backs it: the indexes
-// that answer the query are themselves the statistic, which is exactly
-// what the datalog planner's greedy clause ordering needs (estimates that
-// are free, deterministic and never stale).
+// length of the run or postings list Lookup would walk — for a pattern
+// without an entity, the shortest list among the fields it sets — or the
+// store size for the wildcard pattern. No statistics catalog backs it: the
+// indexes that answer the query are themselves the statistic, which is
+// exactly what the datalog planner's greedy clause ordering needs
+// (estimates that are free, deterministic and never stale).
 func (s *Store) CountEstimate(q Pattern) int {
 	c := s.cursor(q)
 	return c.size()
@@ -530,7 +553,7 @@ func matches(f *Fact, q *Pattern) bool {
 	return true
 }
 
-func factLess(a, b Fact) bool {
+func factLess(a, b *Fact) bool {
 	if a.Entity != b.Entity {
 		return a.Entity < b.Entity
 	}

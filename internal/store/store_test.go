@@ -97,7 +97,7 @@ func TestNewDeduplicatesAndSorts(t *testing.T) {
 	}
 	facts := s.Facts()
 	for i := 1; i < len(facts); i++ {
-		if factLess(facts[i], facts[i-1]) {
+		if factLess(&facts[i], &facts[i-1]) {
 			t.Fatalf("facts out of order at %d: %+v before %+v", i, facts[i-1], facts[i])
 		}
 	}
