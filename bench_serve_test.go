@@ -27,12 +27,12 @@ import (
 )
 
 // serveStore builds one pipeline-scale store for all serving benchmarks.
-var serveStore = sync.OnceValue(func() *store.Store {
+var serveStore = sync.OnceValue(func() *store.Sharded {
 	res, err := core.New().Run(context.Background())
 	if err != nil {
 		panic(err)
 	}
-	return store.FromResult(res)
+	return store.New(store.ResultFacts(res))
 })
 
 // mergeBenchServe read-modify-writes one section of BENCH_serve.json, so
@@ -61,7 +61,7 @@ func mergeBenchServe(b *testing.B, section string, v any) {
 
 // benchQueries is a representative query mix over the fused KB: point
 // lookups, per-class sweeps and hierarchy-aware value matches.
-func benchQueries(st *store.Store) []store.Pattern {
+func benchQueries(st *store.Sharded) []store.Pattern {
 	facts := st.Facts()
 	ent, attr := facts[0].Entity, facts[0].Attr
 	qs := []store.Pattern{
@@ -91,16 +91,7 @@ func BenchmarkStoreLookup(b *testing.B) {
 		b.Fatal("empty store")
 	}
 	qs := benchQueries(flat)
-	type layout struct {
-		shards int
-		lookup func(q store.Pattern) []store.Fact
-		scan   func(q store.Pattern) []store.Fact
-	}
-	sharded := store.NewSharded(flat.Facts(), store.DefaultShards)
-	layouts := []layout{
-		{1, flat.Lookup, flat.Scan},
-		{sharded.ShardCount(), sharded.Lookup, sharded.Scan},
-	}
+	layouts := []*store.Sharded{flat, store.NewSharded(flat.Facts(), store.DefaultShards)}
 	rows := make([]map[string]any, 0, len(layouts))
 	for _, l := range layouts {
 		nsPerOp := map[string]int64{}
@@ -108,11 +99,11 @@ func BenchmarkStoreLookup(b *testing.B) {
 			name string
 			run  func(q store.Pattern) []store.Fact
 		}{
-			{"indexed", l.lookup},
-			{"scan", l.scan},
+			{"indexed", l.Lookup},
+			{"scan", l.Scan},
 		} {
 			sub := sub
-			b.Run(fmt.Sprintf("shards=%d/%s", l.shards, sub.name), func(b *testing.B) {
+			b.Run(fmt.Sprintf("shards=%d/%s", l.ShardCount(), sub.name), func(b *testing.B) {
 				b.ReportAllocs()
 				start := time.Now()
 				for i := 0; i < b.N; i++ {
@@ -128,7 +119,7 @@ func BenchmarkStoreLookup(b *testing.B) {
 			return
 		}
 		rows = append(rows, map[string]any{
-			"shards":            l.shards,
+			"shards":            l.ShardCount(),
 			"indexed_ns_per_op": indexed,
 			"scan_ns_per_op":    scan,
 			"speedup":           float64(scan) / float64(indexed),
@@ -148,14 +139,8 @@ func BenchmarkStoreLookup(b *testing.B) {
 func BenchmarkServeQuery(b *testing.B) {
 	flat := serveStore()
 	rows := make([]map[string]any, 0, 2)
-	for _, l := range []struct {
-		shards int
-		st     store.Querier
-	}{
-		{1, flat},
-		{store.DefaultShards, store.NewSharded(flat.Facts(), store.DefaultShards)},
-	} {
-		srv := serve.New(l.st, obs.NewRegistry(), serve.DefaultConfig())
+	for _, l := range []*store.Sharded{flat, store.NewSharded(flat.Facts(), store.DefaultShards)} {
+		srv := serve.New(l, obs.NewRegistry(), serve.DefaultConfig())
 		ts := httptest.NewServer(srv.Handler())
 
 		facts := flat.Facts()
@@ -167,7 +152,7 @@ func BenchmarkServeQuery(b *testing.B) {
 		nsPerOp := map[string]int64{}
 		for _, u := range urls {
 			u := u
-			b.Run(fmt.Sprintf("shards=%d%s", l.shards, u[len(ts.URL):]), func(b *testing.B) {
+			b.Run(fmt.Sprintf("shards=%d%s", l.ShardCount(), u[len(ts.URL):]), func(b *testing.B) {
 				start := time.Now()
 				for i := 0; i < b.N; i++ {
 					resp, err := http.Get(u)
@@ -185,7 +170,7 @@ func BenchmarkServeQuery(b *testing.B) {
 		}
 		ts.Close()
 		rows = append(rows, map[string]any{
-			"shards":           l.shards,
+			"shards":           l.ShardCount(),
 			"routes_ns_per_op": nsPerOp,
 		})
 	}

@@ -64,6 +64,16 @@ func BenchmarkTable3QueryStream(b *testing.B) {
 	}
 }
 
+// runPipeline runs a fault-free pipeline as a benchmark's fixture.
+func runPipeline(b *testing.B, cfg core.Config) *core.Result {
+	b.Helper()
+	res, err := core.New(core.WithConfig(cfg)).Run(context.Background())
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res
+}
+
 // BenchmarkFigure1Pipeline runs the full extraction+fusion pipeline (E4).
 func BenchmarkFigure1Pipeline(b *testing.B) {
 	cfg := core.DefaultConfig()
@@ -91,7 +101,7 @@ func BenchmarkAlgorithm1DOMExtraction(b *testing.B) {
 // BenchmarkFusionMethods measures each fusion method (E6) on the same
 // pipeline-derived claim set.
 func BenchmarkFusionMethods(b *testing.B) {
-	res := core.Run(core.DefaultConfig())
+	res := runPipeline(b, core.DefaultConfig())
 	claims := fusion.BuildClaims(res.Statements, fusion.BySourceExtractor)
 	scorer := &eval.Scorer{World: res.World}
 	for _, m := range fusion.AllMethods(res.World.Hier) {
@@ -123,7 +133,7 @@ func BenchmarkFusionAblations(b *testing.B) {
 // BenchmarkClaimBuilding measures grouping raw statements into fusion
 // claims, the shuffle step every fusion run pays.
 func BenchmarkClaimBuilding(b *testing.B) {
-	res := core.Run(core.DefaultConfig())
+	res := runPipeline(b, core.DefaultConfig())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -136,7 +146,7 @@ func BenchmarkClaimBuilding(b *testing.B) {
 
 // BenchmarkAugmentedExport measures N-Triples serialisation of the final KB.
 func BenchmarkAugmentedExport(b *testing.B) {
-	res := core.Run(core.DefaultConfig())
+	res := runPipeline(b, core.DefaultConfig())
 	triples := res.Augmented.All()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -157,7 +167,7 @@ func BenchmarkAlignment(b *testing.B) {
 	cfg := core.DefaultConfig()
 	cfg.Sites.SynonymProb = 0.3
 	cfg.Sites.TypoProb = 0.1
-	res := core.Run(cfg)
+	res := runPipeline(b, cfg)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -206,7 +216,7 @@ func BenchmarkListExtraction(b *testing.B) {
 	cfg.ListPages = true
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res := core.Run(cfg)
+		res := runPipeline(b, cfg)
 		if res.Lists.Records == 0 {
 			b.Fatal("no records")
 		}
@@ -255,15 +265,15 @@ func BenchmarkSupervisorOverhead(b *testing.B) {
 	}
 }
 
-// BenchmarkSupervisedPipeline runs the full pipeline through RunContext —
+// BenchmarkSupervisedPipeline runs the full pipeline through Pipeline.Run —
 // the supervised path — so its cost can be compared against
-// BenchmarkFigure1Pipeline (the same work via the legacy wrapper).
+// BenchmarkFigure1Pipeline (the same run plus the experiment's report).
 func BenchmarkSupervisedPipeline(b *testing.B) {
 	cfg := core.DefaultConfig()
 	ctx := context.Background()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := core.RunContext(ctx, cfg)
+		res, err := core.New(core.WithConfig(cfg)).Run(ctx)
 		if err != nil || res.Augmented.Len() == 0 {
 			b.Fatalf("pipeline failed: %v", err)
 		}
@@ -282,7 +292,7 @@ func BenchmarkPipelineTelemetry(b *testing.B) {
 	var last *obs.RunReport
 	for i := 0; i < b.N; i++ {
 		run := obs.NewRun()
-		res, err := core.RunContext(obs.Into(context.Background(), run), cfg)
+		res, err := core.New(core.WithConfig(cfg)).Run(obs.Into(context.Background(), run))
 		if err != nil || res.Augmented.Len() == 0 {
 			b.Fatalf("pipeline failed: %v", err)
 		}
@@ -321,7 +331,7 @@ func BenchmarkChaosDegradedPipeline(b *testing.B) {
 	ctx := context.Background()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := core.RunContext(ctx, cfg)
+		res, err := core.New(core.WithConfig(cfg)).Run(ctx)
 		if err != nil {
 			b.Fatalf("degraded run failed hard: %v", err)
 		}
@@ -370,7 +380,7 @@ func BenchmarkParallelPipeline(b *testing.B) {
 			runtime.ReadMemStats(&before)
 			start := time.Now()
 			for i := 0; i < b.N; i++ {
-				res, err := core.RunContext(ctx, cfg)
+				res, err := core.New(core.WithConfig(cfg)).Run(ctx)
 				if err != nil || res.Augmented.Len() == 0 {
 					b.Fatalf("pipeline failed: %v", err)
 				}

@@ -62,22 +62,21 @@ func cmdChaosServe(args []string) error {
 	}
 
 	// --- the store under test ---------------------------------------
-	var st *store.Store
+	var st *store.Sharded
 	cfg := serve.DefaultConfig()
 	if *snapPath != "" {
 		var err error
-		if st, err = store.ReadSnapshotFile(*snapPath); err != nil {
+		if st, _, err = openSnapshot(*snapPath, 1); err != nil {
 			return err
 		}
-		path := *snapPath
-		cfg.Reloader = func() (store.Querier, error) { return store.ReadSnapshotFile(path) }
+		cfg.Reloader = snapshotReloader(*snapPath, 1)
 	} else {
 		fmt.Fprintf(os.Stderr, "no -snapshot given; running pipeline (seed %d) ...\n", *seed)
 		res, err := core.New(core.WithSeed(*seed)).Run(context.Background())
 		if err != nil {
 			return fmt.Errorf("pipeline: %w", err)
 		}
-		st = store.FromResult(res)
+		st = store.New(store.ResultFacts(res))
 	}
 	if st.Len() == 0 {
 		return fmt.Errorf("store is empty; nothing to chaos-test")

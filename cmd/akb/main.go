@@ -65,7 +65,6 @@ func commands() []command {
 		{"scale", "pipeline cost vs world size", cmdScale},
 		{"chaos", "fault-injection sweep: degradation vs failure rate", cmdChaos},
 		{"query", "query the fused KB: patterns and conjunctive datalog joins", cmdQuery},
-		{"show", "print fused knowledge about one entity (deprecated: use akb query)", cmdShow},
 		{"serve", "serve the fused KB over an HTTP query API", cmdServe},
 		{"profile", "run the pipeline under CPU+heap profiling with per-stage attribution", cmdProfile},
 		{"snapshot", "verify / inspect / convert store snapshot files", cmdSnapshot},

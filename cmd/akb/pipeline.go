@@ -95,7 +95,7 @@ func cmdPipeline(args []string) error {
 	}
 	rep := experiments.Summarize(res)
 	if *snapPath != "" {
-		st := store.FromResult(res)
+		st := store.New(store.ResultFacts(res))
 		if err := st.WriteSnapshotFile(*snapPath); err != nil {
 			return fmt.Errorf("write snapshot: %w", err)
 		}

@@ -74,26 +74,22 @@ func cmdQuery(args []string) error {
 	}
 
 	// Local: snapshot, or an inline pipeline run.
-	var src store.Querier
+	var src *store.Sharded
 	if *snapPath != "" {
-		q, info, err := store.OpenSnapshotFile(*snapPath, *shards)
-		if err != nil {
+		var info store.SnapshotInfo
+		var err error
+		if src, info, err = openSnapshot(*snapPath, *shards); err != nil {
 			return err
 		}
-		src = q
-		fmt.Fprintf(os.Stderr, "loaded snapshot %s (%s v%d): %d facts, %s\n",
-			*snapPath, info.Codec, info.Version, q.Len(), shardLayout(q))
+		fmt.Fprintf(os.Stderr, "loaded snapshot %s (%s v%d): %d facts, %d shard(s)\n",
+			*snapPath, info.Codec, info.Version, src.Len(), src.ShardCount())
 	} else {
 		fmt.Fprintf(os.Stderr, "no -snapshot given; running pipeline (seed %d) ...\n", *seed)
 		res, err := core.New(core.WithSeed(*seed)).Run(context.Background())
 		if err != nil {
 			return fmt.Errorf("pipeline: %w", err)
 		}
-		if *shards > 1 {
-			src = store.ShardedFromResult(res, *shards)
-		} else {
-			src = store.FromResult(res)
-		}
+		src = store.NewSharded(store.ResultFacts(res), max(*shards, 1))
 	}
 
 	q, err := localQuery(patternMode, *entity, *attr, *value, *class, text)

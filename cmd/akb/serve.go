@@ -31,14 +31,6 @@ import (
 // path's robustness — panic isolation, timeouts, shedding — can be
 // exercised on a live process; see also `akb chaos-serve` for the
 // self-checking harness.
-// shardLayout renders a querier's serving layout for startup logs.
-func shardLayout(q store.Querier) string {
-	if sh, ok := q.(interface{ ShardCount() int }); ok {
-		return fmt.Sprintf("%d shards", sh.ShardCount())
-	}
-	return "1 flat store"
-}
-
 func cmdServe(args []string) error {
 	fs, seed := newFlagSet("serve")
 	snapPath := fs.String("snapshot", "", "serve this snapshot file instead of running the pipeline")
@@ -92,37 +84,24 @@ func cmdServe(args []string) error {
 		cfg.AccessLog = logx.New(f, logx.WithLevel(level))
 	}
 
-	var st store.Querier
+	var st *store.Sharded
 	if *snapPath != "" {
-		q, info, err := store.OpenSnapshotFile(*snapPath, *shards)
-		if err != nil {
+		var info store.SnapshotInfo
+		if st, info, err = openSnapshot(*snapPath, *shards); err != nil {
 			return err
 		}
-		st = q
-		fmt.Fprintf(os.Stderr, "loaded snapshot %s (%s v%d): %d facts, %d entities, %d classes, serving %s\n",
-			*snapPath, info.Codec, info.Version, st.Len(), st.EntityCount(), len(st.Classes()), shardLayout(st))
-		path, n := *snapPath, *shards
-		cfg.Reloader = func() (store.Querier, error) {
-			q, _, err := store.OpenSnapshotFile(path, n)
-			return q, err
-		}
+		fmt.Fprintf(os.Stderr, "loaded snapshot %s (%s v%d): %d facts, %d entities, %d classes, serving %d shard(s)\n",
+			*snapPath, info.Codec, info.Version, st.Len(), st.EntityCount(), len(st.Classes()), st.ShardCount())
+		cfg.Reloader = snapshotReloader(*snapPath, *shards)
 	} else {
 		fmt.Fprintf(os.Stderr, "no -snapshot given; running pipeline (seed %d) ...\n", *seed)
 		res, err := core.New(core.WithSeed(*seed)).Run(context.Background())
 		if err != nil {
 			return fmt.Errorf("pipeline: %w", err)
 		}
-		n := *shards
-		if n == 0 {
-			n = store.DefaultShards
-		}
-		if n > 1 {
-			st = store.ShardedFromResult(res, n)
-		} else {
-			st = store.FromResult(res)
-		}
-		fmt.Fprintf(os.Stderr, "pipeline done: serving %d facts, %d entities as %s (no snapshot: hot reload disabled)\n",
-			st.Len(), st.EntityCount(), shardLayout(st))
+		st = store.NewSharded(store.ResultFacts(res), *shards)
+		fmt.Fprintf(os.Stderr, "pipeline done: serving %d facts, %d entities in %d shard(s) (no snapshot: hot reload disabled)\n",
+			st.Len(), st.EntityCount(), st.ShardCount())
 	}
 
 	if *chaosFail > 0 || *chaosLatency > 0 {

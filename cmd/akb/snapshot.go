@@ -52,6 +52,25 @@ func cmdSnapshot(args []string) error {
 	}
 }
 
+// openSnapshot loads a snapshot file as the store itself, which the
+// commands that write one, or report its layout, need beyond the Querier
+// the file opens as.
+func openSnapshot(path string, shards int) (*store.Sharded, store.SnapshotInfo, error) {
+	q, info, err := store.OpenSnapshotFile(path, shards)
+	if err != nil {
+		return nil, info, err
+	}
+	return q.(*store.Sharded), info, nil
+}
+
+// snapshotReloader is a serve.Config.Reloader that re-reads the file.
+func snapshotReloader(path string, shards int) func() (store.Querier, error) {
+	return func() (store.Querier, error) {
+		q, _, err := store.OpenSnapshotFile(path, shards)
+		return q, err
+	}
+}
+
 // describeSnapshot renders one uniform row for any codec version, e.g.
 //
 //	codec=binary version=3 facts=3184 shards=8 checksum=verified
@@ -76,38 +95,21 @@ func snapshotConvert(args []string) error {
 		return fmt.Errorf("usage: akb snapshot convert -o <out> [-to v3|v2] [-shards N] <file>")
 	}
 	in := fs.Arg(0)
-	src, info, err := store.OpenSnapshotFile(in, *shards)
+	src, info, err := openSnapshot(in, *shards)
 	if err != nil {
 		return fmt.Errorf("convert: %w", err)
 	}
 	fmt.Printf("%s: %s\n", in, describeSnapshot(info))
 	switch *to {
 	case "v3", "binary":
-		var sh *store.Sharded
-		if got, ok := src.(*store.Sharded); ok {
-			sh = got
-		} else {
-			n := *shards
-			if n <= 0 {
-				n = store.DefaultShards
-			}
-			sh = store.NewSharded(src.(*store.Store).Facts(), n)
-		}
-		if err := sh.WriteBinarySnapshotFile(*out); err != nil {
-			return fmt.Errorf("convert: %w", err)
-		}
+		err = src.WriteBinarySnapshotFile(*out)
 	case "v2", "json":
-		var flat *store.Store
-		if sh, ok := src.(*store.Sharded); ok {
-			flat = sh.Flatten()
-		} else {
-			flat = src.(*store.Store)
-		}
-		if err := flat.WriteSnapshotFile(*out); err != nil {
-			return fmt.Errorf("convert: %w", err)
-		}
+		err = src.WriteSnapshotFile(*out)
 	default:
 		return fmt.Errorf("akb snapshot convert: unknown target codec %q (want v3 or v2)", *to)
+	}
+	if err != nil {
+		return fmt.Errorf("convert: %w", err)
 	}
 	outInfo, err := store.VerifySnapshotFile(*out)
 	if err != nil {

@@ -17,7 +17,7 @@ func discoveryConfig() Config {
 }
 
 func TestPipelineEntityDiscovery(t *testing.T) {
-	res := Run(discoveryConfig())
+	res := mustRun(discoveryConfig())
 	if res.Discovered == nil {
 		t.Fatal("discovery did not run")
 	}
@@ -40,7 +40,7 @@ func TestPipelineEntityDiscovery(t *testing.T) {
 }
 
 func TestPipelineDiscoveryStatementsJoinFusion(t *testing.T) {
-	res := Run(discoveryConfig())
+	res := mustRun(discoveryConfig())
 	discovered := map[string]bool{}
 	for _, e := range res.Discovered.Entities {
 		discovered[e.Name] = true
@@ -72,7 +72,7 @@ func TestPipelineDiscoveryStatementsJoinFusion(t *testing.T) {
 }
 
 func TestPipelineDiscoveryDisabledByDefault(t *testing.T) {
-	res := Run(DefaultConfig())
+	res := mustRun(DefaultConfig())
 	if res.Discovered != nil {
 		t.Error("discovery ran without being enabled")
 	}
@@ -88,7 +88,7 @@ func TestPipelineAlignStageReported(t *testing.T) {
 	cfg.Sites.SynonymProb = 0.3
 	cfg.Sites.TypoProb = 0.1
 	cfg.Align = true
-	res := Run(cfg)
+	res := mustRun(cfg)
 	if res.AlignReport == nil {
 		t.Fatal("alignment did not run")
 	}
@@ -112,7 +112,7 @@ func TestPipelineAlignStageReported(t *testing.T) {
 func TestPipelineListPages(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.ListPages = true
-	res := Run(cfg)
+	res := mustRun(cfg)
 	if res.Lists == nil {
 		t.Fatal("list extraction did not run")
 	}
@@ -132,7 +132,7 @@ func TestPipelineListPages(t *testing.T) {
 		t.Error("extract/lists stage missing")
 	}
 	// More claims should not hurt fused quality.
-	base := Run(DefaultConfig())
+	base := mustRun(DefaultConfig())
 	if res.FusionMetrics.F1() < base.FusionMetrics.F1()-0.02 {
 		t.Errorf("list pages degraded fusion: %.3f vs %.3f",
 			res.FusionMetrics.F1(), base.FusionMetrics.F1())
@@ -142,7 +142,7 @@ func TestPipelineListPages(t *testing.T) {
 func TestPipelineTemporal(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Temporal = true
-	res := Run(cfg)
+	res := mustRun(cfg)
 	if len(res.Timelines) == 0 {
 		t.Fatal("no timelines fused")
 	}

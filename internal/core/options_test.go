@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"reflect"
 	"testing"
 	"time"
@@ -65,32 +64,5 @@ func TestNewDoesNotShareConfigAcrossPipelines(t *testing.T) {
 	b := New(WithSeed(2))
 	if a.Config().Seed == b.Config().Seed {
 		t.Fatal("pipelines share seed state")
-	}
-}
-
-// TestPipelineRunMatchesDeprecatedRunContext pins the compatibility
-// contract: the new constructor surface and the deprecated wrapper are the
-// same engine, so identical configs yield identical results.
-func TestPipelineRunMatchesDeprecatedRunContext(t *testing.T) {
-	cfg := chaosConfig()
-	viaNew, err := New(WithConfig(cfg)).Run(context.Background())
-	if err != nil {
-		t.Fatalf("Pipeline.Run: %v", err)
-	}
-	viaLegacy, err := RunContext(context.Background(), cfg)
-	if err != nil {
-		t.Fatalf("RunContext: %v", err)
-	}
-	if viaNew.FusionMetrics != viaLegacy.FusionMetrics {
-		t.Errorf("fusion metrics differ: %+v vs %+v", viaNew.FusionMetrics, viaLegacy.FusionMetrics)
-	}
-	if !reflect.DeepEqual(viaNew.Stats(), viaLegacy.Stats()) {
-		t.Errorf("stage stats differ")
-	}
-	if !reflect.DeepEqual(viaNew.Fused().Decisions, viaLegacy.Fused().Decisions) {
-		t.Errorf("fusion decisions differ")
-	}
-	if !reflect.DeepEqual(viaNew.Health(), viaLegacy.Health()) {
-		t.Errorf("health reports differ")
 	}
 }

@@ -55,7 +55,7 @@ func TestPipelineParallelMatchesSerial(t *testing.T) {
 	run := func(par int) *Result {
 		cfg := DefaultConfig()
 		cfg.Parallelism = par
-		res, err := RunContext(context.Background(), cfg)
+		res, err := runPipeline(context.Background(), cfg)
 		if err != nil {
 			t.Fatalf("par=%d: %v", par, err)
 		}
@@ -84,7 +84,7 @@ func TestPipelineParallelMatchesSerialAllFeatures(t *testing.T) {
 		cfg.DiscoverEntities = true
 		cfg.Align = true
 		cfg.Parallelism = par
-		res, err := RunContext(context.Background(), cfg)
+		res, err := runPipeline(context.Background(), cfg)
 		if err != nil {
 			t.Fatalf("par=%d: %v", par, err)
 		}
@@ -117,7 +117,7 @@ func TestPipelineParallelChaosDeterministic(t *testing.T) {
 		cfg := chaosConfig()
 		cfg.Parallelism = par
 		cfg.Faults = allOptionalFaults(99, 1, false)
-		res, err := RunContext(context.Background(), cfg)
+		res, err := runPipeline(context.Background(), cfg)
 		if err != nil {
 			t.Fatalf("par=%d: %v", par, err)
 		}
@@ -144,7 +144,7 @@ func TestPipelineParallelChaosDeterministic(t *testing.T) {
 func TestStreamedFusionMatchesUnionRebuild(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Parallelism = 4
-	res, err := RunContext(context.Background(), cfg)
+	res, err := runPipeline(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,9 +11,9 @@
 // extraction, entity discovery, alignment) fail soft and leave the run
 // degraded but complete, while mandatory stages (the substrate
 // generators, KB extraction, fusion, augmentation) fail hard with a
-// wrapped *StageError. Run is the legacy fault-free entry point;
-// RunContext adds cancellation, per-stage deadlines, retries and
-// deterministic fault injection.
+// wrapped *StageError. New(...).Run(ctx) is the entry point: it carries
+// cancellation, per-stage deadlines, retries and deterministic fault
+// injection.
 //
 // Stages execute on the internal/sched dependency-DAG scheduler. The
 // dependency structure is a shallow DAG — the five substrate generators
@@ -267,32 +267,7 @@ func (r *Result) Health() HealthReport { return r.health }
 // Stats returns per-stage statistics in execution order.
 func (r *Result) Stats() []StageStat { return r.stages }
 
-// Run executes the full Figure-1 pipeline. It is the legacy fault-free
-// entry point: without injected faults every stage is deterministic and
-// cannot fail, so Run panics on a supervisor error instead of returning
-// it.
-//
-// Deprecated: use New(WithConfig(cfg)).Run(ctx), which adds cancellation,
-// deadlines and chaos runs and returns errors instead of panicking.
-func Run(cfg Config) *Result {
-	res, err := RunContext(context.Background(), cfg)
-	if err != nil {
-		panic(fmt.Sprintf("core.Run: %v", err))
-	}
-	return res
-}
-
-// RunContext executes the pipeline as supervised stages on the dependency
-// DAG.
-//
-// Deprecated: use New(WithConfig(cfg)).Run(ctx); RunContext is a thin
-// wrapper kept so existing callers compile.
-func RunContext(ctx context.Context, cfg Config) (*Result, error) {
-	return runPipeline(ctx, cfg)
-}
-
-// runPipeline is the engine behind Pipeline.Run and the deprecated
-// wrappers. It returns a nil Result and a wrapped *resilience.StageError
+// runPipeline is the engine behind Pipeline.Run. It returns a nil Result and a wrapped *resilience.StageError
 // when a mandatory stage fails or the context is cancelled;
 // optional-stage failures degrade the run (recorded in Result.Health()
 // and the stage's StageStat) but do not error.

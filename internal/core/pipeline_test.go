@@ -1,13 +1,24 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"akb/internal/fusion"
 )
 
+// mustRun runs the pipeline without injected faults, where every stage is
+// deterministic and none can fail.
+func mustRun(cfg Config) *Result {
+	res, err := runPipeline(context.Background(), cfg)
+	if err != nil {
+		panic(err)
+	}
+	return res
+}
+
 func TestPipelineEndToEnd(t *testing.T) {
-	res := Run(DefaultConfig())
+	res := mustRun(DefaultConfig())
 
 	if res.World == nil || res.KBX == nil || res.QSX == nil || res.DOMX == nil || res.TextX == nil {
 		t.Fatal("pipeline stages missing")
@@ -31,7 +42,7 @@ func TestPipelineEndToEnd(t *testing.T) {
 }
 
 func TestPipelineStagesReported(t *testing.T) {
-	res := Run(DefaultConfig())
+	res := mustRun(DefaultConfig())
 	wantStages := []string{"extract/kbx", "extract/qsx", "extract/domx", "extract/textx"}
 	if len(res.Stats()) < len(wantStages)+2 {
 		t.Fatalf("got %d stages: %+v", len(res.Stats()), res.Stats())
@@ -56,7 +67,7 @@ func TestPipelineStagesReported(t *testing.T) {
 }
 
 func TestPipelineGrowthMonotone(t *testing.T) {
-	res := Run(DefaultConfig())
+	res := mustRun(DefaultConfig())
 	growth := res.Growth()
 	if len(growth) != 5 {
 		t.Fatalf("growth rows = %d, want 5", len(growth))
@@ -89,11 +100,11 @@ func TestPipelineGrowthMonotone(t *testing.T) {
 
 func TestPipelineFusionBeatsBaselineVote(t *testing.T) {
 	cfg := DefaultConfig()
-	full := Run(cfg)
+	full := mustRun(cfg)
 
 	cfgVote := cfg
 	cfgVote.Method = &fusion.Vote{}
-	vote := Run(cfgVote)
+	vote := mustRun(cfgVote)
 
 	if full.FusionMetrics.F1() < vote.FusionMetrics.F1() {
 		t.Errorf("FULL F1 (%.3f) below VOTE F1 (%.3f)",
@@ -102,8 +113,8 @@ func TestPipelineFusionBeatsBaselineVote(t *testing.T) {
 }
 
 func TestPipelineDeterministic(t *testing.T) {
-	a := Run(DefaultConfig())
-	b := Run(DefaultConfig())
+	a := mustRun(DefaultConfig())
+	b := mustRun(DefaultConfig())
 	if len(a.Statements) != len(b.Statements) {
 		t.Fatalf("statement counts differ: %d vs %d", len(a.Statements), len(b.Statements))
 	}
@@ -116,7 +127,7 @@ func TestPipelineDeterministic(t *testing.T) {
 }
 
 func TestPipelineQSXHotelNA(t *testing.T) {
-	res := Run(DefaultConfig())
+	res := mustRun(DefaultConfig())
 	rows := res.QSX.Table3()
 	for _, row := range rows {
 		if row.Class == "Hotel" && row.CredibleAttrs != -1 {

@@ -45,7 +45,7 @@ func TestChaosAllOptionalStagesDegrade(t *testing.T) {
 	cfg.Align = true
 	cfg.Faults = allOptionalFaults(99, 1, false)
 
-	res, err := RunContext(context.Background(), cfg)
+	res, err := runPipeline(context.Background(), cfg)
 	if err != nil {
 		t.Fatalf("pipeline failed hard: %v", err)
 	}
@@ -110,7 +110,7 @@ func TestChaosSingleStageDegrades(t *testing.T) {
 	cfg.Faults = &resilience.FaultPlan{Seed: 3, Stages: map[string]resilience.StageFault{
 		StageTextX: {FailProb: 1},
 	}}
-	res, err := RunContext(context.Background(), cfg)
+	res, err := runPipeline(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestChaosTransientFaultsRecoverViaRetry(t *testing.T) {
 	cfg := chaosConfig()
 	cfg.Retry = resilience.RetryPolicy{MaxAttempts: 8}
 	cfg.Faults = &resilience.FaultPlan{Seed: 11, Default: resilience.StageFault{FailProb: 0.5, Transient: true}}
-	res, err := RunContext(context.Background(), cfg)
+	res, err := runPipeline(context.Background(), cfg)
 	if err != nil {
 		t.Fatalf("transient chaos at p=0.5 with 8 attempts failed hard: %v", err)
 	}
@@ -164,7 +164,7 @@ func TestChaosDeterministic(t *testing.T) {
 		cfg := chaosConfig()
 		cfg.Retry = resilience.RetryPolicy{MaxAttempts: 2}
 		cfg.Faults = &resilience.FaultPlan{Seed: 21, Default: resilience.StageFault{FailProb: 0.4, Transient: true}}
-		return RunContext(context.Background(), cfg)
+		return runPipeline(context.Background(), cfg)
 	}
 	a, errA := run()
 	b, errB := run()
@@ -193,7 +193,7 @@ func TestMandatoryStageFaultFailsHard(t *testing.T) {
 	cfg.Faults = &resilience.FaultPlan{Seed: 1, Stages: map[string]resilience.StageFault{
 		StageFusion: {FailProb: 1},
 	}}
-	res, err := RunContext(context.Background(), cfg)
+	res, err := runPipeline(context.Background(), cfg)
 	if err == nil {
 		t.Fatal("mandatory-stage fault did not fail the run")
 	}
@@ -212,7 +212,7 @@ func TestMandatoryStageFaultFailsHard(t *testing.T) {
 func TestRunContextCancelledBeforeStart(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := RunContext(ctx, chaosConfig())
+	res, err := runPipeline(ctx, chaosConfig())
 	if res != nil || err == nil {
 		t.Fatalf("res=%v err=%v", res, err)
 	}
@@ -232,7 +232,7 @@ func TestRunContextCancelMidPipeline(t *testing.T) {
 			cancel()
 		}
 	}
-	res, err := RunContext(ctx, cfg)
+	res, err := runPipeline(ctx, cfg)
 	if res != nil || err == nil {
 		t.Fatalf("res=%v err=%v", res, err)
 	}
@@ -254,7 +254,7 @@ func TestRunContextCancelMidPipeline(t *testing.T) {
 }
 
 func TestQSXStageStatReportsCredibleAttrs(t *testing.T) {
-	res, err := RunContext(context.Background(), chaosConfig())
+	res, err := runPipeline(context.Background(), chaosConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,21 +296,5 @@ func TestSplitHostsByClassSkipsUnknownHosts(t *testing.T) {
 	}
 	if len(unknown) != 2 || unknown[0] != "enigma-2.example.com" || unknown[1] != "mystery-1.example.com" {
 		t.Errorf("unknown = %v", unknown)
-	}
-}
-
-func TestRunMatchesRunContextFaultFree(t *testing.T) {
-	cfg := chaosConfig()
-	a := Run(cfg)
-	b, err := RunContext(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a.Statements) != len(b.Statements) || a.FusionMetrics != b.FusionMetrics {
-		t.Fatalf("Run and RunContext diverge: %d/%d stmts, %+v vs %+v",
-			len(a.Statements), len(b.Statements), a.FusionMetrics, b.FusionMetrics)
-	}
-	if !a.Health().Healthy() || !b.Health().Healthy() {
-		t.Error("fault-free runs not healthy")
 	}
 }

@@ -16,7 +16,7 @@ import (
 func TestRunContextTelemetry(t *testing.T) {
 	run := obs.NewRun()
 	ctx := obs.Into(context.Background(), run)
-	res, err := RunContext(ctx, chaosConfig())
+	res, err := runPipeline(ctx, chaosConfig())
 	if err != nil {
 		t.Fatalf("pipeline failed: %v", err)
 	}
@@ -97,7 +97,7 @@ func TestRunContextTelemetryRetries(t *testing.T) {
 		StageTextX: {FailProb: 0.6, Transient: true},
 	}}
 	run := obs.NewRun()
-	res, err := RunContext(obs.Into(context.Background(), run), cfg)
+	res, err := runPipeline(obs.Into(context.Background(), run), cfg)
 	if err != nil {
 		t.Fatalf("pipeline failed: %v", err)
 	}
@@ -140,12 +140,12 @@ func TestRunContextTelemetryRetries(t *testing.T) {
 // the pipeline with telemetry fully disabled and identical results.
 func TestRunContextWithoutTelemetry(t *testing.T) {
 	cfg := chaosConfig()
-	plain, err := RunContext(context.Background(), cfg)
+	plain, err := runPipeline(context.Background(), cfg)
 	if err != nil {
 		t.Fatalf("plain run failed: %v", err)
 	}
 	run := obs.NewRun()
-	traced, err := RunContext(obs.Into(context.Background(), run), cfg)
+	traced, err := runPipeline(obs.Into(context.Background(), run), cfg)
 	if err != nil {
 		t.Fatalf("traced run failed: %v", err)
 	}

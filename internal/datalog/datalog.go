@@ -1,24 +1,23 @@
 // Package datalog answers conjunctive queries over the fused KB — the
 // "actionable" half of the paper's promise. A query is a conjunction of
 // triple patterns with shared variables ("find entities whose director
-// also won an award"), evaluated against any store.Querier: the flat
-// immutable Store, the entity-hash Sharded layout, or a wrapped querier
-// such as the chaos injector, with byte-identical results across all of
-// them.
+// also won an award"), evaluated against any store.Querier — the store at
+// any shard count, or a wrapper such as the chaos injector — through its
+// one read, Select, with byte-identical results across all of them.
 //
 // The design follows the janus-datalog line of work (SNIPPETS papers
 // 1–3) in two deliberate simplifications:
 //
 //   - Greedy, statistics-free planning. Clauses are ordered by
 //     selectivity estimated directly from the postings lists the store
-//     already maintains (store.CountEstimator); there is no statistics
+//     already maintains (Querier.CountEstimate); there is no statistics
 //     catalog to build, refresh or mistrust. Greedy ordering is provably
 //     good enough for pattern-shaped queries and plans in microseconds.
 //
 //   - Streaming iterator execution. The plan runs as a left-deep chain
 //     of index-nested-loop joins: bindings flow depth-first through the
 //     clauses, each probe substituting the bound variables into a
-//     store.Pattern and walking a postings list in place. No
+//     store.Pattern and pulling its cursor, fact by fact, in place. No
 //     intermediate relation is ever materialised; peak memory is one
 //     binding row plus the result page. Joins that index probing cannot
 //     serve well — value-position equijoins (the value postings are

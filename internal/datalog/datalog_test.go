@@ -23,7 +23,7 @@ var pipelineFacts = sync.OnceValue(func() []store.Fact {
 	if err != nil {
 		panic(err)
 	}
-	return store.FromResult(res).Facts()
+	return store.New(store.ResultFacts(res)).Facts()
 })
 
 // layouts returns every store layout the engine must answer identically
@@ -40,7 +40,7 @@ func layouts(facts []store.Fact) map[string]store.Querier {
 // backtracking over store.Scan (the store's own reference read path),
 // with bound variables substituted exactly. It is the ground truth the
 // streaming executor is checked against.
-func refEval(st *store.Store, q datalog.Query) [][]string {
+func refEval(st *store.Sharded, q datalog.Query) [][]string {
 	sel := q.Select
 	if len(sel) == 0 {
 		sel = q.Vars()
@@ -135,7 +135,7 @@ func rowsEqual(a, b [][]string) bool {
 
 // singleClausePatterns derives the pattern matrix from the data itself,
 // covering every index the store picks from.
-func singleClausePatterns(st *store.Store) []store.Pattern {
+func singleClausePatterns(st *store.Sharded) []store.Pattern {
 	facts := st.Facts()
 	f0 := facts[0]
 	pats := []store.Pattern{
@@ -236,23 +236,35 @@ func bindingsOf(c datalog.Clause, f store.Fact) map[string]string {
 // multiClauseQueries builds join queries from whatever the pipeline
 // produced: entity joins, value joins, a disconnected conjunction, a
 // ground filter, and a class-restricted sweep.
-func multiClauseQueries(st *store.Store) []datalog.Query {
-	facts := st.Facts()
-	// An entity with at least two attributes.
-	var ent, attr1, attr2 string
-	byEnt := map[string][]store.Fact{}
-	for _, f := range facts {
-		byEnt[f.Entity] = append(byEnt[f.Entity], f)
+func multiClauseQueries(st *store.Sharded) []datalog.Query {
+	// An entity with at least two attributes: whichever map iteration
+	// offers first, so runs sample the fixtures.
+	for _, fx := range joinFixtures(st) {
+		return fx.queries(st)
 	}
-	for e, fs := range byEnt {
-		if len(fs) >= 2 && fs[0].Attr != fs[1].Attr {
-			ent, attr1, attr2 = e, fs[0].Attr, fs[1].Attr
-			break
+	panic("pipeline data has no entity with two attributes")
+}
+
+// joinFixture is one entity the join queries can be built around: its
+// first two facts carry different attributes.
+type joinFixture struct{ ent, attr1, attr2 string }
+
+// joinFixtures returns every qualifying entity of the store, keyed by
+// name.
+func joinFixtures(st *store.Sharded) map[string]joinFixture {
+	out := map[string]joinFixture{}
+	facts := st.Facts()
+	for i := 0; i+1 < len(facts); i++ {
+		first := i == 0 || facts[i-1].Entity != facts[i].Entity
+		if first && facts[i+1].Entity == facts[i].Entity && facts[i+1].Attr != facts[i].Attr {
+			out[facts[i].Entity] = joinFixture{facts[i].Entity, facts[i].Attr, facts[i+1].Attr}
 		}
 	}
-	if ent == "" {
-		panic("pipeline data has no entity with two attributes")
-	}
+	return out
+}
+
+func (fx joinFixture) queries(st *store.Sharded) []datalog.Query {
+	ent, attr1, attr2 := fx.ent, fx.attr1, fx.attr2
 	class := st.Classes()[0]
 	v := datalog.V
 	c := datalog.C
@@ -426,36 +438,47 @@ func TestLimitSemantics(t *testing.T) {
 	}
 }
 
-// plainQuerier hides every fast-path interface, forcing the executor
-// and planner onto the Querier-only fallbacks (the chaos wrapper shape).
-type plainQuerier struct{ s *store.Store }
+// delegate is a Querier that is not the store: a wrapper sees only the
+// five methods, so the engine can use nothing else.
+type delegate struct{ store.Querier }
 
-func (p plainQuerier) Len() int                            { return p.s.Len() }
-func (p plainQuerier) EntityCount() int                    { return p.s.EntityCount() }
-func (p plainQuerier) Classes() []string                   { return p.s.Classes() }
-func (p plainQuerier) Entity(id string) []store.Fact       { return p.s.Entity(id) }
-func (p plainQuerier) Triples(e, a string) []store.Fact    { return p.s.Triples(e, a) }
-func (p plainQuerier) Lookup(q store.Pattern) []store.Fact { return p.s.Lookup(q) }
-
-// TestPlainQuerierFallback proves the engine needs nothing beyond
-// store.Querier: results over a fast-path-less wrapper are byte-identical
-// to the flat store's, serial and parallel.
-func TestPlainQuerierFallback(t *testing.T) {
+// TestEveryLayoutAgreesOnEveryFixture runs the join queries around every
+// qualifying entity of the pipeline's KB — all of them, so the check is
+// deterministic and exhaustive, not one fixture sampled per run — and
+// requires the flat store, an 8-shard store and a delegating wrapper to
+// give the same rows in the same order with the same Total, serial and at
+// Parallelism 3: plans are ranked by CountEstimate, which must not depend
+// on the layout or on who is asking.
+func TestEveryLayoutAgreesOnEveryFixture(t *testing.T) {
 	facts := pipelineFacts()
 	flat := store.New(facts)
+	others := map[string]store.Querier{
+		"flat":      flat,
+		"sharded-8": store.NewSharded(facts, 8),
+		"delegate":  delegate{flat},
+	}
+	fixtures := joinFixtures(flat)
+	if len(fixtures) < 50 {
+		t.Fatalf("only %d qualifying entities: the pipeline KB shrank", len(fixtures))
+	}
 	ctx := context.Background()
-	for qi, q := range multiClauseQueries(flat) {
-		want, err := datalog.Run(ctx, flat, q, datalog.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, par := range []int{1, 3} {
-			got, err := datalog.Run(ctx, plainQuerier{flat}, q, datalog.Options{Parallelism: par})
+	for ent, fx := range fixtures {
+		for qi, q := range fx.queries(flat) {
+			want, err := datalog.Run(ctx, flat, q, datalog.Options{})
 			if err != nil {
-				t.Fatalf("q%d par=%d: %v", qi, par, err)
+				t.Fatal(err)
 			}
-			if !rowsEqual(got.Rows, want.Rows) || got.Total != want.Total {
-				t.Fatalf("q%d par=%d: fallback diverges from fast path", qi, par)
+			for name, src := range others {
+				for _, par := range []int{1, 3} {
+					got, err := datalog.Run(ctx, src, q, datalog.Options{Parallelism: par})
+					if err != nil {
+						t.Fatalf("%q q%d %s par=%d: %v", ent, qi, name, par, err)
+					}
+					if !rowsEqual(got.Rows, want.Rows) || got.Total != want.Total {
+						t.Errorf("%q q%d %s par=%d: %d rows (total %d) diverge from the flat store's %d (total %d)",
+							ent, qi, name, par, len(got.Rows), got.Total, len(want.Rows), want.Total)
+					}
+				}
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package datalog
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 
 	"akb/internal/store"
 )
@@ -59,7 +60,7 @@ func RunPlan(ctx context.Context, src store.Querier, q Query, plan *Plan, opts O
 		return runParallel(sh, opts.Parallelism)
 	}
 	r := newRunner(sh)
-	r.scan()
+	r.probe(sh.steps[0].base, 0) // the first clause's full stream drives the rest
 	if r.err != nil {
 		return nil, r.err
 	}
@@ -73,12 +74,11 @@ func RunPlan(ctx context.Context, src store.Querier, q Query, plan *Plan, opts O
 }
 
 // shared is the per-execution read-only state: the compiled steps
-// (including any hash relations, built once), the store handles and the
+// (including any hash relations, built once), the store and the
 // projection. Parallel workers share one instance.
 type shared struct {
 	ctx     context.Context
 	src     store.Querier
-	it      store.Iterator // nil when src has no push fast path
 	steps   []execStep
 	nvars   int
 	selIdx  []int
@@ -105,9 +105,10 @@ type execStep struct {
 	// -1 on a cross-product hash step (single bucket under "").
 	keySlot int
 	// buckets is the hash relation for StrategyHash steps: the clause's
-	// base relation grouped by exact value, facts in canonical store
-	// order within each bucket so probing emits nested-loop order.
-	buckets map[string][]store.Fact
+	// base relation grouped by exact value, facts — by reference into the
+	// store — in canonical order within each bucket so probing emits
+	// nested-loop order.
+	buckets map[string][]*store.Fact
 }
 
 // compile lowers the plan to executable steps and builds the hash
@@ -121,7 +122,6 @@ func compile(ctx context.Context, src store.Querier, q Query, plan *Plan) (*shar
 		steps: make([]execStep, len(plan.Steps)),
 		limit: q.Limit,
 	}
-	sh.it, _ = src.(store.Iterator)
 
 	slot := make(map[string]int)
 	slotOf := func(v string) int {
@@ -164,18 +164,18 @@ func compile(ctx context.Context, src store.Querier, q Query, plan *Plan) (*shar
 		}
 		if st.strategy == StrategyHash {
 			st.keySlot = st.subs[2]
-			st.buckets = make(map[string][]store.Fact)
+			st.buckets = make(map[string][]*store.Fact)
 			sh.buildProbes++
-			complete := sh.iterate(st.base, func(f store.Fact) bool {
+			c := src.Select(st.base)
+			for f := c.Next(); f != nil; f = c.Next() {
 				k := ""
 				if st.keySlot >= 0 {
 					k = f.Value
 				}
 				st.buckets[k] = append(st.buckets[k], f)
-				return ctx.Err() == nil
-			})
-			if !complete {
-				return nil, ctx.Err()
+				if err := ctx.Err(); err != nil {
+					return nil, err
+				}
 			}
 		}
 	}
@@ -194,21 +194,6 @@ func compile(ctx context.Context, src store.Querier, q Query, plan *Plan) (*shar
 	return sh, nil
 }
 
-// iterate streams the pattern's facts in canonical order: the store's
-// push fast path when available, otherwise a materialising Lookup
-// fallback (plain Queriers such as the chaos wrapper).
-func (sh *shared) iterate(p store.Pattern, yield func(store.Fact) bool) bool {
-	if sh.it != nil {
-		return sh.it.Iterate(p, yield)
-	}
-	for _, f := range sh.src.Lookup(p) {
-		if !yield(f) {
-			return false
-		}
-	}
-	return true
-}
-
 // runner is the mutable side of one execution stream: the single
 // reusable binding row, the DFS closures (hoisted once per runner, not
 // per probe), and the output accumulator. The serial path uses one
@@ -217,7 +202,7 @@ func (sh *shared) iterate(p store.Pattern, yield func(store.Fact) bool) bool {
 type runner struct {
 	sh     *shared
 	row    []string
-	yields []func(store.Fact) bool
+	yields []func(*store.Fact) bool
 	rows   [][]string
 	total  int
 	probes int64
@@ -229,13 +214,13 @@ func newRunner(sh *shared) *runner {
 	r := &runner{
 		sh:     sh,
 		row:    make([]string, sh.nvars),
-		yields: make([]func(store.Fact) bool, len(sh.steps)),
+		yields: make([]func(*store.Fact) bool, len(sh.steps)),
 	}
 	last := len(sh.steps) - 1
 	for d := range sh.steps {
 		d := d
 		st := &sh.steps[d]
-		r.yields[d] = func(f store.Fact) bool {
+		r.yields[d] = func(f *store.Fact) bool {
 			// Binds run before checks: a repeated variable's first
 			// occurrence (the bind) is always at an earlier position than
 			// its re-occurrence (the check), so the check must see THIS
@@ -269,11 +254,17 @@ func newRunner(sh *shared) *runner {
 	return r
 }
 
-// scan runs the whole plan from the first clause's full stream — the
-// serial entry point.
-func (r *runner) scan() {
+// probe is one index read: it streams the facts matching p, in canonical
+// order and in place, into step d. It returns false when the step aborted.
+func (r *runner) probe(p store.Pattern, d int) bool {
 	r.probes++
-	r.sh.iterate(r.sh.steps[0].base, r.yields[0])
+	c := r.sh.src.Select(p)
+	for f := c.Next(); f != nil; f = c.Next() {
+		if !r.yields[d](f) {
+			return false
+		}
+	}
+	return true
 }
 
 // advance evaluates step d under the current binding row: substitute
@@ -313,8 +304,7 @@ func (r *runner) advance(d int) bool {
 		// hierarchical generalisation applies only to constants.
 		p.Value, p.Exact = r.row[s], true
 	}
-	r.probes++
-	return r.sh.iterate(p, r.yields[d])
+	return r.probe(p, d)
 }
 
 // emit records one complete binding: the total is always counted, the
@@ -341,7 +331,7 @@ func (r *runner) emit() bool {
 func runParallel(sh *shared, workers int) (*Result, error) {
 	type batch struct {
 		seq   int
-		facts []store.Fact
+		facts []*store.Fact
 	}
 	type batchResult struct {
 		seq    int
@@ -354,27 +344,44 @@ func runParallel(sh *shared, workers int) (*Result, error) {
 	in := make(chan batch, workers)
 	out := make(chan batchResult, workers)
 
+	// A panic on one of the goroutines below — a store read is the one call
+	// here that can — stops the others and is re-raised on the caller's,
+	// where whoever recovers for this request (the server's route wrapper)
+	// can see it.
+	parent := sh.ctx
+	var cancel context.CancelFunc
+	sh.ctx, cancel = context.WithCancel(parent)
+	defer cancel()
+	var panicked atomic.Pointer[any]
+	carry := func() {
+		if rec := recover(); rec != nil {
+			panicked.CompareAndSwap(nil, &rec)
+			cancel()
+		}
+	}
+
 	var nbatch int
 	go func() {
 		defer close(in)
+		defer carry()
 		seq := 0
-		cur := firstCursor(sh)
-		buf := make([]store.Fact, 0, batchSize)
+		cur := sh.src.Select(sh.steps[0].base)
+		buf := make([]*store.Fact, 0, batchSize)
 		for {
-			f, ok := cur.Next()
-			if ok {
+			f := cur.Next()
+			if f != nil {
 				buf = append(buf, f)
 			}
-			if (!ok || len(buf) == batchSize) && len(buf) > 0 {
+			if (f == nil || len(buf) == batchSize) && len(buf) > 0 {
 				select {
 				case in <- batch{seq: seq, facts: buf}:
 					seq++
-					buf = make([]store.Fact, 0, batchSize)
+					buf = make([]*store.Fact, 0, batchSize)
 				case <-sh.ctx.Done():
 					return
 				}
 			}
-			if !ok {
+			if f == nil {
 				return
 			}
 		}
@@ -385,6 +392,7 @@ func runParallel(sh *shared, workers int) (*Result, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			defer carry()
 			r := newRunner(sh)
 			for b := range in {
 				r.rows, r.total, r.probes, r.err = nil, 0, 0, nil
@@ -409,7 +417,10 @@ func runParallel(sh *shared, workers int) (*Result, error) {
 			nbatch = br.seq + 1
 		}
 	}
-	if err := sh.ctx.Err(); err != nil {
+	if rec := panicked.Load(); rec != nil {
+		panic(*rec)
+	}
+	if err := parent.Err(); err != nil {
 		return nil, err
 	}
 	res := &Result{Vars: sh.outVars, Probes: 1 + sh.buildProbes}
@@ -434,28 +445,4 @@ func runParallel(sh *shared, workers int) (*Result, error) {
 	}
 	res.Truncated = res.Total > len(res.Rows)
 	return res, nil
-}
-
-// firstCursor pulls the first clause's stream: the store's pull cursor
-// when available, else a materialised Lookup.
-func firstCursor(sh *shared) store.FactCursor {
-	base := sh.steps[0].base
-	if sel, ok := sh.src.(store.Selector); ok {
-		return sel.Select(base)
-	}
-	return &sliceFactCursor{facts: sh.src.Lookup(base)}
-}
-
-type sliceFactCursor struct {
-	facts []store.Fact
-	pos   int
-}
-
-func (c *sliceFactCursor) Next() (store.Fact, bool) {
-	if c.pos >= len(c.facts) {
-		return store.Fact{}, false
-	}
-	f := c.facts[c.pos]
-	c.pos++
-	return f, true
 }

@@ -89,10 +89,9 @@ func basePattern(c Clause) store.Pattern {
 }
 
 // estimate returns the clause's selectivity upper bound: the store's
-// postings-based CountEstimate (Store and Sharded both provide it), which
-// store.Estimate works out the slow way for a querier that does not.
+// postings-based CountEstimate of its constant skeleton.
 func estimate(src store.Querier, c Clause) int {
-	return store.Estimate(src, basePattern(c))
+	return src.CountEstimate(basePattern(c))
 }
 
 // PlanQuery orders the query's clauses greedily by selectivity: start

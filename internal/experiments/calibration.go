@@ -36,7 +36,7 @@ func CalibrationMethod(seed int64, buckets int, m fusion.Method) []CalibrationRo
 	cfg := core.DefaultConfig()
 	cfg.Seed = seed
 	cfg.Method = m
-	res := core.Run(cfg)
+	res := runPipeline(cfg)
 	type acc struct {
 		count   int
 		beliefs float64

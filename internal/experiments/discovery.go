@@ -39,7 +39,7 @@ func EntityDiscovery(seed int64) []DiscoveryRow {
 		cfg.Seed = seed
 		cfg.Freebase.Coverage = coverage
 		cfg.DiscoverEntities = true
-		res := core.Run(cfg)
+		res := runPipeline(cfg)
 
 		// Ground truth: entities on the Web but outside the index.
 		idxNames := map[string]bool{}
@@ -87,7 +87,7 @@ func EntityDiscovery(seed int64) []DiscoveryRow {
 // pipeline builds it from Freebase's covered entities).
 func coveredEntitySet(cfg core.Config) map[string]string {
 	res := map[string]string{}
-	// Regenerate world and Freebase deterministically, as core.Run does.
+	// Regenerate world and Freebase deterministically, as the pipeline does.
 	w := reworld(cfg)
 	fb := refreebase(cfg, w)
 	idx := extract.NewEntityIndex(fb)

@@ -204,7 +204,7 @@ func FusionComparison(seed int64) []FusionRow {
 	// Workload 1: pipeline statements.
 	cfg := core.DefaultConfig()
 	cfg.Seed = seed
-	res := core.Run(cfg)
+	res := runPipeline(cfg)
 	scorer := &eval.Scorer{World: res.World}
 	methods := append(fusion.AllMethods(res.World.Hier), fusion.FactFinders()...)
 	methods = append(methods, &fusion.Adaptive{})
@@ -258,7 +258,7 @@ func Ablations(seed int64) []AblationRow {
 	cfg.Seed = seed
 	cfg.Sites.GeneralizeProb = 0.45
 	cfg.Corpus.GeneralizeProb = 0.45
-	res := core.Run(cfg)
+	res := runPipeline(cfg)
 	scorer := &eval.Scorer{World: res.World}
 	hierStmts := HierarchicalStatements(res)
 	flat := &fusion.Vote{Weighted: true}
@@ -290,11 +290,11 @@ func Ablations(seed int64) []AblationRow {
 	acfg.Sites.SynonymProb = 0.3
 	acfg.Sites.TypoProb = 0.1
 	acfg.Method = &fusion.MultiTruth{Weighted: true}
-	off := core.Run(acfg)
+	off := runPipeline(acfg)
 	offScorer := &eval.Scorer{World: off.World}
 	add("alignment", "off", offScorer.ScoreFusion(off.Fused()))
 	acfg.Align = true
-	on := core.Run(acfg)
+	on := runPipeline(acfg)
 	onScorer := &eval.Scorer{World: on.World}
 	add("alignment", "on", onScorer.ScoreFusion(on.Fused()))
 	return rows

@@ -165,7 +165,7 @@ func TestAblationsShape(t *testing.T) {
 }
 
 func TestInjectCopiers(t *testing.T) {
-	res := core.Run(core.DefaultConfig())
+	res := runPipeline(core.DefaultConfig())
 	stress := InjectCopiers(res, 2)
 	if len(stress) <= len(res.Statements) {
 		t.Fatal("no copier statements injected")

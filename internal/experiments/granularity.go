@@ -31,7 +31,7 @@ func Granularity(seed int64) []GranularityRow {
 	cfg.Sites.HeterogeneousSites = true
 	cfg.Sites.ValueErrorRate = 0.3
 	cfg.Sites.SitesPerClass = 8
-	res := core.Run(cfg)
+	res := runPipeline(cfg)
 	scorer := &eval.Scorer{World: res.World}
 
 	grans := []struct {

@@ -42,7 +42,7 @@ func Scalability(seed int64) []ScaleRow {
 		// with the cheapest possible fusion...
 		cfg.Method = &fusion.Vote{}
 		t0 := time.Now()
-		res := core.Run(cfg)
+		res := runPipeline(cfg)
 		extractAndVote := time.Since(t0)
 
 		// ...then fusion cost is measured standalone on the same claims.

@@ -71,7 +71,7 @@ func TemporalPipeline(seed int64) (timelines int, accuracy float64) {
 	cfg := core.DefaultConfig()
 	cfg.Seed = seed
 	cfg.Temporal = true
-	res := core.Run(cfg)
+	res := runPipeline(cfg)
 	c, t := temporalx.Accuracy(res.World, res.Timelines)
 	if t == 0 {
 		return len(res.Timelines), 0

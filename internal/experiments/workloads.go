@@ -16,7 +16,17 @@ import (
 	"akb/internal/webgen"
 )
 
-// reworld regenerates the world for a pipeline config, as core.Run does.
+// runPipeline runs the pipeline of an experiment. Experiments inject no
+// faults and never cancel, so no stage can fail: an error is a bug.
+func runPipeline(cfg core.Config) *core.Result {
+	res, err := core.New(core.WithConfig(cfg)).Run(context.Background())
+	if err != nil {
+		panic(fmt.Sprintf("experiments: %v", err))
+	}
+	return res
+}
+
+// reworld regenerates the world for a pipeline config, as the pipeline does.
 func reworld(cfg core.Config) *kb.World { return kb.NewWorld(cfg.World) }
 
 // refreebase regenerates the synthetic Freebase for a pipeline config.

@@ -5,11 +5,15 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
+	"akb/internal/obs"
+	"akb/internal/resilience"
 	"akb/internal/store"
 )
 
@@ -285,5 +289,100 @@ func TestQueryRouteByteEquivalence(t *testing.T) {
 		if got := strings.TrimRight(string(raw), "\n"); got != string(want) {
 			t.Errorf("%s:\n got %s\nwant %s", u, got, want)
 		}
+	}
+}
+
+// TestDatalogThroughChaosWrapper drives /v1/datalog over a chaos-wrapped
+// store. A wrapper is just another Querier, so with injection off the
+// answers — every strategy, serial and parallel, plan included — are byte
+// for byte the unwrapped server's; with it on, a read that panics inside
+// the executor (on the handler's goroutine or on a worker's) comes back as
+// the 500 envelope: no crash, no hang, and clean service again afterwards.
+func TestDatalogThroughChaosWrapper(t *testing.T) {
+	ctl := store.NewChaosController(&resilience.FaultPlan{
+		Seed:    5,
+		Default: resilience.StageFault{FailProb: 1, Transient: true},
+	})
+	ctl.SetEnabled(false)
+	cfg := DefaultConfig()
+	cfg.WrapQuerier = ctl.Wrap
+	wrapped := httptest.NewServer(New(testStore(), obs.NewRegistry(), cfg).Handler())
+	defer wrapped.Close()
+	_, plain := testServer(t, DefaultConfig())
+
+	post := func(base, body string) (int, string) {
+		t.Helper()
+		client := http.Client{Timeout: 10 * time.Second}
+		resp, err := client.Post(base+"/v1/datalog", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("%s: %v", body, err)
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, string(raw)
+	}
+	var bodies []string
+	for _, q := range []string{
+		`?f director ?d . ?f language ?l`,                  // scan + probe
+		`?a language ?v . ?b language ?v`,                  // hash join on the value
+		`Casablanca director ?d . ?e:Book ?a ?w`,           // cross product
+		`?e ?a Australia`,                                  // one clause, hierarchical constant
+		`?x language ?l . ?x director ?d . ?y language ?l`, // three clauses
+	} {
+		for _, par := range []int{0, 3} {
+			req, _ := json.Marshal(map[string]any{"query": q, "parallelism": par, "explain": true})
+			bodies = append(bodies, string(req))
+		}
+	}
+	for _, body := range bodies {
+		wantStatus, want := post(plain.URL, body)
+		if status, got := post(wrapped.URL, body); status != wantStatus || got != want || status != http.StatusOK {
+			t.Errorf("%s through the idle wrapper:\n got %d %s\nwant %d %s", body, status, got, wantStatus, want)
+		}
+	}
+	if ctl.Calls() != 0 {
+		t.Errorf("disabled chaos counted %d calls", ctl.Calls())
+	}
+
+	ctl.SetEnabled(true)
+	for _, body := range bodies {
+		status, got := post(wrapped.URL, body)
+		var env map[string]any
+		if err := json.Unmarshal([]byte(got), &env); err != nil || status != http.StatusInternalServerError ||
+			env["status"] != float64(500) || !strings.Contains(env["error"].(string), "injected") {
+			t.Errorf("%s under injection: %d %s, want the 500 envelope of an injected fault", body, status, got)
+		}
+	}
+	if ctl.Panics() < int64(len(bodies)) {
+		t.Errorf("%d injected panics for %d faulted queries", ctl.Panics(), len(bodies))
+	}
+
+	ctl.SetEnabled(false)
+	for _, body := range bodies {
+		_, want := post(plain.URL, body)
+		if status, got := post(wrapped.URL, body); status != http.StatusOK || got != want {
+			t.Errorf("%s after injection stopped: %d %s", body, status, got)
+		}
+	}
+
+	// Faulting only the (entity, attr) reads spares the first clause's scan
+	// and fails the probes — which, in parallel, run on worker goroutines.
+	probes := store.NewChaosController(&resilience.FaultPlan{
+		Seed:   5,
+		Stages: map[string]resilience.StageFault{store.ChaosStageTriples: {FailProb: 1}},
+	})
+	cfg.WrapQuerier = probes.Wrap
+	faulted := httptest.NewServer(New(testStore(), obs.NewRegistry(), cfg).Handler())
+	defer faulted.Close()
+	for _, body := range bodies[:2] {
+		if status, got := post(faulted.URL, body); status != http.StatusInternalServerError || !strings.Contains(got, `"status":500`) {
+			t.Errorf("%s with failing probes: %d %s, want the 500 envelope", body, status, got)
+		}
+	}
+	if probes.Panics() == 0 {
+		t.Error("no probe was faulted: the queries no longer exercise the worker path")
 	}
 }

@@ -19,7 +19,7 @@ import (
 
 // markerStore builds a store whose every fact carries the marker as its
 // value, so any response body reveals which store it was answered from.
-func markerStore(marker string, n int) *store.Store {
+func markerStore(marker string, n int) *store.Sharded {
 	facts := make([]store.Fact, 0, n)
 	for i := 0; i < n; i++ {
 		facts = append(facts, store.Fact{

@@ -87,15 +87,14 @@ type Config struct {
 	MaxResults int
 	// Reloader loads a fresh store for hot reload (SIGHUP or
 	// POST /v1/admin/reload) — typically a closure re-reading the
-	// snapshot file, off the serving path. It may return a flat
-	// *store.Store or a *store.Sharded; either way one successful reload
-	// swaps the whole serving surface — every shard included — behind a
-	// single generation pointer. Nil disables reloading.
+	// snapshot file, off the serving path. One successful reload swaps the
+	// whole serving surface — every shard included — behind a single
+	// generation pointer. Nil disables reloading.
 	Reloader func() (store.Querier, error)
 	// WrapQuerier, when set, wraps the querier of every store generation
 	// the server adopts (initial store and each reload). The chaos
-	// harness injects faults here; it is also the seam for future
-	// sharded or remote queriers.
+	// harness injects faults here; it is also the seam for remote
+	// queriers.
 	WrapQuerier func(store.Querier) store.Querier
 	// AccessLog, when set, receives one structured line per request
 	// (request ID, method, path, status, bytes, duration, generation).
@@ -168,10 +167,10 @@ func (h Health) String() string {
 func (h Health) ready() bool { return h == HealthServing || h == HealthDegraded }
 
 // generation is the atomically swappable serving handle: one immutable
-// store (flat or sharded), the querier handlers read through, and a
-// response cache scoped to exactly this generation. Swapping the pointer
-// retires store, every shard and cache together, which is what makes
-// reload sound for cached bodies and shard routing alike.
+// store, the querier handlers read through, and a response cache scoped to
+// exactly this generation. Swapping the pointer retires store, every shard
+// and cache together, which is what makes reload sound for cached bodies
+// and shard routing alike.
 type generation struct {
 	st    store.Querier
 	q     store.Querier
@@ -241,13 +240,13 @@ func resolveMetrics(reg *obs.Registry) metrics {
 	}
 }
 
-// New builds a server over the store — a flat *store.Store or a
-// *store.Sharded; the handlers are agnostic. The registry may be nil
-// (metrics become no-ops and /metrics returns an empty snapshot). A nil
-// store is allowed: the server starts in the "starting" state, answers
-// health probes, and begins serving after the first successful Reload —
-// the boot sequence `akb serve` uses so a bad snapshot is a clean error,
-// not a half-started process.
+// New builds a server over the store; the handlers read it through
+// store.Querier alone. The registry may be nil (metrics become no-ops and
+// /metrics returns an empty snapshot). A nil store is allowed: the server
+// starts in the "starting" state, answers health probes, and begins
+// serving after the first successful Reload — the boot sequence `akb
+// serve` uses so a bad snapshot is a clean error, not a half-started
+// process.
 func New(st store.Querier, reg *obs.Registry, cfg Config) *Server {
 	if cfg.MaxInFlight <= 0 {
 		cfg.MaxInFlight = DefaultConfig().MaxInFlight
@@ -669,9 +668,10 @@ func writeRaw(w http.ResponseWriter, status int, body []byte) {
 
 // entityID decodes a path segment into a store entity name. Entity IRIs
 // replace spaces with underscores, so /v1/entity/Film_3 and
-// /v1/entity/Film%203 both resolve.
+// /v1/entity/Film%203 both resolve. Whether the raw name is an entity is
+// asked of the index, not by reading it: the handler's read is the only one.
 func entityID(q store.Querier, raw string) string {
-	if len(q.Entity(raw)) > 0 {
+	if q.CountEstimate(store.Pattern{Entity: raw}) > 0 {
 		return raw
 	}
 	return strings.ReplaceAll(raw, "_", " ")
@@ -707,6 +707,8 @@ func (s *Server) healthBody(g *generation) healthzBody {
 		body.Facts = g.st.Len()
 		body.Entities = g.st.EntityCount()
 		body.Classes = g.st.Classes()
+		// The shard count describes a deployment, not a read, so it is not
+		// part of Querier: a store reports it, a stand-in need not.
 		if sh, ok := g.st.(interface{ ShardCount() int }); ok {
 			body.Shards = sh.ShardCount()
 		}
@@ -757,7 +759,7 @@ func (s *Server) handleMetrics(_ *generation, _ *http.Request) routeResult {
 
 func (s *Server) handleEntity(g *generation, r *http.Request) routeResult {
 	id := entityID(g.q, r.PathValue("id"))
-	facts := g.q.Entity(id)
+	facts := store.Lookup(g.q, store.Pattern{Entity: id})
 	if len(facts) == 0 {
 		return errRes(http.StatusNotFound, "no fused knowledge about entity %q", id)
 	}
@@ -769,10 +771,10 @@ func (s *Server) handleTriples(g *generation, r *http.Request) routeResult {
 	// Attribute names are canonical with spaces; accept the underscore
 	// form too, mirroring how attribute IRIs are minted.
 	attr := r.PathValue("attr")
-	facts := g.q.Triples(entity, attr)
+	facts := store.Lookup(g.q, store.Pattern{Entity: entity, Attr: attr})
 	if len(facts) == 0 {
 		attr = strings.ReplaceAll(attr, "_", " ")
-		facts = g.q.Triples(entity, attr)
+		facts = store.Lookup(g.q, store.Pattern{Entity: entity, Attr: attr})
 	}
 	if len(facts) == 0 {
 		return errRes(http.StatusNotFound, "no accepted values for (%s, %s)", entity, attr)
@@ -808,21 +810,8 @@ func (s *Server) handleQuery(g *generation, r *http.Request) routeResult {
 			limit = n
 		}
 	}
-	// Capped lookups push the limit into the store when it supports it —
-	// a sharded querier then materialises at most limit facts per shard
-	// instead of the full result set. The fallback (full Lookup, then
-	// truncate) returns byte-identical responses.
-	var facts []store.Fact
-	var total int
-	if lq, ok := g.q.(store.LimitedQuerier); ok {
-		facts, total = lq.LookupN(q, limit)
-	} else {
-		facts = g.q.Lookup(q)
-		total = len(facts)
-		if len(facts) > limit {
-			facts = facts[:limit]
-		}
-	}
+	// The page is copied, the rest only counted.
+	facts, total := store.LookupN(g.q, q, limit)
 	return dataRes(encodeQuery(g.num, total, facts))
 }
 

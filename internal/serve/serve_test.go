@@ -17,7 +17,7 @@ import (
 	"akb/internal/store"
 )
 
-func testStore() *store.Store {
+func testStore() *store.Sharded {
 	return store.New([]store.Fact{
 		{Entity: "Casablanca", Class: "Film", Attr: "director", Value: "Michael Curtiz", Confidence: 0.97, Sources: 5},
 		{Entity: "Casablanca", Class: "Film", Attr: "language", Value: "English", Confidence: 0.92, Sources: 4},

@@ -31,8 +31,8 @@ import (
 // String IDs are assigned in sorted-string order, so the fixed-width
 // big-endian key tuples sort bytewise exactly like the store's canonical
 // (entity, attr, value, class) fact order — the sort-order-preserving
-// key encoding janus-datalog uses for its storage layer. The store's
-// entity index *is* that order (see Store), so a shard's facts come off
+// key encoding janus-datalog uses for its storage layer. A shard's
+// entity index *is* that order (see shard), so a shard's facts come off
 // the file ready to index. The reader therefore verifies what the format
 // promises instead of redoing it — checksum first, then string table and
 // keys strictly increasing (integer compares), every string referenced,
@@ -47,7 +47,7 @@ import (
 // multi-process deployment can ship individual segments to shard owners.
 const (
 	// BinarySnapshotVersion is the codec version binary snapshots carry.
-	// It continues the JSON codec's version line: ReadSnapshotFile and
+	// It continues the JSON codec's version line: OpenSnapshotFile and
 	// VerifySnapshotFile accept 1 and 2 as JSON and 3 as binary.
 	BinarySnapshotVersion = 3
 
@@ -79,7 +79,7 @@ func (s *Sharded) WriteBinarySnapshot(w io.Writer) error {
 		size += len(str) + 2
 	}
 	for _, sh := range s.shards {
-		size += 8 + sh.Len()*binMinFactLen + 3*(len(sh.byValue.arena)-sh.Len())
+		size += 8 + len(sh.facts)*binMinFactLen + 3*(len(sh.byValue.arena)-len(sh.facts))
 	}
 	be := binary.BigEndian
 	buf := make([]byte, 0, size)
@@ -174,7 +174,7 @@ func binStringTable(s *Sharded) ([]string, map[string]uint32, error) {
 }
 
 // WriteBinarySnapshotFile writes the binary snapshot to path with the
-// same crash-safety contract as Store.WriteSnapshotFile: temp file in
+// same crash-safety contract as WriteSnapshotFile: temp file in
 // the target directory, fsync, atomic rename.
 func (s *Sharded) WriteBinarySnapshotFile(path string) error {
 	return atomicWriteFile(path, s.WriteBinarySnapshot)
@@ -288,7 +288,7 @@ func decodeBinarySnapshot(data []byte) (*Sharded, error) {
 	}
 	// Every shard's facts are windows of one array.
 	facts := make([]Fact, hdr.facts)
-	shards := make([]*Store, hdr.shards)
+	shards := make([]*shard, hdr.shards)
 	for si := range shards {
 		nb, err := d.take(8)
 		if err != nil {

@@ -22,7 +22,7 @@ func binTestSharded(t *testing.T) *Sharded {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ShardedFromResult(res, 4)
+	return NewSharded(ResultFacts(res), 4)
 }
 
 // TestBinarySnapshotRoundTrip pins the codec's determinism both ways:
@@ -322,8 +322,8 @@ func FuzzReadBinarySnapshot(f *testing.F) {
 }
 
 // TestBinarySnapshotFileAndOpen exercises the file-level paths: atomic
-// write, sniffing in ReadSnapshotFile, layout selection in
-// OpenSnapshotFile and the uniform VerifySnapshotFile description.
+// write, codec sniffing and layout selection in OpenSnapshotFile and the
+// uniform VerifySnapshotFile description.
 func TestBinarySnapshotFileAndOpen(t *testing.T) {
 	sh := binTestSharded(t)
 	dir := t.TempDir()
@@ -341,36 +341,23 @@ func TestBinarySnapshotFileAndOpen(t *testing.T) {
 		t.Errorf("VerifySnapshotFile info = %+v", info)
 	}
 
-	// ReadSnapshotFile flattens transparently.
-	flat, err := ReadSnapshotFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(flat.Facts(), sh.Facts()) {
-		t.Error("ReadSnapshotFile(binary) differs from source facts")
-	}
-
-	// OpenSnapshotFile layout knob: 0 keeps segments, 1 flattens, N re-shards.
-	for _, tc := range []struct {
-		shards    int
-		wantCount int
-		flat      bool
-	}{
-		{0, sh.ShardCount(), false},
-		{1, 1, true},
-		{6, 6, false},
+	// OpenSnapshotFile layout knob: 0 keeps segments, 1 flattens, N
+	// re-shards — the same facts every time.
+	for _, tc := range []struct{ shards, wantCount int }{
+		{0, sh.ShardCount()},
+		{1, 1},
+		{6, 6},
 	} {
 		q, _, err := OpenSnapshotFile(path, tc.shards)
 		if err != nil {
 			t.Fatalf("OpenSnapshotFile(shards=%d): %v", tc.shards, err)
 		}
-		if got, ok := q.(*Sharded); ok != !tc.flat {
-			t.Errorf("OpenSnapshotFile(shards=%d) flat=%v, want flat=%v", tc.shards, !ok, tc.flat)
-		} else if ok && got.ShardCount() != tc.wantCount {
+		got := q.(*Sharded)
+		if got.ShardCount() != tc.wantCount {
 			t.Errorf("OpenSnapshotFile(shards=%d) has %d shards, want %d", tc.shards, got.ShardCount(), tc.wantCount)
 		}
-		if q.Len() != sh.Len() {
-			t.Errorf("OpenSnapshotFile(shards=%d) Len = %d, want %d", tc.shards, q.Len(), sh.Len())
+		if !reflect.DeepEqual(got.Facts(), sh.Facts()) {
+			t.Errorf("OpenSnapshotFile(shards=%d) differs from source facts", tc.shards)
 		}
 	}
 }
@@ -396,7 +383,7 @@ func TestBinaryVsJSONSizeAtScale(t *testing.T) {
 	if err := sh.WriteBinarySnapshot(&binSize); err != nil {
 		t.Fatal(err)
 	}
-	if err := sh.Flatten().WriteSnapshot(&jsonSize); err != nil {
+	if err := sh.WriteSnapshot(&jsonSize); err != nil {
 		t.Fatal(err)
 	}
 	ratio := float64(jsonSize) / float64(binSize)

@@ -11,9 +11,10 @@ import (
 // ChaosController drives deterministic fault injection on the serving
 // path. It reuses the pipeline's resilience.FaultPlan — the same seeded
 // (stage, attempt) decisions that chaos-test extraction stages — but
-// aims it at store reads: each query method consults the plan under the
-// stage name "store/<method>" and may be slowed (StageFault.Latency) or
-// blown up (StageFault.FailProb) before the real store answers.
+// aims it at store reads: each Select consults the plan under the stage
+// name of the read's shape ("store/entity", "store/triples" or
+// "store/lookup") and may be slowed (StageFault.Latency) or blown up
+// (StageFault.FailProb) before the real store answers.
 //
 // Injected failures surface as panics, not error returns: the Querier
 // interface is error-free by design (reads of an immutable store cannot
@@ -35,10 +36,12 @@ type ChaosController struct {
 	panics  atomic.Int64
 }
 
-// Stage names the chaos querier consults the plan under, one per
-// faultable Querier method. Summary methods (Len, EntityCount, Classes)
-// are never faulted: they back the health endpoints, and liveness
-// reporting must stay reliable even under full chaos.
+// Stage names the chaos querier consults the plan under, one per shape of
+// read: a pattern naming only an entity, an (entity, attr) pair, or
+// anything else. Summary methods (Len, EntityCount, Classes) and
+// CountEstimate are never faulted: the first back the health endpoints, and
+// liveness reporting must stay reliable even under full chaos; the last
+// touches no fact.
 const (
 	ChaosStageEntity  = "store/entity"
 	ChaosStageTriples = "store/triples"
@@ -107,17 +110,23 @@ func (q *chaosQuerier) Len() int          { return q.base.Len() }
 func (q *chaosQuerier) EntityCount() int  { return q.base.EntityCount() }
 func (q *chaosQuerier) Classes() []string { return q.base.Classes() }
 
-func (q *chaosQuerier) Entity(id string) []Fact {
-	q.ctl.inject(ChaosStageEntity)
-	return q.base.Entity(id)
+func (q *chaosQuerier) CountEstimate(p Pattern) int { return q.base.CountEstimate(p) }
+
+// Select injects, then hands out the base store's cursor: the fault is in
+// opening the read, the stream itself is the real one.
+func (q *chaosQuerier) Select(p Pattern) Cursor {
+	q.ctl.inject(chaosStage(p))
+	return q.base.Select(p)
 }
 
-func (q *chaosQuerier) Triples(entity, attr string) []Fact {
-	q.ctl.inject(ChaosStageTriples)
-	return q.base.Triples(entity, attr)
-}
-
-func (q *chaosQuerier) Lookup(p Pattern) []Fact {
-	q.ctl.inject(ChaosStageLookup)
-	return q.base.Lookup(p)
+// chaosStage names the plan stage of a read by the pattern's shape.
+func chaosStage(p Pattern) string {
+	switch {
+	case p.Entity == "" || p.Class != "" || p.Value != "":
+		return ChaosStageLookup
+	case p.Attr != "":
+		return ChaosStageTriples
+	default:
+		return ChaosStageEntity
+	}
 }

@@ -21,7 +21,7 @@ func TestChaosQuerierInjectsPanics(t *testing.T) {
 		fn()
 		return nil
 	}
-	rec := recovered(func() { q.Lookup(Pattern{Class: "Film"}) })
+	rec := recovered(func() { Lookup(q, Pattern{Class: "Film"}) })
 	if rec == nil {
 		t.Fatal("FailProb=1 did not panic")
 	}
@@ -29,10 +29,10 @@ func TestChaosQuerierInjectsPanics(t *testing.T) {
 	if !ok || !errors.Is(err, resilience.ErrInjected) {
 		t.Fatalf("transient fault panicked with %v, want ErrInjected error", rec)
 	}
-	if rec := recovered(func() { q.Entity("Casablanca") }); rec == nil {
+	if rec := recovered(func() { Lookup(q, Pattern{Entity: "Casablanca"}) }); rec == nil {
 		t.Fatal("Entity not faulted")
 	}
-	if rec := recovered(func() { q.Triples("Casablanca", "language") }); rec == nil {
+	if rec := recovered(func() { Lookup(q, Pattern{Entity: "Casablanca", Attr: "language"}) }); rec == nil {
 		t.Fatal("Triples not faulted")
 	}
 	if ctl.Panics() != 3 || ctl.Calls() != 3 {
@@ -41,7 +41,7 @@ func TestChaosQuerierInjectsPanics(t *testing.T) {
 
 	// Permanent faults panic with a string, not an error value.
 	ctl2 := NewChaosController(&resilience.FaultPlan{Seed: 7, Default: resilience.StageFault{FailProb: 1}})
-	rec = recovered(func() { ctl2.Wrap(base).Lookup(Pattern{Class: "Film"}) })
+	rec = recovered(func() { Lookup(ctl2.Wrap(base), Pattern{Class: "Film"}) })
 	if _, isErr := rec.(error); rec == nil || isErr {
 		t.Fatalf("permanent fault panicked with %v, want plain string", rec)
 	}
@@ -58,7 +58,7 @@ func TestChaosQuerierDisableRestoresCleanReads(t *testing.T) {
 
 	// With injection off the wrapper is transparent: same answers, no
 	// panics, no latency bookkeeping.
-	got := q.Lookup(Pattern{Class: "Film"})
+	got := Lookup(q, Pattern{Class: "Film"})
 	want := base.Lookup(Pattern{Class: "Film"})
 	if len(got) != len(want) {
 		t.Fatalf("disabled chaos changed results: %d vs %d", len(got), len(want))
@@ -86,11 +86,50 @@ func TestChaosQuerierLatency(t *testing.T) {
 	})
 	q := ctl.Wrap(base)
 	start := time.Now()
-	q.Lookup(Pattern{Class: "Film"})
+	Lookup(q, Pattern{Class: "Film"})
 	if d := time.Since(start); d < 5*time.Millisecond {
 		t.Errorf("latency fault not applied: took %v", d)
 	}
 	if ctl.Slowed() != 1 {
 		t.Errorf("slowed = %d, want 1", ctl.Slowed())
 	}
+}
+
+// TestChaosStageFollowsPatternShape pins which plan stage a read consults:
+// an entity alone is "store/entity", an (entity, attr) pair "store/triples",
+// anything else "store/lookup" — the stages `akb chaos-serve` plans against.
+func TestChaosStageFollowsPatternShape(t *testing.T) {
+	for p, want := range map[Pattern]string{
+		{Entity: "e"}:                          ChaosStageEntity,
+		{Entity: "e", Attr: "a"}:               ChaosStageTriples,
+		{Entity: "e", Attr: "a", Value: "v"}:   ChaosStageLookup,
+		{Entity: "e", Class: "c"}:              ChaosStageLookup,
+		{Attr: "a"}:                            ChaosStageLookup,
+		{Class: "c", Value: "v", Exact: true}:  ChaosStageLookup,
+		{}:                                     ChaosStageLookup,
+		{Entity: "e", Attr: "a", Exact: true}:  ChaosStageTriples,
+		{Entity: "e", Value: "v", Exact: true}: ChaosStageLookup,
+	} {
+		if got := chaosStage(p); got != want {
+			t.Errorf("chaosStage(%+v) = %q, want %q", p, got, want)
+		}
+	}
+	// Only the faulted stage's reads fail; CountEstimate never does.
+	ctl := NewChaosController(&resilience.FaultPlan{
+		Seed:   3,
+		Stages: map[string]resilience.StageFault{ChaosStageTriples: {FailProb: 1}},
+	})
+	q := ctl.Wrap(New(testFacts()))
+	if got := Lookup(q, Pattern{Entity: "Casablanca"}); len(got) != 3 {
+		t.Errorf("unfaulted entity read = %+v", got)
+	}
+	if q.CountEstimate(Pattern{Entity: "Casablanca", Attr: "language"}) != 2 {
+		t.Error("CountEstimate through the wrapper disagrees with the store")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("the faulted (entity, attr) read did not panic")
+		}
+	}()
+	Lookup(q, Pattern{Entity: "Casablanca", Attr: "language"})
 }

@@ -115,21 +115,16 @@ func bruteEstimate(facts []Fact, q Pattern) int {
 	return best
 }
 
-// fullQuerier is every read the store offers.
-type fullQuerier interface {
-	LimitedQuerier
-	Iterator
-	Selector
-	CountEstimator
-	Scan(Pattern) []Fact
-}
+// delegate is a Querier that is not the store: it hides the concrete type
+// behind the five methods, the way any wrapper does.
+type delegate struct{ Querier }
 
 // TestReadsMatchScanOnNastyKBs is the differential test of the read
 // paths: on generated adversarial KBs, every way of reading a pattern
 // returns exactly what the brute-force Scan returns, and CountEstimate
 // returns the brute-force shortest postings length — on the flat store, on
-// sharded layouts (some shards empty), and on both after a version-3
-// snapshot round trip.
+// sharded layouts (some shards empty), on both after a version-3 snapshot
+// round trip, and through a wrapper that is only a Querier.
 func TestReadsMatchScanOnNastyKBs(t *testing.T) {
 	kbs := 150
 	if testing.Short() {
@@ -139,7 +134,7 @@ func TestReadsMatchScanOnNastyKBs(t *testing.T) {
 		r := rand.New(rand.NewSource(int64(seed)))
 		facts := nastyFacts(r)
 		flat := New(facts)
-		layouts := map[string]fullQuerier{"flat": flat}
+		layouts := map[string]*Sharded{"flat": flat}
 		for _, n := range []int{1, 3, 8} {
 			sh := NewSharded(facts, n)
 			layouts[fmt.Sprintf("sharded-%d", n)] = sh
@@ -155,14 +150,14 @@ func TestReadsMatchScanOnNastyKBs(t *testing.T) {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
 			layouts[fmt.Sprintf("v3-sharded-%d", n)] = back
-			layouts[fmt.Sprintf("v3-flattened-%d", n)] = back.Flatten()
+			layouts[fmt.Sprintf("v3-flattened-%d", n)] = NewSharded(back.Facts(), 1)
 		}
 		patterns := make([]Pattern, 40)
 		for i := range patterns {
 			patterns[i] = nastyPattern(r)
 		}
 		for name, q := range layouts {
-			if !factsEqual(q.Scan(Pattern{}), flat.Facts()) {
+			if !factsEqual(q.Scan(Pattern{}), flat.Facts()) || !factsEqual(q.Facts(), flat.Facts()) {
 				t.Fatalf("seed %d %s: facts differ from the flat store's", seed, name)
 			}
 			for _, p := range patterns {
@@ -172,34 +167,31 @@ func TestReadsMatchScanOnNastyKBs(t *testing.T) {
 	}
 }
 
-func checkReads(t *testing.T, where string, q fullQuerier, all []Fact, p Pattern, limit int) {
+func checkReads(t *testing.T, where string, q *Sharded, all []Fact, p Pattern, limit int) {
 	t.Helper()
 	want := q.Scan(p)
-	if got := q.Lookup(p); !factsEqual(got, want) {
-		t.Errorf("%s: Lookup\n got: %+v\nwant: %+v", where, got, want)
-	}
-	got, total := q.LookupN(p, limit)
-	if total != len(want) || !factsEqual(got, want[:min(limit, len(want))]) {
-		t.Errorf("%s: LookupN(%d) = %+v, total %d\nwant the first of %+v", where, limit, got, total, want)
-	}
-	var pushed []Fact
-	q.Iterate(p, func(f Fact) bool { pushed = append(pushed, f); return true })
-	if !factsEqual(pushed, want) {
-		t.Errorf("%s: Iterate\n got: %+v\nwant: %+v", where, pushed, want)
-	}
 	var pulled []Fact
-	for cur := q.Select(p); ; {
-		f, ok := cur.Next()
-		if !ok {
-			break
-		}
-		pulled = append(pulled, f)
+	cur := q.Select(p)
+	for f := cur.Next(); f != nil; f = cur.Next() {
+		pulled = append(pulled, *f)
 	}
 	if !factsEqual(pulled, want) {
 		t.Errorf("%s: Select\n got: %+v\nwant: %+v", where, pulled, want)
 	}
-	if got, want := q.CountEstimate(p), bruteEstimate(all, p); got != want {
-		t.Errorf("%s: CountEstimate = %d, the shortest postings list has %d", where, got, want)
+	if cur = q.Select(p); cur.Count() != len(want) {
+		t.Errorf("%s: Count of a fresh cursor, want %d", where, len(want))
+	}
+	for name, q := range map[string]Querier{"store": q, "delegate": delegate{q}} {
+		if got := Lookup(q, p); !factsEqual(got, want) {
+			t.Errorf("%s: %s Lookup\n got: %+v\nwant: %+v", where, name, got, want)
+		}
+		got, total := LookupN(q, p, limit)
+		if total != len(want) || !factsEqual(got, want[:min(limit, len(want))]) {
+			t.Errorf("%s: %s LookupN(%d) = %+v, total %d\nwant the first of %+v", where, name, limit, got, total, want)
+		}
+		if got, want := q.CountEstimate(p), bruteEstimate(all, p); got != want {
+			t.Errorf("%s: %s CountEstimate = %d, the shortest postings list has %d", where, name, got, want)
+		}
 	}
 
 	// Entity and Triples address verbatim — an empty name is a name, not
@@ -218,6 +210,34 @@ func checkReads(t *testing.T, where string, q fullQuerier, all []Fact, p Pattern
 	}
 	if got := q.Triples(p.Entity, p.Attr); !factsEqual(got, triples) {
 		t.Errorf("%s: Triples\n got: %+v\nwant: %+v", where, got, triples)
+	}
+}
+
+// TestLookupNCopiesAtMostLimit is the per-shard-limit property of the
+// cursor design: a capped read that scatters over every shard, with far
+// more matches than the cap, merges and copies only the page — the tail is
+// counted inside each shard — and still returns the exact total.
+func TestLookupNCopiesAtMostLimit(t *testing.T) {
+	const n, limit = 20000, 5
+	facts := make([]Fact, n)
+	for i := range facts {
+		facts[i] = Fact{Entity: fmt.Sprintf("e%05d", i), Class: "c", Attr: "a", Value: fmt.Sprintf("v%d", i%7), Ancestors: []string{"root"}}
+	}
+	for _, shards := range []int{1, 8} {
+		s := NewSharded(facts, shards)
+		for _, p := range []Pattern{{Attr: "a"}, {Class: "c", Value: "root"}, {Value: "v3"}, {}} {
+			want := s.Scan(p)
+			var got []Fact
+			var total int
+			allocs := testing.AllocsPerRun(10, func() { got, total = s.LookupN(p, limit) })
+			if total != len(want) || !factsEqual(got, want[:limit]) {
+				t.Errorf("%d shards %+v: LookupN = %d facts, total %d; want the first %d of %d", shards, p, len(got), total, limit, len(want))
+			}
+			// The page grows 1, 2, 4, 8 facts; a scatter adds its heads.
+			if cap(got) > 2*limit || allocs > 5 {
+				t.Errorf("%d shards %+v: LookupN(%d) over %d matches made %.0f allocations and a page of cap %d", shards, p, limit, len(want), allocs, cap(got))
+			}
+		}
 	}
 }
 
@@ -256,7 +276,7 @@ func TestCursorWalksShortestList(t *testing.T) {
 		{Pattern{Attr: "rare", Value: "absent"}, 0},
 		{Pattern{}, 40},
 	} {
-		c := flat.cursor(tc.p)
+		c := flat.shards[0].cursor(tc.p)
 		if got := c.size(); got != tc.want || got != flat.CountEstimate(tc.p) {
 			t.Errorf("%+v: flat cursor visits %d facts, CountEstimate %d, want %d", tc.p, got, flat.CountEstimate(tc.p), tc.want)
 		}
@@ -272,7 +292,7 @@ func TestCursorWalksShortestList(t *testing.T) {
 		for i := 0; i < 40; i++ {
 			p := nastyPattern(r)
 			want := bruteEstimate(flat.Facts(), p)
-			c := flat.cursor(p)
+			c := flat.shards[0].cursor(p)
 			if got := c.size(); got != want {
 				t.Errorf("seed %d %#v: flat cursor visits %d facts, the shortest list has %d", seed, p, got, want)
 			}
@@ -298,9 +318,9 @@ func TestCursorWalksShortestList(t *testing.T) {
 // ("a\x00b", "c") both keyed to "a\x00b\x00c", so each read the other's
 // facts.
 func TestTriplesNULInNames(t *testing.T) {
-	for _, q := range []Querier{
+	for _, q := range []*Sharded{
 		New([]Fact{{Entity: "a\x00b", Attr: "c", Value: "v"}}),
-		NewSharded([]Fact{{Entity: "a\x00b", Attr: "c", Value: "v"}}, 1),
+		NewSharded([]Fact{{Entity: "a\x00b", Attr: "c", Value: "v"}}, 4),
 	} {
 		if got := q.Triples("a", "b\x00c"); len(got) != 0 {
 			t.Errorf(`%T: Triples("a", "b\x00c") = %+v, want nothing: those are the facts of ("a\x00b", "c")`, q, got)

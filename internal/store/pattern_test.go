@@ -7,9 +7,9 @@ import (
 )
 
 // patternMatrix is shardedQueries plus Exact variants of every pattern
-// that names a value: the matrix the streaming-read equivalence tests
-// (Iterate, Select, CountEstimate) run against both layouts.
-func patternMatrix(s *Store) []Pattern {
+// that names a value: the matrix the cursor equivalence tests (Select,
+// Count, CountEstimate) run against every layout.
+func patternMatrix(s *Sharded) []Pattern {
 	qs := shardedQueries(s)
 	for _, q := range qs {
 		if q.Value != "" {
@@ -22,8 +22,8 @@ func patternMatrix(s *Store) []Pattern {
 }
 
 // TestExactValueMatching pins the join semantics: Exact patterns match the
-// accepted value verbatim, never via hierarchy generalisation, on Lookup,
-// Scan, LookupN, Iterate and Select alike.
+// accepted value verbatim, never via hierarchy generalisation, on the
+// indexed read and the brute-force Scan alike.
 func TestExactValueMatching(t *testing.T) {
 	s := New(testFacts())
 
@@ -62,50 +62,43 @@ func TestExactValueMatching(t *testing.T) {
 	}
 }
 
-// TestIterateAndSelectMatchLookup proves the streaming reads are the same
-// relation Lookup materialises — same facts, same canonical order — on
-// the flat store and on every sharded layout.
+// TestIterateAndSelectMatchLookup proves the cursor is the same relation
+// Lookup materialises — same facts, same canonical order — on the flat
+// store and on every sharded layout, and that Count, taken after any number
+// of Nexts, is exactly what was left.
 func TestIterateAndSelectMatchLookup(t *testing.T) {
 	facts := testFacts()
 	flat := New(facts)
-	queriers := map[string]interface {
-		Lookup(Pattern) []Fact
-		Iterate(Pattern, func(Fact) bool) bool
-		Select(Pattern) FactCursor
-		CountEstimate(Pattern) int
-	}{
-		"flat": flat,
-	}
+	layouts := map[string]*Sharded{"flat": flat}
 	for _, n := range []int{1, 3, 8} {
-		queriers[fmt.Sprintf("sharded-%d", n)] = NewSharded(facts, n)
+		layouts[fmt.Sprintf("sharded-%d", n)] = NewSharded(facts, n)
 	}
-	for name, q := range queriers {
+	for name, q := range layouts {
 		t.Run(name, func(t *testing.T) {
 			for _, p := range patternMatrix(flat) {
-				want := q.Lookup(p)
-
-				var pushed []Fact
-				if !q.Iterate(p, func(f Fact) bool {
-					pushed = append(pushed, f)
-					return true
-				}) {
-					t.Errorf("Iterate(%+v) reported early stop without one", p)
+				want := flat.Scan(p)
+				if got := q.Lookup(p); !factsEqual(got, want) {
+					t.Errorf("Lookup(%+v):\n got: %+v\nwant: %+v", p, got, want)
 				}
-				if !factsEqual(pushed, want) {
-					t.Errorf("Iterate(%+v):\n got: %+v\nwant: %+v", p, pushed, want)
-				}
-
-				var pulled []Fact
-				cur := q.Select(p)
-				for {
-					f, ok := cur.Next()
-					if !ok {
-						break
+				for taken := 0; taken <= len(want)+1; taken++ {
+					var pulled []Fact
+					cur := q.Select(p)
+					for len(pulled) < taken {
+						f := cur.Next()
+						if f == nil {
+							break
+						}
+						pulled = append(pulled, *f)
 					}
-					pulled = append(pulled, f)
-				}
-				if !factsEqual(pulled, want) {
-					t.Errorf("Select(%+v):\n got: %+v\nwant: %+v", p, pulled, want)
+					if !factsEqual(pulled, want[:min(taken, len(want))]) {
+						t.Errorf("Select(%+v), %d Nexts:\n got: %+v\nwant the first of: %+v", p, taken, pulled, want)
+					}
+					if left := cur.Count(); left != len(want)-len(pulled) {
+						t.Errorf("Select(%+v): Count after %d of %d = %d", p, len(pulled), len(want), left)
+					}
+					if f := cur.Next(); f != nil || cur.Count() != 0 {
+						t.Errorf("Select(%+v): a counted cursor still yields %+v", p, f)
+					}
 				}
 
 				// The estimate is a free upper bound: never below the true
@@ -118,17 +111,20 @@ func TestIterateAndSelectMatchLookup(t *testing.T) {
 	}
 }
 
-// TestIterateEarlyStop pins the yield contract: returning false stops the
-// walk immediately and Iterate reports the incomplete traversal.
-func TestIterateEarlyStop(t *testing.T) {
-	s := New(testFacts())
-	seen := 0
-	completed := s.Iterate(Pattern{}, func(Fact) bool {
-		seen++
-		return seen < 3
-	})
-	if completed || seen != 3 {
-		t.Fatalf("early stop: completed=%v seen=%d, want false/3", completed, seen)
+// TestCursorCountsWhatItHasNotReturned pins the early-stop contract: a
+// consumer may stop pulling at any point, and Count then reports the rest
+// without returning it.
+func TestCursorCountsWhatItHasNotReturned(t *testing.T) {
+	for _, s := range []*Sharded{New(testFacts()), NewSharded(testFacts(), 3)} {
+		cur := s.Select(Pattern{})
+		for i := 0; i < 3; i++ {
+			if cur.Next() == nil {
+				t.Fatalf("%d shards: stream ended after %d facts", s.ShardCount(), i)
+			}
+		}
+		if left := cur.Count(); left != s.Len()-3 {
+			t.Fatalf("%d shards: Count after 3 of %d = %d", s.ShardCount(), s.Len(), left)
+		}
 	}
 }
 

@@ -1,13 +1,14 @@
 package store
 
-// Querier is the read surface of a store that the HTTP layer
-// (internal/serve) depends on. *Store implements it natively; wrappers
-// such as the chaos-injecting querier in chaos.go implement it by
-// delegation, so the serving path can be composed with fault injection
-// (or, later, sharding and remote stores) without the handlers knowing.
+// Querier is the whole read interface of a store: three summary numbers,
+// one read primitive and its free cost bound. *Sharded implements it;
+// wrappers — the chaos injector in chaos.go, a test's delegating shim, one
+// day a remote shard — implement it by wrapping Select, and everything
+// else (Lookup, LookupN, the HTTP handlers, the datalog planner and
+// executor) is written once over these five methods.
 //
 // Every method must be safe for unsynchronised concurrent use, like the
-// immutable *Store it usually wraps.
+// immutable store it usually wraps.
 type Querier interface {
 	// Len returns the number of facts.
 	Len() int
@@ -15,106 +16,202 @@ type Querier interface {
 	EntityCount() int
 	// Classes returns the distinct entity classes in sorted order.
 	Classes() []string
-	// Entity returns every fact about the entity in canonical order.
-	Entity(id string) []Fact
-	// Triples returns the accepted values for (entity, attr).
-	Triples(entity, attr string) []Fact
-	// Lookup answers a pattern; empty fields are wildcards.
-	Lookup(q Pattern) []Fact
+	// Select opens a cursor over the facts matching p, in canonical order.
+	Select(p Pattern) Cursor
+	// CountEstimate returns an upper bound on how many facts match p,
+	// read off index lengths: no scan, no allocation.
+	CountEstimate(p Pattern) int
 }
 
-// LimitedQuerier is the optional fast path for capped queries: LookupN
-// returns at most limit facts (the first in canonical order) plus the
-// true total match count. The serving layer type-asserts for it so a
-// sharded store can push the result cap down to every shard; queriers
-// that do not implement it (e.g. the chaos wrapper) fall back to a full
-// Lookup plus truncation, with identical output.
-type LimitedQuerier interface {
-	Querier
-	// LookupN answers q with at most limit facts and the total match
-	// count; limit <= 0 means unlimited.
-	LookupN(q Pattern, limit int) (facts []Fact, total int)
+var _ Querier = (*Sharded)(nil)
+
+// Cursor is the relation a pattern selects, as a lazy sequence: Next
+// yields the matching facts one at a time in canonical order, by reference
+// into the store's immutable fact arrays, and Count says how many are left
+// without ordering them. A cursor over one shard — the pattern names an
+// entity, or the store has one shard — is a plain value: opening it
+// allocates nothing. A scatter holds every shard's stream and that
+// stream's next match, and Next k-way merges them: the heads are compared
+// in place, so a fact is copied only if the consumer copies it. Comparing
+// with factLess alone is deterministic because a fact's identity key pins
+// its entity and entities are partitioned across shards; linear minimum
+// selection over the shard count beats heap bookkeeping at the 8–64 shard
+// sizes this store runs at.
+//
+// Cursors are single-consumer and not safe for concurrent use: open one
+// per consumer — the store underneath is shared.
+type Cursor struct {
+	shardCursor        // the stream, when heads is nil
+	heads       []head // a scatter: one per shard
 }
 
-// FactCursor pulls matching facts one at a time, in canonical order.
-// Next returns false when the stream is exhausted; cursors are
-// single-consumer and not safe for concurrent use (create one per
-// consumer — creation is cheap, the underlying store is shared).
-type FactCursor interface {
-	Next() (Fact, bool)
+type head struct {
+	shardCursor
+	f *Fact // the shard's next match; nil: that shard is exhausted
 }
 
-// Iterator is the optional streaming read: Iterate pushes every fact
-// matching q, in the order Lookup would return them, without allocating
-// a result slice. The datalog executor (internal/datalog) type-asserts
-// for it on the hot probe path; queriers that lack it fall back to
-// Lookup with identical output.
-type Iterator interface {
-	// Iterate calls yield for each match until yield returns false;
-	// reports whether the walk completed.
-	Iterate(q Pattern, yield func(Fact) bool) bool
-}
-
-// CountEstimator is the optional selectivity oracle: CountEstimate
-// returns an upper bound on the matches for q straight from the length
-// of the run or postings list a read would walk, at the cost of finding
-// it and with zero allocation. It powers the datalog planner's greedy
-// clause ordering — statistics-free in the janus-datalog sense, because
-// the index is the statistic.
-type CountEstimator interface {
-	CountEstimate(q Pattern) int
-}
-
-// Estimate is CountEstimate for any querier: the querier's own when it is a
-// CountEstimator, otherwise the same number worked out from Lookups — the
-// entity's matches when the pattern names one, else the fewest matches any
-// one of its class, attribute and value has alone — so that what is planned
-// from the estimate does not depend on which optional interfaces a querier
-// happens to implement. (The slow way agrees with the postings lengths as
-// long as no fact lists one ancestor twice.)
-func Estimate(q Querier, p Pattern) int {
-	if est, ok := q.(CountEstimator); ok {
-		return est.CountEstimate(p)
+// home is the one shard that holds the entity's facts.
+func (s *Sharded) home(entity string) *shard {
+	if len(s.shards) == 1 {
+		return s.shards[0]
 	}
+	return s.shards[ShardOf(entity, len(s.shards))]
+}
+
+// Select opens a cursor over the facts matching p: on the entity's shard
+// when p names one, merged over every shard otherwise.
+func (s *Sharded) Select(p Pattern) Cursor {
+	if p.Entity != "" || len(s.shards) == 1 {
+		return Cursor{shardCursor: s.home(p.Entity).cursor(p)}
+	}
+	heads := make([]head, len(s.shards))
+	for i, sh := range s.shards {
+		h := &heads[i]
+		h.shardCursor = sh.cursor(p)
+		h.f = h.next()
+	}
+	return Cursor{heads: heads}
+}
+
+// Next returns the next matching fact — a pointer into the store, which
+// the caller must not write through — or nil when the stream is
+// exhausted.
+func (c *Cursor) Next() *Fact {
+	if c.heads == nil {
+		return c.next()
+	}
+	best := -1
+	for i := range c.heads {
+		if f := c.heads[i].f; f != nil && (best < 0 || factLess(f, c.heads[best].f)) {
+			best = i
+		}
+	}
+	if best < 0 {
+		return nil
+	}
+	h := &c.heads[best]
+	f := h.f
+	h.f = h.next()
+	return f
+}
+
+// Count drains the cursor and returns how many matches Next had not yet
+// returned. Nothing is merged or copied: each shard counts its own tail,
+// which is what keeps a capped read over many shards cheap (see LookupN).
+func (c *Cursor) Count() int {
+	n := c.count()
+	for i := range c.heads {
+		if h := &c.heads[i]; h.f != nil {
+			n += 1 + h.count()
+			h.f = nil
+		}
+	}
+	return n
+}
+
+// CountEstimate returns an upper bound on the matches for p: the length of
+// the entity's run (narrowed to the attribute's, if p names one) when p
+// names an entity; otherwise, for each of class, attribute and value that
+// p sets, that key's postings summed over the shards, and the smallest of
+// those sums; the store size for the wildcard. A shard's cursor walks its
+// own shortest list, so a read visits at most this many facts. The number
+// does not depend on the shard count, so neither does a datalog plan
+// ranked by it. No statistics catalog backs it: the indexes that answer
+// the query are themselves the statistic — free, deterministic and never
+// stale.
+func (s *Sharded) CountEstimate(p Pattern) int {
 	if p.Entity != "" {
-		return len(q.Lookup(Pattern{Entity: p.Entity, Attr: p.Attr}))
+		c := s.home(p.Entity).cursor(p)
+		return c.size()
 	}
-	if n := fewestByField(p, func(field Pattern) int { return len(q.Lookup(field)) }); n >= 0 {
-		return n
-	}
-	return q.Len()
-}
-
-// fewestByField returns the smallest count(field) over the one-field
-// patterns of the class, attribute and value p sets, -1 when it sets none.
-func fewestByField(p Pattern, count func(Pattern) int) int {
 	best := -1
 	for _, field := range [...]Pattern{{Class: p.Class}, {Attr: p.Attr}, {Value: p.Value}} {
 		if field == (Pattern{}) {
 			continue
 		}
-		if n := count(field); best < 0 || n < best {
+		n := 0
+		for _, sh := range s.shards {
+			c := sh.cursor(field)
+			n += c.size()
+		}
+		if best < 0 || n < best {
 			best = n
 		}
+	}
+	if best < 0 {
+		return s.nFacts
 	}
 	return best
 }
 
-// Selector is the optional pull-based read: Select opens a cursor over
-// the matches for q. The datalog executor uses it to batch the first
-// clause's stream for deterministic parallel execution.
-type Selector interface {
-	Select(q Pattern) FactCursor
+// Lookup returns every fact matching p, in canonical order; nil when none
+// does.
+func Lookup(q Querier, p Pattern) []Fact {
+	out, _ := LookupN(q, p, 0)
+	return out
 }
 
-var (
-	_ LimitedQuerier = (*Store)(nil)
-	_ LimitedQuerier = (*Sharded)(nil)
+// LookupN returns the first limit facts matching p in canonical order and
+// the total number of matches; limit <= 0 means all of them. It backs the
+// serving layer's result cap: the response needs the first page and the
+// true total, so the tail is counted where it lies — per shard, unmerged —
+// and at most limit facts are ever copied.
+func LookupN(q Querier, p Pattern, limit int) (out []Fact, total int) {
+	c := q.Select(p)
+	if c.heads == nil && c.isRun() {
+		// One run of the fact array is the answer — every entity and
+		// (entity, attr) read: one copy at its final size.
+		n := len(c.facts)
+		if limit > 0 && limit < n {
+			n = limit
+		}
+		return append(out, c.facts[:n]...), len(c.facts)
+	}
+	for f := c.Next(); f != nil; f = c.Next() {
+		out = append(out, *f)
+		if len(out) == limit {
+			break
+		}
+	}
+	return out, len(out) + c.Count()
+}
 
-	_ Iterator       = (*Store)(nil)
-	_ Iterator       = (*Sharded)(nil)
-	_ CountEstimator = (*Store)(nil)
-	_ CountEstimator = (*Sharded)(nil)
-	_ Selector       = (*Store)(nil)
-	_ Selector       = (*Sharded)(nil)
-)
+// Lookup is Lookup over this store.
+func (s *Sharded) Lookup(p Pattern) []Fact { return Lookup(s, p) }
+
+// LookupN is LookupN over this store.
+func (s *Sharded) LookupN(p Pattern, limit int) ([]Fact, int) { return LookupN(s, p, limit) }
+
+// Entity returns every fact about the entity in canonical order, nil when
+// the entity is unknown. The name addresses verbatim: an empty one is a
+// name no fact has, not Pattern's wildcard.
+func (s *Sharded) Entity(id string) []Fact {
+	if id == "" {
+		return nil
+	}
+	return Lookup(s, Pattern{Entity: id})
+}
+
+// Triples returns the accepted values for (entity, attr) — all of them,
+// with confidences and ancestors, since multi-truth attributes accept
+// several values at once. Both names address verbatim, like Entity's.
+func (s *Sharded) Triples(entity, attr string) []Fact {
+	if entity == "" || attr == "" {
+		return nil
+	}
+	return Lookup(s, Pattern{Entity: entity, Attr: attr})
+}
+
+// Scan answers a pattern by brute force over every fact. It is the
+// reference semantics of Select — tests assert equivalence and the
+// BenchmarkStoreLookup baseline measures the index advantage against it.
+func (s *Sharded) Scan(p Pattern) []Fact {
+	var out []Fact
+	facts := s.Facts()
+	for i := range facts {
+		if f := &facts[i]; matches(f, &p) {
+			out = append(out, *f)
+		}
+	}
+	return out
+}

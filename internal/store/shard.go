@@ -1,0 +1,266 @@
+package store
+
+import "slices"
+
+// shard is one partition of the store: its facts and the indexes over
+// them. Nothing is written after build returns.
+type shard struct {
+	// facts is in canonical order without duplicate keys, so every
+	// entity's facts are contiguous and ordered by attribute. Never nil,
+	// so the JSON codec writes [] for an empty store.
+	facts []Fact
+
+	byEntity map[string]span // entity → its run of facts
+	byAttr   postings
+	byClass  postings // facts with an empty class are not listed
+	byValue  postings // a fact is listed under its value and each ancestor
+}
+
+// span is the half-open range [lo, hi) of positions in shard.facts.
+type span struct{ lo, hi int32 }
+
+// postings is one inverted index: key → ascending fact positions. Every
+// list is a window of one shared arena, so an index is three allocations
+// however many keys it holds.
+type postings struct {
+	list  map[string]int32 // key → list number
+	off   []int32          // list i is arena[off[i]:off[i+1]]
+	arena []int32
+}
+
+func (p *postings) of(key string) []int32 {
+	i, ok := p.list[key]
+	if !ok {
+		return nil
+	}
+	return p.arena[p.off[i]:p.off[i+1]]
+}
+
+// postingsBuilder collects one index's (key, position) pairs in fact
+// order and lays them out in a single count → prefix sum → fill pass: each
+// key is hashed once per posting and no list is ever grown.
+type postingsBuilder struct {
+	list map[string]int32
+	n    []int32 // postings per list
+	key  []int32 // list number of every posting, in the order added
+	pos  []int32 // fact position of every posting
+	last int32   // list of the previous posting: runs of one key skip the hash
+	prev string
+}
+
+func newPostingsBuilder(postings int) *postingsBuilder {
+	return &postingsBuilder{
+		list: make(map[string]int32),
+		key:  make([]int32, 0, postings),
+		pos:  make([]int32, 0, postings),
+	}
+}
+
+func (b *postingsBuilder) add(key string, pos int32) {
+	if len(b.key) == 0 || key != b.prev {
+		i, ok := b.list[key]
+		if !ok {
+			i = int32(len(b.n))
+			b.list[key] = i
+			b.n = append(b.n, 0)
+		}
+		b.last, b.prev = i, key
+	}
+	b.n[b.last]++
+	b.key = append(b.key, b.last)
+	b.pos = append(b.pos, pos)
+}
+
+func (b *postingsBuilder) postings() postings {
+	off := make([]int32, len(b.n)+1)
+	for i, n := range b.n {
+		off[i+1] = off[i] + n
+	}
+	arena := make([]int32, len(b.key))
+	next := b.n // reused as each list's fill cursor
+	copy(next, off)
+	for j, i := range b.key {
+		arena[next[i]] = b.pos[j]
+		next[i]++
+	}
+	return postings{list: b.list, off: off, arena: arena}
+}
+
+// build indexes facts that are already canonical — sorted, no duplicate
+// keys — and takes ownership of the slice. It is the one index builder:
+// NewSharded reaches it after copy, sort and dedup; the binary snapshot
+// decoder, which verifies the order instead of re-establishing it,
+// reaches it directly.
+func build(facts []Fact) *shard {
+	if facts == nil {
+		facts = []Fact{}
+	}
+	s := &shard{facts: facts}
+	attrs, classes, values := newPostingsBuilder(len(facts)), newPostingsBuilder(len(facts)), newPostingsBuilder(len(facts))
+	entities := 0
+	for i := range facts {
+		f, pos := &facts[i], int32(i)
+		if i == 0 || f.Entity != facts[i-1].Entity {
+			entities++
+		}
+		attrs.add(f.Attr, pos)
+		if f.Class != "" {
+			classes.add(f.Class, pos)
+		}
+		values.add(f.Value, pos)
+		for _, anc := range f.Ancestors {
+			values.add(anc, pos)
+		}
+	}
+	s.byAttr, s.byClass, s.byValue = attrs.postings(), classes.postings(), values.postings()
+
+	s.byEntity = make(map[string]span, entities)
+	for lo := 0; lo < len(facts); {
+		hi := lo + 1
+		for hi < len(facts) && facts[hi].Entity == facts[lo].Entity {
+			hi++
+		}
+		s.byEntity[facts[lo].Entity] = span{int32(lo), int32(hi)}
+		lo = hi
+	}
+	return s
+}
+
+// entityRun returns the entity's facts as a window of s.facts.
+func (s *shard) entityRun(id string) []Fact {
+	sp := s.byEntity[id]
+	return s.facts[sp.lo:sp.hi]
+}
+
+// attrRun narrows one entity's run to one attribute's facts: inside an
+// entity the canonical order is by attribute, so they are contiguous.
+func attrRun(run []Fact, attr string) []Fact {
+	lo, end := 0, len(run)
+	for lo < end {
+		if mid := int(uint(lo+end) >> 1); run[mid].Attr < attr {
+			lo = mid + 1
+		} else {
+			end = mid
+		}
+	}
+	hi := lo
+	for hi < len(run) && run[hi].Attr == attr {
+		hi++
+	}
+	return run[lo:hi]
+}
+
+// shardCursor is how one shard reads one pattern. A pattern that names an
+// entity, or nothing at all, reads a contiguous run of the fact array
+// (cand is nil, facts is the run). Any other walks one postings list
+// (cand, positions into facts): the shortest of the lists of the fields
+// the pattern sets, class before attribute before value on a tie. Every
+// list is in ascending position order, so which one is walked changes the
+// cost of a read and never its output. rest is what of the pattern that
+// choice does not already guarantee.
+type shardCursor struct {
+	facts []Fact
+	cand  []int32
+	rest  Pattern
+	pos   int
+}
+
+func (s *shard) cursor(q Pattern) shardCursor {
+	c := shardCursor{rest: q}
+	if q.Entity != "" {
+		c.facts, c.rest.Entity = s.entityRun(q.Entity), ""
+		if q.Attr != "" {
+			c.facts, c.rest.Attr = attrRun(c.facts, q.Attr), ""
+		}
+		return c
+	}
+	// drop is the residual field the walked list makes redundant.
+	var drop *string
+	if q.Class != "" {
+		c.cand, drop = s.byClass.of(q.Class), &c.rest.Class
+	}
+	if q.Attr != "" {
+		if l := s.byAttr.of(q.Attr); drop == nil || len(l) < len(c.cand) {
+			c.cand, drop = l, &c.rest.Attr
+		}
+	}
+	if q.Value != "" {
+		if l := s.byValue.of(q.Value); drop == nil || len(l) < len(c.cand) {
+			c.cand, drop = l, &c.rest.Value
+		}
+	}
+	if drop == nil {
+		c.facts = s.facts
+		return c
+	}
+	// The by-value postings already encode the hierarchy semantics (facts
+	// are posted under their value and every ancestor), so no residual
+	// value filter is needed — unless the pattern is Exact, where the
+	// postings are a superset (they include specialisations) and the
+	// verbatim check stays in the residual.
+	if drop != &c.rest.Value || !q.Exact {
+		*drop = ""
+	}
+	if c.cand != nil {
+		c.facts = s.facts
+	}
+	return c
+}
+
+// size is the number of facts the cursor visits before filtering.
+func (c *shardCursor) size() int {
+	if c.cand != nil {
+		return len(c.cand)
+	}
+	return len(c.facts)
+}
+
+// isRun reports whether what is left of the cursor is one run of the fact
+// array with nothing to filter: facts[pos:] is the answer.
+func (c *shardCursor) isRun() bool { return c.cand == nil && c.rest == (Pattern{}) }
+
+// next returns the next matching fact in place — a pointer into the
+// shard's immutable fact array — or nil when the stream is exhausted.
+func (c *shardCursor) next() *Fact {
+	for n := c.size(); c.pos < n; {
+		i := c.pos
+		if c.cand != nil {
+			i = int(c.cand[i])
+		}
+		c.pos++
+		if f := &c.facts[i]; matches(f, &c.rest) {
+			return f
+		}
+	}
+	return nil
+}
+
+// count drains the cursor and returns how many matches it had left.
+func (c *shardCursor) count() int {
+	if c.isRun() {
+		n := len(c.facts) - c.pos
+		c.pos = len(c.facts)
+		return n
+	}
+	n := 0
+	for c.next() != nil {
+		n++
+	}
+	return n
+}
+
+func matches(f *Fact, q *Pattern) bool {
+	if q.Entity != "" && f.Entity != q.Entity {
+		return false
+	}
+	if q.Attr != "" && f.Attr != q.Attr {
+		return false
+	}
+	if q.Class != "" && f.Class != q.Class {
+		return false
+	}
+	if q.Value != "" && f.Value != q.Value && (q.Exact || !slices.Contains(f.Ancestors, q.Value)) {
+		return false
+	}
+	return true
+}

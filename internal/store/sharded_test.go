@@ -9,7 +9,7 @@ import (
 
 // shardedQueries is the query matrix every equivalence test runs: single
 // routes, every index dimension, hierarchy values and misses.
-func shardedQueries(s *Store) []Pattern {
+func shardedQueries(s *Sharded) []Pattern {
 	qs := []Pattern{
 		{}, // full wildcard: the widest scatter-gather merge
 		{Entity: "missing"},
@@ -35,9 +35,9 @@ func shardedQueries(s *Store) []Pattern {
 	return qs
 }
 
-// TestShardedMatchesStore is the tentpole's core invariant: for any shard
-// count, every read answers byte-identically to the single flat Store —
-// facts, ordering, annotations, everything.
+// TestShardedMatchesStore is the layout invariant: for any shard count,
+// every read answers byte-identically to the one-shard store — facts,
+// ordering, annotations, everything.
 func TestShardedMatchesStore(t *testing.T) {
 	facts := testFacts()
 	flat := New(facts)
@@ -60,21 +60,21 @@ func TestShardedMatchesStoreLivePipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	flat := FromResult(res)
+	flat := New(ResultFacts(res))
 	if flat.Len() == 0 {
 		t.Fatal("empty store from live pipeline")
 	}
 	for _, n := range []int{1, 2, 8} {
 		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
-			sh := ShardedFromResult(res, n)
+			sh := NewSharded(ResultFacts(res), n)
 			assertShardedEqual(t, flat, sh)
 		})
 	}
 }
 
-// assertShardedEqual checks every Querier method plus LookupN and Facts
-// against the flat reference store.
-func assertShardedEqual(t *testing.T, flat *Store, sh *Sharded) {
+// assertShardedEqual checks every read and summary against the flat
+// reference store.
+func assertShardedEqual(t *testing.T, flat, sh *Sharded) {
 	t.Helper()
 	if sh.Len() != flat.Len() {
 		t.Errorf("Len = %d, want %d", sh.Len(), flat.Len())
@@ -123,8 +123,8 @@ func TestShardedConcurrentReaders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	flat := FromResult(res)
-	sh := ShardedFromResult(res, 8)
+	flat := New(ResultFacts(res))
+	sh := NewSharded(ResultFacts(res), 8)
 	queries := shardedQueries(flat)
 	want := make([][]Fact, len(queries))
 	for i, q := range queries {
@@ -171,8 +171,8 @@ func TestShardedEmptyAndDegenerate(t *testing.T) {
 		t.Errorf("Classes on empty store = %v", got)
 	}
 
-	// One entity: everything lands in a single shard, the merge's
-	// single-live-list fast path.
+	// One entity: everything lands in a single shard, and the merge runs
+	// with every other head exhausted from the start.
 	one := NewSharded([]Fact{
 		{Entity: "E", Class: "C", Attr: "a", Value: "v1", Confidence: 1},
 		{Entity: "E", Class: "C", Attr: "a", Value: "v2", Confidence: 1},

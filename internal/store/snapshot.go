@@ -91,9 +91,11 @@ func (i SnapshotInfo) ChecksumStatus() string {
 	return "verified"
 }
 
-// WriteSnapshot serialises the store.
-func (s *Store) WriteSnapshot(w io.Writer) error {
-	sum, err := factsChecksum(s.facts)
+// WriteSnapshot serialises the store's facts in the JSON codec. The file
+// does not record a shard layout: equal facts write equal bytes.
+func (s *Sharded) WriteSnapshot(w io.Writer) error {
+	facts := s.Facts()
+	sum, err := factsChecksum(facts)
 	if err != nil {
 		return err
 	}
@@ -102,9 +104,9 @@ func (s *Store) WriteSnapshot(w io.Writer) error {
 	return enc.Encode(snapshotFile{
 		Format:   SnapshotFormat,
 		Version:  SnapshotVersion,
-		Count:    len(s.facts),
+		Count:    len(facts),
 		Checksum: sum,
-		Facts:    s.facts,
+		Facts:    facts,
 	})
 }
 
@@ -136,11 +138,11 @@ func (sf *snapshotFile) validate() (SnapshotInfo, error) {
 	return info, nil
 }
 
-// ReadSnapshot loads a snapshot written by WriteSnapshot and rebuilds the
-// indexes. The snapshot stores only facts; indexes are always derived, so
+// ReadSnapshot loads a snapshot written by WriteSnapshot into a one-shard
+// store. The snapshot stores only facts; indexes are always derived, so
 // codec and index layout can evolve independently. Version 2 files are
 // checksum-verified; version 1 files (no checksum) still load.
-func ReadSnapshot(r io.Reader) (*Store, error) {
+func ReadSnapshot(r io.Reader) (*Sharded, error) {
 	var sf snapshotFile
 	if err := json.NewDecoder(r).Decode(&sf); err != nil {
 		return nil, fmt.Errorf("store: decode snapshot: %w", err)
@@ -157,7 +159,7 @@ func ReadSnapshot(r io.Reader) (*Store, error) {
 // any point leaves either the previous file intact or a stray .tmp file
 // that can never pass verification as the target — never a torn or
 // half-new snapshot under the real name.
-func (s *Store) WriteSnapshotFile(path string) error {
+func (s *Sharded) WriteSnapshotFile(path string) error {
 	return atomicWriteFile(path, s.WriteSnapshot)
 }
 
@@ -188,25 +190,13 @@ func writeSyncClose(f syncWriteCloser, write func(io.Writer) error) error {
 // error.
 func isBinarySnapshot(data []byte) bool { return bytes.HasPrefix(data, []byte(binMagic)) }
 
-// ReadSnapshotFile loads a snapshot from a file into a single flat
-// store, whichever codec version wrote it: JSON (versions 1 and 2)
-// directly, binary (version 3) by merging the shard segments. Callers
-// that want to preserve — or impose — a sharded layout use
-// OpenSnapshotFile instead.
-func ReadSnapshotFile(path string) (*Store, error) {
-	q, _, err := OpenSnapshotFile(path, 1)
-	if err != nil {
-		return nil, err
-	}
-	return q.(*Store), nil
-}
-
-// OpenSnapshotFile loads any snapshot version into a servable querier.
-// shards picks the serving layout: 0 keeps the snapshot's own layout (a
-// binary file's stored segments; DefaultShards for a JSON file), 1
-// forces a single flat store, and any larger value re-partitions into
-// that many shards. The returned info describes the file as stored, not
-// the serving layout. The file is read whole, in one read sized by stat.
+// OpenSnapshotFile loads any snapshot version into a servable store (the
+// Querier is always a *Sharded). shards picks the serving layout: 0 keeps
+// the snapshot's own layout (a binary file's stored segments;
+// DefaultShards for a JSON file), any other value partitions into that
+// many shards — 1 being the flat store. The returned info describes the
+// file as stored, not the serving layout. The file is read whole, in one
+// read sized by stat.
 func OpenSnapshotFile(path string, shards int) (Querier, SnapshotInfo, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -221,14 +211,10 @@ func OpenSnapshotFile(path string, shards int) (Querier, SnapshotInfo, error) {
 			Path: path, Codec: SnapshotCodecBinary, Version: BinarySnapshotVersion,
 			Facts: sh.Len(), Shards: sh.ShardCount(),
 		}
-		switch {
-		case shards == 1:
-			return sh.Flatten(), info, nil
-		case shards > 1 && shards != sh.ShardCount():
-			return NewSharded(sh.Facts(), shards), info, nil
-		default:
-			return sh, info, nil
+		if shards > 0 && shards != sh.ShardCount() {
+			sh = NewSharded(sh.Facts(), shards)
 		}
+		return sh, info, nil
 	}
 	var sf snapshotFile
 	if err := json.NewDecoder(bytes.NewReader(data)).Decode(&sf); err != nil {
@@ -238,12 +224,6 @@ func OpenSnapshotFile(path string, shards int) (Querier, SnapshotInfo, error) {
 	info.Path = path
 	if err != nil {
 		return nil, info, fmt.Errorf("%s: %w", path, err)
-	}
-	if shards == 0 {
-		shards = DefaultShards
-	}
-	if shards == 1 {
-		return New(sf.Facts), info, nil
 	}
 	return NewSharded(sf.Facts, shards), info, nil
 }

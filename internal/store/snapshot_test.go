@@ -127,13 +127,22 @@ func TestSnapshotDetectsBitFlip(t *testing.T) {
 	}
 }
 
+// openFlat opens a snapshot file of either codec as a one-shard store.
+func openFlat(path string) (*Sharded, error) {
+	q, _, err := OpenSnapshotFile(path, 1)
+	if err != nil {
+		return nil, err
+	}
+	return q.(*Sharded), nil
+}
+
 func TestSnapshotFileHelpers(t *testing.T) {
 	s := New(testFacts())
 	path := filepath.Join(t.TempDir(), "kb.akb")
 	if err := s.WriteSnapshotFile(path); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadSnapshotFile(path)
+	back, err := openFlat(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,10 +161,10 @@ func TestSnapshotFileHelpers(t *testing.T) {
 
 func TestReadSnapshotFileErrors(t *testing.T) {
 	dir := t.TempDir()
-	if _, err := ReadSnapshotFile(filepath.Join(dir, "missing.akb")); !errors.Is(err, os.ErrNotExist) {
+	if _, err := openFlat(filepath.Join(dir, "missing.akb")); !errors.Is(err, os.ErrNotExist) {
 		t.Errorf("missing file: err = %v, want ErrNotExist", err)
 	}
-	if _, err := ReadSnapshotFile(dir); err == nil {
+	if _, err := openFlat(dir); err == nil {
 		t.Error("directory-as-path accepted")
 	}
 }
@@ -215,14 +224,14 @@ func TestWriteSnapshotFileAtomic(t *testing.T) {
 	if !bytes.Equal(before, after) {
 		t.Fatal("interrupted write modified the existing snapshot")
 	}
-	if _, err := ReadSnapshotFile(path); err != nil {
+	if _, err := openFlat(path); err != nil {
 		t.Fatalf("existing snapshot unreadable after interrupted write: %v", err)
 	}
 }
 
 // writeInterrupted drives the snapshot-file write path but kills the
 // stream partway, standing in for a crash mid-write.
-func writeInterrupted(t *testing.T, s *Store, path string) error {
+func writeInterrupted(t *testing.T, s *Sharded, path string) error {
 	t.Helper()
 	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
 	if err != nil {

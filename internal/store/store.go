@@ -4,22 +4,30 @@
 //
 // The pipeline (internal/core) ends where the paper's Figure 1 ends — an
 // augmented KB in process memory — but the ROADMAP's north star is a
-// system that answers queries long after the fusion run finished. Store
-// is the bridge: it is built once from a *core.Result (or loaded from a
-// snapshot written earlier), never mutated afterwards, and therefore safe
-// for lock-free concurrent reads from any number of server goroutines.
+// system that answers queries long after the fusion run finished. The
+// store is the bridge: it is built once from the facts of a *core.Result
+// (or loaded from a snapshot written earlier), never mutated afterwards,
+// and therefore safe for lock-free concurrent reads from any number of
+// server goroutines.
 //
-// The facts are kept sorted in the canonical (entity, attribute, value,
-// class) order, and that order is the first index: an entity's facts are
-// one contiguous run of the array and an attribute's facts one run inside
-// it, so by-entity and by-(entity, attribute) reads are a map probe, a
-// short binary search and a copy. Three inverted indexes — by attribute,
-// by class and by value — cover the patterns that name no entity; each
-// keeps all its postings lists in one array. The by-value index is
-// hierarchy-aware: a fact is indexed under its accepted value and under
-// every generalisation of that value, so querying value=Australia also
-// finds entities whose accepted birth place is Adelaide — the paper's
-// hierarchical-value-space semantics carried through to serving.
+// There is one store type, Sharded: the facts partitioned by entity hash
+// into n independently indexed shards, read through one primitive — Select
+// opens a Cursor over the facts matching a Pattern — plus CountEstimate,
+// the free selectivity bound the indexes give (see Querier). A flat store
+// is the one-shard case, not another implementation.
+//
+// Inside a shard the facts are kept sorted in the canonical (entity,
+// attribute, value, class) order, and that order is the first index: an
+// entity's facts are one contiguous run of the array and an attribute's
+// facts one run inside it, so by-entity and by-(entity, attribute) reads
+// are a map probe, a short binary search and a copy. Three inverted
+// indexes — by attribute, by class and by value — cover the patterns that
+// name no entity; each keeps all its postings lists in one array. The
+// by-value index is hierarchy-aware: a fact is indexed under its accepted
+// value and under every generalisation of that value, so querying
+// value=Australia also finds entities whose accepted birth place is
+// Adelaide — the paper's hierarchical-value-space semantics carried
+// through to serving.
 package store
 
 import (
@@ -61,8 +69,8 @@ type Fact struct {
 // match the accepted value verbatim — the semantics a join needs when a
 // variable binding is substituted into the value position.
 //
-// Pattern is the one query currency of the read path: Lookup/LookupN/
-// Iterate/Select on Store and Sharded, the /v1/query URL-parameter
+// Pattern is the one query currency of the read path: Querier.Select and
+// CountEstimate, Lookup and LookupN over them, the /v1/query URL-parameter
 // adapter in internal/serve, and every clause of a datalog query
 // (internal/datalog) all speak it.
 type Pattern struct {
@@ -75,99 +83,85 @@ type Pattern struct {
 	Exact bool
 }
 
-// Store is the immutable, indexed snapshot. All methods are safe for
-// unsynchronised concurrent use: nothing is written after New returns.
-type Store struct {
-	// facts is in canonical order without duplicate keys, so every
-	// entity's facts are contiguous and ordered by attribute.
-	facts []Fact
+// DefaultShards is the shard count NewSharded uses when the caller does
+// not pick one. Eight shards keep per-shard index maps small enough to
+// stay cache-friendly while giving the scatter-gather path real
+// parallelism headroom on typical server core counts.
+const DefaultShards = 8
 
-	byEntity map[string]span // entity → its run of facts
-	byAttr   postings
-	byClass  postings // facts with an empty class are not listed
-	byValue  postings // a fact is listed under its value and each ancestor
+// ShardOf returns the shard an entity's facts live in: FNV-1a over the
+// entity name modulo n. Every route that names an entity — /v1/entity,
+// /v1/triples, entity-constrained /v1/query — therefore touches exactly
+// one shard, and the assignment is stable across processes and runs, so
+// the same snapshot always shards the same way.
+func ShardOf(entity string, n int) int {
+	// hash/fnv's 64-bit FNV-1a, inlined: no hasher and no []byte copy on
+	// a call every entity-keyed read makes.
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(entity); i++ {
+		h = (h ^ uint64(entity[i])) * 1099511628211
+	}
+	return int(h % uint64(n))
+}
 
+// Sharded is the store: the fused KB partitioned by entity hash into
+// shards, each with its own indexes. What a read returns — facts, order,
+// totals, estimates — does not depend on the shard count; the count bounds
+// per-shard index size and is the seam for multi-process deployment: a
+// shard is self-contained, so peeling one onto another machine changes
+// routing, not semantics.
+//
+// A pattern that names an entity reads exactly one shard. Any other reads
+// every shard and merges the per-shard streams — each already in canonical
+// order — by reference (see Cursor), so the global order equals the
+// one-shard order without a post-merge sort; with one shard there is
+// nothing to merge. Nothing is written after construction, so all methods
+// are safe for unsynchronised concurrent use.
+type Sharded struct {
+	shards  []*shard
 	classes []string
+	nFacts  int
+	nEntity int
 }
 
-// span is the half-open range [lo, hi) of positions in Store.facts.
-type span struct{ lo, hi int32 }
+// New builds a one-shard store over the facts. The input is copied, sorted
+// into the canonical (entity, attr, value, class) order and deduplicated,
+// so every read — indexed or scanned — returns facts in the same
+// deterministic order.
+func New(facts []Fact) *Sharded { return NewSharded(facts, 1) }
 
-// postings is one inverted index: key → ascending fact positions. Every
-// list is a window of one shared arena, so an index is three allocations
-// however many keys it holds.
-type postings struct {
-	list  map[string]int32 // key → list number
-	off   []int32          // list i is arena[off[i]:off[i+1]]
-	arena []int32
-}
-
-func (p *postings) of(key string) []int32 {
-	i, ok := p.list[key]
-	if !ok {
-		return nil
+// NewSharded partitions a copy of facts by entity hash into n shards
+// (DefaultShards when n <= 0) and indexes each independently.
+// Deduplication is global even though each shard dedups locally: facts
+// with the same identity key share an entity and therefore a shard.
+func NewSharded(facts []Fact, n int) *Sharded {
+	if n <= 0 {
+		n = DefaultShards
 	}
-	return p.arena[p.off[i]:p.off[i+1]]
-}
-
-// postingsBuilder collects one index's (key, position) pairs in fact
-// order and lays them out in a single count → prefix sum → fill pass: each
-// key is hashed once per posting and no list is ever grown.
-type postingsBuilder struct {
-	list map[string]int32
-	n    []int32 // postings per list
-	key  []int32 // list number of every posting, in the order added
-	pos  []int32 // fact position of every posting
-	last int32   // list of the previous posting: runs of one key skip the hash
-	prev string
-}
-
-func newPostingsBuilder(postings int) *postingsBuilder {
-	return &postingsBuilder{
-		list: make(map[string]int32),
-		key:  make([]int32, 0, postings),
-		pos:  make([]int32, 0, postings),
-	}
-}
-
-func (b *postingsBuilder) add(key string, pos int32) {
-	if len(b.key) == 0 || key != b.prev {
-		i, ok := b.list[key]
-		if !ok {
-			i = int32(len(b.n))
-			b.list[key] = i
-			b.n = append(b.n, 0)
+	parts := make([][]Fact, n)
+	if n == 1 {
+		parts[0] = slices.Clone(facts)
+	} else {
+		// Count first, so each part is allocated once at its final size and
+		// sorted in place.
+		home := make([]int32, len(facts))
+		sizes := make([]int, n)
+		for i := range facts {
+			home[i] = int32(ShardOf(facts[i].Entity, n))
+			sizes[home[i]]++
 		}
-		b.last, b.prev = i, key
+		for i, size := range sizes {
+			parts[i] = make([]Fact, 0, size)
+		}
+		for i, f := range facts {
+			parts[home[i]] = append(parts[home[i]], f)
+		}
 	}
-	b.n[b.last]++
-	b.key = append(b.key, b.last)
-	b.pos = append(b.pos, pos)
-}
-
-func (b *postingsBuilder) postings() postings {
-	off := make([]int32, len(b.n)+1)
-	for i, n := range b.n {
-		off[i+1] = off[i] + n
+	shards := make([]*shard, n)
+	for i, part := range parts {
+		shards[i] = build(canonical(part))
 	}
-	arena := make([]int32, len(b.key))
-	next := b.n // reused as each list's fill cursor
-	copy(next, off)
-	for j, i := range b.key {
-		arena[next[i]] = b.pos[j]
-		next[i]++
-	}
-	return postings{list: b.list, off: off, arena: arena}
-}
-
-// New builds a store over the facts. The input is copied, sorted into the
-// canonical (entity, attr, value, class) order and deduplicated, so every
-// lookup — indexed or scanned — returns facts in the same deterministic
-// order.
-func New(facts []Fact) *Store {
-	fs := make([]Fact, len(facts))
-	copy(fs, facts)
-	return build(canonical(fs))
+	return newSharded(shards)
 }
 
 // canonical sorts fs in place into canonical order and drops facts that
@@ -177,61 +171,30 @@ func canonical(fs []Fact) []Fact {
 	return slices.CompactFunc(fs, sameFactKey)
 }
 
-// build indexes facts that are already canonical — sorted, no duplicate
-// keys — and takes ownership of the slice. It is the one index builder:
-// New reaches it after copy, sort and dedup; the binary snapshot decoder
-// (which verifies the order instead of re-establishing it) and Flatten
-// reach it directly.
-func build(facts []Fact) *Store {
-	if facts == nil {
-		facts = []Fact{} // Facts() is never nil, so the JSON codec writes [] for an empty store
-	}
-	s := &Store{facts: facts}
-	attrs, classes, values := newPostingsBuilder(len(facts)), newPostingsBuilder(len(facts)), newPostingsBuilder(len(facts))
-	entities := 0
-	for i := range facts {
-		f, pos := &facts[i], int32(i)
-		if i == 0 || f.Entity != facts[i-1].Entity {
-			entities++
-		}
-		attrs.add(f.Attr, pos)
-		if f.Class != "" {
-			classes.add(f.Class, pos)
-		}
-		values.add(f.Value, pos)
-		for _, anc := range f.Ancestors {
-			values.add(anc, pos)
+// newSharded assembles the shards and their summed counts. Shards
+// partition entities, so the per-shard counts sum without overlap.
+func newSharded(shards []*shard) *Sharded {
+	s := &Sharded{shards: shards}
+	classSet := make(map[string]bool)
+	for _, sh := range shards {
+		s.nFacts += len(sh.facts)
+		s.nEntity += len(sh.byEntity)
+		for c := range sh.byClass.list {
+			classSet[c] = true
 		}
 	}
-	s.byAttr, s.byClass, s.byValue = attrs.postings(), classes.postings(), values.postings()
-
-	s.byEntity = make(map[string]span, entities)
-	for lo := 0; lo < len(facts); {
-		hi := lo + 1
-		for hi < len(facts) && facts[hi].Entity == facts[lo].Entity {
-			hi++
-		}
-		s.byEntity[facts[lo].Entity] = span{int32(lo), int32(hi)}
-		lo = hi
-	}
-	s.classes = make([]string, 0, len(s.byClass.list))
-	for c := range s.byClass.list {
+	s.classes = make([]string, 0, len(classSet))
+	for c := range classSet {
 		s.classes = append(s.classes, c)
 	}
 	sort.Strings(s.classes)
 	return s
 }
 
-// FromResult snapshots a pipeline result: one fact per accepted truth of
-// every fusion decision, annotated with the entity's class and the
-// value's hierarchy ancestors from the result's world.
-func FromResult(res *core.Result) *Store {
-	return New(ResultFacts(res))
-}
-
-// ResultFacts extracts the fused facts of a pipeline result without
-// building indexes — the shared input of FromResult and
-// ShardedFromResult.
+// ResultFacts extracts the fused facts of a pipeline result — one fact per
+// accepted truth of every fusion decision, annotated with the entity's
+// class and the value's hierarchy ancestors from the result's world —
+// without building indexes: New(ResultFacts(res)) snapshots a run.
 func ResultFacts(res *core.Result) []Fact {
 	fused := res.Fused()
 	if fused == nil {
@@ -302,255 +265,33 @@ func WorldFacts(w *kb.World) []Fact {
 	return facts
 }
 
-// FromWorld builds a store over a world's ground-truth facts; see
-// WorldFacts.
-func FromWorld(w *kb.World) *Store { return New(WorldFacts(w)) }
+// ShardCount returns the number of shards.
+func (s *Sharded) ShardCount() int { return len(s.shards) }
 
 // Len returns the number of facts.
-func (s *Store) Len() int { return len(s.facts) }
+func (s *Sharded) Len() int { return s.nFacts }
 
 // EntityCount returns the number of distinct entities.
-func (s *Store) EntityCount() int { return len(s.byEntity) }
+func (s *Sharded) EntityCount() int { return s.nEntity }
 
 // Classes returns the distinct entity classes in sorted order. The
 // returned slice must not be modified.
-func (s *Store) Classes() []string { return s.classes }
+func (s *Sharded) Classes() []string { return s.classes }
 
-// Facts returns every fact in canonical order. The returned slice must
-// not be modified.
-func (s *Store) Facts() []Fact { return s.facts }
-
-// entityRun returns the entity's facts as a window of s.facts.
-func (s *Store) entityRun(id string) []Fact {
-	sp := s.byEntity[id]
-	return s.facts[sp.lo:sp.hi]
-}
-
-// attrRun narrows one entity's run to one attribute's facts: inside an
-// entity the canonical order is by attribute, so they are contiguous.
-func attrRun(run []Fact, attr string) []Fact {
-	lo, end := 0, len(run)
-	for lo < end {
-		if mid := int(uint(lo+end) >> 1); run[mid].Attr < attr {
-			lo = mid + 1
-		} else {
-			end = mid
-		}
+// Facts returns every fact in canonical order, never nil. The returned
+// slice must not be modified: a one-shard store hands out its own array
+// (more shards merge into a fresh one, so this is for the codecs, Scan and
+// tests, not the serving path).
+func (s *Sharded) Facts() []Fact {
+	if len(s.shards) == 1 {
+		return s.shards[0].facts
 	}
-	hi := lo
-	for hi < len(run) && run[hi].Attr == attr {
-		hi++
-	}
-	return run[lo:hi]
-}
-
-// Entity returns every fact about the entity in canonical order, nil when
-// the entity is unknown.
-func (s *Store) Entity(id string) []Fact {
-	return append([]Fact(nil), s.entityRun(id)...)
-}
-
-// Triples returns the accepted values for (entity, attr) — all of them,
-// with confidences and ancestors, since multi-truth attributes accept
-// several values at once.
-func (s *Store) Triples(entity, attr string) []Fact {
-	return append([]Fact(nil), attrRun(s.entityRun(entity), attr)...)
-}
-
-// cursor is how one pattern is read, and the FactCursor Select returns.
-// A pattern that names an entity, or nothing at all, reads a contiguous
-// run of the fact array (cand is nil, facts is the run). Any other walks
-// one postings list (cand, positions into facts): the shortest of the
-// lists of the fields the pattern sets, class before attribute before
-// value on a tie. Every list is in ascending position order, so which one
-// is walked changes the cost of a read and never its output. rest is what
-// of the pattern that choice does not already guarantee.
-type cursor struct {
-	facts []Fact
-	cand  []int32
-	rest  Pattern
-	pos   int
-}
-
-func (s *Store) cursor(q Pattern) cursor {
-	c := cursor{rest: q}
-	if q.Entity != "" {
-		c.facts, c.rest.Entity = s.entityRun(q.Entity), ""
-		if q.Attr != "" {
-			c.facts, c.rest.Attr = attrRun(c.facts, q.Attr), ""
-		}
-		return c
-	}
-	// drop is the residual field the walked list makes redundant.
-	var drop *string
-	if q.Class != "" {
-		c.cand, drop = s.byClass.of(q.Class), &c.rest.Class
-	}
-	if q.Attr != "" {
-		if l := s.byAttr.of(q.Attr); drop == nil || len(l) < len(c.cand) {
-			c.cand, drop = l, &c.rest.Attr
-		}
-	}
-	if q.Value != "" {
-		if l := s.byValue.of(q.Value); drop == nil || len(l) < len(c.cand) {
-			c.cand, drop = l, &c.rest.Value
-		}
-	}
-	if drop == nil {
-		c.facts = s.facts
-		return c
-	}
-	// The by-value postings already encode the hierarchy semantics (facts
-	// are posted under their value and every ancestor), so no residual
-	// value filter is needed — unless the pattern is Exact, where the
-	// postings are a superset (they include specialisations) and the
-	// verbatim check stays in the residual.
-	if drop != &c.rest.Value || !q.Exact {
-		*drop = ""
-	}
-	if c.cand != nil {
-		c.facts = s.facts
-	}
-	return c
-}
-
-// size is the number of facts the cursor visits before filtering.
-func (c *cursor) size() int {
-	if c.cand != nil {
-		return len(c.cand)
-	}
-	return len(c.facts)
-}
-
-// next returns the next matching fact in place — a pointer into the
-// store's immutable fact array — or nil when the stream is exhausted.
-func (c *cursor) next() *Fact {
-	for n := c.size(); c.pos < n; {
-		i := c.pos
-		if c.cand != nil {
-			i = int(c.cand[i])
-		}
-		c.pos++
-		if f := &c.facts[i]; matches(f, &c.rest) {
-			return f
-		}
-	}
-	return nil
-}
-
-func (c *cursor) Next() (Fact, bool) {
-	if f := c.next(); f != nil {
-		return *f, true
-	}
-	return Fact{}, false
-}
-
-// Lookup answers a query by walking the entity's run or the shortest
-// postings list the pattern's fields offer (see cursor), then filters on
-// the remaining fields. Its output is always identical to Scan's; only the
-// cost differs.
-func (s *Store) Lookup(q Pattern) []Fact {
-	out, _ := s.LookupN(q, 0)
-	return out
-}
-
-// LookupN answers a query like Lookup but materialises at most limit
-// facts (the first ones in canonical order) while still counting every
-// match. limit <= 0 means unlimited. It backs the serving layer's
-// result cap: the response needs only the first page plus the true
-// total, so the tail is counted, never copied.
-func (s *Store) LookupN(q Pattern, limit int) (out []Fact, total int) {
-	c := s.cursor(q)
-	if c.cand == nil && c.rest == (Pattern{}) {
-		// The run is the answer.
-		n := len(c.facts)
-		if limit > 0 && limit < n {
-			n = limit
-		}
-		return append(out, c.facts[:n]...), len(c.facts)
-	}
-	for f := c.next(); f != nil; f = c.next() {
-		total++
-		if limit <= 0 || len(out) < limit {
-			out = append(out, *f)
-		}
-	}
-	return out, total
-}
-
-// Scan answers a query by brute force over every fact. It is the
-// reference semantics for Lookup — tests assert equivalence and the
-// BenchmarkStoreLookup baseline measures the index advantage against it.
-func (s *Store) Scan(q Pattern) []Fact {
-	var out []Fact
-	for i := range s.facts {
-		if f := &s.facts[i]; matches(f, &q) {
-			out = append(out, *f)
-		}
+	out := make([]Fact, 0, s.nFacts)
+	c := s.Select(Pattern{})
+	for f := c.Next(); f != nil; f = c.Next() {
+		out = append(out, *f)
 	}
 	return out
-}
-
-// Iterate streams the facts matching q — the same facts Lookup returns,
-// in the same canonical order — into yield without materialising a
-// result slice. Iteration stops early when yield returns false; the
-// return value reports whether the walk ran to completion. It is the
-// allocation-free read the datalog executor's index-nested-loop probes
-// are built on: a probe per binding costs the walk and zero heap.
-func (s *Store) Iterate(q Pattern, yield func(Fact) bool) bool {
-	c := s.cursor(q)
-	if c.cand == nil {
-		for i := range c.facts {
-			if f := &c.facts[i]; matches(f, &c.rest) && !yield(*f) {
-				return false
-			}
-		}
-		return true
-	}
-	for _, i := range c.cand {
-		if f := &c.facts[i]; matches(f, &c.rest) && !yield(*f) {
-			return false
-		}
-	}
-	return true
-}
-
-// CountEstimate returns an upper bound on how many facts match q: the
-// length of the run or postings list Lookup would walk — for a pattern
-// without an entity, the shortest list among the fields it sets — or the
-// store size for the wildcard pattern. No statistics catalog backs it: the
-// indexes that answer the query are themselves the statistic, which is
-// exactly what the datalog planner's greedy clause ordering needs
-// (estimates that are free, deterministic and never stale).
-func (s *Store) CountEstimate(q Pattern) int {
-	c := s.cursor(q)
-	return c.size()
-}
-
-// Select returns a pull cursor over the facts matching q, in canonical
-// order — the same sequence Lookup materialises and Iterate pushes.
-// Cursors let a consumer interleave several streams (the sharded store's
-// k-way merge, the datalog executor's batch dispatcher) without buffering
-// whole relations.
-func (s *Store) Select(q Pattern) FactCursor {
-	c := s.cursor(q)
-	return &c
-}
-
-func matches(f *Fact, q *Pattern) bool {
-	if q.Entity != "" && f.Entity != q.Entity {
-		return false
-	}
-	if q.Attr != "" && f.Attr != q.Attr {
-		return false
-	}
-	if q.Class != "" && f.Class != q.Class {
-		return false
-	}
-	if q.Value != "" && f.Value != q.Value && (q.Exact || !slices.Contains(f.Ancestors, q.Value)) {
-		return false
-	}
-	return true
 }
 
 func factLess(a, b *Fact) bool {

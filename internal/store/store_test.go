@@ -150,7 +150,7 @@ func TestFromResultAgainstFusion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := FromResult(res)
+	s := New(ResultFacts(res))
 	if s.Len() == 0 {
 		t.Fatal("empty store from live pipeline")
 	}
