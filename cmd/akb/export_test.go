@@ -1,0 +1,46 @@
+package main
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// TestGoldenExportDigest pins the bytes `akb export` writes: the fused
+// KB as N-Triples and, with -quads, the raw statements as N-Quads, for
+// seeds 1 and 7. The digests were recorded on the tree that still built
+// an rdf.Store for the export (PR 16's first commit), so a green run
+// proves the export did not move when that store was removed. -short
+// runs seed 1 only.
+func TestGoldenExportDigest(t *testing.T) {
+	golden := []struct {
+		args   []string
+		sha256 string
+	}{
+		{[]string{"-seed", "1"}, "0ec46815bbb1422496b8cf79c475c95ab7577691e210d0506b6818562d24f779"},
+		{[]string{"-seed", "1", "-quads"}, "0a234d231a436c36e76041500a6c2278c5f07ac0e2bda1dec61b9792ab951042"},
+		{[]string{"-seed", "7"}, "8aa00ec87dcc7b315f5272e04ffc66290e2b7171150e6e8ee26ada010efe12e1"},
+		{[]string{"-seed", "7", "-quads"}, "d4e4d5cd79ffa3d4bbba7187ae7122b3ce206ce0617fd918fe04c0196dc07071"},
+	}
+	if testing.Short() {
+		golden = golden[:2]
+	}
+	for _, g := range golden {
+		name := strings.Join(g.args, " ")
+		path := filepath.Join(t.TempDir(), "kb.out")
+		if err := cmdExport(append([]string{"-o", path}, g.args...)); err != nil {
+			t.Fatalf("export %s: %v", name, err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(data)
+		if got := hex.EncodeToString(sum[:]); got != g.sha256 {
+			t.Errorf("export %s: %d bytes hash to %s, want %s", name, len(data), got, g.sha256)
+		}
+	}
+}
