@@ -1,12 +1,17 @@
 package main
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"akb/internal/core"
+	"akb/internal/rdf"
 )
 
 // TestGoldenExportDigest pins the bytes `akb export` writes: the fused
@@ -41,6 +46,23 @@ func TestGoldenExportDigest(t *testing.T) {
 		sum := sha256.Sum256(data)
 		if got := hex.EncodeToString(sum[:]); got != g.sha256 {
 			t.Errorf("export %s: %d bytes hash to %s, want %s", name, len(data), got, g.sha256)
+		}
+	}
+}
+
+// BenchmarkAugmentedExport measures `akb export` after the pipeline run:
+// collecting the accepted triples in order and serialising them as
+// N-Triples.
+func BenchmarkAugmentedExport(b *testing.B) {
+	res, err := core.New().Run(context.Background())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := rdf.WriteNTriples(io.Discard, acceptedTriples(res.Fused())); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -71,7 +71,7 @@ func testSnapshotFile(t *testing.T) string {
 		{Entity: "Moby Dick", Class: "Book", Attr: "author", Value: "Herman Melville", Confidence: 0.99, Sources: 7},
 	})
 	path := filepath.Join(t.TempDir(), "kb.akb")
-	if err := st.WriteSnapshotFile(path); err != nil {
+	if err := st.WriteBinarySnapshotFile(path); err != nil {
 		t.Fatal(err)
 	}
 	return path
@@ -103,10 +103,44 @@ func TestSnapshotVerifyCommand(t *testing.T) {
 		t.Error("info of corrupt snapshot reported success")
 	}
 
+	// A JSON (v2) snapshot is refused by name, with the remedy.
+	v2 := filepath.Join(t.TempDir(), "old.akb")
+	if err := os.WriteFile(v2, []byte(`{"format":"akb-snapshot","version":2,"count":0,"facts":[]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err = cmdSnapshot([]string{"verify", v2})
+	if err == nil || !strings.Contains(err.Error(), "not a v3 snapshot") || !strings.Contains(err.Error(), "akb pipeline -snapshot") {
+		t.Fatalf("verify of a JSON snapshot: %v", err)
+	}
+
 	for _, bad := range [][]string{nil, {"verify"}, {"bogus", path}} {
 		if err := cmdSnapshot(bad); err == nil {
 			t.Errorf("args %v accepted", bad)
 		}
+	}
+}
+
+// TestSnapshotConvertReshards checks `snapshot convert` rewrites the stored
+// layout and nothing else: same facts, the requested shard count.
+func TestSnapshotConvertReshards(t *testing.T) {
+	in := testSnapshotFile(t)
+	out := filepath.Join(t.TempDir(), "kb3.akb")
+	if err := cmdSnapshot([]string{"convert", "-o", out, "-shards", "3", in}); err != nil {
+		t.Fatal(err)
+	}
+	before, err := store.VerifySnapshotFile(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after, err := store.VerifySnapshotFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if before.Shards != 1 || after.Shards != 3 || after.Facts != before.Facts {
+		t.Errorf("convert -shards 3: %s -> %s", before, after)
+	}
+	if err := cmdSnapshot([]string{"convert", "-o", out, "-to", "v2", in}); err == nil {
+		t.Error("convert -to accepted: the JSON codec is gone")
 	}
 }
 

@@ -5,11 +5,13 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"akb/internal/core"
 	"akb/internal/eval"
 	"akb/internal/experiments"
+	"akb/internal/fusion"
 	"akb/internal/obs"
 	"akb/internal/rdf"
 	"akb/internal/resilience"
@@ -95,8 +97,8 @@ func cmdPipeline(args []string) error {
 	}
 	rep := experiments.Summarize(res)
 	if *snapPath != "" {
-		st := store.New(store.ResultFacts(res))
-		if err := st.WriteSnapshotFile(*snapPath); err != nil {
+		st := store.NewSharded(store.ResultFacts(res), 0)
+		if err := st.WriteBinarySnapshotFile(*snapPath); err != nil {
 			return fmt.Errorf("write snapshot: %w", err)
 		}
 		defer fmt.Printf("\nSnapshot: %d facts, %d entities -> %s (serve with `akb serve -snapshot %s`)\n",
@@ -180,11 +182,26 @@ func cmdExport(args []string) error {
 		fmt.Fprintf(os.Stderr, "exported %d statements as N-Quads\n", len(res.Statements))
 		return nil
 	}
-	if err := rdf.WriteNTriples(w, res.Augmented.All()); err != nil {
+	triples := acceptedTriples(res.Fused())
+	if err := rdf.WriteNTriples(w, triples); err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "exported %d triples\n", res.Augmented.Len())
+	fmt.Fprintf(os.Stderr, "exported %d triples\n", len(triples))
 	return nil
+}
+
+// acceptedTriples returns the fused KB as RDF: one triple per accepted
+// truth, built from the decisions' own terms (a store.Fact has dropped the
+// term kind), in Triple.Compare order.
+func acceptedTriples(fused *fusion.Result) []rdf.Triple {
+	triples := make([]rdf.Triple, 0, fused.NumTruths())
+	for _, d := range fused.Decisions {
+		for _, v := range d.Truths {
+			triples = append(triples, rdf.T(d.Item.Subject, d.Item.Predicate, v))
+		}
+	}
+	slices.SortFunc(triples, rdf.Triple.Compare)
+	return triples
 }
 
 // degradedSummary compresses a degraded-stage list for table cells.

@@ -29,7 +29,7 @@ import (
 func cmdQuery(args []string) error {
 	fs, seed := newFlagSet("query")
 	snapPath := fs.String("snapshot", "", "query this snapshot file instead of running the pipeline")
-	shards := fs.Int("shards", 0, "serving layout when loading: 0 keeps the snapshot's layout, 1 flat, N re-shards")
+	shards := fs.Int("shards", 0, "store layout: 0 keeps the snapshot's stored layout (one flat store for an inline pipeline run), 1 flat, N re-shards")
 	server := fs.String("server", "", "query a running akb serve at this base URL (e.g. http://localhost:8080)")
 	entity := fs.String("entity", "", "single-pattern mode: entity constant")
 	attr := fs.String("attr", "", "single-pattern mode: attribute constant")
@@ -81,8 +81,8 @@ func cmdQuery(args []string) error {
 		if src, info, err = openSnapshot(*snapPath, *shards); err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "loaded snapshot %s (%s v%d): %d facts, %d shard(s)\n",
-			*snapPath, info.Codec, info.Version, src.Len(), src.ShardCount())
+		fmt.Fprintf(os.Stderr, "loaded snapshot %s (%s), querying %d shard(s)\n",
+			*snapPath, info, src.ShardCount())
 	} else {
 		fmt.Fprintf(os.Stderr, "no -snapshot given; running pipeline (seed %d) ...\n", *seed)
 		res, err := core.New(core.WithSeed(*seed)).Run(context.Background())

@@ -34,7 +34,7 @@ import (
 func cmdServe(args []string) error {
 	fs, seed := newFlagSet("serve")
 	snapPath := fs.String("snapshot", "", "serve this snapshot file instead of running the pipeline")
-	shards := fs.Int("shards", 0, "serving shard count: 0 keeps a binary snapshot's stored layout (JSON snapshots shard to 8), 1 forces one flat store, N re-shards")
+	shards := fs.Int("shards", 0, "serving shard count: 0 keeps the snapshot's stored layout (8 for an inline pipeline run), 1 forces one flat store, N re-shards")
 	addr := fs.String("addr", ":8080", "listen address")
 	maxInflight := fs.Int("max-inflight", 64, "maximum concurrent requests before shedding with 429")
 	timeout := fs.Duration("timeout", 5*time.Second, "per-request timeout (503 on expiry)")
@@ -90,8 +90,8 @@ func cmdServe(args []string) error {
 		if st, info, err = openSnapshot(*snapPath, *shards); err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "loaded snapshot %s (%s v%d): %d facts, %d entities, %d classes, serving %d shard(s)\n",
-			*snapPath, info.Codec, info.Version, st.Len(), st.EntityCount(), len(st.Classes()), st.ShardCount())
+		fmt.Fprintf(os.Stderr, "loaded snapshot %s (%s): %d entities, %d classes, serving %d shard(s)\n",
+			*snapPath, info, st.EntityCount(), len(st.Classes()), st.ShardCount())
 		cfg.Reloader = snapshotReloader(*snapPath, *shards)
 	} else {
 		fmt.Fprintf(os.Stderr, "no -snapshot given; running pipeline (seed %d) ...\n", *seed)

@@ -10,11 +10,10 @@ import (
 	"log"
 
 	"akb/internal/core"
-	"akb/internal/extract"
 	"akb/internal/fusion"
 	"akb/internal/kb"
 	"akb/internal/querystream"
-	"akb/internal/rdf"
+	"akb/internal/store"
 	"akb/internal/webgen"
 )
 
@@ -76,17 +75,20 @@ func main() {
 	fmt.Println("\n== Knowledge fusion ==")
 	fmt.Printf("  method: %s\n", res.Fused().Method)
 	fmt.Printf("  %s\n", res.FusionMetrics)
-	fmt.Printf("  augmented KB: %d triples\n", res.Augmented.Len())
+	fmt.Printf("  augmented KB: %d triples\n", res.Fused().NumTruths())
 
 	// Show a handful of fused facts about one entity.
 	entity := res.World.EntityNames("Film")[0]
 	fmt.Printf("\n== Sample: fused knowledge about %q ==\n", entity)
-	triples := res.Augmented.Match(extract.EntityIRI(entity), rdf.Term{}, rdf.Term{})
-	for i, t := range triples {
-		if i == 8 {
-			fmt.Printf("  ... and %d more\n", len(triples)-8)
-			break
+	facts := store.New(store.ResultFacts(res)).Select(store.Pattern{Entity: entity})
+	for i := 0; i < 8; i++ {
+		f := facts.Next()
+		if f == nil {
+			return
 		}
-		fmt.Printf("  %-28s = %s\n", extract.AttrFromIRI(t.Predicate), t.Object.Value)
+		fmt.Printf("  %-28s = %s\n", f.Attr, f.Value)
+	}
+	if more := facts.Count(); more > 0 {
+		fmt.Printf("  ... and %d more\n", more)
 	}
 }

@@ -5,9 +5,14 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 
+	"akb/internal/extract"
 	"akb/internal/fusion"
+	"akb/internal/rdf"
+	"akb/internal/resilience"
 )
 
 // assertResultsEqual deep-compares the observable output of two pipeline
@@ -36,9 +41,9 @@ func assertResultsEqual(t *testing.T, serial, parallel *Result, label string) {
 	if !reflect.DeepEqual(parallel.SeedSets, serial.SeedSets) {
 		t.Errorf("%s: seed sets differ", label)
 	}
-	if parallel.Augmented.Len() != serial.Augmented.Len() {
+	if parallel.Fused().NumTruths() != serial.Fused().NumTruths() {
 		t.Errorf("%s: augmented KB differs (%d vs %d triples)", label,
-			parallel.Augmented.Len(), serial.Augmented.Len())
+			parallel.Fused().NumTruths(), serial.Fused().NumTruths())
 	}
 }
 
@@ -47,7 +52,7 @@ func assertResultsEqual(t *testing.T, serial, parallel *Result, label string) {
 var parallelisms = []int{1, 2, 4}
 
 // TestPipelineParallelMatchesSerial is the determinism acceptance test:
-// the default pipeline (which streams claims into fusion) produces a
+// the default pipeline produces a
 // Result deeply equal to the strictly serial run at every swept
 // parallelism, plus GOMAXPROCS. Run under -race in CI, it also proves the
 // concurrent stages share no unsynchronised state.
@@ -73,9 +78,7 @@ func TestPipelineParallelMatchesSerial(t *testing.T) {
 
 // TestPipelineParallelMatchesSerialAllFeatures exercises the full DAG:
 // list pages, temporal extraction, entity discovery and alignment all on,
-// so every conditional stage and edge is scheduled (and, because
-// alignment and discovery rewrite the union, the non-streaming fusion
-// path is the one under test).
+// so every conditional stage and edge is scheduled.
 func TestPipelineParallelMatchesSerialAllFeatures(t *testing.T) {
 	run := func(par int) *Result {
 		cfg := chaosConfig()
@@ -110,8 +113,7 @@ func TestPipelineParallelMatchesSerialAllFeatures(t *testing.T) {
 // TestPipelineParallelChaosDeterministic checks fault injection composes
 // with the scheduler: the same fault seed degrades the same stages at
 // every parallelism, because fault decisions hash (seed, stage, attempt)
-// and never depend on execution order. Degraded extractors exercise the
-// claim stream's discard path.
+// and never depend on execution order.
 func TestPipelineParallelChaosDeterministic(t *testing.T) {
 	run := func(par int) *Result {
 		cfg := chaosConfig()
@@ -125,7 +127,7 @@ func TestPipelineParallelChaosDeterministic(t *testing.T) {
 	}
 	serial := run(1)
 	if len(serial.Health().Degraded()) == 0 {
-		t.Fatal("chaos plan degraded nothing; the discard path is untested")
+		t.Fatal("chaos plan degraded nothing")
 	}
 	for _, par := range parallelisms[1:] {
 		parallel := run(par)
@@ -137,24 +139,81 @@ func TestPipelineParallelChaosDeterministic(t *testing.T) {
 	}
 }
 
-// TestStreamedFusionMatchesUnionRebuild pins the claim-stream contract at
-// the pipeline level: fusing claims rebuilt from the completed statement
-// union reproduces exactly the decisions the streaming fusion stage
-// produced from incrementally folded batches.
-func TestStreamedFusionMatchesUnionRebuild(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Parallelism = 4
-	res, err := runPipeline(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
+// TestFusionSeesExactlyTheSurvivingStatements pins what reaches fusion
+// when extraction does not go to plan: a Degraded extractor contributes
+// nothing, a retried one contributes once, and fusion resolves
+// BuildClaims over exactly the surviving extractors' statements — the
+// clean run's statements minus the lost extractors', in the same order —
+// at every parallelism.
+func TestFusionSeesExactlyTheSurvivingStatements(t *testing.T) {
+	run := func(par int, faults *resilience.FaultPlan) *Result {
+		cfg := chaosConfig()
+		cfg.Parallelism = par
+		cfg.Faults = faults
+		res, err := runPipeline(context.Background(), cfg)
+		if err != nil {
+			t.Fatalf("par=%d faults=%v: %v", par, faults, err)
+		}
+		return res
 	}
-	claims := fusion.BuildClaims(res.Statements, cfg.Granularity)
-	method := &fusion.Full{Forest: res.World.Hier, Workers: cfg.Parallelism}
-	rebuilt := method.Fuse(claims)
-	if !reflect.DeepEqual(rebuilt.Decisions, res.Fused().Decisions) {
-		t.Error("decisions from rebuilt union claims differ from streamed fusion")
+	permanent := func(stages ...string) *resilience.FaultPlan {
+		plan := &resilience.FaultPlan{Seed: 1, Stages: map[string]resilience.StageFault{}}
+		for _, st := range stages {
+			plan.Stages[st] = resilience.StageFault{FailProb: 1}
+		}
+		return plan
 	}
-	if !reflect.DeepEqual(rebuilt.SourceQuality, res.Fused().SourceQuality) {
-		t.Error("source quality from rebuilt union claims differs from streamed fusion")
+	// A transient fault that fails the text extractor's first attempt and
+	// lets the second through; fault decisions are a pure function of
+	// (seed, stage, attempt), so the seed is found, not guessed.
+	retried := &resilience.FaultPlan{Stages: map[string]resilience.StageFault{StageTextX: {FailProb: 0.5, Transient: true}}}
+	fails := func(attempt int) bool { _, err := retried.Inject(StageTextX, attempt); return err != nil }
+	for !fails(1) || fails(2) {
+		retried.Seed++
+	}
+
+	clean := run(1, nil)
+	for _, tc := range []struct {
+		name   string
+		faults *resilience.FaultPlan
+		lost   []string // extractors whose statements must not reach fusion
+	}{
+		{"textx degraded", permanent(StageTextX), []string{extract.ExtractorText}},
+		{"domx degraded", permanent(StageDOMX), []string{extract.ExtractorDOM}},
+		{"textx and domx degraded", permanent(StageTextX, StageDOMX), []string{extract.ExtractorText, extract.ExtractorDOM}},
+		{"textx retried", retried, nil},
+	} {
+		var survivors []rdf.Statement
+		for _, s := range clean.Statements {
+			if !slices.Contains(tc.lost, s.Provenance.Extractor) {
+				survivors = append(survivors, s)
+			}
+		}
+		if len(survivors) == 0 || len(survivors) == len(clean.Statements) && tc.lost != nil {
+			t.Fatalf("%s: %d of %d statements survive; the case tests nothing", tc.name, len(survivors), len(clean.Statements))
+		}
+		for _, par := range parallelisms {
+			label := fmt.Sprintf("%s par=%d", tc.name, par)
+			res := run(par, tc.faults)
+			if got := len(res.Health().Degraded()); got != len(tc.lost) {
+				t.Errorf("%s: %d stages degraded (%v), want %d", label, got, res.Health().Degraded(), len(tc.lost))
+			}
+			if sh, _ := res.Health().Stage(StageTextX); tc.lost == nil && sh.Attempts != 2 {
+				t.Errorf("%s: text extraction took %d attempts, want a retry", label, sh.Attempts)
+			}
+			if !reflect.DeepEqual(res.Statements, survivors) {
+				t.Errorf("%s: union holds %d statements, want the %d surviving ones in order", label, len(res.Statements), len(survivors))
+			}
+			claims := fusion.BuildClaims(survivors, DefaultConfig().Granularity)
+			want := (&fusion.Full{Forest: res.World.Hier, Workers: par}).Fuse(claims)
+			if !reflect.DeepEqual(res.Fused().Decisions, want.Decisions) || !reflect.DeepEqual(res.Fused().SourceQuality, want.SourceQuality) {
+				t.Errorf("%s: fusion did not resolve BuildClaims over the surviving statements", label)
+			}
+			for _, st := range res.Stats() {
+				if strings.HasPrefix(st.Stage, "fusion/") && st.Statements != claims.NumClaims() {
+					t.Errorf("%s: fusion saw %d claims, the surviving statements hold %d", label, st.Statements, claims.NumClaims())
+				}
+			}
+		}
 	}
 }

@@ -34,7 +34,6 @@ import (
 	"time"
 
 	"akb/internal/align"
-	"akb/internal/claimstream"
 	"akb/internal/confidence"
 	"akb/internal/entitydisc"
 	"akb/internal/eval"
@@ -231,9 +230,6 @@ type Result struct {
 	fused *fusion.Result
 	// FusionMetrics scores the fused knowledge against ground truth.
 	FusionMetrics eval.Metrics
-	// Augmented is the final KB: accepted triples attached to the Freebase
-	// stand-in's store.
-	Augmented *rdf.Store
 	// stages holds per-stage statistics in execution order; read them
 	// through Stats().
 	stages []StageStat
@@ -297,27 +293,8 @@ func runPipeline(ctx context.Context, cfg Config) (*Result, error) {
 			OnStage: cfg.StageHook,
 		},
 	}
-	// Stream claims from the extractors into fusion unless a pre-fusion
-	// stage (alignment, entity discovery) rewrites the unioned statement
-	// list — those must see the complete union, so fusion falls back to
-	// BuildClaims over Result.Statements.
-	if !cfg.Align && !cfg.DiscoverEntities {
-		producers := []string{StageKBX, StageDOMX, StageTextX}
-		if cfg.ListPages {
-			producers = append(producers, StageLists)
-		}
-		p.stream = claimstream.New(cfg.Granularity, producers...)
-	}
 	stages := p.stages()
-	opts := sched.Options{Parallelism: cfg.Parallelism, Supervisor: p.sup}
-	if p.stream != nil {
-		opts.OnStageEnd = func(rep resilience.Report) {
-			if rep.Health != resilience.OK {
-				p.stream.Discard(rep.Stage)
-			}
-		}
-	}
-	out, err := sched.Run(ctx, opts, stages)
+	out, err := sched.Run(ctx, sched.Options{Parallelism: cfg.Parallelism, Supervisor: p.sup}, stages)
 	if err != nil {
 		return nil, err
 	}
@@ -346,10 +323,6 @@ type pipelineRun struct {
 	mu    sync.Mutex
 	stats map[string]*StageStat
 
-	// stream, when non-nil, hands extractor claim batches straight to the
-	// fusion stage; nil means fusion rebuilds claims from the union.
-	stream *claimstream.Stream
-
 	dbp, fb  *kb.SourceKB
 	qsStream *querystream.Stream
 	sites    []*webgen.Site
@@ -370,11 +343,6 @@ func (p *pipelineRun) stages() []sched.Stage {
 		retry = resilience.DefaultRetry()
 	}
 	st := func(name string, soft bool, after []string, body func(context.Context) error) sched.Stage {
-		if p.stream != nil {
-			if wrapped := p.produceStream(name, body); wrapped != nil {
-				body = wrapped
-			}
-		}
 		return sched.Stage{
 			Name: name, After: after, Optional: soft,
 			Retry: retry, Timeout: p.cfg.StageTimeout, Run: body,
@@ -404,20 +372,6 @@ func (p *pipelineRun) stages() []sched.Stage {
 		st(StageUnion, mandatory, unionAfter, p.unionStatements),
 	)
 	fusionAfter := []string{StageUnion}
-	var fusionStream []string
-	if p.stream != nil {
-		// Fusion consumes the extractors' claim stream instead of the
-		// completed union: it may start as soon as every producer has
-		// started, overlapping claim building with extraction. The union
-		// stage still runs (Result.Statements keeps its exact legacy
-		// content and order) but no longer gates fusion. The stage list
-		// keeps union ahead of fusion, so the reported order is unchanged.
-		fusionAfter = nil
-		fusionStream = []string{StageKBX, StageDOMX, StageTextX}
-		if p.cfg.ListPages {
-			fusionStream = append(fusionStream, StageLists)
-		}
-	}
 	if p.cfg.Temporal {
 		stages = append(stages, st(StageTemporal, optional, []string{StageCorpus, StageFreebase}, p.extractTemporal))
 	}
@@ -432,30 +386,11 @@ func (p *pipelineRun) stages() []sched.Stage {
 		stages = append(stages, st(StageAlign, optional, fusionAfter, p.alignStatements))
 		fusionAfter = append(fusionAfter, StageAlign)
 	}
-	fusionStage := st(StageFusion, mandatory, fusionAfter, p.fuse)
-	fusionStage.StreamAfter = fusionStream
 	stages = append(stages,
-		fusionStage,
+		st(StageFusion, mandatory, fusionAfter, p.fuse),
 		st(StageAugment, mandatory, []string{StageFusion}, p.augment),
 	)
 	return stages
-}
-
-// produceStream wraps a claim-producing stage body with the stream
-// lifecycle: Begin at each attempt start (discarding a failed attempt's
-// partial batches) and Seal on success. Non-producer stages return nil.
-func (p *pipelineRun) produceStream(name string, body func(context.Context) error) func(context.Context) error {
-	if !p.stream.Expects(name) {
-		return nil
-	}
-	return func(ctx context.Context) error {
-		p.stream.Begin(name)
-		if err := body(ctx); err != nil {
-			return err
-		}
-		p.stream.Seal(name)
-		return nil
-	}
 }
 
 // assemble converts the scheduler outcome into Result.Health and
@@ -564,15 +499,7 @@ func (p *pipelineRun) extractKB(ctx context.Context) error {
 	res := p.res
 	res.KBX = kbx.ExtractAttributes(ctx, p.crit, p.dbp, p.fb)
 	dbpStmts := kbx.ExtractStatements(ctx, p.crit, p.dbp)
-	if p.stream != nil {
-		// Hand each KB's statements to fusion as soon as they exist.
-		p.stream.Emit(StageKBX, dbpStmts)
-	}
-	fbStmts := kbx.ExtractStatements(ctx, p.crit, p.fb)
-	if p.stream != nil {
-		p.stream.Emit(StageKBX, fbStmts)
-	}
-	p.kbStmts = append(dbpStmts, fbStmts...)
+	p.kbStmts = append(dbpStmts, kbx.ExtractStatements(ctx, p.crit, p.fb)...)
 	obs.Current(ctx).AnnotateInt("statements", int64(len(p.kbStmts)))
 	p.addStat(StageKBX, fmt.Sprintf("%d classes combined", len(res.KBX.PerClass)), p.kbStmts)
 	return nil
@@ -637,11 +564,6 @@ func (p *pipelineRun) extractDOM(ctx context.Context) error {
 	if p.cfg.DiscoverEntities {
 		dcfg.DiscoverEntities = true
 	}
-	if p.stream != nil {
-		// Emit each class shard's statements from the extractor's own
-		// worker goroutines as the shard completes; Emit is concurrency-safe.
-		dcfg.Emit = func(batch []rdf.Statement) { p.stream.Emit(StageDOMX, batch) }
-	}
 	res.DOMX = domx.Extract(ctx, domx.FromWebgen(p.sites), p.entIdx, res.SeedSets, dcfg, p.crit)
 	obs.Current(ctx).AnnotateInt("statements", int64(len(res.DOMX.Statements)))
 	p.addStat(StageDOMX,
@@ -663,9 +585,6 @@ func (p *pipelineRun) extractLists(ctx context.Context) error {
 	known, unknown := splitHostsByClass(lists, classOf)
 	listRes := domx.ExtractLists(ctx, domx.ListsFromWebgen(known, classOf), p.entIdx, domx.ListConfig{}, p.crit)
 	p.listRes = listRes
-	if p.stream != nil {
-		p.stream.Emit(StageLists, listRes.Statements)
-	}
 	obs.Current(ctx).AnnotateInt("statements", int64(len(listRes.Statements)))
 	res.Lists = listRes
 	detail := fmt.Sprintf("%d regions, %d records", listRes.Regions, listRes.Records)
@@ -684,9 +603,6 @@ func (p *pipelineRun) extractText(ctx context.Context) error {
 		tcfg.DiscoverEntities = true
 	}
 	res.TextX = textx.Extract(ctx, p.corpus, p.entIdx, res.SeedSets, tcfg, p.crit)
-	if p.stream != nil {
-		p.stream.Emit(StageTextX, res.TextX.Statements)
-	}
 	obs.Current(ctx).AnnotateInt("statements", int64(len(res.TextX.Statements)))
 	p.addStat(StageTextX,
 		fmt.Sprintf("%d docs, %d patterns", len(p.corpus), len(res.TextX.Patterns)), res.TextX.Statements)
@@ -800,31 +716,19 @@ func (p *pipelineRun) fuse(ctx context.Context) error {
 		}
 		method = &fusion.Full{Forest: res.World.Hier, Workers: workers, Obs: reg}
 	}
-	var claims *fusion.Claims
-	if p.stream != nil {
-		var err error
-		claims, err = p.stream.Finalize(ctx)
-		if err != nil {
-			return err
-		}
-	} else {
-		claims = fusion.BuildClaims(res.Statements, p.cfg.Granularity)
-	}
+	claims := fusion.BuildClaims(res.Statements, p.cfg.Granularity)
 	res.fused = method.Fuse(claims)
 	res.FusionMetrics = p.scorer.ScoreFusion(res.fused)
 	reg.Counter("akb_fusion_claims_total").Add(int64(claims.NumClaims()))
 	reg.Gauge("akb_fusion_sources").Set(float64(len(claims.SourceNames)))
-	conflicts, truths := 0, 0
+	conflicts := 0
 	for _, it := range claims.Items {
 		if len(it.Values) > 1 {
 			conflicts++
 		}
 	}
-	for _, d := range res.fused.Decisions {
-		truths += len(d.Truths)
-	}
 	reg.Counter("akb_fusion_conflicts_total").Add(int64(conflicts))
-	reg.Counter("akb_fusion_truths_total").Add(int64(truths))
+	reg.Counter("akb_fusion_truths_total").Add(int64(res.fused.NumTruths()))
 	obs.Current(ctx).AnnotateInt("statements", int64(claims.NumClaims()))
 	// The stat slot is keyed by the scheduler name; the rendered stage
 	// label carries the fusion method, as it always has.
@@ -837,21 +741,18 @@ func (p *pipelineRun) fuse(ctx context.Context) error {
 	return nil
 }
 
-// augment attaches accepted triples to the Freebase stand-in's store.
+// augment reports the augmented KB: every accepted truth is one triple
+// attached to the Freebase stand-in. The triples themselves are read from
+// the fused decisions (store.ResultFacts for serving, `akb export` for
+// N-Triples), so the stage only counts them.
 func (p *pipelineRun) augment(ctx context.Context) error {
-	res := p.res
-	res.Augmented = rdf.NewStore()
-	for _, d := range res.fused.Decisions {
-		for _, v := range d.Truths {
-			res.Augmented.Add(rdf.T(d.Item.Subject, d.Item.Predicate, v))
-		}
-	}
-	obs.Reg(ctx).Counter("akb_pipeline_augmented_triples_total").Add(int64(res.Augmented.Len()))
-	obs.Current(ctx).AnnotateInt("statements", int64(res.Augmented.Len()))
+	accepted := p.res.fused.NumTruths()
+	obs.Reg(ctx).Counter("akb_pipeline_augmented_triples_total").Add(int64(accepted))
+	obs.Current(ctx).AnnotateInt("statements", int64(accepted))
 	p.setStat(StageAugment, StageStat{
 		Stage:      StageAugment,
 		Detail:     "accepted triples attached to Freebase",
-		Statements: res.Augmented.Len(),
+		Statements: accepted,
 		Precision:  -1,
 	})
 	return nil

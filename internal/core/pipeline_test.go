@@ -29,7 +29,7 @@ func TestPipelineEndToEnd(t *testing.T) {
 	if res.Fused() == nil || len(res.Fused().Decisions) == 0 {
 		t.Fatal("no fusion decisions")
 	}
-	if res.Augmented.Len() == 0 {
+	if res.Fused().NumTruths() == 0 {
 		t.Fatal("no triples in the augmented KB")
 	}
 	// The paper's goal: high precision and recall for the fused knowledge.
@@ -118,8 +118,8 @@ func TestPipelineDeterministic(t *testing.T) {
 	if len(a.Statements) != len(b.Statements) {
 		t.Fatalf("statement counts differ: %d vs %d", len(a.Statements), len(b.Statements))
 	}
-	if a.Augmented.Len() != b.Augmented.Len() {
-		t.Fatalf("augmented sizes differ: %d vs %d", a.Augmented.Len(), b.Augmented.Len())
+	if a.Fused().NumTruths() != b.Fused().NumTruths() {
+		t.Fatalf("augmented sizes differ: %d vs %d", a.Fused().NumTruths(), b.Fused().NumTruths())
 	}
 	if a.FusionMetrics != b.FusionMetrics {
 		t.Fatalf("metrics differ: %+v vs %+v", a.FusionMetrics, b.FusionMetrics)

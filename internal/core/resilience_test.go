@@ -83,7 +83,7 @@ func TestChaosAllOptionalStagesDegrade(t *testing.T) {
 	if p := res.FusionMetrics.Precision(); p < 0.85 {
 		t.Errorf("fusion precision from surviving stages = %.3f, want >= 0.85", p)
 	}
-	if res.Augmented == nil || res.Augmented.Len() == 0 {
+	if res.Fused().NumTruths() == 0 {
 		t.Error("augmented KB empty")
 	}
 	// Degraded stages appear in the stage stats with health annotations.

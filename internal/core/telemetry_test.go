@@ -149,8 +149,8 @@ func TestRunContextWithoutTelemetry(t *testing.T) {
 	if err != nil {
 		t.Fatalf("traced run failed: %v", err)
 	}
-	if len(plain.Statements) != len(traced.Statements) || plain.Augmented.Len() != traced.Augmented.Len() {
+	if len(plain.Statements) != len(traced.Statements) || plain.Fused().NumTruths() != traced.Fused().NumTruths() {
 		t.Fatalf("telemetry changed pipeline output: %d/%d statements, %d/%d triples",
-			len(plain.Statements), len(traced.Statements), plain.Augmented.Len(), traced.Augmented.Len())
+			len(plain.Statements), len(traced.Statements), plain.Fused().NumTruths(), traced.Fused().NumTruths())
 	}
 }

@@ -138,7 +138,7 @@ func Summarize(res *core.Result) PipelineReport {
 		Stages:           res.Stats(),
 		Growth:           res.Growth(),
 		Fusion:           res.FusionMetrics,
-		AugmentedTriples: res.Augmented.Len(),
+		AugmentedTriples: res.Fused().NumTruths(),
 		TotalStatements:  len(res.Statements),
 		Health:           res.Health(),
 		Degraded:         res.Health().Degraded(),

@@ -81,14 +81,6 @@ type Config struct {
 	// concurrently. Results merge deterministically, so output is
 	// byte-identical at any worker count. <= 1 runs fully serial.
 	Workers int
-	// Emit, when set, receives each class shard's finished statement batch
-	// as soon as that shard completes — from the extraction worker
-	// goroutine, so it must be safe for concurrent use. Batches are
-	// disjoint across shards and concatenate (in any order) to exactly the
-	// statements of Result.Statements; downstream consumers (the fusion
-	// claim stream) can therefore start folding claims before the slowest
-	// class finishes.
-	Emit func([]rdf.Statement)
 }
 
 // DefaultConfig returns the standard configuration.
@@ -200,9 +192,9 @@ func shardByClass(sites []Site) []shard {
 // runShard executes Algorithm 1 serially over one class's sites. All
 // mutable state (attribute set, claims, dedup keys) is shard-local:
 // entities resolve to exactly one class, so no claim, host, or attribute
-// set is ever shared between shards. The shard's statements are built (and
-// emitted, when cfg.Emit is set) here in the worker, so the caller's merge
-// is a cheap ordered interleave instead of a global sort.
+// set is ever shared between shards. The shard's statements are built here
+// in the worker, so the caller's merge is a cheap ordered interleave
+// instead of a global sort.
 func runShard(sh shard, idx *extract.EntityIndex, seeds map[string]extract.AttrSet, cfg Config, crit *confidence.Criterion) shardOut {
 	seedSet := extract.NewAttrSet()
 	if s, ok := seeds[sh.class]; ok {
@@ -228,9 +220,6 @@ func runShard(sh shard, idx *extract.EntityIndex, seeds map[string]extract.AttrS
 		out.facts[i] = extractSite(site, idx, out.cr, cfg, claims, seen, &scratch)
 	}
 	out.stmts, out.stmtKeys = buildStatements(claims, crit)
-	if cfg.Emit != nil && len(out.stmts) > 0 {
-		cfg.Emit(out.stmts)
-	}
 	return out
 }
 

@@ -90,127 +90,61 @@ func (c *Claims) NumClaims() int {
 	return n
 }
 
-// BuildClaims groups statements into items and values at the chosen source
-// granularity. Output ordering is deterministic: items by key, values by
-// term order, sources by name.
-func BuildClaims(stmts []rdf.Statement, g Granularity) *Claims {
-	b := NewClaimBuilder(g)
-	b.Add(stmts...)
-	return b.Build()
-}
-
-// valueKey identifies one claimed value of one item inside a builder.
+// valueKey identifies one claimed value of one item while claims are built.
 type valueKey struct {
 	item  string
 	value string
 }
 
-// ClaimBuilder accumulates statements into fusion claims incrementally. It
-// is the streaming counterpart of BuildClaims: statements may arrive in
-// any number of batches, in any order, and builders filled from disjoint
-// statement partitions may be combined with Merge — Build always produces
-// the same fully sorted *Claims that BuildClaims would produce on the
-// union, because item keys, value terms and source names alone determine
-// the output order and duplicate (item, value, source) assertions keep
-// only the maximum confidence (an order-free reduction).
-//
-// A builder is not safe for concurrent use, and Build finalises it: the
-// builder must not be reused afterwards.
-type ClaimBuilder struct {
-	g       Granularity
-	items   map[string]*Item
-	values  map[valueKey]*ValueClaims
-	srcConf map[valueKey]map[string]float64
-}
-
-// NewClaimBuilder returns an empty builder at the chosen granularity.
-func NewClaimBuilder(g Granularity) *ClaimBuilder {
-	return &ClaimBuilder{
-		g:       g,
-		items:   map[string]*Item{},
-		values:  map[valueKey]*ValueClaims{},
-		srcConf: map[valueKey]map[string]float64{},
-	}
-}
-
-// Add folds statements into the builder.
-func (b *ClaimBuilder) Add(stmts ...rdf.Statement) {
+// BuildClaims groups statements into items and values at the chosen source
+// granularity. Output ordering is deterministic — items by key, values by
+// term order, sources by name — and independent of statement order: item
+// keys, value terms and source names alone determine it, and duplicate
+// (item, value, source) assertions keep only the maximum confidence (an
+// order-free reduction).
+func BuildClaims(stmts []rdf.Statement, g Granularity) *Claims {
+	items := map[string]*Item{}
+	values := map[valueKey]*ValueClaims{}
+	srcConf := map[valueKey]map[string]float64{}
 	for _, s := range stmts {
 		ik := s.ItemKey()
-		it, ok := b.items[ik]
+		it, ok := items[ik]
 		if !ok {
 			it = &Item{Key: ik, Subject: s.Subject, Predicate: s.Predicate}
-			b.items[ik] = it
+			items[ik] = it
 		}
 		vk := valueKey{item: ik, value: s.Object.Key()}
-		vc, ok := b.values[vk]
+		vc, ok := values[vk]
 		if !ok {
 			vc = &ValueClaims{Value: s.Object}
-			b.values[vk] = vc
+			values[vk] = vc
 			it.Values = append(it.Values, vc)
 		}
-		src := sourceName(s.Provenance, b.g)
-		m := b.srcConf[vk]
+		src := sourceName(s.Provenance, g)
+		m := srcConf[vk]
 		if m == nil {
 			m = map[string]float64{}
-			b.srcConf[vk] = m
+			srcConf[vk] = m
 		}
 		if s.Confidence > m[src] {
 			m[src] = s.Confidence
 		}
 	}
-}
 
-// Merge folds another builder (of the same granularity) into b. The other
-// builder's state is adopted destructively and must not be used again.
-func (b *ClaimBuilder) Merge(o *ClaimBuilder) {
-	for ik, oit := range o.items {
-		it, ok := b.items[ik]
-		if !ok {
-			b.items[ik] = oit
-			for _, vc := range oit.Values {
-				vk := valueKey{item: ik, value: vc.Value.Key()}
-				b.values[vk] = vc
-				b.srcConf[vk] = o.srcConf[vk]
-			}
-			continue
-		}
-		for _, ovc := range oit.Values {
-			vk := valueKey{item: ik, value: ovc.Value.Key()}
-			om := o.srcConf[vk]
-			if _, ok := b.values[vk]; !ok {
-				b.values[vk] = ovc
-				it.Values = append(it.Values, ovc)
-				b.srcConf[vk] = om
-				continue
-			}
-			m := b.srcConf[vk]
-			for src, conf := range om {
-				if conf > m[src] {
-					m[src] = conf
-				}
-			}
-		}
-	}
-}
-
-// Build assembles the canonical *Claims: items sorted by key, values by
-// term order, sources by name. The builder must not be used afterwards.
-func (b *ClaimBuilder) Build() *Claims {
 	out := &Claims{}
 	srcSet := map[string]struct{}{}
-	keys := make([]string, 0, len(b.items))
-	for k := range b.items {
+	keys := make([]string, 0, len(items))
+	for k := range items {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
-		it := b.items[k]
+		it := items[k]
 		sort.Slice(it.Values, func(i, j int) bool {
 			return it.Values[i].Value.Compare(it.Values[j].Value) < 0
 		})
 		for _, vc := range it.Values {
-			m := b.srcConf[valueKey{item: k, value: vc.Value.Key()}]
+			m := srcConf[valueKey{item: k, value: vc.Value.Key()}]
 			names := make([]string, 0, len(m))
 			for s := range m {
 				names = append(names, s)
@@ -270,6 +204,16 @@ type Result struct {
 	// (accuracy for single-truth methods, sensitivity for multi-truth),
 	// when the method estimates one.
 	SourceQuality map[string]float64
+}
+
+// NumTruths returns the number of accepted (item, value) pairs over all
+// decisions — the size of the fused KB in triples.
+func (r *Result) NumTruths() int {
+	n := 0
+	for _, d := range r.Decisions {
+		n += len(d.Truths)
+	}
+	return n
 }
 
 // Method is a knowledge-fusion algorithm.

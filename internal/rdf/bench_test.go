@@ -18,39 +18,6 @@ func benchTriples(n int) []Triple {
 	return out
 }
 
-func BenchmarkStoreAdd(b *testing.B) {
-	ts := benchTriples(10000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		st := NewStore()
-		st.AddAll(ts)
-	}
-}
-
-func BenchmarkStoreMatchSP(b *testing.B) {
-	st := NewStore()
-	st.AddAll(benchTriples(10000))
-	s := AKB.IRI("entity-42")
-	p := AKB.IRI("attr/p2")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		st.Match(s, p, Term{})
-	}
-}
-
-func BenchmarkStoreMatchPredicate(b *testing.B) {
-	st := NewStore()
-	st.AddAll(benchTriples(10000))
-	p := AKB.IRI("attr/p2")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		st.Match(Term{}, p, Term{})
-	}
-}
-
 func BenchmarkNTriplesWrite(b *testing.B) {
 	ts := benchTriples(5000)
 	b.ReportAllocs()

@@ -1,7 +1,7 @@
 // Package rdf implements the Resource Description Framework data model used
 // throughout the knowledge-base construction pipeline: terms (IRIs, literals,
-// blank nodes), triples, confidence- and provenance-annotated statements, an
-// indexed in-memory triple store, and an N-Triples-style serialisation.
+// blank nodes), triples, confidence- and provenance-annotated statements, and
+// N-Triples / N-Quads serialisation.
 //
 // The paper represents all "actionable knowledge" as RDF triples; every
 // extractor in internal/extract emits rdf.Statement values and every fusion
@@ -99,8 +99,7 @@ func (t Term) IsLiteral() bool { return t.Kind == KindLiteral }
 // IsBlank reports whether the term is a blank node.
 func (t Term) IsBlank() bool { return t.Kind == KindBlank }
 
-// IsZero reports whether the term is the zero Term, used as a wildcard in
-// store pattern queries.
+// IsZero reports whether the term is the zero Term.
 func (t Term) IsZero() bool {
 	return t.Kind == KindIRI && t.Value == "" && t.Datatype == "" && t.Lang == ""
 }

@@ -1,0 +1,53 @@
+package rdf
+
+import "testing"
+
+func tri(s, p, o string) Triple {
+	return T(AKB.IRI(s), AKB.IRI(p), Literal(o))
+}
+
+func TestStatementValid(t *testing.T) {
+	good := S(tri("s", "p", "o"), Provenance{Source: "w", Extractor: "x"}, 0.5)
+	if err := good.Valid(); err != nil {
+		t.Errorf("valid statement rejected: %v", err)
+	}
+	bad := []Statement{
+		S(T(Literal("s"), AKB.IRI("p"), Literal("o")), Provenance{}, 0.5),
+		S(T(AKB.IRI("s"), Literal("p"), Literal("o")), Provenance{}, 0.5),
+		S(tri("s", "p", "o"), Provenance{}, 1.5),
+		S(tri("s", "p", "o"), Provenance{}, -0.1),
+		S(T(IRI(""), AKB.IRI("p"), Literal("o")), Provenance{}, 0.5),
+	}
+	for i, s := range bad {
+		if err := s.Valid(); err == nil {
+			t.Errorf("bad statement %d accepted", i)
+		}
+	}
+}
+
+func TestProvenanceKeys(t *testing.T) {
+	p := Provenance{Source: "imdb.example", Extractor: "domx", Document: "page7"}
+	if p.Key() == p.SourceExtractorKey() {
+		t.Error("Key and SourceExtractorKey must differ when Document set")
+	}
+	q := p
+	q.Document = ""
+	if q.SourceExtractorKey() != p.SourceExtractorKey() {
+		t.Error("SourceExtractorKey must ignore Document")
+	}
+	if p.String() == "" || q.String() == "" {
+		t.Error("String must be non-empty")
+	}
+}
+
+func TestTripleItemKey(t *testing.T) {
+	a := tri("s", "p", "o1")
+	b := tri("s", "p", "o2")
+	c := tri("s", "q", "o1")
+	if a.ItemKey() != b.ItemKey() {
+		t.Error("same (s,p) must share ItemKey")
+	}
+	if a.ItemKey() == c.ItemKey() {
+		t.Error("different predicates must not share ItemKey")
+	}
+}

@@ -58,17 +58,6 @@ type Stage struct {
 	// stage may start. Every entry must name another stage passed to the
 	// same Run call.
 	After []string
-	// StreamAfter lists stages this stage consumes a stream from: under a
-	// concurrent scheduler the stage may start as soon as every streamed
-	// upstream has *started* (or already finished), overlapping consumer
-	// and producers. Stream edges still participate in the topological
-	// order and cycle detection, and under Parallelism <= 1 they behave
-	// exactly like After edges — the serial pipeline stays byte-compatible.
-	// Failure semantics are unchanged: a mandatory upstream failure cancels
-	// the run (and with it the downstream stage's context), and a Degraded
-	// upstream is surfaced to the consumer through Options.OnStageEnd so it
-	// can drop that producer's partial stream.
-	StreamAfter []string
 	// Optional stages fail soft: the run continues and the stage reports
 	// Degraded. Mandatory stages fail the whole run.
 	Optional bool
@@ -88,12 +77,6 @@ type Options struct {
 	Parallelism int
 	// Supervisor executes each stage; nil uses a zero supervisor.
 	Supervisor *resilience.Supervisor
-	// OnStageEnd, when set, is called after every stage completes (in both
-	// serial and concurrent modes) with its report, before any dependent
-	// stage is dispatched. Streaming consumers use it to seal or discard a
-	// producer's stream when the producer ends. It runs on the scheduler
-	// goroutine and must not block.
-	OnStageEnd func(rep resilience.Report)
 }
 
 // Result is the outcome of a scheduler run.
@@ -115,20 +98,12 @@ type graph struct {
 	pos []int
 	// dependents[i] lists input indices of stages that are After stage i.
 	dependents [][]int
-	// indeg[i] is the number of unfinished hard (After) dependencies of
-	// stage i.
+	// indeg[i] is the number of stages that stage i is After.
 	indeg []int
-	// streamers[i] lists input indices of stages that are StreamAfter
-	// stage i; they become start-eligible once stage i starts.
-	streamers [][]int
-	// streamWait[i] is the number of stream dependencies of stage i.
-	streamWait []int
 }
 
 // build validates names and edges and computes the stable topological
-// order (Kahn's algorithm, smallest input index first). Stream edges count
-// as ordinary edges for ordering and cycle detection — only the runtime
-// readiness rule distinguishes them.
+// order (Kahn's algorithm, smallest input index first).
 func build(stages []Stage) (*graph, error) {
 	n := len(stages)
 	byName := make(map[string]int, n)
@@ -146,8 +121,6 @@ func build(stages []Stage) (*graph, error) {
 		pos:        make([]int, n),
 		dependents: make([][]int, n),
 		indeg:      make([]int, n),
-		streamers:  make([][]int, n),
-		streamWait: make([]int, n),
 	}
 	for i, st := range stages {
 		for _, dep := range st.After {
@@ -161,22 +134,9 @@ func build(stages []Stage) (*graph, error) {
 			g.dependents[j] = append(g.dependents[j], i)
 			g.indeg[i]++
 		}
-		for _, dep := range st.StreamAfter {
-			j, ok := byName[dep]
-			if !ok {
-				return nil, fmt.Errorf("sched: stage %q streams after unknown stage %q", st.Name, dep)
-			}
-			if j == i {
-				return nil, fmt.Errorf("sched: stage %q streams after itself", st.Name)
-			}
-			g.streamers[j] = append(g.streamers[j], i)
-			g.streamWait[i]++
-		}
 	}
 	indeg := make([]int, n)
-	for i := range indeg {
-		indeg[i] = g.indeg[i] + g.streamWait[i]
-	}
+	copy(indeg, g.indeg)
 	var ready []int // ascending input indices with indeg 0
 	for i := n - 1; i >= 0; i-- {
 		if indeg[i] == 0 {
@@ -189,12 +149,10 @@ func build(stages []Stage) (*graph, error) {
 		ready = ready[:len(ready)-1]
 		g.pos[i] = len(g.topo)
 		g.topo = append(g.topo, i)
-		for _, edges := range [2][][]int{g.dependents, g.streamers} {
-			for _, j := range edges[i] {
-				indeg[j]--
-				if indeg[j] == 0 {
-					ready = insertDesc(ready, j)
-				}
+		for _, j := range g.dependents[i] {
+			indeg[j]--
+			if indeg[j] == 0 {
+				ready = insertDesc(ready, j)
 			}
 		}
 	}
@@ -237,15 +195,15 @@ func Run(ctx context.Context, opts Options, stages []Stage) (*Result, error) {
 		sup = &resilience.Supervisor{}
 	}
 	if opts.Parallelism <= 1 {
-		return runSerial(ctx, sup, opts.OnStageEnd, stages, g)
+		return runSerial(ctx, sup, stages, g)
 	}
-	return runParallel(ctx, sup, opts, stages, g)
+	return runParallel(ctx, sup, opts.Parallelism, stages, g)
 }
 
 // runSerial executes stages one at a time in topological order on the
 // caller's goroutine. It is byte-compatible with the legacy serial
 // pipeline: no extra spans, no goroutines, immediate abort on failure.
-func runSerial(ctx context.Context, sup *resilience.Supervisor, onEnd func(resilience.Report), stages []Stage, g *graph) (*Result, error) {
+func runSerial(ctx context.Context, sup *resilience.Supervisor, stages []Stage, g *graph) (*Result, error) {
 	res := newResult(stages, g)
 	reg := obs.Reg(ctx)
 	gauge := reg.Gauge(MetricRunningStages)
@@ -255,9 +213,6 @@ func runSerial(ctx context.Context, sup *resilience.Supervisor, onEnd func(resil
 		rep := sup.Run(ctx, supervised(stages[i]))
 		gauge.Set(0)
 		res.Reports[pos] = rep
-		if onEnd != nil {
-			onEnd(rep)
-		}
 		if rep.Health == resilience.Failed {
 			return res, rep.Err
 		}
@@ -269,14 +224,7 @@ func runSerial(ctx context.Context, sup *resilience.Supervisor, onEnd func(resil
 // topological among ready stages, so with a pool of one it degenerates to
 // the serial order; reports are always assembled in topological order
 // regardless of completion interleaving.
-//
-// A stage is ready when its hard (After) indegree has drained to zero AND
-// every stream (StreamAfter) upstream has been dispatched. Dispatching a
-// producer therefore unblocks its stream consumers in the same dispatch
-// loop — a consumer can never start before all of its producers, so stream
-// consumers cannot starve producers of pool slots.
-func runParallel(ctx context.Context, sup *resilience.Supervisor, opts Options, stages []Stage, g *graph) (*Result, error) {
-	parallelism := opts.Parallelism
+func runParallel(ctx context.Context, sup *resilience.Supervisor, parallelism int, stages []Stage, g *graph) (*Result, error) {
 	res := newResult(stages, g)
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -294,11 +242,9 @@ func runParallel(ctx context.Context, sup *resilience.Supervisor, opts Options, 
 	doneCh := make(chan done)
 	indeg := make([]int, len(stages))
 	copy(indeg, g.indeg)
-	streamWait := make([]int, len(stages))
-	copy(streamWait, g.streamWait)
 	var ready []int // input indices, descending topo position (pop from end)
 	for i := range stages {
-		if indeg[i] == 0 && streamWait[i] == 0 {
+		if indeg[i] == 0 {
 			ready = insertReady(ready, i, g)
 		}
 	}
@@ -318,15 +264,6 @@ func runParallel(ctx context.Context, sup *resilience.Supervisor, opts Options, 
 				rep := sup.Run(sctx, supervised(stages[i]))
 				doneCh <- done{idx: i, rep: rep}
 			}(i)
-			// Starting a producer releases its stream consumers; they may
-			// dispatch within this same inner loop, behind any already-ready
-			// stage of smaller topological position.
-			for _, j := range g.streamers[i] {
-				streamWait[j]--
-				if streamWait[j] == 0 && indeg[j] == 0 {
-					ready = insertReady(ready, j, g)
-				}
-			}
 		}
 		if running == 0 {
 			break // failure observed and nothing left in flight
@@ -335,9 +272,6 @@ func runParallel(ctx context.Context, sup *resilience.Supervisor, opts Options, 
 		running--
 		gauge.Add(-1)
 		res.Reports[g.pos[d.idx]] = d.rep
-		if opts.OnStageEnd != nil {
-			opts.OnStageEnd(d.rep)
-		}
 		if d.rep.Health == resilience.Failed {
 			if failure == nil {
 				failure = d.rep.Err
@@ -348,7 +282,7 @@ func runParallel(ctx context.Context, sup *resilience.Supervisor, opts Options, 
 		}
 		for _, j := range g.dependents[d.idx] {
 			indeg[j]--
-			if indeg[j] == 0 && streamWait[j] == 0 && failure == nil {
+			if indeg[j] == 0 && failure == nil {
 				ready = insertReady(ready, j, g)
 			}
 		}

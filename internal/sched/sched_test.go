@@ -333,146 +333,3 @@ func TestSerialKeepsStageSpansAsRoots(t *testing.T) {
 		t.Errorf("%d root spans, want one per stage", roots)
 	}
 }
-
-// TestStreamConsumerOverlapsProducer checks the defining property of a
-// stream edge: the consumer starts while the producer is still running.
-func TestStreamConsumerOverlapsProducer(t *testing.T) {
-	producerRunning := make(chan struct{})
-	release := make(chan struct{})
-	overlapped := false
-	stages := []Stage{
-		{Name: "producer", Run: func(context.Context) error {
-			close(producerRunning)
-			<-release
-			return nil
-		}},
-		{Name: "consumer", StreamAfter: []string{"producer"}, Run: func(context.Context) error {
-			select {
-			case <-producerRunning:
-			case <-time.After(2 * time.Second):
-				t.Error("consumer started before producer")
-			}
-			overlapped = true
-			close(release) // producer finishes only after the consumer started
-			return nil
-		}},
-	}
-	res, err := Run(context.Background(), Options{Parallelism: 2}, stages)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !overlapped {
-		t.Fatal("consumer never observed the producer in flight")
-	}
-	if got := names(res); got != "producer,consumer" {
-		t.Errorf("order = %s, want producer,consumer", got)
-	}
-}
-
-// TestStreamEdgeSerialBehavesLikeAfter pins the Parallelism <= 1 contract:
-// a stream edge is a hard edge, so the producer finishes before the
-// consumer starts and order is byte-compatible with After.
-func TestStreamEdgeSerialBehavesLikeAfter(t *testing.T) {
-	rec := &recorder{}
-	stages := []Stage{
-		{Name: "consumer", StreamAfter: []string{"producer"}, Run: rec.body("consumer", 0)},
-		{Name: "producer", Run: rec.body("producer", 0)},
-	}
-	res, err := Run(context.Background(), Options{Parallelism: 1}, stages)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := strings.Join(rec.order, ","); got != "producer,consumer" {
-		t.Errorf("execution order = %s, want producer,consumer", got)
-	}
-	if got := names(res); got != "producer,consumer" {
-		t.Errorf("report order = %s, want producer,consumer", got)
-	}
-}
-
-// TestStreamEdgeValidation checks StreamAfter participates in name
-// validation and cycle detection exactly like After.
-func TestStreamEdgeValidation(t *testing.T) {
-	ok := func(context.Context) error { return nil }
-	cases := []struct {
-		name   string
-		stages []Stage
-		want   string
-	}{
-		{"unknown", []Stage{{Name: "x", StreamAfter: []string{"y"}, Run: ok}}, "unknown stage"},
-		{"self", []Stage{{Name: "x", StreamAfter: []string{"x"}, Run: ok}}, "after itself"},
-		{"cycle", []Stage{
-			{Name: "x", StreamAfter: []string{"y"}, Run: ok},
-			{Name: "y", After: []string{"x"}, Run: ok},
-		}, "cycle"},
-	}
-	for _, tc := range cases {
-		_, err := Run(context.Background(), Options{}, tc.stages)
-		if err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: err = %v, want contains %q", tc.name, err, tc.want)
-		}
-	}
-}
-
-// TestStreamConsumerSkippedWhenProducerNeverStarts checks a stream
-// consumer whose producer is blocked behind a mandatory failure stays
-// Skipped rather than starting with no producer.
-func TestStreamConsumerSkippedWhenProducerNeverStarts(t *testing.T) {
-	stages := []Stage{
-		{Name: "bad", Run: func(context.Context) error { return errors.New("fatal") }},
-		{Name: "producer", After: []string{"bad"}, Run: func(context.Context) error { return nil }},
-		{Name: "consumer", StreamAfter: []string{"producer"}, Run: func(context.Context) error {
-			t.Error("consumer ran though its producer never started")
-			return nil
-		}},
-	}
-	res, err := Run(context.Background(), Options{Parallelism: 2}, stages)
-	if err == nil {
-		t.Fatal("mandatory failure did not fail the run")
-	}
-	for i, name := range res.Order {
-		if name == "consumer" && res.Reports[i].Health != resilience.Skipped {
-			t.Errorf("consumer health = %v, want skipped", res.Reports[i].Health)
-		}
-	}
-}
-
-// TestOnStageEndOrdering checks the completion hook fires for every stage,
-// in both modes, before dependents of that stage are dispatched.
-func TestOnStageEndOrdering(t *testing.T) {
-	for _, par := range []int{1, 2} {
-		var mu sync.Mutex
-		var ended []string
-		endedBefore := map[string]bool{}
-		stages := []Stage{
-			{Name: "up", Run: func(context.Context) error { return nil }},
-			{Name: "down", After: []string{"up"}, Run: func(context.Context) error {
-				mu.Lock()
-				for _, n := range ended {
-					if n == "up" {
-						endedBefore["down"] = true
-					}
-				}
-				mu.Unlock()
-				return nil
-			}},
-		}
-		_, err := Run(context.Background(), Options{
-			Parallelism: par,
-			OnStageEnd: func(rep resilience.Report) {
-				mu.Lock()
-				ended = append(ended, rep.Stage)
-				mu.Unlock()
-			},
-		}, stages)
-		if err != nil {
-			t.Fatalf("par=%d: %v", par, err)
-		}
-		if !endedBefore["down"] {
-			t.Errorf("par=%d: OnStageEnd(up) did not precede dependent dispatch", par)
-		}
-		if len(ended) != 2 {
-			t.Errorf("par=%d: hook fired %d times, want 2", par, len(ended))
-		}
-	}
-}

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -13,10 +14,7 @@ import (
 	"sort"
 )
 
-// Binary snapshot codec (version 3). The JSON codec (versions 1 and 2)
-// is diffable and hand-editable but pays ~20x in bytes and a full JSON
-// parse on load; at the ROADMAP's millions-of-facts scale neither is
-// acceptable. Version 3 is a compact columnar layout:
+// The snapshot codec (version 3, the only one): a compact columnar layout.
 //
 //	magic   "akbsnap3"                                  8 bytes
 //	header  version u32 | shards u32 | facts u64 | strings u64   (big-endian)
@@ -46,9 +44,8 @@ import (
 // can reconstruct the sharded store without re-partitioning and a future
 // multi-process deployment can ship individual segments to shard owners.
 const (
-	// BinarySnapshotVersion is the codec version binary snapshots carry.
-	// It continues the JSON codec's version line: OpenSnapshotFile and
-	// VerifySnapshotFile accept 1 and 2 as JSON and 3 as binary.
+	// BinarySnapshotVersion is the codec version snapshots carry. Versions
+	// 1 and 2 were JSON files; they are refused (see errNotV3).
 	BinarySnapshotVersion = 3
 
 	binMagic      = "akbsnap3"
@@ -173,9 +170,12 @@ func binStringTable(s *Sharded) ([]string, map[string]uint32, error) {
 	return strs, ids, nil
 }
 
-// WriteBinarySnapshotFile writes the binary snapshot to path with the
-// same crash-safety contract as WriteSnapshotFile: temp file in
-// the target directory, fsync, atomic rename.
+// WriteBinarySnapshotFile writes the snapshot to path atomically: the
+// bytes go to a temporary file in the target directory, are fsynced, and
+// the temp file is renamed over path only once it is durably complete. A
+// crash at any point leaves either the previous file intact or a stray
+// .tmp file that can never pass verification as the target — never a
+// torn or half-new snapshot under the real name.
 func (s *Sharded) WriteBinarySnapshotFile(path string) error {
 	return atomicWriteFile(path, s.WriteBinarySnapshot)
 }
@@ -223,11 +223,20 @@ type binHeader struct {
 	strings int
 }
 
-// binVerify checks magic, version and checksum of a whole binary
-// snapshot and parses the fixed header. Shared by the reader and the
-// verify path.
+// errNotV3 refuses every file that does not start with the version-3
+// magic — the JSON snapshots of versions 1 and 2, an empty file, anything
+// else — before any of it is parsed. No importer is kept: a snapshot is
+// regenerated from its seed in seconds.
+var errNotV3 = errors.New(`store: not a v3 snapshot (the file does not start with "` + binMagic +
+	`"; JSON snapshots are no longer read): regenerate it with "akb pipeline -snapshot <file>"`)
+
+// binVerify checks magic, checksum and version of a whole snapshot and
+// parses the fixed header. Shared by the reader and the verify path.
 func binVerify(data []byte) (binHeader, *binReader, error) {
 	var hdr binHeader
+	if !bytes.HasPrefix(data, []byte(binMagic)) {
+		return hdr, nil, errNotV3
+	}
 	if len(data) < binHeaderLen+binTrailerLen {
 		return hdr, nil, fmt.Errorf("store: binary snapshot truncated: %d bytes, need at least %d", len(data), binHeaderLen+binTrailerLen)
 	}
@@ -237,11 +246,7 @@ func binVerify(data []byte) (binHeader, *binReader, error) {
 		return hdr, nil, fmt.Errorf("store: binary snapshot checksum mismatch: trailer %s, payload %s — file is corrupt",
 			hex.EncodeToString(trailer), hex.EncodeToString(sum[:]))
 	}
-	r := &binReader{data: payload}
-	magic, _ := r.take(len(binMagic))
-	if string(magic) != binMagic {
-		return hdr, nil, fmt.Errorf("store: not a binary akb snapshot (magic %q)", magic)
-	}
+	r := &binReader{data: payload, off: len(binMagic)}
 	be := binary.BigEndian
 	b, _ := r.take(4 + 4 + 8 + 8)
 	version := be.Uint32(b[0:4])
@@ -429,26 +434,8 @@ func (d *binReader) shard(si, n int, facts []Fact) error {
 	return nil
 }
 
-// verifyBinarySnapshot checks a binary snapshot's integrity without
-// building stores: the checksum over the whole file plus the fixed
-// header. The checksum covers every payload byte, so a deeper structural
-// walk cannot find corruption the trailer missed. Backs
-// VerifySnapshotFile for version-3 files.
-func verifyBinarySnapshot(data []byte) (SnapshotInfo, error) {
-	info := SnapshotInfo{Codec: SnapshotCodecBinary}
-	hdr, _, err := binVerify(data)
-	if err != nil {
-		return info, err
-	}
-	info.Version = BinarySnapshotVersion
-	info.Facts = hdr.facts
-	info.Shards = hdr.shards
-	info.Checksum = checksumPrefix + hex.EncodeToString(data[len(data)-binTrailerLen:])
-	return info, nil
-}
-
 // atomicWriteFile writes via a temp file in the target directory, fsyncs
-// and renames — the shared crash-safety path of both snapshot codecs.
+// and renames.
 func atomicWriteFile(path string, write func(io.Writer) error) (err error) {
 	dir := filepath.Dir(path)
 	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")

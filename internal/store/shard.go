@@ -6,8 +6,8 @@ import "slices"
 // them. Nothing is written after build returns.
 type shard struct {
 	// facts is in canonical order without duplicate keys, so every
-	// entity's facts are contiguous and ordered by attribute. Never nil,
-	// so the JSON codec writes [] for an empty store.
+	// entity's facts are contiguous and ordered by attribute. Never nil:
+	// Facts hands out a one-shard store's own array.
 	facts []Fact
 
 	byEntity map[string]span // entity → its run of facts
@@ -88,7 +88,7 @@ func (b *postingsBuilder) postings() postings {
 
 // build indexes facts that are already canonical — sorted, no duplicate
 // keys — and takes ownership of the slice. It is the one index builder:
-// NewSharded reaches it after copy, sort and dedup; the binary snapshot
+// NewSharded reaches it after copy, sort and dedup; the snapshot
 // decoder, which verifies the order instead of re-establishing it,
 // reaches it directly.
 func build(facts []Fact) *shard {

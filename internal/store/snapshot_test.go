@@ -2,8 +2,11 @@ package store
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"flag"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -14,23 +17,24 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
+// TestSnapshotRoundTrip pins the codec's determinism on the hand-made
+// fixture: write → read rebuilds the same facts, and re-serialising the
+// loaded store is byte-identical (and therefore keeps the same checksum).
 func TestSnapshotRoundTrip(t *testing.T) {
 	s := New(testFacts())
 	var buf bytes.Buffer
-	if err := s.WriteSnapshot(&buf); err != nil {
+	if err := s.WriteBinarySnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadSnapshot(bytes.NewReader(buf.Bytes()))
+	back, err := ReadBinarySnapshot(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(back.Facts(), s.Facts()) {
 		t.Fatalf("round trip changed facts:\n got: %+v\nwant: %+v", back.Facts(), s.Facts())
 	}
-	// The codec is deterministic: re-serialising the loaded store must be
-	// byte-identical (and therefore keep the same checksum).
 	var again bytes.Buffer
-	if err := back.WriteSnapshot(&again); err != nil {
+	if err := back.WriteBinarySnapshot(&again); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf.Bytes(), again.Bytes()) {
@@ -38,96 +42,78 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSnapshotGolden pins the snapshot JSON layout against a checked-in
-// golden file, so accidental codec changes fail loudly instead of
-// silently orphaning saved snapshots. Regenerate with -update.
-func TestSnapshotGolden(t *testing.T) {
-	s := New(testFacts())
-	var buf bytes.Buffer
-	if err := s.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	golden := filepath.Join("testdata", "snapshot.golden.json")
-	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("read golden (regenerate with -update): %v", err)
-	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Errorf("snapshot differs from golden:\n got:\n%s\nwant:\n%s", buf.Bytes(), want)
-	}
-}
-
-// TestSnapshotReadsV1 pins backwards compatibility: a version-1 snapshot
-// (written before the checksum existed) must still load, checksum-free.
-// The golden is the actual v1 output frozen when the codec moved to v2.
-func TestSnapshotReadsV1(t *testing.T) {
-	raw, err := os.ReadFile(filepath.Join("testdata", "snapshot.v1.golden.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadSnapshot(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatalf("v1 snapshot no longer loads: %v", err)
-	}
-	if !reflect.DeepEqual(back.Facts(), New(testFacts()).Facts()) {
-		t.Fatal("v1 snapshot loaded different facts")
-	}
-}
-
+// TestReadSnapshotRejectsBadFiles pins the one refusal every file that is
+// not a version-3 snapshot gets from OpenSnapshotFile and
+// VerifySnapshotFile alike: an error that names the remedy, never a panic
+// and never a misleading checksum or truncation message.
 func TestReadSnapshotRejectsBadFiles(t *testing.T) {
-	cases := []struct {
-		name, in, wantErr string
-	}{
-		{"not json", "hello", "decode"},
-		{"wrong format", `{"format":"something-else","version":1,"count":0}`, "not an akb snapshot"},
-		{"future version", `{"format":"akb-snapshot","version":99,"count":0}`, "unsupported snapshot version"},
-		{"zero version", `{"format":"akb-snapshot","version":0,"count":0}`, "unsupported snapshot version"},
-		{"truncated", `{"format":"akb-snapshot","version":1,"count":3,"facts":[]}`, "truncated"},
-		{"v2 without checksum", `{"format":"akb-snapshot","version":2,"count":0,"facts":[]}`, "no checksum"},
-		{"v2 wrong checksum", `{"format":"akb-snapshot","version":2,"count":0,"checksum":"sha256:beef","facts":[]}`, "checksum mismatch"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			_, err := ReadSnapshot(strings.NewReader(tc.in))
-			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
-				t.Fatalf("err = %v, want containing %q", err, tc.wantErr)
+	for _, file := range notV3Files {
+		t.Run(file.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "kb.akb")
+			if err := os.WriteFile(path, []byte(file.content), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, _, openErr := OpenSnapshotFile(path, 0)
+			_, verifyErr := VerifySnapshotFile(path)
+			for _, err := range []error{openErr, verifyErr} {
+				if !errors.Is(err, errNotV3) || !strings.Contains(err.Error(), "not a v3 snapshot") ||
+					!strings.Contains(err.Error(), "akb pipeline -snapshot") || !strings.Contains(err.Error(), path) {
+					t.Errorf("err = %v, want the not-a-v3-snapshot refusal naming %s", err, path)
+				}
 			}
 		})
 	}
 }
 
-// TestSnapshotDetectsBitFlip corrupts one byte of a valid v2 snapshot's
-// payload and asserts the checksum, not luck, rejects it: the flipped
-// file is still well-formed JSON with the right count, so only the
-// integrity check stands between it and being served.
+// notV3Files are files the snapshot reader refuses before parsing them:
+// a JSON snapshot that used to load, the seven files the JSON reader
+// used to turn away each for a reason of its own, and the two shortest
+// files there are.
+var notV3Files = []struct{ name, content string }{
+	{"valid v1", `{
+  "format": "akb-snapshot",
+  "version": 1,
+  "count": 1,
+  "facts": [{"entity": "Casablanca", "attr": "director", "value": "Michael Curtiz", "confidence": 0.97}]
+}`},
+	{"not json", "hello"},
+	{"wrong format", `{"format":"something-else","version":1,"count":0}`},
+	{"future version", `{"format":"akb-snapshot","version":99,"count":0}`},
+	{"zero version", `{"format":"akb-snapshot","version":0,"count":0}`},
+	{"truncated", `{"format":"akb-snapshot","version":1,"count":3,"facts":[]}`},
+	{"v2 without checksum", `{"format":"akb-snapshot","version":2,"count":0,"facts":[]}`},
+	{"v2 wrong checksum", `{"format":"akb-snapshot","version":2,"count":0,"checksum":"sha256:beef","facts":[]}`},
+	{"empty", ""},
+	{"7 bytes", binMagic[:7]},
+}
+
+// TestSnapshotDetectsBitFlip corrupts one byte of a valid snapshot file's
+// string table and asserts the checksum, not luck, rejects it: the
+// flipped file is still a well-formed snapshot of the same shape, so only
+// the integrity check stands between it and being served.
 func TestSnapshotDetectsBitFlip(t *testing.T) {
-	s := New(testFacts())
-	var buf bytes.Buffer
-	if err := s.WriteSnapshot(&buf); err != nil {
+	path := filepath.Join(t.TempDir(), "kb.akb")
+	if err := New(testFacts()).WriteBinarySnapshotFile(path); err != nil {
 		t.Fatal(err)
 	}
-	raw := buf.Bytes()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
 	i := bytes.Index(raw, []byte("Casablanca"))
 	if i < 0 {
 		t.Fatal("test fact missing from snapshot")
 	}
-	flipped := append([]byte(nil), raw...)
-	flipped[i] = 'K' // "Kasablanca": valid JSON, wrong knowledge
-	_, err := ReadSnapshot(bytes.NewReader(flipped))
-	if err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
+	raw[i] = 'K' // "Kasablanca": same layout, wrong knowledge
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := openFlat(path); err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
 		t.Fatalf("bit flip not caught by checksum: err = %v", err)
 	}
 }
 
-// openFlat opens a snapshot file of either codec as a one-shard store.
+// openFlat opens a snapshot file as a one-shard store.
 func openFlat(path string) (*Sharded, error) {
 	q, _, err := OpenSnapshotFile(path, 1)
 	if err != nil {
@@ -139,7 +125,7 @@ func openFlat(path string) (*Sharded, error) {
 func TestSnapshotFileHelpers(t *testing.T) {
 	s := New(testFacts())
 	path := filepath.Join(t.TempDir(), "kb.akb")
-	if err := s.WriteSnapshotFile(path); err != nil {
+	if err := s.WriteBinarySnapshotFile(path); err != nil {
 		t.Fatal(err)
 	}
 	back, err := openFlat(path)
@@ -177,7 +163,7 @@ func TestWriteSnapshotFileAtomic(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "kb.akb")
 	old := New(testFacts())
-	if err := old.WriteSnapshotFile(path); err != nil {
+	if err := old.WriteBinarySnapshotFile(path); err != nil {
 		t.Fatal(err)
 	}
 	before, err := os.ReadFile(path)
@@ -188,28 +174,23 @@ func TestWriteSnapshotFileAtomic(t *testing.T) {
 	// The replacement store the interrupted writer was saving.
 	replacement := New([]Fact{{Entity: "New World", Attr: "status", Value: "half written", Confidence: 1}})
 	var full bytes.Buffer
-	if err := replacement.WriteSnapshot(&full); err != nil {
+	if err := replacement.WriteBinarySnapshot(&full); err != nil {
 		t.Fatal(err)
 	}
 
 	// Interrupt the write at every possible point: a torn temp file
-	// holding a strict prefix of the new snapshot must either fail
-	// verification or be the complete payload (a crash after the last
-	// payload byte but before the trailing newline loses nothing). What
-	// can never happen is a prefix that verifies yet holds different
-	// facts — loadable-but-wrong.
-	wantSum, err := factsChecksum(replacement.Facts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	// holding a strict prefix of the new snapshot must fail verification,
+	// and opening it must fail the same way — never loadable-but-wrong.
 	torn := filepath.Join(dir, "kb.akb.tmp-crashed")
-	for n := 1; n < full.Len(); n++ {
+	for n := 0; n < full.Len(); n++ {
 		if err := os.WriteFile(torn, full.Bytes()[:n], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		info, err := VerifySnapshotFile(torn)
-		if err == nil && info.Checksum != wantSum {
-			t.Errorf("torn snapshot (%d/%d bytes) verified with wrong payload: %+v", n, full.Len(), info)
+		if info, err := VerifySnapshotFile(torn); err == nil {
+			t.Errorf("torn snapshot (%d/%d bytes) verified: %+v", n, full.Len(), info)
+		}
+		if _, err := openFlat(torn); err == nil {
+			t.Errorf("torn snapshot (%d/%d bytes) opened", n, full.Len())
 		}
 	}
 
@@ -239,10 +220,10 @@ func writeInterrupted(t *testing.T, s *Sharded, path string) error {
 	}
 	defer os.Remove(f.Name())
 	err = writeSyncClose(f, func(w io.Writer) error {
-		return s.WriteSnapshot(&limitWriter{w: w, n: 64})
+		return s.WriteBinarySnapshot(&limitWriter{w: w, n: 64})
 	})
 	// No rename: the "process died" before publishing — exactly the
-	// sequence WriteSnapshotFile guarantees leaves path untouched.
+	// sequence WriteBinarySnapshotFile guarantees leaves path untouched.
 	return err
 }
 
@@ -267,7 +248,7 @@ func (lw *limitWriter) Write(p []byte) (int, error) {
 // write can't even start or can't publish.
 func TestWriteSnapshotFileTargetErrors(t *testing.T) {
 	s := New(testFacts())
-	if err := s.WriteSnapshotFile(filepath.Join(t.TempDir(), "no", "such", "dir", "kb.akb")); err == nil {
+	if err := s.WriteBinarySnapshotFile(filepath.Join(t.TempDir(), "no", "such", "dir", "kb.akb")); err == nil {
 		t.Error("write into missing directory accepted")
 	}
 	// Renaming over a directory fails after the temp write; the temp file
@@ -277,7 +258,7 @@ func TestWriteSnapshotFileTargetErrors(t *testing.T) {
 	if err := os.Mkdir(target, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.WriteSnapshotFile(target); err == nil {
+	if err := s.WriteBinarySnapshotFile(target); err == nil {
 		t.Error("rename over directory accepted")
 	}
 	entries, err := os.ReadDir(dir)
@@ -303,7 +284,7 @@ func (f *failingFile) Sync() error  { return f.serr }
 func (f *failingFile) Close() error { return f.cerr }
 
 // TestWriteSyncCloseJoinsErrors is the regression test for the old
-// WriteSnapshotFile bug where an encode error swallowed the close error:
+// snapshot-file bug where an encode error swallowed the close error:
 // both must now appear in the joined error, and a sync failure must not
 // hide behind a clean write either.
 func TestWriteSyncCloseJoinsErrors(t *testing.T) {
@@ -329,24 +310,37 @@ func TestWriteSyncCloseJoinsErrors(t *testing.T) {
 	}
 }
 
+// TestVerifySnapshotFile checks the verifier and the opener describe one
+// file identically — whatever layout it is opened into — and that both
+// refuse it once a byte has changed.
 func TestVerifySnapshotFile(t *testing.T) {
-	s := New(testFacts())
+	s := NewSharded(testFacts(), 3)
 	path := filepath.Join(t.TempDir(), "kb.akb")
-	if err := s.WriteSnapshotFile(path); err != nil {
+	if err := s.WriteBinarySnapshotFile(path); err != nil {
 		t.Fatal(err)
 	}
 	info, err := VerifySnapshotFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Version != SnapshotVersion || info.Facts != s.Len() || !strings.HasPrefix(info.Checksum, "sha256:") {
-		t.Errorf("info = %+v", info)
-	}
-	// Corrupt in place; verification must now fail with the checksum error.
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := SnapshotInfo{Path: path, Version: 3, Facts: s.Len(), Shards: 3,
+		Checksum: "sha256:" + hex.EncodeToString(raw[len(raw)-sha256.Size:])}
+	if info != want {
+		t.Errorf("VerifySnapshotFile = %+v, want %+v", info, want)
+	}
+	if got := info.String(); got != fmt.Sprintf("version=3 facts=%d shards=3", s.Len()) {
+		t.Errorf("info renders as %q", got)
+	}
+	for _, shards := range []int{0, 1, 8} {
+		if _, opened, err := OpenSnapshotFile(path, shards); err != nil || opened != info {
+			t.Errorf("OpenSnapshotFile(shards=%d) info = %+v, %v; VerifySnapshotFile said %+v", shards, opened, err, info)
+		}
+	}
+	// Corrupt in place; verification must now fail with the checksum error.
 	raw[bytes.Index(raw, []byte("Casablanca"))] = 'X'
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)

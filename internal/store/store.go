@@ -42,7 +42,8 @@ import (
 // Fact is one accepted (entity, attribute, value) triple of the fused KB,
 // annotated with what a consumer needs to act on it: the fused belief,
 // the number of supporting sources, the entity's class and the value's
-// hierarchy ancestors. Field order is fixed by the snapshot codec.
+// hierarchy ancestors. Field order is the one the API's JSON responses
+// carry (internal/serve).
 type Fact struct {
 	// Entity is the subject's surface name, e.g. "Film 12".
 	Entity string `json:"entity"`
@@ -280,8 +281,8 @@ func (s *Sharded) Classes() []string { return s.classes }
 
 // Facts returns every fact in canonical order, never nil. The returned
 // slice must not be modified: a one-shard store hands out its own array
-// (more shards merge into a fresh one, so this is for the codecs, Scan and
-// tests, not the serving path).
+// (more shards merge into a fresh one, so this is for re-sharding, Scan
+// and tests, not the serving path).
 func (s *Sharded) Facts() []Fact {
 	if len(s.shards) == 1 {
 		return s.shards[0].facts
