@@ -3,7 +3,8 @@
 // triple patterns with shared variables ("find entities whose director
 // also won an award"), evaluated against any store.Querier — the store at
 // any shard count, or a wrapper such as the chaos injector — through its
-// one read, Select, with byte-identical results across all of them.
+// one read, Select, and the cursor that read returns, with byte-identical
+// results across all of them.
 //
 // The design follows the janus-datalog line of work (SNIPPETS papers
 // 1–3) in two deliberate simplifications:
@@ -17,19 +18,33 @@
 //   - Streaming iterator execution. The plan runs as a left-deep chain
 //     of index-nested-loop joins: bindings flow depth-first through the
 //     clauses, each probe substituting the bound variables into a
-//     store.Pattern and pulling its cursor, fact by fact, in place. No
+//     store.Pattern and pulling a cursor, fact by fact, in place. No
 //     intermediate relation is ever materialised; peak memory is one
-//     binding row plus the result page. Joins that index probing cannot
-//     serve well — value-position equijoins (the value postings are
-//     hierarchy-inflated supersets) and clauses disconnected from the
-//     bound prefix — fall back to a hash join that builds the clause's
-//     base relation once, keyed exactly, and probes it per binding.
+//     binding row plus the result page. Where a probe reads depends on
+//     where its entity came from. The store keeps an entity's facts as one
+//     run of one shard's array and a cursor can hand out the run of the
+//     fact it just yielded, so a step that binds a variable from a fact's
+//     entity position keeps that run beside the binding, and a later probe
+//     on the variable reads inside it (store.Run.Select): no shard hash,
+//     no map probe, no new read of the store — and still one probe. A
+//     variable bound from a value or attribute position, or out of a hash
+//     bucket, has no run, and its probe opens Select on the store. Joins
+//     that index probing cannot serve well — value-position equijoins (the
+//     value postings are hierarchy-inflated supersets) and clauses
+//     disconnected from the bound prefix — fall back to a hash join that
+//     builds the clause's base relation once, keyed exactly (one key map,
+//     one offset slice, one arena), and probes it per binding.
 //
-// Execution is deterministic at any parallelism: results always arrive
-// in left-deep nested-loop order (first clause in canonical fact order,
-// probe results in canonical order per binding), and the parallel path
-// partitions the first clause's stream into fixed-size batches whose
-// decomposition does not depend on the worker count.
+// Results always arrive in left-deep nested-loop order (first clause in
+// canonical fact order, probe results in canonical order per binding), at
+// any shard count and any parallelism. The order is owed only to the rows
+// that are returned: once the page is full (Query.Limit rows) the rest of
+// the first clause's stream is only counted, so the serial path releases
+// its cursor's order (store.Cursor.Unordered) and a scatter stops merging.
+// The parallel path partitions the first clause's stream into fixed-size
+// batches — each fact with its run — whose decomposition does not depend
+// on the worker count, and never releases the order: a batch cannot know
+// whether the ones before it filled the page.
 package datalog
 
 import (

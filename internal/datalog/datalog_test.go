@@ -36,74 +36,15 @@ func layouts(facts []store.Fact) map[string]store.Querier {
 	}
 }
 
-// refEval is an independent brute-force evaluator: left-to-right
-// backtracking over store.Scan (the store's own reference read path),
-// with bound variables substituted exactly. It is the ground truth the
-// streaming executor is checked against.
+// refEval is the ground truth the streaming executor is checked against:
+// the brute-force nested loop (bruteForce, in brute_test.go) over the
+// clauses in the query's own order.
 func refEval(st *store.Sharded, q datalog.Query) [][]string {
-	sel := q.Select
-	if len(sel) == 0 {
-		sel = q.Vars()
+	plan, err := datalog.NaivePlan(q, st)
+	if err != nil {
+		panic(err)
 	}
-	env := map[string]string{}
-	var rows [][]string
-	var rec func(i int)
-	rec = func(i int) {
-		if i == len(q.Clauses) {
-			row := make([]string, len(sel))
-			for j, v := range sel {
-				row[j] = env[v]
-			}
-			rows = append(rows, row)
-			return
-		}
-		c := q.Clauses[i]
-		p := store.Pattern{Class: c.Class}
-		if !c.Entity.IsVar() {
-			p.Entity = c.Entity.Const
-		} else if v, ok := env[c.Entity.Var]; ok {
-			p.Entity = v
-		}
-		if !c.Attr.IsVar() {
-			p.Attr = c.Attr.Const
-		} else if v, ok := env[c.Attr.Var]; ok {
-			p.Attr = v
-		}
-		if !c.Value.IsVar() {
-			p.Value = c.Value.Const
-		} else if v, ok := env[c.Value.Var]; ok {
-			p.Value, p.Exact = v, true
-		}
-		for _, f := range st.Scan(p) {
-			var added []string
-			ok := true
-			for _, tf := range []struct {
-				t datalog.Term
-				v string
-			}{{c.Entity, f.Entity}, {c.Attr, f.Attr}, {c.Value, f.Value}} {
-				if !tf.t.IsVar() {
-					continue
-				}
-				if cur, bound := env[tf.t.Var]; bound {
-					if cur != tf.v {
-						ok = false
-						break
-					}
-					continue
-				}
-				env[tf.t.Var] = tf.v
-				added = append(added, tf.t.Var)
-			}
-			if ok {
-				rec(i + 1)
-			}
-			for _, v := range added {
-				delete(env, v)
-			}
-		}
-	}
-	rec(0)
-	return rows
+	return bruteForce(st.Facts(), plan, q)
 }
 
 func sortedRows(rows [][]string) [][]string {

@@ -101,14 +101,81 @@ type execStep struct {
 	subs     [3]int
 	binds    [3]int
 	checks   [3]int
+	// keepRun: the step binds its entity variable off a cursor and a later
+	// probe joins on it, so the entity's run is kept beside the binding.
+	keepRun bool
+	// inRun: the probe's entity is such a variable, so it reads inside the
+	// kept run instead of opening a read on the store.
+	inRun bool
 	// keySlot is the binding slot whose value keys the hash relation;
 	// -1 on a cross-product hash step (single bucket under "").
 	keySlot int
-	// buckets is the hash relation for StrategyHash steps: the clause's
-	// base relation grouped by exact value, facts — by reference into the
-	// store — in canonical order within each bucket so probing emits
-	// nested-loop order.
-	buckets map[string][]*store.Fact
+	// rel is the hash relation of a StrategyHash step.
+	rel relation
+}
+
+// relation is a hash step's build side: the clause's base relation grouped
+// by exact value, facts — by reference into the store — in canonical order
+// within each bucket so probing emits nested-loop order. Like the store's
+// postings it is one key map, one offset slice and one arena however many
+// keys it holds.
+type relation struct {
+	list  map[string]int32 // key → bucket number
+	off   []int32          // bucket i is arena[off[i]:off[i+1]]
+	arena []*store.Fact
+}
+
+func (r *relation) bucket(key string) []*store.Fact {
+	i, ok := r.list[key]
+	if !ok {
+		return nil
+	}
+	return r.arena[r.off[i]:r.off[i+1]]
+}
+
+// buildRelation reads the base pattern once and lays the relation out
+// count → prefix sum → fill. keyed is false on a cross product: everything
+// lands in the one bucket under "".
+func buildRelation(ctx context.Context, src store.Querier, base store.Pattern, keyed bool) (relation, error) {
+	// The stream and each fact's bucket number, at their final size at once:
+	// the estimate is an upper bound on the matches.
+	est := src.CountEstimate(base)
+	facts := make([]*store.Fact, 0, est)
+	num := make([]int32, 0, est)
+	rel := relation{list: make(map[string]int32)}
+	c := src.Select(base)
+	for f := c.Next(); f != nil; f = c.Next() {
+		k := ""
+		if keyed {
+			k = f.Value
+		}
+		i, ok := rel.list[k]
+		if !ok {
+			i = int32(len(rel.list))
+			rel.list[k] = i
+		}
+		facts, num = append(facts, f), append(num, i)
+		if len(facts)&1023 == 0 && ctx.Err() != nil {
+			return relation{}, ctx.Err()
+		}
+	}
+	// Bucket i is counted two places up, so that the prefix sum leaves its
+	// start at off[i+1] and the fill, advancing that to its end, leaves its
+	// start — the previous bucket's end — at off[i].
+	off := make([]int32, len(rel.list)+2)
+	for _, i := range num {
+		off[i+2]++
+	}
+	for i := 2; i < len(off); i++ {
+		off[i] += off[i-1]
+	}
+	rel.arena = make([]*store.Fact, len(facts))
+	for j, i := range num {
+		rel.arena[off[i+1]] = facts[j]
+		off[i+1]++
+	}
+	rel.off = off[:len(off)-1]
+	return rel, nil
 }
 
 // compile lowers the plan to executable steps and builds the hash
@@ -164,17 +231,19 @@ func compile(ctx context.Context, src store.Querier, q Query, plan *Plan) (*shar
 		}
 		if st.strategy == StrategyHash {
 			st.keySlot = st.subs[2]
-			st.buckets = make(map[string][]*store.Fact)
 			sh.buildProbes++
-			c := src.Select(st.base)
-			for f := c.Next(); f != nil; f = c.Next() {
-				k := ""
-				if st.keySlot >= 0 {
-					k = f.Value
-				}
-				st.buckets[k] = append(st.buckets[k], f)
-				if err := ctx.Err(); err != nil {
-					return nil, err
+			var err error
+			if st.rel, err = buildRelation(ctx, src, st.base, st.keySlot >= 0); err != nil {
+				return nil, err
+			}
+			continue
+		}
+		// A probe on a variable that an earlier step bound from the entity
+		// position of a cursor's fact reads in the run that step keeps.
+		if s := st.subs[0]; s >= 0 {
+			for j := range sh.steps[:i] {
+				if from := &sh.steps[j]; from.binds[0] == s && from.strategy != StrategyHash {
+					from.keepRun, st.inRun = true, true
 				}
 			}
 		}
@@ -202,6 +271,7 @@ func compile(ctx context.Context, src store.Querier, q Query, plan *Plan) (*shar
 type runner struct {
 	sh     *shared
 	row    []string
+	runs   []store.Run // beside row: the run of the entity in the slot, where a step keeps it
 	yields []func(*store.Fact) bool
 	rows   [][]string
 	total  int
@@ -214,6 +284,7 @@ func newRunner(sh *shared) *runner {
 	r := &runner{
 		sh:     sh,
 		row:    make([]string, sh.nvars),
+		runs:   make([]store.Run, sh.nvars),
 		yields: make([]func(*store.Fact) bool, len(sh.steps)),
 	}
 	last := len(sh.steps) - 1
@@ -254,24 +325,39 @@ func newRunner(sh *shared) *runner {
 	return r
 }
 
-// probe is one index read: it streams the facts matching p, in canonical
-// order and in place, into step d. It returns false when the step aborted.
-func (r *runner) probe(p store.Pattern, d int) bool {
-	r.probes++
-	c := r.sh.src.Select(p)
+// stream feeds the cursor's facts, in its order and in place, into step d.
+// It returns false when the step aborted.
+func (r *runner) stream(c *store.Cursor, d int) bool {
+	st := &r.sh.steps[d]
 	for f := c.Next(); f != nil; f = c.Next() {
+		if st.keepRun {
+			r.runs[st.binds[0]] = c.Run()
+		}
 		if !r.yields[d](f) {
 			return false
+		}
+		// The page is full: what the first clause has left is only counted,
+		// and a count needs no merge order.
+		if d == 0 && r.sh.limit > 0 && len(r.rows) >= r.sh.limit {
+			c.Unordered()
 		}
 	}
 	return true
 }
 
+// probe is one index read opened on the store: the first clause's scan,
+// and the probe of a variable no cursor bound from an entity position.
+func (r *runner) probe(p store.Pattern, d int) bool {
+	r.probes++
+	c := r.sh.src.Select(p)
+	return r.stream(&c, d)
+}
+
 // advance evaluates step d under the current binding row: substitute
-// the bound slots into the pattern and stream the matches (probe), or
-// fetch the pre-built hash bucket. Returns false only to abort on
-// context cancellation — matches are never cut short, so Total stays
-// exact.
+// the bound slots into the pattern and stream the matches — out of the
+// entity's kept run when the join is on one, off the store otherwise — or
+// fetch the pre-built hash bucket. Returns false only to abort on context
+// cancellation — matches are never cut short, so Total stays exact.
 func (r *runner) advance(d int) bool {
 	r.tick++
 	if r.tick&1023 == 0 && r.sh.ctx.Err() != nil {
@@ -285,7 +371,7 @@ func (r *runner) advance(d int) bool {
 			k = r.row[st.keySlot]
 		}
 		r.probes++
-		for _, f := range st.buckets[k] {
+		for _, f := range st.rel.bucket(k) {
 			if !r.yields[d](f) {
 				return false
 			}
@@ -293,9 +379,6 @@ func (r *runner) advance(d int) bool {
 		return true
 	}
 	p := st.base
-	if s := st.subs[0]; s >= 0 {
-		p.Entity = r.row[s]
-	}
 	if s := st.subs[1]; s >= 0 {
 		p.Attr = r.row[s]
 	}
@@ -303,6 +386,14 @@ func (r *runner) advance(d int) bool {
 		// Bound variables join on the accepted value verbatim;
 		// hierarchical generalisation applies only to constants.
 		p.Value, p.Exact = r.row[s], true
+	}
+	if st.inRun {
+		r.probes++
+		c := r.runs[st.subs[0]].Select(p)
+		return r.stream(&c, d)
+	}
+	if s := st.subs[0]; s >= 0 {
+		p.Entity = r.row[s]
 	}
 	return r.probe(p, d)
 }
@@ -332,6 +423,7 @@ func runParallel(sh *shared, workers int) (*Result, error) {
 	type batch struct {
 		seq   int
 		facts []*store.Fact
+		runs  []store.Run // each fact's entity run, when the first step keeps it
 	}
 	type batchResult struct {
 		seq    int
@@ -367,16 +459,23 @@ func runParallel(sh *shared, workers int) (*Result, error) {
 		seq := 0
 		cur := sh.src.Select(sh.steps[0].base)
 		buf := make([]*store.Fact, 0, batchSize)
+		var runs []store.Run
 		for {
 			f := cur.Next()
 			if f != nil {
 				buf = append(buf, f)
+				if sh.steps[0].keepRun {
+					if runs == nil {
+						runs = make([]store.Run, 0, batchSize)
+					}
+					runs = append(runs, cur.Run())
+				}
 			}
 			if (f == nil || len(buf) == batchSize) && len(buf) > 0 {
 				select {
-				case in <- batch{seq: seq, facts: buf}:
+				case in <- batch{seq: seq, facts: buf, runs: runs}:
 					seq++
-					buf = make([]*store.Fact, 0, batchSize)
+					buf, runs = make([]*store.Fact, 0, batchSize), nil
 				case <-sh.ctx.Done():
 					return
 				}
@@ -396,7 +495,10 @@ func runParallel(sh *shared, workers int) (*Result, error) {
 			r := newRunner(sh)
 			for b := range in {
 				r.rows, r.total, r.probes, r.err = nil, 0, 0, nil
-				for _, f := range b.facts {
+				for i, f := range b.facts {
+					if b.runs != nil {
+						r.runs[sh.steps[0].binds[0]] = b.runs[i]
+					}
 					if !r.yields[0](f) {
 						break
 					}

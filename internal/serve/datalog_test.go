@@ -368,21 +368,53 @@ func TestDatalogThroughChaosWrapper(t *testing.T) {
 		}
 	}
 
-	// Faulting only the (entity, attr) reads spares the first clause's scan
-	// and fails the probes — which, in parallel, run on worker goroutines.
-	probes := store.NewChaosController(&resilience.FaultPlan{
+	// Faults are injected where a read is opened, so failing a probe takes a
+	// probe that opens one: a join on a variable no cursor bound from an
+	// entity position. Faulting only that probe's stage spares the first
+	// clause's scan and fails the probes — which, in parallel, run on worker
+	// goroutines.
+	for _, tc := range []struct{ stage, query string }{
+		{store.ChaosStageEntity, `?f director ?d . ?d ?a ?v`},   // the entity comes from a value position
+		{store.ChaosStageLookup, `Casablanca ?a ?v . ?e ?a ?w`}, // a join on the attribute
+	} {
+		probes := store.NewChaosController(&resilience.FaultPlan{
+			Seed:   5,
+			Stages: map[string]resilience.StageFault{tc.stage: {FailProb: 1}},
+		})
+		cfg.WrapQuerier = probes.Wrap
+		faulted := httptest.NewServer(New(testStore(), obs.NewRegistry(), cfg).Handler())
+		for _, par := range []int{0, 3} {
+			body, _ := json.Marshal(map[string]any{"query": tc.query, "parallelism": par})
+			if status, got := post(plain.URL, string(body)); status != http.StatusOK {
+				t.Errorf("%s unfaulted: %d %s", body, status, got)
+			}
+			before := probes.Panics()
+			if status, got := post(faulted.URL, string(body)); status != http.StatusInternalServerError || !strings.Contains(got, `"status":500`) {
+				t.Errorf("%s with failing probes: %d %s, want the 500 envelope", body, status, got)
+			}
+			if probes.Panics() == before {
+				t.Errorf("%s: no probe was faulted: the query no longer opens a read per binding", body)
+			}
+		}
+		faulted.Close()
+	}
+
+	// A join on the first clause's entity reads inside the run its cursor
+	// handed out: no (entity, attr) read is opened, so none can be faulted.
+	triples := store.NewChaosController(&resilience.FaultPlan{
 		Seed:   5,
 		Stages: map[string]resilience.StageFault{store.ChaosStageTriples: {FailProb: 1}},
 	})
-	cfg.WrapQuerier = probes.Wrap
-	faulted := httptest.NewServer(New(testStore(), obs.NewRegistry(), cfg).Handler())
-	defer faulted.Close()
+	cfg.WrapQuerier = triples.Wrap
+	spared := httptest.NewServer(New(testStore(), obs.NewRegistry(), cfg).Handler())
+	defer spared.Close()
 	for _, body := range bodies[:2] {
-		if status, got := post(faulted.URL, body); status != http.StatusInternalServerError || !strings.Contains(got, `"status":500`) {
-			t.Errorf("%s with failing probes: %d %s, want the 500 envelope", body, status, got)
+		_, want := post(plain.URL, body)
+		if status, got := post(spared.URL, body); status != http.StatusOK || got != want {
+			t.Errorf("%s with failing (entity, attr) reads: %d %s, want the unwrapped answer", body, status, got)
 		}
 	}
-	if probes.Panics() == 0 {
-		t.Error("no probe was faulted: the queries no longer exercise the worker path")
+	if triples.Panics() != 0 {
+		t.Errorf("%d (entity, attr) reads were opened and faulted by an entity join", triples.Panics())
 	}
 }

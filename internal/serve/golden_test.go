@@ -269,6 +269,15 @@ func serveBody(t *testing.T, h http.Handler, method, target, body string) (int, 
 	return rec.Code, rec.Body.Bytes()
 }
 
+// datalogKey names a query of the fixed set in the golden files.
+func datalogKey(q datalog.Query) string {
+	key := q.String()
+	if len(q.Select) > 0 {
+		key += " | select " + strings.Join(q.Select, ",")
+	}
+	return key
+}
+
 func digestOf(c goldenCase, t *testing.T) responseDigest {
 	var q store.Querier = store.New(c.facts)
 	if c.shards > 1 {
@@ -323,10 +332,7 @@ func digestOf(c goldenCase, t *testing.T) responseDigest {
 		return body
 	}
 	for _, q := range c.datalog {
-		key := q.String()
-		if len(q.Select) > 0 {
-			key += " | select " + strings.Join(q.Select, ",")
-		}
+		key := datalogKey(q)
 		body := sha256.Sum256(post(h, q, false))
 		var all struct {
 			Total    int
@@ -373,15 +379,7 @@ func digestOf(c goldenCase, t *testing.T) responseDigest {
 // escape KB.
 func TestGoldenResponseDigest(t *testing.T) {
 	golden := map[string]responseDigest{}
-	if !*update {
-		raw, err := os.ReadFile(goldenResponsesPath)
-		if err != nil {
-			t.Fatalf("read golden digests: %v", err)
-		}
-		if err := json.Unmarshal(raw, &golden); err != nil {
-			t.Fatalf("parse %s: %v", goldenResponsesPath, err)
-		}
-	}
+	readGolden(t, goldenResponsesPath, &golden)
 	for _, c := range goldenCases(t) {
 		got := digestOf(c, t)
 		if *update {
@@ -414,13 +412,89 @@ func TestGoldenResponseDigest(t *testing.T) {
 			}
 		}
 	}
+	writeGolden(t, goldenResponsesPath, golden)
+}
+
+// readGolden loads a golden file of testdata into v; under -update the file
+// is about to be rewritten and v stays as it is.
+func readGolden(t *testing.T, path string, v any) {
+	t.Helper()
 	if *update {
-		raw, err := json.MarshalIndent(golden, "", "  ")
-		if err != nil {
-			t.Fatal(err)
+		return
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("read golden file: %v", err)
+	}
+	if err := json.Unmarshal(raw, v); err != nil {
+		t.Fatalf("parse %s: %v", path, err)
+	}
+}
+
+// writeGolden rewrites a golden file from v, under -update only.
+func writeGolden(t *testing.T, path string, v any) {
+	t.Helper()
+	if !*update {
+		return
+	}
+	raw, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, append(raw, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+const goldenProbesPath = "testdata/golden_probes.json"
+
+// TestGoldenProbes pins the executor's work, as TestGoldenResponseDigest
+// pins its answers: Result.Probes of every query of the fixed /v1/datalog
+// set, on the same KBs and layouts, must be the count checked into
+// testdata. A probe is one index read per binding wherever it is read —
+// opened on the store, taken out of a hash bucket or read inside the run a
+// cursor handed out — so a change to how a probe reads must not move the
+// count, and the parallel path must count what the serial one does. The
+// counts were recorded on the tree whose every probe opened a Select
+// (before PR 17); regenerate with -update only when a plan change is
+// intended.
+func TestGoldenProbes(t *testing.T) {
+	golden := map[string]map[string]int64{}
+	readGolden(t, goldenProbesPath, &golden)
+	ctx := context.Background()
+	for _, c := range goldenCases(t) {
+		src := store.NewSharded(c.facts, c.shards)
+		got := map[string]int64{}
+		for _, q := range c.datalog {
+			serial, err := datalog.Run(ctx, src, q, datalog.Options{})
+			if err != nil {
+				t.Fatalf("%s: datalog %s: %v", c.name, q, err)
+			}
+			parallel, err := datalog.Run(ctx, src, q, datalog.Options{Parallelism: 3})
+			if err != nil {
+				t.Fatalf("%s: datalog %s: %v", c.name, q, err)
+			}
+			if parallel.Probes != serial.Probes {
+				t.Errorf("%s: datalog %s: %d probes with three workers, %d serial", c.name, q, parallel.Probes, serial.Probes)
+			}
+			got[datalogKey(q)] = serial.Probes
 		}
-		if err := os.WriteFile(goldenResponsesPath, append(raw, '\n'), 0o644); err != nil {
-			t.Fatal(err)
+		if *update {
+			golden[c.name] = got
+			continue
+		}
+		want, ok := golden[c.name]
+		if !ok {
+			t.Fatalf("%s: no golden probes recorded", c.name)
+		}
+		if len(got) != len(want) {
+			t.Errorf("%s: %d datalog queries, %d recorded", c.name, len(got), len(want))
+		}
+		for q, n := range got {
+			if n != want[q] {
+				t.Errorf("%s: datalog %s: %d probes, recorded %d", c.name, q, n, want[q])
+			}
 		}
 	}
+	writeGolden(t, goldenProbesPath, golden)
 }

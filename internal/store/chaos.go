@@ -16,6 +16,13 @@ import (
 // "store/lookup") and may be slowed (StageFault.Latency) or blown up
 // (StageFault.FailProb) before the real store answers.
 //
+// Faults are injected where a read is opened, never while one is consumed:
+// the cursor Select hands out is the base store's own. What is read off that
+// cursor without coming back through the Querier — the entity run it hands
+// out (Cursor.Run) and every read inside that run, which is how a datalog
+// join on an entity variable probes — inherits the fate of the cursor it
+// came from: if opening that one was spared, so is everything read from it.
+//
 // Injected failures surface as panics, not error returns: the Querier
 // interface is error-free by design (reads of an immutable store cannot
 // organically fail), so a chaos failure models the only failure shape

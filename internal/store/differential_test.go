@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -124,7 +125,11 @@ type delegate struct{ Querier }
 // returns exactly what the brute-force Scan returns, and CountEstimate
 // returns the brute-force shortest postings length — on the flat store, on
 // sharded layouts (some shards empty), on both after a version-3 snapshot
-// round trip, and through a wrapper that is only a Querier.
+// round trip, and through a wrapper that is only a Querier. The same goes
+// for what a cursor offers beside Next: the entity run it hands out with
+// every fact is that entity's Lookup, a pattern read inside the run is the
+// store's read of the pattern with the entity named, and a cursor whose
+// order was released yields the same facts it would have, in some order.
 func TestReadsMatchScanOnNastyKBs(t *testing.T) {
 	kbs := 150
 	if testing.Short() {
@@ -160,8 +165,11 @@ func TestReadsMatchScanOnNastyKBs(t *testing.T) {
 			if !factsEqual(q.Scan(Pattern{}), flat.Facts()) || !factsEqual(q.Facts(), flat.Facts()) {
 				t.Fatalf("seed %d %s: facts differ from the flat store's", seed, name)
 			}
-			for _, p := range patterns {
-				checkReads(t, fmt.Sprintf("seed %d %s %#v", seed, name, p), q, flat.Facts(), p, 1+r.Intn(4))
+			for i, p := range patterns {
+				where := fmt.Sprintf("seed %d %s %#v", seed, name, p)
+				checkReads(t, where, q, flat.Facts(), p, 1+r.Intn(4))
+				checkRuns(t, where, q, p, patterns[(i+1)%len(patterns)])
+				checkUnordered(t, where, q, p, r.Intn(4))
 			}
 		}
 	}
@@ -170,15 +178,10 @@ func TestReadsMatchScanOnNastyKBs(t *testing.T) {
 func checkReads(t *testing.T, where string, q *Sharded, all []Fact, p Pattern, limit int) {
 	t.Helper()
 	want := q.Scan(p)
-	var pulled []Fact
-	cur := q.Select(p)
-	for f := cur.Next(); f != nil; f = cur.Next() {
-		pulled = append(pulled, *f)
-	}
-	if !factsEqual(pulled, want) {
+	if pulled := drain(q.Select(p)); !factsEqual(pulled, want) {
 		t.Errorf("%s: Select\n got: %+v\nwant: %+v", where, pulled, want)
 	}
-	if cur = q.Select(p); cur.Count() != len(want) {
+	if cur := q.Select(p); cur.Count() != len(want) {
 		t.Errorf("%s: Count of a fresh cursor, want %d", where, len(want))
 	}
 	for name, q := range map[string]Querier{"store": q, "delegate": delegate{q}} {
@@ -210,6 +213,78 @@ func checkReads(t *testing.T, where string, q *Sharded, all []Fact, p Pattern, l
 	}
 	if got := q.Triples(p.Entity, p.Attr); !factsEqual(got, triples) {
 		t.Errorf("%s: Triples\n got: %+v\nwant: %+v", where, got, triples)
+	}
+}
+
+// drain copies out everything the cursor has left, in its order.
+func drain(c Cursor) (out []Fact) {
+	for f := c.Next(); f != nil; f = c.Next() {
+		out = append(out, *f)
+	}
+	return out
+}
+
+// checkRuns reads p and, with every fact the cursor yields, takes the run
+// it hands out: the run is the fact's entity — all of its facts, whatever p
+// selected of them — and inside reads within it exactly what the store
+// reads for inside with that entity named, whether or not inside names one.
+func checkRuns(t *testing.T, where string, q *Sharded, p, inside Pattern) {
+	t.Helper()
+	cur := q.Select(p)
+	for f := cur.Next(); f != nil; f = cur.Next() {
+		run := cur.Run()
+		if got, want := drain(run.Select(Pattern{})), Lookup(q, Pattern{Entity: f.Entity}); !factsEqual(got, want) {
+			t.Errorf("%s: run handed out with %+v\n got: %+v\nwant: %+v", where, *f, got, want)
+		}
+		named := inside
+		named.Entity = f.Entity
+		want := Lookup(q, named)
+		if got := drain(run.Select(inside)); !factsEqual(got, want) {
+			t.Errorf("%s: %#v inside the run of %q\n got: %+v\nwant: %+v", where, inside, f.Entity, got, want)
+		}
+		if c := run.Select(inside); c.Count() != len(want) {
+			t.Errorf("%s: %#v inside the run of %q: Count of a fresh cursor, want %d", where, inside, f.Entity, len(want))
+		}
+	}
+	if got := drain((Run{}).Select(inside)); got != nil {
+		t.Errorf("%s: the zero Run yields %+v", where, got)
+	}
+}
+
+// checkUnordered takes the first facts of p in order, releases the order,
+// and requires of the rest what a consumer that only counts relies on: the
+// same facts as the ordered tail, as a multiset, and the same Count.
+func checkUnordered(t *testing.T, where string, q *Sharded, p Pattern, ordered int) {
+	t.Helper()
+	want := q.Scan(p)
+	ordered = min(ordered, len(want))
+	open := func() Cursor {
+		c := q.Select(p)
+		for i := 0; i < ordered; i++ {
+			if f := c.Next(); f == nil || !factsEqual([]Fact{*f}, want[i:i+1]) {
+				t.Fatalf("%s: ordered fact %d is %+v, want %+v", where, i, f, want[i])
+			}
+		}
+		c.Unordered()
+		return c
+	}
+	if c := open(); c.Count() != len(want)-ordered {
+		t.Errorf("%s: Count after %d facts and Unordered, want %d", where, ordered, len(want)-ordered)
+	}
+	var tail []Fact
+	c := open()
+	for f := c.Next(); f != nil; f = c.Next() {
+		if got := drain(c.Run().Select(Pattern{})); !factsEqual(got, Lookup(q, Pattern{Entity: f.Entity})) {
+			t.Errorf("%s: run handed out after Unordered with %+v is not its entity's", where, *f)
+		}
+		tail = append(tail, *f)
+	}
+	sort.Slice(tail, func(i, j int) bool { return factLess(&tail[i], &tail[j]) })
+	if !factsEqual(tail, want[ordered:]) {
+		t.Errorf("%s: after %d facts and Unordered\n got: %+v\nwant: %+v, in any order", where, ordered, tail, want[ordered:])
+	}
+	if c.Next() != nil || c.Count() != 0 {
+		t.Errorf("%s: an exhausted unordered cursor yields more", where)
 	}
 }
 

@@ -36,18 +36,35 @@ var _ Querier = (*Sharded)(nil)
 // with factLess alone is deterministic because a fact's identity key pins
 // its entity and entities are partitioned across shards; linear minimum
 // selection over the shard count beats heap bookkeeping at the 8–64 shard
-// sizes this store runs at.
+// sizes this store runs at. The merge is what the order costs, so a
+// consumer that has its ordered page says so (Unordered) and gets the rest
+// shard by shard.
+//
+// A fact sits inside its entity's run of one shard's array, and the cursor
+// knows where: Run hands that run out, to be read again (Run.Select)
+// without a hash, a map probe or another trip through the Querier — what a
+// join on the entity needs.
 //
 // Cursors are single-consumer and not safe for concurrent use: open one
-// per consumer — the store underneath is shared.
+// per consumer — the store underneath is shared. The zero Cursor is empty.
 type Cursor struct {
-	shardCursor        // the stream, when heads is nil
-	heads       []head // a scatter: one per shard
+	// The stream, when heads is nil. Of a scatter, only sh and at are used:
+	// where the fact Next last returned sits.
+	shardCursor
+	heads     []head // a scatter: one per shard
+	unordered bool   // a scatter whose consumer released the order
 }
 
 type head struct {
 	shardCursor
 	f *Fact // the shard's next match; nil: that shard is exhausted
+}
+
+// Run is one entity's facts — a run of its shard's fact array, in canonical
+// order — held as a relation of its own. The zero Run is empty.
+type Run struct {
+	sh *shard
+	span
 }
 
 // home is the one shard that holds the entity's facts.
@@ -84,6 +101,9 @@ func (c *Cursor) Next() *Fact {
 	for i := range c.heads {
 		if f := c.heads[i].f; f != nil && (best < 0 || factLess(f, c.heads[best].f)) {
 			best = i
+			if c.unordered {
+				break
+			}
 		}
 	}
 	if best < 0 {
@@ -91,8 +111,34 @@ func (c *Cursor) Next() *Fact {
 	}
 	h := &c.heads[best]
 	f := h.f
+	c.sh, c.at = h.sh, h.at
 	h.f = h.next()
 	return f
+}
+
+// Unordered releases the canonical order: the consumer has the ordered
+// prefix it needed and wants the rest only as a bag. What is left of a
+// scatter then comes shard by shard — each shard's matches still in their
+// own order, no head compared with another, exactly how Count drains —
+// and is the same multiset the ordered tail would have been. A cursor over
+// one shard has nothing to release.
+func (c *Cursor) Unordered() { c.unordered = true }
+
+// Run returns the run of the entity whose fact Next last returned. It is
+// defined only after Next has returned a fact.
+func (c *Cursor) Run() Run {
+	return Run{c.sh, c.sh.runs[c.sh.runOf[c.at]]}
+}
+
+// Select opens a cursor over the facts of the run that match p — what
+// Select(p) of the store answers once p.Entity names the run's entity,
+// which is therefore not consulted. The read stays inside the run: no
+// shard is looked up, nothing is allocated, and the order is canonical.
+func (r Run) Select(p Pattern) Cursor {
+	if r.sh == nil {
+		return Cursor{}
+	}
+	return Cursor{shardCursor: r.sh.runCursor(r.span, p)}
 }
 
 // Count drains the cursor and returns how many matches Next had not yet
@@ -161,11 +207,12 @@ func LookupN(q Querier, p Pattern, limit int) (out []Fact, total int) {
 	if c.heads == nil && c.isRun() {
 		// One run of the fact array is the answer — every entity and
 		// (entity, attr) read: one copy at its final size.
-		n := len(c.facts)
+		run := c.run()
+		n := len(run)
 		if limit > 0 && limit < n {
 			n = limit
 		}
-		return append(out, c.facts[:n]...), len(c.facts)
+		return append(out, run[:n]...), len(run)
 	}
 	for f := c.Next(); f != nil; f = c.Next() {
 		out = append(out, *f)

@@ -11,6 +11,8 @@ type shard struct {
 	facts []Fact
 
 	byEntity map[string]span // entity → its run of facts
+	runs     []span          // every entity's run, in fact order
+	runOf    []int32         // fact position → its entity's number in runs
 	byAttr   postings
 	byClass  postings // facts with an empty class are not listed
 	byValue  postings // a fact is listed under its value and each ancestor
@@ -95,14 +97,15 @@ func build(facts []Fact) *shard {
 	if facts == nil {
 		facts = []Fact{}
 	}
-	s := &shard{facts: facts}
+	s := &shard{facts: facts, runOf: make([]int32, len(facts))}
 	attrs, classes, values := newPostingsBuilder(len(facts)), newPostingsBuilder(len(facts)), newPostingsBuilder(len(facts))
-	entities := 0
 	for i := range facts {
 		f, pos := &facts[i], int32(i)
 		if i == 0 || f.Entity != facts[i-1].Entity {
-			entities++
+			s.runs = append(s.runs, span{pos, pos})
 		}
+		s.runs[len(s.runs)-1].hi = pos + 1
+		s.runOf[i] = int32(len(s.runs) - 1)
 		attrs.add(f.Attr, pos)
 		if f.Class != "" {
 			classes.add(f.Class, pos)
@@ -114,66 +117,53 @@ func build(facts []Fact) *shard {
 	}
 	s.byAttr, s.byClass, s.byValue = attrs.postings(), classes.postings(), values.postings()
 
-	s.byEntity = make(map[string]span, entities)
-	for lo := 0; lo < len(facts); {
-		hi := lo + 1
-		for hi < len(facts) && facts[hi].Entity == facts[lo].Entity {
-			hi++
-		}
-		s.byEntity[facts[lo].Entity] = span{int32(lo), int32(hi)}
-		lo = hi
+	s.byEntity = make(map[string]span, len(s.runs))
+	for _, run := range s.runs {
+		s.byEntity[facts[run.lo].Entity] = run
 	}
 	return s
 }
 
-// entityRun returns the entity's facts as a window of s.facts.
-func (s *shard) entityRun(id string) []Fact {
-	sp := s.byEntity[id]
-	return s.facts[sp.lo:sp.hi]
-}
-
 // attrRun narrows one entity's run to one attribute's facts: inside an
 // entity the canonical order is by attribute, so they are contiguous.
-func attrRun(run []Fact, attr string) []Fact {
-	lo, end := 0, len(run)
+func (s *shard) attrRun(run span, attr string) span {
+	lo, end := run.lo, run.hi
 	for lo < end {
-		if mid := int(uint(lo+end) >> 1); run[mid].Attr < attr {
+		if mid := int32(uint32(lo+end) >> 1); s.facts[mid].Attr < attr {
 			lo = mid + 1
 		} else {
 			end = mid
 		}
 	}
 	hi := lo
-	for hi < len(run) && run[hi].Attr == attr {
+	for hi < run.hi && s.facts[hi].Attr == attr {
 		hi++
 	}
-	return run[lo:hi]
+	return span{lo, hi}
 }
 
 // shardCursor is how one shard reads one pattern. A pattern that names an
 // entity, or nothing at all, reads a contiguous run of the fact array
-// (cand is nil, facts is the run). Any other walks one postings list
-// (cand, positions into facts): the shortest of the lists of the fields
-// the pattern sets, class before attribute before value on a tie. Every
-// list is in ascending position order, so which one is walked changes the
-// cost of a read and never its output. rest is what of the pattern that
-// choice does not already guarantee.
+// (cand is nil, [pos, end) are positions in sh.facts). Any other walks one
+// postings list (cand, and [pos, end) index it): the shortest of the lists
+// of the fields the pattern sets, class before attribute before value on a
+// tie. Every list is in ascending position order, so which one is walked
+// changes the cost of a read and never its output. rest is what of the
+// pattern that choice does not already guarantee. The zero value is the
+// empty stream.
 type shardCursor struct {
-	facts []Fact
-	cand  []int32
-	rest  Pattern
-	pos   int
+	sh       *shard
+	cand     []int32
+	rest     Pattern
+	pos, end int32
+	at       int32 // position in sh.facts of the fact next last returned
 }
 
 func (s *shard) cursor(q Pattern) shardCursor {
-	c := shardCursor{rest: q}
 	if q.Entity != "" {
-		c.facts, c.rest.Entity = s.entityRun(q.Entity), ""
-		if q.Attr != "" {
-			c.facts, c.rest.Attr = attrRun(c.facts, q.Attr), ""
-		}
-		return c
+		return s.runCursor(s.byEntity[q.Entity], q)
 	}
+	c := shardCursor{sh: s, rest: q}
 	// drop is the residual field the walked list makes redundant.
 	var drop *string
 	if q.Class != "" {
@@ -190,7 +180,7 @@ func (s *shard) cursor(q Pattern) shardCursor {
 		}
 	}
 	if drop == nil {
-		c.facts = s.facts
+		c.end = int32(len(s.facts))
 		return c
 	}
 	// The by-value postings already encode the hierarchy semantics (facts
@@ -201,34 +191,49 @@ func (s *shard) cursor(q Pattern) shardCursor {
 	if drop != &c.rest.Value || !q.Exact {
 		*drop = ""
 	}
-	if c.cand != nil {
-		c.facts = s.facts
-	}
+	c.end = int32(len(c.cand)) // no list under that key: the empty run
 	return c
 }
 
-// size is the number of facts the cursor visits before filtering.
-func (c *shardCursor) size() int {
-	if c.cand != nil {
-		return len(c.cand)
+// runCursor reads q inside one entity's run: the run is the entity, so
+// q.Entity is not consulted, and an attribute narrows the run further.
+func (s *shard) runCursor(run span, q Pattern) shardCursor {
+	c := shardCursor{sh: s, rest: q}
+	c.rest.Entity = ""
+	if q.Attr != "" {
+		run, c.rest.Attr = s.attrRun(run, q.Attr), ""
 	}
-	return len(c.facts)
+	c.pos, c.end = run.lo, run.hi
+	return c
 }
 
+// size is the number of facts the cursor has left to visit, before
+// filtering.
+func (c *shardCursor) size() int { return int(c.end - c.pos) }
+
 // isRun reports whether what is left of the cursor is one run of the fact
-// array with nothing to filter: facts[pos:] is the answer.
+// array with nothing to filter: run() is the answer.
 func (c *shardCursor) isRun() bool { return c.cand == nil && c.rest == (Pattern{}) }
+
+// run is the window of the fact array an isRun cursor has left.
+func (c *shardCursor) run() []Fact {
+	if c.sh == nil {
+		return nil
+	}
+	return c.sh.facts[c.pos:c.end]
+}
 
 // next returns the next matching fact in place — a pointer into the
 // shard's immutable fact array — or nil when the stream is exhausted.
 func (c *shardCursor) next() *Fact {
-	for n := c.size(); c.pos < n; {
+	for c.pos < c.end {
 		i := c.pos
 		if c.cand != nil {
-			i = int(c.cand[i])
+			i = c.cand[i]
 		}
 		c.pos++
-		if f := &c.facts[i]; matches(f, &c.rest) {
+		if f := &c.sh.facts[i]; matches(f, &c.rest) {
+			c.at = i
 			return f
 		}
 	}
@@ -238,8 +243,8 @@ func (c *shardCursor) next() *Fact {
 // count drains the cursor and returns how many matches it had left.
 func (c *shardCursor) count() int {
 	if c.isRun() {
-		n := len(c.facts) - c.pos
-		c.pos = len(c.facts)
+		n := c.size()
+		c.pos = c.end
 		return n
 	}
 	n := 0

@@ -14,7 +14,10 @@
 // into n independently indexed shards, read through one primitive — Select
 // opens a Cursor over the facts matching a Pattern — plus CountEstimate,
 // the free selectivity bound the indexes give (see Querier). A flat store
-// is the one-shard case, not another implementation.
+// is the one-shard case, not another implementation. A cursor also knows
+// where it is: it hands out the run of the entity whose fact it last
+// yielded, and a pattern can be read again inside that run (Run.Select)
+// without going back through the store — a join on the entity.
 //
 // Inside a shard the facts are kept sorted in the canonical (entity,
 // attribute, value, class) order, and that order is the first index: an
