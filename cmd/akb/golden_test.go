@@ -30,22 +30,12 @@ func captureStdout(t *testing.T, fn func() error) ([]byte, error) {
 	return data, runErr
 }
 
-// runGolden runs one printer of TestGoldenExperimentOutput for seed 1.
-func runGolden(name string) error {
-	for _, c := range commands() {
-		if c.name == name {
-			return c.run([]string{"-seed", "1"})
-		}
-	}
-	return os.ErrNotExist
-}
-
 // TestGoldenExperimentOutput pins the stdout of the ten deterministic
 // experiment printers and of `akb pipeline` for seed 1. The digests were
 // recorded on the tree where each printer was its own top-level command
-// with its own cmd* function (PR 18's first commit), so a green run proves
-// the experiment table prints the same bytes. -short runs the three
-// instant paper tables only.
+// with its own cmd* function (PR 18's first commit, which ran them through
+// commands()), so a green run proves the experiment table prints the same
+// bytes. -short runs the three instant paper tables only.
 func TestGoldenExperimentOutput(t *testing.T) {
 	golden := []struct{ name, sha256 string }{
 		{"table1", "e3c7cd5babda0c7cbeb715cffcf7bba7aafe0b595bb8067e44b0d5ffd31f6a0a"},
@@ -64,7 +54,7 @@ func TestGoldenExperimentOutput(t *testing.T) {
 		golden = golden[:3]
 	}
 	for _, g := range golden {
-		out, err := captureStdout(t, func() error { return runGolden(g.name) })
+		out, err := captureStdout(t, func() error { return cmdExp([]string{g.name, "-seed", "1"}) })
 		if err != nil {
 			t.Errorf("%s: %v", g.name, err)
 			continue

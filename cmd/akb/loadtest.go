@@ -19,8 +19,8 @@ import (
 )
 
 // cmdLoadtest drives a running `akb serve` instance with a configurable
-// request mix and reports latency percentiles, throughput and shed rate
-// as a machine-readable JSON artifact (BENCH_load.json by default).
+// request mix and reports latency percentiles, throughput and shed rate:
+// a summary on stdout and, with -out, a machine-readable JSON report.
 //
 // Two generator modes share the same workers and bookkeeping:
 //
@@ -48,7 +48,7 @@ func cmdLoadtest(args []string) error {
 	timeout := fs.Duration("timeout", 5*time.Second, "per-request client timeout")
 	seed := fs.Int64("seed", 1, "seed for target selection, making runs reproducible")
 	warmup := fs.Duration("warmup", 500*time.Millisecond, "untimed warmup before the measurement window")
-	outPath := fs.String("out", "BENCH_load.json", "write the JSON report here (empty: stdout summary only)")
+	outPath := fs.String("out", "", "write the JSON report here (default: stdout summary only)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -361,7 +361,7 @@ loop:
 	g.mu.Unlock()
 }
 
-// LoadReport is the BENCH_load.json shape. Latencies are milliseconds.
+// LoadReport is the shape of the -out file. Latencies are milliseconds.
 type LoadReport struct {
 	Target        string           `json:"target"`
 	Mode          string           `json:"mode"` // "closed" or "open"

@@ -39,7 +39,7 @@ func TestLoadtestClosedLoop(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	out := filepath.Join(t.TempDir(), "BENCH_load.json")
+	out := filepath.Join(t.TempDir(), "load.json")
 	err := cmdLoadtest([]string{
 		"-url", ts.URL, "-duration", "300ms", "-warmup", "50ms",
 		"-conns", "4", "-out", out,
@@ -80,7 +80,7 @@ func TestLoadtestOpenLoop(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	out := filepath.Join(t.TempDir(), "BENCH_load.json")
+	out := filepath.Join(t.TempDir(), "load.json")
 	err := cmdLoadtest([]string{
 		"-url", ts.URL, "-duration", "400ms", "-warmup", "0",
 		"-rps", "100", "-conns", "4", "-mix", "2:1:1", "-out", out,

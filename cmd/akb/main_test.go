@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -9,39 +10,130 @@ import (
 	"akb/internal/store"
 )
 
+// TestFastCommandsRun smoke-tests the CLI plumbing of every experiment in
+// the table (the experiments package tests what they compute). -short
+// keeps the three instant paper tables.
 func TestFastCommandsRun(t *testing.T) {
-	// The heavyweight experiment commands are exercised by the experiments
-	// package; here we smoke-test the CLI plumbing with the fast ones.
-	for _, c := range []struct {
-		name string
-		run  func([]string) error
-		args []string
-	}{
-		{"table1", cmdTable1, nil},
-		{"table2", cmdTable2, nil},
-		{"table3", cmdTable3, []string{"-scale", "2000"}},
-	} {
-		if err := c.run(c.args); err != nil {
-			t.Errorf("%s: %v", c.name, err)
+	for _, e := range experimentTable {
+		if testing.Short() && !strings.HasPrefix(e.name, "table") {
+			continue
+		}
+		out, err := captureStdout(t, func() error { return cmdExp([]string{e.name}) })
+		if err != nil || len(out) == 0 {
+			t.Errorf("exp %s: %d bytes, err %v", e.name, len(out), err)
 		}
 	}
 }
 
+// TestCommandRegistry checks both tables are well-formed: commands() and
+// the experiment table it reaches through `akb exp`.
 func TestCommandRegistry(t *testing.T) {
 	seen := map[string]bool{}
 	for _, c := range commands() {
-		if c.name == "" || c.brief == "" || c.run == nil {
-			t.Errorf("incomplete command %+v", c)
-		}
-		if seen[c.name] {
-			t.Errorf("duplicate command %q", c.name)
+		if c.name == "" || c.brief == "" || c.run == nil || seen[c.name] {
+			t.Errorf("incomplete or duplicate command %+v", c)
 		}
 		seen[c.name] = true
 	}
-	for _, want := range []string{"table1", "table2", "table3", "pipeline", "fusion", "ablation", "export", "chaos", "all"} {
-		if !seen[want] {
-			t.Errorf("command %q missing", want)
+	if len(seen) != 11 || !seen["exp"] {
+		t.Errorf("%d commands, want 11 with exp among them: %v", len(seen), seen)
+	}
+	exps := map[string]bool{"all": true}
+	for _, e := range experimentTable {
+		if e.name == "" || e.number == "" || e.label == "" || exps[e.name] {
+			t.Errorf("incomplete or duplicate experiment %+v", e)
 		}
+		exps[e.name] = true
+		if table := e.title != "" && len(e.header) > 0 && e.rows != nil; table == (e.print != nil) {
+			t.Errorf("experiment %s must be either a table or a printer", e.name)
+		}
+		// An experiment is not a command: the old top-level names are gone.
+		if seen[e.name] && e.name != "pipeline" {
+			t.Errorf("experiment %q is also a top-level command", e.name)
+		}
+	}
+}
+
+// TestExpDispatch pins the exit codes around `akb exp`: a name outside the
+// table is a usage error (exit 2) that lists the table, and the old
+// top-level experiment commands are unknown commands.
+func TestExpDispatch(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		code int
+	}{
+		{[]string{"exp", "nosuch"}, 2}, {[]string{"exp"}, 2}, {[]string{"table1"}, 2}, {[]string{"all"}, 2}, {nil, 2},
+		{[]string{"exp", "table1", "-bogus"}, 1},
+		{[]string{"exp", "table1"}, 0},
+	} {
+		if code := run(c.args); code != c.code {
+			t.Errorf("akb %v exited %d, want %d", c.args, code, c.code)
+		}
+	}
+	err := cmdExp([]string{"nosuch"})
+	for _, e := range experimentTable {
+		if err == nil || !strings.Contains(err.Error(), e.name) {
+			t.Fatalf("exp nosuch does not list %q: %v", e.name, err)
+		}
+	}
+}
+
+// TestExpFlagsBelongToTheirExperiment: an experiment's own flag is taken
+// by `akb exp <that name>` and by nothing else, `all` included (the old
+// `akb all -scale 50` handed -scale to table1 and died there).
+func TestExpFlagsBelongToTheirExperiment(t *testing.T) {
+	out, err := captureStdout(t, func() error { return cmdExp([]string{"table3", "-scale", "2000"}) })
+	if err != nil || !strings.Contains(string(out), "records scaled 1/2000") {
+		t.Errorf("exp table3 -scale 2000: err %v, output %q", err, out)
+	}
+	for _, args := range [][]string{
+		{"all", "-scale", "50"},
+		{"all", "-buckets", "4"},
+		{"table1", "-scale", "50"},
+		{"calibration", "-scale", "50"},
+	} {
+		out, err := captureStdout(t, func() error { return cmdExp(args) })
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") || len(out) != 0 {
+			t.Errorf("exp %v: %d bytes printed, err %v; want nothing and an undefined-flag error", args, len(out), err)
+		}
+	}
+}
+
+// TestExpAllPassesSeedToEveryExperiment: `akb exp all -seed 7` prints,
+// under each experiment's heading and in table order, exactly what
+// `akb exp <name> -seed 7` prints. E14 comes last and its columns are
+// wall-clock, so the comparison stops at its title line.
+func TestExpAllPassesSeedToEveryExperiment(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every experiment twice")
+	}
+	all, err := captureStdout(t, func() error { return cmdExp([]string{"all", "-seed", "7"}) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want strings.Builder
+	for i, e := range experimentTable {
+		if i > 0 {
+			want.WriteString("\n")
+		}
+		fmt.Fprintf(&want, "=== %s: %s ===\n", e.number, e.label)
+		if e.name == "scale" {
+			want.WriteString(e.title + "\n")
+			break
+		}
+		out, err := captureStdout(t, func() error { return cmdExp([]string{e.name, "-seed", "7"}) })
+		if err != nil {
+			t.Fatalf("exp %s -seed 7: %v", e.name, err)
+		}
+		want.Write(out)
+	}
+	if !strings.HasPrefix(string(all), want.String()) {
+		t.Errorf("`exp all -seed 7` is not its experiments' own output under their headings:\n%s", all)
+	}
+	// The comparison has teeth only where the seed shows in the output.
+	seed1, err := captureStdout(t, func() error { return cmdExp([]string{"temporal"}) })
+	if err != nil || strings.Contains(string(all), string(seed1)) {
+		t.Errorf("`exp all -seed 7` printed seed 1's temporal table (err %v)", err)
 	}
 }
 
@@ -161,9 +253,6 @@ func TestChaosServeCommand(t *testing.T) {
 }
 
 func TestFlagErrors(t *testing.T) {
-	if err := cmdTable1([]string{"-bogus"}); err == nil {
-		t.Error("bogus flag accepted")
-	}
 	if err := cmdPipeline([]string{"-faults", "not-a-plan"}); err == nil {
 		t.Error("malformed fault plan accepted")
 	}

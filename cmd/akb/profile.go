@@ -7,33 +7,29 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
-	"sort"
-	"strconv"
 	"time"
 
 	"akb/internal/core"
-	"akb/internal/eval"
 	"akb/internal/obs"
 )
 
-// cmdProfile runs the pipeline under the Go profilers and correlates
-// the result with the obs stage spans — the tooling the ROADMAP's "make
-// pipeline parallelism actually pay" item needs: BENCH_parallel.json
-// says parallelism loses (~0.95x), the stage spans say where the time
-// goes per stage, and the pprof files say where it goes per function.
+// cmdProfile runs the pipeline under the Go profilers with the obs stage
+// spans recording beside them: the spans say where a run's time goes per
+// stage, the pprof files say where it goes per function.
 //
 // It writes into -out:
 //
 //	cpu.pprof    CPU profile across all -runs pipeline executions
 //	heap.pprof   post-run heap profile (after a GC, so live objects)
-//	stages.json  the per-stage attribution table, machine-readable
+//	report.json  the RunReport of those executions, the file `akb report`
+//	             renders (one row per stage span, so -runs 2 lists each
+//	             stage twice)
 //
-// and prints the attribution table: per stage, total wall time across
-// runs, share of summed stage time, attempts and statements. Inspect
-// the profiles with `go tool pprof <file>`.
+// and prints that report's per-stage table. Inspect the profiles with
+// `go tool pprof <file>`.
 func cmdProfile(args []string) error {
 	fs, seed := newFlagSet("profile")
-	outDir := fs.String("out", "profile", "directory for cpu.pprof, heap.pprof and stages.json")
+	outDir := fs.String("out", "profile", "directory for cpu.pprof, heap.pprof and report.json")
 	parallel := fs.Int("parallel", 0, "DAG-scheduler parallelism for the profiled runs (0 or 1: serial)")
 	runs := fs.Int("runs", 1, "pipeline executions under the profiler (more runs, more CPU samples)")
 	if err := fs.Parse(args); err != nil {
@@ -100,92 +96,14 @@ func cmdProfile(args []string) error {
 	if err != nil {
 		return err
 	}
-	costs := profileAttribution(rr)
-	if err := writeJSONFile(filepath.Join(*outDir, "stages.json"), struct {
-		Runs       int         `json:"runs"`
-		Parallel   int         `json:"parallel"`
-		WallNS     int64       `json:"wall_ns"`
-		Stages     []stageCost `json:"stages"`
-		CPUProfile string      `json:"cpu_profile"`
-		Heap       string      `json:"heap_profile"`
-	}{*runs, *parallel, wall.Nanoseconds(), costs, cpuPath, heapPath}); err != nil {
+	reportPath := filepath.Join(*outDir, "report.json")
+	if err := writeJSONFile(reportPath, rr); err != nil {
 		return err
 	}
 
 	fmt.Printf("Profiled %d run(s), parallel=%d, wall %s\n", *runs, *parallel, wall.Round(time.Millisecond))
-	fmt.Println("\nPer-stage attribution (stage spans across all runs):")
-	fmt.Print(eval.FormatTable(
-		[]string{"Stage", "Total", "Share", "Spans", "Statements"}, attributionRows(costs)))
-	fmt.Printf("\nProfiles: %s, %s (inspect with `go tool pprof <file>`); table in %s\n",
-		cpuPath, heapPath, filepath.Join(*outDir, "stages.json"))
+	printStageTable(rr)
+	fmt.Printf("\nProfiles: %s, %s (inspect with `go tool pprof <file>`); RunReport: %s (render with `akb report %s`)\n",
+		cpuPath, heapPath, reportPath, reportPath)
 	return nil
-}
-
-// stageCost aggregates every span a stage produced across the profiled
-// runs.
-type stageCost struct {
-	Stage      string  `json:"stage"`
-	DurationNS int64   `json:"duration_ns"`
-	Share      float64 `json:"share"`
-	Spans      int     `json:"spans"`
-	Statements int     `json:"statements,omitempty"`
-}
-
-// profileAttribution folds a RunReport's stage spans into per-stage
-// totals, ordered by descending cost (ties by name, so output is
-// deterministic). Share is each stage's fraction of summed stage time —
-// the quantity to compare against pprof's per-function view.
-func profileAttribution(rr *obs.RunReport) []stageCost {
-	byName := map[string]*stageCost{}
-	order := []string{}
-	for _, span := range stageSpans(rr) {
-		c, ok := byName[span.Name]
-		if !ok {
-			c = &stageCost{Stage: span.Name}
-			byName[span.Name] = c
-			order = append(order, span.Name)
-		}
-		c.DurationNS += span.DurationNS
-		c.Spans++
-		if n, ok := stageStatements(rr, span); ok {
-			c.Statements = n
-		}
-	}
-	var total int64
-	for _, name := range order {
-		total += byName[name].DurationNS
-	}
-	out := make([]stageCost, 0, len(order))
-	for _, name := range order {
-		c := *byName[name]
-		if total > 0 {
-			c.Share = float64(c.DurationNS) / float64(total)
-		}
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].DurationNS != out[j].DurationNS {
-			return out[i].DurationNS > out[j].DurationNS
-		}
-		return out[i].Stage < out[j].Stage
-	})
-	return out
-}
-
-func attributionRows(costs []stageCost) [][]string {
-	rows := make([][]string, 0, len(costs))
-	for _, c := range costs {
-		stmts := "-"
-		if c.Statements > 0 {
-			stmts = strconv.Itoa(c.Statements)
-		}
-		rows = append(rows, []string{
-			c.Stage,
-			time.Duration(c.DurationNS).Round(10 * time.Microsecond).String(),
-			fmt.Sprintf("%.1f%%", c.Share*100),
-			strconv.Itoa(c.Spans),
-			stmts,
-		})
-	}
-	return rows
 }

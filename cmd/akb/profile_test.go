@@ -1,87 +1,30 @@
 package main
 
 import (
-	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"akb/internal/obs"
 )
 
-// TestProfileAttribution folds a hand-built RunReport and checks the
-// per-stage totals, shares, ordering and statement extraction.
-func TestProfileAttribution(t *testing.T) {
-	rr := &obs.RunReport{Spans: []obs.SpanReport{
-		// Two runs of "extract": 300ns total across 2 spans, statements
-		// on a child attempt span.
-		{ID: 1, Name: "extract", DurationNS: 100},
-		{ID: 2, Parent: 1, Name: "attempt", DurationNS: 90, Attrs: map[string]string{"statements": "40"}},
-		{ID: 3, Name: "extract", DurationNS: 200},
-		{ID: 4, Parent: 3, Name: "attempt", DurationNS: 190, Attrs: map[string]string{"statements": "42"}},
-		// One "fuse" run, statements on the stage span itself.
-		{ID: 5, Name: "fuse", DurationNS: 700, Attrs: map[string]string{"statements": "7"}},
-		// A stage with no statements annotation at all.
-		{ID: 6, Name: "load", DurationNS: 700},
-	}}
-
-	costs := profileAttribution(rr)
-	if len(costs) != 3 {
-		t.Fatalf("got %d stages, want 3: %+v", len(costs), costs)
-	}
-	// Sorted by descending duration, ties by name: fuse=700, load=700, extract=300.
-	wantOrder := []string{"fuse", "load", "extract"}
-	for i, name := range wantOrder {
-		if costs[i].Stage != name {
-			t.Fatalf("order[%d] = %q, want %q (all: %+v)", i, costs[i].Stage, name, costs)
-		}
-	}
-	ex := costs[2]
-	if ex.DurationNS != 300 || ex.Spans != 2 {
-		t.Errorf("extract = %+v, want 300ns over 2 spans", ex)
-	}
-	if ex.Statements != 42 {
-		t.Errorf("extract statements = %d, want 42 (latest attempt wins)", ex.Statements)
-	}
-	if costs[0].Statements != 7 {
-		t.Errorf("fuse statements = %d, want 7", costs[0].Statements)
-	}
-	if costs[1].Statements != 0 {
-		t.Errorf("load statements = %d, want 0 (none annotated)", costs[1].Statements)
-	}
-	var total float64
-	for _, c := range costs {
-		total += c.Share
-	}
-	if total < 0.999 || total > 1.001 {
-		t.Errorf("shares sum to %v, want 1", total)
-	}
-	// 300/1700 for extract.
-	if got, want := ex.Share, 300.0/1700.0; got != want {
-		t.Errorf("extract share = %v, want %v", got, want)
-	}
-}
-
-func TestProfileAttributionEmpty(t *testing.T) {
-	if costs := profileAttribution(&obs.RunReport{}); len(costs) != 0 {
-		t.Errorf("empty report produced %+v", costs)
-	}
-	if rows := attributionRows(nil); len(rows) != 0 {
-		t.Errorf("nil costs produced rows %v", rows)
-	}
-}
-
 // TestProfileCommand runs akb profile end to end and checks the three
-// artifacts exist and the attribution covers the pipeline stages.
+// artifacts exist and that report.json is a RunReport `akb report` reads,
+// with a span per pipeline stage per run.
 func TestProfileCommand(t *testing.T) {
 	if testing.Short() {
 		t.Skip("profiled pipeline run in -short")
 	}
 	dir := filepath.Join(t.TempDir(), "prof")
-	if err := cmdProfile([]string{"-out", dir, "-runs", "1"}); err != nil {
+	out, err := captureStdout(t, func() error { return cmdProfile([]string{"-out", dir, "-runs", "2"}) })
+	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"cpu.pprof", "heap.pprof", "stages.json"} {
+	if !strings.Contains(string(out), "Per-stage telemetry:") {
+		t.Errorf("profile did not print the per-stage table:\n%s", out)
+	}
+	for _, name := range []string{"cpu.pprof", "heap.pprof", "report.json"} {
 		fi, err := os.Stat(filepath.Join(dir, name))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -90,33 +33,32 @@ func TestProfileCommand(t *testing.T) {
 			t.Errorf("%s is empty", name)
 		}
 	}
-	raw, err := os.ReadFile(filepath.Join(dir, "stages.json"))
+	f, err := os.Open(filepath.Join(dir, "report.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out struct {
-		Runs   int         `json:"runs"`
-		WallNS int64       `json:"wall_ns"`
-		Stages []stageCost `json:"stages"`
+	defer f.Close()
+	rr, err := obs.ReadRunReport(f)
+	if err != nil {
+		t.Fatalf("report.json: %v", err)
 	}
-	if err := json.Unmarshal(raw, &out); err != nil {
-		t.Fatalf("stages.json: %v", err)
+	if rr.DurationNS <= 0 {
+		t.Errorf("duration_ns = %d, want positive wall time", rr.DurationNS)
 	}
-	if out.Runs != 1 || out.WallNS <= 0 {
-		t.Errorf("runs=%d wall_ns=%d, want 1 run with positive wall time", out.Runs, out.WallNS)
-	}
-	if len(out.Stages) == 0 {
-		t.Fatal("no stages attributed")
-	}
-	names := map[string]bool{}
-	for _, c := range out.Stages {
-		names[c.Stage] = true
-		if c.DurationNS < 0 || c.Spans < 1 {
-			t.Errorf("stage %q has duration %d over %d spans", c.Stage, c.DurationNS, c.Spans)
+	fusion := 0
+	for _, span := range stageSpans(rr) {
+		if span.DurationNS < 0 {
+			t.Errorf("stage %q has duration %d", span.Name, span.DurationNS)
+		}
+		if span.Name == "fusion" {
+			fusion++
 		}
 	}
-	if !names["fusion"] {
-		t.Errorf("pipeline attribution missing the fusion stage: %v", names)
+	if fusion != 2 {
+		t.Errorf("%d fusion stage spans over 2 profiled runs, want 2", fusion)
+	}
+	if _, err := captureStdout(t, func() error { return cmdReport([]string{filepath.Join(dir, "report.json")}) }); err != nil {
+		t.Errorf("akb report on profile's report.json: %v", err)
 	}
 }
 

@@ -52,6 +52,37 @@ func cmdReport(args []string) error {
 		}
 	}
 
+	printStageTable(rr)
+
+	if erows := executorRows(rr); len(erows) > 0 {
+		fmt.Println("\nExecutor (mapreduce chunks; quantiles estimated from histogram buckets):")
+		fmt.Print(eval.FormatTable([]string{"Histogram", "Count", "Mean", "~p50", "~p99"}, erows))
+	}
+
+	if *metricsOn && len(rr.Metrics) > 0 {
+		fmt.Println("\nMetrics:")
+		mrows := make([][]string, 0, len(rr.Metrics))
+		for _, m := range rr.Metrics {
+			switch m.Kind {
+			case "histogram":
+				mean := "-"
+				if m.Count > 0 {
+					mean = fmt.Sprintf("%.6f", m.Sum/float64(m.Count))
+				}
+				mrows = append(mrows, []string{m.Name, m.Kind,
+					fmt.Sprintf("count=%d sum=%.6f mean=%s", m.Count, m.Sum, mean)})
+			default:
+				mrows = append(mrows, []string{m.Name, m.Kind, formatMetricValue(m.Value)})
+			}
+		}
+		fmt.Print(eval.FormatTable([]string{"Metric", "Kind", "Value"}, mrows))
+	}
+	return nil
+}
+
+// printStageTable prints the CLI's one per-stage table: a row per stage
+// span with its duration, attempts, health, statements and throughput.
+func printStageTable(rr *obs.RunReport) {
 	fmt.Println("\nPer-stage telemetry:")
 	rows := make([][]string, 0)
 	for _, span := range stageSpans(rr) {
@@ -78,31 +109,6 @@ func cmdReport(args []string) error {
 	}
 	fmt.Print(eval.FormatTable(
 		[]string{"Stage", "Duration", "Attempts", "Health", "Statements", "Stmts/sec", "Error"}, rows))
-
-	if erows := executorRows(rr); len(erows) > 0 {
-		fmt.Println("\nExecutor (mapreduce chunks; quantiles estimated from histogram buckets):")
-		fmt.Print(eval.FormatTable([]string{"Histogram", "Count", "Mean", "~p50", "~p99"}, erows))
-	}
-
-	if *metricsOn && len(rr.Metrics) > 0 {
-		fmt.Println("\nMetrics:")
-		mrows := make([][]string, 0, len(rr.Metrics))
-		for _, m := range rr.Metrics {
-			switch m.Kind {
-			case "histogram":
-				mean := "-"
-				if m.Count > 0 {
-					mean = fmt.Sprintf("%.6f", m.Sum/float64(m.Count))
-				}
-				mrows = append(mrows, []string{m.Name, m.Kind,
-					fmt.Sprintf("count=%d sum=%.6f mean=%s", m.Count, m.Sum, mean)})
-			default:
-				mrows = append(mrows, []string{m.Name, m.Kind, formatMetricValue(m.Value)})
-			}
-		}
-		fmt.Print(eval.FormatTable([]string{"Metric", "Kind", "Value"}, mrows))
-	}
-	return nil
 }
 
 // stageSpans returns the spans that represent supervised stages. In a

@@ -142,8 +142,9 @@ func TaskLatencyBuckets() []float64 {
 
 // ServeLatencyBuckets returns the HTTP route latency bounds in seconds.
 // The indexed store answers most routes in tens of microseconds
-// (BENCH_serve.json), so the default LatencyBuckets — which start at
-// 100µs — collapsed nearly every observation into the first bucket.
+// (req_p50_us in bench/baseline.json), so the default LatencyBuckets —
+// which start at 100µs — collapsed nearly every observation into the
+// first bucket.
 // These bounds start at 10µs and stay log-spaced up to 5s so both the
 // fast path and timeout-bound stragglers resolve.
 func ServeLatencyBuckets() []float64 {

@@ -250,8 +250,8 @@ func (s *Sharded) Triples(entity, attr string) []Fact {
 }
 
 // Scan answers a pattern by brute force over every fact. It is the
-// reference semantics of Select — tests assert equivalence and the
-// BenchmarkStoreLookup baseline measures the index advantage against it.
+// reference semantics of Select: tests assert equivalence against it and
+// TestIndexReadsATenthOfTheStore counts the index's work against its.
 func (s *Sharded) Scan(p Pattern) []Fact {
 	var out []Fact
 	facts := s.Facts()

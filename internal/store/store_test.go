@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -217,10 +218,48 @@ func TestConcurrentReaders(t *testing.T) {
 	wg.Wait()
 }
 
+// TestIndexReadsATenthOfTheStore is the index-vs-scan criterion in counted
+// work: on the default seed-1 pipeline KB held in one shard, every query of
+// a representative mix — point lookups, a per-class sweep, a value match
+// and a hierarchy-ancestor match — walks a candidate list at most a tenth
+// of the store (CountEstimate is the length of the list the cursor walks,
+// TestCursorWalksShortestList) and answers exactly what the full scan does.
+func TestIndexReadsATenthOfTheStore(t *testing.T) {
+	if testing.Short() {
+		t.Skip("pipeline run in -short")
+	}
+	res, err := core.New().Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(ResultFacts(res))
+	facts := s.Facts()
+	anc := slices.IndexFunc(facts, func(f Fact) bool { return len(f.Ancestors) > 0 })
+	if anc < 0 {
+		t.Fatal("no fact with hierarchy ancestors in the default KB")
+	}
+	ent, attr := facts[0].Entity, facts[0].Attr
+	for _, p := range []Pattern{
+		{Entity: ent},
+		{Entity: ent, Attr: attr},
+		{Class: s.Classes()[0], Attr: attr},
+		{Attr: attr, Value: facts[0].Value},
+		{Value: facts[anc].Ancestors[len(facts[anc].Ancestors)-1]},
+	} {
+		got, want, est := s.Lookup(p), s.Scan(p), s.CountEstimate(p)
+		if len(got) == 0 || len(got) != len(want) {
+			t.Errorf("%+v: Lookup returned %d facts, Scan %d", p, len(got), len(want))
+		}
+		if est < len(got) || est*10 > s.Len() {
+			t.Errorf("%+v: index walks %d candidates for %d matches in a store of %d, want at most a tenth",
+				p, est, len(got), s.Len())
+		}
+	}
+}
+
 func BenchmarkLookupVsScanSmall(b *testing.B) {
-	// A quick sanity benchmark on synthetic data; the real criterion
-	// benchmark (BenchmarkStoreLookup) runs on pipeline-scale data at the
-	// repo root and writes BENCH_serve.json.
+	// A quick sanity benchmark on synthetic data; the criterion itself is
+	// TestIndexReadsATenthOfTheStore, in counted work.
 	facts := make([]Fact, 0, 5000)
 	for i := 0; i < 5000; i++ {
 		facts = append(facts, Fact{
