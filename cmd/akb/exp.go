@@ -168,6 +168,7 @@ func cells[R any](rs []R, row func(R) []string) [][]string {
 	return out
 }
 
+// Cell formatters, named after the verbs they stand for: %d, %.1f, %.3f.
 func d(n int) string      { return strconv.Itoa(n) }
 func f1(x float64) string { return strconv.FormatFloat(x, 'f', 1, 64) }
 func f3(x float64) string { return strconv.FormatFloat(x, 'f', 3, 64) }

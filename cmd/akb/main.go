@@ -89,7 +89,7 @@ func usage() {
 		fmt.Fprintf(w, "  %s\t%s\n", c.name, c.brief)
 	}
 	w.Flush()
-	fmt.Fprintln(os.Stderr, "\nThe experiments (table1, fusion, scale, ...) run under `akb exp`.")
+	fmt.Fprintln(os.Stderr, "\nThe experiments E1-E14 are not commands: `akb exp` lists them.")
 }
 
 // newFlagSet builds a flag set with the shared -seed flag.
