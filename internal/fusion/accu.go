@@ -34,7 +34,7 @@ type Accu struct {
 	// InitialAccuracy seeds source accuracy (default 0.8, as in the
 	// literature when no gold standard is available).
 	InitialAccuracy float64
-	// Workers configures map-reduce parallelism.
+	// Workers bounds the per-item fan-out (0 = GOMAXPROCS).
 	Workers int
 	// Obs optionally records executor telemetry into the registry.
 	Obs *obs.Registry
@@ -83,12 +83,9 @@ func (a *Accu) Fuse(c *Claims) *Result {
 
 	for iter := 0; iter < iters; iter++ {
 		// E-step: per-item value probabilities given source accuracies.
-		// Items are independent — one map-reduce pass.
-		lastE = mapreduce.Run(mapreduce.Config{Workers: a.Workers, Obs: a.Obs}, c.Items,
-			func(it *Item) []mapreduce.KV[itemProbs] {
-				return []mapreduce.KV[itemProbs]{{Key: it.Key, Value: itemProbs{item: it, probs: a.eStep(it, acc)}}}
-			},
-			func(key string, vs []itemProbs) []itemProbs { return vs })
+		// Items are independent — one parallel map.
+		lastE = mapreduce.Map(mapreduce.Config{Workers: a.Workers, Obs: a.Obs}, c.Items,
+			func(it *Item) itemProbs { return itemProbs{item: it, probs: a.eStep(it, acc)} })
 
 		// M-step: source accuracy = mean probability of claimed values.
 		sum := make(map[string]float64, len(acc))
@@ -149,9 +146,9 @@ func (a *Accu) eStep(it *Item, acc map[string]float64) map[string]float64 {
 	for _, vc := range it.Values {
 		totalClaims += float64(len(vc.Sources))
 	}
-	scores := make(map[string]float64, len(it.Values))
+	scores := make([]float64, len(it.Values))
 	maxScore := math.Inf(-1)
-	for _, vc := range it.Values {
+	for i, vc := range it.Values {
 		score := 0.0
 		for _, sc := range vc.Sources {
 			A := clampAcc(acc[sc.Source])
@@ -173,21 +170,24 @@ func (a *Accu) eStep(it *Item, acc map[string]float64) map[string]float64 {
 			}
 			score += w * math.Log(A/((1-A)*falseProb))
 		}
-		scores[vc.Value.Key()] = score
+		scores[i] = score
 		if score > maxScore {
 			maxScore = score
 		}
 	}
-	// Softmax with max-shift for numerical stability.
+	// Softmax with max-shift for numerical stability, summed in value order
+	// so the probabilities are a function of the claims alone (a sum in map
+	// order differs in its last bits from run to run).
 	var z float64
-	for k := range scores {
-		scores[k] = math.Exp(scores[k] - maxScore)
-		z += scores[k]
+	for i := range scores {
+		scores[i] = math.Exp(scores[i] - maxScore)
+		z += scores[i]
 	}
-	for k := range scores {
-		scores[k] /= z
+	probs := make(map[string]float64, len(it.Values))
+	for i, vc := range it.Values {
+		probs[vc.Value.Key()] = scores[i] / z
 	}
-	return scores
+	return probs
 }
 
 func clampAcc(a float64) float64 {

@@ -11,9 +11,10 @@
 //     Dong et al., PVLDB 2010);
 //   - leveraging extractor confidence scores (after Pasternack & Roth).
 //
-// All iterative methods run their per-item expectation step on the
-// internal/mapreduce executor, mirroring the MapReduce-based scaling of the
-// knowledge-fusion literature.
+// Items are independent given the source-quality estimates, so every
+// method computes its per-item step as a parallel map (internal/mapreduce)
+// and updates source quality serially over the results, as the
+// knowledge-fusion literature's MapReduce formulation does.
 package fusion
 
 import (

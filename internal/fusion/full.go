@@ -13,7 +13,7 @@ type Full struct {
 	Forest *hierarchy.Forest
 	// CorrCfg configures copy detection; zero value uses defaults.
 	CorrCfg CorrelationConfig
-	// Workers configures map-reduce parallelism.
+	// Workers bounds the per-item fan-out (0 = GOMAXPROCS).
 	Workers int
 	// Obs optionally records executor telemetry into the registry; it is
 	// threaded to the composed multi-truth base.

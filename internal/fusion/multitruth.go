@@ -18,13 +18,12 @@ import (
 // handling non-functional attributes (a film's several producers) — the
 // first bullet of the paper's fusion design.
 //
-// Inference is EM: the E-step computes per-(item, value) posteriors on the
-// map-reduce executor; the M-step re-estimates source sensitivity and
+// Inference is EM: the E-step computes per-(item, value) posteriors in
+// parallel over items; the M-step re-estimates source sensitivity and
 // specificity from the posteriors. The loop is allocation-free: sources
 // are interned to dense indices, each item's (value × covering-source)
 // claim matrix is precomputed once, and posteriors are written into
-// per-item buffers reused across iterations — the per-iteration maps and
-// the identity-reducer Shuffle the first implementation paid are gone.
+// per-item buffers reused across iterations.
 type MultiTruth struct {
 	// Prior is the prior probability a claimed value is true (default 0.5).
 	Prior float64
@@ -38,7 +37,7 @@ type MultiTruth struct {
 	Discount *Correlations
 	// Iterations bounds the EM loop (default 15).
 	Iterations int
-	// Workers configures map-reduce parallelism.
+	// Workers bounds the per-item fan-out (0 = GOMAXPROCS).
 	Workers int
 	// Obs optionally records executor telemetry into the registry.
 	Obs *obs.Registry

@@ -17,7 +17,7 @@ type Vote struct {
 	// Discount optionally down-weights votes from correlated sources; nil
 	// means independence is assumed.
 	Discount *Correlations
-	// Workers configures map-reduce parallelism (0 = GOMAXPROCS).
+	// Workers bounds the per-item fan-out (0 = GOMAXPROCS).
 	Workers int
 	// Obs optionally records executor telemetry (worker fanout, task
 	// latency, queue wait) into the registry.
@@ -39,13 +39,9 @@ func (v *Vote) Name() string {
 }
 
 // Fuse implements Method. Items are independent, so the whole method is one
-// map-reduce pass keyed by item.
+// parallel map over them.
 func (v *Vote) Fuse(c *Claims) *Result {
-	decisions := mapreduce.Run(mapreduce.Config{Workers: v.Workers, Obs: v.Obs}, c.Items,
-		func(it *Item) []mapreduce.KV[*Decision] {
-			return []mapreduce.KV[*Decision]{{Key: it.Key, Value: v.decide(it)}}
-		},
-		func(key string, ds []*Decision) []*Decision { return ds })
+	decisions := mapreduce.Map(mapreduce.Config{Workers: v.Workers, Obs: v.Obs}, c.Items, v.decide)
 	res := &Result{Method: v.Name(), Decisions: make(map[string]*Decision, len(decisions))}
 	for _, d := range decisions {
 		res.Decisions[d.Item.Key] = d

@@ -1,24 +1,21 @@
-// Package mapreduce is a deterministic in-process map-shuffle-reduce
-// executor. Dong et al. (VLDB'14) scale data-fusion methods to knowledge
-// fusion with a MapReduce framework; the fusion methods in internal/fusion
-// run on this executor so the same sharded dataflow structure is exercised
-// without a cluster. Mapping runs in parallel across workers; the shuffle
-// groups by key; reduction runs in parallel but output order is always the
-// sorted key order, so results are reproducible.
+// Package mapreduce is a chunked, panic-safe, deterministic parallel map.
+// Dong et al. (VLDB'14) scale data fusion to knowledge fusion by computing
+// each data item independently and updating source quality once over the
+// results; the fusion methods in internal/fusion and the per-page passes of
+// the DOM and text extractors fan out through Map and ForEach here.
 //
 // Work is dispatched in contiguous input chunks of roughly
 // len(inputs)/(workers*chunksPerWorker) items rather than one item at a
-// time: per-item dispatch cost (channel hand-off, clock reads, histogram
-// locks) used to exceed the per-item work itself, which is how the
-// parallel pipeline lost to serial execution. Outputs are always written
-// by input index, so chunking never changes result order.
+// time, because per-item dispatch (channel hand-off, clock reads,
+// histogram locks) costs more than the per-item work itself. Outputs are
+// always written by input index, so neither chunking nor the worker count
+// changes result order.
 package mapreduce
 
 import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -27,10 +24,10 @@ import (
 )
 
 // Panic wraps a panic captured inside a worker goroutine. The executor
-// re-raises it on the caller's goroutine, so a panicking mapper or reducer
-// no longer kills the process outright: callers (such as the pipeline
-// supervisor) can recover it like any synchronous panic. Value is the
-// original panic value and Stack the worker's stack at capture time.
+// re-raises it on the caller's goroutine, so a panicking item function
+// does not kill the process: callers (such as the pipeline supervisor) can
+// recover it like any synchronous panic. Value is the original panic value
+// and Stack the worker's stack at capture time.
 type Panic struct {
 	Value any
 	Stack []byte
@@ -60,66 +57,57 @@ func capture(once *sync.Once, failed *atomic.Bool, caught **Panic, fn func()) {
 	fn()
 }
 
-// KV is one key/value pair emitted by a mapper.
-type KV[V any] struct {
-	Key   string
-	Value V
-}
-
 // Config controls executor parallelism.
 type Config struct {
-	// Workers is the number of concurrent map (and reduce) workers;
-	// defaults to GOMAXPROCS.
+	// Workers is the number of concurrent workers; defaults to GOMAXPROCS.
 	Workers int
 	// Obs, when set, records executor telemetry into the registry: worker
-	// fanout per phase, per-chunk latency histograms, queue wait (time a
+	// fanout per call, per-chunk latency histograms, queue wait (time a
 	// chunk spends between submission and worker pickup) and the number of
 	// items behind those chunks. nil disables instrumentation with zero
 	// overhead on the hot path.
 	Obs *obs.Registry
 }
 
-// Metric names the executor emits (phase is "map" or "reduce").
+// Metric names the executor emits.
 const (
-	metricFanout    = "akb_mapreduce_fanout"
-	metricQueueWait = "akb_mapreduce_queue_wait_seconds"
+	metricFanout      = "akb_mapreduce_fanout"
+	metricQueueWait   = "akb_mapreduce_queue_wait_seconds"
+	metricTasks       = "akb_mapreduce_map_tasks_total"
+	metricItems       = "akb_mapreduce_map_items_total"
+	metricTaskSeconds = "akb_mapreduce_map_task_seconds"
 )
 
-func metricTasks(phase string) string       { return "akb_mapreduce_" + phase + "_tasks_total" }
-func metricItems(phase string) string       { return "akb_mapreduce_" + phase + "_items_total" }
-func metricTaskSeconds(phase string) string { return "akb_mapreduce_" + phase + "_task_seconds" }
-
-// chunksPerWorker is the dispatch granularity: each phase is split into
+// chunksPerWorker is the dispatch granularity: each call is split into
 // about workers*chunksPerWorker contiguous chunks. Coarse enough that
 // hand-off cost amortises across many items, fine enough that an uneven
-// chunk cannot leave workers idle for a whole phase tail.
+// chunk cannot leave workers idle for a whole tail.
 const chunksPerWorker = 4
 
-// phaseObs carries the per-phase instruments, resolved once per phase so
-// workers do not hit the registry maps per chunk. A nil *phaseObs records
-// nothing.
-type phaseObs struct {
+// callObs carries the instruments, resolved once per call so workers do
+// not hit the registry maps per chunk. A nil *callObs records nothing.
+type callObs struct {
 	tasks *obs.Counter
 	items *obs.Counter
 	lat   *obs.Histogram
 	wait  *obs.Histogram
 }
 
-func newPhaseObs(reg *obs.Registry, phase string, fanout int) *phaseObs {
+func newCallObs(reg *obs.Registry, fanout int) *callObs {
 	if reg == nil {
 		return nil
 	}
 	reg.Histogram(metricFanout, obs.FanoutBuckets()).Observe(float64(fanout))
-	return &phaseObs{
-		tasks: reg.Counter(metricTasks(phase)),
-		items: reg.Counter(metricItems(phase)),
-		lat:   reg.Histogram(metricTaskSeconds(phase), obs.TaskLatencyBuckets()),
+	return &callObs{
+		tasks: reg.Counter(metricTasks),
+		items: reg.Counter(metricItems),
+		lat:   reg.Histogram(metricTaskSeconds, obs.TaskLatencyBuckets()),
 		wait:  reg.Histogram(metricQueueWait, obs.TaskLatencyBuckets()),
 	}
 }
 
 // run times one chunk when instrumentation is on; otherwise it just runs it.
-func (po *phaseObs) run(enqueued time.Time, items int, fn func()) {
+func (po *callObs) run(enqueued time.Time, items int, fn func()) {
 	if po == nil {
 		fn()
 		return
@@ -140,7 +128,7 @@ func (c Config) workers() int {
 }
 
 // task is one contiguous chunk of input indices [lo, hi) handed to a
-// worker; enqueued is set only when the phase is instrumented, so the
+// worker; enqueued is set only when the call is instrumented, so the
 // uninstrumented hot path never reads the clock.
 type task struct {
 	lo, hi   int
@@ -157,12 +145,12 @@ type task struct {
 // Workers are panic-safe: if item panics, in-flight chunks stop at the
 // next item boundary, queued chunks are drained without working, and the
 // first captured panic is re-raised on the caller's goroutine as a *Panic.
-func dispatch(cfg Config, phase string, n int, item func(i int)) {
+func dispatch(cfg Config, n int, item func(i int)) {
 	w := cfg.workers()
 	if w > n {
 		w = n
 	}
-	po := newPhaseObs(cfg.Obs, phase, w)
+	po := newCallObs(cfg.Obs, w)
 	if w <= 1 {
 		if po == nil {
 			for i := 0; i < n; i++ {
@@ -237,34 +225,12 @@ func chunkSize(n, w int) int {
 	return size
 }
 
-// Run executes a map-shuffle-reduce job: mapper is applied to every input,
-// emitted pairs are grouped by key, and reducer is applied to each group.
-// The returned slice concatenates reducer outputs in sorted key order.
-//
-// Workers are panic-safe: if a mapper or reducer panics, remaining work is
-// cancelled and the first captured panic is re-raised on the caller's
-// goroutine as a *Panic, instead of crashing the process from a worker.
-func Run[I, V, O any](cfg Config, inputs []I, mapper func(I) []KV[V], reducer func(key string, values []V) []O) []O {
-	groups := Shuffle(MapPhase(cfg, inputs, mapper))
-	return ReducePhase(cfg, groups, reducer)
-}
-
-// MapPhase applies mapper to every input in parallel, preserving input
-// order in the concatenated output.
-func MapPhase[I, V any](cfg Config, inputs []I, mapper func(I) []KV[V]) []KV[V] {
-	results := make([][]KV[V], len(inputs))
-	dispatch(cfg, "map", len(inputs), func(i int) { results[i] = mapper(inputs[i]) })
-	return concat(results)
-}
-
 // Map applies fn to every input in parallel and returns the outputs
-// aligned with the inputs. Unlike MapPhase it is strictly one-to-one: no
-// per-item KV slices exist, the only allocation is the output slice
-// itself. Use it for jobs whose "reduce" would be the identity — running
-// those through Run paid a full Shuffle for nothing.
+// aligned with the inputs; the only allocation of its own is the output
+// slice.
 func Map[I, O any](cfg Config, inputs []I, fn func(I) O) []O {
 	out := make([]O, len(inputs))
-	dispatch(cfg, "map", len(inputs), func(i int) { out[i] = fn(inputs[i]) })
+	dispatch(cfg, len(inputs), func(i int) { out[i] = fn(inputs[i]) })
 	return out
 }
 
@@ -273,67 +239,5 @@ func Map[I, O any](cfg Config, inputs []I, fn func(I) O) []O {
 // the shape iterative jobs (like the fusion EM loop) want, where output
 // buffers are reused across rounds.
 func ForEach(cfg Config, n int, fn func(i int)) {
-	dispatch(cfg, "map", n, fn)
-}
-
-// concat flattens per-input result slices into one exactly-sized slice:
-// summing lengths first avoids the repeated grow-and-copy of appending
-// into an unsized accumulator on the hot path.
-func concat[T any](results [][]T) []T {
-	n := 0
-	for _, r := range results {
-		n += len(r)
-	}
-	out := make([]T, 0, n)
-	for _, r := range results {
-		out = append(out, r...)
-	}
-	return out
-}
-
-// Group is one shuffled key group.
-type Group[V any] struct {
-	Key    string
-	Values []V
-}
-
-// Shuffle groups pairs by key. Groups are returned in sorted key order and
-// values preserve emission order. Grouping is two-pass: group sizes are
-// counted first, then every Values slice is carved out of one shared
-// backing array at exact capacity, so no per-key slice ever regrows and
-// the whole shuffle costs O(keys) allocations instead of O(pairs).
-func Shuffle[V any](pairs []KV[V]) []Group[V] {
-	sizes := make(map[string]int, len(pairs))
-	for _, p := range pairs {
-		sizes[p.Key]++
-	}
-	keys := make([]string, 0, len(sizes))
-	for k := range sizes {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	backing := make([]V, 0, len(pairs))
-	out := make([]Group[V], len(keys))
-	at := make(map[string]int, len(sizes))
-	for i, k := range keys {
-		start := len(backing)
-		backing = backing[:start+sizes[k]]
-		out[i] = Group[V]{Key: k, Values: backing[start:len(backing):len(backing)]}
-		at[k] = i
-	}
-	fill := make(map[string]int, len(sizes))
-	for _, p := range pairs {
-		g := &out[at[p.Key]]
-		g.Values[fill[p.Key]] = p.Value
-		fill[p.Key]++
-	}
-	return out
-}
-
-// ReducePhase applies reducer to each group in parallel; the concatenated
-// output follows the groups' (sorted-key) order.
-func ReducePhase[V, O any](cfg Config, groups []Group[V], reducer func(key string, values []V) []O) []O {
-	results := make([][]O, len(groups))
-	dispatch(cfg, "reduce", len(groups), func(i int) { results[i] = reducer(groups[i].Key, groups[i].Values) })
-	return concat(results)
+	dispatch(cfg, n, fn)
 }

@@ -2,108 +2,31 @@ package mapreduce
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 	"testing/quick"
 	"time"
 )
 
-func TestRunWordCount(t *testing.T) {
-	inputs := []string{"a b a", "b c", "a"}
-	got := Run(Config{Workers: 4}, inputs,
-		func(line string) []KV[int] {
-			var out []KV[int]
-			for _, w := range strings.Fields(line) {
-				out = append(out, KV[int]{Key: w, Value: 1})
-			}
-			return out
-		},
-		func(key string, values []int) []string {
-			sum := 0
-			for _, v := range values {
-				sum += v
-			}
-			return []string{fmt.Sprintf("%s=%d", key, sum)}
-		})
-	want := []string{"a=3", "b=2", "c=1"}
-	if len(got) != len(want) {
-		t.Fatalf("got %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("result %d = %q, want %q", i, got[i], want[i])
-		}
-	}
-}
-
-func TestRunEmptyInput(t *testing.T) {
-	got := Run(Config{}, nil,
-		func(int) []KV[int] { return nil },
-		func(string, []int) []int { return nil })
-	if len(got) != 0 {
-		t.Fatalf("got %v, want empty", got)
-	}
-}
-
-func TestShuffleOrdering(t *testing.T) {
-	pairs := []KV[int]{
-		{Key: "z", Value: 1}, {Key: "a", Value: 2}, {Key: "z", Value: 3}, {Key: "m", Value: 4},
-	}
-	groups := Shuffle(pairs)
-	if len(groups) != 3 {
-		t.Fatalf("got %d groups", len(groups))
-	}
-	if groups[0].Key != "a" || groups[1].Key != "m" || groups[2].Key != "z" {
-		t.Errorf("keys not sorted: %v", groups)
-	}
-	if len(groups[2].Values) != 2 || groups[2].Values[0] != 1 || groups[2].Values[1] != 3 {
-		t.Errorf("value order not preserved: %v", groups[2].Values)
-	}
-}
-
-func TestMapPhasePreservesInputOrder(t *testing.T) {
-	inputs := make([]int, 100)
-	for i := range inputs {
-		inputs[i] = i
-	}
-	pairs := MapPhase(Config{Workers: 8}, inputs, func(i int) []KV[int] {
-		return []KV[int]{{Key: "k", Value: i}}
-	})
-	for i, p := range pairs {
-		if p.Value != i {
-			t.Fatalf("pair %d = %d, order not preserved", i, p.Value)
-		}
-	}
-}
-
-// Property: Run with 1 worker and Run with many workers produce identical
-// results for a commutative-input job.
+// Property: a run on 1 worker and a run on many produce the same results,
+// aligned with the inputs, through Map and through ForEach.
 func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
 	f := func(data []uint8) bool {
-		inputs := make([]int, len(data))
-		for i, d := range data {
-			inputs[i] = int(d) % 16
+		idx := make([]int, len(data))
+		for i := range idx {
+			idx[i] = i
 		}
-		job := func(workers int) []string {
-			return Run(Config{Workers: workers}, inputs,
-				func(i int) []KV[int] {
-					return []KV[int]{{Key: fmt.Sprintf("g%d", i%4), Value: i}}
-				},
-				func(key string, values []int) []string {
-					sum := 0
-					for _, v := range values {
-						sum += v
-					}
-					return []string{fmt.Sprintf("%s:%d:%d", key, len(values), sum)}
-				})
-		}
-		a, b := job(1), job(8)
-		if len(a) != len(b) {
-			return false
-		}
-		for i := range a {
-			if a[i] != b[i] {
+		label := func(i int) string { return fmt.Sprintf("%d:%d", i, data[i]) }
+		for _, workers := range []int{1, 8} {
+			mapped := Map(Config{Workers: workers}, idx, label)
+			each := make([]string, len(data))
+			ForEach(Config{Workers: workers}, len(data), func(i int) { each[i] = label(i) })
+			if len(mapped) != len(data) {
 				return false
+			}
+			for i := range data {
+				if mapped[i] != label(i) || each[i] != label(i) {
+					return false
+				}
 			}
 		}
 		return true
@@ -134,14 +57,12 @@ func TestPanickingMapperDoesNotKillProcess(t *testing.T) {
 		inputs[i] = i
 	}
 	p := recoverPanic(func() {
-		Run(Config{Workers: 4}, inputs,
-			func(i int) []KV[int] {
-				if i == 17 {
-					panic("mapper boom")
-				}
-				return []KV[int]{{Key: "k", Value: i}}
-			},
-			func(key string, values []int) []int { return values })
+		Map(Config{Workers: 4}, inputs, func(i int) int {
+			if i == 17 {
+				panic("mapper boom")
+			}
+			return i
+		})
 	})
 	if p == nil {
 		t.Fatal("panic was swallowed instead of re-raised on the caller")
@@ -151,31 +72,6 @@ func TestPanickingMapperDoesNotKillProcess(t *testing.T) {
 	}
 	if len(p.Stack) == 0 {
 		t.Error("worker stack not captured")
-	}
-}
-
-func TestPanickingReducerDoesNotKillProcess(t *testing.T) {
-	inputs := make([]int, 32)
-	for i := range inputs {
-		inputs[i] = i
-	}
-	p := recoverPanic(func() {
-		Run(Config{Workers: 4}, inputs,
-			func(i int) []KV[int] {
-				return []KV[int]{{Key: fmt.Sprintf("g%d", i%8), Value: i}}
-			},
-			func(key string, values []int) []int {
-				if key == "g3" {
-					panic("reducer boom")
-				}
-				return values
-			})
-	})
-	if p == nil {
-		t.Fatal("reducer panic not re-raised on the caller")
-	}
-	if p.Value != "reducer boom" {
-		t.Errorf("panic value = %v", p.Value)
 	}
 }
 
@@ -190,13 +86,12 @@ func TestPanicCancelsRemainingWork(t *testing.T) {
 	// goroutines); one of the two panics immediately.
 	ran := make([]bool, len(inputs))
 	recoverPanic(func() {
-		MapPhase(Config{Workers: 2}, inputs, func(i int) []KV[int] {
+		ForEach(Config{Workers: 2}, len(inputs), func(i int) {
 			if i == 0 {
 				panic("early boom")
 			}
 			ran[i] = true
 			time.Sleep(10 * time.Microsecond) // give the capture a chance to raise the flag
-			return nil
 		})
 	})
 	count := 0
@@ -213,82 +108,10 @@ func TestPanicCancelsRemainingWork(t *testing.T) {
 func TestPanicEveryInputStillTerminates(t *testing.T) {
 	inputs := make([]int, 100)
 	p := recoverPanic(func() {
-		MapPhase(Config{Workers: 8}, inputs, func(i int) []KV[int] { panic(i) })
+		Map(Config{Workers: 8}, inputs, func(i int) int { panic(i) })
 	})
 	if p == nil {
 		t.Fatal("no panic surfaced")
-	}
-}
-
-func TestReducePhaseSingleWorker(t *testing.T) {
-	groups := []Group[int]{{Key: "a", Values: []int{1, 2}}, {Key: "b", Values: []int{3}}}
-	got := ReducePhase(Config{Workers: 1}, groups, func(k string, vs []int) []int {
-		return []int{len(vs)}
-	})
-	if len(got) != 2 || got[0] != 2 || got[1] != 1 {
-		t.Fatalf("got %v", got)
-	}
-}
-
-// TestPhaseOutputPreallocated pins the exact-capacity concatenation of
-// the parallel phases: output slices are sized by summing per-input
-// result lengths, never grown by repeated append, so capacity equals
-// length.
-func TestPhaseOutputPreallocated(t *testing.T) {
-	inputs := make([]int, 64)
-	for i := range inputs {
-		inputs[i] = i
-	}
-	pairs := MapPhase(Config{Workers: 8}, inputs, func(i int) []KV[int] {
-		out := make([]KV[int], (i%5)+1)
-		for j := range out {
-			out[j] = KV[int]{Key: fmt.Sprintf("k%d", i%7), Value: i}
-		}
-		return out
-	})
-	if cap(pairs) != len(pairs) {
-		t.Errorf("MapPhase output cap %d != len %d (not preallocated)", cap(pairs), len(pairs))
-	}
-	groups := Shuffle(pairs)
-	outs := ReducePhase(Config{Workers: 8}, groups, func(key string, values []int) []int {
-		return values
-	})
-	if cap(outs) != len(outs) {
-		t.Errorf("ReducePhase output cap %d != len %d (not preallocated)", cap(outs), len(outs))
-	}
-}
-
-// TestShuffleAllocationBound is the BenchmarkClaimBuilding-style
-// allocation assertion for the two-pass shuffle: grouping N pairs over K
-// keys costs O(K) allocations (count map, key slice, one shared backing
-// array, group headers), not one growth chain per key.
-func TestShuffleAllocationBound(t *testing.T) {
-	const pairsN, keysN = 4096, 16
-	pairs := make([]KV[int], pairsN)
-	for i := range pairs {
-		pairs[i] = KV[int]{Key: fmt.Sprintf("key-%02d", i%keysN), Value: i}
-	}
-	allocs := testing.AllocsPerRun(20, func() {
-		if got := Shuffle(pairs); len(got) != keysN {
-			t.Fatalf("got %d groups", len(got))
-		}
-	})
-	// Three maps (sizes, at, fill) + keys + backing + groups + map
-	// internals: comfortably under two allocations per key. The old
-	// append-grown shuffle cost ~8 growths per key on top of the map
-	// churn (>130 allocs for this shape).
-	if allocs > 3*keysN {
-		t.Errorf("Shuffle allocates %.0f times for %d keys, want <= %d", allocs, keysN, 3*keysN)
-	}
-}
-
-// TestShuffleValuesCapped ensures appending to one group's Values cannot
-// bleed into the next group's share of the pooled backing array.
-func TestShuffleValuesCapped(t *testing.T) {
-	groups := Shuffle([]KV[int]{{Key: "a", Value: 1}, {Key: "b", Value: 2}})
-	_ = append(groups[0].Values, 99)
-	if groups[1].Values[0] != 2 {
-		t.Errorf("append to group a overwrote group b: %v", groups[1].Values)
 	}
 }
 
