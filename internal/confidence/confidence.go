@@ -83,6 +83,16 @@ func (c *Criterion) Score(extractor string, support, sources int) float64 {
 	return clamp(conf)
 }
 
+// ScoreFunc returns the extractor's scoring rule over (support, sources),
+// the form extract.Evidence takes it in. A nil Criterion means the caller
+// asked for no scoring: every claim gets the neutral 0.5.
+func (c *Criterion) ScoreFunc(extractor string) func(support, sources int) float64 {
+	if c == nil {
+		return func(int, int) float64 { return 0.5 }
+	}
+	return func(support, sources int) float64 { return c.Score(extractor, support, sources) }
+}
+
 // ScoreAttrSet assigns confidences to every attribute in the set in place
 // and returns the set for chaining.
 func (c *Criterion) ScoreAttrSet(extractor string, s extract.AttrSet) extract.AttrSet {

@@ -131,18 +131,6 @@ func (r *Result) Classes() []string {
 	return out
 }
 
-// claim is an aggregated (entity, attr, value) observation.
-type claim struct {
-	entity, attr, value string
-}
-
-type claimEvidence struct {
-	hosts map[string]struct{}
-	pages int
-	// firstProv is the first (host, url) that asserted the claim per host.
-	provs []rdf.Provenance
-}
-
 // shard is the unit of domx parallelism: all sites of one class, kept in
 // input order, plus their original input indices so per-site output can be
 // reassembled in the serial order.
@@ -154,13 +142,8 @@ type shard struct {
 
 // shardOut is one shard's complete, self-contained extraction state.
 type shardOut struct {
-	cr *ClassResult
-	// stmts holds the shard's confidence-scored statements in canonical
-	// claim-key order; stmtKeys is aligned with it (one key per statement,
-	// repeated across a claim's per-site provenance statements) so the
-	// cross-shard merge can reproduce the global order without re-sorting.
-	stmts    []rdf.Statement
-	stmtKeys []claim
+	cr     *ClassResult
+	claims *extract.Evidence
 	// facts is aligned with shard.sites: the entity facts each site
 	// produced, in that site's generation order.
 	facts [][]EntityFact
@@ -192,10 +175,8 @@ func shardByClass(sites []Site) []shard {
 // runShard executes Algorithm 1 serially over one class's sites. All
 // mutable state (attribute set, claims, dedup keys) is shard-local:
 // entities resolve to exactly one class, so no claim, host, or attribute
-// set is ever shared between shards. The shard's statements are built here
-// in the worker, so the caller's merge is a cheap ordered interleave
-// instead of a global sort.
-func runShard(sh shard, idx *extract.EntityIndex, seeds map[string]extract.AttrSet, cfg Config, crit *confidence.Criterion) shardOut {
+// set is ever shared between shards.
+func runShard(sh shard, idx *extract.EntityIndex, seeds map[string]extract.AttrSet, cfg Config) shardOut {
 	seedSet := extract.NewAttrSet()
 	if s, ok := seeds[sh.class]; ok {
 		seedSet = s.Clone()
@@ -208,18 +189,17 @@ func runShard(sh shard, idx *extract.EntityIndex, seeds map[string]extract.AttrS
 			patternSet:  make(map[string]struct{}),
 			entityPaths: make(map[string]struct{}),
 		},
-		facts: make([][]EntityFact, len(sh.sites)),
+		claims: extract.NewEvidence(),
+		facts:  make([][]EntityFact, len(sh.sites)),
 	}
-	claims := make(map[claim]*claimEvidence)
 	seen := make(map[seenKey]struct{}) // (attr, host, url) dedup for support counts
 	var scratch pageScratch
 	for i, site := range sh.sites {
 		if cfg.SeedCap > 0 && out.cr.All.Len() >= cfg.SeedCap {
 			continue
 		}
-		out.facts[i] = extractSite(site, idx, out.cr, cfg, claims, seen, &scratch)
+		out.facts[i] = extractSite(site, idx, out.cr, cfg, out.claims, seen, &scratch)
 	}
-	out.stmts, out.stmtKeys = buildStatements(claims, crit)
 	return out
 }
 
@@ -239,10 +219,12 @@ func Extract(ctx context.Context, sites []Site, idx *extract.EntityIndex, seeds 
 	res := &Result{PerClass: make(map[string]*ClassResult)}
 	shards := shardByClass(sites)
 	outs := mapreduce.Map(mapreduce.Config{Workers: max(cfg.Workers, 1), Obs: obs.Reg(ctx)},
-		shards, func(sh shard) shardOut { return runShard(sh, idx, seeds, cfg, crit) })
+		shards, func(sh shard) shardOut { return runShard(sh, idx, seeds, cfg) })
 	factsBySite := make([][]EntityFact, len(sites))
+	claims := extract.NewEvidence()
 	for s, out := range outs { // outs[s] aligns with shards[s]
 		res.PerClass[out.cr.Class] = out.cr
+		claims.Merge(out.claims)
 		for k, fs := range out.facts {
 			factsBySite[shards[s].indices[k]] = fs
 		}
@@ -259,7 +241,7 @@ func Extract(ctx context.Context, sites []Site, idx *extract.EntityIndex, seeds 
 			crit.ScoreAttrSet(extract.ExtractorDOM, cr.All)
 		}
 	}
-	res.Statements = mergeStatements(outs)
+	res.Statements = claims.Statements(extract.ExtractorDOM, crit.ScoreFunc(extract.ExtractorDOM))
 	reg := obs.Reg(ctx)
 	reg.Counter("akb_domx_statements_total").Add(int64(len(res.Statements)))
 	discovered := 0
@@ -346,7 +328,7 @@ type pageScratch struct {
 	patterns    htmldom.PatternSet
 }
 
-func extractSite(site Site, idx *extract.EntityIndex, cr *ClassResult, cfg Config, claims map[claim]*claimEvidence, seen map[seenKey]struct{}, scratch *pageScratch) []EntityFact {
+func extractSite(site Site, idx *extract.EntityIndex, cr *ClassResult, cfg Config, claims *extract.Evidence, seen map[seenKey]struct{}, scratch *pageScratch) []EntityFact {
 	states := make([]*pageState, 0, len(site.Pages))
 	var unknown []Page
 	for _, p := range site.Pages {
@@ -507,7 +489,7 @@ func plausibleEntityName(name string) bool {
 
 // extractPage runs one Algorithm-1 step on a page and reports whether the
 // class attribute set grew.
-func extractPage(site Site, st *pageState, cr *ClassResult, cfg Config, claims map[claim]*claimEvidence, seen map[seenKey]struct{}, scratch *pageScratch) bool {
+func extractPage(site Site, st *pageState, cr *ClassResult, cfg Config, claims *extract.Evidence, seen map[seenKey]struct{}, scratch *pageScratch) bool {
 	// Step 1: induced tag path pattern set — paths from the entity node to
 	// every node whose label is already a known attribute. The known /
 	// candidate partition depends on the growing attribute set, so it is
@@ -556,19 +538,7 @@ func extractPage(site Site, st *pageState, cr *ClassResult, cfg Config, claims m
 		if value == "" {
 			return
 		}
-		c := claim{entity: st.entity, attr: st.label[pos], value: value}
-		ev := claims[c]
-		if ev == nil {
-			ev = &claimEvidence{hosts: make(map[string]struct{})}
-			claims[c] = ev
-		}
-		if _, ok := ev.hosts[site.Host]; !ok {
-			ev.hosts[site.Host] = struct{}{}
-			ev.provs = append(ev.provs, rdf.Provenance{
-				Source: site.Host, Extractor: extract.ExtractorDOM, Document: st.page.URL,
-			})
-		}
-		ev.pages++
+		claims.Add(st.entity, st.label[pos], value, site.Host, st.page.URL)
 	}
 	for _, i := range known {
 		label := st.label[i]
@@ -657,89 +627,4 @@ func valueAfter(texts []*htmldom.Node, pos int) string {
 		return raw
 	}
 	return ""
-}
-
-// claimLess orders claims by (entity, attr, value) — the canonical
-// statement order.
-func claimLess(a, b claim) bool {
-	if a.entity != b.entity {
-		return a.entity < b.entity
-	}
-	if a.attr != b.attr {
-		return a.attr < b.attr
-	}
-	return a.value < b.value
-}
-
-// buildStatements converts one shard's aggregated claims into
-// confidence-scored statements in canonical claim order, one statement per
-// contributing site. The returned keys slice is aligned with the
-// statements (a claim's key repeats across its per-site statements) so the
-// cross-shard merge can interleave runs without re-deriving sort keys from
-// minted IRIs — IRI minting rewrites spaces, so IRI order and claim order
-// disagree.
-func buildStatements(claims map[claim]*claimEvidence, crit *confidence.Criterion) ([]rdf.Statement, []claim) {
-	keys := make([]claim, 0, len(claims))
-	for c := range claims {
-		keys = append(keys, c)
-	}
-	sort.Slice(keys, func(i, j int) bool { return claimLess(keys[i], keys[j]) })
-	n := 0
-	for _, ev := range claims {
-		n += len(ev.provs)
-	}
-	out := make([]rdf.Statement, 0, n)
-	outKeys := make([]claim, 0, n)
-	for _, c := range keys {
-		ev := claims[c]
-		conf := 0.5
-		if crit != nil {
-			conf = crit.Score(extract.ExtractorDOM, ev.pages, len(ev.hosts))
-		}
-		for _, prov := range ev.provs {
-			out = append(out, rdf.S(
-				rdf.T(extract.EntityIRI(c.entity), extract.AttrIRI(c.attr), rdf.Literal(c.value)),
-				prov, conf))
-			outKeys = append(outKeys, c)
-		}
-	}
-	return out, outKeys
-}
-
-// mergeStatements interleaves the per-shard statement runs into the single
-// globally sorted claim order the serial implementation produced. Shards
-// partition entities by class, so claim keys never collide across runs and
-// the merge is a plain k-way interleave; equal-key statements (one claim's
-// several provenances) stay contiguous within their run.
-func mergeStatements(outs []shardOut) []rdf.Statement {
-	total := 0
-	for _, o := range outs {
-		total += len(o.stmts)
-	}
-	out := make([]rdf.Statement, 0, total)
-	heads := make([]int, len(outs))
-	for {
-		best := -1
-		for s := range outs {
-			if heads[s] >= len(outs[s].stmts) {
-				continue
-			}
-			if best < 0 || claimLess(outs[s].stmtKeys[heads[s]], outs[best].stmtKeys[heads[best]]) {
-				best = s
-			}
-		}
-		if best < 0 {
-			break
-		}
-		o := &outs[best]
-		h := heads[best]
-		k := o.stmtKeys[h]
-		j := h + 1
-		for j < len(o.stmts) && o.stmtKeys[j] == k {
-			j++
-		}
-		out = append(out, o.stmts[h:j]...)
-		heads[best] = j
-	}
-	return out
 }

@@ -288,7 +288,9 @@ func TestRunShardAllocationBound(t *testing.T) {
 	for _, s := range sh.sites {
 		pages += len(s.Pages)
 	}
-	allocs := testing.AllocsPerRun(10, func() { runShard(sh, idx, seeds, cfg, crit) })
+	allocs := testing.AllocsPerRun(10, func() {
+		runShard(sh, idx, seeds, cfg).claims.Statements(extract.ExtractorDOM, crit.ScoreFunc(extract.ExtractorDOM))
+	})
 	// Currently ~466 allocations per page on this fixture (cache
 	// construction plus claim assembly); 580 is that plus 25%. Comparing a
 	// candidate against the induced patterns allocates nothing — when each

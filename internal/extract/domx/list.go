@@ -76,13 +76,7 @@ func ExtractLists(ctx context.Context, sites []ListSite, idx *extract.EntityInde
 		cfg.MinRecordRows = 3
 	}
 	res := &ListResult{HeaderAttrs: map[string]extract.AttrSet{}}
-	type cl struct{ entity, attr, value string }
-	type ev struct {
-		count int
-		hosts map[string]struct{}
-		provs []rdf.Provenance
-	}
-	claims := map[cl]*ev{}
+	claims := extract.NewEvidence()
 
 	for _, site := range sites {
 		set := res.HeaderAttrs[site.Class]
@@ -119,19 +113,7 @@ func ExtractLists(ctx context.Context, sites []ListSite, idx *extract.EntityInde
 							continue
 						}
 						set.Add(attr, site.Host)
-						c := cl{entity: entity, attr: attr, value: value}
-						e := claims[c]
-						if e == nil {
-							e = &ev{hosts: map[string]struct{}{}}
-							claims[c] = e
-						}
-						e.count++
-						if _, dup := e.hosts[site.Host]; !dup {
-							e.hosts[site.Host] = struct{}{}
-							e.provs = append(e.provs, rdf.Provenance{
-								Source: site.Host, Extractor: extract.ExtractorDOM, Document: p.URL,
-							})
-						}
+						claims.Add(entity, attr, value, site.Host, p.URL)
 					}
 				}
 				if records >= cfg.MinRecordRows {
@@ -141,33 +123,7 @@ func ExtractLists(ctx context.Context, sites []ListSite, idx *extract.EntityInde
 			}
 		}
 	}
-	// Deterministic statement order.
-	keys := make([]cl, 0, len(claims))
-	for c := range claims {
-		keys = append(keys, c)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.entity != b.entity {
-			return a.entity < b.entity
-		}
-		if a.attr != b.attr {
-			return a.attr < b.attr
-		}
-		return a.value < b.value
-	})
-	for _, c := range keys {
-		e := claims[c]
-		conf := 0.5
-		if crit != nil {
-			conf = crit.Score(extract.ExtractorDOM, e.count, len(e.hosts))
-		}
-		for _, prov := range e.provs {
-			res.Statements = append(res.Statements, rdf.S(
-				rdf.T(extract.EntityIRI(c.entity), extract.AttrIRI(c.attr), rdf.Literal(c.value)),
-				prov, conf))
-		}
-	}
+	res.Statements = claims.Statements(extract.ExtractorDOM, crit.ScoreFunc(extract.ExtractorDOM))
 	reg := obs.Reg(ctx)
 	reg.Counter("akb_domx_list_records_total").Add(int64(res.Records))
 	reg.Counter("akb_domx_list_statements_total").Add(int64(len(res.Statements)))

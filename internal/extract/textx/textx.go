@@ -101,8 +101,6 @@ func (r *Result) Classes() []string {
 	return out
 }
 
-type claim struct{ entity, attr, value string }
-
 // docWork is one document plus its sentence segmentation and per-sentence
 // tokens, computed once and shared by both extraction phases.
 type docWork struct {
@@ -116,12 +114,6 @@ type docWork struct {
 // serially in document order.
 type matchEvent struct {
 	class, entity, rawEntity, attr, value, source, doc string
-}
-
-type claimEvidence struct {
-	count   int
-	sources map[string]struct{}
-	provs   []rdf.Provenance
 }
 
 // Extract learns patterns from seed-bearing sentences and applies them over
@@ -216,7 +208,7 @@ func Extract(ctx context.Context, docs []*webgen.Document, idx *extract.EntityIn
 	perDoc := mapreduce.Map(mrCfg, works, func(w docWork) []matchEvent {
 		return matchDoc(w, templates, idx, cfg, known)
 	})
-	claims := make(map[claim]*claimEvidence)
+	claims := extract.NewEvidence()
 	for _, events := range perDoc {
 		for _, ev := range events {
 			foldEvent(res, claims, ev)
@@ -228,7 +220,7 @@ func Extract(ctx context.Context, docs []*webgen.Document, idx *extract.EntityIn
 			crit.ScoreAttrSet(extract.ExtractorText, cr.All)
 		}
 	}
-	res.Statements = buildStatements(claims, crit)
+	res.Statements = claims.Statements(extract.ExtractorText, crit.ScoreFunc(extract.ExtractorText))
 	reg := obs.Reg(ctx)
 	reg.Counter("akb_textx_statements_total").Add(int64(len(res.Statements)))
 	reg.Counter("akb_textx_patterns_total").Add(int64(len(res.Patterns)))
@@ -278,7 +270,7 @@ func matchDoc(w docWork, templates []template, idx *extract.EntityIndex, cfg Con
 
 // foldEvent replays one match event into the result and claim state, in
 // document order — the serial aggregation step of phase 2.
-func foldEvent(res *Result, claims map[claim]*claimEvidence, ev matchEvent) {
+func foldEvent(res *Result, claims *extract.Evidence, ev matchEvent) {
 	if ev.entity == "" {
 		res.NewEntities[ev.rawEntity]++
 		res.NewEntityFacts = append(res.NewEntityFacts, extract.EntityFact{
@@ -294,19 +286,7 @@ func foldEvent(res *Result, claims map[claim]*claimEvidence, ev matchEvent) {
 		cr.Discovered.Add(attr, ev.source)
 		cr.All.Add(attr, ev.source)
 	}
-	c := claim{entity: ev.entity, attr: attr, value: ev.value}
-	cev := claims[c]
-	if cev == nil {
-		cev = &claimEvidence{sources: make(map[string]struct{})}
-		claims[c] = cev
-	}
-	cev.count++
-	if _, dup := cev.sources[ev.source]; !dup {
-		cev.sources[ev.source] = struct{}{}
-		cev.provs = append(cev.provs, rdf.Provenance{
-			Source: ev.source, Extractor: extract.ExtractorText, Document: ev.doc,
-		})
-	}
+	claims.Add(ev.entity, attr, ev.value, ev.source, ev.doc)
 }
 
 // SplitSentences segments text into sentences on ". " boundaries, keeping
@@ -620,35 +600,4 @@ func isCapitalizedSpan(s string) bool {
 		}
 	}
 	return true
-}
-
-func buildStatements(claims map[claim]*claimEvidence, crit *confidence.Criterion) []rdf.Statement {
-	keys := make([]claim, 0, len(claims))
-	for c := range claims {
-		keys = append(keys, c)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.entity != b.entity {
-			return a.entity < b.entity
-		}
-		if a.attr != b.attr {
-			return a.attr < b.attr
-		}
-		return a.value < b.value
-	})
-	var out []rdf.Statement
-	for _, c := range keys {
-		ev := claims[c]
-		conf := 0.5
-		if crit != nil {
-			conf = crit.Score(extract.ExtractorText, ev.count, len(ev.sources))
-		}
-		for _, prov := range ev.provs {
-			out = append(out, rdf.S(
-				rdf.T(extract.EntityIRI(c.entity), extract.AttrIRI(c.attr), rdf.Literal(c.value)),
-				prov, conf))
-		}
-	}
-	return out
 }
