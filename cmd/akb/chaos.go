@@ -66,7 +66,7 @@ func cmdChaos(args []string) error {
 		for _, st := range stages {
 			plan.Stages[st] = resilience.StageFault{FailProb: rate, Transient: *transient}
 		}
-		cfg := pipelineConfig(*seed)
+		cfg := core.New(core.WithSeed(*seed)).Config()
 		// Exercise every optional stage so the degradation surface is full.
 		cfg.ListPages = true
 		cfg.Temporal = true

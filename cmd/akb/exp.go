@@ -230,7 +230,7 @@ func cmdExp(args []string) error {
 // experimentList renders the table for usage messages.
 func experimentList() string {
 	var b strings.Builder
-	b.WriteString("experiments (each takes -seed):\n")
+	b.WriteString("experiments (each takes -seed; table1-table3 print counts the generators fix\nby construction, so theirs is the same table for every seed):\n")
 	w := tabwriter.NewWriter(&b, 0, 0, 1, ' ', 0)
 	for _, e := range experimentTable {
 		fmt.Fprintf(w, "  %s\t%s\t%s\n", e.name, e.number, e.label)

@@ -18,13 +18,6 @@ import (
 	"akb/internal/store"
 )
 
-func pipelineConfig(seed int64) core.Config {
-	cfg := core.DefaultConfig()
-	cfg.Seed = seed
-	cfg.World.Seed = seed
-	return cfg
-}
-
 // faultFlags registers the shared fault-injection flags and returns a
 // builder that assembles the plan after parsing.
 func faultFlags(fs *flag.FlagSet) func() (*resilience.FaultPlan, error) {

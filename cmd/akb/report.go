@@ -38,13 +38,9 @@ func cmdReport(args []string) error {
 		return err
 	}
 
-	schema := "legacy"
-	if rr.SchemaVersion > 0 {
-		schema = fmt.Sprintf("v%d", rr.SchemaVersion)
-	}
-	fmt.Printf("Run started %s, wall time %s, %d spans, %d metrics (schema %s)\n",
+	fmt.Printf("Run started %s, wall time %s, %d spans, %d metrics (schema v%d)\n",
 		rr.Started.Format(time.RFC3339), time.Duration(rr.DurationNS).Round(time.Millisecond),
-		len(rr.Spans), len(rr.Metrics), schema)
+		len(rr.Spans), len(rr.Metrics), rr.SchemaVersion)
 	if len(rr.Health) > 0 {
 		var health core.HealthReport
 		if err := json.Unmarshal(rr.Health, &health); err == nil {

@@ -2,26 +2,23 @@ package core
 
 import (
 	"context"
-	"time"
 
-	"akb/internal/align"
-	"akb/internal/entitydisc"
-	"akb/internal/fusion"
-	"akb/internal/kb"
 	"akb/internal/querystream"
 	"akb/internal/resilience"
-	"akb/internal/webgen"
 )
 
-// Pipeline is a configured, runnable instance of the Figure-1 framework.
-// It is the stable public entry point: callers construct one with New and
-// a set of functional options, then execute it with Run. A Pipeline is
-// immutable after construction and may be run any number of times; every
-// run with the same options produces byte-identical results.
+// Pipeline is a configured, runnable instance of the Figure-1 framework:
+// New resolves a Config, Run executes it. A Pipeline is immutable after
+// construction and may be run any number of times; every run with the
+// same configuration produces byte-identical results.
 //
-// The serving layer (internal/store, internal/serve) and the CLI consume
-// this surface rather than the raw Config struct, so Config can keep
-// growing fields without breaking callers.
+// There are two ways to the Config and both are in use. The CLI, bench/
+// and the examples layer the options below over DefaultConfig — they cover
+// what those callers vary (seed, scale, parallelism, the optional stages,
+// faults, a stage hook). Anything finer (substrate sizes and error rates,
+// the fusion method or granularity, retry policy, stage timeout) is a
+// Config field: the experiments and tests edit a Config and pass it with
+// WithConfig.
 type Pipeline struct {
 	cfg Config
 }
@@ -69,16 +66,11 @@ func WithSeed(seed int64) Option {
 	}
 }
 
-// WithWorld replaces the ground-truth world configuration.
-func WithWorld(w kb.WorldConfig) Option {
-	return func(c *Config) { c.World = w }
-}
-
 // WithScale multiplies the synthetic-substrate sizes by k: entities per
 // class, pages per site, documents per class, and the query stream
 // (total records and per-class relevant counts) all grow k-fold, so the
 // fused KB grows roughly linearly in k. k <= 1 is a no-op. Scaling
-// composes with WithSeed and WithWorld when listed after them.
+// composes with WithSeed and WithConfig when listed after them.
 func WithScale(k int) Option {
 	return func(c *Config) {
 		if k <= 1 {
@@ -109,31 +101,11 @@ func WithParallelism(n int) Option {
 	return func(c *Config) { c.Parallelism = n }
 }
 
-// WithGranularity selects the fusion source granularity.
-func WithGranularity(g fusion.Granularity) Option {
-	return func(c *Config) { c.Granularity = g }
-}
-
-// WithMethod overrides the fusion method; nil restores the paper's FULL
-// composition.
-func WithMethod(m fusion.Method) Option {
-	return func(c *Config) { c.Method = m }
-}
-
 // WithAlignment enables pre-fusion normalisation (synonym merging,
 // misspelling correction, sub-attribute identification) with the default
 // tuning.
 func WithAlignment() Option {
 	return func(c *Config) { c.Align = true }
-}
-
-// WithAlignmentConfig enables pre-fusion normalisation with explicit
-// tuning.
-func WithAlignmentConfig(acfg align.Config) Option {
-	return func(c *Config) {
-		c.Align = true
-		c.AlignCfg = acfg
-	}
 }
 
 // WithEntityDiscovery enables joint entity linking and discovery with the
@@ -142,26 +114,10 @@ func WithEntityDiscovery() Option {
 	return func(c *Config) { c.DiscoverEntities = true }
 }
 
-// WithEntityDiscoveryConfig enables entity discovery with explicit tuning.
-func WithEntityDiscoveryConfig(dcfg entitydisc.Config) Option {
-	return func(c *Config) {
-		c.DiscoverEntities = true
-		c.DiscoverCfg = dcfg
-	}
-}
-
 // WithListPages enables multi-record list-page generation and extraction
 // with the default tuning.
 func WithListPages() Option {
 	return func(c *Config) { c.ListPages = true }
-}
-
-// WithListPagesConfig enables list-page extraction with explicit tuning.
-func WithListPagesConfig(lcfg webgen.ListConfig) Option {
-	return func(c *Config) {
-		c.ListPages = true
-		c.ListCfg = lcfg
-	}
 }
 
 // WithTemporal enables temporal knowledge extraction and timeline fusion.
@@ -173,17 +129,6 @@ func WithTemporal() Option {
 // harness; nil runs fault-free.
 func WithFaults(plan *resilience.FaultPlan) Option {
 	return func(c *Config) { c.Faults = plan }
-}
-
-// WithRetry overrides the backoff policy for retryable stages.
-func WithRetry(policy resilience.RetryPolicy) Option {
-	return func(c *Config) { c.Retry = policy }
-}
-
-// WithStageTimeout bounds each supervised stage attempt; 0 disables
-// per-stage deadlines.
-func WithStageTimeout(d time.Duration) Option {
-	return func(c *Config) { c.StageTimeout = d }
 }
 
 // WithStageHook observes every supervised stage start. With parallelism

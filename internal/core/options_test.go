@@ -24,19 +24,20 @@ func TestNewDefaultsMatchDefaultConfig(t *testing.T) {
 }
 
 func TestOptionsApplyInOrder(t *testing.T) {
+	// What has no option of its own is a Config field carried by WithConfig.
 	base := DefaultConfig()
 	base.Parallelism = 2
+	base.Granularity = fusion.ByExtractor
+	base.StageTimeout = 3 * time.Second
+	base.Retry = resilience.RetryPolicy{MaxAttempts: 2}
 	p := New(
 		WithConfig(base),
 		WithSeed(9),
 		WithParallelism(4), // later option wins over WithConfig's value
-		WithGranularity(fusion.ByExtractor),
 		WithAlignment(),
 		WithEntityDiscovery(),
 		WithListPages(),
 		WithTemporal(),
-		WithStageTimeout(3*time.Second),
-		WithRetry(resilience.RetryPolicy{MaxAttempts: 2}),
 	)
 	cfg := p.Config()
 	if cfg.Seed != 9 || cfg.World.Seed != 9 {

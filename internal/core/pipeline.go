@@ -54,9 +54,8 @@ import (
 )
 
 // Supervised stage names, usable as resilience.FaultPlan keys. The
-// monolithic "substrates" stage is split into the world generator plus
-// five mutually independent substrate generators so they can run
-// concurrently.
+// substrates are the world generator plus five mutually independent
+// generators, so they can run concurrently.
 const (
 	StageWorld    = "substrates/world"
 	StageDBpedia  = "substrates/dbpedia"
@@ -97,7 +96,10 @@ func OptionalStageNames() []string {
 // Config parameterises a full pipeline run. The zero value is not usable;
 // start from DefaultConfig.
 type Config struct {
-	// Seed drives every stochastic component.
+	// Seed seeds the supervisor's retry-backoff jitter and nothing else. The
+	// substrates carry their own seeds (World.Seed, DBpedia.Seed,
+	// Freebase.Seed, Stream.Seed, Sites.Seed, Corpus.Seed); reseeding a run
+	// means WithSeed, which sets this and World.Seed.
 	Seed int64
 	// World configures the ground-truth world.
 	World kb.WorldConfig
@@ -142,9 +144,10 @@ type Config struct {
 
 	// Parallelism bounds how many pipeline stages execute concurrently on
 	// the dependency-DAG scheduler; <= 1 runs the stages strictly serially
-	// in the legacy order. When > 1 it also fans into the DOM and text
-	// extractors' internal worker pools (DOM.Workers / Text.Workers) unless
-	// those are set explicitly. Results are byte-identical at any value.
+	// in the order stages() lists them. When > 1 it also fans into the DOM
+	// and text extractors' internal worker pools (DOM.Workers /
+	// Text.Workers) unless those are set explicitly. Results are
+	// byte-identical at any value.
 	Parallelism int
 
 	// Faults optionally injects deterministic failures and latency through
@@ -332,11 +335,11 @@ type pipelineRun struct {
 	listRes  *domx.ListResult
 }
 
-// stages builds the pipeline DAG. The list is given in the legacy serial
-// order, which is a valid topological order, so the serial scheduler path
-// (Parallelism <= 1) executes and reports stages exactly as the old
-// hand-rolled chain did. Conditional stages join the graph — and their
-// dependents' edge lists — only when their config switch is on.
+// stages builds the pipeline DAG. The list order is a valid topological
+// order, and it is the order the serial scheduler path (Parallelism <= 1)
+// executes and every path reports the stages in. Conditional stages join
+// the graph — and their dependents' edge lists — only when their config
+// switch is on.
 func (p *pipelineRun) stages() []sched.Stage {
 	retry := p.cfg.Retry
 	if retry == (resilience.RetryPolicy{}) {
@@ -731,7 +734,7 @@ func (p *pipelineRun) fuse(ctx context.Context) error {
 	reg.Counter("akb_fusion_truths_total").Add(int64(res.fused.NumTruths()))
 	obs.Current(ctx).AnnotateInt("statements", int64(claims.NumClaims()))
 	// The stat slot is keyed by the scheduler name; the rendered stage
-	// label carries the fusion method, as it always has.
+	// label carries the fusion method.
 	p.setStat(StageFusion, StageStat{
 		Stage:      "fusion/" + res.fused.Method,
 		Detail:     fmt.Sprintf("%d items, %d sources", len(claims.Items), len(claims.SourceNames)),
@@ -775,9 +778,9 @@ func hostClassResolver(w *kb.World) func(string) string {
 }
 
 // splitHostsByClass partitions generated list pages into hosts whose class
-// resolves and hosts that do not. Unknown hosts previously mapped to the
-// empty class and silently produced unlabeled records; now they are
-// skipped and surfaced (sorted) so the stage detail can count them.
+// resolves and hosts that do not. A host of no class would produce
+// unlabeled records, so it is skipped and surfaced (sorted) for the stage
+// detail to count.
 func splitHostsByClass(lists map[string][]*webgen.ListPage, classOf func(string) string) (known map[string][]*webgen.ListPage, unknown []string) {
 	known = make(map[string][]*webgen.ListPage, len(lists))
 	for host, pages := range lists {

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"akb/internal/core"
 	"akb/internal/extract"
 	"akb/internal/fusion"
 )
@@ -33,8 +32,7 @@ func CalibrationMethod(seed int64, buckets int, m fusion.Method) []CalibrationRo
 	if buckets <= 0 {
 		buckets = 10
 	}
-	cfg := core.DefaultConfig()
-	cfg.Seed = seed
+	cfg := seededConfig(seed)
 	cfg.Method = m
 	res := runPipeline(cfg)
 	type acc struct {

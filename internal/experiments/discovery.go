@@ -35,8 +35,7 @@ type DiscoveryRow struct {
 func EntityDiscovery(seed int64) []DiscoveryRow {
 	var rows []DiscoveryRow
 	for _, coverage := range []float64{0.9, 0.7, 0.5, 0.3} {
-		cfg := core.DefaultConfig()
-		cfg.Seed = seed
+		cfg := seededConfig(seed)
 		cfg.Freebase.Coverage = coverage
 		cfg.DiscoverEntities = true
 		res := runPipeline(cfg)

@@ -202,8 +202,7 @@ func FusionComparison(seed int64) []FusionRow {
 	var rows []FusionRow
 
 	// Workload 1: pipeline statements.
-	cfg := core.DefaultConfig()
-	cfg.Seed = seed
+	cfg := seededConfig(seed)
 	res := runPipeline(cfg)
 	scorer := &eval.Scorer{World: res.World}
 	methods := append(fusion.AllMethods(res.World.Hier), fusion.FactFinders()...)
@@ -254,8 +253,7 @@ func Ablations(seed int64) []AblationRow {
 	// Hierarchy ablation: a generalisation-heavy Web, scored on the items
 	// with hierarchical value spaces (the mechanism's target; elsewhere the
 	// wrapper is a no-op and only adds EM noise).
-	cfg := core.DefaultConfig()
-	cfg.Seed = seed
+	cfg := seededConfig(seed)
 	cfg.Sites.GeneralizeProb = 0.45
 	cfg.Corpus.GeneralizeProb = 0.45
 	res := runPipeline(cfg)
@@ -285,8 +283,7 @@ func Ablations(seed int64) []AblationRow {
 
 	// Alignment ablation: a Web with synonym labels and value typos, fused
 	// with and without the pre-fusion normalisation step.
-	acfg := core.DefaultConfig()
-	acfg.Seed = seed
+	acfg := seededConfig(seed)
 	acfg.Sites.SynonymProb = 0.3
 	acfg.Sites.TypoProb = 0.1
 	acfg.Method = &fusion.MultiTruth{Weighted: true}

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"akb/internal/core"
 	"akb/internal/eval"
 	"akb/internal/fusion"
 )
@@ -23,8 +22,7 @@ type GranularityRow struct {
 // source-quality model with four sources cannot separate good sites from
 // bad ones.
 func Granularity(seed int64) []GranularityRow {
-	cfg := core.DefaultConfig()
-	cfg.Seed = seed
+	cfg := seededConfig(seed)
 	// Heterogeneous site quality: some sites are 2.5x noisier than the
 	// base rate, others 5x cleaner. Extractor-level provenance averages
 	// them away; source-level provenance lets fusion discount bad sites.

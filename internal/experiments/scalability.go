@@ -3,7 +3,6 @@ package experiments
 import (
 	"time"
 
-	"akb/internal/core"
 	"akb/internal/fusion"
 )
 
@@ -31,8 +30,7 @@ type ScaleRow struct {
 func Scalability(seed int64) []ScaleRow {
 	var rows []ScaleRow
 	for _, n := range []int{20, 40, 80, 160} {
-		cfg := core.DefaultConfig()
-		cfg.Seed = seed
+		cfg := seededConfig(seed)
 		cfg.World.EntitiesPerClass = n
 		// Web volume grows with the world.
 		cfg.Sites.PagesPerSite = n / 2

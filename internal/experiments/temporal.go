@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"akb/internal/core"
 	"akb/internal/extract"
 	"akb/internal/kb"
 	"akb/internal/temporalx"
@@ -63,18 +62,4 @@ func Temporal(seed int64) []TemporalRow {
 		rows = append(rows, row)
 	}
 	return rows
-}
-
-// TemporalPipeline runs the full pipeline with temporal extraction enabled
-// and returns its fused timelines plus year accuracy.
-func TemporalPipeline(seed int64) (timelines int, accuracy float64) {
-	cfg := core.DefaultConfig()
-	cfg.Seed = seed
-	cfg.Temporal = true
-	res := runPipeline(cfg)
-	c, t := temporalx.Accuracy(res.World, res.Timelines)
-	if t == 0 {
-		return len(res.Timelines), 0
-	}
-	return len(res.Timelines), float64(c) / float64(t)
 }

@@ -16,6 +16,13 @@ import (
 	"akb/internal/webgen"
 )
 
+// seededConfig is the default pipeline configuration reseeded the way the
+// CLI's -seed reseeds it: core.WithSeed, which also reseeds the world the
+// substrates are generated from.
+func seededConfig(seed int64) core.Config {
+	return core.New(core.WithSeed(seed)).Config()
+}
+
 // runPipeline runs the pipeline of an experiment. Experiments inject no
 // faults and never cancel, so no stage can fail: an error is a bug.
 func runPipeline(cfg core.Config) *core.Result {

@@ -332,9 +332,7 @@ func extractSite(site Site, idx *extract.EntityIndex, cr *ClassResult, cfg Confi
 	states := make([]*pageState, 0, len(site.Pages))
 	var unknown []Page
 	for _, p := range site.Pages {
-		// One traversal serves both entity recognition and label caching;
-		// findEntityNode used to walk and normalise the same text nodes a
-		// second time.
+		// One traversal serves both entity recognition and label caching.
 		texts := bodyTextNodes(p.Doc)
 		norm := make([]string, len(texts))
 		for i, tn := range texts {

@@ -130,10 +130,8 @@ func Extract(ctx context.Context, docs []*webgen.Document, idx *extract.EntityIn
 		res.PerClass[class] = &ClassResult{Class: class, All: s.Clone(), Discovered: extract.NewAttrSet()}
 	}
 
-	// Pre-pass: segment and tokenize every document exactly once. Both
-	// phases used to re-split the corpus (and phase 2 re-tokenized it);
-	// sharing the per-doc sentence and token slices halves that work and
-	// removes the duplicate allocations.
+	// Pre-pass: segment and tokenize every document exactly once; both
+	// phases read the per-doc sentence and token slices.
 	mrCfg := mapreduce.Config{Workers: max(cfg.Workers, 1), Obs: obs.Reg(ctx)}
 	works := mapreduce.Map(mrCfg, docs, func(doc *webgen.Document) docWork {
 		sents := SplitSentences(doc.Text)

@@ -33,12 +33,6 @@ func (f *Full) Fuse(c *Claims) *Result {
 	return res
 }
 
-// Baselines returns the three baseline methods the paper adopts from Dong
-// et al. (VLDB'14).
-func Baselines() []Method {
-	return []Method{&Vote{}, &Accu{}, &Accu{Popularity: true}}
-}
-
 // AllMethods returns the full comparison suite for the fusion experiments:
 // the three baselines, the plain multi-truth model, and the paper's
 // incremental improvements up to the composed FULL method.

@@ -71,8 +71,7 @@ type mtValue struct {
 type mtItem struct {
 	// covering lists the indices of sources asserting any value of the
 	// item, ascending. SourceNames is sorted, so ascending index order is
-	// exactly the sorted-name order the original string-keyed loop used —
-	// float accumulation order is unchanged.
+	// sorted-name order, and that fixes the float accumulation order.
 	covering []int
 	values   []mtValue
 	// probs holds the current posterior per value, overwritten each

@@ -7,11 +7,8 @@ import (
 	"time"
 )
 
-// RunReportSchemaVersion is the current RunReport JSON layout version.
-// Version history:
-//
-//	0 (implicit) — original layout, no schema_version field
-//	1 — schema_version stamped; layout otherwise identical to 0
+// RunReportSchemaVersion is the current RunReport JSON layout version,
+// stamped into every report written.
 const RunReportSchemaVersion = 1
 
 // RunReport is the machine-readable record of one pipeline run: every
@@ -20,8 +17,8 @@ const RunReportSchemaVersion = 1
 // -report` writes, `akb report` renders, and the benchmark run appends to
 // the perf trajectory.
 type RunReport struct {
-	// SchemaVersion identifies the report layout. Zero means a legacy
-	// (pre-versioning) report; readers accept 0..RunReportSchemaVersion.
+	// SchemaVersion identifies the report layout; readers accept
+	// 1..RunReportSchemaVersion.
 	SchemaVersion int `json:"schema_version,omitempty"`
 	// Started is when the telemetry run was created.
 	Started time.Time `json:"started"`
@@ -97,17 +94,17 @@ func (rr *RunReport) Metric(name string) (Metric, bool) {
 // WriteJSON serialises the report as stable, indented JSON.
 func (rr *RunReport) WriteJSON(w io.Writer) error { return WriteJSON(w, rr) }
 
-// ReadRunReport decodes a report previously written with WriteJSON. Both
-// versioned reports and legacy ones without a schema_version field (read
-// back as version 0) are accepted; reports from a future layout are
-// rejected so old tooling fails loudly instead of misrendering them.
+// ReadRunReport decodes a report previously written with WriteJSON. A
+// report from a future layout, or one with no schema_version at all (no
+// writer has produced one since the field exists), is rejected so tooling
+// fails loudly instead of misrendering it.
 func ReadRunReport(r io.Reader) (*RunReport, error) {
 	var rr RunReport
 	if err := json.NewDecoder(r).Decode(&rr); err != nil {
 		return nil, fmt.Errorf("obs: decode run report: %w", err)
 	}
-	if rr.SchemaVersion < 0 || rr.SchemaVersion > RunReportSchemaVersion {
-		return nil, fmt.Errorf("obs: unsupported run report schema_version %d (this build reads 0..%d)",
+	if rr.SchemaVersion < 1 || rr.SchemaVersion > RunReportSchemaVersion {
+		return nil, fmt.Errorf("obs: unsupported run report schema_version %d (this build reads 1..%d)",
 			rr.SchemaVersion, RunReportSchemaVersion)
 	}
 	return &rr, nil

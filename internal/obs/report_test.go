@@ -123,23 +123,22 @@ func TestRunReportRoundTrip(t *testing.T) {
 	}
 }
 
-// TestReadRunReportVersions pins the compatibility contract: legacy
-// reports without a schema_version field read as version 0; future
-// versions are rejected.
+// TestReadRunReportVersions pins the compatibility contract: the current
+// version reads; a report without a schema_version field and one from a
+// future version are rejected with the same named error.
 func TestReadRunReportVersions(t *testing.T) {
-	legacy := `{"started":"2025-01-01T00:00:00Z","duration_ns":5,"spans":[],"metrics":[]}`
-	rr, err := ReadRunReport(strings.NewReader(legacy))
-	if err != nil {
-		t.Fatalf("legacy report rejected: %v", err)
+	current := `{"schema_version":1,"started":"2025-01-01T00:00:00Z","duration_ns":5,"spans":[],"metrics":[]}`
+	if _, err := ReadRunReport(strings.NewReader(current)); err != nil {
+		t.Fatalf("current report rejected: %v", err)
 	}
-	if rr.SchemaVersion != 0 {
-		t.Fatalf("legacy schema version = %d, want 0", rr.SchemaVersion)
-	}
-
-	future := `{"schema_version":99,"started":"2025-01-01T00:00:00Z"}`
-	if _, err := ReadRunReport(strings.NewReader(future)); err == nil ||
-		!strings.Contains(err.Error(), "unsupported run report schema_version") {
-		t.Fatalf("future report err = %v", err)
+	for name, body := range map[string]string{
+		"unversioned": `{"started":"2025-01-01T00:00:00Z","duration_ns":5,"spans":[],"metrics":[]}`,
+		"future":      `{"schema_version":99,"started":"2025-01-01T00:00:00Z"}`,
+	} {
+		if _, err := ReadRunReport(strings.NewReader(body)); err == nil ||
+			!strings.Contains(err.Error(), "unsupported run report schema_version") {
+			t.Errorf("%s report err = %v", name, err)
+		}
 	}
 }
 

@@ -22,8 +22,8 @@
 //     injection apply per stage exactly as in the serial pipeline.
 //
 // With Parallelism <= 1 the scheduler runs stages on the caller's
-// goroutine in topological order — byte-compatible with the legacy serial
-// pipeline including span layout and hook ordering. With Parallelism > 1
+// goroutine in topological order: no scheduler span, no goroutines, hooks
+// in stage order. With Parallelism > 1
 // it opens one parent span ("sched") per run, nests every stage span under
 // it, and tracks the in-flight stage count in the
 // akb_sched_running_stages gauge.
@@ -201,8 +201,8 @@ func Run(ctx context.Context, opts Options, stages []Stage) (*Result, error) {
 }
 
 // runSerial executes stages one at a time in topological order on the
-// caller's goroutine. It is byte-compatible with the legacy serial
-// pipeline: no extra spans, no goroutines, immediate abort on failure.
+// caller's goroutine: no extra spans, no goroutines, immediate abort on
+// failure.
 func runSerial(ctx context.Context, sup *resilience.Supervisor, stages []Stage, g *graph) (*Result, error) {
 	res := newResult(stages, g)
 	reg := obs.Reg(ctx)
