@@ -80,10 +80,9 @@ func TestSeedReachesPipelineExperiments(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs five pipeline experiments")
 	}
+	wholePipeline := map[string]bool{"fusion": true, "ablation": true, "discover": true, "calibration": true, "granularity": true}
 	for _, g := range goldenExperiments {
-		switch g.name {
-		case "fusion", "ablation", "discover", "calibration", "granularity":
-		default:
+		if !wholePipeline[g.name] {
 			continue
 		}
 		out, err := captureStdout(t, func() error { return cmdExp([]string{g.name, "-seed", "2"}) })
