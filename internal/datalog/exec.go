@@ -274,11 +274,23 @@ type runner struct {
 	runs   []store.Run // beside row: the run of the entity in the slot, where a step keeps it
 	yields []func(*store.Fact) bool
 	rows   [][]string
+	arena  []string // what is left of the chunk the kept rows are cut from
 	total  int
 	probes int64
-	tick   int
+	tick   uint // facts handed to a step, at any depth
 	err    error
 }
+
+// pollEvery is how many facts reach a step — the last one's are the rows
+// — between two polls of the context: the unit of work cancellation is
+// bounded in, whatever the shape of the query.
+const pollEvery = 1024
+
+// The bounds of a chunk of kept rows, in rows; see room.
+const (
+	minChunk = 8
+	maxChunk = 128
+)
 
 func newRunner(sh *shared) *runner {
 	r := &runner{
@@ -292,6 +304,14 @@ func newRunner(sh *shared) *runner {
 		d := d
 		st := &sh.steps[d]
 		r.yields[d] = func(f *store.Fact) bool {
+			// Every fact a step is handed is one unit of work, in a hash
+			// bucket or a run as much as off a probe: polled here, a product
+			// whose last step fans out is cancelled as promptly as a chain.
+			if r.tick++; r.tick%pollEvery == 0 {
+				if r.err = r.sh.ctx.Err(); r.err != nil {
+					return false
+				}
+			}
 			// Binds run before checks: a repeated variable's first
 			// occurrence (the bind) is always at an earlier position than
 			// its re-occurrence (the check), so the check must see THIS
@@ -356,14 +376,10 @@ func (r *runner) probe(p store.Pattern, d int) bool {
 // advance evaluates step d under the current binding row: substitute
 // the bound slots into the pattern and stream the matches — out of the
 // entity's kept run when the join is on one, off the store otherwise — or
-// fetch the pre-built hash bucket. Returns false only to abort on context
-// cancellation — matches are never cut short, so Total stays exact.
+// fetch the pre-built hash bucket. Returns false only when a step aborted
+// on context cancellation — matches are never cut short, so Total stays
+// exact.
 func (r *runner) advance(d int) bool {
-	r.tick++
-	if r.tick&1023 == 0 && r.sh.ctx.Err() != nil {
-		r.err = r.sh.ctx.Err()
-		return false
-	}
 	st := &r.sh.steps[d]
 	if st.strategy == StrategyHash {
 		k := ""
@@ -399,18 +415,40 @@ func (r *runner) advance(d int) bool {
 }
 
 // emit records one complete binding: the total is always counted, the
-// projected row is kept only while under the limit.
+// projected row is kept only while under the limit. Kept rows are cut from
+// chunks, and the page grows by a chunk's rows at a time: a row costs the
+// allocator nothing, a page a few allocations however many rows it has.
 func (r *runner) emit() bool {
 	r.total++
 	if r.sh.limit > 0 && len(r.rows) >= r.sh.limit {
 		return true
 	}
-	out := make([]string, len(r.sh.selIdx))
+	if len(r.rows) == cap(r.rows) {
+		r.rows = append(make([][]string, 0, len(r.rows)+r.room()), r.rows...)
+	}
+	w := len(r.sh.selIdx)
+	if r.arena == nil || len(r.arena) < w { // nil: a row of no columns is still cut from a chunk, not nil
+		r.arena = make([]string, r.room()*w)
+	}
+	out := r.arena[:w:w]
+	r.arena = r.arena[w:]
 	for i, s := range r.sh.selIdx {
 		out[i] = r.row[s]
 	}
 	r.rows = append(r.rows, out)
 	return true
+}
+
+// room is how many rows the next chunk holds: as many as are kept already,
+// no fewer than minChunk, no more than maxChunk or than the limit has left.
+// A selective join keeps a handful of rows and must not pay for a page — a
+// zeroed chunk of maxChunk rows costs such a query more than its probes.
+func (r *runner) room() int {
+	n := min(max(len(r.rows), minChunk), maxChunk)
+	if left := r.sh.limit - len(r.rows); r.sh.limit > 0 && left < n {
+		n = left
+	}
+	return n
 }
 
 // runParallel splits the first clause's stream into fixed-size batches,

@@ -88,7 +88,8 @@ func (s *Server) handleDatalog(g *generation, r *http.Request) routeResult {
 
 	ctx, span := obs.StartSpan(r.Context(), "datalog")
 	defer span.End()
-	span.Annotate("query", q.String())
+	rendered := q.String() // once: the span's annotation and the answer's "query"
+	span.Annotate("query", rendered)
 	start := time.Now()
 	res, err := datalog.RunPlan(ctx, g.q, q, plan, datalog.Options{Parallelism: req.Parallelism})
 	s.m.datalogLatency.Observe(time.Since(start).Seconds())
@@ -109,7 +110,7 @@ func (s *Server) handleDatalog(g *generation, r *http.Request) routeResult {
 	// truncated semantics, plus the variable bindings as one object per row.
 	out := datalogAnswer{
 		generation: g.num,
-		query:      q.String(),
+		query:      rendered,
 		vars:       res.Vars,
 		rows:       res.Rows,
 		total:      res.Total,

@@ -260,7 +260,8 @@ func binVerify(data []byte) (binHeader, *binReader, error) {
 	// A shard occupies at least its 8-byte count, a fact binMinFactLen
 	// bytes, a string its length byte: a header that declares more than
 	// the file can hold is refused here, before the counts size anything.
-	if left := uint64(r.left()); shards > left/8 || facts > left/binMinFactLen || strs > left {
+	// String IDs stand in for entity ranks (see shard), which are int32.
+	if left := uint64(r.left()); shards > left/8 || facts > left/binMinFactLen || strs > left || strs > noRank {
 		return hdr, nil, fmt.Errorf("store: binary snapshot header declares %d shards, %d facts, %d strings in %d bytes", shards, facts, strs, left)
 	}
 	hdr.shards, hdr.facts, hdr.strings = int(shards), int(facts), int(strs)
@@ -305,10 +306,12 @@ func decodeBinarySnapshot(data []byte) (*Sharded, error) {
 		}
 		part := facts[:n:n]
 		facts = facts[n:]
-		if err := d.shard(si, len(shards), part); err != nil {
+		rank, err := d.shard(si, len(shards), part)
+		if err != nil {
 			return nil, err
 		}
 		shards[si] = build(part)
+		shards[si].rank = rank
 	}
 	if len(facts) != 0 {
 		return nil, fmt.Errorf("store: binary snapshot truncated: header says %d facts, found %d", hdr.facts, hdr.facts-len(facts))
@@ -356,37 +359,41 @@ func (d *binReader) stringTable(n int) error {
 // shard decodes the columns of shard si of n into facts (already sized to
 // the shard's declared count) and checks that they arrive canonical: keys
 // strictly increasing, compared as the two big-endian integers they are.
-func (d *binReader) shard(si, n int, facts []Fact) error {
+// It returns the shard's rank column: string IDs are in string order over
+// the whole file, so each run's entity ID is its entity's rank — read off
+// the keys, where NewSharded has to compare the names (rankRuns).
+func (d *binReader) shard(si, n int, facts []Fact) (rank []int32, err error) {
 	be := binary.BigEndian
 	// len(facts) is at most the header's count, which binVerify bounded:
 	// the products below cannot overflow.
 	keys, err := d.take(len(facts) * binKeyWidth)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	var prevHi, prevLo uint64
 	for i := range facts {
 		hi, lo := be.Uint64(keys[i*binKeyWidth:]), be.Uint64(keys[i*binKeyWidth+8:])
 		if i > 0 && (hi < prevHi || hi == prevHi && lo <= prevLo) {
-			return fmt.Errorf("store: binary snapshot shard %d keys are not strictly increasing at fact %d", si, i)
+			return nil, fmt.Errorf("store: binary snapshot shard %d keys are not strictly increasing at fact %d", si, i)
 		}
 		e, a, v, c := hi>>32, hi&math.MaxUint32, lo>>32, lo&math.MaxUint32
 		if top := max(e, a, v, c); top >= uint64(len(d.strs)) {
-			return fmt.Errorf("store: binary snapshot references string %d of %d", top, len(d.strs))
+			return nil, fmt.Errorf("store: binary snapshot references string %d of %d", top, len(d.strs))
 		}
 		f := &facts[i]
 		f.Entity, f.Attr, f.Value, f.Class = d.strs[e], d.strs[a], d.strs[v], d.strs[c]
 		d.used[e], d.used[a], d.used[v], d.used[c] = true, true, true, true
 		if i == 0 || hi>>32 != prevHi>>32 {
 			if got := ShardOf(f.Entity, n); got != si {
-				return fmt.Errorf("store: binary snapshot misplaces entity %q in shard %d (hashes to %d)", f.Entity, si, got)
+				return nil, fmt.Errorf("store: binary snapshot misplaces entity %q in shard %d (hashes to %d)", f.Entity, si, got)
 			}
+			rank = append(rank, int32(e))
 		}
 		prevHi, prevLo = hi, lo
 	}
 	confs, err := d.take(len(facts) * 8)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	for i := range facts {
 		facts[i].Confidence = math.Float64frombits(be.Uint64(confs[i*8:]))
@@ -394,17 +401,17 @@ func (d *binReader) shard(si, n int, facts []Fact) error {
 	for i := range facts {
 		v, err := d.uvarint()
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if v > math.MaxInt {
-			return fmt.Errorf("store: binary snapshot source count %d overflows", v)
+			return nil, fmt.Errorf("store: binary snapshot source count %d overflows", v)
 		}
 		facts[i].Sources = int(v)
 	}
 	for i := range facts {
 		cnt, err := d.uvarint()
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if cnt == 0 {
 			continue
@@ -412,7 +419,7 @@ func (d *binReader) shard(si, n int, facts []Fact) error {
 		// Each ancestor is at least one byte of what is left to read,
 		// which bounds both this list and the chunk allocated for it.
 		if cnt > uint64(d.left()) {
-			return fmt.Errorf("store: binary snapshot fact claims %d ancestors", cnt)
+			return nil, fmt.Errorf("store: binary snapshot fact claims %d ancestors", cnt)
 		}
 		if uint64(len(d.arena)) < cnt {
 			d.arena = make([]string, max(int(cnt), min(binAncestorChunk, d.left())))
@@ -422,16 +429,16 @@ func (d *binReader) shard(si, n int, facts []Fact) error {
 		for j := range anc {
 			id, err := d.uvarint()
 			if err != nil {
-				return err
+				return nil, err
 			}
 			if id >= uint64(len(d.strs)) {
-				return fmt.Errorf("store: binary snapshot references string %d of %d", id, len(d.strs))
+				return nil, fmt.Errorf("store: binary snapshot references string %d of %d", id, len(d.strs))
 			}
 			anc[j], d.used[id] = d.strs[id], true
 		}
 		facts[i].Ancestors = anc
 	}
-	return nil
+	return rank, nil
 }
 
 // atomicWriteFile writes via a temp file in the target directory, fsyncs

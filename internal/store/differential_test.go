@@ -130,6 +130,7 @@ type delegate struct{ Querier }
 // every fact is that entity's Lookup, a pattern read inside the run is the
 // store's read of the pattern with the entity named, and a cursor whose
 // order was released yields the same facts it would have, in some order.
+// And for the two integer columns those reads go by (checkColumns).
 func TestReadsMatchScanOnNastyKBs(t *testing.T) {
 	kbs := 150
 	if testing.Short() {
@@ -165,6 +166,7 @@ func TestReadsMatchScanOnNastyKBs(t *testing.T) {
 			if !factsEqual(q.Scan(Pattern{}), flat.Facts()) || !factsEqual(q.Facts(), flat.Facts()) {
 				t.Fatalf("seed %d %s: facts differ from the flat store's", seed, name)
 			}
+			checkColumns(t, fmt.Sprintf("seed %d %s", seed, name), q)
 			for i, p := range patterns {
 				where := fmt.Sprintf("seed %d %s %#v", seed, name, p)
 				checkReads(t, where, q, flat.Facts(), p, 1+r.Intn(4))
@@ -213,6 +215,67 @@ func checkReads(t *testing.T, where string, q *Sharded, all []Fact, p Pattern, l
 	}
 	if got := q.Triples(p.Entity, p.Attr); !factsEqual(got, triples) {
 		t.Errorf("%s: Triples\n got: %+v\nwant: %+v", where, got, triples)
+	}
+}
+
+// attrRunRef is the reference attrRun is checked against — the search it
+// replaced: a binary search of the run by attribute name, through the facts.
+func (s *shard) attrRunRef(run span, attr string) span {
+	lo, end := run.lo, run.hi
+	for lo < end {
+		if mid := int32(uint32(lo+end) >> 1); s.facts[mid].Attr < attr {
+			lo = mid + 1
+		} else {
+			end = mid
+		}
+	}
+	hi := lo
+	for hi < run.hi && s.facts[hi].Attr == attr {
+		hi++
+	}
+	return span{lo, hi}
+}
+
+// checkColumns checks the integer columns the hot loops compare in place of
+// strings against the strings themselves. Every run of every shard has a
+// rank, and over all shards' runs the ranks rise strictly with the entity
+// names — so no two tie, which is what lets a scatter merge by rank alone.
+// attrNo is byAttr's list number of each fact's attribute. attrRun, which
+// reads only attrNo, narrows every run to the facts the search by name
+// narrows it to, for every name of the pool and for two no fact carries
+// (the empty one, and one absent from every shard); an attribute the entity
+// lacks is an empty span wherever in the run either of them puts it.
+func checkColumns(t *testing.T, where string, q *Sharded) {
+	t.Helper()
+	type ranked struct {
+		entity string
+		rank   int32
+	}
+	var all []ranked
+	for si, sh := range q.shards {
+		if len(sh.rank) != len(sh.runs) || len(sh.attrNo) != len(sh.facts) {
+			t.Fatalf("%s shard %d: %d ranks for %d runs, %d attribute numbers for %d facts", where, si, len(sh.rank), len(sh.runs), len(sh.attrNo), len(sh.facts))
+		}
+		for i, f := range sh.facts {
+			if no, ok := sh.byAttr.list[f.Attr]; !ok || sh.attrNo[i] != no {
+				t.Errorf("%s shard %d: attrNo[%d] = %d, byAttr lists %q as %d (%v)", where, si, i, sh.attrNo[i], f.Attr, no, ok)
+			}
+		}
+		for ri, run := range sh.runs {
+			all = append(all, ranked{sh.facts[run.lo].Entity, sh.rank[ri]})
+			for _, attr := range append([]string{"", "absent everywhere"}, nastyNames...) {
+				got, want := sh.attrRun(run, attr), sh.attrRunRef(run, attr)
+				if got != want && (got.lo != got.hi || want.lo != want.hi) {
+					t.Errorf("%s shard %d: attrRun(%v, %q) = %v, the search by name finds %v", where, si, run, attr, got, want)
+				}
+			}
+		}
+	}
+	sort.Slice(all, func(i, j int) bool { return all[i].entity < all[j].entity })
+	for i := 1; i < len(all); i++ {
+		if all[i].rank <= all[i-1].rank {
+			t.Errorf("%s: rank %d of %q is not above rank %d of %q", where, all[i].rank, all[i].entity, all[i-1].rank, all[i-1].entity)
+		}
 	}
 }
 

@@ -1,5 +1,7 @@
 package store
 
+import "math"
+
 // Querier is the whole read interface of a store: three summary numbers,
 // one read primitive and its free cost bound. *Sharded implements it;
 // wrappers — the chaos injector in chaos.go, a test's delegating shim, one
@@ -30,13 +32,14 @@ var _ Querier = (*Sharded)(nil)
 // into the store's immutable fact arrays, and Count says how many are left
 // without ordering them. A cursor over one shard — the pattern names an
 // entity, or the store has one shard — is a plain value: opening it
-// allocates nothing. A scatter holds every shard's stream and that
-// stream's next match, and Next k-way merges them: the heads are compared
-// in place, so a fact is copied only if the consumer copies it. Comparing
-// with factLess alone is deterministic because a fact's identity key pins
-// its entity and entities are partitioned across shards; linear minimum
-// selection over the shard count beats heap bookkeeping at the 8–64 shard
-// sizes this store runs at. The merge is what the order costs, so a
+// allocates nothing. A scatter holds every shard's stream, stopped at its
+// next match, and Next k-way merges them by the rank of that match's
+// entity: no fact is read to order it, and one is copied only if the
+// consumer copies it. Ranks alone decide because entities are partitioned
+// across shards — two heads never hold the same entity, so two ranks never
+// tie — and inside its entity a shard's stream is already in order; linear
+// minimum selection over the shard count beats heap bookkeeping at the 8–64
+// shard sizes this store runs at. The merge is what the order costs, so a
 // consumer that has its ordered page says so (Unordered) and gets the rest
 // shard by shard.
 //
@@ -55,9 +58,23 @@ type Cursor struct {
 	unordered bool   // a scatter whose consumer released the order
 }
 
+// head is one shard's stream in a scatter, stopped at its next match:
+// sh.facts[at], whose entity has the rank kept beside it.
 type head struct {
 	shardCursor
-	f *Fact // the shard's next match; nil: that shard is exhausted
+	rank int32 // noRank: the shard is exhausted
+}
+
+// noRank is above every entity's rank: ranks count runs, which int32 fact
+// positions bound.
+const noRank = math.MaxInt32
+
+// advance moves the head to the shard's next match.
+func (h *head) advance() {
+	h.rank = noRank
+	if h.next() != nil {
+		h.rank = h.sh.rank[h.sh.runOf[h.at]]
+	}
 }
 
 // Run is one entity's facts — a run of its shard's fact array, in canonical
@@ -85,7 +102,7 @@ func (s *Sharded) Select(p Pattern) Cursor {
 	for i, sh := range s.shards {
 		h := &heads[i]
 		h.shardCursor = sh.cursor(p)
-		h.f = h.next()
+		h.advance()
 	}
 	return Cursor{heads: heads}
 }
@@ -97,10 +114,10 @@ func (c *Cursor) Next() *Fact {
 	if c.heads == nil {
 		return c.next()
 	}
-	best := -1
+	best, rank := -1, int32(noRank)
 	for i := range c.heads {
-		if f := c.heads[i].f; f != nil && (best < 0 || factLess(f, c.heads[best].f)) {
-			best = i
+		if r := c.heads[i].rank; r < rank {
+			best, rank = i, r
 			if c.unordered {
 				break
 			}
@@ -110,10 +127,9 @@ func (c *Cursor) Next() *Fact {
 		return nil
 	}
 	h := &c.heads[best]
-	f := h.f
 	c.sh, c.at = h.sh, h.at
-	h.f = h.next()
-	return f
+	h.advance()
+	return &c.sh.facts[c.at]
 }
 
 // Unordered releases the canonical order: the consumer has the ordered
@@ -147,9 +163,9 @@ func (r Run) Select(p Pattern) Cursor {
 func (c *Cursor) Count() int {
 	n := c.count()
 	for i := range c.heads {
-		if h := &c.heads[i]; h.f != nil {
+		if h := &c.heads[i]; h.rank != noRank {
 			n += 1 + h.count()
-			h.f = nil
+			h.rank = noRank
 		}
 	}
 	return n

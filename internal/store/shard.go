@@ -13,7 +13,9 @@ type shard struct {
 	byEntity map[string]span // entity → its run of facts
 	runs     []span          // every entity's run, in fact order
 	runOf    []int32         // fact position → its entity's number in runs
+	rank     []int32         // run number → a number that rises with the entity's name over all shards' entities
 	byAttr   postings
+	attrNo   []int32  // fact position → its attribute's list number in byAttr
 	byClass  postings // facts with an empty class are not listed
 	byValue  postings // a fact is listed under its value and each ancestor
 }
@@ -116,6 +118,9 @@ func build(facts []Fact) *shard {
 		}
 	}
 	s.byAttr, s.byClass, s.byValue = attrs.postings(), classes.postings(), values.postings()
+	// Every fact posts its attribute once, in fact order: the builder's list
+	// number per posting is the attribute-number column.
+	s.attrNo = attrs.key
 
 	s.byEntity = make(map[string]span, len(s.runs))
 	for _, run := range s.runs {
@@ -125,21 +130,25 @@ func build(facts []Fact) *shard {
 }
 
 // attrRun narrows one entity's run to one attribute's facts: inside an
-// entity the canonical order is by attribute, so they are contiguous.
+// entity the canonical order is by attribute, so they are contiguous. The
+// attribute is looked up once, as its list number in byAttr, and found in
+// the run by comparing that number with the run's window of attrNo — a few
+// adjacent int32s — without touching a fact.
 func (s *shard) attrRun(run span, attr string) span {
-	lo, end := run.lo, run.hi
-	for lo < end {
-		if mid := int32(uint32(lo+end) >> 1); s.facts[mid].Attr < attr {
-			lo = mid + 1
-		} else {
-			end = mid
-		}
+	no, ok := s.byAttr.list[attr]
+	if !ok {
+		return span{run.lo, run.lo}
+	}
+	nos := s.attrNo[run.lo:run.hi]
+	lo := 0
+	for lo < len(nos) && nos[lo] != no {
+		lo++
 	}
 	hi := lo
-	for hi < run.hi && s.facts[hi].Attr == attr {
+	for hi < len(nos) && nos[hi] == no {
 		hi++
 	}
-	return span{lo, hi}
+	return span{run.lo + int32(lo), run.lo + int32(hi)}
 }
 
 // shardCursor is how one shard reads one pattern. A pattern that names an

@@ -23,13 +23,16 @@
 // attribute, value, class) order, and that order is the first index: an
 // entity's facts are one contiguous run of the array and an attribute's
 // facts one run inside it, so by-entity and by-(entity, attribute) reads
-// are a map probe, a short binary search and a copy. Three inverted
-// indexes — by attribute, by class and by value — cover the patterns that
-// name no entity; each keeps all its postings lists in one array. The
-// by-value index is hierarchy-aware: a fact is indexed under its accepted
-// value and under every generalisation of that value, so querying
-// value=Australia also finds entities whose accepted birth place is
-// Adelaide — the paper's hierarchical-value-space semantics carried
+// are a map probe, a scan of the run's attribute numbers and a copy. Two
+// integer columns beside the array — each fact's attribute number, each
+// run's rank among all entities — let that scan and the merge of the
+// shards' streams compare int32s where the order is one of strings. Three
+// inverted indexes — by attribute, by class and by value — cover the
+// patterns that name no entity; each keeps all its postings lists in one
+// array. The by-value index is hierarchy-aware: a fact is indexed under
+// its accepted value and under every generalisation of that value, so
+// querying value=Australia also finds entities whose accepted birth place
+// is Adelaide — the paper's hierarchical-value-space semantics carried
 // through to serving.
 package store
 
@@ -165,6 +168,7 @@ func NewSharded(facts []Fact, n int) *Sharded {
 	for i, part := range parts {
 		shards[i] = build(canonical(part))
 	}
+	rankRuns(shards)
 	return newSharded(shards)
 }
 
@@ -193,6 +197,38 @@ func newSharded(shards []*shard) *Sharded {
 	}
 	sort.Strings(s.classes)
 	return s
+}
+
+// rankRuns fills every shard's rank column: one k-way pass over the
+// shards' runs — each shard's already in entity order — numbers the
+// entities in the string order of them all. It is the only place the
+// shards' entity names are compared; a scatter merges by these numbers.
+// (The snapshot decoder needs no such pass: its string IDs are ranks.)
+func rankRuns(shards []*shard) {
+	next := make([]int, len(shards))    // each shard's first unranked run
+	name := make([]string, len(shards)) // and that run's entity
+	for i, sh := range shards {
+		sh.rank = make([]int32, len(sh.runs))
+		if len(sh.runs) > 0 {
+			name[i] = sh.facts[0].Entity
+		}
+	}
+	for rank := int32(0); ; rank++ {
+		best := -1
+		for i, sh := range shards {
+			if next[i] < len(sh.runs) && (best < 0 || name[i] < name[best]) {
+				best = i
+			}
+		}
+		if best < 0 {
+			return
+		}
+		sh := shards[best]
+		sh.rank[next[best]] = rank
+		if next[best]++; next[best] < len(sh.runs) {
+			name[best] = sh.facts[sh.runs[next[best]].lo].Entity
+		}
+	}
 }
 
 // ResultFacts extracts the fused facts of a pipeline result — one fact per
