@@ -28,6 +28,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -618,17 +619,17 @@ func (p *pipelineRun) extractText(ctx context.Context) error {
 // contribute nothing.
 func (p *pipelineRun) unionStatements(ctx context.Context) error {
 	res := p.res
-	res.Statements = nil
-	res.Statements = append(res.Statements, p.kbStmts...)
+	parts := [][]rdf.Statement{p.kbStmts}
 	if res.DOMX != nil {
-		res.Statements = append(res.Statements, res.DOMX.Statements...)
+		parts = append(parts, res.DOMX.Statements)
 	}
 	if p.listRes != nil {
-		res.Statements = append(res.Statements, p.listRes.Statements...)
+		parts = append(parts, p.listRes.Statements)
 	}
 	if res.TextX != nil {
-		res.Statements = append(res.Statements, res.TextX.Statements...)
+		parts = append(parts, res.TextX.Statements)
 	}
+	res.Statements = slices.Concat(parts...)
 	obs.Reg(ctx).Counter("akb_pipeline_statements_total").Add(int64(len(res.Statements)))
 	obs.Current(ctx).AnnotateInt("statements", int64(len(res.Statements)))
 	return nil

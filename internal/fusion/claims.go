@@ -18,7 +18,11 @@
 package fusion
 
 import (
+	"cmp"
+	"math"
+	"slices"
 	"sort"
+	"strings"
 
 	"akb/internal/rdf"
 )
@@ -91,78 +95,186 @@ func (c *Claims) NumClaims() int {
 	return n
 }
 
-// valueKey identifies one claimed value of one item while claims are built.
-type valueKey struct {
-	item  string
-	value string
-}
-
 // BuildClaims groups statements into items and values at the chosen source
 // granularity. Output ordering is deterministic — items by key, values by
 // term order, sources by name — and independent of statement order: item
 // keys, value terms and source names alone determine it, and duplicate
 // (item, value, source) assertions keep only the maximum confidence (an
-// order-free reduction).
+// order-free reduction). A confidence above 1 counts as 1, so no method
+// downstream is handed an exponent or a weight outside (0, 1]; a statement
+// whose confidence is not above 0 (unscored, negative, NaN) names its value
+// and adds no source to it.
+//
+// One map probe a statement finds its item by its (subject, predicate)
+// terms and one its source; after that the work is on numbers. Statements
+// are bucketed by item, each bucket is sorted by (value, source) and read
+// off as runs — an item has a handful of statements — and the items, the
+// value claims and the source claims are each cut from one array. Values
+// are told apart as terms: two literals spelled with NUL or \x01 bytes so
+// that their keys collide stay two values.
 func BuildClaims(stmts []rdf.Statement, g Granularity) *Claims {
-	items := map[string]*Item{}
-	values := map[valueKey]*ValueClaims{}
-	srcConf := map[valueKey]map[string]float64{}
-	for _, s := range stmts {
-		ik := s.ItemKey()
-		it, ok := items[ik]
+	if len(stmts) == 0 {
+		return &Claims{}
+	}
+	type itemTerms struct{ subject, predicate rdf.Term }
+	type foundItem struct {
+		key   string
+		first int32 // the statement that named it first
+	}
+	itemOf := make(map[itemTerms]int32, len(stmts)/2)
+	found := make([]foundItem, 0, len(stmts)/2)
+	srcOf := make(map[rdf.Provenance]int32)
+	var srcNames []string
+	// Per statement, as numbers: its item, and its source or -1 when it adds
+	// none.
+	item := make([]int32, len(stmts))
+	src := make([]int32, len(stmts))
+	for i := range stmts {
+		s := &stmts[i]
+		terms := itemTerms{s.Subject, s.Predicate}
+		n, ok := itemOf[terms]
 		if !ok {
-			it = &Item{Key: ik, Subject: s.Subject, Predicate: s.Predicate}
-			items[ik] = it
+			n = int32(len(found))
+			itemOf[terms] = n
+			found = append(found, foundItem{key: s.ItemKey(), first: int32(i)})
 		}
-		vk := valueKey{item: ik, value: s.Object.Key()}
-		vc, ok := values[vk]
-		if !ok {
-			vc = &ValueClaims{Value: s.Object}
-			values[vk] = vc
-			it.Values = append(it.Values, vc)
-		}
-		src := sourceName(s.Provenance, g)
-		m := srcConf[vk]
-		if m == nil {
-			m = map[string]float64{}
-			srcConf[vk] = m
-		}
-		if s.Confidence > m[src] {
-			m[src] = s.Confidence
+		item[i] = n
+		src[i] = -1
+		if s.Confidence > 0 {
+			id := sourceIdentity(s.Provenance, g)
+			sn, ok := srcOf[id]
+			if !ok {
+				sn = int32(len(srcNames))
+				srcOf[id] = sn
+				srcNames = append(srcNames, sourceName(id, g))
+			}
+			src[i] = sn
 		}
 	}
 
-	out := &Claims{}
-	srcSet := map[string]struct{}{}
-	keys := make([]string, 0, len(items))
-	for k := range items {
-		keys = append(keys, k)
+	// A source's number becomes its place among the sorted names, so number
+	// order is name order. Two identities can spell one name ("a+b","c" and
+	// "a","b+c"): one source.
+	out := &Claims{SourceNames: slices.Clone(srcNames)}
+	slices.Sort(out.SourceNames)
+	out.SourceNames = slices.Compact(out.SourceNames)
+	place := make([]int32, len(srcNames))
+	for sn, name := range srcNames {
+		p, _ := slices.BinarySearch(out.SourceNames, name)
+		place[sn] = int32(p)
 	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		it := items[k]
-		sort.Slice(it.Values, func(i, j int) bool {
-			return it.Values[i].Value.Compare(it.Values[j].Value) < 0
-		})
-		for _, vc := range it.Values {
-			m := srcConf[valueKey{item: k, value: vc.Value.Key()}]
-			names := make([]string, 0, len(m))
-			for s := range m {
-				names = append(names, s)
+
+	// Items in key order. Two (subject, predicate) pairs can spell one key
+	// ("a|ib","c" and "a","b|ic"): one item, under the terms named first.
+	byKey := make([]int32, len(found))
+	for n := range byKey {
+		byKey[n] = int32(n)
+	}
+	slices.SortFunc(byKey, func(a, b int32) int {
+		if c := strings.Compare(found[a].key, found[b].key); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	items := make([]Item, 0, len(found))
+	slot := make([]int32, len(found)) // found item → index in items
+	for k, n := range byKey {
+		if f := &found[n]; k == 0 || f.key != found[byKey[k-1]].key {
+			s := &stmts[f.first]
+			items = append(items, Item{Key: f.key, Subject: s.Subject, Predicate: s.Predicate})
+		}
+		slot[n] = int32(len(items) - 1)
+	}
+
+	// Bucket the statements by item: bucket k is order[start[k]:start[k+1]].
+	start := make([]int32, len(items)+1)
+	for i := range stmts {
+		item[i] = slot[item[i]]
+		start[item[i]+1]++
+		if src[i] >= 0 {
+			src[i] = place[src[i]]
+		}
+	}
+	for k := range items {
+		start[k+1] += start[k]
+	}
+	next := slices.Clone(start[:len(items)])
+	order := make([]int32, len(stmts))
+	for i := range stmts {
+		order[next[item[i]]] = int32(i)
+		next[item[i]]++
+	}
+
+	// Sort every bucket by (value, source) and count the runs: a run of one
+	// value is a ValueClaims, a run of one source within it a SourceClaim.
+	newValue := func(bucket []int32, k int) bool {
+		return k == 0 || stmts[bucket[k]].Object != stmts[bucket[k-1]].Object
+	}
+	newClaim := func(bucket []int32, k int, freshValue bool) bool {
+		return src[bucket[k]] >= 0 && (freshValue || src[bucket[k]] != src[bucket[k-1]])
+	}
+	nValues, nClaims := 0, 0
+	for k := range items {
+		bucket := order[start[k]:start[k+1]]
+		slices.SortFunc(bucket, func(a, b int32) int {
+			if c := stmts[a].Object.Compare(stmts[b].Object); c != 0 {
+				return c
 			}
-			sort.Strings(names)
-			for _, s := range names {
-				vc.Sources = append(vc.Sources, SourceClaim{Source: s, Confidence: m[s]})
-				srcSet[s] = struct{}{}
+			return cmp.Compare(src[a], src[b])
+		})
+		for j := range bucket {
+			fresh := newValue(bucket, j)
+			if fresh {
+				nValues++
+			}
+			if newClaim(bucket, j, fresh) {
+				nClaims++
 			}
 		}
-		out.Items = append(out.Items, it)
 	}
-	for s := range srcSet {
-		out.SourceNames = append(out.SourceNames, s)
+
+	values := make([]ValueClaims, 0, nValues)
+	valuePtrs := make([]*ValueClaims, 0, nValues)
+	claims := make([]SourceClaim, 0, nClaims)
+	out.Items = make([]*Item, len(items))
+	for k := range items {
+		bucket := order[start[k]:start[k+1]]
+		firstValue, firstClaim := len(values), len(claims)
+		for j, i := range bucket {
+			fresh := newValue(bucket, j)
+			if fresh {
+				values = append(values, ValueClaims{Value: stmts[i].Object})
+				valuePtrs = append(valuePtrs, &values[len(values)-1])
+				firstClaim = len(claims)
+			}
+			if src[i] < 0 {
+				continue
+			}
+			conf := math.Min(stmts[i].Confidence, 1)
+			if newClaim(bucket, j, fresh) {
+				claims = append(claims, SourceClaim{Source: out.SourceNames[src[i]], Confidence: conf})
+				values[len(values)-1].Sources = claims[firstClaim:len(claims):len(claims)]
+			} else if last := &claims[len(claims)-1]; conf > last.Confidence {
+				last.Confidence = conf
+			}
+		}
+		items[k].Values = valuePtrs[firstValue:len(values):len(values)]
+		out.Items[k] = &items[k]
 	}
-	sort.Strings(out.SourceNames)
 	return out
+}
+
+// sourceIdentity is the part of a provenance that tells two sources apart at
+// a granularity: the fields the granularity ignores are left empty.
+func sourceIdentity(p rdf.Provenance, g Granularity) rdf.Provenance {
+	switch g {
+	case BySourceExtractor:
+		return rdf.Provenance{Source: p.Source, Extractor: p.Extractor}
+	case ByExtractor:
+		return rdf.Provenance{Extractor: p.Extractor}
+	default:
+		return rdf.Provenance{Source: p.Source}
+	}
 }
 
 func sourceName(p rdf.Provenance, g Granularity) string {

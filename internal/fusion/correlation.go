@@ -1,6 +1,7 @@
 package fusion
 
 import (
+	"slices"
 	"sort"
 )
 
@@ -69,6 +70,11 @@ func DefaultCorrelationConfig() CorrelationConfig {
 
 // DetectCorrelations measures pairwise agreement on shared items and groups
 // sources into correlation clusters via union-find.
+//
+// It counts item by item: the sources covering an item are paired with each
+// other, so the work is the sum over items of (covering sources)², and a
+// counter exists only for a pair that shares an item — nothing grows with
+// (all sources)² × items.
 func DetectCorrelations(c *Claims, cfg CorrelationConfig) *Correlations {
 	if cfg.AgreementThreshold <= 0 {
 		cfg.AgreementThreshold = 0.98
@@ -80,73 +86,79 @@ func DetectCorrelations(c *Claims, cfg CorrelationConfig) *Correlations {
 		cfg.CopierWeight = 0.2
 	}
 
-	// Per source: item -> set of value keys asserted.
-	claimed := map[string]map[string]map[string]struct{}{}
+	// Sources by number; SourceNames is sorted, so number order is name
+	// order.
+	names := c.SourceNames
+	number := make(map[string]int32, len(names))
+	for i, s := range names {
+		number[s] = int32(i)
+	}
+
+	type tally struct{ shared, agree int }
+	tallies := map[[2]int32]*tally{}
+	var cells []uint64 // one item's (source, value) cells: source<<32 | value index
+	var runs []int     // where each source's cells begin, then len(cells)
 	for _, it := range c.Items {
-		for _, vc := range it.Values {
+		cells = cells[:0]
+		for vi, vc := range it.Values {
 			for _, sc := range vc.Sources {
-				byItem := claimed[sc.Source]
-				if byItem == nil {
-					byItem = map[string]map[string]struct{}{}
-					claimed[sc.Source] = byItem
+				if si, ok := number[sc.Source]; ok {
+					cells = append(cells, uint64(si)<<32|uint64(vi))
 				}
-				vs := byItem[it.Key]
-				if vs == nil {
-					vs = map[string]struct{}{}
-					byItem[it.Key] = vs
+			}
+		}
+		// Sorted, a source's cells are one run and the run is its value set.
+		slices.Sort(cells)
+		cells = slices.Compact(cells)
+		runs = runs[:0]
+		for k, cell := range cells {
+			if k == 0 || cell>>32 != cells[k-1]>>32 {
+				runs = append(runs, k)
+			}
+		}
+		runs = append(runs, len(cells))
+		for i := 0; i+2 < len(runs); i++ {
+			a := cells[runs[i]:runs[i+1]]
+			for j := i + 1; j+1 < len(runs); j++ {
+				b := cells[runs[j]:runs[j+1]]
+				pair := [2]int32{int32(a[0] >> 32), int32(b[0] >> 32)}
+				t := tallies[pair]
+				if t == nil {
+					t = &tally{}
+					tallies[pair] = t
 				}
-				vs[vc.Value.Key()] = struct{}{}
+				t.shared++
+				if sameValues(a, b) {
+					t.agree++
+				}
 			}
 		}
 	}
 
-	parent := map[string]string{}
-	var find func(string) string
-	find = func(s string) string {
-		p, ok := parent[s]
-		if !ok || p == s {
-			parent[s] = s
-			return s
-		}
-		r := find(p)
-		parent[s] = r
-		return r
+	// The smaller number is the root, so a cluster's representative is its
+	// first name whatever order the pairs are united in.
+	parent := make([]int32, len(names))
+	for i := range parent {
+		parent[i] = int32(i)
 	}
-	union := func(a, b string) {
-		ra, rb := find(a), find(b)
-		if ra == rb {
-			return
+	find := func(s int32) int32 {
+		for parent[s] != s {
+			parent[s] = parent[parent[s]]
+			s = parent[s]
 		}
-		if rb < ra {
-			ra, rb = rb, ra
-		}
-		parent[rb] = ra
+		return s
 	}
 
 	out := &Correlations{ClusterOf: map[string]string{}, weights: map[string]float64{}}
-	names := c.SourceNames
-	for i := 0; i < len(names); i++ {
-		for j := i + 1; j < len(names); j++ {
-			a, b := names[i], names[j]
-			shared, agree := 0, 0
-			for item, va := range claimed[a] {
-				vb, ok := claimed[b][item]
-				if !ok {
-					continue
-				}
-				shared++
-				if sameValueSet(va, vb) {
-					agree++
-				}
-			}
-			if shared < cfg.MinCommonItems {
-				continue
-			}
-			ratio := float64(agree) / float64(shared)
-			if ratio >= cfg.AgreementThreshold {
-				out.Pairs = append(out.Pairs, CorrelatedPair{A: a, B: b, Agreement: ratio})
-				union(a, b)
-			}
+	for pair, t := range tallies {
+		if t.shared < cfg.MinCommonItems {
+			continue
+		}
+		ratio := float64(t.agree) / float64(t.shared)
+		if ratio >= cfg.AgreementThreshold {
+			out.Pairs = append(out.Pairs, CorrelatedPair{A: names[pair[0]], B: names[pair[1]], Agreement: ratio})
+			ra, rb := find(pair[0]), find(pair[1])
+			parent[max(ra, rb)] = min(ra, rb)
 		}
 	}
 	sort.Slice(out.Pairs, func(i, j int) bool {
@@ -155,10 +167,10 @@ func DetectCorrelations(c *Claims, cfg CorrelationConfig) *Correlations {
 		}
 		return out.Pairs[i].B < out.Pairs[j].B
 	})
-	for _, s := range names {
-		rep := find(s)
-		out.ClusterOf[s] = rep
-		if rep == s {
+	for i, s := range names {
+		rep := find(int32(i))
+		out.ClusterOf[s] = names[rep]
+		if rep == int32(i) {
 			out.weights[s] = 1
 		} else {
 			out.weights[s] = cfg.CopierWeight
@@ -167,12 +179,14 @@ func DetectCorrelations(c *Claims, cfg CorrelationConfig) *Correlations {
 	return out
 }
 
-func sameValueSet(a, b map[string]struct{}) bool {
+// sameValues reports whether two sources' cells of one item name the same
+// values.
+func sameValues(a, b []uint64) bool {
 	if len(a) != len(b) {
 		return false
 	}
 	for k := range a {
-		if _, ok := b[k]; !ok {
+		if uint32(a[k]) != uint32(b[k]) {
 			return false
 		}
 	}

@@ -1,7 +1,6 @@
 package fusion_test
 
 import (
-	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -11,7 +10,6 @@ import (
 	"sort"
 	"testing"
 
-	"akb/internal/core"
 	"akb/internal/experiments"
 	"akb/internal/fusion"
 )
@@ -88,10 +86,7 @@ func sortedKeys(m map[string]float64) []string {
 // `go test ./internal/fusion -run TestGoldenFusionDigest -update` only
 // when a change to fusion output is intended.
 func TestGoldenFusionDigest(t *testing.T) {
-	res, err := core.New().Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := pipelineRun(t)
 	workloads := []struct {
 		name   string
 		claims *fusion.Claims

@@ -87,17 +87,28 @@ func (h *Hierarchical) fold(c *Claims) (*Claims, map[string]map[string]bool) {
 	if aw <= 0 || aw > 1 {
 		aw = 0.7
 	}
-	out := &Claims{SourceNames: c.SourceNames}
+	out := &Claims{SourceNames: c.SourceNames, Items: make([]*Item, 0, len(c.Items))}
 	expansions := make(map[string]map[string]bool)
+	var hierVals []string
+	var hierClaims []*ValueClaims
 	for _, it := range c.Items {
-		newItem := &Item{Key: it.Key, Subject: it.Subject, Predicate: it.Predicate}
-		var hierVals []string
-		byValue := map[string]*ValueClaims{}
+		hierVals, hierClaims = hierVals[:0], hierClaims[:0]
 		for _, vc := range it.Values {
 			if vc.Value.IsLiteral() && h.Forest.Known(vc.Value.Value) {
 				hierVals = append(hierVals, vc.Value.Value)
-				byValue[vc.Value.Value] = vc
+				hierClaims = append(hierClaims, vc)
 			}
+		}
+		// A value of the forest shares a path with no other: nothing folds,
+		// and the item goes through as it is.
+		if len(hierVals) < 2 {
+			out.Items = append(out.Items, it)
+			continue
+		}
+		newItem := &Item{Key: it.Key, Subject: it.Subject, Predicate: it.Predicate}
+		byValue := make(map[string]*ValueClaims, len(hierVals))
+		for k, v := range hierVals {
+			byValue[v] = hierClaims[k]
 		}
 		clusters := h.Forest.ClusterCompatible(hierVals)
 		handled := map[string]bool{}

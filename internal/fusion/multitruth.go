@@ -2,7 +2,7 @@ package fusion
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"akb/internal/mapreduce"
 	"akb/internal/obs"
@@ -64,7 +64,10 @@ type sourceStats struct {
 // aligned with the item's covering-source list.
 type mtValue struct {
 	claimed []bool
-	conf    []float64
+	// weight is what each covering source's log likelihood ratio counts for
+	// on this value: the confidence mapping (for a claim, when Weighted)
+	// times the correlation discount. No iteration changes it.
+	weight []float64
 }
 
 // mtItem is the precomputed EM state for one item.
@@ -72,7 +75,7 @@ type mtItem struct {
 	// covering lists the indices of sources asserting any value of the
 	// item, ascending. SourceNames is sorted, so ascending index order is
 	// sorted-name order, and that fixes the float accumulation order.
-	covering []int
+	covering []int32
 	values   []mtValue
 	// probs holds the current posterior per value, overwritten each
 	// iteration.
@@ -94,61 +97,109 @@ func (m *MultiTruth) Fuse(c *Claims) *Result {
 		iters = 15
 	}
 	nsrc := len(c.SourceNames)
-	srcIdx := make(map[string]int, nsrc)
+	srcIdx := make(map[string]int32, nsrc)
 	for i, s := range c.SourceNames {
-		srcIdx[s] = i
+		srcIdx[s] = int32(i)
 	}
 	stats := make([]sourceStats, nsrc)
 	for i := range stats {
 		stats[i] = sourceStats{sens: 0.8, spec: 0.9}
 	}
-	var discount []float64
-	if m.Discount != nil {
-		discount = make([]float64, nsrc)
-		for i, s := range c.SourceNames {
-			discount[i] = m.Discount.Weight(s)
-		}
+	discount := make([]float64, nsrc)
+	for i, s := range c.SourceNames {
+		discount[i] = m.Discount.Weight(s)
 	}
 
-	// Precompute every item's covering list and claim matrix once.
+	// Every item's covering list, then its claim matrix, each kind of row
+	// cut from one array. claimSrc keeps each claim's source number from the
+	// first pass for the second.
+	nValues, nClaims := 0, 0
+	for _, it := range c.Items {
+		nValues += len(it.Values)
+		for _, vc := range it.Values {
+			nClaims += len(vc.Sources)
+		}
+	}
 	items := make([]mtItem, len(c.Items))
+	claimSrc := make([]int32, 0, nClaims)
+	covering := make([]int32, 0, nClaims)
 	seen := make([]bool, nsrc)
-	pos := make([]int, nsrc) // covering position of each source index
+	nCells := 0
 	for i, it := range c.Items {
-		mi := &items[i]
+		first := len(covering)
 		for _, vc := range it.Values {
 			for _, sc := range vc.Sources {
-				if si := srcIdx[sc.Source]; !seen[si] {
+				si := srcIdx[sc.Source]
+				claimSrc = append(claimSrc, si)
+				if !seen[si] {
 					seen[si] = true
-					mi.covering = append(mi.covering, si)
+					covering = append(covering, si)
 				}
 			}
 		}
-		sort.Ints(mi.covering)
-		for ci, si := range mi.covering {
+		cov := covering[first:len(covering):len(covering)]
+		slices.Sort(cov)
+		for _, si := range cov {
 			seen[si] = false
+		}
+		items[i].covering = cov
+		nCells += len(it.Values) * len(cov)
+	}
+	values := make([]mtValue, nValues)
+	probs := make([]float64, nValues)
+	claimed := make([]bool, nCells)
+	weight := make([]float64, nCells)
+	pos := make([]int, nsrc) // covering position of each source index
+	claim := 0               // the next claim's place in claimSrc
+	for i, it := range c.Items {
+		mi := &items[i]
+		nv, nc := len(it.Values), len(mi.covering)
+		mi.values, values = values[:nv:nv], values[nv:]
+		mi.probs, probs = probs[:nv:nv], probs[nv:]
+		for ci, si := range mi.covering {
 			pos[si] = ci
 		}
-		nc := len(mi.covering)
-		mi.values = make([]mtValue, len(it.Values))
-		mi.probs = make([]float64, len(it.Values))
 		for vi, vc := range it.Values {
 			v := &mi.values[vi]
-			v.claimed = make([]bool, nc)
-			v.conf = make([]float64, nc)
+			v.claimed, claimed = claimed[:nc:nc], claimed[nc:]
+			v.weight, weight = weight[:nc:nc], weight[nc:]
+			for ci, si := range mi.covering {
+				v.weight[ci] = discount[si]
+			}
 			for _, sc := range vc.Sources {
-				ci := pos[srcIdx[sc.Source]]
+				ci := pos[claimSrc[claim]]
+				claim++
 				v.claimed[ci] = true
-				v.conf[ci] = sc.Confidence
+				if m.Weighted {
+					conf := sc.Confidence
+					if conf <= 0 {
+						conf = 0.5
+					}
+					// Map confidence into [0.5, 1]: low-confidence claims
+					// are dampened but not annihilated. Using raw
+					// confidence as the exponent would bias fusion toward
+					// rejection, because assertions would count less than
+					// the full-weight silent negatives of non-claiming
+					// sources.
+					v.weight[ci] = (0.5 + conf/2) * discount[mi.covering[ci]]
+				}
 			}
 		}
 	}
 
 	cfg := mapreduce.Config{Workers: m.Workers, Obs: m.Obs}
 	logPrior := math.Log(prior / (1 - prior))
+	// A source's two log likelihood ratios: what its claiming a value and
+	// what its silence on one say about the value being true.
+	logClaim := make([]float64, nsrc)
+	logSilent := make([]float64, nsrc)
 	type acc struct{ tpSens, totSens, tnSpec, totSpec float64 }
 	accs := make([]acc, nsrc)
 	for iter := 0; iter < iters; iter++ {
+		for si, st := range stats {
+			logClaim[si] = math.Log(st.sens / (1 - st.spec))
+			logSilent[si] = math.Log((1 - st.sens) / st.spec)
+		}
 		// E-step: items are independent, so per-item posteriors can be
 		// computed in parallel into their preallocated buffers.
 		mapreduce.ForEach(cfg, len(items), func(i int) {
@@ -157,33 +208,11 @@ func (m *MultiTruth) Fuse(c *Claims) *Result {
 				v := &mi.values[vi]
 				logOdds := logPrior
 				for ci, si := range mi.covering {
-					st := stats[si]
-					var ratio float64
-					conf := 1.0
-					claims := v.claimed[ci]
-					if claims {
-						ratio = st.sens / (1 - st.spec)
-						conf = v.conf[ci]
+					if v.claimed[ci] {
+						logOdds += v.weight[ci] * logClaim[si]
 					} else {
-						ratio = (1 - st.sens) / st.spec
+						logOdds += v.weight[ci] * logSilent[si]
 					}
-					w := 1.0
-					if m.Weighted && claims {
-						if conf <= 0 {
-							conf = 0.5
-						}
-						// Map confidence into [0.5, 1]: low-confidence claims
-						// are dampened but not annihilated. Using raw
-						// confidence as the exponent would bias fusion toward
-						// rejection, because assertions would count less than
-						// the full-weight silent negatives of non-claiming
-						// sources.
-						w = 0.5 + conf/2
-					}
-					if discount != nil {
-						w *= discount[si]
-					}
-					logOdds += w * math.Log(ratio)
 				}
 				mi.probs[vi] = 1 / (1 + math.Exp(-logOdds))
 			}
@@ -234,20 +263,25 @@ func (m *MultiTruth) Fuse(c *Claims) *Result {
 	for si, s := range c.SourceNames {
 		res.SourceQuality[s] = stats[si].sens
 	}
+	// Decisions and their accepted values are cut from one array each; an
+	// item accepts at most as many values as it has.
+	decisions := make([]Decision, len(c.Items))
+	truths := make([]rdf.Term, 0, nValues)
 	for i, it := range c.Items {
 		mi := &items[i]
-		belief := make(map[string]float64, len(it.Values))
-		d := &Decision{Item: it, Belief: belief}
+		d := &decisions[i]
+		d.Item, d.Belief = it, make(map[string]float64, len(it.Values))
+		first := len(truths)
 		for vi, vc := range it.Values {
 			p := mi.probs[vi]
-			belief[vc.Value.Key()] = p
+			d.Belief[vc.Value.Key()] = p
 			if p >= thresh {
-				d.Truths = append(d.Truths, vc.Value)
+				truths = append(truths, vc.Value)
 			}
 		}
 		// Guarantee at least one truth per claimed item: take the argmax
 		// when nothing clears the threshold.
-		if len(d.Truths) == 0 && len(it.Values) > 0 {
+		if len(truths) == first && len(it.Values) > 0 {
 			var best rdf.Term
 			bestP := -1.0
 			for vi, vc := range it.Values {
@@ -255,9 +289,14 @@ func (m *MultiTruth) Fuse(c *Claims) *Result {
 					best, bestP = vc.Value, p
 				}
 			}
-			d.Truths = []rdf.Term{best}
+			truths = append(truths, best)
 		}
-		d.Truths = sortedTruths(d.Truths)
+		if len(truths) > first {
+			d.Truths = truths[first:len(truths):len(truths)]
+		}
+		if len(d.Truths) > 1 {
+			sortedTruths(d.Truths)
+		}
 		res.Decisions[it.Key] = d
 	}
 	return res

@@ -129,7 +129,25 @@ func (t Term) String() string {
 // maps where the full N-Triples rendering would be wasteful.
 func (t Term) Key() string {
 	var b strings.Builder
-	b.Grow(len(t.Value) + len(t.Datatype) + len(t.Lang) + 4)
+	b.Grow(t.keyLen())
+	t.writeKey(&b)
+	return b.String()
+}
+
+// keyLen is the length of the term's key.
+func (t Term) keyLen() int {
+	n := 1 + len(t.Value)
+	if t.Datatype != "" {
+		n += 1 + len(t.Datatype)
+	}
+	if t.Lang != "" {
+		n += 1 + len(t.Lang)
+	}
+	return n
+}
+
+// writeKey writes the term's key to b.
+func (t Term) writeKey(b *strings.Builder) {
 	switch t.Kind {
 	case KindIRI:
 		b.WriteByte('i')
@@ -147,7 +165,6 @@ func (t Term) Key() string {
 		b.WriteByte('\x01')
 		b.WriteString(t.Lang)
 	}
-	return b.String()
 }
 
 // Compare orders terms: IRIs < literals < blanks, then by value, datatype,

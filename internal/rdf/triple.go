@@ -29,7 +29,12 @@ func (t Triple) Key() string {
 // "data item" in the fusion literature is the pair an extraction claims a
 // value for, e.g. (Barack Obama, profession).
 func (t Triple) ItemKey() string {
-	return t.Subject.Key() + "|" + t.Predicate.Key()
+	var b strings.Builder
+	b.Grow(t.Subject.keyLen() + t.Predicate.keyLen() + 1)
+	t.Subject.writeKey(&b)
+	b.WriteByte('|')
+	t.Predicate.writeKey(&b)
+	return b.String()
 }
 
 // Compare orders triples lexicographically by subject, predicate, object.
