@@ -36,25 +36,26 @@ func main() {
 	fmt.Printf("Site %s (style %q), page %s about %q\n\n",
 		filmSite.Host, filmSite.Style, page.URL, page.Entity)
 
-	doc := htmldom.Parse(page.HTML)
+	var parser htmldom.Parser
+	doc := parser.Parse(page.HTML)
 	idx := extract.NewEntityIndexFromWorld(w)
 
 	// Show the tag path from the entity node to each label node.
 	fmt.Println("Tag paths from the entity node to attribute labels:")
 	var entityNode *htmldom.Node
-	for _, tn := range doc.TextNodes() {
+	for _, tn := range doc.Texts {
 		if htmldom.NormalizeSpace(tn.Text) == page.Entity {
 			entityNode = tn
 			break
 		}
 	}
-	for _, tn := range doc.TextNodes() {
+	for _, tn := range doc.Texts {
 		text := htmldom.NormalizeSpace(tn.Text)
 		if !strings.HasSuffix(text, ":") {
 			continue
 		}
-		if p, ok := htmldom.PathBetweenFunc(entityNode, tn, htmldom.QualifiedStep); ok {
-			fmt.Printf("  %-28s %s\n", text, p.Normalize())
+		if p, ok := htmldom.PathBetween(entityNode, tn, nil); ok {
+			fmt.Printf("  %-28s %s\n", text, parser.PathString(p.Normalize(nil)))
 		}
 	}
 

@@ -64,8 +64,8 @@ type Scorer struct {
 }
 
 // statementFact decodes an extracted statement into (entity, attr, value).
-func statementFact(s rdf.Statement) (entity, attr, value string) {
-	return extract.AttrFromIRI(s.Subject), extract.AttrFromIRI(s.Predicate), s.Object.Value
+func statementFact(s rdf.Statement, names extract.Names) (entity, attr, value string) {
+	return names.Of(s.Subject), names.Of(s.Predicate), s.Object.Value
 }
 
 // ScoreStatements computes extraction precision over statements: a
@@ -74,8 +74,9 @@ func statementFact(s rdf.Statement) (entity, attr, value string) {
 // level (FN stays 0): the extraction target set is open.
 func (sc *Scorer) ScoreStatements(stmts []rdf.Statement) Metrics {
 	var m Metrics
+	names := extract.Names{}
 	for _, s := range stmts {
-		entity, attr, value := statementFact(s)
+		entity, attr, value := statementFact(s, names)
 		e, ok := sc.World.Entity(entity)
 		if !ok {
 			m.FP++
@@ -96,9 +97,10 @@ func (sc *Scorer) ScoreStatements(stmts []rdf.Statement) Metrics {
 // the entity lacks score all accepted values as FP.
 func (sc *Scorer) ScoreFusion(res *fusion.Result) Metrics {
 	var m Metrics
+	names := extract.Names{}
 	for _, d := range res.Decisions {
-		entity := extract.AttrFromIRI(d.Item.Subject)
-		attr := extract.AttrFromIRI(d.Item.Predicate)
+		entity := names.Of(d.Item.Subject)
+		attr := names.Of(d.Item.Predicate)
 		e, ok := sc.World.Entity(entity)
 		if !ok {
 			m.FP += len(d.Truths)

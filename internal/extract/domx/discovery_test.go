@@ -6,7 +6,6 @@ import (
 
 	"akb/internal/confidence"
 	"akb/internal/extract"
-	"akb/internal/htmldom"
 	"akb/internal/kb"
 	"akb/internal/webgen"
 )
@@ -65,20 +64,6 @@ func TestDiscoverOnSiteHarvestsUnknownEntities(t *testing.T) {
 	res2 := Extract(context.Background(), FromWebgen(gen), idx, seeds, cfg, nil)
 	if len(res2.NewEntityFacts) != 0 {
 		t.Error("facts harvested with discovery disabled")
-	}
-}
-
-func TestParsePatternKeyRoundTrip(t *testing.T) {
-	paths := []htmldom.TagPath{
-		{Up: []string{"h1.entity-name"}, Apex: "body", Down: []string{"table.infobox", "tr", "th"}},
-		{Apex: "body"},
-		{Up: []string{"a", "b"}, Apex: "c"},
-	}
-	for _, p := range paths {
-		got := parsePatternKey(p.String())
-		if got.String() != p.String() {
-			t.Errorf("round trip %q -> %q", p.String(), got.String())
-		}
 	}
 }
 

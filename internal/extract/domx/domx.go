@@ -16,6 +16,7 @@ package domx
 
 import (
 	"context"
+	"slices"
 	"sort"
 	"strings"
 
@@ -28,26 +29,27 @@ import (
 	"akb/internal/webgen"
 )
 
-// Page is one parsed web page.
+// Page is one web page as it was fetched: the extractor parses it when its
+// site's turn comes and drops the tree when the site is done.
 type Page struct {
-	URL string
-	Doc *htmldom.Node
+	URL  string
+	HTML string
 }
 
-// Site groups the parsed pages of one website.
+// Site groups the pages of one website.
 type Site struct {
 	Host  string
 	Class string
 	Pages []Page
 }
 
-// FromWebgen parses generated websites into extraction input.
+// FromWebgen adapts generated websites as extraction input.
 func FromWebgen(sites []*webgen.Site) []Site {
 	out := make([]Site, 0, len(sites))
 	for _, s := range sites {
-		site := Site{Host: s.Host, Class: s.Class}
+		site := Site{Host: s.Host, Class: s.Class, Pages: make([]Page, 0, len(s.Pages))}
 		for _, p := range s.Pages {
-			site.Pages = append(site.Pages, Page{URL: p.URL, Doc: htmldom.Parse(p.HTML)})
+			site.Pages = append(site.Pages, Page{URL: p.URL, HTML: p.HTML})
 		}
 		out = append(out, site)
 	}
@@ -65,8 +67,6 @@ type Config struct {
 	SeedCap int
 	// MaxPasses bounds the per-site fixpoint iteration.
 	MaxPasses int
-	// Step renders tag-path steps; defaults to htmldom.QualifiedStep.
-	Step htmldom.StepFunc
 	// DiscoverEntities harvests candidate new entities from pages whose
 	// entity node matches no known entity: the page's first body text node
 	// is proposed as a new entity of the site's class, and attribute/value
@@ -77,9 +77,10 @@ type Config struct {
 	// Workers bounds intra-extractor parallelism. Algorithm 1's seed set
 	// grows monotonically across the sites of one class, so sites cannot
 	// be processed independently — but classes can: sites are sharded by
-	// class, each shard runs serially in input order, and shards execute
-	// concurrently. Results merge deterministically, so output is
-	// byte-identical at any worker count. <= 1 runs fully serial.
+	// class, each shard parses and extracts its sites serially in input
+	// order, and shards execute concurrently. Results merge
+	// deterministically, so output is byte-identical at any worker count.
+	// <= 1 runs fully serial.
 	Workers int
 }
 
@@ -99,12 +100,6 @@ type ClassResult struct {
 	PagesUsed int
 	// InducedPatterns counts distinct normalised patterns across pages.
 	InducedPatterns int
-
-	patternSet map[string]struct{}
-	// entityPaths records the qualified path-to-root signatures of entity
-	// nodes on recognised pages, used to locate candidate entity nodes on
-	// unrecognised pages during discovery.
-	entityPaths map[string]struct{}
 }
 
 // EntityFact is one extracted fact about a candidate new entity.
@@ -140,7 +135,7 @@ type shard struct {
 	indices []int
 }
 
-// shardOut is one shard's complete, self-contained extraction state.
+// shardOut is one shard's complete, self-contained extraction outcome.
 type shardOut struct {
 	cr     *ClassResult
 	claims *extract.Evidence
@@ -172,35 +167,64 @@ func shardByClass(sites []Site) []shard {
 	return out
 }
 
-// runShard executes Algorithm 1 serially over one class's sites. All
-// mutable state (attribute set, claims, dedup keys) is shard-local:
-// entities resolve to exactly one class, so no claim, host, or attribute
-// set is ever shared between shards.
+// shardRun is the state of Algorithm 1 over one class's sites. All of it —
+// attribute set, claims, dedup keys, the parser and its trees — is the
+// shard's own: entities resolve to exactly one class, so no claim, host, or
+// attribute set is ever shared between shards.
+type shardRun struct {
+	cfg    Config
+	idx    *extract.EntityIndex
+	cr     *ClassResult
+	claims *extract.Evidence
+	seen   map[seenKey]struct{} // (attr, host, url) dedup for support counts
+
+	// parser owns the tree of the page in hand — with discovery on, of the
+	// site's pages so far — and the numbers of the class's path steps: a
+	// step means the same on all its sites.
+	parser htmldom.Parser
+	// patterns are the class's distinct normalised patterns, all sites so
+	// far; entityPaths the paths from the root at which recognised pages
+	// carried their entity node, used to locate candidate entity nodes on
+	// unrecognised pages during discovery.
+	patterns    htmldom.PatternSet
+	entityPaths stepSeqs
+
+	// The state of the site in hand, in arrays reused from site to site:
+	// its recognised pages, their body texts, the texts' tag paths; its
+	// unrecognised pages.
+	pages   []pageState
+	texts   []textState
+	steps   []htmldom.Step
+	unknown []unknownPage
+	// Scratch of one page.
+	known   []int // text indices
+	cand    []int
+	induced htmldom.PatternSet
+	path    []htmldom.Step
+}
+
+// runShard executes Algorithm 1 serially over one class's sites, page bytes
+// to claims.
 func runShard(sh shard, idx *extract.EntityIndex, seeds map[string]extract.AttrSet, cfg Config) shardOut {
 	seedSet := extract.NewAttrSet()
 	if s, ok := seeds[sh.class]; ok {
 		seedSet = s.Clone()
 	}
-	out := shardOut{
-		cr: &ClassResult{
-			Class:       sh.class,
-			All:         seedSet,
-			Discovered:  extract.NewAttrSet(),
-			patternSet:  make(map[string]struct{}),
-			entityPaths: make(map[string]struct{}),
-		},
+	run := &shardRun{
+		cfg: cfg, idx: idx,
+		cr:     &ClassResult{Class: sh.class, All: seedSet, Discovered: extract.NewAttrSet()},
 		claims: extract.NewEvidence(),
-		facts:  make([][]EntityFact, len(sh.sites)),
+		seen:   make(map[seenKey]struct{}),
 	}
-	seen := make(map[seenKey]struct{}) // (attr, host, url) dedup for support counts
-	var scratch pageScratch
+	facts := make([][]EntityFact, len(sh.sites))
 	for i, site := range sh.sites {
-		if cfg.SeedCap > 0 && out.cr.All.Len() >= cfg.SeedCap {
+		if cfg.SeedCap > 0 && run.cr.All.Len() >= cfg.SeedCap {
 			continue
 		}
-		out.facts[i] = extractSite(site, idx, out.cr, cfg, out.claims, seen, &scratch)
+		facts[i] = run.extractSite(site)
 	}
-	return out
+	run.cr.InducedPatterns = run.patterns.Len()
+	return shardOut{cr: run.cr, claims: run.claims, facts: facts}
 }
 
 // Extract runs Algorithm 1 over the sites. Seeds map class name to the seed
@@ -212,9 +236,6 @@ func Extract(ctx context.Context, sites []Site, idx *extract.EntityIndex, seeds 
 	}
 	if cfg.MaxPasses <= 0 {
 		cfg.MaxPasses = 3
-	}
-	if cfg.Step == nil {
-		cfg.Step = htmldom.QualifiedStep
 	}
 	res := &Result{PerClass: make(map[string]*ClassResult)}
 	shards := shardByClass(sites)
@@ -234,9 +255,8 @@ func Extract(ctx context.Context, sites []Site, idx *extract.EntityIndex, seeds 
 	for _, fs := range factsBySite {
 		res.NewEntityFacts = append(res.NewEntityFacts, fs...)
 	}
-	for _, cr := range res.PerClass {
-		cr.InducedPatterns = len(cr.patternSet)
-		if crit != nil {
+	if crit != nil {
+		for _, cr := range res.PerClass {
 			crit.ScoreAttrSet(extract.ExtractorDOM, cr.Discovered)
 			crit.ScoreAttrSet(extract.ExtractorDOM, cr.All)
 		}
@@ -252,128 +272,90 @@ func Extract(ctx context.Context, sites []Site, idx *extract.EntityIndex, seeds 
 	return res
 }
 
-// pageState is one recognised page plus every per-text derivation the
-// fixpoint passes need. All cached fields are pure functions of the page
-// and its entity node, so passes 2..MaxPasses reuse them instead of
-// re-normalising text and re-walking the DOM — the dominant cost of the
-// original per-pass recomputation.
+// pageState is one recognised page of the site in hand: its entity and
+// where its texts' state is. Nothing here points into the page's tree.
 type pageState struct {
-	page     Page
+	url      string
 	entity   string
 	entLower string
-	eNode    *htmldom.Node
-	texts    []*htmldom.Node
-	norm     []string // NormalizeSpace(texts[i].Text)
-	label    []string // NormalizeLabel(norm[i])
-	// Lazy caches, filled on first use: the entity-relative tag path per
-	// text node, its normalised pattern (and canonical string), and the
-	// adjacent value per position.
-	path         []htmldom.TagPath
-	pathOK       []bool
-	pathDone     []bool
-	normPath     []htmldom.TagPath
-	normPathStr  []string
-	normPathDone []bool
-	value        []string
-	valueDone    []bool
-	counted      bool
+	lo, hi   int // the page's body texts are shardRun.texts[lo:hi]
+	// entityPath is where in the template the entity node stands: its
+	// ancestors' steps, shardRun.steps[entityPath.lo:entityPath.hi].
+	entityPath span
+	counted    bool
 }
 
-// pathTo returns the cached tag path from the entity node to texts[i].
-func (st *pageState) pathTo(i int, step htmldom.StepFunc) (htmldom.TagPath, bool) {
-	if !st.pathDone[i] {
-		st.pathDone[i] = true
-		st.path[i], st.pathOK[i] = htmldom.PathBetweenFunc(st.eNode, st.texts[i], step)
-	}
-	return st.path[i], st.pathOK[i]
+// span is a run of shardRun.steps.
+type span struct{ lo, hi int32 }
+
+// textState is one body text node of a recognised page with the derivations
+// the fixpoint passes need. They are pure functions of the page, so they are
+// made once, while the page's tree is there, and passes 2..MaxPasses reuse
+// them instead of re-normalising text and re-walking the DOM — the dominant
+// cost of the original per-pass recomputation.
+type textState struct {
+	norm  string // NormalizeSpace of the node's text
+	label string // NormalizeLabel(norm)
+	// valid: the label could name an attribute (ValidAttributeLabel).
+	valid bool
+	// path is the tag path from the page's entity node to this one, its apex
+	// at steps[path.lo+apex]; the entity's own text and a text without a
+	// label have none.
+	path span
+	apex int32
+	// value is the adjacent value for the label here, found on first use.
+	value     string
+	valueDone bool
 }
 
-// normPathAt returns the cached normalised pattern (and its canonical
-// string) of the path to texts[i]; ok mirrors pathTo.
-func (st *pageState) normPathAt(i int, step htmldom.StepFunc) (htmldom.TagPath, string, bool) {
-	if !st.normPathDone[i] {
-		st.normPathDone[i] = true
-		if p, ok := st.pathTo(i, step); ok {
-			st.normPath[i] = p.Normalize()
-			st.normPathStr[i] = st.normPath[i].String()
-		}
-	}
-	_, ok := st.pathTo(i, step)
-	return st.normPath[i], st.normPathStr[i], ok
+// pathOf returns the tag path to a text of the site in hand.
+func (r *shardRun) pathOf(t *textState) htmldom.Path {
+	return htmldom.Path{Steps: r.steps[t.path.lo:t.path.hi], Apex: int(t.apex)}
 }
 
-// valueAt returns the cached adjacent value for the label at position i.
-func (st *pageState) valueAt(i int) string {
-	if !st.valueDone[i] {
-		st.valueDone[i] = true
-		for j := i + 1; j < len(st.texts); j++ {
-			raw := st.norm[j]
+// valueAt returns the adjacent value for the label at position i of a page's
+// texts, looking for it once.
+func valueAt(texts []textState, i int) string {
+	t := &texts[i]
+	if !t.valueDone {
+		t.valueDone = true
+		for j := i + 1; j < len(texts); j++ {
+			raw := texts[j].norm
 			if raw == "" {
 				continue
 			}
 			if !strings.HasSuffix(raw, ":") {
-				st.value[i] = raw
+				t.value = raw
 			}
 			break // adjacent label: the expected value is missing
 		}
 	}
-	return st.value[i]
+	return t.value
 }
 
-// pageScratch holds per-shard reusable buffers for extractPage, so the
-// per-pass known/candidate partitions and the prepared pattern set stop
-// allocating on every (page, pass) visit.
-type pageScratch struct {
-	known, cand []int // text indices
-	patterns    htmldom.PatternSet
-}
-
-func extractSite(site Site, idx *extract.EntityIndex, cr *ClassResult, cfg Config, claims *extract.Evidence, seen map[seenKey]struct{}, scratch *pageScratch) []EntityFact {
-	states := make([]*pageState, 0, len(site.Pages))
-	var unknown []Page
-	for _, p := range site.Pages {
-		// One traversal serves both entity recognition and label caching.
-		texts := bodyTextNodes(p.Doc)
-		norm := make([]string, len(texts))
-		for i, tn := range texts {
-			norm[i] = htmldom.NormalizeSpace(tn.Text)
+// extractSite runs the fixpoint passes over the site's pages with a
+// recognised entity, and harvests the others when discovery is on. A page is
+// parsed, read into the site's state and dropped: the passes work on that
+// state. Only discovery goes back to trees — of the unrecognised pages — so
+// with it on the site's trees stay until the site is done.
+func (r *shardRun) extractSite(site Site) []EntityFact {
+	clear(r.texts) // the last site's strings
+	clear(r.unknown)
+	r.pages, r.texts, r.steps, r.unknown = r.pages[:0], r.texts[:0], r.steps[:0], r.unknown[:0]
+	for i, p := range site.Pages {
+		if i == 0 || !r.cfg.DiscoverEntities {
+			r.parser.Reset()
 		}
-		entity := ""
-		var eNode *htmldom.Node
-		for i, tn := range texts {
-			if c, ok := idx.Class(norm[i]); ok && c == site.Class {
-				entity, eNode = norm[i], tn
-				break
-			}
-		}
-		if eNode == nil {
-			unknown = append(unknown, p)
-			continue
-		}
-		n := len(texts)
-		st := &pageState{
-			page: p, entity: entity, entLower: strings.ToLower(entity),
-			eNode: eNode, texts: texts, norm: norm,
-			label:    make([]string, n),
-			path:     make([]htmldom.TagPath, n),
-			pathOK:   make([]bool, n),
-			pathDone: make([]bool, n),
-			normPath: make([]htmldom.TagPath, n), normPathStr: make([]string, n), normPathDone: make([]bool, n),
-			value: make([]string, n), valueDone: make([]bool, n),
-		}
-		for i := range texts {
-			st.label[i] = extract.NormalizeLabel(norm[i])
-		}
-		states = append(states, st)
+		r.readPage(site, p)
 	}
 
-	for pass := 0; pass < cfg.MaxPasses; pass++ {
+	for pass := 0; pass < r.cfg.MaxPasses; pass++ {
 		grew := false
-		for _, st := range states {
-			if cfg.SeedCap > 0 && cr.All.Len() >= cfg.SeedCap {
+		for i := range r.pages {
+			if r.cfg.SeedCap > 0 && r.cr.All.Len() >= r.cfg.SeedCap {
 				return nil
 			}
-			if extractPage(site, st, cr, cfg, claims, seen, scratch) {
+			if r.extractPage(site, &r.pages[i]) {
 				grew = true
 			}
 		}
@@ -381,34 +363,77 @@ func extractSite(site Site, idx *extract.EntityIndex, cr *ClassResult, cfg Confi
 			break
 		}
 	}
-	if cfg.DiscoverEntities {
-		return discoverOnSite(site, unknown, cr, cfg, &scratch.patterns)
+	if r.cfg.DiscoverEntities {
+		return r.discoverOnSite(site)
 	}
 	return nil
 }
 
-// discoverOnSite proposes new entities from pages whose entity node matched
-// nothing known, extracting their attributes against the site's induced
-// pattern set. Site templates keep label paths regular across pages, which
-// is what makes cross-page pattern application sound here even though
-// Algorithm 1 proper induces patterns per page.
-func discoverOnSite(site Site, unknown []Page, cr *ClassResult, cfg Config, sitePatterns *htmldom.PatternSet) []EntityFact {
-	if len(cr.patternSet) == 0 {
+// readPage parses a page and, if one of its texts names an entity of the
+// site's class, adds to the site's state what the passes ask of it: every
+// body text normalised and as a label, and its tag path from the entity
+// node.
+func (r *shardRun) readPage(site Site, p Page) {
+	doc := r.parser.Parse(p.HTML)
+	st := pageState{url: p.URL, lo: len(r.texts)}
+	var eNode *htmldom.Node
+	for _, tn := range doc.Texts {
+		name := htmldom.NormalizeSpace(tn.Text)
+		if c, ok := r.idx.Class(name); ok && c == site.Class {
+			st.entity, eNode = name, tn
+			break
+		}
+	}
+	if eNode == nil {
+		if r.cfg.DiscoverEntities {
+			r.unknown = append(r.unknown, unknownPage{url: p.URL, texts: doc.Texts})
+		}
+		return
+	}
+	st.entLower = strings.ToLower(st.entity)
+	for _, tn := range doc.Texts {
+		t := textState{norm: htmldom.NormalizeSpace(tn.Text)}
+		t.label = extract.NormalizeLabel(t.norm)
+		t.valid = extract.ValidAttributeLabel(t.label)
+		if tn != eNode && t.label != "" {
+			if path, ok := htmldom.PathBetween(eNode, tn, r.path); ok {
+				r.path = path.Steps
+				t.path, t.apex = r.keep(path.Steps), int32(path.Apex)
+			}
+		}
+		r.texts = append(r.texts, t)
+	}
+	r.path = htmldom.AncestorSteps(eNode, r.path)
+	st.entityPath = r.keep(r.path)
+	st.hi = len(r.texts)
+	r.pages = append(r.pages, st)
+}
+
+// keep copies steps into the site's array.
+func (r *shardRun) keep(steps []htmldom.Step) span {
+	lo := len(r.steps)
+	r.steps = append(r.steps, steps...)
+	return span{int32(lo), int32(len(r.steps))}
+}
+
+// discoverOnSite proposes new entities from the site's pages whose entity
+// node matched nothing known, extracting their attributes against the
+// class's induced pattern set. Site templates keep label paths regular across
+// pages, which is what makes cross-page pattern application sound here even
+// though Algorithm 1 proper induces patterns per page.
+func (r *shardRun) discoverOnSite(site Site) []EntityFact {
+	if r.patterns.Len() == 0 {
 		return nil
 	}
 	var facts []EntityFact
-	sitePatterns.Reset()
-	for st := range cr.patternSet {
-		sitePatterns.Add(parsePatternKey(st))
-	}
-	for _, p := range unknown {
-		texts := bodyTextNodes(p.Doc)
+	for _, p := range r.unknown {
 		// The candidate entity node is the first text node standing at a
 		// position where recognised pages carried their entity node — nav
 		// links and ads live elsewhere in the template.
 		var candNode *htmldom.Node
-		for _, tn := range texts {
-			if _, ok := cr.entityPaths[pathSignature(tn, cfg.Step)]; ok {
+		for _, tn := range p.texts {
+			r.path = htmldom.AncestorSteps(tn, r.path)
+			if r.entityPaths.has(r.path) {
 				candNode = tn
 				break
 			}
@@ -420,7 +445,7 @@ func discoverOnSite(site Site, unknown []Page, cr *ClassResult, cfg Config, site
 		if !plausibleEntityName(name) {
 			continue
 		}
-		for i, tn := range texts {
+		for i, tn := range p.texts {
 			if tn == candNode {
 				continue
 			}
@@ -428,51 +453,56 @@ func discoverOnSite(site Site, unknown []Page, cr *ClassResult, cfg Config, site
 			if label == "" || !extract.ValidAttributeLabel(label) {
 				continue
 			}
-			path, ok := htmldom.PathBetweenFunc(candNode, tn, cfg.Step)
-			if !ok || sitePatterns.BestSimilarity(path) < cfg.SimilarityThreshold {
+			path, ok := htmldom.PathBetween(candNode, tn, r.path)
+			if !ok {
 				continue
 			}
-			value := valueAfter(texts, i)
+			r.path = path.Steps
+			if r.patterns.BestSimilarity(path) < r.cfg.SimilarityThreshold {
+				continue
+			}
+			value := valueAfter(p.texts, i)
 			if value == "" {
 				continue
 			}
 			facts = append(facts, EntityFact{
 				Name: name, Class: site.Class, Attr: label, Value: value,
-				Source: site.Host, Doc: p.URL,
+				Source: site.Host, Doc: p.url,
 			})
 		}
 	}
 	return facts
 }
 
-// pathSignature renders a text node's qualified element path to the root,
-// most specific first, as a comparable string.
-func pathSignature(n *htmldom.Node, step htmldom.StepFunc) string {
-	var b strings.Builder
-	for cur := n.Parent; cur != nil; cur = cur.Parent {
-		if cur.Kind == htmldom.ElementNode {
-			b.WriteString(step(cur))
-			b.WriteByte('/')
-		}
-	}
-	return b.String()
+// unknownPage is a page of the site in hand on which no known entity was
+// found.
+type unknownPage struct {
+	url   string
+	texts []*htmldom.Node
 }
 
-// parsePatternKey reconstructs a TagPath from its canonical string
-// "a^b^apex(c/d)".
-func parsePatternKey(s string) htmldom.TagPath {
-	var p htmldom.TagPath
-	if i := strings.IndexByte(s, '('); i >= 0 {
-		down := strings.TrimSuffix(s[i+1:], ")")
-		if down != "" {
-			p.Down = strings.Split(down, "/")
+// stepSeqs is a small set of step sequences, searched in order.
+type stepSeqs struct {
+	steps []htmldom.Step
+	ends  []int
+}
+
+func (s *stepSeqs) has(seq []htmldom.Step) bool {
+	start := 0
+	for _, end := range s.ends {
+		if slices.Equal(s.steps[start:end], seq) {
+			return true
 		}
-		s = s[:i]
+		start = end
 	}
-	parts := strings.Split(s, "^")
-	p.Apex = parts[len(parts)-1]
-	p.Up = parts[:len(parts)-1]
-	return p
+	return false
+}
+
+func (s *stepSeqs) add(seq []htmldom.Step) {
+	if !s.has(seq) {
+		s.steps = append(s.steps, seq...)
+		s.ends = append(s.ends, len(s.steps))
+	}
 }
 
 // plausibleEntityName accepts capitalised multi-word names of sane length.
@@ -487,65 +517,57 @@ func plausibleEntityName(name string) bool {
 
 // extractPage runs one Algorithm-1 step on a page and reports whether the
 // class attribute set grew.
-func extractPage(site Site, st *pageState, cr *ClassResult, cfg Config, claims *extract.Evidence, seen map[seenKey]struct{}, scratch *pageScratch) bool {
+func (r *shardRun) extractPage(site Site, st *pageState) bool {
+	cr, texts := r.cr, r.texts[st.lo:st.hi]
 	// Step 1: induced tag path pattern set — paths from the entity node to
 	// every node whose label is already a known attribute. The known /
 	// candidate partition depends on the growing attribute set, so it is
-	// recomputed per pass — into reused scratch buffers.
-	known := scratch.known[:0]
-	candidates := scratch.cand[:0]
-	for i, tn := range st.texts {
-		if tn == st.eNode {
-			continue
+	// recomputed per pass — into reused buffers.
+	known, candidates := r.known[:0], r.cand[:0]
+	for i := range texts {
+		t := &texts[i]
+		if t.path.hi == t.path.lo || t.label == st.entLower {
+			continue // the entity node, a text without a label, the name again
 		}
-		label := st.label[i]
-		if label == "" || label == st.entLower {
-			continue
-		}
-		if cr.All.Has(label) {
+		if cr.All.Has(t.label) {
 			known = append(known, i)
-		} else {
+		} else if t.valid {
 			candidates = append(candidates, i)
 		}
 	}
-	scratch.known, scratch.cand = known, candidates
+	r.known, r.cand = known, candidates
 	if len(known) == 0 {
 		return false
 	}
-	induced := &scratch.patterns
-	induced.Reset()
+	r.induced.Reset()
 	for _, i := range known {
-		if norm, str, ok := st.normPathAt(i, cfg.Step); ok {
-			induced.Add(norm)
-			cr.patternSet[str] = struct{}{}
+		// The rows of an infobox share one path: the class's set is asked
+		// only about a pattern new to the page.
+		if path := r.pathOf(&texts[i]); r.induced.Add(path) {
+			r.patterns.Add(path)
 		}
-	}
-	if induced.Len() == 0 {
-		return false
 	}
 	if !st.counted {
 		cr.PagesUsed++
 		st.counted = true
 	}
-	cr.entityPaths[pathSignature(st.eNode, cfg.Step)] = struct{}{}
+	r.entityPaths.add(r.steps[st.entityPath.lo:st.entityPath.hi])
 
 	grew := false
 	// Step 2: recognise known labels' values and new attribute labels.
 	emit := func(pos int) {
-		value := st.valueAt(pos)
-		if value == "" {
-			return
+		if value := valueAt(texts, pos); value != "" {
+			r.claims.Add(st.entity, texts[pos].label, value, site.Host, st.url)
 		}
-		claims.Add(st.entity, st.label[pos], value, site.Host, st.page.URL)
 	}
 	for _, i := range known {
-		label := st.label[i]
+		label := texts[i].label
 		// A previously discovered attribute reappearing on another page or
 		// host is further evidence; keep its support growing.
 		if cr.Discovered.Has(label) {
-			key := seenKey{label: label, host: site.Host, url: st.page.URL}
-			if _, dup := seen[key]; !dup {
-				seen[key] = struct{}{}
+			key := seenKey{label: label, host: site.Host, url: st.url}
+			if _, dup := r.seen[key]; !dup {
+				r.seen[key] = struct{}{}
 				cr.Discovered.Add(label, site.Host)
 				cr.All.Add(label, site.Host)
 			}
@@ -553,20 +575,13 @@ func extractPage(site Site, st *pageState, cr *ClassResult, cfg Config, claims *
 		emit(i)
 	}
 	for _, i := range candidates {
-		label := st.label[i]
-		if !extract.ValidAttributeLabel(label) {
+		if r.induced.BestSimilarity(r.pathOf(&texts[i])) < r.cfg.SimilarityThreshold {
 			continue
 		}
-		p, ok := st.pathTo(i, cfg.Step)
-		if !ok {
-			continue
-		}
-		if induced.BestSimilarity(p) < cfg.SimilarityThreshold {
-			continue
-		}
-		key := seenKey{label: label, host: site.Host, url: st.page.URL}
-		if _, dup := seen[key]; !dup {
-			seen[key] = struct{}{}
+		label := texts[i].label
+		key := seenKey{label: label, host: site.Host, url: st.url}
+		if _, dup := r.seen[key]; !dup {
+			r.seen[key] = struct{}{}
 			if !cr.All.Has(label) {
 				grew = true
 			}
@@ -576,38 +591,6 @@ func extractPage(site Site, st *pageState, cr *ClassResult, cfg Config, claims *
 		emit(i)
 	}
 	return grew
-}
-
-// findEntityNode locates the first body text node whose content is a known
-// entity of the wanted class.
-func findEntityNode(doc *htmldom.Node, idx *extract.EntityIndex, class string) (string, *htmldom.Node) {
-	for _, tn := range bodyTextNodes(doc) {
-		name := htmldom.NormalizeSpace(tn.Text)
-		if c, ok := idx.Class(name); ok && c == class {
-			return name, tn
-		}
-	}
-	return "", nil
-}
-
-// bodyTextNodes returns document-order text nodes outside <head>.
-func bodyTextNodes(doc *htmldom.Node) []*htmldom.Node {
-	var out []*htmldom.Node
-	for _, tn := range doc.TextNodes() {
-		if !underHead(tn) {
-			out = append(out, tn)
-		}
-	}
-	return out
-}
-
-func underHead(n *htmldom.Node) bool {
-	for cur := n.Parent; cur != nil; cur = cur.Parent {
-		if cur.Kind == htmldom.ElementNode && cur.Tag == "head" {
-			return true
-		}
-	}
-	return false
 }
 
 // valueAfter returns the normalised text of the first node after pos that

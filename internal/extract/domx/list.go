@@ -20,10 +20,10 @@ import (
 // the same cell signature, each containing a recognised entity), pairs
 // cells to header labels, and emits one statement per cell.
 
-// ListPage is one parsed multi-record page.
+// ListPage is one multi-record page as it was fetched.
 type ListPage struct {
-	URL string
-	Doc *htmldom.Node
+	URL  string
+	HTML string
 }
 
 // ListSite groups list pages per host.
@@ -44,7 +44,7 @@ func ListsFromWebgen(w map[string][]*webgen.ListPage, classOf func(host string) 
 	for _, h := range hosts {
 		site := ListSite{Host: h, Class: classOf(h)}
 		for _, p := range w[h] {
-			site.Pages = append(site.Pages, ListPage{URL: p.URL, Doc: htmldom.Parse(p.HTML)})
+			site.Pages = append(site.Pages, ListPage{URL: p.URL, HTML: p.HTML})
 		}
 		out = append(out, site)
 	}
@@ -77,6 +77,7 @@ func ExtractLists(ctx context.Context, sites []ListSite, idx *extract.EntityInde
 	}
 	res := &ListResult{HeaderAttrs: map[string]extract.AttrSet{}}
 	claims := extract.NewEvidence()
+	var parser htmldom.Parser // one page's tree at a time
 
 	for _, site := range sites {
 		set := res.HeaderAttrs[site.Class]
@@ -85,7 +86,8 @@ func ExtractLists(ctx context.Context, sites []ListSite, idx *extract.EntityInde
 			res.HeaderAttrs[site.Class] = set
 		}
 		for _, p := range site.Pages {
-			for _, table := range p.Doc.FindAll("table") {
+			parser.Reset()
+			for _, table := range parser.Parse(p.HTML).Root.FindAll("table") {
 				rows := directRows(table)
 				if len(rows) < cfg.MinRecordRows+1 {
 					continue

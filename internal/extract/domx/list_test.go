@@ -84,7 +84,7 @@ func TestExtractListsIgnoresSmallTables(t *testing.T) {
 	e := w.EntityNames("Film")[0]
 	// A two-row table is below the repetition threshold.
 	html := `<table><tr><th>Name</th><th>Director:</th></tr><tr><td>` + e + `</td><td>X</td></tr></table>`
-	sites := []ListSite{{Host: "h", Class: "Film", Pages: []ListPage{{URL: "/l", Doc: htmldom.Parse(html)}}}}
+	sites := []ListSite{{Host: "h", Class: "Film", Pages: []ListPage{{URL: "/l", HTML: html}}}}
 	res := ExtractLists(context.Background(), sites, idx, ListConfig{MinRecordRows: 3}, nil)
 	if res.Regions != 0 {
 		t.Errorf("small table counted as record region")
@@ -100,7 +100,7 @@ func TestExtractListsSkipsHeaderlessTables(t *testing.T) {
 		b.WriteString("<tr><td>" + e + "</td><td>x</td></tr>")
 	}
 	b.WriteString("</table>")
-	sites := []ListSite{{Host: "h", Class: "Film", Pages: []ListPage{{URL: "/l", Doc: htmldom.Parse(b.String())}}}}
+	sites := []ListSite{{Host: "h", Class: "Film", Pages: []ListPage{{URL: "/l", HTML: b.String()}}}}
 	res := ExtractLists(context.Background(), sites, idx, ListConfig{}, nil)
 	if len(res.Statements) != 0 {
 		t.Error("headerless table produced statements")

@@ -43,6 +43,7 @@ func TestEvidenceContract(t *testing.T) {
 		name  string
 		in    []obs
 		shard []obs
+		late  []obs // added after the merge
 		want  []string
 	}{
 		{
@@ -109,19 +110,32 @@ func TestEvidenceContract(t *testing.T) {
 			shard: []obs{{"A", "a", "v", "s3", "d3"}, {"A", "a", "v", "s1", "d4"}},
 			want:  []string{"A|a|v|s1|d1|0.43", "A|a|v|s2|d2|0.43", "A|a|v|s3|d3|0.43"},
 		},
+		{
+			name:  "what is added after a merge comes after the shard's, also of a claim held before it",
+			in:    []obs{{"A", "a", "v", "s1", "d1"}, {"B", "a", "v", "s1", "d1"}},
+			shard: []obs{{"A", "a", "v", "s3", "d3"}},
+			late:  []obs{{"A", "a", "v", "s4", "d4"}, {"A", "a", "v", "s1", "d5"}, {"A", "a", "w", "s4", "d4"}, {"A", "a", "w", "s4", "d6"}},
+			want: []string{
+				"A|a|v|s1|d1|0.43", "A|a|v|s3|d3|0.43", "A|a|v|s4|d4|0.43", "A|a|w|s4|d4|0.21", "B|a|v|s1|d1|0.11",
+			},
+		},
 		{name: "no observations, no statements"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			merged := addAll(NewEvidence(), tc.in)
 			merged.Merge(addAll(NewEvidence(), tc.shard))
+			addAll(merged, tc.late)
 			got := merged.Statements("x", supportTimesSources)
 			if fmt.Sprintf("%q", render(got)) != fmt.Sprintf("%q", tc.want) {
 				t.Errorf("got  %q\nwant %q", render(got), tc.want)
 			}
-			one := addAll(addAll(NewEvidence(), tc.in), tc.shard).Statements("x", supportTimesSources)
+			one := addAll(addAll(addAll(NewEvidence(), tc.in), tc.shard), tc.late).Statements("x", supportTimesSources)
 			if !reflect.DeepEqual(got, one) {
 				t.Errorf("merged %q\none    %q", render(got), render(one))
+			}
+			if again := merged.Statements("x", supportTimesSources); !reflect.DeepEqual(got, again) {
+				t.Errorf("read twice: %q\nthen %q", render(got), render(again))
 			}
 			for _, s := range got {
 				if s.Provenance.Extractor != "x" {

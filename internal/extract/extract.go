@@ -7,7 +7,9 @@ package extract
 import (
 	"sort"
 	"strings"
+	"unicode"
 
+	"akb/internal/htmldom"
 	"akb/internal/kb"
 	"akb/internal/rdf"
 )
@@ -155,7 +157,7 @@ func NormalizeLabel(label string) string {
 	label = strings.TrimSpace(label)
 	label = strings.TrimSuffix(label, ":")
 	label = strings.ToLower(label)
-	return strings.Join(strings.Fields(label), " ")
+	return htmldom.NormalizeSpace(label)
 }
 
 // EntityFact is one extracted fact about a candidate new entity, produced
@@ -177,16 +179,20 @@ func ValidAttributeLabel(label string) bool {
 	if len(label) < 3 {
 		return false
 	}
-	if len(strings.Fields(label)) > 5 {
-		return false
-	}
-	digits := 0
+	words, digits := 0, 0
+	inWord := false
 	for _, r := range label {
 		if r >= '0' && r <= '9' {
 			digits++
 		}
+		if space := unicode.IsSpace(r); !space && !inWord {
+			words++
+			inWord = true
+		} else if space {
+			inWord = false
+		}
 	}
-	return digits != len(label)
+	return words <= 5 && digits != len(label)
 }
 
 // EntityIRI mints the IRI for an entity name.
@@ -199,6 +205,25 @@ func AttrIRI(attr string) rdf.Term { return rdf.AKB.IRI("attr/" + attr) }
 func AttrFromIRI(t rdf.Term) string {
 	name := rdf.LocalName(t)
 	return strings.ReplaceAll(name, "_", " ")
+}
+
+// Names is AttrFromIRI remembered per IRI, for one pass over statements or
+// decisions: they name the same few thousand entities and attributes again
+// and again, and each recovery builds a string. It lives as long as the call
+// that made it.
+type Names map[string]string
+
+// Of returns AttrFromIRI(t).
+func (n Names) Of(t rdf.Term) string {
+	if !t.IsIRI() {
+		return AttrFromIRI(t)
+	}
+	name, ok := n[t.Value]
+	if !ok {
+		name = AttrFromIRI(t)
+		n[t.Value] = name
+	}
+	return name
 }
 
 // NewStatement builds a confidence-annotated statement for an extracted

@@ -1,6 +1,7 @@
 package extract
 
 import (
+	"strings"
 	"testing"
 
 	"akb/internal/kb"
@@ -117,6 +118,51 @@ func TestNormalizeLabel(t *testing.T) {
 		if got := NormalizeLabel(in); got != want {
 			t.Errorf("NormalizeLabel(%q) = %q, want %q", in, got, want)
 		}
+	}
+}
+
+// TestLabelHelpersMatchReference holds NormalizeLabel's fast path and the
+// word count of ValidAttributeLabel to the strings.Fields forms they had.
+func TestLabelHelpersMatchReference(t *testing.T) {
+	for _, s := range []string{
+		"", " ", "ab", "abc", "Release Date:", "  Director :", "a b c d e", "a b c d e f", "a  b\tc\nd e",
+		"12345", "123 45", "1 2 3", "a\u00a0b c d e f", "\u00a0x\u00a0", "\u00c9 \u00c8:", "x\xffy z", "Total  Budget :",
+	} {
+		want := strings.Join(strings.Fields(strings.ToLower(strings.TrimSuffix(strings.TrimSpace(s), ":"))), " ")
+		if got := NormalizeLabel(s); got != want {
+			t.Errorf("NormalizeLabel(%q) = %q, want %q", s, got, want)
+		}
+		digits := 0
+		for _, r := range s {
+			if r >= '0' && r <= '9' {
+				digits++
+			}
+		}
+		valid := len(s) >= 3 && len(strings.Fields(s)) <= 5 && digits != len(s)
+		if got := ValidAttributeLabel(s); got != valid {
+			t.Errorf("ValidAttributeLabel(%q) = %v, want %v", s, got, valid)
+		}
+	}
+}
+
+// TestNamesRemembersAttrFromIRI: the per-call memo answers as AttrFromIRI
+// does for every kind of term, and keeps IRIs apart from literals that
+// spell the same.
+func TestNamesRemembersAttrFromIRI(t *testing.T) {
+	terms := []rdf.Term{
+		AttrIRI("release date"), EntityIRI("Casa Blanca"), AttrIRI("release date"), AttrIRI("plain"),
+		rdf.Literal(AttrIRI("release date").Value), rdf.Literal("a_b"), rdf.Blank("b_1"), rdf.IRI("no-separator_x"),
+	}
+	names := Names{}
+	for round := 0; round < 2; round++ {
+		for _, term := range terms {
+			if got, want := names.Of(term), AttrFromIRI(term); got != want {
+				t.Errorf("round %d: Names.Of(%v) = %q, AttrFromIRI %q", round, term, got, want)
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(20, func() { names.Of(terms[0]) }); allocs != 0 {
+		t.Errorf("a remembered IRI cost %.0f allocations", allocs)
 	}
 }
 

@@ -42,17 +42,33 @@ func BenchmarkParse(b *testing.B) {
 	}
 }
 
+// BenchmarkParserReuse is BenchmarkParse the way a domx shard parses: one
+// parser, reset between sites.
+func BenchmarkParserReuse(b *testing.B) {
+	page := benchPage()
+	b.SetBytes(int64(len(page)))
+	b.ReportAllocs()
+	var p Parser
+	for i := 0; i < b.N; i++ {
+		p.Reset()
+		p.Parse(page)
+	}
+}
+
 func BenchmarkPathBetween(b *testing.B) {
 	doc := Parse(benchPage())
 	h1 := doc.Find("h1")
 	tds := doc.FindAll("td")
+	var buf []Step
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, td := range tds {
-			if _, ok := PathBetweenFunc(h1, td, QualifiedStep); !ok {
+			p, ok := PathBetween(h1, td, buf)
+			if !ok {
 				b.Fatal("no path")
 			}
+			buf = p.Steps
 		}
 	}
 }
@@ -65,12 +81,12 @@ func BenchmarkSimilarity(b *testing.B) {
 	h1 := doc.Find("h1")
 	var ps PatternSet
 	for _, th := range doc.FindAll("th") {
-		p, _ := PathBetweenFunc(h1, th, QualifiedStep)
+		p, _ := PathBetween(h1, th, nil)
 		ps.Add(p)
 	}
-	var queries []TagPath
+	var queries []Path
 	for _, td := range doc.FindAll("td") {
-		p, _ := PathBetweenFunc(h1, td, QualifiedStep)
+		p, _ := PathBetween(h1, td, nil)
 		queries = append(queries, p)
 	}
 	b.ReportAllocs()

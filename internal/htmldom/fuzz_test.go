@@ -8,21 +8,7 @@ import (
 // of a parse is structurally stable (parse ∘ render is idempotent after one
 // round).
 func FuzzParse(f *testing.F) {
-	seeds := []string{
-		"",
-		"plain text",
-		"<html><body><p>x</p></body></html>",
-		"<table><tr><td>a<td>b<tr><td>c</table>",
-		"<ul><li>one<li>two</ul>",
-		"<div class=\"a b\"><span>nested <b>deep</b></span></div>",
-		"<!DOCTYPE html><!-- c --><p>&amp;&lt;&gt;</p>",
-		"<script>if (a<b) {}</script>after",
-		"</div></div><p>stray",
-		"<unclosed attr='v",
-		"<<<>>>",
-		"<a href=x>y</a><br/><img src=z>",
-	}
-	for _, s := range seeds {
+	for _, s := range FuzzSeeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
@@ -42,6 +28,9 @@ func FuzzTokenize(f *testing.F) {
 	f.Add("<p class='x'>text</p>")
 	f.Add("<!doctype html><!-- x -->")
 	f.Add("a < b > c & d")
+	for _, s := range FuzzSeeds {
+		f.Add(s)
+	}
 	f.Fuzz(func(t *testing.T, src string) {
 		for _, tok := range Tokenize(src) {
 			if tok.Kind > TokenDoctype {

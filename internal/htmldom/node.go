@@ -2,6 +2,8 @@ package htmldom
 
 import (
 	"strings"
+	"unicode"
+	"unicode/utf8"
 )
 
 // NodeKind enumerates DOM node types.
@@ -28,10 +30,14 @@ type Node struct {
 	// Attrs are the element attributes.
 	Attrs []Attr
 
-	Parent   *Node
-	Children []*Node
-	// Index is the position of this node among its parent's children.
-	Index int
+	// Parent is nil for the root; the children are a list from FirstChild
+	// along NextSibling to LastChild.
+	Parent, FirstChild, LastChild, NextSibling *Node
+
+	// depth is the number of ancestors; step the element's path step as the
+	// Parser numbered it (docStep on any other node).
+	depth int32
+	step  Step
 }
 
 // Attr returns the value of the named attribute and whether it is present.
@@ -47,15 +53,51 @@ func (n *Node) Attr(key string) (string, bool) {
 // AppendChild attaches child as the last child of n.
 func (n *Node) AppendChild(child *Node) {
 	child.Parent = n
-	child.Index = len(n.Children)
-	n.Children = append(n.Children, child)
+	if n.LastChild == nil {
+		n.FirstChild = child
+	} else {
+		n.LastChild.NextSibling = child
+	}
+	n.LastChild = child
+	child.setDepth(n.depth + 1)
+}
+
+// setDepth records the depth of n and, for a subtree assembled before it was
+// attached, of everything under it.
+func (n *Node) setDepth(d int32) {
+	n.depth = d
+	for c := n.FirstChild; c != nil; c = c.NextSibling {
+		c.setDepth(d + 1)
+	}
 }
 
 // InnerText concatenates all descendant text with single-space normalisation.
 func (n *Node) InnerText() string {
+	// A table cell or a heading holds one text node: nothing to join.
+	switch only, found := n.soleText(0); found {
+	case 0:
+		return ""
+	case 1:
+		return NormalizeSpace(only.Text)
+	}
 	var b strings.Builder
 	n.collectText(&b)
 	return NormalizeSpace(b.String())
+}
+
+// soleText counts the text nodes under n on top of found, giving up at two,
+// and returns the last one it saw.
+func (n *Node) soleText(found int) (*Node, int) {
+	if n.Kind == TextNode {
+		return n, found + 1
+	}
+	var last *Node
+	for c := n.FirstChild; c != nil && found < 2; c = c.NextSibling {
+		if t, f := c.soleText(found); f > found {
+			last, found = t, f
+		}
+	}
+	return last, found
 }
 
 func (n *Node) collectText(b *strings.Builder) {
@@ -64,14 +106,46 @@ func (n *Node) collectText(b *strings.Builder) {
 		b.WriteByte(' ')
 		return
 	}
-	for _, c := range n.Children {
+	for c := n.FirstChild; c != nil; c = c.NextSibling {
 		c.collectText(b)
 	}
 }
 
 // NormalizeSpace collapses runs of whitespace into single spaces and trims.
+// A string already in that form — most text of a generated page — is
+// returned as it is.
 func NormalizeSpace(s string) string {
+	if isSpaceNormal(s) {
+		return s
+	}
 	return strings.Join(strings.Fields(s), " ")
+}
+
+// isSpaceNormal reports whether NormalizeSpace would leave s unchanged: its
+// only white space is single ' ' between other characters.
+func isSpaceNormal(s string) bool {
+	lastSpace := true // a leading space is not normal
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		switch {
+		case c == ' ':
+			if lastSpace {
+				return false
+			}
+			lastSpace = true
+			continue
+		case c >= utf8.RuneSelf:
+			r, size := utf8.DecodeRuneInString(s[i:])
+			if unicode.IsSpace(r) {
+				return false
+			}
+			i += size - 1
+		case c <= '\r' && c >= '\t':
+			return false
+		}
+		lastSpace = false
+	}
+	return !lastSpace || s == ""
 }
 
 // Walk visits n and all its descendants in document order. If fn returns
@@ -80,7 +154,7 @@ func (n *Node) Walk(fn func(*Node) bool) {
 	if !fn(n) {
 		return
 	}
-	for _, c := range n.Children {
+	for c := n.FirstChild; c != nil; c = c.NextSibling {
 		c.Walk(fn)
 	}
 }
@@ -151,9 +225,7 @@ func (n *Node) Render() string {
 func (n *Node) render(b *strings.Builder) {
 	switch n.Kind {
 	case DocumentNode:
-		for _, c := range n.Children {
-			c.render(b)
-		}
+		n.renderChildren(b)
 	case TextNode:
 		// Script and style bodies are raw text in HTML: the tokenizer reads
 		// them without entity decoding, so rendering must not escape them.
@@ -176,22 +248,27 @@ func (n *Node) render(b *strings.Builder) {
 			b.WriteString(EscapeText(a.Val))
 			b.WriteByte('"')
 		}
-		if voidElements[n.Tag] {
+		if isVoid(n.Tag) {
 			b.WriteString("/>")
 			return
 		}
 		b.WriteByte('>')
-		for _, c := range n.Children {
-			c.render(b)
-		}
+		n.renderChildren(b)
 		b.WriteString("</")
 		b.WriteString(n.Tag)
 		b.WriteByte('>')
 	}
 }
 
+func (n *Node) renderChildren(b *strings.Builder) {
+	for c := n.FirstChild; c != nil; c = c.NextSibling {
+		c.render(b)
+	}
+}
+
 // NewElement builds an element node with optional attributes given as
-// key, value pairs.
+// key, value pairs. Only a Parser numbers path steps: a hand-built tree
+// renders and searches like a parsed one, but has no tag paths.
 func NewElement(tag string, kv ...string) *Node {
 	n := &Node{Kind: ElementNode, Tag: tag}
 	for i := 0; i+1 < len(kv); i += 2 {

@@ -81,7 +81,7 @@ func TestParseVoidElements(t *testing.T) {
 	if p == nil {
 		t.Fatal("no p")
 	}
-	if br := doc.Find("br"); br == nil || len(br.Children) != 0 {
+	if br := doc.Find("br"); br == nil || br.FirstChild != nil {
 		t.Error("br missing or has children")
 	}
 	if got := p.InnerText(); got != "one two" {
@@ -176,7 +176,8 @@ func TestNewElementAndText(t *testing.T) {
 	if el.Render() != `<div id="x" class="y">hello</div>` {
 		t.Errorf("Render = %q", el.Render())
 	}
-	if el.Children[0].Parent != el || el.Children[0].Index != 0 {
+	el.AppendChild(NewElement("br"))
+	if el.FirstChild.Parent != el || el.FirstChild.NextSibling != el.LastChild || el.LastChild.Depth() != 1 {
 		t.Error("AppendChild bookkeeping wrong")
 	}
 }
@@ -185,5 +186,107 @@ func TestEntityDecodingInParse(t *testing.T) {
 	doc := Parse(`<p>Tom &amp; Jerry &lt;3</p>`)
 	if got := doc.Find("p").InnerText(); got != "Tom & Jerry <3" {
 		t.Errorf("entity decoding: %q", got)
+	}
+}
+
+// TestParseAllocationBound: a parser that has grown its arrays parses a
+// page without allocating, however many nodes the page has — what is left
+// is a copy per text or attribute that holds a character reference. The
+// one-shot Parse pays for its arrays, which double: a few allocations more
+// for ten times the nodes, not ten times as many.
+func TestParseAllocationBound(t *testing.T) {
+	page := func(rows int) string {
+		var b strings.Builder
+		b.WriteString(`<!DOCTYPE html><html><head><title>T</title></head><body><h1 class="entity-name">Name</h1><table class="infobox">`)
+		for i := 0; i < rows; i++ {
+			b.WriteString(`<tr><th>Label:</th><td><b>Value of it</b></td></tr>` + "\n")
+		}
+		b.WriteString(`</table><div class="ad">Advertisement</div></body></html>`)
+		return b.String()
+	}
+	small, large := page(10), page(100)
+	var p Parser
+	p.Parse(large) // grows the arrays
+	for _, src := range []string{small, large} {
+		allocs := testing.AllocsPerRun(20, func() {
+			p.Reset()
+			if doc := p.Parse(src); len(doc.Texts) < 20 {
+				t.Fatal("page not parsed")
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("a warm parser allocated %.0f times on a page of %d bytes, want 0", allocs, len(src))
+		}
+	}
+	oneShot := func(src string) float64 {
+		return testing.AllocsPerRun(20, func() { Parse(src) })
+	}
+	a, b := oneShot(small), oneShot(large)
+	t.Logf("Parse: %.0f allocations for 10 rows, %.0f for 100", a, b)
+	if a > 30 || b > a+12 {
+		t.Errorf("Parse allocated %.0f times for 10 rows and %.0f for 100; want at most 30, and a dozen more for the larger arrays", a, b)
+	}
+	entities := testing.AllocsPerRun(20, func() {
+		p.Reset()
+		p.Parse(`<p title="a &amp; b">Tom &amp; Jerry</p><p>plain</p>`)
+	})
+	if entities > 6 { // strings.Replacer's buffers and the string, for each of the two
+		t.Errorf("two character references cost %.0f allocations, want at most 6", entities)
+	}
+}
+
+// spaceCases are strings around the edges of "white space": ASCII and
+// Unicode spaces, leading, trailing and doubled, invalid UTF-8.
+var spaceCases = []string{
+	"", " ", "a", "a b", "a  b", " a", "a ", "a\tb", "a\nb", "\va\f", "a\rb",
+	"a\u00a0b", "\u0085", "a\u2003", "a\u2009b c", "a\u3000", "\u00e9 \u00e8", "\u00e9  \u00e8", "\u65e5\u672c \u8a9e",
+	"a\xffb", "\xff", "a \xc2", "\xc2\xa0", " \t\n ", "x:y", "Release Date:",
+}
+
+// TestNormalizeSpaceMatchesReference: the fast path (an already normal
+// string is returned as it is), the blank scan and the first-field scan
+// agree with strings.Fields on every case.
+func TestNormalizeSpaceMatchesReference(t *testing.T) {
+	for _, s := range spaceCases {
+		fields := strings.Fields(s)
+		want := strings.Join(fields, " ")
+		if got := NormalizeSpace(s); got != want {
+			t.Errorf("NormalizeSpace(%q) = %q, want %q", s, got, want)
+		}
+		if got := isSpaceNormal(s); got != (s == want) {
+			t.Errorf("isSpaceNormal(%q) = %v, want %v", s, got, s == want)
+		}
+		if got := isBlank(s); got != (want == "") {
+			t.Errorf("isBlank(%q) = %v, want %v", s, got, want == "")
+		}
+		first := ""
+		if len(fields) > 0 {
+			first = fields[0]
+		}
+		if got := firstField(s); got != first {
+			t.Errorf("firstField(%q) = %q, want %q", s, got, first)
+		}
+	}
+	if allocs := testing.AllocsPerRun(20, func() { NormalizeSpace("Release Date:") }); allocs != 0 {
+		t.Errorf("NormalizeSpace of a normal string allocated %.0f times", allocs)
+	}
+}
+
+func TestEditDistance(t *testing.T) {
+	cases := []struct {
+		a, b []Step
+		want int
+	}{
+		{nil, nil, 0},
+		{[]Step{2}, nil, 1},
+		{nil, []Step{2, 4}, 2},
+		{[]Step{2, 4, 6}, []Step{2, 8, 6}, 1},
+		{[]Step{2, 4}, []Step{4, 2}, 2},
+		{[]Step{2, 4, 6}, []Step{2, 4, 6}, 0},
+	}
+	for _, c := range cases {
+		if got := new(PatternSet).editDistance(c.a, c.b); got != c.want {
+			t.Errorf("editDistance(%v, %v) = %d, want %d", c.a, c.b, got, c.want)
+		}
 	}
 }

@@ -1,8 +1,10 @@
-package htmldom
+package htmldom_test
 
 import (
 	"math/rand"
 	"testing"
+
+	"akb/internal/htmldom"
 )
 
 // refSimilarity is the pairwise similarity PatternSet replaced, kept as the
@@ -46,7 +48,7 @@ func refEditDistance(a, b []string) int {
 			if a[i-1] == b[j-1] {
 				cost = 0
 			}
-			cur[j] = min3(prev[j]+1, cur[j-1]+1, prev[j-1]+cost)
+			cur[j] = min(prev[j]+1, cur[j-1]+1, prev[j-1]+cost)
 		}
 		prev, cur = cur, prev
 	}
@@ -62,13 +64,6 @@ func refBestSimilarity(p TagPath, patterns []TagPath) float64 {
 		}
 	}
 	return best
-}
-
-// similarity is the one-pattern case of PatternSet.BestSimilarity.
-func similarity(p, q TagPath) float64 {
-	var ps PatternSet
-	ps.Add(q)
-	return ps.BestSimilarity(p)
 }
 
 // genPath draws paths biased to the cases where normalisation and the edit
@@ -107,7 +102,8 @@ func genPath(r *rand.Rand) TagPath {
 
 func TestPatternSetMatchesReference(t *testing.T) {
 	r := rand.New(rand.NewSource(12))
-	var ps PatternSet // reused across rounds, as domx's pageScratch reuses it
+	var parser htmldom.Parser
+	var ps htmldom.PatternSet // reused across rounds, as a domx shard reuses it
 	for round := 0; round < 2000; round++ {
 		patterns := make([]TagPath, r.Intn(8))
 		for i := range patterns {
@@ -118,15 +114,21 @@ func TestPatternSetMatchesReference(t *testing.T) {
 			}
 		}
 		ps.Reset()
+		distinct := map[string]bool{}
 		for _, q := range patterns {
-			ps.Add(q)
+			added := ps.Add(numbered(&parser, q))
+			if key := q.Normalize().String(); added == distinct[key] {
+				t.Fatalf("round %d: Add(%v) = %v, pattern seen before: %v", round, q, added, distinct[key])
+			} else {
+				distinct[key] = true
+			}
 		}
 		for k := 0; k < 8; k++ {
 			p := genPath(r)
 			if k == 0 && len(patterns) > 0 {
 				p = patterns[r.Intn(len(patterns))] // an exact hit: the early return
 			}
-			got, want := ps.BestSimilarity(p), refBestSimilarity(p, patterns)
+			got, want := ps.BestSimilarity(numbered(&parser, p)), refBestSimilarity(p, patterns)
 			if got != want {
 				t.Fatalf("round %d: BestSimilarity(%v) over %v = %v, reference %v", round, p, patterns, got, want)
 			}
@@ -135,29 +137,31 @@ func TestPatternSetMatchesReference(t *testing.T) {
 }
 
 func TestPatternSetEdgeCases(t *testing.T) {
-	var ps PatternSet
+	var parser htmldom.Parser
+	var ps htmldom.PatternSet
+	num := func(p TagPath) htmldom.Path { return numbered(&parser, p) }
 	p := TagPath{Up: []string{"td"}, Apex: "tr", Down: []string{"td"}}
-	if s := ps.BestSimilarity(p); s != 0 {
+	if s := ps.BestSimilarity(num(p)); s != 0 {
 		t.Errorf("empty set: similarity = %v, want 0", s)
 	}
 	// Paths that differ only in noisy tags are one pattern.
-	ps.Add(p)
-	ps.Add(TagPath{Up: []string{"b", "td"}, Apex: "tr", Down: []string{"td", "span"}})
+	ps.Add(num(p))
+	ps.Add(num(TagPath{Up: []string{"b", "td"}, Apex: "tr", Down: []string{"td", "span"}}))
 	if ps.Len() != 1 {
 		t.Errorf("Len = %d after adding a noisy variant, want 1", ps.Len())
 	}
 	// A class-qualified span is structural.
-	ps.Add(TagPath{Up: []string{"td"}, Apex: "tr", Down: []string{"td", "span.k"}})
+	ps.Add(num(TagPath{Up: []string{"td"}, Apex: "tr", Down: []string{"td", "span.k"}}))
 	if ps.Len() != 2 {
 		t.Errorf("Len = %d after adding a qualified step, want 2", ps.Len())
 	}
 	// Length 1 (bare apex, every leg noisy) against length n.
 	bare := TagPath{Up: []string{"b", "i"}, Apex: "tr", Down: []string{"em"}}
-	if got, want := ps.BestSimilarity(bare), refBestSimilarity(bare, []TagPath{p, {Up: []string{"td"}, Apex: "tr", Down: []string{"td", "span.k"}}}); got != want {
+	if got, want := ps.BestSimilarity(num(bare)), refBestSimilarity(bare, []TagPath{p, {Up: []string{"td"}, Apex: "tr", Down: []string{"td", "span.k"}}}); got != want {
 		t.Errorf("bare apex: similarity = %v, reference %v", got, want)
 	}
 	ps.Reset()
-	if ps.Len() != 0 || ps.BestSimilarity(p) != 0 {
+	if ps.Len() != 0 || ps.BestSimilarity(num(p)) != 0 {
 		t.Errorf("Reset left patterns behind")
 	}
 }
@@ -167,15 +171,16 @@ func TestPatternSetEdgeCases(t *testing.T) {
 // nothing (the pairwise form allocated four slices and two rows per pair).
 func TestPatternSetAllocationFree(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
-	patterns := make([]TagPath, 12)
+	var parser htmldom.Parser
+	patterns := make([]htmldom.Path, 12)
 	for i := range patterns {
-		patterns[i] = genPath(r)
+		patterns[i] = numbered(&parser, genPath(r))
 	}
-	queries := make([]TagPath, 32)
+	queries := make([]htmldom.Path, 32)
 	for i := range queries {
-		queries[i] = genPath(r)
+		queries[i] = numbered(&parser, genPath(r))
 	}
-	var ps PatternSet
+	var ps htmldom.PatternSet
 	pass := func() {
 		ps.Reset()
 		for _, q := range patterns {

@@ -5,22 +5,21 @@ import (
 	"strings"
 )
 
-// TagPath is the tag-level path between two nodes in a DOM tree: the
-// sequence of tags climbed from the start node up to the lowest common
-// ancestor, followed by the sequence descended to the end node. It is the
-// unit Algorithm 1 induces patterns over: on a template-driven page the path
-// between an entity name node and each attribute node is highly regular.
-type TagPath struct {
-	// Up holds the tags of the nodes climbed through, starting at the start
-	// node's element (for text nodes, their parent element) and ending just
-	// below the common ancestor.
-	Up []string
-	// Apex is the tag of the lowest common ancestor.
-	Apex string
-	// Down holds the tags descended through, ending at the end node's
-	// element.
-	Down []string
-}
+// Step is one step of a tag path: an element's tag qualified by the first
+// token of its class attribute ("td", "span.k"), which tells sibling roles
+// (label and value cells) apart the way class-qualified XPaths do in
+// wrapper-induction systems. A Parser numbers the steps it meets, so paths
+// are compared as numbers; Parser.StepName gives the text back. Steps of two
+// Parsers do not compare.
+type Step int32
+
+const (
+	// docStep is the step of the document node ("#doc"), the apex of a path
+	// between nodes that share no element.
+	docStep Step = 0
+	// noisyStep is the bit that marks a presentational step.
+	noisyStep Step = 1
+)
 
 // noisyTags are presentational tags stripped during normalisation, as
 // Algorithm 1 removes "noisy tags" from extracted paths. Two paths differing
@@ -31,80 +30,71 @@ var noisyTags = map[string]bool{
 	"sup": true, "mark": true, "a": false, // anchors are structural: keep
 }
 
-// StepFunc renders one DOM element as a path step. TagStep uses the bare
-// tag name; QualifiedStep additionally appends the element's first class
-// token, which disambiguates sibling roles (label vs value cells) the way
-// class-qualified XPaths do in wrapper-induction systems.
-type StepFunc func(*Node) string
-
-// TagStep is the default step renderer: the element's tag name.
-func TagStep(n *Node) string { return n.Tag }
-
-// QualifiedStep renders "tag.class" using the first token of the class
-// attribute, or the bare tag when the element has no class.
-func QualifiedStep(n *Node) string {
-	if cls, ok := n.Attr("class"); ok {
-		if fields := strings.Fields(cls); len(fields) > 0 {
-			return n.Tag + "." + fields[0]
-		}
-	}
-	return n.Tag
+// Path is the tag-level path between two nodes of a DOM tree: the steps
+// climbed from the start node up to the lowest common ancestor, that
+// ancestor's, and the steps descended to the end node. It is the unit
+// Algorithm 1 induces patterns over: on a template-driven page the path
+// between an entity name node and each attribute node is highly regular.
+type Path struct {
+	// Steps[:Apex] are the elements climbed through, from the start node's
+	// element (for a text node, its parent) to just below the common
+	// ancestor; Steps[Apex] is the ancestor; Steps[Apex+1:] are the elements
+	// descended through, ending at the end node's element.
+	Steps []Step
+	Apex  int
 }
 
-// PathBetween computes the tag path between two nodes of the same tree.
-// It returns a zero path and false if the nodes are in different trees.
-func PathBetween(from, to *Node) (TagPath, bool) {
-	return PathBetweenFunc(from, to, TagStep)
-}
-
-// PathBetweenFunc is PathBetween with a custom step renderer.
-func PathBetweenFunc(from, to *Node, step StepFunc) (TagPath, bool) {
+// PathBetween computes the tag path between two nodes of a tree a Parser
+// built, false if they are in different trees. The path's steps overwrite
+// buf, which is grown when it is too short: a caller that keeps the steps it
+// got for its next call computes paths without allocating.
+func PathBetween(from, to *Node, buf []Step) (Path, bool) {
 	a, b := elementOf(from), elementOf(to)
 	if a == nil || b == nil {
-		return TagPath{}, false
+		return Path{}, false
 	}
-	// Collect ancestor chains (including the element itself).
-	anc := map[*Node]int{}
-	i := 0
-	for cur := a; cur != nil; cur = cur.Parent {
-		anc[cur] = i
-		i++
+	// The common ancestor: level the deeper node, then climb in step.
+	x, y := a, b
+	for x.depth > y.depth {
+		x = x.Parent
 	}
-	var lca *Node
-	downDepth := 0
-	for cur := b; cur != nil; cur = cur.Parent {
-		if _, ok := anc[cur]; ok {
-			lca = cur
-			break
+	for y.depth > x.depth {
+		y = y.Parent
+	}
+	for x != y {
+		x, y = x.Parent, y.Parent
+		if x == nil || y == nil {
+			return Path{}, false
 		}
-		downDepth++
 	}
-	if lca == nil {
-		return TagPath{}, false
-	}
-	var p TagPath
+	lca := x
+	steps := buf[:0]
 	for cur := a; cur != lca; cur = cur.Parent {
-		if cur.Kind == ElementNode {
-			p.Up = append(p.Up, step(cur))
-		}
+		steps = append(steps, cur.step)
 	}
-	if lca.Kind == ElementNode {
-		p.Apex = step(lca)
-	} else {
-		p.Apex = "#doc"
-	}
-	down := make([]string, 0, downDepth)
+	p := Path{Apex: len(steps)}
+	steps = append(steps, lca.step)
+	// The descent is read bottom-up and written back to front.
+	down := int(b.depth - lca.depth)
+	steps = slices.Grow(steps, down)[:len(steps)+down]
+	i := len(steps)
 	for cur := b; cur != lca; cur = cur.Parent {
-		if cur.Kind == ElementNode {
-			down = append(down, step(cur))
-		}
+		i--
+		steps[i] = cur.step
 	}
-	// down was collected bottom-up; reverse to get apex-to-target order.
-	for l, r := 0, len(down)-1; l < r; l, r = l+1, r-1 {
-		down[l], down[r] = down[r], down[l]
-	}
-	p.Down = down
+	p.Steps = steps
 	return p, true
+}
+
+// AncestorSteps returns the steps of the elements from n's own — for a text
+// node, its parent's — up to the outermost, most specific first: where in
+// its page's template the node stands. Like PathBetween it writes into buf.
+func AncestorSteps(n *Node, buf []Step) []Step {
+	steps := buf[:0]
+	for cur := elementOf(n); cur != nil && cur.Kind == ElementNode; cur = cur.Parent {
+		steps = append(steps, cur.step)
+	}
+	return steps
 }
 
 // elementOf returns the nearest element node: n itself, or its parent when n
@@ -116,76 +106,79 @@ func elementOf(n *Node) *Node {
 	if n.Kind == ElementNode {
 		return n
 	}
-	if n.Parent != nil && n.Parent.Kind == ElementNode {
-		return n.Parent
-	}
 	return n.Parent
 }
 
-// Normalize returns a copy of the path with presentational ("noisy") tags
-// removed from the up and down legs.
-func (p TagPath) Normalize() TagPath {
-	out := TagPath{Apex: p.Apex}
-	for _, t := range p.Up {
-		if !isNoisyStep(t) {
-			out.Up = append(out.Up, t)
-		}
-	}
-	for _, t := range p.Down {
-		if !isNoisyStep(t) {
-			out.Down = append(out.Down, t)
-		}
-	}
-	return out
+// Normalize returns the path with presentational ("noisy") steps removed
+// from the up and down legs. Like PathBetween it writes into buf, which may
+// be the path's own steps.
+func (p Path) Normalize(buf []Step) Path {
+	steps, apex := appendNormalized(buf[:0], p)
+	return Path{Steps: steps, Apex: apex}
 }
 
-// isNoisyStep strips only bare presentational tags; a class-qualified step
-// like "span.k" is structural and kept.
-func isNoisyStep(t string) bool {
-	if strings.ContainsRune(t, '.') {
-		return false
+// appendNormalized appends p's steps to dst, the noisy ones of the two legs
+// left out, and says where in dst the apex went.
+func appendNormalized(dst []Step, p Path) (steps []Step, apex int) {
+	for i, s := range p.Steps {
+		if i == p.Apex {
+			apex = len(dst)
+		} else if s&noisyStep != 0 {
+			continue
+		}
+		dst = append(dst, s)
 	}
-	return noisyTags[t]
+	return dst, apex
 }
 
-// String renders the path canonically, e.g. "td^tr^table(tr/td)" meaning:
-// climb td, tr to apex table, descend tr, td.
-func (p TagPath) String() string {
+// StepName renders a step of one of the parser's trees: "td", "span.k",
+// "#doc".
+func (p *Parser) StepName(s Step) string {
+	if s == docStep {
+		return "#doc"
+	}
+	return p.names[s>>1]
+}
+
+// PathString renders a path between nodes of the parser's trees
+// canonically, e.g. "td^tr^table(tr/td)" meaning: climb td, tr to apex
+// table, descend tr, td.
+func (p *Parser) PathString(path Path) string {
 	var b strings.Builder
-	for _, t := range p.Up {
-		b.WriteString(t)
-		b.WriteByte('^')
+	for i, s := range path.Steps {
+		switch {
+		case i < path.Apex:
+			b.WriteString(p.StepName(s))
+			b.WriteByte('^')
+		case i == path.Apex:
+			b.WriteString(p.StepName(s))
+		case i == path.Apex+1:
+			b.WriteByte('(')
+			b.WriteString(p.StepName(s))
+		default:
+			b.WriteByte('/')
+			b.WriteString(p.StepName(s))
+		}
 	}
-	b.WriteString(p.Apex)
-	if len(p.Down) > 0 {
-		b.WriteByte('(')
-		b.WriteString(strings.Join(p.Down, "/"))
+	if len(path.Steps) > path.Apex+1 {
 		b.WriteByte(')')
 	}
 	return b.String()
 }
 
-// Len returns the number of steps in the path.
-func (p TagPath) Len() int { return len(p.Up) + 1 + len(p.Down) }
-
-// Equal reports whether two paths are identical after normalisation.
-func (p TagPath) Equal(q TagPath) bool {
-	return p.Normalize().String() == q.Normalize().String()
-}
-
 // PatternSet is a set of tag-path patterns prepared for repeated similarity
 // queries. Algorithm 1 compares every candidate node's path against every
 // pattern induced on the page, so the per-pattern work — dropping noisy
-// tags, flattening to one step sequence — is done once when the pattern is
-// added, not once per comparison. The zero value is an empty set; Reset
-// empties it for reuse, keeping its buffers. A PatternSet carries query
-// scratch and must not be used from two goroutines at once.
+// steps — is done once when the pattern is added, not once per comparison.
+// The zero value is an empty set; Reset empties it for reuse, keeping its
+// buffers. A PatternSet carries query scratch and must not be used from two
+// goroutines at once.
 type PatternSet struct {
-	steps []string // the patterns' normalised step sequences, back to back
-	ends  []int    // pattern i is steps[ends[i-1]:ends[i]]
+	steps []Step // the patterns' normalised step sequences, back to back
+	ends  []int  // pattern i is steps[ends[i-1]:ends[i]]
 
-	query     []string // scratch: the queried path's normalised steps
-	prev, cur []int    // scratch: edit-distance rows
+	query     []Step // scratch: the queried path's normalised steps
+	prev, cur []int  // scratch: edit-distance rows
 }
 
 // Reset empties the set.
@@ -197,23 +190,24 @@ func (ps *PatternSet) Reset() {
 // Len returns the number of distinct patterns in the set.
 func (ps *PatternSet) Len() int { return len(ps.ends) }
 
-// Add inserts the normalised form of p. A pattern already present is
-// skipped: the rows of one infobox share a single path, and a duplicate
-// cannot change the best similarity.
-func (ps *PatternSet) Add(p TagPath) {
+// Add inserts the normalised form of p and reports whether the set grew. A
+// pattern already present is skipped: the rows of one infobox share a single
+// path, and a duplicate cannot change the best similarity.
+func (ps *PatternSet) Add(p Path) bool {
 	start := len(ps.steps)
-	ps.steps = appendNormalizedSteps(ps.steps, p)
+	ps.steps, _ = appendNormalized(ps.steps, p)
 	added := ps.steps[start:]
 	for i := range ps.ends {
 		if slices.Equal(ps.pattern(i), added) {
 			ps.steps = ps.steps[:start]
-			return
+			return false
 		}
 	}
 	ps.ends = append(ps.ends, len(ps.steps))
+	return true
 }
 
-func (ps *PatternSet) pattern(i int) []string {
+func (ps *PatternSet) pattern(i int) []Step {
 	start := 0
 	if i > 0 {
 		start = ps.ends[i-1]
@@ -227,8 +221,8 @@ func (ps *PatternSet) pattern(i int) []string {
 // sequences: paths from the same page template typically differ by zero or
 // one step (an extra wrapper), scoring >= 0.8; unrelated paths score much
 // lower.
-func (ps *PatternSet) BestSimilarity(p TagPath) float64 {
-	ps.query = appendNormalizedSteps(ps.query[:0], p)
+func (ps *PatternSet) BestSimilarity(p Path) float64 {
+	ps.query, _ = appendNormalized(ps.query[:0], p)
 	a := ps.query
 	best := 0.0
 	for i := range ps.ends {
@@ -253,26 +247,9 @@ func (ps *PatternSet) BestSimilarity(p TagPath) float64 {
 	return best
 }
 
-// appendNormalizedSteps appends p's step sequence — up tags, apex, down
-// tags, with noisy tags dropped from both legs as Normalize does — to dst.
-func appendNormalizedSteps(dst []string, p TagPath) []string {
-	for _, t := range p.Up {
-		if !isNoisyStep(t) {
-			dst = append(dst, t)
-		}
-	}
-	dst = append(dst, p.Apex)
-	for _, t := range p.Down {
-		if !isNoisyStep(t) {
-			dst = append(dst, t)
-		}
-	}
-	return dst
-}
-
 // editDistance is the Levenshtein distance over step sequences, computed in
 // the set's reusable rows.
-func (ps *PatternSet) editDistance(a, b []string) int {
+func (ps *PatternSet) editDistance(a, b []Step) int {
 	if cap(ps.prev) <= len(b) {
 		ps.prev = make([]int, 2*(len(b)+1))
 		ps.cur = make([]int, 2*(len(b)+1))
@@ -288,31 +265,9 @@ func (ps *PatternSet) editDistance(a, b []string) int {
 			if a[i-1] == b[j-1] {
 				cost = 0
 			}
-			cur[j] = min3(prev[j]+1, cur[j-1]+1, prev[j-1]+cost)
+			cur[j] = min(prev[j]+1, cur[j-1]+1, prev[j-1]+cost)
 		}
 		prev, cur = cur, prev
 	}
 	return prev[len(b)]
-}
-
-func min3(a, b, c int) int {
-	if b < a {
-		a = b
-	}
-	if c < a {
-		a = c
-	}
-	return a
-}
-
-// PathToRoot returns the element tags from n's element up to the tree root,
-// most-specific first (e.g. td, tr, table, body, html).
-func PathToRoot(n *Node) []string {
-	var out []string
-	for cur := elementOf(n); cur != nil; cur = cur.Parent {
-		if cur.Kind == ElementNode {
-			out = append(out, cur.Tag)
-		}
-	}
-	return out
 }

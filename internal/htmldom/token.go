@@ -79,85 +79,133 @@ func (t Token) Attr(key string) (string, bool) {
 // markup degrades to text tokens, mirroring browser resilience.
 func Tokenize(src string) []Token {
 	var out []Token
-	i := 0
-	for i < len(src) {
-		lt := strings.IndexByte(src[i:], '<')
-		if lt < 0 {
-			out = appendText(out, src[i:])
-			break
+	sc := scanner{src: src}
+	for sc.next() {
+		out = append(out, sc.tok)
+	}
+	return out
+}
+
+// scanner reads the tokens of one document in order; Tokenize collects
+// them, the tree builder consumes them one at a time.
+type scanner struct {
+	src string
+	pos int
+	// rawTag names the raw-text element ("script", "style") whose start tag
+	// was the last token: what follows, up to its end tag, is one opaque
+	// text token.
+	rawTag string
+	// attrs is where tag attributes are cut from; nil gives every tag a
+	// slice of its own.
+	attrs *attrSlab
+	// tok is the token next read.
+	tok Token
+}
+
+// next reads the next token into tok, false at the end of the document.
+func (s *scanner) next() bool {
+	src := s.src
+	for s.pos < len(src) {
+		i := s.pos
+		if s.rawTag != "" {
+			idx := indexEndTag(src[i:], s.rawTag)
+			s.rawTag = ""
+			if idx < 0 {
+				return s.text(src[i:])
+			}
+			s.pos = i + idx
+			if idx > 0 {
+				s.tok = Token{Kind: TokenText, Data: src[i : i+idx]}
+				return true
+			}
+			continue
 		}
-		if lt > 0 {
-			out = appendText(out, src[i:i+lt])
-			i += lt
+		if lt := strings.IndexByte(src[i:], '<'); lt < 0 {
+			return s.text(src[i:])
+		} else if lt > 0 {
+			return s.text(src[i : i+lt])
 		}
 		// src[i] == '<'
 		if strings.HasPrefix(src[i:], "<!--") {
 			end := strings.Index(src[i+4:], "-->")
 			if end < 0 {
-				out = append(out, Token{Kind: TokenComment, Data: src[i+4:]})
-				break
+				s.pos = len(src)
+				s.tok = Token{Kind: TokenComment, Data: src[i+4:]}
+				return true
 			}
-			out = append(out, Token{Kind: TokenComment, Data: src[i+4 : i+4+end]})
-			i += 4 + end + 3
-			continue
-		}
-		if len(src) > i+1 && src[i+1] == '!' {
-			end := strings.IndexByte(src[i:], '>')
-			if end < 0 {
-				out = appendText(out, src[i:])
-				break
-			}
-			out = append(out, Token{Kind: TokenDoctype, Data: strings.TrimSpace(src[i+2 : i+end])})
-			i += end + 1
-			continue
+			s.pos = i + 4 + end + 3
+			s.tok = Token{Kind: TokenComment, Data: src[i+4 : i+4+end]}
+			return true
 		}
 		gt := strings.IndexByte(src[i:], '>')
 		if gt < 0 {
-			out = appendText(out, src[i:])
-			break
+			return s.text(src[i:])
 		}
-		raw := src[i+1 : i+gt]
-		i += gt + 1
-		tok, ok := parseTag(raw)
-		if !ok {
-			out = appendText(out, "<"+raw+">")
-			continue
+		if len(src) > i+1 && src[i+1] == '!' {
+			s.pos = i + gt + 1
+			s.tok = Token{Kind: TokenDoctype, Data: strings.TrimSpace(src[i+2 : i+gt])}
+			return true
 		}
-		out = append(out, tok)
+		if !s.tag(src[i+1 : i+gt]) {
+			return s.text(src[i : i+gt+1])
+		}
+		s.pos = i + gt + 1
 		// Raw-text elements: script and style content is opaque.
-		if tok.Kind == TokenStartTag && (tok.Data == "script" || tok.Data == "style") {
-			closer := "</" + tok.Data
-			idx := indexFold(src[i:], closer)
-			if idx < 0 {
-				out = appendText(out, src[i:])
-				break
-			}
-			if idx > 0 {
-				out = append(out, Token{Kind: TokenText, Data: src[i : i+idx]})
-			}
-			i += idx
+		if s.tok.Kind == TokenStartTag && (s.tok.Data == "script" || s.tok.Data == "style") {
+			s.rawTag = s.tok.Data
+		}
+		return true
+	}
+	return false
+}
+
+// text reads the non-empty character data t, which starts at the scanner's
+// position.
+func (s *scanner) text(t string) bool {
+	s.pos += len(t)
+	s.tok = Token{Kind: TokenText, Data: UnescapeEntities(t)}
+	return true
+}
+
+// indexEndTag returns the offset of the first "</"+tag in s, -1 if there is
+// none. tag is lower-case ASCII and matches either case of each letter —
+// and only those: 'K' (U+212A) is not a k. The offset is one into s itself,
+// which a search of strings.ToLower(s) does not give: lower-casing changes
+// the length of some runes.
+func indexEndTag(s, tag string) int {
+	for from := 0; ; {
+		lt := strings.IndexByte(s[from:], '<')
+		if lt < 0 {
+			return -1
+		}
+		at := from + lt
+		if rest := s[at+1:]; len(rest) > len(tag) && rest[0] == '/' && equalFoldASCII(rest[1:1+len(tag)], tag) {
+			return at
+		}
+		from = at + 1
+	}
+}
+
+// equalFoldASCII reports whether s, with its ASCII capitals lower-cased, is
+// the lower-case string of the same length.
+func equalFoldASCII(s, lower string) bool {
+	for i := 0; i < len(lower); i++ {
+		c := s[i]
+		if c >= 'A' && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		if c != lower[i] {
+			return false
 		}
 	}
-	return out
+	return true
 }
 
-func appendText(out []Token, text string) []Token {
-	if text == "" {
-		return out
-	}
-	return append(out, Token{Kind: TokenText, Data: UnescapeEntities(text)})
-}
-
-// indexFold is a case-insensitive strings.Index for ASCII needles.
-func indexFold(haystack, needle string) int {
-	h := strings.ToLower(haystack)
-	return strings.Index(h, strings.ToLower(needle))
-}
-
-func parseTag(raw string) (Token, bool) {
+// tag reads what stands between '<' and '>' as a tag, false if it is none.
+func (s *scanner) tag(raw string) bool {
 	raw = strings.TrimSpace(raw)
 	if raw == "" {
-		return Token{}, false
+		return false
 	}
 	kind := TokenStartTag
 	if raw[0] == '/' {
@@ -168,7 +216,7 @@ func parseTag(raw string) (Token, bool) {
 		raw = strings.TrimSpace(raw[:len(raw)-1])
 	}
 	if raw == "" {
-		return Token{}, false
+		return false
 	}
 	// Tag name: letters, digits, '-'.
 	n := 0
@@ -176,21 +224,44 @@ func parseTag(raw string) (Token, bool) {
 		n++
 	}
 	if n == 0 {
-		return Token{}, false
+		return false
 	}
-	tok := Token{Kind: kind, Data: strings.ToLower(raw[:n])}
-	if kind == TokenEndTag {
-		return tok, true
+	s.tok = Token{Kind: kind, Data: strings.ToLower(raw[:n])}
+	if kind != TokenEndTag {
+		s.tok.Attrs = parseAttrs(raw[n:], s.attrs)
 	}
-	tok.Attrs = parseAttrs(raw[n:])
-	return tok, true
+	return true
 }
 
 func isTagNameChar(c byte) bool {
 	return c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9' || c == '-'
 }
 
-func parseAttrs(s string) []Attr {
+// attrSlab hands out the attribute slices of many tags from one array, one
+// tag after the other.
+type attrSlab struct {
+	buf []Attr
+}
+
+// append adds a to attrs, the attributes read so far of the tag being
+// parsed. In a slab they are the tail of its array; when that grows, the
+// tags before keep the old one.
+func (sl *attrSlab) append(attrs []Attr, a Attr) []Attr {
+	if sl == nil {
+		return append(attrs, a)
+	}
+	sl.buf = append(sl.buf, a)
+	end := len(sl.buf)
+	return sl.buf[end-len(attrs)-1 : end : end]
+}
+
+// reset makes the slab's current array free again.
+func (sl *attrSlab) reset() {
+	clear(sl.buf)
+	sl.buf = sl.buf[:0]
+}
+
+func parseAttrs(s string, slab *attrSlab) []Attr {
 	var attrs []Attr
 	i := 0
 	for i < len(s) {
@@ -214,7 +285,7 @@ func parseAttrs(s string) []Attr {
 			i++
 		}
 		if i >= len(s) || s[i] != '=' {
-			attrs = append(attrs, Attr{Key: name})
+			attrs = slab.append(attrs, Attr{Key: name})
 			continue
 		}
 		i++ // consume '='
@@ -240,7 +311,7 @@ func parseAttrs(s string) []Attr {
 			}
 			val = s[start:i]
 		}
-		attrs = append(attrs, Attr{Key: name, Val: UnescapeEntities(val)})
+		attrs = slab.append(attrs, Attr{Key: name, Val: UnescapeEntities(val)})
 	}
 	return attrs
 }
@@ -269,7 +340,7 @@ var escapeReplacer = strings.NewReplacer(
 // UnescapeEntities decodes the named character references produced by
 // EscapeText plus &nbsp; and numeric apostrophes.
 func UnescapeEntities(s string) string {
-	if !strings.ContainsRune(s, '&') {
+	if strings.IndexByte(s, '&') < 0 {
 		return s
 	}
 	return entityReplacer.Replace(s)

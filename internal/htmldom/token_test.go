@@ -104,6 +104,43 @@ func TestTokenizeScriptRawText(t *testing.T) {
 	}
 }
 
+// TestRawTextEndTagSearchesTheSource: the end of a script or style body is
+// looked for in the source's own bytes. Searching a lower-cased copy gives an
+// offset into the copy: "Ⱥ" (U+023A) grows from two bytes to three there and
+// the offset overshot the source (a panic, slice bounds out of range); "İ"
+// (U+0130) and "K" (U+212A) shrink, so the body was cut short and its tail
+// read as markup.
+func TestRawTextEndTagSearchesTheSource(t *testing.T) {
+	for _, body := range []string{
+		strings.Repeat("Ⱥ", 40),
+		strings.Repeat("İ", 7) + " <b>not a tag</b> " + strings.Repeat("K", 5),
+		"a</scrİpt>b", // İ lower-cases to i, but is not one
+	} {
+		for _, tag := range []string{"script", "STYLE"} {
+			src := "<" + tag + ">" + body + "</" + tag + "><p>after</p>"
+			toks := Tokenize(src)
+			if len(toks) != 6 {
+				t.Fatalf("%q: %d tokens, want 6: %+v", src, len(toks), toks)
+			}
+			if toks[1].Kind != TokenText || toks[1].Data != body {
+				t.Errorf("%q: raw text = %q, want the whole body", src, toks[1].Data)
+			}
+			if toks[2].Kind != TokenEndTag || toks[2].Data != strings.ToLower(tag) {
+				t.Errorf("%q: third token %+v, want the end tag", src, toks[2])
+			}
+			if got := Parse(src).Find("p"); got == nil || got.InnerText() != "after" {
+				t.Errorf("%q: the paragraph after the element was lost", src)
+			}
+		}
+	}
+	// Many raw-text elements: each body is searched once, not the rest of
+	// the document lower-cased once per element.
+	many := strings.Repeat("<script>x</script>", 2000)
+	if toks := Tokenize(many); len(toks) != 6000 {
+		t.Errorf("%d tokens for 2000 scripts, want 6000", len(toks))
+	}
+}
+
 func TestEntityRoundTrip(t *testing.T) {
 	cases := []string{
 		"a & b", "1 < 2", "x > y", `say "hi"`, "plain",

@@ -241,9 +241,10 @@ func ResultFacts(res *core.Result) []Fact {
 		return nil
 	}
 	var facts []Fact
+	names := extract.Names{}
 	for _, d := range fused.Decisions {
-		entity := extract.AttrFromIRI(d.Item.Subject)
-		attr := extract.AttrFromIRI(d.Item.Predicate)
+		entity := names.Of(d.Item.Subject)
+		attr := names.Of(d.Item.Predicate)
 		class := ""
 		if res.World != nil {
 			if e, ok := res.World.Entity(entity); ok {
