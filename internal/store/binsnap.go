@@ -8,10 +8,17 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
-	"sort"
+	"runtime/debug"
+	"slices"
+	"strconv"
+	"strings"
+
+	"akb/internal/mapreduce"
 )
 
 // The snapshot codec (version 3, the only one): a compact columnar layout.
@@ -58,12 +65,18 @@ const (
 	// binAncestorChunk is how many ancestor slots the reader allocates at
 	// a time; facts' ancestor lists are windows of such chunks.
 	binAncestorChunk = 4096
+	// binConfExponent is the exponent field of a confidence's bits: all ones
+	// in a NaN or an infinity, which neither side of the codec lets through.
+	binConfExponent = 0x7FF << 52
 )
 
 // WriteBinarySnapshot serialises the sharded store in the version-3
 // binary layout. The encoding is deterministic: equal stores produce
 // byte-identical snapshots. The file is encoded in memory, hashed once
-// and handed to w in a single Write.
+// and handed to w in a single Write. No fact's strings are looked up: the
+// shards' indexes have numbered every one of them already (runs, list
+// numbers, attrNo, valueNo), and binStringTable translates those numbers
+// into the file's.
 func (s *Sharded) WriteBinarySnapshot(w io.Writer) error {
 	strs, ids, err := binStringTable(s)
 	if err != nil {
@@ -89,27 +102,32 @@ func (s *Sharded) WriteBinarySnapshot(w io.Writer) error {
 		buf = binary.AppendUvarint(buf, uint64(len(str)))
 		buf = append(buf, str...)
 	}
-	for _, sh := range s.shards {
-		facts := sh.facts
+	for si, sh := range s.shards {
+		facts, id := sh.facts, &ids[si]
 		buf = be.AppendUint64(buf, uint64(len(facts)))
-		var entity, class uint32
+		var class uint32 // the empty class, when a fact has it, is string 0
+		vn := 0          // the fact's first posting in valueNo
 		for i := range facts {
 			f := &facts[i]
-			// Entity and class repeat down an entity's run: look them up
-			// when they change, not per fact.
-			if i == 0 || f.Entity != facts[i-1].Entity {
-				entity = ids[f.Entity]
+			// The class repeats down an entity's run, and mostly from one run to
+			// the next: its list is looked up where it changes.
+			if f.Class == "" {
+				class = 0
+			} else if i == 0 || f.Class != facts[i-1].Class {
+				class = id.class[sh.byClass.list[f.Class]]
 			}
-			if i == 0 || f.Class != facts[i-1].Class {
-				class = ids[f.Class]
-			}
-			buf = be.AppendUint32(buf, entity)
-			buf = be.AppendUint32(buf, ids[f.Attr])
-			buf = be.AppendUint32(buf, ids[f.Value])
+			buf = be.AppendUint32(buf, id.run[sh.runOf[i]])
+			buf = be.AppendUint32(buf, id.attr[sh.attrNo[i]])
+			buf = be.AppendUint32(buf, id.value[sh.valueNo[vn]])
 			buf = be.AppendUint32(buf, class)
+			vn += 1 + len(f.Ancestors)
 		}
 		for i := range facts {
-			buf = be.AppendUint64(buf, math.Float64bits(facts[i].Confidence))
+			bits := math.Float64bits(facts[i].Confidence)
+			if bits&binConfExponent == binConfExponent {
+				return fmt.Errorf("store: non-finite confidence %v for %q", facts[i].Confidence, facts[i].Entity)
+			}
+			buf = be.AppendUint64(buf, bits)
 		}
 		for i := range facts {
 			if facts[i].Sources < 0 {
@@ -117,11 +135,14 @@ func (s *Sharded) WriteBinarySnapshot(w io.Writer) error {
 			}
 			buf = binary.AppendUvarint(buf, uint64(facts[i].Sources))
 		}
+		vn = 0
 		for i := range facts {
-			buf = binary.AppendUvarint(buf, uint64(len(facts[i].Ancestors)))
-			for _, anc := range facts[i].Ancestors {
-				buf = binary.AppendUvarint(buf, uint64(ids[anc]))
+			anc := sh.valueNo[vn+1 : vn+1+len(facts[i].Ancestors)]
+			buf = binary.AppendUvarint(buf, uint64(len(anc)))
+			for _, no := range anc {
+				buf = binary.AppendUvarint(buf, uint64(id.value[no]))
 			}
+			vn += 1 + len(anc)
 		}
 	}
 	sum := sha256.Sum256(buf)
@@ -131,43 +152,127 @@ func (s *Sharded) WriteBinarySnapshot(w io.Writer) error {
 	return nil
 }
 
-// binStringTable collects every distinct string of the store — entities,
-// classes, attributes, values, ancestors — sorted, and maps each to its
-// ID. Sorted assignment is what makes the fixed-width keys sortable. The
-// distinct strings are exactly the keys of the shards' indexes (plus the
-// empty class, which is not indexed), so they are gathered from those:
-// one insertion per distinct key instead of five per fact.
-func binStringTable(s *Sharded) ([]string, map[string]uint32, error) {
-	n := 0
+// binIDs translates what one shard's indexes number into string IDs: run
+// number → its entity's ID, and list number → its key's ID for each of the
+// three postings indexes.
+type binIDs struct{ run, attr, class, value []uint32 }
+
+// binKey stands for one index key while the table is sorted: the key's
+// first eight bytes as a big-endian integer (zero-padded), which orders
+// keys as their bytes do wherever two differ in them, and the key's slot.
+// It holds no pointer, so sorting it is plain copying.
+type binKey struct {
+	prefix uint64
+	slot   uint32
+}
+
+func binPrefix(s string) (p uint64) {
+	for i := 0; i < min(len(s), 8); i++ {
+		p |= uint64(s[i]) << (56 - 8*i)
+	}
+	return p
+}
+
+// binStringTable numbers every distinct string of the store — entities,
+// classes, attributes, values, ancestors — in sorted order, which is what
+// makes the fixed-width keys sortable. The distinct strings are exactly the
+// keys of the shards' indexes (plus the empty class, which is not indexed),
+// and the indexes have numbered them: every key gets a slot — per shard its
+// attribute, class and value lists, then its runs, in their own numbering —
+// the slots are sorted by key, and one walk over the sorted slots both
+// drops the repeats (a value listed in several shards, a name that is an
+// attribute here and a value there) and writes each slot's ID where ids
+// will find it. No string is hashed.
+func binStringTable(s *Sharded) (strs []string, ids []binIDs, err error) {
+	n, emptyClass := 0, false
 	for _, sh := range s.shards {
-		n += len(sh.byEntity) + len(sh.byValue.list)
+		n += len(sh.runs) + len(sh.byAttr.list) + len(sh.byClass.list) + len(sh.byValue.list)
+		emptyClass = emptyClass || len(sh.byClass.arena) < len(sh.facts)
 	}
-	ids := make(map[string]uint32, n)
-	for _, sh := range s.shards {
-		for str := range sh.byEntity {
-			ids[str] = 0
+	if emptyClass {
+		n++ // the last slot: keys[n-1] is ""
+	}
+	if uint64(n) > math.MaxUint32 {
+		return nil, nil, fmt.Errorf("store: %d index keys exceed the u32 ID space", n)
+	}
+	keys := make([]string, n)
+	slotID := make([]uint32, n)
+	ids = make([]binIDs, len(s.shards))
+	at := 0
+	lists := func(list map[string]int32) []uint32 {
+		for key, no := range list {
+			keys[at+int(no)] = key
 		}
-		for _, p := range []postings{sh.byAttr, sh.byClass, sh.byValue} {
-			for str := range p.list {
-				ids[str] = 0
-			}
+		at += len(list)
+		return slotID[at-len(list) : at]
+	}
+	for si, sh := range s.shards {
+		id := &ids[si]
+		id.attr, id.class, id.value = lists(sh.byAttr.list), lists(sh.byClass.list), lists(sh.byValue.list)
+		for i, run := range sh.runs {
+			keys[at+i] = sh.facts[run.lo].Entity
 		}
-		if len(sh.byClass.arena) < len(sh.facts) {
-			ids[""] = 0
+		at += len(sh.runs)
+		id.run = slotID[at-len(sh.runs) : at]
+	}
+
+	pairs := make([]binKey, 2*n) // the slots, and the radix passes' other side
+	sorted := pairs[:n]
+	for slot := range sorted {
+		sorted[slot] = binKey{binPrefix(keys[slot]), uint32(slot)}
+	}
+	sorted = binSortKeys(sorted, pairs[n:], keys)
+	strs = make([]string, 0, n)
+	for i, k := range sorted {
+		if i == 0 || k.prefix != sorted[i-1].prefix || keys[k.slot] != keys[sorted[i-1].slot] {
+			strs = append(strs, keys[k.slot])
 		}
-	}
-	if uint64(len(ids)) > math.MaxUint32 {
-		return nil, nil, fmt.Errorf("store: %d distinct strings exceed the u32 ID space", len(ids))
-	}
-	strs := make([]string, 0, len(ids))
-	for str := range ids {
-		strs = append(strs, str)
-	}
-	sort.Strings(strs)
-	for i, str := range strs {
-		ids[str] = uint32(i)
+		slotID[k.slot] = uint32(len(strs) - 1)
 	}
 	return strs, ids, nil
+}
+
+// binSortKeys orders a by the keys its slots stand for and returns the
+// sorted slice, which is a or tmp (as long as a): least-significant-byte
+// radix passes over the prefixes, skipping a byte all keys agree in, then a
+// comparison of the names inside every run of equal prefixes — keys that
+// repeat, or differ only past their eighth byte, or are zero-padded to the
+// same integer ("a" and "a\x00").
+func binSortKeys(a, tmp []binKey, names []string) []binKey {
+	var count [8][256]uint32
+	for _, k := range a {
+		for b := range count {
+			count[b][byte(k.prefix>>(8*b))]++
+		}
+	}
+	for b := range count {
+		c := &count[b]
+		if len(a) > 0 && c[byte(a[0].prefix>>(8*b))] == uint32(len(a)) {
+			continue
+		}
+		sum := uint32(0)
+		for v, n := range c {
+			c[v], sum = sum, sum+n
+		}
+		for _, k := range a {
+			v := byte(k.prefix >> (8 * b))
+			tmp[c[v]] = k
+			c[v]++
+		}
+		a, tmp = tmp, a
+	}
+	for lo, hi := 0, 0; lo < len(a); lo = hi {
+		// Most such runs are one key, once or — a value listed by several
+		// shards — repeated: nothing to order.
+		same := true
+		for hi = lo + 1; hi < len(a) && a[hi].prefix == a[lo].prefix; hi++ {
+			same = same && names[a[hi].slot] == names[a[lo].slot]
+		}
+		if !same {
+			slices.SortFunc(a[lo:hi], func(x, y binKey) int { return strings.Compare(names[x.slot], names[y.slot]) })
+		}
+	}
+	return a
 }
 
 // WriteBinarySnapshotFile writes the snapshot to path atomically: the
@@ -190,6 +295,21 @@ type binReader struct {
 	strs  []string // the string table, once read
 	used  []bool   // per string: some fact references it
 	arena []string // unused tail of the current ancestor chunk
+
+	// Per string, its list number in the attribute, class and value index of
+	// the shard being decoded (postingsBuilder.addID); all −1 between shards.
+	attrNo, classNo, valueNo []int32
+}
+
+// binShard is a shard as the decoder hands it to assemble: its facts,
+// verified canonical, their runs with the rank column, and the three
+// builders, fed.
+type binShard struct {
+	si                     int
+	facts                  []Fact
+	runs                   []span
+	rank                   []int32
+	attrs, classes, values *postingsBuilder
 }
 
 // left is the number of unread bytes. Every count the file declares is
@@ -295,26 +415,27 @@ func decodeBinarySnapshot(data []byte) (*Sharded, error) {
 	// Every shard's facts are windows of one array.
 	facts := make([]Fact, hdr.facts)
 	shards := make([]*shard, hdr.shards)
-	for si := range shards {
-		nb, err := d.take(8)
-		if err != nil {
-			return nil, err
+	// A decoded shard shares nothing with the next one but the string table,
+	// which nobody writes any more: one goroutine assembles shard i while this
+	// one, which keeps the reader and makes every check, decodes shard i+1.
+	// It ends, and has been waited for, on every return.
+	decoded := make(chan binShard)
+	assembled := make(chan *mapreduce.Panic, 1)
+	go func() {
+		var caught *mapreduce.Panic
+		for sh := range decoded {
+			if caught == nil { // after a panic, only drain
+				caught = assembleDecoded(shards, sh)
+			}
 		}
-		n := binary.BigEndian.Uint64(nb)
-		if n > uint64(len(facts)) {
-			return nil, fmt.Errorf("store: binary snapshot shard %d overflows declared fact count %d", si, hdr.facts)
-		}
-		part := facts[:n:n]
-		facts = facts[n:]
-		rank, err := d.shard(si, len(shards), part)
-		if err != nil {
-			return nil, err
-		}
-		shards[si] = build(part)
-		shards[si].rank = rank
+		assembled <- caught
+	}()
+	err = d.shards(facts, len(shards), decoded)
+	if caught := <-assembled; caught != nil {
+		panic(caught) // on the caller's goroutine, where it can be recovered
 	}
-	if len(facts) != 0 {
-		return nil, fmt.Errorf("store: binary snapshot truncated: header says %d facts, found %d", hdr.facts, hdr.facts-len(facts))
+	if err != nil {
+		return nil, err
 	}
 	if d.left() != 0 {
 		return nil, fmt.Errorf("store: binary snapshot has %d trailing bytes", d.left())
@@ -325,6 +446,48 @@ func decodeBinarySnapshot(data []byte) (*Sharded, error) {
 		}
 	}
 	return newSharded(shards), nil
+}
+
+// assembleDecoded indexes one decoded shard into its place in shards. A
+// panic is returned, not raised: it belongs to the goroutine that called
+// the decoder.
+func assembleDecoded(shards []*shard, sh binShard) (caught *mapreduce.Panic) {
+	defer func() {
+		if r := recover(); r != nil {
+			caught = &mapreduce.Panic{Value: r, Stack: debug.Stack()}
+		}
+	}()
+	shards[sh.si] = assemble(sh.facts, sh.runs, sh.attrs, sh.classes, sh.values)
+	shards[sh.si].rank = sh.rank
+	return nil
+}
+
+// shards decodes the n shards into windows of facts, sending each on as
+// soon as it is read, and checks that together they hold exactly the facts
+// the header declared. It closes decoded, however it returns.
+func (d *binReader) shards(facts []Fact, n int, decoded chan<- binShard) error {
+	defer close(decoded)
+	total := len(facts)
+	for si := 0; si < n; si++ {
+		nb, err := d.take(8)
+		if err != nil {
+			return err
+		}
+		size := binary.BigEndian.Uint64(nb)
+		if size > uint64(len(facts)) {
+			return fmt.Errorf("store: binary snapshot shard %d overflows declared fact count %d", si, total)
+		}
+		sh := binShard{si: si, facts: facts[:size:size]}
+		facts = facts[size:]
+		if err := d.shard(n, &sh); err != nil {
+			return err
+		}
+		decoded <- sh
+	}
+	if len(facts) != 0 {
+		return fmt.Errorf("store: binary snapshot truncated: header says %d facts, found %d", total, total-len(facts))
+	}
+	return nil
 }
 
 // stringTable reads the n strings, all cut from one conversion of the
@@ -344,6 +507,11 @@ func (d *binReader) stringTable(n int) error {
 	}
 	table := string(d.data[start:d.off])
 	d.strs, d.used = make([]string, n), make([]bool, n)
+	scratch := make([]int32, 3*n)
+	for i := range scratch {
+		scratch[i] = -1
+	}
+	d.attrNo, d.classNo, d.valueNo = scratch[:n:n], scratch[n:2*n:2*n], scratch[2*n:]
 	d.off = start
 	for i := range d.strs {
 		l, _ := d.uvarint()
@@ -356,62 +524,77 @@ func (d *binReader) stringTable(n int) error {
 	return nil
 }
 
-// shard decodes the columns of shard si of n into facts (already sized to
-// the shard's declared count) and checks that they arrive canonical: keys
-// strictly increasing, compared as the two big-endian integers they are.
-// It returns the shard's rank column: string IDs are in string order over
-// the whole file, so each run's entity ID is its entity's rank — read off
-// the keys, where NewSharded has to compare the names (rankRuns).
-func (d *binReader) shard(si, n int, facts []Fact) (rank []int32, err error) {
+// shard decodes the columns of sh (of n shards; sh.facts already sized to
+// the declared count) and checks that they arrive canonical: keys strictly
+// increasing, compared as the two big-endian integers they are. String IDs
+// are in string order over the whole file, so a run ends where the entity ID
+// changes and that ID is the entity's rank — read off the keys into sh.runs
+// and sh.rank, where NewSharded has to compare the names (build, rankRuns)
+// — and every index key is already a number:
+// the builders are fed IDs, in the order build feeds names (attribute and
+// class with the key, value and ancestors together in the last column).
+func (d *binReader) shard(n int, sh *binShard) error {
 	be := binary.BigEndian
+	si, facts := sh.si, sh.facts
 	// len(facts) is at most the header's count, which binVerify bounded:
 	// the products below cannot overflow.
 	keys, err := d.take(len(facts) * binKeyWidth)
 	if err != nil {
-		return nil, err
+		return err
 	}
+	sh.attrs, sh.classes, sh.values = newPostingsBuilder(len(facts), d.strs), newPostingsBuilder(len(facts), d.strs), newPostingsBuilder(len(facts), d.strs)
 	var prevHi, prevLo uint64
 	for i := range facts {
 		hi, lo := be.Uint64(keys[i*binKeyWidth:]), be.Uint64(keys[i*binKeyWidth+8:])
 		if i > 0 && (hi < prevHi || hi == prevHi && lo <= prevLo) {
-			return nil, fmt.Errorf("store: binary snapshot shard %d keys are not strictly increasing at fact %d", si, i)
+			return fmt.Errorf("store: binary snapshot shard %d keys are not strictly increasing at fact %d", si, i)
 		}
 		e, a, v, c := hi>>32, hi&math.MaxUint32, lo>>32, lo&math.MaxUint32
 		if top := max(e, a, v, c); top >= uint64(len(d.strs)) {
-			return nil, fmt.Errorf("store: binary snapshot references string %d of %d", top, len(d.strs))
+			return fmt.Errorf("store: binary snapshot references string %d of %d", top, len(d.strs))
 		}
 		f := &facts[i]
 		f.Entity, f.Attr, f.Value, f.Class = d.strs[e], d.strs[a], d.strs[v], d.strs[c]
 		d.used[e], d.used[a], d.used[v], d.used[c] = true, true, true, true
 		if i == 0 || hi>>32 != prevHi>>32 {
 			if got := ShardOf(f.Entity, n); got != si {
-				return nil, fmt.Errorf("store: binary snapshot misplaces entity %q in shard %d (hashes to %d)", f.Entity, si, got)
+				return fmt.Errorf("store: binary snapshot misplaces entity %q in shard %d (hashes to %d)", f.Entity, si, got)
 			}
-			rank = append(rank, int32(e))
+			sh.runs, sh.rank = append(sh.runs, span{int32(i), int32(i)}), append(sh.rank, int32(e))
+		}
+		sh.runs[len(sh.runs)-1].hi = int32(i) + 1
+		sh.attrs.addID(d.attrNo, uint32(a), int32(i))
+		if f.Class != "" {
+			sh.classes.addID(d.classNo, uint32(c), int32(i))
 		}
 		prevHi, prevLo = hi, lo
 	}
 	confs, err := d.take(len(facts) * 8)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	for i := range facts {
-		facts[i].Confidence = math.Float64frombits(be.Uint64(confs[i*8:]))
+		bits := be.Uint64(confs[i*8:])
+		if bits&binConfExponent == binConfExponent {
+			return fmt.Errorf("store: binary snapshot shard %d fact %d has the non-finite confidence %v", si, i, math.Float64frombits(bits))
+		}
+		facts[i].Confidence = math.Float64frombits(bits)
 	}
 	for i := range facts {
 		v, err := d.uvarint()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if v > math.MaxInt {
-			return nil, fmt.Errorf("store: binary snapshot source count %d overflows", v)
+			return fmt.Errorf("store: binary snapshot source count %d overflows", v)
 		}
 		facts[i].Sources = int(v)
 	}
 	for i := range facts {
+		sh.values.addID(d.valueNo, be.Uint32(keys[i*binKeyWidth+8:]), int32(i))
 		cnt, err := d.uvarint()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if cnt == 0 {
 			continue
@@ -419,7 +602,7 @@ func (d *binReader) shard(si, n int, facts []Fact) (rank []int32, err error) {
 		// Each ancestor is at least one byte of what is left to read,
 		// which bounds both this list and the chunk allocated for it.
 		if cnt > uint64(d.left()) {
-			return nil, fmt.Errorf("store: binary snapshot fact claims %d ancestors", cnt)
+			return fmt.Errorf("store: binary snapshot fact claims %d ancestors", cnt)
 		}
 		if uint64(len(d.arena)) < cnt {
 			d.arena = make([]string, max(int(cnt), min(binAncestorChunk, d.left())))
@@ -429,23 +612,27 @@ func (d *binReader) shard(si, n int, facts []Fact) (rank []int32, err error) {
 		for j := range anc {
 			id, err := d.uvarint()
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if id >= uint64(len(d.strs)) {
-				return nil, fmt.Errorf("store: binary snapshot references string %d of %d", id, len(d.strs))
+				return fmt.Errorf("store: binary snapshot references string %d of %d", id, len(d.strs))
 			}
 			anc[j], d.used[id] = d.strs[id], true
+			sh.values.addID(d.valueNo, uint32(id), int32(i))
 		}
 		facts[i].Ancestors = anc
 	}
-	return rank, nil
+	sh.attrs.forget(d.attrNo)
+	sh.classes.forget(d.classNo)
+	sh.values.forget(d.valueNo)
+	return nil
 }
 
 // atomicWriteFile writes via a temp file in the target directory, fsyncs
 // and renames.
 func atomicWriteFile(path string, write func(io.Writer) error) (err error) {
 	dir := filepath.Dir(path)
-	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
+	f, err := createTemp(path + ".tmp-")
 	if err != nil {
 		return fmt.Errorf("store: snapshot temp file: %w", err)
 	}
@@ -466,4 +653,19 @@ func atomicWriteFile(path string, write func(io.Writer) error) (err error) {
 		d.Close()
 	}
 	return nil
+}
+
+// createTemp creates a new file named prefix plus a random number, with the
+// mode os.Create gives a file — 0666 before the umask. os.CreateTemp's 0600
+// would be the published snapshot's: the rename keeps it, and a server under
+// another account than the pipeline's could not open the file.
+func createTemp(prefix string) (*os.File, error) {
+	for try := 0; ; try++ {
+		name := prefix + strconv.FormatUint(uint64(rand.Uint32()), 10)
+		f, err := os.OpenFile(name, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o666)
+		if errors.Is(err, fs.ErrExist) && try < 10000 {
+			continue
+		}
+		return f, err
+	}
 }

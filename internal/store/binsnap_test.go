@@ -2,15 +2,20 @@ package store
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"io"
+	"math"
+	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
 	"strings"
 	"testing"
 
+	"akb/internal/core"
 	"akb/internal/kb"
 )
 
@@ -258,6 +263,122 @@ func TestBinarySnapshotRejectsNonCanonical(t *testing.T) {
 	}
 }
 
+// nonFinitePayload is a one-fact snapshot, without its trailer, whose
+// confidence column has been overwritten with conf: what the writer refuses
+// to produce, as a file.
+func nonFinitePayload(t testing.TB, conf float64) []byte {
+	t.Helper()
+	payload := binPayload(t, NewSharded([]Fact{{Entity: "E", Class: "C", Attr: "a", Value: "v", Confidence: 0.5}}, 1))
+	at := bytes.Index(payload, binary.BigEndian.AppendUint64(nil, math.Float64bits(0.5)))
+	if at < 0 {
+		t.Fatal("no confidence column in the one-fact snapshot")
+	}
+	binary.BigEndian.PutUint64(payload[at:], math.Float64bits(conf))
+	return payload
+}
+
+// TestSnapshotRefusesNonFiniteConfidence: a NaN or an infinite confidence
+// cannot be served — the JSON encoder has no spelling for it, so every
+// request that touched the fact answered 500 — and a snapshot carrying one
+// used to be written and loaded without complaint: a reload swapped a
+// serving generation for one that could not answer. Both sides refuse it
+// now, the decoder as a format error behind a valid checksum. Finite
+// confidences outside [0,1] stay accepted: the nasty KBs carry them.
+func TestSnapshotRefusesNonFiniteConfidence(t *testing.T) {
+	for _, conf := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Float64frombits(0xFFF8_0000_0000_0001)} {
+		s := New([]Fact{{Entity: "a", Attr: "b", Value: "c", Confidence: conf}})
+		if err := s.WriteBinarySnapshot(io.Discard); err == nil || !strings.Contains(err.Error(), "non-finite") {
+			t.Errorf("WriteBinarySnapshot with confidence %v: err = %v, want a refusal", conf, err)
+		}
+		path := filepath.Join(t.TempDir(), "kb.akb")
+		if err := s.WriteBinarySnapshotFile(path); err == nil {
+			t.Errorf("WriteBinarySnapshotFile with confidence %v succeeded", conf)
+		} else if _, serr := os.Stat(path); serr == nil {
+			t.Errorf("WriteBinarySnapshotFile with confidence %v refused (%v) and published a file", conf, err)
+		}
+		_, err := ReadBinarySnapshot(bytes.NewReader(signed(nonFinitePayload(t, conf))))
+		if err == nil {
+			t.Errorf("ReadBinarySnapshot accepted a file with confidence %v", conf)
+		} else if !strings.Contains(err.Error(), "non-finite") {
+			t.Errorf("file with confidence %v rejected by another check: %v", conf, err)
+		}
+	}
+	for _, conf := range []float64{-1, 0, 1, 1.5, math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64} {
+		got, err := ReadBinarySnapshot(bytes.NewReader(signed(nonFinitePayload(t, conf))))
+		if err != nil {
+			t.Errorf("file with the finite confidence %v rejected: %v", conf, err)
+		} else if c := got.Facts()[0].Confidence; c != conf {
+			t.Errorf("confidence %v read back as %v", conf, c)
+		}
+	}
+}
+
+// TestWriteBinarySnapshotAllocationBound pins what writing costs the
+// allocator: the table's slots, IDs and sort scratch, the table, the buffer
+// — a fixed number of arrays, however many facts. The writer that hashed
+// every string into one map made 69 allocations on this KB.
+func TestWriteBinarySnapshotAllocationBound(t *testing.T) {
+	for _, perClass := range []int{10, 100} {
+		w := kb.NewWorld(kb.WorldConfig{Seed: 1, EntitiesPerClass: perClass, AttrsPerEntity: 6})
+		sh := NewSharded(WorldFacts(w), DefaultShards)
+		allocs := testing.AllocsPerRun(5, func() {
+			if err := sh.WriteBinarySnapshot(io.Discard); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%d facts: %.0f allocations", sh.Len(), allocs)
+		if allocs > 16 {
+			t.Errorf("WriteBinarySnapshot of %d facts allocates %.0f times, want <= 16", sh.Len(), allocs)
+		}
+	}
+}
+
+// TestSnapshotFileHasCreateMode: the published snapshot has the mode
+// os.Create gives a file under the process's umask — it had os.CreateTemp's
+// 0600, which a server under another account cannot open — and a write that
+// fails leaves no temporary file behind.
+func TestSnapshotFileHasCreateMode(t *testing.T) {
+	dir := t.TempDir()
+	beside, err := os.Create(filepath.Join(dir, "beside"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	beside.Close()
+	want, err := os.Stat(beside.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "kb.akb")
+	for _, round := range []string{"new file", "over the old one"} {
+		if err := New(testFacts()).WriteBinarySnapshotFile(path); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Mode() != want.Mode() {
+			t.Errorf("%s: snapshot published with mode %v, os.Create gives %v", round, got.Mode(), want.Mode())
+		}
+	}
+	failing := New([]Fact{{Entity: "a", Attr: "b", Value: "c", Sources: -1}})
+	if err := failing.WriteBinarySnapshotFile(path); err == nil {
+		t.Fatal("a negative source count was written")
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if strings.Contains(e.Name(), ".tmp-") {
+			t.Errorf("failed write left %s behind", e.Name())
+		}
+	}
+	if _, err := openFlat(path); err != nil {
+		t.Errorf("failed write damaged the published snapshot: %v", err)
+	}
+}
+
 // TestReadBinarySnapshotAllocationBound pins what loading costs the
 // allocator. The hash-map store allocated 4.2 times per fact (a postings
 // slice per key, two key strings per fact, a string per table entry); the
@@ -304,6 +425,7 @@ func FuzzReadBinarySnapshot(f *testing.F) {
 	for _, file := range notV3Files {
 		f.Add([]byte(file.content))
 	}
+	f.Add(nonFinitePayload(f, math.NaN()))
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		file := signed(payload)
 		var before, after runtime.MemStats
@@ -373,29 +495,64 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
+// BenchmarkBinarySnapshot times the codec's two directions on two KBs: a
+// ground-truth world (no discovered attributes, 400 entities a class) and
+// the KB the bench harness's serve-wide and datalog workloads write and
+// cold-start — a scale-16 pipeline run on 8 shards, read back from its own
+// snapshot as the harness's fixture is. table is the writer's first half,
+// numbering the strings. Profile from here (PERF.md §3).
 func BenchmarkBinarySnapshot(b *testing.B) {
-	w := kb.NewWorld(kb.WorldConfig{Seed: 1, EntitiesPerClass: 400, AttrsPerEntity: 6})
-	sh := NewSharded(WorldFacts(w), DefaultShards)
-	var buf bytes.Buffer
-	if err := sh.WriteBinarySnapshot(&buf); err != nil {
-		b.Fatal(err)
+	world := func(b *testing.B) []Fact {
+		return WorldFacts(kb.NewWorld(kb.WorldConfig{Seed: 1, EntitiesPerClass: 400, AttrsPerEntity: 6}))
 	}
-	raw := buf.Bytes()
-	b.Run(fmt.Sprintf("write/facts=%d", sh.Len()), func(b *testing.B) {
-		b.SetBytes(int64(len(raw)))
-		for i := 0; i < b.N; i++ {
-			var c countingWriter
-			if err := sh.WriteBinarySnapshot(&c); err != nil {
+	pipeline := func(b *testing.B) []Fact {
+		res, err := core.New(core.WithSeed(3), core.WithScale(16)).Run(context.Background())
+		if err != nil {
+			b.Fatal(err)
+		}
+		return ResultFacts(res)
+	}
+	for _, kb := range []struct {
+		name  string
+		facts func(*testing.B) []Fact
+	}{{"world", world}, {"pipeline16", pipeline}} {
+		b.Run(kb.name, func(b *testing.B) {
+			var buf bytes.Buffer
+			if err := NewSharded(kb.facts(b), DefaultShards).WriteBinarySnapshot(&buf); err != nil {
 				b.Fatal(err)
 			}
-		}
-	})
-	b.Run(fmt.Sprintf("read/facts=%d", sh.Len()), func(b *testing.B) {
-		b.SetBytes(int64(len(raw)))
-		for i := 0; i < b.N; i++ {
-			if _, err := ReadBinarySnapshot(bytes.NewReader(raw)); err != nil {
+			raw := buf.Bytes()
+			sh, err := ReadBinarySnapshot(bytes.NewReader(raw))
+			if err != nil {
 				b.Fatal(err)
 			}
-		}
-	})
+			b.Run(fmt.Sprintf("write/facts=%d", sh.Len()), func(b *testing.B) {
+				b.ReportAllocs()
+				b.SetBytes(int64(len(raw)))
+				for i := 0; i < b.N; i++ {
+					var c countingWriter
+					if err := sh.WriteBinarySnapshot(&c); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+			b.Run(fmt.Sprintf("table/facts=%d", sh.Len()), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, _, err := binStringTable(sh); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+			b.Run(fmt.Sprintf("read/facts=%d", sh.Len()), func(b *testing.B) {
+				b.ReportAllocs()
+				b.SetBytes(int64(len(raw)))
+				for i := 0; i < b.N; i++ {
+					if _, err := ReadBinarySnapshot(bytes.NewReader(raw)); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		})
+	}
 }

@@ -1,0 +1,431 @@
+package store
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
+	"io"
+	"math"
+	"math/rand"
+	"reflect"
+	"runtime"
+	"slices"
+	"sort"
+	"testing"
+)
+
+// The references of the snapshot codec's two directions: the forms the
+// writer and the decoder had while every string was hashed — one map over
+// all the store's strings and sort.Strings for the table, a probe of that
+// map per field per fact for the columns, build(facts) by name for every
+// decoded shard — kept here, word for word, for the number-fed forms to be
+// held to exactly.
+
+// refStringTable is binStringTable as it was: every distinct string of the
+// store, sorted, and a map from each to its ID.
+func refStringTable(s *Sharded) ([]string, map[string]uint32, error) {
+	n := 0
+	for _, sh := range s.shards {
+		n += len(sh.byEntity) + len(sh.byValue.list)
+	}
+	ids := make(map[string]uint32, n)
+	for _, sh := range s.shards {
+		for str := range sh.byEntity {
+			ids[str] = 0
+		}
+		for _, p := range []postings{sh.byAttr, sh.byClass, sh.byValue} {
+			for str := range p.list {
+				ids[str] = 0
+			}
+		}
+		if len(sh.byClass.arena) < len(sh.facts) {
+			ids[""] = 0
+		}
+	}
+	if uint64(len(ids)) > math.MaxUint32 {
+		return nil, nil, fmt.Errorf("store: %d distinct strings exceed the u32 ID space", len(ids))
+	}
+	strs := make([]string, 0, len(ids))
+	for str := range ids {
+		strs = append(strs, str)
+	}
+	sort.Strings(strs)
+	for i, str := range strs {
+		ids[str] = uint32(i)
+	}
+	return strs, ids, nil
+}
+
+// refWriteBinarySnapshot is WriteBinarySnapshot as it was: the columns
+// encoded from the facts' strings through refStringTable's map.
+func refWriteBinarySnapshot(s *Sharded, w io.Writer) error {
+	strs, ids, err := refStringTable(s)
+	if err != nil {
+		return err
+	}
+	be := binary.BigEndian
+	var buf []byte
+	buf = append(buf, binMagic...)
+	buf = be.AppendUint32(buf, BinarySnapshotVersion)
+	buf = be.AppendUint32(buf, uint32(len(s.shards)))
+	buf = be.AppendUint64(buf, uint64(s.Len()))
+	buf = be.AppendUint64(buf, uint64(len(strs)))
+	for _, str := range strs {
+		buf = binary.AppendUvarint(buf, uint64(len(str)))
+		buf = append(buf, str...)
+	}
+	for _, sh := range s.shards {
+		facts := sh.facts
+		buf = be.AppendUint64(buf, uint64(len(facts)))
+		var entity, class uint32
+		for i := range facts {
+			f := &facts[i]
+			if i == 0 || f.Entity != facts[i-1].Entity {
+				entity = ids[f.Entity]
+			}
+			if i == 0 || f.Class != facts[i-1].Class {
+				class = ids[f.Class]
+			}
+			buf = be.AppendUint32(buf, entity)
+			buf = be.AppendUint32(buf, ids[f.Attr])
+			buf = be.AppendUint32(buf, ids[f.Value])
+			buf = be.AppendUint32(buf, class)
+		}
+		for i := range facts {
+			buf = be.AppendUint64(buf, math.Float64bits(facts[i].Confidence))
+		}
+		for i := range facts {
+			if facts[i].Sources < 0 {
+				return fmt.Errorf("store: negative source count %d for %q", facts[i].Sources, facts[i].Entity)
+			}
+			buf = binary.AppendUvarint(buf, uint64(facts[i].Sources))
+		}
+		for i := range facts {
+			buf = binary.AppendUvarint(buf, uint64(len(facts[i].Ancestors)))
+			for _, anc := range facts[i].Ancestors {
+				buf = binary.AppendUvarint(buf, uint64(ids[anc]))
+			}
+		}
+	}
+	sum := sha256.Sum256(buf)
+	_, err = w.Write(append(buf, sum[:]...))
+	return err
+}
+
+// orderNames is what sorting by an eight-byte prefix can get wrong, added to
+// nastyNames' pool: names that agree in their first eight bytes and differ
+// after, names that are prefixes of one another across the eighth byte,
+// names that zero-pad to the same integer, 0xFF and NUL at and around the
+// boundary, multi-byte runes cut by it, and the empty string.
+var orderNames = []string{
+	"", "Film 123", "Film 1234", "Film 1235", "Film 12345", "Film 123\x00", "Film 12\x00",
+	"abcdefgh", "abcdefgh\x00", "abcdefgh\xff", "abcdefg", "abcdefg\xff", "abcdefg\xffz",
+	"a\x00\x00", "\x00\x00", "\xff", "\xff\xff\xff\xff\xff\xff\xff\xff", "\xff\xff\xff\xff\xff\xff\xff\xff\x00",
+	"ééééé", "éééé", "éééée", "日本語", "日本語の名前", "日本誠",
+}
+
+// orderFacts is nastyFacts plus facts spelt from both pools: "" as a value
+// and as an ancestor, one string in all four roles of one fact, and a class
+// that changes inside an entity's run (twice, and back).
+func orderFacts(r *rand.Rand) []Fact {
+	facts := nastyFacts(r)
+	pool := append(append([]string(nil), nastyNames...), orderNames...)
+	name := func() string { return pool[r.Intn(len(pool))] }
+	for n := r.Intn(40); n > 0; n-- {
+		f := Fact{Entity: name(), Attr: name(), Value: name(), Confidence: r.Float64()*3 - 1, Sources: r.Intn(300)}
+		if r.Intn(3) > 0 {
+			f.Class = name()
+		}
+		for _, i := range r.Perm(len(pool))[:r.Intn(4)] {
+			if pool[i] != f.Value {
+				f.Ancestors = append(f.Ancestors, pool[i])
+			}
+		}
+		facts = append(facts, f)
+	}
+	all := name()
+	facts = append(facts, Fact{Entity: all, Class: all, Attr: all, Value: all, Ancestors: []string{"", all + "x"}})
+	e := name()
+	for i, class := range []string{"c1", "", "c2", "c1", "c1"} {
+		facts = append(facts, Fact{Entity: e, Class: class, Attr: fmt.Sprintf("a%d", i), Value: ""})
+	}
+	return facts
+}
+
+// orderKBs calls check with every store the reference tests run on: the
+// 150 nasty KBs (30 under -short), extended by orderFacts, on 1, 3 and 8
+// shards, each as NewSharded builds it and as the decoder assembles it from
+// the reference writer's bytes.
+func orderKBs(t *testing.T, check func(where string, s *Sharded)) {
+	t.Helper()
+	kbs := 150
+	if testing.Short() {
+		kbs = 30
+	}
+	for seed := 0; seed < kbs; seed++ {
+		facts := orderFacts(rand.New(rand.NewSource(int64(seed))))
+		for _, n := range []int{1, 3, 8} {
+			s := NewSharded(facts, n)
+			check(fmt.Sprintf("seed %d, %d shards, built", seed, n), s)
+			var buf bytes.Buffer
+			if err := refWriteBinarySnapshot(s, &buf); err != nil {
+				t.Fatalf("seed %d, %d shards: %v", seed, n, err)
+			}
+			back, err := ReadBinarySnapshot(&buf)
+			if err != nil {
+				t.Fatalf("seed %d, %d shards: %v", seed, n, err)
+			}
+			check(fmt.Sprintf("seed %d, %d shards, decoded", seed, n), back)
+		}
+	}
+}
+
+// checkStringTable holds binStringTable to the reference: the same table,
+// and for every run and every list of every shard the ID the reference's
+// map has for its name.
+func checkStringTable(t testing.TB, where string, s *Sharded) {
+	t.Helper()
+	want, wantID, err := refStringTable(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, ids, err := binStringTable(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("%s: string table\n got: %q\nwant: %q", where, got, want)
+	}
+	for si, sh := range s.shards {
+		id := ids[si]
+		for ri, run := range sh.runs {
+			if name := sh.facts[run.lo].Entity; id.run[ri] != wantID[name] {
+				t.Errorf("%s shard %d: run %d (%q) has ID %d, want %d", where, si, ri, name, id.run[ri], wantID[name])
+			}
+		}
+		for index, part := range map[string]struct {
+			ids  []uint32
+			list map[string]int32
+		}{"byAttr": {id.attr, sh.byAttr.list}, "byClass": {id.class, sh.byClass.list}, "byValue": {id.value, sh.byValue.list}} {
+			if len(part.ids) != len(part.list) {
+				t.Fatalf("%s shard %d: %d IDs for %s's %d lists", where, si, len(part.ids), index, len(part.list))
+			}
+			for name, no := range part.list {
+				if part.ids[no] != wantID[name] {
+					t.Errorf("%s shard %d: %s list %d (%q) has ID %d, want %d", where, si, index, no, name, part.ids[no], wantID[name])
+				}
+			}
+		}
+	}
+}
+
+// checkWriter holds WriteBinarySnapshot to the reference's bytes, and the
+// valueNo column it reads to the strings: one entry a posting, byValue's
+// list number of the fact's value, then of each ancestor.
+func checkWriter(t testing.TB, where string, s *Sharded) []byte {
+	t.Helper()
+	var got, want bytes.Buffer
+	if err := s.WriteBinarySnapshot(&got); err != nil {
+		t.Fatalf("%s: %v", where, err)
+	}
+	if err := refWriteBinarySnapshot(s, &want); err != nil {
+		t.Fatalf("%s: %v", where, err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("%s: snapshot bytes\n got: %x\nwant: %x", where, got.Bytes(), want.Bytes())
+	}
+	for si, sh := range s.shards {
+		var names []string
+		for _, f := range sh.facts {
+			names = append(append(names, f.Value), f.Ancestors...)
+		}
+		if len(sh.valueNo) != len(names) {
+			t.Fatalf("%s shard %d: %d value numbers for %d value postings", where, si, len(sh.valueNo), len(names))
+		}
+		for j, name := range names {
+			if no, ok := sh.byValue.list[name]; !ok || sh.valueNo[j] != no {
+				t.Errorf("%s shard %d: valueNo[%d] = %d, byValue lists %q as %d (%v)", where, si, j, sh.valueNo[j], name, no, ok)
+			}
+		}
+	}
+	return got.Bytes()
+}
+
+// checkDecoder holds the shards the decoder assembles from file to build of
+// their facts: deeply equal — postings maps, offsets, arenas, attrNo,
+// valueNo, runs, runOf, byEntity — in everything but rank, which the decoder
+// reads off the file's IDs and NewSharded numbers over all shards.
+func checkDecoder(t testing.TB, where string, file []byte) *Sharded {
+	t.Helper()
+	got, err := ReadBinarySnapshot(bytes.NewReader(file))
+	if err != nil {
+		t.Fatalf("%s: %v", where, err)
+	}
+	for si, sh := range got.shards {
+		want := build(append([]Fact(nil), sh.facts...))
+		want.rank = sh.rank
+		if reflect.DeepEqual(sh, want) {
+			continue
+		}
+		for field, pair := range map[string][2]any{
+			"facts": {sh.facts, want.facts}, "byEntity": {sh.byEntity, want.byEntity}, "runs": {sh.runs, want.runs},
+			"runOf": {sh.runOf, want.runOf}, "byAttr": {sh.byAttr, want.byAttr}, "attrNo": {sh.attrNo, want.attrNo},
+			"byClass": {sh.byClass, want.byClass}, "byValue": {sh.byValue, want.byValue}, "valueNo": {sh.valueNo, want.valueNo},
+		} {
+			if !reflect.DeepEqual(pair[0], pair[1]) {
+				t.Errorf("%s shard %d: the decoder assembled %s\n%+v\nbuild of its facts has\n%+v", where, si, field, pair[0], pair[1])
+			}
+		}
+	}
+	return got
+}
+
+func TestStringTableMatchesReference(t *testing.T) {
+	orderKBs(t, func(where string, s *Sharded) { checkStringTable(t, where, s) })
+}
+
+func TestWriterMatchesReference(t *testing.T) {
+	orderKBs(t, func(where string, s *Sharded) { checkWriter(t, where, s) })
+	checkWriter(t, "pipeline KB", binTestSharded(t))
+}
+
+func TestDecoderAssemblesWhatBuildBuilds(t *testing.T) {
+	orderKBs(t, func(where string, s *Sharded) {
+		var buf bytes.Buffer
+		if err := s.WriteBinarySnapshot(&buf); err != nil {
+			t.Fatalf("%s: %v", where, err)
+		}
+		checkDecoder(t, where, buf.Bytes())
+	})
+	var buf bytes.Buffer
+	if err := binTestSharded(t).WriteBinarySnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	checkDecoder(t, "pipeline KB", buf.Bytes())
+}
+
+// TestDecodeIsTheSameAtAnyGOMAXPROCS decodes one file with one, two and four
+// processors under the assembling goroutine: the stores are deeply equal.
+// (CI runs the package under -race.)
+func TestDecodeIsTheSameAtAnyGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var files [][]byte
+	for seed := int64(0); seed < 20; seed++ {
+		var buf bytes.Buffer
+		if err := NewSharded(orderFacts(rand.New(rand.NewSource(seed))), 1+int(seed)%8).WriteBinarySnapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, buf.Bytes())
+	}
+	var buf bytes.Buffer
+	if err := binTestSharded(t).WriteBinarySnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	files = append(files, buf.Bytes())
+	var first []*Sharded
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		for i, file := range files {
+			got, err := decodeBinarySnapshot(file)
+			if err != nil {
+				t.Fatalf("GOMAXPROCS %d, file %d: %v", procs, i, err)
+			}
+			if procs == 1 {
+				first = append(first, got)
+			} else if !reflect.DeepEqual(got, first[i]) {
+				t.Errorf("file %d: the store decoded at GOMAXPROCS %d differs from the one decoded at 1", i, procs)
+			}
+		}
+	}
+}
+
+// TestRejectedSnapshotLeavesNoGoroutine rejects files at every stage of the
+// decode — before the first shard, with a shard in the assembler's hands, at
+// the end — and counts the goroutines after: the assembler has been waited
+// for on every return.
+func TestRejectedSnapshotLeavesNoGoroutine(t *testing.T) {
+	payload := binPayload(t, NewSharded(orderFacts(rand.New(rand.NewSource(1))), 4))
+	before := runtime.NumGoroutine()
+	rejected := 0
+	for cut := binHeaderLen; cut < len(payload); cut += 7 {
+		// A valid prefix with the rest of the payload zeroed: the header's
+		// counts still fit, so the decode gets as far as the cut.
+		file := append([]byte(nil), payload[:cut]...)
+		file = signed(append(file, make([]byte, len(payload)-cut)...))
+		if _, err := ReadBinarySnapshot(bytes.NewReader(file)); err != nil {
+			rejected++
+		}
+	}
+	if _, err := ReadBinarySnapshot(bytes.NewReader(signed(append(payload[:len(payload):len(payload)], 0)))); err == nil {
+		t.Error("trailing byte accepted")
+	}
+	if rejected == 0 {
+		t.Fatal("no file was rejected")
+	}
+	// The assembler closes its done channel as the last thing it does; give
+	// the scheduler the moment it takes to retire it.
+	for i := 0; i < 1000 && runtime.NumGoroutine() > before; i++ {
+		runtime.Gosched()
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("%d goroutines before %d rejected files, %d after", before, rejected, after)
+	}
+}
+
+// factsFromBytes spells a KB from a fuzzer's input. The first byte picks the
+// shard count; after it every fact is a header byte (class or none, the
+// number of ancestors, confidence and sources from its bits) and its names,
+// each a length byte (mod 12, so that names meet at the eighth byte) and
+// that many raw bytes. A name that runs off the end is cut short.
+func factsFromBytes(data []byte) (facts []Fact, shards int) {
+	if len(data) == 0 {
+		return nil, 1
+	}
+	shards, data = 1+int(data[0])%9, data[1:]
+	name := func() string {
+		if len(data) == 0 {
+			return ""
+		}
+		n := min(int(data[0])%12, len(data)-1)
+		s := string(data[1 : 1+n])
+		data = data[1+n:]
+		return s
+	}
+	for len(data) > 0 && len(facts) < 200 {
+		h := data[0]
+		data = data[1:]
+		f := Fact{Entity: name(), Attr: name(), Value: name(), Confidence: float64(int(h)-64) / 64, Sources: int(h >> 3)}
+		if h&1 != 0 {
+			f.Class = name()
+		}
+		for n := int(h>>1) & 3; n > 0; n-- {
+			f.Ancestors = append(f.Ancestors, name())
+		}
+		facts = append(facts, f)
+	}
+	return facts, shards
+}
+
+// FuzzWriterAndDecoderMatchReference holds both directions of the codec to
+// their references on KBs spelt from the fuzzer's bytes: the table and the
+// file are the reference writer's, the shards decoded from the file are
+// build's, and the decoded store writes the same file again.
+func FuzzWriterAndDecoderMatchReference(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{3, 1, 1, 'E', 1, 'a', 1, 'v', 1, 'C'})
+	f.Add([]byte{8, 7, 8, 'F', 'i', 'l', 'm', ' ', '1', '2', '3', 9, 'F', 'i', 'l', 'm', ' ', '1', '2', '3', '4', 0, 1, 0xff, 2, 0, 0, 0,
+		6, 8, 'F', 'i', 'l', 'm', ' ', '1', '2', '3', 1, 'a', 9, 'F', 'i', 'l', 'm', ' ', '1', '2', '3', 0, 3, 0xe6, 0x97, 0xa5})
+	f.Add([]byte{1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 2, 1, 0, 1, 0, 1, 0, 1, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		facts, shards := factsFromBytes(data)
+		s := NewSharded(facts, shards)
+		checkStringTable(t, "built", s)
+		file := checkWriter(t, "built", s)
+		back := checkDecoder(t, "decoded", file)
+		checkStringTable(t, "decoded", back)
+		if again := checkWriter(t, "decoded", back); !bytes.Equal(again, file) {
+			t.Errorf("the decoded store writes a different file:\n got: %x\nwant: %x", again, file)
+		}
+	})
+}

@@ -3,7 +3,7 @@ package store
 import "slices"
 
 // shard is one partition of the store: its facts and the indexes over
-// them. Nothing is written after build returns.
+// them. Nothing is written after assemble returns.
 type shard struct {
 	// facts is in canonical order without duplicate keys, so every
 	// entity's facts are contiguous and ordered by attribute. Never nil:
@@ -18,6 +18,9 @@ type shard struct {
 	attrNo   []int32  // fact position → its attribute's list number in byAttr
 	byClass  postings // facts with an empty class are not listed
 	byValue  postings // a fact is listed under its value and each ancestor
+	// valueNo is byValue's list number of every value posting, in fact order:
+	// a fact's value, then its ancestors, then the next fact's.
+	valueNo []int32
 }
 
 // span is the half-open range [lo, hi) of positions in shard.facts.
@@ -25,7 +28,8 @@ type span struct{ lo, hi int32 }
 
 // postings is one inverted index: key → ascending fact positions. Every
 // list is a window of one shared arena, so an index is three allocations
-// however many keys it holds.
+// however many keys it holds. Lists are numbered in the order their keys
+// first occur in the facts.
 type postings struct {
 	list  map[string]int32 // key → list number
 	off   []int32          // list i is arena[off[i]:off[i+1]]
@@ -40,28 +44,42 @@ func (p *postings) of(key string) []int32 {
 	return p.arena[p.off[i]:p.off[i+1]]
 }
 
-// postingsBuilder collects one index's (key, position) pairs in fact
-// order and lays them out in a single count → prefix sum → fill pass: each
-// key is hashed once per posting and no list is ever grown.
+// postingsBuilder collects one index's (list number, position) pairs in
+// fact order and lays them out in a single count → prefix sum → fill pass:
+// no list is ever grown. A builder is fed one of two ways, and numbers the
+// lists alike in both — in the order their keys are first seen. By name
+// (add) a posting is a probe of the map that becomes the index's own; by
+// number (addID), for a caller that knows every key as an index into a
+// table of names, it is a read of an array and the map is filled once a
+// list, at its final size, when the index is laid out.
 type postingsBuilder struct {
-	list map[string]int32
-	n    []int32 // postings per list
-	key  []int32 // list number of every posting, in the order added
-	pos  []int32 // fact position of every posting
-	last int32   // list of the previous posting: runs of one key skip the hash
+	n   []int32 // postings per list
+	key []int32 // list number of every posting, in the order added
+	pos []int32 // fact position of every posting
+
+	list map[string]int32 // fed by name: key → list number
+	last int32            // list of the previous posting: runs of one key skip the hash
 	prev string
+
+	names []string // fed by number: the table of names the keys index
+	ids   []uint32 // and list number → its key's index in it
 }
 
-func newPostingsBuilder(postings int) *postingsBuilder {
+// newPostingsBuilder makes a builder with room for that many postings.
+// names is the table behind addID; a builder fed by name has none.
+func newPostingsBuilder(postings int, names []string) *postingsBuilder {
 	return &postingsBuilder{
-		list: make(map[string]int32),
-		key:  make([]int32, 0, postings),
-		pos:  make([]int32, 0, postings),
+		key:   make([]int32, 0, postings),
+		pos:   make([]int32, 0, postings),
+		names: names,
 	}
 }
 
 func (b *postingsBuilder) add(key string, pos int32) {
 	if len(b.key) == 0 || key != b.prev {
+		if b.list == nil {
+			b.list = make(map[string]int32)
+		}
 		i, ok := b.list[key]
 		if !ok {
 			i = int32(len(b.n))
@@ -75,7 +93,38 @@ func (b *postingsBuilder) add(key string, pos int32) {
 	b.pos = append(b.pos, pos)
 }
 
+// addID is add for the key names[id]. no is the caller's scratch over the
+// table — key index → list number, −1 until the key is first seen — which
+// forget hands back clean.
+func (b *postingsBuilder) addID(no []int32, id uint32, pos int32) {
+	i := no[id]
+	if i < 0 {
+		i = int32(len(b.n))
+		no[id] = i
+		b.n = append(b.n, 0)
+		b.ids = append(b.ids, id)
+	}
+	b.n[i]++
+	b.key = append(b.key, i)
+	b.pos = append(b.pos, pos)
+}
+
+// forget resets the entries of no that addID set.
+func (b *postingsBuilder) forget(no []int32) {
+	for _, id := range b.ids {
+		no[id] = -1
+	}
+}
+
+// postings lays the index out.
 func (b *postingsBuilder) postings() postings {
+	list := b.list
+	if list == nil { // fed by number, or nothing
+		list = make(map[string]int32, len(b.ids))
+		for i, id := range b.ids {
+			list[b.names[id]] = int32(i)
+		}
+	}
 	off := make([]int32, len(b.n)+1)
 	for i, n := range b.n {
 		off[i+1] = off[i] + n
@@ -87,27 +136,24 @@ func (b *postingsBuilder) postings() postings {
 		arena[next[i]] = b.pos[j]
 		next[i]++
 	}
-	return postings{list: b.list, off: off, arena: arena}
+	return postings{list: list, off: off, arena: arena}
 }
 
 // build indexes facts that are already canonical — sorted, no duplicate
-// keys — and takes ownership of the slice. It is the one index builder:
-// NewSharded reaches it after copy, sort and dedup; the snapshot
-// decoder, which verifies the order instead of re-establishing it,
-// reaches it directly.
+// keys — and takes ownership of the slice: it finds the runs and numbers
+// every index key by name, then assembles. NewSharded reaches it after copy,
+// sort and dedup; the snapshot decoder, which verifies the order instead of
+// re-establishing it and reads runs and numbers off the file, feeds its own
+// builders and calls assemble directly.
 func build(facts []Fact) *shard {
-	if facts == nil {
-		facts = []Fact{}
-	}
-	s := &shard{facts: facts, runOf: make([]int32, len(facts))}
-	attrs, classes, values := newPostingsBuilder(len(facts)), newPostingsBuilder(len(facts)), newPostingsBuilder(len(facts))
+	var runs []span
+	attrs, classes, values := newPostingsBuilder(len(facts), nil), newPostingsBuilder(len(facts), nil), newPostingsBuilder(len(facts), nil)
 	for i := range facts {
 		f, pos := &facts[i], int32(i)
 		if i == 0 || f.Entity != facts[i-1].Entity {
-			s.runs = append(s.runs, span{pos, pos})
+			runs = append(runs, span{pos, pos})
 		}
-		s.runs[len(s.runs)-1].hi = pos + 1
-		s.runOf[i] = int32(len(s.runs) - 1)
+		runs[len(runs)-1].hi = pos + 1
 		attrs.add(f.Attr, pos)
 		if f.Class != "" {
 			classes.add(f.Class, pos)
@@ -117,15 +163,30 @@ func build(facts []Fact) *shard {
 			values.add(anc, pos)
 		}
 	}
+	return assemble(facts, runs, attrs, classes, values)
+}
+
+// assemble is the one index builder: canonical facts, their entities' runs
+// and the three builders that were fed the facts in order — every fact's
+// attribute; its class unless empty; its value, then its ancestors — become
+// a shard.
+func assemble(facts []Fact, runs []span, attrs, classes, values *postingsBuilder) *shard {
+	if facts == nil {
+		facts = []Fact{}
+	}
+	s := &shard{facts: facts, runs: runs, runOf: make([]int32, len(facts))}
+	s.byEntity = make(map[string]span, len(runs))
+	for i, run := range runs {
+		s.byEntity[facts[run.lo].Entity] = run
+		for pos := run.lo; pos < run.hi; pos++ {
+			s.runOf[pos] = int32(i)
+		}
+	}
 	s.byAttr, s.byClass, s.byValue = attrs.postings(), classes.postings(), values.postings()
 	// Every fact posts its attribute once, in fact order: the builder's list
-	// number per posting is the attribute-number column.
-	s.attrNo = attrs.key
-
-	s.byEntity = make(map[string]span, len(s.runs))
-	for _, run := range s.runs {
-		s.byEntity[facts[run.lo].Entity] = run
-	}
+	// number per posting is the attribute-number column. The values builder's
+	// is the value-number column, one entry a posting.
+	s.attrNo, s.valueNo = attrs.key, values.key
 	return s
 }
 

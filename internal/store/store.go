@@ -26,8 +26,9 @@
 // are a map probe, a scan of the run's attribute numbers and a copy. Two
 // integer columns beside the array — each fact's attribute number, each
 // run's rank among all entities — let that scan and the merge of the
-// shards' streams compare int32s where the order is one of strings. Three
-// inverted indexes — by attribute, by class and by value — cover the
+// shards' streams compare int32s where the order is one of strings (a third,
+// each value posting's list number, is what the snapshot writer encodes from
+// instead of the strings). Three inverted indexes — by attribute, by class and by value — cover the
 // patterns that name no entity; each keeps all its postings lists in one
 // array. The by-value index is hierarchy-aware: a fact is indexed under
 // its accepted value and under every generalisation of that value, so
@@ -43,6 +44,7 @@ import (
 	"akb/internal/core"
 	"akb/internal/extract"
 	"akb/internal/kb"
+	"akb/internal/mapreduce"
 )
 
 // Fact is one accepted (entity, attribute, value) triple of the fused KB,
@@ -164,10 +166,12 @@ func NewSharded(facts []Fact, n int) *Sharded {
 			parts[home[i]] = append(parts[home[i]], f)
 		}
 	}
+	// The parts share nothing: each is sorted and indexed on its own, beside
+	// the others where there are processors for it.
 	shards := make([]*shard, n)
-	for i, part := range parts {
-		shards[i] = build(canonical(part))
-	}
+	mapreduce.ForEach(mapreduce.Config{}, n, func(i int) {
+		shards[i] = build(canonical(parts[i]))
+	})
 	rankRuns(shards)
 	return newSharded(shards)
 }
