@@ -188,7 +188,8 @@ func cmdExport(args []string) error {
 // term kind), in Triple.Compare order.
 func acceptedTriples(fused *fusion.Result) []rdf.Triple {
 	triples := make([]rdf.Triple, 0, fused.NumTruths())
-	for _, d := range fused.Decisions {
+	for i := range fused.Decisions {
+		d := &fused.Decisions[i]
 		for _, v := range d.Truths {
 			triples = append(triples, rdf.T(d.Item.Subject, d.Item.Predicate, v))
 		}

@@ -89,7 +89,7 @@ func main() {
 		fmt.Printf("== %s ==\n", res.Method)
 		for _, q := range show {
 			key := rdf.T(rdf.AKB.IRI(q.entity), rdf.AKB.IRI("attr/"+q.attr), rdf.Term{}).ItemKey()
-			d := res.Decisions[key]
+			d := res.Decision(key)
 			var vals []string
 			for _, t := range d.Truths {
 				vals = append(vals, t.Value)

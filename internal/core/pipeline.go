@@ -502,8 +502,7 @@ func (p *pipelineRun) genCorpus(context.Context) error {
 func (p *pipelineRun) extractKB(ctx context.Context) error {
 	res := p.res
 	res.KBX = kbx.ExtractAttributes(ctx, p.crit, p.dbp, p.fb)
-	dbpStmts := kbx.ExtractStatements(ctx, p.crit, p.dbp)
-	p.kbStmts = append(dbpStmts, kbx.ExtractStatements(ctx, p.crit, p.fb)...)
+	p.kbStmts = kbx.ExtractStatements(ctx, p.crit, p.dbp, p.fb)
 	obs.Current(ctx).AnnotateInt("statements", int64(len(p.kbStmts)))
 	p.addStat(StageKBX, fmt.Sprintf("%d classes combined", len(res.KBX.PerClass)), p.kbStmts)
 	return nil

@@ -7,6 +7,7 @@ package eval
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"akb/internal/extract"
@@ -63,11 +64,6 @@ type Scorer struct {
 	World *kb.World
 }
 
-// statementFact decodes an extracted statement into (entity, attr, value).
-func statementFact(s rdf.Statement, names extract.Names) (entity, attr, value string) {
-	return names.Of(s.Subject), names.Of(s.Predicate), s.Object.Value
-}
-
 // ScoreStatements computes extraction precision over statements: a
 // statement is correct when its value is true (or a generalisation of a
 // true value) for its entity and attribute. Recall is not defined at this
@@ -75,14 +71,14 @@ func statementFact(s rdf.Statement, names extract.Names) (entity, attr, value st
 func (sc *Scorer) ScoreStatements(stmts []rdf.Statement) Metrics {
 	var m Metrics
 	names := extract.Names{}
-	for _, s := range stmts {
-		entity, attr, value := statementFact(s, names)
-		e, ok := sc.World.Entity(entity)
+	for i := range stmts {
+		s := &stmts[i] // a Statement is 224 bytes
+		e, ok := sc.World.Entity(names.Of(s.Subject))
 		if !ok {
 			m.FP++
 			continue
 		}
-		if sc.World.IsTrue(e, attr, value) {
+		if sc.World.IsTrue(e, names.Of(s.Predicate), s.Object.Value) {
 			m.TP++
 		} else {
 			m.FP++
@@ -94,20 +90,29 @@ func (sc *Scorer) ScoreStatements(stmts []rdf.Statement) Metrics {
 // ScoreFusion scores a fusion result: accepted values are checked against
 // ground truth (TP/FP), and each item's true leaf values not covered by any
 // accepted value count as FN. Items about unknown entities or attributes
-// the entity lacks score all accepted values as FP.
+// the entity lacks score all accepted values as FP. The decisions are
+// walked in their own order — item-key order, where the items of one
+// subject are neighbours and its entity is looked up once.
 func (sc *Scorer) ScoreFusion(res *fusion.Result) Metrics {
 	var m Metrics
-	names := extract.Names{}
-	for _, d := range res.Decisions {
-		entity := names.Of(d.Item.Subject)
-		attr := names.Of(d.Item.Predicate)
-		e, ok := sc.World.Entity(entity)
-		if !ok {
+	attrs := extract.Names{}
+	var subject rdf.Term
+	var e *kb.Entity
+	var covered []bool
+	for i := range res.Decisions {
+		d := &res.Decisions[i]
+		if i == 0 || d.Item.Subject != subject {
+			subject = d.Item.Subject
+			e, _ = sc.World.Entity(extract.AttrFromIRI(subject))
+		}
+		if e == nil {
 			m.FP += len(d.Truths)
 			continue
 		}
+		attr := attrs.Of(d.Item.Predicate)
 		trueLeaves := sc.World.TrueLeafValues(e, attr)
-		covered := make([]bool, len(trueLeaves))
+		covered = slices.Grow(covered[:0], len(trueLeaves))[:len(trueLeaves)]
+		clear(covered)
 		for _, t := range d.Truths {
 			v := t.Value
 			if sc.World.IsTrue(e, attr, v) {

@@ -41,18 +41,17 @@ func CalibrationMethod(seed int64, buckets int, m fusion.Method) []CalibrationRo
 		correct int
 	}
 	accs := make([]acc, buckets)
-	for _, d := range res.Fused().Decisions {
+	decisions := res.Fused().Decisions
+	for i := range decisions {
+		d := &decisions[i]
 		entity := extract.AttrFromIRI(d.Item.Subject)
 		e, ok := res.World.Entity(entity)
 		if !ok {
 			continue
 		}
 		attr := extract.AttrFromIRI(d.Item.Predicate)
-		for _, vc := range d.Item.Values {
-			b, ok := d.Belief[vc.Value.Key()]
-			if !ok {
-				continue
-			}
+		for k, vc := range d.Item.Values {
+			b := d.Belief[k]
 			bi := int(b * float64(buckets))
 			if bi >= buckets {
 				bi = buckets - 1

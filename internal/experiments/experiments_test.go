@@ -283,6 +283,13 @@ func TestScalabilityShape(t *testing.T) {
 	if len(rows) != 4 {
 		t.Fatalf("rows = %d", len(rows))
 	}
+	// The smallest world fuses in a millisecond or two, so one preempted run
+	// is a ratio of five: each row's cost is the fastest of three runs.
+	for run := 0; run < 2; run++ {
+		for i, again := range Scalability(1) {
+			rows[i].FuseMS = min(rows[i].FuseMS, again.FuseMS)
+		}
+	}
 	for i := 1; i < len(rows); i++ {
 		// Claim volume grows with the world.
 		if rows[i].Statements <= rows[i-1].Statements {

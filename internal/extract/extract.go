@@ -198,8 +198,11 @@ func ValidAttributeLabel(label string) bool {
 // EntityIRI mints the IRI for an entity name.
 func EntityIRI(name string) rdf.Term { return rdf.AKB.IRI(name) }
 
+// attrNS is where attribute IRIs live.
+const attrNS = rdf.AKB + "attr/"
+
 // AttrIRI mints the IRI for a canonical attribute name.
-func AttrIRI(attr string) rdf.Term { return rdf.AKB.IRI("attr/" + attr) }
+func AttrIRI(attr string) rdf.Term { return attrNS.IRI(attr) }
 
 // AttrFromIRI recovers the canonical attribute name from an attribute IRI.
 func AttrFromIRI(t rdf.Term) string {

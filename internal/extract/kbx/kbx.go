@@ -121,45 +121,84 @@ func expandProperties(class string, src *kb.SourceKB, props []kb.Property) extra
 	return out
 }
 
-// ExtractStatements converts a source KB's facts into confidence-annotated
-// RDF statements for the fusion phase. Composite facts emit one statement
-// per sub-field value.
-func ExtractStatements(ctx context.Context, crit *confidence.Criterion, src *kb.SourceKB) []rdf.Statement {
-	source := strings.ToLower(src.Name)
+// ExtractStatements converts the source KBs' facts into confidence-annotated
+// RDF statements for the fusion phase, KB after KB in the order given, each
+// KB's classes, a fact's sub-fields and their values in sorted order.
+// Composite facts emit one statement per sub-field value.
+//
+// The facts are walked twice: once to count, so the statements are written
+// into one slice of exactly their number, and once to write. What a
+// statement shares with its neighbours is made once — the subject IRI per
+// fact, the predicate IRI (and the canonical name under it) per (class,
+// surface name), the provenance per KB.
+func ExtractStatements(ctx context.Context, crit *confidence.Criterion, kbs ...*kb.SourceKB) []rdf.Statement {
 	conf := confidence.MaxConfidence
 	if crit != nil {
 		// KB facts are single-source claims with full extractor support.
 		conf = crit.Score(extract.ExtractorKB, 3, 1)
 	}
-	var out []rdf.Statement
-	classes := make([]string, 0, len(src.Facts))
-	for c := range src.Facts {
-		classes = append(classes, c)
-	}
-	sort.Strings(classes)
-	for _, class := range classes {
-		// Index property field names once per class.
-		for _, fact := range src.Facts[class] {
-			fieldNames := make([]string, 0, len(fact.FieldValues))
-			for fn := range fact.FieldValues {
-				fieldNames = append(fieldNames, fn)
+	type surface struct{ class, name string }
+	// The zero Term stands for a surface name with no canonical form.
+	predicates := make(map[surface]rdf.Term)
+	predicate := func(class, name string) rdf.Term {
+		p, ok := predicates[surface{class, name}]
+		if !ok {
+			if canonical := kb.CanonicalAttributeName(name, class); canonical != "" {
+				p = extract.AttrIRI(canonical)
 			}
-			sort.Strings(fieldNames)
-			for _, fn := range fieldNames {
-				surface := fn
-				if surface == "" {
-					surface = fact.Property
+			predicates[surface{class, name}] = p
+		}
+		return p
+	}
+	var fields []string // one fact's sub-field names, sorted
+	// walk calls emit for every (fact, sub-field) that has a predicate.
+	walk := func(src *kb.SourceKB, emit func(fact *kb.Fact, predicate rdf.Term, values []string)) {
+		classes := make([]string, 0, len(src.Facts))
+		for c := range src.Facts {
+			classes = append(classes, c)
+		}
+		sort.Strings(classes)
+		for _, class := range classes {
+			facts := src.Facts[class]
+			for i := range facts {
+				fact := &facts[i]
+				fields = fields[:0]
+				for fn := range fact.FieldValues {
+					fields = append(fields, fn)
 				}
-				canonical := kb.CanonicalAttributeName(surface, class)
-				if canonical == "" {
-					continue
+				if len(fields) > 1 {
+					sort.Strings(fields)
 				}
-				for _, v := range fact.FieldValues[fn] {
-					out = append(out, extract.NewStatement(
-						fact.Entity, canonical, v, source, extract.ExtractorKB, "", conf))
+				for _, fn := range fields {
+					name := fn
+					if name == "" {
+						name = fact.Property
+					}
+					if p := predicate(class, name); !p.IsZero() {
+						emit(fact, p, fact.FieldValues[fn])
+					}
 				}
 			}
 		}
+	}
+
+	n := 0
+	for _, src := range kbs {
+		walk(src, func(_ *kb.Fact, _ rdf.Term, values []string) { n += len(values) })
+	}
+	out := make([]rdf.Statement, 0, n)
+	for _, src := range kbs {
+		prov := rdf.Provenance{Source: strings.ToLower(src.Name), Extractor: extract.ExtractorKB}
+		var of *kb.Fact
+		var subject rdf.Term
+		walk(src, func(fact *kb.Fact, predicate rdf.Term, values []string) {
+			if fact != of {
+				of, subject = fact, extract.EntityIRI(fact.Entity)
+			}
+			for _, v := range values {
+				out = append(out, rdf.S(rdf.T(subject, predicate, rdf.Literal(v)), prov, conf))
+			}
+		})
 	}
 	obs.Reg(ctx).Counter("akb_kbx_statements_total").Add(int64(len(out)))
 	return out

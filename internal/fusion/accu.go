@@ -5,7 +5,6 @@ import (
 
 	"akb/internal/mapreduce"
 	"akb/internal/obs"
-	"akb/internal/rdf"
 )
 
 // Accu implements the ACCU baseline (Dong et al., PVLDB 2009 / VLDB'14
@@ -75,24 +74,22 @@ func (a *Accu) Fuse(c *Claims) *Result {
 		acc[s] = init
 	}
 
-	type itemProbs struct {
-		item  *Item
-		probs map[string]float64 // value key -> probability
-	}
-	var lastE []itemProbs
-
+	// The value probabilities are the decisions' beliefs, overwritten by
+	// every E-step.
+	decisions := newDecisions(c)
+	cfg := mapreduce.Config{Workers: a.Workers, Obs: a.Obs}
 	for iter := 0; iter < iters; iter++ {
 		// E-step: per-item value probabilities given source accuracies.
 		// Items are independent — one parallel map.
-		lastE = mapreduce.Map(mapreduce.Config{Workers: a.Workers, Obs: a.Obs}, c.Items,
-			func(it *Item) itemProbs { return itemProbs{item: it, probs: a.eStep(it, acc)} })
+		mapreduce.ForEach(cfg, len(decisions), func(i int) { a.eStep(&decisions[i], acc) })
 
 		// M-step: source accuracy = mean probability of claimed values.
 		sum := make(map[string]float64, len(acc))
 		cnt := make(map[string]float64, len(acc))
-		for _, ip := range lastE {
-			for _, vc := range ip.item.Values {
-				p := ip.probs[vc.Value.Key()]
+		for i := range decisions {
+			d := &decisions[i]
+			for k, vc := range d.Item.Values {
+				p := d.Belief[k]
 				for _, sc := range vc.Sources {
 					sum[sc.Source] += p
 					cnt[sc.Source]++
@@ -114,28 +111,13 @@ func (a *Accu) Fuse(c *Claims) *Result {
 			break
 		}
 	}
-
-	res := &Result{Method: a.Name(), Decisions: make(map[string]*Decision, len(c.Items)), SourceQuality: acc}
-	for _, ip := range lastE {
-		d := &Decision{Item: ip.item, Belief: ip.probs}
-		var best rdf.Term
-		bestP := -1.0
-		for _, vc := range ip.item.Values {
-			p := ip.probs[vc.Value.Key()]
-			if p > bestP || (p == bestP && vc.Value.Compare(best) < 0) {
-				best, bestP = vc.Value, p
-			}
-		}
-		if bestP >= 0 {
-			d.Truths = []rdf.Term{best}
-		}
-		res.Decisions[ip.item.Key] = d
-	}
-	return res
+	acceptMostBelieved(decisions)
+	return &Result{Method: a.Name(), Decisions: decisions, SourceQuality: acc}
 }
 
-// eStep computes value probabilities for one item.
-func (a *Accu) eStep(it *Item, acc map[string]float64) map[string]float64 {
+// eStep computes the value probabilities of one item into d.Belief.
+func (a *Accu) eStep(d *Decision, acc map[string]float64) {
+	it := d.Item
 	nFalse := float64(len(it.Values) - 1)
 	if nFalse < 1 {
 		nFalse = 1
@@ -146,7 +128,7 @@ func (a *Accu) eStep(it *Item, acc map[string]float64) map[string]float64 {
 	for _, vc := range it.Values {
 		totalClaims += float64(len(vc.Sources))
 	}
-	scores := make([]float64, len(it.Values))
+	scores := d.Belief
 	maxScore := math.Inf(-1)
 	for i, vc := range it.Values {
 		score := 0.0
@@ -176,18 +158,15 @@ func (a *Accu) eStep(it *Item, acc map[string]float64) map[string]float64 {
 		}
 	}
 	// Softmax with max-shift for numerical stability, summed in value order
-	// so the probabilities are a function of the claims alone (a sum in map
-	// order differs in its last bits from run to run).
+	// so the probabilities are a function of the claims alone.
 	var z float64
 	for i := range scores {
 		scores[i] = math.Exp(scores[i] - maxScore)
 		z += scores[i]
 	}
-	probs := make(map[string]float64, len(it.Values))
-	for i, vc := range it.Values {
-		probs[vc.Value.Key()] = scores[i] / z
+	for i := range scores {
+		scores[i] /= z
 	}
-	return probs
 }
 
 func clampAcc(a float64) float64 {

@@ -21,7 +21,6 @@ import (
 	"cmp"
 	"math"
 	"slices"
-	"sort"
 	"strings"
 
 	"akb/internal/rdf"
@@ -295,36 +294,116 @@ type Decision struct {
 	// one (when any value was claimed); multi-truth methods may return
 	// several; hierarchy-aware fusion may add implied generalisations.
 	Truths []rdf.Term
-	// Belief maps value keys to the method's belief the value is true.
-	Belief map[string]float64
+	// Belief[k] is the method's belief that Item.Values[k] is true. All the
+	// decisions of one Fuse cut their beliefs from one array.
+	Belief []float64
+	// Implied are the truths hierarchy-aware fusion added: generalisations
+	// some source claimed of a value the base method accepted. Each carries
+	// the belief of the accepted value that implied it. Most are not among
+	// Item.Values — the fold gave their claims to a descendant; one that is
+	// (the base method weighed and rejected it) has that belief written
+	// over its own in Belief too, so either way of reading it agrees.
+	Implied []Implied
+}
+
+// Implied is one implied truth of a Decision.
+type Implied struct {
+	Value  rdf.Term
+	Belief float64
 }
 
 // Accepted reports whether the decision accepts the value.
 func (d *Decision) Accepted(v rdf.Term) bool {
-	for _, t := range d.Truths {
-		if t == v {
-			return true
+	return slices.Contains(d.Truths, v)
+}
+
+// Support returns the decision's belief in a value — one the item's sources
+// claimed or one the hierarchy implied — and the number of sources that
+// claimed it; ok is false for a value that is neither.
+func (d *Decision) Support(v rdf.Term) (belief float64, sources int, ok bool) {
+	for k, vc := range d.Item.Values {
+		if vc.Value == v {
+			return d.Belief[k], len(vc.Sources), true
 		}
 	}
-	return false
+	for _, imp := range d.Implied {
+		if imp.Value == v {
+			return imp.Belief, 0, true
+		}
+	}
+	return 0, 0, false
+}
+
+// mostBelieved returns the claimed value of the highest belief, the smaller
+// term where two tie; ok is false when no value has a belief of 0 or more.
+func (d *Decision) mostBelieved() (best rdf.Term, ok bool) {
+	bestB := -1.0
+	for k, vc := range d.Item.Values {
+		if b := d.Belief[k]; b > bestB || (b == bestB && vc.Value.Compare(best) < 0) {
+			best, bestB = vc.Value, b
+		}
+	}
+	return best, bestB >= 0
+}
+
+// newDecisions returns one decision per item, in item order, with no truth
+// yet and its beliefs, all zero, cut from one array.
+func newDecisions(c *Claims) []Decision {
+	n := 0
+	for _, it := range c.Items {
+		n += len(it.Values)
+	}
+	beliefs := make([]float64, n)
+	ds := make([]Decision, len(c.Items))
+	for i, it := range c.Items {
+		nv := len(it.Values)
+		ds[i].Item, ds[i].Belief = it, beliefs[:nv:nv]
+		beliefs = beliefs[nv:]
+	}
+	return ds
+}
+
+// acceptMostBelieved makes every decision accept its most believed value,
+// the single truths cut from one array.
+func acceptMostBelieved(ds []Decision) {
+	truths := make([]rdf.Term, len(ds))
+	for i := range ds {
+		if best, ok := ds[i].mostBelieved(); ok {
+			truths[i] = best
+			ds[i].Truths = truths[i : i+1 : i+1]
+		}
+	}
 }
 
 // Result is a fusion method's output over all items.
 type Result struct {
-	Method    string
-	Decisions map[string]*Decision
+	Method string
+	// Decisions[i] decides the claims' Items[i]: the decisions are in item
+	// order, which is item-key order.
+	Decisions []Decision
 	// SourceQuality reports the method's final per-source quality estimate
 	// (accuracy for single-truth methods, sensitivity for multi-truth),
 	// when the method estimates one.
 	SourceQuality map[string]float64
 }
 
+// Decision returns the decision for an item key, or nil.
+func (r *Result) Decision(key string) *Decision {
+	i, ok := slices.BinarySearchFunc(r.Decisions, key, func(d Decision, key string) int {
+		return strings.Compare(d.Item.Key, key)
+	})
+	if !ok {
+		return nil
+	}
+	return &r.Decisions[i]
+}
+
 // NumTruths returns the number of accepted (item, value) pairs over all
 // decisions — the size of the fused KB in triples.
 func (r *Result) NumTruths() int {
 	n := 0
-	for _, d := range r.Decisions {
-		n += len(d.Truths)
+	for i := range r.Decisions {
+		n += len(r.Decisions[i].Truths)
 	}
 	return n
 }
@@ -339,6 +418,6 @@ type Method interface {
 
 // sortedTruths orders accepted values deterministically.
 func sortedTruths(ts []rdf.Term) []rdf.Term {
-	sort.Slice(ts, func(i, j int) bool { return ts[i].Compare(ts[j]) < 0 })
+	slices.SortFunc(ts, rdf.Term.Compare)
 	return ts
 }

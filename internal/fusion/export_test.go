@@ -6,5 +6,7 @@ package fusion
 var (
 	ReferenceBuildClaims        = referenceBuildClaims
 	ReferenceDetectCorrelations = referenceDetectCorrelations
-	ReferenceMultiTruthFuse     = referenceMultiTruthFuse
+	ReferenceFuse               = referenceFuse
+	DiffReference               = diffReference
+	BeliefsByKey                = beliefsByKey
 )

@@ -1,10 +1,6 @@
 package fusion
 
-import (
-	"math"
-
-	"akb/internal/rdf"
-)
+import "math"
 
 // This file implements the classic Web-link-based fact-finding algorithms
 // the paper's fourth fusion bullet builds on (Pasternack & Roth, IJCAI'11,
@@ -172,37 +168,14 @@ func (f *FactFinder) Fuse(c *Claims) *Result {
 		}
 	}
 
-	res := &Result{
-		Method:        f.Name(),
-		Decisions:     make(map[string]*Decision, len(c.Items)),
-		SourceQuality: trust,
-	}
-	// Per-item argmax over claim beliefs (single truth).
-	for ii, it := range c.Items {
-		d := &Decision{Item: it, Belief: make(map[string]float64, len(it.Values))}
-		res.Decisions[it.Key] = d
-		_ = ii
-	}
+	// Per-item argmax over claim beliefs (single truth). Claim ids run over
+	// the items' values in order, and so do the decisions' beliefs.
+	decisions := newDecisions(c)
 	for id, ref := range claimRefs {
-		it := c.Items[ref.item]
-		d := res.Decisions[it.Key]
-		d.Belief[it.Values[ref.value].Value.Key()] = belief[id]
+		decisions[ref.item].Belief[ref.value] = belief[id]
 	}
-	for _, it := range c.Items {
-		d := res.Decisions[it.Key]
-		var best rdf.Term
-		bestB := -1.0
-		for _, vc := range it.Values {
-			b := d.Belief[vc.Value.Key()]
-			if b > bestB || (b == bestB && vc.Value.Compare(best) < 0) {
-				best, bestB = vc.Value, b
-			}
-		}
-		if bestB >= 0 {
-			d.Truths = []rdf.Term{best}
-		}
-	}
-	return res
+	acceptMostBelieved(decisions)
+	return &Result{Method: f.Name(), Decisions: decisions, SourceQuality: trust}
 }
 
 // FactFinders returns the three classic algorithms plus their

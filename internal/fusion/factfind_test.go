@@ -54,7 +54,7 @@ func TestFactFinderSingleTruth(t *testing.T) {
 	c := BuildClaims(stmts, BySource)
 	for _, m := range FactFinders() {
 		res := m.Fuse(c)
-		d := res.Decisions[c.Items[0].Key]
+		d := res.Decisions[0]
 		if len(d.Truths) != 1 {
 			t.Errorf("%s: %d truths, want 1", m.Name(), len(d.Truths))
 		}
@@ -73,11 +73,11 @@ func TestWeightedTruthFinderUsesConfidence(t *testing.T) {
 	c := BuildClaims(stmts, BySource)
 	plain := (&FactFinder{Kind: KindTruthFinder}).Fuse(c)
 	weighted := (&FactFinder{Kind: KindTruthFinder, Weighted: true}).Fuse(c)
-	if plain.Decisions[c.Items[0].Key].Truths[0] != rdf.Literal("low") {
-		t.Fatalf("plain TruthFinder picked %v", plain.Decisions[c.Items[0].Key].Truths)
+	if plain.Decisions[0].Truths[0] != rdf.Literal("low") {
+		t.Fatalf("plain TruthFinder picked %v", plain.Decisions[0].Truths)
 	}
-	if weighted.Decisions[c.Items[0].Key].Truths[0] != rdf.Literal("high") {
-		t.Fatalf("weighted TruthFinder picked %v", weighted.Decisions[c.Items[0].Key].Truths)
+	if weighted.Decisions[0].Truths[0] != rdf.Literal("high") {
+		t.Fatalf("weighted TruthFinder picked %v", weighted.Decisions[0].Truths)
 	}
 }
 
@@ -154,12 +154,12 @@ func TestAdaptiveRoutesByFunctionality(t *testing.T) {
 	}
 	// Non-functional items must keep both corroborated values.
 	langKey := rdf.T(rdf.AKB.IRI("e0"), rdf.AKB.IRI("attr/language"), rdf.Term{}).ItemKey()
-	if d := res.Decisions[langKey]; len(d.Truths) != 2 {
+	if d := res.Decision(langKey); len(d.Truths) != 2 {
 		t.Errorf("language item truths = %v, want both values", d.Truths)
 	}
 	// Functional items must keep exactly one.
 	capKey := rdf.T(rdf.AKB.IRI("e0"), rdf.AKB.IRI("attr/capital"), rdf.Term{}).ItemKey()
-	if d := res.Decisions[capKey]; len(d.Truths) != 1 || d.Truths[0] != rdf.Literal("v0") {
+	if d := res.Decision(capKey); len(d.Truths) != 1 || d.Truths[0] != rdf.Literal("v0") {
 		t.Errorf("capital item truths = %v, want [v0]", d.Truths)
 	}
 	if res.Method != "ADAPTIVE(func-degree)" {

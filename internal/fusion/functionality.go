@@ -103,23 +103,28 @@ func (a *Adaptive) Fuse(c *Claims) *Result {
 	}
 	fn := EstimateFunctionality(c, a.MinSupport)
 
+	// The split remembers where it took each half's items from, and each
+	// half's decisions — in its own item order — go back to those places.
 	fc := &Claims{SourceNames: c.SourceNames}
 	nc := &Claims{SourceNames: c.SourceNames}
-	for _, it := range c.Items {
+	var fpos, npos []int
+	for i, it := range c.Items {
 		if fn.Degree(it.Predicate.Key()) >= thresh {
 			fc.Items = append(fc.Items, it)
+			fpos = append(fpos, i)
 		} else {
 			nc.Items = append(nc.Items, it)
+			npos = append(npos, i)
 		}
 	}
 	res := &Result{
 		Method:        a.Name(),
-		Decisions:     make(map[string]*Decision, len(c.Items)),
+		Decisions:     make([]Decision, len(c.Items)),
 		SourceQuality: map[string]float64{},
 	}
-	merge := func(r *Result) {
-		for k, d := range r.Decisions {
-			res.Decisions[k] = d
+	merge := func(r *Result, pos []int) {
+		for j, d := range r.Decisions {
+			res.Decisions[pos[j]] = d
 		}
 		for s, q := range r.SourceQuality {
 			// Keep the max estimate when both fusers rate a source.
@@ -129,10 +134,10 @@ func (a *Adaptive) Fuse(c *Claims) *Result {
 		}
 	}
 	if len(fc.Items) > 0 {
-		merge(single.Fuse(fc))
+		merge(single.Fuse(fc), fpos)
 	}
 	if len(nc.Items) > 0 {
-		merge(multi.Fuse(nc))
+		merge(multi.Fuse(nc), npos)
 	}
 	return res
 }

@@ -11,6 +11,12 @@ import (
 	"akb/internal/rdf"
 )
 
+// beliefIn is the decision's belief in a plain literal.
+func beliefIn(d *Decision, value string) float64 {
+	b, _, _ := d.Support(rdf.Literal(value))
+	return b
+}
+
 // stmt builds a test statement.
 func stmt(item, value, source string, conf float64) rdf.Statement {
 	return rdf.S(
@@ -63,7 +69,7 @@ func accuracyOf(t *testing.T, res *Result, truth map[string]string) float64 {
 	correct := 0
 	for item, tv := range truth {
 		key := rdf.T(rdf.AKB.IRI("e/"+item), rdf.AKB.IRI("attr/p"), rdf.Literal("")).ItemKey()
-		d := res.Decisions[key]
+		d := res.Decision(key)
 		if d == nil {
 			t.Fatalf("no decision for %s", item)
 		}
@@ -133,11 +139,11 @@ func TestVoteMajority(t *testing.T) {
 	}
 	c := BuildClaims(stmts, BySource)
 	res := (&Vote{}).Fuse(c)
-	d := res.Decisions[c.Items[0].Key]
+	d := &res.Decisions[0]
 	if len(d.Truths) != 1 || d.Truths[0] != rdf.Literal("right") {
 		t.Fatalf("vote picked %v", d.Truths)
 	}
-	if d.Belief[rdf.Literal("right").Key()] <= d.Belief[rdf.Literal("wrong").Key()] {
+	if beliefIn(d, "right") <= beliefIn(d, "wrong") {
 		t.Error("belief ordering wrong")
 	}
 }
@@ -149,7 +155,7 @@ func TestVoteDeterministicTieBreak(t *testing.T) {
 	}
 	c := BuildClaims(stmts, BySource)
 	res := (&Vote{}).Fuse(c)
-	d := res.Decisions[c.Items[0].Key]
+	d := res.Decisions[0]
 	if d.Truths[0] != rdf.Literal("aaa") {
 		t.Fatalf("tie break picked %v, want lexicographically smaller", d.Truths)
 	}
@@ -162,8 +168,8 @@ func TestWeightedVoteUsesConfidence(t *testing.T) {
 		stmt("i", "high", "s3", 0.9),
 	}
 	c := BuildClaims(stmts, BySource)
-	plain := (&Vote{}).Fuse(c).Decisions[c.Items[0].Key]
-	weighted := (&Vote{Weighted: true}).Fuse(c).Decisions[c.Items[0].Key]
+	plain := (&Vote{}).Fuse(c).Decisions[0]
+	weighted := (&Vote{Weighted: true}).Fuse(c).Decisions[0]
 	if plain.Truths[0] != rdf.Literal("low") {
 		t.Fatalf("plain vote picked %v", plain.Truths)
 	}
@@ -229,7 +235,7 @@ func TestMultiTruthAcceptsMultipleValues(t *testing.T) {
 	c := BuildClaims(stmts, BySource)
 	res := (&MultiTruth{}).Fuse(c)
 	key := rdf.T(rdf.AKB.IRI("e/i"), rdf.AKB.IRI("attr/p"), rdf.Literal("")).ItemKey()
-	d := res.Decisions[key]
+	d := res.Decision(key)
 	if !d.Accepted(rdf.Literal("truthA")) || !d.Accepted(rdf.Literal("truthB")) {
 		t.Fatalf("multi-truth missed a true value: %v (beliefs %v)", d.Truths, d.Belief)
 	}
@@ -237,7 +243,7 @@ func TestMultiTruthAcceptsMultipleValues(t *testing.T) {
 		t.Fatalf("multi-truth accepted noise: %v", d.Truths)
 	}
 	// Single-truth ACCU structurally cannot accept both.
-	ad := (&Accu{}).Fuse(c).Decisions[key]
+	ad := (&Accu{}).Fuse(c).Decision(key)
 	if len(ad.Truths) != 1 {
 		t.Fatalf("ACCU returned %d truths, want 1", len(ad.Truths))
 	}
@@ -262,14 +268,14 @@ func TestHierarchicalResolvesPaperExample(t *testing.T) {
 	c := BuildClaims(stmts, BySource)
 	key := c.Items[0].Key
 
-	flat := (&Vote{}).Fuse(c).Decisions[key]
+	flat := (&Vote{}).Fuse(c).Decision(key)
 	if flat.Truths[0] != rdf.Literal("Beijing2") {
 		t.Fatalf("flat vote picked %v, expected Beijing2", flat.Truths)
 	}
 
 	h := &Hierarchical{Base: &Vote{}, Forest: forest}
 	res := h.Fuse(c)
-	d := res.Decisions[key]
+	d := res.Decision(key)
 	if !d.Accepted(rdf.Literal("Wuhan")) {
 		t.Fatalf("hierarchical vote picked %v, want Wuhan", d.Truths)
 	}
@@ -387,7 +393,7 @@ func TestFullMethodComposes(t *testing.T) {
 		t.Errorf("FULL accuracy = %.3f", acc)
 	}
 	key := rdf.T(rdf.AKB.IRI("e/hier"), rdf.AKB.IRI("attr/p"), rdf.Literal("")).ItemKey()
-	d := res.Decisions[key]
+	d := res.Decision(key)
 	if !d.Accepted(rdf.Literal("cityX")) || !d.Accepted(rdf.Literal("countryX")) {
 		t.Errorf("hierarchical item decisions = %v", d.Truths)
 	}
@@ -404,13 +410,19 @@ func TestAllMethodsInvariants(t *testing.T) {
 		if len(res.Decisions) != len(c.Items) {
 			t.Errorf("%s: %d decisions for %d items", m.Name(), len(res.Decisions), len(c.Items))
 		}
-		for key, d := range res.Decisions {
-			if len(d.Truths) == 0 {
-				t.Errorf("%s: no truth for %s", m.Name(), key)
+		for i, d := range res.Decisions {
+			if d.Item != c.Items[i] && d.Item.Key != c.Items[i].Key {
+				t.Errorf("%s: decision %d is about %s, item %d is %s", m.Name(), i, d.Item.Key, i, c.Items[i].Key)
 			}
-			for vk, b := range d.Belief {
+			if len(d.Truths) == 0 {
+				t.Errorf("%s: no truth for %s", m.Name(), d.Item.Key)
+			}
+			if len(d.Belief) != len(d.Item.Values) {
+				t.Errorf("%s: %d beliefs for the %d values of %s", m.Name(), len(d.Belief), len(d.Item.Values), d.Item.Key)
+			}
+			for k, b := range d.Belief {
 				if b < 0 || b > 1.0000001 {
-					t.Errorf("%s: belief %g out of range for %s", m.Name(), b, vk)
+					t.Errorf("%s: belief %g out of range for %v", m.Name(), b, d.Item.Values[k].Value)
 				}
 			}
 			// Every accepted value must have been claimed.

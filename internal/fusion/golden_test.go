@@ -49,7 +49,7 @@ func fusionDigest(c *fusion.Claims, res *fusion.Result, ffmt string) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "decisions %d\n", len(res.Decisions))
 	for _, it := range c.Items {
-		d := res.Decisions[it.Key]
+		d := res.Decision(it.Key)
 		if d == nil {
 			fmt.Fprintf(h, "%q none\n", it.Key)
 			continue
@@ -58,8 +58,10 @@ func fusionDigest(c *fusion.Claims, res *fusion.Result, ffmt string) string {
 		for _, v := range d.Truths {
 			fmt.Fprintf(h, " %q", v.Key())
 		}
-		for _, k := range sortedKeys(d.Belief) {
-			fmt.Fprintf(h, " %q="+ffmt, k, d.Belief[k])
+		// The digests were recorded over beliefs kept by value key.
+		belief := fusion.BeliefsByKey(d)
+		for _, k := range sortedKeys(belief) {
+			fmt.Fprintf(h, " %q="+ffmt, k, belief[k])
 		}
 		fmt.Fprintln(h)
 	}

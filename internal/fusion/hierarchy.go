@@ -1,6 +1,8 @@
 package fusion
 
 import (
+	"slices"
+
 	"akb/internal/hierarchy"
 	"akb/internal/rdf"
 )
@@ -41,57 +43,60 @@ func (h *Hierarchical) Fuse(c *Claims) *Result {
 
 	// Expand accepted values with their claimed generalisations. Values are
 	// never invented: only generalisations actually claimed by some source
-	// are added.
-	for key, d := range res.Decisions {
-		claimedAncestors := expansions[key]
+	// are added. The fold keeps the items' places, so decision i has
+	// expansions[i].
+	for i := range res.Decisions {
+		claimedAncestors := expansions[i]
 		if len(claimedAncestors) == 0 {
 			continue
 		}
-		var extra []rdf.Term
+		d := &res.Decisions[i]
 		for _, t := range d.Truths {
 			if !t.IsLiteral() {
 				continue
 			}
 			for _, anc := range h.Forest.Ancestors(t.Value) {
-				if claimedAncestors[anc] {
-					at := rdf.Literal(anc)
-					if !d.Accepted(at) && !contains(extra, at) {
-						extra = append(extra, at)
-						if d.Belief != nil {
-							d.Belief[at.Key()] = d.Belief[t.Key()]
-						}
-					}
+				if !slices.Contains(claimedAncestors, anc) {
+					continue
+				}
+				at := rdf.Literal(anc)
+				if d.Accepted(at) || slices.ContainsFunc(d.Implied, func(imp Implied) bool { return imp.Value == at }) {
+					continue
+				}
+				belief, _, _ := d.Support(t)
+				d.Implied = append(d.Implied, Implied{Value: at, Belief: belief})
+				// A generalisation the base method weighed and rejected (its
+				// cluster had sibling branches, so it was not folded away) is
+				// believed as what implies it from here on, like any other.
+				if k := slices.IndexFunc(d.Item.Values, func(vc *ValueClaims) bool { return vc.Value == at }); k >= 0 {
+					d.Belief[k] = belief
 				}
 			}
 		}
-		d.Truths = sortedTruths(append(d.Truths, extra...))
+		truths := slices.Grow(slices.Clip(d.Truths), len(d.Implied))
+		for _, imp := range d.Implied {
+			truths = append(truths, imp.Value)
+		}
+		d.Truths = sortedTruths(truths)
 	}
 	return res
 }
 
-func contains(ts []rdf.Term, t rdf.Term) bool {
-	for _, x := range ts {
-		if x == t {
-			return true
-		}
-	}
-	return false
-}
-
 // fold rewrites each item's hierarchical values: maximal-specific claimed
 // values become the only candidates, each absorbing its claimed ancestors'
-// sources at AncestorWeight. It returns the folded claims plus, per item,
-// the set of claimed pure-generalisation values for post-fusion expansion.
-func (h *Hierarchical) fold(c *Claims) (*Claims, map[string]map[string]bool) {
+// sources at AncestorWeight. It returns the folded claims — item i of them
+// is item i of c, folded or as it was — plus, at the same index, the item's
+// claimed generalisations for post-fusion expansion.
+func (h *Hierarchical) fold(c *Claims) (*Claims, [][]string) {
 	aw := h.AncestorWeight
 	if aw <= 0 || aw > 1 {
 		aw = 0.7
 	}
 	out := &Claims{SourceNames: c.SourceNames, Items: make([]*Item, 0, len(c.Items))}
-	expansions := make(map[string]map[string]bool)
+	expansions := make([][]string, len(c.Items))
 	var hierVals []string
 	var hierClaims []*ValueClaims
-	for _, it := range c.Items {
+	for i, it := range c.Items {
 		hierVals, hierClaims = hierVals[:0], hierClaims[:0]
 		for _, vc := range it.Values {
 			if vc.Value.IsLiteral() && h.Forest.Known(vc.Value.Value) {
@@ -112,7 +117,7 @@ func (h *Hierarchical) fold(c *Claims) (*Claims, map[string]map[string]bool) {
 		}
 		clusters := h.Forest.ClusterCompatible(hierVals)
 		handled := map[string]bool{}
-		claimedAnc := map[string]bool{}
+		var claimedAnc []string
 		for _, cluster := range clusters {
 			if len(cluster) < 2 {
 				continue
@@ -120,8 +125,8 @@ func (h *Hierarchical) fold(c *Claims) (*Claims, map[string]map[string]bool) {
 			// Record claimed generalisations for post-fusion expansion.
 			for _, v := range cluster {
 				for _, b := range cluster {
-					if v != b && h.Forest.IsAncestor(v, b) {
-						claimedAnc[v] = true
+					if v != b && h.Forest.IsAncestor(v, b) && !slices.Contains(claimedAnc, v) {
+						claimedAnc = append(claimedAnc, v)
 					}
 				}
 			}
@@ -171,9 +176,7 @@ func (h *Hierarchical) fold(c *Claims) (*Claims, map[string]map[string]bool) {
 		}
 		sortValues(newItem)
 		out.Items = append(out.Items, newItem)
-		if len(claimedAnc) > 0 {
-			expansions[it.Key] = claimedAnc
-		}
+		expansions[i] = claimedAnc
 	}
 	return out, expansions
 }

@@ -257,25 +257,23 @@ func (m *MultiTruth) Fuse(c *Claims) *Result {
 
 	res := &Result{
 		Method:        m.Name(),
-		Decisions:     make(map[string]*Decision, len(c.Items)),
+		Decisions:     make([]Decision, len(c.Items)),
 		SourceQuality: make(map[string]float64, nsrc),
 	}
 	for si, s := range c.SourceNames {
 		res.SourceQuality[s] = stats[si].sens
 	}
-	// Decisions and their accepted values are cut from one array each; an
-	// item accepts at most as many values as it has.
-	decisions := make([]Decision, len(c.Items))
+	// A decision's beliefs are its item's posteriors, where the last E-step
+	// left them; the accepted values are cut from one array, and an item
+	// accepts at most as many values as it has.
 	truths := make([]rdf.Term, 0, nValues)
 	for i, it := range c.Items {
 		mi := &items[i]
-		d := &decisions[i]
-		d.Item, d.Belief = it, make(map[string]float64, len(it.Values))
+		d := &res.Decisions[i]
+		d.Item, d.Belief = it, mi.probs
 		first := len(truths)
 		for vi, vc := range it.Values {
-			p := mi.probs[vi]
-			d.Belief[vc.Value.Key()] = p
-			if p >= thresh {
+			if mi.probs[vi] >= thresh {
 				truths = append(truths, vc.Value)
 			}
 		}
@@ -297,7 +295,6 @@ func (m *MultiTruth) Fuse(c *Claims) *Result {
 		if len(d.Truths) > 1 {
 			sortedTruths(d.Truths)
 		}
-		res.Decisions[it.Key] = d
 	}
 	return res
 }

@@ -44,33 +44,39 @@ func pipelineStatementSets(t testing.TB) map[string][]rdf.Statement {
 	}
 }
 
-// sameResult compares two fusion results to the last bit.
+// sameResult compares two fusion results to the last bit: the decisions in
+// their order, truths, beliefs and implied truths, and the source qualities.
 func sameResult(t *testing.T, label string, got, want *fusion.Result) {
 	t.Helper()
 	if len(got.Decisions) != len(want.Decisions) {
 		t.Fatalf("%s: %d decisions, want %d", label, len(got.Decisions), len(want.Decisions))
 	}
-	for key, w := range want.Decisions {
-		g := got.Decisions[key]
-		if g == nil {
-			t.Fatalf("%s: no decision for %s", label, key)
+	for i := range want.Decisions {
+		g, w := &got.Decisions[i], &want.Decisions[i]
+		if g.Item.Key != w.Item.Key {
+			t.Fatalf("%s: decision %d is about %s, want %s", label, i, g.Item.Key, w.Item.Key)
 		}
 		if !reflect.DeepEqual(g.Truths, w.Truths) {
-			t.Errorf("%s: %s truths %v, want %v", label, key, g.Truths, w.Truths)
+			t.Errorf("%s: %s truths %v, want %v", label, g.Item.Key, g.Truths, w.Truths)
 		}
-		sameFloats(t, label+": "+key+" belief", g.Belief, w.Belief)
+		if !reflect.DeepEqual(g.Implied, w.Implied) {
+			t.Errorf("%s: %s implied %v, want %v", label, g.Item.Key, g.Implied, w.Implied)
+		}
+		if len(g.Belief) != len(w.Belief) {
+			t.Fatalf("%s: %s has %d beliefs, want %d", label, g.Item.Key, len(g.Belief), len(w.Belief))
+		}
+		for k := range w.Belief {
+			if math.Float64bits(g.Belief[k]) != math.Float64bits(w.Belief[k]) {
+				t.Errorf("%s: %s belief in %v is %v, want %v", label, g.Item.Key, g.Item.Values[k].Value, g.Belief[k], w.Belief[k])
+			}
+		}
 	}
-	sameFloats(t, label+": source quality", got.SourceQuality, want.SourceQuality)
-}
-
-func sameFloats(t *testing.T, label string, got, want map[string]float64) {
-	t.Helper()
-	if len(got) != len(want) {
-		t.Errorf("%s: %d entries, want %d", label, len(got), len(want))
+	if len(got.SourceQuality) != len(want.SourceQuality) {
+		t.Errorf("%s: %d source qualities, want %d", label, len(got.SourceQuality), len(want.SourceQuality))
 	}
-	for k, w := range want {
-		if g, ok := got[k]; !ok || math.Float64bits(g) != math.Float64bits(w) {
-			t.Errorf("%s[%s] = %v (%#x), want %v (%#x)", label, k, g, math.Float64bits(g), w, math.Float64bits(w))
+	for s, w := range want.SourceQuality {
+		if g, ok := got.SourceQuality[s]; !ok || math.Float64bits(g) != math.Float64bits(w) {
+			t.Errorf("%s: quality of %s is %v, want %v", label, s, g, w)
 		}
 	}
 }
@@ -114,10 +120,12 @@ func TestMultiTruthBitIdentical(t *testing.T) {
 		corr := fusion.DetectCorrelations(c, fusion.CorrelationConfig{})
 		for _, weighted := range []bool{false, true} {
 			for _, discount := range []*fusion.Correlations{nil, corr} {
-				want := fusion.ReferenceMultiTruthFuse(&fusion.MultiTruth{Weighted: weighted, Discount: discount, Workers: 1}, c)
+				want := fusion.ReferenceFuse(&fusion.MultiTruth{Weighted: weighted, Discount: discount, Workers: 1}, c)
 				for _, workers := range []int{1, 4} {
 					m := &fusion.MultiTruth{Weighted: weighted, Discount: discount, Workers: workers}
-					sameResult(t, fmt.Sprintf("%s %s workers %d", name, m.Name(), workers), m.Fuse(c), want)
+					if err := fusion.DiffReference(c, m.Fuse(c), want); err != nil {
+						t.Errorf("%s %s workers %d: %v", name, m.Name(), workers, err)
+					}
 				}
 			}
 		}

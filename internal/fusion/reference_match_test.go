@@ -332,10 +332,15 @@ func TestDegenerateConfidences(t *testing.T) {
 				if len(res.Decisions) != len(c.Items) {
 					t.Errorf("%s %s: %d decisions for %d items", name, m.Name(), len(res.Decisions), len(c.Items))
 				}
-				for key, d := range res.Decisions {
-					for vk, b := range d.Belief {
+				for _, d := range res.Decisions {
+					for k, b := range d.Belief {
 						if !unit(b) {
-							t.Errorf("%s %s: belief %v for %s of %s", name, m.Name(), b, vk, key)
+							t.Errorf("%s %s: belief %v for %v of %s", name, m.Name(), b, d.Item.Values[k].Value, d.Item.Key)
+						}
+					}
+					for _, imp := range d.Implied {
+						if !unit(imp.Belief) {
+							t.Errorf("%s %s: implied belief %v for %v of %s", name, m.Name(), imp.Belief, imp.Value, d.Item.Key)
 						}
 					}
 				}

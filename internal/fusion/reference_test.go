@@ -10,8 +10,34 @@ import (
 
 // The references: BuildClaims, DetectCorrelations and MultiTruth.Fuse as
 // they were before they came off per-statement strings, pairwise walks and
-// per-cell logarithms. They define the output; the tests in
-// reference_match_test.go hold the live code to them exactly.
+// per-cell logarithms, and every method's decisions as they were built when
+// a result was a map of decisions by item key and a decision's beliefs a map
+// by value key. They define the output; the tests in reference_match_test.go
+// and decisions_match_test.go hold the live code to them exactly.
+
+// refDecision and refResult are Decision and Result in their string-keyed
+// form.
+type refDecision struct {
+	Item   *Item
+	Truths []rdf.Term
+	// Belief maps value keys to the method's belief the value is true.
+	Belief map[string]float64
+}
+
+func (d *refDecision) accepted(v rdf.Term) bool {
+	for _, t := range d.Truths {
+		if t == v {
+			return true
+		}
+	}
+	return false
+}
+
+type refResult struct {
+	Method        string
+	Decisions     map[string]*refDecision
+	SourceQuality map[string]float64
+}
 
 // valueKey identifies one claimed value of one item while claims are built.
 type valueKey struct {
@@ -210,7 +236,7 @@ type refItem struct {
 
 // referenceMultiTruthFuse takes two logarithms per (item, value, covering
 // source) cell per iteration.
-func referenceMultiTruthFuse(m *MultiTruth, c *Claims) *Result {
+func referenceMultiTruthFuse(m *MultiTruth, c *Claims) *refResult {
 	prior := m.Prior
 	if prior <= 0 || prior >= 1 {
 		prior = 0.5
@@ -356,9 +382,9 @@ func referenceMultiTruthFuse(m *MultiTruth, c *Claims) *Result {
 		}
 	}
 
-	res := &Result{
+	res := &refResult{
 		Method:        m.Name(),
-		Decisions:     make(map[string]*Decision, len(c.Items)),
+		Decisions:     make(map[string]*refDecision, len(c.Items)),
 		SourceQuality: make(map[string]float64, nsrc),
 	}
 	for si, s := range c.SourceNames {
@@ -367,7 +393,7 @@ func referenceMultiTruthFuse(m *MultiTruth, c *Claims) *Result {
 	for i, it := range c.Items {
 		mi := &items[i]
 		belief := make(map[string]float64, len(it.Values))
-		d := &Decision{Item: it, Belief: belief}
+		d := &refDecision{Item: it, Belief: belief}
 		for vi, vc := range it.Values {
 			p := mi.probs[vi]
 			belief[vc.Value.Key()] = p
@@ -387,8 +413,13 @@ func referenceMultiTruthFuse(m *MultiTruth, c *Claims) *Result {
 			}
 			d.Truths = []rdf.Term{best}
 		}
-		d.Truths = sortedTruths(d.Truths)
+		d.Truths = referenceSortedTruths(d.Truths)
 		res.Decisions[it.Key] = d
 	}
 	return res
+}
+
+func referenceSortedTruths(ts []rdf.Term) []rdf.Term {
+	sort.Slice(ts, func(i, j int) bool { return ts[i].Compare(ts[j]) < 0 })
+	return ts
 }

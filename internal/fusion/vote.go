@@ -41,20 +41,21 @@ func (v *Vote) Name() string {
 // Fuse implements Method. Items are independent, so the whole method is one
 // parallel map over them.
 func (v *Vote) Fuse(c *Claims) *Result {
-	decisions := mapreduce.Map(mapreduce.Config{Workers: v.Workers, Obs: v.Obs}, c.Items, v.decide)
-	res := &Result{Method: v.Name(), Decisions: make(map[string]*Decision, len(decisions))}
-	for _, d := range decisions {
-		res.Decisions[d.Item.Key] = d
-	}
-	return res
+	decisions := newDecisions(c)
+	truths := make([]rdf.Term, len(decisions))
+	mapreduce.ForEach(mapreduce.Config{Workers: v.Workers, Obs: v.Obs}, len(decisions), func(i int) {
+		v.decide(&decisions[i], truths[i:i+1:i+1])
+	})
+	return &Result{Method: v.Name(), Decisions: decisions}
 }
 
-func (v *Vote) decide(it *Item) *Decision {
-	d := &Decision{Item: it, Belief: make(map[string]float64, len(it.Values))}
+// decide fills in d's beliefs and, where a value was claimed, its one truth,
+// for which it is handed the room.
+func (v *Vote) decide(d *Decision, truth []rdf.Term) {
 	var best rdf.Term
 	bestScore := -1.0
 	total := 0.0
-	for _, vc := range it.Values {
+	for k, vc := range d.Item.Values {
 		score := 0.0
 		for _, sc := range vc.Sources {
 			w := 1.0
@@ -69,7 +70,7 @@ func (v *Vote) decide(it *Item) *Decision {
 			}
 			score += w
 		}
-		d.Belief[vc.Value.Key()] = score
+		d.Belief[k] = score
 		total += score
 		if score > bestScore || (score == bestScore && vc.Value.Compare(best) < 0) {
 			best, bestScore = vc.Value, score
@@ -81,7 +82,7 @@ func (v *Vote) decide(it *Item) *Decision {
 		}
 	}
 	if bestScore >= 0 {
-		d.Truths = []rdf.Term{best}
+		truth[0] = best
+		d.Truths = truth
 	}
-	return d
 }

@@ -232,12 +232,27 @@ func RandomPersonName(r *rand.Rand) string {
 // RandomProperNoun draws a capitalised multi-syllable proper noun, used for
 // entity names, place names and titles.
 func RandomProperNoun(r *rand.Rand, syllables int) string {
-	var b strings.Builder
-	for i := 0; i < syllables; i++ {
-		b.WriteString(nameSyllables[r.Intn(len(nameSyllables))])
+	var buf [32]byte
+	return string(AppendProperNoun(buf[:0], r, syllables))
+}
+
+// AppendProperNoun appends the proper noun RandomProperNoun would draw.
+func AppendProperNoun(b []byte, r *rand.Rand, syllables int) []byte {
+	start := len(b)
+	b = AppendSyllables(b, r, syllables)
+	if len(b) > start {
+		b[start] -= 'a' - 'A' // the syllables are lower-case ASCII
 	}
-	s := b.String()
-	return strings.ToUpper(s[:1]) + s[1:]
+	return b
+}
+
+// AppendSyllables appends a proper noun's syllables as they are drawn, in
+// lower case.
+func AppendSyllables(b []byte, r *rand.Rand, syllables int) []byte {
+	for i := 0; i < syllables; i++ {
+		b = append(b, nameSyllables[r.Intn(len(nameSyllables))]...)
+	}
+	return b
 }
 
 // EntityName generates a deterministic entity name for a class and index,

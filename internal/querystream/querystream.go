@@ -9,7 +9,6 @@ package querystream
 import (
 	"fmt"
 	"math/rand"
-	"strings"
 
 	"akb/internal/kb"
 )
@@ -309,14 +308,16 @@ func noiseRecord(w *kb.World, classes []string, r *rand.Rand) Record {
 			Origin: origin(r),
 		}
 	case 2: // pattern with an unknown entity
-		return Record{
-			Text:   "what is the capital of " + kb.RandomProperNoun(r, 3) + " Nowhere",
-			Origin: origin(r),
-		}
-	default: // word salad
-		return Record{
-			Text:   strings.ToLower(kb.RandomProperNoun(r, 2) + " " + kb.RandomProperNoun(r, 2)),
-			Origin: origin(r),
-		}
+		var buf [64]byte
+		text := append(buf[:0], "what is the capital of "...)
+		text = kb.AppendProperNoun(text, r, 3)
+		text = append(text, " Nowhere"...)
+		return Record{Text: string(text), Origin: origin(r)}
+	default: // word salad: two proper nouns in lower case
+		var buf [32]byte
+		text := kb.AppendSyllables(buf[:0], r, 2)
+		text = append(text, ' ')
+		text = kb.AppendSyllables(text, r, 2)
+		return Record{Text: string(text), Origin: origin(r)}
 	}
 }

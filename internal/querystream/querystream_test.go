@@ -237,15 +237,17 @@ func TestFullScaleGeneration(t *testing.T) {
 }
 
 // TestGenerateAllocationBound pins stream generation's allocation
-// behaviour: a record costs its text (a concatenation, plus the proper-noun
-// builder for the noise shapes that invent one) and nothing else — the
-// record slice is sized once, and a noise record neither re-sorts the class
-// list nor copies a class's entity names. ~3.2 allocations per record on
-// this fixture; the per-record copies alone put it at 3.6.
+// behaviour: a record costs its text — one string, the noise shapes that
+// invent a noun appending its syllables into a stack buffer first — and
+// nothing else: the record slice is sized once, and a noise record neither
+// re-sorts the class list nor copies a class's entity names. 1.01
+// allocations per record on this fixture; a Builder, a ToUpper and a concat
+// per noun put it at 3.2.
 func TestGenerateAllocationBound(t *testing.T) {
 	w, cfg := smallWorld(), smallConfig()
 	allocs := testing.AllocsPerRun(10, func() { Generate(w, cfg) })
-	if limit := 3.5 * float64(cfg.TotalRecords); allocs > limit {
+	t.Logf("%.2f allocations a record", allocs/float64(cfg.TotalRecords))
+	if limit := 1.2 * float64(cfg.TotalRecords); allocs > limit {
 		t.Errorf("Generate allocates %.0f times for %d records, want <= %.0f", allocs, cfg.TotalRecords, limit)
 	}
 }

@@ -141,10 +141,21 @@ const (
 // is expected to already be IRI-safe; spaces are replaced with underscores as
 // is conventional for DBpedia-style resource names.
 func (ns Namespace) IRI(local string) Term {
-	if strings.ContainsRune(local, ' ') {
-		local = strings.ReplaceAll(local, " ", "_")
+	if strings.IndexByte(local, ' ') < 0 {
+		return IRI(string(ns) + local)
 	}
-	return IRI(string(ns) + local)
+	// One allocation, not a replaced copy and then the joined one.
+	var b strings.Builder
+	b.Grow(len(ns) + len(local))
+	b.WriteString(string(ns))
+	for i := 0; i < len(local); i++ {
+		c := local[i]
+		if c == ' ' {
+			c = '_'
+		}
+		b.WriteByte(c)
+	}
+	return IRI(b.String())
 }
 
 // Standard predicates.

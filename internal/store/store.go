@@ -43,8 +43,10 @@ import (
 
 	"akb/internal/core"
 	"akb/internal/extract"
+	"akb/internal/hierarchy"
 	"akb/internal/kb"
 	"akb/internal/mapreduce"
+	"akb/internal/rdf"
 )
 
 // Fact is one accepted (entity, attribute, value) triple of the fused KB,
@@ -238,38 +240,48 @@ func rankRuns(shards []*shard) {
 // ResultFacts extracts the fused facts of a pipeline result — one fact per
 // accepted truth of every fusion decision, annotated with the entity's
 // class and the value's hierarchy ancestors from the result's world —
-// without building indexes: New(ResultFacts(res)) snapshots a run.
+// without building indexes: New(ResultFacts(res)) snapshots a run. The facts
+// come in the decisions' order (item-key order) and, within a decision, in
+// its truths': the same slice for the same result, though not the store's
+// canonical order. Items of one subject are neighbours there, so the entity
+// name and class are resolved once per subject.
 func ResultFacts(res *core.Result) []Fact {
 	fused := res.Fused()
 	if fused == nil {
 		return nil
 	}
-	var facts []Fact
-	names := extract.Names{}
-	for _, d := range fused.Decisions {
-		entity := names.Of(d.Item.Subject)
-		attr := names.Of(d.Item.Predicate)
-		class := ""
-		if res.World != nil {
-			if e, ok := res.World.Entity(entity); ok {
-				class = e.Class
+	facts := make([]Fact, 0, fused.NumTruths())
+	attrs := extract.Names{}
+	var hier *hierarchy.Forest
+	if res.World != nil {
+		hier = res.World.Hier
+	}
+	var subject rdf.Term
+	var entity, class string
+	for i := range fused.Decisions {
+		d := &fused.Decisions[i]
+		if i == 0 || d.Item.Subject != subject {
+			subject = d.Item.Subject
+			entity, class = extract.AttrFromIRI(subject), ""
+			if res.World != nil {
+				if e, ok := res.World.Entity(entity); ok {
+					class = e.Class
+				}
 			}
 		}
+		attr := attrs.Of(d.Item.Predicate)
 		for _, tr := range d.Truths {
-			sources := 0
-			if vc := d.Item.Value(tr); vc != nil {
-				sources = vc.SupportCount()
-			}
+			belief, sources, _ := d.Support(tr)
 			var anc []string
-			if res.World != nil && res.World.Hier != nil {
-				anc = res.World.Hier.Ancestors(tr.Value)
+			if hier != nil {
+				anc = hier.Ancestors(tr.Value)
 			}
 			facts = append(facts, Fact{
 				Entity:     entity,
 				Class:      class,
 				Attr:       attr,
 				Value:      tr.Value,
-				Confidence: d.Belief[tr.Key()],
+				Confidence: belief,
 				Sources:    sources,
 				Ancestors:  anc,
 			})
