@@ -299,7 +299,8 @@ type Decision struct {
 	Belief []float64
 	// Implied are the truths hierarchy-aware fusion added: generalisations
 	// some source claimed of a value the base method accepted. Each carries
-	// the belief of the accepted value that implied it. Most are not among
+	// the belief of the accepted value that implied it and the number of
+	// sources that claimed the generalisation itself. Most are not among
 	// Item.Values — the fold gave their claims to a descendant; one that is
 	// (the base method weighed and rejected it) has that belief written
 	// over its own in Belief too, so either way of reading it agrees.
@@ -310,6 +311,9 @@ type Decision struct {
 type Implied struct {
 	Value  rdf.Term
 	Belief float64
+	// Sources is the number of distinct sources that claimed Value for the
+	// item before the fold.
+	Sources int
 }
 
 // Accepted reports whether the decision accepts the value.
@@ -328,7 +332,7 @@ func (d *Decision) Support(v rdf.Term) (belief float64, sources int, ok bool) {
 	}
 	for _, imp := range d.Implied {
 		if imp.Value == v {
-			return imp.Belief, 0, true
+			return imp.Belief, imp.Sources, true
 		}
 	}
 	return 0, 0, false

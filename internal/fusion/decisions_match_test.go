@@ -228,7 +228,7 @@ func TestImpliedBeliefTakesPrecedence(t *testing.T) {
 	want, _, _ := d.Support(leaf)
 	got, sources, _ := d.Support(mid)
 	k := slices.IndexFunc(d.Item.Values, func(vc *ValueClaims) bool { return vc.Value == mid })
-	if got != want || d.Belief[k] != want || len(d.Implied) != 1 || d.Implied[0] != (Implied{Value: mid, Belief: want}) {
+	if got != want || d.Belief[k] != want || len(d.Implied) != 1 || d.Implied[0] != (Implied{Value: mid, Belief: want, Sources: 1}) {
 		t.Errorf("mid is believed at %v (Belief %v, Implied %v), want leaf's %v", got, d.Belief[k], d.Implied, want)
 	}
 	if got == own {
@@ -236,6 +236,47 @@ func TestImpliedBeliefTakesPrecedence(t *testing.T) {
 	}
 	if sources != 1 {
 		t.Errorf("mid has %d sources, want the 1 that claimed it", sources)
+	}
+}
+
+// TestImpliedTruthReportsItsClaimants: a generalisation the fold gave to a
+// descendant is not among the values of the item the decision was made
+// over, and used to be served as if nobody had claimed it. It reports the
+// distinct sources that claimed it before the fold — over every spelling of
+// the name, should one carry a language tag.
+func TestImpliedTruthReportsItsClaimants(t *testing.T) {
+	stmts := []rdf.Statement{
+		stmt("i", "leaf", "s1", 0.8), stmt("i", "leaf", "s2", 0.8),
+		stmt("i", "mid", "s1", 0.8), stmt("i", "mid", "s3", 0.8), stmt("i", "mid", "s4", 0.8),
+		stmt("i", "root", "s5", 0.8),
+		stmt("j", "leaf", "s1", 0.8), stmt("j", "mid", "s2", 0.8),
+	}
+	tagged := stmt("j", "", "s3", 0.8)
+	tagged.Object = rdf.LangLiteral("mid", "en")
+	again := stmt("j", "", "s2", 0.8)
+	again.Object = rdf.LangLiteral("mid", "en")
+	c := BuildClaims(append(stmts, tagged, again), BySource)
+	for _, m := range []Method{
+		&Hierarchical{Base: &MultiTruth{}, Forest: nastyForest()},
+		&Hierarchical{Base: &Vote{}, Forest: nastyForest()},
+		&Full{Forest: nastyForest()},
+	} {
+		res := m.Fuse(c)
+		d := res.Decision(stmts[0].ItemKey())
+		if d.Item.Value(rdf.Literal("mid")) != nil {
+			t.Fatalf("%s: the fold left mid among the item's values", m.Name())
+		}
+		// leaf is the chain's representative: it counts the five sources
+		// the fold gave it, its own two among them.
+		for value, want := range map[string]int{"leaf": 5, "mid": 3, "root": 1} {
+			if _, sources, ok := d.Support(rdf.Literal(value)); !ok || sources != want || !d.Accepted(rdf.Literal(value)) {
+				t.Errorf("%s: %s has %d sources (known %v, truths %v), want %d", m.Name(), value, sources, ok, d.Truths, want)
+			}
+		}
+		d = res.Decision(stmts[6].ItemKey())
+		if _, sources, ok := d.Support(rdf.Literal("mid")); !ok || sources != 2 {
+			t.Errorf("%s: mid, claimed plain by s2 and tagged by s2 and s3, has %d sources (known %v), want 2", m.Name(), sources, ok)
+		}
 	}
 }
 

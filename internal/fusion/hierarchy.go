@@ -44,7 +44,8 @@ func (h *Hierarchical) Fuse(c *Claims) *Result {
 	// Expand accepted values with their claimed generalisations. Values are
 	// never invented: only generalisations actually claimed by some source
 	// are added. The fold keeps the items' places, so decision i has
-	// expansions[i].
+	// expansions[i] and c.Items[i] is its item before the fold, where a
+	// generalisation still has the claims the fold gave to a descendant.
 	for i := range res.Decisions {
 		claimedAncestors := expansions[i]
 		if len(claimedAncestors) == 0 {
@@ -64,7 +65,7 @@ func (h *Hierarchical) Fuse(c *Claims) *Result {
 					continue
 				}
 				belief, _, _ := d.Support(t)
-				d.Implied = append(d.Implied, Implied{Value: at, Belief: belief})
+				d.Implied = append(d.Implied, Implied{Value: at, Belief: belief, Sources: claimants(c.Items[i], anc)})
 				// A generalisation the base method weighed and rejected (its
 				// cluster had sibling branches, so it was not folded away) is
 				// believed as what implies it from here on, like any other.
@@ -80,6 +81,39 @@ func (h *Hierarchical) Fuse(c *Claims) *Result {
 		d.Truths = sortedTruths(truths)
 	}
 	return res
+}
+
+// claimants counts the distinct sources that claimed a literal spelled value
+// for the item. One value of the item is spelled so, unless the same name
+// was also claimed under a datatype or language tag.
+func claimants(it *Item, value string) int {
+	var first *ValueClaims
+	var sources map[string]struct{}
+	for _, vc := range it.Values {
+		if !vc.Value.IsLiteral() || vc.Value.Value != value {
+			continue
+		}
+		if first == nil {
+			first = vc
+			continue
+		}
+		if sources == nil {
+			sources = make(map[string]struct{})
+			for _, sc := range first.Sources {
+				sources[sc.Source] = struct{}{}
+			}
+		}
+		for _, sc := range vc.Sources {
+			sources[sc.Source] = struct{}{}
+		}
+	}
+	switch {
+	case sources != nil:
+		return len(sources)
+	case first != nil:
+		return len(first.Sources)
+	}
+	return 0
 }
 
 // fold rewrites each item's hierarchical values: maximal-specific claimed

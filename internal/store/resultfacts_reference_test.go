@@ -100,9 +100,12 @@ func sortFacts(fs []Fact) {
 }
 
 // TestResultFactsMatchReference: read off by position, the facts are the
-// ones the string-keyed walk found — every field of every fact — as many as
-// the result has truths, in a slice of exactly that size, and the same slice
-// in the same order when asked twice.
+// ones the string-keyed walk found — as many as the result has truths, in a
+// slice of exactly that size, and the same slice in the same order when
+// asked twice — equal in every field but one: an implied generalisation the
+// fold gave to a descendant, which the walk served with Sources 0 because
+// it looked the value up in the folded item, reports the sources that
+// claimed it. Every fact of these KBs has a source.
 func TestResultFactsMatchReference(t *testing.T) {
 	pipelineRuns(t, func(label string, res *core.Result) {
 		got := ResultFacts(res)
@@ -132,11 +135,18 @@ func TestResultFactsMatchReference(t *testing.T) {
 		}
 		implied := 0
 		for i := range want {
+			if want[i].Sources == 0 {
+				implied++
+				if len(res.World.Hier.Children(want[i].Value)) == 0 {
+					t.Errorf("%s: the reference serves %+v without a source, and it generalises nothing", label, want[i])
+				}
+				want[i].Sources = sorted[i].Sources
+			}
 			if !reflect.DeepEqual(sorted[i], want[i]) {
 				t.Fatalf("%s: fact %d is %+v, want %+v", label, i, sorted[i], want[i])
 			}
-			if want[i].Sources == 0 {
-				implied++
+			if sorted[i].Sources < 1 {
+				t.Errorf("%s: %+v has no source", label, sorted[i])
 			}
 		}
 		if implied == 0 {
