@@ -71,10 +71,17 @@ type Scorer struct {
 func (sc *Scorer) ScoreStatements(stmts []rdf.Statement) Metrics {
 	var m Metrics
 	names := extract.Names{}
+	var subject rdf.Term
+	var e *kb.Entity
 	for i := range stmts {
 		s := &stmts[i] // a Statement is 224 bytes
-		e, ok := sc.World.Entity(names.Of(s.Subject))
-		if !ok {
+		// Extractors emit an entity's statements together: most statements
+		// have the subject of the one before.
+		if i == 0 || s.Subject != subject {
+			subject = s.Subject
+			e, _ = sc.World.Entity(names.Of(subject))
+		}
+		if e == nil {
 			m.FP++
 			continue
 		}

@@ -68,12 +68,20 @@ type Item struct {
 
 // Value returns the claims for a specific value, or nil.
 func (it *Item) Value(v rdf.Term) *ValueClaims {
-	for _, vc := range it.Values {
-		if vc.Value == v {
-			return vc
-		}
+	if k := it.index(v); k >= 0 {
+		return it.Values[k]
 	}
 	return nil
+}
+
+// index returns the place of a value among Values, or -1.
+func (it *Item) index(v rdf.Term) int {
+	for k, vc := range it.Values {
+		if vc.Value == v {
+			return k
+		}
+	}
+	return -1
 }
 
 // Claims is the fusion input: all data items with their claimed values.
@@ -325,10 +333,8 @@ func (d *Decision) Accepted(v rdf.Term) bool {
 // claimed or one the hierarchy implied — and the number of sources that
 // claimed it; ok is false for a value that is neither.
 func (d *Decision) Support(v rdf.Term) (belief float64, sources int, ok bool) {
-	for k, vc := range d.Item.Values {
-		if vc.Value == v {
-			return d.Belief[k], len(vc.Sources), true
-		}
+	if k := d.Item.index(v); k >= 0 {
+		return d.Belief[k], len(d.Item.Values[k].Sources), true
 	}
 	for _, imp := range d.Implied {
 		if imp.Value == v {

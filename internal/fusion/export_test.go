@@ -9,4 +9,5 @@ var (
 	ReferenceFuse               = referenceFuse
 	DiffReference               = diffReference
 	BeliefsByKey                = beliefsByKey
+	WithWorkers                 = withWorkers
 )

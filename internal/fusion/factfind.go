@@ -66,22 +66,17 @@ func (f *FactFinder) Fuse(c *Claims) *Result {
 		damp = 0.3
 	}
 
-	// Edge lists: claim id -> sources (with weight), source -> claim ids.
+	// Edge lists: claim id -> sources (with weight), source -> claim ids. A
+	// claim is one value of one item; ids run over the items' values in order.
 	type edge struct {
 		source string
 		w      float64
 	}
-	type claimRef struct {
-		item  int
-		value int
-	}
 	var claimEdges [][]edge
-	var claimRefs []claimRef
 	srcClaims := map[string][]int{}
-	for ii, it := range c.Items {
-		for vi, vc := range it.Values {
+	for _, it := range c.Items {
+		for _, vc := range it.Values {
 			id := len(claimEdges)
-			claimRefs = append(claimRefs, claimRef{item: ii, value: vi})
 			var edges []edge
 			for _, sc := range vc.Sources {
 				w := 1.0
@@ -168,11 +163,11 @@ func (f *FactFinder) Fuse(c *Claims) *Result {
 		}
 	}
 
-	// Per-item argmax over claim beliefs (single truth). Claim ids run over
-	// the items' values in order, and so do the decisions' beliefs.
+	// Per-item argmax over claim beliefs (single truth).
 	decisions := newDecisions(c)
-	for id, ref := range claimRefs {
-		decisions[ref.item].Belief[ref.value] = belief[id]
+	id := 0
+	for i := range decisions {
+		id += copy(decisions[i].Belief, belief[id:])
 	}
 	acceptMostBelieved(decisions)
 	return &Result{Method: f.Name(), Decisions: decisions, SourceQuality: trust}

@@ -18,22 +18,6 @@ var update = flag.Bool("update", false, "rewrite golden files")
 
 const goldenFusionPath = "testdata/golden_fusion.json"
 
-// setWorkers sets the fan-out width on the methods that have one.
-func setWorkers(m fusion.Method, w int) {
-	switch m := m.(type) {
-	case *fusion.Vote:
-		m.Workers = w
-	case *fusion.Accu:
-		m.Workers = w
-	case *fusion.MultiTruth:
-		m.Workers = w
-	case *fusion.Full:
-		m.Workers = w
-	case *fusion.Hierarchical:
-		setWorkers(m.Base, w)
-	}
-}
-
 // recordedFloat is how floats enter the recorded digests. Six digits, not
 // %v: when the digests were recorded ACCU summed its softmax normaliser in
 // map order, so the last bits of its beliefs (and of POPACCU's and
@@ -121,11 +105,11 @@ func TestGoldenFusionDigest(t *testing.T) {
 				t.Fatalf("%s: two methods share a name", key)
 			}
 			seen[key] = true
-			setWorkers(m, 1)
+			fusion.WithWorkers(m, 1)
 			res := m.Fuse(wl.claims)
 			got := fusionDigest(wl.claims, res, recordedFloat)
 			again := methods()[i]
-			setWorkers(again, 4)
+			fusion.WithWorkers(again, 4)
 			if fusionDigest(wl.claims, again.Fuse(wl.claims), "%v") != fusionDigest(wl.claims, res, "%v") {
 				t.Errorf("%s: a second run (4 workers where the method has the field) decided differently", key)
 			}

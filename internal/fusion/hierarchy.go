@@ -69,7 +69,7 @@ func (h *Hierarchical) Fuse(c *Claims) *Result {
 				// A generalisation the base method weighed and rejected (its
 				// cluster had sibling branches, so it was not folded away) is
 				// believed as what implies it from here on, like any other.
-				if k := slices.IndexFunc(d.Item.Values, func(vc *ValueClaims) bool { return vc.Value == at }); k >= 0 {
+				if k := d.Item.index(at); k >= 0 {
 					d.Belief[k] = belief
 				}
 			}
@@ -84,36 +84,19 @@ func (h *Hierarchical) Fuse(c *Claims) *Result {
 }
 
 // claimants counts the distinct sources that claimed a literal spelled value
-// for the item. One value of the item is spelled so, unless the same name
-// was also claimed under a datatype or language tag.
+// for the item: the sources of the one value spelled so, or of the several
+// when the name was also claimed under a datatype or a language tag.
 func claimants(it *Item, value string) int {
-	var first *ValueClaims
-	var sources map[string]struct{}
+	var names []string
 	for _, vc := range it.Values {
-		if !vc.Value.IsLiteral() || vc.Value.Value != value {
-			continue
-		}
-		if first == nil {
-			first = vc
-			continue
-		}
-		if sources == nil {
-			sources = make(map[string]struct{})
-			for _, sc := range first.Sources {
-				sources[sc.Source] = struct{}{}
+		if vc.Value.IsLiteral() && vc.Value.Value == value {
+			for _, sc := range vc.Sources {
+				names = append(names, sc.Source)
 			}
 		}
-		for _, sc := range vc.Sources {
-			sources[sc.Source] = struct{}{}
-		}
 	}
-	switch {
-	case sources != nil:
-		return len(sources)
-	case first != nil:
-		return len(first.Sources)
-	}
-	return 0
+	slices.Sort(names)
+	return len(slices.Compact(names))
 }
 
 // fold rewrites each item's hierarchical values: maximal-specific claimed

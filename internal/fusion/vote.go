@@ -44,15 +44,18 @@ func (v *Vote) Fuse(c *Claims) *Result {
 	decisions := newDecisions(c)
 	truths := make([]rdf.Term, len(decisions))
 	mapreduce.ForEach(mapreduce.Config{Workers: v.Workers, Obs: v.Obs}, len(decisions), func(i int) {
-		v.decide(&decisions[i], truths[i:i+1:i+1])
+		if best, ok := v.decide(&decisions[i]); ok {
+			truths[i] = best
+			decisions[i].Truths = truths[i : i+1 : i+1]
+		}
 	})
 	return &Result{Method: v.Name(), Decisions: decisions}
 }
 
-// decide fills in d's beliefs and, where a value was claimed, its one truth,
-// for which it is handed the room.
-func (v *Vote) decide(d *Decision, truth []rdf.Term) {
-	var best rdf.Term
+// decide fills in d's beliefs and returns the value with the most votes; ok
+// is false when none was claimed. The pick is made on the votes, before they
+// are scaled into beliefs: two unequal counts can round to one quotient.
+func (v *Vote) decide(d *Decision) (best rdf.Term, ok bool) {
 	bestScore := -1.0
 	total := 0.0
 	for k, vc := range d.Item.Values {
@@ -81,8 +84,5 @@ func (v *Vote) decide(d *Decision, truth []rdf.Term) {
 			d.Belief[k] /= total
 		}
 	}
-	if bestScore >= 0 {
-		truth[0] = best
-		d.Truths = truth
-	}
+	return best, bestScore >= 0
 }

@@ -375,3 +375,74 @@ func TestClassAttributeLookup(t *testing.T) {
 		t.Error("AttributeNames length mismatch")
 	}
 }
+
+// referenceCanonicalAttributeName is CanonicalAttributeName as it was: a
+// Builder per word, a ToLower per flush, a slice of words and a Join.
+func referenceCanonicalAttributeName(raw, class string) string {
+	raw = strings.TrimPrefix(raw, "/")
+	if i := strings.LastIndexByte(raw, '/'); i >= 0 {
+		raw = raw[i+1:]
+	}
+	var words []string
+	var cur strings.Builder
+	flush := func() {
+		if cur.Len() > 0 {
+			words = append(words, strings.ToLower(cur.String()))
+			cur.Reset()
+		}
+	}
+	for _, r := range raw {
+		switch {
+		case r == '_' || r == '-' || r == ' ' || r == '.':
+			flush()
+		case r >= 'A' && r <= 'Z':
+			flush()
+			cur.WriteRune(r)
+		default:
+			cur.WriteRune(r)
+		}
+	}
+	flush()
+	if class != "" {
+		cls := strings.ToLower(class)
+		for len(words) > 0 && words[0] == cls {
+			words = words[1:]
+		}
+	}
+	return strings.Join(words, " ")
+}
+
+// TestCanonicalAttributeNameMatchesReference: built in one buffer, the name
+// is the word-by-word form's, byte for byte — on every surface name of the
+// generated KBs and on spellings made of the characters the rule looks at,
+// runes that lower-case to another length, and bytes that are no UTF-8.
+func TestCanonicalAttributeNameMatchesReference(t *testing.T) {
+	check := func(raw, class string) {
+		t.Helper()
+		if got, want := CanonicalAttributeName(raw, class), referenceCanonicalAttributeName(raw, class); got != want {
+			t.Fatalf("CanonicalAttributeName(%q, %q) = %q, want %q", raw, class, got, want)
+		}
+	}
+	w := NewWorld(WorldConfig{Seed: 3, EntitiesPerClass: 4, AttrsPerEntity: 6})
+	for _, src := range []*SourceKB{GenerateDBpedia(w, KBGenConfig{Seed: 3, Coverage: 1}), GenerateFreebase(w, KBGenConfig{Seed: 3, Coverage: 1})} {
+		for class, props := range src.Properties {
+			for _, p := range props {
+				check(p.Name, class)
+				check(p.Name, "")
+				for _, f := range p.Fields {
+					check(f.Name, class)
+				}
+			}
+		}
+	}
+	pieces := []string{"film", "Film", "FILM", "hotel chain", "a", "B", "_", "-", " ", ".", "/", "İ", "Ⱥ", "é", "É", "\xff", "9", "filmx", "x"}
+	classes := []string{"", "Film", "film", "İ", "Hotel Chain", "X", "É"}
+	r := rand.New(rand.NewSource(25))
+	for i := 0; i < 20000; i++ {
+		var raw string
+		for n := r.Intn(7); n > 0; n-- {
+			raw += pieces[r.Intn(len(pieces))]
+		}
+		check(raw, classes[r.Intn(len(classes))])
+	}
+}

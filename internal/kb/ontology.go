@@ -13,9 +13,12 @@
 package kb
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 )
 
 // ValueKind describes the value space of an attribute, which drives both
@@ -201,34 +204,43 @@ func CanonicalAttributeName(raw, class string) string {
 	if i := strings.LastIndexByte(raw, '/'); i >= 0 {
 		raw = raw[i+1:]
 	}
-	var words []string
-	var cur strings.Builder
-	flush := func() {
-		if cur.Len() > 0 {
-			words = append(words, strings.ToLower(cur.String()))
-			cur.Reset()
-		}
-	}
+	// The words, lower-cased and joined by single spaces, in one buffer: a
+	// word ends at a separator and before an upper-case ASCII letter.
+	var buf [64]byte
+	b := buf[:0]
+	wordStart := true // nothing of the current word written yet
 	for _, r := range raw {
 		switch {
 		case r == '_' || r == '-' || r == ' ' || r == '.':
-			flush()
+			wordStart = true
+			continue
 		case r >= 'A' && r <= 'Z':
-			flush()
-			cur.WriteRune(r)
-		default:
-			cur.WriteRune(r)
+			wordStart = true
+			r += 'a' - 'A'
+		case r >= utf8.RuneSelf:
+			r = unicode.ToLower(r)
 		}
+		if wordStart && len(b) > 0 {
+			b = append(b, ' ')
+		}
+		wordStart = false
+		b = utf8.AppendRune(b, r)
 	}
-	flush()
 	// Drop leading class-name tokens ("film directed by" -> "directed by").
 	if class != "" {
 		cls := strings.ToLower(class)
-		for len(words) > 0 && words[0] == cls {
-			words = words[1:]
+		for len(b) > 0 {
+			end := bytes.IndexByte(b, ' ')
+			if end < 0 {
+				end = len(b)
+			}
+			if string(b[:end]) != cls {
+				break
+			}
+			b = b[min(end+1, len(b)):]
 		}
 	}
-	return strings.Join(words, " ")
+	return string(b)
 }
 
 // DBpediaStyleName renders a canonical attribute name in DBpedia's
