@@ -1,12 +1,15 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -47,6 +50,50 @@ func TestGoldenExportDigest(t *testing.T) {
 		if got := hex.EncodeToString(sum[:]); got != g.sha256 {
 			t.Errorf("export %s: %d bytes hash to %s, want %s", name, len(data), got, g.sha256)
 		}
+	}
+}
+
+// TestExportReadsBackAsTheRun ties the rdf readers to the product they
+// referee: what `akb export` writes for seed 1, read back, is the run — with
+// -quads its statements in order (triple and provenance exactly, the
+// confidence to the six decimals written), without it the accepted triples.
+func TestExportReadsBackAsTheRun(t *testing.T) {
+	res, err := core.New(core.WithSeed(1)).Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	export := func(args ...string) io.Reader {
+		path := filepath.Join(t.TempDir(), "kb.out")
+		if err := cmdExport(append([]string{"-seed", "1", "-o", path}, args...)); err != nil {
+			t.Fatalf("export %v: %v", args, err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return bytes.NewReader(data)
+	}
+
+	stmts, err := rdf.ReadNQuads(export("-quads"))
+	if err != nil {
+		t.Fatalf("reading the -quads export back: %v", err)
+	}
+	if len(stmts) != len(res.Statements) {
+		t.Fatalf("read %d statements back, the run has %d", len(stmts), len(res.Statements))
+	}
+	for i, want := range res.Statements {
+		got := stmts[i]
+		if got.Triple != want.Triple || got.Provenance != want.Provenance || math.Abs(got.Confidence-want.Confidence) > 5e-7 {
+			t.Fatalf("statement %d reads back as %v, the run has %v", i, got, want)
+		}
+	}
+
+	triples, err := rdf.ReadNTriples(export())
+	if err != nil {
+		t.Fatalf("reading the export back: %v", err)
+	}
+	if want := acceptedTriples(res.Fused()); !slices.Equal(triples, want) {
+		t.Fatalf("read %d triples back that are not the run's %d accepted ones", len(triples), len(want))
 	}
 }
 

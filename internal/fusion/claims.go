@@ -116,9 +116,7 @@ func (c *Claims) NumClaims() int {
 // terms and one its source; after that the work is on numbers. Statements
 // are bucketed by item, each bucket is sorted by (value, source) and read
 // off as runs — an item has a handful of statements — and the items, the
-// value claims and the source claims are each cut from one array. Values
-// are told apart as terms: two literals spelled with NUL or \x01 bytes so
-// that their keys collide stay two values.
+// value claims and the source claims are each cut from one array.
 func BuildClaims(stmts []rdf.Statement, g Granularity) *Claims {
 	if len(stmts) == 0 {
 		return &Claims{}

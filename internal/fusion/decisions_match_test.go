@@ -26,14 +26,13 @@ func nastyForest() *hierarchy.Forest {
 
 // nastyStatements extends reference_match_test.go's generated statements
 // (duplicate assertions, unscored ones, one source under two extractors,
-// literals that differ in datatype or language only, IRIs and blanks as
-// values) with what the decisions' shape is sensitive to: items over the
-// forest — chains, sibling clusters where a generalisation is a candidate of
-// its own (claimed by one weak source, so a multi-truth base rejects it and
-// the hierarchy then implies it), a language-tagged spelling of a forest
-// value — items with one value, and, when colliding is set, pairs of
-// literals whose value keys are the same string.
-func nastyStatements(r *rand.Rand, colliding bool) []rdf.Statement {
+// literals, IRIs and blanks of one spelling as values) with what the
+// decisions' shape is sensitive to: items over the forest — chains, sibling
+// clusters where a generalisation is a candidate of its own (claimed by one
+// weak source, so a multi-truth base rejects it and the hierarchy then
+// implies it), a forest name claimed as a literal and as an IRI — items with
+// one value, and items whose values differ in kind only.
+func nastyStatements(r *rand.Rand) []rdf.Statement {
 	stmts := generatedStatements(r, 1+r.Intn(300), 1+r.Intn(10))
 	sources := []string{"host0", "host1", "host2", "host3", "host6", "host7"}
 	confs := []float64{0.3, 0.55, 0.8, 1}
@@ -68,9 +67,9 @@ func nastyStatements(r *rand.Rand, colliding bool) []rdf.Statement {
 				claim(entity, rdf.Literal(p), sources[(k+r.Intn(2))%len(sources)], confs[r.Intn(len(confs))])
 				claim(entity, rdf.Literal(p), sources[(k+2)%len(sources)], confs[r.Intn(len(confs))])
 			}
-		case 3: // a forest value spelled with a language tag, beside its plain ancestors
-			claim(entity, rdf.LangLiteral("leaf", "en"), sources[0], 0.8)
-			claim(entity, rdf.LangLiteral("leaf", "en"), sources[1], 0.8)
+		case 3: // a forest name claimed as an IRI too, which is no value of the forest, beside its ancestors
+			claim(entity, rdf.IRI("leaf"), sources[0], 0.8)
+			claim(entity, rdf.Literal("leaf"), sources[1], 0.8)
 			claim(entity, rdf.Literal("mid"), sources[2], 0.55)
 			claim(entity, rdf.Literal("root"), sources[r.Intn(len(sources))], 0.55)
 		}
@@ -78,18 +77,12 @@ func nastyStatements(r *rand.Rand, colliding bool) []rdf.Statement {
 	for i := 0; i < 5; i++ {
 		claim(fmt.Sprintf("solo%d", i), rdf.Literal("only"), sources[r.Intn(len(sources))], confs[r.Intn(len(confs))])
 	}
-	if colliding {
-		for i := 0; i < 4; i++ {
-			entity := fmt.Sprintf("collide%d", i)
-			for _, v := range []rdf.Term{
-				rdf.LangLiteral("c", "en"), rdf.Literal("c\x01en"),
-				rdf.TypedLiteral("c", "dt"), rdf.Literal("c\x00dt"),
-				rdf.Literal("d"),
-			} {
-				for _, s := range sources {
-					if r.Intn(2) == 0 {
-						claim(entity, v, s, confs[r.Intn(len(confs))])
-					}
+	for i := 0; i < 4; i++ {
+		entity := fmt.Sprintf("kinds%d", i)
+		for _, v := range []rdf.Term{rdf.Literal("c"), rdf.IRI("c"), rdf.Blank("c"), rdf.Literal("d")} {
+			for _, s := range sources {
+				if r.Intn(2) == 0 {
+					claim(entity, v, s, confs[r.Intn(len(confs))])
 				}
 			}
 		}
@@ -125,35 +118,19 @@ func withWorkers(m Method, w int) Method {
 // the string-keyed references: decision i about item i, the same truths,
 // and every (item, value) belief, implied belief and source quality equal
 // to the bit, at 1 and 4 workers, on nasty claims.
-//
-// Two values of one item whose keys are the same string shared one belief
-// in the string-keyed form — the later value's. Where that was only how the
-// belief was kept (VOTE, the multi-truth family and the hierarchy over it)
-// the comparison reads the positional beliefs the same way and includes
-// such pairs. ACCU and the fact-finders read the shared entry back inside
-// their iteration, so there the two values were one; they now stay two (see
-// TestCollidingValueKeysStayTwoValues), and their claims here have no such
-// pair.
 func TestDecisionsMatchReference(t *testing.T) {
 	forest := nastyForest()
-	anyKeys := func() []Method {
-		return []Method{
-			&Vote{}, &Vote{Weighted: true},
-			&MultiTruth{}, &MultiTruth{Weighted: true}, &MultiTruth{AcceptThreshold: 0.9},
-			&Hierarchical{Base: &MultiTruth{}, Forest: forest},
-			&Hierarchical{Base: &Vote{}, Forest: forest},
-			&Full{Forest: forest},
-			&Full{Forest: forest, CorrCfg: CorrelationConfig{AgreementThreshold: 0.5, MinCommonItems: 1}},
-		}
-	}
-	distinctKeys := func() []Method {
+	methods := func() []Method {
 		ms := append(AllMethods(forest), FactFinders()...)
 		for _, kind := range []FactFinderKind{KindSums, KindAverageLog} {
 			ms = append(ms, &FactFinder{Kind: kind, Weighted: true})
 		}
 		return append(ms,
+			&Vote{Weighted: true}, &MultiTruth{AcceptThreshold: 0.9},
 			&Accu{Weighted: true}, &Accu{Popularity: true, Weighted: true},
+			&Hierarchical{Base: &Vote{}, Forest: forest},
 			&Hierarchical{Base: &Accu{}, Forest: forest},
+			&Full{Forest: forest, CorrCfg: CorrelationConfig{AgreementThreshold: 0.5, MinCommonItems: 1}},
 			&Adaptive{},
 			&Adaptive{Threshold: 0.6, Single: &Hierarchical{Base: &Accu{}, Forest: forest}, Multi: &Full{Forest: forest}},
 		)
@@ -161,35 +138,29 @@ func TestDecisionsMatchReference(t *testing.T) {
 	var implied, impliedRejected, oneValue int
 	r := rand.New(rand.NewSource(25))
 	for round := 0; round < 24; round++ {
-		for _, colliding := range []bool{false, true} {
-			stmts := nastyStatements(r, colliding)
-			methods := distinctKeys
-			if colliding {
-				methods = anyKeys
-			}
-			for _, g := range granularities {
-				c := BuildClaims(stmts, g)
-				for mi := range methods() {
-					want := referenceFuse(withWorkers(methods()[mi], 1), c)
-					for _, workers := range []int{1, 4} {
-						m := withWorkers(methods()[mi], workers)
-						got := m.Fuse(c)
-						if err := diffReference(c, got, want); err != nil {
-							t.Fatalf("round %d colliding %v granularity %d %s workers %d: %v", round, colliding, g, m.Name(), workers, err)
+		stmts := nastyStatements(r)
+		for _, g := range granularities {
+			c := BuildClaims(stmts, g)
+			for mi := range methods() {
+				want := referenceFuse(withWorkers(methods()[mi], 1), c)
+				for _, workers := range []int{1, 4} {
+					m := withWorkers(methods()[mi], workers)
+					got := m.Fuse(c)
+					if err := diffReference(c, got, want); err != nil {
+						t.Fatalf("round %d granularity %d %s workers %d: %v", round, g, m.Name(), workers, err)
+					}
+					for i := range got.Decisions {
+						d := &got.Decisions[i]
+						if len(d.Item.Values) == 1 {
+							oneValue++
 						}
-						for i := range got.Decisions {
-							d := &got.Decisions[i]
-							if len(d.Item.Values) == 1 {
-								oneValue++
+						for _, imp := range d.Implied {
+							implied++
+							if !d.Accepted(imp.Value) {
+								t.Fatalf("%s: %s implies %v and does not accept it", m.Name(), d.Item.Key, imp.Value)
 							}
-							for _, imp := range d.Implied {
-								implied++
-								if !d.Accepted(imp.Value) {
-									t.Fatalf("%s: %s implies %v and does not accept it", m.Name(), d.Item.Key, imp.Value)
-								}
-								if d.Item.Value(imp.Value) != nil {
-									impliedRejected++
-								}
+							if d.Item.Value(imp.Value) != nil {
+								impliedRejected++
 							}
 						}
 					}
@@ -242,20 +213,16 @@ func TestImpliedBeliefTakesPrecedence(t *testing.T) {
 // TestImpliedTruthReportsItsClaimants: a generalisation the fold gave to a
 // descendant is not among the values of the item the decision was made
 // over, and used to be served as if nobody had claimed it. It reports the
-// distinct sources that claimed it before the fold — over every spelling of
-// the name, should one carry a language tag.
+// sources that claimed it before the fold.
 func TestImpliedTruthReportsItsClaimants(t *testing.T) {
 	stmts := []rdf.Statement{
 		stmt("i", "leaf", "s1", 0.8), stmt("i", "leaf", "s2", 0.8),
 		stmt("i", "mid", "s1", 0.8), stmt("i", "mid", "s3", 0.8), stmt("i", "mid", "s4", 0.8),
 		stmt("i", "root", "s5", 0.8),
-		stmt("j", "leaf", "s1", 0.8), stmt("j", "mid", "s2", 0.8),
+		stmt("j", "leaf", "s1", 0.8), stmt("j", "mid", "s2", 0.8), stmt("j", "mid", "s3", 0.8),
+		stmt("j", "mid", "s2", 0.6),
 	}
-	tagged := stmt("j", "", "s3", 0.8)
-	tagged.Object = rdf.LangLiteral("mid", "en")
-	again := stmt("j", "", "s2", 0.8)
-	again.Object = rdf.LangLiteral("mid", "en")
-	c := BuildClaims(append(stmts, tagged, again), BySource)
+	c := BuildClaims(stmts, BySource)
 	for _, m := range []Method{
 		&Hierarchical{Base: &MultiTruth{}, Forest: nastyForest()},
 		&Hierarchical{Base: &Vote{}, Forest: nastyForest()},
@@ -275,46 +242,7 @@ func TestImpliedTruthReportsItsClaimants(t *testing.T) {
 		}
 		d = res.Decision(stmts[6].ItemKey())
 		if _, sources, ok := d.Support(rdf.Literal("mid")); !ok || sources != 2 {
-			t.Errorf("%s: mid, claimed plain by s2 and tagged by s2 and s3, has %d sources (known %v), want 2", m.Name(), sources, ok)
-		}
-	}
-}
-
-// TestCollidingValueKeysStayTwoValues: two literals whose value keys are one
-// string are two values to every method — each has the belief its own
-// claims earn, where the string-keyed ACCU and fact-finders gave both the
-// later one's inside their iterations.
-func TestCollidingValueKeysStayTwoValues(t *testing.T) {
-	strong, weak := rdf.LangLiteral("c", "en"), rdf.Literal("c\x01en")
-	if strong.Key() != weak.Key() || strong.Compare(weak) >= 0 {
-		t.Fatal("the two literals do not collide, or the strong one does not sort first")
-	}
-	var stmts []rdf.Statement
-	for _, s := range []string{"s1", "s2", "s3", "s4"} {
-		st := stmt("i", "", s, 0.9)
-		st.Object = strong
-		stmts = append(stmts, st, stmt("other-"+s, "x", s, 0.9))
-	}
-	st := stmt("i", "", "s5", 0.9)
-	st.Object = weak
-	stmts = append(stmts, st)
-	c := BuildClaims(stmts, BySource)
-	methods := append(AllMethods(nastyForest()), FactFinders()...)
-	for _, m := range append(methods, &Adaptive{}) {
-		d := m.Fuse(c).Decision(stmts[0].ItemKey())
-		if len(d.Belief) != 2 {
-			t.Fatalf("%s: %d beliefs, want 2", m.Name(), len(d.Belief))
-		}
-		bs, ns, _ := d.Support(strong)
-		bw, nw, _ := d.Support(weak)
-		if ns != 4 || nw != 1 {
-			t.Errorf("%s: %d and %d sources, want 4 and 1", m.Name(), ns, nw)
-		}
-		if !(bs > bw) {
-			t.Errorf("%s: the value four sources claim is believed at %v, the one a fifth claims at %v", m.Name(), bs, bw)
-		}
-		if !d.Accepted(strong) {
-			t.Errorf("%s: accepts %v, want the value four sources claim", m.Name(), d.Truths)
+			t.Errorf("%s: mid, claimed by s3 and twice by s2, has %d sources (known %v), want 2", m.Name(), sources, ok)
 		}
 	}
 }

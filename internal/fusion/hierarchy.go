@@ -65,7 +65,7 @@ func (h *Hierarchical) Fuse(c *Claims) *Result {
 					continue
 				}
 				belief, _, _ := d.Support(t)
-				d.Implied = append(d.Implied, Implied{Value: at, Belief: belief, Sources: claimants(c.Items[i], anc)})
+				d.Implied = append(d.Implied, Implied{Value: at, Belief: belief, Sources: c.Items[i].Value(at).SupportCount()})
 				// A generalisation the base method weighed and rejected (its
 				// cluster had sibling branches, so it was not folded away) is
 				// believed as what implies it from here on, like any other.
@@ -81,22 +81,6 @@ func (h *Hierarchical) Fuse(c *Claims) *Result {
 		d.Truths = sortedTruths(truths)
 	}
 	return res
-}
-
-// claimants counts the distinct sources that claimed a literal spelled value
-// for the item: the sources of the one value spelled so, or of the several
-// when the name was also claimed under a datatype or a language tag.
-func claimants(it *Item, value string) int {
-	var names []string
-	for _, vc := range it.Values {
-		if vc.Value.IsLiteral() && vc.Value.Value == value {
-			for _, sc := range vc.Sources {
-				names = append(names, sc.Source)
-			}
-		}
-	}
-	slices.Sort(names)
-	return len(slices.Compact(names))
 }
 
 // fold rewrites each item's hierarchical values: maximal-specific claimed

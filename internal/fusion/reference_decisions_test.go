@@ -457,9 +457,9 @@ func referenceAdaptiveFuse(a *Adaptive, c *Claims) *refResult {
 }
 
 // beliefsByKey is a decision's beliefs as the string-keyed form held them:
-// each claimed value's under its key, in value order, then each implied
-// truth's under its own — later entries writing over earlier ones of the
-// same key, as the map did.
+// each claimed value's under its key, then each implied truth's under its
+// own — written over the belief of a candidate the base method rejected, as
+// the map was.
 func beliefsByKey(d *Decision) map[string]float64 {
 	m := make(map[string]float64, len(d.Belief)+len(d.Implied))
 	for k, vc := range d.Item.Values {
@@ -504,9 +504,6 @@ func diffReference(c *Claims, got *Result, want *refResult) error {
 		// by position, beside an implied truth, and the two laid over each
 		// other as the map was written.
 		for k, vc := range d.Item.Values {
-			if last := k+1 == len(d.Item.Values) || !slices.ContainsFunc(d.Item.Values[k+1:], func(o *ValueClaims) bool { return o.Value.Key() == vc.Value.Key() }); !last {
-				continue // the map kept the later value's
-			}
 			if math.Float64bits(d.Belief[k]) != math.Float64bits(w.Belief[vc.Value.Key()]) {
 				return fmt.Errorf("%s: belief %d, in %v, is %v, want %v", d.Item.Key, k, vc.Value, d.Belief[k], w.Belief[vc.Value.Key()])
 			}

@@ -12,21 +12,21 @@ import (
 )
 
 // spell makes statement k of a generated set from six small numbers; the
-// generators below and the fuzzer share it. Values 0–2 of an item are plain
-// literals, 3–5 spell "v0" again as a typed literal, an @en and an @de
-// literal (so they differ from value 0 in datatype or language only), 6 is
-// an IRI and 7 a blank node. Sources 0–3 are hosts read by extractor e0 or
-// e1; 4 and 5 are two (source, extractor) identities that spell the one
-// name "a+b+c" at the source+extractor granularity.
+// generators below and the fuzzer share it. Values 0–2 of an item are
+// literals; 3 and 4 spell "v0" again as an IRI and as a blank node and 5
+// spells "v1" as an IRI (so they differ from values 0 and 1 in kind only);
+// 6 is another IRI and 7 another blank node. Sources 0–3 are hosts read by
+// extractor e0 or e1; 4 and 5 are two (source, extractor) identities that
+// spell the one name "a+b+c" at the source+extractor granularity.
 func spell(entity, pred, value, source, extractor, conf uint8) rdf.Statement {
 	obj := rdf.Literal(fmt.Sprintf("v%d", value%8))
 	switch value % 8 {
 	case 3:
-		obj = rdf.TypedLiteral("v0", rdf.XSDString)
+		obj = rdf.IRI("v0")
 	case 4:
-		obj = rdf.LangLiteral("v0", "en")
+		obj = rdf.Blank("v0")
 	case 5:
-		obj = rdf.LangLiteral("v0", "de")
+		obj = rdf.IRI("v1")
 	case 6:
 		obj = rdf.AKB.IRI("v6")
 	case 7:
@@ -64,8 +64,8 @@ var granularities = []Granularity{BySource, BySourceExtractor, ByExtractor}
 // TestBuildClaimsMatchesReference holds BuildClaims to the string-keyed
 // reference on generated statement sets — few entities, so every set has
 // duplicate (item, value, source) assertions with different confidences,
-// unscored statements, one source under two extractors and literals that
-// differ in datatype or language only — at all three granularities, and in
+// unscored statements, one source under two extractors and values that
+// differ in kind only — at all three granularities, and in
 // a shuffled order against the reference's answer for the original one.
 func TestBuildClaimsMatchesReference(t *testing.T) {
 	r := rand.New(rand.NewSource(22))

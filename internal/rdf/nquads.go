@@ -4,16 +4,22 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 )
 
 // Provenance-preserving serialisation: statements are written as N-Quads,
 // with the graph term encoding (source, extractor, document) so the fusion
-// input can be exported, inspected and re-imported losslessly. Confidence
-// rides in a trailing comment the reader understands.
+// input can be exported, inspected and re-imported: triple and provenance
+// come back exactly, the confidence, which rides in a trailing comment the
+// reader understands, to the six decimals written.
 
 // provGraphNS is the namespace for provenance graph IRIs.
 const provGraphNS = "http://akb.example.org/prov/"
+
+// confComment opens the trailing comment that carries a statement's
+// confidence.
+const confComment = "# conf="
 
 // provenanceIRI encodes a Provenance as a graph IRI.
 func provenanceIRI(p Provenance) Term {
@@ -53,9 +59,9 @@ func parseProvenanceIRI(t Term) (Provenance, bool) {
 func WriteNQuads(w io.Writer, stmts []Statement) error {
 	bw := bufio.NewWriter(w)
 	for _, s := range stmts {
-		line := fmt.Sprintf("%s %s %s %s . # conf=%.6f\n",
+		line := fmt.Sprintf("%s %s %s %s . %s%.6f\n",
 			s.Subject.String(), s.Predicate.String(), s.Object.String(),
-			provenanceIRI(s.Provenance).String(), s.Confidence)
+			provenanceIRI(s.Provenance).String(), confComment, s.Confidence)
 		if _, err := bw.WriteString(line); err != nil {
 			return err
 		}
@@ -64,7 +70,9 @@ func WriteNQuads(w io.Writer, stmts []Statement) error {
 }
 
 // ReadNQuads parses the N-Quads subset produced by WriteNQuads, recovering
-// provenance and confidence.
+// provenance and confidence. Every statement it returns is Valid: a line
+// without a confidence, or with one that is not a number in [0, 1], is
+// refused like any other malformed line.
 func ReadNQuads(r io.Reader) ([]Statement, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
@@ -76,45 +84,39 @@ func ReadNQuads(r io.Reader) ([]Statement, error) {
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
-		// Split off the confidence comment.
-		conf := 0.0
-		if i := strings.LastIndex(line, "# conf="); i >= 0 {
-			fmt.Sscanf(line[i:], "# conf=%f", &conf)
-			line = strings.TrimSpace(line[:i])
-		}
-		p := &ntParser{s: line}
-		subj, err := p.term()
+		st, err := parseQuadLine(line)
 		if err != nil {
 			return nil, fmt.Errorf("rdf: nquads line %d: %w", lineNo, err)
 		}
-		pred, err := p.term()
-		if err != nil {
-			return nil, fmt.Errorf("rdf: nquads line %d: %w", lineNo, err)
-		}
-		obj, err := p.term()
-		if err != nil {
-			return nil, fmt.Errorf("rdf: nquads line %d: %w", lineNo, err)
-		}
-		graph, err := p.term()
-		if err != nil {
-			return nil, fmt.Errorf("rdf: nquads line %d: %w", lineNo, err)
-		}
-		p.skipSpace()
-		if !strings.HasPrefix(p.rest(), ".") {
-			return nil, fmt.Errorf("rdf: nquads line %d: missing '.'", lineNo)
-		}
-		prov, ok := parseProvenanceIRI(graph)
-		if !ok {
-			return nil, fmt.Errorf("rdf: nquads line %d: bad provenance graph %s", lineNo, graph)
-		}
-		out = append(out, Statement{
-			Triple:     Triple{Subject: subj, Predicate: pred, Object: obj},
-			Provenance: prov,
-			Confidence: conf,
-		})
+		out = append(out, st)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
 	return out, nil
+}
+
+func parseQuadLine(line string) (Statement, error) {
+	i := strings.LastIndex(line, confComment)
+	if i < 0 {
+		return Statement{}, fmt.Errorf("missing %q comment", confComment)
+	}
+	conf, err := strconv.ParseFloat(line[i+len(confComment):], 64)
+	if err != nil {
+		return Statement{}, fmt.Errorf("confidence: %w", err)
+	}
+	var t [4]Term
+	if err := (&ntParser{s: line[:i]}).line(t[:]); err != nil {
+		return Statement{}, err
+	}
+	prov, ok := parseProvenanceIRI(t[3])
+	if !ok {
+		return Statement{}, fmt.Errorf("bad provenance graph %s", t[3])
+	}
+	st := Statement{
+		Triple:     Triple{Subject: t[0], Predicate: t[1], Object: t[2]},
+		Provenance: prov,
+		Confidence: conf,
+	}
+	return st, st.Valid()
 }

@@ -13,7 +13,7 @@ func TestNQuadsRoundTrip(t *testing.T) {
 			Provenance{Source: "film-0.example.com", Extractor: "domx", Document: "/page-1"}, 0.84),
 		S(T(IRI("http://x/s2"), IRI("http://x/p"), Literal("with spaces & stuff")),
 			Provenance{Source: "query stream", Extractor: "qsx", Document: ""}, 0.5),
-		S(T(IRI("http://x/s3"), IRI("http://x/p"), TypedLiteral("7", XSDInteger)),
+		S(T(IRI("http://x/s3"), IRI("http://x/p"), Blank("b7")),
 			Provenance{Source: "a/b", Extractor: "kbx", Document: "d%e"}, 0.99),
 	}
 	var buf bytes.Buffer
@@ -34,7 +34,7 @@ func TestNQuadsRoundTrip(t *testing.T) {
 		if back[i].Provenance != stmts[i].Provenance {
 			t.Errorf("provenance %d: %+v != %+v", i, back[i].Provenance, stmts[i].Provenance)
 		}
-		if math.Abs(back[i].Confidence-stmts[i].Confidence) > 1e-5 {
+		if math.Abs(back[i].Confidence-stmts[i].Confidence) > 5e-7 {
 			t.Errorf("confidence %d: %g != %g", i, back[i].Confidence, stmts[i].Confidence)
 		}
 	}
@@ -61,14 +61,28 @@ func TestProvenanceIRIRoundTrip(t *testing.T) {
 }
 
 func TestReadNQuadsErrors(t *testing.T) {
+	const graph = "<http://akb.example.org/prov/w/x/d>"
 	bad := []string{
-		`<http://x/s> <http://x/p> "v" .`,                               // missing graph
-		`<http://x/s> <http://x/p> "v" <http://other/g> .`,              // foreign graph
-		`<http://x/s> <http://x/p> "v" <http://akb.example.org/prov/a>`, // malformed graph + no dot
+		`<http://x/s> <http://x/p> "v" . # conf=0.5`,                               // missing graph
+		`<http://x/s> <http://x/p> "v" <http://other/g> . # conf=0.5`,              // foreign graph
+		`<http://x/s> <http://x/p> "v" <http://akb.example.org/prov/a> # conf=0.5`, // malformed graph + no dot
+		`<http://x/s> <http://x/p> "v"@en ` + graph + ` . # conf=0.5`,              // language-tagged literal
+		`<http://x/s> <http://x/p> "v"^^<http://x/dt> ` + graph + ` . # conf=0.5`,  // typed literal
+		`<http://x/s> <http://x/p> "v" ` + graph + ` .`,                            // no confidence
+	}
+	for _, conf := range []string{"abc", "", "NaN", "7.5", "-1", "+Inf", "0.5 and more"} {
+		bad = append(bad, `<http://x/s> <http://x/p> "v" `+graph+` . # conf=`+conf)
 	}
 	for _, in := range bad {
-		if _, err := ReadNQuads(strings.NewReader(in)); err == nil {
+		if _, err := ReadNQuads(strings.NewReader("# header\n" + in)); err == nil {
 			t.Errorf("accepted %q", in)
+		} else if !strings.Contains(err.Error(), "line 2") {
+			t.Errorf("refused %q with %q, which does not name line 2", in, err)
+		}
+	}
+	for _, conf := range []string{"0", "1", "0.840000", "1e-3"} {
+		if _, err := ReadNQuads(strings.NewReader(`<http://x/s> <http://x/p> "v" ` + graph + ` . # conf=` + conf)); err != nil {
+			t.Errorf("confidence %s refused: %v", conf, err)
 		}
 	}
 	// Comments and blank lines are fine.

@@ -23,7 +23,9 @@ func WriteNTriples(w io.Writer, ts []Triple) error {
 
 // ReadNTriples parses N-Triples input: one triple per line, '#' comments and
 // blank lines allowed. It supports the subset of the grammar produced by
-// WriteNTriples (IRIs, blank nodes, plain/typed/language-tagged literals).
+// WriteNTriples (IRIs, blank nodes, plain literals): a literal with a
+// language tag or a datatype is refused, since a Term has no place for
+// either.
 func ReadNTriples(r io.Reader) ([]Triple, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
@@ -48,24 +50,11 @@ func ReadNTriples(r io.Reader) ([]Triple, error) {
 }
 
 func parseTripleLine(line string) (Triple, error) {
-	p := &ntParser{s: line}
-	subj, err := p.term()
-	if err != nil {
+	var t [3]Term
+	if err := (&ntParser{s: line}).line(t[:]); err != nil {
 		return Triple{}, err
 	}
-	pred, err := p.term()
-	if err != nil {
-		return Triple{}, err
-	}
-	obj, err := p.term()
-	if err != nil {
-		return Triple{}, err
-	}
-	p.skipSpace()
-	if !strings.HasPrefix(p.rest(), ".") {
-		return Triple{}, fmt.Errorf("missing terminating '.' in %q", line)
-	}
-	return Triple{Subject: subj, Predicate: pred, Object: obj}, nil
+	return Triple{Subject: t[0], Predicate: t[1], Object: t[2]}, nil
 }
 
 type ntParser struct {
@@ -79,6 +68,22 @@ func (p *ntParser) skipSpace() {
 	for p.i < len(p.s) && (p.s[p.i] == ' ' || p.s[p.i] == '\t') {
 		p.i++
 	}
+}
+
+// line reads as many terms as the slice holds, then the terminating '.'.
+func (p *ntParser) line(terms []Term) error {
+	for k := range terms {
+		t, err := p.term()
+		if err != nil {
+			return err
+		}
+		terms[k] = t
+	}
+	p.skipSpace()
+	if !strings.HasPrefix(p.rest(), ".") {
+		return fmt.Errorf("missing terminating '.' in %q", p.s)
+	}
+	return nil
 }
 
 func (p *ntParser) term() (Term, error) {
@@ -130,24 +135,8 @@ func (p *ntParser) literal() (Term, error) {
 	}
 	lex := unescapeLiteral(p.s[p.i+1 : j])
 	p.i = j + 1
-	// Optional language tag or datatype.
-	if strings.HasPrefix(p.rest(), "@") {
-		p.i++
-		start := p.i
-		for p.i < len(p.s) && p.s[p.i] != ' ' && p.s[p.i] != '\t' {
-			p.i++
-		}
-		return LangLiteral(lex, p.s[start:p.i]), nil
-	}
-	if strings.HasPrefix(p.rest(), "^^<") {
-		p.i += 3
-		end := strings.IndexByte(p.s[p.i:], '>')
-		if end < 0 {
-			return Term{}, fmt.Errorf("unterminated datatype IRI")
-		}
-		dt := p.s[p.i : p.i+end]
-		p.i += end + 1
-		return TypedLiteral(lex, dt), nil
+	if rest := p.rest(); strings.HasPrefix(rest, "@") || strings.HasPrefix(rest, "^^") {
+		return Term{}, fmt.Errorf("literal %q carries a language tag or a datatype", lex)
 	}
 	return Literal(lex), nil
 }

@@ -12,8 +12,6 @@ func TestNTriplesRoundTrip(t *testing.T) {
 	ts := []Triple{
 		T(IRI("http://x/s"), IRI("http://x/p"), IRI("http://x/o")),
 		T(IRI("http://x/s"), IRI("http://x/p"), Literal("plain value")),
-		T(IRI("http://x/s"), IRI("http://x/p"), TypedLiteral("42", XSDInteger)),
-		T(IRI("http://x/s"), IRI("http://x/p"), LangLiteral("hello", "en")),
 		T(Blank("b0"), IRI("http://x/p"), Literal(`quoted "text" and \ backslash`)),
 		T(IRI("http://x/s"), IRI("http://x/p"), Literal("line1\nline2\ttabbed")),
 	}
@@ -53,16 +51,20 @@ func TestReadNTriplesSkipsCommentsAndBlanks(t *testing.T) {
 
 func TestReadNTriplesErrors(t *testing.T) {
 	bad := []string{
-		`<http://x/s> <http://x/p> "v"`,             // missing dot
-		`<http://x/s <http://x/p> "v" .`,            // unterminated IRI
-		`<http://x/s> <http://x/p> "unterminated .`, // unterminated literal
-		`<http://x/s> <http://x/p> "v"^^<missing .`, // unterminated datatype
-		`<http://x/s> .`,                            // too few terms
-		`% <http://x/p> "v" .`,                      // junk first char
+		`<http://x/s> <http://x/p> "v"`,                                               // missing dot
+		`<http://x/s <http://x/p> "v" .`,                                              // unterminated IRI
+		`<http://x/s> <http://x/p> "unterminated .`,                                   // unterminated literal
+		`<http://x/s> <http://x/p> "v"@en .`,                                          // language-tagged literal
+		`<http://x/s> <http://x/p> "v"^^<http://www.w3.org/2001/XMLSchema#integer> .`, // typed literal
+		`<http://x/s> .`,       // too few terms
+		`% <http://x/p> "v" .`, // junk first char
 	}
 	for _, in := range bad {
-		if _, err := ReadNTriples(strings.NewReader(in)); err == nil {
+		// Every refusal names the line, here the second.
+		if _, err := ReadNTriples(strings.NewReader("# header\n" + in)); err == nil {
 			t.Errorf("accepted malformed input %q", in)
+		} else if !strings.Contains(err.Error(), "line 2") {
+			t.Errorf("refused %q with %q, which does not name line 2", in, err)
 		}
 	}
 }

@@ -19,7 +19,7 @@ type TermKind uint8
 const (
 	// KindIRI identifies a resource by an IRI reference.
 	KindIRI TermKind = iota
-	// KindLiteral is a (possibly typed) literal value.
+	// KindLiteral is a literal value, kept as its lexical form.
 	KindLiteral
 	// KindBlank is a blank node with a document-scoped label.
 	KindBlank
@@ -46,49 +46,16 @@ type Term struct {
 	Kind TermKind
 	// Value is the IRI string, the literal lexical form, or the blank label.
 	Value string
-	// Datatype is the datatype IRI for typed literals. Empty for plain
-	// literals and for non-literal terms.
-	Datatype string
-	// Lang is the language tag for language-tagged literals, e.g. "en".
-	Lang string
 }
-
-// Well-known datatype IRIs (an XSD subset sufficient for the pipeline).
-const (
-	XSDString  = "http://www.w3.org/2001/XMLSchema#string"
-	XSDInteger = "http://www.w3.org/2001/XMLSchema#integer"
-	XSDDouble  = "http://www.w3.org/2001/XMLSchema#double"
-	XSDBoolean = "http://www.w3.org/2001/XMLSchema#boolean"
-	XSDDate    = "http://www.w3.org/2001/XMLSchema#date"
-)
 
 // IRI returns an IRI term.
 func IRI(iri string) Term { return Term{Kind: KindIRI, Value: iri} }
 
-// Literal returns a plain (untyped) literal term.
+// Literal returns a literal term.
 func Literal(lexical string) Term { return Term{Kind: KindLiteral, Value: lexical} }
-
-// TypedLiteral returns a literal with an explicit datatype IRI.
-func TypedLiteral(lexical, datatype string) Term {
-	return Term{Kind: KindLiteral, Value: lexical, Datatype: datatype}
-}
-
-// LangLiteral returns a language-tagged literal.
-func LangLiteral(lexical, lang string) Term {
-	return Term{Kind: KindLiteral, Value: lexical, Lang: lang}
-}
 
 // Blank returns a blank node with the given label (without the "_:" prefix).
 func Blank(label string) Term { return Term{Kind: KindBlank, Value: label} }
-
-// Integer returns an xsd:integer literal.
-func Integer(v int64) Term { return TypedLiteral(fmt.Sprintf("%d", v), XSDInteger) }
-
-// Double returns an xsd:double literal.
-func Double(v float64) Term { return TypedLiteral(fmt.Sprintf("%g", v), XSDDouble) }
-
-// Bool returns an xsd:boolean literal.
-func Bool(v bool) Term { return TypedLiteral(fmt.Sprintf("%t", v), XSDBoolean) }
 
 // IsIRI reports whether the term is an IRI.
 func (t Term) IsIRI() bool { return t.Kind == KindIRI }
@@ -100,9 +67,7 @@ func (t Term) IsLiteral() bool { return t.Kind == KindLiteral }
 func (t Term) IsBlank() bool { return t.Kind == KindBlank }
 
 // IsZero reports whether the term is the zero Term.
-func (t Term) IsZero() bool {
-	return t.Kind == KindIRI && t.Value == "" && t.Datatype == "" && t.Lang == ""
-}
+func (t Term) IsZero() bool { return t == (Term{}) }
 
 // String renders the term in N-Triples syntax.
 func (t Term) String() string {
@@ -112,21 +77,14 @@ func (t Term) String() string {
 	case KindBlank:
 		return "_:" + t.Value
 	case KindLiteral:
-		s := `"` + escapeLiteral(t.Value) + `"`
-		if t.Lang != "" {
-			return s + "@" + t.Lang
-		}
-		if t.Datatype != "" && t.Datatype != XSDString {
-			return s + "^^<" + t.Datatype + ">"
-		}
-		return s
+		return `"` + escapeLiteral(t.Value) + `"`
 	default:
 		return fmt.Sprintf("<<invalid term kind %d>>", t.Kind)
 	}
 }
 
-// Key returns a compact unique key for the term, suitable for deduplication
-// maps where the full N-Triples rendering would be wasteful.
+// Key returns a compact key for the term — a byte for the kind, then the
+// value — so two terms have one key exactly when they are equal.
 func (t Term) Key() string {
 	var b strings.Builder
 	b.Grow(t.keyLen())
@@ -135,16 +93,7 @@ func (t Term) Key() string {
 }
 
 // keyLen is the length of the term's key.
-func (t Term) keyLen() int {
-	n := 1 + len(t.Value)
-	if t.Datatype != "" {
-		n += 1 + len(t.Datatype)
-	}
-	if t.Lang != "" {
-		n += 1 + len(t.Lang)
-	}
-	return n
-}
+func (t Term) keyLen() int { return 1 + len(t.Value) }
 
 // writeKey writes the term's key to b.
 func (t Term) writeKey(b *strings.Builder) {
@@ -157,18 +106,10 @@ func (t Term) writeKey(b *strings.Builder) {
 		b.WriteByte('b')
 	}
 	b.WriteString(t.Value)
-	if t.Datatype != "" {
-		b.WriteByte('\x00')
-		b.WriteString(t.Datatype)
-	}
-	if t.Lang != "" {
-		b.WriteByte('\x01')
-		b.WriteString(t.Lang)
-	}
 }
 
-// Compare orders terms: IRIs < literals < blanks, then by value, datatype,
-// language. It returns -1, 0 or +1.
+// Compare orders terms: IRIs < literals < blanks, then by value. It returns
+// -1, 0 or +1.
 func (t Term) Compare(o Term) int {
 	if t.Kind != o.Kind {
 		if t.Kind < o.Kind {
@@ -176,13 +117,7 @@ func (t Term) Compare(o Term) int {
 		}
 		return 1
 	}
-	if c := strings.Compare(t.Value, o.Value); c != 0 {
-		return c
-	}
-	if c := strings.Compare(t.Datatype, o.Datatype); c != 0 {
-		return c
-	}
-	return strings.Compare(t.Lang, o.Lang)
+	return strings.Compare(t.Value, o.Value)
 }
 
 func escapeLiteral(s string) string {

@@ -68,12 +68,6 @@ func (p Provenance) Key() string {
 	return p.Source + "\x00" + p.Extractor + "\x00" + p.Document
 }
 
-// SourceExtractorKey returns the coarser (source, extractor) key used by the
-// fusion methods when per-document granularity is too sparse.
-func (p Provenance) SourceExtractorKey() string {
-	return p.Source + "\x00" + p.Extractor
-}
-
 // String renders the provenance compactly for logs.
 func (p Provenance) String() string {
 	if p.Document == "" {
@@ -118,7 +112,7 @@ func (s Statement) Valid() error {
 	if s.Subject.Value == "" || s.Predicate.Value == "" {
 		return fmt.Errorf("rdf: empty subject or predicate in %s", s.Triple)
 	}
-	if s.Confidence < 0 || s.Confidence > 1 {
+	if !(s.Confidence >= 0 && s.Confidence <= 1) { // NaN fails both
 		return fmt.Errorf("rdf: confidence %g out of [0,1]", s.Confidence)
 	}
 	return nil
@@ -127,15 +121,8 @@ func (s Statement) Valid() error {
 // Namespace helps build IRIs under a common prefix.
 type Namespace string
 
-// Common namespaces used by the pipeline.
-const (
-	// AKB is the namespace for resources minted by this system.
-	AKB Namespace = "http://akb.example.org/"
-	// RDFNS is the RDF namespace.
-	RDFNS Namespace = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
-	// RDFSNS is the RDF Schema namespace.
-	RDFSNS Namespace = "http://www.w3.org/2000/01/rdf-schema#"
-)
+// AKB is the namespace for resources minted by this system.
+const AKB Namespace = "http://akb.example.org/"
 
 // IRI mints an IRI term in the namespace. The local name is percent-free and
 // is expected to already be IRI-safe; spaces are replaced with underscores as
@@ -157,16 +144,6 @@ func (ns Namespace) IRI(local string) Term {
 	}
 	return IRI(b.String())
 }
-
-// Standard predicates.
-var (
-	// RDFType is rdf:type.
-	RDFType = IRI(string(RDFNS) + "type")
-	// RDFSLabel is rdfs:label.
-	RDFSLabel = IRI(string(RDFSNS) + "label")
-	// RDFSSubClassOf is rdfs:subClassOf.
-	RDFSSubClassOf = IRI(string(RDFSNS) + "subClassOf")
-)
 
 // LocalName extracts the final path or fragment segment of an IRI term,
 // e.g. "Barack_Obama" from "http://akb.example.org/Barack_Obama". For

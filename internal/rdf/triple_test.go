@@ -1,6 +1,9 @@
 package rdf
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func tri(s, p, o string) Triple {
 	return T(AKB.IRI(s), AKB.IRI(p), Literal(o))
@@ -16,6 +19,9 @@ func TestStatementValid(t *testing.T) {
 		S(T(AKB.IRI("s"), Literal("p"), Literal("o")), Provenance{}, 0.5),
 		S(tri("s", "p", "o"), Provenance{}, 1.5),
 		S(tri("s", "p", "o"), Provenance{}, -0.1),
+		S(tri("s", "p", "o"), Provenance{}, math.NaN()),
+		S(tri("s", "p", "o"), Provenance{}, math.Inf(1)),
+		S(tri("s", "p", "o"), Provenance{}, math.Inf(-1)),
 		S(T(IRI(""), AKB.IRI("p"), Literal("o")), Provenance{}, 0.5),
 	}
 	for i, s := range bad {
@@ -27,13 +33,10 @@ func TestStatementValid(t *testing.T) {
 
 func TestProvenanceKeys(t *testing.T) {
 	p := Provenance{Source: "imdb.example", Extractor: "domx", Document: "page7"}
-	if p.Key() == p.SourceExtractorKey() {
-		t.Error("Key and SourceExtractorKey must differ when Document set")
-	}
 	q := p
 	q.Document = ""
-	if q.SourceExtractorKey() != p.SourceExtractorKey() {
-		t.Error("SourceExtractorKey must ignore Document")
+	if p.Key() == q.Key() {
+		t.Error("Key must tell two documents of one source and extractor apart")
 	}
 	if p.String() == "" || q.String() == "" {
 		t.Error("String must be non-empty")
