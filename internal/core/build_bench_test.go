@@ -43,13 +43,14 @@ func BenchmarkPipelineBuild(b *testing.B) {
 
 // TestPipelineAllocations counts the allocations of a seed-1 scale-1 default
 // build plus store.ResultFacts, so that an allocation regression on the build
-// journey fails here and not only in bench/. Measured 162 182 a build; the
+// journey fails here and not only in bench/. Measured 162 084 a build; the
 // parent of the change that made the statement path positional made 289 939.
 // Narrowing rdf.Term to a kind and a value left the count where it was
-// (162 211 before): that saving is bytes, not objects. The ceiling is 10 %
-// above 162 210.
+// (162 211 before): that saving is bytes, not objects. Numbering the sources
+// took 98 off it (162 182 before): few items of a scale-1 run fold. The
+// ceiling is 10 % above 162 084.
 func TestPipelineAllocations(t *testing.T) {
-	const ceiling = 178_400
+	const ceiling = 178_300
 	allocs := testing.AllocsPerRun(2, func() { buildOnce(t, 1, 1) })
 	t.Logf("%.0f allocations a build", allocs)
 	if allocs > ceiling {

@@ -69,10 +69,13 @@ func (a *Accu) Fuse(c *Claims) *Result {
 	if init <= 0 || init >= 1 {
 		init = 0.8
 	}
-	acc := make(map[string]float64, len(c.SourceNames))
-	for _, s := range c.SourceNames {
+	a.Discount.check(c)
+	acc := make([]float64, len(c.SourceNames))
+	for s := range acc {
 		acc[s] = init
 	}
+	sum := make([]float64, len(acc))
+	cnt := make([]float64, len(acc))
 
 	// The value probabilities are the decisions' beliefs, overwritten by
 	// every E-step.
@@ -84,8 +87,8 @@ func (a *Accu) Fuse(c *Claims) *Result {
 		mapreduce.ForEach(cfg, len(decisions), func(i int) { a.eStep(&decisions[i], acc) })
 
 		// M-step: source accuracy = mean probability of claimed values.
-		sum := make(map[string]float64, len(acc))
-		cnt := make(map[string]float64, len(acc))
+		clear(sum)
+		clear(cnt)
 		for i := range decisions {
 			d := &decisions[i]
 			for k, vc := range d.Item.Values {
@@ -116,7 +119,7 @@ func (a *Accu) Fuse(c *Claims) *Result {
 }
 
 // eStep computes the value probabilities of one item into d.Belief.
-func (a *Accu) eStep(d *Decision, acc map[string]float64) {
+func (a *Accu) eStep(d *Decision, acc []float64) {
 	it := d.Item
 	nFalse := float64(len(it.Values) - 1)
 	if nFalse < 1 {
@@ -142,13 +145,10 @@ func (a *Accu) eStep(d *Decision, acc map[string]float64) {
 			}
 			w := 1.0
 			if a.Weighted {
-				w = sc.Confidence
-				if w <= 0 {
-					w = 0.5
-				}
+				w = sc.weight()
 			}
 			if a.Discount != nil {
-				w *= a.Discount.Weight(sc.Source)
+				w *= a.Discount.Weight(int(sc.Source))
 			}
 			score += w * math.Log(A/((1-A)*falseProb))
 		}

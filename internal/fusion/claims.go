@@ -11,6 +11,13 @@
 //     Dong et al., PVLDB 2010);
 //   - leveraging extractor confidence scores (after Pasternack & Roth).
 //
+// The data is positional from claims to result. BuildClaims puts items in
+// key order and an item's values in term order, and numbers the sources in
+// name order; a Result's Decisions[i] decides Items[i], a Decision's
+// Belief[k] is the belief in Values[k], and SourceQuality[n] — like the
+// clusters and the vote weights of Correlations, and every per-source
+// quantity a method keeps while it runs — is about SourceNames[n].
+//
 // Items are independent given the source-quality estimates, so every
 // method computes its per-item step as a parallel map (internal/mapreduce)
 // and updates source quality serially over the results, as the
@@ -19,6 +26,7 @@ package fusion
 
 import (
 	"cmp"
+	"fmt"
 	"math"
 	"slices"
 	"strings"
@@ -42,11 +50,23 @@ const (
 
 // SourceClaim is one source's assertion of a value.
 type SourceClaim struct {
-	// Source is the source identity at the chosen granularity.
-	Source string
+	// Source is the source's number: its index in the SourceNames of the
+	// Claims the assertion belongs to.
+	Source int32
 	// Confidence is the extractor-assigned confidence (max across
 	// duplicate statements from the same source).
 	Confidence float64
+}
+
+// weight is what the claim counts for where a method weighs claims by
+// confidence: the confidence, or 0.5 for a claim without one. No claim from
+// BuildClaims or from the hierarchy fold reaches that branch — both produce
+// confidences in (0, 1] — only hand-built claims do.
+func (sc SourceClaim) weight() float64 {
+	if sc.Confidence <= 0 {
+		return 0.5
+	}
+	return sc.Confidence
 }
 
 // ValueClaims groups the assertions of a single value of one item.
@@ -85,10 +105,37 @@ func (it *Item) index(v rdf.Term) int {
 }
 
 // Claims is the fusion input: all data items with their claimed values.
+// Sources, like items and values, are positional: a source is its number, its
+// place in SourceNames, and everything a method keeps or reports per source —
+// Result.SourceQuality, the copy discount, the correlation clusters — is a
+// slice aligned with SourceNames.
 type Claims struct {
 	Items []*Item
-	// SourceNames lists every distinct source in sorted order.
+	// SourceNames lists every distinct source in sorted order, so number
+	// order is name order.
 	SourceNames []string
+}
+
+// SourceNumber returns the number of the source of that name; ok is false
+// when no source has it.
+func (c *Claims) SourceNumber(name string) (n int, ok bool) {
+	return slices.BinarySearch(c.SourceNames, name)
+}
+
+// checkSources panics unless every claim's source is one of SourceNames: a
+// number out of range would otherwise fail, or be counted for another
+// source, deep inside a method's loop.
+func (c *Claims) checkSources() {
+	for _, it := range c.Items {
+		for _, vc := range it.Values {
+			for _, sc := range vc.Sources {
+				if sc.Source < 0 || int(sc.Source) >= len(c.SourceNames) {
+					panic(fmt.Sprintf("fusion: %s: claim of %v by source %d, the claims name %d sources",
+						it.Key, vc.Value, sc.Source, len(c.SourceNames)))
+				}
+			}
+		}
+	}
 }
 
 // NumClaims returns the total number of (item, value, source) assertions.
@@ -257,7 +304,7 @@ func BuildClaims(stmts []rdf.Statement, g Granularity) *Claims {
 			}
 			conf := math.Min(stmts[i].Confidence, 1)
 			if newClaim(bucket, j, fresh) {
-				claims = append(claims, SourceClaim{Source: out.SourceNames[src[i]], Confidence: conf})
+				claims = append(claims, SourceClaim{Source: src[i], Confidence: conf})
 				values[len(values)-1].Sources = claims[firstClaim:len(claims):len(claims)]
 			} else if last := &claims[len(claims)-1]; conf > last.Confidence {
 				last.Confidence = conf
@@ -355,8 +402,10 @@ func (d *Decision) mostBelieved() (best rdf.Term, ok bool) {
 }
 
 // newDecisions returns one decision per item, in item order, with no truth
-// yet and its beliefs, all zero, cut from one array.
+// yet and its beliefs, all zero, cut from one array. Every method starts
+// here, so this is where claims that misnumber a source are refused.
 func newDecisions(c *Claims) []Decision {
+	c.checkSources()
 	n := 0
 	for _, it := range c.Items {
 		n += len(it.Values)
@@ -389,10 +438,11 @@ type Result struct {
 	// Decisions[i] decides the claims' Items[i]: the decisions are in item
 	// order, which is item-key order.
 	Decisions []Decision
-	// SourceQuality reports the method's final per-source quality estimate
-	// (accuracy for single-truth methods, sensitivity for multi-truth),
-	// when the method estimates one.
-	SourceQuality map[string]float64
+	// SourceQuality[n] is the method's final quality estimate for source n,
+	// the claims' SourceNames[n] (accuracy for single-truth methods,
+	// sensitivity for multi-truth, trust for the fact-finders); nil when the
+	// method estimates none (VOTE).
+	SourceQuality []float64
 }
 
 // Decision returns the decision for an item key, or nil.

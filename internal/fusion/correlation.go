@@ -1,6 +1,7 @@
 package fusion
 
 import (
+	"fmt"
 	"slices"
 	"sort"
 )
@@ -20,10 +21,14 @@ import (
 // near-exact copying; partially-overlapping copying requires the full joint
 // Bayesian treatment of Dong et al., which the paper leaves as future work.
 type Correlations struct {
-	// ClusterOf maps each source to its cluster representative.
-	ClusterOf map[string]string
-	// weights maps each source to its vote multiplier.
-	weights map[string]float64
+	// SourceNames is the SourceNames of the claims the correlations were
+	// detected on; the source numbers below are places in it.
+	SourceNames []string
+	// ClusterOf[n] is the number of source n's cluster representative, the
+	// first of the cluster's names.
+	ClusterOf []int32
+	// weights[n] is source n's vote multiplier.
+	weights []float64
 	// Pairs lists detected correlated pairs with their agreement ratio.
 	Pairs []CorrelatedPair
 }
@@ -34,16 +39,23 @@ type CorrelatedPair struct {
 	Agreement float64
 }
 
-// Weight returns the vote multiplier for a source (1 for uncorrelated
-// sources).
-func (c *Correlations) Weight(source string) float64 {
+// Weight returns the vote multiplier for a source by its number: 1 for the
+// representative of a cluster and for an uncorrelated source — and for every
+// source when c is nil, no discount.
+func (c *Correlations) Weight(source int) float64 {
 	if c == nil {
 		return 1
 	}
-	if w, ok := c.weights[source]; ok {
-		return w
+	return c.weights[source]
+}
+
+// check panics unless the discount, if there is one, was detected on claims
+// with these claims' sources: its weights are read by source number, and on
+// other sources a number names somebody else.
+func (c *Correlations) check(claims *Claims) {
+	if c != nil && !slices.Equal(c.SourceNames, claims.SourceNames) {
+		panic(fmt.Sprintf("fusion: Discount detected on sources %q, the claims name %q", c.SourceNames, claims.SourceNames))
 	}
-	return 1
 }
 
 // CorrelationConfig controls copy detection.
@@ -86,13 +98,8 @@ func DetectCorrelations(c *Claims, cfg CorrelationConfig) *Correlations {
 		cfg.CopierWeight = 0.2
 	}
 
-	// Sources by number; SourceNames is sorted, so number order is name
-	// order.
+	c.checkSources()
 	names := c.SourceNames
-	number := make(map[string]int32, len(names))
-	for i, s := range names {
-		number[s] = int32(i)
-	}
 
 	type tally struct{ shared, agree int }
 	tallies := map[[2]int32]*tally{}
@@ -102,9 +109,7 @@ func DetectCorrelations(c *Claims, cfg CorrelationConfig) *Correlations {
 		cells = cells[:0]
 		for vi, vc := range it.Values {
 			for _, sc := range vc.Sources {
-				if si, ok := number[sc.Source]; ok {
-					cells = append(cells, uint64(si)<<32|uint64(vi))
-				}
+				cells = append(cells, uint64(sc.Source)<<32|uint64(vi))
 			}
 		}
 		// Sorted, a source's cells are one run and the run is its value set.
@@ -149,7 +154,11 @@ func DetectCorrelations(c *Claims, cfg CorrelationConfig) *Correlations {
 		return s
 	}
 
-	out := &Correlations{ClusterOf: map[string]string{}, weights: map[string]float64{}}
+	out := &Correlations{
+		SourceNames: names,
+		ClusterOf:   make([]int32, len(names)),
+		weights:     make([]float64, len(names)),
+	}
 	for pair, t := range tallies {
 		if t.shared < cfg.MinCommonItems {
 			continue
@@ -167,13 +176,13 @@ func DetectCorrelations(c *Claims, cfg CorrelationConfig) *Correlations {
 		}
 		return out.Pairs[i].B < out.Pairs[j].B
 	})
-	for i, s := range names {
-		rep := find(int32(i))
-		out.ClusterOf[s] = names[rep]
-		if rep == int32(i) {
-			out.weights[s] = 1
+	for n := range names {
+		rep := find(int32(n))
+		out.ClusterOf[n] = rep
+		if rep == int32(n) {
+			out.weights[n] = 1
 		} else {
-			out.weights[s] = cfg.CopierWeight
+			out.weights[n] = cfg.CopierWeight
 		}
 	}
 	return out
@@ -196,22 +205,9 @@ func sameValues(a, b []uint64) bool {
 // Clusters returns the correlation clusters with more than one member, each
 // sorted, ordered by representative.
 func (c *Correlations) Clusters() [][]string {
-	groups := map[string][]string{}
-	for s, rep := range c.ClusterOf {
-		groups[rep] = append(groups[rep], s)
+	members := make([][]string, len(c.ClusterOf))
+	for n, rep := range c.ClusterOf {
+		members[rep] = append(members[rep], c.SourceNames[n])
 	}
-	var reps []string
-	for rep, members := range groups {
-		if len(members) > 1 {
-			reps = append(reps, rep)
-		}
-	}
-	sort.Strings(reps)
-	out := make([][]string, 0, len(reps))
-	for _, rep := range reps {
-		members := groups[rep]
-		sort.Strings(members)
-		out = append(out, members)
-	}
-	return out
+	return slices.DeleteFunc(members, func(m []string) bool { return len(m) < 2 })
 }

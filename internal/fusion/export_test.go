@@ -8,6 +8,7 @@ var (
 	ReferenceDetectCorrelations = referenceDetectCorrelations
 	ReferenceFuse               = referenceFuse
 	DiffReference               = diffReference
+	DiffCorrelations            = diffCorrelations
 	BeliefsByKey                = beliefsByKey
 	WithWorkers                 = withWorkers
 )

@@ -66,14 +66,16 @@ func (f *FactFinder) Fuse(c *Claims) *Result {
 		damp = 0.3
 	}
 
+	decisions := newDecisions(c)
+
 	// Edge lists: claim id -> sources (with weight), source -> claim ids. A
 	// claim is one value of one item; ids run over the items' values in order.
 	type edge struct {
-		source string
+		source int32
 		w      float64
 	}
 	var claimEdges [][]edge
-	srcClaims := map[string][]int{}
+	srcClaims := make([][]int, len(c.SourceNames))
 	for _, it := range c.Items {
 		for _, vc := range it.Values {
 			id := len(claimEdges)
@@ -81,10 +83,7 @@ func (f *FactFinder) Fuse(c *Claims) *Result {
 			for _, sc := range vc.Sources {
 				w := 1.0
 				if f.Weighted {
-					w = sc.Confidence
-					if w <= 0 {
-						w = 0.5
-					}
+					w = sc.weight()
 				}
 				edges = append(edges, edge{source: sc.Source, w: w})
 				srcClaims[sc.Source] = append(srcClaims[sc.Source], id)
@@ -93,8 +92,8 @@ func (f *FactFinder) Fuse(c *Claims) *Result {
 		}
 	}
 
-	trust := make(map[string]float64, len(c.SourceNames))
-	for _, s := range c.SourceNames {
+	trust := make([]float64, len(c.SourceNames))
+	for s := range trust {
 		trust[s] = 0.9
 	}
 	belief := make([]float64, len(claimEdges))
@@ -133,8 +132,7 @@ func (f *FactFinder) Fuse(c *Claims) *Result {
 		}
 		// Source trusts from claim beliefs.
 		maxT := 0.0
-		for _, s := range c.SourceNames {
-			ids := srcClaims[s]
+		for s, ids := range srcClaims {
 			if len(ids) == 0 {
 				continue
 			}
@@ -164,7 +162,6 @@ func (f *FactFinder) Fuse(c *Claims) *Result {
 	}
 
 	// Per-item argmax over claim beliefs (single truth).
-	decisions := newDecisions(c)
 	id := 0
 	for i := range decisions {
 		id += copy(decisions[i].Belief, belief[id:])

@@ -38,9 +38,8 @@ func TestFactFindersRecoverTruth(t *testing.T) {
 			t.Errorf("%s accuracy = %.3f, want >= 0.8", m.Name(), acc)
 		}
 		// Trust estimates must rank the good source above the bad one.
-		if res.SourceQuality["good1"] <= res.SourceQuality["bad"] {
-			t.Errorf("%s: good1 trust %.3f <= bad trust %.3f",
-				m.Name(), res.SourceQuality["good1"], res.SourceQuality["bad"])
+		if good, bad := res.SourceQuality[numberOf(t, c, "good1")], res.SourceQuality[numberOf(t, c, "bad")]; good <= bad {
+			t.Errorf("%s: good1 trust %.3f <= bad trust %.3f", m.Name(), good, bad)
 		}
 	}
 }

@@ -117,20 +117,17 @@ func (a *Adaptive) Fuse(c *Claims) *Result {
 			npos = append(npos, i)
 		}
 	}
-	res := &Result{
-		Method:        a.Name(),
-		Decisions:     make([]Decision, len(c.Items)),
-		SourceQuality: map[string]float64{},
-	}
+	res := &Result{Method: a.Name(), Decisions: make([]Decision, len(c.Items))}
 	merge := func(r *Result, pos []int) {
 		for j, d := range r.Decisions {
 			res.Decisions[pos[j]] = d
 		}
+		if r.SourceQuality != nil && res.SourceQuality == nil {
+			res.SourceQuality = make([]float64, len(c.SourceNames))
+		}
 		for s, q := range r.SourceQuality {
 			// Keep the max estimate when both fusers rate a source.
-			if q > res.SourceQuality[s] {
-				res.SourceQuality[s] = q
-			}
+			res.SourceQuality[s] = max(res.SourceQuality[s], q)
 		}
 	}
 	if len(fc.Items) > 0 {

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"akb/internal/hierarchy"
 	"akb/internal/rdf"
@@ -15,6 +16,16 @@ import (
 func beliefIn(d *Decision, value string) float64 {
 	b, _, _ := d.Support(rdf.Literal(value))
 	return b
+}
+
+// numberOf is the number the claims give the source of that name.
+func numberOf(t *testing.T, c *Claims, source string) int {
+	t.Helper()
+	n, ok := c.SourceNumber(source)
+	if !ok {
+		t.Fatalf("no source %q among %v", source, c.SourceNames)
+	}
+	return n
 }
 
 // stmt builds a test statement.
@@ -104,12 +115,21 @@ func TestBuildClaimsGrouping(t *testing.T) {
 		t.Fatalf("value a support wrong: %+v", va)
 	}
 	for _, sc := range va.Sources {
-		if sc.Source == "s1" && sc.Confidence != 0.9 {
+		if c.SourceNames[sc.Source] == "s1" && sc.Confidence != 0.9 {
 			t.Errorf("s1 confidence = %g, want max 0.9", sc.Confidence)
 		}
 	}
 	if len(c.SourceNames) != 3 {
 		t.Errorf("sources = %v", c.SourceNames)
+	}
+	if n, ok := c.SourceNumber("s2"); !ok || n != 1 {
+		t.Errorf("SourceNumber(s2) = %d, %v, want 1", n, ok)
+	}
+	if _, ok := c.SourceNumber("s0"); ok {
+		t.Error("SourceNumber knows a source nobody named")
+	}
+	if size := unsafe.Sizeof(SourceClaim{}); size != 16 {
+		t.Errorf("a SourceClaim is %d bytes, want 16", size)
 	}
 }
 
@@ -195,9 +215,8 @@ func TestAccuBeatsVoteWithBadMajority(t *testing.T) {
 		t.Errorf("ACCU accuracy = %.3f, want >= 0.85", accu)
 	}
 	// Source quality estimates must rank good sources above bad.
-	if accuRes.SourceQuality["good1"] <= accuRes.SourceQuality["bad1"] {
-		t.Errorf("ACCU source quality: good1=%.3f <= bad1=%.3f",
-			accuRes.SourceQuality["good1"], accuRes.SourceQuality["bad1"])
+	if good, bad := accuRes.SourceQuality[numberOf(t, c, "good1")], accuRes.SourceQuality[numberOf(t, c, "bad1")]; good <= bad {
+		t.Errorf("ACCU source quality: good1=%.3f <= bad1=%.3f", good, bad)
 	}
 }
 
@@ -322,12 +341,12 @@ func TestDetectCorrelations(t *testing.T) {
 	if len(clusters[0]) != 3 {
 		t.Fatalf("copier cluster = %v, want 3 members", clusters[0])
 	}
-	if corr.Weight("indep1") != 1 {
-		t.Errorf("independent source discounted: %g", corr.Weight("indep1"))
+	if w := corr.Weight(numberOf(t, c, "indep1")); w != 1 {
+		t.Errorf("independent source discounted: %g", w)
 	}
 	full := 0
 	for _, s := range clusters[0] {
-		if corr.Weight(s) == 1 {
+		if corr.Weight(numberOf(t, c, s)) == 1 {
 			full++
 		}
 	}
@@ -475,7 +494,7 @@ func TestBuildClaimsInvariantsProperty(t *testing.T) {
 		for _, it := range a.Items {
 			for _, vc := range it.Values {
 				for _, sc := range vc.Sources {
-					got[key{extractLocal(it.Subject.Value), vc.Value.Value, sc.Source}] = true
+					got[key{extractLocal(it.Subject.Value), vc.Value.Value, a.SourceNames[sc.Source]}] = true
 				}
 			}
 		}
@@ -503,4 +522,85 @@ func TestBuildClaimsInvariantsProperty(t *testing.T) {
 func extractLocal(iri string) string {
 	i := strings.LastIndexByte(iri, '/')
 	return strings.ReplaceAll(iri[i+1:], "_", " ")
+}
+
+// panicOf runs f and returns what it panicked with, "" when it returned.
+func panicOf(f func()) (msg string) {
+	defer func() {
+		if r := recover(); r != nil {
+			msg = fmt.Sprint(r)
+		}
+	}()
+	f()
+	return ""
+}
+
+// TestMisnumberedSourcesAreRefused: a source is a number, and a number that
+// names nobody — or somebody else — is refused with a message before any
+// method's loop reads it. By name, a source absent from SourceNames was
+// counted as SourceNames[0] by MULTI (whose sensitivity converged to 0.95
+// without a claim of its own) and a discount detected on other claims
+// answered 1 for everybody.
+func TestMisnumberedSourcesAreRefused(t *testing.T) {
+	forest := hierarchy.NewForest()
+	forest.MustAddChain("leaf", "mid", "root")
+	methods := append(append(AllMethods(forest), FactFinders()...), &Adaptive{})
+	discounted := func(d *Correlations) []Method {
+		return []Method{&Vote{Discount: d}, &Accu{Discount: d}, &MultiTruth{Discount: d}}
+	}
+
+	// Two sources named, a third claiming.
+	handBuilt := func(stray int32) *Claims {
+		c := &Claims{SourceNames: []string{"a", "b"}}
+		for i := 0; i < 6; i++ {
+			it := &Item{Key: fmt.Sprintf("item%d", i), Subject: rdf.AKB.IRI(fmt.Sprintf("e/%d", i)), Predicate: rdf.AKB.IRI("attr/p")}
+			it.Values = []*ValueClaims{
+				{Value: rdf.Literal("v"), Sources: []SourceClaim{{Source: 1, Confidence: 0.8}}},
+				{Value: rdf.Literal("w"), Sources: []SourceClaim{{Source: stray, Confidence: 0.8}}},
+			}
+			c.Items = append(c.Items, it)
+		}
+		return c
+	}
+	for _, stray := range []int32{2, -1} {
+		c := handBuilt(stray)
+		for _, m := range methods {
+			if msg := panicOf(func() { m.Fuse(c) }); !strings.Contains(msg, "the claims name 2 sources") {
+				t.Errorf("%s on a claim by source %d: panic %q, want the refusal", m.Name(), stray, msg)
+			}
+		}
+		if msg := panicOf(func() { DetectCorrelations(c, CorrelationConfig{}) }); !strings.Contains(msg, "the claims name 2 sources") {
+			t.Errorf("DetectCorrelations on a claim by source %d: panic %q, want the refusal", stray, msg)
+		}
+	}
+	for _, m := range methods {
+		if msg := panicOf(func() { m.Fuse(handBuilt(0)) }); msg != "" {
+			t.Errorf("%s on well-numbered hand-built claims: panic %q", m.Name(), msg)
+		}
+	}
+
+	// A discount read by number belongs to the claims it was detected on.
+	c := BuildClaims([]rdf.Statement{stmt("i", "v", "s1", 0.8), stmt("i", "w", "s2", 0.8)}, BySource)
+	others := BuildClaims([]rdf.Statement{stmt("i", "v", "s1", 0.8), stmt("i", "w", "s3", 0.8)}, BySource)
+	for _, m := range discounted(DetectCorrelations(others, CorrelationConfig{})) {
+		if msg := panicOf(func() { m.Fuse(c) }); !strings.Contains(msg, "Discount detected on sources") {
+			t.Errorf("%s with a discount detected on other sources: panic %q, want the refusal", m.Name(), msg)
+		}
+	}
+	for _, m := range discounted(DetectCorrelations(c, CorrelationConfig{})) {
+		if msg := panicOf(func() { m.Fuse(c) }); msg != "" {
+			t.Errorf("%s with its own claims' discount: panic %q", m.Name(), msg)
+		}
+	}
+	// The fold and ADAPTIVE's split pass the source names through, so a
+	// discount detected on the whole claims serves every part of them.
+	corr := DetectCorrelations(c, CorrelationConfig{})
+	for _, m := range []Method{
+		&Hierarchical{Base: &MultiTruth{Discount: corr}, Forest: forest},
+		&Adaptive{Single: &Accu{Discount: corr}, Multi: &MultiTruth{Discount: corr}},
+	} {
+		if msg := panicOf(func() { m.Fuse(c) }); msg != "" {
+			t.Errorf("%s: panic %q", m.Name(), msg)
+		}
+	}
 }

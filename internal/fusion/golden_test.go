@@ -49,8 +49,8 @@ func fusionDigest(c *fusion.Claims, res *fusion.Result, ffmt string) string {
 		}
 		fmt.Fprintln(h)
 	}
-	for _, s := range sortedKeys(res.SourceQuality) {
-		fmt.Fprintf(h, "quality %q="+ffmt+"\n", s, res.SourceQuality[s])
+	for n, q := range res.SourceQuality {
+		fmt.Fprintf(h, "quality %q="+ffmt+"\n", c.SourceNames[n], q)
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }

@@ -144,24 +144,11 @@ func (h *Hierarchical) fold(c *Claims) (*Claims, [][]string) {
 			// ClusterCompatible orders most-general first; the chain's most
 			// specific member absorbs everything.
 			rep := cluster[len(cluster)-1]
-			merged := &ValueClaims{Value: rdf.Literal(rep)}
-			conf := map[string]float64{}
-			for _, sc := range byValue[rep].Sources {
-				conf[sc.Source] = sc.Confidence
-			}
+			merged := &ValueClaims{Value: rdf.Literal(rep), Sources: byValue[rep].Sources}
 			for _, a := range cluster {
-				if a == rep {
-					continue
+				if a != rep {
+					merged.Sources = absorb(merged.Sources, byValue[a].Sources, aw)
 				}
-				for _, sc := range byValue[a].Sources {
-					w := sc.Confidence * aw
-					if w > conf[sc.Source] {
-						conf[sc.Source] = w
-					}
-				}
-			}
-			for _, src := range sortedKeys(conf) {
-				merged.Sources = append(merged.Sources, SourceClaim{Source: src, Confidence: conf[src]})
 			}
 			newItem.Values = append(newItem.Values, merged)
 			for _, v := range cluster {
@@ -175,7 +162,7 @@ func (h *Hierarchical) fold(c *Claims) (*Claims, [][]string) {
 			}
 			newItem.Values = append(newItem.Values, vc)
 		}
-		sortValues(newItem)
+		slices.SortFunc(newItem.Values, func(a, b *ValueClaims) int { return a.Value.Compare(b.Value) })
 		out.Items = append(out.Items, newItem)
 		expansions[i] = claimedAnc
 	}
@@ -196,24 +183,23 @@ func isChain(f *hierarchy.Forest, cluster []string) bool {
 	return true
 }
 
-func sortedKeys(m map[string]float64) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
+// absorb merges an ancestor's claims, at weight aw, into a candidate's: both
+// lists and the result are in source-number order, and a source in both
+// keeps the larger of its two confidences.
+func absorb(own, ancestor []SourceClaim, aw float64) []SourceClaim {
+	out := make([]SourceClaim, 0, len(own)+len(ancestor))
+	for len(own) > 0 || len(ancestor) > 0 {
+		switch {
+		case len(ancestor) == 0 || (len(own) > 0 && own[0].Source < ancestor[0].Source):
+			out = append(out, own[0])
+			own = own[1:]
+		case len(own) == 0 || ancestor[0].Source < own[0].Source:
+			out = append(out, SourceClaim{Source: ancestor[0].Source, Confidence: ancestor[0].Confidence * aw})
+			ancestor = ancestor[1:]
+		default:
+			out = append(out, SourceClaim{Source: own[0].Source, Confidence: max(own[0].Confidence, ancestor[0].Confidence*aw)})
+			own, ancestor = own[1:], ancestor[1:]
 		}
 	}
 	return out
-}
-
-func sortValues(it *Item) {
-	vs := it.Values
-	for i := 1; i < len(vs); i++ {
-		for j := i; j > 0 && vs[j].Value.Compare(vs[j-1].Value) < 0; j-- {
-			vs[j], vs[j-1] = vs[j-1], vs[j]
-		}
-	}
 }

@@ -20,10 +20,9 @@ import (
 //
 // Inference is EM: the E-step computes per-(item, value) posteriors in
 // parallel over items; the M-step re-estimates source sensitivity and
-// specificity from the posteriors. The loop is allocation-free: sources
-// are interned to dense indices, each item's (value × covering-source)
-// claim matrix is precomputed once, and posteriors are written into
-// per-item buffers reused across iterations.
+// specificity from the posteriors. The loop is allocation-free: each item's
+// (value × covering-source) claim matrix is precomputed once, and posteriors
+// are written into the decisions' beliefs, reused across iterations.
 type MultiTruth struct {
 	// Prior is the prior probability a claimed value is true (default 0.5).
 	Prior float64
@@ -72,13 +71,12 @@ type mtValue struct {
 
 // mtItem is the precomputed EM state for one item.
 type mtItem struct {
-	// covering lists the indices of sources asserting any value of the
-	// item, ascending. SourceNames is sorted, so ascending index order is
-	// sorted-name order, and that fixes the float accumulation order.
+	// covering lists the numbers of the sources asserting any value of the
+	// item, ascending — which fixes the float accumulation order.
 	covering []int32
 	values   []mtValue
 	// probs holds the current posterior per value, overwritten each
-	// iteration.
+	// iteration: the item's decision's beliefs.
 	probs []float64
 }
 
@@ -96,23 +94,18 @@ func (m *MultiTruth) Fuse(c *Claims) *Result {
 	if iters <= 0 {
 		iters = 15
 	}
+	m.Discount.check(c)
+	// A decision's beliefs are its item's posteriors, overwritten by every
+	// E-step.
+	decisions := newDecisions(c)
 	nsrc := len(c.SourceNames)
-	srcIdx := make(map[string]int32, nsrc)
-	for i, s := range c.SourceNames {
-		srcIdx[s] = int32(i)
-	}
 	stats := make([]sourceStats, nsrc)
 	for i := range stats {
 		stats[i] = sourceStats{sens: 0.8, spec: 0.9}
 	}
-	discount := make([]float64, nsrc)
-	for i, s := range c.SourceNames {
-		discount[i] = m.Discount.Weight(s)
-	}
 
 	// Every item's covering list, then its claim matrix, each kind of row
-	// cut from one array. claimSrc keeps each claim's source number from the
-	// first pass for the second.
+	// cut from one array.
 	nValues, nClaims := 0, 0
 	for _, it := range c.Items {
 		nValues += len(it.Values)
@@ -121,7 +114,6 @@ func (m *MultiTruth) Fuse(c *Claims) *Result {
 		}
 	}
 	items := make([]mtItem, len(c.Items))
-	claimSrc := make([]int32, 0, nClaims)
 	covering := make([]int32, 0, nClaims)
 	seen := make([]bool, nsrc)
 	nCells := 0
@@ -129,11 +121,9 @@ func (m *MultiTruth) Fuse(c *Claims) *Result {
 		first := len(covering)
 		for _, vc := range it.Values {
 			for _, sc := range vc.Sources {
-				si := srcIdx[sc.Source]
-				claimSrc = append(claimSrc, si)
-				if !seen[si] {
-					seen[si] = true
-					covering = append(covering, si)
+				if !seen[sc.Source] {
+					seen[sc.Source] = true
+					covering = append(covering, sc.Source)
 				}
 			}
 		}
@@ -146,16 +136,14 @@ func (m *MultiTruth) Fuse(c *Claims) *Result {
 		nCells += len(it.Values) * len(cov)
 	}
 	values := make([]mtValue, nValues)
-	probs := make([]float64, nValues)
 	claimed := make([]bool, nCells)
 	weight := make([]float64, nCells)
-	pos := make([]int, nsrc) // covering position of each source index
-	claim := 0               // the next claim's place in claimSrc
+	pos := make([]int, nsrc) // covering position of each source number
 	for i, it := range c.Items {
 		mi := &items[i]
 		nv, nc := len(it.Values), len(mi.covering)
 		mi.values, values = values[:nv:nv], values[nv:]
-		mi.probs, probs = probs[:nv:nv], probs[nv:]
+		mi.probs = decisions[i].Belief
 		for ci, si := range mi.covering {
 			pos[si] = ci
 		}
@@ -164,24 +152,19 @@ func (m *MultiTruth) Fuse(c *Claims) *Result {
 			v.claimed, claimed = claimed[:nc:nc], claimed[nc:]
 			v.weight, weight = weight[:nc:nc], weight[nc:]
 			for ci, si := range mi.covering {
-				v.weight[ci] = discount[si]
+				v.weight[ci] = m.Discount.Weight(int(si))
 			}
 			for _, sc := range vc.Sources {
-				ci := pos[claimSrc[claim]]
-				claim++
+				ci := pos[sc.Source]
 				v.claimed[ci] = true
 				if m.Weighted {
-					conf := sc.Confidence
-					if conf <= 0 {
-						conf = 0.5
-					}
 					// Map confidence into [0.5, 1]: low-confidence claims
 					// are dampened but not annihilated. Using raw
 					// confidence as the exponent would bias fusion toward
 					// rejection, because assertions would count less than
 					// the full-weight silent negatives of non-claiming
 					// sources.
-					v.weight[ci] = (0.5 + conf/2) * discount[mi.covering[ci]]
+					v.weight[ci] = (0.5 + sc.weight()/2) * m.Discount.Weight(int(sc.Source))
 				}
 			}
 		}
@@ -255,39 +238,27 @@ func (m *MultiTruth) Fuse(c *Claims) *Result {
 		}
 	}
 
-	res := &Result{
-		Method:        m.Name(),
-		Decisions:     make([]Decision, len(c.Items)),
-		SourceQuality: make(map[string]float64, nsrc),
+	res := &Result{Method: m.Name(), Decisions: decisions, SourceQuality: make([]float64, nsrc)}
+	for si := range stats {
+		res.SourceQuality[si] = stats[si].sens
 	}
-	for si, s := range c.SourceNames {
-		res.SourceQuality[s] = stats[si].sens
-	}
-	// A decision's beliefs are its item's posteriors, where the last E-step
-	// left them; the accepted values are cut from one array, and an item
-	// accepts at most as many values as it has.
+	// The accepted values are cut from one array, and an item accepts at
+	// most as many values as it has.
 	truths := make([]rdf.Term, 0, nValues)
 	for i, it := range c.Items {
-		mi := &items[i]
 		d := &res.Decisions[i]
-		d.Item, d.Belief = it, mi.probs
 		first := len(truths)
 		for vi, vc := range it.Values {
-			if mi.probs[vi] >= thresh {
+			if d.Belief[vi] >= thresh {
 				truths = append(truths, vc.Value)
 			}
 		}
 		// Guarantee at least one truth per claimed item: take the argmax
 		// when nothing clears the threshold.
-		if len(truths) == first && len(it.Values) > 0 {
-			var best rdf.Term
-			bestP := -1.0
-			for vi, vc := range it.Values {
-				if p := mi.probs[vi]; p > bestP || (p == bestP && vc.Value.Compare(best) < 0) {
-					best, bestP = vc.Value, p
-				}
+		if len(truths) == first {
+			if best, ok := d.mostBelieved(); ok {
+				truths = append(truths, best)
 			}
-			truths = append(truths, best)
 		}
 		if len(truths) > first {
 			d.Truths = truths[first:len(truths):len(truths)]

@@ -6,6 +6,8 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -72,11 +74,11 @@ func sameResult(t *testing.T, label string, got, want *fusion.Result) {
 		}
 	}
 	if len(got.SourceQuality) != len(want.SourceQuality) {
-		t.Errorf("%s: %d source qualities, want %d", label, len(got.SourceQuality), len(want.SourceQuality))
+		t.Fatalf("%s: %d source qualities, want %d", label, len(got.SourceQuality), len(want.SourceQuality))
 	}
-	for s, w := range want.SourceQuality {
-		if g, ok := got.SourceQuality[s]; !ok || math.Float64bits(g) != math.Float64bits(w) {
-			t.Errorf("%s: quality of %s is %v, want %v", label, s, g, w)
+	for n, w := range want.SourceQuality {
+		if g := got.SourceQuality[n]; math.Float64bits(g) != math.Float64bits(w) {
+			t.Errorf("%s: quality of source %d is %v, want %v", label, n, g, w)
 		}
 	}
 }
@@ -92,15 +94,8 @@ func TestPipelineClaimsMatchReference(t *testing.T) {
 				t.Errorf("%s: BuildClaims differs from the reference", label)
 			}
 			got := fusion.DetectCorrelations(c, fusion.CorrelationConfig{})
-			want := fusion.ReferenceDetectCorrelations(c, fusion.CorrelationConfig{})
-			if !reflect.DeepEqual(got.Pairs, want.Pairs) || !reflect.DeepEqual(got.ClusterOf, want.ClusterOf) ||
-				!reflect.DeepEqual(got.Clusters(), want.Clusters()) {
-				t.Errorf("%s: DetectCorrelations differs from the reference\n got  %v\n want %v", label, got.Pairs, want.Pairs)
-			}
-			for _, s := range c.SourceNames {
-				if got.Weight(s) != want.Weight(s) {
-					t.Errorf("%s: Weight(%s) = %v, want %v", label, s, got.Weight(s), want.Weight(s))
-				}
+			if err := fusion.DiffCorrelations(c, got, fusion.ReferenceDetectCorrelations(c, fusion.CorrelationConfig{})); err != nil {
+				t.Errorf("%s: DetectCorrelations differs from the reference: %v", label, err)
 			}
 			if name == "with-copiers" && g != fusion.ByExtractor && len(got.Pairs) == 0 {
 				t.Errorf("%s: no correlated pair among injected copiers", label)
@@ -152,17 +147,145 @@ func TestFullInvariantUnderStatementPermutation(t *testing.T) {
 	}
 }
 
+// renameSources publishes every source of the claims — a (source, extractor)
+// pair, at the source+extractor granularity — under a new name: source n
+// becomes "r<to[n]>" read by the extractor it was, so its new number is to[n].
+func renameSources(t *testing.T, stmts []rdf.Statement, c *fusion.Claims, to []int) ([]rdf.Statement, *fusion.Claims) {
+	t.Helper()
+	out := append([]rdf.Statement(nil), stmts...)
+	for i := range out {
+		p := &out[i].Provenance
+		if n, ok := c.SourceNumber(p.Source + "+" + p.Extractor); ok {
+			p.Source = fmt.Sprintf("r%04d", to[n])
+		}
+	}
+	renamed := fusion.BuildClaims(out, fusion.BySourceExtractor)
+	if len(renamed.SourceNames) != len(c.SourceNames) {
+		t.Fatalf("%d sources after the renaming, %d before", len(renamed.SourceNames), len(c.SourceNames))
+	}
+	for n := range c.SourceNames {
+		if want := fmt.Sprintf("r%04d+", to[n]); !strings.HasPrefix(renamed.SourceNames[to[n]], want) {
+			t.Fatalf("source %d is %s after the renaming, want %s…", to[n], renamed.SourceNames[to[n]], want)
+		}
+	}
+	return out, renamed
+}
+
+// TestSourceRenamingAndPermutation: a method knows a source by its number
+// alone. Renaming every source so that the names keep their order keeps every
+// number, and so every truth, belief and source quality to the bit; a
+// renaming that permutes the numbers changes the order sums are taken in and
+// leaves the truths equal and the beliefs and qualities within 1e-9. The
+// correlation clusters are the same sources under their new names.
+func TestSourceRenamingAndPermutation(t *testing.T) {
+	forest := pipelineRun(t).World.Hier
+	methods := func() []fusion.Method {
+		ms := append(fusion.AllMethods(forest), fusion.FactFinders()...)
+		return append(ms, &fusion.Adaptive{})
+	}
+	for name, stmts := range pipelineStatementSets(t) {
+		c := fusion.BuildClaims(stmts, fusion.BySourceExtractor)
+		wantClusters := fusion.DetectCorrelations(c, fusion.CorrelationConfig{}).Clusters()
+		if name == "with-copiers" && len(wantClusters) == 0 {
+			t.Errorf("%s: no cluster among injected copiers", name)
+		}
+		var want []*fusion.Result
+		for _, m := range methods() {
+			want = append(want, m.Fuse(c))
+		}
+
+		identity := make([]int, len(c.SourceNames))
+		for n := range identity {
+			identity[n] = n
+		}
+		// A cluster's representative, the member that votes at full weight,
+		// is its first name, so the permutation keeps every representative
+		// first in its cluster. One that does not moves FULL's beliefs on
+		// the pipeline's claims in the third decimal and a truth with them:
+		// the copy discount's own dependence on names (ROADMAP item 3).
+		perm := rand.New(rand.NewSource(27)).Perm(len(identity))
+		for _, cluster := range wantClusters {
+			rep, _ := c.SourceNumber(cluster[0])
+			for _, s := range cluster[1:] {
+				if n, _ := c.SourceNumber(s); perm[n] < perm[rep] {
+					perm[n], perm[rep] = perm[rep], perm[n]
+				}
+			}
+		}
+		renamings := []struct {
+			name string
+			to   []int
+			same func(a, b float64) bool
+		}{
+			{"order-preserving", identity, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }},
+			{"permuting", perm, func(a, b float64) bool { return math.Abs(a-b) <= 1e-9 }},
+		}
+		for _, rn := range renamings {
+			label := name + " " + rn.name
+			_, renamed := renameSources(t, stmts, c, rn.to)
+			for mi, m := range methods() {
+				got, want := m.Fuse(renamed), want[mi]
+				if len(got.Decisions) != len(want.Decisions) {
+					t.Fatalf("%s %s: %d decisions, want %d", label, m.Name(), len(got.Decisions), len(want.Decisions))
+				}
+				for i := range want.Decisions {
+					g, w := &got.Decisions[i], &want.Decisions[i]
+					if g.Item.Key != w.Item.Key || !reflect.DeepEqual(g.Truths, w.Truths) {
+						t.Fatalf("%s %s: decision %d accepts %v for %s, want %v for %s", label, m.Name(), i, g.Truths, g.Item.Key, w.Truths, w.Item.Key)
+					}
+					if len(g.Belief) != len(w.Belief) || len(g.Implied) != len(w.Implied) {
+						t.Fatalf("%s %s: %s has %d beliefs and %d implied truths, want %d and %d", label, m.Name(), g.Item.Key, len(g.Belief), len(g.Implied), len(w.Belief), len(w.Implied))
+					}
+					for k := range w.Belief {
+						if !rn.same(g.Belief[k], w.Belief[k]) {
+							t.Errorf("%s %s: %s belief in %v is %v, want %v", label, m.Name(), g.Item.Key, g.Item.Values[k].Value, g.Belief[k], w.Belief[k])
+						}
+					}
+					for k, wi := range w.Implied {
+						if gi := g.Implied[k]; gi.Value != wi.Value || gi.Sources != wi.Sources || !rn.same(gi.Belief, wi.Belief) {
+							t.Errorf("%s %s: %s implies %v, want %v", label, m.Name(), g.Item.Key, gi, wi)
+						}
+					}
+				}
+				if len(got.SourceQuality) != len(want.SourceQuality) {
+					t.Fatalf("%s %s: %d source qualities, want %d", label, m.Name(), len(got.SourceQuality), len(want.SourceQuality))
+				}
+				for n, w := range want.SourceQuality {
+					if g := got.SourceQuality[rn.to[n]]; !rn.same(g, w) {
+						t.Errorf("%s %s: quality of %s, now %s, is %v, want %v", label, m.Name(), c.SourceNames[n], renamed.SourceNames[rn.to[n]], g, w)
+					}
+				}
+			}
+
+			var mapped [][]string
+			for _, cluster := range wantClusters {
+				var members []string
+				for _, s := range cluster {
+					n, _ := c.SourceNumber(s)
+					members = append(members, renamed.SourceNames[rn.to[n]])
+				}
+				sort.Strings(members)
+				mapped = append(mapped, members)
+			}
+			sort.Slice(mapped, func(i, j int) bool { return mapped[i][0] < mapped[j][0] })
+			if got := fusion.DetectCorrelations(renamed, fusion.CorrelationConfig{}).Clusters(); len(got)+len(mapped) > 0 && !reflect.DeepEqual(got, mapped) {
+				t.Errorf("%s: clusters %v, want %v", label, got, mapped)
+			}
+		}
+	}
+}
+
 // TestBuildClaimsAllocationBound counts the work: BuildClaims allocates per
 // distinct item (its key) and a fixed number of arrays, not per statement.
-// Measured 0.6 allocations a statement on this run; the string-keyed
-// reference makes 10.3.
+// Measured 0.57 allocations a statement on this run (3 069 for 5 388); the
+// string-keyed reference makes 10.3. The ceiling is 10 % above the measure.
 func TestBuildClaimsAllocationBound(t *testing.T) {
 	stmts := pipelineRun(t).Statements
 	allocs := testing.AllocsPerRun(3, func() { fusion.BuildClaims(stmts, fusion.BySourceExtractor) })
 	per := allocs / float64(len(stmts))
 	t.Logf("%.0f allocations for %d statements: %.2f a statement", allocs, len(stmts), per)
-	if per > 2 {
-		t.Errorf("%.2f allocations a statement, want at most 2", per)
+	if per > 0.63 {
+		t.Errorf("%.2f allocations a statement, want at most 0.63", per)
 	}
 }
 

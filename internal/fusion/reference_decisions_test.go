@@ -14,7 +14,8 @@ import (
 // refDecision): VOTE, ACCU and POPACCU, the fact-finders, the hierarchy
 // expansion, ADAPTIVE and FULL. referenceMultiTruthFuse is in
 // reference_test.go. The math is the live code's, statement for statement;
-// what differs is where a belief is kept — under a built key here.
+// what differs is where a belief and a source's state are kept — under a
+// built key and under the source's name here.
 
 // referenceFuse runs the reference of a method.
 func referenceFuse(m Method, c *Claims) *refResult {
@@ -58,7 +59,7 @@ func referenceVoteFuse(v *Vote, c *Claims) *refResult {
 					}
 				}
 				if v.Discount != nil {
-					w *= v.Discount.Weight(sc.Source)
+					w *= v.Discount.Weight(int(sc.Source))
 				}
 				score += w
 			}
@@ -107,7 +108,7 @@ func referenceAccuFuse(a *Accu, c *Claims) *refResult {
 
 	for iter := 0; iter < iters; iter++ {
 		lastE = mapreduce.Map(mapreduce.Config{Workers: a.Workers, Obs: a.Obs}, c.Items,
-			func(it *Item) itemProbs { return itemProbs{item: it, probs: referenceAccuEStep(a, it, acc)} })
+			func(it *Item) itemProbs { return itemProbs{item: it, probs: referenceAccuEStep(a, c, it, acc)} })
 
 		sum := make(map[string]float64, len(acc))
 		cnt := make(map[string]float64, len(acc))
@@ -115,8 +116,8 @@ func referenceAccuFuse(a *Accu, c *Claims) *refResult {
 			for _, vc := range ip.item.Values {
 				p := ip.probs[vc.Value.Key()]
 				for _, sc := range vc.Sources {
-					sum[sc.Source] += p
-					cnt[sc.Source]++
+					sum[c.SourceNames[sc.Source]] += p
+					cnt[c.SourceNames[sc.Source]]++
 				}
 			}
 		}
@@ -155,7 +156,7 @@ func referenceAccuFuse(a *Accu, c *Claims) *refResult {
 	return res
 }
 
-func referenceAccuEStep(a *Accu, it *Item, acc map[string]float64) map[string]float64 {
+func referenceAccuEStep(a *Accu, c *Claims, it *Item, acc map[string]float64) map[string]float64 {
 	nFalse := float64(len(it.Values) - 1)
 	if nFalse < 1 {
 		nFalse = 1
@@ -169,7 +170,7 @@ func referenceAccuEStep(a *Accu, it *Item, acc map[string]float64) map[string]fl
 	for i, vc := range it.Values {
 		score := 0.0
 		for _, sc := range vc.Sources {
-			A := clampAcc(acc[sc.Source])
+			A := clampAcc(acc[c.SourceNames[sc.Source]])
 			var falseProb float64
 			if a.Popularity {
 				falseProb = (float64(len(vc.Sources)) + 1) / (totalClaims + float64(len(it.Values)))
@@ -184,7 +185,7 @@ func referenceAccuEStep(a *Accu, it *Item, acc map[string]float64) map[string]fl
 				}
 			}
 			if a.Discount != nil {
-				w *= a.Discount.Weight(sc.Source)
+				w *= a.Discount.Weight(int(sc.Source))
 			}
 			score += w * math.Log(A/((1-A)*falseProb))
 		}
@@ -239,8 +240,9 @@ func referenceFactFinderFuse(f *FactFinder, c *Claims) *refResult {
 						w = 0.5
 					}
 				}
-				edges = append(edges, edge{source: sc.Source, w: w})
-				srcClaims[sc.Source] = append(srcClaims[sc.Source], id)
+				name := c.SourceNames[sc.Source]
+				edges = append(edges, edge{source: name, w: w})
+				srcClaims[name] = append(srcClaims[name], id)
 			}
 			claimEdges = append(claimEdges, edges)
 		}
@@ -517,10 +519,24 @@ func diffReference(c *Claims, got *Result, want *refResult) error {
 			return fmt.Errorf("%s: belief%v", d.Item.Key, err)
 		}
 	}
-	if err := diffFloats(got.SourceQuality, want.SourceQuality); err != nil {
+	if err := diffFloats(qualityByName(c, got), want.SourceQuality); err != nil {
 		return fmt.Errorf("source quality%v", err)
 	}
 	return nil
+}
+
+// qualityByName is a result's source qualities as the string-keyed form held
+// them: under the source's name, and no entry at all from a method that
+// estimates none.
+func qualityByName(c *Claims, res *Result) map[string]float64 {
+	if res.SourceQuality != nil && len(res.SourceQuality) != len(c.SourceNames) {
+		panic(fmt.Sprintf("%s: %d source qualities for %d sources", res.Method, len(res.SourceQuality), len(c.SourceNames)))
+	}
+	m := make(map[string]float64, len(res.SourceQuality))
+	for n, q := range res.SourceQuality {
+		m[c.SourceNames[n]] = q
+	}
+	return m
 }
 
 func diffFloats(got, want map[string]float64) error {

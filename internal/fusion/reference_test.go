@@ -78,6 +78,15 @@ func referenceBuildClaims(stmts []rdf.Statement, g Granularity) *Claims {
 
 	out := &Claims{}
 	srcSet := map[string]struct{}{}
+	for _, m := range srcConf {
+		for s := range m {
+			srcSet[s] = struct{}{}
+		}
+	}
+	for s := range srcSet {
+		out.SourceNames = append(out.SourceNames, s)
+	}
+	sort.Strings(out.SourceNames)
 	keys := make([]string, 0, len(items))
 	for k := range items {
 		keys = append(keys, k)
@@ -96,22 +105,55 @@ func referenceBuildClaims(stmts []rdf.Statement, g Granularity) *Claims {
 			}
 			sort.Strings(names)
 			for _, s := range names {
-				vc.Sources = append(vc.Sources, SourceClaim{Source: s, Confidence: m[s]})
-				srcSet[s] = struct{}{}
+				// A source's number is its name's place among the sorted names.
+				n := sort.SearchStrings(out.SourceNames, s)
+				vc.Sources = append(vc.Sources, SourceClaim{Source: int32(n), Confidence: m[s]})
 			}
 		}
 		out.Items = append(out.Items, it)
 	}
-	for s := range srcSet {
-		out.SourceNames = append(out.SourceNames, s)
+	return out
+}
+
+// refCorrelations is Correlations in its string-keyed form.
+type refCorrelations struct {
+	ClusterOf map[string]string
+	weights   map[string]float64
+	Pairs     []CorrelatedPair
+}
+
+// Weight answered 1 for a name it never saw.
+func (c *refCorrelations) Weight(source string) float64 {
+	if w, ok := c.weights[source]; ok {
+		return w
 	}
-	sort.Strings(out.SourceNames)
+	return 1
+}
+
+func (c *refCorrelations) Clusters() [][]string {
+	groups := map[string][]string{}
+	for s, rep := range c.ClusterOf {
+		groups[rep] = append(groups[rep], s)
+	}
+	var reps []string
+	for rep, members := range groups {
+		if len(members) > 1 {
+			reps = append(reps, rep)
+		}
+	}
+	sort.Strings(reps)
+	out := make([][]string, 0, len(reps))
+	for _, rep := range reps {
+		members := groups[rep]
+		sort.Strings(members)
+		out = append(out, members)
+	}
 	return out
 }
 
 // referenceDetectCorrelations walks every pair of sources over nested
 // string-keyed maps.
-func referenceDetectCorrelations(c *Claims, cfg CorrelationConfig) *Correlations {
+func referenceDetectCorrelations(c *Claims, cfg CorrelationConfig) *refCorrelations {
 	if cfg.AgreementThreshold <= 0 {
 		cfg.AgreementThreshold = 0.98
 	}
@@ -127,10 +169,11 @@ func referenceDetectCorrelations(c *Claims, cfg CorrelationConfig) *Correlations
 	for _, it := range c.Items {
 		for _, vc := range it.Values {
 			for _, sc := range vc.Sources {
-				byItem := claimed[sc.Source]
+				name := c.SourceNames[sc.Source]
+				byItem := claimed[name]
 				if byItem == nil {
 					byItem = map[string]map[string]struct{}{}
-					claimed[sc.Source] = byItem
+					claimed[name] = byItem
 				}
 				vs := byItem[it.Key]
 				if vs == nil {
@@ -165,7 +208,7 @@ func referenceDetectCorrelations(c *Claims, cfg CorrelationConfig) *Correlations
 		parent[rb] = ra
 	}
 
-	out := &Correlations{ClusterOf: map[string]string{}, weights: map[string]float64{}}
+	out := &refCorrelations{ClusterOf: map[string]string{}, weights: map[string]float64{}}
 	names := c.SourceNames
 	for i := 0; i < len(names); i++ {
 		for j := i + 1; j < len(names); j++ {
@@ -261,8 +304,8 @@ func referenceMultiTruthFuse(m *MultiTruth, c *Claims) *refResult {
 	var discount []float64
 	if m.Discount != nil {
 		discount = make([]float64, nsrc)
-		for i, s := range c.SourceNames {
-			discount[i] = m.Discount.Weight(s)
+		for i := range c.SourceNames {
+			discount[i] = m.Discount.Weight(i)
 		}
 	}
 
@@ -274,7 +317,7 @@ func referenceMultiTruthFuse(m *MultiTruth, c *Claims) *refResult {
 		mi := &items[i]
 		for _, vc := range it.Values {
 			for _, sc := range vc.Sources {
-				if si := srcIdx[sc.Source]; !seen[si] {
+				if si := srcIdx[c.SourceNames[sc.Source]]; !seen[si] {
 					seen[si] = true
 					mi.covering = append(mi.covering, si)
 				}
@@ -293,7 +336,7 @@ func referenceMultiTruthFuse(m *MultiTruth, c *Claims) *refResult {
 			v.claimed = make([]bool, nc)
 			v.conf = make([]float64, nc)
 			for _, sc := range vc.Sources {
-				ci := pos[srcIdx[sc.Source]]
+				ci := pos[srcIdx[c.SourceNames[sc.Source]]]
 				v.claimed[ci] = true
 				v.conf[ci] = sc.Confidence
 			}

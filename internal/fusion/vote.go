@@ -41,6 +41,7 @@ func (v *Vote) Name() string {
 // Fuse implements Method. Items are independent, so the whole method is one
 // parallel map over them.
 func (v *Vote) Fuse(c *Claims) *Result {
+	v.Discount.check(c)
 	decisions := newDecisions(c)
 	truths := make([]rdf.Term, len(decisions))
 	mapreduce.ForEach(mapreduce.Config{Workers: v.Workers, Obs: v.Obs}, len(decisions), func(i int) {
@@ -63,13 +64,10 @@ func (v *Vote) decide(d *Decision) (best rdf.Term, ok bool) {
 		for _, sc := range vc.Sources {
 			w := 1.0
 			if v.Weighted {
-				w = sc.Confidence
-				if w <= 0 {
-					w = 0.5
-				}
+				w = sc.weight()
 			}
 			if v.Discount != nil {
-				w *= v.Discount.Weight(sc.Source)
+				w *= v.Discount.Weight(int(sc.Source))
 			}
 			score += w
 		}
