@@ -164,6 +164,15 @@ func TestAdaptiveRoutesByFunctionality(t *testing.T) {
 	if res.Method != "ADAPTIVE(func-degree)" {
 		t.Errorf("name = %q", res.Method)
 	}
+	// A half rates the sources that claim in it: s4, always wrong and only
+	// on functional items, is ACCU's to rate, not the multi-truth half's,
+	// which never saw it and would report its untouched prior, 0.8.
+	if q := res.SourceQuality[numberOf(t, c, "s4")]; q >= 0.5 {
+		t.Errorf("quality of s4, wrong on every item it claims, is %v, want below 0.5", q)
+	}
+	if good, s3 := res.SourceQuality[numberOf(t, c, "s1")], res.SourceQuality[numberOf(t, c, "s3")]; good < 0.9 || s3 < 0.9 {
+		t.Errorf("quality of s1 is %v and of s3 %v, want both at 0.9 or above", good, s3)
+	}
 }
 
 func TestAdaptiveEmptyClaims(t *testing.T) {

@@ -118,24 +118,41 @@ func (a *Adaptive) Fuse(c *Claims) *Result {
 		}
 	}
 	res := &Result{Method: a.Name(), Decisions: make([]Decision, len(c.Items))}
-	merge := func(r *Result, pos []int) {
+	claims := make([]bool, len(c.SourceNames)) // whether a source claims in the half being merged
+	merge := func(m Method, half *Claims, pos []int) {
+		if len(half.Items) == 0 {
+			return
+		}
+		r := m.Fuse(half)
 		for j, d := range r.Decisions {
 			res.Decisions[pos[j]] = d
 		}
-		if r.SourceQuality != nil && res.SourceQuality == nil {
+		if r.SourceQuality == nil {
+			return
+		}
+		if res.SourceQuality == nil {
 			res.SourceQuality = make([]float64, len(c.SourceNames))
 		}
+		// A half rates every source of SourceNames, and one that claims
+		// nothing in it at the method's untouched prior: its estimate counts
+		// for the sources that do claim in it. A source both halves rate
+		// keeps the higher estimate.
+		clear(claims)
+		for _, it := range half.Items {
+			for _, vc := range it.Values {
+				for _, sc := range vc.Sources {
+					claims[sc.Source] = true
+				}
+			}
+		}
 		for s, q := range r.SourceQuality {
-			// Keep the max estimate when both fusers rate a source.
-			res.SourceQuality[s] = max(res.SourceQuality[s], q)
+			if claims[s] {
+				res.SourceQuality[s] = max(res.SourceQuality[s], q)
+			}
 		}
 	}
-	if len(fc.Items) > 0 {
-		merge(single.Fuse(fc), fpos)
-	}
-	if len(nc.Items) > 0 {
-		merge(multi.Fuse(nc), npos)
-	}
+	merge(single, fc, fpos)
+	merge(multi, nc, npos)
 	return res
 }
 

@@ -439,21 +439,30 @@ func referenceAdaptiveFuse(a *Adaptive, c *Claims) *refResult {
 		Decisions:     make(map[string]*refDecision, len(c.Items)),
 		SourceQuality: map[string]float64{},
 	}
-	merge := func(r *refResult) {
+	// A half's estimate counts for the sources that claim in it.
+	merge := func(r *refResult, half *Claims) {
 		for k, d := range r.Decisions {
 			res.Decisions[k] = d
 		}
+		claims := map[string]bool{}
+		for _, it := range half.Items {
+			for _, vc := range it.Values {
+				for _, sc := range vc.Sources {
+					claims[c.SourceNames[sc.Source]] = true
+				}
+			}
+		}
 		for s, q := range r.SourceQuality {
-			if q > res.SourceQuality[s] {
+			if claims[s] && q > res.SourceQuality[s] {
 				res.SourceQuality[s] = q
 			}
 		}
 	}
 	if len(fc.Items) > 0 {
-		merge(referenceFuse(single, fc))
+		merge(referenceFuse(single, fc), fc)
 	}
 	if len(nc.Items) > 0 {
-		merge(referenceFuse(multi, nc))
+		merge(referenceFuse(multi, nc), nc)
 	}
 	return res
 }
