@@ -147,9 +147,7 @@ func (a *Accu) eStep(d *Decision, acc []float64) {
 			if a.Weighted {
 				w = sc.weight()
 			}
-			if a.Discount != nil {
-				w *= a.Discount.Weight(int(sc.Source))
-			}
+			w *= a.Discount.Weight(int(sc.Source))
 			score += w * math.Log(A/((1-A)*falseProb))
 		}
 		scores[i] = score

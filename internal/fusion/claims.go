@@ -105,14 +105,10 @@ func (it *Item) index(v rdf.Term) int {
 }
 
 // Claims is the fusion input: all data items with their claimed values.
-// Sources, like items and values, are positional: a source is its number, its
-// place in SourceNames, and everything a method keeps or reports per source —
-// Result.SourceQuality, the copy discount, the correlation clusters — is a
-// slice aligned with SourceNames.
 type Claims struct {
 	Items []*Item
-	// SourceNames lists every distinct source in sorted order, so number
-	// order is name order.
+	// SourceNames lists every distinct source in sorted order: a source's
+	// number is its place here, so number order is name order.
 	SourceNames []string
 }
 

@@ -118,7 +118,6 @@ func (a *Adaptive) Fuse(c *Claims) *Result {
 		}
 	}
 	res := &Result{Method: a.Name(), Decisions: make([]Decision, len(c.Items))}
-	claims := make([]bool, len(c.SourceNames)) // whether a source claims in the half being merged
 	merge := func(m Method, half *Claims, pos []int) {
 		if len(half.Items) == 0 {
 			return
@@ -137,7 +136,7 @@ func (a *Adaptive) Fuse(c *Claims) *Result {
 		// nothing in it at the method's untouched prior: its estimate counts
 		// for the sources that do claim in it. A source both halves rate
 		// keeps the higher estimate.
-		clear(claims)
+		claims := make([]bool, len(c.SourceNames))
 		for _, it := range half.Items {
 			for _, vc := range it.Values {
 				for _, sc := range vc.Sources {

@@ -75,9 +75,6 @@ type mtItem struct {
 	// item, ascending — which fixes the float accumulation order.
 	covering []int32
 	values   []mtValue
-	// probs holds the current posterior per value, overwritten each
-	// iteration: the item's decision's beliefs.
-	probs []float64
 }
 
 // Fuse implements Method.
@@ -95,8 +92,8 @@ func (m *MultiTruth) Fuse(c *Claims) *Result {
 		iters = 15
 	}
 	m.Discount.check(c)
-	// A decision's beliefs are its item's posteriors, overwritten by every
-	// E-step.
+	// A decision's beliefs are its item's posteriors per value, overwritten
+	// by every E-step.
 	decisions := newDecisions(c)
 	nsrc := len(c.SourceNames)
 	stats := make([]sourceStats, nsrc)
@@ -106,17 +103,10 @@ func (m *MultiTruth) Fuse(c *Claims) *Result {
 
 	// Every item's covering list, then its claim matrix, each kind of row
 	// cut from one array.
-	nValues, nClaims := 0, 0
-	for _, it := range c.Items {
-		nValues += len(it.Values)
-		for _, vc := range it.Values {
-			nClaims += len(vc.Sources)
-		}
-	}
 	items := make([]mtItem, len(c.Items))
-	covering := make([]int32, 0, nClaims)
+	covering := make([]int32, 0, c.NumClaims())
 	seen := make([]bool, nsrc)
-	nCells := 0
+	nValues, nCells := 0, 0
 	for i, it := range c.Items {
 		first := len(covering)
 		for _, vc := range it.Values {
@@ -133,6 +123,7 @@ func (m *MultiTruth) Fuse(c *Claims) *Result {
 			seen[si] = false
 		}
 		items[i].covering = cov
+		nValues += len(it.Values)
 		nCells += len(it.Values) * len(cov)
 	}
 	values := make([]mtValue, nValues)
@@ -143,7 +134,6 @@ func (m *MultiTruth) Fuse(c *Claims) *Result {
 		mi := &items[i]
 		nv, nc := len(it.Values), len(mi.covering)
 		mi.values, values = values[:nv:nv], values[nv:]
-		mi.probs = decisions[i].Belief
 		for ci, si := range mi.covering {
 			pos[si] = ci
 		}
@@ -164,7 +154,7 @@ func (m *MultiTruth) Fuse(c *Claims) *Result {
 					// rejection, because assertions would count less than
 					// the full-weight silent negatives of non-claiming
 					// sources.
-					v.weight[ci] = (0.5 + sc.weight()/2) * m.Discount.Weight(int(sc.Source))
+					v.weight[ci] *= 0.5 + sc.weight()/2
 				}
 			}
 		}
@@ -186,7 +176,7 @@ func (m *MultiTruth) Fuse(c *Claims) *Result {
 		// E-step: items are independent, so per-item posteriors can be
 		// computed in parallel into their preallocated buffers.
 		mapreduce.ForEach(cfg, len(items), func(i int) {
-			mi := &items[i]
+			mi, probs := &items[i], decisions[i].Belief
 			for vi := range mi.values {
 				v := &mi.values[vi]
 				logOdds := logPrior
@@ -197,21 +187,19 @@ func (m *MultiTruth) Fuse(c *Claims) *Result {
 						logOdds += v.weight[ci] * logSilent[si]
 					}
 				}
-				mi.probs[vi] = 1 / (1 + math.Exp(-logOdds))
+				probs[vi] = 1 / (1 + math.Exp(-logOdds))
 			}
 		})
 
 		// M-step: serial, in item order then covering order then value
 		// order — the same accumulation order at any parallelism.
-		for i := range accs {
-			accs[i] = acc{}
-		}
+		clear(accs)
 		for i := range items {
-			mi := &items[i]
+			mi, probs := &items[i], decisions[i].Belief
 			for ci, si := range mi.covering {
 				a := &accs[si]
 				for vi := range mi.values {
-					p := mi.probs[vi]
+					p := probs[vi]
 					claims := mi.values[vi].claimed[ci]
 					// Sensitivity: of true values, how many does src assert?
 					a.totSens += p

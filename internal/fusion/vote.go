@@ -66,9 +66,7 @@ func (v *Vote) decide(d *Decision) (best rdf.Term, ok bool) {
 			if v.Weighted {
 				w = sc.weight()
 			}
-			if v.Discount != nil {
-				w *= v.Discount.Weight(int(sc.Source))
-			}
+			w *= v.Discount.Weight(int(sc.Source))
 			score += w
 		}
 		d.Belief[k] = score
