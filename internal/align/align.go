@@ -82,25 +82,34 @@ func tokenSignature(attr string) string {
 // (the variant with the most supporting statements, ties to the shorter
 // then lexicographically smaller name).
 func DetectSynonyms(stmts []rdf.Statement, cfg Config) map[string]string {
+	syn, _, _ := detectSynonyms(stmts, cfg, extract.Names{})
+	return syn
+}
+
+// detectSynonyms is DetectSynonyms recovering names through the caller's n.
+// It also returns the attribute names, numbered in order of first sight
+// (the numbering changes no cluster), and each statement's attribute.
+func detectSynonyms(stmts []rdf.Statement, cfg Config, n extract.Names) (syn map[string]string, names []string, of []int) {
 	if cfg.MinValueAgreement <= 0 {
 		cfg.MinValueAgreement = 0.8
 	}
 	if cfg.MinSharedEntities <= 0 {
 		cfg.MinSharedEntities = 3
 	}
-	support := map[string]int{}
-	for _, s := range stmts {
-		support[extract.AttrFromIRI(s.Predicate)]++
-	}
-	names := make([]string, 0, len(support))
-	for a := range support {
-		names = append(names, a)
-	}
-	sort.Strings(names)
-	// Attribute names are handled by their rank in names from here on.
-	rank := make(map[string]int, len(names))
-	for i, a := range names {
-		rank[a] = i
+	of = make([]int, len(stmts))
+	number := map[string]int{}
+	var support []int
+	for i, s := range stmts {
+		name := n.Of(s.Predicate)
+		a, ok := number[name]
+		if !ok {
+			a = len(names)
+			number[name] = a
+			names = append(names, name)
+			support = append(support, 0)
+		}
+		support[a]++
+		of[i] = a
 	}
 
 	parent := make([]int, len(names))
@@ -144,15 +153,15 @@ func DetectSynonyms(stmts []rdf.Statement, cfg Config) map[string]string {
 	var byEntity [][]attrValue // entity -> the names it occurs under
 	byAttr := make([][]int, len(names))
 	entityIDs := map[string]int{}
-	for _, s := range stmts {
-		entity := extract.AttrFromIRI(s.Subject)
+	for i, s := range stmts {
+		entity := n.Of(s.Subject)
 		e, ok := entityIDs[entity]
 		if !ok {
 			e = len(byEntity)
 			entityIDs[entity] = e
 			byEntity = append(byEntity, nil)
 		}
-		a := rank[extract.AttrFromIRI(s.Predicate)]
+		a := of[i]
 		if slices.ContainsFunc(byEntity[e], func(av attrValue) bool { return av.attr == a }) {
 			continue // only the first value of (attr, entity) counts
 		}
@@ -200,14 +209,14 @@ func DetectSynonyms(stmts []rdf.Statement, cfg Config) map[string]string {
 		r := find(i)
 		clusters[r] = append(clusters[r], i)
 	}
-	out := map[string]string{}
+	syn = map[string]string{}
 	for _, members := range clusters {
 		if len(members) < 2 {
 			continue
 		}
 		canon := members[0]
 		for _, m := range members[1:] {
-			sm, sc := support[names[m]], support[names[canon]]
+			sm, sc := support[m], support[canon]
 			if sm > sc || (sm == sc && (len(names[m]) < len(names[canon]) ||
 				(len(names[m]) == len(names[canon]) && names[m] < names[canon]))) {
 				canon = m
@@ -215,11 +224,11 @@ func DetectSynonyms(stmts []rdf.Statement, cfg Config) map[string]string {
 		}
 		for _, m := range members {
 			if m != canon {
-				out[names[m]] = names[canon]
+				syn[names[m]] = names[canon]
 			}
 		}
 	}
-	return out
+	return syn, names, of
 }
 
 // DetectSubAttributes identifies name-level sub-attribute relations: an
@@ -281,76 +290,84 @@ func DetectSubAttributes(attrs []string) map[string]string {
 // low-support values lying within a small edit distance of a much better
 // supported value. It returns rewritten statements and the fold count.
 func CorrectMisspellings(stmts []rdf.Statement, cfg Config) ([]rdf.Statement, int) {
+	out := slices.Clone(stmts)
+	return out, foldMisspellings(out, cfg)
+}
+
+// foldMisspellings is CorrectMisspellings rewriting stmts in place.
+func foldMisspellings(stmts []rdf.Statement, cfg Config) int {
 	if cfg.MisspellMaxDistance <= 0 {
 		cfg.MisspellMaxDistance = 2
 	}
 	if cfg.MisspellSupportRatio <= 0 {
 		cfg.MisspellSupportRatio = 2
 	}
-	// Count support per (item, value).
-	type itemVal struct {
-		item  string
-		value string
+	// Number the items by their (subject, predicate) terms and each item's
+	// distinct values on first sight. An item's values are a short list
+	// threaded through one slice.
+	type item struct{ subject, predicate rdf.Term }
+	type value struct {
+		text    string
+		support int32
+		next    int32 // the item's next value, or -1
+		to      int32 // the value it folds into, or -1
 	}
-	support := map[itemVal]int{}
-	itemValues := map[string]map[string]int{}
-	for _, s := range stmts {
-		ik := s.ItemKey()
-		support[itemVal{ik, s.Object.Value}]++
-		m := itemValues[ik]
-		if m == nil {
-			m = map[string]int{}
-			itemValues[ik] = m
+	itemNo := map[item]int{}
+	var first []int32 // item -> its first value
+	values := make([]value, 0, len(stmts))
+	valueOf := make([]int32, len(stmts))
+	for i, s := range stmts {
+		no, ok := itemNo[item{s.Subject, s.Predicate}]
+		if !ok {
+			no = len(first)
+			itemNo[item{s.Subject, s.Predicate}] = no
+			first = append(first, -1)
 		}
-		m[s.Object.Value]++
+		v := first[no]
+		for v >= 0 && values[v].text != s.Object.Value {
+			v = values[v].next
+		}
+		if v < 0 {
+			v = int32(len(values))
+			values = append(values, value{text: s.Object.Value, next: first[no], to: -1})
+			first[no] = v
+		}
+		values[v].support++
+		valueOf[i] = v
 	}
-	// Build per-item correction maps.
-	corrections := map[itemVal]string{}
-	for ik, vals := range itemValues {
-		names := make([]string, 0, len(vals))
-		for v := range vals {
-			names = append(names, v)
-		}
-		sort.Strings(names)
-		for _, low := range names {
+	// Each value folds into the best-supported one within reach, ties to the
+	// smaller, unless that is empty.
+	folded := 0 // statements whose value folds
+	for _, f := range first {
+		for low := f; low >= 0; low = values[low].next {
 			// Numeric values a digit apart are genuine conflicts, not
 			// typos; leave them for fusion to resolve.
-			if mostlyDigits(low) {
+			if mostlyDigits(values[low].text) {
 				continue
 			}
-			lowN := vals[low]
-			var best string
-			bestN := 0
-			for _, high := range names {
-				highN := vals[high]
-				if high == low || float64(highN) < float64(lowN)*cfg.MisspellSupportRatio {
+			best := int32(-1)
+			for high := f; high >= 0; high = values[high].next {
+				h := values[high]
+				if high == low || float64(h.support) < float64(values[low].support)*cfg.MisspellSupportRatio ||
+					!extract.WithinDistance(values[low].text, h.text, cfg.MisspellMaxDistance) {
 					continue
 				}
-				if editDistance(low, high) > cfg.MisspellMaxDistance {
-					continue
-				}
-				if highN > bestN || (highN == bestN && high < best) {
-					best, bestN = high, highN
+				if best < 0 || h.support > values[best].support || (h.support == values[best].support && h.text < values[best].text) {
+					best = high
 				}
 			}
-			if best != "" {
-				corrections[itemVal{ik, low}] = best
+			if best >= 0 && values[best].text != "" {
+				values[low].to = best
+				folded += int(values[low].support)
 			}
 		}
 	}
-	if len(corrections) == 0 {
-		return stmts, 0
-	}
-	out := make([]rdf.Statement, len(stmts))
-	folded := 0
-	for i, s := range stmts {
-		if target, ok := corrections[itemVal{s.ItemKey(), s.Object.Value}]; ok {
-			s.Object = rdf.Literal(target)
-			folded++
+	for i, v := range valueOf {
+		if to := values[v].to; to >= 0 {
+			stmts[i].Object = rdf.Literal(values[to].text)
 		}
-		out[i] = s
 	}
-	return out, folded
+	return folded
 }
 
 // Normalize applies synonym merging and misspelling correction to the
@@ -358,31 +375,28 @@ func CorrectMisspellings(stmts []rdf.Statement, cfg Config) ([]rdf.Statement, in
 // relations are detected and reported but values are left in place (a
 // sub-attribute is a distinct, more specific attribute, not a duplicate).
 func Normalize(stmts []rdf.Statement, cfg Config) ([]rdf.Statement, Report) {
-	rep := Report{}
-	rep.Synonyms = DetectSynonyms(stmts, cfg)
-	if len(rep.Synonyms) > 0 {
-		rewritten := make([]rdf.Statement, len(stmts))
-		for i, s := range stmts {
-			attr := extract.AttrFromIRI(s.Predicate)
-			if canon, ok := rep.Synonyms[attr]; ok {
-				s.Predicate = extract.AttrIRI(canon)
-			}
-			rewritten[i] = s
+	n := extract.Names{}
+	syn, names, of := detectSynonyms(stmts, cfg, n)
+	rep := Report{Synonyms: syn}
+	// A variant's statements take its canonical name's IRI; the output's
+	// attributes are the names the statements then carry (duplicates are
+	// dropped by DetectSubAttributes).
+	iri := make([]rdf.Term, len(names))
+	attrs := slices.Clone(names)
+	for a, name := range names {
+		if canon, ok := syn[name]; ok {
+			iri[a] = extract.AttrIRI(canon)
+			attrs[a] = n.Of(iri[a])
 		}
-		stmts = rewritten
 	}
-	var folded int
-	stmts, folded = CorrectMisspellings(stmts, cfg)
-	rep.CorrectedValues = folded
-
-	attrSet := map[string]bool{}
-	for _, s := range stmts {
-		attrSet[extract.AttrFromIRI(s.Predicate)] = true
+	// One copy takes both rewrites.
+	stmts = slices.Clone(stmts)
+	for i, a := range of {
+		if iri[a] != (rdf.Term{}) {
+			stmts[i].Predicate = iri[a]
+		}
 	}
-	attrs := make([]string, 0, len(attrSet))
-	for a := range attrSet {
-		attrs = append(attrs, a)
-	}
+	rep.CorrectedValues = foldMisspellings(stmts, cfg)
 	rep.SubAttributes = DetectSubAttributes(attrs)
 	return stmts, rep
 }
@@ -399,39 +413,4 @@ func mostlyDigits(s string) bool {
 		}
 	}
 	return d*2 > len(s)
-}
-
-// editDistance is the rune-level Levenshtein distance.
-func editDistance(a, b string) int {
-	ra, rb := []rune(a), []rune(b)
-	if len(ra) == 0 {
-		return len(rb)
-	}
-	if len(rb) == 0 {
-		return len(ra)
-	}
-	prev := make([]int, len(rb)+1)
-	cur := make([]int, len(rb)+1)
-	for j := range prev {
-		prev[j] = j
-	}
-	for i := 1; i <= len(ra); i++ {
-		cur[0] = i
-		for j := 1; j <= len(rb); j++ {
-			cost := 1
-			if ra[i-1] == rb[j-1] {
-				cost = 0
-			}
-			m := prev[j] + 1
-			if cur[j-1]+1 < m {
-				m = cur[j-1] + 1
-			}
-			if prev[j-1]+cost < m {
-				m = prev[j-1] + cost
-			}
-			cur[j] = m
-		}
-		prev, cur = cur, prev
-	}
-	return prev[len(rb)]
 }

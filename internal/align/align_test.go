@@ -173,6 +173,8 @@ func TestMostlyDigits(t *testing.T) {
 	}
 }
 
+// TestEditDistance: the bounded distance misspellings are folded by admits
+// each pair at its distance and not one below.
 func TestEditDistance(t *testing.T) {
 	cases := []struct {
 		a, b string
@@ -184,10 +186,11 @@ func TestEditDistance(t *testing.T) {
 		{"kitten", "sitting", 3},
 		{"Curtiz", "Curtis", 1},
 		{"same", "same", 0},
+		{"Zürich", "Zurich", 1},
 	}
 	for _, c := range cases {
-		if got := editDistance(c.a, c.b); got != c.want {
-			t.Errorf("editDistance(%q, %q) = %d, want %d", c.a, c.b, got, c.want)
+		if !extract.WithinDistance(c.a, c.b, c.want) || extract.WithinDistance(c.a, c.b, c.want-1) {
+			t.Errorf("distance(%q, %q) is not %d", c.a, c.b, c.want)
 		}
 	}
 }

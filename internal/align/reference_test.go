@@ -157,6 +157,190 @@ func refDetectSubAttributes(attrs []string) map[string]string {
 	return out
 }
 
+// refCorrectMisspellings is the form CorrectMisspellings replaced: items and
+// their values keyed by ItemKey strings, a map of values per item, and the
+// full edit-distance table per candidate pair.
+func refCorrectMisspellings(stmts []rdf.Statement, cfg Config) ([]rdf.Statement, int) {
+	if cfg.MisspellMaxDistance <= 0 {
+		cfg.MisspellMaxDistance = 2
+	}
+	if cfg.MisspellSupportRatio <= 0 {
+		cfg.MisspellSupportRatio = 2
+	}
+	type itemVal struct {
+		item  string
+		value string
+	}
+	itemValues := map[string]map[string]int{}
+	for _, s := range stmts {
+		ik := s.ItemKey()
+		m := itemValues[ik]
+		if m == nil {
+			m = map[string]int{}
+			itemValues[ik] = m
+		}
+		m[s.Object.Value]++
+	}
+	corrections := map[itemVal]string{}
+	for ik, vals := range itemValues {
+		names := make([]string, 0, len(vals))
+		for v := range vals {
+			names = append(names, v)
+		}
+		sort.Strings(names)
+		for _, low := range names {
+			if mostlyDigits(low) {
+				continue
+			}
+			lowN := vals[low]
+			var best string
+			bestN := 0
+			for _, high := range names {
+				highN := vals[high]
+				if high == low || float64(highN) < float64(lowN)*cfg.MisspellSupportRatio {
+					continue
+				}
+				if refEditDistance(low, high) > cfg.MisspellMaxDistance {
+					continue
+				}
+				if highN > bestN || (highN == bestN && high < best) {
+					best, bestN = high, highN
+				}
+			}
+			if best != "" {
+				corrections[itemVal{ik, low}] = best
+			}
+		}
+	}
+	if len(corrections) == 0 {
+		return stmts, 0
+	}
+	out := make([]rdf.Statement, len(stmts))
+	folded := 0
+	for i, s := range stmts {
+		if target, ok := corrections[itemVal{s.ItemKey(), s.Object.Value}]; ok {
+			s.Object = rdf.Literal(target)
+			folded++
+		}
+		out[i] = s
+	}
+	return out, folded
+}
+
+// refEditDistance is the unbounded rune-level Levenshtein distance.
+func refEditDistance(a, b string) int {
+	ra, rb := []rune(a), []rune(b)
+	prev := make([]int, len(rb)+1)
+	cur := make([]int, len(rb)+1)
+	for j := range prev {
+		prev[j] = j
+	}
+	for i := 1; i <= len(ra); i++ {
+		cur[0] = i
+		for j := 1; j <= len(rb); j++ {
+			cost := 1
+			if ra[i-1] == rb[j-1] {
+				cost = 0
+			}
+			cur[j] = min(prev[j]+1, cur[j-1]+1, prev[j-1]+cost)
+		}
+		prev, cur = cur, prev
+	}
+	return prev[len(rb)]
+}
+
+// refNormalize is Normalize as it was, over the reference forms: names
+// recovered from IRIs afresh each time, a copy of the statements for the
+// synonym rewrite and another for the misspelling fold.
+func refNormalize(stmts []rdf.Statement, cfg Config) ([]rdf.Statement, Report) {
+	rep := Report{Synonyms: refDetectSynonyms(stmts, cfg)}
+	if len(rep.Synonyms) > 0 {
+		rewritten := make([]rdf.Statement, len(stmts))
+		for i, s := range stmts {
+			if canon, ok := rep.Synonyms[extract.AttrFromIRI(s.Predicate)]; ok {
+				s.Predicate = extract.AttrIRI(canon)
+			}
+			rewritten[i] = s
+		}
+		stmts = rewritten
+	}
+	stmts, rep.CorrectedValues = refCorrectMisspellings(stmts, cfg)
+	attrSet := map[string]bool{}
+	for _, s := range stmts {
+		attrSet[extract.AttrFromIRI(s.Predicate)] = true
+	}
+	attrs := make([]string, 0, len(attrSet))
+	for a := range attrSet {
+		attrs = append(attrs, a)
+	}
+	rep.SubAttributes = refDetectSubAttributes(attrs)
+	return stmts, rep
+}
+
+// genMisspelt builds items whose values are typos of one another at mixed
+// supports: mostly-digit values a digit apart, support ties between two
+// targets, counts on either side of and exactly at MisspellSupportRatio,
+// multi-byte and empty values, and one spelling as a literal and an IRI.
+func genMisspelt(r *rand.Rand) []rdf.Statement {
+	values := []string{"Michael Curtiz", "Michael Curtis", "Michael Curtiss", "Micheal Curtiz", "1942", "1943", "19a2",
+		"Zürich", "Zurich", "Zürick", "", "ab", "abc", "Woody Allen"}
+	var stmts []rdf.Statement
+	for e, n := 0, 1+r.Intn(4); e < n; e++ {
+		entity := fmt.Sprintf("Entity %d", e)
+		for _, attr := range []string{"director", "release date"}[:1+r.Intn(2)] {
+			for k, m := 0, 1+r.Intn(5); k < m; k++ {
+				v := values[r.Intn(len(values))]
+				for c, support := 0, 1+r.Intn(6); c < support; c++ {
+					s := st(entity, attr, v, fmt.Sprintf("s%d", r.Intn(4)))
+					if r.Intn(8) == 0 {
+						s.Object = rdf.IRI(v)
+					}
+					stmts = append(stmts, s)
+				}
+			}
+		}
+	}
+	r.Shuffle(len(stmts), func(i, j int) { stmts[i], stmts[j] = stmts[j], stmts[i] })
+	return stmts
+}
+
+func TestCorrectMisspellingsMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(12))
+	cfgs := []Config{
+		DefaultConfig(),
+		{MisspellMaxDistance: 1, MisspellSupportRatio: 1.5},
+		{MisspellMaxDistance: 3, MisspellSupportRatio: 3},
+		{MisspellMaxDistance: 2, MisspellSupportRatio: 1},
+	}
+	folds := 0
+	for round := 0; round < 300; round++ {
+		stmts := genMisspelt(r)
+		for _, cfg := range cfgs {
+			got, gotN := CorrectMisspellings(stmts, cfg)
+			want, wantN := refCorrectMisspellings(stmts, cfg)
+			if gotN != wantN || !reflect.DeepEqual(got, want) {
+				t.Fatalf("round %d cfg %+v: %d folds, want %d\n got  %v\n want %v", round, cfg, gotN, wantN, got, want)
+			}
+			folds += gotN
+		}
+	}
+	if folds == 0 {
+		t.Fatal("the generator never produced a fold")
+	}
+}
+
+func TestNormalizeMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(13))
+	for round := 0; round < 300; round++ {
+		stmts := append(genStatements(r, 2+r.Intn(10), 1+r.Intn(8)), genMisspelt(r)...)
+		got, gotRep := Normalize(stmts, DefaultConfig())
+		want, wantRep := refNormalize(stmts, DefaultConfig())
+		if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(gotRep, wantRep) {
+			t.Fatalf("round %d:\n got  %+v\n want %+v", round, gotRep, wantRep)
+		}
+	}
+}
+
 // genAttrName draws names from a small vocabulary so that token overlap,
 // equal signatures ("rate of growth" / "growth rate"), repeated tokens and
 // strict containment chains are all common.

@@ -60,9 +60,6 @@ func digestOf(res *core.Result) kbDigest {
 // `go test ./internal/core -run TestGoldenKBDigest -update` only when an
 // output change is intended.
 func TestGoldenKBDigest(t *testing.T) {
-	allStages := []core.Option{
-		core.WithListPages(), core.WithTemporal(), core.WithEntityDiscovery(), core.WithAlignment(),
-	}
 	configs := []struct {
 		name string
 		opts []core.Option

@@ -8,6 +8,7 @@ import (
 	"sort"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 
 	"akb/internal/htmldom"
 	"akb/internal/kb"
@@ -193,6 +194,49 @@ func ValidAttributeLabel(label string) bool {
 		}
 	}
 	return words <= 5 && digits != len(label)
+}
+
+// WithinDistance reports whether the rune-level Levenshtein distance between
+// a and b is at most max. It gives up at the first row of the table whose
+// every cell exceeds max, and keeps the table on the stack while the shorter
+// string has at most 64 runes.
+func WithinDistance(a, b string, max int) bool {
+	na, nb := utf8.RuneCountInString(a), utf8.RuneCountInString(b)
+	if nb > na {
+		a, b, na, nb = b, a, nb, na
+	}
+	if na-nb > max {
+		return false
+	}
+	var runeBuf [64]rune
+	var rowBuf [2][65]int
+	rb, prev, cur := runeBuf[:0], rowBuf[0][:], rowBuf[1][:]
+	if nb > len(runeBuf) {
+		rb, prev, cur = make([]rune, 0, nb), make([]int, nb+1), make([]int, nb+1)
+	}
+	for _, r := range b {
+		rb = append(rb, r)
+		prev[len(rb)] = len(rb)
+	}
+	i := 0
+	for _, ra := range a {
+		i++
+		cur[0] = i
+		rowMin := i
+		for j, r := range rb {
+			sub := prev[j]
+			if r != ra {
+				sub++
+			}
+			cur[j+1] = min(prev[j+1]+1, cur[j]+1, sub)
+			rowMin = min(rowMin, cur[j+1])
+		}
+		if rowMin > max {
+			return false
+		}
+		prev, cur = cur, prev
+	}
+	return prev[nb] <= max
 }
 
 // EntityIRI mints the IRI for an entity name.

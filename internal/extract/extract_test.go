@@ -1,6 +1,7 @@
 package extract
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -163,6 +164,71 @@ func TestNamesRemembersAttrFromIRI(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(20, func() { names.Of(terms[0]) }); allocs != 0 {
 		t.Errorf("a remembered IRI cost %.0f allocations", allocs)
+	}
+}
+
+// levenshtein is the full rune-level table WithinDistance bounds.
+func levenshtein(a, b string) int {
+	ra, rb := []rune(a), []rune(b)
+	d := make([][]int, len(ra)+1)
+	for i := range d {
+		d[i] = make([]int, len(rb)+1)
+		d[i][0] = i
+	}
+	for j := range d[0] {
+		d[0][j] = j
+	}
+	for i := 1; i <= len(ra); i++ {
+		for j := 1; j <= len(rb); j++ {
+			sub := d[i-1][j-1]
+			if ra[i-1] != rb[j-1] {
+				sub++
+			}
+			d[i][j] = min(d[i-1][j]+1, d[i][j-1]+1, sub)
+		}
+	}
+	return d[len(ra)][len(rb)]
+}
+
+// TestWithinDistanceMatchesLevenshtein: for strings of ASCII, multi-byte and
+// invalid runes, short and past the stack table, WithinDistance answers
+// whether the full table's distance is within the budget, negative budgets
+// included.
+func TestWithinDistanceMatchesLevenshtein(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	alphabet := []string{"a", "b", " ", "é", "–", "日", "\xff"}
+	word := func() string {
+		var b strings.Builder
+		for n := r.Intn(8) + r.Intn(2)*r.Intn(90); n > 0; n-- {
+			b.WriteString(alphabet[r.Intn(len(alphabet))])
+		}
+		return b.String()
+	}
+	for round := 0; round < 3000; round++ {
+		a, b := word(), word()
+		if r.Intn(3) == 0 { // a near copy of a
+			rs := []rune(a)
+			if len(rs) > 0 {
+				rs[r.Intn(len(rs))] = '–'
+			}
+			b = string(rs) + alphabet[r.Intn(len(alphabet))]
+		}
+		d := levenshtein(a, b)
+		for max := -1; max <= 4; max++ {
+			if got := WithinDistance(a, b, max); got != (d <= max) {
+				t.Fatalf("WithinDistance(%q, %q, %d) = %v, distance %d", a, b, max, got, d)
+			}
+		}
+		if !WithinDistance(a, b, d) || (d > 0 && WithinDistance(a, b, d-1)) {
+			t.Fatalf("WithinDistance(%q, %q) does not bound at the distance %d", a, b, d)
+		}
+	}
+}
+
+func TestWithinDistanceAllocationFree(t *testing.T) {
+	a, b := "University of Enel 24 – Zürich", "Universiti of Enel 42 - Zurich"
+	if allocs := testing.AllocsPerRun(20, func() { WithinDistance(a, b, 8) }); allocs != 0 {
+		t.Errorf("WithinDistance on %d runes cost %.0f allocations", len([]rune(a)), allocs)
 	}
 }
 
