@@ -7,6 +7,9 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
+	"reflect"
+	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -374,5 +377,77 @@ func TestHotReloadUnderLoad(t *testing.T) {
 
 	if got := s.Generation(); got != uint64(swaps+1) {
 		t.Errorf("final generation = %d, want %d", got, swaps+1)
+	}
+}
+
+// TestCursorOutlivesItsGeneration: a Cursor yields *Fact into one
+// generation's fact arrays, whose strings are cut from that generation's
+// snapshot string table. A reload retires the generation from the server,
+// not from a cursor that holds it: opened and stepped on generation g,
+// drained after the swap to g+1 while more swaps and collections run beside
+// it (under -race in CI), the cursor returns exactly g's facts, in order.
+func TestCursorOutlivesItsGeneration(t *testing.T) {
+	var facts []store.Fact
+	for i := 0; i < 2000; i++ {
+		facts = append(facts, store.Fact{
+			Entity: fmt.Sprintf("Entity %d", i%700), Class: fmt.Sprintf("C%d", i%5), Attr: fmt.Sprintf("a%d", i%7),
+			Value: fmt.Sprintf("v%d", i%300), Confidence: float64(i%100) / 100, Sources: i % 9,
+			Ancestors: []string{fmt.Sprintf("p%d", i%30), "root"},
+		})
+	}
+	dir := t.TempDir()
+	paths := []string{filepath.Join(dir, "g.akb"), filepath.Join(dir, "next.akb")}
+	for i, st := range []*store.Sharded{store.NewSharded(facts, 3), markerStore("next", 50)} {
+		if err := st.WriteBinarySnapshotFile(paths[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// want is g's facts decoded on their own, sharing no memory with g.
+	q, _, err := store.OpenSnapshotFile(paths[0], 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := q.(*store.Sharded).Facts()
+
+	var loads atomic.Int32 // the first load reads g's file, every later one the other
+	cfg := DefaultConfig()
+	cfg.Reloader = func() (store.Querier, error) {
+		q, _, err := store.OpenSnapshotFile(paths[min(loads.Add(1)-1, 1)], 0)
+		return q, err
+	}
+	s := New(nil, obs.NewRegistry(), cfg)
+	if _, err := s.Reload(); err != nil {
+		t.Fatal(err)
+	}
+	// The cursor is all that holds generation g once the server swaps it out.
+	cur, g := func() (store.Cursor, uint64) {
+		gen := s.cur.Load()
+		return gen.q.Select(store.Pattern{}), gen.num
+	}()
+	got := []store.Fact{*cur.Next()}
+	if info, err := s.Reload(); err != nil || info.Generation != g+1 {
+		t.Fatalf("reload from generation %d: %+v, %v", g, info, err)
+	}
+	swapped := make(chan struct{})
+	go func() {
+		defer close(swapped)
+		for i := 0; i < 10; i++ {
+			if _, err := s.Reload(); err != nil {
+				t.Error(err)
+			}
+			runtime.GC()
+		}
+	}()
+	for f := cur.Next(); f != nil; f = cur.Next() {
+		if got = append(got, *f); len(got)%256 == 0 {
+			runtime.GC()
+		}
+	}
+	<-swapped
+	if s.Generation() != g+11 {
+		t.Errorf("generation %d after 11 reloads from %d", s.Generation(), g)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("the cursor opened on generation %d returned %d facts after the reloads, not its generation's %d", g, len(got), len(want))
 	}
 }

@@ -47,6 +47,12 @@ import (
 // bytes. Every fact is still materialised: the layout leaves room for a
 // zero-copy reader without a codec bump.
 //
+// The string table is the store's own (Sharded.strs): a decoded store keeps
+// the file's, verbatim, with the IDs the decoder fed its indexes, and
+// NewSharded numbers its strings once, at construction. Writing is therefore
+// the header, the held table and the columns read by number — rank, attrNo,
+// valueNo through each index's ids — with no sort and nothing hashed.
+//
 // Facts are segmented per shard by entity hash (ShardOf), so a loader
 // can reconstruct the sharded store without re-partitioning and a future
 // multi-process deployment can ship individual segments to shard owners.
@@ -74,18 +80,17 @@ const (
 // binary layout. The encoding is deterministic: equal stores produce
 // byte-identical snapshots. The file is encoded in memory, hashed once
 // and handed to w in a single Write. No fact's strings are looked up: the
-// shards' indexes have numbered every one of them already (runs, list
-// numbers, attrNo, valueNo), and binStringTable translates those numbers
-// into the file's.
+// store holds its string table, and every column is a number that leads
+// into it (rank, and attrNo, valueNo and a class's list number through
+// their index's ids).
 func (s *Sharded) WriteBinarySnapshot(w io.Writer) error {
-	strs, ids, err := binStringTable(s)
-	if err != nil {
-		return err
+	if s.strsErr != nil {
+		return s.strsErr
 	}
 	// Sized for one-byte source counts and three-byte ancestor IDs; a
 	// store outside that still encodes, by growing the buffer.
 	size := binHeaderLen + binTrailerLen
-	for _, str := range strs {
+	for _, str := range s.strs {
 		size += len(str) + 2
 	}
 	for _, sh := range s.shards {
@@ -97,13 +102,14 @@ func (s *Sharded) WriteBinarySnapshot(w io.Writer) error {
 	buf = be.AppendUint32(buf, BinarySnapshotVersion)
 	buf = be.AppendUint32(buf, uint32(len(s.shards)))
 	buf = be.AppendUint64(buf, uint64(s.Len()))
-	buf = be.AppendUint64(buf, uint64(len(strs)))
-	for _, str := range strs {
+	buf = be.AppendUint64(buf, uint64(len(s.strs)))
+	for _, str := range s.strs {
 		buf = binary.AppendUvarint(buf, uint64(len(str)))
 		buf = append(buf, str...)
 	}
-	for si, sh := range s.shards {
-		facts, id := sh.facts, &ids[si]
+	for _, sh := range s.shards {
+		facts := sh.facts
+		attrID, valueID := sh.byAttr.ids, sh.byValue.ids
 		buf = be.AppendUint64(buf, uint64(len(facts)))
 		var class uint32 // the empty class, when a fact has it, is string 0
 		vn := 0          // the fact's first posting in valueNo
@@ -114,11 +120,11 @@ func (s *Sharded) WriteBinarySnapshot(w io.Writer) error {
 			if f.Class == "" {
 				class = 0
 			} else if i == 0 || f.Class != facts[i-1].Class {
-				class = id.class[sh.byClass.list[f.Class]]
+				class = sh.byClass.ids[sh.byClass.list[f.Class]]
 			}
-			buf = be.AppendUint32(buf, id.run[sh.runOf[i]])
-			buf = be.AppendUint32(buf, id.attr[sh.attrNo[i]])
-			buf = be.AppendUint32(buf, id.value[sh.valueNo[vn]])
+			buf = be.AppendUint32(buf, sh.rank[sh.runOf[i]])
+			buf = be.AppendUint32(buf, attrID[sh.attrNo[i]])
+			buf = be.AppendUint32(buf, valueID[sh.valueNo[vn]])
 			buf = be.AppendUint32(buf, class)
 			vn += 1 + len(f.Ancestors)
 		}
@@ -140,7 +146,7 @@ func (s *Sharded) WriteBinarySnapshot(w io.Writer) error {
 			anc := sh.valueNo[vn+1 : vn+1+len(facts[i].Ancestors)]
 			buf = binary.AppendUvarint(buf, uint64(len(anc)))
 			for _, no := range anc {
-				buf = binary.AppendUvarint(buf, uint64(id.value[no]))
+				buf = binary.AppendUvarint(buf, uint64(valueID[no]))
 			}
 			vn += 1 + len(anc)
 		}
@@ -151,11 +157,6 @@ func (s *Sharded) WriteBinarySnapshot(w io.Writer) error {
 	}
 	return nil
 }
-
-// binIDs translates what one shard's indexes number into string IDs: run
-// number → its entity's ID, and list number → its key's ID for each of the
-// three postings indexes.
-type binIDs struct{ run, attr, class, value []uint32 }
 
 // binKey stands for one index key while the table is sorted: the key's
 // first eight bytes as a big-endian integer (zero-padded), which orders
@@ -173,63 +174,69 @@ func binPrefix(s string) (p uint64) {
 	return p
 }
 
-// binStringTable numbers every distinct string of the store — entities,
-// classes, attributes, values, ancestors — in sorted order, which is what
-// makes the fixed-width keys sortable. The distinct strings are exactly the
+// numberStrings gives the shards NewSharded built what a decoded store reads
+// off its file: the sorted table of every distinct string — entities,
+// classes, attributes, values, ancestors — each shard's rank column (its
+// runs' entity IDs) and each index's ids (its lists' key IDs). keys[i] is
+// what build returned for shard i. The distinct strings are exactly the
 // keys of the shards' indexes (plus the empty class, which is not indexed),
-// and the indexes have numbered them: every key gets a slot — per shard its
-// attribute, class and value lists, then its runs, in their own numbering —
-// the slots are sorted by key, and one walk over the sorted slots both
-// drops the repeats (a value listed in several shards, a name that is an
-// attribute here and a value there) and writes each slot's ID where ids
-// will find it. No string is hashed.
-func binStringTable(s *Sharded) (strs []string, ids []binIDs, err error) {
+// so every key gets a slot — per shard its attribute, class and value
+// lists, then its runs, in their own numbering — the slots are sorted by
+// key, and one walk over the sorted slots both drops the repeats (a value
+// listed in several shards, a name that is an attribute here and a value
+// there) and writes each slot's ID where the rank columns and ids, windows
+// of one array, hold it. No string is hashed.
+//
+// A store of more slots than the u32 ID space has no table: the error is
+// WriteBinarySnapshot's to return. (Such a store, some 2^30 facts, cannot
+// be merged across shards either; it does not fit in memory to begin with.)
+func numberStrings(shards []*shard, keys [][3][]string) ([]string, error) {
 	n, emptyClass := 0, false
-	for _, sh := range s.shards {
-		n += len(sh.runs) + len(sh.byAttr.list) + len(sh.byClass.list) + len(sh.byValue.list)
+	for i, sh := range shards {
+		n += len(sh.runs) + len(keys[i][0]) + len(keys[i][1]) + len(keys[i][2])
 		emptyClass = emptyClass || len(sh.byClass.arena) < len(sh.facts)
 	}
 	if emptyClass {
-		n++ // the last slot: keys[n-1] is ""
+		n++ // the last slot: names[n-1] is ""
 	}
 	if uint64(n) > math.MaxUint32 {
-		return nil, nil, fmt.Errorf("store: %d index keys exceed the u32 ID space", n)
+		return nil, fmt.Errorf("store: %d index keys exceed the u32 ID space", n)
 	}
-	keys := make([]string, n)
+	names := make([]string, n)
 	slotID := make([]uint32, n)
-	ids = make([]binIDs, len(s.shards))
 	at := 0
-	lists := func(list map[string]int32) []uint32 {
-		for key, no := range list {
-			keys[at+int(no)] = key
+	// window takes the next k slots, whose names are written, and returns
+	// their IDs: nil when k is 0, as the decoder leaves an empty column.
+	window := func(k int) []uint32 {
+		if k == 0 {
+			return nil
 		}
-		at += len(list)
-		return slotID[at-len(list) : at]
+		at += k
+		return slotID[at-k : at : at]
 	}
-	for si, sh := range s.shards {
-		id := &ids[si]
-		id.attr, id.class, id.value = lists(sh.byAttr.list), lists(sh.byClass.list), lists(sh.byValue.list)
-		for i, run := range sh.runs {
-			keys[at+i] = sh.facts[run.lo].Entity
+	lists := func(keys []string) []uint32 { return window(copy(names[at:], keys)) }
+	for i, sh := range shards {
+		sh.byAttr.ids, sh.byClass.ids, sh.byValue.ids = lists(keys[i][0]), lists(keys[i][1]), lists(keys[i][2])
+		for j, run := range sh.runs {
+			names[at+j] = sh.facts[run.lo].Entity
 		}
-		at += len(sh.runs)
-		id.run = slotID[at-len(sh.runs) : at]
+		sh.rank = window(len(sh.runs))
 	}
 
 	pairs := make([]binKey, 2*n) // the slots, and the radix passes' other side
 	sorted := pairs[:n]
 	for slot := range sorted {
-		sorted[slot] = binKey{binPrefix(keys[slot]), uint32(slot)}
+		sorted[slot] = binKey{binPrefix(names[slot]), uint32(slot)}
 	}
-	sorted = binSortKeys(sorted, pairs[n:], keys)
-	strs = make([]string, 0, n)
+	sorted = binSortKeys(sorted, pairs[n:], names)
+	strs := make([]string, 0, n)
 	for i, k := range sorted {
-		if i == 0 || k.prefix != sorted[i-1].prefix || keys[k.slot] != keys[sorted[i-1].slot] {
-			strs = append(strs, keys[k.slot])
+		if i == 0 || k.prefix != sorted[i-1].prefix || names[k.slot] != names[sorted[i-1].slot] {
+			strs = append(strs, names[k.slot])
 		}
 		slotID[k.slot] = uint32(len(strs) - 1)
 	}
-	return strs, ids, nil
+	return strs, nil
 }
 
 // binSortKeys orders a by the keys its slots stand for and returns the
@@ -308,7 +315,7 @@ type binShard struct {
 	si                     int
 	facts                  []Fact
 	runs                   []span
-	rank                   []int32
+	rank                   []uint32
 	attrs, classes, values *postingsBuilder
 }
 
@@ -380,7 +387,7 @@ func binVerify(data []byte) (binHeader, *binReader, error) {
 	// A shard occupies at least its 8-byte count, a fact binMinFactLen
 	// bytes, a string its length byte: a header that declares more than
 	// the file can hold is refused here, before the counts size anything.
-	// String IDs stand in for entity ranks (see shard), which are int32.
+	// String IDs are entity ranks (see shard), which stay below noRank.
 	if left := uint64(r.left()); shards > left/8 || facts > left/binMinFactLen || strs > left || strs > noRank {
 		return hdr, nil, fmt.Errorf("store: binary snapshot header declares %d shards, %d facts, %d strings in %d bytes", shards, facts, strs, left)
 	}
@@ -445,7 +452,9 @@ func decodeBinarySnapshot(data []byte) (*Sharded, error) {
 			return nil, fmt.Errorf("store: binary snapshot string %d (%q) is referenced by no fact", id, d.strs[id])
 		}
 	}
-	return newSharded(shards), nil
+	s := newSharded(shards)
+	s.strs = d.strs // sorted, each string once and each one used: the store's table
+	return s, nil
 }
 
 // assembleDecoded indexes one decoded shard into its place in shards. A
@@ -529,9 +538,9 @@ func (d *binReader) stringTable(n int) error {
 // increasing, compared as the two big-endian integers they are. String IDs
 // are in string order over the whole file, so a run ends where the entity ID
 // changes and that ID is the entity's rank — read off the keys into sh.runs
-// and sh.rank, where NewSharded has to compare the names (build, rankRuns)
-// — and every index key is already a number:
-// the builders are fed IDs, in the order build feeds names (attribute and
+// and sh.rank, where NewSharded compares the names (build, numberStrings) —
+// and every index key is already a number: the builders are fed IDs, which
+// become the indexes' ids, in the order build feeds names (attribute and
 // class with the key, value and ancestors together in the last column).
 func (d *binReader) shard(n int, sh *binShard) error {
 	be := binary.BigEndian
@@ -560,7 +569,7 @@ func (d *binReader) shard(n int, sh *binShard) error {
 			if got := ShardOf(f.Entity, n); got != si {
 				return fmt.Errorf("store: binary snapshot misplaces entity %q in shard %d (hashes to %d)", f.Entity, si, got)
 			}
-			sh.runs, sh.rank = append(sh.runs, span{int32(i), int32(i)}), append(sh.rank, int32(e))
+			sh.runs, sh.rank = append(sh.runs, span{int32(i), int32(i)}), append(sh.rank, uint32(e))
 		}
 		sh.runs[len(sh.runs)-1].hi = int32(i) + 1
 		sh.attrs.addID(d.attrNo, uint32(a), int32(i))

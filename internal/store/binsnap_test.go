@@ -314,21 +314,32 @@ func TestSnapshotRefusesNonFiniteConfidence(t *testing.T) {
 }
 
 // TestWriteBinarySnapshotAllocationBound pins what writing costs the
-// allocator: the table's slots, IDs and sort scratch, the table, the buffer
-// — a fixed number of arrays, however many facts. The writer that hashed
-// every string into one map made 69 allocations on this KB.
+// allocator: the buffer, sized once, however many facts — on a store
+// NewSharded built and on one decoded from a file alike. The store holds its
+// string table, so a write numbers nothing: numbering the strings in the
+// writer made 7 allocations, and hashing every string into one map 69.
 func TestWriteBinarySnapshotAllocationBound(t *testing.T) {
 	for _, perClass := range []int{10, 100} {
 		w := kb.NewWorld(kb.WorldConfig{Seed: 1, EntitiesPerClass: perClass, AttrsPerEntity: 6})
-		sh := NewSharded(WorldFacts(w), DefaultShards)
-		allocs := testing.AllocsPerRun(5, func() {
-			if err := sh.WriteBinarySnapshot(io.Discard); err != nil {
-				t.Fatal(err)
+		built := NewSharded(WorldFacts(w), DefaultShards)
+		var buf bytes.Buffer
+		if err := built.WriteBinarySnapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		decoded, err := ReadBinarySnapshot(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, sh := range map[string]*Sharded{"built": built, "decoded": decoded} {
+			allocs := testing.AllocsPerRun(5, func() {
+				if err := sh.WriteBinarySnapshot(io.Discard); err != nil {
+					t.Fatal(err)
+				}
+			})
+			t.Logf("%s, %d facts: %.0f allocations", name, sh.Len(), allocs)
+			if allocs > 1 {
+				t.Errorf("WriteBinarySnapshot of %d facts, %s, allocates %.0f times, want 1", sh.Len(), name, allocs)
 			}
-		})
-		t.Logf("%d facts: %.0f allocations", sh.Len(), allocs)
-		if allocs > 16 {
-			t.Errorf("WriteBinarySnapshot of %d facts allocates %.0f times, want <= 16", sh.Len(), allocs)
 		}
 	}
 }
@@ -499,8 +510,9 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 // ground-truth world (no discovered attributes, 400 entities a class) and
 // the KB the bench harness's serve-wide and datalog workloads write and
 // cold-start — a scale-16 pipeline run on 8 shards, read back from its own
-// snapshot as the harness's fixture is. table is the writer's first half,
-// numbering the strings. Profile from here (PERF.md §3).
+// snapshot as the harness's fixture is. shard is NewSharded of the KB's
+// facts on 8 shards: sorting, indexing and numbering the strings, the one
+// place a store's strings are numbered. Profile from here (PERF.md §3).
 func BenchmarkBinarySnapshot(b *testing.B) {
 	world := func(b *testing.B) []Fact {
 		return WorldFacts(kb.NewWorld(kb.WorldConfig{Seed: 1, EntitiesPerClass: 400, AttrsPerEntity: 6}))
@@ -536,12 +548,11 @@ func BenchmarkBinarySnapshot(b *testing.B) {
 					}
 				}
 			})
-			b.Run(fmt.Sprintf("table/facts=%d", sh.Len()), func(b *testing.B) {
+			facts := sh.Facts()
+			b.Run(fmt.Sprintf("shard/facts=%d", sh.Len()), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, _, err := binStringTable(sh); err != nil {
-						b.Fatal(err)
-					}
+					NewSharded(facts, DefaultShards)
 				}
 			})
 			b.Run(fmt.Sprintf("read/facts=%d", sh.Len()), func(b *testing.B) {

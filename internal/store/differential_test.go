@@ -249,7 +249,7 @@ func checkColumns(t *testing.T, where string, q *Sharded) {
 	t.Helper()
 	type ranked struct {
 		entity string
-		rank   int32
+		rank   uint32
 	}
 	var all []ranked
 	for si, sh := range q.shards {

@@ -62,12 +62,12 @@ type Cursor struct {
 // sh.facts[at], whose entity has the rank kept beside it.
 type head struct {
 	shardCursor
-	rank int32 // noRank: the shard is exhausted
+	rank uint32 // noRank: the shard is exhausted
 }
 
-// noRank is above every entity's rank: ranks count runs, which int32 fact
-// positions bound.
-const noRank = math.MaxInt32
+// noRank is above every entity's rank: ranks are string IDs, and a string
+// table holds at most noRank strings (numberStrings, binVerify).
+const noRank = math.MaxUint32
 
 // advance moves the head to the shard's next match.
 func (h *head) advance() {
@@ -114,7 +114,7 @@ func (c *Cursor) Next() *Fact {
 	if c.heads == nil {
 		return c.next()
 	}
-	best, rank := -1, int32(noRank)
+	best, rank := -1, uint32(noRank)
 	for i := range c.heads {
 		if r := c.heads[i].rank; r < rank {
 			best, rank = i, r

@@ -8,6 +8,8 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"slices"
@@ -15,54 +17,30 @@ import (
 	"testing"
 )
 
-// The references of the snapshot codec's two directions: the forms the
-// writer and the decoder had while every string was hashed — one map over
-// all the store's strings and sort.Strings for the table, a probe of that
-// map per field per fact for the columns, build(facts) by name for every
-// decoded shard — kept here, word for word, for the number-fed forms to be
-// held to exactly.
+// The snapshot codec's oracles. The table every store holds is checked
+// against brute force: the sorted distinct strings of its facts. The writer
+// is held to the form it had while every string was hashed — a probe of a
+// map over that table per field per fact — and every shard the decoder
+// assembles to the one NewSharded builds from the same facts.
 
-// refStringTable is binStringTable as it was: every distinct string of the
-// store, sorted, and a map from each to its ID.
-func refStringTable(s *Sharded) ([]string, map[string]uint32, error) {
-	n := 0
-	for _, sh := range s.shards {
-		n += len(sh.byEntity) + len(sh.byValue.list)
-	}
-	ids := make(map[string]uint32, n)
-	for _, sh := range s.shards {
-		for str := range sh.byEntity {
-			ids[str] = 0
-		}
-		for _, p := range []postings{sh.byAttr, sh.byClass, sh.byValue} {
-			for str := range p.list {
-				ids[str] = 0
-			}
-		}
-		if len(sh.byClass.arena) < len(sh.facts) {
-			ids[""] = 0
-		}
-	}
-	if uint64(len(ids)) > math.MaxUint32 {
-		return nil, nil, fmt.Errorf("store: %d distinct strings exceed the u32 ID space", len(ids))
-	}
-	strs := make([]string, 0, len(ids))
-	for str := range ids {
-		strs = append(strs, str)
+// bruteStrings is every string the facts hold in any field, the empty class
+// included, sorted and each once: what a store's string table must be.
+func bruteStrings(facts []Fact) []string {
+	var strs []string
+	for _, f := range facts {
+		strs = append(append(strs, f.Entity, f.Class, f.Attr, f.Value), f.Ancestors...)
 	}
 	sort.Strings(strs)
-	for i, str := range strs {
-		ids[str] = uint32(i)
-	}
-	return strs, ids, nil
+	return slices.Compact(strs)
 }
 
 // refWriteBinarySnapshot is WriteBinarySnapshot as it was: the columns
-// encoded from the facts' strings through refStringTable's map.
+// encoded from the facts' strings through a map over bruteStrings' table.
 func refWriteBinarySnapshot(s *Sharded, w io.Writer) error {
-	strs, ids, err := refStringTable(s)
-	if err != nil {
-		return err
+	strs := bruteStrings(s.Facts())
+	ids := make(map[string]uint32, len(strs))
+	for i, str := range strs {
+		ids[str] = uint32(i)
 	}
 	be := binary.BigEndian
 	var buf []byte
@@ -109,7 +87,7 @@ func refWriteBinarySnapshot(s *Sharded, w io.Writer) error {
 		}
 	}
 	sum := sha256.Sum256(buf)
-	_, err = w.Write(append(buf, sum[:]...))
+	_, err := w.Write(append(buf, sum[:]...))
 	return err
 }
 
@@ -181,39 +159,37 @@ func orderKBs(t *testing.T, check func(where string, s *Sharded)) {
 	}
 }
 
-// checkStringTable holds binStringTable to the reference: the same table,
-// and for every run and every list of every shard the ID the reference's
-// map has for its name.
-func checkStringTable(t testing.TB, where string, s *Sharded) {
+// checkStrings holds the store's string table to brute force — exactly the
+// sorted distinct strings of its facts — and every number that leads into
+// it to its own string: each run's rank is its entity's ID, and each list
+// of the three indexes has its key's ID.
+func checkStrings(t testing.TB, where string, s *Sharded) {
 	t.Helper()
-	want, wantID, err := refStringTable(s)
-	if err != nil {
-		t.Fatal(err)
+	if want := bruteStrings(s.Facts()); !slices.Equal(s.strs, want) {
+		t.Fatalf("%s: string table\n got: %q\nwant: %q", where, s.strs, want)
 	}
-	got, ids, err := binStringTable(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !slices.Equal(got, want) {
-		t.Fatalf("%s: string table\n got: %q\nwant: %q", where, got, want)
+	str := func(id uint32) string {
+		if int(id) >= len(s.strs) {
+			return fmt.Sprintf("<ID %d of %d>", id, len(s.strs))
+		}
+		return s.strs[id]
 	}
 	for si, sh := range s.shards {
-		id := ids[si]
+		if len(sh.rank) != len(sh.runs) {
+			t.Fatalf("%s shard %d: %d ranks for %d runs", where, si, len(sh.rank), len(sh.runs))
+		}
 		for ri, run := range sh.runs {
-			if name := sh.facts[run.lo].Entity; id.run[ri] != wantID[name] {
-				t.Errorf("%s shard %d: run %d (%q) has ID %d, want %d", where, si, ri, name, id.run[ri], wantID[name])
+			if name := sh.facts[run.lo].Entity; str(sh.rank[ri]) != name {
+				t.Errorf("%s shard %d: run %d (%q) has rank %d, which is %q", where, si, ri, name, sh.rank[ri], str(sh.rank[ri]))
 			}
 		}
-		for index, part := range map[string]struct {
-			ids  []uint32
-			list map[string]int32
-		}{"byAttr": {id.attr, sh.byAttr.list}, "byClass": {id.class, sh.byClass.list}, "byValue": {id.value, sh.byValue.list}} {
-			if len(part.ids) != len(part.list) {
-				t.Fatalf("%s shard %d: %d IDs for %s's %d lists", where, si, len(part.ids), index, len(part.list))
+		for index, p := range map[string]postings{"byAttr": sh.byAttr, "byClass": sh.byClass, "byValue": sh.byValue} {
+			if len(p.ids) != len(p.list) {
+				t.Fatalf("%s shard %d: %d IDs for %s's %d lists", where, si, len(p.ids), index, len(p.list))
 			}
-			for name, no := range part.list {
-				if part.ids[no] != wantID[name] {
-					t.Errorf("%s shard %d: %s list %d (%q) has ID %d, want %d", where, si, index, no, name, part.ids[no], wantID[name])
+			for name, no := range p.list {
+				if str(p.ids[no]) != name {
+					t.Errorf("%s shard %d: %s list %d (%q) has ID %d, which is %q", where, si, index, no, name, p.ids[no], str(p.ids[no]))
 				}
 			}
 		}
@@ -252,37 +228,63 @@ func checkWriter(t testing.TB, where string, s *Sharded) []byte {
 	return got.Bytes()
 }
 
-// checkDecoder holds the shards the decoder assembles from file to build of
-// their facts: deeply equal — postings maps, offsets, arenas, attrNo,
-// valueNo, runs, runOf, byEntity — in everything but rank, which the decoder
-// reads off the file's IDs and NewSharded numbers over all shards.
+// checkDecoder holds the store the decoder assembles from file to the one
+// NewSharded builds from its facts on as many shards: every shard deeply
+// equal — postings maps, offsets, arenas and ids, attrNo, valueNo, runs,
+// runOf, byEntity, rank — and the same string table.
 func checkDecoder(t testing.TB, where string, file []byte) *Sharded {
 	t.Helper()
 	got, err := ReadBinarySnapshot(bytes.NewReader(file))
 	if err != nil {
 		t.Fatalf("%s: %v", where, err)
 	}
+	want := NewSharded(got.Facts(), got.ShardCount())
+	if !slices.Equal(got.strs, want.strs) {
+		t.Errorf("%s: the decoded store holds the table\n%q\nNewSharded numbers\n%q", where, got.strs, want.strs)
+	}
 	for si, sh := range got.shards {
-		want := build(append([]Fact(nil), sh.facts...))
-		want.rank = sh.rank
+		want := want.shards[si]
 		if reflect.DeepEqual(sh, want) {
 			continue
 		}
 		for field, pair := range map[string][2]any{
 			"facts": {sh.facts, want.facts}, "byEntity": {sh.byEntity, want.byEntity}, "runs": {sh.runs, want.runs},
-			"runOf": {sh.runOf, want.runOf}, "byAttr": {sh.byAttr, want.byAttr}, "attrNo": {sh.attrNo, want.attrNo},
-			"byClass": {sh.byClass, want.byClass}, "byValue": {sh.byValue, want.byValue}, "valueNo": {sh.valueNo, want.valueNo},
+			"runOf": {sh.runOf, want.runOf}, "rank": {sh.rank, want.rank}, "byAttr": {sh.byAttr, want.byAttr},
+			"attrNo": {sh.attrNo, want.attrNo}, "byClass": {sh.byClass, want.byClass}, "byValue": {sh.byValue, want.byValue},
+			"valueNo": {sh.valueNo, want.valueNo},
 		} {
 			if !reflect.DeepEqual(pair[0], pair[1]) {
-				t.Errorf("%s shard %d: the decoder assembled %s\n%+v\nbuild of its facts has\n%+v", where, si, field, pair[0], pair[1])
+				t.Errorf("%s shard %d: the decoder assembled %s\n%+v\nNewSharded of its facts has\n%+v", where, si, field, pair[0], pair[1])
 			}
 		}
 	}
 	return got
 }
 
-func TestStringTableMatchesReference(t *testing.T) {
-	orderKBs(t, func(where string, s *Sharded) { checkStringTable(t, where, s) })
+// TestStoreHoldsTheFactsStrings: however a store came to be — built by
+// NewSharded on 1, 3 or 8 shards, decoded from a file, or re-sharded on the
+// way in by OpenSnapshotFile — it holds exactly the sorted distinct strings
+// of its facts, and its rank columns and index ids lead to their own.
+func TestStoreHoldsTheFactsStrings(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "kb.akb")
+	check := func(where string, s *Sharded) {
+		checkStrings(t, where, s)
+		var buf bytes.Buffer
+		if err := s.WriteBinarySnapshot(&buf); err != nil {
+			t.Fatalf("%s: %v", where, err)
+		}
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		k := 1 + s.ShardCount()%8 // another count: 1 → 2, 3 → 4, 8 → 1
+		q, _, err := OpenSnapshotFile(path, k)
+		if err != nil {
+			t.Fatalf("%s: %v", where, err)
+		}
+		checkStrings(t, fmt.Sprintf("%s, re-sharded to %d", where, k), q.(*Sharded))
+	}
+	orderKBs(t, check)
+	check("pipeline KB", binTestSharded(t))
 }
 
 func TestWriterMatchesReference(t *testing.T) {
@@ -408,9 +410,10 @@ func factsFromBytes(data []byte) (facts []Fact, shards int) {
 }
 
 // FuzzWriterAndDecoderMatchReference holds both directions of the codec to
-// their references on KBs spelt from the fuzzer's bytes: the table and the
-// file are the reference writer's, the shards decoded from the file are
-// build's, and the decoded store writes the same file again.
+// their oracles on KBs spelt from the fuzzer's bytes: the built and the
+// decoded store each hold the brute-force table, the file is the reference
+// writer's, the store decoded from it is NewSharded's of its facts, and it
+// writes the same file again.
 func FuzzWriterAndDecoderMatchReference(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 1, 1, 'E', 1, 'a', 1, 'v', 1, 'C'})
@@ -420,10 +423,10 @@ func FuzzWriterAndDecoderMatchReference(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		facts, shards := factsFromBytes(data)
 		s := NewSharded(facts, shards)
-		checkStringTable(t, "built", s)
+		checkStrings(t, "built", s)
 		file := checkWriter(t, "built", s)
 		back := checkDecoder(t, "decoded", file)
-		checkStringTable(t, "decoded", back)
+		checkStrings(t, "decoded", back)
 		if again := checkWriter(t, "decoded", back); !bytes.Equal(again, file) {
 			t.Errorf("the decoded store writes a different file:\n got: %x\nwant: %x", again, file)
 		}

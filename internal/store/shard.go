@@ -13,7 +13,7 @@ type shard struct {
 	byEntity map[string]span // entity → its run of facts
 	runs     []span          // every entity's run, in fact order
 	runOf    []int32         // fact position → its entity's number in runs
-	rank     []int32         // run number → a number that rises with the entity's name over all shards' entities
+	rank     []uint32        // run number → its entity's ID in the store's sorted string table
 	byAttr   postings
 	attrNo   []int32  // fact position → its attribute's list number in byAttr
 	byClass  postings // facts with an empty class are not listed
@@ -34,6 +34,7 @@ type postings struct {
 	list  map[string]int32 // key → list number
 	off   []int32          // list i is arena[off[i]:off[i+1]]
 	arena []int32
+	ids   []uint32 // list number → its key's ID in the store's string table
 }
 
 func (p *postings) of(key string) []int32 {
@@ -48,20 +49,22 @@ func (p *postings) of(key string) []int32 {
 // fact order and lays them out in a single count → prefix sum → fill pass:
 // no list is ever grown. A builder is fed one of two ways, and numbers the
 // lists alike in both — in the order their keys are first seen. By name
-// (add) a posting is a probe of the map that becomes the index's own; by
-// number (addID), for a caller that knows every key as an index into a
-// table of names, it is a read of an array and the map is filled once a
-// list, at its final size, when the index is laid out.
+// (add) a posting is a probe of the map that becomes the index's own, and
+// the index's ids are left for numberStrings to fill from keys; by number
+// (addID), for a caller that knows every key as an index into the string
+// table, it is a read of an array, the map is filled once a list, at its
+// final size, when the index is laid out, and the ids are the indexes fed.
 type postingsBuilder struct {
 	n   []int32 // postings per list
 	key []int32 // list number of every posting, in the order added
 	pos []int32 // fact position of every posting
 
 	list map[string]int32 // fed by name: key → list number
+	keys []string         // and list number → key
 	last int32            // list of the previous posting: runs of one key skip the hash
 	prev string
 
-	names []string // fed by number: the table of names the keys index
+	names []string // fed by number: the string table the keys index
 	ids   []uint32 // and list number → its key's index in it
 }
 
@@ -85,6 +88,7 @@ func (b *postingsBuilder) add(key string, pos int32) {
 			i = int32(len(b.n))
 			b.list[key] = i
 			b.n = append(b.n, 0)
+			b.keys = append(b.keys, key)
 		}
 		b.last, b.prev = i, key
 	}
@@ -136,16 +140,18 @@ func (b *postingsBuilder) postings() postings {
 		arena[next[i]] = b.pos[j]
 		next[i]++
 	}
-	return postings{list: list, off: off, arena: arena}
+	return postings{list: list, off: off, arena: arena, ids: b.ids}
 }
 
 // build indexes facts that are already canonical — sorted, no duplicate
 // keys — and takes ownership of the slice: it finds the runs and numbers
-// every index key by name, then assembles. NewSharded reaches it after copy,
-// sort and dedup; the snapshot decoder, which verifies the order instead of
-// re-establishing it and reads runs and numbers off the file, feeds its own
-// builders and calls assemble directly.
-func build(facts []Fact) *shard {
+// every index key by name, then assembles. It returns the keys of the
+// attribute, class and value lists by list number, from which numberStrings
+// gives the shard its rank column and the indexes their ids. NewSharded
+// reaches it after copy, sort and dedup; the snapshot decoder, which verifies
+// the order instead of re-establishing it and reads runs, ranks and string
+// IDs off the file, feeds its own builders and calls assemble directly.
+func build(facts []Fact) (*shard, [3][]string) {
 	var runs []span
 	attrs, classes, values := newPostingsBuilder(len(facts), nil), newPostingsBuilder(len(facts), nil), newPostingsBuilder(len(facts), nil)
 	for i := range facts {
@@ -163,7 +169,7 @@ func build(facts []Fact) *shard {
 			values.add(anc, pos)
 		}
 	}
-	return assemble(facts, runs, attrs, classes, values)
+	return assemble(facts, runs, attrs, classes, values), [3][]string{attrs.keys, classes.keys, values.keys}
 }
 
 // assemble is the one index builder: canonical facts, their entities' runs

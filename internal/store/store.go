@@ -25,16 +25,22 @@
 // facts one run inside it, so by-entity and by-(entity, attribute) reads
 // are a map probe, a scan of the run's attribute numbers and a copy. Two
 // integer columns beside the array — each fact's attribute number, each
-// run's rank among all entities — let that scan and the merge of the
-// shards' streams compare int32s where the order is one of strings (a third,
-// each value posting's list number, is what the snapshot writer encodes from
-// instead of the strings). Three inverted indexes — by attribute, by class and by value — cover the
-// patterns that name no entity; each keeps all its postings lists in one
-// array. The by-value index is hierarchy-aware: a fact is indexed under
-// its accepted value and under every generalisation of that value, so
-// querying value=Australia also finds entities whose accepted birth place
-// is Adelaide — the paper's hierarchical-value-space semantics carried
+// run's entity ID — let that scan and the merge of the shards' streams
+// compare integers where the order is one of strings. Three inverted
+// indexes — by attribute, by class and by value — cover the patterns that
+// name no entity; each keeps all its postings lists in one array. The
+// by-value index is hierarchy-aware: a fact is indexed under its accepted
+// value and under every generalisation of that value, so querying
+// value=Australia also finds entities whose accepted birth place is
+// Adelaide — the paper's hierarchical-value-space semantics carried
 // through to serving.
+//
+// The store numbers its strings once. It holds the sorted table of every
+// distinct string it contains — the file's own when it was decoded from a
+// snapshot, numbered at construction when NewSharded built it — and the
+// entity IDs, each index's list number → string ID and a third column, each
+// value posting's list number, lead into it: they are what the snapshot
+// writer encodes instead of the strings.
 package store
 
 import (
@@ -133,6 +139,13 @@ type Sharded struct {
 	classes []string
 	nFacts  int
 	nEntity int
+
+	// strs is every distinct string of the facts — entities, classes,
+	// attributes, values, ancestors — sorted, each once: ID → string for the
+	// rank columns and the indexes' ids. strsErr is why a store too large to
+	// number has no table; WriteBinarySnapshot returns it.
+	strs    []string
+	strsErr error
 }
 
 // New builds a one-shard store over the facts. The input is copied, sorted
@@ -142,9 +155,10 @@ type Sharded struct {
 func New(facts []Fact) *Sharded { return NewSharded(facts, 1) }
 
 // NewSharded partitions a copy of facts by entity hash into n shards
-// (DefaultShards when n <= 0) and indexes each independently.
-// Deduplication is global even though each shard dedups locally: facts
-// with the same identity key share an entity and therefore a shard.
+// (DefaultShards when n <= 0), indexes each independently and numbers the
+// strings of them all (numberStrings). Deduplication is global even though
+// each shard dedups locally: facts with the same identity key share an
+// entity and therefore a shard.
 func NewSharded(facts []Fact, n int) *Sharded {
 	if n <= 0 {
 		n = DefaultShards
@@ -171,11 +185,13 @@ func NewSharded(facts []Fact, n int) *Sharded {
 	// The parts share nothing: each is sorted and indexed on its own, beside
 	// the others where there are processors for it.
 	shards := make([]*shard, n)
+	keys := make([][3][]string, n)
 	mapreduce.ForEach(mapreduce.Config{}, n, func(i int) {
-		shards[i] = build(canonical(parts[i]))
+		shards[i], keys[i] = build(canonical(parts[i]))
 	})
-	rankRuns(shards)
-	return newSharded(shards)
+	s := newSharded(shards)
+	s.strs, s.strsErr = numberStrings(shards, keys)
+	return s
 }
 
 // canonical sorts fs in place into canonical order and drops facts that
@@ -203,38 +219,6 @@ func newSharded(shards []*shard) *Sharded {
 	}
 	sort.Strings(s.classes)
 	return s
-}
-
-// rankRuns fills every shard's rank column: one k-way pass over the
-// shards' runs — each shard's already in entity order — numbers the
-// entities in the string order of them all. It is the only place the
-// shards' entity names are compared; a scatter merges by these numbers.
-// (The snapshot decoder needs no such pass: its string IDs are ranks.)
-func rankRuns(shards []*shard) {
-	next := make([]int, len(shards))    // each shard's first unranked run
-	name := make([]string, len(shards)) // and that run's entity
-	for i, sh := range shards {
-		sh.rank = make([]int32, len(sh.runs))
-		if len(sh.runs) > 0 {
-			name[i] = sh.facts[0].Entity
-		}
-	}
-	for rank := int32(0); ; rank++ {
-		best := -1
-		for i, sh := range shards {
-			if next[i] < len(sh.runs) && (best < 0 || name[i] < name[best]) {
-				best = i
-			}
-		}
-		if best < 0 {
-			return
-		}
-		sh := shards[best]
-		sh.rank[next[best]] = rank
-		if next[best]++; next[best] < len(sh.runs) {
-			name[best] = sh.facts[sh.runs[next[best]].lo].Entity
-		}
-	}
 }
 
 // ResultFacts extracts the fused facts of a pipeline result — one fact per
