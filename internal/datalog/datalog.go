@@ -26,7 +26,8 @@
 //     fact it just yielded, so a step that binds a variable from a fact's
 //     entity position keeps that run beside the binding, and a later probe
 //     on the variable reads inside it (store.Run.Select): no shard hash,
-//     no map probe, no new read of the store — and still one probe. A
+//     no search for the entity, no new read of the store — and still one
+//     probe. A
 //     variable bound from a value or attribute position, or out of a hash
 //     bucket, has no run, and its probe opens Select on the store. Joins
 //     that index probing cannot serve well — value-position equijoins (the

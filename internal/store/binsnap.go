@@ -39,19 +39,21 @@ import (
 // key encoding janus-datalog uses for its storage layer. A shard's
 // entity index *is* that order (see shard), so a shard's facts come off
 // the file ready to index. The reader therefore verifies what the format
-// promises instead of redoing it — checksum first, then string table and
-// keys strictly increasing (integer compares), every string referenced,
-// shard placement, declared counts, minimal varints, no trailing bytes —
-// and hands the facts to the index builder as they are. A failed check is
-// a format error, never a panic; an accepted file re-encodes to the same
-// bytes. Every fact is still materialised: the layout leaves room for a
-// zero-copy reader without a codec bump.
+// promises instead of redoing it — string table and keys strictly
+// increasing (integer compares), every string referenced, shard placement,
+// declared counts, minimal varints, no trailing bytes — and hands the facts
+// to the index builder as they are. The checksum is computed beside that
+// work, on a goroutine of its own, and gates it: no store is returned unless
+// the trailer matches, and a mismatch is the error whatever else the decode
+// found. A failed check is a format error, never a panic; an accepted file
+// re-encodes to the same bytes. Every fact is still materialised: the layout
+// leaves room for a zero-copy reader without a codec bump.
 //
-// The string table is the store's own (Sharded.strs): a decoded store keeps
+// The string table is the store's own (Sharded.names): a decoded store keeps
 // the file's, verbatim, with the IDs the decoder fed its indexes, and
 // NewSharded numbers its strings once, at construction. Writing is therefore
 // the header, the held table and the columns read by number — rank, attrNo,
-// valueNo through each index's ids — with no sort and nothing hashed.
+// valueNo through each index's ids — with no sort.
 //
 // Facts are segmented per shard by entity hash (ShardOf), so a loader
 // can reconstruct the sharded store without re-partitioning and a future
@@ -81,16 +83,14 @@ const (
 // byte-identical snapshots. The file is encoded in memory, hashed once
 // and handed to w in a single Write. No fact's strings are looked up: the
 // store holds its string table, and every column is a number that leads
-// into it (rank, and attrNo, valueNo and a class's list number through
-// their index's ids).
+// into it (rank, and attrNo and valueNo through their index's ids); only a
+// class is looked up by name, where it changes.
 func (s *Sharded) WriteBinarySnapshot(w io.Writer) error {
-	if s.strsErr != nil {
-		return s.strsErr
-	}
+	strs := s.names.strs
 	// Sized for one-byte source counts and three-byte ancestor IDs; a
 	// store outside that still encodes, by growing the buffer.
 	size := binHeaderLen + binTrailerLen
-	for _, str := range s.strs {
+	for _, str := range strs {
 		size += len(str) + 2
 	}
 	for _, sh := range s.shards {
@@ -102,8 +102,8 @@ func (s *Sharded) WriteBinarySnapshot(w io.Writer) error {
 	buf = be.AppendUint32(buf, BinarySnapshotVersion)
 	buf = be.AppendUint32(buf, uint32(len(s.shards)))
 	buf = be.AppendUint64(buf, uint64(s.Len()))
-	buf = be.AppendUint64(buf, uint64(len(s.strs)))
-	for _, str := range s.strs {
+	buf = be.AppendUint64(buf, uint64(len(strs)))
+	for _, str := range strs {
 		buf = binary.AppendUvarint(buf, uint64(len(str)))
 		buf = append(buf, str...)
 	}
@@ -111,16 +111,14 @@ func (s *Sharded) WriteBinarySnapshot(w io.Writer) error {
 		facts := sh.facts
 		attrID, valueID := sh.byAttr.ids, sh.byValue.ids
 		buf = be.AppendUint64(buf, uint64(len(facts)))
-		var class uint32 // the empty class, when a fact has it, is string 0
-		vn := 0          // the fact's first posting in valueNo
+		var class uint32
+		vn := 0 // the fact's first posting in valueNo
 		for i := range facts {
 			f := &facts[i]
 			// The class repeats down an entity's run, and mostly from one run to
-			// the next: its list is looked up where it changes.
-			if f.Class == "" {
-				class = 0
-			} else if i == 0 || f.Class != facts[i-1].Class {
-				class = sh.byClass.ids[sh.byClass.list[f.Class]]
+			// the next: it is looked up where it changes.
+			if i == 0 || f.Class != facts[i-1].Class {
+				class = s.names.id(f.Class)
 			}
 			buf = be.AppendUint32(buf, sh.rank[sh.runOf[i]])
 			buf = be.AppendUint32(buf, attrID[sh.attrNo[i]])
@@ -174,55 +172,27 @@ func binPrefix(s string) (p uint64) {
 	return p
 }
 
-// numberStrings gives the shards NewSharded built what a decoded store reads
-// off its file: the sorted table of every distinct string — entities,
-// classes, attributes, values, ancestors — each shard's rank column (its
-// runs' entity IDs) and each index's ids (its lists' key IDs). keys[i] is
-// what build returned for shard i. The distinct strings are exactly the
-// keys of the shards' indexes (plus the empty class, which is not indexed),
-// so every key gets a slot — per shard its attribute, class and value
-// lists, then its runs, in their own numbering — the slots are sorted by
-// key, and one walk over the sorted slots both drops the repeats (a value
-// listed in several shards, a name that is an attribute here and a value
-// there) and writes each slot's ID where the rank columns and ids, windows
-// of one array, hold it. No string is hashed.
+// sortedUnion is NewSharded's string table: the union of the shards'
+// distinct strings (distinctStrings), sorted, each once. Every shard's
+// strings get a slot, the slots are sorted by name, and one walk over them
+// drops the repeats — a value listed in several shards, a name that is an
+// attribute here and a value there.
 //
-// A store of more slots than the u32 ID space has no table: the error is
-// WriteBinarySnapshot's to return. (Such a store, some 2^30 facts, cannot
-// be merged across shards either; it does not fit in memory to begin with.)
-func numberStrings(shards []*shard, keys [][3][]string) ([]string, error) {
-	n, emptyClass := 0, false
-	for i, sh := range shards {
-		n += len(sh.runs) + len(keys[i][0]) + len(keys[i][1]) + len(keys[i][2])
-		emptyClass = emptyClass || len(sh.byClass.arena) < len(sh.facts)
+// The IDs are u32s below noID: a store of more slots than that cannot be
+// numbered. (Such a store, some 2^30 facts, does not fit in memory to begin
+// with.)
+func sortedUnion(seen [][]string) []string {
+	n := 0
+	for _, strs := range seen {
+		n += len(strs)
 	}
-	if emptyClass {
-		n++ // the last slot: names[n-1] is ""
+	if uint64(n) >= noID {
+		panic(fmt.Sprintf("store: %d strings exceed the u32 ID space", n))
 	}
-	if uint64(n) > math.MaxUint32 {
-		return nil, fmt.Errorf("store: %d index keys exceed the u32 ID space", n)
+	names := make([]string, 0, n)
+	for _, strs := range seen {
+		names = append(names, strs...)
 	}
-	names := make([]string, n)
-	slotID := make([]uint32, n)
-	at := 0
-	// window takes the next k slots, whose names are written, and returns
-	// their IDs: nil when k is 0, as the decoder leaves an empty column.
-	window := func(k int) []uint32 {
-		if k == 0 {
-			return nil
-		}
-		at += k
-		return slotID[at-k : at : at]
-	}
-	lists := func(keys []string) []uint32 { return window(copy(names[at:], keys)) }
-	for i, sh := range shards {
-		sh.byAttr.ids, sh.byClass.ids, sh.byValue.ids = lists(keys[i][0]), lists(keys[i][1]), lists(keys[i][2])
-		for j, run := range sh.runs {
-			names[at+j] = sh.facts[run.lo].Entity
-		}
-		sh.rank = window(len(sh.runs))
-	}
-
 	pairs := make([]binKey, 2*n) // the slots, and the radix passes' other side
 	sorted := pairs[:n]
 	for slot := range sorted {
@@ -234,9 +204,8 @@ func numberStrings(shards []*shard, keys [][3][]string) ([]string, error) {
 		if i == 0 || k.prefix != sorted[i-1].prefix || names[k.slot] != names[sorted[i-1].slot] {
 			strs = append(strs, names[k.slot])
 		}
-		slotID[k.slot] = uint32(len(strs) - 1)
 	}
-	return strs, nil
+	return strs
 }
 
 // binSortKeys orders a by the keys its slots stand for and returns the
@@ -302,21 +271,17 @@ type binReader struct {
 	strs  []string // the string table, once read
 	used  []bool   // per string: some fact references it
 	arena []string // unused tail of the current ancestor chunk
-
-	// Per string, its list number in the attribute, class and value index of
-	// the shard being decoded (postingsBuilder.addID); all −1 between shards.
-	attrNo, classNo, valueNo []int32
+	// no is the scratch columns the shard being decoded numbers its lists
+	// in; clean between shards.
+	no [3][]int32
 }
 
-// binShard is a shard as the decoder hands it to assemble: its facts,
+// binShard is shard si as the decoder hands it to assemble: its facts,
 // verified canonical, their runs with the rank column, and the three
 // builders, fed.
 type binShard struct {
-	si                     int
-	facts                  []Fact
-	runs                   []span
-	rank                   []uint32
-	attrs, classes, values *postingsBuilder
+	si int
+	feed
 }
 
 // left is the number of unread bytes. Every count the file declares is
@@ -358,21 +323,45 @@ var errNotV3 = errors.New(`store: not a v3 snapshot (the file does not start wit
 	`"; JSON snapshots are no longer read): regenerate it with "akb pipeline -snapshot <file>"`)
 
 // binVerify checks magic, checksum and version of a whole snapshot and
-// parses the fixed header. Shared by the reader and the verify path.
+// parses the fixed header: the verify path, which decodes nothing else.
 func binVerify(data []byte) (binHeader, *binReader, error) {
-	var hdr binHeader
+	payload, trailer, err := binFrame(data)
+	if err == nil {
+		err = binChecksum(payload, trailer)
+	}
+	if err != nil {
+		return binHeader{}, nil, err
+	}
+	return binParseHeader(payload)
+}
+
+// binFrame refuses what cannot be a version-3 snapshot at all — no magic, or
+// too short for a header and a trailer — and splits the rest into the
+// payload and its trailer.
+func binFrame(data []byte) (payload, trailer []byte, err error) {
 	if !bytes.HasPrefix(data, []byte(binMagic)) {
-		return hdr, nil, errNotV3
+		return nil, nil, errNotV3
 	}
 	if len(data) < binHeaderLen+binTrailerLen {
-		return hdr, nil, fmt.Errorf("store: binary snapshot truncated: %d bytes, need at least %d", len(data), binHeaderLen+binTrailerLen)
+		return nil, nil, fmt.Errorf("store: binary snapshot truncated: %d bytes, need at least %d", len(data), binHeaderLen+binTrailerLen)
 	}
-	payload, trailer := data[:len(data)-binTrailerLen], data[len(data)-binTrailerLen:]
+	return data[:len(data)-binTrailerLen], data[len(data)-binTrailerLen:], nil
+}
+
+// binChecksum holds the trailer to the payload's SHA-256.
+func binChecksum(payload, trailer []byte) error {
 	sum := sha256.Sum256(payload)
 	if !bytes.Equal(sum[:], trailer) {
-		return hdr, nil, fmt.Errorf("store: binary snapshot checksum mismatch: trailer %s, payload %s — file is corrupt",
+		return fmt.Errorf("store: binary snapshot checksum mismatch: trailer %s, payload %s — file is corrupt",
 			hex.EncodeToString(trailer), hex.EncodeToString(sum[:]))
 	}
+	return nil
+}
+
+// binParseHeader checks the version of a framed payload and parses its fixed
+// header.
+func binParseHeader(payload []byte) (binHeader, *binReader, error) {
+	var hdr binHeader
 	r := &binReader{data: payload, off: len(binMagic)}
 	be := binary.BigEndian
 	b, _ := r.take(4 + 4 + 8 + 8)
@@ -396,10 +385,10 @@ func binVerify(data []byte) (binHeader, *binReader, error) {
 }
 
 // ReadBinarySnapshot loads a version-3 snapshot written by
-// WriteBinarySnapshot and indexes every shard. The checksum is verified
-// over the whole file before any parsing, so a torn or bit-flipped
-// snapshot is rejected up front; see the codec comment for what is
-// checked after that.
+// WriteBinarySnapshot and indexes every shard. The checksum over the whole
+// file is verified while the payload is decoded, and a torn or bit-flipped
+// snapshot is refused as corrupt whatever the decode made of it; see the
+// codec comment for what else is checked.
 func ReadBinarySnapshot(rd io.Reader) (*Sharded, error) {
 	var buf bytes.Buffer
 	if sized, ok := rd.(interface{ Len() int }); ok {
@@ -411,8 +400,22 @@ func ReadBinarySnapshot(rd io.Reader) (*Sharded, error) {
 	return decodeBinarySnapshot(buf.Bytes())
 }
 
-func decodeBinarySnapshot(data []byte) (*Sharded, error) {
-	hdr, d, err := binVerify(data)
+func decodeBinarySnapshot(data []byte) (s *Sharded, err error) {
+	payload, trailer, err := binFrame(data)
+	if err != nil {
+		return nil, err
+	}
+	// The trailer is checked on a goroutine of its own while this one
+	// decodes, and it gates the result: whatever the decode returns, a
+	// mismatch replaces it. The check has been waited for on every return.
+	checked := make(chan error, 1)
+	go func() { checked <- binChecksum(payload, trailer) }()
+	defer func() {
+		if cerr := <-checked; cerr != nil {
+			s, err = nil, cerr
+		}
+	}()
+	hdr, d, err := binParseHeader(payload)
 	if err != nil {
 		return nil, err
 	}
@@ -423,16 +426,18 @@ func decodeBinarySnapshot(data []byte) (*Sharded, error) {
 	facts := make([]Fact, hdr.facts)
 	shards := make([]*shard, hdr.shards)
 	// A decoded shard shares nothing with the next one but the string table,
-	// which nobody writes any more: one goroutine assembles shard i while this
-	// one, which keeps the reader and makes every check, decodes shard i+1.
-	// It ends, and has been waited for, on every return.
+	// which nobody writes any more: one goroutine builds the name table over
+	// it, then assembles shard i while this one, which keeps the reader and
+	// makes every check, decodes shard i+1. It ends, and has been waited for,
+	// on every return.
+	var names *nameTable
 	decoded := make(chan binShard)
 	assembled := make(chan *mapreduce.Panic, 1)
 	go func() {
-		var caught *mapreduce.Panic
+		caught := catch(func() { names = newNameTable(d.strs) })
 		for sh := range decoded {
 			if caught == nil { // after a panic, only drain
-				caught = assembleDecoded(shards, sh)
+				caught = catch(func() { shards[sh.si] = sh.assemble(names) })
 			}
 		}
 		assembled <- caught
@@ -452,22 +457,20 @@ func decodeBinarySnapshot(data []byte) (*Sharded, error) {
 			return nil, fmt.Errorf("store: binary snapshot string %d (%q) is referenced by no fact", id, d.strs[id])
 		}
 	}
-	s := newSharded(shards)
-	s.strs = d.strs // sorted, each string once and each one used: the store's table
-	return s, nil
+	// The file's table — sorted, each string once and each one used — is the
+	// store's.
+	return newSharded(shards, names), nil
 }
 
-// assembleDecoded indexes one decoded shard into its place in shards. A
-// panic is returned, not raised: it belongs to the goroutine that called
-// the decoder.
-func assembleDecoded(shards []*shard, sh binShard) (caught *mapreduce.Panic) {
+// catch runs fn and returns its panic instead of raising it: a panic on the
+// assembling goroutine belongs to the goroutine that called the decoder.
+func catch(fn func()) (caught *mapreduce.Panic) {
 	defer func() {
 		if r := recover(); r != nil {
 			caught = &mapreduce.Panic{Value: r, Stack: debug.Stack()}
 		}
 	}()
-	shards[sh.si] = assemble(sh.facts, sh.runs, sh.attrs, sh.classes, sh.values)
-	shards[sh.si].rank = sh.rank
+	fn()
 	return nil
 }
 
@@ -486,7 +489,7 @@ func (d *binReader) shards(facts []Fact, n int, decoded chan<- binShard) error {
 		if size > uint64(len(facts)) {
 			return fmt.Errorf("store: binary snapshot shard %d overflows declared fact count %d", si, total)
 		}
-		sh := binShard{si: si, facts: facts[:size:size]}
+		sh := binShard{si: si, feed: newFeed(facts[:size:size], d.no)}
 		facts = facts[size:]
 		if err := d.shard(n, &sh); err != nil {
 			return err
@@ -515,12 +518,7 @@ func (d *binReader) stringTable(n int) error {
 		d.off += int(l)
 	}
 	table := string(d.data[start:d.off])
-	d.strs, d.used = make([]string, n), make([]bool, n)
-	scratch := make([]int32, 3*n)
-	for i := range scratch {
-		scratch[i] = -1
-	}
-	d.attrNo, d.classNo, d.valueNo = scratch[:n:n], scratch[n:2*n:2*n], scratch[2*n:]
+	d.strs, d.used, d.no = make([]string, n), make([]bool, n), scratch(n)
 	d.off = start
 	for i := range d.strs {
 		l, _ := d.uvarint()
@@ -538,20 +536,19 @@ func (d *binReader) stringTable(n int) error {
 // increasing, compared as the two big-endian integers they are. String IDs
 // are in string order over the whole file, so a run ends where the entity ID
 // changes and that ID is the entity's rank — read off the keys into sh.runs
-// and sh.rank, where NewSharded compares the names (build, numberStrings) —
-// and every index key is already a number: the builders are fed IDs, which
-// become the indexes' ids, in the order build feeds names (attribute and
-// class with the key, value and ancestors together in the last column).
+// and sh.rank, where NewSharded compares the names (build) — and every index
+// key is already a number: the builders are fed the IDs in the order build
+// feeds them (attribute and class with the key, value and ancestors together
+// in the last column).
 func (d *binReader) shard(n int, sh *binShard) error {
 	be := binary.BigEndian
 	si, facts := sh.si, sh.facts
-	// len(facts) is at most the header's count, which binVerify bounded:
-	// the products below cannot overflow.
+	// len(facts) is at most the header's count, which binParseHeader
+	// bounded: the products below cannot overflow.
 	keys, err := d.take(len(facts) * binKeyWidth)
 	if err != nil {
 		return err
 	}
-	sh.attrs, sh.classes, sh.values = newPostingsBuilder(len(facts), d.strs), newPostingsBuilder(len(facts), d.strs), newPostingsBuilder(len(facts), d.strs)
 	var prevHi, prevLo uint64
 	for i := range facts {
 		hi, lo := be.Uint64(keys[i*binKeyWidth:]), be.Uint64(keys[i*binKeyWidth+8:])
@@ -572,9 +569,9 @@ func (d *binReader) shard(n int, sh *binShard) error {
 			sh.runs, sh.rank = append(sh.runs, span{int32(i), int32(i)}), append(sh.rank, uint32(e))
 		}
 		sh.runs[len(sh.runs)-1].hi = int32(i) + 1
-		sh.attrs.addID(d.attrNo, uint32(a), int32(i))
+		sh.attrs.addID(uint32(a), int32(i))
 		if f.Class != "" {
-			sh.classes.addID(d.classNo, uint32(c), int32(i))
+			sh.classes.addID(uint32(c), int32(i))
 		}
 		prevHi, prevLo = hi, lo
 	}
@@ -600,7 +597,7 @@ func (d *binReader) shard(n int, sh *binShard) error {
 		facts[i].Sources = int(v)
 	}
 	for i := range facts {
-		sh.values.addID(d.valueNo, be.Uint32(keys[i*binKeyWidth+8:]), int32(i))
+		sh.values.addID(be.Uint32(keys[i*binKeyWidth+8:]), int32(i))
 		cnt, err := d.uvarint()
 		if err != nil {
 			return err
@@ -627,13 +624,11 @@ func (d *binReader) shard(n int, sh *binShard) error {
 				return fmt.Errorf("store: binary snapshot references string %d of %d", id, len(d.strs))
 			}
 			anc[j], d.used[id] = d.strs[id], true
-			sh.values.addID(d.valueNo, uint32(id), int32(i))
+			sh.values.addID(uint32(id), int32(i))
 		}
 		facts[i].Ancestors = anc
 	}
-	sh.attrs.forget(d.attrNo)
-	sh.classes.forget(d.classNo)
-	sh.values.forget(d.valueNo)
+	sh.forget()
 	return nil
 }
 

@@ -263,6 +263,56 @@ func TestBinarySnapshotRejectsNonCanonical(t *testing.T) {
 	}
 }
 
+// TestChecksumMismatchWinsOverFormatErrors: the trailer is checked beside
+// the decode, not before it, and still decides. A file whose trailer is wrong
+// and whose payload is malformed too — each payload is first shown to be
+// refused by a check of its own behind a right trailer — is refused as
+// corrupt, with the checksum mismatch, whichever check of the payload fails
+// first, and by the opener as by the reader.
+func TestChecksumMismatchWinsOverFormatErrors(t *testing.T) {
+	good := binPayload(t, NewSharded([]Fact{
+		{Entity: "E", Class: "C", Attr: "a", Value: "v"},
+		{Entity: "E", Class: "C", Attr: "a", Value: "w"},
+	}, 1))
+	keys := binHeaderLen + 2*5 + 8 // as in TestBinarySnapshotRejectsNonCanonical
+	mutate := func(edit func(b []byte) []byte) []byte {
+		return edit(append([]byte(nil), good...))
+	}
+	path := filepath.Join(t.TempDir(), "kb.akb")
+	for name, payload := range map[string][]byte{
+		"padded varint": mutate(func(b []byte) []byte { return append(b[:len(b)-1], 0x80, 0x00) }),
+		"non-increasing key": mutate(func(b []byte) []byte {
+			copy(b[keys+binKeyWidth:], b[keys:keys+binKeyWidth])
+			return b
+		}),
+		"oversized header count": mutate(func(b []byte) []byte {
+			binary.BigEndian.PutUint64(b[16:], 1<<40) // the fact count
+			return b
+		}),
+		"unsorted string table": mutate(func(b []byte) []byte {
+			b[binHeaderLen+1], b[binHeaderLen+3] = b[binHeaderLen+3], b[binHeaderLen+1]
+			return b
+		}),
+	} {
+		t.Run(name, func(t *testing.T) {
+			if _, err := ReadBinarySnapshot(bytes.NewReader(signed(payload))); err == nil || strings.Contains(err.Error(), "checksum") {
+				t.Fatalf("behind a right trailer: err = %v, want the payload's own refusal", err)
+			}
+			file := signed(payload)
+			file[len(file)-1] ^= 1
+			if sh, err := ReadBinarySnapshot(bytes.NewReader(file)); err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
+				t.Errorf("ReadBinarySnapshot = %v, %v; want the checksum mismatch", sh, err)
+			}
+			if err := os.WriteFile(path, file, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := OpenSnapshotFile(path, 0); err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
+				t.Errorf("OpenSnapshotFile: err = %v, want the checksum mismatch", err)
+			}
+		})
+	}
+}
+
 // nonFinitePayload is a one-fact snapshot, without its trailer, whose
 // confidence column has been overwritten with conf: what the writer refuses
 // to produce, as a file.
@@ -391,10 +441,12 @@ func TestSnapshotFileHasCreateMode(t *testing.T) {
 }
 
 // TestReadBinarySnapshotAllocationBound pins what loading costs the
-// allocator. The hash-map store allocated 4.2 times per fact (a postings
-// slice per key, two key strings per fact, a string per table entry); the
-// reader now cuts strings, facts, ancestors and postings from a few
-// arrays per shard.
+// allocator, in allocations and in bytes. The hash-map store allocated 4.2
+// times per fact (a postings slice per key, two key strings per fact, a
+// string per table entry); the reader now cuts strings, facts, ancestors and
+// postings from a few arrays per shard. The bytes ceiling sits just above a
+// load with one name table and integer-keyed indexes, so a string-keyed map
+// per list would break it.
 func TestReadBinarySnapshotAllocationBound(t *testing.T) {
 	w := kb.NewWorld(kb.WorldConfig{Seed: 1, EntitiesPerClass: 100, AttrsPerEntity: 6})
 	sh := NewSharded(WorldFacts(w), DefaultShards)
@@ -407,12 +459,33 @@ func TestReadBinarySnapshotAllocationBound(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+	// The bytes are the decode's, from the file in memory: how a buffer
+	// grows while the file is read is the bytes package's (it grows once more
+	// under the race detector).
+	const decodes = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < decodes; i++ {
+		if _, err := decodeBinarySnapshot(buf.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	bytesPerFact := float64(after.TotalAlloc-before.TotalAlloc) / decodes / float64(sh.Len())
 	perFact := allocs / float64(sh.Len())
-	t.Logf("%d facts: %.0f allocations, %.3f per fact", sh.Len(), allocs, perFact)
+	t.Logf("%d facts: %.0f allocations, %.3f per fact; %.0f bytes per fact", sh.Len(), allocs, perFact, bytesPerFact)
 	if perFact > 0.5 {
 		t.Errorf("ReadBinarySnapshot allocates %.2f times per fact, want <= 0.5", perFact)
 	}
+	if bytesPerFact > readBytesPerFact {
+		t.Errorf("ReadBinarySnapshot allocates %.0f bytes per fact, want <= %d", bytesPerFact, readBytesPerFact)
+	}
 }
+
+// readBytesPerFact is TestReadBinarySnapshotAllocationBound's bytes ceiling:
+// its KB decodes in 259 bytes a fact, and decoded in 268 when every list was
+// a string-keyed map entry.
+const readBytesPerFact = 263
 
 // FuzzReadBinarySnapshot fuzzes the version-3 reader behind a correct
 // checksum: the input is a payload, the harness signs it. Whatever the
@@ -512,7 +585,10 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 // cold-start — a scale-16 pipeline run on 8 shards, read back from its own
 // snapshot as the harness's fixture is. shard is NewSharded of the KB's
 // facts on 8 shards: sorting, indexing and numbering the strings, the one
-// place a store's strings are numbered. Profile from here (PERF.md §3).
+// place a store's strings are numbered. read decodes from memory; open is
+// OpenSnapshotFile of the file written — read, verify, decode, index — the
+// store's share of what the harness times as cold_start_ms. Profile from
+// open (PERF.md §3).
 func BenchmarkBinarySnapshot(b *testing.B) {
 	world := func(b *testing.B) []Fact {
 		return WorldFacts(kb.NewWorld(kb.WorldConfig{Seed: 1, EntitiesPerClass: 400, AttrsPerEntity: 6}))
@@ -560,6 +636,19 @@ func BenchmarkBinarySnapshot(b *testing.B) {
 				b.SetBytes(int64(len(raw)))
 				for i := 0; i < b.N; i++ {
 					if _, err := ReadBinarySnapshot(bytes.NewReader(raw)); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+			path := filepath.Join(b.TempDir(), "kb.akb")
+			if err := os.WriteFile(path, raw, 0o644); err != nil {
+				b.Fatal(err)
+			}
+			b.Run(fmt.Sprintf("open/facts=%d", sh.Len()), func(b *testing.B) {
+				b.ReportAllocs()
+				b.SetBytes(int64(len(raw)))
+				for i := 0; i < b.N; i++ {
+					if _, _, err := OpenSnapshotFile(path, 0); err != nil {
 						b.Fatal(err)
 					}
 				}

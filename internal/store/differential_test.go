@@ -52,13 +52,27 @@ func nastyFacts(r *rand.Rand) []Fact {
 	return facts
 }
 
-// nastyPattern draws each field from the pool or leaves it a wildcard.
-func nastyPattern(r *rand.Rand) Pattern {
+// absentName is a name no generated KB holds: a pattern field the store's
+// table does not find.
+const absentName = "absent from every table"
+
+// nastyPattern leaves each field a wildcard or draws it from the pool, from
+// the KB's own strings (kb: every name in every role — an entity's as
+// attribute, value or class, a value's or an ancestor's as entity, the empty
+// class among them), or as absentName. A name in the store's table that one
+// shard's index does not list is the common case of a sharded store.
+func nastyPattern(r *rand.Rand, kb []string) Pattern {
 	pick := func() string {
-		if r.Intn(2) == 0 {
+		switch n := r.Intn(8); {
+		case n < 4:
 			return ""
+		case n < 6 || len(kb) == 0:
+			return nastyNames[r.Intn(len(nastyNames))]
+		case n < 7:
+			return kb[r.Intn(len(kb))]
+		default:
+			return absentName
 		}
-		return nastyNames[r.Intn(len(nastyNames))]
 	}
 	return Pattern{Entity: pick(), Attr: pick(), Class: pick(), Value: pick(), Exact: r.Intn(3) == 0}
 }
@@ -160,7 +174,7 @@ func TestReadsMatchScanOnNastyKBs(t *testing.T) {
 		}
 		patterns := make([]Pattern, 40)
 		for i := range patterns {
-			patterns[i] = nastyPattern(r)
+			patterns[i] = nastyPattern(r, bruteStrings(facts))
 		}
 		for name, q := range layouts {
 			if !factsEqual(q.Scan(Pattern{}), flat.Facts()) || !factsEqual(q.Facts(), flat.Facts()) {
@@ -257,14 +271,17 @@ func checkColumns(t *testing.T, where string, q *Sharded) {
 			t.Fatalf("%s shard %d: %d ranks for %d runs, %d attribute numbers for %d facts", where, si, len(sh.rank), len(sh.runs), len(sh.attrNo), len(sh.facts))
 		}
 		for i, f := range sh.facts {
-			if no, ok := sh.byAttr.list[f.Attr]; !ok || sh.attrNo[i] != no {
+			if no, ok := sh.byAttr.list(q.names.id(f.Attr)); !ok || sh.attrNo[i] != no {
 				t.Errorf("%s shard %d: attrNo[%d] = %d, byAttr lists %q as %d (%v)", where, si, i, sh.attrNo[i], f.Attr, no, ok)
 			}
 		}
 		for ri, run := range sh.runs {
 			all = append(all, ranked{sh.facts[run.lo].Entity, sh.rank[ri]})
+			if got := sh.run(sh.rank[ri]); got != run {
+				t.Errorf("%s shard %d: the search of rank finds run %v for %q, not %v", where, si, got, sh.facts[run.lo].Entity, run)
+			}
 			for _, attr := range append([]string{"", "absent everywhere"}, nastyNames...) {
-				got, want := sh.attrRun(run, attr), sh.attrRunRef(run, attr)
+				got, want := sh.attrRun(run, q.names.id(attr)), sh.attrRunRef(run, attr)
 				if got != want && (got.lo != got.hi || want.lo != want.hi) {
 					t.Errorf("%s shard %d: attrRun(%v, %q) = %v, the search by name finds %v", where, si, run, attr, got, want)
 				}
@@ -414,7 +431,7 @@ func TestCursorWalksShortestList(t *testing.T) {
 		{Pattern{Attr: "rare", Value: "absent"}, 0},
 		{Pattern{}, 40},
 	} {
-		c := flat.shards[0].cursor(tc.p)
+		c := flat.shards[0].cursor(tc.p, flat.names.resolve(tc.p))
 		if got := c.size(); got != tc.want || got != flat.CountEstimate(tc.p) {
 			t.Errorf("%+v: flat cursor visits %d facts, CountEstimate %d, want %d", tc.p, got, flat.CountEstimate(tc.p), tc.want)
 		}
@@ -428,20 +445,21 @@ func TestCursorWalksShortestList(t *testing.T) {
 		facts := nastyFacts(r)
 		flat, sharded := New(facts), NewSharded(facts, 3)
 		for i := 0; i < 40; i++ {
-			p := nastyPattern(r)
+			p := nastyPattern(r, bruteStrings(facts))
 			want := bruteEstimate(flat.Facts(), p)
-			c := flat.shards[0].cursor(p)
+			c := flat.shards[0].cursor(p, flat.names.resolve(p))
 			if got := c.size(); got != want {
 				t.Errorf("seed %d %#v: flat cursor visits %d facts, the shortest list has %d", seed, p, got, want)
 			}
 			visits := 0
+			k := sharded.names.resolve(p)
 			for _, sh := range sharded.shards {
-				c := sh.cursor(p)
+				c := sh.cursor(p, k)
 				visits += c.size()
 			}
 			if p.Entity != "" {
 				// One shard answers; the others are never opened.
-				c := sharded.shards[ShardOf(p.Entity, 3)].cursor(p)
+				c := sharded.shards[ShardOf(p.Entity, 3)].cursor(p, k)
 				visits = c.size()
 			}
 			if est := sharded.CountEstimate(p); visits > est || est != want {

@@ -1,7 +1,5 @@
 package store
 
-import "math"
-
 // Querier is the whole read interface of a store: three summary numbers,
 // one read primitive and its free cost bound. *Sharded implements it;
 // wrappers — the chaos injector in chaos.go, a test's delegating shim, one
@@ -45,8 +43,8 @@ var _ Querier = (*Sharded)(nil)
 //
 // A fact sits inside its entity's run of one shard's array, and the cursor
 // knows where: Run hands that run out, to be read again (Run.Select)
-// without a hash, a map probe or another trip through the Querier — what a
-// join on the entity needs.
+// without routing to a shard, finding the entity or another trip through the
+// Querier — what a join on the entity needs.
 //
 // Cursors are single-consumer and not safe for concurrent use: open one
 // per consumer — the store underneath is shared. The zero Cursor is empty.
@@ -66,8 +64,8 @@ type head struct {
 }
 
 // noRank is above every entity's rank: ranks are string IDs, and a string
-// table holds at most noRank strings (numberStrings, binVerify).
-const noRank = math.MaxUint32
+// table holds fewer than noRank strings (sortedUnion, binVerify).
+const noRank = noID
 
 // advance moves the head to the shard's next match.
 func (h *head) advance() {
@@ -95,13 +93,14 @@ func (s *Sharded) home(entity string) *shard {
 // Select opens a cursor over the facts matching p: on the entity's shard
 // when p names one, merged over every shard otherwise.
 func (s *Sharded) Select(p Pattern) Cursor {
+	k := s.names.resolve(p)
 	if p.Entity != "" || len(s.shards) == 1 {
-		return Cursor{shardCursor: s.home(p.Entity).cursor(p)}
+		return Cursor{shardCursor: s.home(p.Entity).cursor(p, k)}
 	}
 	heads := make([]head, len(s.shards))
 	for i, sh := range s.shards {
 		h := &heads[i]
-		h.shardCursor = sh.cursor(p)
+		h.shardCursor = sh.cursor(p, k)
 		h.advance()
 	}
 	return Cursor{heads: heads}
@@ -149,12 +148,13 @@ func (c *Cursor) Run() Run {
 // Select opens a cursor over the facts of the run that match p — what
 // Select(p) of the store answers once p.Entity names the run's entity,
 // which is therefore not consulted. The read stays inside the run: no
-// shard is looked up, nothing is allocated, and the order is canonical.
+// shard or entity is looked up, only an attribute p names, nothing is
+// allocated, and the order is canonical.
 func (r Run) Select(p Pattern) Cursor {
 	if r.sh == nil {
 		return Cursor{}
 	}
-	return Cursor{shardCursor: r.sh.runCursor(r.span, p)}
+	return Cursor{shardCursor: r.sh.runCursor(r.span, p, r.sh.names.idOf(p.Attr))}
 }
 
 // Count drains the cursor and returns how many matches Next had not yet
@@ -182,8 +182,9 @@ func (c *Cursor) Count() int {
 // the query are themselves the statistic — free, deterministic and never
 // stale.
 func (s *Sharded) CountEstimate(p Pattern) int {
+	k := s.names.resolve(p)
 	if p.Entity != "" {
-		c := s.home(p.Entity).cursor(p)
+		c := s.home(p.Entity).cursor(p, k)
 		return c.size()
 	}
 	best := -1
@@ -193,7 +194,7 @@ func (s *Sharded) CountEstimate(p Pattern) int {
 		}
 		n := 0
 		for _, sh := range s.shards {
-			c := sh.cursor(field)
+			c := sh.cursor(field, k)
 			n += c.size()
 		}
 		if best < 0 || n < best {

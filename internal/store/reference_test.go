@@ -160,19 +160,31 @@ func orderKBs(t *testing.T, check func(where string, s *Sharded)) {
 }
 
 // checkStrings holds the store's string table to brute force — exactly the
-// sorted distinct strings of its facts — and every number that leads into
-// it to its own string: each run's rank is its entity's ID, and each list
-// of the three indexes has its key's ID.
+// sorted distinct strings of its facts, each found by name at its own ID and
+// nothing else found — and every number that leads into it to its own
+// string: each run's rank is its entity's ID, and each index's lists are its
+// keys in the order the facts first post them, each found by its ID. Every
+// other ID of the table, the names this shard's index does not list, finds
+// no list.
 func checkStrings(t testing.TB, where string, s *Sharded) {
 	t.Helper()
-	if want := bruteStrings(s.Facts()); !slices.Equal(s.strs, want) {
-		t.Fatalf("%s: string table\n got: %q\nwant: %q", where, s.strs, want)
+	strs := s.names.strs
+	if want := bruteStrings(s.Facts()); !slices.Equal(strs, want) {
+		t.Fatalf("%s: string table\n got: %q\nwant: %q", where, strs, want)
+	}
+	for id, name := range strs {
+		if got := s.names.id(name); got != uint32(id) {
+			t.Errorf("%s: the name table finds %q at ID %d, not %d", where, name, got, id)
+		}
+	}
+	if got := s.names.id(absentName); got != noID {
+		t.Errorf("%s: the name table finds %q, which no fact holds, at ID %d", where, absentName, got)
 	}
 	str := func(id uint32) string {
-		if int(id) >= len(s.strs) {
-			return fmt.Sprintf("<ID %d of %d>", id, len(s.strs))
+		if int(id) >= len(strs) {
+			return fmt.Sprintf("<ID %d of %d>", id, len(strs))
 		}
-		return s.strs[id]
+		return strs[id]
 	}
 	for si, sh := range s.shards {
 		if len(sh.rank) != len(sh.runs) {
@@ -183,14 +195,42 @@ func checkStrings(t testing.TB, where string, s *Sharded) {
 				t.Errorf("%s shard %d: run %d (%q) has rank %d, which is %q", where, si, ri, name, sh.rank[ri], str(sh.rank[ri]))
 			}
 		}
-		for index, p := range map[string]postings{"byAttr": sh.byAttr, "byClass": sh.byClass, "byValue": sh.byValue} {
-			if len(p.ids) != len(p.list) {
-				t.Fatalf("%s shard %d: %d IDs for %s's %d lists", where, si, len(p.ids), index, len(p.list))
+		var keys [3][]string // each index's keys, in the order first posted
+		listOf := [3]map[string]int{{}, {}, {}}
+		post := func(index int, name string) {
+			if _, ok := listOf[index][name]; !ok {
+				listOf[index][name] = len(keys[index])
+				keys[index] = append(keys[index], name)
 			}
-			for name, no := range p.list {
-				if str(p.ids[no]) != name {
-					t.Errorf("%s shard %d: %s list %d (%q) has ID %d, which is %q", where, si, index, no, name, p.ids[no], str(p.ids[no]))
+		}
+		for _, f := range sh.facts {
+			post(0, f.Attr)
+			if f.Class != "" {
+				post(1, f.Class)
+			}
+			post(2, f.Value)
+			for _, anc := range f.Ancestors {
+				post(2, anc)
+			}
+		}
+		for i, index := range []string{"byAttr", "byClass", "byValue"} {
+			p := [...]postings{sh.byAttr, sh.byClass, sh.byValue}[i]
+			if len(p.ids) != len(keys[i]) {
+				t.Fatalf("%s shard %d: %d IDs for %s's %d keys", where, si, len(p.ids), index, len(keys[i]))
+			}
+			for no, id := range p.ids {
+				if str(id) != keys[i][no] {
+					t.Errorf("%s shard %d: %s list %d has ID %d, which is %q; the facts post %q", where, si, index, no, id, str(id), keys[i][no])
 				}
+			}
+			for id, name := range strs {
+				no, ok := p.list(uint32(id))
+				if want, listed := listOf[i][name]; ok != listed || ok && int(no) != want {
+					t.Errorf("%s shard %d: %s finds %q (ID %d) at list %d (%v), want %d (%v)", where, si, index, name, id, no, ok, want, listed)
+				}
+			}
+			if no, ok := p.list(noID); ok {
+				t.Errorf("%s shard %d: %s finds noID at list %d", where, si, index, no)
 			}
 		}
 	}
@@ -220,7 +260,7 @@ func checkWriter(t testing.TB, where string, s *Sharded) []byte {
 			t.Fatalf("%s shard %d: %d value numbers for %d value postings", where, si, len(sh.valueNo), len(names))
 		}
 		for j, name := range names {
-			if no, ok := sh.byValue.list[name]; !ok || sh.valueNo[j] != no {
+			if no, ok := sh.byValue.list(s.names.id(name)); !ok || sh.valueNo[j] != no {
 				t.Errorf("%s shard %d: valueNo[%d] = %d, byValue lists %q as %d (%v)", where, si, j, sh.valueNo[j], name, no, ok)
 			}
 		}
@@ -229,9 +269,9 @@ func checkWriter(t testing.TB, where string, s *Sharded) []byte {
 }
 
 // checkDecoder holds the store the decoder assembles from file to the one
-// NewSharded builds from its facts on as many shards: every shard deeply
-// equal — postings maps, offsets, arenas and ids, attrNo, valueNo, runs,
-// runOf, byEntity, rank — and the same string table.
+// NewSharded builds from its facts on as many shards: the same string table
+// and name table, and every shard deeply equal — postings tables, offsets,
+// arenas and ids, attrNo, valueNo, runs, runOf, rank.
 func checkDecoder(t testing.TB, where string, file []byte) *Sharded {
 	t.Helper()
 	got, err := ReadBinarySnapshot(bytes.NewReader(file))
@@ -239,8 +279,10 @@ func checkDecoder(t testing.TB, where string, file []byte) *Sharded {
 		t.Fatalf("%s: %v", where, err)
 	}
 	want := NewSharded(got.Facts(), got.ShardCount())
-	if !slices.Equal(got.strs, want.strs) {
-		t.Errorf("%s: the decoded store holds the table\n%q\nNewSharded numbers\n%q", where, got.strs, want.strs)
+	if !slices.Equal(got.names.strs, want.names.strs) {
+		t.Errorf("%s: the decoded store holds the table\n%q\nNewSharded numbers\n%q", where, got.names.strs, want.names.strs)
+	} else if !reflect.DeepEqual(got.names, want.names) {
+		t.Errorf("%s: the decoded store's name table differs from NewSharded's over the same strings", where)
 	}
 	for si, sh := range got.shards {
 		want := want.shards[si]
@@ -248,7 +290,7 @@ func checkDecoder(t testing.TB, where string, file []byte) *Sharded {
 			continue
 		}
 		for field, pair := range map[string][2]any{
-			"facts": {sh.facts, want.facts}, "byEntity": {sh.byEntity, want.byEntity}, "runs": {sh.runs, want.runs},
+			"facts": {sh.facts, want.facts}, "runs": {sh.runs, want.runs},
 			"runOf": {sh.runOf, want.runOf}, "rank": {sh.rank, want.rank}, "byAttr": {sh.byAttr, want.byAttr},
 			"attrNo": {sh.attrNo, want.attrNo}, "byClass": {sh.byClass, want.byClass}, "byValue": {sh.byValue, want.byValue},
 			"valueNo": {sh.valueNo, want.valueNo},
@@ -344,8 +386,9 @@ func TestDecodeIsTheSameAtAnyGOMAXPROCS(t *testing.T) {
 
 // TestRejectedSnapshotLeavesNoGoroutine rejects files at every stage of the
 // decode — before the first shard, with a shard in the assembler's hands, at
-// the end — and counts the goroutines after: the assembler has been waited
-// for on every return.
+// the end — behind a right trailer and behind a wrong one, and counts the
+// goroutines after: the assembler and the checksum's goroutine have been
+// waited for on every return.
 func TestRejectedSnapshotLeavesNoGoroutine(t *testing.T) {
 	payload := binPayload(t, NewSharded(orderFacts(rand.New(rand.NewSource(1))), 4))
 	before := runtime.NumGoroutine()
@@ -353,10 +396,13 @@ func TestRejectedSnapshotLeavesNoGoroutine(t *testing.T) {
 	for cut := binHeaderLen; cut < len(payload); cut += 7 {
 		// A valid prefix with the rest of the payload zeroed: the header's
 		// counts still fit, so the decode gets as far as the cut.
-		file := append([]byte(nil), payload[:cut]...)
-		file = signed(append(file, make([]byte, len(payload)-cut)...))
-		if _, err := ReadBinarySnapshot(bytes.NewReader(file)); err != nil {
-			rejected++
+		cutPayload := append([]byte(nil), payload[:cut]...)
+		cutPayload = append(cutPayload, make([]byte, len(payload)-cut)...)
+		unsigned := append(cutPayload[:len(cutPayload):len(cutPayload)], make([]byte, binTrailerLen)...)
+		for _, file := range [][]byte{signed(cutPayload), unsigned} {
+			if _, err := ReadBinarySnapshot(bytes.NewReader(file)); err != nil {
+				rejected++
+			}
 		}
 	}
 	if _, err := ReadBinarySnapshot(bytes.NewReader(signed(append(payload[:len(payload):len(payload)], 0)))); err == nil {
@@ -365,8 +411,8 @@ func TestRejectedSnapshotLeavesNoGoroutine(t *testing.T) {
 	if rejected == 0 {
 		t.Fatal("no file was rejected")
 	}
-	// The assembler closes its done channel as the last thing it does; give
-	// the scheduler the moment it takes to retire it.
+	// The assembler and the checksum's goroutine send as the last thing they
+	// do; give the scheduler the moment it takes to retire them.
 	for i := 0; i < 1000 && runtime.NumGoroutine() > before; i++ {
 		runtime.Gosched()
 	}

@@ -10,35 +10,68 @@ type shard struct {
 	// Facts hands out a one-shard store's own array.
 	facts []Fact
 
-	byEntity map[string]span // entity → its run of facts
-	runs     []span          // every entity's run, in fact order
-	runOf    []int32         // fact position → its entity's number in runs
-	rank     []uint32        // run number → its entity's ID in the store's sorted string table
-	byAttr   postings
-	attrNo   []int32  // fact position → its attribute's list number in byAttr
-	byClass  postings // facts with an empty class are not listed
-	byValue  postings // a fact is listed under its value and each ancestor
+	runs  []span  // every entity's run, in fact order
+	runOf []int32 // fact position → its entity's number in runs
+	// rank is run number → its entity's ID in the store's sorted string table.
+	// It rises along the runs, so an entity's run is a binary search of it.
+	rank    []uint32
+	byAttr  postings
+	attrNo  []int32  // fact position → its attribute's list number in byAttr
+	byClass postings // facts with an empty class are not listed
+	byValue postings // a fact is listed under its value and each ancestor
 	// valueNo is byValue's list number of every value posting, in fact order:
 	// a fact's value, then its ancestors, then the next fact's.
 	valueNo []int32
+	// names is the store's string table: a Run finds a pattern's attribute
+	// in it.
+	names *nameTable
 }
 
 // span is the half-open range [lo, hi) of positions in shard.facts.
 type span struct{ lo, hi int32 }
 
 // postings is one inverted index: key → ascending fact positions. Every
-// list is a window of one shared arena, so an index is three allocations
-// however many keys it holds. Lists are numbered in the order their keys
-// first occur in the facts.
+// list is a window of one shared arena. Lists are numbered in the order their
+// keys first occur in the facts and found by the key's ID in the store's
+// string table, through an open-addressed table of list numbers: no string
+// is hashed and nothing is sorted.
 type postings struct {
-	list  map[string]int32 // key → list number
-	off   []int32          // list i is arena[off[i]:off[i+1]]
+	off   []int32 // list i is arena[off[i]:off[i+1]]
 	arena []int32
-	ids   []uint32 // list number → its key's ID in the store's string table
+	ids   []uint32   // list number → its key's ID
+	slot  []listSlot // key ID → list number
 }
 
-func (p *postings) of(key string) []int32 {
-	i, ok := p.list[key]
+// listSlot is one slot of a postings index's table: a key's ID and its list
+// number + 1; 0 is an empty slot.
+type listSlot struct {
+	id uint32
+	no int32
+}
+
+// findList returns the slot of the list keyed by id, or the empty slot where
+// it would go. The IDs are spread over the slots by Fibonacci hashing.
+func findList(slot []listSlot, id uint32) (int, bool) {
+	mask := len(slot) - 1
+	for h := int(uint64(id)*0x9E3779B97F4A7C15>>32) & mask; ; h = (h + 1) & mask {
+		s := slot[h]
+		if s.no == 0 {
+			return h, false
+		}
+		if s.id == id {
+			return h, true
+		}
+	}
+}
+
+// list returns the number of the list keyed by id.
+func (p *postings) list(id uint32) (int32, bool) {
+	h, ok := findList(p.slot, id)
+	return p.slot[h].no - 1, ok
+}
+
+func (p *postings) of(id uint32) []int32 {
+	i, ok := p.list(id)
 	if !ok {
 		return nil
 	}
@@ -47,64 +80,35 @@ func (p *postings) of(key string) []int32 {
 
 // postingsBuilder collects one index's (list number, position) pairs in
 // fact order and lays them out in a single count → prefix sum → fill pass:
-// no list is ever grown. A builder is fed one of two ways, and numbers the
-// lists alike in both — in the order their keys are first seen. By name
-// (add) a posting is a probe of the map that becomes the index's own, and
-// the index's ids are left for numberStrings to fill from keys; by number
-// (addID), for a caller that knows every key as an index into the string
-// table, it is a read of an array, the map is filled once a list, at its
-// final size, when the index is laid out, and the ids are the indexes fed.
+// no list is ever grown. It is fed one way, by number (addID): every key is
+// its ID in the store's string table, and a posting is a read of a scratch
+// column over the table (no, key ID → list number + 1, 0 until the key is
+// first seen, when its list is numbered next). The index's own table, ID →
+// list, is made once, at its final size, when the index is laid out.
 type postingsBuilder struct {
-	n   []int32 // postings per list
-	key []int32 // list number of every posting, in the order added
-	pos []int32 // fact position of every posting
-
-	list map[string]int32 // fed by name: key → list number
-	keys []string         // and list number → key
-	last int32            // list of the previous posting: runs of one key skip the hash
-	prev string
-
-	names []string // fed by number: the string table the keys index
-	ids   []uint32 // and list number → its key's index in it
+	no  []int32  // the caller's scratch column, which forget hands back clean
+	n   []int32  // postings per list
+	key []int32  // list number of every posting, in the order added
+	pos []int32  // fact position of every posting
+	ids []uint32 // list number → its key's ID
 }
 
-// newPostingsBuilder makes a builder with room for that many postings.
-// names is the table behind addID; a builder fed by name has none.
-func newPostingsBuilder(postings int, names []string) *postingsBuilder {
-	return &postingsBuilder{
-		key:   make([]int32, 0, postings),
-		pos:   make([]int32, 0, postings),
-		names: names,
+// newPostingsBuilder makes a builder with room for that many postings that
+// numbers its lists in the scratch column no.
+func newPostingsBuilder(postings int, no []int32) postingsBuilder {
+	return postingsBuilder{
+		no:  no,
+		key: make([]int32, 0, postings),
+		pos: make([]int32, 0, postings),
 	}
 }
 
-func (b *postingsBuilder) add(key string, pos int32) {
-	if len(b.key) == 0 || key != b.prev {
-		if b.list == nil {
-			b.list = make(map[string]int32)
-		}
-		i, ok := b.list[key]
-		if !ok {
-			i = int32(len(b.n))
-			b.list[key] = i
-			b.n = append(b.n, 0)
-			b.keys = append(b.keys, key)
-		}
-		b.last, b.prev = i, key
-	}
-	b.n[b.last]++
-	b.key = append(b.key, b.last)
-	b.pos = append(b.pos, pos)
-}
-
-// addID is add for the key names[id]. no is the caller's scratch over the
-// table — key index → list number, −1 until the key is first seen — which
-// forget hands back clean.
-func (b *postingsBuilder) addID(no []int32, id uint32, pos int32) {
-	i := no[id]
+// addID posts the fact at pos under the key with that ID.
+func (b *postingsBuilder) addID(id uint32, pos int32) {
+	i := b.no[id] - 1
 	if i < 0 {
-		i = int32(len(b.n))
-		no[id] = i
+		i = int32(len(b.ids))
+		b.no[id] = i + 1
 		b.n = append(b.n, 0)
 		b.ids = append(b.ids, id)
 	}
@@ -113,21 +117,19 @@ func (b *postingsBuilder) addID(no []int32, id uint32, pos int32) {
 	b.pos = append(b.pos, pos)
 }
 
-// forget resets the entries of no that addID set.
-func (b *postingsBuilder) forget(no []int32) {
+// forget resets the entries of the scratch column that addID set.
+func (b *postingsBuilder) forget() {
 	for _, id := range b.ids {
-		no[id] = -1
+		b.no[id] = 0
 	}
 }
 
 // postings lays the index out.
 func (b *postingsBuilder) postings() postings {
-	list := b.list
-	if list == nil { // fed by number, or nothing
-		list = make(map[string]int32, len(b.ids))
-		for i, id := range b.ids {
-			list[b.names[id]] = int32(i)
-		}
+	slot := make([]listSlot, tableSize(len(b.ids)))
+	for i, id := range b.ids {
+		h, _ := findList(slot, id)
+		slot[h] = listSlot{id, int32(i) + 1}
 	}
 	off := make([]int32, len(b.n)+1)
 	for i, n := range b.n {
@@ -140,69 +142,110 @@ func (b *postingsBuilder) postings() postings {
 		arena[next[i]] = b.pos[j]
 		next[i]++
 	}
-	return postings{list: list, off: off, arena: arena, ids: b.ids}
+	return postings{off: off, arena: arena, ids: b.ids, slot: slot}
+}
+
+// feed is one shard on its way to the index builder: canonical facts, their
+// entities' runs with each run's entity ID, and the three builders fed the
+// facts in order — every fact's attribute; its class unless empty; its
+// value, then its ancestors. build fills one from the facts' names, the
+// snapshot decoder from the file's IDs.
+type feed struct {
+	facts                  []Fact
+	runs                   []span
+	rank                   []uint32
+	attrs, classes, values postingsBuilder
+}
+
+// scratch is the three scratch columns — attribute, class, value — a feed
+// numbers its lists in, over a string table of n strings.
+func scratch(n int) [3][]int32 {
+	all := make([]int32, 3*n)
+	return [3][]int32{all[:n:n], all[n : 2*n : 2*n], all[2*n:]}
+}
+
+func newFeed(facts []Fact, no [3][]int32) feed {
+	return feed{facts: facts, attrs: newPostingsBuilder(len(facts), no[0]),
+		classes: newPostingsBuilder(len(facts), no[1]), values: newPostingsBuilder(len(facts), no[2])}
+}
+
+// forget hands the feed's scratch columns back clean, for the next shard's.
+func (fd *feed) forget() {
+	fd.attrs.forget()
+	fd.classes.forget()
+	fd.values.forget()
 }
 
 // build indexes facts that are already canonical — sorted, no duplicate
-// keys — and takes ownership of the slice: it finds the runs and numbers
-// every index key by name, then assembles. It returns the keys of the
-// attribute, class and value lists by list number, from which numberStrings
-// gives the shard its rank column and the indexes their ids. NewSharded
-// reaches it after copy, sort and dedup; the snapshot decoder, which verifies
-// the order instead of re-establishing it and reads runs, ranks and string
-// IDs off the file, feeds its own builders and calls assemble directly.
-func build(facts []Fact) (*shard, [3][]string) {
-	var runs []span
-	attrs, classes, values := newPostingsBuilder(len(facts), nil), newPostingsBuilder(len(facts), nil), newPostingsBuilder(len(facts), nil)
+// keys — and takes ownership of the slice: it finds the runs, feeds the
+// builders every key's ID in names, then assembles. NewSharded reaches it
+// after copy, sort, dedup and numbering; the snapshot decoder, which verifies
+// the order instead of re-establishing it and reads runs, ranks and IDs off
+// the file, fills its own feed.
+func build(facts []Fact, names *nameTable) *shard {
+	fd := newFeed(facts, scratch(len(names.strs)))
+	var class uint32
 	for i := range facts {
 		f, pos := &facts[i], int32(i)
 		if i == 0 || f.Entity != facts[i-1].Entity {
-			runs = append(runs, span{pos, pos})
+			fd.runs = append(fd.runs, span{pos, pos})
+			fd.rank = append(fd.rank, names.id(f.Entity))
 		}
-		runs[len(runs)-1].hi = pos + 1
-		attrs.add(f.Attr, pos)
+		fd.runs[len(fd.runs)-1].hi = pos + 1
+		fd.attrs.addID(names.id(f.Attr), pos)
+		// The class repeats down an entity's run: it is looked up where it
+		// changes.
+		if i == 0 || f.Class != facts[i-1].Class {
+			class = names.id(f.Class)
+		}
 		if f.Class != "" {
-			classes.add(f.Class, pos)
+			fd.classes.addID(class, pos)
 		}
-		values.add(f.Value, pos)
+		fd.values.addID(names.id(f.Value), pos)
 		for _, anc := range f.Ancestors {
-			values.add(anc, pos)
+			fd.values.addID(names.id(anc), pos)
 		}
 	}
-	return assemble(facts, runs, attrs, classes, values), [3][]string{attrs.keys, classes.keys, values.keys}
+	return fd.assemble(names)
 }
 
-// assemble is the one index builder: canonical facts, their entities' runs
-// and the three builders that were fed the facts in order — every fact's
-// attribute; its class unless empty; its value, then its ancestors — become
-// a shard.
-func assemble(facts []Fact, runs []span, attrs, classes, values *postingsBuilder) *shard {
+// assemble is the one index builder: a feed becomes a shard of the store
+// whose string table is names.
+func (fd *feed) assemble(names *nameTable) *shard {
+	facts := fd.facts
 	if facts == nil {
 		facts = []Fact{}
 	}
-	s := &shard{facts: facts, runs: runs, runOf: make([]int32, len(facts))}
-	s.byEntity = make(map[string]span, len(runs))
-	for i, run := range runs {
-		s.byEntity[facts[run.lo].Entity] = run
+	s := &shard{facts: facts, runs: fd.runs, runOf: make([]int32, len(facts)), rank: fd.rank, names: names}
+	for i, run := range fd.runs {
 		for pos := run.lo; pos < run.hi; pos++ {
 			s.runOf[pos] = int32(i)
 		}
 	}
-	s.byAttr, s.byClass, s.byValue = attrs.postings(), classes.postings(), values.postings()
+	s.byAttr, s.byClass, s.byValue = fd.attrs.postings(), fd.classes.postings(), fd.values.postings()
 	// Every fact posts its attribute once, in fact order: the builder's list
 	// number per posting is the attribute-number column. The values builder's
 	// is the value-number column, one entry a posting.
-	s.attrNo, s.valueNo = attrs.key, values.key
+	s.attrNo, s.valueNo = fd.attrs.key, fd.values.key
 	return s
 }
 
-// attrRun narrows one entity's run to one attribute's facts: inside an
-// entity the canonical order is by attribute, so they are contiguous. The
-// attribute is looked up once, as its list number in byAttr, and found in
-// the run by comparing that number with the run's window of attrNo — a few
-// adjacent int32s — without touching a fact.
-func (s *shard) attrRun(run span, attr string) span {
-	no, ok := s.byAttr.list[attr]
+// run is the run of the entity with that ID, found in rank; the empty run
+// for an ID no run has, noID among them.
+func (s *shard) run(entity uint32) span {
+	if i, ok := slices.BinarySearch(s.rank, entity); ok {
+		return s.runs[i]
+	}
+	return span{}
+}
+
+// attrRun narrows one entity's run to the facts of the attribute with that
+// ID: inside an entity the canonical order is by attribute, so they are
+// contiguous. The attribute's list number in byAttr is found once and
+// compared with the run's window of attrNo — a few adjacent int32s —
+// without touching a fact.
+func (s *shard) attrRun(run span, attr uint32) span {
+	no, ok := s.byAttr.list(attr)
 	if !ok {
 		return span{run.lo, run.lo}
 	}
@@ -235,23 +278,25 @@ type shardCursor struct {
 	at       int32 // position in sh.facts of the fact next last returned
 }
 
-func (s *shard) cursor(q Pattern) shardCursor {
+// cursor opens the shard's stream of q, whose names the store has looked up
+// as k.
+func (s *shard) cursor(q Pattern, k patternIDs) shardCursor {
 	if q.Entity != "" {
-		return s.runCursor(s.byEntity[q.Entity], q)
+		return s.runCursor(s.run(k.entity), q, k.attr)
 	}
 	c := shardCursor{sh: s, rest: q}
 	// drop is the residual field the walked list makes redundant.
 	var drop *string
 	if q.Class != "" {
-		c.cand, drop = s.byClass.of(q.Class), &c.rest.Class
+		c.cand, drop = s.byClass.of(k.class), &c.rest.Class
 	}
 	if q.Attr != "" {
-		if l := s.byAttr.of(q.Attr); drop == nil || len(l) < len(c.cand) {
+		if l := s.byAttr.of(k.attr); drop == nil || len(l) < len(c.cand) {
 			c.cand, drop = l, &c.rest.Attr
 		}
 	}
 	if q.Value != "" {
-		if l := s.byValue.of(q.Value); drop == nil || len(l) < len(c.cand) {
+		if l := s.byValue.of(k.value); drop == nil || len(l) < len(c.cand) {
 			c.cand, drop = l, &c.rest.Value
 		}
 	}
@@ -272,12 +317,13 @@ func (s *shard) cursor(q Pattern) shardCursor {
 }
 
 // runCursor reads q inside one entity's run: the run is the entity, so
-// q.Entity is not consulted, and an attribute narrows the run further.
-func (s *shard) runCursor(run span, q Pattern) shardCursor {
+// q.Entity is not consulted, and an attribute — attr is its ID — narrows the
+// run further.
+func (s *shard) runCursor(run span, q Pattern, attr uint32) shardCursor {
 	c := shardCursor{sh: s, rest: q}
 	c.rest.Entity = ""
 	if q.Attr != "" {
-		run, c.rest.Attr = s.attrRun(run, q.Attr), ""
+		run, c.rest.Attr = s.attrRun(run, attr), ""
 	}
 	c.pos, c.end = run.lo, run.hi
 	return c

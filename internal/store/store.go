@@ -23,12 +23,13 @@
 // attribute, value, class) order, and that order is the first index: an
 // entity's facts are one contiguous run of the array and an attribute's
 // facts one run inside it, so by-entity and by-(entity, attribute) reads
-// are a map probe, a scan of the run's attribute numbers and a copy. Two
-// integer columns beside the array — each fact's attribute number, each
-// run's entity ID — let that scan and the merge of the shards' streams
-// compare integers where the order is one of strings. Three inverted
-// indexes — by attribute, by class and by value — cover the patterns that
-// name no entity; each keeps all its postings lists in one array. The
+// are a binary search of the runs' entity IDs, a scan of the run's attribute
+// numbers and a copy. Two integer columns beside the array — each fact's
+// attribute number, each run's entity ID — let that scan and the merge of
+// the shards' streams compare integers where the order is one of strings.
+// Three inverted indexes — by attribute, by class and by value — cover the
+// patterns that name no entity; each keeps all its postings lists in one
+// array. The
 // by-value index is hierarchy-aware: a fact is indexed under its accepted
 // value and under every generalisation of that value, so querying
 // value=Australia also finds entities whose accepted birth place is
@@ -37,10 +38,14 @@
 //
 // The store numbers its strings once. It holds the sorted table of every
 // distinct string it contains — the file's own when it was decoded from a
-// snapshot, numbered at construction when NewSharded built it — and the
-// entity IDs, each index's list number → string ID and a third column, each
-// value posting's list number, lead into it: they are what the snapshot
-// writer encodes instead of the strings.
+// snapshot, numbered at construction when NewSharded built it — and one
+// open-addressed name → ID table over it. A read finds each name of its
+// pattern there once, however many shards it opens; below that everything is
+// keyed by number: a shard's runs by their entity IDs, each index's lists by
+// their key IDs (an integer probe, no string hashed), and no index holds a
+// string-keyed map. The entity IDs, each index's list number → string ID and
+// a third column, each value posting's list number, are also what the
+// snapshot writer encodes instead of the strings.
 package store
 
 import (
@@ -101,7 +106,7 @@ type Pattern struct {
 }
 
 // DefaultShards is the shard count NewSharded uses when the caller does
-// not pick one. Eight shards keep per-shard index maps small enough to
+// not pick one. Eight shards keep per-shard indexes small enough to
 // stay cache-friendly while giving the scatter-gather path real
 // parallelism headroom on typical server core counts.
 const DefaultShards = 8
@@ -140,12 +145,10 @@ type Sharded struct {
 	nFacts  int
 	nEntity int
 
-	// strs is every distinct string of the facts — entities, classes,
-	// attributes, values, ancestors — sorted, each once: ID → string for the
-	// rank columns and the indexes' ids. strsErr is why a store too large to
-	// number has no table; WriteBinarySnapshot returns it.
-	strs    []string
-	strsErr error
+	// names is every distinct string of the facts — entities, classes,
+	// attributes, values, ancestors — sorted, each once, and the table that
+	// finds a name's ID: what the rank columns and every index are keyed by.
+	names *nameTable
 }
 
 // New builds a one-shard store over the facts. The input is copied, sorted
@@ -155,9 +158,9 @@ type Sharded struct {
 func New(facts []Fact) *Sharded { return NewSharded(facts, 1) }
 
 // NewSharded partitions a copy of facts by entity hash into n shards
-// (DefaultShards when n <= 0), indexes each independently and numbers the
-// strings of them all (numberStrings). Deduplication is global even though
-// each shard dedups locally: facts with the same identity key share an
+// (DefaultShards when n <= 0), numbers the strings of them all and indexes
+// each shard independently by those numbers. Deduplication is global even
+// though each shard dedups locally: facts with the same identity key share an
 // entity and therefore a shard.
 func NewSharded(facts []Fact, n int) *Sharded {
 	if n <= 0 {
@@ -182,16 +185,20 @@ func NewSharded(facts []Fact, n int) *Sharded {
 			parts[home[i]] = append(parts[home[i]], f)
 		}
 	}
-	// The parts share nothing: each is sorted and indexed on its own, beside
-	// the others where there are processors for it.
-	shards := make([]*shard, n)
-	keys := make([][3][]string, n)
+	// The parts share nothing but the string table: each is sorted and its
+	// strings found on its own, beside the others where there are processors
+	// for it; the table is their sorted union; then each is indexed by it.
+	seen := make([][]string, n)
 	mapreduce.ForEach(mapreduce.Config{}, n, func(i int) {
-		shards[i], keys[i] = build(canonical(parts[i]))
+		parts[i] = canonical(parts[i])
+		seen[i] = distinctStrings(parts[i])
 	})
-	s := newSharded(shards)
-	s.strs, s.strsErr = numberStrings(shards, keys)
-	return s
+	names := newNameTable(sortedUnion(seen))
+	shards := make([]*shard, n)
+	mapreduce.ForEach(mapreduce.Config{}, n, func(i int) {
+		shards[i] = build(parts[i], names)
+	})
+	return newSharded(shards, names)
 }
 
 // canonical sorts fs in place into canonical order and drops facts that
@@ -201,23 +208,24 @@ func canonical(fs []Fact) []Fact {
 	return slices.CompactFunc(fs, sameFactKey)
 }
 
-// newSharded assembles the shards and their summed counts. Shards
-// partition entities, so the per-shard counts sum without overlap.
-func newSharded(shards []*shard) *Sharded {
-	s := &Sharded{shards: shards}
-	classSet := make(map[string]bool)
+// newSharded assembles the shards, the string table they are keyed by and
+// their summed counts. Shards partition entities, so the per-shard counts
+// sum without overlap.
+func newSharded(shards []*shard, names *nameTable) *Sharded {
+	s := &Sharded{shards: shards, names: names}
+	var classes []uint32
 	for _, sh := range shards {
 		s.nFacts += len(sh.facts)
-		s.nEntity += len(sh.byEntity)
-		for c := range sh.byClass.list {
-			classSet[c] = true
-		}
+		s.nEntity += len(sh.runs)
+		classes = append(classes, sh.byClass.ids...)
 	}
-	s.classes = make([]string, 0, len(classSet))
-	for c := range classSet {
-		s.classes = append(s.classes, c)
+	// IDs are in string order: sorted, they are the classes sorted.
+	slices.Sort(classes)
+	classes = slices.Compact(classes)
+	s.classes = make([]string, len(classes))
+	for i, id := range classes {
+		s.classes[i] = names.strs[id]
 	}
-	sort.Strings(s.classes)
 	return s
 }
 
