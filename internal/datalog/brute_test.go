@@ -258,21 +258,37 @@ func TestEntityJoinOpensNoRead(t *testing.T) {
 }
 
 // TestRunLocalReadDoesNotAllocate pins the cost of the probe an entity join
-// makes: taking the run a cursor hands out and reading a pattern inside it
-// touches no heap, on one shard and on a scatter.
+// makes: taking the run a cursor hands out and reading inside it by number
+// (Run.Where) — narrowed by attribute, by class and hierarchical value, by an
+// exact value, or not at all — touches no heap, on one shard and on a
+// scatter.
 func TestRunLocalReadDoesNotAllocate(t *testing.T) {
 	for _, shards := range []int{1, 8} {
 		st := store.NewSharded(bruteKB(24), shards)
 		cur := st.Select(store.Pattern{Attr: "a"}) // 25 facts: one for each of the 21 calls below
+		names := cur.Names()
+		id := func(name string) uint32 {
+			n, ok := names.ID(name)
+			if !ok {
+				t.Fatalf("the fixture has no %q", name)
+			}
+			return n
+		}
+		type read struct {
+			attr, class, value uint32
+			exact              bool
+		}
+		no := uint32(store.NoID)
+		reads := []read{{id("b"), no, no, false}, {id("c"), id("K1"), id("top"), false}, {no, no, id("n03"), true}, {no, no, no, false}}
 		matched := 0
 		allocs := testing.AllocsPerRun(20, func() {
 			if cur.Next() == nil {
 				t.Fatal("the outer cursor ran dry")
 			}
 			run := cur.Run()
-			for _, p := range []store.Pattern{{Attr: "b"}, {Class: "K1", Attr: "c", Value: "top"}, {Value: "n03", Exact: true}, {}} {
-				in := run.Select(p)
-				for f := in.Next(); f != nil; f = in.Next() {
+			for _, rd := range reads {
+				in := run.Where(rd.attr, rd.class, rd.value, rd.exact)
+				for in.Next() {
 					matched++
 				}
 			}

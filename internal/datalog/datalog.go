@@ -15,37 +15,42 @@
 //     catalog to build, refresh or mistrust. Greedy ordering is provably
 //     good enough for pattern-shaped queries and plans in microseconds.
 //
-//   - Streaming iterator execution. The plan runs as a left-deep chain
-//     of index-nested-loop joins: bindings flow depth-first through the
-//     clauses, each probe substituting the bound variables into a
-//     store.Pattern and pulling a cursor, fact by fact, in place. No
-//     intermediate relation is ever materialised; peak memory is one
-//     binding row plus the result page. Where a probe reads depends on
-//     where its entity came from. The store keeps an entity's facts as one
-//     run of one shard's array and a cursor can hand out the run of the
-//     fact it just yielded, so a step that binds a variable from a fact's
-//     entity position keeps that run beside the binding, and a later probe
-//     on the variable reads inside it (store.Run.Select): no shard hash,
-//     no search for the entity, no new read of the store — and still one
-//     probe. A
-//     variable bound from a value or attribute position, or out of a hash
-//     bucket, has no run, and its probe opens Select on the store. Joins
+//   - Streaming iterator execution on numbers. The plan runs as a
+//     left-deep chain of index-nested-loop joins: bindings flow depth-first
+//     through the clauses, and a binding is a row of string IDs — the
+//     numbers the store's columns and indexes are keyed by (store.Names) —
+//     read off each match (store.Cursor.IDs) and compared as integers; a
+//     row becomes strings only when it enters the page. No intermediate
+//     relation is ever materialised; peak memory is one binding row plus
+//     the result page. Where a probe reads depends on where its entity came
+//     from. The store keeps an entity's facts as one run of one shard's
+//     array and a cursor can hand out the run of the fact it just yielded,
+//     so a step that binds a variable from a fact's entity position keeps
+//     that run beside the binding, and a later probe on the variable reads
+//     inside it by number (store.Run.Where, its constants found once a
+//     query): no name looked up, no shard hash, no search for the entity,
+//     no new read of the store — and still one probe. A variable bound from
+//     a value or attribute position, or out of a hash bucket, has no run,
+//     and its probe opens Select on the store with the bound names. Joins
 //     that index probing cannot serve well — value-position equijoins (the
 //     value postings are hierarchy-inflated supersets) and clauses
 //     disconnected from the bound prefix — fall back to a hash join that
-//     builds the clause's base relation once, keyed exactly (one key map,
-//     one offset slice, one arena), and probes it per binding.
+//     builds the clause's base relation once, keyed by value ID (one key
+//     map, one offset slice, one arena), and probes it per binding.
 //
 // Results always arrive in left-deep nested-loop order (first clause in
 // canonical fact order, probe results in canonical order per binding), at
 // any shard count and any parallelism. The order is owed only to the rows
-// that are returned: once the page is full (Query.Limit rows) the rest of
-// the first clause's stream is only counted, so the serial path releases
-// its cursor's order (store.Cursor.Unordered) and a scatter stops merging.
-// The parallel path partitions the first clause's stream into fixed-size
-// batches — each fact with its run — whose decomposition does not depend
-// on the worker count, and never releases the order: a batch cannot know
-// whether the ones before it filled the page.
+// that are returned. Once the page is full (Query.Limit rows) what is left
+// is only counted: the serial path releases its first cursor's order
+// (store.Cursor.Unordered), so a scatter stops merging, and a suffix of
+// steps that reads no variable bound inside it is not enumerated at all —
+// its matches are the product of each step's count (a narrowed run, a
+// bucket's length, a read counted where it lies). The parallel path
+// partitions the first clause's stream into fixed-size batches — each
+// match with its run — whose decomposition does not depend on the worker
+// count, and never releases the order: a batch cannot know whether the
+// ones before it filled the page. Each batch counts past its own page.
 package datalog
 
 import (
@@ -220,13 +225,18 @@ type Result struct {
 	// order.
 	Rows [][]string
 	// Total is the exact number of matching bindings, counted past any
-	// limit.
+	// limit: once the page is full, a suffix of the plan that reads no
+	// variable bound inside it is counted — the product of each step's
+	// matches — not enumerated. A total that does not fit in an int is
+	// ErrTotalOverflow, never a wrapped one.
 	Total int
 	// Truncated reports Total > len(Rows).
 	Truncated bool
-	// Probes counts index probes the executor issued — the executor's
-	// work metric, exposed for tests, explain output and the
-	// akb_datalog_probes_total counter.
+	// Probes counts the index reads the executor made — the first clause's
+	// scan, each hash relation's build, and one read a step a binding,
+	// whether it enumerates the step's matches or, in a counted suffix, only
+	// counts them. It is the executor's work metric, exposed for tests,
+	// explain output and the akb_datalog_probes_total counter.
 	Probes int64
 }
 

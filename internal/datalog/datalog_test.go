@@ -2,6 +2,7 @@ package datalog_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"runtime"
@@ -618,19 +619,28 @@ func productKB(n int) []store.Fact {
 }
 
 // TestCancelledProductReturnsPromptly bounds what a cancelled query still
-// does, in rows and in time. The executor polls its context once every 1024
-// facts handed to a step, and every row is one — so no more than 1024 rows
-// are produced between two polls, wherever in the plan they fan out (polling
-// per evaluated step, a product's last step ran 1024 × its bucket between
-// polls). In time: a 20 000 × 20 000 product over 8 shards, cancelled 30 ms
-// into the run, is back with context.Canceled within 20 ms of the cancel on
-// the serial and on the parallel path.
+// does, in matches and in time. The executor polls its context once every
+// 1024 matches handed to a step — so no more than 1024 are produced between
+// two polls, wherever in the plan they fan out. A product of independent
+// clauses is counted once the page is full, so the query run here is one the
+// executor still enumerates: `?a x ?v . ?b y ?w . ?b y ?u`, whose last step
+// joins on ?b, bound inside the suffix from the second step on — every one of
+// the n×n bindings of the first two steps is handed to the second, and only
+// the last is counted. In time: n = 20 000 over 8 shards, cancelled 30 ms into
+// the run, is back with context.Canceled within 20 ms of the cancel on the
+// serial and on the parallel path. The product without the join is counted
+// at once: its exact total comes back inside those 30 ms.
 func TestCancelledProductReturnsPromptly(t *testing.T) {
-	q, err := datalog.Parse("?a x ?v . ?b y ?w")
+	q, err := datalog.Parse("?a x ?v . ?b y ?w . ?b y ?u")
 	if err != nil {
 		t.Fatal(err)
 	}
 	q.Limit = 10 // rows are counted, not kept: the run is bounded by time alone
+	product, err := datalog.Parse("?a x ?v . ?b y ?w")
+	if err != nil {
+		t.Fatal(err)
+	}
+	product.Limit = 10
 
 	t.Run("rows", func(t *testing.T) {
 		st := store.NewSharded(productKB(300), 8)
@@ -639,8 +649,9 @@ func TestCancelledProductReturnsPromptly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Total != 300*300 || ctx.polls < res.Total/1024 {
-			t.Errorf("%d rows (want %d) under %d polls of the context, want one every 1024 rows at least", res.Total, 300*300, ctx.polls)
+		// 300 matches handed to the first step and 300 a binding to the second.
+		if handed := 300 + 300*300; res.Total != 300*300 || ctx.polls < handed/1024 {
+			t.Errorf("total %d (want %d) under %d polls of the context, want one every 1024 of %d matches at least", res.Total, 300*300, ctx.polls, handed)
 		}
 		// Cancelled from some poll on, the run ends at that poll.
 		ctx = &pollCounter{Context: context.Background(), cancelAt: 5}
@@ -668,17 +679,124 @@ func TestCancelledProductReturnsPromptly(t *testing.T) {
 				timer.Stop()
 				cancel()
 				if err != context.Canceled {
-					t.Fatalf("err %v, want context.Canceled (a 4·10⁸-row product cannot finish in 30 ms)", err)
+					t.Fatalf("err %v, want context.Canceled (4·10⁸ bindings, each handed to a step, cannot finish in 30 ms)", err)
 				}
 				if d := returned.Sub(cancelled); try == 0 || d < late {
 					late = d
 				}
 				if late <= bound {
+					break
+				}
+			}
+			if late > bound {
+				t.Errorf("Run returned %v after the cancel, want within %v", late, bound)
+			}
+
+			var took time.Duration
+			for try := 0; try < 3; try++ {
+				ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+				start := time.Now()
+				res, err := datalog.Run(ctx, st, product, datalog.Options{Parallelism: par})
+				took = time.Since(start)
+				cancel()
+				if err == nil {
+					if res.Total != 20000*20000 || len(res.Rows) != 10 {
+						t.Fatalf("%s: total %d and %d rows, want %d and 10", product, res.Total, len(res.Rows), 20000*20000)
+					}
 					return
 				}
 			}
-			t.Errorf("Run returned %v after the cancel, want within %v", late, bound)
+			t.Errorf("%s: no total within 30 ms (the last try took %v), want the product counted", product, took)
 		})
+	}
+}
+
+// TestCountedTotalNeverWraps: a counted total that does not fit in an int is
+// ErrTotalOverflow, never a wrapped or negative total. A star of k clauses on
+// an entity with 20 values of one attribute is a product of 20^k rows: 20^14
+// fits in an int64, 20^15 and 20^16 do not.
+func TestCountedTotalNeverWraps(t *testing.T) {
+	var facts []store.Fact
+	for i := 0; i < 20; i++ {
+		facts = append(facts, store.Fact{Entity: "e", Attr: "a", Value: fmt.Sprintf("v%02d", i)})
+	}
+	star := func(k int) datalog.Query {
+		var clauses []string
+		for i := 0; i < k; i++ {
+			clauses = append(clauses, fmt.Sprintf("e a ?v%d", i))
+		}
+		q, err := datalog.Parse(strings.Join(clauses, " . "))
+		if err != nil {
+			t.Fatal(err)
+		}
+		q.Limit = 1
+		return q
+	}
+	for name, src := range layouts(facts) {
+		for _, par := range []int{1, 3} {
+			opts := datalog.Options{Parallelism: par}
+			res, err := datalog.Run(context.Background(), src, star(14), opts)
+			if err != nil || res.Total != 1638400000000000000 || len(res.Rows) != 1 {
+				t.Errorf("%s par=%d: 14 clauses: total %v, %v; want 20^14 = 1638400000000000000", name, par, res, err)
+			}
+			for _, k := range []int{15, 16} {
+				res, err := datalog.Run(context.Background(), src, star(k), opts)
+				if !errors.Is(err, datalog.ErrTotalOverflow) {
+					t.Errorf("%s par=%d: %d clauses: %+v, %v; want ErrTotalOverflow", name, par, k, res, err)
+				}
+			}
+		}
+	}
+}
+
+// TestCountedTailDoesNotGrow: once the page is full the rest of a star join
+// is counted — each binding of the first clause takes one read of each other
+// step, and allocates nothing — so a page of one row costs the same
+// allocations at 400 entities as at 4 000, and Result.Probes is exactly one
+// read per counted step per binding.
+func TestCountedTailDoesNotGrow(t *testing.T) {
+	q, err := datalog.Parse("?f a ?x . ?f b ?y . ?f c ?z")
+	if err != nil {
+		t.Fatal(err)
+	}
+	q.Limit = 1
+	allocs := map[int]float64{}
+	for _, n := range []int{400, 4000} {
+		// Every entity has one a, two b and three c: six rows.
+		var facts []store.Fact
+		for i := 0; i < n; i++ {
+			e := fmt.Sprintf("e%04d", i)
+			facts = append(facts, store.Fact{Entity: e, Attr: "a", Value: "x"})
+			for j := 0; j < 2; j++ {
+				facts = append(facts, store.Fact{Entity: e, Attr: "b", Value: fmt.Sprintf("y%d", j)})
+			}
+			for j := 0; j < 3; j++ {
+				facts = append(facts, store.Fact{Entity: e, Attr: "c", Value: fmt.Sprintf("z%d", j)})
+			}
+		}
+		st := store.NewSharded(facts, 8)
+		plan, err := datalog.NaivePlan(q, st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := datalog.RunPlan(context.Background(), st, q, plan, datalog.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The scan; the first binding's reads until the page is full — its b
+		// and the c of its first b — and the count of the c of its second b;
+		// then two counted reads (b, c) for each of the other n-1 bindings.
+		if want := int64(1 + 2 + 1 + 2*(n-1)); res.Total != 6*n || res.Probes != want {
+			t.Errorf("%d entities: total %d and %d probes, want %d and %d", n, res.Total, res.Probes, 6*n, want)
+		}
+		allocs[n] = testing.AllocsPerRun(10, func() {
+			if _, err := datalog.RunPlan(context.Background(), st, q, plan, datalog.Options{}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if allocs[400] != allocs[4000] {
+		t.Errorf("a one-row page allocates %.0f times at 400 entities and %.0f at 4000: the counted tail allocates", allocs[400], allocs[4000])
 	}
 }
 

@@ -2,6 +2,9 @@ package datalog
 
 import (
 	"context"
+	"errors"
+	"math"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -46,8 +49,16 @@ func Run(ctx context.Context, src store.Querier, q Query, opts Options) (*Result
 	return RunPlan(ctx, src, q, plan, opts)
 }
 
+// ErrTotalOverflow is the error of a query whose total number of matches
+// does not fit in an int. Counting reaches totals that enumeration never
+// would before a deadline — a product of independent clauses is counted at
+// once — and such a total is refused, never wrapped.
+var ErrTotalOverflow = errors.New("datalog: the number of matches does not fit in an int")
+
 // RunPlan executes a pre-built plan. The plan must come from PlanQuery
-// or NaivePlan over the same query.
+// or NaivePlan over the same query. Every cursor src hands out must read
+// one store, as a wrapper's do: the executor joins on the string IDs the
+// cursors report, in the table (store.Names) of the first clause's.
 func RunPlan(ctx context.Context, src store.Querier, q Query, plan *Plan, opts Options) (*Result, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
@@ -60,7 +71,9 @@ func RunPlan(ctx context.Context, src store.Querier, q Query, plan *Plan, opts O
 		return runParallel(sh, opts.Parallelism)
 	}
 	r := newRunner(sh)
-	r.probe(sh.steps[0].base, 0) // the first clause's full stream drives the rest
+	c := sh.scan()
+	r.probes++
+	r.stream(&c, 0) // the first clause's full stream drives the rest
 	if r.err != nil {
 		return nil, r.err
 	}
@@ -74,11 +87,12 @@ func RunPlan(ctx context.Context, src store.Querier, q Query, plan *Plan, opts O
 }
 
 // shared is the per-execution read-only state: the compiled steps
-// (including any hash relations, built once), the store and the
-// projection. Parallel workers share one instance.
+// (including any hash relations, built once), the store, its string table
+// and the projection. Parallel workers share one instance.
 type shared struct {
 	ctx     context.Context
 	src     store.Querier
+	names   store.Names // the store's, taken from the first clause's cursor
 	steps   []execStep
 	nvars   int
 	selIdx  []int
@@ -91,10 +105,10 @@ type shared struct {
 
 // execStep is one compiled plan step: the clause's constant skeleton
 // plus, per position (entity, attr, value), what to do with a variable
-// there — substitute a bound slot into the pattern before probing
-// (subs), bind the fact's field into a slot (binds), or equality-check
-// the field against a slot bound earlier in the same clause (checks).
-// Slots are indices into the runner's binding row; -1 means inactive.
+// there — substitute a bound slot into the read (subs), bind the match's
+// ID into a slot (binds), or check the match's ID against a slot bound
+// earlier in the same clause (checks). Slots are indices into the runner's
+// binding row of string IDs; -1 means inactive.
 type execStep struct {
 	base     store.Pattern
 	strategy Strategy
@@ -105,27 +119,43 @@ type execStep struct {
 	// probe joins on it, so the entity's run is kept beside the binding.
 	keepRun bool
 	// inRun: the probe's entity is such a variable, so it reads inside the
-	// kept run instead of opening a read on the store.
+	// kept run, by number, instead of opening a read on the store.
 	inRun bool
+	// attr, class and value are an inRun step's constants as IDs (NoID where
+	// the clause has none), found once a query; none: the store's table lacks
+	// one of them, so the step matches nothing.
+	attr, class, value uint32
+	none               bool
+	// counted: no step from this one to the last substitutes or checks a
+	// variable bound by one of them, so once the page is full their matches
+	// are a product of counts, not a loop.
+	counted bool
 	// keySlot is the binding slot whose value keys the hash relation;
-	// -1 on a cross-product hash step (single bucket under "").
+	// -1 on a cross-product hash step (one bucket).
 	keySlot int
 	// rel is the hash relation of a StrategyHash step.
 	rel relation
 }
 
+// match is one fact of a hash relation by number: its entity, attribute and
+// value IDs.
+type match struct{ entity, attr, value uint32 }
+
 // relation is a hash step's build side: the clause's base relation grouped
-// by exact value, facts — by reference into the store — in canonical order
-// within each bucket so probing emits nested-loop order. Like the store's
-// postings it is one key map, one offset slice and one arena however many
-// keys it holds.
+// by value ID, in canonical order within each bucket so probing emits
+// nested-loop order. Like the store's postings it is one key map, one offset
+// slice and one arena however many keys it holds; a cross product is the
+// arena alone, one bucket.
 type relation struct {
-	list  map[string]int32 // key → bucket number
+	list  map[uint32]int32 // value ID → bucket number; nil on a cross product
 	off   []int32          // bucket i is arena[off[i]:off[i+1]]
-	arena []*store.Fact
+	arena []match
 }
 
-func (r *relation) bucket(key string) []*store.Fact {
+func (r *relation) bucket(key uint32) []match {
+	if r.list == nil {
+		return r.arena
+	}
 	i, ok := r.list[key]
 	if !ok {
 		return nil
@@ -134,30 +164,37 @@ func (r *relation) bucket(key string) []*store.Fact {
 }
 
 // buildRelation reads the base pattern once and lays the relation out
-// count → prefix sum → fill. keyed is false on a cross product: everything
-// lands in the one bucket under "".
+// count → prefix sum → fill; keyed is false on a cross product.
 func buildRelation(ctx context.Context, src store.Querier, base store.Pattern, keyed bool) (relation, error) {
 	// The stream and each fact's bucket number, at their final size at once:
 	// the estimate is an upper bound on the matches.
 	est := src.CountEstimate(base)
-	facts := make([]*store.Fact, 0, est)
-	num := make([]int32, 0, est)
-	rel := relation{list: make(map[string]int32)}
+	facts := make([]match, 0, est)
+	var num []int32
+	var rel relation
+	if keyed {
+		num = make([]int32, 0, est)
+		rel.list = make(map[uint32]int32)
+	}
 	c := src.Select(base)
-	for f := c.Next(); f != nil; f = c.Next() {
-		k := ""
+	for c.Next() != nil {
+		e, a, v := c.IDs()
+		facts = append(facts, match{e, a, v})
 		if keyed {
-			k = f.Value
+			i, ok := rel.list[v]
+			if !ok {
+				i = int32(len(rel.list))
+				rel.list[v] = i
+			}
+			num = append(num, i)
 		}
-		i, ok := rel.list[k]
-		if !ok {
-			i = int32(len(rel.list))
-			rel.list[k] = i
-		}
-		facts, num = append(facts, f), append(num, i)
 		if len(facts)&1023 == 0 && ctx.Err() != nil {
 			return relation{}, ctx.Err()
 		}
+	}
+	if !keyed {
+		rel.arena = facts
+		return rel, nil
 	}
 	// Bucket i is counted two places up, so that the prefix sum leaves its
 	// start at off[i+1] and the fill, advancing that to its end, leaves its
@@ -169,7 +206,7 @@ func buildRelation(ctx context.Context, src store.Querier, base store.Pattern, k
 	for i := 2; i < len(off); i++ {
 		off[i] += off[i-1]
 	}
-	rel.arena = make([]*store.Fact, len(facts))
+	rel.arena = make([]match, len(facts))
 	for j, i := range num {
 		rel.arena[off[i+1]] = facts[j]
 		off[i+1]++
@@ -191,14 +228,7 @@ func compile(ctx context.Context, src store.Querier, q Query, plan *Plan) (*shar
 	}
 
 	slot := make(map[string]int)
-	slotOf := func(v string) int {
-		s, ok := slot[v]
-		if !ok {
-			s = len(slot)
-			slot[v] = s
-		}
-		return s
-	}
+	var boundAt []int // slot → the step that binds it
 	bound := make(map[string]bool)
 	for i, ps := range plan.Steps {
 		st := &sh.steps[i]
@@ -213,7 +243,12 @@ func compile(ctx context.Context, src store.Querier, q Query, plan *Plan) (*shar
 			if !t.IsVar() {
 				continue
 			}
-			s := slotOf(t.Var)
+			s, ok := slot[t.Var]
+			if !ok {
+				s = len(slot)
+				slot[t.Var] = s
+				boundAt = append(boundAt, i)
+			}
 			switch {
 			case bound[t.Var]:
 				st.subs[pos] = s
@@ -249,6 +284,9 @@ func compile(ctx context.Context, src store.Querier, q Query, plan *Plan) (*shar
 		}
 	}
 	sh.nvars = len(slot)
+	for d := range sh.steps {
+		sh.steps[d].counted = independent(sh.steps[d:], d, boundAt)
+	}
 
 	vars := q.Vars()
 	sel := q.Select
@@ -263,27 +301,67 @@ func compile(ctx context.Context, src store.Querier, q Query, plan *Plan) (*shar
 	return sh, nil
 }
 
-// runner is the mutable side of one execution stream: the single
-// reusable binding row, the DFS closures (hoisted once per runner, not
-// per probe), and the output accumulator. The serial path uses one
-// runner over the whole first-clause stream; each parallel worker has
-// its own and is fed batches.
+// independent reports whether the suffix of steps that starts at step d reads
+// no variable bound inside it: every substituted slot was bound before d, and
+// no step checks one (a check is of a slot its own step binds).
+func independent(suffix []execStep, d int, boundAt []int) bool {
+	for i := range suffix {
+		st := &suffix[i]
+		for pos := range st.subs {
+			if st.checks[pos] >= 0 || st.subs[pos] >= 0 && boundAt[st.subs[pos]] >= d {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// scan opens the first clause's read, the execution's first, and takes the
+// store's string table from it: the in-run probes' constants are found there
+// once, for every binding and every worker.
+func (sh *shared) scan() store.Cursor {
+	c := sh.src.Select(sh.steps[0].base)
+	sh.names = c.Names()
+	for i := range sh.steps {
+		st := &sh.steps[i]
+		if !st.inRun {
+			continue
+		}
+		for _, k := range [...]struct {
+			name string
+			id   *uint32
+		}{{st.base.Attr, &st.attr}, {st.base.Class, &st.class}, {st.base.Value, &st.value}} {
+			*k.id = store.NoID
+			if k.name != "" {
+				var ok bool
+				*k.id, ok = sh.names.ID(k.name)
+				st.none = st.none || !ok
+			}
+		}
+	}
+	return c
+}
+
+// runner is the mutable side of one execution stream: the single reusable
+// binding row of string IDs and the output accumulator. The serial path
+// uses one runner over the whole first-clause stream; each parallel worker
+// has its own and is fed batches.
 type runner struct {
 	sh     *shared
-	row    []string
+	row    []uint32
 	runs   []store.Run // beside row: the run of the entity in the slot, where a step keeps it
-	yields []func(*store.Fact) bool
 	rows   [][]string
 	arena  []string // what is left of the chunk the kept rows are cut from
 	total  int
 	probes int64
-	tick   uint // facts handed to a step, at any depth
+	tick   uint // matches handed to a step, at any depth
 	err    error
 }
 
-// pollEvery is how many facts reach a step — the last one's are the rows
+// pollEvery is how many matches reach a step — the last one's are the rows
 // — between two polls of the context: the unit of work cancellation is
-// bounded in, whatever the shape of the query.
+// bounded in, whatever the shape of the query. A counted suffix hands no
+// match to its steps, and is a handful of reads a binding.
 const pollEvery = 1024
 
 // The bounds of a chunk of kept rows, in rows; see room.
@@ -293,134 +371,218 @@ const (
 )
 
 func newRunner(sh *shared) *runner {
-	r := &runner{
-		sh:     sh,
-		row:    make([]string, sh.nvars),
-		runs:   make([]store.Run, sh.nvars),
-		yields: make([]func(*store.Fact) bool, len(sh.steps)),
+	return &runner{
+		sh:   sh,
+		row:  make([]uint32, sh.nvars),
+		runs: make([]store.Run, sh.nvars),
 	}
-	last := len(sh.steps) - 1
-	for d := range sh.steps {
-		d := d
-		st := &sh.steps[d]
-		r.yields[d] = func(f *store.Fact) bool {
-			// Every fact a step is handed is one unit of work, in a hash
-			// bucket or a run as much as off a probe: polled here, a product
-			// whose last step fans out is cancelled as promptly as a chain.
-			if r.tick++; r.tick%pollEvery == 0 {
-				if r.err = r.sh.ctx.Err(); r.err != nil {
-					return false
-				}
-			}
-			// Binds run before checks: a repeated variable's first
-			// occurrence (the bind) is always at an earlier position than
-			// its re-occurrence (the check), so the check must see THIS
-			// fact's binding, not whatever the previous fact left in the
-			// slot. A slot written before a failing check is harmless —
-			// the next fact's bind overwrites it before any deeper read.
-			if b := st.binds[0]; b >= 0 {
-				r.row[b] = f.Entity
-			}
-			if b := st.binds[1]; b >= 0 {
-				r.row[b] = f.Attr
-			}
-			if b := st.binds[2]; b >= 0 {
-				r.row[b] = f.Value
-			}
-			if c := st.checks[0]; c >= 0 && r.row[c] != f.Entity {
-				return true
-			}
-			if c := st.checks[1]; c >= 0 && r.row[c] != f.Attr {
-				return true
-			}
-			if c := st.checks[2]; c >= 0 && r.row[c] != f.Value {
-				return true
-			}
-			if d == last {
-				return r.emit()
-			}
-			return r.advance(d + 1)
-		}
-	}
-	return r
 }
 
-// stream feeds the cursor's facts, in its order and in place, into step d.
-// It returns false when the step aborted.
+// full reports whether the page has its rows: what is left is only counted.
+func (r *runner) full() bool { return r.sh.limit > 0 && len(r.rows) >= r.sh.limit }
+
+// visit hands one match of step d — its entity, attribute and value IDs —
+// to the step: bind, check, and go on to the next step or emit.
+func (r *runner) visit(d int, entity, attr, value uint32) bool {
+	// Every match a step is handed is one unit of work, in a hash bucket or
+	// a run as much as off a probe: polled here, a product whose last step
+	// fans out is cancelled as promptly as a chain.
+	if r.tick++; r.tick%pollEvery == 0 {
+		if r.err = r.sh.ctx.Err(); r.err != nil {
+			return false
+		}
+	}
+	st := &r.sh.steps[d]
+	// Binds run before checks: a repeated variable's first occurrence (the
+	// bind) is always at an earlier position than its re-occurrence (the
+	// check), so the check must see THIS match's binding, not whatever the
+	// previous one left in the slot. A slot written before a failing check is
+	// harmless — the next match's bind overwrites it before any deeper read.
+	if b := st.binds[0]; b >= 0 {
+		r.row[b] = entity
+	}
+	if b := st.binds[1]; b >= 0 {
+		r.row[b] = attr
+	}
+	if b := st.binds[2]; b >= 0 {
+		r.row[b] = value
+	}
+	if c := st.checks[0]; c >= 0 && r.row[c] != entity {
+		return true
+	}
+	if c := st.checks[1]; c >= 0 && r.row[c] != attr {
+		return true
+	}
+	if c := st.checks[2]; c >= 0 && r.row[c] != value {
+		return true
+	}
+	if d == len(r.sh.steps)-1 {
+		return r.emit()
+	}
+	return r.advance(d + 1)
+}
+
+// stream feeds the cursor's matches, in its order, into step d. It returns
+// false when the step aborted.
 func (r *runner) stream(c *store.Cursor, d int) bool {
 	st := &r.sh.steps[d]
-	for f := c.Next(); f != nil; f = c.Next() {
+	for c.Next() != nil {
 		if st.keepRun {
 			r.runs[st.binds[0]] = c.Run()
 		}
-		if !r.yields[d](f) {
+		entity, attr, value := c.IDs()
+		if !r.visit(d, entity, attr, value) {
 			return false
 		}
-		// The page is full: what the first clause has left is only counted,
-		// and a count needs no merge order.
-		if d == 0 && r.sh.limit > 0 && len(r.rows) >= r.sh.limit {
-			c.Unordered()
+		if r.full() {
+			if st.counted {
+				return r.count(d+1, c.Count())
+			}
+			// What the first clause has left is only counted, and a count
+			// needs no merge order.
+			if d == 0 {
+				c.Unordered()
+			}
 		}
 	}
 	return true
 }
 
-// probe is one index read opened on the store: the first clause's scan,
-// and the probe of a variable no cursor bound from an entity position.
-func (r *runner) probe(p store.Pattern, d int) bool {
-	r.probes++
-	c := r.sh.src.Select(p)
-	return r.stream(&c, d)
-}
-
-// advance evaluates step d under the current binding row: substitute
-// the bound slots into the pattern and stream the matches — out of the
-// entity's kept run when the join is on one, off the store otherwise — or
-// fetch the pre-built hash bucket. Returns false only when a step aborted
-// on context cancellation — matches are never cut short, so Total stays
-// exact.
+// advance evaluates step d under the current binding row: read the matches
+// — out of the entity's kept run by number when the join is on one, out of
+// the pre-built hash bucket, or off the store with the bound names
+// substituted — and hand them on; once the page is full and the rest of the
+// plan is independent of what it binds, count them instead. Returns false
+// only when a step aborted — on cancellation or an overflowing total —
+// matches are never cut short, so Total stays exact.
 func (r *runner) advance(d int) bool {
 	st := &r.sh.steps[d]
-	if st.strategy == StrategyHash {
-		k := ""
-		if st.keySlot >= 0 {
-			k = r.row[st.keySlot]
-		}
-		r.probes++
-		for _, f := range st.rel.bucket(k) {
-			if !r.yields[d](f) {
+	if st.counted && r.full() {
+		return r.count(d, 1)
+	}
+	r.probes++
+	switch {
+	case st.strategy == StrategyHash:
+		b := st.rel.bucket(r.key(st))
+		for i, m := range b {
+			if !r.visit(d, m.entity, m.attr, m.value) {
 				return false
+			}
+			if st.counted && r.full() {
+				return r.count(d+1, len(b)-i-1)
 			}
 		}
 		return true
-	}
-	p := st.base
-	if s := st.subs[1]; s >= 0 {
-		p.Attr = r.row[s]
-	}
-	if s := st.subs[2]; s >= 0 {
-		// Bound variables join on the accepted value verbatim;
-		// hierarchical generalisation applies only to constants.
-		p.Value, p.Exact = r.row[s], true
-	}
-	if st.inRun {
-		r.probes++
-		c := r.runs[st.subs[0]].Select(p)
+	case st.inRun:
+		c := r.where(st)
+		entity := r.row[st.subs[0]]
+		for c.Next() {
+			attr, value := c.IDs()
+			if !r.visit(d, entity, attr, value) {
+				return false
+			}
+			if st.counted && r.full() {
+				return r.count(d+1, c.Count())
+			}
+		}
+		return true
+	default:
+		c := r.sh.src.Select(r.pattern(st))
 		return r.stream(&c, d)
 	}
-	if s := st.subs[0]; s >= 0 {
-		p.Entity = r.row[s]
+}
+
+// count adds n times the product of the matches of steps from on, under the
+// current bindings, to the total: the counted suffix. Each step's count is
+// one read — a run narrowed, a bucket's length, a read opened on the store
+// and counted where it lies — and is skipped once the product is zero.
+func (r *runner) count(from, n int) bool {
+	for d := from; d < len(r.sh.steps) && n > 0; d++ {
+		r.probes++
+		hi, lo := bits.Mul64(uint64(n), uint64(r.size(d)))
+		if hi != 0 || lo > math.MaxInt {
+			r.err = ErrTotalOverflow
+			return false
+		}
+		n = int(lo)
 	}
-	return r.probe(p, d)
+	if n > math.MaxInt-r.total {
+		r.err = ErrTotalOverflow
+		return false
+	}
+	r.total += n
+	return true
+}
+
+// size is the number of matches of step d under the current bindings.
+func (r *runner) size(d int) int {
+	st := &r.sh.steps[d]
+	switch {
+	case st.strategy == StrategyHash:
+		return len(st.rel.bucket(r.key(st)))
+	case st.inRun:
+		c := r.where(st)
+		return c.Count()
+	default:
+		c := r.sh.src.Select(r.pattern(st))
+		return c.Count()
+	}
+}
+
+// key is the value ID a hash step's bucket is found by; a cross product has
+// one bucket, whatever the key.
+func (r *runner) key(st *execStep) uint32 {
+	if st.keySlot >= 0 {
+		return r.row[st.keySlot]
+	}
+	return 0
+}
+
+// where opens an inRun step's read of the kept run: its constants' IDs, and
+// the bound attribute and value substituted — a bound value matches
+// verbatim; hierarchical generalisation applies only to constants.
+func (r *runner) where(st *execStep) store.RunCursor {
+	if st.none {
+		return store.RunCursor{}
+	}
+	attr, value, exact := st.attr, st.value, false
+	if s := st.subs[1]; s >= 0 {
+		attr = r.row[s]
+	}
+	if s := st.subs[2]; s >= 0 {
+		value, exact = r.row[s], true
+	}
+	return r.runs[st.subs[0]].Where(attr, st.class, value, exact)
+}
+
+// pattern is a probe's read off the store: its skeleton with the bound
+// names substituted.
+func (r *runner) pattern(st *execStep) store.Pattern {
+	p := st.base
+	if s := st.subs[0]; s >= 0 {
+		p.Entity = r.sh.names.Name(r.row[s])
+	}
+	if s := st.subs[1]; s >= 0 {
+		p.Attr = r.sh.names.Name(r.row[s])
+	}
+	if s := st.subs[2]; s >= 0 {
+		p.Value, p.Exact = r.sh.names.Name(r.row[s]), true
+	}
+	return p
 }
 
 // emit records one complete binding: the total is always counted, the
-// projected row is kept only while under the limit. Kept rows are cut from
-// chunks, and the page grows by a chunk's rows at a time: a row costs the
-// allocator nothing, a page a few allocations however many rows it has.
+// projected row is kept only while under the limit, and only then are its
+// IDs turned into strings. Kept rows are cut from chunks, and the page grows
+// by a chunk's rows at a time: a row costs the allocator nothing, a page a
+// few allocations however many rows it has.
 func (r *runner) emit() bool {
+	if r.total == math.MaxInt {
+		r.err = ErrTotalOverflow
+		return false
+	}
 	r.total++
-	if r.sh.limit > 0 && len(r.rows) >= r.sh.limit {
+	if r.full() {
 		return true
 	}
 	if len(r.rows) == cap(r.rows) {
@@ -433,7 +595,7 @@ func (r *runner) emit() bool {
 	out := r.arena[:w:w]
 	r.arena = r.arena[w:]
 	for i, s := range r.sh.selIdx {
-		out[i] = r.row[s]
+		out[i] = r.sh.names.Name(r.row[s])
 	}
 	r.rows = append(r.rows, out)
 	return true
@@ -454,14 +616,15 @@ func (r *runner) room() int {
 // runParallel splits the first clause's stream into fixed-size batches,
 // fans them out to workers, and reassembles the per-batch results in
 // batch order. Because the batch decomposition depends only on the
-// stream and each batch runs the same DFS the serial path would, the
+// stream and each batch runs the same runner the serial path does, the
 // assembled rows are byte-identical to the serial result at any worker
-// count.
+// count. A worker counts what its own batch has past a page: rows past a
+// batch's limit-th are never kept, whatever the batches before it hold.
 func runParallel(sh *shared, workers int) (*Result, error) {
 	type batch struct {
-		seq   int
-		facts []*store.Fact
-		runs  []store.Run // each fact's entity run, when the first step keeps it
+		seq     int
+		matches []match
+		runs    []store.Run // each match's entity run, when the first step keeps it
 	}
 	type batchResult struct {
 		seq    int
@@ -490,19 +653,31 @@ func runParallel(sh *shared, workers int) (*Result, error) {
 		}
 	}
 
+	// Opened here, before any worker reads the string table it brings.
+	cur := sh.scan()
+	first := &sh.steps[0]
 	var nbatch int
+	var rest int // the first clause's matches counted instead of batched
 	go func() {
 		defer close(in)
 		defer carry()
 		seq := 0
-		cur := sh.src.Select(sh.steps[0].base)
-		buf := make([]*store.Fact, 0, batchSize)
+		buf := make([]match, 0, batchSize)
 		var runs []store.Run
 		for {
+			// When no step reads what another binds, every match of the first
+			// clause has as many rows as the next: once limit of them are in
+			// batches the page is full — or no match has a row — and the rest
+			// of the stream is only counted, as the serial path counts it.
+			if len(buf) == 0 && first.counted && sh.limit > 0 && seq*batchSize >= sh.limit {
+				rest = cur.Count()
+				return
+			}
 			f := cur.Next()
 			if f != nil {
-				buf = append(buf, f)
-				if sh.steps[0].keepRun {
+				e, a, v := cur.IDs()
+				buf = append(buf, match{e, a, v})
+				if first.keepRun {
 					if runs == nil {
 						runs = make([]store.Run, 0, batchSize)
 					}
@@ -511,9 +686,9 @@ func runParallel(sh *shared, workers int) (*Result, error) {
 			}
 			if (f == nil || len(buf) == batchSize) && len(buf) > 0 {
 				select {
-				case in <- batch{seq: seq, facts: buf, runs: runs}:
+				case in <- batch{seq: seq, matches: buf, runs: runs}:
 					seq++
-					buf, runs = make([]*store.Fact, 0, batchSize), nil
+					buf, runs = make([]match, 0, batchSize), nil
 				case <-sh.ctx.Done():
 					return
 				}
@@ -533,11 +708,15 @@ func runParallel(sh *shared, workers int) (*Result, error) {
 			r := newRunner(sh)
 			for b := range in {
 				r.rows, r.total, r.probes, r.err = nil, 0, 0, nil
-				for i, f := range b.facts {
+				for i, m := range b.matches {
 					if b.runs != nil {
-						r.runs[sh.steps[0].binds[0]] = b.runs[i]
+						r.runs[first.binds[0]] = b.runs[i]
 					}
-					if !r.yields[0](f) {
+					if !r.visit(0, m.entity, m.attr, m.value) {
+						break
+					}
+					if first.counted && r.full() {
+						r.count(1, len(b.matches)-i-1)
 						break
 					}
 				}
@@ -574,6 +753,9 @@ func runParallel(sh *shared, workers int) (*Result, error) {
 		if br.err != nil {
 			return nil, br.err
 		}
+		if br.total > math.MaxInt-res.Total {
+			return nil, ErrTotalOverflow
+		}
 		res.Total += br.total
 		res.Probes += br.probes
 		for _, row := range br.rows {
@@ -582,6 +764,14 @@ func runParallel(sh *shared, workers int) (*Result, error) {
 			}
 			res.Rows = append(res.Rows, row)
 		}
+	}
+	if rest > 0 {
+		r := newRunner(sh)
+		r.total = res.Total
+		if !r.count(1, rest) {
+			return nil, r.err
+		}
+		res.Total, res.Probes = r.total, res.Probes+r.probes
 	}
 	res.Truncated = res.Total > len(res.Rows)
 	return res, nil

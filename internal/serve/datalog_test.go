@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -33,6 +34,30 @@ func postDatalog(t *testing.T, url string, body string) (int, map[string]any) {
 		t.Fatalf("bad JSON %q: %v", raw, err)
 	}
 	return resp.StatusCode, out
+}
+
+// TestDatalogTotalOverflowIs4xx: a counted total that does not fit in an int
+// — a 16-clause star on an entity with 20 values of one attribute is 20¹⁶
+// rows — is answered with a 4xx envelope naming it, never a wrapped or
+// negative total.
+func TestDatalogTotalOverflowIs4xx(t *testing.T) {
+	var facts []store.Fact
+	var clauses []string
+	for i := 0; i < 20; i++ {
+		facts = append(facts, store.Fact{Entity: "e", Attr: "a", Value: "v" + strconv.Itoa(i), Confidence: 1})
+	}
+	for i := 0; i < 16; i++ {
+		clauses = append(clauses, "e a ?v"+strconv.Itoa(i))
+	}
+	ts := httptest.NewServer(New(store.New(facts), obs.NewRegistry(), DefaultConfig()).Handler())
+	defer ts.Close()
+	for _, par := range []int{0, 3} {
+		req, _ := json.Marshal(map[string]any{"clauses": clauses, "limit": 1, "parallelism": par})
+		status, body := postDatalog(t, ts.URL, string(req))
+		if status < 400 || status >= 500 || body["status"] != float64(status) || !strings.Contains(fmt.Sprint(body["error"]), "does not fit") {
+			t.Errorf("parallelism %d: %d %v, want a 4xx envelope naming the overflow", par, status, body)
+		}
+	}
 }
 
 func TestDatalogRoute(t *testing.T) {

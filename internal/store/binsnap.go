@@ -52,8 +52,8 @@ import (
 // The string table is the store's own (Sharded.names): a decoded store keeps
 // the file's, verbatim, with the IDs the decoder fed its indexes, and
 // NewSharded numbers its strings once, at construction. Writing is therefore
-// the header, the held table and the columns read by number — rank, attrNo,
-// valueNo through each index's ids — with no sort.
+// the header, the held table and the columns read by number — rank, valueID,
+// attrNo, classNo and valueNo through each index's ids — with no sort.
 //
 // Facts are segmented per shard by entity hash (ShardOf), so a loader
 // can reconstruct the sharded store without re-partitioning and a future
@@ -83,8 +83,8 @@ const (
 // byte-identical snapshots. The file is encoded in memory, hashed once
 // and handed to w in a single Write. No fact's strings are looked up: the
 // store holds its string table, and every column is a number that leads
-// into it (rank, and attrNo and valueNo through their index's ids); only a
-// class is looked up by name, where it changes.
+// into it (rank, valueID, and attrNo, classNo and valueNo through their
+// index's ids).
 func (s *Sharded) WriteBinarySnapshot(w io.Writer) error {
 	strs := s.names.strs
 	// Sized for one-byte source counts and three-byte ancestor IDs; a
@@ -109,22 +109,13 @@ func (s *Sharded) WriteBinarySnapshot(w io.Writer) error {
 	}
 	for _, sh := range s.shards {
 		facts := sh.facts
-		attrID, valueID := sh.byAttr.ids, sh.byValue.ids
+		attrID, classID, listID := sh.byAttr.ids, sh.byClass.ids, sh.byValue.ids
 		buf = be.AppendUint64(buf, uint64(len(facts)))
-		var class uint32
-		vn := 0 // the fact's first posting in valueNo
 		for i := range facts {
-			f := &facts[i]
-			// The class repeats down an entity's run, and mostly from one run to
-			// the next: it is looked up where it changes.
-			if i == 0 || f.Class != facts[i-1].Class {
-				class = s.names.id(f.Class)
-			}
 			buf = be.AppendUint32(buf, sh.rank[sh.runOf[i]])
 			buf = be.AppendUint32(buf, attrID[sh.attrNo[i]])
-			buf = be.AppendUint32(buf, valueID[sh.valueNo[vn]])
-			buf = be.AppendUint32(buf, class)
-			vn += 1 + len(f.Ancestors)
+			buf = be.AppendUint32(buf, sh.valueID[i])
+			buf = be.AppendUint32(buf, classID[sh.classNo[i]])
 		}
 		for i := range facts {
 			bits := math.Float64bits(facts[i].Confidence)
@@ -139,12 +130,12 @@ func (s *Sharded) WriteBinarySnapshot(w io.Writer) error {
 			}
 			buf = binary.AppendUvarint(buf, uint64(facts[i].Sources))
 		}
-		vn = 0
+		vn := 0 // the fact's first posting in valueNo
 		for i := range facts {
 			anc := sh.valueNo[vn+1 : vn+1+len(facts[i].Ancestors)]
 			buf = binary.AppendUvarint(buf, uint64(len(anc)))
 			for _, no := range anc {
-				buf = binary.AppendUvarint(buf, uint64(valueID[no]))
+				buf = binary.AppendUvarint(buf, uint64(listID[no]))
 			}
 			vn += 1 + len(anc)
 		}
@@ -178,7 +169,7 @@ func binPrefix(s string) (p uint64) {
 // drops the repeats — a value listed in several shards, a name that is an
 // attribute here and a value there.
 //
-// The IDs are u32s below noID: a store of more slots than that cannot be
+// The IDs are u32s below NoID: a store of more slots than that cannot be
 // numbered. (Such a store, some 2^30 facts, does not fit in memory to begin
 // with.)
 func sortedUnion(seen [][]string) []string {
@@ -186,7 +177,7 @@ func sortedUnion(seen [][]string) []string {
 	for _, strs := range seen {
 		n += len(strs)
 	}
-	if uint64(n) >= noID {
+	if uint64(n) >= NoID {
 		panic(fmt.Sprintf("store: %d strings exceed the u32 ID space", n))
 	}
 	names := make([]string, 0, n)
@@ -561,6 +552,7 @@ func (d *binReader) shard(n int, sh *binShard) error {
 		}
 		f := &facts[i]
 		f.Entity, f.Attr, f.Value, f.Class = d.strs[e], d.strs[a], d.strs[v], d.strs[c]
+		sh.valueID = append(sh.valueID, uint32(v))
 		d.used[e], d.used[a], d.used[v], d.used[c] = true, true, true, true
 		if i == 0 || hi>>32 != prevHi>>32 {
 			if got := ShardOf(f.Entity, n); got != si {
@@ -570,9 +562,7 @@ func (d *binReader) shard(n int, sh *binShard) error {
 		}
 		sh.runs[len(sh.runs)-1].hi = int32(i) + 1
 		sh.attrs.addID(uint32(a), int32(i))
-		if f.Class != "" {
-			sh.classes.addID(uint32(c), int32(i))
-		}
+		sh.classes.addID(uint32(c), int32(i))
 		prevHi, prevLo = hi, lo
 	}
 	confs, err := d.take(len(facts) * 8)
@@ -597,7 +587,7 @@ func (d *binReader) shard(n int, sh *binShard) error {
 		facts[i].Sources = int(v)
 	}
 	for i := range facts {
-		sh.values.addID(be.Uint32(keys[i*binKeyWidth+8:]), int32(i))
+		sh.values.addID(sh.valueID[i], int32(i))
 		cnt, err := d.uvarint()
 		if err != nil {
 			return err

@@ -483,9 +483,9 @@ func TestReadBinarySnapshotAllocationBound(t *testing.T) {
 }
 
 // readBytesPerFact is TestReadBinarySnapshotAllocationBound's bytes ceiling:
-// its KB decodes in 259 bytes a fact, and decoded in 268 when every list was
-// a string-keyed map entry.
-const readBytesPerFact = 263
+// its KB decodes in 263 bytes a fact — 259 before the 4-byte valueID column —
+// and decoded in 268 when every list was a string-keyed map entry.
+const readBytesPerFact = 267
 
 // FuzzReadBinarySnapshot fuzzes the version-3 reader behind a correct
 // checksum: the input is a payload, the harness signs it. Whatever the

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -267,12 +268,19 @@ func checkColumns(t *testing.T, where string, q *Sharded) {
 	}
 	var all []ranked
 	for si, sh := range q.shards {
-		if len(sh.rank) != len(sh.runs) || len(sh.attrNo) != len(sh.facts) {
-			t.Fatalf("%s shard %d: %d ranks for %d runs, %d attribute numbers for %d facts", where, si, len(sh.rank), len(sh.runs), len(sh.attrNo), len(sh.facts))
+		if len(sh.rank) != len(sh.runs) || len(sh.attrNo) != len(sh.facts) || len(sh.classNo) != len(sh.facts) || len(sh.valueID) != len(sh.facts) {
+			t.Fatalf("%s shard %d: %d ranks for %d runs, %d attribute and %d class numbers and %d value IDs for %d facts",
+				where, si, len(sh.rank), len(sh.runs), len(sh.attrNo), len(sh.classNo), len(sh.valueID), len(sh.facts))
 		}
 		for i, f := range sh.facts {
 			if no, ok := sh.byAttr.list(q.names.id(f.Attr)); !ok || sh.attrNo[i] != no {
 				t.Errorf("%s shard %d: attrNo[%d] = %d, byAttr lists %q as %d (%v)", where, si, i, sh.attrNo[i], f.Attr, no, ok)
+			}
+			if no, ok := sh.byClass.list(q.names.id(f.Class)); !ok || sh.classNo[i] != no {
+				t.Errorf("%s shard %d: classNo[%d] = %d, byClass lists %q as %d (%v)", where, si, i, sh.classNo[i], f.Class, no, ok)
+			}
+			if id := q.names.id(f.Value); sh.valueID[i] != id {
+				t.Errorf("%s shard %d: valueID[%d] = %d, the table holds %q at %d", where, si, i, sh.valueID[i], f.Value, id)
 			}
 		}
 		for ri, run := range sh.runs {
@@ -304,31 +312,71 @@ func drain(c Cursor) (out []Fact) {
 	return out
 }
 
-// checkRuns reads p and, with every fact the cursor yields, takes the run
-// it hands out: the run is the fact's entity — all of its facts, whatever p
-// selected of them — and inside reads within it exactly what the store
-// reads for inside with that entity named, whether or not inside names one.
+// checkRuns reads p and, with every fact the cursor yields, checks the
+// numbers it reads the fact by (IDs, in its Names) and takes the run it hands
+// out: the run is the fact's entity — all of its facts, whatever p selected of
+// them — and a read inside it by number (Run.Where) finds, in order, exactly
+// what the store reads for inside with that entity named, whether or not
+// inside names one.
 func checkRuns(t *testing.T, where string, q *Sharded, p, inside Pattern) {
 	t.Helper()
 	cur := q.Select(p)
+	names := cur.Names()
+	id := func(field string) (uint32, bool) {
+		if field == "" {
+			return NoID, true
+		}
+		return names.ID(field)
+	}
+	attr, okA := id(inside.Attr)
+	class, okC := id(inside.Class)
+	value, okV := id(inside.Value)
 	for f := cur.Next(); f != nil; f = cur.Next() {
+		if e, a, v := cur.IDs(); names.Name(e) != f.Entity || names.Name(a) != f.Attr || names.Name(v) != f.Value {
+			t.Errorf("%s: IDs of %+v name %q, %q, %q", where, *f, names.Name(e), names.Name(a), names.Name(v))
+		}
 		run := cur.Run()
-		if got, want := drain(run.Select(Pattern{})), Lookup(q, Pattern{Entity: f.Entity}); !factsEqual(got, want) {
-			t.Errorf("%s: run handed out with %+v\n got: %+v\nwant: %+v", where, *f, got, want)
+		if got, want := drainIDs(run.Where(NoID, NoID, NoID, false), names), pairsOf(Lookup(q, Pattern{Entity: f.Entity})); !slices.Equal(got, want) {
+			t.Errorf("%s: run handed out with %+v\n got: %q\nwant: %q", where, *f, got, want)
 		}
 		named := inside
 		named.Entity = f.Entity
-		want := Lookup(q, named)
-		if got := drain(run.Select(inside)); !factsEqual(got, want) {
-			t.Errorf("%s: %#v inside the run of %q\n got: %+v\nwant: %+v", where, inside, f.Entity, got, want)
+		want := pairsOf(Lookup(q, named))
+		if !okA || !okC || !okV {
+			// A name the table does not hold: no fact matches it.
+			if len(want) != 0 {
+				t.Errorf("%s: %#v names a string the table lacks and still matches %q", where, inside, want)
+			}
+			continue
 		}
-		if c := run.Select(inside); c.Count() != len(want) {
+		if got := drainIDs(run.Where(attr, class, value, inside.Exact), names); !slices.Equal(got, want) {
+			t.Errorf("%s: %#v inside the run of %q\n got: %q\nwant: %q", where, inside, f.Entity, got, want)
+		}
+		if c := run.Where(attr, class, value, inside.Exact); c.Count() != len(want) {
 			t.Errorf("%s: %#v inside the run of %q: Count of a fresh cursor, want %d", where, inside, f.Entity, len(want))
 		}
 	}
-	if got := drain((Run{}).Select(inside)); got != nil {
-		t.Errorf("%s: the zero Run yields %+v", where, got)
+	if c := (Run{}).Where(attr, class, value, inside.Exact); c.Next() || c.Count() != 0 {
+		t.Errorf("%s: the zero Run yields a match", where)
 	}
+}
+
+// drainIDs reads out everything the cursor has left, in its order, as
+// (attribute, value) names.
+func drainIDs(c RunCursor, names Names) (out [][2]string) {
+	for c.Next() {
+		a, v := c.IDs()
+		out = append(out, [2]string{names.Name(a), names.Name(v)})
+	}
+	return out
+}
+
+// pairsOf is the facts' (attribute, value) names, in their order.
+func pairsOf(facts []Fact) (out [][2]string) {
+	for _, f := range facts {
+		out = append(out, [2]string{f.Attr, f.Value})
+	}
+	return out
 }
 
 // checkUnordered takes the first facts of p in order, releases the order,
@@ -354,7 +402,7 @@ func checkUnordered(t *testing.T, where string, q *Sharded, p Pattern, ordered i
 	var tail []Fact
 	c := open()
 	for f := c.Next(); f != nil; f = c.Next() {
-		if got := drain(c.Run().Select(Pattern{})); !factsEqual(got, Lookup(q, Pattern{Entity: f.Entity})) {
+		if got := drainIDs(c.Run().Where(NoID, NoID, NoID, false), c.Names()); !slices.Equal(got, pairsOf(Lookup(q, Pattern{Entity: f.Entity}))) {
 			t.Errorf("%s: run handed out after Unordered with %+v is not its entity's", where, *f)
 		}
 		tail = append(tail, *f)

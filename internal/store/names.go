@@ -5,9 +5,10 @@ import (
 	"math"
 )
 
-// noID is above every string ID: it stands for a name the store's table does
-// not hold, and for a pattern field nothing looks up.
-const noID = math.MaxUint32
+// NoID is above every string ID: it stands for a name the store's table does
+// not hold, and for a field a read leaves open (a pattern field nothing looks
+// up, a field of Run.Where).
+const NoID = math.MaxUint32
 
 // nameSeed is the one seed every name table hashes with, so that two stores
 // of the same strings hold the same table: a decoded store is deeply equal to
@@ -70,19 +71,39 @@ func (t *nameTable) find(name string) (uint64, bool) {
 	}
 }
 
-// id returns the name's ID; noID when the table does not hold it.
+// id returns the name's ID; NoID when the table does not hold it.
 func (t *nameTable) id(name string) uint32 {
 	if h, ok := t.find(name); ok {
 		return t.slot[h] - 1
 	}
-	return noID
+	return NoID
 }
+
+// Names is a store's string table as a reader sees it: every distinct string
+// of the facts under its ID, the number every column and index of the store is
+// keyed by and Cursor.IDs and RunCursor.IDs report. A reader that works on
+// numbers — the datalog executor — finds its constants here once and turns
+// the IDs it keeps back into strings only for its answer. The zero Names holds
+// no string.
+type Names struct{ t *nameTable }
+
+// ID returns the name's ID, and whether the table holds it.
+func (n Names) ID(name string) (uint32, bool) {
+	if n.t == nil {
+		return NoID, false
+	}
+	id := n.t.id(name)
+	return id, id != NoID
+}
+
+// Name returns the string with that ID; the ID must be one of the table's.
+func (n Names) Name(id uint32) string { return n.t.strs[id] }
 
 // idOf is id for a pattern field: the empty one is the wildcard, not a name,
 // and is not looked up.
 func (t *nameTable) idOf(field string) uint32 {
 	if field == "" {
-		return noID
+		return NoID
 	}
 	return t.id(field)
 }
@@ -100,17 +121,12 @@ func (t *nameTable) add(name string) {
 }
 
 // patternIDs is a pattern's names as IDs in the store's table, looked up
-// once a read however many shards it opens. A field that is empty, or that
-// nothing reads by number — class and value where the pattern names an
-// entity, whose run is read and filtered by string — is noID.
+// once a read however many shards it opens. A field that is empty, or names
+// a string the table does not hold, is NoID.
 type patternIDs struct{ entity, attr, class, value uint32 }
 
 func (t *nameTable) resolve(p Pattern) patternIDs {
-	k := patternIDs{t.idOf(p.Entity), t.idOf(p.Attr), noID, noID}
-	if p.Entity == "" {
-		k.class, k.value = t.idOf(p.Class), t.idOf(p.Value)
-	}
-	return k
+	return patternIDs{t.idOf(p.Entity), t.idOf(p.Attr), t.idOf(p.Class), t.idOf(p.Value)}
 }
 
 // distinctStrings is every string of canonical facts — entity, attribute,

@@ -42,9 +42,12 @@ var _ Querier = (*Sharded)(nil)
 // shard by shard.
 //
 // A fact sits inside its entity's run of one shard's array, and the cursor
-// knows where: Run hands that run out, to be read again (Run.Select)
+// knows where: Run hands that run out, to be read again (Run.Where)
 // without routing to a shard, finding the entity or another trip through the
-// Querier — what a join on the entity needs.
+// Querier — what a join on the entity needs. It also knows the fact by
+// number: IDs reads its entity, attribute and value IDs off the columns the
+// store keeps beside the array, and Names is the table they index — what a
+// reader that joins on numbers needs instead of the fact's strings.
 //
 // Cursors are single-consumer and not safe for concurrent use: open one
 // per consumer — the store underneath is shared. The zero Cursor is empty.
@@ -65,7 +68,7 @@ type head struct {
 
 // noRank is above every entity's rank: ranks are string IDs, and a string
 // table holds fewer than noRank strings (sortedUnion, binVerify).
-const noRank = noID
+const noRank = NoID
 
 // advance moves the head to the shard's next match.
 func (h *head) advance() {
@@ -145,17 +148,76 @@ func (c *Cursor) Run() Run {
 	return Run{c.sh, c.sh.runs[c.sh.runOf[c.at]]}
 }
 
-// Select opens a cursor over the facts of the run that match p — what
-// Select(p) of the store answers once p.Entity names the run's entity,
-// which is therefore not consulted. The read stays inside the run: no
-// shard or entity is looked up, only an attribute p names, nothing is
-// allocated, and the order is canonical.
-func (r Run) Select(p Pattern) Cursor {
-	if r.sh == nil {
-		return Cursor{}
-	}
-	return Cursor{shardCursor: r.sh.runCursor(r.span, p, r.sh.names.idOf(p.Attr))}
+// IDs returns the string IDs of the entity, attribute and value of the fact
+// Next last returned, read off the store's columns (rank, attrNo, valueID):
+// no fact is loaded. It is defined only after Next has returned a fact.
+func (c *Cursor) IDs() (entity, attr, value uint32) {
+	sh, at := c.sh, c.at
+	return sh.rank[sh.runOf[at]], sh.byAttr.ids[sh.attrNo[at]], sh.valueID[at]
 }
+
+// Names returns the string table of the store the cursor reads: what its IDs
+// and a run's are numbers in. The zero Cursor has none.
+func (c *Cursor) Names() Names {
+	if c.sh != nil {
+		return Names{c.sh.names}
+	}
+	for i := range c.heads {
+		if sh := c.heads[i].sh; sh != nil {
+			return Names{sh.names}
+		}
+	}
+	return Names{}
+}
+
+// Where opens a read, by number, of the run's facts of the attribute attr and
+// the class class whose value is value — verbatim when exact, else through
+// the hierarchy, like Pattern.Value. Each is an ID in the store's table
+// (Names), or NoID for a field left open. It answers what Select of the store
+// answers for the pattern with the run's entity named, in the same canonical
+// order, and looks up no name: the attribute narrows the run to a window of
+// its attrNo column, and the class and an exact value are compared with the
+// classNo and valueID columns. Nothing is allocated.
+func (r Run) Where(attr, class, value uint32, exact bool) RunCursor {
+	if r.sh == nil {
+		return RunCursor{}
+	}
+	c := shardCursor{sh: r.sh}
+	w := r.span
+	if attr != NoID {
+		w = r.sh.attrRun(w, attr)
+	}
+	c.pos, c.end = w.lo, w.hi
+	if class != NoID {
+		c.class = listOf(&r.sh.byClass, class)
+	}
+	if value != NoID {
+		c.value, c.mode = value, generalValue
+		if exact {
+			c.mode = exactValue
+		}
+	}
+	return RunCursor{c}
+}
+
+// RunCursor is a read inside one entity's run by number (Run.Where): Next
+// steps to the next match in canonical order, IDs reads it, and Count says how
+// many are left. Like a Cursor it is single-consumer; the zero RunCursor is
+// empty.
+type RunCursor struct{ c shardCursor }
+
+// Next steps to the next match and reports whether there was one.
+func (c *RunCursor) Next() bool { return c.c.next() != nil }
+
+// IDs returns the attribute and value IDs of the match Next stepped to.
+func (c *RunCursor) IDs() (attr, value uint32) {
+	sh, at := c.c.sh, c.c.at
+	return sh.byAttr.ids[sh.attrNo[at]], sh.valueID[at]
+}
+
+// Count drains the cursor and returns how many matches Next had not yet
+// stepped to: with nothing to compare, the size of what is left of the window.
+func (c *RunCursor) Count() int { return c.c.count() }
 
 // Count drains the cursor and returns how many matches Next had not yet
 // returned. Nothing is merged or copied: each shard counts its own tail,

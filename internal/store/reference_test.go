@@ -177,7 +177,7 @@ func checkStrings(t testing.TB, where string, s *Sharded) {
 			t.Errorf("%s: the name table finds %q at ID %d, not %d", where, name, got, id)
 		}
 	}
-	if got := s.names.id(absentName); got != noID {
+	if got := s.names.id(absentName); got != NoID {
 		t.Errorf("%s: the name table finds %q, which no fact holds, at ID %d", where, absentName, got)
 	}
 	str := func(id uint32) string {
@@ -205,9 +205,7 @@ func checkStrings(t testing.TB, where string, s *Sharded) {
 		}
 		for _, f := range sh.facts {
 			post(0, f.Attr)
-			if f.Class != "" {
-				post(1, f.Class)
-			}
+			post(1, f.Class) // the empty class too: no read looks it up, classNo numbers it
 			post(2, f.Value)
 			for _, anc := range f.Ancestors {
 				post(2, anc)
@@ -229,8 +227,8 @@ func checkStrings(t testing.TB, where string, s *Sharded) {
 					t.Errorf("%s shard %d: %s finds %q (ID %d) at list %d (%v), want %d (%v)", where, si, index, name, id, no, ok, want, listed)
 				}
 			}
-			if no, ok := p.list(noID); ok {
-				t.Errorf("%s shard %d: %s finds noID at list %d", where, si, index, no)
+			if no, ok := p.list(NoID); ok {
+				t.Errorf("%s shard %d: %s finds NoID at list %d", where, si, index, no)
 			}
 		}
 	}
@@ -271,7 +269,7 @@ func checkWriter(t testing.TB, where string, s *Sharded) []byte {
 // checkDecoder holds the store the decoder assembles from file to the one
 // NewSharded builds from its facts on as many shards: the same string table
 // and name table, and every shard deeply equal — postings tables, offsets,
-// arenas and ids, attrNo, valueNo, runs, runOf, rank.
+// arenas and ids, attrNo, classNo, valueNo, valueID, runs, runOf, rank.
 func checkDecoder(t testing.TB, where string, file []byte) *Sharded {
 	t.Helper()
 	got, err := ReadBinarySnapshot(bytes.NewReader(file))
@@ -292,8 +290,8 @@ func checkDecoder(t testing.TB, where string, file []byte) *Sharded {
 		for field, pair := range map[string][2]any{
 			"facts": {sh.facts, want.facts}, "runs": {sh.runs, want.runs},
 			"runOf": {sh.runOf, want.runOf}, "rank": {sh.rank, want.rank}, "byAttr": {sh.byAttr, want.byAttr},
-			"attrNo": {sh.attrNo, want.attrNo}, "byClass": {sh.byClass, want.byClass}, "byValue": {sh.byValue, want.byValue},
-			"valueNo": {sh.valueNo, want.valueNo},
+			"attrNo": {sh.attrNo, want.attrNo}, "byClass": {sh.byClass, want.byClass}, "classNo": {sh.classNo, want.classNo}, "byValue": {sh.byValue, want.byValue},
+			"valueNo": {sh.valueNo, want.valueNo}, "valueID": {sh.valueID, want.valueID},
 		} {
 			if !reflect.DeepEqual(pair[0], pair[1]) {
 				t.Errorf("%s shard %d: the decoder assembled %s\n%+v\nNewSharded of its facts has\n%+v", where, si, field, pair[0], pair[1])

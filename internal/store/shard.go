@@ -14,14 +14,21 @@ type shard struct {
 	runOf []int32 // fact position → its entity's number in runs
 	// rank is run number → its entity's ID in the store's sorted string table.
 	// It rises along the runs, so an entity's run is a binary search of it.
-	rank    []uint32
-	byAttr  postings
-	attrNo  []int32  // fact position → its attribute's list number in byAttr
-	byClass postings // facts with an empty class are not listed
+	rank   []uint32
+	byAttr postings
+	attrNo []int32 // fact position → its attribute's list number in byAttr
+	// byClass lists every fact under its class, the empty one too, which no
+	// read looks up (an empty Pattern.Class is the wildcard): that makes the
+	// builder's list number per posting a column, classNo.
+	byClass postings
+	classNo []int32  // fact position → its class's list number in byClass
 	byValue postings // a fact is listed under its value and each ancestor
 	// valueNo is byValue's list number of every value posting, in fact order:
 	// a fact's value, then its ancestors, then the next fact's.
 	valueNo []int32
+	// valueID is fact position → its value's ID in the store's string table:
+	// what a read by number (Cursor.IDs, Run.Where) binds and compares.
+	valueID []uint32
 	// names is the store's string table: a Run finds a pattern's attribute
 	// in it.
 	names *nameTable
@@ -76,6 +83,14 @@ func (p *postings) of(id uint32) []int32 {
 		return nil
 	}
 	return p.arena[p.off[i]:p.off[i+1]]
+}
+
+// at is the list numbered no - 1 (listOf's encoding); nil for no <= 0.
+func (p *postings) at(no int32) []int32 {
+	if no <= 0 {
+		return nil
+	}
+	return p.arena[p.off[no-1]:p.off[no]]
 }
 
 // postingsBuilder collects one index's (list number, position) pairs in
@@ -154,6 +169,7 @@ type feed struct {
 	facts                  []Fact
 	runs                   []span
 	rank                   []uint32
+	valueID                []uint32 // every fact's value ID, in fact order
 	attrs, classes, values postingsBuilder
 }
 
@@ -165,7 +181,7 @@ func scratch(n int) [3][]int32 {
 }
 
 func newFeed(facts []Fact, no [3][]int32) feed {
-	return feed{facts: facts, attrs: newPostingsBuilder(len(facts), no[0]),
+	return feed{facts: facts, valueID: make([]uint32, 0, len(facts)), attrs: newPostingsBuilder(len(facts), no[0]),
 		classes: newPostingsBuilder(len(facts), no[1]), values: newPostingsBuilder(len(facts), no[2])}
 }
 
@@ -198,10 +214,10 @@ func build(facts []Fact, names *nameTable) *shard {
 		if i == 0 || f.Class != facts[i-1].Class {
 			class = names.id(f.Class)
 		}
-		if f.Class != "" {
-			fd.classes.addID(class, pos)
-		}
-		fd.values.addID(names.id(f.Value), pos)
+		fd.classes.addID(class, pos)
+		value := names.id(f.Value)
+		fd.valueID = append(fd.valueID, value)
+		fd.values.addID(value, pos)
 		for _, anc := range f.Ancestors {
 			fd.values.addID(names.id(anc), pos)
 		}
@@ -216,22 +232,23 @@ func (fd *feed) assemble(names *nameTable) *shard {
 	if facts == nil {
 		facts = []Fact{}
 	}
-	s := &shard{facts: facts, runs: fd.runs, runOf: make([]int32, len(facts)), rank: fd.rank, names: names}
+	s := &shard{facts: facts, runs: fd.runs, runOf: make([]int32, len(facts)), rank: fd.rank, valueID: fd.valueID, names: names}
 	for i, run := range fd.runs {
 		for pos := run.lo; pos < run.hi; pos++ {
 			s.runOf[pos] = int32(i)
 		}
 	}
 	s.byAttr, s.byClass, s.byValue = fd.attrs.postings(), fd.classes.postings(), fd.values.postings()
-	// Every fact posts its attribute once, in fact order: the builder's list
-	// number per posting is the attribute-number column. The values builder's
-	// is the value-number column, one entry a posting.
-	s.attrNo, s.valueNo = fd.attrs.key, fd.values.key
+	// Every fact posts its attribute and its class once, in fact order: the
+	// builders' list numbers per posting are the attribute- and class-number
+	// columns. The values builder's is the value-number column, one entry a
+	// posting.
+	s.attrNo, s.classNo, s.valueNo = fd.attrs.key, fd.classes.key, fd.values.key
 	return s
 }
 
 // run is the run of the entity with that ID, found in rank; the empty run
-// for an ID no run has, noID among them.
+// for an ID no run has, NoID among them.
 func (s *shard) run(entity uint32) span {
 	if i, ok := slices.BinarySearch(s.rank, entity); ok {
 		return s.runs[i]
@@ -267,65 +284,116 @@ func (s *shard) attrRun(run span, attr uint32) span {
 // postings list (cand, and [pos, end) index it): the shortest of the lists
 // of the fields the pattern sets, class before attribute before value on a
 // tie. Every list is in ascending position order, so which one is walked
-// changes the cost of a read and never its output. rest is what of the
-// pattern that choice does not already guarantee. The zero value is the
-// empty stream.
+// changes the cost of a read and never its output. What of the pattern that
+// choice does not already guarantee is checked fact by fact, by number: an
+// attribute and a class by their list numbers (attrNo, classNo), a value by
+// its ID (valueID) — only a value matched through the hierarchy that is not
+// the fact's own is looked for by name among its ancestors. The zero value is
+// the empty stream.
 type shardCursor struct {
 	sh       *shard
 	cand     []int32
-	rest     Pattern
 	pos, end int32
 	at       int32 // position in sh.facts of the fact next last returned
+	// attr and class are the list number + 1 a match's attribute and class
+	// must have: 0 is any, -1 none (the shard lists no such key).
+	attr, class int32
+	// value is the ID of the value a match's must be (exactValue) or equal or
+	// specialise (generalValue); NoID, a name the store lacks, is none.
+	value uint32
+	mode  valueMode
+}
+
+// valueMode is how a shardCursor checks a fact's value.
+type valueMode uint8
+
+const (
+	anyValue     valueMode = iota
+	exactValue             // its ID is the cursor's value
+	generalValue           // it is the cursor's value or one of its ancestors is
+)
+
+// checks sets the cursor's per-fact checks to every field of q but the
+// entity, whose names the store has looked up as k.
+func (c *shardCursor) checks(q Pattern, k patternIDs) {
+	s := c.sh
+	if q.Attr != "" {
+		c.attr = listOf(&s.byAttr, k.attr)
+	}
+	if q.Class != "" {
+		c.class = listOf(&s.byClass, k.class)
+	}
+	if q.Value != "" {
+		c.value, c.mode = k.value, generalValue
+		if q.Exact {
+			c.mode = exactValue
+		}
+	}
+}
+
+// listOf is the number + 1 of the list keyed by id, -1 when the index has
+// none.
+func listOf(p *postings, id uint32) int32 {
+	no, ok := p.list(id)
+	if !ok {
+		return -1
+	}
+	return no + 1
 }
 
 // cursor opens the shard's stream of q, whose names the store has looked up
 // as k.
 func (s *shard) cursor(q Pattern, k patternIDs) shardCursor {
 	if q.Entity != "" {
-		return s.runCursor(s.run(k.entity), q, k.attr)
+		return s.runCursor(s.run(k.entity), q, k)
 	}
-	c := shardCursor{sh: s, rest: q}
-	// drop is the residual field the walked list makes redundant.
-	var drop *string
+	c := shardCursor{sh: s}
+	c.checks(q, k)
+	// walked is the field whose list is walked, and whose check it makes
+	// redundant.
+	walked := 0
 	if q.Class != "" {
-		c.cand, drop = s.byClass.of(k.class), &c.rest.Class
+		c.cand, walked = s.byClass.at(c.class), 1
 	}
 	if q.Attr != "" {
-		if l := s.byAttr.of(k.attr); drop == nil || len(l) < len(c.cand) {
-			c.cand, drop = l, &c.rest.Attr
+		if l := s.byAttr.at(c.attr); walked == 0 || len(l) < len(c.cand) {
+			c.cand, walked = l, 2
 		}
 	}
 	if q.Value != "" {
-		if l := s.byValue.of(k.value); drop == nil || len(l) < len(c.cand) {
-			c.cand, drop = l, &c.rest.Value
+		if l := s.byValue.of(k.value); walked == 0 || len(l) < len(c.cand) {
+			c.cand, walked = l, 3
 		}
 	}
-	if drop == nil {
+	switch walked {
+	case 0:
 		c.end = int32(len(s.facts))
 		return c
-	}
-	// The by-value postings already encode the hierarchy semantics (facts
-	// are posted under their value and every ancestor), so no residual
-	// value filter is needed — unless the pattern is Exact, where the
-	// postings are a superset (they include specialisations) and the
-	// verbatim check stays in the residual.
-	if drop != &c.rest.Value || !q.Exact {
-		*drop = ""
+	case 1:
+		c.class = 0
+	case 2:
+		c.attr = 0
+	case 3:
+		// The by-value postings already encode the hierarchy semantics
+		// (facts are posted under their value and every ancestor); under
+		// Exact they are a superset (they include specialisations) and the
+		// ID check stays.
+		if c.mode == generalValue {
+			c.mode = anyValue
+		}
 	}
 	c.end = int32(len(c.cand)) // no list under that key: the empty run
 	return c
 }
 
 // runCursor reads q inside one entity's run: the run is the entity, so
-// q.Entity is not consulted, and an attribute — attr is its ID — narrows the
-// run further.
-func (s *shard) runCursor(run span, q Pattern, attr uint32) shardCursor {
-	c := shardCursor{sh: s, rest: q}
-	c.rest.Entity = ""
+// q.Entity is not consulted, and an attribute narrows the run further.
+func (s *shard) runCursor(run span, q Pattern, k patternIDs) shardCursor {
 	if q.Attr != "" {
-		run, c.rest.Attr = s.attrRun(run, attr), ""
+		run, q.Attr = s.attrRun(run, k.attr), ""
 	}
-	c.pos, c.end = run.lo, run.hi
+	c := shardCursor{sh: s, pos: run.lo, end: run.hi}
+	c.checks(q, k)
 	return c
 }
 
@@ -334,8 +402,10 @@ func (s *shard) runCursor(run span, q Pattern, attr uint32) shardCursor {
 func (c *shardCursor) size() int { return int(c.end - c.pos) }
 
 // isRun reports whether what is left of the cursor is one run of the fact
-// array with nothing to filter: run() is the answer.
-func (c *shardCursor) isRun() bool { return c.cand == nil && c.rest == (Pattern{}) }
+// array with nothing to check: run() is the answer.
+func (c *shardCursor) isRun() bool {
+	return c.cand == nil && c.attr == 0 && c.class == 0 && c.mode == anyValue
+}
 
 // run is the window of the fact array an isRun cursor has left.
 func (c *shardCursor) run() []Fact {
@@ -354,12 +424,21 @@ func (c *shardCursor) next() *Fact {
 			i = c.cand[i]
 		}
 		c.pos++
-		if f := &c.sh.facts[i]; matches(f, &c.rest) {
-			c.at = i
-			return f
+		sh := c.sh
+		if c.attr != 0 && sh.attrNo[i]+1 != c.attr || c.class != 0 && sh.classNo[i]+1 != c.class ||
+			c.mode != anyValue && sh.valueID[i] != c.value && (c.mode == exactValue || !c.specialises(i)) {
+			continue
 		}
+		c.at = i
+		return &sh.facts[i]
 	}
 	return nil
+}
+
+// specialises reports whether the cursor's value is one of the ancestors of
+// the fact at i: a name the store lacks is nobody's.
+func (c *shardCursor) specialises(i int32) bool {
+	return c.value != NoID && slices.Contains(c.sh.facts[i].Ancestors, c.sh.names.strs[c.value])
 }
 
 // count drains the cursor and returns how many matches it had left.

@@ -16,17 +16,19 @@
 // the free selectivity bound the indexes give (see Querier). A flat store
 // is the one-shard case, not another implementation. A cursor also knows
 // where it is: it hands out the run of the entity whose fact it last
-// yielded, and a pattern can be read again inside that run (Run.Select)
-// without going back through the store — a join on the entity.
+// yielded, and the run can be read again by number (Run.Where) without going
+// back through the store — a join on the entity.
 //
 // Inside a shard the facts are kept sorted in the canonical (entity,
 // attribute, value, class) order, and that order is the first index: an
 // entity's facts are one contiguous run of the array and an attribute's
 // facts one run inside it, so by-entity and by-(entity, attribute) reads
 // are a binary search of the runs' entity IDs, a scan of the run's attribute
-// numbers and a copy. Two integer columns beside the array — each fact's
-// attribute number, each run's entity ID — let that scan and the merge of
-// the shards' streams compare integers where the order is one of strings.
+// numbers and a copy. Integer columns beside the array — each fact's
+// attribute and class numbers and value ID, each run's entity ID — let that
+// scan, a read's per-fact checks and the merge of the shards' streams compare
+// integers where the order is one of strings, and let a reader that joins on
+// numbers (Cursor.IDs, Names) read a fact without its strings.
 // Three inverted indexes — by attribute, by class and by value — cover the
 // patterns that name no entity; each keeps all its postings lists in one
 // array. The
@@ -43,9 +45,8 @@
 // pattern there once, however many shards it opens; below that everything is
 // keyed by number: a shard's runs by their entity IDs, each index's lists by
 // their key IDs (an integer probe, no string hashed), and no index holds a
-// string-keyed map. The entity IDs, each index's list number → string ID and
-// a third column, each value posting's list number, are also what the
-// snapshot writer encodes instead of the strings.
+// string-keyed map. The columns and each index's list number → string ID are
+// also what the snapshot writer encodes instead of the strings.
 package store
 
 import (
@@ -219,9 +220,13 @@ func newSharded(shards []*shard, names *nameTable) *Sharded {
 		s.nEntity += len(sh.runs)
 		classes = append(classes, sh.byClass.ids...)
 	}
-	// IDs are in string order: sorted, they are the classes sorted.
+	// IDs are in string order: sorted, they are the classes sorted, the
+	// empty one — listed, but no class — first.
 	slices.Sort(classes)
 	classes = slices.Compact(classes)
+	if len(classes) > 0 && names.strs[classes[0]] == "" {
+		classes = classes[1:]
+	}
 	s.classes = make([]string, len(classes))
 	for i, id := range classes {
 		s.classes[i] = names.strs[id]
