@@ -82,10 +82,10 @@ func main() {
 	fmt.Printf("\n== Sample: fused knowledge about %q ==\n", entity)
 	facts := store.New(store.ResultFacts(res)).Select(store.Pattern{Entity: entity})
 	for i := 0; i < 8; i++ {
-		f := facts.Next()
-		if f == nil {
+		if !facts.Next() {
 			return
 		}
+		f := facts.Fact()
 		fmt.Printf("  %-28s = %s\n", f.Attr, f.Value)
 	}
 	if more := facts.Count(); more > 0 {

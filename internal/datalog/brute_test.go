@@ -282,7 +282,7 @@ func TestRunLocalReadDoesNotAllocate(t *testing.T) {
 		reads := []read{{id("b"), no, no, false}, {id("c"), id("K1"), id("top"), false}, {no, no, id("n03"), true}, {no, no, no, false}}
 		matched := 0
 		allocs := testing.AllocsPerRun(20, func() {
-			if cur.Next() == nil {
+			if !cur.Next() {
 				t.Fatal("the outer cursor ran dry")
 			}
 			run := cur.Run()

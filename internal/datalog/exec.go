@@ -177,7 +177,7 @@ func buildRelation(ctx context.Context, src store.Querier, base store.Pattern, k
 		rel.list = make(map[uint32]int32)
 	}
 	c := src.Select(base)
-	for c.Next() != nil {
+	for c.Next() {
 		e, a, v := c.IDs()
 		facts = append(facts, match{e, a, v})
 		if keyed {
@@ -426,7 +426,7 @@ func (r *runner) visit(d int, entity, attr, value uint32) bool {
 // false when the step aborted.
 func (r *runner) stream(c *store.Cursor, d int) bool {
 	st := &r.sh.steps[d]
-	for c.Next() != nil {
+	for c.Next() {
 		if st.keepRun {
 			r.runs[st.binds[0]] = c.Run()
 		}
@@ -673,8 +673,8 @@ func runParallel(sh *shared, workers int) (*Result, error) {
 				rest = cur.Count()
 				return
 			}
-			f := cur.Next()
-			if f != nil {
+			more := cur.Next()
+			if more {
 				e, a, v := cur.IDs()
 				buf = append(buf, match{e, a, v})
 				if first.keepRun {
@@ -684,7 +684,7 @@ func runParallel(sh *shared, workers int) (*Result, error) {
 					runs = append(runs, cur.Run())
 				}
 			}
-			if (f == nil || len(buf) == batchSize) && len(buf) > 0 {
+			if (!more || len(buf) == batchSize) && len(buf) > 0 {
 				select {
 				case in <- batch{seq: seq, matches: buf, runs: runs}:
 					seq++
@@ -693,7 +693,7 @@ func runParallel(sh *shared, workers int) (*Result, error) {
 					return
 				}
 			}
-			if f == nil {
+			if !more {
 				return
 			}
 		}

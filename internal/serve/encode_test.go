@@ -2,12 +2,17 @@ package serve
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -209,7 +214,9 @@ func TestEncodersMatchEncodingJSON(t *testing.T) {
 		r := rand.New(rand.NewSource(int64(seed)))
 		facts := encodeFacts(r)
 		if seed%5 == 0 {
-			facts = store.New(facts).Facts() // canonical, as the store hands them over
+			// Canonical, as the store hands them over: it refuses a negative
+			// source count at its door.
+			facts = store.New(slices.DeleteFunc(facts, func(f store.Fact) bool { return f.Sources < 0 })).Facts()
 		}
 		if seed%97 == 0 {
 			facts = nil
@@ -302,26 +309,69 @@ func TestEncoderAllocations(t *testing.T) {
 	}
 }
 
-// TestNaNConfidenceIs500 keeps the contract encoding/json gave: a fact
-// whose confidence JSON cannot express is a 500 with the standard envelope
-// and an akb_serve_errors_total increment, on every data route.
-func TestNaNConfidenceIs500(t *testing.T) {
+// TestNonFiniteConfidenceIsNeverServed: a confidence JSON cannot express
+// used to reach the data routes — a store built straight from such a fact
+// answered every request that touched it with a 500. It is refused at the
+// store's door now: building the store panics, and a snapshot that carries
+// one behind a valid checksum fails the reload, so the serving generation
+// keeps answering, with no error counted.
+func TestNonFiniteConfidenceIsNeverServed(t *testing.T) {
+	for _, conf := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		func() {
+			defer func() {
+				if msg := fmt.Sprint(recover()); !strings.Contains(msg, "non-finite") {
+					t.Errorf("store.New with confidence %v: panic %q, want the refusal", conf, msg)
+				}
+			}()
+			store.New([]store.Fact{{Entity: "e", Class: "C", Attr: "a", Value: "v", Confidence: conf}})
+		}()
+	}
+
+	// The file: a one-fact snapshot with its confidence overwritten and its
+	// trailer signed again.
+	dir := t.TempDir()
+	good, bad := filepath.Join(dir, "good.akb"), filepath.Join(dir, "bad.akb")
+	if err := store.New([]store.Fact{{Entity: "e", Class: "C", Attr: "a", Value: "v", Confidence: 0.5}}).WriteBinarySnapshotFile(good); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := raw[:len(raw)-sha256.Size]
+	at := bytes.Index(payload, binary.BigEndian.AppendUint64(nil, math.Float64bits(0.5)))
+	if at < 0 {
+		t.Fatal("no confidence column in the one-fact snapshot")
+	}
+	binary.BigEndian.PutUint64(payload[at:], math.Float64bits(math.NaN()))
+	sum := sha256.Sum256(payload)
+	if err := os.WriteFile(bad, append(payload, sum[:]...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
 	reg := obs.NewRegistry()
-	s := New(store.New([]store.Fact{
-		{Entity: "e", Class: "C", Attr: "a", Value: "v", Confidence: math.NaN()},
-		{Entity: "inf", Class: "C", Attr: "a", Value: "v", Confidence: math.Inf(1)},
-	}), reg, DefaultConfig())
-	for i, target := range []string{"/v1/entity/e", "/v1/triples/e/a", "/v1/query?class=C", "/v1/entity/inf", "/v1/query?entity=inf"} {
+	cfg := DefaultConfig()
+	path := good
+	cfg.Reloader = func() (store.Querier, error) {
+		q, _, err := store.OpenSnapshotFile(path, 0)
+		return q, err
+	}
+	s := New(nil, reg, cfg)
+	if _, err := s.Reload(); err != nil {
+		t.Fatal(err)
+	}
+	path = bad
+	if _, err := s.Reload(); err == nil || !strings.Contains(err.Error(), "non-finite") {
+		t.Errorf("reload from a snapshot with a NaN confidence: err = %v, want the refusal", err)
+	}
+	for _, target := range []string{"/v1/entity/e", "/v1/triples/e/a", "/v1/query?class=C"} {
 		rec := httptest.NewRecorder()
 		s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", target, nil))
-		if rec.Code != http.StatusInternalServerError || strings.TrimSpace(rec.Body.String()) != `{"error":"encode response","status":500}` {
-			t.Errorf("%s: %d %s, want the 500 envelope", target, rec.Code, rec.Body)
-		}
-		if got := reg.Counter("akb_serve_errors_total").Value(); got != int64(i+1) {
-			t.Errorf("%s: akb_serve_errors_total = %d, want %d", target, got, i+1)
+		if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `"confidence":0.5`) {
+			t.Errorf("%s after the refused reload: %d %s, want the serving generation's fact", target, rec.Code, rec.Body)
 		}
 	}
-	if keys := s.cur.Load().cache.Keys(); len(keys) != 0 {
-		t.Errorf("failed responses were cached: %v", keys)
+	if got := reg.Counter("akb_serve_errors_total").Value(); got != 0 {
+		t.Errorf("akb_serve_errors_total = %d, want 0", got)
 	}
 }

@@ -50,7 +50,8 @@ type responseDigest struct {
 // writer knows: quotes and backslashes, the HTML-unsafe <>&, control bytes
 // with and without a short form, NUL, DEL, invalid and truncated UTF-8, and
 // the line separators U+2028/U+2029 — in every field, with confidences at
-// the float formatter's corners and with empty, nil and absent optionals.
+// the float formatter's corners, the largest source count and empty, nil
+// and absent optionals.
 func escapeFacts() []store.Fact {
 	return []store.Fact{
 		{Entity: `q"uo\te`, Class: "C<&>", Attr: "a<b>&c", Value: `back\slash "quoted"`, Confidence: 1, Sources: 3,
@@ -63,7 +64,7 @@ func escapeFacts() []store.Fact {
 		{Entity: "nul\x00in", Class: "C<&>", Attr: "ctl\x01\x1f", Value: "é\u2028\u2029\ufffd😀", Confidence: -0.25, Sources: 9},
 		{Entity: "nul\x00in", Class: "C<&>", Attr: "z", Value: "nul\x00in", Confidence: 0.12345678901234568},
 		{Entity: "bad\xffutf8", Attr: "a<b>&c", Value: "", Confidence: 0, Ancestors: []string{}},
-		{Entity: "bad\xffutf8", Attr: "z", Value: "plain", Confidence: math.MaxFloat64, Sources: -1},
+		{Entity: "bad\xffutf8", Attr: "z", Value: "plain", Confidence: math.MaxFloat64, Sources: math.MaxInt},
 		{Entity: "plain", Class: "Other", Attr: "z", Value: "plain", Confidence: 0.5, Sources: 1, Ancestors: []string{"C<&>"}},
 	}
 }

@@ -380,8 +380,8 @@ func TestHotReloadUnderLoad(t *testing.T) {
 	}
 }
 
-// TestCursorOutlivesItsGeneration: a Cursor yields *Fact into one
-// generation's fact arrays, whose strings are cut from that generation's
+// TestCursorOutlivesItsGeneration: a Cursor makes each Fact from one
+// generation's columns, and its strings are cut from that generation's
 // snapshot string table. A reload retires the generation from the server,
 // not from a cursor that holds it: opened and stepped on generation g,
 // drained after the swap to g+1 while more swaps and collections run beside
@@ -424,7 +424,10 @@ func TestCursorOutlivesItsGeneration(t *testing.T) {
 		gen := s.cur.Load()
 		return gen.q.Select(store.Pattern{}), gen.num
 	}()
-	got := []store.Fact{*cur.Next()}
+	if !cur.Next() {
+		t.Fatal("generation g holds no fact")
+	}
+	got := []store.Fact{cur.Fact()}
 	if info, err := s.Reload(); err != nil || info.Generation != g+1 {
 		t.Fatalf("reload from generation %d: %+v, %v", g, info, err)
 	}
@@ -438,8 +441,8 @@ func TestCursorOutlivesItsGeneration(t *testing.T) {
 			runtime.GC()
 		}
 	}()
-	for f := cur.Next(); f != nil; f = cur.Next() {
-		if got = append(got, *f); len(got)%256 == 0 {
+	for cur.Next() {
+		if got = append(got, cur.Fact()); len(got)%256 == 0 {
 			runtime.GC()
 		}
 	}

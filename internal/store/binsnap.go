@@ -46,14 +46,17 @@ import (
 // work, on a goroutine of its own, and gates it: no store is returned unless
 // the trailer matches, and a mismatch is the error whatever else the decode
 // found. A failed check is a format error, never a panic; an accepted file
-// re-encodes to the same bytes. Every fact is still materialised: the layout
-// leaves room for a zero-copy reader without a codec bump.
+// re-encodes to the same bytes. No fact is made: the decoder fills the
+// store's columns — the keys' IDs, the confidences and source counts, the
+// ancestors' IDs — and a Fact is made from them only when a read hands one
+// out.
 //
 // The string table is the store's own (Sharded.names): a decoded store keeps
 // the file's, verbatim, with the IDs the decoder fed its indexes, and
 // NewSharded numbers its strings once, at construction. Writing is therefore
 // the header, the held table and the columns read by number — rank, valueID,
-// attrNo, classNo and valueNo through each index's ids — with no sort.
+// attrNo, classNo and valueNo through each index's ids, conf and sources —
+// with no sort.
 //
 // Facts are segmented per shard by entity hash (ShardOf), so a loader
 // can reconstruct the sharded store without re-partitioning and a future
@@ -70,9 +73,6 @@ const (
 	// binMinFactLen is the fewest bytes a fact occupies: its key, its
 	// confidence and one byte each in the sources and ancestors columns.
 	binMinFactLen = binKeyWidth + 8 + 1 + 1
-	// binAncestorChunk is how many ancestor slots the reader allocates at
-	// a time; facts' ancestor lists are windows of such chunks.
-	binAncestorChunk = 4096
 	// binConfExponent is the exponent field of a confidence's bits: all ones
 	// in a NaN or an infinity, which neither side of the codec lets through.
 	binConfExponent = 0x7FF << 52
@@ -81,10 +81,10 @@ const (
 // WriteBinarySnapshot serialises the sharded store in the version-3
 // binary layout. The encoding is deterministic: equal stores produce
 // byte-identical snapshots. The file is encoded in memory, hashed once
-// and handed to w in a single Write. No fact's strings are looked up: the
-// store holds its string table, and every column is a number that leads
-// into it (rank, valueID, and attrNo, classNo and valueNo through their
-// index's ids).
+// and handed to w in a single Write. No fact is made and no string looked
+// up: the store holds its string table, and every column is a number that
+// leads into it (rank, valueID, and attrNo, classNo and valueNo through their
+// index's ids) or is what the file holds (conf, sources).
 func (s *Sharded) WriteBinarySnapshot(w io.Writer) error {
 	strs := s.names.strs
 	// Sized for one-byte source counts and three-byte ancestor IDs; a
@@ -94,7 +94,7 @@ func (s *Sharded) WriteBinarySnapshot(w io.Writer) error {
 		size += len(str) + 2
 	}
 	for _, sh := range s.shards {
-		size += 8 + len(sh.facts)*binMinFactLen + 3*(len(sh.byValue.arena)-len(sh.facts))
+		size += 8 + sh.len()*binMinFactLen + 3*len(sh.anc)
 	}
 	be := binary.BigEndian
 	buf := make([]byte, 0, size)
@@ -108,36 +108,33 @@ func (s *Sharded) WriteBinarySnapshot(w io.Writer) error {
 		buf = append(buf, str...)
 	}
 	for _, sh := range s.shards {
-		facts := sh.facts
 		attrID, classID, listID := sh.byAttr.ids, sh.byClass.ids, sh.byValue.ids
-		buf = be.AppendUint64(buf, uint64(len(facts)))
-		for i := range facts {
+		buf = be.AppendUint64(buf, uint64(sh.len()))
+		for i := range sh.valueID {
 			buf = be.AppendUint32(buf, sh.rank[sh.runOf[i]])
 			buf = be.AppendUint32(buf, attrID[sh.attrNo[i]])
 			buf = be.AppendUint32(buf, sh.valueID[i])
 			buf = be.AppendUint32(buf, classID[sh.classNo[i]])
 		}
-		for i := range facts {
-			bits := math.Float64bits(facts[i].Confidence)
+		for i, conf := range sh.conf {
+			bits := math.Float64bits(conf)
 			if bits&binConfExponent == binConfExponent {
-				return fmt.Errorf("store: non-finite confidence %v for %q", facts[i].Confidence, facts[i].Entity)
+				return fmt.Errorf("store: non-finite confidence %v for %q", conf, sh.entity(int32(i)))
 			}
 			buf = be.AppendUint64(buf, bits)
 		}
-		for i := range facts {
-			if facts[i].Sources < 0 {
-				return fmt.Errorf("store: negative source count %d for %q", facts[i].Sources, facts[i].Entity)
+		for i, n := range sh.sources {
+			if n < 0 {
+				return fmt.Errorf("store: negative source count %d for %q", n, sh.entity(int32(i)))
 			}
-			buf = binary.AppendUvarint(buf, uint64(facts[i].Sources))
+			buf = binary.AppendUvarint(buf, uint64(n))
 		}
-		vn := 0 // the fact's first posting in valueNo
-		for i := range facts {
-			anc := sh.valueNo[vn+1 : vn+1+len(facts[i].Ancestors)]
+		for i := range sh.valueID {
+			anc := sh.valueNo[sh.first[i]+1 : sh.first[i+1]]
 			buf = binary.AppendUvarint(buf, uint64(len(anc)))
 			for _, no := range anc {
 				buf = binary.AppendUvarint(buf, uint64(listID[no]))
 			}
-			vn += 1 + len(anc)
 		}
 	}
 	sum := sha256.Sum256(buf)
@@ -259,17 +256,16 @@ type binReader struct {
 	data []byte
 	off  int
 
-	strs  []string // the string table, once read
-	used  []bool   // per string: some fact references it
-	arena []string // unused tail of the current ancestor chunk
+	strs []string // the string table, once read
+	used []bool   // per string: some fact references it
 	// no is the scratch columns the shard being decoded numbers its lists
 	// in; clean between shards.
 	no [3][]int32
 }
 
-// binShard is shard si as the decoder hands it to assemble: its facts,
-// verified canonical, their runs with the rank column, and the three
-// builders, fed.
+// binShard is shard si as the decoder hands it to assemble: its columns,
+// verified canonical, its runs with the rank column, and the three builders,
+// fed.
 type binShard struct {
 	si int
 	feed
@@ -413,8 +409,6 @@ func decodeBinarySnapshot(data []byte) (s *Sharded, err error) {
 	if err := d.stringTable(hdr.strings); err != nil {
 		return nil, err
 	}
-	// Every shard's facts are windows of one array.
-	facts := make([]Fact, hdr.facts)
 	shards := make([]*shard, hdr.shards)
 	// A decoded shard shares nothing with the next one but the string table,
 	// which nobody writes any more: one goroutine builds the name table over
@@ -433,7 +427,7 @@ func decodeBinarySnapshot(data []byte) (s *Sharded, err error) {
 		}
 		assembled <- caught
 	}()
-	err = d.shards(facts, len(shards), decoded)
+	err = d.shards(hdr.facts, len(shards), decoded)
 	if caught := <-assembled; caught != nil {
 		panic(caught) // on the caller's goroutine, where it can be recovered
 	}
@@ -465,30 +459,30 @@ func catch(fn func()) (caught *mapreduce.Panic) {
 	return nil
 }
 
-// shards decodes the n shards into windows of facts, sending each on as
-// soon as it is read, and checks that together they hold exactly the facts
-// the header declared. It closes decoded, however it returns.
-func (d *binReader) shards(facts []Fact, n int, decoded chan<- binShard) error {
+// shards decodes the n shards, sending each on as soon as it is read, and
+// checks that together they hold exactly the total facts the header
+// declared. It closes decoded, however it returns.
+func (d *binReader) shards(total, n int, decoded chan<- binShard) error {
 	defer close(decoded)
-	total := len(facts)
+	left := total
 	for si := 0; si < n; si++ {
 		nb, err := d.take(8)
 		if err != nil {
 			return err
 		}
 		size := binary.BigEndian.Uint64(nb)
-		if size > uint64(len(facts)) {
+		if size > uint64(left) {
 			return fmt.Errorf("store: binary snapshot shard %d overflows declared fact count %d", si, total)
 		}
-		sh := binShard{si: si, feed: newFeed(facts[:size:size], d.no)}
-		facts = facts[size:]
+		left -= int(size)
+		sh := binShard{si: si, feed: newFeed(int(size), int(size), d.no)}
 		if err := d.shard(n, &sh); err != nil {
 			return err
 		}
 		decoded <- sh
 	}
-	if len(facts) != 0 {
-		return fmt.Errorf("store: binary snapshot truncated: header says %d facts, found %d", total, total-len(facts))
+	if left != 0 {
+		return fmt.Errorf("store: binary snapshot truncated: header says %d facts, found %d", total, total-left)
 	}
 	return nil
 }
@@ -522,7 +516,7 @@ func (d *binReader) stringTable(n int) error {
 	return nil
 }
 
-// shard decodes the columns of sh (of n shards; sh.facts already sized to
+// shard decodes the columns of sh (of n shards; its columns already sized to
 // the declared count) and checks that they arrive canonical: keys strictly
 // increasing, compared as the two big-endian integers they are. String IDs
 // are in string order over the whole file, so a run ends where the entity ID
@@ -533,15 +527,15 @@ func (d *binReader) stringTable(n int) error {
 // in the last column).
 func (d *binReader) shard(n int, sh *binShard) error {
 	be := binary.BigEndian
-	si, facts := sh.si, sh.facts
-	// len(facts) is at most the header's count, which binParseHeader
-	// bounded: the products below cannot overflow.
-	keys, err := d.take(len(facts) * binKeyWidth)
+	si, facts := sh.si, len(sh.conf)
+	// facts is at most the header's count, which binParseHeader bounded: the
+	// products below cannot overflow.
+	keys, err := d.take(facts * binKeyWidth)
 	if err != nil {
 		return err
 	}
 	var prevHi, prevLo uint64
-	for i := range facts {
+	for i := 0; i < facts; i++ {
 		hi, lo := be.Uint64(keys[i*binKeyWidth:]), be.Uint64(keys[i*binKeyWidth+8:])
 		if i > 0 && (hi < prevHi || hi == prevHi && lo <= prevLo) {
 			return fmt.Errorf("store: binary snapshot shard %d keys are not strictly increasing at fact %d", si, i)
@@ -550,13 +544,11 @@ func (d *binReader) shard(n int, sh *binShard) error {
 		if top := max(e, a, v, c); top >= uint64(len(d.strs)) {
 			return fmt.Errorf("store: binary snapshot references string %d of %d", top, len(d.strs))
 		}
-		f := &facts[i]
-		f.Entity, f.Attr, f.Value, f.Class = d.strs[e], d.strs[a], d.strs[v], d.strs[c]
-		sh.valueID = append(sh.valueID, uint32(v))
+		sh.valueID[i] = uint32(v)
 		d.used[e], d.used[a], d.used[v], d.used[c] = true, true, true, true
 		if i == 0 || hi>>32 != prevHi>>32 {
-			if got := ShardOf(f.Entity, n); got != si {
-				return fmt.Errorf("store: binary snapshot misplaces entity %q in shard %d (hashes to %d)", f.Entity, si, got)
+			if got := ShardOf(d.strs[e], n); got != si {
+				return fmt.Errorf("store: binary snapshot misplaces entity %q in shard %d (hashes to %d)", d.strs[e], si, got)
 			}
 			sh.runs, sh.rank = append(sh.runs, span{int32(i), int32(i)}), append(sh.rank, uint32(e))
 		}
@@ -565,18 +557,18 @@ func (d *binReader) shard(n int, sh *binShard) error {
 		sh.classes.addID(uint32(c), int32(i))
 		prevHi, prevLo = hi, lo
 	}
-	confs, err := d.take(len(facts) * 8)
+	confs, err := d.take(facts * 8)
 	if err != nil {
 		return err
 	}
-	for i := range facts {
+	for i := range sh.conf {
 		bits := be.Uint64(confs[i*8:])
 		if bits&binConfExponent == binConfExponent {
 			return fmt.Errorf("store: binary snapshot shard %d fact %d has the non-finite confidence %v", si, i, math.Float64frombits(bits))
 		}
-		facts[i].Confidence = math.Float64frombits(bits)
+		sh.conf[i] = math.Float64frombits(bits)
 	}
-	for i := range facts {
+	for i := range sh.sources {
 		v, err := d.uvarint()
 		if err != nil {
 			return err
@@ -584,28 +576,17 @@ func (d *binReader) shard(n int, sh *binShard) error {
 		if v > math.MaxInt {
 			return fmt.Errorf("store: binary snapshot source count %d overflows", v)
 		}
-		facts[i].Sources = int(v)
+		sh.sources[i] = int(v)
 	}
-	for i := range facts {
-		sh.values.addID(sh.valueID[i], int32(i))
+	for i, value := range sh.valueID {
+		sh.values.addID(value, int32(i))
 		cnt, err := d.uvarint()
 		if err != nil {
 			return err
 		}
-		if cnt == 0 {
-			continue
-		}
-		// Each ancestor is at least one byte of what is left to read,
-		// which bounds both this list and the chunk allocated for it.
-		if cnt > uint64(d.left()) {
-			return fmt.Errorf("store: binary snapshot fact claims %d ancestors", cnt)
-		}
-		if uint64(len(d.arena)) < cnt {
-			d.arena = make([]string, max(int(cnt), min(binAncestorChunk, d.left())))
-		}
-		anc := d.arena[:cnt:cnt]
-		d.arena = d.arena[cnt:]
-		for j := range anc {
+		// Every ancestor read is at least a byte of the file: the postings
+		// it adds are bounded by the file's size.
+		for ; cnt > 0; cnt-- {
 			id, err := d.uvarint()
 			if err != nil {
 				return err
@@ -613,10 +594,9 @@ func (d *binReader) shard(n int, sh *binShard) error {
 			if id >= uint64(len(d.strs)) {
 				return fmt.Errorf("store: binary snapshot references string %d of %d", id, len(d.strs))
 			}
-			anc[j], d.used[id] = d.strs[id], true
+			d.used[id] = true
 			sh.values.addID(uint32(id), int32(i))
 		}
-		facts[i].Ancestors = anc
 	}
 	sh.forget()
 	return nil

@@ -327,16 +327,27 @@ func nonFinitePayload(t testing.TB, conf float64) []byte {
 	return payload
 }
 
+// unservable is a one-fact store whose columns were given, after it was
+// built, a confidence and a source count New refuses: what reaches the
+// writer's own checks.
+func unservable(conf float64, sources int) *Sharded {
+	s := New([]Fact{{Entity: "a", Attr: "b", Value: "c"}})
+	s.shards[0].conf[0], s.shards[0].sources[0] = conf, sources
+	return s
+}
+
 // TestSnapshotRefusesNonFiniteConfidence: a NaN or an infinite confidence
 // cannot be served — the JSON encoder has no spelling for it, so every
 // request that touched the fact answered 500 — and a snapshot carrying one
 // used to be written and loaded without complaint: a reload swapped a
 // serving generation for one that could not answer. Both sides refuse it
-// now, the decoder as a format error behind a valid checksum. Finite
+// now, the decoder as a format error behind a valid checksum. New refuses
+// it before either (TestNewRefusesUnservableFacts), so the writer's own
+// check is reached through a store's columns (unservable). Finite
 // confidences outside [0,1] stay accepted: the nasty KBs carry them.
 func TestSnapshotRefusesNonFiniteConfidence(t *testing.T) {
 	for _, conf := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Float64frombits(0xFFF8_0000_0000_0001)} {
-		s := New([]Fact{{Entity: "a", Attr: "b", Value: "c", Confidence: conf}})
+		s := unservable(conf, 0)
 		if err := s.WriteBinarySnapshot(io.Discard); err == nil || !strings.Contains(err.Error(), "non-finite") {
 			t.Errorf("WriteBinarySnapshot with confidence %v: err = %v, want a refusal", conf, err)
 		}
@@ -422,7 +433,7 @@ func TestSnapshotFileHasCreateMode(t *testing.T) {
 			t.Errorf("%s: snapshot published with mode %v, os.Create gives %v", round, got.Mode(), want.Mode())
 		}
 	}
-	failing := New([]Fact{{Entity: "a", Attr: "b", Value: "c", Sources: -1}})
+	failing := unservable(0, -1)
 	if err := failing.WriteBinarySnapshotFile(path); err == nil {
 		t.Fatal("a negative source count was written")
 	}
@@ -443,8 +454,8 @@ func TestSnapshotFileHasCreateMode(t *testing.T) {
 // TestReadBinarySnapshotAllocationBound pins what loading costs the
 // allocator, in allocations and in bytes. The hash-map store allocated 4.2
 // times per fact (a postings slice per key, two key strings per fact, a
-// string per table entry); the reader now cuts strings, facts, ancestors and
-// postings from a few arrays per shard. The bytes ceiling sits just above a
+// string per table entry); the reader now cuts strings, columns, ancestors
+// and postings from a few arrays per shard. The bytes ceiling sits just above a
 // load with one name table and integer-keyed indexes, so a string-keyed map
 // per list would break it.
 func TestReadBinarySnapshotAllocationBound(t *testing.T) {
@@ -483,9 +494,10 @@ func TestReadBinarySnapshotAllocationBound(t *testing.T) {
 }
 
 // readBytesPerFact is TestReadBinarySnapshotAllocationBound's bytes ceiling:
-// its KB decodes in 263 bytes a fact — 259 before the 4-byte valueID column —
-// and decoded in 268 when every list was a string-keyed map entry.
-const readBytesPerFact = 267
+// its KB decodes in 174 bytes a fact into columns. It decoded in 263 while
+// every fact was also a 104-byte Fact (259 before the 4-byte valueID column),
+// and in 268 when every list was a string-keyed map entry.
+const readBytesPerFact = 178
 
 // FuzzReadBinarySnapshot fuzzes the version-3 reader behind a correct
 // checksum: the input is a payload, the harness signs it. Whatever the

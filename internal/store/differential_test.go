@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"reflect"
 	"slices"
 	"sort"
 	"testing"
@@ -21,36 +22,111 @@ var nastyNames = []string{
 
 // nastyFacts generates one small adversarial KB: few names, so keys
 // collide in every position; empty classes; ancestor chains (distinct and
-// never the value itself, as a hierarchy's are); duplicates. A repeated
-// key repeats the whole fact: which of two facts that differ only outside
-// the key survives dedup is the sort's choice, and not the same choice in
-// every layout.
+// never the value itself, as a hierarchy's are); duplicates. A repeated key
+// repeats the whole fact, or only the key: conflicting duplicates, with
+// another confidence, other sources or other ancestors, of which the store
+// must keep the one the facts decide (compareFacts) in every layout.
 func nastyFacts(r *rand.Rand) []Fact {
 	name := func() string { return nastyNames[r.Intn(len(nastyNames))] }
+	ancestors := func(value string) (anc []string) {
+		for _, i := range r.Perm(len(nastyNames))[:r.Intn(4)] {
+			if nastyNames[i] != value {
+				anc = append(anc, nastyNames[i])
+			}
+		}
+		return anc
+	}
 	facts := make([]Fact, 0, 64)
-	byKey := map[[4]string]Fact{}
 	for n := r.Intn(60); len(facts) < n; {
 		if len(facts) > 0 && r.Intn(8) == 0 {
-			facts = append(facts, facts[r.Intn(len(facts))])
+			f := facts[r.Intn(len(facts))]
+			switch r.Intn(5) {
+			case 0:
+				f.Confidence = r.Float64()
+			case 1:
+				f.Sources = r.Intn(5)
+			case 2:
+				f.Ancestors = ancestors(f.Value)
+			case 3:
+				f.Ancestors = slices.Clone(f.Ancestors)
+				slices.Reverse(f.Ancestors)
+			}
+			facts = append(facts, f)
 			continue
 		}
 		f := Fact{Entity: name(), Attr: name(), Value: name(), Confidence: r.Float64(), Sources: r.Intn(5)}
 		if r.Intn(4) > 0 {
 			f.Class = name()
 		}
-		for _, i := range r.Perm(len(nastyNames))[:r.Intn(4)] {
-			if nastyNames[i] != f.Value {
-				f.Ancestors = append(f.Ancestors, nastyNames[i])
-			}
-		}
-		key := [4]string{f.Entity, f.Attr, f.Value, f.Class}
-		if first, ok := byKey[key]; ok {
-			f = first
-		}
-		byKey[key] = f
+		f.Ancestors = ancestors(f.Value)
 		facts = append(facts, f)
 	}
 	return facts
+}
+
+// canonicalCopy is the test's own canonical form of facts, which it holds
+// the store to: of every identity key the fact with the highest confidence,
+// then the most sources, then the ancestors that compare lowest element by
+// element, found by a walk over the facts into a map; then the survivors in
+// (entity, attribute, value, class) order. A fact without ancestors has nil
+// ones, as the store hands out.
+func canonicalCopy(facts []Fact) []Fact {
+	type key [4]string
+	best := map[key]Fact{}
+	for _, f := range facts {
+		if len(f.Ancestors) == 0 {
+			f.Ancestors = nil
+		}
+		k := key{f.Entity, f.Attr, f.Value, f.Class}
+		b, ok := best[k]
+		if !ok || f.Confidence > b.Confidence || f.Confidence == b.Confidence &&
+			(f.Sources > b.Sources || f.Sources == b.Sources && slices.Compare(f.Ancestors, b.Ancestors) < 0) {
+			best[k] = f
+		}
+	}
+	keys := make([]key, 0, len(best))
+	for k := range best {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		a, b := keys[i], keys[j]
+		for f := range a {
+			if a[f] != b[f] {
+				return a[f] < b[f]
+			}
+		}
+		return false
+	})
+	out := make([]Fact, len(keys))
+	for i, k := range keys {
+		out[i] = best[k]
+	}
+	return out
+}
+
+// refSelect is what a pattern selects of canonical facts, by a nested loop:
+// every fact, each field the pattern sets, and for a value matched through
+// the hierarchy each ancestor. It is the oracle of every read path, and of
+// Scan.
+func refSelect(facts []Fact, p Pattern) (out []Fact) {
+	for _, f := range facts {
+		if p.Entity != "" && f.Entity != p.Entity || p.Attr != "" && f.Attr != p.Attr || p.Class != "" && f.Class != p.Class {
+			continue
+		}
+		if p.Value != "" && f.Value != p.Value {
+			generalises := false
+			for _, anc := range f.Ancestors {
+				if anc == p.Value && !p.Exact {
+					generalises = true
+				}
+			}
+			if !generalises {
+				continue
+			}
+		}
+		out = append(out, f)
+	}
+	return out
 }
 
 // absentName is a name no generated KB holds: a pattern field the store's
@@ -136,8 +212,10 @@ func bruteEstimate(facts []Fact, q Pattern) int {
 type delegate struct{ Querier }
 
 // TestReadsMatchScanOnNastyKBs is the differential test of the read
-// paths: on generated adversarial KBs, every way of reading a pattern
-// returns exactly what the brute-force Scan returns, and CountEstimate
+// paths: on generated adversarial KBs, the store holds the test's own
+// canonical copy of the input (canonicalCopy), every way of reading a
+// pattern — Scan too — returns exactly what a nested loop over that copy
+// selects (refSelect), and CountEstimate
 // returns the brute-force shortest postings length — on the flat store, on
 // sharded layouts (some shards empty), on both after a version-3 snapshot
 // round trip, and through a wrapper that is only a Querier. The same goes
@@ -154,6 +232,7 @@ func TestReadsMatchScanOnNastyKBs(t *testing.T) {
 	for seed := 0; seed < kbs; seed++ {
 		r := rand.New(rand.NewSource(int64(seed)))
 		facts := nastyFacts(r)
+		all := canonicalCopy(facts)
 		flat := New(facts)
 		layouts := map[string]*Sharded{"flat": flat}
 		for _, n := range []int{1, 3, 8} {
@@ -178,15 +257,15 @@ func TestReadsMatchScanOnNastyKBs(t *testing.T) {
 			patterns[i] = nastyPattern(r, bruteStrings(facts))
 		}
 		for name, q := range layouts {
-			if !factsEqual(q.Scan(Pattern{}), flat.Facts()) || !factsEqual(q.Facts(), flat.Facts()) {
-				t.Fatalf("seed %d %s: facts differ from the flat store's", seed, name)
+			if got := q.Facts(); !factsEqual(got, all) {
+				t.Fatalf("seed %d %s: Facts\n got: %+v\nwant: %+v", seed, name, got, all)
 			}
 			checkColumns(t, fmt.Sprintf("seed %d %s", seed, name), q)
 			for i, p := range patterns {
 				where := fmt.Sprintf("seed %d %s %#v", seed, name, p)
-				checkReads(t, where, q, flat.Facts(), p, 1+r.Intn(4))
+				checkReads(t, where, q, all, p, 1+r.Intn(4))
 				checkRuns(t, where, q, p, patterns[(i+1)%len(patterns)])
-				checkUnordered(t, where, q, p, r.Intn(4))
+				checkUnordered(t, where, q, all, p, r.Intn(4))
 			}
 		}
 	}
@@ -194,7 +273,10 @@ func TestReadsMatchScanOnNastyKBs(t *testing.T) {
 
 func checkReads(t *testing.T, where string, q *Sharded, all []Fact, p Pattern, limit int) {
 	t.Helper()
-	want := q.Scan(p)
+	want := refSelect(all, p)
+	if got := q.Scan(p); !factsEqual(got, want) {
+		t.Errorf("%s: Scan\n got: %+v\nwant: %+v", where, got, want)
+	}
 	if pulled := drain(q.Select(p)); !factsEqual(pulled, want) {
 		t.Errorf("%s: Select\n got: %+v\nwant: %+v", where, pulled, want)
 	}
@@ -234,25 +316,35 @@ func checkReads(t *testing.T, where string, q *Sharded, all []Fact, p Pattern, l
 }
 
 // attrRunRef is the reference attrRun is checked against — the search it
-// replaced: a binary search of the run by attribute name, through the facts.
-func (s *shard) attrRunRef(run span, attr string) span {
+// replaced: a binary search of the run by attribute name, through the
+// shard's facts.
+func attrRunRef(facts []Fact, run span, attr string) span {
 	lo, end := run.lo, run.hi
 	for lo < end {
-		if mid := int32(uint32(lo+end) >> 1); s.facts[mid].Attr < attr {
+		if mid := int32(uint32(lo+end) >> 1); facts[mid].Attr < attr {
 			lo = mid + 1
 		} else {
 			end = mid
 		}
 	}
 	hi := lo
-	for hi < run.hi && s.facts[hi].Attr == attr {
+	for hi < run.hi && facts[hi].Attr == attr {
 		hi++
 	}
 	return span{lo, hi}
 }
 
+// shardFacts is every fact of the shard, in position order.
+func shardFacts(sh *shard) []Fact {
+	out := make([]Fact, sh.len())
+	sh.facts(out, 0)
+	return out
+}
+
 // checkColumns checks the integer columns the hot loops compare in place of
-// strings against the strings themselves. Every run of every shard has a
+// strings against the strings themselves. Every per-fact column has one
+// entry a fact (first one more), and first cuts valueNo into one window a
+// fact, one posting for its value and one for each ancestor. Every run of every shard has a
 // rank, and over all shards' runs the ranks rise strictly with the entity
 // names — so no two tie, which is what lets a scatter merge by rank alone.
 // attrNo is byAttr's list number of each fact's attribute. attrRun, which
@@ -268,11 +360,21 @@ func checkColumns(t *testing.T, where string, q *Sharded) {
 	}
 	var all []ranked
 	for si, sh := range q.shards {
-		if len(sh.rank) != len(sh.runs) || len(sh.attrNo) != len(sh.facts) || len(sh.classNo) != len(sh.facts) || len(sh.valueID) != len(sh.facts) {
-			t.Fatalf("%s shard %d: %d ranks for %d runs, %d attribute and %d class numbers and %d value IDs for %d facts",
-				where, si, len(sh.rank), len(sh.runs), len(sh.attrNo), len(sh.classNo), len(sh.valueID), len(sh.facts))
+		n := len(sh.runOf)
+		if len(sh.rank) != len(sh.runs) || len(sh.attrNo) != n || len(sh.classNo) != n || len(sh.valueID) != n ||
+			len(sh.conf) != n || len(sh.sources) != n || len(sh.first) != n+1 {
+			t.Fatalf("%s shard %d: %d ranks for %d runs; for %d facts %d attribute and %d class numbers, %d value IDs, %d confidences, %d source counts, %d firsts",
+				where, si, len(sh.rank), len(sh.runs), n, len(sh.attrNo), len(sh.classNo), len(sh.valueID), len(sh.conf), len(sh.sources), len(sh.first))
 		}
-		for i, f := range sh.facts {
+		facts := shardFacts(sh)
+		if sh.first[0] != 0 || sh.first[n] != int32(len(sh.valueNo)) || len(sh.anc) != len(sh.valueNo)-n {
+			t.Fatalf("%s shard %d: first runs %d..%d over %d value postings, %d ancestors for %d facts",
+				where, si, sh.first[0], sh.first[n], len(sh.valueNo), len(sh.anc), n)
+		}
+		for i, f := range facts {
+			if got := sh.first[i+1] - sh.first[i]; got != 1+int32(len(f.Ancestors)) {
+				t.Errorf("%s shard %d: fact %d has %d value postings for %d ancestors", where, si, i, got, len(f.Ancestors))
+			}
 			if no, ok := sh.byAttr.list(q.names.id(f.Attr)); !ok || sh.attrNo[i] != no {
 				t.Errorf("%s shard %d: attrNo[%d] = %d, byAttr lists %q as %d (%v)", where, si, i, sh.attrNo[i], f.Attr, no, ok)
 			}
@@ -284,12 +386,12 @@ func checkColumns(t *testing.T, where string, q *Sharded) {
 			}
 		}
 		for ri, run := range sh.runs {
-			all = append(all, ranked{sh.facts[run.lo].Entity, sh.rank[ri]})
+			all = append(all, ranked{facts[run.lo].Entity, sh.rank[ri]})
 			if got := sh.run(sh.rank[ri]); got != run {
-				t.Errorf("%s shard %d: the search of rank finds run %v for %q, not %v", where, si, got, sh.facts[run.lo].Entity, run)
+				t.Errorf("%s shard %d: the search of rank finds run %v for %q, not %v", where, si, got, facts[run.lo].Entity, run)
 			}
 			for _, attr := range append([]string{"", "absent everywhere"}, nastyNames...) {
-				got, want := sh.attrRun(run, q.names.id(attr)), sh.attrRunRef(run, attr)
+				got, want := sh.attrRun(run, q.names.id(attr)), attrRunRef(facts, run, attr)
 				if got != want && (got.lo != got.hi || want.lo != want.hi) {
 					t.Errorf("%s shard %d: attrRun(%v, %q) = %v, the search by name finds %v", where, si, run, attr, got, want)
 				}
@@ -304,10 +406,10 @@ func checkColumns(t *testing.T, where string, q *Sharded) {
 	}
 }
 
-// drain copies out everything the cursor has left, in its order.
+// drain makes everything the cursor has left, in its order.
 func drain(c Cursor) (out []Fact) {
-	for f := c.Next(); f != nil; f = c.Next() {
-		out = append(out, *f)
+	for c.Next() {
+		out = append(out, c.Fact())
 	}
 	return out
 }
@@ -331,13 +433,14 @@ func checkRuns(t *testing.T, where string, q *Sharded, p, inside Pattern) {
 	attr, okA := id(inside.Attr)
 	class, okC := id(inside.Class)
 	value, okV := id(inside.Value)
-	for f := cur.Next(); f != nil; f = cur.Next() {
+	for cur.Next() {
+		f := cur.Fact()
 		if e, a, v := cur.IDs(); names.Name(e) != f.Entity || names.Name(a) != f.Attr || names.Name(v) != f.Value {
-			t.Errorf("%s: IDs of %+v name %q, %q, %q", where, *f, names.Name(e), names.Name(a), names.Name(v))
+			t.Errorf("%s: IDs of %+v name %q, %q, %q", where, f, names.Name(e), names.Name(a), names.Name(v))
 		}
 		run := cur.Run()
 		if got, want := drainIDs(run.Where(NoID, NoID, NoID, false), names), pairsOf(Lookup(q, Pattern{Entity: f.Entity})); !slices.Equal(got, want) {
-			t.Errorf("%s: run handed out with %+v\n got: %q\nwant: %q", where, *f, got, want)
+			t.Errorf("%s: run handed out with %+v\n got: %q\nwant: %q", where, f, got, want)
 		}
 		named := inside
 		named.Entity = f.Entity
@@ -382,14 +485,17 @@ func pairsOf(facts []Fact) (out [][2]string) {
 // checkUnordered takes the first facts of p in order, releases the order,
 // and requires of the rest what a consumer that only counts relies on: the
 // same facts as the ordered tail, as a multiset, and the same Count.
-func checkUnordered(t *testing.T, where string, q *Sharded, p Pattern, ordered int) {
+func checkUnordered(t *testing.T, where string, q *Sharded, all []Fact, p Pattern, ordered int) {
 	t.Helper()
-	want := q.Scan(p)
+	want := refSelect(all, p)
 	ordered = min(ordered, len(want))
 	open := func() Cursor {
 		c := q.Select(p)
 		for i := 0; i < ordered; i++ {
-			if f := c.Next(); f == nil || !factsEqual([]Fact{*f}, want[i:i+1]) {
+			if !c.Next() {
+				t.Fatalf("%s: the stream ends at ordered fact %d, want %+v", where, i, want[i])
+			}
+			if f := c.Fact(); !factsEqual([]Fact{f}, want[i:i+1]) {
 				t.Fatalf("%s: ordered fact %d is %+v, want %+v", where, i, f, want[i])
 			}
 		}
@@ -401,35 +507,43 @@ func checkUnordered(t *testing.T, where string, q *Sharded, p Pattern, ordered i
 	}
 	var tail []Fact
 	c := open()
-	for f := c.Next(); f != nil; f = c.Next() {
+	for c.Next() {
+		f := c.Fact()
 		if got := drainIDs(c.Run().Where(NoID, NoID, NoID, false), c.Names()); !slices.Equal(got, pairsOf(Lookup(q, Pattern{Entity: f.Entity}))) {
-			t.Errorf("%s: run handed out after Unordered with %+v is not its entity's", where, *f)
+			t.Errorf("%s: run handed out after Unordered with %+v is not its entity's", where, f)
 		}
-		tail = append(tail, *f)
+		tail = append(tail, f)
 	}
-	sort.Slice(tail, func(i, j int) bool { return factLess(&tail[i], &tail[j]) })
+	sort.Slice(tail, func(i, j int) bool { return compareKeys(&tail[i], &tail[j]) < 0 })
 	if !factsEqual(tail, want[ordered:]) {
 		t.Errorf("%s: after %d facts and Unordered\n got: %+v\nwant: %+v, in any order", where, ordered, tail, want[ordered:])
 	}
-	if c.Next() != nil || c.Count() != 0 {
+	if c.Next() || c.Count() != 0 {
 		t.Errorf("%s: an exhausted unordered cursor yields more", where)
 	}
 }
 
 // TestLookupNCopiesAtMostLimit is the per-shard-limit property of the
 // cursor design: a capped read that scatters over every shard, with far
-// more matches than the cap, merges and copies only the page — the tail is
-// counted inside each shard — and still returns the exact total.
+// more matches than the cap, merges and makes only the page — the tail is
+// counted inside each shard — and still returns the exact total. A read of
+// one run — an entity, an (entity, attribute) pair — makes its page in one
+// allocation, whatever the limit: the facts' ancestors are windows of the
+// store's, not copies.
 func TestLookupNCopiesAtMostLimit(t *testing.T) {
 	const n, limit = 20000, 5
-	facts := make([]Fact, n)
+	facts := make([]Fact, n, n+40)
 	for i := range facts {
 		facts[i] = Fact{Entity: fmt.Sprintf("e%05d", i), Class: "c", Attr: "a", Value: fmt.Sprintf("v%d", i%7), Ancestors: []string{"root"}}
 	}
+	for i := 0; i < 40; i++ {
+		facts = append(facts, Fact{Entity: "run", Class: "c", Attr: fmt.Sprintf("a%d", i%3), Value: fmt.Sprintf("v%d", i), Ancestors: []string{"mid", "root"}})
+	}
+	all := canonicalCopy(facts)
 	for _, shards := range []int{1, 8} {
 		s := NewSharded(facts, shards)
 		for _, p := range []Pattern{{Attr: "a"}, {Class: "c", Value: "root"}, {Value: "v3"}, {}} {
-			want := s.Scan(p)
+			want := refSelect(all, p)
 			var got []Fact
 			var total int
 			allocs := testing.AllocsPerRun(10, func() { got, total = s.LookupN(p, limit) })
@@ -441,7 +555,103 @@ func TestLookupNCopiesAtMostLimit(t *testing.T) {
 				t.Errorf("%d shards %+v: LookupN(%d) over %d matches made %.0f allocations and a page of cap %d", shards, p, limit, len(want), allocs, cap(got))
 			}
 		}
+		for _, p := range []Pattern{{Entity: "run"}, {Entity: "run", Attr: "a1"}} {
+			want := refSelect(all, p)
+			for _, lim := range []int{0, limit} {
+				var got []Fact
+				var total int
+				allocs := testing.AllocsPerRun(10, func() { got, total = s.LookupN(p, lim) })
+				page := want
+				if lim > 0 {
+					page = want[:lim]
+				}
+				if total != len(want) || !factsEqual(got, page) {
+					t.Errorf("%d shards %+v: LookupN(%d) = %+v, total %d; want the first of %+v", shards, p, lim, got, total, want)
+				}
+				if allocs != 1 || cap(got) != len(page) {
+					t.Errorf("%d shards %+v: LookupN(%d) made %.0f allocations and a page of cap %d for %d facts, want 1 of %d", shards, p, lim, allocs, cap(got), len(page), len(page))
+				}
+			}
+		}
 	}
+}
+
+// TestDuplicateSurvivorIsTheFactsChoice: of facts that share an identity
+// key and differ in confidence, sources or ancestors, the store keeps the
+// one the facts decide — the test's own canonicalCopy — on 1, 3 and 8
+// shards and from a shuffled input alike. The survivor used to be the
+// unstable sort's pick, so New and NewSharded kept different facts.
+func TestDuplicateSurvivorIsTheFactsChoice(t *testing.T) {
+	conflicts := 0
+	for seed := 0; seed < 200; seed++ {
+		r := rand.New(rand.NewSource(int64(seed)))
+		facts := nastyFacts(r)
+		want := canonicalCopy(facts)
+		keys := map[[4]string]Fact{}
+		for _, f := range facts {
+			k := [4]string{f.Entity, f.Attr, f.Value, f.Class}
+			if g, ok := keys[k]; ok && !factsEqual(canonicalCopy([]Fact{f}), canonicalCopy([]Fact{g})) {
+				conflicts++
+			}
+			keys[k] = f
+		}
+		shuffled := slices.Clone(facts)
+		r.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+		for _, n := range []int{1, 3, 8} {
+			for name, in := range map[string][]Fact{"input": facts, "shuffled": shuffled} {
+				if got := NewSharded(in, n).Facts(); !factsEqual(got, want) {
+					t.Errorf("seed %d, %d shards, %s: kept\n%+v\nwant\n%+v", seed, n, name, got, want)
+				}
+			}
+		}
+	}
+	if conflicts == 0 {
+		t.Fatal("the nasty KBs hold no conflicting duplicate")
+	}
+}
+
+// TestShardHoldsNoPointerPerFact: a shard is its columns, and no per-fact
+// column holds a pointer for the collector to scan — no Fact, no string, no
+// slice. The one column of strings, anc, holds an ancestor posting's name,
+// not a fact's: it is as long as the value postings less the facts.
+func TestShardHoldsNoPointerPerFact(t *testing.T) {
+	var check func(path string, t reflect.Type)
+	check = func(path string, typ reflect.Type) {
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			switch name := path + f.Name; {
+			case f.Type.Kind() == reflect.Struct:
+				check(name+".", f.Type) // an index's columns too
+			case f.Type.Kind() == reflect.Slice && holdsPointer(f.Type.Elem()) && name != "anc":
+				t.Errorf("shard.%s is a slice of %v, which holds a pointer", name, f.Type.Elem())
+			}
+		}
+	}
+	check("", reflect.TypeOf(shard{}))
+	s := NewSharded(orderFacts(rand.New(rand.NewSource(1))), 1).shards[0]
+	if len(s.anc) != len(s.valueNo)-s.len() || len(s.anc) == 0 {
+		t.Errorf("anc holds %d names for %d value postings of %d facts", len(s.anc), len(s.valueNo), s.len())
+	}
+}
+
+// holdsPointer reports whether a value of type t holds a pointer.
+func holdsPointer(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if holdsPointer(t.Field(i).Type) {
+				return true
+			}
+		}
+		return false
+	case reflect.Array:
+		return holdsPointer(t.Elem())
+	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		return false
+	}
+	return true
 }
 
 // TestCursorWalksShortestList pins the cost side of a read, which

@@ -83,12 +83,8 @@ func TestIterateAndSelectMatchLookup(t *testing.T) {
 				for taken := 0; taken <= len(want)+1; taken++ {
 					var pulled []Fact
 					cur := q.Select(p)
-					for len(pulled) < taken {
-						f := cur.Next()
-						if f == nil {
-							break
-						}
-						pulled = append(pulled, *f)
+					for len(pulled) < taken && cur.Next() {
+						pulled = append(pulled, cur.Fact())
 					}
 					if !factsEqual(pulled, want[:min(taken, len(want))]) {
 						t.Errorf("Select(%+v), %d Nexts:\n got: %+v\nwant the first of: %+v", p, taken, pulled, want)
@@ -96,8 +92,8 @@ func TestIterateAndSelectMatchLookup(t *testing.T) {
 					if left := cur.Count(); left != len(want)-len(pulled) {
 						t.Errorf("Select(%+v): Count after %d of %d = %d", p, len(pulled), len(want), left)
 					}
-					if f := cur.Next(); f != nil || cur.Count() != 0 {
-						t.Errorf("Select(%+v): a counted cursor still yields %+v", p, f)
+					if cur.Next() || cur.Count() != 0 {
+						t.Errorf("Select(%+v): a counted cursor still yields", p)
 					}
 				}
 
@@ -118,7 +114,7 @@ func TestCursorCountsWhatItHasNotReturned(t *testing.T) {
 	for _, s := range []*Sharded{New(testFacts()), NewSharded(testFacts(), 3)} {
 		cur := s.Select(Pattern{})
 		for i := 0; i < 3; i++ {
-			if cur.Next() == nil {
+			if !cur.Next() {
 				t.Fatalf("%d shards: stream ended after %d facts", s.ShardCount(), i)
 			}
 		}

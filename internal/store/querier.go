@@ -25,15 +25,15 @@ type Querier interface {
 
 var _ Querier = (*Sharded)(nil)
 
-// Cursor is the relation a pattern selects, as a lazy sequence: Next
-// yields the matching facts one at a time in canonical order, by reference
-// into the store's immutable fact arrays, and Count says how many are left
+// Cursor is the relation a pattern selects, as a lazy sequence: Next steps
+// to the matching facts one at a time in canonical order, Fact makes the one
+// it stepped to out of the store's columns, and Count says how many are left
 // without ordering them. A cursor over one shard — the pattern names an
 // entity, or the store has one shard — is a plain value: opening it
 // allocates nothing. A scatter holds every shard's stream, stopped at its
 // next match, and Next k-way merges them by the rank of that match's
-// entity: no fact is read to order it, and one is copied only if the
-// consumer copies it. Ranks alone decide because entities are partitioned
+// entity: no fact is made to order it, and one is made only if the consumer
+// asks for it. Ranks alone decide because entities are partitioned
 // across shards — two heads never hold the same entity, so two ranks never
 // tie — and inside its entity a shard's stream is already in order; linear
 // minimum selection over the shard count beats heap bookkeeping at the 8–64
@@ -41,26 +41,26 @@ var _ Querier = (*Sharded)(nil)
 // consumer that has its ordered page says so (Unordered) and gets the rest
 // shard by shard.
 //
-// A fact sits inside its entity's run of one shard's array, and the cursor
-// knows where: Run hands that run out, to be read again (Run.Where)
-// without routing to a shard, finding the entity or another trip through the
+// A fact sits inside its entity's run of one shard, and the cursor knows
+// where: Run hands that run out, to be read again (Run.Where) without
+// routing to a shard, finding the entity or another trip through the
 // Querier — what a join on the entity needs. It also knows the fact by
-// number: IDs reads its entity, attribute and value IDs off the columns the
-// store keeps beside the array, and Names is the table they index — what a
-// reader that joins on numbers needs instead of the fact's strings.
+// number: IDs reads its entity, attribute and value IDs off the store's
+// columns, and Names is the table they index — what a reader that joins on
+// numbers needs instead of the fact's strings.
 //
 // Cursors are single-consumer and not safe for concurrent use: open one
 // per consumer — the store underneath is shared. The zero Cursor is empty.
 type Cursor struct {
 	// The stream, when heads is nil. Of a scatter, only sh and at are used:
-	// where the fact Next last returned sits.
+	// where the fact Next last stepped to sits.
 	shardCursor
 	heads     []head // a scatter: one per shard
 	unordered bool   // a scatter whose consumer released the order
 }
 
-// head is one shard's stream in a scatter, stopped at its next match:
-// sh.facts[at], whose entity has the rank kept beside it.
+// head is one shard's stream in a scatter, stopped at its next match: the
+// fact at position at, whose entity has the rank kept beside it.
 type head struct {
 	shardCursor
 	rank uint32 // noRank: the shard is exhausted
@@ -73,13 +73,13 @@ const noRank = NoID
 // advance moves the head to the shard's next match.
 func (h *head) advance() {
 	h.rank = noRank
-	if h.next() != nil {
+	if h.next() {
 		h.rank = h.sh.rank[h.sh.runOf[h.at]]
 	}
 }
 
-// Run is one entity's facts — a run of its shard's fact array, in canonical
-// order — held as a relation of its own. The zero Run is empty.
+// Run is one entity's facts — a run of its shard's fact positions, in
+// canonical order — held as a relation of its own. The zero Run is empty.
 type Run struct {
 	sh *shard
 	span
@@ -109,10 +109,8 @@ func (s *Sharded) Select(p Pattern) Cursor {
 	return Cursor{heads: heads}
 }
 
-// Next returns the next matching fact — a pointer into the store, which
-// the caller must not write through — or nil when the stream is
-// exhausted.
-func (c *Cursor) Next() *Fact {
+// Next steps to the next matching fact and reports whether there was one.
+func (c *Cursor) Next() bool {
 	if c.heads == nil {
 		return c.next()
 	}
@@ -126,13 +124,19 @@ func (c *Cursor) Next() *Fact {
 		}
 	}
 	if best < 0 {
-		return nil
+		return false
 	}
 	h := &c.heads[best]
 	c.sh, c.at = h.sh, h.at
 	h.advance()
-	return &c.sh.facts[c.at]
+	return true
 }
+
+// Fact makes the fact Next stepped to out of the store's columns. Its
+// strings are the store's, and its Ancestors a window of the store's, which
+// the caller must not write through. It is defined only after Next has
+// returned true.
+func (c *Cursor) Fact() Fact { return c.sh.fact(c.at) }
 
 // Unordered releases the canonical order: the consumer has the ordered
 // prefix it needed and wants the rest only as a bag. What is left of a
@@ -142,15 +146,15 @@ func (c *Cursor) Next() *Fact {
 // one shard has nothing to release.
 func (c *Cursor) Unordered() { c.unordered = true }
 
-// Run returns the run of the entity whose fact Next last returned. It is
-// defined only after Next has returned a fact.
+// Run returns the run of the entity whose fact Next last stepped to. It is
+// defined only after Next has returned true.
 func (c *Cursor) Run() Run {
 	return Run{c.sh, c.sh.runs[c.sh.runOf[c.at]]}
 }
 
 // IDs returns the string IDs of the entity, attribute and value of the fact
-// Next last returned, read off the store's columns (rank, attrNo, valueID):
-// no fact is loaded. It is defined only after Next has returned a fact.
+// Next last stepped to, read off the store's columns (rank, attrNo, valueID):
+// no fact is made. It is defined only after Next has returned true.
 func (c *Cursor) IDs() (entity, attr, value uint32) {
 	sh, at := c.sh, c.at
 	return sh.rank[sh.runOf[at]], sh.byAttr.ids[sh.attrNo[at]], sh.valueID[at]
@@ -207,7 +211,7 @@ func (r Run) Where(attr, class, value uint32, exact bool) RunCursor {
 type RunCursor struct{ c shardCursor }
 
 // Next steps to the next match and reports whether there was one.
-func (c *RunCursor) Next() bool { return c.c.next() != nil }
+func (c *RunCursor) Next() bool { return c.c.next() }
 
 // IDs returns the attribute and value IDs of the match Next stepped to.
 func (c *RunCursor) IDs() (attr, value uint32) {
@@ -220,7 +224,7 @@ func (c *RunCursor) IDs() (attr, value uint32) {
 func (c *RunCursor) Count() int { return c.c.count() }
 
 // Count drains the cursor and returns how many matches Next had not yet
-// returned. Nothing is merged or copied: each shard counts its own tail,
+// stepped to. Nothing is merged or made: each shard counts its own tail,
 // which is what keeps a capped read over many shards cheap (see LookupN).
 func (c *Cursor) Count() int {
 	n := c.count()
@@ -280,21 +284,26 @@ func Lookup(q Querier, p Pattern) []Fact {
 // the total number of matches; limit <= 0 means all of them. It backs the
 // serving layer's result cap: the response needs the first page and the
 // true total, so the tail is counted where it lies — per shard, unmerged —
-// and at most limit facts are ever copied.
+// and at most limit facts are ever made.
 func LookupN(q Querier, p Pattern, limit int) (out []Fact, total int) {
 	c := q.Select(p)
 	if c.heads == nil && c.isRun() {
-		// One run of the fact array is the answer — every entity and
-		// (entity, attr) read: one copy at its final size.
-		run := c.run()
-		n := len(run)
+		// One run of fact positions is the answer — every entity and
+		// (entity, attr) read: one page at its final size, its entity and
+		// class names read once a run.
+		total = c.size()
+		n := total
 		if limit > 0 && limit < n {
 			n = limit
 		}
-		return append(out, run[:n]...), len(run)
+		if n > 0 {
+			out = make([]Fact, n)
+			c.sh.facts(out, c.pos)
+		}
+		return out, total
 	}
-	for f := c.Next(); f != nil; f = c.Next() {
-		out = append(out, *f)
+	for c.Next() {
+		out = append(out, c.Fact())
 		if len(out) == limit {
 			break
 		}

@@ -54,7 +54,7 @@ func refWriteBinarySnapshot(s *Sharded, w io.Writer) error {
 		buf = append(buf, str...)
 	}
 	for _, sh := range s.shards {
-		facts := sh.facts
+		facts := shardFacts(sh)
 		buf = be.AppendUint64(buf, uint64(len(facts)))
 		var entity, class uint32
 		for i := range facts {
@@ -190,8 +190,9 @@ func checkStrings(t testing.TB, where string, s *Sharded) {
 		if len(sh.rank) != len(sh.runs) {
 			t.Fatalf("%s shard %d: %d ranks for %d runs", where, si, len(sh.rank), len(sh.runs))
 		}
+		facts := shardFacts(sh)
 		for ri, run := range sh.runs {
-			if name := sh.facts[run.lo].Entity; str(sh.rank[ri]) != name {
+			if name := facts[run.lo].Entity; str(sh.rank[ri]) != name {
 				t.Errorf("%s shard %d: run %d (%q) has rank %d, which is %q", where, si, ri, name, sh.rank[ri], str(sh.rank[ri]))
 			}
 		}
@@ -203,7 +204,7 @@ func checkStrings(t testing.TB, where string, s *Sharded) {
 				keys[index] = append(keys[index], name)
 			}
 		}
-		for _, f := range sh.facts {
+		for _, f := range facts {
 			post(0, f.Attr)
 			post(1, f.Class) // the empty class too: no read looks it up, classNo numbers it
 			post(2, f.Value)
@@ -251,7 +252,7 @@ func checkWriter(t testing.TB, where string, s *Sharded) []byte {
 	}
 	for si, sh := range s.shards {
 		var names []string
-		for _, f := range sh.facts {
+		for _, f := range shardFacts(sh) {
 			names = append(append(names, f.Value), f.Ancestors...)
 		}
 		if len(sh.valueNo) != len(names) {
@@ -269,7 +270,8 @@ func checkWriter(t testing.TB, where string, s *Sharded) []byte {
 // checkDecoder holds the store the decoder assembles from file to the one
 // NewSharded builds from its facts on as many shards: the same string table
 // and name table, and every shard deeply equal — postings tables, offsets,
-// arenas and ids, attrNo, classNo, valueNo, valueID, runs, runOf, rank.
+// arenas and ids, attrNo, classNo, valueNo, first, valueID, conf, sources,
+// anc, runs, runOf, rank.
 func checkDecoder(t testing.TB, where string, file []byte) *Sharded {
 	t.Helper()
 	got, err := ReadBinarySnapshot(bytes.NewReader(file))
@@ -288,7 +290,8 @@ func checkDecoder(t testing.TB, where string, file []byte) *Sharded {
 			continue
 		}
 		for field, pair := range map[string][2]any{
-			"facts": {sh.facts, want.facts}, "runs": {sh.runs, want.runs},
+			"first": {sh.first, want.first}, "conf": {sh.conf, want.conf}, "sources": {sh.sources, want.sources},
+			"anc": {sh.anc, want.anc}, "runs": {sh.runs, want.runs},
 			"runOf": {sh.runOf, want.runOf}, "rank": {sh.rank, want.rank}, "byAttr": {sh.byAttr, want.byAttr},
 			"attrNo": {sh.attrNo, want.attrNo}, "byClass": {sh.byClass, want.byClass}, "classNo": {sh.classNo, want.classNo}, "byValue": {sh.byValue, want.byValue},
 			"valueNo": {sh.valueNo, want.valueNo}, "valueID": {sh.valueID, want.valueID},

@@ -96,7 +96,7 @@ func pipelineRuns(t *testing.T, each func(label string, res *core.Result)) {
 }
 
 func sortFacts(fs []Fact) {
-	sort.Slice(fs, func(i, j int) bool { return factLess(&fs[i], &fs[j]) })
+	sort.Slice(fs, func(i, j int) bool { return compareKeys(&fs[i], &fs[j]) < 0 })
 }
 
 // TestResultFactsMatchReference: read off by position, the facts are the

@@ -2,14 +2,14 @@ package store
 
 import "slices"
 
-// shard is one partition of the store: its facts and the indexes over
-// them. Nothing is written after assemble returns.
+// shard is one partition of the store: its facts, as columns, and the
+// indexes over them. A fact is a position: the facts are in canonical order
+// without duplicate keys, so every entity's facts are contiguous and ordered
+// by attribute, and every per-fact column is indexed by position. No column
+// holds a Fact, and none of them per fact holds a pointer: a Fact is made
+// from them (fact, facts) only when it leaves the store. Nothing is written
+// after assemble returns.
 type shard struct {
-	// facts is in canonical order without duplicate keys, so every
-	// entity's facts are contiguous and ordered by attribute. Never nil:
-	// Facts hands out a one-shard store's own array.
-	facts []Fact
-
 	runs  []span  // every entity's run, in fact order
 	runOf []int32 // fact position → its entity's number in runs
 	// rank is run number → its entity's ID in the store's sorted string table.
@@ -26,16 +26,69 @@ type shard struct {
 	// valueNo is byValue's list number of every value posting, in fact order:
 	// a fact's value, then its ancestors, then the next fact's.
 	valueNo []int32
+	// first is fact position → the fact's first posting in valueNo, its
+	// value's, and one entry more for the end: fact i's ancestors are
+	// valueNo[first[i]+1:first[i+1]].
+	first []int32
 	// valueID is fact position → its value's ID in the store's string table:
 	// what a read by number (Cursor.IDs, Run.Where) binds and compares.
 	valueID []uint32
-	// names is the store's string table: a Run finds a pattern's attribute
-	// in it.
+	conf    []float64 // fact position → its confidence
+	sources []int     // fact position → its source count
+	// anc is every ancestor posting's name, in valueNo's order without the
+	// values: fact i's ancestors are anc[first[i]-i:first[i+1]-i-1], so
+	// Fact.Ancestors is a window of it, not an allocation.
+	anc []string
+	// names is the store's string table: every ID of a column is a string of
+	// it, and a Run finds a pattern's attribute in it.
 	names *nameTable
 }
 
-// span is the half-open range [lo, hi) of positions in shard.facts.
+// span is the half-open range [lo, hi) of a shard's fact positions.
 type span struct{ lo, hi int32 }
+
+// len is the number of facts.
+func (s *shard) len() int { return len(s.conf) }
+
+// entity is the name of the entity of the fact at i.
+func (s *shard) entity(i int32) string { return s.names.strs[s.rank[s.runOf[i]]] }
+
+// fact makes the fact at i.
+func (s *shard) fact(i int32) Fact {
+	var f Fact
+	s.fill(&f, i, s.entity(i), s.names.strs[s.byClass.ids[s.classNo[i]]])
+	return f
+}
+
+// facts fills out with the facts from position lo on. An entity's name is
+// read once a run and a class's where it changes, not once a fact.
+func (s *shard) facts(out []Fact, lo int32) {
+	strs := s.names.strs
+	run, class := int32(-1), int32(-1)
+	var entityName, className string
+	for j := range out {
+		i := lo + int32(j)
+		if r := s.runOf[i]; r != run {
+			run, entityName = r, strs[s.rank[r]]
+		}
+		if c := s.classNo[i]; c != class {
+			class, className = c, strs[s.byClass.ids[c]]
+		}
+		s.fill(&out[j], i, entityName, className)
+	}
+}
+
+// fill makes f the fact at i, whose entity and class are named entity and
+// class. Its strings are the table's and its ancestors a window of anc: the
+// caller must not write through them. A fact with no ancestors has nil.
+func (s *shard) fill(f *Fact, i int32, entity, class string) {
+	strs := s.names.strs
+	*f = Fact{Entity: entity, Class: class, Attr: strs[s.byAttr.ids[s.attrNo[i]]], Value: strs[s.valueID[i]],
+		Confidence: s.conf[i], Sources: s.sources[i]}
+	if lo, hi := s.first[i]-i, s.first[i+1]-i-1; lo < hi {
+		f.Ancestors = s.anc[lo:hi:hi]
+	}
+}
 
 // postings is one inverted index: key → ascending fact positions. Every
 // list is a window of one shared arena. Lists are numbered in the order their
@@ -160,16 +213,17 @@ func (b *postingsBuilder) postings() postings {
 	return postings{off: off, arena: arena, ids: b.ids, slot: slot}
 }
 
-// feed is one shard on its way to the index builder: canonical facts, their
-// entities' runs with each run's entity ID, and the three builders fed the
-// facts in order — every fact's attribute; its class unless empty; its
-// value, then its ancestors. build fills one from the facts' names, the
-// snapshot decoder from the file's IDs.
+// feed is one shard on its way to the index builder: its entities' runs with
+// each run's entity ID, the per-fact columns — value ID, confidence, source
+// count — and the three builders fed the facts in order: every fact's
+// attribute; its class; its value, then its ancestors. build fills one from
+// the facts' names, the snapshot decoder from the file's IDs.
 type feed struct {
-	facts                  []Fact
 	runs                   []span
 	rank                   []uint32
-	valueID                []uint32 // every fact's value ID, in fact order
+	valueID                []uint32
+	conf                   []float64
+	sources                []int
 	attrs, classes, values postingsBuilder
 }
 
@@ -180,9 +234,10 @@ func scratch(n int) [3][]int32 {
 	return [3][]int32{all[:n:n], all[n : 2*n : 2*n], all[2*n:]}
 }
 
-func newFeed(facts []Fact, no [3][]int32) feed {
-	return feed{facts: facts, valueID: make([]uint32, 0, len(facts)), attrs: newPostingsBuilder(len(facts), no[0]),
-		classes: newPostingsBuilder(len(facts), no[1]), values: newPostingsBuilder(len(facts), no[2])}
+// newFeed makes the feed of n facts with room for that many value postings.
+func newFeed(n, values int, no [3][]int32) feed {
+	return feed{valueID: make([]uint32, n), conf: make([]float64, n), sources: make([]int, n),
+		attrs: newPostingsBuilder(n, no[0]), classes: newPostingsBuilder(n, no[1]), values: newPostingsBuilder(values, no[2])}
 }
 
 // forget hands the feed's scratch columns back clean, for the next shard's.
@@ -193,16 +248,26 @@ func (fd *feed) forget() {
 }
 
 // build indexes facts that are already canonical — sorted, no duplicate
-// keys — and takes ownership of the slice: it finds the runs, feeds the
-// builders every key's ID in names, then assembles. NewSharded reaches it
-// after copy, sort, dedup and numbering; the snapshot decoder, which verifies
-// the order instead of re-establishing it and reads runs, ranks and IDs off
-// the file, fills its own feed.
+// keys — into the columns: it finds the runs, copies the confidences and
+// source counts, feeds the builders every key's ID in names, then
+// assembles; the facts are not kept. It panics with servable's error on a
+// fact that is not. NewSharded reaches it after copy, sort, dedup and
+// numbering; the snapshot decoder, which verifies the order instead of
+// re-establishing it and reads runs, ranks and IDs off the file, fills its
+// own feed.
 func build(facts []Fact, names *nameTable) *shard {
-	fd := newFeed(facts, scratch(len(names.strs)))
+	values := len(facts)
+	for i := range facts {
+		values += len(facts[i].Ancestors)
+	}
+	fd := newFeed(len(facts), values, scratch(len(names.strs)))
 	var class uint32
 	for i := range facts {
 		f, pos := &facts[i], int32(i)
+		if err := servable(f); err != nil {
+			panic(err)
+		}
+		fd.conf[i], fd.sources[i] = f.Confidence, f.Sources
 		if i == 0 || f.Entity != facts[i-1].Entity {
 			fd.runs = append(fd.runs, span{pos, pos})
 			fd.rank = append(fd.rank, names.id(f.Entity))
@@ -215,9 +280,8 @@ func build(facts []Fact, names *nameTable) *shard {
 			class = names.id(f.Class)
 		}
 		fd.classes.addID(class, pos)
-		value := names.id(f.Value)
-		fd.valueID = append(fd.valueID, value)
-		fd.values.addID(value, pos)
+		fd.valueID[i] = names.id(f.Value)
+		fd.values.addID(fd.valueID[i], pos)
 		for _, anc := range f.Ancestors {
 			fd.values.addID(names.id(anc), pos)
 		}
@@ -228,22 +292,35 @@ func build(facts []Fact, names *nameTable) *shard {
 // assemble is the one index builder: a feed becomes a shard of the store
 // whose string table is names.
 func (fd *feed) assemble(names *nameTable) *shard {
-	facts := fd.facts
-	if facts == nil {
-		facts = []Fact{}
-	}
-	s := &shard{facts: facts, runs: fd.runs, runOf: make([]int32, len(facts)), rank: fd.rank, valueID: fd.valueID, names: names}
+	n := len(fd.conf)
+	s := &shard{runs: fd.runs, runOf: make([]int32, n), rank: fd.rank, valueID: fd.valueID,
+		conf: fd.conf, sources: fd.sources, names: names}
 	for i, run := range fd.runs {
 		for pos := run.lo; pos < run.hi; pos++ {
 			s.runOf[pos] = int32(i)
 		}
 	}
+	// Every fact posts its value before its ancestors, so its first value
+	// posting is where its position first appears.
+	pos := fd.values.pos
+	s.first = make([]int32, n+1)
+	for j := len(pos) - 1; j >= 0; j-- {
+		s.first[pos[j]] = int32(j)
+	}
+	s.first[n] = int32(len(pos))
 	s.byAttr, s.byClass, s.byValue = fd.attrs.postings(), fd.classes.postings(), fd.values.postings()
 	// Every fact posts its attribute and its class once, in fact order: the
 	// builders' list numbers per posting are the attribute- and class-number
 	// columns. The values builder's is the value-number column, one entry a
 	// posting.
 	s.attrNo, s.classNo, s.valueNo = fd.attrs.key, fd.classes.key, fd.values.key
+	s.anc = make([]string, len(s.valueNo)-n)
+	for i, k := 0, 0; i < n; i++ {
+		for _, no := range s.valueNo[s.first[i]+1 : s.first[i+1]] {
+			s.anc[k] = names.strs[s.byValue.ids[no]]
+			k++
+		}
+	}
 	return s
 }
 
@@ -279,22 +356,22 @@ func (s *shard) attrRun(run span, attr uint32) span {
 }
 
 // shardCursor is how one shard reads one pattern. A pattern that names an
-// entity, or nothing at all, reads a contiguous run of the fact array
-// (cand is nil, [pos, end) are positions in sh.facts). Any other walks one
+// entity, or nothing at all, reads a contiguous run of fact positions
+// (cand is nil, [pos, end) are fact positions). Any other walks one
 // postings list (cand, and [pos, end) index it): the shortest of the lists
 // of the fields the pattern sets, class before attribute before value on a
 // tie. Every list is in ascending position order, so which one is walked
 // changes the cost of a read and never its output. What of the pattern that
 // choice does not already guarantee is checked fact by fact, by number: an
 // attribute and a class by their list numbers (attrNo, classNo), a value by
-// its ID (valueID) — only a value matched through the hierarchy that is not
-// the fact's own is looked for by name among its ancestors. The zero value is
-// the empty stream.
+// its ID (valueID), and a value matched through the hierarchy that is not
+// the fact's own by the IDs of its ancestors' lists (valueNo): no name is
+// compared. The zero value is the empty stream.
 type shardCursor struct {
 	sh       *shard
 	cand     []int32
 	pos, end int32
-	at       int32 // position in sh.facts of the fact next last returned
+	at       int32 // position of the fact next last stepped to
 	// attr and class are the list number + 1 a match's attribute and class
 	// must have: 0 is any, -1 none (the shard lists no such key).
 	attr, class int32
@@ -367,7 +444,7 @@ func (s *shard) cursor(q Pattern, k patternIDs) shardCursor {
 	}
 	switch walked {
 	case 0:
-		c.end = int32(len(s.facts))
+		c.end = int32(s.len())
 		return c
 	case 1:
 		c.class = 0
@@ -401,23 +478,15 @@ func (s *shard) runCursor(run span, q Pattern, k patternIDs) shardCursor {
 // filtering.
 func (c *shardCursor) size() int { return int(c.end - c.pos) }
 
-// isRun reports whether what is left of the cursor is one run of the fact
-// array with nothing to check: run() is the answer.
+// isRun reports whether what is left of the cursor is one run of fact
+// positions, [pos, end), with nothing to check: every one of them matches.
 func (c *shardCursor) isRun() bool {
 	return c.cand == nil && c.attr == 0 && c.class == 0 && c.mode == anyValue
 }
 
-// run is the window of the fact array an isRun cursor has left.
-func (c *shardCursor) run() []Fact {
-	if c.sh == nil {
-		return nil
-	}
-	return c.sh.facts[c.pos:c.end]
-}
-
-// next returns the next matching fact in place — a pointer into the
-// shard's immutable fact array — or nil when the stream is exhausted.
-func (c *shardCursor) next() *Fact {
+// next steps to the next matching fact, at, and reports whether there was
+// one.
+func (c *shardCursor) next() bool {
 	for c.pos < c.end {
 		i := c.pos
 		if c.cand != nil {
@@ -430,15 +499,22 @@ func (c *shardCursor) next() *Fact {
 			continue
 		}
 		c.at = i
-		return &sh.facts[i]
+		return true
 	}
-	return nil
+	return false
 }
 
 // specialises reports whether the cursor's value is one of the ancestors of
-// the fact at i: a name the store lacks is nobody's.
+// the fact at i: the key of one of the lists its ancestor postings are in. No
+// list is keyed by NoID, so a name the store lacks is nobody's.
 func (c *shardCursor) specialises(i int32) bool {
-	return c.value != NoID && slices.Contains(c.sh.facts[i].Ancestors, c.sh.names.strs[c.value])
+	sh := c.sh
+	for _, no := range sh.valueNo[sh.first[i]+1 : sh.first[i+1]] {
+		if sh.byValue.ids[no] == c.value {
+			return true
+		}
+	}
+	return false
 }
 
 // count drains the cursor and returns how many matches it had left.
@@ -449,7 +525,7 @@ func (c *shardCursor) count() int {
 		return n
 	}
 	n := 0
-	for c.next() != nil {
+	for c.next() {
 		n++
 	}
 	return n

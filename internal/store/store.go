@@ -21,14 +21,16 @@
 //
 // Inside a shard the facts are kept sorted in the canonical (entity,
 // attribute, value, class) order, and that order is the first index: an
-// entity's facts are one contiguous run of the array and an attribute's
-// facts one run inside it, so by-entity and by-(entity, attribute) reads
-// are a binary search of the runs' entity IDs, a scan of the run's attribute
-// numbers and a copy. Integer columns beside the array — each fact's
-// attribute and class numbers and value ID, each run's entity ID — let that
-// scan, a read's per-fact checks and the merge of the shards' streams compare
-// integers where the order is one of strings, and let a reader that joins on
-// numbers (Cursor.IDs, Names) read a fact without its strings.
+// entity's facts are one contiguous run of fact positions and an attribute's
+// facts one run inside it, so by-entity and by-(entity, attribute) reads are
+// a binary search of the runs' entity IDs and a scan of the run's attribute
+// numbers. A shard holds no Fact: it is its columns — each run's entity ID,
+// each fact's attribute and class numbers, value ID, confidence, source count
+// and window of value postings — and a Fact is made from them only when it
+// leaves the store (Cursor.Fact, Lookup). A scan, a read's per-fact checks
+// and the merge of the shards' streams compare integers where the order is
+// one of strings, and a reader that joins on numbers (Cursor.IDs, Names)
+// reads a fact without its strings.
 // Three inverted indexes — by attribute, by class and by value — cover the
 // patterns that name no entity; each keeps all its postings lists in one
 // array. The
@@ -50,8 +52,12 @@
 package store
 
 import (
+	"cmp"
+	"fmt"
+	"math"
 	"slices"
 	"sort"
+	"strings"
 
 	"akb/internal/core"
 	"akb/internal/extract"
@@ -155,14 +161,19 @@ type Sharded struct {
 // New builds a one-shard store over the facts. The input is copied, sorted
 // into the canonical (entity, attr, value, class) order and deduplicated,
 // so every read — indexed or scanned — returns facts in the same
-// deterministic order.
+// deterministic order. Of facts that share a key, the one compareFacts
+// puts first is kept. A NaN or infinite confidence, or a negative source
+// count, cannot be served or written: New panics with an error that names
+// the fact.
 func New(facts []Fact) *Sharded { return NewSharded(facts, 1) }
 
 // NewSharded partitions a copy of facts by entity hash into n shards
 // (DefaultShards when n <= 0), numbers the strings of them all and indexes
 // each shard independently by those numbers. Deduplication is global even
 // though each shard dedups locally: facts with the same identity key share an
-// entity and therefore a shard.
+// entity and therefore a shard, and which of them is kept is a function of
+// the facts alone (compareFacts), not of the layout. It refuses what New
+// refuses, the same way.
 func NewSharded(facts []Fact, n int) *Sharded {
 	if n <= 0 {
 		n = DefaultShards
@@ -197,15 +208,17 @@ func NewSharded(facts []Fact, n int) *Sharded {
 	names := newNameTable(sortedUnion(seen))
 	shards := make([]*shard, n)
 	mapreduce.ForEach(mapreduce.Config{}, n, func(i int) {
-		shards[i] = build(parts[i], names)
+		shards[i], parts[i] = build(parts[i], names), nil
 	})
 	return newSharded(shards, names)
 }
 
 // canonical sorts fs in place into canonical order and drops facts that
-// repeat an identity key; the first (highest-sorted) wins.
+// repeat an identity key; the first in compareFacts' order wins. The order
+// is total, so the survivor does not depend on how the sort moved the facts,
+// nor on which of them shared a part.
 func canonical(fs []Fact) []Fact {
-	sort.Slice(fs, func(i, j int) bool { return factLess(&fs[i], &fs[j]) })
+	sort.Slice(fs, func(i, j int) bool { return compareFacts(&fs[i], &fs[j]) < 0 })
 	return slices.CompactFunc(fs, sameFactKey)
 }
 
@@ -216,7 +229,7 @@ func newSharded(shards []*shard, names *nameTable) *Sharded {
 	s := &Sharded{shards: shards, names: names}
 	var classes []uint32
 	for _, sh := range shards {
-		s.nFacts += len(sh.facts)
+		s.nFacts += sh.len()
 		s.nEntity += len(sh.runs)
 		classes = append(classes, sh.byClass.ids...)
 	}
@@ -332,35 +345,71 @@ func (s *Sharded) EntityCount() int { return s.nEntity }
 // returned slice must not be modified.
 func (s *Sharded) Classes() []string { return s.classes }
 
-// Facts returns every fact in canonical order, never nil. The returned
-// slice must not be modified: a one-shard store hands out its own array
-// (more shards merge into a fresh one, so this is for re-sharding, Scan
-// and tests, not the serving path).
+// Facts returns every fact in canonical order, in a fresh slice, never nil;
+// the facts' Ancestors are windows of the store's, which the caller must not
+// write through. It is for re-sharding, Scan and tests, not the serving
+// path: every fact is made from the columns.
 func (s *Sharded) Facts() []Fact {
-	if len(s.shards) == 1 {
-		return s.shards[0].facts
-	}
 	out := make([]Fact, 0, s.nFacts)
+	if len(s.shards) == 1 {
+		out = out[:s.nFacts]
+		s.shards[0].facts(out, 0)
+		return out
+	}
 	c := s.Select(Pattern{})
-	for f := c.Next(); f != nil; f = c.Next() {
-		out = append(out, *f)
+	for c.Next() {
+		out = append(out, c.Fact())
 	}
 	return out
 }
 
-func factLess(a, b *Fact) bool {
-	if a.Entity != b.Entity {
-		return a.Entity < b.Entity
+// compareKeys orders facts canonically: by entity, attribute, value, class.
+func compareKeys(a, b *Fact) int {
+	if c := strings.Compare(a.Entity, b.Entity); c != 0 {
+		return c
 	}
-	if a.Attr != b.Attr {
-		return a.Attr < b.Attr
+	if c := strings.Compare(a.Attr, b.Attr); c != 0 {
+		return c
 	}
-	if a.Value != b.Value {
-		return a.Value < b.Value
+	if c := strings.Compare(a.Value, b.Value); c != 0 {
+		return c
 	}
-	return a.Class < b.Class
+	return strings.Compare(a.Class, b.Class)
+}
+
+// compareFacts extends the canonical order to a total one: of two facts with
+// one identity key, the higher confidence comes first, then the more
+// sources, then the ancestors that compare lower element by element. The
+// confidences' bits break a tie of −0 and +0 last.
+func compareFacts(a, b *Fact) int {
+	if c := compareKeys(a, b); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(b.Confidence, a.Confidence); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(b.Sources, a.Sources); c != 0 {
+		return c
+	}
+	if c := slices.Compare(a.Ancestors, b.Ancestors); c != 0 {
+		return c
+	}
+	return cmp.Compare(math.Float64bits(a.Confidence), math.Float64bits(b.Confidence))
 }
 
 func sameFactKey(a, b Fact) bool {
 	return a.Entity == b.Entity && a.Attr == b.Attr && a.Value == b.Value && a.Class == b.Class
+}
+
+// servable refuses a fact no reader could be handed: a NaN or infinite
+// confidence has no JSON spelling and no place in a snapshot, and a source
+// count counts.
+func servable(f *Fact) error {
+	if math.IsNaN(f.Confidence) || math.IsInf(f.Confidence, 0) {
+		return fmt.Errorf("store: fact %+v has the non-finite confidence %v", *f, f.Confidence)
+	}
+	if f.Sources < 0 {
+		return fmt.Errorf("store: fact %+v has the negative source count %d", *f, f.Sources)
+	}
+	return nil
 }

@@ -3,8 +3,10 @@ package store
 import (
 	"context"
 	"fmt"
+	"math"
 	"reflect"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -98,8 +100,41 @@ func TestNewDeduplicatesAndSorts(t *testing.T) {
 	}
 	facts := s.Facts()
 	for i := 1; i < len(facts); i++ {
-		if factLess(&facts[i], &facts[i-1]) {
+		if compareKeys(&facts[i], &facts[i-1]) <= 0 {
 			t.Fatalf("facts out of order at %d: %+v before %+v", i, facts[i-1], facts[i])
+		}
+	}
+}
+
+// TestNewRefusesUnservableFacts: a NaN or infinite confidence, or a
+// negative source count, is refused where the store is built — by New and
+// by NewSharded on any number of shards — with a panic that names the fact,
+// not first by the snapshot writer or by the JSON encoder of a response.
+func TestNewRefusesUnservableFacts(t *testing.T) {
+	for _, bad := range []struct {
+		fact Fact
+		why  string
+	}{
+		{Fact{Entity: "Casablanca", Attr: "a", Value: "v", Confidence: math.NaN()}, "non-finite confidence NaN"},
+		{Fact{Entity: "Casablanca", Attr: "a", Value: "v", Confidence: math.Inf(1)}, "non-finite confidence +Inf"},
+		{Fact{Entity: "Casablanca", Attr: "a", Value: "v", Confidence: math.Inf(-1)}, "non-finite confidence -Inf"},
+		{Fact{Entity: "Casablanca", Attr: "a", Value: "v", Sources: -1}, "negative source count -1"},
+	} {
+		for _, shards := range []int{0, 1, 3, 8} {
+			func() {
+				defer func() {
+					msg := fmt.Sprint(recover())
+					if !strings.Contains(msg, bad.why) || !strings.Contains(msg, "Casablanca") {
+						t.Errorf("%d shards, %+v: panic %q, want one naming the fact and %q", shards, bad.fact, msg, bad.why)
+					}
+				}()
+				facts := append(testFacts(), bad.fact)
+				if shards == 0 {
+					New(facts)
+				} else {
+					NewSharded(facts, shards)
+				}
+			}()
 		}
 	}
 }
