@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"akb/internal/core"
@@ -61,19 +62,23 @@ func digestOf(res *core.Result) kbDigest {
 // output change is intended.
 func TestGoldenKBDigest(t *testing.T) {
 	configs := []struct {
-		name string
-		opts []core.Option
+		name  string
+		opts  []core.Option
+		seeds []int64 // nil runs every seed
 	}{
-		{"default@1", nil},
-		{"default@2", []core.Option{core.WithScale(2)}},
-		{"all-stages@2", append([]core.Option{core.WithScale(2)}, allStages...)},
+		{"default@1", nil, nil},
+		{"default@2", []core.Option{core.WithScale(2)}, nil},
+		{"all-stages@2", append([]core.Option{core.WithScale(2)}, allStages...), nil},
 		// Scale 4 is the benchmark's datalog build; entity names that are
 		// prefixes of one another ("Film 1" / "Film 12") only get dense here.
-		{"default@4", []core.Option{core.WithScale(4)}},
+		{"default@4", []core.Option{core.WithScale(4)}, nil},
+		// The one build where entity discovery's link distance shows: at
+		// scale 2 every seed gives the same bytes at distance 0 and 1.
+		{"all-stages@4", append([]core.Option{core.WithScale(4)}, allStages...), []int64{1}},
 	}
 	seeds := []int64{1, 7, 42}
 	if testing.Short() && !*update {
-		// One seed and no scale-4 builds: 9 runs instead of 36.
+		// One seed and no scale-4 builds: 9 runs instead of 39.
 		seeds = seeds[:1]
 		configs = configs[:3]
 	}
@@ -91,6 +96,9 @@ func TestGoldenKBDigest(t *testing.T) {
 
 	for _, seed := range seeds {
 		for _, cfg := range configs {
+			if cfg.seeds != nil && !slices.Contains(cfg.seeds, seed) {
+				continue
+			}
 			key := fmt.Sprintf("seed=%d/%s", seed, cfg.name)
 			for _, par := range []int{1, 2, 4} {
 				opts := append([]core.Option{core.WithSeed(seed)}, cfg.opts...)
