@@ -24,7 +24,7 @@ func main() {
 		DBpedia:  kb.KBGenConfig{Seed: 8, Coverage: 0.6, ErrorRate: 0.02},
 		Freebase: kb.KBGenConfig{Seed: 9, Coverage: 0.8, ErrorRate: 0.02},
 		Stream: querystream.GenConfig{
-			Seed: 10, TotalRecords: 8000, Threshold: 5,
+			Seed: 10, TotalRecords: 8000,
 			Plans: []querystream.ClassPlan{
 				{Class: "Book", Relevant: 400, Credible: 12, NoncrediblePool: 10},
 				{Class: "Film", Relevant: 600, Credible: 8, NoncrediblePool: 12},

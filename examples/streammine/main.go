@@ -38,7 +38,7 @@ func main() {
 		stream.Len(), google.Len(), aol.Len())
 
 	idx := extract.NewEntityIndexFromWorld(w)
-	res := qsx.Extract(context.Background(), stream, idx, qsx.DefaultConfig(), confidence.Default())
+	res := qsx.Extract(context.Background(), stream, idx, confidence.Default())
 
 	rows := make([][]string, 0, 5)
 	for _, r := range res.Table3() {

@@ -17,32 +17,22 @@ import (
 	"akb/internal/rdf"
 )
 
-// Config tunes the alignment heuristics.
-type Config struct {
-	// MinValueAgreement is the fraction of shared entities on which two
+// The alignment heuristics' thresholds.
+const (
+	// minValueAgreement is the fraction of shared entities on which two
 	// attribute names must carry equal values to be merged as synonyms
 	// (used for names whose token signatures differ).
-	MinValueAgreement float64
-	// MinSharedEntities is the number of entities two names must share
+	minValueAgreement = 0.8
+	// minSharedEntities is the number of entities two names must share
 	// before value agreement is meaningful.
-	MinSharedEntities int
-	// MisspellMaxDistance is the maximum edit distance for a low-support
+	minSharedEntities = 3
+	// misspellMaxDistance is the maximum edit distance for a low-support
 	// value to be folded into a high-support one.
-	MisspellMaxDistance int
-	// MisspellSupportRatio is how many times better supported the target
+	misspellMaxDistance = 2
+	// misspellSupportRatio is how many times better supported the target
 	// value must be.
-	MisspellSupportRatio float64
-}
-
-// DefaultConfig returns the standard configuration.
-func DefaultConfig() Config {
-	return Config{
-		MinValueAgreement:    0.8,
-		MinSharedEntities:    3,
-		MisspellMaxDistance:  2,
-		MisspellSupportRatio: 2,
-	}
-}
+	misspellSupportRatio = 2
+)
 
 // Report summarises what alignment changed.
 type Report struct {
@@ -81,21 +71,15 @@ func tokenSignature(attr string) string {
 // The returned map sends every non-canonical variant to the canonical name
 // (the variant with the most supporting statements, ties to the shorter
 // then lexicographically smaller name).
-func DetectSynonyms(stmts []rdf.Statement, cfg Config) map[string]string {
-	syn, _, _ := detectSynonyms(stmts, cfg, extract.Names{})
+func DetectSynonyms(stmts []rdf.Statement) map[string]string {
+	syn, _, _ := detectSynonyms(stmts, extract.Names{})
 	return syn
 }
 
 // detectSynonyms is DetectSynonyms recovering names through the caller's n.
 // It also returns the attribute names, numbered in order of first sight
 // (the numbering changes no cluster), and each statement's attribute.
-func detectSynonyms(stmts []rdf.Statement, cfg Config, n extract.Names) (syn map[string]string, names []string, of []int) {
-	if cfg.MinValueAgreement <= 0 {
-		cfg.MinValueAgreement = 0.8
-	}
-	if cfg.MinSharedEntities <= 0 {
-		cfg.MinSharedEntities = 3
-	}
+func detectSynonyms(stmts []rdf.Statement, n extract.Names) (syn map[string]string, names []string, of []int) {
 	of = make([]int, len(stmts))
 	number := map[string]int{}
 	var support []int
@@ -194,8 +178,8 @@ func detectSynonyms(stmts []rdf.Statement, cfg Config, n extract.Names) (syn map
 			}
 		}
 		for _, b := range met {
-			if shared[b] >= cfg.MinSharedEntities &&
-				float64(agree[b])/float64(shared[b]) >= cfg.MinValueAgreement {
+			if shared[b] >= minSharedEntities &&
+				float64(agree[b])/float64(shared[b]) >= minValueAgreement {
 				union(a, b)
 			}
 			shared[b], agree[b] = 0, 0
@@ -289,19 +273,13 @@ func DetectSubAttributes(attrs []string) map[string]string {
 // CorrectMisspellings folds, within each (entity, attribute) item,
 // low-support values lying within a small edit distance of a much better
 // supported value. It returns rewritten statements and the fold count.
-func CorrectMisspellings(stmts []rdf.Statement, cfg Config) ([]rdf.Statement, int) {
+func CorrectMisspellings(stmts []rdf.Statement) ([]rdf.Statement, int) {
 	out := slices.Clone(stmts)
-	return out, foldMisspellings(out, cfg)
+	return out, foldMisspellings(out)
 }
 
 // foldMisspellings is CorrectMisspellings rewriting stmts in place.
-func foldMisspellings(stmts []rdf.Statement, cfg Config) int {
-	if cfg.MisspellMaxDistance <= 0 {
-		cfg.MisspellMaxDistance = 2
-	}
-	if cfg.MisspellSupportRatio <= 0 {
-		cfg.MisspellSupportRatio = 2
-	}
+func foldMisspellings(stmts []rdf.Statement) int {
 	// Number the items by their (subject, predicate) terms and each item's
 	// distinct values on first sight. An item's values are a short list
 	// threaded through one slice.
@@ -348,8 +326,8 @@ func foldMisspellings(stmts []rdf.Statement, cfg Config) int {
 			best := int32(-1)
 			for high := f; high >= 0; high = values[high].next {
 				h := values[high]
-				if high == low || float64(h.support) < float64(values[low].support)*cfg.MisspellSupportRatio ||
-					!extract.WithinDistance(values[low].text, h.text, cfg.MisspellMaxDistance) {
+				if high == low || float64(h.support) < float64(values[low].support)*misspellSupportRatio ||
+					!extract.WithinDistance(values[low].text, h.text, misspellMaxDistance) {
 					continue
 				}
 				if best < 0 || h.support > values[best].support || (h.support == values[best].support && h.text < values[best].text) {
@@ -374,9 +352,9 @@ func foldMisspellings(stmts []rdf.Statement, cfg Config) int {
 // statements, returning the rewritten statements and a report. Sub-attribute
 // relations are detected and reported but values are left in place (a
 // sub-attribute is a distinct, more specific attribute, not a duplicate).
-func Normalize(stmts []rdf.Statement, cfg Config) ([]rdf.Statement, Report) {
+func Normalize(stmts []rdf.Statement) ([]rdf.Statement, Report) {
 	n := extract.Names{}
-	syn, names, of := detectSynonyms(stmts, cfg, n)
+	syn, names, of := detectSynonyms(stmts, n)
 	rep := Report{Synonyms: syn}
 	// A variant's statements take its canonical name's IRI; the output's
 	// attributes are the names the statements then carry (duplicates are
@@ -396,7 +374,7 @@ func Normalize(stmts []rdf.Statement, cfg Config) ([]rdf.Statement, Report) {
 			stmts[i].Predicate = iri[a]
 		}
 	}
-	rep.CorrectedValues = foldMisspellings(stmts, cfg)
+	rep.CorrectedValues = foldMisspellings(stmts)
 	rep.SubAttributes = DetectSubAttributes(attrs)
 	return stmts, rep
 }

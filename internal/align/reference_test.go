@@ -15,7 +15,7 @@ import (
 // refDetectSynonyms is the all-pairs form DetectSynonyms replaced, kept as
 // its reference: every pair of attribute names is tested against every
 // entity of the smaller one through nested string maps.
-func refDetectSynonyms(stmts []rdf.Statement, cfg Config) map[string]string {
+func refDetectSynonyms(stmts []rdf.Statement) map[string]string {
 	support := map[string]int{}
 	values := map[string]map[string]string{} // attr -> entity -> first value
 	for _, s := range stmts {
@@ -84,8 +84,8 @@ func refDetectSynonyms(stmts []rdf.Statement, cfg Config) map[string]string {
 					}
 				}
 			}
-			if shared >= cfg.MinSharedEntities &&
-				float64(agree)/float64(shared) >= cfg.MinValueAgreement {
+			if shared >= minSharedEntities &&
+				float64(agree)/float64(shared) >= minValueAgreement {
 				union(a, b)
 			}
 		}
@@ -160,13 +160,7 @@ func refDetectSubAttributes(attrs []string) map[string]string {
 // refCorrectMisspellings is the form CorrectMisspellings replaced: items and
 // their values keyed by ItemKey strings, a map of values per item, and the
 // full edit-distance table per candidate pair.
-func refCorrectMisspellings(stmts []rdf.Statement, cfg Config) ([]rdf.Statement, int) {
-	if cfg.MisspellMaxDistance <= 0 {
-		cfg.MisspellMaxDistance = 2
-	}
-	if cfg.MisspellSupportRatio <= 0 {
-		cfg.MisspellSupportRatio = 2
-	}
+func refCorrectMisspellings(stmts []rdf.Statement) ([]rdf.Statement, int) {
 	type itemVal struct {
 		item  string
 		value string
@@ -197,10 +191,10 @@ func refCorrectMisspellings(stmts []rdf.Statement, cfg Config) ([]rdf.Statement,
 			bestN := 0
 			for _, high := range names {
 				highN := vals[high]
-				if high == low || float64(highN) < float64(lowN)*cfg.MisspellSupportRatio {
+				if high == low || float64(highN) < float64(lowN)*misspellSupportRatio {
 					continue
 				}
-				if refEditDistance(low, high) > cfg.MisspellMaxDistance {
+				if refEditDistance(low, high) > misspellMaxDistance {
 					continue
 				}
 				if highN > bestN || (highN == bestN && high < best) {
@@ -252,8 +246,8 @@ func refEditDistance(a, b string) int {
 // refNormalize is Normalize as it was, over the reference forms: names
 // recovered from IRIs afresh each time, a copy of the statements for the
 // synonym rewrite and another for the misspelling fold.
-func refNormalize(stmts []rdf.Statement, cfg Config) ([]rdf.Statement, Report) {
-	rep := Report{Synonyms: refDetectSynonyms(stmts, cfg)}
+func refNormalize(stmts []rdf.Statement) ([]rdf.Statement, Report) {
+	rep := Report{Synonyms: refDetectSynonyms(stmts)}
 	if len(rep.Synonyms) > 0 {
 		rewritten := make([]rdf.Statement, len(stmts))
 		for i, s := range stmts {
@@ -264,7 +258,7 @@ func refNormalize(stmts []rdf.Statement, cfg Config) ([]rdf.Statement, Report) {
 		}
 		stmts = rewritten
 	}
-	stmts, rep.CorrectedValues = refCorrectMisspellings(stmts, cfg)
+	stmts, rep.CorrectedValues = refCorrectMisspellings(stmts)
 	attrSet := map[string]bool{}
 	for _, s := range stmts {
 		attrSet[extract.AttrFromIRI(s.Predicate)] = true
@@ -279,7 +273,7 @@ func refNormalize(stmts []rdf.Statement, cfg Config) ([]rdf.Statement, Report) {
 
 // genMisspelt builds items whose values are typos of one another at mixed
 // supports: mostly-digit values a digit apart, support ties between two
-// targets, counts on either side of and exactly at MisspellSupportRatio,
+// targets, counts on either side of and exactly at misspellSupportRatio,
 // multi-byte and empty values, and one spelling as a literal and an IRI.
 func genMisspelt(r *rand.Rand) []rdf.Statement {
 	values := []string{"Michael Curtiz", "Michael Curtis", "Michael Curtiss", "Micheal Curtiz", "1942", "1943", "19a2",
@@ -306,23 +300,15 @@ func genMisspelt(r *rand.Rand) []rdf.Statement {
 
 func TestCorrectMisspellingsMatchesReference(t *testing.T) {
 	r := rand.New(rand.NewSource(12))
-	cfgs := []Config{
-		DefaultConfig(),
-		{MisspellMaxDistance: 1, MisspellSupportRatio: 1.5},
-		{MisspellMaxDistance: 3, MisspellSupportRatio: 3},
-		{MisspellMaxDistance: 2, MisspellSupportRatio: 1},
-	}
 	folds := 0
 	for round := 0; round < 300; round++ {
 		stmts := genMisspelt(r)
-		for _, cfg := range cfgs {
-			got, gotN := CorrectMisspellings(stmts, cfg)
-			want, wantN := refCorrectMisspellings(stmts, cfg)
-			if gotN != wantN || !reflect.DeepEqual(got, want) {
-				t.Fatalf("round %d cfg %+v: %d folds, want %d\n got  %v\n want %v", round, cfg, gotN, wantN, got, want)
-			}
-			folds += gotN
+		got, gotN := CorrectMisspellings(stmts)
+		want, wantN := refCorrectMisspellings(stmts)
+		if gotN != wantN || !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d: %d folds, want %d\n got  %v\n want %v", round, gotN, wantN, got, want)
 		}
+		folds += gotN
 	}
 	if folds == 0 {
 		t.Fatal("the generator never produced a fold")
@@ -333,8 +319,8 @@ func TestNormalizeMatchesReference(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
 	for round := 0; round < 300; round++ {
 		stmts := append(genStatements(r, 2+r.Intn(10), 1+r.Intn(8)), genMisspelt(r)...)
-		got, gotRep := Normalize(stmts, DefaultConfig())
-		want, wantRep := refNormalize(stmts, DefaultConfig())
+		got, gotRep := Normalize(stmts)
+		want, wantRep := refNormalize(stmts)
 		if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(gotRep, wantRep) {
 			t.Fatalf("round %d:\n got  %+v\n want %+v", round, gotRep, wantRep)
 		}
@@ -388,21 +374,14 @@ func genStatements(r *rand.Rand, nAttrs, nEntities int) []rdf.Statement {
 
 func TestDetectSynonymsMatchesReference(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
-	cfgs := []Config{
-		DefaultConfig(),
-		{MinValueAgreement: 0.5, MinSharedEntities: 1},
-		{MinValueAgreement: 1, MinSharedEntities: 2},
-	}
 	for round := 0; round < 300; round++ {
 		stmts := genStatements(r, 2+r.Intn(14), 1+r.Intn(12))
-		for _, cfg := range cfgs {
-			got, want := DetectSynonyms(stmts, cfg), refDetectSynonyms(stmts, cfg)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("round %d cfg %+v:\n got  %v\n want %v", round, cfg, got, want)
-			}
+		got, want := DetectSynonyms(stmts), refDetectSynonyms(stmts)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d:\n got  %v\n want %v", round, got, want)
 		}
 	}
-	if got := DetectSynonyms(nil, DefaultConfig()); len(got) != 0 {
+	if got := DetectSynonyms(nil); len(got) != 0 {
 		t.Errorf("no statements: synonyms = %v", got)
 	}
 }
@@ -450,6 +429,6 @@ func BenchmarkAlignNormalize(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Normalize(stmts, DefaultConfig())
+		Normalize(stmts)
 	}
 }

@@ -102,20 +102,22 @@ func WithParallelism(n int) Option {
 }
 
 // WithAlignment enables pre-fusion normalisation (synonym merging,
-// misspelling correction, sub-attribute identification) with the default
-// tuning.
+// misspelling correction, sub-attribute identification) at align's fixed
+// thresholds.
 func WithAlignment() Option {
 	return func(c *Config) { c.Align = true }
 }
 
-// WithEntityDiscovery enables joint entity linking and discovery with the
-// default tuning.
+// WithEntityDiscovery enables joint entity linking and discovery at
+// entitydisc's fixed thresholds: a mention links to a known entity within
+// one edit, unknown mentions merge within two, and two facts make an
+// entity.
 func WithEntityDiscovery() Option {
 	return func(c *Config) { c.DiscoverEntities = true }
 }
 
-// WithListPages enables multi-record list-page generation and extraction
-// with the default tuning.
+// WithListPages enables multi-record list-page generation
+// (webgen.DefaultListConfig) and extraction.
 func WithListPages() Option {
 	return func(c *Config) { c.ListPages = true }
 }

@@ -30,6 +30,8 @@ func TestOptionsApplyInOrder(t *testing.T) {
 	base.Granularity = fusion.ByExtractor
 	base.StageTimeout = 3 * time.Second
 	base.Retry = resilience.RetryPolicy{MaxAttempts: 2}
+	plan := &resilience.FaultPlan{}
+	var hooked []string
 	p := New(
 		WithConfig(base),
 		WithSeed(9),
@@ -38,8 +40,16 @@ func TestOptionsApplyInOrder(t *testing.T) {
 		WithEntityDiscovery(),
 		WithListPages(),
 		WithTemporal(),
+		WithFaults(plan),
+		WithStageHook(func(stage string) { hooked = append(hooked, stage) }),
 	)
 	cfg := p.Config()
+	if cfg.Faults != plan {
+		t.Errorf("Faults = %p, want %p", cfg.Faults, plan)
+	}
+	if cfg.StageHook("x"); !reflect.DeepEqual(hooked, []string{"x"}) {
+		t.Errorf("StageHook saw %q, want [x]", hooked)
+	}
 	if cfg.Seed != 9 || cfg.World.Seed != 9 {
 		t.Errorf("WithSeed: Seed=%d World.Seed=%d, want 9/9", cfg.Seed, cfg.World.Seed)
 	}

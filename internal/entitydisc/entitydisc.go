@@ -4,12 +4,14 @@
 // entity-discovery jointly". It consumes candidate entity facts from the
 // DOM-tree and Web-text extractors' discovery modes and:
 //
-//  1. links: a candidate whose name is (a near-duplicate of) a known
-//     entity is resolved to that entity instead of becoming a new one;
-//  2. merges: synonym mentions of the same unknown entity (exact or
-//     near-duplicate names) are clustered, fixing the redundancy problem
-//     the paper attributes to lexical-level Open IE;
-//  3. creates: clusters with enough independent support become new
+//  1. links: a candidate whose name is a known entity's, within
+//     linkDistance (one) edits of one, or a word-boundary prefix or suffix
+//     of one is resolved to that entity instead of becoming a new one;
+//  2. merges: synonym mentions of the same unknown entity (names within
+//     mergeDistance (two) edits, or one extending the other by a token)
+//     are clustered, fixing the redundancy problem the paper attributes to
+//     lexical-level Open IE;
+//  3. creates: clusters of at least minSupport (two) facts become new
 //     entities carrying their aggregated attribute values.
 package entitydisc
 
@@ -24,25 +26,18 @@ import (
 	"akb/internal/rdf"
 )
 
-// Config tunes discovery.
-type Config struct {
-	// MinSupport is the number of facts a candidate needs to become an
-	// entity (default 2).
-	MinSupport int
-	// MinSources is the number of distinct sources required (default 1).
-	MinSources int
-	// LinkDistance is the maximum edit distance for linking a mention to a
-	// known entity (default 1).
-	LinkDistance int
-	// MergeDistance is the maximum edit distance for merging two unknown
-	// mentions (default 2).
-	MergeDistance int
-}
-
-// DefaultConfig returns the standard configuration.
-func DefaultConfig() Config {
-	return Config{MinSupport: 2, MinSources: 1, LinkDistance: 1, MergeDistance: 2}
-}
+// The discovery thresholds.
+const (
+	// minSupport is the number of facts a cluster needs to become an
+	// entity; one source is enough.
+	minSupport = 2
+	// linkDistance is the maximum edit distance for linking a mention to a
+	// known entity.
+	linkDistance = 1
+	// mergeDistance is the maximum edit distance for merging two unknown
+	// mentions.
+	mergeDistance = 2
+)
 
 // Entity is one discovered entity with aggregated evidence.
 type Entity struct {
@@ -96,24 +91,12 @@ func (r *Result) Statements(conf float64) []rdf.Statement {
 }
 
 // Discover clusters candidate facts into linked, merged and new entities.
-func Discover(facts []extract.EntityFact, idx *extract.EntityIndex, cfg Config) *Result {
-	if cfg.MinSupport <= 0 {
-		cfg.MinSupport = 2
-	}
-	if cfg.MinSources <= 0 {
-		cfg.MinSources = 1
-	}
-	if cfg.LinkDistance < 0 {
-		cfg.LinkDistance = 1
-	}
-	if cfg.MergeDistance <= 0 {
-		cfg.MergeDistance = 2
-	}
+func Discover(facts []extract.EntityFact, idx *extract.EntityIndex) *Result {
 	res := &Result{Linked: map[string]string{}}
 
 	// Phase 1: entity linking — resolve near-duplicates of known names.
 	// Facts repeat their mentions, so each distinct name is resolved once.
-	l := newLinker(idx, cfg.LinkDistance)
+	l := newLinker(idx)
 	unknown := map[string]bool{}
 	var unknownFacts []extract.EntityFact
 	for _, f := range facts {
@@ -159,7 +142,7 @@ func Discover(facts []extract.EntityFact, idx *extract.EntityIndex, cfg Config) 
 	}
 	for i := range names {
 		for j := i + 1; j < len(names); j++ {
-			if nearDuplicate(names[i], names[j], cfg.MergeDistance) {
+			if nearDuplicate(names[i], names[j]) {
 				parent[find(j)] = find(i)
 			}
 		}
@@ -207,7 +190,7 @@ func Discover(facts []extract.EntityFact, idx *extract.EntityIndex, cfg Config) 
 		a := aggs[r]
 		slices.Sort(a.sources)
 		a.sources = slices.Compact(a.sources)
-		if a.support < cfg.MinSupport || len(a.sources) < cfg.MinSources {
+		if a.support < minSupport {
 			res.Rejected++
 			continue
 		}
@@ -236,8 +219,8 @@ func Discover(facts []extract.EntityFact, idx *extract.EntityIndex, cfg Config) 
 }
 
 // linker resolves a mention to itself if it is a known name, and otherwise
-// to the first known name, in sorted order, that is within the edit-distance
-// budget of it or carries it as a word-boundary prefix or suffix: a partial
+// to the first known name, in sorted order, that is within linkDistance
+// edits of it or carries it as a word-boundary prefix or suffix: a partial
 // mention of four bytes or more, like "Enel 24" for "University of Enel 24",
 // also links.
 type linker struct {
@@ -245,12 +228,11 @@ type linker struct {
 	known   []string       // the known names in sorted order, then "" for no match
 	byRunes [][]int        // rune count -> positions in known with that count, ascending
 	affix   map[string]int // word-boundary prefix or suffix of four bytes or more -> first position carrying it
-	maxDist int
 }
 
-func newLinker(idx *extract.EntityIndex, maxDist int) *linker {
+func newLinker(idx *extract.EntityIndex) *linker {
 	known := idx.Names()
-	l := &linker{idx: idx, known: append(known, ""), affix: map[string]int{}, maxDist: maxDist}
+	l := &linker{idx: idx, known: append(known, ""), affix: map[string]int{}}
 	for i, k := range known {
 		n := utf8.RuneCountInString(k)
 		for len(l.byRunes) <= n {
@@ -271,7 +253,7 @@ func newLinker(idx *extract.EntityIndex, maxDist int) *linker {
 }
 
 // link returns the known name the mention resolves to, or "". Only names
-// whose rune count is within the budget of the mention's are measured, and
+// whose rune count is within linkDistance of the mention's are measured, and
 // only those before the best position found so far.
 func (l *linker) link(name string) string {
 	if _, ok := l.idx.Class(name); ok {
@@ -282,9 +264,9 @@ func (l *linker) link(name string) string {
 		best = len(l.known) - 1
 	}
 	n := utf8.RuneCountInString(name)
-	for c := max(n-l.maxDist, 0); c < len(l.byRunes) && c-n <= l.maxDist; c++ {
+	for c := max(n-linkDistance, 0); c < len(l.byRunes) && c-n <= linkDistance; c++ {
 		for _, i := range l.byRunes[c] {
-			if i < best && extract.WithinDistance(name, l.known[i], l.maxDist) {
+			if i < best && extract.WithinDistance(name, l.known[i], linkDistance) {
 				best = i
 			}
 		}
@@ -293,9 +275,9 @@ func (l *linker) link(name string) string {
 }
 
 // nearDuplicate reports whether two unknown mentions are surface variants:
-// small edit distance, or one extends the other by a single token.
-func nearDuplicate(a, b string, maxDist int) bool {
-	return extract.WithinDistance(a, b, maxDist) || extendsByOneToken(a, b) || extendsByOneToken(b, a)
+// within mergeDistance edits, or one extends the other by a single token.
+func nearDuplicate(a, b string) bool {
+	return extract.WithinDistance(a, b, mergeDistance) || extendsByOneToken(a, b) || extendsByOneToken(b, a)
 }
 
 // extendsByOneToken is strings.HasPrefix(long, short+" ") with long one

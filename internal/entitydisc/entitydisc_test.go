@@ -1,6 +1,7 @@
 package entitydisc
 
 import (
+	"strings"
 	"testing"
 
 	"akb/internal/extract"
@@ -25,7 +26,7 @@ func TestDiscoverCreatesEntities(t *testing.T) {
 		fact("Zanzibar Nights", "Film", "director", "Leo Fontaine", "site-b"),
 		fact("Lonely Mention", "Film", "director", "X", "site-a"), // support 1
 	}
-	res := Discover(facts, idx, DefaultConfig())
+	res := Discover(facts, idx)
 	if len(res.Entities) != 1 {
 		t.Fatalf("entities = %d, want 1 (%+v)", len(res.Entities), res.Entities)
 	}
@@ -47,17 +48,21 @@ func TestDiscoverCreatesEntities(t *testing.T) {
 func TestDiscoverLinksNearDuplicatesOfKnown(t *testing.T) {
 	w, idx := worldIndex(t)
 	known := w.EntityNames("Film")[0]
-	// A one-character typo of a known entity must LINK, not create.
-	typo := known[:len(known)-1] + "x"
+	// A typo within linkDistance of a known entity must LINK, not create;
+	// one edit more is a new entity.
+	typo := known[:len(known)-linkDistance] + strings.Repeat("x", linkDistance)
+	far := known[:len(known)-linkDistance-1] + strings.Repeat("x", linkDistance+1)
 	facts := []extract.EntityFact{
 		fact(typo, "Film", "director", "A", "s1"),
 		fact(typo, "Film", "director", "A", "s2"),
+		fact(far, "Film", "director", "A", "s1"),
+		fact(far, "Film", "director", "A", "s2"),
 	}
-	res := Discover(facts, idx, DefaultConfig())
-	if len(res.Entities) != 0 {
-		t.Fatalf("typo of known entity created new entity: %+v", res.Entities)
+	res := Discover(facts, idx)
+	if len(res.Entities) != 1 || res.Entities[0].Name != far {
+		t.Fatalf("entities = %+v, want only %q", res.Entities, far)
 	}
-	if res.Linked[typo] != known {
+	if len(res.Linked) != 1 || res.Linked[typo] != known {
 		t.Errorf("linked = %v, want %q -> %q", res.Linked, typo, known)
 	}
 }
@@ -70,7 +75,7 @@ func TestDiscoverMergesSynonymMentions(t *testing.T) {
 		fact("Zanzibar Night", "Film", "director", "Leo", "s2"),    // typo variant
 		fact("Zanzibar Nights 2", "Film", "director", "Leo", "s3"), // qualifier variant
 	}
-	res := Discover(facts, idx, DefaultConfig())
+	res := Discover(facts, idx)
 	if len(res.Entities) != 1 {
 		t.Fatalf("entities = %d, want 1 merged cluster: %+v", len(res.Entities), res.Entities)
 	}
@@ -86,17 +91,20 @@ func TestDiscoverMergesSynonymMentions(t *testing.T) {
 	}
 }
 
-func TestDiscoverMinSources(t *testing.T) {
+func TestDiscoverMinSupport(t *testing.T) {
 	_, idx := worldIndex(t)
-	facts := []extract.EntityFact{
-		fact("Solo Source Show", "Film", "director", "A", "only-site"),
-		fact("Solo Source Show", "Film", "genre", "B", "only-site"),
+	// minSupport facts make an entity, all from one source; one fewer is
+	// rejected.
+	var facts []extract.EntityFact
+	for i := 0; i < minSupport; i++ {
+		facts = append(facts, fact("Solo Source Show", "Film", "director", "A", "only-site"))
 	}
-	cfg := DefaultConfig()
-	cfg.MinSources = 2
-	res := Discover(facts, idx, cfg)
-	if len(res.Entities) != 0 || res.Rejected != 1 {
-		t.Errorf("single-source candidate survived MinSources=2: %+v", res)
+	for i := 0; i < minSupport-1; i++ {
+		facts = append(facts, fact("Lonely Mention", "Film", "director", "A", "only-site"))
+	}
+	res := Discover(facts, idx)
+	if len(res.Entities) != 1 || res.Entities[0].Name != "Solo Source Show" || res.Rejected != 1 {
+		t.Errorf("entities = %+v, rejected = %d; want Solo Source Show alone and 1", res.Entities, res.Rejected)
 	}
 }
 
@@ -106,7 +114,7 @@ func TestResultStatements(t *testing.T) {
 		fact("Zanzibar Nights", "Film", "director", "Leo", "s1"),
 		fact("Zanzibar Nights", "Film", "director", "Leo", "s2"),
 	}
-	res := Discover(facts, idx, DefaultConfig())
+	res := Discover(facts, idx)
 	stmts := res.Statements(0.6)
 	if len(stmts) != 2 { // one value x two sources
 		t.Fatalf("statements = %d, want 2", len(stmts))
@@ -157,7 +165,7 @@ func TestDiscoverClassIsAFunctionOfTheFacts(t *testing.T) {
 		fact("Zanzibar Nights", "", "director", "Leo", "s5"),
 	}
 	for range 50 {
-		if got := Discover(facts, idx, DefaultConfig()).Entities[0].Class; got != "" {
+		if got := Discover(facts, idx).Entities[0].Class; got != "" {
 			t.Fatalf("class = %q, want the empty one (2 facts, tied with Film, smaller)", got)
 		}
 	}
@@ -171,10 +179,12 @@ func TestNearDuplicate(t *testing.T) {
 		{"Zanzibar Nights", "Zanzibar Night", true},
 		{"Zanzibar Nights", "Zanzibar Nights 2", true},
 		{"Zanzibar Nights", "Completely Different", false},
-		{"A B", "A B C D", false}, // two extra tokens: not a variant
+		{"A B", "A B C D", false},                    // two extra tokens: not a variant
+		{"Zanzibar Nights", "Zanzibor Night", true},  // mergeDistance edits
+		{"Zanzibar Nights", "Zonzibor Night", false}, // one more
 	}
 	for _, c := range cases {
-		if got := nearDuplicate(c.a, c.b, 2); got != c.want {
+		if got := nearDuplicate(c.a, c.b); got != c.want {
 			t.Errorf("nearDuplicate(%q, %q) = %v, want %v", c.a, c.b, got, c.want)
 		}
 	}

@@ -16,19 +16,7 @@ import (
 // fact is linked on its own, against every known name in turn, through
 // concatenated affixes and a distance check that converts both names to
 // runes.
-func refDiscover(facts []extract.EntityFact, idx *extract.EntityIndex, cfg Config) *Result {
-	if cfg.MinSupport <= 0 {
-		cfg.MinSupport = 2
-	}
-	if cfg.MinSources <= 0 {
-		cfg.MinSources = 1
-	}
-	if cfg.LinkDistance < 0 {
-		cfg.LinkDistance = 1
-	}
-	if cfg.MergeDistance <= 0 {
-		cfg.MergeDistance = 2
-	}
+func refDiscover(facts []extract.EntityFact, idx *extract.EntityIndex) *Result {
 	res := &Result{Linked: map[string]string{}}
 	known := idx.Names()
 	var unknownFacts []extract.EntityFact
@@ -41,7 +29,7 @@ func refDiscover(facts []extract.EntityFact, idx *extract.EntityIndex, cfg Confi
 			res.Linked[name] = name
 			continue
 		}
-		if target := refLinkToKnown(name, known, cfg.LinkDistance); target != "" {
+		if target := refLinkToKnown(name, known, linkDistance); target != "" {
 			res.Linked[name] = target
 			continue
 		}
@@ -73,7 +61,7 @@ func refDiscover(facts []extract.EntityFact, idx *extract.EntityIndex, cfg Confi
 	for i, a := range names {
 		for j := i + 1; j < len(names); j++ {
 			b := names[j]
-			if refNearDuplicate(a, b, cfg.MergeDistance) {
+			if refNearDuplicate(a, b, mergeDistance) {
 				ra, rb := find(a), find(b)
 				if ra != rb {
 					parent[rb] = ra
@@ -143,7 +131,7 @@ func refDiscover(facts []extract.EntityFact, idx *extract.EntityIndex, cfg Confi
 	sort.Strings(keys)
 	for _, name := range keys {
 		a := byEntity[name]
-		if a.support < cfg.MinSupport || len(a.sources) < cfg.MinSources {
+		if a.support < minSupport {
 			res.Rejected++
 			continue
 		}
@@ -268,26 +256,16 @@ func indexOf(names []string) *extract.EntityIndex {
 	return extract.NewEntityIndex(&kb.SourceKB{CoveredEntities: map[string][]string{"Film": names}})
 }
 
-// referenceConfigs are the configurations Discover is held to its reference
-// under: the default, linking by exact name and affix only, and two sources
-// required of a new entity.
-func referenceConfigs() []Config {
-	exact, twoSources := DefaultConfig(), DefaultConfig()
-	exact.LinkDistance = 0
-	twoSources.MinSources = 2
-	return []Config{DefaultConfig(), exact, twoSources}
-}
-
 // checkDiscover fails t unless Discover and its statements are the
 // reference's, deeply equal.
-func checkDiscover(t *testing.T, facts []extract.EntityFact, idx *extract.EntityIndex, cfg Config) {
+func checkDiscover(t *testing.T, facts []extract.EntityFact, idx *extract.EntityIndex) {
 	t.Helper()
-	got, want := Discover(facts, idx, cfg), refDiscover(facts, idx, cfg)
+	got, want := Discover(facts, idx), refDiscover(facts, idx)
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("cfg %+v, %d facts over %q:\n got  %+v\n want %+v", cfg, len(facts), idx.Names(), got, want)
+		t.Fatalf("%d facts over %q:\n got  %+v\n want %+v", len(facts), idx.Names(), got, want)
 	}
 	if g, w := got.Statements(0.6), refStatements(want, 0.6); !reflect.DeepEqual(g, w) {
-		t.Fatalf("cfg %+v: Statements\n got  %v\n want %v", cfg, g, w)
+		t.Fatalf("Statements\n got  %v\n want %v", g, w)
 	}
 }
 
@@ -355,7 +333,7 @@ func genNames(r *rand.Rand, n int) []string {
 
 // TestDiscoverMatchesReference holds Discover and Result.Statements to the
 // forms they replaced on generated mentions of known and new names, repeated
-// across sources, under every reference configuration.
+// across sources.
 func TestDiscoverMatchesReference(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	// No empty class: the reference picks among classes in map order
@@ -378,9 +356,7 @@ func TestDiscoverMatchesReference(t *testing.T) {
 				Doc:    "d",
 			}
 		}
-		for _, cfg := range referenceConfigs() {
-			checkDiscover(t, facts, idx, cfg)
-		}
+		checkDiscover(t, facts, idx)
 	}
 }
 
@@ -389,10 +365,10 @@ func TestDiscoverMatchesReference(t *testing.T) {
 // names, each further one a fact's name with its class, attribute, value
 // and source taken round-robin from small sets.
 func FuzzDiscoverMatchesReference(f *testing.F) {
-	f.Add([]byte("Jean-Luc Picard\x00University of Enel 24\x00Jean–Luc Picard\x00Enel 24\x00 Enel 24 \x00Zanzibar Nights\x00Zanzibar Night\x00Zanzibar Nights 2"), uint8(2), uint8(0))
-	f.Add([]byte("Ab\x00Ab Cd\x00Ab\x00Cd\x00Ōsaka\x00Osaka\x00\x00Ab Cd Ef"), uint8(3), uint8(1))
-	f.Add([]byte("\x00x\x00xy\x00y"), uint8(1), uint8(2))
-	f.Fuzz(func(t *testing.T, data []byte, nKnown, cfgNo uint8) {
+	f.Add([]byte("Jean-Luc Picard\x00University of Enel 24\x00Jean–Luc Picard\x00Enel 24\x00 Enel 24 \x00Zanzibar Nights\x00Zanzibar Night\x00Zanzibar Nights 2"), uint8(2))
+	f.Add([]byte("Ab\x00Ab Cd\x00Ab\x00Cd\x00Ōsaka\x00Osaka\x00\x00Ab Cd Ef"), uint8(3))
+	f.Add([]byte("\x00x\x00xy\x00y"), uint8(1))
+	f.Fuzz(func(t *testing.T, data []byte, nKnown uint8) {
 		fields := strings.Split(string(data), "\x00")
 		k := min(int(nKnown)%8, len(fields))
 		facts := make([]extract.EntityFact, 0, len(fields)-k)
@@ -405,7 +381,6 @@ func FuzzDiscoverMatchesReference(f *testing.F) {
 				Source: []string{"s0", "s1", "s2"}[i%3],
 			})
 		}
-		cfgs := referenceConfigs()
-		checkDiscover(t, facts, indexOf(fields[:k]), cfgs[int(cfgNo)%len(cfgs)])
+		checkDiscover(t, facts, indexOf(fields[:k]))
 	})
 }

@@ -86,10 +86,10 @@ func Table3(cfg Table3Config) []qsx.Table3Row {
 		}
 	}
 	stream := querystream.Generate(w, querystream.GenConfig{
-		Seed: cfg.Seed + 1, TotalRecords: total, Threshold: 5, Plans: plans,
+		Seed: cfg.Seed + 1, TotalRecords: total, Plans: plans,
 	})
 	idx := extract.NewEntityIndexFromWorld(w)
-	res := qsx.Extract(context.Background(), stream, idx, qsx.DefaultConfig(), confidence.Default())
+	res := qsx.Extract(context.Background(), stream, idx, confidence.Default())
 	return res.Table3()
 }
 

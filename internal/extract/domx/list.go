@@ -63,18 +63,12 @@ type ListResult struct {
 	HeaderAttrs map[string]extract.AttrSet
 }
 
-// ListConfig controls list extraction.
-type ListConfig struct {
-	// MinRecordRows is the repetition threshold for a record region
-	// (default 3).
-	MinRecordRows int
-}
+// minRecordRows is the repetition threshold for a record region: the
+// record rows a table needs below its header.
+const minRecordRows = 3
 
 // ExtractLists mines record regions from list pages.
-func ExtractLists(ctx context.Context, sites []ListSite, idx *extract.EntityIndex, cfg ListConfig, crit *confidence.Criterion) *ListResult {
-	if cfg.MinRecordRows <= 0 {
-		cfg.MinRecordRows = 3
-	}
+func ExtractLists(ctx context.Context, sites []ListSite, idx *extract.EntityIndex, crit *confidence.Criterion) *ListResult {
 	res := &ListResult{HeaderAttrs: map[string]extract.AttrSet{}}
 	claims := extract.NewEvidence()
 	var parser htmldom.Parser // one page's tree at a time
@@ -89,7 +83,7 @@ func ExtractLists(ctx context.Context, sites []ListSite, idx *extract.EntityInde
 			parser.Reset()
 			for _, table := range parser.Parse(p.HTML).Root.FindAll("table") {
 				rows := directRows(table)
-				if len(rows) < cfg.MinRecordRows+1 {
+				if len(rows) < minRecordRows+1 {
 					continue
 				}
 				header, ok := headerLabels(rows[0])
@@ -118,7 +112,7 @@ func ExtractLists(ctx context.Context, sites []ListSite, idx *extract.EntityInde
 						claims.Add(entity, attr, value, site.Host, p.URL)
 					}
 				}
-				if records >= cfg.MinRecordRows {
+				if records >= minRecordRows {
 					res.Regions++
 					res.Records += records
 				}

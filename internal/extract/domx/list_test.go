@@ -33,7 +33,7 @@ func listSetup(t *testing.T) (*kb.World, []ListSite, *extract.EntityIndex) {
 
 func TestExtractListsFindsRecords(t *testing.T) {
 	w, sites, idx := listSetup(t)
-	res := ExtractLists(context.Background(), sites, idx, ListConfig{}, confidence.Default())
+	res := ExtractLists(context.Background(), sites, idx, confidence.Default())
 	if res.Regions == 0 || res.Records == 0 {
 		t.Fatalf("no record regions found: %+v", res)
 	}
@@ -62,7 +62,7 @@ func TestExtractListsFindsRecords(t *testing.T) {
 
 func TestExtractListsHeaderAttrs(t *testing.T) {
 	w, sites, idx := listSetup(t)
-	res := ExtractLists(context.Background(), sites, idx, ListConfig{}, nil)
+	res := ExtractLists(context.Background(), sites, idx, nil)
 	for _, cls := range w.Ontology.ClassNames() {
 		set := res.HeaderAttrs[cls]
 		if set == nil || set.Len() == 0 {
@@ -81,13 +81,23 @@ func TestExtractListsHeaderAttrs(t *testing.T) {
 func TestExtractListsIgnoresSmallTables(t *testing.T) {
 	w := kb.NewWorld(kb.WorldConfig{Seed: 12, EntitiesPerClass: 5, AttrsPerEntity: 8})
 	idx := extract.NewEntityIndexFromWorld(w)
-	e := w.EntityNames("Film")[0]
-	// A two-row table is below the repetition threshold.
-	html := `<table><tr><th>Name</th><th>Director:</th></tr><tr><td>` + e + `</td><td>X</td></tr></table>`
-	sites := []ListSite{{Host: "h", Class: "Film", Pages: []ListPage{{URL: "/l", HTML: html}}}}
-	res := ExtractLists(context.Background(), sites, idx, ListConfig{MinRecordRows: 3}, nil)
-	if res.Regions != 0 {
-		t.Errorf("small table counted as record region")
+	films := w.EntityNames("Film")
+	// A table is a record region once minRecordRows rows follow its header.
+	for _, rows := range []int{minRecordRows - 1, minRecordRows} {
+		html := `<table><tr><th>Name</th><th>Director:</th></tr>`
+		for _, e := range films[:rows] {
+			html += `<tr><td>` + e + `</td><td>X</td></tr>`
+		}
+		html += `</table>`
+		sites := []ListSite{{Host: "h", Class: "Film", Pages: []ListPage{{URL: "/l", HTML: html}}}}
+		res := ExtractLists(context.Background(), sites, idx, nil)
+		want := 0
+		if rows >= minRecordRows {
+			want = 1
+		}
+		if res.Regions != want || res.Records != want*rows {
+			t.Errorf("%d record rows: %d regions, %d records; want %d, %d", rows, res.Regions, res.Records, want, want*rows)
+		}
 	}
 }
 
@@ -101,7 +111,7 @@ func TestExtractListsSkipsHeaderlessTables(t *testing.T) {
 	}
 	b.WriteString("</table>")
 	sites := []ListSite{{Host: "h", Class: "Film", Pages: []ListPage{{URL: "/l", HTML: b.String()}}}}
-	res := ExtractLists(context.Background(), sites, idx, ListConfig{}, nil)
+	res := ExtractLists(context.Background(), sites, idx, nil)
 	if len(res.Statements) != 0 {
 		t.Error("headerless table produced statements")
 	}

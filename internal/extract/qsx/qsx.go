@@ -18,20 +18,11 @@ import (
 	"akb/internal/querystream"
 )
 
-// Config controls query-stream extraction.
-type Config struct {
-	// Threshold is the minimum well-formed mention count for an attribute
-	// to be credible.
-	Threshold int
-	// MinEntities is the minimum number of distinct entities an attribute
-	// must be asked about (guards against single-entity idiosyncrasies).
-	MinEntities int
-	// ExtraFilters extends the built-in meaningless-attribute filter.
-	ExtraFilters []string
-}
-
-// DefaultConfig matches the generator's defaults.
-func DefaultConfig() Config { return Config{Threshold: 5, MinEntities: 2} }
+// minEntities is the number of distinct entities an attribute must be
+// asked about to be credible (guards against single-entity
+// idiosyncrasies). The mention count it needs is
+// querystream.CredibleThreshold.
+const minEntities = 2
 
 // ClassResult is the per-class outcome: the Table 3 row plus evidence.
 type ClassResult struct {
@@ -89,18 +80,7 @@ var meaningless = map[string]bool{
 // Extract scans the stream and produces per-class attribute extractions.
 // Entity recognition uses idx; classes with no recognised entities simply
 // yield empty results.
-func Extract(ctx context.Context, stream *querystream.Stream, idx *extract.EntityIndex, cfg Config, crit *confidence.Criterion) *Result {
-	if cfg.Threshold <= 0 {
-		cfg.Threshold = 5
-	}
-	if cfg.MinEntities <= 0 {
-		cfg.MinEntities = 1
-	}
-	extraFilter := make(map[string]bool, len(cfg.ExtraFilters))
-	for _, f := range cfg.ExtraFilters {
-		extraFilter[extract.NormalizeLabel(f)] = true
-	}
-
+func Extract(ctx context.Context, stream *querystream.Stream, idx *extract.EntityIndex, crit *confidence.Criterion) *Result {
 	res := &Result{PerClass: make(map[string]*ClassResult), TotalRecords: stream.Len()}
 	classResult := func(class string) *ClassResult {
 		cr, ok := res.PerClass[class]
@@ -128,7 +108,7 @@ func Extract(ctx context.Context, stream *querystream.Stream, idx *extract.Entit
 		if norm == "" {
 			continue
 		}
-		if meaningless[norm] || extraFilter[norm] || failsFilterRules(norm) {
+		if meaningless[norm] || failsFilterRules(norm) {
 			cr.Filtered++
 			continue
 		}
@@ -144,7 +124,7 @@ func Extract(ctx context.Context, stream *querystream.Stream, idx *extract.Entit
 	// Credibility thresholding.
 	for _, cr := range res.PerClass {
 		for attr, n := range cr.Support {
-			if n >= cfg.Threshold && len(cr.EntitySupport[attr]) >= cfg.MinEntities {
+			if n >= querystream.CredibleThreshold && len(cr.EntitySupport[attr]) >= minEntities {
 				for i := 0; i < n; i++ {
 					cr.Credible.Add(attr, "querystream")
 				}

@@ -18,7 +18,6 @@ func streamConfig() querystream.GenConfig {
 	return querystream.GenConfig{
 		Seed:         2,
 		TotalRecords: 6000,
-		Threshold:    5,
 		Plans: []querystream.ClassPlan{
 			{Class: "Book", Relevant: 300, Credible: 10, NoncrediblePool: 8},
 			{Class: "Film", Relevant: 400, Credible: 6, NoncrediblePool: 10},
@@ -35,7 +34,7 @@ func runExtraction(t *testing.T) (*kb.World, querystream.GenConfig, *Result) {
 	cfg := streamConfig()
 	stream := querystream.Generate(w, cfg)
 	idx := extract.NewEntityIndexFromWorld(w)
-	res := Extract(context.Background(), stream, idx, DefaultConfig(), confidence.Default())
+	res := Extract(context.Background(), stream, idx, confidence.Default())
 	return w, cfg, res
 }
 
@@ -168,36 +167,30 @@ func TestFailsFilterRules(t *testing.T) {
 func TestMinEntitiesRule(t *testing.T) {
 	w := world()
 	idx := extract.NewEntityIndexFromWorld(w)
-	e := w.EntityNames("Film")[0]
-	// 10 mentions, all for one entity: support passes, entity diversity
-	// fails at MinEntities=2.
-	var recs []querystream.Record
-	for i := 0; i < 10; i++ {
-		recs = append(recs, querystream.Record{Text: "what is the director of " + e, Origin: "google"})
+	films := w.EntityNames("Film")
+	// Each case asks "director" about the first entities named: all of its
+	// mentions about one film, or spread over two.
+	credible := func(mentions, entities int) bool {
+		var recs []querystream.Record
+		for i := 0; i < mentions; i++ {
+			recs = append(recs, querystream.Record{Text: "what is the director of " + films[i%entities], Origin: "google"})
+		}
+		res := Extract(context.Background(), &querystream.Stream{Records: recs}, idx, nil)
+		return res.PerClass["Film"].Credible.Len() == 1
 	}
-	stream := &querystream.Stream{Records: recs}
-	res := Extract(context.Background(), stream, idx, Config{Threshold: 5, MinEntities: 2}, nil)
-	if res.PerClass["Film"].Credible.Len() != 0 {
-		t.Error("single-entity attribute passed MinEntities=2")
+	at := querystream.CredibleThreshold
+	cases := []struct {
+		mentions, entities int
+		want               bool
+	}{
+		{2 * at, minEntities - 1, false}, // support passes, entity diversity fails
+		{2 * at, minEntities, true},
+		{at - 1, minEntities, false}, // one mention short of the threshold
+		{at, minEntities, true},
 	}
-	res = Extract(context.Background(), stream, idx, Config{Threshold: 5, MinEntities: 1}, nil)
-	if res.PerClass["Film"].Credible.Len() != 1 {
-		t.Error("attribute should pass with MinEntities=1")
-	}
-}
-
-func TestExtraFilters(t *testing.T) {
-	w := world()
-	idx := extract.NewEntityIndexFromWorld(w)
-	e1, e2 := w.EntityNames("Film")[0], w.EntityNames("Film")[1]
-	var recs []querystream.Record
-	for i := 0; i < 5; i++ {
-		recs = append(recs, querystream.Record{Text: "what is the director of " + e1})
-		recs = append(recs, querystream.Record{Text: "what is the director of " + e2})
-	}
-	stream := &querystream.Stream{Records: recs}
-	res := Extract(context.Background(), stream, idx, Config{Threshold: 5, MinEntities: 2, ExtraFilters: []string{"Director"}}, nil)
-	if res.PerClass["Film"].Credible.Len() != 0 {
-		t.Error("extra filter did not apply")
+	for _, c := range cases {
+		if got := credible(c.mentions, c.entities); got != c.want {
+			t.Errorf("%d mentions over %d entities: credible = %v, want %v", c.mentions, c.entities, got, c.want)
+		}
 	}
 }

@@ -43,13 +43,15 @@ var glueWords = map[string]bool{
 	"'s": true, ".": true, ",": true,
 }
 
+// minPatternSupport is the number of independent seed sentences a template
+// needs before it is trusted for application.
+const minPatternSupport = 2
+
+// maxSlotTokens bounds how many tokens a slot may capture.
+const maxSlotTokens = 6
+
 // Config controls text extraction.
 type Config struct {
-	// MinPatternSupport is the number of independent seed sentences a
-	// template needs before it is trusted for application.
-	MinPatternSupport int
-	// MaxSlotTokens bounds how many tokens a slot may capture.
-	MaxSlotTokens int
 	// DiscoverEntities also records candidate new entities: well-formed
 	// matches whose ⟨E⟩ binding is capitalised but unknown to the index.
 	DiscoverEntities bool
@@ -59,11 +61,6 @@ type Config struct {
 	// mapreduce executor; match events are replayed in document order, so
 	// output is byte-identical at any worker count. <= 1 runs serially.
 	Workers int
-}
-
-// DefaultConfig returns the standard configuration.
-func DefaultConfig() Config {
-	return Config{MinPatternSupport: 2, MaxSlotTokens: 6}
 }
 
 // ClassResult is the per-class outcome.
@@ -119,12 +116,6 @@ type matchEvent struct {
 // Extract learns patterns from seed-bearing sentences and applies them over
 // the corpus.
 func Extract(ctx context.Context, docs []*webgen.Document, idx *extract.EntityIndex, seeds map[string]extract.AttrSet, cfg Config, crit *confidence.Criterion) *Result {
-	if cfg.MinPatternSupport <= 0 {
-		cfg.MinPatternSupport = 2
-	}
-	if cfg.MaxSlotTokens <= 0 {
-		cfg.MaxSlotTokens = 6
-	}
 	res := &Result{PerClass: make(map[string]*ClassResult), NewEntities: make(map[string]int)}
 	for class, s := range seeds {
 		res.PerClass[class] = &ClassResult{Class: class, All: s.Clone(), Discovered: extract.NewAttrSet()}
@@ -182,7 +173,7 @@ func Extract(ctx context.Context, docs []*webgen.Document, idx *extract.EntityIn
 	}
 	var templates []template
 	for tmpl, n := range templateSupport {
-		if n >= cfg.MinPatternSupport {
+		if n >= minPatternSupport {
 			templates = append(templates, parseTemplate(tmpl))
 			res.Patterns = append(res.Patterns, tmpl)
 		}
@@ -234,7 +225,6 @@ func matchDoc(w docWork, templates []template, idx *extract.EntityIndex, cfg Con
 	var out []matchEvent
 	var m matcher
 	m.idx = idx
-	m.maxSlot = cfg.MaxSlotTokens
 	m.discover = cfg.DiscoverEntities
 	for _, toks := range w.toks {
 		for _, tmpl := range templates {
@@ -468,7 +458,6 @@ type binding struct {
 // candidate binding actually completes.
 type matcher struct {
 	idx      *extract.EntityIndex
-	maxSlot  int
 	discover bool
 
 	tokens  []string // current template tokens
@@ -480,10 +469,10 @@ type matcher struct {
 }
 
 // match aligns one template against one sentence. Slots capture
-// 1..maxSlot tokens; literals compare case-insensitively. The ⟨E⟩ binding
-// must resolve against the entity index for a full match; otherwise the
-// best-effort raw binding is returned with ok=true and entity=="" only
-// when every other constraint holds.
+// 1..maxSlotTokens tokens; literals compare case-insensitively. The ⟨E⟩
+// binding must resolve against the entity index for a full match;
+// otherwise the best-effort raw binding is returned with ok=true and
+// entity=="" only when every other constraint holds.
 func (m *matcher) match(tmpl template, toks []string) (binding, bool) {
 	m.tokens, m.toks = tmpl.tokens, toks
 	m.e, m.a, m.v = nil, nil, nil
@@ -501,7 +490,7 @@ func (m *matcher) match(tmpl template, toks []string) (binding, bool) {
 // matchTemplate matches one template against one sentence with a fresh
 // matcher; matchDoc reuses a matcher instead.
 func matchTemplate(tmpl template, toks []string, idx *extract.EntityIndex, cfg Config) (binding, bool) {
-	m := matcher{idx: idx, maxSlot: cfg.MaxSlotTokens, discover: cfg.DiscoverEntities}
+	m := matcher{idx: idx, discover: cfg.DiscoverEntities}
 	return m.match(tmpl, toks)
 }
 
@@ -552,7 +541,7 @@ func (m *matcher) rec(ti, si int) bool {
 		default:
 			slot = &m.v
 		}
-		for n := 1; n <= m.maxSlot && si+n <= len(m.toks); n++ {
+		for n := 1; n <= maxSlotTokens && si+n <= len(m.toks); n++ {
 			*slot = m.toks[si : si+n]
 			if m.rec(ti+1, si+n) {
 				return true

@@ -2,6 +2,7 @@ package textx
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -33,7 +34,7 @@ func setup(t *testing.T) (*kb.World, []*webgen.Document, *extract.EntityIndex, m
 
 func TestExtractLearnsPatterns(t *testing.T) {
 	_, docs, idx, seeds := setup(t)
-	res := Extract(context.Background(), docs, idx, seeds, DefaultConfig(), confidence.Default())
+	res := Extract(context.Background(), docs, idx, seeds, Config{}, confidence.Default())
 	if len(res.Patterns) == 0 {
 		t.Fatal("no patterns learned")
 	}
@@ -51,7 +52,7 @@ func TestExtractLearnsPatterns(t *testing.T) {
 
 func TestExtractDiscoversAttributes(t *testing.T) {
 	w, docs, idx, seeds := setup(t)
-	res := Extract(context.Background(), docs, idx, seeds, DefaultConfig(), confidence.Default())
+	res := Extract(context.Background(), docs, idx, seeds, Config{}, confidence.Default())
 	totalDiscovered := 0
 	for _, cls := range w.Ontology.ClassNames() {
 		cr := res.PerClass[cls]
@@ -73,7 +74,7 @@ func TestExtractDiscoversAttributes(t *testing.T) {
 
 func TestExtractStatementsQuality(t *testing.T) {
 	w, docs, idx, seeds := setup(t)
-	res := Extract(context.Background(), docs, idx, seeds, DefaultConfig(), confidence.Default())
+	res := Extract(context.Background(), docs, idx, seeds, Config{}, confidence.Default())
 	if len(res.Statements) == 0 {
 		t.Fatal("no statements")
 	}
@@ -149,7 +150,7 @@ func TestMatchTemplateAttributeContainingOf(t *testing.T) {
 	e := w.EntityNames("Film")[0]
 	tmpl := parseTemplate("the ⟨A⟩ of ⟨E⟩ is ⟨V⟩ .")
 	toks := TokenizeSentence("The country of origin of " + e + " is Fooland.")
-	b, ok := matchTemplate(tmpl, toks, idx, DefaultConfig())
+	b, ok := matchTemplate(tmpl, toks, idx, Config{})
 	if !ok {
 		t.Fatal("no match")
 	}
@@ -169,7 +170,7 @@ func TestMatchTemplateEntityContainingOf(t *testing.T) {
 	uni := w.EntityNames("University")[0]
 	tmpl := parseTemplate("the ⟨A⟩ of ⟨E⟩ is ⟨V⟩ .")
 	toks := TokenizeSentence("The motto of " + uni + " is Excelsior.")
-	b, ok := matchTemplate(tmpl, toks, idx, Config{MaxSlotTokens: 8, MinPatternSupport: 2})
+	b, ok := matchTemplate(tmpl, toks, idx, Config{})
 	if !ok {
 		t.Fatal("no match")
 	}
@@ -178,14 +179,28 @@ func TestMatchTemplateEntityContainingOf(t *testing.T) {
 	}
 }
 
+func TestMaxSlotTokensBoundsASlot(t *testing.T) {
+	w, _, idx, _ := setup(t)
+	e := w.EntityNames("Film")[0]
+	tmpl := parseTemplate("the ⟨A⟩ of ⟨E⟩ is ⟨V⟩ .")
+	value := func(n int) string { return strings.TrimSpace(strings.Repeat("Leo ", n)) }
+	for _, n := range []int{maxSlotTokens, maxSlotTokens + 1} {
+		toks := TokenizeSentence("The director of " + e + " is " + value(n) + ".")
+		b, ok := matchTemplate(tmpl, toks, idx, Config{})
+		if want := n <= maxSlotTokens; ok != want || (ok && b.value != value(n)) {
+			t.Errorf("%d-token value: binding %+v, ok=%v, want ok=%v", n, b, ok, want)
+		}
+	}
+}
+
 func TestMatchTemplateRejectsUnknownEntity(t *testing.T) {
 	_, _, idx, _ := setup(t)
 	tmpl := parseTemplate("the ⟨A⟩ of ⟨E⟩ is ⟨V⟩ .")
 	toks := TokenizeSentence("The capital of Atlantis is Poseidonia.")
-	if _, ok := matchTemplate(tmpl, toks, idx, DefaultConfig()); ok {
+	if _, ok := matchTemplate(tmpl, toks, idx, Config{}); ok {
 		t.Error("unknown entity accepted without DiscoverEntities")
 	}
-	cfg := DefaultConfig()
+	cfg := Config{}
 	cfg.DiscoverEntities = true
 	b, ok := matchTemplate(tmpl, toks, idx, cfg)
 	if !ok || b.entity != "" || b.rawEntity != "Atlantis" {
@@ -201,7 +216,7 @@ func TestDiscoverEntitiesEndToEnd(t *testing.T) {
 		Text: "The composer of Zanzibar Nights is Leo Fontaine. The composer of Zanzibar Nights is Leo Fontaine.",
 	}
 	docs = append(docs, planted)
-	cfg := DefaultConfig()
+	cfg := Config{}
 	cfg.DiscoverEntities = true
 	res := Extract(context.Background(), docs, idx, seeds, cfg, nil)
 	if res.NewEntities["Zanzibar Nights"] < 2 {
@@ -210,13 +225,31 @@ func TestDiscoverEntitiesEndToEnd(t *testing.T) {
 }
 
 func TestMinPatternSupportFiltersRareTemplates(t *testing.T) {
-	_, docs, idx, seeds := setup(t)
-	strict := Extract(context.Background(), docs, idx, seeds, Config{MinPatternSupport: 100000, MaxSlotTokens: 6}, nil)
-	if len(strict.Patterns) != 0 {
-		t.Errorf("impossible support threshold still learned %d patterns", len(strict.Patterns))
+	w, _, idx, seeds := setup(t)
+	e := w.EntityNames("Film")[0]
+	attr := seeds["Film"].Names()[0]
+	// One seed sentence a document, all of one shape: the template is
+	// learned only once minPatternSupport sentences carry it.
+	docsOf := func(n int) []*webgen.Document {
+		var docs []*webgen.Document
+		for i := 0; i < n; i++ {
+			docs = append(docs, &webgen.Document{
+				ID: fmt.Sprintf("d%d", i), Source: fmt.Sprintf("s%d.example.org", i), Class: "Film",
+				Text: "Reportedly the " + attr + " of " + e + " is Leo Fontaine.",
+			})
+		}
+		return docs
 	}
-	if len(strict.Statements) != 0 {
-		t.Error("statements extracted without patterns")
+	under := Extract(context.Background(), docsOf(minPatternSupport-1), idx, seeds, Config{}, nil)
+	if len(under.Patterns) != 0 || len(under.Statements) != 0 {
+		t.Errorf("%d seed sentences: learned %v and %d statements, want none", minPatternSupport-1, under.Patterns, len(under.Statements))
+	}
+	at := Extract(context.Background(), docsOf(minPatternSupport), idx, seeds, Config{}, nil)
+	if want := []string{"reportedly the ⟨A⟩ of ⟨E⟩ is ⟨V⟩ ."}; !reflect.DeepEqual(at.Patterns, want) {
+		t.Errorf("%d seed sentences: learned %q, want %q", minPatternSupport, at.Patterns, want)
+	}
+	if len(at.Statements) == 0 {
+		t.Errorf("%d seed sentences: no statements from the learned template", minPatternSupport)
 	}
 }
 
@@ -243,8 +276,8 @@ func TestContainsWord(t *testing.T) {
 
 func TestExtractDeterministic(t *testing.T) {
 	_, docs, idx, seeds := setup(t)
-	a := Extract(context.Background(), docs, idx, seeds, DefaultConfig(), confidence.Default())
-	b := Extract(context.Background(), docs, idx, seeds, DefaultConfig(), confidence.Default())
+	a := Extract(context.Background(), docs, idx, seeds, Config{}, confidence.Default())
+	b := Extract(context.Background(), docs, idx, seeds, Config{}, confidence.Default())
 	if len(a.Statements) != len(b.Statements) {
 		t.Fatal("statement counts differ")
 	}
@@ -260,7 +293,7 @@ func TestExtractDeterministic(t *testing.T) {
 // pattern order, statements, and discovery output.
 func TestParallelMatchesSerial(t *testing.T) {
 	_, docs, idx, seeds := setup(t)
-	cfg := DefaultConfig()
+	cfg := Config{}
 	cfg.DiscoverEntities = true
 	serial := Extract(context.Background(), docs, idx, seeds, cfg, confidence.Default())
 	for _, workers := range []int{2, 8} {
@@ -296,7 +329,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 // implementation paid (one map plus per-slot slices for every pair).
 func TestMatchDocAllocationBound(t *testing.T) {
 	_, docs, idx, seeds := setup(t)
-	cfg := DefaultConfig()
+	cfg := Config{}
 	res := Extract(context.Background(), docs, idx, seeds, cfg, confidence.Default())
 	if len(res.Patterns) == 0 {
 		t.Fatal("fixture learned no patterns")
@@ -305,8 +338,6 @@ func TestMatchDocAllocationBound(t *testing.T) {
 	for _, p := range res.Patterns {
 		templates = append(templates, parseTemplate(p))
 	}
-	cfg.MinPatternSupport = 2
-	cfg.MaxSlotTokens = 6
 	known := func(string) bool { return true }
 	w := docWork{doc: docs[0], sents: SplitSentences(docs[0].Text)}
 	for _, s := range w.sents {

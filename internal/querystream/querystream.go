@@ -84,18 +84,20 @@ type GenConfig struct {
 	// TotalRecords is the stream size including noise; defaults to 292,839
 	// (the paper's 29,283,918 scaled by 100).
 	TotalRecords int
-	// Threshold is the support count the downstream extractor requires; the
-	// generator plants credible attributes with at least this many
-	// well-formed mentions and non-credible ones with fewer.
-	Threshold int
 	// Plans defaults to DefaultPlans().
 	Plans []ClassPlan
 }
 
 // DefaultGenConfig returns the full-scale (1/100 of the paper) config.
 func DefaultGenConfig() GenConfig {
-	return GenConfig{Seed: 1, TotalRecords: 292839, Threshold: 5, Plans: DefaultPlans()}
+	return GenConfig{Seed: 1, TotalRecords: 292839, Plans: DefaultPlans()}
 }
+
+// CredibleThreshold is the number of well-formed mentions an attribute
+// needs to be credible: the generator plants credible attributes with at
+// least this many and non-credible ones with fewer, and the query-stream
+// extractor (internal/extract/qsx) keeps an attribute at this count.
+const CredibleThreshold = 5
 
 // questionPatterns render an (attribute, entity) mention as a query. These
 // are exactly the surface forms the paper's improved extractor matches:
@@ -129,9 +131,6 @@ func Generate(w *kb.World, cfg GenConfig) *Stream {
 	if cfg.TotalRecords == 0 {
 		cfg.TotalRecords = 292839
 	}
-	if cfg.Threshold == 0 {
-		cfg.Threshold = 5
-	}
 	if cfg.Plans == nil {
 		cfg.Plans = DefaultPlans()
 	}
@@ -139,7 +138,7 @@ func Generate(w *kb.World, cfg GenConfig) *Stream {
 	records := make([]Record, 0, max(cfg.TotalRecords, 0))
 
 	for _, plan := range cfg.Plans {
-		records = append(records, generateClassRecords(w, plan, cfg.Threshold, r)...)
+		records = append(records, generateClassRecords(w, plan, r)...)
 	}
 	noise := cfg.TotalRecords - len(records)
 	classes := w.Ontology.ClassNames()
@@ -153,7 +152,7 @@ func Generate(w *kb.World, cfg GenConfig) *Stream {
 	return &Stream{Records: records}
 }
 
-func generateClassRecords(w *kb.World, plan ClassPlan, threshold int, r *rand.Rand) []Record {
+func generateClassRecords(w *kb.World, plan ClassPlan, r *rand.Rand) []Record {
 	entities := w.EntityNames(plan.Class)
 	if len(entities) == 0 {
 		return nil
@@ -201,14 +200,15 @@ func generateClassRecords(w *kb.World, plan ClassPlan, threshold int, r *rand.Ra
 		pool = kb.AttributeUniverse(plan.Class, poolSize)
 	}
 
-	// Allocate mentions: credible attributes get >= threshold each,
-	// non-credible get 1..threshold-1, and any remaining budget goes to the
-	// credible attributes Zipf-style (head attributes asked most).
+	// Allocate mentions: credible attributes get >= CredibleThreshold
+	// each, non-credible get 1..CredibleThreshold-1, and any remaining
+	// budget goes to the credible attributes Zipf-style (head attributes
+	// asked most).
 	mentions := make([]int, poolSize)
-	reserved := plan.Credible * threshold // floor for credible attributes
+	reserved := plan.Credible * CredibleThreshold // floor for credible attributes
 	spent := 0
 	for i := plan.Credible; i < poolSize && spent < budget-reserved; i++ {
-		m := 1 + (i % (threshold - 1))
+		m := 1 + (i % (CredibleThreshold - 1))
 		if spent+m > budget-reserved {
 			m = budget - reserved - spent
 		}
@@ -216,8 +216,8 @@ func generateClassRecords(w *kb.World, plan ClassPlan, threshold int, r *rand.Ra
 		spent += m
 	}
 	for i := 0; i < plan.Credible; i++ {
-		mentions[i] = threshold
-		spent += threshold
+		mentions[i] = CredibleThreshold
+		spent += CredibleThreshold
 	}
 	if spent > budget {
 		panic(fmt.Sprintf("querystream: plan for %s over budget (%d > %d): raise Relevant or lower Credible",
@@ -241,7 +241,7 @@ func generateClassRecords(w *kb.World, plan ClassPlan, threshold int, r *rand.Ra
 		}
 	}
 	for i := plan.Credible; i < poolSize && left > 0; i++ {
-		add := threshold - 1 - mentions[i]
+		add := CredibleThreshold - 1 - mentions[i]
 		if add > left {
 			add = left
 		}

@@ -15,7 +15,6 @@ func smallConfig() GenConfig {
 	return GenConfig{
 		Seed:         2,
 		TotalRecords: 5000,
-		Threshold:    5,
 		Plans: []ClassPlan{
 			{Class: "Book", Relevant: 300, Credible: 10, NoncrediblePool: 8},
 			{Class: "Film", Relevant: 400, Credible: 6, NoncrediblePool: 10},
@@ -153,7 +152,7 @@ func TestGenerateSupportAllocation(t *testing.T) {
 		meaningless[m] = true
 	}
 	for attr, n := range support {
-		if n >= cfg.Threshold && !meaningless[attr] {
+		if n >= CredibleThreshold && !meaningless[attr] {
 			credible++
 		}
 	}
@@ -181,7 +180,7 @@ func TestHotelPlanYieldsNoCredible(t *testing.T) {
 		meaningless[m] = true
 	}
 	for attr, n := range support {
-		if n >= cfg.Threshold && !meaningless[attr] {
+		if n >= CredibleThreshold && !meaningless[attr] {
 			t.Errorf("Hotel attribute %q has support %d >= threshold", attr, n)
 		}
 	}
