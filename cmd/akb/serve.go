@@ -35,10 +35,11 @@ func cmdServe(args []string) error {
 	fs, seed := newFlagSet("serve")
 	snapPath := fs.String("snapshot", "", "serve this snapshot file instead of running the pipeline")
 	shards := fs.Int("shards", 0, "serving shard count: 0 keeps the snapshot's stored layout (8 for an inline pipeline run), 1 forces one flat store, N re-shards")
-	addr := fs.String("addr", ":8080", "listen address")
-	maxInflight := fs.Int("max-inflight", 64, "maximum concurrent requests before shedding with 429")
-	timeout := fs.Duration("timeout", 5*time.Second, "per-request timeout (503 on expiry)")
-	drain := fs.Duration("drain", 10*time.Second, "graceful shutdown drain window on SIGTERM/SIGINT")
+	cfg := serve.DefaultConfig()
+	fs.StringVar(&cfg.Addr, "addr", cfg.Addr, "listen address")
+	fs.IntVar(&cfg.MaxInFlight, "max-inflight", cfg.MaxInFlight, "maximum concurrent requests before shedding with 429")
+	fs.DurationVar(&cfg.RequestTimeout, "timeout", cfg.RequestTimeout, "per-request timeout (503 on expiry)")
+	fs.DurationVar(&cfg.DrainTimeout, "drain", cfg.DrainTimeout, "graceful shutdown drain window on SIGTERM/SIGINT")
 	chaosFail := fs.Float64("chaos-fail", 0, "per-read probability of an injected store panic (0 disables chaos)")
 	chaosLatency := fs.Duration("chaos-latency", 0, "injected latency on every chaos-faulted store read")
 	chaosSeed := fs.Int64("chaos-seed", 1, "seed for deterministic chaos decisions")
@@ -56,12 +57,6 @@ func cmdServe(args []string) error {
 	if err != nil {
 		return err
 	}
-
-	cfg := serve.DefaultConfig()
-	cfg.Addr = *addr
-	cfg.MaxInFlight = *maxInflight
-	cfg.RequestTimeout = *timeout
-	cfg.DrainTimeout = *drain
 
 	// One telemetry run for the process: request spans (capped so the
 	// trace cannot grow without bound), serve metrics, and — via the
