@@ -275,56 +275,82 @@ func DetectSubAttributes(attrs []string) map[string]string {
 // supported value. It returns rewritten statements and the fold count.
 func CorrectMisspellings(stmts []rdf.Statement) ([]rdf.Statement, int) {
 	out := slices.Clone(stmts)
-	return out, foldMisspellings(out)
+	f := planFolds(out, nil, nil)
+	for i := range out {
+		f.rewrite(&out[i], i)
+	}
+	return out, f.folded
 }
 
-// foldMisspellings is CorrectMisspellings rewriting stmts in place.
-func foldMisspellings(stmts []rdf.Statement) int {
+// folds is a plan of misspelling folds: each statement's value and the
+// value, if any, that it folds into.
+type folds struct {
+	values  []foldValue
+	valueOf []int32 // statement -> its value
+	folded  int     // statements whose value folds
+}
+
+type foldValue struct {
+	text    string
+	support int32
+	next    int32 // the item's next value, or -1
+	to      int32 // the value it folds into, or -1
+}
+
+// rewrite writes statement i's folded value into s, if it has one.
+func (f *folds) rewrite(s *rdf.Statement, i int) {
+	if to := f.values[f.valueOf[i]].to; to >= 0 {
+		s.Object = rdf.Literal(f.values[to].text)
+	}
+}
+
+// planFolds plans the misspelling folds over stmts without writing them.
+// Items are keyed by (subject, predicate), where a statement's predicate is
+// iri[of[i]] when that is set (a synonym rewrite not yet written) and its own
+// otherwise; of may be nil.
+func planFolds(stmts []rdf.Statement, of []int, iri []rdf.Term) folds {
 	// Number the items by their (subject, predicate) terms and each item's
 	// distinct values on first sight. An item's values are a short list
 	// threaded through one slice.
 	type item struct{ subject, predicate rdf.Term }
-	type value struct {
-		text    string
-		support int32
-		next    int32 // the item's next value, or -1
-		to      int32 // the value it folds into, or -1
-	}
 	itemNo := map[item]int{}
 	var first []int32 // item -> its first value
-	values := make([]value, 0, len(stmts))
-	valueOf := make([]int32, len(stmts))
+	f := folds{values: make([]foldValue, 0, len(stmts)), valueOf: make([]int32, len(stmts))}
 	for i, s := range stmts {
-		no, ok := itemNo[item{s.Subject, s.Predicate}]
+		key := item{s.Subject, s.Predicate}
+		if of != nil && iri[of[i]] != (rdf.Term{}) {
+			key.predicate = iri[of[i]]
+		}
+		no, ok := itemNo[key]
 		if !ok {
 			no = len(first)
-			itemNo[item{s.Subject, s.Predicate}] = no
+			itemNo[key] = no
 			first = append(first, -1)
 		}
 		v := first[no]
-		for v >= 0 && values[v].text != s.Object.Value {
-			v = values[v].next
+		for v >= 0 && f.values[v].text != s.Object.Value {
+			v = f.values[v].next
 		}
 		if v < 0 {
-			v = int32(len(values))
-			values = append(values, value{text: s.Object.Value, next: first[no], to: -1})
+			v = int32(len(f.values))
+			f.values = append(f.values, foldValue{text: s.Object.Value, next: first[no], to: -1})
 			first[no] = v
 		}
-		values[v].support++
-		valueOf[i] = v
+		f.values[v].support++
+		f.valueOf[i] = v
 	}
 	// Each value folds into the best-supported one within reach, ties to the
 	// smaller, unless that is empty.
-	folded := 0 // statements whose value folds
-	for _, f := range first {
-		for low := f; low >= 0; low = values[low].next {
+	values := f.values
+	for _, fv := range first {
+		for low := fv; low >= 0; low = values[low].next {
 			// Numeric values a digit apart are genuine conflicts, not
 			// typos; leave them for fusion to resolve.
 			if mostlyDigits(values[low].text) {
 				continue
 			}
 			best := int32(-1)
-			for high := f; high >= 0; high = values[high].next {
+			for high := fv; high >= 0; high = values[high].next {
 				h := values[high]
 				if high == low || float64(h.support) < float64(values[low].support)*misspellSupportRatio ||
 					!extract.WithinDistance(values[low].text, h.text, misspellMaxDistance) {
@@ -336,22 +362,19 @@ func foldMisspellings(stmts []rdf.Statement) int {
 			}
 			if best >= 0 && values[best].text != "" {
 				values[low].to = best
-				folded += int(values[low].support)
+				f.folded += int(values[low].support)
 			}
 		}
 	}
-	for i, v := range valueOf {
-		if to := values[v].to; to >= 0 {
-			stmts[i].Object = rdf.Literal(values[to].text)
-		}
-	}
-	return folded
+	return f
 }
 
 // Normalize applies synonym merging and misspelling correction to the
-// statements, returning the rewritten statements and a report. Sub-attribute
-// relations are detected and reported but values are left in place (a
-// sub-attribute is a distinct, more specific attribute, not a duplicate).
+// statements, rewriting them in place and returning them with a report.
+// Both rewrites are planned before the first write, so a panic leaves stmts
+// as they were. Sub-attribute relations are detected and reported but values
+// are left in place (a sub-attribute is a distinct, more specific attribute,
+// not a duplicate).
 func Normalize(stmts []rdf.Statement) ([]rdf.Statement, Report) {
 	n := extract.Names{}
 	syn, names, of := detectSynonyms(stmts, n)
@@ -367,15 +390,15 @@ func Normalize(stmts []rdf.Statement) ([]rdf.Statement, Report) {
 			attrs[a] = n.Of(iri[a])
 		}
 	}
-	// One copy takes both rewrites.
-	stmts = slices.Clone(stmts)
+	f := planFolds(stmts, of, iri)
+	rep.CorrectedValues = f.folded
+	rep.SubAttributes = DetectSubAttributes(attrs)
 	for i, a := range of {
 		if iri[a] != (rdf.Term{}) {
 			stmts[i].Predicate = iri[a]
 		}
+		f.rewrite(&stmts[i], i)
 	}
-	rep.CorrectedValues = foldMisspellings(stmts)
-	rep.SubAttributes = DetectSubAttributes(attrs)
 	return stmts, rep
 }
 

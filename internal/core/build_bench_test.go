@@ -68,7 +68,7 @@ func BenchmarkPipelineBuild(b *testing.B) {
 // kind and a value left the count where it was (162 211 before): that
 // saving is bytes, not objects. Numbering the sources took 98 off it
 // (162 182 before): few items of a scale-1 run fold. The all-stages build
-// makes 189 515; it made 250 352 while entity discovery linked every fact
+// makes 189 498; it made 250 352 while entity discovery linked every fact
 // against every known name and alignment rebuilt names and item keys per
 // statement. Each ceiling is 10 % above its measured count.
 func TestPipelineAllocations(t *testing.T) {

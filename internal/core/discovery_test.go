@@ -1,9 +1,13 @@
 package core
 
 import (
+	"context"
+	"reflect"
 	"testing"
 
 	"akb/internal/extract"
+	"akb/internal/rdf"
+	"akb/internal/resilience"
 )
 
 func discoveryConfig() Config {
@@ -68,6 +72,110 @@ func TestPipelineDiscoveryStatementsJoinFusion(t *testing.T) {
 	}
 	if !seen {
 		t.Error("discover stage missing from report")
+	}
+}
+
+// allStagesConfig is the default seed-1 scale-1 build with every optional
+// stage on.
+func allStagesConfig() Config {
+	cfg := DefaultConfig()
+	cfg.ListPages, cfg.Temporal, cfg.DiscoverEntities, cfg.Align = true, true, true, true
+	return cfg
+}
+
+// TestFusionReadsTheListUnionMade: the statement list is made once. Discovery
+// hands its statements to the union, alignment rewrites the union's list in
+// place, and fusion reads that same backing array.
+func TestFusionReadsTheListUnionMade(t *testing.T) {
+	p := newPipelineRun(allStagesConfig())
+	stages := p.stages()
+	var made, read []rdf.Statement
+	for i := range stages {
+		run := stages[i].Run
+		switch stages[i].Name {
+		case StageUnion:
+			stages[i].Run = func(ctx context.Context) error {
+				err := run(ctx)
+				made = p.res.Statements
+				return err
+			}
+		case StageFusion:
+			stages[i].Run = func(ctx context.Context) error {
+				read = p.res.Statements
+				return run(ctx)
+			}
+		}
+	}
+	res, err := p.run(context.Background(), stages)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(p.discStmts) == 0 || res.AlignReport == nil {
+		t.Fatalf("%d discovered statements, aligned %v: the case tests nothing", len(p.discStmts), res.AlignReport != nil)
+	}
+	if len(made) == 0 || len(read) != len(made) || &read[0] != &made[0] {
+		t.Fatalf("fusion read %d statements, the union made %d: want the same backing array", len(read), len(made))
+	}
+	if len(res.Statements) != len(made) || &res.Statements[0] != &made[0] {
+		t.Error("Result.Statements is not the union's list")
+	}
+}
+
+// TestDiscoveryJoinsTheUnion: discovery runs before the union and alignment
+// after it, at every parallelism.
+func TestDiscoveryJoinsTheUnion(t *testing.T) {
+	for _, par := range parallelisms {
+		cfg := allStagesConfig()
+		cfg.Parallelism = par
+		res := mustRun(cfg)
+		pos := map[string]int{}
+		for i, sh := range res.Health().Stages {
+			pos[sh.Stage] = i
+		}
+		if !(pos[StageDiscover] < pos[StageUnion] && pos[StageUnion] < pos[StageAlign]) {
+			t.Errorf("par=%d: stage order %v, want discover < union < align", par, pos)
+		}
+	}
+}
+
+// TestDegradedDiscoveryContributesNothing: a discovery failed by the fault
+// plan leaves the statements a run without discovery makes, and a retried
+// union rebuilds the list from its parts, discovery's included.
+func TestDegradedDiscoveryContributesNothing(t *testing.T) {
+	without := discoveryConfig()
+	without.DiscoverEntities = false
+	want := mustRun(without).Statements
+
+	failed := discoveryConfig()
+	failed.Faults = &resilience.FaultPlan{Seed: 1, Stages: map[string]resilience.StageFault{StageDiscover: {FailProb: 1}}}
+	res := mustRun(failed)
+	if sh, _ := res.Health().Stage(StageDiscover); sh.Health != resilience.Degraded {
+		t.Fatalf("discover health = %v, want degraded", sh.Health)
+	}
+	if res.Discovered != nil {
+		t.Error("a degraded discovery left a result")
+	}
+	if !reflect.DeepEqual(res.Statements, want) {
+		t.Errorf("degraded discovery: %d statements, want the %d of a run without discovery", len(res.Statements), len(want))
+	}
+
+	clean := mustRun(discoveryConfig())
+	if len(clean.Statements) <= len(want) {
+		t.Fatalf("discovery added no statement (%d vs %d): the case tests nothing", len(clean.Statements), len(want))
+	}
+	retried := &resilience.FaultPlan{Stages: map[string]resilience.StageFault{StageUnion: {FailProb: 0.5, Transient: true}}}
+	fails := func(attempt int) bool { _, err := retried.Inject(StageUnion, attempt); return err != nil }
+	for !fails(1) || fails(2) {
+		retried.Seed++
+	}
+	cfg := discoveryConfig()
+	cfg.Faults = retried
+	res = mustRun(cfg)
+	if sh, _ := res.Health().Stage(StageUnion); sh.Attempts != 2 {
+		t.Fatalf("union took %d attempts, want a retry", sh.Attempts)
+	}
+	if !reflect.DeepEqual(res.Statements, clean.Statements) {
+		t.Errorf("retried union: %d statements, want the clean run's %d", len(res.Statements), len(clean.Statements))
 	}
 }
 

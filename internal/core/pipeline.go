@@ -265,9 +265,13 @@ func (r *Result) Stats() []StageStat { return r.stages }
 // optional-stage failures degrade the run (recorded in Result.Health()
 // and the stage's StageStat) but do not error.
 func runPipeline(ctx context.Context, cfg Config) (*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
+	p := newPipelineRun(cfg)
+	return p.run(ctx, p.stages())
+}
+
+// newPipelineRun resolves the run-time defaults of cfg and sets up the
+// intermediates its stages share.
+func newPipelineRun(cfg Config) *pipelineRun {
 	if cfg.Temporal && cfg.Corpus.TemporalFacts == 0 {
 		cfg.Corpus.TemporalFacts = 6
 	}
@@ -279,7 +283,7 @@ func runPipeline(ctx context.Context, cfg Config) (*Result, error) {
 			cfg.Text.Workers = cfg.Parallelism
 		}
 	}
-	p := &pipelineRun{
+	return &pipelineRun{
 		cfg:   cfg,
 		crit:  confidence.Default(),
 		res:   &Result{SeedSets: make(map[string]extract.AttrSet)},
@@ -290,8 +294,14 @@ func runPipeline(ctx context.Context, cfg Config) (*Result, error) {
 			OnStage: cfg.StageHook,
 		},
 	}
-	stages := p.stages()
-	out, err := sched.Run(ctx, sched.Options{Parallelism: cfg.Parallelism, Supervisor: p.sup}, stages)
+}
+
+// run executes the stages on the scheduler and assembles the Result.
+func (p *pipelineRun) run(ctx context.Context, stages []sched.Stage) (*Result, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	out, err := sched.Run(ctx, sched.Options{Parallelism: p.cfg.Parallelism, Supervisor: p.sup}, stages)
 	if err != nil {
 		return nil, err
 	}
@@ -320,13 +330,14 @@ type pipelineRun struct {
 	mu    sync.Mutex
 	stats map[string]*StageStat
 
-	dbp, fb  *kb.SourceKB
-	qsStream *querystream.Stream
-	sites    []*webgen.Site
-	corpus   []*webgen.Document
-	entIdx   *extract.EntityIndex
-	kbStmts  []rdf.Statement
-	listRes  *domx.ListResult
+	dbp, fb   *kb.SourceKB
+	qsStream  *querystream.Stream
+	sites     []*webgen.Site
+	corpus    []*webgen.Document
+	entIdx    *extract.EntityIndex
+	kbStmts   []rdf.Statement
+	listRes   *domx.ListResult
+	discStmts []rdf.Statement
 }
 
 // stages builds the pipeline DAG. The list order is a valid topological
@@ -364,19 +375,17 @@ func (p *pipelineRun) stages() []sched.Stage {
 		stages = append(stages, st(StageLists, optional, []string{StageFreebase}, p.extractLists))
 		unionAfter = append(unionAfter, StageLists)
 	}
-	stages = append(stages,
-		st(StageTextX, optional, []string{StageSeeds, StageCorpus}, p.extractText),
-		st(StageUnion, mandatory, unionAfter, p.unionStatements),
-	)
+	stages = append(stages, st(StageTextX, optional, []string{StageSeeds, StageCorpus}, p.extractText))
+	if p.cfg.DiscoverEntities {
+		// Discovery reads the facts domx and textx harvested, and its
+		// statements are one more part of the union.
+		stages = append(stages, st(StageDiscover, optional, []string{StageDOMX, StageTextX}, p.discoverEntities))
+		unionAfter = append(unionAfter, StageDiscover)
+	}
+	stages = append(stages, st(StageUnion, mandatory, unionAfter, p.unionStatements))
 	fusionAfter := []string{StageUnion}
 	if p.cfg.Temporal {
 		stages = append(stages, st(StageTemporal, optional, []string{StageCorpus, StageFreebase}, p.extractTemporal))
-	}
-	if p.cfg.DiscoverEntities {
-		// Discovery appends to the unioned statement list, so it orders
-		// strictly after union (which already waits for domx and textx).
-		stages = append(stages, st(StageDiscover, optional, []string{StageUnion}, p.discoverEntities))
-		fusionAfter = append(fusionAfter, StageDiscover)
 	}
 	// --- Knowledge fusion phase and KB augmentation ---------------------
 	if p.cfg.Align {
@@ -601,10 +610,12 @@ func (p *pipelineRun) extractText(ctx context.Context) error {
 	return nil
 }
 
-// unionStatements concatenates the surviving extractors' output. It is
-// supervised as the mandatory "union" stage; the slice is rebuilt from
-// scratch so a retried attempt is idempotent. Degraded extractors
-// contribute nothing.
+// unionStatements concatenates the surviving extractors' output and the
+// discovered entities' statements, once, at final size: the one statement
+// list of the run, which alignment rewrites in place and fusion reads. It
+// is supervised as the mandatory "union" stage; the slice is rebuilt from
+// its parts so a retried attempt is idempotent. Degraded extractors and a
+// degraded discovery contribute nothing.
 func (p *pipelineRun) unionStatements(ctx context.Context) error {
 	res := p.res
 	parts := [][]rdf.Statement{p.kbStmts}
@@ -617,6 +628,7 @@ func (p *pipelineRun) unionStatements(ctx context.Context) error {
 	if res.TextX != nil {
 		parts = append(parts, res.TextX.Statements)
 	}
+	parts = append(parts, p.discStmts)
 	res.Statements = slices.Concat(parts...)
 	obs.Reg(ctx).Counter("akb_pipeline_statements_total").Add(int64(len(res.Statements)))
 	obs.Current(ctx).AnnotateInt("statements", int64(len(res.Statements)))
@@ -646,7 +658,9 @@ func (p *pipelineRun) extractTemporal(ctx context.Context) error {
 }
 
 // discoverEntities runs joint entity linking and discovery over the
-// unknown-entity facts the surviving open-Web extractors harvested.
+// unknown-entity facts the surviving open-Web extractors harvested. Its
+// statements reach the run through the union; it sets nothing the union
+// reads until its last step, so a stage that panics contributes nothing.
 func (p *pipelineRun) discoverEntities(ctx context.Context) error {
 	res := p.res
 	var facts []extract.EntityFact
@@ -656,19 +670,20 @@ func (p *pipelineRun) discoverEntities(ctx context.Context) error {
 	if res.TextX != nil {
 		facts = append(facts, res.TextX.NewEntityFacts...)
 	}
-	res.Discovered = entitydisc.Discover(facts, p.entIdx)
-	discStmts := res.Discovered.Statements(p.crit.Score(extract.ExtractorDOM, 2, 2))
-	res.Statements = append(res.Statements, discStmts...)
-	obs.Reg(ctx).Counter("akb_discover_entities_total").Add(int64(len(res.Discovered.Entities)))
+	disc := entitydisc.Discover(facts, p.entIdx)
+	discStmts := disc.Statements(p.crit.Score(extract.ExtractorDOM, 2, 2))
+	obs.Reg(ctx).Counter("akb_discover_entities_total").Add(int64(len(disc.Entities)))
 	obs.Current(ctx).AnnotateInt("statements", int64(len(discStmts)))
 	p.addStat(StageDiscover,
 		fmt.Sprintf("%d new entities, %d mentions linked, %d rejected",
-			len(res.Discovered.Entities), len(res.Discovered.Linked), res.Discovered.Rejected),
+			len(disc.Entities), len(disc.Linked), disc.Rejected),
 		discStmts)
+	res.Discovered, p.discStmts = disc, discStmts
 	return nil
 }
 
-// alignStatements runs pre-fusion normalisation.
+// alignStatements runs pre-fusion normalisation, rewriting the union's
+// statement list in place.
 func (p *pipelineRun) alignStatements(ctx context.Context) error {
 	res := p.res
 	stmts, rep := align.Normalize(res.Statements)

@@ -67,9 +67,20 @@ type Result struct {
 }
 
 // Statements converts the discovered entities' aggregated values into
-// confidence-annotated statements so they can join the fusion phase.
+// confidence-annotated statements so they can join the fusion phase. The
+// slice is allocated once at its final length, and is nil when there is no
+// statement.
 func (r *Result) Statements(conf float64) []rdf.Statement {
-	var out []rdf.Statement
+	n := 0
+	for _, e := range r.Entities {
+		for _, vs := range e.Values {
+			n += len(vs) * len(e.Sources)
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]rdf.Statement, 0, n)
 	for _, e := range r.Entities {
 		subject := extract.EntityIRI(e.Name)
 		attrs := make([]string, 0, len(e.Values))

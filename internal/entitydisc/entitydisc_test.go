@@ -113,11 +113,15 @@ func TestResultStatements(t *testing.T) {
 	facts := []extract.EntityFact{
 		fact("Zanzibar Nights", "Film", "director", "Leo", "s1"),
 		fact("Zanzibar Nights", "Film", "director", "Leo", "s2"),
+		fact("Zanzibar Nights", "Film", "director", "Leo", "s3"),
 	}
 	res := Discover(facts, idx)
 	stmts := res.Statements(0.6)
-	if len(stmts) != 2 { // one value x two sources
-		t.Fatalf("statements = %d, want 2", len(stmts))
+	if len(stmts) != 3 { // one value x three sources
+		t.Fatalf("statements = %d, want 3", len(stmts))
+	}
+	if cap(stmts) != len(stmts) {
+		t.Errorf("cap = %d, want len %d: the slice is allocated at its final size", cap(stmts), len(stmts))
 	}
 	for _, s := range stmts {
 		if err := s.Valid(); err != nil {
@@ -126,6 +130,26 @@ func TestResultStatements(t *testing.T) {
 		if s.Confidence != 0.6 || s.Provenance.Extractor != "entitydisc" {
 			t.Errorf("statement = %+v", s)
 		}
+	}
+}
+
+// TestResultStatementsNilWhenEmpty: no entity, or entities without a value,
+// make no statement and allocate nothing.
+func TestResultStatementsNilWhenEmpty(t *testing.T) {
+	_, idx := worldIndex(t)
+	if stmts := Discover(nil, idx).Statements(0.6); stmts != nil {
+		t.Errorf("no entity found: statements = %v, want nil", stmts)
+	}
+	valueless := []extract.EntityFact{
+		fact("Zanzibar Nights", "Film", "", "", "s1"),
+		fact("Zanzibar Nights", "Film", "", "", "s2"),
+	}
+	res := Discover(valueless, idx)
+	if len(res.Entities) != 1 {
+		t.Fatalf("entities = %+v, want one", res.Entities)
+	}
+	if stmts := res.Statements(0.6); stmts != nil {
+		t.Errorf("entity without values: statements = %v, want nil", stmts)
 	}
 }
 
