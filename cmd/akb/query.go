@@ -116,9 +116,13 @@ func cmdQuery(args []string) error {
 		return err
 	}
 	if *jsonOut {
+		rows := res.Rows
+		if rows == nil {
+			rows = [][]string{} // an empty answer prints [], as /v1/datalog's bindings do
+		}
 		return printJSON(map[string]any{
-			"query": q.String(), "vars": res.Vars, "count": len(res.Rows),
-			"total": res.Total, "truncated": res.Truncated, "rows": res.Rows,
+			"query": q.String(), "vars": res.Vars, "count": len(rows),
+			"total": res.Total, "truncated": res.Truncated, "rows": rows,
 		})
 	}
 	printRows(varHeaders(res.Vars), res.Rows)
