@@ -265,6 +265,11 @@ func TestFlagErrors(t *testing.T) {
 	if err := cmdServe([]string{"-chaos-fail", "1.5"}); err == nil {
 		t.Error("out-of-range chaos-fail accepted")
 	}
+	// An unknown level is refused before the snapshot is served: were it
+	// accepted, the call would listen and never return.
+	if err := cmdServe([]string{"-log-level", "bogus", "-snapshot", testSnapshotFile(t), "-addr", "127.0.0.1:0"}); err == nil || !strings.Contains(err.Error(), "-log-level") {
+		t.Errorf("-log-level bogus: err = %v, want a -log-level error", err)
+	}
 	if err := cmdChaosServe([]string{"-fail-prob", "-1"}); err == nil {
 		t.Error("negative fail-prob accepted")
 	}

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
 	"os"
 	"strings"
 	"time"
@@ -55,90 +54,102 @@ func cmdQuery(args []string) error {
 	if *limit < 0 {
 		return fmt.Errorf("-limit %d is negative", *limit)
 	}
-	var selected []string
-	if *sel != "" {
-		for _, v := range strings.Split(*sel, ",") {
-			selected = append(selected, strings.TrimSpace(strings.TrimPrefix(v, "?")))
-		}
+	if *entity != "" && *class != "" {
+		return fmt.Errorf("-class restricts an entity variable; it cannot be given with a constant -entity")
 	}
-
-	// Remote single-pattern queries ride the plain /v1/query URL form;
-	// everything else speaks /v1/datalog.
-	if *server != "" {
-		if patternMode {
-			return queryServerPattern(*server, store.Pattern{
-				Entity: *entity, Attr: *attr, Value: *value, Class: *class,
-			}, *limit, *jsonOut)
-		}
-		return queryServerDatalog(*server, text, selected, *limit, *parallel, *explain, *jsonOut)
-	}
-
-	// Local: snapshot, or an inline pipeline run.
-	var src *store.Sharded
-	if *snapPath != "" {
-		var info store.SnapshotInfo
-		var err error
-		if src, info, err = openSnapshot(*snapPath, *shards); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "loaded snapshot %s (%s), querying %d shard(s)\n",
-			*snapPath, info, src.ShardCount())
-	} else {
-		fmt.Fprintf(os.Stderr, "no -snapshot given; running pipeline (seed %d) ...\n", *seed)
-		res, err := core.New(core.WithSeed(*seed)).Run(context.Background())
-		if err != nil {
-			return fmt.Errorf("pipeline: %w", err)
-		}
-		src = store.NewSharded(store.ResultFacts(res), max(*shards, 1))
-	}
-
-	q, err := localQuery(patternMode, *entity, *attr, *value, *class, text)
+	q, err := buildQuery(patternMode, *entity, *attr, *value, *class, text)
 	if err != nil {
 		return err
 	}
-	q.Select = selected
+	if *sel != "" {
+		for _, v := range strings.Split(*sel, ",") {
+			q.Select = append(q.Select, strings.TrimSpace(strings.TrimPrefix(v, "?")))
+		}
+	}
 	q.Limit = *limit
 
+	var res *datalog.Result
+	if *server != "" {
+		res, err = queryServer(*server, q, *parallel, *explain)
+	} else {
+		res, err = queryLocal(q, *snapPath, *shards, *seed, *parallel, *naive, *explain)
+	}
+	if err != nil {
+		return err
+	}
+	return printAnswer(q.String(), res, *jsonOut)
+}
+
+// queryLocal runs the query against a snapshot, or an inline pipeline run.
+func queryLocal(q datalog.Query, snapPath string, shards int, seed int64, parallel int, naive, explain bool) (*datalog.Result, error) {
+	var src *store.Sharded
+	if snapPath != "" {
+		var info store.SnapshotInfo
+		var err error
+		if src, info, err = openSnapshot(snapPath, shards); err != nil {
+			return nil, err
+		}
+		fmt.Fprintf(os.Stderr, "loaded snapshot %s (%s), querying %d shard(s)\n",
+			snapPath, info, src.ShardCount())
+	} else {
+		fmt.Fprintf(os.Stderr, "no -snapshot given; running pipeline (seed %d) ...\n", seed)
+		res, err := core.New(core.WithSeed(seed)).Run(context.Background())
+		if err != nil {
+			return nil, fmt.Errorf("pipeline: %w", err)
+		}
+		src = store.NewSharded(store.ResultFacts(res), max(shards, 1))
+	}
+
 	var plan *datalog.Plan
-	if *naive {
+	var err error
+	if naive {
 		plan, err = datalog.NaivePlan(q, src)
 	} else {
 		plan, err = datalog.PlanQuery(q, src)
 	}
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if *explain {
+	if explain {
 		fmt.Fprintf(os.Stderr, "plan for %s:\n%s", q, plan)
 	}
-	res, err := datalog.RunPlan(context.Background(), src, q, plan, datalog.Options{Parallelism: *parallel})
+	res, err := datalog.RunPlan(context.Background(), src, q, plan, datalog.Options{Parallelism: parallel})
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if *jsonOut {
-		rows := res.Rows
-		if rows == nil {
-			rows = [][]string{} // an empty answer prints [], as /v1/datalog's bindings do
-		}
+	if explain {
+		fmt.Fprintf(os.Stderr, "%d index probes\n", res.Probes)
+	}
+	return res, nil
+}
+
+// printAnswer prints a result as a table or as JSON, the same bytes
+// whichever backend answered.
+func printAnswer(query string, res *datalog.Result, jsonOut bool) error {
+	rows := res.Rows
+	if rows == nil {
+		rows = [][]string{} // an empty answer prints [], as /v1/datalog's bindings do
+	}
+	if jsonOut {
 		return printJSON(map[string]any{
-			"query": q.String(), "vars": res.Vars, "count": len(rows),
+			"query": query, "vars": res.Vars, "count": len(rows),
 			"total": res.Total, "truncated": res.Truncated, "rows": rows,
 		})
 	}
-	printRows(varHeaders(res.Vars), res.Rows)
-	fmt.Printf("%d rows", len(res.Rows))
+	printRows(varHeaders(res.Vars), rows)
+	fmt.Printf("%d rows", len(rows))
 	if res.Truncated {
 		fmt.Printf(" (of %d total, truncated)", res.Total)
 	}
-	fmt.Printf("; %d index probes\n", res.Probes)
+	fmt.Println()
 	return nil
 }
 
-// localQuery builds the datalog query for local execution: the pattern
+// buildQuery builds the datalog query either backend runs: the pattern
 // flags become a single clause with fresh variables in the open
 // positions — the unified-API point that a pattern IS a one-clause
 // query.
-func localQuery(patternMode bool, entity, attr, value, class, text string) (datalog.Query, error) {
+func buildQuery(patternMode bool, entity, attr, value, class, text string) (datalog.Query, error) {
 	if !patternMode {
 		return datalog.Parse(text)
 	}
@@ -156,122 +167,72 @@ func localQuery(patternMode bool, entity, attr, value, class, text string) (data
 	}}}, nil
 }
 
-func httpClient() *http.Client { return &http.Client{Timeout: 30 * time.Second} }
-
-// queryServerPattern drives GET /v1/query and renders the fact list.
-func queryServerPattern(base string, p store.Pattern, limit int, jsonOut bool) error {
-	params := url.Values{}
-	for k, v := range map[string]string{"entity": p.Entity, "attr": p.Attr, "value": p.Value, "class": p.Class} {
-		if v != "" {
-			params.Set(k, v)
-		}
-	}
-	if limit > 0 {
-		params.Set("limit", fmt.Sprint(limit))
-	}
-	body, err := doRequest(func() (*http.Response, error) {
-		return httpClient().Get(strings.TrimRight(base, "/") + "/v1/query?" + params.Encode())
-	})
-	if err != nil {
-		return err
-	}
-	if jsonOut {
-		return printJSON(body)
-	}
-	facts, _ := body["facts"].([]any)
-	rows := make([][]string, 0, len(facts))
-	for _, f := range facts {
-		m, _ := f.(map[string]any)
-		rows = append(rows, []string{
-			str(m["entity"]), str(m["attr"]), str(m["value"]), fmt.Sprintf("%.2f", num(m["confidence"])),
-		})
-	}
-	printRows([]string{"entity", "attr", "value", "confidence"}, rows)
-	fmt.Printf("%d facts (total %v)\n", len(rows), body["total"])
-	return nil
-}
-
-// queryServerDatalog drives POST /v1/datalog and renders the bindings.
-func queryServerDatalog(base, text string, sel []string, limit, parallel int, explain, jsonOut bool) error {
-	req := map[string]any{"query": text}
-	if len(sel) > 0 {
-		req["select"] = sel
-	}
-	if limit > 0 {
-		req["limit"] = limit
-	}
-	if parallel > 1 {
-		req["parallelism"] = parallel
-	}
-	if explain {
-		req["explain"] = true
-	}
-	payload, err := json.Marshal(req)
-	if err != nil {
-		return err
-	}
-	body, err := doRequest(func() (*http.Response, error) {
-		return httpClient().Post(strings.TrimRight(base, "/")+"/v1/datalog", "application/json", bytes.NewReader(payload))
-	})
-	if err != nil {
-		return err
-	}
-	if jsonOut {
-		return printJSON(body)
-	}
-	if plan, ok := body["plan"].([]any); ok {
-		fmt.Fprintf(os.Stderr, "plan for %v:\n", body["query"])
-		for _, step := range plan {
-			fmt.Fprintf(os.Stderr, "%s\n", str(step))
-		}
-	}
-	varsAny, _ := body["vars"].([]any)
-	vars := make([]string, 0, len(varsAny))
-	for _, v := range varsAny {
-		vars = append(vars, str(v))
-	}
-	bindings, _ := body["bindings"].([]any)
-	rows := make([][]string, 0, len(bindings))
-	for _, b := range bindings {
-		m, _ := b.(map[string]any)
-		row := make([]string, len(vars))
-		for i, v := range vars {
-			row[i] = str(m[v])
-		}
-		rows = append(rows, row)
-	}
-	printRows(varHeaders(vars), rows)
-	fmt.Printf("%d rows (total %v", len(rows), body["total"])
-	if t, _ := body["truncated"].(bool); t {
-		fmt.Printf(", truncated")
-	}
-	fmt.Println(")")
-	return nil
-}
-
-// doRequest runs one API call and decodes the JSON body, turning the
-// error envelope of a non-2xx response into a CLI error.
-func doRequest(do func() (*http.Response, error)) (map[string]any, error) {
-	resp, err := do()
+// queryServer sends the query to POST /v1/datalog and reads the answer
+// back into the result the local executor returns.
+func queryServer(base string, q datalog.Query, parallel int, explain bool) (*datalog.Result, error) {
+	payload, err := json.Marshal(struct {
+		Query       string   `json:"query"`
+		Select      []string `json:"select,omitempty"`
+		Limit       int      `json:"limit,omitempty"`
+		Parallelism int      `json:"parallelism,omitempty"`
+		Explain     bool     `json:"explain,omitempty"`
+	}{q.String(), q.Select, q.Limit, parallel, explain})
 	if err != nil {
 		return nil, err
+	}
+	var body struct {
+		Plan      []string            `json:"plan"`
+		Vars      []string            `json:"vars"`
+		Total     int                 `json:"total"`
+		Truncated bool                `json:"truncated"`
+		Bindings  []map[string]string `json:"bindings"`
+	}
+	if err := postJSON(strings.TrimRight(base, "/")+"/v1/datalog", payload, &body); err != nil {
+		return nil, err
+	}
+	if explain {
+		fmt.Fprintf(os.Stderr, "plan for %s:\n", q)
+		for _, step := range body.Plan {
+			fmt.Fprintln(os.Stderr, step)
+		}
+	}
+	res := &datalog.Result{Vars: body.Vars, Total: body.Total, Truncated: body.Truncated}
+	for _, b := range body.Bindings {
+		row := make([]string, len(body.Vars))
+		for i, v := range body.Vars {
+			row[i] = b[v]
+		}
+		res.Rows = append(res.Rows, row)
+	}
+	return res, nil
+}
+
+// postJSON posts one API call and decodes the JSON answer into out,
+// turning the error envelope of a non-2xx response into a CLI error.
+func postJSON(url string, payload []byte, out any) error {
+	client := &http.Client{Timeout: 30 * time.Second}
+	resp, err := client.Post(url, "application/json", bytes.NewReader(payload))
+	if err != nil {
+		return err
 	}
 	defer resp.Body.Close()
 	raw, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
 	if err != nil {
-		return nil, err
-	}
-	var body map[string]any
-	if err := json.Unmarshal(raw, &body); err != nil {
-		return nil, fmt.Errorf("server returned %s with a non-JSON body: %.200s", resp.Status, raw)
+		return err
 	}
 	if resp.StatusCode != http.StatusOK {
-		if msg, ok := body["error"].(string); ok {
-			return nil, fmt.Errorf("server: %s (status %d)", msg, resp.StatusCode)
+		var env struct {
+			Error string `json:"error"`
 		}
-		return nil, fmt.Errorf("server returned %s: %.200s", resp.Status, raw)
+		if json.Unmarshal(raw, &env) == nil && env.Error != "" {
+			return fmt.Errorf("server: %s (status %d)", env.Error, resp.StatusCode)
+		}
+		return fmt.Errorf("server returned %s: %.200s", resp.Status, raw)
 	}
-	return body, nil
+	if err := json.Unmarshal(raw, out); err != nil {
+		return fmt.Errorf("server returned %s with a body that is not the expected JSON (%v): %.200s", resp.Status, err, raw)
+	}
+	return nil
 }
 
 // varHeaders renders variable names as surface-grammar column heads.
@@ -316,16 +277,4 @@ func printJSON(v any) error {
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
 	return enc.Encode(v)
-}
-
-func str(v any) string {
-	if s, ok := v.(string); ok {
-		return s
-	}
-	return fmt.Sprint(v)
-}
-
-func num(v any) float64 {
-	f, _ := v.(float64)
-	return f
 }

@@ -3,6 +3,8 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
+	"log/slog"
 	"net/http"
 	"os"
 	"os/signal"
@@ -11,7 +13,6 @@ import (
 
 	"akb/internal/core"
 	"akb/internal/obs"
-	"akb/internal/obs/logx"
 	"akb/internal/resilience"
 	"akb/internal/serve"
 	"akb/internal/store"
@@ -45,7 +46,7 @@ func cmdServe(args []string) error {
 	chaosSeed := fs.Int64("chaos-seed", 1, "seed for deterministic chaos decisions")
 	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this separate admin address (e.g. 127.0.0.1:6060; empty disables)")
 	accessLog := fs.String("access-log", "stderr", "structured access-log destination: stderr, off, or a file path")
-	logLevel := fs.String("log-level", "info", "minimum access-log level (debug, info, warn, error)")
+	logLevel := fs.String("log-level", "info", "minimum access-log level (debug, info, warn, error; a 5xx logs at error, anything else at info)")
 	traceCap := fs.Int("trace-cap", 4096, "max request spans retained in the in-process trace (0: unlimited)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -53,9 +54,9 @@ func cmdServe(args []string) error {
 	if *chaosFail < 0 || *chaosFail > 1 {
 		return fmt.Errorf("-chaos-fail %v outside [0,1]", *chaosFail)
 	}
-	level, err := logx.ParseLevel(*logLevel)
-	if err != nil {
-		return err
+	var level slog.Level
+	if err := level.UnmarshalText([]byte(*logLevel)); err != nil {
+		return fmt.Errorf("-log-level: %w", err)
 	}
 
 	// One telemetry run for the process: request spans (capped so the
@@ -65,23 +66,28 @@ func cmdServe(args []string) error {
 	run.Trace().SetLimit(*traceCap)
 	cfg.Obs = run
 
+	var logTo io.Writer
 	switch *accessLog {
 	case "off", "":
 		// no access log
 	case "stderr":
-		cfg.AccessLog = logx.New(os.Stderr, logx.WithLevel(level))
+		logTo = os.Stderr
 	default:
 		f, err := os.OpenFile(*accessLog, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
 			return fmt.Errorf("open access log: %w", err)
 		}
 		defer f.Close()
-		cfg.AccessLog = logx.New(f, logx.WithLevel(level))
+		logTo = f
+	}
+	if logTo != nil {
+		cfg.AccessLog = slog.New(slog.NewJSONHandler(logTo, &slog.HandlerOptions{Level: level}))
 	}
 
 	var st *store.Sharded
 	if *snapPath != "" {
 		var info store.SnapshotInfo
+		var err error
 		if st, info, err = openSnapshot(*snapPath, *shards); err != nil {
 			return err
 		}

@@ -110,15 +110,6 @@ type PipelineReport struct {
 	Degraded []string
 }
 
-// Pipeline runs the full framework and summarises it.
-func Pipeline(cfg core.Config) PipelineReport {
-	rep, err := PipelineContext(context.Background(), cfg)
-	if err != nil {
-		panic(fmt.Sprintf("experiments.Pipeline: %v", err))
-	}
-	return rep
-}
-
 // PipelineContext runs the full framework under the resilience supervisor
 // and summarises it; it errors when a mandatory stage fails or the context
 // is cancelled.

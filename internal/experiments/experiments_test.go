@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"testing"
 
 	"akb/internal/core"
@@ -68,7 +69,10 @@ func TestTable3ShapeAtSmallScale(t *testing.T) {
 }
 
 func TestPipelineReport(t *testing.T) {
-	rep := Pipeline(core.DefaultConfig())
+	rep, err := PipelineContext(context.Background(), core.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(rep.Stages) < 6 {
 		t.Fatalf("stages = %d", len(rep.Stages))
 	}

@@ -88,16 +88,6 @@ type Result struct {
 	NewEntityFacts []extract.EntityFact
 }
 
-// Classes returns class names in sorted order.
-func (r *Result) Classes() []string {
-	out := make([]string, 0, len(r.PerClass))
-	for c := range r.PerClass {
-		out = append(out, c)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // docWork is one document plus its sentence segmentation and per-sentence
 // tokens, computed once and shared by both extraction phases.
 type docWork struct {

@@ -84,12 +84,6 @@ func (f *Forest) Known(v string) bool {
 	return ok
 }
 
-// Parent returns the immediate generalisation of v and whether one exists.
-func (f *Forest) Parent(v string) (string, bool) {
-	p, ok := f.parent[v]
-	return p, ok
-}
-
 // Children returns the immediate specialisations of v in sorted order.
 // The returned slice must not be modified.
 func (f *Forest) Children(v string) []string { return f.children[v] }

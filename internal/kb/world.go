@@ -281,15 +281,6 @@ func (w *World) Spec(class string) (ClassSpec, bool) {
 	return s, ok
 }
 
-// Cities returns every leaf place name (used by value-noise injection).
-func (w *World) Cities() []string {
-	out := make([]string, len(w.places))
-	for i, p := range w.places {
-		out[i] = p.city
-	}
-	return out
-}
-
 // IsTrue reports whether value is a true value for (entity, attr), counting
 // hierarchy generalisations of a true value as true — the paper's
 // (Susie Fang, birth place, China) example.

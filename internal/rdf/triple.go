@@ -20,11 +20,6 @@ func (t Triple) String() string {
 	return t.Subject.String() + " " + t.Predicate.String() + " " + t.Object.String() + " ."
 }
 
-// Key returns a unique key for the triple for use in maps.
-func (t Triple) Key() string {
-	return t.Subject.Key() + "|" + t.Predicate.Key() + "|" + t.Object.Key()
-}
-
 // ItemKey returns the data-item key (subject, predicate) of the triple. A
 // "data item" in the fusion literature is the pair an extraction claims a
 // value for, e.g. (Barack Obama, profession).

@@ -3,7 +3,6 @@ package serve
 import (
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 	"strings"
 	"time"
@@ -117,9 +116,7 @@ func (s *Server) handleDatalog(g *generation, r *http.Request) routeResult {
 		truncated:  res.Truncated,
 	}
 	if req.Explain {
-		for i, st := range plan.Steps {
-			out.plan = append(out.plan, fmt.Sprintf("%d. [%s, est %d] %s", i+1, st.Strategy, st.Estimate, st.Clause))
-		}
+		out.plan = strings.Split(strings.TrimSuffix(plan.String(), "\n"), "\n")
 	}
 	return routeResult{http.StatusOK, encodeDatalog(out)}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"net/http/httptrace"
@@ -17,7 +18,6 @@ import (
 	"time"
 
 	"akb/internal/obs"
-	"akb/internal/obs/logx"
 	"akb/internal/store"
 )
 
@@ -77,9 +77,9 @@ func TestRequestTimeout503(t *testing.T) {
 	run := obs.NewRun()
 	cfg := DefaultConfig()
 	cfg.RequestTimeout = timeout
-	cfg.AccessLog = logx.New(&logs)
+	cfg.AccessLog = slog.New(slog.NewJSONHandler(&logs, nil))
 	cfg.Obs = run
-	s := New(testStore(), nil, stallEntity(cfg, func() { time.Sleep(stall) }))
+	s := New(testStore(), run.Registry(), stallEntity(cfg, func() { time.Sleep(stall) }))
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	client := oneConnClient()

@@ -284,9 +284,7 @@ func digestOf(c goldenCase, t *testing.T) responseDigest {
 	if c.shards > 1 {
 		q = store.NewSharded(c.facts, c.shards)
 	}
-	fixedID := func() string { return "golden" }
 	cfg := DefaultConfig()
-	cfg.NewRequestID = fixedID
 	h := New(q, nil, cfg).Handler()
 	cfg.MaxResults = math.MaxInt32
 	uncapped := New(q, nil, cfg).Handler()

@@ -5,6 +5,7 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"io"
+	"log/slog"
 	"net/http"
 	"strconv"
 	"sync"
@@ -36,12 +37,8 @@ func RequestID(ctx context.Context) string {
 	return id
 }
 
-// newRequestID generates a 16-hex-char random ID, or defers to the
-// configured generator (tests inject a deterministic one).
-func (s *Server) newRequestID() string {
-	if s.cfg.NewRequestID != nil {
-		return s.cfg.NewRequestID()
-	}
+// newRequestID generates a 16-hex-char random ID.
+func newRequestID() string {
 	var b [8]byte
 	if _, err := rand.Read(b[:]); err != nil {
 		// crypto/rand failing is effectively fatal elsewhere; degrade to a
@@ -89,7 +86,7 @@ func (s *Server) observe(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		id := r.Header.Get(RequestIDHeader)
 		if id == "" || len(id) > maxRequestIDLen {
-			id = s.newRequestID()
+			id = newRequestID()
 		}
 		w.Header().Set(RequestIDHeader, id)
 		ctx := context.WithValue(r.Context(), requestIDKey{}, id)
@@ -122,17 +119,14 @@ func (s *Server) observe(next http.Handler) http.Handler {
 		if log == nil {
 			return // no line, and no arguments built for one
 		}
+		level := slog.LevelInfo
 		if status >= http.StatusInternalServerError {
-			log.Error("request",
-				"id", id, "method", r.Method, "path", r.URL.RequestURI(),
-				"status", status, "bytes", rec.bytes, "dur_us", dur.Microseconds(),
-				"gen", s.Generation())
-			return
+			level = slog.LevelError
 		}
-		log.Info("request",
-			"id", id, "method", r.Method, "path", r.URL.RequestURI(),
-			"status", status, "bytes", rec.bytes, "dur_us", dur.Microseconds(),
-			"gen", s.Generation())
+		log.LogAttrs(ctx, level, "request",
+			slog.String("id", id), slog.String("method", r.Method), slog.String("path", r.URL.RequestURI()),
+			slog.Int("status", status), slog.Int("bytes", rec.bytes), slog.Int64("dur_us", dur.Microseconds()),
+			slog.Uint64("gen", s.Generation()))
 	})
 }
 

@@ -5,14 +5,15 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"akb/internal/obs"
-	"akb/internal/obs/logx"
 	"akb/internal/resilience"
 	"akb/internal/store"
 )
@@ -209,30 +210,58 @@ func TestRequestIDEchoedEverywhere(t *testing.T) {
 	}
 }
 
-// TestAccessLog wires a deterministic logger + ID generator and asserts
-// the structured line for a success and an error, correlated with the
-// response header.
+// getWithID sends a GET carrying a client request ID and drains the body.
+func getWithID(t *testing.T, url, id string) *http.Response {
+	t.Helper()
+	req, err := http.NewRequest("GET", url, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set(RequestIDHeader, id)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	return resp
+}
+
+// logKeys returns a JSON object's top-level keys in the order written.
+func logKeys(t *testing.T, line string) []string {
+	t.Helper()
+	dec := json.NewDecoder(strings.NewReader(line))
+	if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
+		t.Fatalf("not a JSON object: %q", line)
+	}
+	var keys []string
+	for dec.More() {
+		tok, err := dec.Token()
+		if err != nil {
+			t.Fatalf("%q: %v", line, err)
+		}
+		keys = append(keys, tok.(string))
+		var skip json.RawMessage
+		if err := dec.Decode(&skip); err != nil {
+			t.Fatalf("%q: %v", line, err)
+		}
+	}
+	return keys
+}
+
+// TestAccessLog asserts the access log's record for a success and an
+// error, correlated with the response header: slog's JSON header, then the
+// request's fields in a fixed order.
 func TestAccessLog(t *testing.T) {
 	var buf bytes.Buffer
-	clock := func() func() time.Time {
-		base := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
-		return func() time.Time { return base }
-	}()
-	ids := 0
 	cfg := DefaultConfig()
-	cfg.AccessLog = logx.New(&buf, logx.WithClock(clock))
-	cfg.NewRequestID = func() string { ids++; return fmt.Sprintf("req-%04d", ids) }
+	cfg.AccessLog = slog.New(slog.NewJSONHandler(&buf, nil))
 	s := New(testStore(), obs.NewRegistry(), cfg)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	resp, err := http.Get(ts.URL + "/v1/entity/Casablanca")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	okID := resp.Header.Get(RequestIDHeader)
-	get(t, ts.URL+"/v1/entity/Nobody")
+	okID := getWithID(t, ts.URL+"/v1/entity/Casablanca", "req-0001").Header.Get(RequestIDHeader)
+	getWithID(t, ts.URL+"/v1/entity/Nobody", "req-0002")
 
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
 	if len(lines) != 2 {
@@ -245,19 +274,66 @@ func TestAccessLog(t *testing.T) {
 	if err := json.Unmarshal([]byte(lines[1]), &second); err != nil {
 		t.Fatalf("line 2 not JSON: %q", lines[1])
 	}
+	want := []string{"time", "level", "msg", "id", "method", "path", "status", "bytes", "dur_us", "gen"}
+	for _, line := range lines {
+		if got := logKeys(t, line); !reflect.DeepEqual(got, want) {
+			t.Errorf("access-log keys %v, want %v", got, want)
+		}
+	}
 	if first["id"] != okID {
 		t.Errorf("log id %v != header id %q", first["id"], okID)
 	}
-	if first["msg"] != "request" || first["method"] != "GET" ||
+	if first["msg"] != "request" || first["level"] != "INFO" || first["method"] != "GET" ||
 		first["path"] != "/v1/entity/Casablanca" || first["status"] != float64(200) ||
-		first["gen"] != float64(1) || first["ts"] != "2026-08-08T12:00:00Z" {
+		first["gen"] != float64(1) {
 		t.Errorf("unexpected access-log fields: %v", first)
+	}
+	if stamp, _ := first["time"].(string); stamp == "" {
+		t.Errorf("access-log time %v is not a string", first["time"])
+	} else if _, err := time.Parse(time.RFC3339, stamp); err != nil {
+		t.Errorf("access-log time %q is not RFC 3339: %v", stamp, err)
 	}
 	if first["bytes"] == float64(0) || first["dur_us"] == nil {
 		t.Errorf("missing size/duration fields: %v", first)
 	}
-	if second["status"] != float64(404) || second["id"] != "req-0002" {
+	if second["status"] != float64(404) || second["level"] != "INFO" || second["id"] != "req-0002" {
 		t.Errorf("error line fields: %v", second)
+	}
+}
+
+// TestAccessLogLevels: a 5xx — here a recovered panic in the store read —
+// is logged at ERROR and anything else at INFO, so a logger at ERROR keeps
+// the 500 and nothing else.
+func TestAccessLogLevels(t *testing.T) {
+	for _, min := range []slog.Level{slog.LevelInfo, slog.LevelError} {
+		var buf bytes.Buffer
+		cfg := stallEntity(DefaultConfig(), func() { panic("injected store fault") })
+		cfg.AccessLog = slog.New(slog.NewJSONHandler(&buf, &slog.HandlerOptions{Level: min}))
+		s := New(testStore(), obs.NewRegistry(), cfg)
+		ts := httptest.NewServer(s.Handler())
+		for _, path := range []string{"/healthz", "/v1/entity/Casablanca", "/no/such/route"} {
+			getWithID(t, ts.URL+path, path)
+		}
+		ts.Close()
+
+		var got []string
+		for dec := json.NewDecoder(&buf); dec.More(); {
+			var rec struct {
+				Level  string
+				Status int
+			}
+			if err := dec.Decode(&rec); err != nil {
+				t.Fatalf("logger at %v: access log: %v", min, err)
+			}
+			got = append(got, fmt.Sprintf("%s %d", rec.Level, rec.Status))
+		}
+		want := []string{"INFO 200", "ERROR 500", "INFO 404"}
+		if min == slog.LevelError {
+			want = []string{"ERROR 500"}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("logger at %v wrote %q, want %q", min, got, want)
+		}
 	}
 }
 
@@ -267,20 +343,14 @@ func TestAccessLog(t *testing.T) {
 func TestRequestSpans(t *testing.T) {
 	run := obs.NewRun()
 	run.Trace().SetLimit(3)
-	ids := 0
 	cfg := DefaultConfig()
 	cfg.Obs = run
-	cfg.NewRequestID = func() string { ids++; return fmt.Sprintf("req-%04d", ids) }
-	s := New(testStore(), nil, cfg) // nil registry: the run's registry is adopted
+	s := New(testStore(), run.Registry(), cfg)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	for i := 0; i < 5; i++ {
-		resp, err := http.Get(ts.URL + "/healthz")
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
+	for i := 1; i <= 5; i++ {
+		getWithID(t, ts.URL+"/healthz", fmt.Sprintf("req-%04d", i))
 	}
 	spans := run.Trace().Snapshot()
 	if len(spans) != 3 {
@@ -296,8 +366,7 @@ func TestRequestSpans(t *testing.T) {
 	if sp.Attr("request_id") != "req-0001" || sp.Attr("status") != "200" {
 		t.Errorf("span attrs = %v", sp.Attrs)
 	}
-	// The shared registry carries the serve counters: nil-reg construction
-	// adopted the run's registry.
+	// The serve counters land in the registry the server was given.
 	if n := run.Registry().Counter("akb_serve_requests_total").Value(); n != 5 {
 		t.Errorf("requests_total on the run registry = %d, want 5", n)
 	}

@@ -51,6 +51,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log/slog"
 	"net"
 	"net/http"
 	"sort"
@@ -61,7 +62,6 @@ import (
 	"time"
 
 	"akb/internal/obs"
-	"akb/internal/obs/logx"
 	"akb/internal/store"
 )
 
@@ -96,19 +96,17 @@ type Config struct {
 	// harness injects faults here; it is also the seam for remote
 	// queriers.
 	WrapQuerier func(store.Querier) store.Querier
-	// AccessLog, when set, receives one structured line per request
-	// (request ID, method, path, status, bytes, duration, generation).
-	// Nil disables access logging with zero per-request cost.
-	AccessLog *logx.Logger
+	// AccessLog, when set, receives one "request" record per request
+	// (request ID, method, path, status, bytes, duration, generation), at
+	// ERROR for a 5xx and INFO otherwise. Nil disables access logging with
+	// zero per-request cost.
+	AccessLog *slog.Logger
 	// Obs, when set, is the telemetry run the server traces requests
 	// into: one span per request, correlated by request ID with reload
 	// and chaos events in the same trace. Callers should cap the run's
 	// trace (Trace().SetLimit) — a production server otherwise retains a
 	// span per request forever.
 	Obs *obs.Run
-	// NewRequestID overrides request-ID generation (nil: 16 hex chars
-	// from crypto/rand). Tests inject deterministic IDs.
-	NewRequestID func() string
 }
 
 // DefaultConfig returns production-leaning defaults.
@@ -259,9 +257,6 @@ func New(st store.Querier, reg *obs.Registry, cfg Config) *Server {
 	}
 	if cfg.MaxResults <= 0 {
 		cfg.MaxResults = DefaultConfig().MaxResults
-	}
-	if reg == nil && cfg.Obs != nil {
-		reg = cfg.Obs.Registry()
 	}
 	version, commit := obs.BuildInfo()
 	s := &Server{

@@ -36,9 +36,6 @@ type Statement struct {
 	Doc    string
 }
 
-// Key identifies the statement's data item.
-func (s Statement) Key() string { return s.Entity + "|" + s.Attr }
-
 // String renders the statement for logs.
 func (s Statement) String() string {
 	return fmt.Sprintf("(%s, %s, %s) @ [%d, %d] from %s", s.Entity, s.Attr, s.Value, s.From, s.To, s.Source)
