@@ -85,11 +85,9 @@ func main() {
 		}
 	}
 
-	fmt.Printf("\nExtracted statements: %d; first five:\n", len(res.Statements))
-	for i, s := range res.Statements {
-		if i == 5 {
-			break
-		}
+	stmts := res.AppendStatements(nil)
+	fmt.Printf("\nExtracted statements: %d; first five:\n", len(stmts))
+	for _, s := range stmts[:min(5, len(stmts))] {
 		fmt.Printf("  %s\n", s)
 	}
 }

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"context"
+	"runtime"
 	"testing"
 	"time"
 
@@ -60,30 +61,43 @@ func BenchmarkPipelineBuild(b *testing.B) {
 	}
 }
 
-// TestPipelineAllocations counts the allocations of a seed-1 scale-1 build
-// plus store.ResultFacts, default and with every optional stage, so that an
+// TestPipelineAllocations counts the allocations and the bytes allocated
+// (runtime.MemStats.TotalAlloc) of a seed-1 scale-1 build plus
+// store.ResultFacts, default and with every optional stage, so that an
 // allocation regression on the build journey fails here and not only in
-// bench/. The default build makes 162 084; the parent of the change that
-// made the statement path positional made 289 939. Narrowing rdf.Term to a
-// kind and a value left the count where it was (162 211 before): that
-// saving is bytes, not objects. Numbering the sources took 98 off it
-// (162 182 before): few items of a scale-1 run fold. The all-stages build
-// makes 189 498; it made 250 352 while entity discovery linked every fact
-// against every known name and alignment rebuilt names and item keys per
-// statement. Each ceiling is 10 % above its measured count.
+// bench/. The default build makes 161 651 allocations of 16.86 MB; the
+// parent of the change that made the statement path positional made
+// 289 939. Narrowing rdf.Term to a kind and a value left the count where it
+// was (162 211 before): that saving is bytes, not objects. Numbering the
+// sources took 98 off it (162 182 before): few items of a scale-1 run fold.
+// Minting each statement once, in the union, took 1.06 MB off the bytes
+// (17.92 MB before). The all-stages build makes 188 872 allocations of
+// 24.09 MB (25.66 MB before the union minted); it made 250 352 allocations
+// while entity discovery linked every fact against every known name and
+// alignment rebuilt names and item keys per statement. Each ceiling is 10 %
+// above its measured value.
 func TestPipelineAllocations(t *testing.T) {
 	for _, c := range []struct {
-		name    string
-		opts    []core.Option
-		ceiling float64
+		name         string
+		opts         []core.Option
+		ceiling      float64
+		bytesCeiling uint64
 	}{
-		{"default", nil, 178_300},
-		{"all-stages", allStages, 208_500},
+		{"default", nil, 177_800, 18_540_000},
+		{"all-stages", allStages, 207_800, 26_500_000},
 	} {
 		allocs := testing.AllocsPerRun(2, func() { buildOnce(t, 1, 1, c.opts...) })
-		t.Logf("%s: %.0f allocations a build", c.name, allocs)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		buildOnce(t, 1, 1, c.opts...)
+		runtime.ReadMemStats(&after)
+		bytes := after.TotalAlloc - before.TotalAlloc
+		t.Logf("%s: %.0f allocations, %d bytes a build", c.name, allocs, bytes)
 		if allocs > c.ceiling {
 			t.Errorf("a seed-1 scale-1 %s build makes %.0f allocations, want at most %.0f", c.name, allocs, c.ceiling)
+		}
+		if bytes > c.bytesCeiling {
+			t.Errorf("a seed-1 scale-1 %s build allocates %d bytes, want at most %d", c.name, bytes, c.bytesCeiling)
 		}
 	}
 }

@@ -3,8 +3,10 @@ package core
 import (
 	"context"
 	"reflect"
+	"slices"
 	"testing"
 
+	"akb/internal/eval"
 	"akb/internal/extract"
 	"akb/internal/rdf"
 	"akb/internal/resilience"
@@ -83,20 +85,22 @@ func allStagesConfig() Config {
 	return cfg
 }
 
-// TestFusionReadsTheListUnionMade: the statement list is made once. Discovery
-// hands its statements to the union, alignment rewrites the union's list in
-// place, and fusion reads that same backing array.
+// TestFusionReadsTheListUnionMade: the statement list is made once, at the
+// size the extractor stages counted. The union makes each part into its own
+// window of the list, alignment rewrites the list in place, and fusion
+// reads that same backing array.
 func TestFusionReadsTheListUnionMade(t *testing.T) {
 	p := newPipelineRun(allStagesConfig())
 	stages := p.stages()
 	var made, read []rdf.Statement
+	var unaligned []rdf.Statement // the union's list before alignment rewrites it
 	for i := range stages {
 		run := stages[i].Run
 		switch stages[i].Name {
 		case StageUnion:
 			stages[i].Run = func(ctx context.Context) error {
 				err := run(ctx)
-				made = p.res.Statements
+				made, unaligned = p.res.Statements, slices.Clone(p.res.Statements)
 				return err
 			}
 		case StageFusion:
@@ -110,14 +114,58 @@ func TestFusionReadsTheListUnionMade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(p.discStmts) == 0 || res.AlignReport == nil {
-		t.Fatalf("%d discovered statements, aligned %v: the case tests nothing", len(p.discStmts), res.AlignReport != nil)
+	if res.Discovered.NumStatements() == 0 || res.AlignReport == nil {
+		t.Fatalf("%d discovered statements, aligned %v: the case tests nothing", res.Discovered.NumStatements(), res.AlignReport != nil)
 	}
-	if len(made) == 0 || len(read) != len(made) || &read[0] != &made[0] {
+	if len(made) == 0 || cap(made) != len(made) {
+		t.Fatalf("the union made %d statements in a list of %d", len(made), cap(made))
+	}
+	if len(read) != len(made) || &read[0] != &made[0] {
 		t.Fatalf("fusion read %d statements, the union made %d: want the same backing array", len(read), len(made))
 	}
 	if len(res.Statements) != len(made) || &res.Statements[0] != &made[0] {
 		t.Error("Result.Statements is not the union's list")
+	}
+	checkUnionWindows(t, res, unaligned)
+}
+
+// checkUnionWindows fails t unless the union's list is the parts' windows
+// end to end, in the order kbx, domx, lists, textx, discover: each window
+// as long as its stage's count, holding that extractor's statements, and
+// the stage's precision scored on it.
+func checkUnionWindows(t *testing.T, res *Result, union []rdf.Statement) {
+	t.Helper()
+	extractor := map[string]string{
+		StageKBX: extract.ExtractorKB, StageDOMX: extract.ExtractorDOM, StageLists: extract.ExtractorDOM,
+		StageTextX: extract.ExtractorText, StageDiscover: "entitydisc",
+	}
+	scorer := &eval.Scorer{World: res.World}
+	lo := 0
+	for _, st := range res.Stats() {
+		want, ok := extractor[st.Stage]
+		if !ok {
+			continue
+		}
+		if lo+st.Statements > len(union) {
+			t.Fatalf("%s counts %d statements, %d are left of the union", st.Stage, st.Statements, len(union)-lo)
+		}
+		window := union[lo : lo+st.Statements]
+		if st.Statements == 0 {
+			t.Errorf("%s counts no statement: the case tests nothing", st.Stage)
+			continue
+		}
+		for _, s := range window {
+			if s.Provenance.Extractor != want {
+				t.Fatalf("%s's window holds a statement of %q: %v", st.Stage, s.Provenance.Extractor, s)
+			}
+		}
+		if prec := scorer.ScoreStatements(window).Precision(); st.Precision != prec {
+			t.Errorf("%s precision %.4f, its window scores %.4f", st.Stage, st.Precision, prec)
+		}
+		lo += st.Statements
+	}
+	if lo != len(union) {
+		t.Errorf("the stages count %d statements, the union holds %d", lo, len(union))
 	}
 }
 
@@ -224,9 +272,13 @@ func TestPipelineListPages(t *testing.T) {
 	if res.Lists == nil {
 		t.Fatal("list extraction did not run")
 	}
-	if res.Lists.Regions == 0 || res.Lists.Records == 0 || len(res.Lists.Statements) == 0 {
+	if res.Lists.Regions == 0 || res.Lists.Records == 0 || res.Lists.Claims.Len() == 0 {
 		t.Fatalf("empty list extraction: %+v", res.Lists)
 	}
+	if cap(res.Statements) != len(res.Statements) {
+		t.Errorf("the union made %d statements in a list of %d", len(res.Statements), cap(res.Statements))
+	}
+	checkUnionWindows(t, res, res.Statements)
 	seen := false
 	for _, st := range res.Stats() {
 		if st.Stage == "extract/lists" {

@@ -17,8 +17,8 @@ import (
 // own sites, entity index and seed sets (seed 3, scale 4: 20 sites, 1120
 // pages, 1.24 MB of HTML): "parse" is every page through the one-shot
 // htmldom.Parse, which is what bench/'s htmldom.parse_ms probe calls;
-// "extract" the stage as core's extractDOM runs it, page bytes to
-// statements, the parse inside the class shards; "both" the two one after
+// "extract" the stage as core's extractDOM runs it, page bytes to counted
+// claims, the parse inside the class shards; "both" the two one after
 // the other. Profile from here:
 //
 //	go test ./internal/core -run '^$' -bench DomxStage/extract -cpu 1 -cpuprofile cpu.pprof
@@ -49,8 +49,8 @@ func BenchmarkDomxStage(b *testing.B) {
 	}
 	extract := func(b *testing.B) {
 		r := domx.Extract(context.Background(), domx.FromWebgen(sites), idx, res.SeedSets, cfg.DOM, crit)
-		if len(r.Statements) != len(res.DOMX.Statements) {
-			b.Fatalf("%d statements, the run had %d", len(r.Statements), len(res.DOMX.Statements))
+		if r.Claims.Len() != res.DOMX.Claims.Len() {
+			b.Fatalf("%d statements, the run had %d", r.Claims.Len(), res.DOMX.Claims.Len())
 		}
 	}
 	b.Run("parse", func(b *testing.B) {

@@ -28,7 +28,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -221,7 +220,8 @@ type Result struct {
 	QSX      *qsx.Result
 	DOMX     *domx.Result
 	TextX    *textx.Result
-	// Statements is the union of all extractors' output.
+	// Statements is the union of all extractors' output: the run's one
+	// statement list, each statement made once, by the union stage.
 	Statements []rdf.Statement
 	// fused is the knowledge-fusion outcome; read it through Fused().
 	fused *fusion.Result
@@ -330,14 +330,12 @@ type pipelineRun struct {
 	mu    sync.Mutex
 	stats map[string]*StageStat
 
-	dbp, fb   *kb.SourceKB
-	qsStream  *querystream.Stream
-	sites     []*webgen.Site
-	corpus    []*webgen.Document
-	entIdx    *extract.EntityIndex
-	kbStmts   []rdf.Statement
-	listRes   *domx.ListResult
-	discStmts []rdf.Statement
+	dbp, fb  *kb.SourceKB
+	qsStream *querystream.Stream
+	sites    []*webgen.Site
+	corpus   []*webgen.Document
+	entIdx   *extract.EntityIndex
+	kbStmts  *kbx.Statements
 }
 
 // stages builds the pipeline DAG. The list order is a valid topological
@@ -447,14 +445,12 @@ func (p *pipelineRun) setStat(name string, st StageStat) {
 	p.stats[name] = &st
 }
 
-// addStat records a statement-emitting stage's stat with its precision
-// against ground truth.
-func (p *pipelineRun) addStat(name, detail string, stmts []rdf.Statement) {
-	prec := -1.0
-	if len(stmts) > 0 {
-		prec = p.scorer.ScoreStatements(stmts).Precision()
-	}
-	p.setStat(name, StageStat{Stage: name, Detail: detail, Statements: len(stmts), Precision: prec})
+// addStat records a statement-emitting stage's stat with the number of
+// statements it counted. The union makes them and scores the stat's
+// precision.
+func (p *pipelineRun) addStat(ctx context.Context, name, detail string, n int) {
+	obs.Current(ctx).AnnotateInt("statements", int64(n))
+	p.setStat(name, StageStat{Stage: name, Detail: detail, Statements: n, Precision: -1})
 }
 
 // genWorld generates the ground-truth world that every substrate derives
@@ -505,8 +501,7 @@ func (p *pipelineRun) extractKB(ctx context.Context) error {
 	res := p.res
 	res.KBX = kbx.ExtractAttributes(ctx, p.crit, p.dbp, p.fb)
 	p.kbStmts = kbx.ExtractStatements(ctx, p.crit, p.dbp, p.fb)
-	obs.Current(ctx).AnnotateInt("statements", int64(len(p.kbStmts)))
-	p.addStat(StageKBX, fmt.Sprintf("%d classes combined", len(res.KBX.PerClass)), p.kbStmts)
+	p.addStat(ctx, StageKBX, fmt.Sprintf("%d classes combined", len(res.KBX.PerClass)), p.kbStmts.Len())
 	return nil
 }
 
@@ -570,9 +565,8 @@ func (p *pipelineRun) extractDOM(ctx context.Context) error {
 		dcfg.DiscoverEntities = true
 	}
 	res.DOMX = domx.Extract(ctx, domx.FromWebgen(p.sites), p.entIdx, res.SeedSets, dcfg, p.crit)
-	obs.Current(ctx).AnnotateInt("statements", int64(len(res.DOMX.Statements)))
-	p.addStat(StageDOMX,
-		fmt.Sprintf("%d sites, %d discovered attrs", len(p.sites), totalDiscoveredDOM(res.DOMX)), res.DOMX.Statements)
+	p.addStat(ctx, StageDOMX,
+		fmt.Sprintf("%d sites, %d discovered attrs", len(p.sites), totalDiscoveredDOM(res.DOMX)), res.DOMX.Claims.Len())
 	return nil
 }
 
@@ -585,14 +579,12 @@ func (p *pipelineRun) extractLists(ctx context.Context) error {
 	classOf := hostClassResolver(res.World)
 	known, unknown := splitHostsByClass(lists, classOf)
 	listRes := domx.ExtractLists(ctx, domx.ListsFromWebgen(known, classOf), p.entIdx, p.crit)
-	p.listRes = listRes
-	obs.Current(ctx).AnnotateInt("statements", int64(len(listRes.Statements)))
 	res.Lists = listRes
 	detail := fmt.Sprintf("%d regions, %d records", listRes.Regions, listRes.Records)
 	if len(unknown) > 0 {
 		detail += fmt.Sprintf(", %d unknown host(s) skipped", len(unknown))
 	}
-	p.addStat(StageLists, detail, listRes.Statements)
+	p.addStat(ctx, StageLists, detail, listRes.Claims.Len())
 	return nil
 }
 
@@ -604,34 +596,64 @@ func (p *pipelineRun) extractText(ctx context.Context) error {
 		tcfg.DiscoverEntities = true
 	}
 	res.TextX = textx.Extract(ctx, p.corpus, p.entIdx, res.SeedSets, tcfg, p.crit)
-	obs.Current(ctx).AnnotateInt("statements", int64(len(res.TextX.Statements)))
-	p.addStat(StageTextX,
-		fmt.Sprintf("%d docs, %d patterns", len(p.corpus), len(res.TextX.Patterns)), res.TextX.Statements)
+	p.addStat(ctx, StageTextX,
+		fmt.Sprintf("%d docs, %d patterns", len(p.corpus), len(res.TextX.Patterns)), res.TextX.Claims.Len())
 	return nil
 }
 
-// unionStatements concatenates the surviving extractors' output and the
-// discovered entities' statements, once, at final size: the one statement
-// list of the run, which alignment rewrites in place and fusion reads. It
-// is supervised as the mandatory "union" stage; the slice is rebuilt from
-// its parts so a retried attempt is idempotent. Degraded extractors and a
-// degraded discovery contribute nothing.
+// part is one stage's statements as the union reads them: how many its
+// stage counted, and the call that makes them.
+type part struct {
+	stage string
+	n     int
+	mint  func(dst []rdf.Statement) []rdf.Statement
+}
+
+// unionStatements makes the surviving extractors' statements and the
+// discovered entities' into one list of their counted size: the one
+// statement list of the run, which alignment rewrites in place and fusion
+// reads. Each part's precision is scored on its window of the list, before
+// alignment rewrites it. It is supervised as the mandatory "union" stage;
+// the list is made afresh from the parts so a retried attempt is
+// idempotent. Degraded extractors and a degraded discovery contribute
+// nothing.
 func (p *pipelineRun) unionStatements(ctx context.Context) error {
 	res := p.res
-	parts := [][]rdf.Statement{p.kbStmts}
+	parts := []part{{StageKBX, p.kbStmts.Len(), p.kbStmts.AppendStatements}}
 	if res.DOMX != nil {
-		parts = append(parts, res.DOMX.Statements)
+		parts = append(parts, part{StageDOMX, res.DOMX.Claims.Len(), res.DOMX.AppendStatements})
 	}
-	if p.listRes != nil {
-		parts = append(parts, p.listRes.Statements)
+	if res.Lists != nil {
+		parts = append(parts, part{StageLists, res.Lists.Claims.Len(), res.Lists.AppendStatements})
 	}
 	if res.TextX != nil {
-		parts = append(parts, res.TextX.Statements)
+		parts = append(parts, part{StageTextX, res.TextX.Claims.Len(), res.TextX.AppendStatements})
 	}
-	parts = append(parts, p.discStmts)
-	res.Statements = slices.Concat(parts...)
-	obs.Reg(ctx).Counter("akb_pipeline_statements_total").Add(int64(len(res.Statements)))
-	obs.Current(ctx).AnnotateInt("statements", int64(len(res.Statements)))
+	if disc := res.Discovered; disc != nil {
+		conf := p.crit.Score(extract.ExtractorDOM, 2, 2)
+		parts = append(parts, part{StageDiscover, disc.NumStatements(), func(dst []rdf.Statement) []rdf.Statement {
+			return disc.AppendStatements(dst, conf)
+		}})
+	}
+	n := 0
+	for _, pt := range parts {
+		n += pt.n
+	}
+	stmts := make([]rdf.Statement, 0, n)
+	for _, pt := range parts {
+		lo := len(stmts)
+		stmts = pt.mint(stmts)
+		prec := -1.0
+		if len(stmts) > lo {
+			prec = p.scorer.ScoreStatements(stmts[lo:]).Precision()
+		}
+		p.mu.Lock()
+		p.stats[pt.stage].Precision = prec
+		p.mu.Unlock()
+	}
+	res.Statements = stmts
+	obs.Reg(ctx).Counter("akb_pipeline_statements_total").Add(int64(len(stmts)))
+	obs.Current(ctx).AnnotateInt("statements", int64(len(stmts)))
 	return nil
 }
 
@@ -671,14 +693,12 @@ func (p *pipelineRun) discoverEntities(ctx context.Context) error {
 		facts = append(facts, res.TextX.NewEntityFacts...)
 	}
 	disc := entitydisc.Discover(facts, p.entIdx)
-	discStmts := disc.Statements(p.crit.Score(extract.ExtractorDOM, 2, 2))
 	obs.Reg(ctx).Counter("akb_discover_entities_total").Add(int64(len(disc.Entities)))
-	obs.Current(ctx).AnnotateInt("statements", int64(len(discStmts)))
-	p.addStat(StageDiscover,
+	p.addStat(ctx, StageDiscover,
 		fmt.Sprintf("%d new entities, %d mentions linked, %d rejected",
 			len(disc.Entities), len(disc.Linked), disc.Rejected),
-		discStmts)
-	res.Discovered, p.discStmts = disc, discStmts
+		disc.NumStatements())
+	res.Discovered = disc
 	return nil
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"strconv"
 	"testing"
 
@@ -152,5 +153,59 @@ func TestRunContextWithoutTelemetry(t *testing.T) {
 	if len(plain.Statements) != len(traced.Statements) || plain.Fused().NumTruths() != traced.Fused().NumTruths() {
 		t.Fatalf("telemetry changed pipeline output: %d/%d statements, %d/%d triples",
 			len(plain.Statements), len(traced.Statements), plain.Fused().NumTruths(), traced.Fused().NumTruths())
+	}
+}
+
+// TestStatementCountersMatchStageStats: each extractor's statement counter
+// is added where its stage counts the statements, not where the union
+// makes them, so it equals the stage's StageStat.Statements even when the
+// union runs twice — here its first attempt runs to the end and then fails
+// transiently.
+func TestStatementCountersMatchStageStats(t *testing.T) {
+	p := newPipelineRun(allStagesConfig())
+	stages := p.stages()
+	unions := 0
+	for i := range stages {
+		if run := stages[i].Run; stages[i].Name == StageUnion {
+			stages[i].Run = func(ctx context.Context) error {
+				unions++
+				if err := run(ctx); err != nil || unions > 1 {
+					return err
+				}
+				return resilience.MarkTransient(errors.New("union lost after it ran"))
+			}
+		}
+	}
+	run := obs.NewRun()
+	res, err := p.run(obs.Into(context.Background(), run), stages)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if unions != 2 {
+		t.Fatalf("the union ran %d times, want 2: the case tests nothing", unions)
+	}
+	rr, err := run.Report(res.Health())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for stage, counter := range map[string]string{
+		StageKBX:   "akb_kbx_statements_total",
+		StageDOMX:  "akb_domx_statements_total",
+		StageLists: "akb_domx_list_statements_total",
+		StageTextX: "akb_textx_statements_total",
+	} {
+		var stat *StageStat
+		for _, st := range res.Stats() {
+			if st.Stage == stage {
+				stat = &st
+			}
+		}
+		m, ok := rr.Metric(counter)
+		if stat == nil || !ok || stat.Statements == 0 {
+			t.Fatalf("%s: stat %+v, counter %s %+v (found %v)", stage, stat, counter, m, ok)
+		}
+		if m.Value != float64(stat.Statements) {
+			t.Errorf("%s = %v, the %s stage counts %d statements", counter, m.Value, stage, stat.Statements)
+		}
 	}
 }

@@ -66,21 +66,22 @@ type Result struct {
 	Rejected int
 }
 
-// Statements converts the discovered entities' aggregated values into
-// confidence-annotated statements so they can join the fusion phase. The
-// slice is allocated once at its final length, and is nil when there is no
-// statement.
-func (r *Result) Statements(conf float64) []rdf.Statement {
+// NumStatements is the number of statements AppendStatements appends: one
+// per (entity, value, source).
+func (r *Result) NumStatements() int {
 	n := 0
 	for _, e := range r.Entities {
 		for _, vs := range e.Values {
 			n += len(vs) * len(e.Sources)
 		}
 	}
-	if n == 0 {
-		return nil
-	}
-	out := make([]rdf.Statement, 0, n)
+	return n
+}
+
+// AppendStatements appends the discovered entities' aggregated values to
+// dst as statements of confidence conf, so they can join the fusion phase.
+func (r *Result) AppendStatements(dst []rdf.Statement, conf float64) []rdf.Statement {
+	dst = slices.Grow(dst, r.NumStatements())
 	for _, e := range r.Entities {
 		subject := extract.EntityIRI(e.Name)
 		attrs := make([]string, 0, len(e.Values))
@@ -93,12 +94,12 @@ func (r *Result) Statements(conf float64) []rdf.Statement {
 			for _, v := range e.Values[a] {
 				t := rdf.T(subject, predicate, rdf.Literal(v))
 				for _, src := range e.Sources {
-					out = append(out, rdf.S(t, rdf.Provenance{Source: src, Extractor: "entitydisc"}, conf))
+					dst = append(dst, rdf.S(t, rdf.Provenance{Source: src, Extractor: "entitydisc"}, conf))
 				}
 			}
 		}
 	}
-	return out
+	return dst
 }
 
 // Discover clusters candidate facts into linked, merged and new entities.

@@ -116,12 +116,12 @@ func TestResultStatements(t *testing.T) {
 		fact("Zanzibar Nights", "Film", "director", "Leo", "s3"),
 	}
 	res := Discover(facts, idx)
-	stmts := res.Statements(0.6)
+	stmts := res.AppendStatements(nil, 0.6)
 	if len(stmts) != 3 { // one value x three sources
 		t.Fatalf("statements = %d, want 3", len(stmts))
 	}
-	if cap(stmts) != len(stmts) {
-		t.Errorf("cap = %d, want len %d: the slice is allocated at its final size", cap(stmts), len(stmts))
+	if n := res.NumStatements(); n != len(stmts) {
+		t.Errorf("NumStatements = %d, appended %d", n, len(stmts))
 	}
 	for _, s := range stmts {
 		if err := s.Valid(); err != nil {
@@ -137,7 +137,7 @@ func TestResultStatements(t *testing.T) {
 // make no statement and allocate nothing.
 func TestResultStatementsNilWhenEmpty(t *testing.T) {
 	_, idx := worldIndex(t)
-	if stmts := Discover(nil, idx).Statements(0.6); stmts != nil {
+	if stmts := Discover(nil, idx).AppendStatements(nil, 0.6); stmts != nil {
 		t.Errorf("no entity found: statements = %v, want nil", stmts)
 	}
 	valueless := []extract.EntityFact{
@@ -148,7 +148,7 @@ func TestResultStatementsNilWhenEmpty(t *testing.T) {
 	if len(res.Entities) != 1 {
 		t.Fatalf("entities = %+v, want one", res.Entities)
 	}
-	if stmts := res.Statements(0.6); stmts != nil {
+	if stmts := res.AppendStatements(nil, 0.6); stmts != nil || res.NumStatements() != 0 {
 		t.Errorf("entity without values: statements = %v, want nil", stmts)
 	}
 }

@@ -230,7 +230,7 @@ func refWithinDistance(a, b string, max int) bool {
 	return prev[len(rb)] <= max
 }
 
-// refStatements is the form Result.Statements replaced: one NewStatement,
+// refStatements is the form Result.AppendStatements replaced: one NewStatement,
 // and so one entity and one attribute IRI, a statement.
 func refStatements(r *Result, conf float64) []rdf.Statement {
 	var out []rdf.Statement
@@ -264,7 +264,7 @@ func checkDiscover(t *testing.T, facts []extract.EntityFact, idx *extract.Entity
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("%d facts over %q:\n got  %+v\n want %+v", len(facts), idx.Names(), got, want)
 	}
-	if g, w := got.Statements(0.6), refStatements(want, 0.6); !reflect.DeepEqual(g, w) {
+	if g, w := got.AppendStatements(nil, 0.6), refStatements(want, 0.6); !reflect.DeepEqual(g, w) {
 		t.Fatalf("Statements\n got  %v\n want %v", g, w)
 	}
 }
@@ -331,9 +331,9 @@ func genNames(r *rand.Rand, n int) []string {
 	return out
 }
 
-// TestDiscoverMatchesReference holds Discover and Result.Statements to the
-// forms they replaced on generated mentions of known and new names, repeated
-// across sources.
+// TestDiscoverMatchesReference holds Discover and Result.AppendStatements to
+// the forms they replaced on generated mentions of known and new names,
+// repeated across sources.
 func TestDiscoverMatchesReference(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	// No empty class: the reference picks among classes in map order

@@ -74,7 +74,7 @@ func (sc *Scorer) ScoreStatements(stmts []rdf.Statement) Metrics {
 	var subject rdf.Term
 	var e *kb.Entity
 	for i := range stmts {
-		s := &stmts[i] // a Statement is 224 bytes
+		s := &stmts[i] // a Statement is 128 bytes
 		// Extractors emit an entity's statements together: most statements
 		// have the subject of the one before.
 		if i == 0 || s.Subject != subject {

@@ -80,7 +80,7 @@ func runDOMPoint(seed int64, sitesPerClass, seedAttrs int, threshold float64) DO
 		prec = float64(genuine) / float64(discovered)
 	}
 	scorer := &eval.Scorer{World: w}
-	sp := scorer.ScoreStatements(res.Statements).Precision()
+	sp := scorer.ScoreStatements(res.AppendStatements(nil)).Precision()
 	return DOMSweepRow{Discovered: discovered, Precision: prec, StmtPrecision: sp}
 }
 

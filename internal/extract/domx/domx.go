@@ -108,12 +108,19 @@ type EntityFact = extract.EntityFact
 // Result is the extraction outcome.
 type Result struct {
 	PerClass map[string]*ClassResult
-	// Statements are the (entity, attribute, value) claims with
-	// per-site provenance.
-	Statements []rdf.Statement
+	// Claims are the counted (entity, attribute, value) claims with
+	// per-site provenance, one statement per (claim, site): Claims.Len()
+	// statements, made by AppendStatements.
+	Claims *extract.Evidence
+	score  func(support, sources int) float64
 	// NewEntityFacts holds facts about unrecognised page entities when
 	// Config.DiscoverEntities is set.
 	NewEntityFacts []EntityFact
+}
+
+// AppendStatements appends the claims' statements to dst.
+func (r *Result) AppendStatements(dst []rdf.Statement) []rdf.Statement {
+	return r.Claims.AppendStatements(dst, extract.ExtractorDOM, r.score)
 }
 
 // Classes returns class names in sorted order.
@@ -237,15 +244,14 @@ func Extract(ctx context.Context, sites []Site, idx *extract.EntityIndex, seeds 
 	if cfg.MaxPasses <= 0 {
 		cfg.MaxPasses = 3
 	}
-	res := &Result{PerClass: make(map[string]*ClassResult)}
+	res := &Result{PerClass: make(map[string]*ClassResult), Claims: extract.NewEvidence(), score: crit.ScoreFunc(extract.ExtractorDOM)}
 	shards := shardByClass(sites)
 	outs := mapreduce.Map(mapreduce.Config{Workers: max(cfg.Workers, 1), Obs: obs.Reg(ctx)},
 		shards, func(sh shard) shardOut { return runShard(sh, idx, seeds, cfg) })
 	factsBySite := make([][]EntityFact, len(sites))
-	claims := extract.NewEvidence()
 	for s, out := range outs { // outs[s] aligns with shards[s]
 		res.PerClass[out.cr.Class] = out.cr
-		claims.Merge(out.claims)
+		res.Claims.Merge(out.claims)
 		for k, fs := range out.facts {
 			factsBySite[shards[s].indices[k]] = fs
 		}
@@ -261,9 +267,9 @@ func Extract(ctx context.Context, sites []Site, idx *extract.EntityIndex, seeds 
 			crit.ScoreAttrSet(extract.ExtractorDOM, cr.All)
 		}
 	}
-	res.Statements = claims.Statements(extract.ExtractorDOM, crit.ScoreFunc(extract.ExtractorDOM))
+	res.Claims.Count()
 	reg := obs.Reg(ctx)
-	reg.Counter("akb_domx_statements_total").Add(int64(len(res.Statements)))
+	reg.Counter("akb_domx_statements_total").Add(int64(res.Claims.Len()))
 	discovered := 0
 	for _, cr := range res.PerClass {
 		discovered += cr.Discovered.Len()

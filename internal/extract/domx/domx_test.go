@@ -80,11 +80,12 @@ func TestDiscoveredAttributesAreReal(t *testing.T) {
 func TestExtractStatementsQuality(t *testing.T) {
 	w, sites, idx, seeds := setup(t)
 	res := Extract(context.Background(), sites, idx, seeds, DefaultConfig(), confidence.Default())
-	if len(res.Statements) == 0 {
+	stmts := res.AppendStatements(nil)
+	if len(stmts) == 0 {
 		t.Fatal("no statements")
 	}
 	correct, total := 0, 0
-	for _, s := range res.Statements {
+	for _, s := range stmts {
 		if err := s.Valid(); err != nil {
 			t.Fatalf("invalid statement: %v", err)
 		}
@@ -192,11 +193,12 @@ func TestExtractDeterministic(t *testing.T) {
 	_, sites, idx, seeds := setup(t)
 	a := Extract(context.Background(), sites, idx, seeds, DefaultConfig(), confidence.Default())
 	b := Extract(context.Background(), sites, idx, seeds, DefaultConfig(), confidence.Default())
-	if len(a.Statements) != len(b.Statements) {
-		t.Fatalf("statement counts differ: %d vs %d", len(a.Statements), len(b.Statements))
+	sa, sb := a.AppendStatements(nil), b.AppendStatements(nil)
+	if len(sa) != len(sb) {
+		t.Fatalf("statement counts differ: %d vs %d", len(sa), len(sb))
 	}
-	for i := range a.Statements {
-		if a.Statements[i].String() != b.Statements[i].String() {
+	for i := range sa {
+		if sa[i].String() != sb[i].String() {
 			t.Fatalf("statement %d differs", i)
 		}
 	}
@@ -218,7 +220,7 @@ func TestStatementValuesComeFromPages(t *testing.T) {
 		}
 	}
 	res := Extract(context.Background(), sites, idx, seeds, DefaultConfig(), nil)
-	for _, s := range res.Statements {
+	for _, s := range res.AppendStatements(nil) {
 		v := s.Object.Value
 		if !rendered[v] && !strings.HasSuffix(v, ":") {
 			t.Errorf("extracted value %q never rendered on any page", v)
@@ -238,7 +240,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 		pcfg := cfg
 		pcfg.Workers = workers
 		par := Extract(context.Background(), sites, idx, seeds, pcfg, confidence.Default())
-		if !reflect.DeepEqual(par.Statements, serial.Statements) {
+		if !reflect.DeepEqual(par.AppendStatements(nil), serial.AppendStatements(nil)) {
 			t.Errorf("workers=%d: statements differ from serial", workers)
 		}
 		if !reflect.DeepEqual(par.NewEntityFacts, serial.NewEntityFacts) {
@@ -276,7 +278,7 @@ func TestStageAllocationBound(t *testing.T) {
 	}
 	statements := 0
 	allocs := testing.AllocsPerRun(5, func() {
-		statements = len(Extract(context.Background(), FromWebgen(gen), idx, seeds, DefaultConfig(), crit).Statements)
+		statements = Extract(context.Background(), FromWebgen(gen), idx, seeds, DefaultConfig(), crit).Claims.Len()
 	})
 	per := allocs / float64(pages)
 	t.Logf("%.0f allocations for %d pages and %d statements: %.0f a page", allocs, pages, statements, per)

@@ -53,8 +53,10 @@ func ListsFromWebgen(w map[string][]*webgen.ListPage, classOf func(host string) 
 
 // ListResult is the list-extraction outcome.
 type ListResult struct {
-	// Statements are the extracted claims.
-	Statements []rdf.Statement
+	// Claims are the counted extracted claims, one statement per (claim,
+	// host): Claims.Len() statements, made by AppendStatements.
+	Claims *extract.Evidence
+	score  func(support, sources int) float64
 	// Records counts extracted entity rows.
 	Records int
 	// Regions counts detected record regions (tables).
@@ -69,8 +71,7 @@ const minRecordRows = 3
 
 // ExtractLists mines record regions from list pages.
 func ExtractLists(ctx context.Context, sites []ListSite, idx *extract.EntityIndex, crit *confidence.Criterion) *ListResult {
-	res := &ListResult{HeaderAttrs: map[string]extract.AttrSet{}}
-	claims := extract.NewEvidence()
+	res := &ListResult{HeaderAttrs: map[string]extract.AttrSet{}, Claims: extract.NewEvidence(), score: crit.ScoreFunc(extract.ExtractorDOM)}
 	var parser htmldom.Parser // one page's tree at a time
 
 	for _, site := range sites {
@@ -109,7 +110,7 @@ func ExtractLists(ctx context.Context, sites []ListSite, idx *extract.EntityInde
 							continue
 						}
 						set.Add(attr, site.Host)
-						claims.Add(entity, attr, value, site.Host, p.URL)
+						res.Claims.Add(entity, attr, value, site.Host, p.URL)
 					}
 				}
 				if records >= minRecordRows {
@@ -119,11 +120,16 @@ func ExtractLists(ctx context.Context, sites []ListSite, idx *extract.EntityInde
 			}
 		}
 	}
-	res.Statements = claims.Statements(extract.ExtractorDOM, crit.ScoreFunc(extract.ExtractorDOM))
+	res.Claims.Count()
 	reg := obs.Reg(ctx)
 	reg.Counter("akb_domx_list_records_total").Add(int64(res.Records))
-	reg.Counter("akb_domx_list_statements_total").Add(int64(len(res.Statements)))
+	reg.Counter("akb_domx_list_statements_total").Add(int64(res.Claims.Len()))
 	return res
+}
+
+// AppendStatements appends the claims' statements to dst.
+func (r *ListResult) AppendStatements(dst []rdf.Statement) []rdf.Statement {
+	return r.Claims.AppendStatements(dst, extract.ExtractorDOM, r.score)
 }
 
 // directRows returns the table's tr descendants that belong to this table

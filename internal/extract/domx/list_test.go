@@ -37,11 +37,12 @@ func TestExtractListsFindsRecords(t *testing.T) {
 	if res.Regions == 0 || res.Records == 0 {
 		t.Fatalf("no record regions found: %+v", res)
 	}
-	if len(res.Statements) == 0 {
+	stmts := res.AppendStatements(nil)
+	if len(stmts) == 0 {
 		t.Fatal("no statements")
 	}
 	correct, total := 0, 0
-	for _, s := range res.Statements {
+	for _, s := range stmts {
 		if err := s.Valid(); err != nil {
 			t.Fatal(err)
 		}
@@ -112,7 +113,7 @@ func TestExtractListsSkipsHeaderlessTables(t *testing.T) {
 	b.WriteString("</table>")
 	sites := []ListSite{{Host: "h", Class: "Film", Pages: []ListPage{{URL: "/l", HTML: b.String()}}}}
 	res := ExtractLists(context.Background(), sites, idx, nil)
-	if len(res.Statements) != 0 {
+	if res.Claims.Len() != 0 {
 		t.Error("headerless table produced statements")
 	}
 }

@@ -7,166 +7,153 @@ import (
 	"akb/internal/rdf"
 )
 
-// claimKey identifies one (entity, attribute, value) claim.
-type claimKey struct{ entity, attr, value string }
+// observation is one "this page says entity's attr is value" an extractor
+// made, with the source and document that said it.
+type observation struct{ entity, attr, value, source, doc string }
 
-// firstSeen is where one source first asserted a claim.
-type firstSeen struct{ source, doc string }
+// The log is cut into blocks of 1<<blockBits observations: an observation's
+// place is its block number shifted left by blockBits, plus its offset.
+const (
+	blockBits = 8
+	blockMask = 1<<blockBits - 1
+)
 
-// claim is what an extractor saw for one claim: every observation counts
-// towards support; each distinct source is kept once, with the document it
-// first asserted the claim in, in first-seen order. The sources of one claim
-// are the few sites that state the same fact — most claims have one — so the
-// first is held in place and the list is searched rather than indexed.
-type claim struct {
-	key     claimKey
-	support int
-	first   firstSeen
-	more    []firstSeen
-	// ord is the claim's place among all the aggregator holds; Statements
-	// numbers the claims to order those that share a key.
-	ord int
-}
+// claimEnd closes one claim of the counted evidence: its statements end
+// before statements[end], and support observations made it.
+type claimEnd struct{ end, support uint32 }
 
-func (c *claim) see(s firstSeen) {
-	if c.first.source == s.source {
-		return
-	}
-	for _, have := range c.more {
-		if have.source == s.source {
-			return
-		}
-	}
-	c.more = append(c.more, s)
-}
-
-// claimBlock is how many claims are cut from one array.
-const claimBlock = 256
-
-// Evidence aggregates an extractor's observations into claims and turns
-// them into scored statements: the one path from "this page says entity's
-// attr is value" to the rdf.Statements fusion reads.
+// Evidence is an extractor's log of observations and, once counted, the
+// claims they make: the one path from "this page says entity's attr is
+// value" to the rdf.Statements fusion reads.
 type Evidence struct {
-	// index finds the claims Add made since the last Merge.
-	index map[claimKey]*claim
-	// blocks hold the claims in the order they were first observed, an
-	// adopted aggregator's after those it was merged into. Claims do not
-	// move: a full block is followed by a new one.
-	blocks [][]claim
-	// open: the last block is this aggregator's own and takes Add's claims.
-	open bool
+	// blocks hold the observations in the order they were made, a merged
+	// log's after those of the log it was merged into. An observation does
+	// not move: a full block is followed by a new one.
+	blocks [][]observation
+	// statements are the places of the observations that become
+	// statements, in the order they are minted; claims split them by claim.
+	statements []uint32
+	claims     []claimEnd
 }
 
-// NewEvidence returns an empty aggregator.
-func NewEvidence() *Evidence {
-	return &Evidence{index: make(map[claimKey]*claim)}
-}
+// NewEvidence returns an empty log.
+func NewEvidence() *Evidence { return &Evidence{} }
 
 // Add records one observation of (entity, attr, value) by source in doc.
 func (e *Evidence) Add(entity, attr, value, source, doc string) {
-	k := claimKey{entity: entity, attr: attr, value: value}
-	c := e.index[k]
-	if c == nil {
-		c = e.newClaim()
-		c.key, c.first = k, firstSeen{source: source, doc: doc}
-		e.index[k] = c
-	}
-	c.support++
-	c.see(firstSeen{source: source, doc: doc})
-}
-
-func (e *Evidence) newClaim() *claim {
-	if last := len(e.blocks) - 1; !e.open || len(e.blocks[last]) == claimBlock {
-		e.blocks = append(e.blocks, make([]claim, 0, claimBlock))
-		e.open = true
+	if last := len(e.blocks) - 1; last < 0 || len(e.blocks[last]) == cap(e.blocks[last]) {
+		e.blocks = append(e.blocks, make([]observation, 0, blockMask+1))
 	}
 	b := &e.blocks[len(e.blocks)-1]
-	*b = (*b)[:len(*b)+1]
-	return &(*b)[len(*b)-1]
+	*b = append(*b, observation{entity, attr, value, source, doc})
 }
 
-// Merge folds o into e as if o's observations had been added after e's. It
-// is how shards that partition the entities (and so share no claim) are
-// joined: o's claims are adopted as they stand, and a claim both hold is
-// put together when Statements reads them. o must not be used afterwards.
+// Merge appends o's log to e's, as if o's observations had been added after
+// e's. o must not be used afterwards.
 func (e *Evidence) Merge(o *Evidence) {
 	e.blocks = append(e.blocks, o.blocks...)
-	e.open = false
-	// What Add is told from here on comes after o's observations, also of a
-	// claim e held before.
-	clear(e.index)
 }
 
-// Statements mints one statement per (claim, source), claims in (entity,
-// attr, value) string order — minted IRIs rewrite spaces, so this is not
-// the order of the IRIs — and a claim's statements in the order its sources
-// were first seen. Every statement of a claim carries score(support,
-// distinct sources).
-func (e *Evidence) Statements(extractor string, score func(support, sources int) float64) []rdf.Statement {
-	claims, n := e.sorted()
-	out := make([]rdf.Statement, 0, n)
-	var subject, predicate rdf.Term
-	for i := 0; i < len(claims); {
-		// The claims with one key: one, unless merged aggregators shared it;
-		// then the later ones fold into a copy of the first.
-		c := *claims[i]
-		j := i + 1
-		for ; j < len(claims) && claims[j].key == c.key; j++ {
-			if j == i+1 {
-				c.more = slices.Clone(c.more)
-			}
-			c.support += claims[j].support
-			c.see(claims[j].first)
-			for _, s := range claims[j].more {
-				c.see(s)
-			}
-		}
-		// Claims arrive grouped by entity, then attribute: an IRI is minted
-		// where the name changes, not once per statement.
-		if i == 0 || c.key.entity != claims[i-1].key.entity {
-			subject = EntityIRI(c.key.entity)
-		}
-		if i == 0 || c.key.attr != claims[i-1].key.attr {
-			predicate = AttrIRI(c.key.attr)
-		}
-		triple := rdf.T(subject, predicate, rdf.Literal(c.key.value))
-		conf := score(c.support, 1+len(c.more))
-		out = append(out, rdf.S(triple, rdf.Provenance{Source: c.first.source, Extractor: extractor, Document: c.first.doc}, conf))
-		for _, s := range c.more {
-			out = append(out, rdf.S(triple, rdf.Provenance{Source: s.source, Extractor: extractor, Document: s.doc}, conf))
-		}
-		i = j
-	}
-	return out
+func (e *Evidence) at(place uint32) *observation {
+	return &e.blocks[place>>blockBits][place&blockMask]
 }
 
-// sorted returns the claims in key order, those of one key in the order
-// they were made, and a count of their sources.
-func (e *Evidence) sorted() (claims []*claim, sources int) {
+// Count folds the log into claims: one per (entity, attr, value), in that
+// string order — minted IRIs rewrite spaces, so this is not the order of
+// the IRIs. A claim's support is how often it was observed; each source
+// that observed it is kept once, with the document it first did so in, in
+// first-seen order. Count follows the last Add or Merge; Len and
+// AppendStatements read what it folded.
+func (e *Evidence) Count() {
 	n := 0
 	for _, b := range e.blocks {
 		n += len(b)
 	}
-	claims = make([]*claim, 0, n)
-	for _, b := range e.blocks {
-		for i := range b {
-			c := &b[i]
-			c.ord = len(claims)
-			claims = append(claims, c)
-			sources += 1 + len(c.more)
+	places := make([]uint32, 0, n)
+	for i, b := range e.blocks {
+		for j := range b {
+			places = append(places, uint32(i<<blockBits|j))
 		}
 	}
-	slices.SortFunc(claims, func(a, b *claim) int {
-		if a.key.entity != b.key.entity {
-			return cmp.Compare(a.key.entity, b.key.entity)
+	// Places grow with the log, so breaking ties by place keeps the sort
+	// stable.
+	slices.SortFunc(places, func(a, b uint32) int {
+		x, y := e.at(a), e.at(b)
+		if c := cmp.Compare(x.entity, y.entity); c != 0 {
+			return c
 		}
-		if a.key.attr != b.key.attr {
-			return cmp.Compare(a.key.attr, b.key.attr)
+		if c := cmp.Compare(x.attr, y.attr); c != 0 {
+			return c
 		}
-		if a.key.value != b.key.value {
-			return cmp.Compare(a.key.value, b.key.value)
+		if c := cmp.Compare(x.value, y.value); c != 0 {
+			return c
 		}
-		return a.ord - b.ord
+		return cmp.Compare(a, b)
 	})
-	return claims, sources
+	// The kept places are written over the sorted ones: a claim keeps at
+	// most the observations it has.
+	e.claims = e.claims[:0]
+	kept := places[:0]
+	for i := 0; i < len(places); {
+		first, lo := e.at(places[i]), len(kept)
+		j := i
+		for ; j < len(places); j++ {
+			o := e.at(places[j])
+			if o.entity != first.entity || o.attr != first.attr || o.value != first.value {
+				break
+			}
+			if !e.hasSource(kept[lo:], o.source) {
+				kept = append(kept, places[j])
+			}
+		}
+		e.claims = append(e.claims, claimEnd{end: uint32(len(kept)), support: uint32(j - i)})
+		i = j
+	}
+	e.statements = kept
+}
+
+// hasSource reports whether one of the observations at places is by source.
+// The sources of one claim are the few sites that state the same fact —
+// most claims have one — so they are searched rather than indexed.
+func (e *Evidence) hasSource(places []uint32, source string) bool {
+	for _, p := range places {
+		if e.at(p).source == source {
+			return true
+		}
+	}
+	return false
+}
+
+// Len is the number of statements AppendStatements appends: one per
+// (claim, source).
+func (e *Evidence) Len() int { return len(e.statements) }
+
+// AppendStatements appends one statement per (claim, source) to dst, claims
+// in the order Count put them and a claim's statements in the order its
+// sources were first seen. Every statement of a claim carries
+// score(support, distinct sources).
+func (e *Evidence) AppendStatements(dst []rdf.Statement, extractor string, score func(support, sources int) float64) []rdf.Statement {
+	dst = slices.Grow(dst, len(e.statements))
+	var subject, predicate rdf.Term
+	var prev *observation
+	lo := uint32(0)
+	for _, c := range e.claims {
+		o := e.at(e.statements[lo])
+		// Claims arrive grouped by entity, then attribute: an IRI is minted
+		// where the name changes, not once per statement.
+		if prev == nil || o.entity != prev.entity {
+			subject = EntityIRI(o.entity)
+		}
+		if prev == nil || o.attr != prev.attr {
+			predicate = AttrIRI(o.attr)
+		}
+		triple := rdf.T(subject, predicate, rdf.Literal(o.value))
+		conf := score(int(c.support), int(c.end-lo))
+		for _, p := range e.statements[lo:c.end] {
+			s := e.at(p)
+			dst = append(dst, rdf.S(triple, rdf.Provenance{Source: s.source, Extractor: extractor, Document: s.doc}, conf))
+		}
+		prev, lo = o, c.end
+	}
+	return dst
 }

@@ -8,6 +8,7 @@ package kbx
 
 import (
 	"context"
+	"slices"
 	"sort"
 	"strings"
 
@@ -121,87 +122,104 @@ func expandProperties(class string, src *kb.SourceKB, props []kb.Property) extra
 	return out
 }
 
-// ExtractStatements converts the source KBs' facts into confidence-annotated
-// RDF statements for the fusion phase, KB after KB in the order given, each
-// KB's classes, a fact's sub-fields and their values in sorted order.
-// Composite facts emit one statement per sub-field value.
-//
-// The facts are walked twice: once to count, so the statements are written
-// into one slice of exactly their number, and once to write. What a
-// statement shares with its neighbours is made once — the subject IRI per
-// fact, the predicate IRI (and the canonical name under it) per (class,
-// surface name), the provenance per KB.
-func ExtractStatements(ctx context.Context, crit *confidence.Criterion, kbs ...*kb.SourceKB) []rdf.Statement {
-	conf := confidence.MaxConfidence
+// Statements is the source KBs' facts as confidence-annotated RDF
+// statements for the fusion phase, counted but not yet made:
+// AppendStatements makes them into a list its caller sized with Len.
+type Statements struct {
+	kbs  []*kb.SourceKB
+	conf float64
+	n    int
+	// predicates holds the predicate IRI of each (class, surface name) the
+	// count met; the zero Term stands for a name with no canonical form.
+	predicates map[surface]rdf.Term
+}
+
+type surface struct{ class, name string }
+
+// ExtractStatements counts the statements of the source KBs' facts. What a
+// statement shares with its neighbours is made once, when the facts are
+// counted: the predicate IRI (and the canonical name under it) per (class,
+// surface name).
+func ExtractStatements(ctx context.Context, crit *confidence.Criterion, kbs ...*kb.SourceKB) *Statements {
+	s := &Statements{kbs: kbs, conf: confidence.MaxConfidence, predicates: make(map[surface]rdf.Term)}
 	if crit != nil {
 		// KB facts are single-source claims with full extractor support.
-		conf = crit.Score(extract.ExtractorKB, 3, 1)
+		s.conf = crit.Score(extract.ExtractorKB, 3, 1)
 	}
-	type surface struct{ class, name string }
-	// The zero Term stands for a surface name with no canonical form.
-	predicates := make(map[surface]rdf.Term)
-	predicate := func(class, name string) rdf.Term {
-		p, ok := predicates[surface{class, name}]
-		if !ok {
-			if canonical := kb.CanonicalAttributeName(name, class); canonical != "" {
-				p = extract.AttrIRI(canonical)
-			}
-			predicates[surface{class, name}] = p
-		}
-		return p
+	for _, src := range kbs {
+		s.walk(src, func(_ *kb.Fact, _ rdf.Term, values []string) { s.n += len(values) })
 	}
-	var fields []string // one fact's sub-field names, sorted
-	// walk calls emit for every (fact, sub-field) that has a predicate.
-	walk := func(src *kb.SourceKB, emit func(fact *kb.Fact, predicate rdf.Term, values []string)) {
-		classes := make([]string, 0, len(src.Facts))
-		for c := range src.Facts {
-			classes = append(classes, c)
-		}
-		sort.Strings(classes)
-		for _, class := range classes {
-			facts := src.Facts[class]
-			for i := range facts {
-				fact := &facts[i]
-				fields = fields[:0]
-				for fn := range fact.FieldValues {
-					fields = append(fields, fn)
-				}
-				if len(fields) > 1 {
-					sort.Strings(fields)
-				}
-				for _, fn := range fields {
-					name := fn
-					if name == "" {
-						name = fact.Property
-					}
-					if p := predicate(class, name); !p.IsZero() {
-						emit(fact, p, fact.FieldValues[fn])
-					}
-				}
-			}
-		}
-	}
+	obs.Reg(ctx).Counter("akb_kbx_statements_total").Add(int64(s.n))
+	return s
+}
 
-	n := 0
-	for _, src := range kbs {
-		walk(src, func(_ *kb.Fact, _ rdf.Term, values []string) { n += len(values) })
-	}
-	out := make([]rdf.Statement, 0, n)
-	for _, src := range kbs {
+// Len is the number of statements AppendStatements appends.
+func (s *Statements) Len() int { return s.n }
+
+// AppendStatements appends the statements to dst, KB after KB in the order
+// given, each KB's classes, a fact's sub-fields and their values in sorted
+// order. Composite facts make one statement per sub-field value. The
+// subject IRI is made once a fact, the provenance once a KB.
+func (s *Statements) AppendStatements(dst []rdf.Statement) []rdf.Statement {
+	dst = slices.Grow(dst, s.n)
+	for _, src := range s.kbs {
 		prov := rdf.Provenance{Source: strings.ToLower(src.Name), Extractor: extract.ExtractorKB}
 		var of *kb.Fact
 		var subject rdf.Term
-		walk(src, func(fact *kb.Fact, predicate rdf.Term, values []string) {
+		s.walk(src, func(fact *kb.Fact, predicate rdf.Term, values []string) {
 			if fact != of {
 				of, subject = fact, extract.EntityIRI(fact.Entity)
 			}
 			for _, v := range values {
-				out = append(out, rdf.S(rdf.T(subject, predicate, rdf.Literal(v)), prov, conf))
+				dst = append(dst, rdf.S(rdf.T(subject, predicate, rdf.Literal(v)), prov, s.conf))
 			}
 		})
 	}
-	obs.Reg(ctx).Counter("akb_kbx_statements_total").Add(int64(len(out)))
-	return out
+	return dst
+}
+
+func (s *Statements) predicate(class, name string) rdf.Term {
+	p, ok := s.predicates[surface{class, name}]
+	if !ok {
+		if canonical := kb.CanonicalAttributeName(name, class); canonical != "" {
+			p = extract.AttrIRI(canonical)
+		}
+		s.predicates[surface{class, name}] = p
+	}
+	return p
+}
+
+// walk calls emit for every (fact, sub-field) of src that has a predicate,
+// classes and a fact's sub-fields in sorted order.
+func (s *Statements) walk(src *kb.SourceKB, emit func(fact *kb.Fact, predicate rdf.Term, values []string)) {
+	classes := make([]string, 0, len(src.Facts))
+	for c := range src.Facts {
+		classes = append(classes, c)
+	}
+	sort.Strings(classes)
+	var fields []string // one fact's sub-field names, sorted
+	for _, class := range classes {
+		facts := src.Facts[class]
+		for i := range facts {
+			fact := &facts[i]
+			fields = fields[:0]
+			for fn := range fact.FieldValues {
+				fields = append(fields, fn)
+			}
+			if len(fields) > 1 {
+				sort.Strings(fields)
+			}
+			for _, fn := range fields {
+				name := fn
+				if name == "" {
+					name = fact.Property
+				}
+				if p := s.predicate(class, name); !p.IsZero() {
+					emit(fact, p, fact.FieldValues[fn])
+				}
+			}
+		}
+	}
 }
 
 // Table2Row is one row of the paper's Table 2 as computed by the extractor.

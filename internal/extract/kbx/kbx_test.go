@@ -112,7 +112,7 @@ func TestSeedSet(t *testing.T) {
 
 func TestExtractStatements(t *testing.T) {
 	w, db, _ := setup()
-	stmts := ExtractStatements(context.Background(), confidence.Default(), db)
+	stmts := ExtractStatements(context.Background(), confidence.Default(), db).AppendStatements(nil)
 	if len(stmts) == 0 {
 		t.Fatal("no statements extracted")
 	}
@@ -144,7 +144,7 @@ func TestExtractStatements(t *testing.T) {
 func TestExtractStatementsWithErrors(t *testing.T) {
 	w := kb.NewWorld(kb.WorldConfig{Seed: 6, EntitiesPerClass: 15, AttrsPerEntity: 14})
 	db := kb.GenerateDBpedia(w, kb.KBGenConfig{Seed: 6, Coverage: 0.6, ErrorRate: 0.3})
-	stmts := ExtractStatements(context.Background(), confidence.Default(), db)
+	stmts := ExtractStatements(context.Background(), confidence.Default(), db).AppendStatements(nil)
 	wrong := 0
 	for _, s := range stmts {
 		entity := extract.AttrFromIRI(s.Subject)

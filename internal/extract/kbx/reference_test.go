@@ -55,8 +55,8 @@ func referenceExtractStatements(crit *confidence.Criterion, src *kb.SourceKB) []
 
 // TestKBStatementsMatchReference: the statements of two KBs in one call are
 // the reference's for the first followed by the reference's for the second,
-// element by element, in a slice of exactly their number — with and without
-// a criterion, with corrupted values, and when a surface name has no
+// element by element, as many as were counted — with and without a
+// criterion, with corrupted values, and when a surface name has no
 // canonical form (its facts emit nothing).
 func TestKBStatementsMatchReference(t *testing.T) {
 	for _, seed := range []int64{1, 6, 9} {
@@ -71,19 +71,20 @@ func TestKBStatementsMatchReference(t *testing.T) {
 		)
 		for _, crit := range []*confidence.Criterion{nil, confidence.Default()} {
 			want := append(referenceExtractStatements(crit, db), referenceExtractStatements(crit, fb)...)
-			got := ExtractStatements(context.Background(), crit, db, fb)
+			counted := ExtractStatements(context.Background(), crit, db, fb)
+			got := counted.AppendStatements(nil)
 			if len(got) != len(want) {
 				t.Fatalf("seed %d: %d statements, want %d", seed, len(got), len(want))
 			}
-			if cap(got) != len(got) {
-				t.Errorf("seed %d: %d statements in a slice of %d", seed, len(got), cap(got))
+			if counted.Len() != len(got) {
+				t.Errorf("seed %d: %d statements counted, %d appended", seed, counted.Len(), len(got))
 			}
 			for i := range want {
 				if got[i] != want[i] {
 					t.Fatalf("seed %d: statement %d is %v, want %v", seed, i, got[i], want[i])
 				}
 			}
-			one := ExtractStatements(context.Background(), crit, fb)
+			one := ExtractStatements(context.Background(), crit, fb).AppendStatements(nil)
 			ref := referenceExtractStatements(crit, fb)
 			if len(one) != len(ref) {
 				t.Fatalf("seed %d: one KB gives %d statements, want %d", seed, len(one), len(ref))
@@ -95,7 +96,7 @@ func TestKBStatementsMatchReference(t *testing.T) {
 			}
 		}
 	}
-	if got := ExtractStatements(context.Background(), nil); len(got) != 0 {
+	if got := ExtractStatements(context.Background(), nil).AppendStatements(nil); len(got) != 0 {
 		t.Errorf("no KB gives %d statements", len(got))
 	}
 }

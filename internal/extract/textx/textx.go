@@ -79,13 +79,21 @@ type Result struct {
 	// Patterns are the learned templates (canonical token strings) in
 	// descending support order.
 	Patterns []string
-	// Statements are extracted claims with per-document provenance.
-	Statements []rdf.Statement
+	// Claims are the counted extracted claims with per-document
+	// provenance, one statement per (claim, source): Claims.Len()
+	// statements, made by AppendStatements.
+	Claims *extract.Evidence
+	score  func(support, sources int) float64
 	// NewEntities maps candidate new entity names to their support, when
 	// Config.DiscoverEntities is set.
 	NewEntities map[string]int
 	// NewEntityFacts holds the full facts matched for unknown entities.
 	NewEntityFacts []extract.EntityFact
+}
+
+// AppendStatements appends the claims' statements to dst.
+func (r *Result) AppendStatements(dst []rdf.Statement) []rdf.Statement {
+	return r.Claims.AppendStatements(dst, extract.ExtractorText, r.score)
 }
 
 // docWork is one document plus its sentence segmentation and per-sentence
@@ -106,7 +114,10 @@ type matchEvent struct {
 // Extract learns patterns from seed-bearing sentences and applies them over
 // the corpus.
 func Extract(ctx context.Context, docs []*webgen.Document, idx *extract.EntityIndex, seeds map[string]extract.AttrSet, cfg Config, crit *confidence.Criterion) *Result {
-	res := &Result{PerClass: make(map[string]*ClassResult), NewEntities: make(map[string]int)}
+	res := &Result{
+		PerClass: make(map[string]*ClassResult), NewEntities: make(map[string]int),
+		Claims: extract.NewEvidence(), score: crit.ScoreFunc(extract.ExtractorText),
+	}
 	for class, s := range seeds {
 		res.PerClass[class] = &ClassResult{Class: class, All: s.Clone(), Discovered: extract.NewAttrSet()}
 	}
@@ -187,10 +198,9 @@ func Extract(ctx context.Context, docs []*webgen.Document, idx *extract.EntityIn
 	perDoc := mapreduce.Map(mrCfg, works, func(w docWork) []matchEvent {
 		return matchDoc(w, templates, idx, cfg, known)
 	})
-	claims := extract.NewEvidence()
 	for _, events := range perDoc {
 		for _, ev := range events {
-			foldEvent(res, claims, ev)
+			foldEvent(res, ev)
 		}
 	}
 	if crit != nil {
@@ -199,9 +209,9 @@ func Extract(ctx context.Context, docs []*webgen.Document, idx *extract.EntityIn
 			crit.ScoreAttrSet(extract.ExtractorText, cr.All)
 		}
 	}
-	res.Statements = claims.Statements(extract.ExtractorText, crit.ScoreFunc(extract.ExtractorText))
+	res.Claims.Count()
 	reg := obs.Reg(ctx)
-	reg.Counter("akb_textx_statements_total").Add(int64(len(res.Statements)))
+	reg.Counter("akb_textx_statements_total").Add(int64(res.Claims.Len()))
 	reg.Counter("akb_textx_patterns_total").Add(int64(len(res.Patterns)))
 	return res
 }
@@ -246,9 +256,9 @@ func matchDoc(w docWork, templates []template, idx *extract.EntityIndex, cfg Con
 	return out
 }
 
-// foldEvent replays one match event into the result and claim state, in
+// foldEvent replays one match event into the result and its claims, in
 // document order — the serial aggregation step of phase 2.
-func foldEvent(res *Result, claims *extract.Evidence, ev matchEvent) {
+func foldEvent(res *Result, ev matchEvent) {
 	if ev.entity == "" {
 		res.NewEntities[ev.rawEntity]++
 		res.NewEntityFacts = append(res.NewEntityFacts, extract.EntityFact{
@@ -264,7 +274,7 @@ func foldEvent(res *Result, claims *extract.Evidence, ev matchEvent) {
 		cr.Discovered.Add(attr, ev.source)
 		cr.All.Add(attr, ev.source)
 	}
-	claims.Add(ev.entity, attr, ev.value, ev.source, ev.doc)
+	res.Claims.Add(ev.entity, attr, ev.value, ev.source, ev.doc)
 }
 
 // SplitSentences segments text into sentences on ". " boundaries, keeping

@@ -75,11 +75,12 @@ func TestExtractDiscoversAttributes(t *testing.T) {
 func TestExtractStatementsQuality(t *testing.T) {
 	w, docs, idx, seeds := setup(t)
 	res := Extract(context.Background(), docs, idx, seeds, Config{}, confidence.Default())
-	if len(res.Statements) == 0 {
+	stmts := res.AppendStatements(nil)
+	if len(stmts) == 0 {
 		t.Fatal("no statements")
 	}
 	correct, total := 0, 0
-	for _, s := range res.Statements {
+	for _, s := range stmts {
 		if err := s.Valid(); err != nil {
 			t.Fatalf("invalid statement: %v", err)
 		}
@@ -241,14 +242,14 @@ func TestMinPatternSupportFiltersRareTemplates(t *testing.T) {
 		return docs
 	}
 	under := Extract(context.Background(), docsOf(minPatternSupport-1), idx, seeds, Config{}, nil)
-	if len(under.Patterns) != 0 || len(under.Statements) != 0 {
-		t.Errorf("%d seed sentences: learned %v and %d statements, want none", minPatternSupport-1, under.Patterns, len(under.Statements))
+	if len(under.Patterns) != 0 || under.Claims.Len() != 0 {
+		t.Errorf("%d seed sentences: learned %v and %d statements, want none", minPatternSupport-1, under.Patterns, under.Claims.Len())
 	}
 	at := Extract(context.Background(), docsOf(minPatternSupport), idx, seeds, Config{}, nil)
 	if want := []string{"reportedly the ⟨A⟩ of ⟨E⟩ is ⟨V⟩ ."}; !reflect.DeepEqual(at.Patterns, want) {
 		t.Errorf("%d seed sentences: learned %q, want %q", minPatternSupport, at.Patterns, want)
 	}
-	if len(at.Statements) == 0 {
+	if at.Claims.Len() == 0 {
 		t.Errorf("%d seed sentences: no statements from the learned template", minPatternSupport)
 	}
 }
@@ -278,11 +279,12 @@ func TestExtractDeterministic(t *testing.T) {
 	_, docs, idx, seeds := setup(t)
 	a := Extract(context.Background(), docs, idx, seeds, Config{}, confidence.Default())
 	b := Extract(context.Background(), docs, idx, seeds, Config{}, confidence.Default())
-	if len(a.Statements) != len(b.Statements) {
+	sa, sb := a.AppendStatements(nil), b.AppendStatements(nil)
+	if len(sa) != len(sb) {
 		t.Fatal("statement counts differ")
 	}
-	for i := range a.Statements {
-		if a.Statements[i].String() != b.Statements[i].String() {
+	for i := range sa {
+		if sa[i].String() != sb[i].String() {
 			t.Fatalf("statement %d differs", i)
 		}
 	}
@@ -303,7 +305,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 		if !reflect.DeepEqual(par.Patterns, serial.Patterns) {
 			t.Errorf("workers=%d: patterns differ from serial", workers)
 		}
-		if !reflect.DeepEqual(par.Statements, serial.Statements) {
+		if !reflect.DeepEqual(par.AppendStatements(nil), serial.AppendStatements(nil)) {
 			t.Errorf("workers=%d: statements differ from serial", workers)
 		}
 		if !reflect.DeepEqual(par.NewEntities, serial.NewEntities) {
