@@ -65,17 +65,20 @@ func BenchmarkPipelineBuild(b *testing.B) {
 // (runtime.MemStats.TotalAlloc) of a seed-1 scale-1 build plus
 // store.ResultFacts, default and with every optional stage, so that an
 // allocation regression on the build journey fails here and not only in
-// bench/. The default build makes 161 651 allocations of 16.86 MB; the
+// bench/. The default build makes 156 804 allocations of 15.91 MB; the
 // parent of the change that made the statement path positional made
 // 289 939. Narrowing rdf.Term to a kind and a value left the count where it
 // was (162 211 before): that saving is bytes, not objects. Numbering the
 // sources took 98 off it (162 182 before): few items of a scale-1 run fold.
 // Minting each statement once, in the union, took 1.06 MB off the bytes
-// (17.92 MB before). The all-stages build makes 188 872 allocations of
-// 24.09 MB (25.66 MB before the union minted); it made 250 352 allocations
-// while entity discovery linked every fact against every known name and
-// alignment rebuilt names and item keys per statement. Each ceiling is 10 %
-// above its measured value.
+// (17.92 MB before). Grouping fusion items without spelling their keys, and
+// recovering each name once a run, took 4 844 allocations and 0.95 MB off
+// (161 648 of 16.86 MB before). The all-stages build makes 182 347
+// allocations of 22.64 MB (188 871 of 24.09 MB before that, 25.66 MB before
+// the union minted); it made 250 352 allocations while entity discovery
+// linked every fact against every known name and alignment rebuilt names
+// and item keys per statement. Each ceiling is 10 % above its measured
+// value.
 func TestPipelineAllocations(t *testing.T) {
 	for _, c := range []struct {
 		name         string
@@ -83,8 +86,8 @@ func TestPipelineAllocations(t *testing.T) {
 		ceiling      float64
 		bytesCeiling uint64
 	}{
-		{"default", nil, 177_800, 18_540_000},
-		{"all-stages", allStages, 207_800, 26_500_000},
+		{"default", nil, 172_500, 17_500_000},
+		{"all-stages", allStages, 200_600, 24_910_000},
 	} {
 		allocs := testing.AllocsPerRun(2, func() { buildOnce(t, 1, 1, c.opts...) })
 		var before, after runtime.MemStats
@@ -98,6 +101,47 @@ func TestPipelineAllocations(t *testing.T) {
 		}
 		if bytes > c.bytesCeiling {
 			t.Errorf("a seed-1 scale-1 %s build allocates %d bytes, want at most %d", c.name, bytes, c.bytesCeiling)
+		}
+	}
+}
+
+// TestPipelineRetainedHeap measures what a build holds: the in-use heap
+// (runtime.MemStats.HeapAlloc after a GC) a seed-1 scale-1 Run adds while
+// its Result is kept alive, default and with every optional stage, after a
+// first build has set up whatever the packages keep. So a change that keeps
+// more of a build fails here, where TestPipelineAllocations sees only what
+// it allocates. The default build holds 6.07 MB and the all-stages build
+// 7.21 MB; while every fusion item kept its spelled key they held 6.39 MB
+// and 7.56 MB. Each ceiling is 10 % above its measured value.
+func TestPipelineRetainedHeap(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		opts    []core.Option
+		ceiling uint64
+	}{
+		{"default", nil, 6_680_000},
+		{"all-stages", allStages, 7_940_000},
+	} {
+		opts := append([]core.Option{core.WithSeed(1), core.WithScale(1), core.WithParallelism(1)}, c.opts...)
+		run := func() *core.Result {
+			res, err := core.New(opts...).Run(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		}
+		run()
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		res := run()
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(res)
+		held := after.HeapAlloc - before.HeapAlloc
+		t.Logf("%s: a build holds %d bytes", c.name, held)
+		if held > c.ceiling {
+			t.Errorf("a seed-1 scale-1 %s build holds %d bytes of heap, want at most %d", c.name, held, c.ceiling)
 		}
 	}
 }

@@ -454,7 +454,10 @@ func (p *pipelineRun) addStat(ctx context.Context, name, detail string, n int) {
 }
 
 // genWorld generates the ground-truth world that every substrate derives
-// from, plus the scorer bound to it.
+// from, plus the scorer bound to it. The scorer recovers each name once for
+// the run; it is not safe for concurrent use, and it needs no lock: the
+// union, alignment and fusion score one after another in the DAG, and no
+// other stage scores.
 func (p *pipelineRun) genWorld(context.Context) error {
 	p.res.World = kb.NewWorld(p.cfg.World)
 	p.scorer = &eval.Scorer{World: p.res.World}

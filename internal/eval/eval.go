@@ -59,9 +59,21 @@ func (m Metrics) String() string {
 		m.Precision(), m.Recall(), m.F1(), m.TP, m.FP, m.FN)
 }
 
-// Scorer scores against a world's ground truth.
+// Scorer scores against a world's ground truth. It recovers each entity
+// and attribute name once for all its calls — a run scores the same few
+// thousand names stage after stage — so it must not be used by two
+// goroutines at once.
 type Scorer struct {
 	World *kb.World
+	names extract.Names
+}
+
+// nameMap returns the names the scorer has recovered so far.
+func (sc *Scorer) nameMap() extract.Names {
+	if sc.names == nil {
+		sc.names = extract.Names{}
+	}
+	return sc.names
 }
 
 // ScoreStatements computes extraction precision over statements: a
@@ -70,7 +82,7 @@ type Scorer struct {
 // level (FN stays 0): the extraction target set is open.
 func (sc *Scorer) ScoreStatements(stmts []rdf.Statement) Metrics {
 	var m Metrics
-	names := extract.Names{}
+	names := sc.nameMap()
 	var subject rdf.Term
 	var e *kb.Entity
 	for i := range stmts {
@@ -102,7 +114,7 @@ func (sc *Scorer) ScoreStatements(stmts []rdf.Statement) Metrics {
 // subject are neighbours and its entity is looked up once.
 func (sc *Scorer) ScoreFusion(res *fusion.Result) Metrics {
 	var m Metrics
-	attrs := extract.Names{}
+	names := sc.nameMap()
 	var subject rdf.Term
 	var e *kb.Entity
 	var covered []bool
@@ -110,13 +122,13 @@ func (sc *Scorer) ScoreFusion(res *fusion.Result) Metrics {
 		d := &res.Decisions[i]
 		if i == 0 || d.Item.Subject != subject {
 			subject = d.Item.Subject
-			e, _ = sc.World.Entity(extract.AttrFromIRI(subject))
+			e, _ = sc.World.Entity(names.Of(subject))
 		}
 		if e == nil {
 			m.FP += len(d.Truths)
 			continue
 		}
-		attr := attrs.Of(d.Item.Predicate)
+		attr := names.Of(d.Item.Predicate)
 		trueLeaves := sc.World.TrueLeafValues(e, attr)
 		covered = slices.Grow(covered[:0], len(trueLeaves))[:len(trueLeaves)]
 		clear(covered)

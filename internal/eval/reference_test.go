@@ -19,7 +19,7 @@ import (
 func referenceScoreFusion(w *kb.World, res *fusion.Result) eval.Metrics {
 	byKey := make(map[string]*fusion.Decision, len(res.Decisions))
 	for i := range res.Decisions {
-		byKey[res.Decisions[i].Item.Key] = &res.Decisions[i]
+		byKey[res.Decisions[i].Item.Key()] = &res.Decisions[i]
 	}
 	var m eval.Metrics
 	names := extract.Names{}

@@ -12,11 +12,13 @@
 //   - leveraging extractor confidence scores (after Pasternack & Roth).
 //
 // The data is positional from claims to result. BuildClaims puts items in
-// key order and an item's values in term order, and numbers the sources in
-// name order; a Result's Decisions[i] decides Items[i], a Decision's
-// Belief[k] is the belief in Values[k], and SourceQuality[n] — like the
-// clusters and the vote weights of Correlations, and every per-source
-// quantity a method keeps while it runs — is about SourceNames[n].
+// key order — it groups the statements by their item keys, compared as
+// rdf.Triple.ItemKey spells them but never built — and an item's values in
+// term order, and numbers the sources in name order; a Result's
+// Decisions[i] decides Items[i], a Decision's Belief[k] is the belief in
+// Values[k], and SourceQuality[n] — like the clusters and the vote weights
+// of Correlations, and every per-source quantity a method keeps while it
+// runs — is about SourceNames[n].
 //
 // Items are independent given the source-quality estimates, so every
 // method computes its per-item step as a parallel map (internal/mapreduce)
@@ -29,7 +31,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"strings"
 
 	"akb/internal/rdf"
 )
@@ -80,10 +81,15 @@ func (v *ValueClaims) SupportCount() int { return len(v.Sources) }
 
 // Item is one data item (subject, predicate) with its claimed values.
 type Item struct {
-	Key       string
 	Subject   rdf.Term
 	Predicate rdf.Term
 	Values    []*ValueClaims
+}
+
+// Key returns the item's key, rdf.Triple.ItemKey of its subject and
+// predicate, spelled on each call: no item keeps it.
+func (it *Item) Key() string {
+	return rdf.Triple{Subject: it.Subject, Predicate: it.Predicate}.ItemKey()
 }
 
 // Value returns the claims for a specific value, or nil.
@@ -127,7 +133,7 @@ func (c *Claims) checkSources() {
 			for _, sc := range vc.Sources {
 				if sc.Source < 0 || int(sc.Source) >= len(c.SourceNames) {
 					panic(fmt.Sprintf("fusion: %s: claim of %v by source %d, the claims name %d sources",
-						it.Key, vc.Value, sc.Source, len(c.SourceNames)))
+						it.Key(), vc.Value, sc.Source, len(c.SourceNames)))
 				}
 			}
 		}
@@ -155,38 +161,22 @@ func (c *Claims) NumClaims() int {
 // whose confidence is not above 0 (unscored, negative, NaN) names its value
 // and adds no source to it.
 //
-// One map probe a statement finds its item by its (subject, predicate)
-// terms and one its source; after that the work is on numbers. Statements
-// are bucketed by item, each bucket is sorted by (value, source) and read
-// off as runs — an item has a handful of statements — and the items, the
-// value claims and the source claims are each cut from one array.
+// No item key is spelled. One sort puts the statements' positions in item
+// key order (rdf.CompareItemKeys, ties by position), and a run of equal keys
+// is an item's bucket; each bucket is sorted by (value, source) and read off
+// as runs — an item has a handful of statements — and the items, the value
+// claims and the source claims are each cut from one array. One map probe a
+// statement finds its source.
 func BuildClaims(stmts []rdf.Statement, g Granularity) *Claims {
 	if len(stmts) == 0 {
 		return &Claims{}
 	}
-	type itemTerms struct{ subject, predicate rdf.Term }
-	type foundItem struct {
-		key   string
-		first int32 // the statement that named it first
-	}
-	itemOf := make(map[itemTerms]int32, len(stmts)/2)
-	found := make([]foundItem, 0, len(stmts)/2)
 	srcOf := make(map[rdf.Provenance]int32)
 	var srcNames []string
-	// Per statement, as numbers: its item, and its source or -1 when it adds
-	// none.
-	item := make([]int32, len(stmts))
+	// Per statement, as a number: its source, or -1 when it adds none.
 	src := make([]int32, len(stmts))
 	for i := range stmts {
 		s := &stmts[i]
-		terms := itemTerms{s.Subject, s.Predicate}
-		n, ok := itemOf[terms]
-		if !ok {
-			n = int32(len(found))
-			itemOf[terms] = n
-			found = append(found, foundItem{key: s.ItemKey(), first: int32(i)})
-		}
-		item[i] = n
 		src[i] = -1
 		if s.Confidence > 0 {
 			id := sourceIdentity(s.Provenance, g)
@@ -211,47 +201,46 @@ func BuildClaims(stmts []rdf.Statement, g Granularity) *Claims {
 		p, _ := slices.BinarySearch(out.SourceNames, name)
 		place[sn] = int32(p)
 	}
-
-	// Items in key order. Two (subject, predicate) pairs can spell one key
-	// ("a|ib","c" and "a","b|ic"): one item, under the terms named first.
-	byKey := make([]int32, len(found))
-	for n := range byKey {
-		byKey[n] = int32(n)
+	for i, sn := range src {
+		if sn >= 0 {
+			src[i] = place[sn]
+		}
 	}
-	slices.SortFunc(byKey, func(a, b int32) int {
-		if c := strings.Compare(found[a].key, found[b].key); c != 0 {
+
+	// The statements' positions in item-key order, each item's bucket a run
+	// of equal keys. Two (subject, predicate) pairs can spell one key
+	// ("a|ib","c" and "a","b|ic"): one item, under the terms of the first
+	// statement that spelled it.
+	order := make([]int32, len(stmts))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(a, b int32) int {
+		if c := rdf.CompareItemKeys(&stmts[a].Triple, &stmts[b].Triple); c != 0 {
 			return c
 		}
 		return cmp.Compare(a, b)
 	})
-	items := make([]Item, 0, len(found))
-	slot := make([]int32, len(found)) // found item → index in items
-	for k, n := range byKey {
-		if f := &found[n]; k == 0 || f.key != found[byKey[k-1]].key {
-			s := &stmts[f.first]
-			items = append(items, Item{Key: f.key, Subject: s.Subject, Predicate: s.Predicate})
-		}
-		slot[n] = int32(len(items) - 1)
+	newItem := func(k int) bool {
+		return k == 0 || rdf.CompareItemKeys(&stmts[order[k-1]].Triple, &stmts[order[k]].Triple) != 0
 	}
-
-	// Bucket the statements by item: bucket k is order[start[k]:start[k+1]].
-	start := make([]int32, len(items)+1)
-	for i := range stmts {
-		item[i] = slot[item[i]]
-		start[item[i]+1]++
-		if src[i] >= 0 {
-			src[i] = place[src[i]]
+	nItems := 0
+	for k := range order {
+		if newItem(k) {
+			nItems++
 		}
 	}
-	for k := range items {
-		start[k+1] += start[k]
+	// Bucket k is order[start[k]:start[k+1]].
+	items := make([]Item, nItems)
+	start := make([]int32, 0, nItems+1)
+	for k, i := range order {
+		if newItem(k) {
+			s := &stmts[i]
+			items[len(start)] = Item{Subject: s.Subject, Predicate: s.Predicate}
+			start = append(start, int32(k))
+		}
 	}
-	next := slices.Clone(start[:len(items)])
-	order := make([]int32, len(stmts))
-	for i := range stmts {
-		order[next[item[i]]] = int32(i)
-		next[item[i]]++
-	}
+	start = append(start, int32(len(order)))
 
 	// Sort every bucket by (value, source) and count the runs: a run of one
 	// value is a ValueClaims, a run of one source within it a SourceClaim.
@@ -441,10 +430,11 @@ type Result struct {
 	SourceQuality []float64
 }
 
-// Decision returns the decision for an item key, or nil.
+// Decision returns the decision for an item key, or nil. The items' keys
+// are compared with it as rdf.Triple.ItemKey would spell them, unspelled.
 func (r *Result) Decision(key string) *Decision {
 	i, ok := slices.BinarySearchFunc(r.Decisions, key, func(d Decision, key string) int {
-		return strings.Compare(d.Item.Key, key)
+		return rdf.Triple{Subject: d.Item.Subject, Predicate: d.Item.Predicate}.CompareItemKey(key)
 	})
 	if !ok {
 		return nil

@@ -157,7 +157,7 @@ func TestDecisionsMatchReference(t *testing.T) {
 						for _, imp := range d.Implied {
 							implied++
 							if !d.Accepted(imp.Value) {
-								t.Fatalf("%s: %s implies %v and does not accept it", m.Name(), d.Item.Key, imp.Value)
+								t.Fatalf("%s: %s implies %v and does not accept it", m.Name(), d.Item.Key(), imp.Value)
 							}
 							if d.Item.Value(imp.Value) != nil {
 								impliedRejected++

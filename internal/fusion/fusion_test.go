@@ -285,7 +285,7 @@ func TestHierarchicalResolvesPaperExample(t *testing.T) {
 		stmt("fang", "Beijing2", "s7", 0.9),
 	)
 	c := BuildClaims(stmts, BySource)
-	key := c.Items[0].Key
+	key := c.Items[0].Key()
 
 	flat := (&Vote{}).Fuse(c).Decision(key)
 	if flat.Truths[0] != rdf.Literal("Beijing2") {
@@ -430,14 +430,14 @@ func TestAllMethodsInvariants(t *testing.T) {
 			t.Errorf("%s: %d decisions for %d items", m.Name(), len(res.Decisions), len(c.Items))
 		}
 		for i, d := range res.Decisions {
-			if d.Item != c.Items[i] && d.Item.Key != c.Items[i].Key {
-				t.Errorf("%s: decision %d is about %s, item %d is %s", m.Name(), i, d.Item.Key, i, c.Items[i].Key)
+			if d.Item != c.Items[i] && d.Item.Key() != c.Items[i].Key() {
+				t.Errorf("%s: decision %d is about %s, item %d is %s", m.Name(), i, d.Item.Key(), i, c.Items[i].Key())
 			}
 			if len(d.Truths) == 0 {
-				t.Errorf("%s: no truth for %s", m.Name(), d.Item.Key)
+				t.Errorf("%s: no truth for %s", m.Name(), d.Item.Key())
 			}
 			if len(d.Belief) != len(d.Item.Values) {
-				t.Errorf("%s: %d beliefs for the %d values of %s", m.Name(), len(d.Belief), len(d.Item.Values), d.Item.Key)
+				t.Errorf("%s: %d beliefs for the %d values of %s", m.Name(), len(d.Belief), len(d.Item.Values), d.Item.Key())
 			}
 			for k, b := range d.Belief {
 				if b < 0 || b > 1.0000001 {
@@ -508,7 +508,7 @@ func TestBuildClaimsInvariantsProperty(t *testing.T) {
 		}
 		// Determinism of ordering.
 		for i := range a.Items {
-			if a.Items[i].Key != b.Items[i].Key {
+			if a.Items[i].Key() != b.Items[i].Key() {
 				return false
 			}
 		}
@@ -553,7 +553,7 @@ func TestMisnumberedSourcesAreRefused(t *testing.T) {
 	handBuilt := func(stray int32) *Claims {
 		c := &Claims{SourceNames: []string{"a", "b"}}
 		for i := 0; i < 6; i++ {
-			it := &Item{Key: fmt.Sprintf("item%d", i), Subject: rdf.AKB.IRI(fmt.Sprintf("e/%d", i)), Predicate: rdf.AKB.IRI("attr/p")}
+			it := &Item{Subject: rdf.AKB.IRI(fmt.Sprintf("e/%d", i)), Predicate: rdf.AKB.IRI("attr/p")}
 			it.Values = []*ValueClaims{
 				{Value: rdf.Literal("v"), Sources: []SourceClaim{{Source: 1, Confidence: 0.8}}},
 				{Value: rdf.Literal("w"), Sources: []SourceClaim{{Source: stray, Confidence: 0.8}}},

@@ -33,12 +33,12 @@ func fusionDigest(c *fusion.Claims, res *fusion.Result, ffmt string) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "decisions %d\n", len(res.Decisions))
 	for _, it := range c.Items {
-		d := res.Decision(it.Key)
+		d := res.Decision(it.Key())
 		if d == nil {
-			fmt.Fprintf(h, "%q none\n", it.Key)
+			fmt.Fprintf(h, "%q none\n", it.Key())
 			continue
 		}
-		fmt.Fprintf(h, "%q truths", it.Key)
+		fmt.Fprintf(h, "%q truths", it.Key())
 		for _, v := range d.Truths {
 			fmt.Fprintf(h, " %q", v.Key())
 		}

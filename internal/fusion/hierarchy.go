@@ -111,7 +111,7 @@ func (h *Hierarchical) fold(c *Claims) (*Claims, [][]string) {
 			out.Items = append(out.Items, it)
 			continue
 		}
-		newItem := &Item{Key: it.Key, Subject: it.Subject, Predicate: it.Predicate}
+		newItem := &Item{Subject: it.Subject, Predicate: it.Predicate}
 		byValue := make(map[string]*ValueClaims, len(hierVals))
 		for k, v := range hierVals {
 			byValue[v] = hierClaims[k]

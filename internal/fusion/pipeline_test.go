@@ -55,21 +55,21 @@ func sameResult(t *testing.T, label string, got, want *fusion.Result) {
 	}
 	for i := range want.Decisions {
 		g, w := &got.Decisions[i], &want.Decisions[i]
-		if g.Item.Key != w.Item.Key {
-			t.Fatalf("%s: decision %d is about %s, want %s", label, i, g.Item.Key, w.Item.Key)
+		if g.Item.Key() != w.Item.Key() {
+			t.Fatalf("%s: decision %d is about %s, want %s", label, i, g.Item.Key(), w.Item.Key())
 		}
 		if !reflect.DeepEqual(g.Truths, w.Truths) {
-			t.Errorf("%s: %s truths %v, want %v", label, g.Item.Key, g.Truths, w.Truths)
+			t.Errorf("%s: %s truths %v, want %v", label, g.Item.Key(), g.Truths, w.Truths)
 		}
 		if !reflect.DeepEqual(g.Implied, w.Implied) {
-			t.Errorf("%s: %s implied %v, want %v", label, g.Item.Key, g.Implied, w.Implied)
+			t.Errorf("%s: %s implied %v, want %v", label, g.Item.Key(), g.Implied, w.Implied)
 		}
 		if len(g.Belief) != len(w.Belief) {
-			t.Fatalf("%s: %s has %d beliefs, want %d", label, g.Item.Key, len(g.Belief), len(w.Belief))
+			t.Fatalf("%s: %s has %d beliefs, want %d", label, g.Item.Key(), len(g.Belief), len(w.Belief))
 		}
 		for k := range w.Belief {
 			if math.Float64bits(g.Belief[k]) != math.Float64bits(w.Belief[k]) {
-				t.Errorf("%s: %s belief in %v is %v, want %v", label, g.Item.Key, g.Item.Values[k].Value, g.Belief[k], w.Belief[k])
+				t.Errorf("%s: %s belief in %v is %v, want %v", label, g.Item.Key(), g.Item.Values[k].Value, g.Belief[k], w.Belief[k])
 			}
 		}
 	}
@@ -230,20 +230,20 @@ func TestSourceRenamingAndPermutation(t *testing.T) {
 				}
 				for i := range want.Decisions {
 					g, w := &got.Decisions[i], &want.Decisions[i]
-					if g.Item.Key != w.Item.Key || !reflect.DeepEqual(g.Truths, w.Truths) {
-						t.Fatalf("%s %s: decision %d accepts %v for %s, want %v for %s", label, m.Name(), i, g.Truths, g.Item.Key, w.Truths, w.Item.Key)
+					if g.Item.Key() != w.Item.Key() || !reflect.DeepEqual(g.Truths, w.Truths) {
+						t.Fatalf("%s %s: decision %d accepts %v for %s, want %v for %s", label, m.Name(), i, g.Truths, g.Item.Key(), w.Truths, w.Item.Key())
 					}
 					if len(g.Belief) != len(w.Belief) || len(g.Implied) != len(w.Implied) {
-						t.Fatalf("%s %s: %s has %d beliefs and %d implied truths, want %d and %d", label, m.Name(), g.Item.Key, len(g.Belief), len(g.Implied), len(w.Belief), len(w.Implied))
+						t.Fatalf("%s %s: %s has %d beliefs and %d implied truths, want %d and %d", label, m.Name(), g.Item.Key(), len(g.Belief), len(g.Implied), len(w.Belief), len(w.Implied))
 					}
 					for k := range w.Belief {
 						if !rn.same(g.Belief[k], w.Belief[k]) {
-							t.Errorf("%s %s: %s belief in %v is %v, want %v", label, m.Name(), g.Item.Key, g.Item.Values[k].Value, g.Belief[k], w.Belief[k])
+							t.Errorf("%s %s: %s belief in %v is %v, want %v", label, m.Name(), g.Item.Key(), g.Item.Values[k].Value, g.Belief[k], w.Belief[k])
 						}
 					}
 					for k, wi := range w.Implied {
 						if gi := g.Implied[k]; gi.Value != wi.Value || gi.Sources != wi.Sources || !rn.same(gi.Belief, wi.Belief) {
-							t.Errorf("%s %s: %s implies %v, want %v", label, m.Name(), g.Item.Key, gi, wi)
+							t.Errorf("%s %s: %s implies %v, want %v", label, m.Name(), g.Item.Key(), gi, wi)
 						}
 					}
 				}
@@ -275,17 +275,20 @@ func TestSourceRenamingAndPermutation(t *testing.T) {
 	}
 }
 
-// TestBuildClaimsAllocationBound counts the work: BuildClaims allocates per
-// distinct item (its key) and a fixed number of arrays, not per statement.
-// Measured 0.57 allocations a statement on this run (3 069 for 5 388); the
-// string-keyed reference makes 10.3. The ceiling is 10 % above the measure.
+// TestBuildClaimsAllocationBound counts the work: BuildClaims allocates a
+// fixed number of arrays, the map of sources and its growth, and one name a
+// source at the source+extractor granularity — not a key a distinct item.
+// Measured 62 allocations on this run, 37 of them the names of its 37
+// sources, for 5 388 statements and 2 992 items; spelling each item's key
+// made 3 069, and the string-keyed reference makes 10.3 a statement. The
+// ceiling is the names plus 10 % above the other 25.
 func TestBuildClaimsAllocationBound(t *testing.T) {
 	stmts := pipelineRun(t).Statements
+	sources := len(fusion.BuildClaims(stmts, fusion.BySourceExtractor).SourceNames)
 	allocs := testing.AllocsPerRun(3, func() { fusion.BuildClaims(stmts, fusion.BySourceExtractor) })
-	per := allocs / float64(len(stmts))
-	t.Logf("%.0f allocations for %d statements: %.2f a statement", allocs, len(stmts), per)
-	if per > 0.63 {
-		t.Errorf("%.2f allocations a statement, want at most 0.63", per)
+	t.Logf("%.0f allocations for %d statements from %d sources", allocs, len(stmts), sources)
+	if ceiling := float64(sources + 28); allocs > ceiling {
+		t.Errorf("%.0f allocations for %d sources, want at most %.0f", allocs, sources, ceiling)
 	}
 }
 

@@ -81,7 +81,7 @@ func referenceVoteFuse(v *Vote, c *Claims) *refResult {
 	})
 	res := &refResult{Method: v.Name(), Decisions: make(map[string]*refDecision, len(decisions))}
 	for _, d := range decisions {
-		res.Decisions[d.Item.Key] = d
+		res.Decisions[d.Item.Key()] = d
 	}
 	return res
 }
@@ -151,7 +151,7 @@ func referenceAccuFuse(a *Accu, c *Claims) *refResult {
 		if bestP >= 0 {
 			d.Truths = []rdf.Term{best}
 		}
-		res.Decisions[ip.item.Key] = d
+		res.Decisions[ip.item.Key()] = d
 	}
 	return res
 }
@@ -321,15 +321,15 @@ func referenceFactFinderFuse(f *FactFinder, c *Claims) *refResult {
 		SourceQuality: trust,
 	}
 	for _, it := range c.Items {
-		res.Decisions[it.Key] = &refDecision{Item: it, Belief: make(map[string]float64, len(it.Values))}
+		res.Decisions[it.Key()] = &refDecision{Item: it, Belief: make(map[string]float64, len(it.Values))}
 	}
 	for id, ref := range claimRefs {
 		it := c.Items[ref.item]
-		d := res.Decisions[it.Key]
+		d := res.Decisions[it.Key()]
 		d.Belief[it.Values[ref.value].Value.Key()] = belief[id]
 	}
 	for _, it := range c.Items {
-		d := res.Decisions[it.Key]
+		d := res.Decisions[it.Key()]
 		var best rdf.Term
 		bestB := -1.0
 		for _, vc := range it.Values {
@@ -371,7 +371,7 @@ func referenceExpansions(h *Hierarchical, c *Claims) map[string]map[string]bool 
 			}
 		}
 		if len(claimedAnc) > 0 {
-			expansions[it.Key] = claimedAnc
+			expansions[it.Key()] = claimedAnc
 		}
 	}
 	return expansions
@@ -495,37 +495,37 @@ func diffReference(c *Claims, got *Result, want *refResult) error {
 	}
 	for i := range got.Decisions {
 		d := &got.Decisions[i]
-		if d.Item.Key != c.Items[i].Key {
-			return fmt.Errorf("decision %d is about %s, item %d is %s", i, d.Item.Key, i, c.Items[i].Key)
+		if d.Item.Key() != c.Items[i].Key() {
+			return fmt.Errorf("decision %d is about %s, item %d is %s", i, d.Item.Key(), i, c.Items[i].Key())
 		}
-		w := want.Decisions[d.Item.Key]
+		w := want.Decisions[d.Item.Key()]
 		if w == nil {
-			return fmt.Errorf("%s: the reference has no decision", d.Item.Key)
+			return fmt.Errorf("%s: the reference has no decision", d.Item.Key())
 		}
 		if !reflect.DeepEqual(d.Item, w.Item) {
-			return fmt.Errorf("%s: decided over another item than the reference", d.Item.Key)
+			return fmt.Errorf("%s: decided over another item than the reference", d.Item.Key())
 		}
 		if !slices.Equal(d.Truths, w.Truths) {
-			return fmt.Errorf("%s: truths %v, want %v", d.Item.Key, d.Truths, w.Truths)
+			return fmt.Errorf("%s: truths %v, want %v", d.Item.Key(), d.Truths, w.Truths)
 		}
 		if len(d.Belief) != len(d.Item.Values) {
-			return fmt.Errorf("%s: %d beliefs for %d values", d.Item.Key, len(d.Belief), len(d.Item.Values))
+			return fmt.Errorf("%s: %d beliefs for %d values", d.Item.Key(), len(d.Belief), len(d.Item.Values))
 		}
 		// Every way of reading a belief agrees with the reference's one map:
 		// by position, beside an implied truth, and the two laid over each
 		// other as the map was written.
 		for k, vc := range d.Item.Values {
 			if math.Float64bits(d.Belief[k]) != math.Float64bits(w.Belief[vc.Value.Key()]) {
-				return fmt.Errorf("%s: belief %d, in %v, is %v, want %v", d.Item.Key, k, vc.Value, d.Belief[k], w.Belief[vc.Value.Key()])
+				return fmt.Errorf("%s: belief %d, in %v, is %v, want %v", d.Item.Key(), k, vc.Value, d.Belief[k], w.Belief[vc.Value.Key()])
 			}
 		}
 		for _, imp := range d.Implied {
 			if math.Float64bits(imp.Belief) != math.Float64bits(w.Belief[imp.Value.Key()]) {
-				return fmt.Errorf("%s: implied belief in %v is %v, want %v", d.Item.Key, imp.Value, imp.Belief, w.Belief[imp.Value.Key()])
+				return fmt.Errorf("%s: implied belief in %v is %v, want %v", d.Item.Key(), imp.Value, imp.Belief, w.Belief[imp.Value.Key()])
 			}
 		}
 		if err := diffFloats(beliefsByKey(d), w.Belief); err != nil {
-			return fmt.Errorf("%s: belief%v", d.Item.Key, err)
+			return fmt.Errorf("%s: belief%v", d.Item.Key(), err)
 		}
 	}
 	if err := diffFloats(qualityByName(c, got), want.SourceQuality); err != nil {

@@ -6,14 +6,31 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"akb/internal/hierarchy"
 	"akb/internal/rdf"
 )
 
+// keyTerms are subjects and predicates whose item keys order differently
+// from their terms: values that are prefixes of one another where the next
+// byte sorts below '|' ('_', ' ', 'a') or above it ('~', 0xFF), '|' inside
+// values, empty values, and one value under three kinds. "a|ib" with "c"
+// and "a" with "b|ic" spell one key.
+var keyTerms = []rdf.Term{
+	rdf.IRI("a"), rdf.IRI("a_"), rdf.IRI("a "), rdf.IRI("aa"), rdf.IRI("a~"), rdf.IRI("a\xff"),
+	rdf.IRI("a|"), rdf.IRI("a|ib"), rdf.IRI("b|ic"), rdf.IRI("c"), rdf.IRI("|"), rdf.IRI(""),
+	rdf.Blank("a"), rdf.Blank("a|ib"), rdf.Blank(""), rdf.Literal("a"), rdf.Literal(""),
+}
+
+// keyTerm returns the keyTerms entry n names.
+func keyTerm(n uint8) rdf.Term { return keyTerms[int(n)%len(keyTerms)] }
+
 // spell makes statement k of a generated set from six small numbers; the
-// generators below and the fuzzer share it. Values 0–2 of an item are
+// generators below and the fuzzer share it. An entity or a predicate of 128
+// or more is a keyTerms entry; below that, entities are IRIs e/N and
+// predicates one of three attr/pN. Values 0–2 of an item are
 // literals; 3 and 4 spell "v0" again as an IRI and as a blank node and 5
 // spells "v1" as an IRI (so they differ from values 0 and 1 in kind only);
 // 6 is another IRI and 7 another blank node. Sources 0–3 are hosts read by
@@ -44,8 +61,15 @@ func spell(entity, pred, value, source, extractor, conf uint8) rdf.Statement {
 	case 5:
 		prov.Source, prov.Extractor = "a", "b+c"
 	}
+	subject, predicate := rdf.AKB.IRI(fmt.Sprintf("e/%d", entity)), rdf.AKB.IRI(fmt.Sprintf("attr/p%d", pred%3))
+	if entity >= 128 {
+		subject = keyTerm(entity - 128)
+	}
+	if pred >= 128 {
+		predicate = keyTerm(pred - 128)
+	}
 	return rdf.S(
-		rdf.T(rdf.AKB.IRI(fmt.Sprintf("e/%d", entity)), rdf.AKB.IRI(fmt.Sprintf("attr/p%d", pred%3)), obj),
+		rdf.T(subject, predicate, obj),
 		prov,
 		[]float64{0, 0.3, 0.55, 0.8, 1}[conf%5],
 	)
@@ -114,12 +138,75 @@ func TestBuildClaimsKeyCollisions(t *testing.T) {
 	}
 }
 
+// TestItemKeyOrder holds the order BuildClaims puts items in to the order
+// of their spelled keys on every pair of keyTerms subjects and predicates:
+// rdf.CompareItemKeys and Triple.CompareItemKey agree with strings.Compare
+// of the spelled keys on every two of them, and BuildClaims over one
+// statement of each, in any order, matches the reference and lists the
+// items by strictly rising key.
+func TestItemKeyOrder(t *testing.T) {
+	var triples []rdf.Triple
+	var stmts []rdf.Statement
+	for e := range keyTerms {
+		for p := range keyTerms {
+			s := spell(uint8(128+e), uint8(128+p), uint8(e+p), uint8(p), 0, 1+uint8(e))
+			triples = append(triples, s.Triple)
+			stmts = append(stmts, s)
+		}
+	}
+	for i := range triples {
+		a := &triples[i]
+		for j := range triples {
+			b := &triples[j]
+			want := strings.Compare(a.ItemKey(), b.ItemKey())
+			if got := rdf.CompareItemKeys(a, b); got != want {
+				t.Fatalf("CompareItemKeys(%v|%v, %v|%v) = %d, want %d", a.Subject, a.Predicate, b.Subject, b.Predicate, got, want)
+			}
+			if got := a.CompareItemKey(b.ItemKey()); got != want {
+				t.Fatalf("CompareItemKey(%v|%v, %q) = %d, want %d", a.Subject, a.Predicate, b.ItemKey(), got, want)
+			}
+		}
+	}
+	r := rand.New(rand.NewSource(41))
+	for round := 0; round < 4; round++ {
+		for _, g := range granularities {
+			got, want := BuildClaims(stmts, g), referenceBuildClaims(stmts, g)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("round %d granularity %d: BuildClaims differs from the reference", round, g)
+			}
+			for k := 1; k < len(got.Items); k++ {
+				if prev, key := got.Items[k-1].Key(), got.Items[k].Key(); prev >= key {
+					t.Fatalf("round %d: item %d key %q follows %q", round, k, key, prev)
+				}
+			}
+		}
+		r.Shuffle(len(stmts), func(i, j int) { stmts[i], stmts[j] = stmts[j], stmts[i] })
+	}
+}
+
 // FuzzBuildClaimsMatchesReference spells statements from the fuzzer's
 // bytes, six a statement, and holds BuildClaims to the reference.
 func FuzzBuildClaimsMatchesReference(f *testing.F) {
 	f.Add([]byte{}, uint8(0))
 	f.Add([]byte{1, 0, 0, 0, 0, 1, 1, 0, 0, 0, 1, 3, 1, 0, 3, 4, 0, 0}, uint8(1))
 	f.Add([]byte{0, 1, 4, 4, 0, 2, 0, 1, 4, 5, 0, 4, 0, 1, 5, 1, 1, 0}, uint8(1))
+	// keyTerms pairs whose keys order differently from their terms, or
+	// collide: two statements each.
+	key := func(t rdf.Term) byte { return byte(128 + slices.Index(keyTerms, t)) }
+	for _, pair := range [][4]rdf.Term{
+		{rdf.IRI("a"), rdf.IRI("c"), rdf.IRI("a_"), rdf.IRI("c")},
+		{rdf.IRI("a"), rdf.IRI("c"), rdf.IRI("a "), rdf.IRI("c")},
+		{rdf.IRI("a"), rdf.IRI("c"), rdf.IRI("aa"), rdf.IRI("c")},
+		{rdf.IRI("a"), rdf.IRI("c"), rdf.IRI("a~"), rdf.IRI("c")},
+		{rdf.IRI("a"), rdf.IRI("c"), rdf.IRI("a\xff"), rdf.IRI("c")},
+		{rdf.IRI("a|ib"), rdf.IRI("c"), rdf.IRI("a"), rdf.IRI("b|ic")},
+		{rdf.IRI("a|"), rdf.IRI(""), rdf.IRI("a"), rdf.IRI("|")},
+		{rdf.IRI("a"), rdf.IRI("c"), rdf.Blank("a"), rdf.IRI("c")},
+		{rdf.Literal("a"), rdf.IRI("c"), rdf.Blank("a|ib"), rdf.IRI("c")},
+		{rdf.IRI(""), rdf.Literal(""), rdf.Blank(""), rdf.IRI("")},
+	} {
+		f.Add([]byte{key(pair[0]), key(pair[1]), 0, 0, 0, 1, key(pair[2]), key(pair[3]), 1, 1, 0, 2}, uint8(0))
+	}
 	f.Fuzz(func(t *testing.T, data []byte, g uint8) {
 		var stmts []rdf.Statement
 		for ; len(data) >= 6; data = data[6:] {
@@ -350,12 +437,12 @@ func TestDegenerateConfidences(t *testing.T) {
 				for _, d := range res.Decisions {
 					for k, b := range d.Belief {
 						if !unit(b) {
-							t.Errorf("%s %s: belief %v for %v of %s", name, m.Name(), b, d.Item.Values[k].Value, d.Item.Key)
+							t.Errorf("%s %s: belief %v for %v of %s", name, m.Name(), b, d.Item.Values[k].Value, d.Item.Key())
 						}
 					}
 					for _, imp := range d.Implied {
 						if !unit(imp.Belief) {
-							t.Errorf("%s %s: implied belief %v for %v of %s", name, m.Name(), imp.Belief, imp.Value, d.Item.Key)
+							t.Errorf("%s %s: implied belief %v for %v of %s", name, m.Name(), imp.Belief, imp.Value, d.Item.Key())
 						}
 					}
 				}

@@ -55,7 +55,7 @@ func referenceBuildClaims(stmts []rdf.Statement, g Granularity) *Claims {
 		ik := s.ItemKey()
 		it, ok := items[ik]
 		if !ok {
-			it = &Item{Key: ik, Subject: s.Subject, Predicate: s.Predicate}
+			it = &Item{Subject: s.Subject, Predicate: s.Predicate}
 			items[ik] = it
 		}
 		vk := valueKey{item: ik, value: s.Object.Key()}
@@ -175,10 +175,10 @@ func referenceDetectCorrelations(c *Claims, cfg CorrelationConfig) *refCorrelati
 					byItem = map[string]map[string]struct{}{}
 					claimed[name] = byItem
 				}
-				vs := byItem[it.Key]
+				vs := byItem[it.Key()]
 				if vs == nil {
 					vs = map[string]struct{}{}
-					byItem[it.Key] = vs
+					byItem[it.Key()] = vs
 				}
 				vs[vc.Value.Key()] = struct{}{}
 			}
@@ -457,7 +457,7 @@ func referenceMultiTruthFuse(m *MultiTruth, c *Claims) *refResult {
 			d.Truths = []rdf.Term{best}
 		}
 		d.Truths = referenceSortedTruths(d.Truths)
-		res.Decisions[it.Key] = d
+		res.Decisions[it.Key()] = d
 	}
 	return res
 }

@@ -97,15 +97,22 @@ func (t Term) keyLen() int { return 1 + len(t.Value) }
 
 // writeKey writes the term's key to b.
 func (t Term) writeKey(b *strings.Builder) {
+	b.WriteString(t.kindKey())
+	b.WriteString(t.Value)
+}
+
+// kindKey is the part of the term's key that spells its kind: one byte, or
+// nothing for a kind outside the three.
+func (t Term) kindKey() string {
 	switch t.Kind {
 	case KindIRI:
-		b.WriteByte('i')
+		return "i"
 	case KindLiteral:
-		b.WriteByte('l')
+		return "l"
 	case KindBlank:
-		b.WriteByte('b')
+		return "b"
 	}
-	b.WriteString(t.Value)
+	return ""
 }
 
 // Compare orders terms: IRIs < literals < blanks, then by value. It returns

@@ -1,6 +1,7 @@
 package rdf
 
 import (
+	"cmp"
 	"fmt"
 	"strings"
 )
@@ -30,6 +31,61 @@ func (t Triple) ItemKey() string {
 	b.WriteByte('|')
 	t.Predicate.writeKey(&b)
 	return b.String()
+}
+
+// CompareItemKeys returns strings.Compare(a.ItemKey(), b.ItemKey()) without
+// spelling either key. Two subjects of one kind whose values differ before
+// the shorter ends differ there, and two triples of one subject differ in
+// their predicates' keys; anything else (one subject's value a proper
+// prefix of the other's, subjects or predicates of two kinds) is compared
+// piece by piece.
+func CompareItemKeys(a, b *Triple) int {
+	if a.Subject.Kind == b.Subject.Kind {
+		x, y := a.Subject.Value, b.Subject.Value
+		n := min(len(x), len(y))
+		if c := strings.Compare(x[:n], y[:n]); c != 0 {
+			return c
+		}
+		if len(x) == len(y) && a.Predicate.Kind == b.Predicate.Kind {
+			return strings.Compare(a.Predicate.Value, b.Predicate.Value)
+		}
+	}
+	return comparePieces(a.itemKeyPieces(), b.itemKeyPieces())
+}
+
+// CompareItemKey returns strings.Compare(t.ItemKey(), key) without spelling
+// the triple's key.
+func (t Triple) CompareItemKey(key string) int {
+	return comparePieces(t.itemKeyPieces(), [5]string{key})
+}
+
+// itemKeyPieces are the strings ItemKey concatenates.
+func (t Triple) itemKeyPieces() [5]string {
+	return [5]string{t.Subject.kindKey(), t.Subject.Value, "|", t.Predicate.kindKey(), t.Predicate.Value}
+}
+
+// comparePieces compares the concatenations of a's pieces and of b's the way
+// strings.Compare would compare the two strings.
+func comparePieces(a, b [5]string) int {
+	var x, y string // what is left of the pieces being compared
+	i, j := 0, 0
+	for {
+		for ; x == "" && i < len(a); i++ {
+			x = a[i]
+		}
+		for ; y == "" && j < len(b); j++ {
+			y = b[j]
+		}
+		if x == "" || y == "" {
+			// One side has ended: it is the smaller unless both have.
+			return cmp.Compare(len(x), len(y))
+		}
+		n := min(len(x), len(y))
+		if c := strings.Compare(x[:n], y[:n]); c != 0 {
+			return c
+		}
+		x, y = x[n:], y[n:]
+	}
 }
 
 // Compare orders triples lexicographically by subject, predicate, object.

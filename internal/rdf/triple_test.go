@@ -2,6 +2,8 @@ package rdf
 
 import (
 	"math"
+	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -52,5 +54,35 @@ func TestTripleItemKey(t *testing.T) {
 	}
 	if a.ItemKey() == c.ItemKey() {
 		t.Error("different predicates must not share ItemKey")
+	}
+}
+
+// TestCompareItemKeysMatchesStrings: on random triples over an alphabet of
+// the bytes around '|' and the kind bytes, with values that are often
+// prefixes of one another or empty and kinds outside the three,
+// CompareItemKeys and CompareItemKey answer what strings.Compare answers for
+// the spelled keys.
+func TestCompareItemKeysMatchesStrings(t *testing.T) {
+	r := rand.New(rand.NewSource(41))
+	const alphabet = "|_ a~\xffilb"
+	term := func() Term {
+		v := make([]byte, r.Intn(4))
+		for k := range v {
+			v[k] = alphabet[r.Intn(len(alphabet))]
+		}
+		return Term{Kind: TermKind(r.Intn(4)), Value: string(v)}
+	}
+	for n := 0; n < 20000; n++ {
+		a, b := Triple{Subject: term(), Predicate: term()}, Triple{Subject: term(), Predicate: term()}
+		if r.Intn(3) == 0 {
+			b.Subject = a.Subject
+		}
+		want := strings.Compare(a.ItemKey(), b.ItemKey())
+		if got := CompareItemKeys(&a, &b); got != want {
+			t.Fatalf("CompareItemKeys(%q, %q) = %d, want %d", a.ItemKey(), b.ItemKey(), got, want)
+		}
+		if got := a.CompareItemKey(b.ItemKey()); got != want {
+			t.Fatalf("CompareItemKey(%q, %q) = %d, want %d", a.ItemKey(), b.ItemKey(), got, want)
+		}
 	}
 }

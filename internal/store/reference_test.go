@@ -15,6 +15,7 @@ import (
 	"slices"
 	"sort"
 	"testing"
+	"time"
 )
 
 // The snapshot codec's oracles. The table every store holds is checked
@@ -413,9 +414,11 @@ func TestRejectedSnapshotLeavesNoGoroutine(t *testing.T) {
 		t.Fatal("no file was rejected")
 	}
 	// The assembler and the checksum's goroutine send as the last thing they
-	// do; give the scheduler the moment it takes to retire them.
-	for i := 0; i < 1000 && runtime.NumGoroutine() > before; i++ {
-		runtime.Gosched()
+	// do, and one that has sent still has to be scheduled to exit, which on
+	// a loaded machine can take a while: wait for the count to come back,
+	// up to a deadline. One that never exits is still counted at the end.
+	for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > before && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
 	}
 	if after := runtime.NumGoroutine(); after > before {
 		t.Errorf("%d goroutines before %d rejected files, %d after", before, rejected, after)

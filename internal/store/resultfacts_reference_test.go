@@ -37,7 +37,7 @@ func keyedDecisions(fused *fusion.Result) map[string]*keyedDecision {
 			kd.truths = append(kd.truths, tr.Value)
 			kd.keys = append(kd.keys, tr.Key())
 		}
-		out[d.Item.Key] = kd
+		out[d.Item.Key()] = kd
 	}
 	return out
 }
@@ -121,7 +121,7 @@ func TestResultFactsMatchReference(t *testing.T) {
 			d := &res.Fused().Decisions[i]
 			for _, tr := range d.Truths {
 				if k < len(got) && (got[k].Value != tr.Value || got[k].Attr != extract.AttrFromIRI(d.Item.Predicate)) {
-					t.Fatalf("%s: fact %d is %+v, truth %d is %v of %s", label, k, got[k], k, tr, d.Item.Key)
+					t.Fatalf("%s: fact %d is %+v, truth %d is %v of %s", label, k, got[k], k, tr, d.Item.Key())
 				}
 				k++
 			}
