@@ -39,7 +39,7 @@ func main() {
 	// Show one fused timeline next to the ground truth.
 	for _, tl := range timelines {
 		e, _ := w.Entity(tl.Entity)
-		truth := e.Timelines[tl.Attr]
+		truth := e.Timeline(tl.Attr)
 		if len(tl.Spans) < 2 || len(truth) < 2 {
 			continue
 		}

@@ -65,20 +65,21 @@ func BenchmarkPipelineBuild(b *testing.B) {
 // (runtime.MemStats.TotalAlloc) of a seed-1 scale-1 build plus
 // store.ResultFacts, default and with every optional stage, so that an
 // allocation regression on the build journey fails here and not only in
-// bench/. The default build makes 156 804 allocations of 15.91 MB; the
-// parent of the change that made the statement path positional made
-// 289 939. Narrowing rdf.Term to a kind and a value left the count where it
-// was (162 211 before): that saving is bytes, not objects. Numbering the
-// sources took 98 off it (162 182 before): few items of a scale-1 run fold.
-// Minting each statement once, in the union, took 1.06 MB off the bytes
-// (17.92 MB before). Grouping fusion items without spelling their keys, and
-// recovering each name once a run, took 4 844 allocations and 0.95 MB off
-// (161 648 of 16.86 MB before). The all-stages build makes 182 347
-// allocations of 22.64 MB (188 871 of 24.09 MB before that, 25.66 MB before
-// the union minted); it made 250 352 allocations while entity discovery
-// linked every fact against every known name and alignment rebuilt names
-// and item keys per statement. Each ceiling is 10 % above its measured
-// value.
+// bench/. The default build makes 136 345 allocations of 14.58 MB (156 804
+// of 15.91 MB while an entity's values and a KB fact's sub-fields were
+// maps); the parent of the change that made the statement path positional
+// made 289 939. Narrowing rdf.Term to a kind and a value left the count
+// where it was (162 211 before): that saving is bytes, not objects.
+// Numbering the sources took 98 off it (162 182 before): few items of a
+// scale-1 run fold. Minting each statement once, in the union, took 1.06 MB
+// off the bytes (17.92 MB before). Grouping fusion items without spelling
+// their keys, and recovering each name once a run, took 4 844 allocations
+// and 0.95 MB off (161 648 of 16.86 MB before). The all-stages build makes
+// 160 940 allocations of 21.28 MB (182 347 of 22.64 MB with the maps,
+// 188 871 of 24.09 MB before that, 25.66 MB before the union minted); it
+// made 250 352 allocations while entity discovery linked every fact against
+// every known name and alignment rebuilt names and item keys per statement.
+// Each ceiling is 10 % above its measured value.
 func TestPipelineAllocations(t *testing.T) {
 	for _, c := range []struct {
 		name         string
@@ -86,8 +87,8 @@ func TestPipelineAllocations(t *testing.T) {
 		ceiling      float64
 		bytesCeiling uint64
 	}{
-		{"default", nil, 172_500, 17_500_000},
-		{"all-stages", allStages, 200_600, 24_910_000},
+		{"default", nil, 150_000, 16_040_000},
+		{"all-stages", allStages, 177_000, 23_410_000},
 	} {
 		allocs := testing.AllocsPerRun(2, func() { buildOnce(t, 1, 1, c.opts...) })
 		var before, after runtime.MemStats
@@ -110,17 +111,18 @@ func TestPipelineAllocations(t *testing.T) {
 // its Result is kept alive, default and with every optional stage, after a
 // first build has set up whatever the packages keep. So a change that keeps
 // more of a build fails here, where TestPipelineAllocations sees only what
-// it allocates. The default build holds 6.07 MB and the all-stages build
-// 7.21 MB; while every fusion item kept its spelled key they held 6.39 MB
-// and 7.56 MB. Each ceiling is 10 % above its measured value.
+// it allocates. The default build holds 5.91 MB and the all-stages build
+// 7.04 MB; with a map per entity and per KB fact they held 6.07 MB and
+// 7.21 MB, and while every fusion item kept its spelled key 6.39 MB and
+// 7.56 MB. Each ceiling is 10 % above its measured value.
 func TestPipelineRetainedHeap(t *testing.T) {
 	for _, c := range []struct {
 		name    string
 		opts    []core.Option
 		ceiling uint64
 	}{
-		{"default", nil, 6_680_000},
-		{"all-stages", allStages, 7_940_000},
+		{"default", nil, 6_510_000},
+		{"all-stages", allStages, 7_740_000},
 	} {
 		opts := append([]core.Option{core.WithSeed(1), core.WithScale(1), core.WithParallelism(1)}, c.opts...)
 		run := func() *core.Result {

@@ -325,7 +325,7 @@ func TestPipelineTemporal(t *testing.T) {
 			t.Errorf("timeline for unknown entity %q", tl.Entity)
 			continue
 		}
-		if len(e.Timelines[tl.Attr]) == 0 {
+		if len(e.Timeline(tl.Attr)) == 0 {
 			t.Errorf("timeline for non-temporal attribute %s/%s", tl.Entity, tl.Attr)
 		}
 	}

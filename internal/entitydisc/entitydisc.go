@@ -16,6 +16,7 @@
 package entitydisc
 
 import (
+	"cmp"
 	"slices"
 	"sort"
 	"strings"
@@ -23,6 +24,7 @@ import (
 	"unicode/utf8"
 
 	"akb/internal/extract"
+	"akb/internal/kb"
 	"akb/internal/rdf"
 )
 
@@ -51,8 +53,9 @@ type Entity struct {
 	Sources []string
 	// Aliases are merged non-canonical surface forms.
 	Aliases []string
-	// Values aggregates attribute -> distinct values.
-	Values map[string][]string
+	// Values aggregates each attribute's distinct values in sorted order,
+	// one row per attribute, sorted by it.
+	Values []kb.AttrValues
 }
 
 // Result is the discovery outcome.
@@ -71,8 +74,8 @@ type Result struct {
 func (r *Result) NumStatements() int {
 	n := 0
 	for _, e := range r.Entities {
-		for _, vs := range e.Values {
-			n += len(vs) * len(e.Sources)
+		for _, row := range e.Values {
+			n += len(row.Values) * len(e.Sources)
 		}
 	}
 	return n
@@ -84,14 +87,9 @@ func (r *Result) AppendStatements(dst []rdf.Statement, conf float64) []rdf.State
 	dst = slices.Grow(dst, r.NumStatements())
 	for _, e := range r.Entities {
 		subject := extract.EntityIRI(e.Name)
-		attrs := make([]string, 0, len(e.Values))
-		for a := range e.Values {
-			attrs = append(attrs, a)
-		}
-		sort.Strings(attrs)
-		for _, a := range attrs {
-			predicate := extract.AttrIRI(a)
-			for _, v := range e.Values[a] {
+		for _, row := range e.Values {
+			predicate := extract.AttrIRI(row.Attr)
+			for _, v := range row.Values {
 				t := rdf.T(subject, predicate, rdf.Literal(v))
 				for _, src := range e.Sources {
 					dst = append(dst, rdf.S(t, rdf.Provenance{Source: src, Extractor: "entitydisc"}, conf))
@@ -173,7 +171,7 @@ func Discover(facts []extract.EntityFact, idx *extract.EntityIndex) *Result {
 	type agg struct {
 		class            map[string]int
 		sources, aliases []string
-		values           map[string][]string
+		values           [][2]string // (attribute, value) a fact
 		support          int
 	}
 	aggs := make([]*agg, len(names)) // root -> its facts
@@ -181,7 +179,7 @@ func Discover(facts []extract.EntityFact, idx *extract.EntityIndex) *Result {
 		r := find(pos[f.Name])
 		a := aggs[r]
 		if a == nil {
-			a = &agg{class: map[string]int{}, values: map[string][]string{}}
+			a = &agg{class: map[string]int{}}
 			aggs[r] = a
 		}
 		a.support++
@@ -191,7 +189,7 @@ func Discover(facts []extract.EntityFact, idx *extract.EntityIndex) *Result {
 			a.aliases = append(a.aliases, f.Name)
 		}
 		if f.Attr != "" && f.Value != "" {
-			a.values[f.Attr] = append(a.values[f.Attr], f.Value)
+			a.values = append(a.values, [2]string{f.Attr, f.Value})
 		}
 	}
 	for i, name := range names {
@@ -206,7 +204,7 @@ func Discover(facts []extract.EntityFact, idx *extract.EntityIndex) *Result {
 			res.Rejected++
 			continue
 		}
-		e := &Entity{Name: name, Support: a.support, Sources: a.sources, Values: map[string][]string{}}
+		e := &Entity{Name: name, Support: a.support, Sources: a.sources}
 		top := 0
 		for cls, n := range a.class {
 			if n > top || (n == top && cls < e.Class) {
@@ -215,10 +213,7 @@ func Discover(facts []extract.EntityFact, idx *extract.EntityIndex) *Result {
 		}
 		slices.Sort(a.aliases)
 		e.Aliases = slices.Compact(a.aliases)
-		for attr, vs := range a.values {
-			slices.Sort(vs)
-			e.Values[attr] = slices.Compact(vs)
-		}
+		e.Values = valueRows(a.values)
 		res.Entities = append(res.Entities, e)
 	}
 	sort.Slice(res.Entities, func(i, j int) bool {
@@ -228,6 +223,30 @@ func Discover(facts []extract.EntityFact, idx *extract.EntityIndex) *Result {
 		return res.Entities[i].Name < res.Entities[j].Name
 	})
 	return res
+}
+
+// valueRows turns (attribute, value) pairs into rows: each attribute's
+// distinct values in sorted order, the attributes in sorted order. It sorts
+// pairs in place.
+func valueRows(pairs [][2]string) []kb.AttrValues {
+	if len(pairs) == 0 {
+		return nil
+	}
+	slices.SortFunc(pairs, func(a, b [2]string) int {
+		return cmp.Or(strings.Compare(a[0], b[0]), strings.Compare(a[1], b[1]))
+	})
+	pairs = slices.Compact(pairs)
+	values := make([]string, len(pairs))
+	var rows []kb.AttrValues
+	for i := 0; i < len(pairs); {
+		j := i
+		for ; j < len(pairs) && pairs[j][0] == pairs[i][0]; j++ {
+			values[j] = pairs[j][1]
+		}
+		rows = append(rows, kb.AttrValues{Attr: pairs[i][0], Values: values[i:j:j]})
+		i = j
+	}
+	return rows
 }
 
 // linker resolves a mention to itself if it is a known name, and otherwise

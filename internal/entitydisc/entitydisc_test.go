@@ -1,6 +1,7 @@
 package entitydisc
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -37,7 +38,8 @@ func TestDiscoverCreatesEntities(t *testing.T) {
 	if len(e.Sources) != 2 {
 		t.Errorf("sources = %v", e.Sources)
 	}
-	if len(e.Values["director"]) != 1 || e.Values["director"][0] != "Leo Fontaine" {
+	want := []kb.AttrValues{{Attr: "composer", Values: []string{"Ida Moreau"}}, {Attr: "director", Values: []string{"Leo Fontaine"}}}
+	if !reflect.DeepEqual(e.Values, want) {
 		t.Errorf("values = %v", e.Values)
 	}
 	if res.Rejected != 1 {

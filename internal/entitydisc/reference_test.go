@@ -135,7 +135,7 @@ func refDiscover(facts []extract.EntityFact, idx *extract.EntityIndex) *Result {
 			res.Rejected++
 			continue
 		}
-		e := &Entity{Name: name, Support: a.support, Values: map[string][]string{}}
+		e := &Entity{Name: name, Support: a.support}
 		for cls, n := range a.class {
 			if e.Class == "" || n > a.class[e.Class] || (n == a.class[e.Class] && cls < e.Class) {
 				e.Class = cls
@@ -149,11 +149,18 @@ func refDiscover(facts []extract.EntityFact, idx *extract.EntityIndex) *Result {
 			e.Aliases = append(e.Aliases, al)
 		}
 		sort.Strings(e.Aliases)
-		for attr, vs := range a.values {
-			for v := range vs {
-				e.Values[attr] = append(e.Values[attr], v)
+		attrs := make([]string, 0, len(a.values))
+		for attr := range a.values {
+			attrs = append(attrs, attr)
+		}
+		sort.Strings(attrs)
+		for _, attr := range attrs {
+			row := kb.AttrValues{Attr: attr}
+			for v := range a.values[attr] {
+				row.Values = append(row.Values, v)
 			}
-			sort.Strings(e.Values[attr])
+			sort.Strings(row.Values)
+			e.Values = append(e.Values, row)
 		}
 		res.Entities = append(res.Entities, e)
 	}
@@ -235,15 +242,10 @@ func refWithinDistance(a, b string, max int) bool {
 func refStatements(r *Result, conf float64) []rdf.Statement {
 	var out []rdf.Statement
 	for _, e := range r.Entities {
-		attrs := make([]string, 0, len(e.Values))
-		for a := range e.Values {
-			attrs = append(attrs, a)
-		}
-		sort.Strings(attrs)
-		for _, a := range attrs {
-			for _, v := range e.Values[a] {
+		for _, row := range e.Values {
+			for _, v := range row.Values {
 				for _, src := range e.Sources {
-					out = append(out, extract.NewStatement(e.Name, a, v, src, "entitydisc", "", conf))
+					out = append(out, extract.NewStatement(e.Name, row.Attr, v, src, "entitydisc", "", conf))
 				}
 			}
 		}

@@ -133,14 +133,16 @@ func (sc *Scorer) ScoreFusion(res *fusion.Result) Metrics {
 		covered = slices.Grow(covered[:0], len(trueLeaves))[:len(trueLeaves)]
 		clear(covered)
 		for _, t := range d.Truths {
-			v := t.Value
-			if sc.World.IsTrue(e, attr, v) {
-				m.TP++
-				for i, leaf := range trueLeaves {
-					if leaf == v || sc.World.Hier.IsAncestor(v, leaf) {
-						covered[i] = true
-					}
+			// World.IsTrue over the leaves already looked up: a value is
+			// true when it is a leaf or a generalisation of one.
+			v, hit := t.Value, false
+			for i, leaf := range trueLeaves {
+				if leaf == v || sc.World.Hier.IsAncestor(v, leaf) {
+					covered[i], hit = true, true
 				}
+			}
+			if hit {
+				m.TP++
 			} else {
 				m.FP++
 			}

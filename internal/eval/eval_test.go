@@ -39,7 +39,8 @@ func testWorldAndEntity(t *testing.T) (*kb.World, *kb.Entity, string, string) {
 	t.Helper()
 	w := kb.NewWorld(kb.WorldConfig{Seed: 1, EntitiesPerClass: 5, AttrsPerEntity: 10})
 	e := w.EntitiesOf("Film")[0]
-	for attr, vals := range e.Values {
+	for _, row := range e.Values {
+		attr, vals := row.Attr, row.Values
 		if len(vals) > 0 {
 			return w, e, attr, vals[0]
 		}
@@ -67,7 +68,8 @@ func TestScoreStatementsHierarchyAware(t *testing.T) {
 	sc := &Scorer{World: w}
 	// Find a hierarchical attribute value and claim its ancestor.
 	for _, e := range w.EntitiesOf("Film") {
-		for attr, vals := range e.Values {
+		for _, row := range e.Values {
+			attr, vals := row.Attr, row.Values
 			a, _ := w.Ontology.Class("Film").Attribute(attr)
 			if !a.Hierarchical || len(vals) == 0 {
 				continue
@@ -109,7 +111,8 @@ func TestScoreFusionCountsMissingTruths(t *testing.T) {
 	sc := &Scorer{World: w}
 	// Find a non-functional attribute with 2+ values.
 	for _, e := range w.EntitiesOf("Film") {
-		for attr, vals := range e.Values {
+		for _, row := range e.Values {
+			attr, vals := row.Attr, row.Values
 			if len(vals) != 2 {
 				continue
 			}

@@ -190,32 +190,24 @@ func (s *Statements) predicate(class, name string) rdf.Term {
 }
 
 // walk calls emit for every (fact, sub-field) of src that has a predicate,
-// classes and a fact's sub-fields in sorted order.
+// classes in sorted order and a fact's sub-fields in its rows' name order.
 func (s *Statements) walk(src *kb.SourceKB, emit func(fact *kb.Fact, predicate rdf.Term, values []string)) {
 	classes := make([]string, 0, len(src.Facts))
 	for c := range src.Facts {
 		classes = append(classes, c)
 	}
 	sort.Strings(classes)
-	var fields []string // one fact's sub-field names, sorted
 	for _, class := range classes {
 		facts := src.Facts[class]
 		for i := range facts {
 			fact := &facts[i]
-			fields = fields[:0]
-			for fn := range fact.FieldValues {
-				fields = append(fields, fn)
-			}
-			if len(fields) > 1 {
-				sort.Strings(fields)
-			}
-			for _, fn := range fields {
-				name := fn
+			for _, row := range fact.FieldValues {
+				name := row.Attr
 				if name == "" {
 					name = fact.Property
 				}
 				if p := s.predicate(class, name); !p.IsZero() {
-					emit(fact, p, fact.FieldValues[fn])
+					emit(fact, p, row.Values)
 				}
 			}
 		}

@@ -29,9 +29,11 @@ func referenceExtractStatements(crit *confidence.Criterion, src *kb.SourceKB) []
 	sort.Strings(classes)
 	for _, class := range classes {
 		for _, fact := range src.Facts[class] {
+			fieldValues := make(map[string][]string, len(fact.FieldValues))
 			fieldNames := make([]string, 0, len(fact.FieldValues))
-			for fn := range fact.FieldValues {
-				fieldNames = append(fieldNames, fn)
+			for _, row := range fact.FieldValues {
+				fieldValues[row.Attr] = row.Values
+				fieldNames = append(fieldNames, row.Attr)
 			}
 			sort.Strings(fieldNames)
 			for _, fn := range fieldNames {
@@ -43,7 +45,7 @@ func referenceExtractStatements(crit *confidence.Criterion, src *kb.SourceKB) []
 				if canonical == "" {
 					continue
 				}
-				for _, v := range fact.FieldValues[fn] {
+				for _, v := range fieldValues[fn] {
 					out = append(out, extract.NewStatement(
 						fact.Entity, canonical, v, source, extract.ExtractorKB, "", conf))
 				}
@@ -66,8 +68,8 @@ func TestKBStatementsMatchReference(t *testing.T) {
 		// A property whose name is all separators canonicalises to "", and a
 		// composite with one nameless and one such sub-field.
 		fb.Facts["Film"] = append(fb.Facts["Film"],
-			kb.Fact{Entity: "Nobody 1", Property: "__", FieldValues: map[string][]string{"": {"x"}}},
-			kb.Fact{Entity: "Nobody 2", Property: "film_cut", FieldValues: map[string][]string{"": {"a", "b"}, "-": {"c"}, "run_time": {"d"}}},
+			kb.Fact{Entity: "Nobody 1", Property: "__", FieldValues: []kb.AttrValues{{Attr: "", Values: []string{"x"}}}},
+			kb.Fact{Entity: "Nobody 2", Property: "film_cut", FieldValues: []kb.AttrValues{{Attr: "", Values: []string{"a", "b"}}, {Attr: "-", Values: []string{"c"}}, {Attr: "run_time", Values: []string{"d"}}}},
 		)
 		for _, crit := range []*confidence.Criterion{nil, confidence.Default()} {
 			want := append(referenceExtractStatements(crit, db), referenceExtractStatements(crit, fb)...)

@@ -154,7 +154,8 @@ func TestWorldValueKinds(t *testing.T) {
 	w := NewWorld(DefaultWorldConfig())
 	cls := w.Ontology.Class("Film")
 	for _, e := range w.EntitiesOf("Film") {
-		for attr, vals := range e.Values {
+		for _, row := range e.Values {
+			attr, vals := row.Attr, row.Values
 			a, ok := cls.Attribute(attr)
 			if !ok {
 				t.Fatalf("entity value for unknown attribute %q", attr)
@@ -177,7 +178,8 @@ func TestWorldIsTrueWithHierarchy(t *testing.T) {
 	w := NewWorld(DefaultWorldConfig())
 	// Find an entity with a hierarchical place value.
 	for _, e := range w.EntitiesOf("Film") {
-		for attr, vals := range e.Values {
+		for _, row := range e.Values {
+			attr, vals := row.Attr, row.Values
 			a, _ := w.Ontology.Class("Film").Attribute(attr)
 			if !a.Hierarchical || len(vals) == 0 {
 				continue

@@ -3,6 +3,7 @@ package kb
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -48,9 +49,10 @@ func (p Property) Composite() bool { return len(p.Fields) > 1 }
 type Fact struct {
 	Entity   string
 	Property string
-	// FieldValues maps sub-field name -> values; simple properties use the
-	// "" key.
-	FieldValues map[string][]string
+	// FieldValues holds the values of each sub-field that has any, one row
+	// per sub-field name, sorted by it; a simple property's one row is
+	// named "".
+	FieldValues []AttrValues
 }
 
 // SourceKB is a synthetic stand-in for an existing knowledge base
@@ -193,35 +195,121 @@ func sampleEntities(names []string, coverage float64, r *rand.Rand) []string {
 	return out
 }
 
+// buildFacts makes one fact per (covered entity, property it has a value
+// for). The class's (property, field) slots are sorted by canonical name
+// once and matched against each entity's rows in one merge. A fact's values
+// are drawn for corruption in p.Fields order; its rows are then laid out in
+// name order, and of the sub-fields that share a surface name the last with
+// values wins.
 func buildFacts(w *World, cls *Class, props []Property, covered []string, errRate float64, r *rand.Rand) []Fact {
+	type slot struct {
+		canonical string
+		k         int // the slot's place in props-then-Fields order
+	}
+	var byName []slot
+	first := make([]int, len(props)+1) // props[i]'s slots are [first[i], first[i+1])
+	for i, p := range props {
+		first[i] = len(byName)
+		for _, f := range p.Fields {
+			byName = append(byName, slot{f.Canonical, len(byName)})
+		}
+	}
+	first[len(props)] = len(byName)
+	slices.SortFunc(byName, func(a, b slot) int { return strings.Compare(a.canonical, b.canonical) })
+	nameOrder := make([][]int, len(props))
+	for i, p := range props {
+		nameOrder[i] = fieldNameOrder(p)
+	}
+	vals := make([][]string, len(byName)) // the entity's stored values at each slot
+	rows := arena[AttrValues]{chunk: 256}
+	copies := arena[string]{chunk: 256}
 	var facts []Fact
 	for _, name := range covered {
 		e, ok := w.Entity(name)
 		if !ok {
 			continue
 		}
-		for _, p := range props {
-			fv := make(map[string][]string)
-			for _, f := range p.Fields {
-				vals := e.Values[f.Canonical]
-				if len(vals) == 0 {
-					continue
-				}
-				stored := make([]string, len(vals))
-				copy(stored, vals)
-				for i := range stored {
-					if errRate > 0 && r.Float64() < errRate {
-						stored[i] = corruptValue(stored[i], r)
-					}
-				}
-				fv[f.Name] = stored
+		clear(vals)
+		i := 0
+		for _, row := range e.Values {
+			for i < len(byName) && byName[i].canonical < row.Attr {
+				i++
 			}
-			if len(fv) > 0 {
-				facts = append(facts, Fact{Entity: name, Property: p.Name, FieldValues: fv})
+			for ; i < len(byName) && byName[i].canonical == row.Attr; i++ {
+				vals[byName[i].k] = row.Values
 			}
+		}
+		for pi, p := range props {
+			fv := vals[first[pi]:first[pi+1]]
+			n := 0
+			for fi, v := range fv {
+				if len(v) > 0 {
+					fv[fi] = corruptValues(v, errRate, r, &copies)
+					n++
+				}
+			}
+			if n == 0 {
+				continue
+			}
+			facts = append(facts, Fact{Entity: name, Property: p.Name, FieldValues: fieldRows(p, fv, nameOrder[pi], &rows)})
 		}
 	}
 	return facts
+}
+
+// fieldNameOrder returns p's field indices sorted by field name, equal
+// names in Fields order.
+func fieldNameOrder(p Property) []int {
+	order := make([]int, len(p.Fields))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return strings.Compare(p.Fields[a].Name, p.Fields[b].Name) })
+	return order
+}
+
+// fieldRows lays out a fact's rows from its fields' values fv (nil where a
+// field has none), visiting the fields in order (name order, equal names in
+// Fields order): one row a name, holding the values of the last field of
+// that name that has any.
+func fieldRows(p Property, fv [][]string, order []int, rows *arena[AttrValues]) []AttrValues {
+	won := make([]int, 0, 32) // a field index a row
+	for k := 0; k < len(order); {
+		name, last := p.Fields[order[k]].Name, -1
+		for ; k < len(order) && p.Fields[order[k]].Name == name; k++ {
+			if len(fv[order[k]]) > 0 {
+				last = order[k]
+			}
+		}
+		if last >= 0 {
+			won = append(won, last)
+		}
+	}
+	out := rows.take(len(won))
+	for i, fi := range won {
+		out[i] = AttrValues{Attr: p.Fields[fi].Name, Values: fv[fi]}
+	}
+	return out
+}
+
+// corruptValues returns vals with each value corrupted with probability
+// errRate, drawn in order. vals itself is returned when nothing changed, a
+// copy cut from copies otherwise.
+func corruptValues(vals []string, errRate float64, r *rand.Rand, copies *arena[string]) []string {
+	if errRate <= 0 {
+		return vals
+	}
+	out := vals
+	for i, v := range vals {
+		if r.Float64() < errRate {
+			if &out[0] == &vals[0] {
+				out = copies.take(len(vals))
+				copy(out, vals)
+			}
+			out[i] = corruptValue(v, r)
+		}
+	}
+	return out
 }
 
 // corruptValue produces a plausible wrong value, modelling the residual

@@ -65,8 +65,8 @@ func TestKBGenConfigDefaults(t *testing.T) {
 func TestValueAtAndSpanContains(t *testing.T) {
 	e := &Entity{
 		Name: "X", Class: "Country",
-		Values:    map[string][]string{"head of state": {"Bob"}},
-		Timelines: map[string][]Span{"head of state": {{Value: "Alice", From: 1990, To: 1999}, {Value: "Bob", From: 2000, To: 2015}}},
+		Values:    []AttrValues{{Attr: "head of state", Values: []string{"Bob"}}},
+		Timelines: []AttrSpans{{Attr: "head of state", Spans: []Span{{Value: "Alice", From: 1990, To: 1999}, {Value: "Bob", From: 2000, To: 2015}}}},
 	}
 	cases := []struct {
 		year int
@@ -95,7 +95,8 @@ func TestTimelinesExcludedFromExtraAttrs(t *testing.T) {
 	for _, cls := range w.Ontology.ClassNames() {
 		class := w.Ontology.Class(cls)
 		for _, e := range w.EntitiesOf(cls) {
-			for attr := range e.Timelines {
+			for _, tl := range e.Timelines {
+				attr := tl.Attr
 				a, ok := class.Attribute(attr)
 				if !ok || !a.Temporal {
 					t.Errorf("%s/%s: timeline on non-temporal attribute", e.Name, attr)

@@ -15,6 +15,7 @@ package kb
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"unicode"
@@ -156,25 +157,72 @@ type Span struct {
 // Contains reports whether the span covers the year.
 func (s Span) Contains(year int) bool { return year >= s.From && year <= s.To }
 
+// AttrValues is one row of an entity's values or of a source-KB fact's
+// sub-fields: a name and its values. Rows come in slices sorted strictly by
+// Attr, none with empty Values, so a reader walks them in name order and a
+// lookup is a binary search or a merge. Rows are read-only: their values may
+// be shared between the world and the KBs generated from it.
+type AttrValues struct {
+	// Attr is the canonical attribute name in an entity's rows, the
+	// sub-field's surface name in a fact's ("" for a simple property).
+	Attr   string
+	Values []string
+}
+
+// AttrSpans is one row of an entity's timelines: a temporal attribute and
+// its spans in chronological order. Rows are sorted strictly by Attr.
+type AttrSpans struct {
+	Attr  string
+	Spans []Span
+}
+
 // Entity is an instance of a class with ground-truth attribute values.
 type Entity struct {
 	// Name is the entity's surface name, e.g. "Casablanca".
 	Name string
 	// Class is the owning class name.
 	Class string
-	// Values maps canonical attribute name to the set of true values.
-	// Functional attributes have one entry (plus hierarchy generalisations
-	// are implicitly true); non-functional attributes may have several.
-	// For temporal attributes the entry is the current (latest) value.
-	Values map[string][]string
-	// Timelines maps temporal attribute names to their historical spans in
-	// chronological order.
-	Timelines map[string][]Span
+	// Values holds the true values of each attribute the entity has, one
+	// row per canonical attribute name, sorted by it. Functional attributes
+	// have one value (plus hierarchy generalisations are implicitly true);
+	// non-functional attributes may have several. For temporal attributes
+	// the value is the current (latest) one.
+	Values []AttrValues
+	// Timelines holds the historical spans of the entity's temporal
+	// attributes, one row per attribute, sorted by it.
+	Timelines []AttrSpans
+}
+
+// TrueValues returns the true values of the attribute, or nil. It is a
+// binary search over the rows, spelled out: scoring calls it once a
+// statement.
+func (e *Entity) TrueValues(attr string) []string {
+	lo, hi := 0, len(e.Values)
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); e.Values[m].Attr < attr {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	if lo < len(e.Values) && e.Values[lo].Attr == attr {
+		return e.Values[lo].Values
+	}
+	return nil
+}
+
+// Timeline returns the temporal attribute's spans, or nil.
+func (e *Entity) Timeline(attr string) []Span {
+	i, ok := slices.BinarySearchFunc(e.Timelines, attr, func(row AttrSpans, attr string) int { return strings.Compare(row.Attr, attr) })
+	if !ok {
+		return nil
+	}
+	return e.Timelines[i].Spans
 }
 
 // ValueAt returns the temporal attribute's value in the given year, or "".
 func (e *Entity) ValueAt(attr string, year int) string {
-	for _, s := range e.Timelines[attr] {
+	for _, s := range e.Timeline(attr) {
 		if s.Contains(year) {
 			return s.Value
 		}
@@ -184,7 +232,7 @@ func (e *Entity) ValueAt(attr string, year int) string {
 
 // Value returns the first true value of the attribute, or "".
 func (e *Entity) Value(attr string) string {
-	vs := e.Values[attr]
+	vs := e.TrueValues(attr)
 	if len(vs) == 0 {
 		return ""
 	}
@@ -192,7 +240,7 @@ func (e *Entity) Value(attr string) string {
 }
 
 // HasAttr reports whether the entity has any value for the attribute.
-func (e *Entity) HasAttr(attr string) bool { return len(e.Values[attr]) > 0 }
+func (e *Entity) HasAttr(attr string) bool { return len(e.TrueValues(attr)) > 0 }
 
 // CanonicalAttributeName normalises a KB-specific property name (camelCase
 // DBpedia style, snake_case Freebase style, slash-qualified paths) into the

@@ -3,7 +3,9 @@ package kb
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
+	"strings"
 
 	"akb/internal/hierarchy"
 )
@@ -154,62 +156,89 @@ func (w *World) buildPlaces(r *rand.Rand) {
 	}
 }
 
+// arena hands out consecutive sub-slices of chunks it allocates, so that
+// the many short slices of one class cost a few allocations. Each slice is
+// capped at its length: appending to one never reaches its neighbour.
+type arena[T any] struct {
+	buf   []T
+	chunk int
+}
+
+func (a *arena[T]) take(n int) []T {
+	if len(a.buf)+n > cap(a.buf) {
+		a.buf = make([]T, 0, max(n, a.chunk))
+	}
+	i := len(a.buf)
+	a.buf = a.buf[:i+n]
+	return a.buf[i : i+n : i+n]
+}
+
+// populateClass generates the class's entities. The entities, their rows,
+// values and spans are cut from per-class arenas. An entity's values are
+// drawn in attribute-index order, then its rows are sorted by name.
 func (w *World) populateClass(cls *Class, r *rand.Rand) {
 	curatedN := len(curatedAttributes[cls.Name])
-	for i := 0; i < w.Config.EntitiesPerClass; i++ {
-		e := &Entity{
-			Name:      EntityName(cls.Name, r, i),
-			Class:     cls.Name,
-			Values:    make(map[string][]string),
-			Timelines: make(map[string][]Span),
-		}
+	// Every entity carries the curated core and is sampled up to the cap, so
+	// all have the same number of attributes.
+	perEntity := max(min(curatedN, len(cls.Attributes)), min(w.Config.AttrsPerEntity, len(cls.Attributes)))
+	entities := make([]Entity, w.Config.EntitiesPerClass)
+	rows := make([]AttrValues, len(entities)*perEntity)
+	values := arena[string]{chunk: len(rows)/4 + 16}
+	timelines := arena[AttrSpans]{chunk: len(entities)}
+	spans := arena[Span]{chunk: 2 * len(entities)}
+	attrs := make([]int, 0, perEntity)
+	var drawn []string // one attribute's values before they are deduplicated
+	for i := range entities {
+		e := &entities[i]
+		e.Name, e.Class = EntityName(cls.Name, r, i), cls.Name
 		// Every entity carries the curated core; the long tail is sampled.
-		attrs := make([]int, 0, w.Config.AttrsPerEntity)
+		attrs = attrs[:0]
 		for j := 0; j < curatedN && j < len(cls.Attributes); j++ {
 			attrs = append(attrs, j)
 		}
 		for len(attrs) < w.Config.AttrsPerEntity && len(attrs) < len(cls.Attributes) {
 			j := r.Intn(len(cls.Attributes))
-			dup := false
-			for _, k := range attrs {
-				if k == j {
-					dup = true
-					break
-				}
-			}
-			if !dup {
+			if !slices.Contains(attrs, j) {
 				attrs = append(attrs, j)
 			}
 		}
 		sort.Ints(attrs)
+		nTemporal := 0
 		for _, j := range attrs {
+			if cls.Attributes[j].Temporal {
+				nTemporal++
+			}
+		}
+		e.Values = rows[i*perEntity : (i+1)*perEntity : (i+1)*perEntity]
+		e.Timelines = timelines.take(nTemporal)
+		nTemporal = 0
+		for k, j := range attrs {
 			a := cls.Attributes[j]
 			if a.Temporal {
-				spans := w.randomTimeline(a, r)
-				e.Timelines[a.Canonical] = spans
-				e.Values[a.Canonical] = []string{spans[len(spans)-1].Value}
+				tl := w.randomTimeline(a, r, &spans)
+				e.Timelines[nTemporal] = AttrSpans{Attr: a.Canonical, Spans: tl}
+				nTemporal++
+				vals := values.take(1)
+				vals[0] = tl[len(tl)-1].Value
+				e.Values[k] = AttrValues{Attr: a.Canonical, Values: vals}
 				continue
 			}
 			n := 1
 			if !a.Functional {
 				n = 1 + r.Intn(3)
 			}
-			vals := make([]string, 0, n)
-			for k := 0; k < n; k++ {
-				v := w.randomValue(a, r)
-				dup := false
-				for _, prev := range vals {
-					if prev == v {
-						dup = true
-						break
-					}
-				}
-				if !dup {
-					vals = append(vals, v)
+			drawn = drawn[:0]
+			for d := 0; d < n; d++ {
+				if v := w.randomValue(a, r); !slices.Contains(drawn, v) {
+					drawn = append(drawn, v)
 				}
 			}
-			e.Values[a.Canonical] = vals
+			vals := values.take(len(drawn))
+			copy(vals, drawn)
+			e.Values[k] = AttrValues{Attr: a.Canonical, Values: vals}
 		}
+		slices.SortFunc(e.Values, func(a, b AttrValues) int { return strings.Compare(a.Attr, b.Attr) })
+		slices.SortFunc(e.Timelines, func(a, b AttrSpans) int { return strings.Compare(a.Attr, b.Attr) })
 		w.entities[cls.Name] = append(w.entities[cls.Name], e)
 		w.names[cls.Name] = append(w.names[cls.Name], e.Name)
 		w.byName[e.Name] = e
@@ -217,11 +246,11 @@ func (w *World) populateClass(cls *Class, r *rand.Rand) {
 }
 
 // randomTimeline builds 2-4 consecutive spans covering recent decades for
-// a temporal attribute (e.g. successive heads of state).
-func (w *World) randomTimeline(a Attribute, r *rand.Rand) []Span {
+// a temporal attribute (e.g. successive heads of state), cut from spans.
+func (w *World) randomTimeline(a Attribute, r *rand.Rand, spans *arena[Span]) []Span {
 	n := 2 + r.Intn(3)
 	start := 1970 + r.Intn(20)
-	spans := make([]Span, 0, n)
+	out := spans.take(n)[:0]
 	year := start
 	for i := 0; i < n; i++ {
 		length := 3 + r.Intn(10)
@@ -230,14 +259,14 @@ func (w *World) randomTimeline(a Attribute, r *rand.Rand) []Span {
 			to = 2015 // "present" for the paper's era
 		}
 		v := w.randomValue(Attribute{Kind: a.Kind}, r)
-		spans = append(spans, Span{Value: v, From: year, To: to})
+		out = append(out, Span{Value: v, From: year, To: to})
 		year = to + 1
 		if year >= 2014 {
-			spans[len(spans)-1].To = 2015
+			out[len(out)-1].To = 2015
 			break
 		}
 	}
-	return spans
+	return slices.Clip(out)
 }
 
 func (w *World) randomValue(a Attribute, r *rand.Rand) string {
@@ -285,7 +314,7 @@ func (w *World) Spec(class string) (ClassSpec, bool) {
 // hierarchy generalisations of a true value as true — the paper's
 // (Susie Fang, birth place, China) example.
 func (w *World) IsTrue(e *Entity, attr, value string) bool {
-	for _, v := range e.Values[attr] {
+	for _, v := range e.TrueValues(attr) {
 		if v == value {
 			return true
 		}
@@ -298,5 +327,5 @@ func (w *World) IsTrue(e *Entity, attr, value string) bool {
 
 // TrueLeafValues returns the most specific true values for (entity, attr).
 func (w *World) TrueLeafValues(e *Entity, attr string) []string {
-	return e.Values[attr]
+	return e.TrueValues(attr)
 }

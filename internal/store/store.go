@@ -309,17 +309,12 @@ func WorldFacts(w *kb.World) []Fact {
 	var facts []Fact
 	for _, class := range w.Ontology.ClassNames() {
 		for _, e := range w.EntitiesOf(class) {
-			attrs := make([]string, 0, len(e.Values))
-			for a := range e.Values {
-				attrs = append(attrs, a)
-			}
-			sort.Strings(attrs)
-			for _, a := range attrs {
-				for _, v := range e.Values[a] {
+			for _, row := range e.Values {
+				for _, v := range row.Values {
 					facts = append(facts, Fact{
 						Entity:     e.Name,
 						Class:      class,
-						Attr:       a,
+						Attr:       row.Attr,
 						Value:      v,
 						Confidence: 1,
 						Sources:    1,

@@ -23,7 +23,8 @@ func TestWorldHasTimelines(t *testing.T) {
 	found := 0
 	for _, cls := range []string{"Country", "University", "Hotel"} {
 		for _, e := range w.EntitiesOf(cls) {
-			for attr, spans := range e.Timelines {
+			for _, tl := range e.Timelines {
+				attr, spans := tl.Attr, tl.Spans
 				found++
 				if len(spans) < 2 {
 					t.Errorf("%s/%s: timeline too short: %v", e.Name, attr, spans)

@@ -114,11 +114,10 @@ func GenerateCorpus(w *kb.World, cfg TextConfig) []*Document {
 			var sentences []string
 			for f := 0; f < cfg.FactsPerDoc; f++ {
 				e := entities[r.Intn(len(entities))]
-				attr := randomAttr(e, r)
+				attr, val := randomAttr(e, r)
 				if attr == "" {
 					continue
 				}
-				val := e.Value(attr)
 				correct := true
 				if r.Float64() < cfg.ValueErrorRate {
 					val = wrongValue(w, e, attr, r)
@@ -167,26 +166,19 @@ func GenerateCorpus(w *kb.World, cfg TextConfig) []*Document {
 
 // randomTimelineAttr picks one of the entity's temporal attributes.
 func randomTimelineAttr(e *kb.Entity, r *rand.Rand) (string, []kb.Span) {
-	keys := make([]string, 0, len(e.Timelines))
-	for a := range e.Timelines {
-		keys = append(keys, a)
-	}
-	if len(keys) == 0 {
+	if len(e.Timelines) == 0 {
 		return "", nil
 	}
-	sortStrings(keys)
-	a := keys[r.Intn(len(keys))]
-	return a, e.Timelines[a]
+	tl := e.Timelines[r.Intn(len(e.Timelines))]
+	return tl.Attr, tl.Spans
 }
 
-func randomAttr(e *kb.Entity, r *rand.Rand) string {
-	keys := make([]string, 0, len(e.Values))
-	for a := range e.Values {
-		keys = append(keys, a)
+// randomAttr picks one of the entity's attributes and returns it with its
+// first true value.
+func randomAttr(e *kb.Entity, r *rand.Rand) (attr, value string) {
+	if len(e.Values) == 0 {
+		return "", ""
 	}
-	if len(keys) == 0 {
-		return ""
-	}
-	sortStrings(keys)
-	return keys[r.Intn(len(keys))]
+	row := e.Values[r.Intn(len(e.Values))]
+	return row.Attr, row.Values[0]
 }

@@ -143,10 +143,10 @@ func GenerateSites(w *kb.World, cfg SiteConfig) []*Site {
 }
 
 func renderPage(w *kb.World, e *kb.Entity, style string, cfg SiteConfig, r *rand.Rand) *Page {
-	attrs := pageAttrs(e, cfg.AttrsPerPage, r)
+	var buf [64]int // the sampled positions stay on the stack
 	var rows []PairTruth
-	for _, attr := range attrs {
-		val := e.Value(attr)
+	for _, k := range pageAttrs(e, cfg.AttrsPerPage, r, buf[:]) {
+		attr, val := e.Values[k].Attr, e.Values[k].Values[0]
 		correct := true
 		if r.Float64() < cfg.ValueErrorRate {
 			val = wrongValue(w, e, attr, r)
@@ -187,28 +187,16 @@ func renderPage(w *kb.World, e *kb.Entity, style string, cfg SiteConfig, r *rand
 	}
 }
 
-// pageAttrs samples up to n attributes of the entity, deterministically per
-// call sequence, always starting from its most common attributes.
-func pageAttrs(e *kb.Entity, n int, r *rand.Rand) []string {
-	all := make([]string, 0, len(e.Values))
-	for a := range e.Values {
-		all = append(all, a)
+// pageAttrs samples up to n of the entity's rows, deterministically per
+// call sequence: their positions in name order, shuffled with the shared
+// rng, the first n kept. It writes them over buf's backing array.
+func pageAttrs(e *kb.Entity, n int, r *rand.Rand, buf []int) []int {
+	pos := buf[:0]
+	for i := range e.Values {
+		pos = append(pos, i)
 	}
-	// Sort for determinism, then shuffle with the shared rng.
-	sortStrings(all)
-	r.Shuffle(len(all), func(i, j int) { all[i], all[j] = all[j], all[i] })
-	if len(all) > n {
-		all = all[:n]
-	}
-	return all
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
+	r.Shuffle(len(pos), func(i, j int) { pos[i], pos[j] = pos[j], pos[i] })
+	return pos[:min(n, len(pos))]
 }
 
 // maybeGeneralize replaces a hierarchical value with one of its true
