@@ -46,7 +46,6 @@ func commands() []command {
 		{"profile", "run the pipeline under CPU+heap profiling; writes .pprof files and a RunReport", cmdProfile},
 		{"snapshot", "verify / inspect / convert store snapshot files", cmdSnapshot},
 		{"loadtest", "drive a running akb serve with load; report latency percentiles and shed rate", cmdLoadtest},
-		{"chaos-serve", "chaos harness for the serving path: inject faults, assert invariants", cmdChaosServe},
 		{"export", "export the augmented KB as N-Triples", cmdExport},
 	}
 }

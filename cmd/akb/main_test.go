@@ -35,8 +35,8 @@ func TestCommandRegistry(t *testing.T) {
 		}
 		seen[c.name] = true
 	}
-	if len(seen) != 11 || !seen["exp"] {
-		t.Errorf("%d commands, want 11 with exp among them: %v", len(seen), seen)
+	if len(seen) != 10 || !seen["exp"] {
+		t.Errorf("%d commands, want 10 with exp among them: %v", len(seen), seen)
 	}
 	exps := map[string]bool{"all": true}
 	for _, e := range experimentTable {
@@ -56,13 +56,14 @@ func TestCommandRegistry(t *testing.T) {
 
 // TestExpDispatch pins the exit codes around `akb exp`: a name outside the
 // table is a usage error (exit 2) that lists the table, and the old
-// top-level experiment commands are unknown commands.
+// top-level experiment commands, like the retired chaos-serve harness, are
+// unknown commands.
 func TestExpDispatch(t *testing.T) {
 	for _, c := range []struct {
 		args []string
 		code int
 	}{
-		{[]string{"exp", "nosuch"}, 2}, {[]string{"exp"}, 2}, {[]string{"table1"}, 2}, {[]string{"all"}, 2}, {nil, 2},
+		{[]string{"exp", "nosuch"}, 2}, {[]string{"exp"}, 2}, {[]string{"table1"}, 2}, {[]string{"all"}, 2}, {[]string{"chaos-serve"}, 2}, {nil, 2},
 		{[]string{"exp", "table1", "-bogus"}, 1},
 		{[]string{"exp", "table1"}, 0},
 	} {
@@ -236,22 +237,6 @@ func TestSnapshotConvertReshards(t *testing.T) {
 	}
 }
 
-// TestChaosServeCommand runs the full serve-side chaos harness against a
-// small snapshot: faults injected, invariants asserted, exit clean.
-func TestChaosServeCommand(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-second chaos run in -short")
-	}
-	path := testSnapshotFile(t)
-	err := cmdChaosServe([]string{
-		"-snapshot", path, "-requests", "160", "-workers", "8",
-		"-fail-prob", "0.3", "-timeout", "100ms", "-reloads", "4",
-	})
-	if err != nil {
-		t.Fatalf("chaos-serve invariants failed: %v", err)
-	}
-}
-
 func TestFlagErrors(t *testing.T) {
 	if err := cmdPipeline([]string{"-faults", "not-a-plan"}); err == nil {
 		t.Error("malformed fault plan accepted")
@@ -269,12 +254,6 @@ func TestFlagErrors(t *testing.T) {
 	// accepted, the call would listen and never return.
 	if err := cmdServe([]string{"-log-level", "bogus", "-snapshot", testSnapshotFile(t), "-addr", "127.0.0.1:0"}); err == nil || !strings.Contains(err.Error(), "-log-level") {
 		t.Errorf("-log-level bogus: err = %v, want a -log-level error", err)
-	}
-	if err := cmdChaosServe([]string{"-fail-prob", "-1"}); err == nil {
-		t.Error("negative fail-prob accepted")
-	}
-	if err := cmdChaosServe([]string{"-requests", "2", "-workers", "8"}); err == nil {
-		t.Error("fewer requests than workers accepted")
 	}
 }
 

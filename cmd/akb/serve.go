@@ -30,8 +30,9 @@ import (
 // The -chaos-* flags wrap the store with deterministic fault injection
 // (internal/resilience.FaultPlan aimed at store reads) so the serving
 // path's robustness — panic isolation, timeouts, shedding — can be
-// exercised on a live process; see also `akb chaos-serve` for the
-// self-checking harness.
+// exercised on a live process; internal/serve's model test
+// (TestServerMatchesModel) checks the same behaviour against a model of
+// the server.
 func cmdServe(args []string) error {
 	fs, seed := newFlagSet("serve")
 	snapPath := fs.String("snapshot", "", "serve this snapshot file instead of running the pipeline")

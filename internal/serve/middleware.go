@@ -27,16 +27,6 @@ const RequestIDHeader = "X-Request-ID"
 // megabytes into every log line.
 const maxRequestIDLen = 128
 
-// requestIDKey carries the request ID in the context.
-type requestIDKey struct{}
-
-// RequestID returns the request's ID, installed by the observe
-// middleware ("" outside a request).
-func RequestID(ctx context.Context) string {
-	id, _ := ctx.Value(requestIDKey{}).(string)
-	return id
-}
-
 // newRequestID generates a 16-hex-char random ID.
 func newRequestID() string {
 	var b [8]byte
@@ -78,10 +68,11 @@ func (sr *statusRecorder) Write(p []byte) (int, error) {
 }
 
 // observe is the outermost middleware: request identity, tracing and the
-// access log. It runs outside panic recovery so even a recovered panic's
+// access log. It runs outside panic recovery, so even a recovered panic's
 // 500 carries the request ID (the header is set before anything below
-// can write), and it sees the final status of every outcome — shed 429s,
-// timeout 503s, envelope errors, panics.
+// can write) and is traced and logged under it, and it sees the final
+// status of every outcome — shed 429s, timeout 503s, envelope errors,
+// panics.
 func (s *Server) observe(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		id := r.Header.Get(RequestIDHeader)
@@ -89,21 +80,21 @@ func (s *Server) observe(next http.Handler) http.Handler {
 			id = newRequestID()
 		}
 		w.Header().Set(RequestIDHeader, id)
-		ctx := context.WithValue(r.Context(), requestIDKey{}, id)
 
 		// One span per request when the server carries a telemetry run, so
 		// slow requests line up against reload/chaos events in the same
 		// trace. The run's span cap (set by the caller) bounds retention.
 		var span *obs.Span
 		if s.cfg.Obs != nil {
-			ctx = obs.Into(ctx, s.cfg.Obs)
-			ctx, span = obs.StartSpan(ctx, "http "+r.Method+" "+r.URL.Path)
+			var ctx context.Context
+			ctx, span = obs.StartSpan(obs.Into(r.Context(), s.cfg.Obs), "http "+r.Method+" "+r.URL.Path)
 			span.Annotate("request_id", id)
+			r = r.WithContext(ctx)
 		}
 
 		rec := &statusRecorder{ResponseWriter: w}
 		start := time.Now()
-		next.ServeHTTP(rec, r.WithContext(ctx))
+		next.ServeHTTP(rec, r)
 		dur := time.Since(start)
 
 		status := rec.status
@@ -123,7 +114,7 @@ func (s *Server) observe(next http.Handler) http.Handler {
 		if status >= http.StatusInternalServerError {
 			level = slog.LevelError
 		}
-		log.LogAttrs(ctx, level, "request",
+		log.LogAttrs(r.Context(), level, "request",
 			slog.String("id", id), slog.String("method", r.Method), slog.String("path", r.URL.RequestURI()),
 			slog.Int("status", status), slog.Int("bytes", rec.bytes), slog.Int64("dur_us", dur.Microseconds()),
 			slog.Uint64("gen", s.Generation()))

@@ -97,7 +97,8 @@ func TestChaosQuerierLatency(t *testing.T) {
 
 // TestChaosStageFollowsPatternShape pins which plan stage a read consults:
 // an entity alone is "store/entity", an (entity, attr) pair "store/triples",
-// anything else "store/lookup" — the stages `akb chaos-serve` plans against.
+// anything else "store/lookup" — the stages `akb serve -chaos-*` and the
+// server's model test plan against.
 func TestChaosStageFollowsPatternShape(t *testing.T) {
 	for p, want := range map[Pattern]string{
 		{Entity: "e"}:                          ChaosStageEntity,

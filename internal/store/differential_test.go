@@ -106,8 +106,7 @@ func canonicalCopy(facts []Fact) []Fact {
 
 // refSelect is what a pattern selects of canonical facts, by a nested loop:
 // every fact, each field the pattern sets, and for a value matched through
-// the hierarchy each ancestor. It is the oracle of every read path, and of
-// Scan.
+// the hierarchy each ancestor. It is the oracle of every read path.
 func refSelect(facts []Fact, p Pattern) (out []Fact) {
 	for _, f := range facts {
 		if p.Entity != "" && f.Entity != p.Entity || p.Attr != "" && f.Attr != p.Attr || p.Class != "" && f.Class != p.Class {
@@ -214,8 +213,8 @@ type delegate struct{ Querier }
 // TestReadsMatchScanOnNastyKBs is the differential test of the read
 // paths: on generated adversarial KBs, the store holds the test's own
 // canonical copy of the input (canonicalCopy), every way of reading a
-// pattern — Scan too — returns exactly what a nested loop over that copy
-// selects (refSelect), and CountEstimate
+// pattern returns exactly what a nested loop over that copy selects
+// (refSelect), and CountEstimate
 // returns the brute-force shortest postings length — on the flat store, on
 // sharded layouts (some shards empty), on both after a version-3 snapshot
 // round trip, and through a wrapper that is only a Querier. The same goes
@@ -274,9 +273,6 @@ func TestReadsMatchScanOnNastyKBs(t *testing.T) {
 func checkReads(t *testing.T, where string, q *Sharded, all []Fact, p Pattern, limit int) {
 	t.Helper()
 	want := refSelect(all, p)
-	if got := q.Scan(p); !factsEqual(got, want) {
-		t.Errorf("%s: Scan\n got: %+v\nwant: %+v", where, got, want)
-	}
 	if pulled := drain(q.Select(p)); !factsEqual(pulled, want) {
 		t.Errorf("%s: Select\n got: %+v\nwant: %+v", where, pulled, want)
 	}

@@ -23,7 +23,7 @@ func patternMatrix(s *Sharded) []Pattern {
 
 // TestExactValueMatching pins the join semantics: Exact patterns match the
 // accepted value verbatim, never via hierarchy generalisation, on the
-// indexed read and the brute-force Scan alike.
+// indexed read and the brute-force oracle alike.
 func TestExactValueMatching(t *testing.T) {
 	s := New(testFacts())
 
@@ -54,10 +54,10 @@ func TestExactValueMatching(t *testing.T) {
 		t.Errorf("exact entity+leaf lookup = %+v, want the Wuhan fact", got)
 	}
 
-	// Lookup == Scan must keep holding with Exact set.
+	// Lookup == the oracle must keep holding with Exact set.
 	for _, q := range patternMatrix(s) {
-		if got, want := s.Lookup(q), s.Scan(q); !reflect.DeepEqual(got, want) {
-			t.Errorf("Lookup(%+v) != Scan:\n got: %+v\nwant: %+v", q, got, want)
+		if got, want := s.Lookup(q), refSelect(s.Facts(), q); !reflect.DeepEqual(got, want) {
+			t.Errorf("Lookup(%+v) != the oracle:\n got: %+v\nwant: %+v", q, got, want)
 		}
 	}
 }
@@ -76,7 +76,7 @@ func TestIterateAndSelectMatchLookup(t *testing.T) {
 	for name, q := range layouts {
 		t.Run(name, func(t *testing.T) {
 			for _, p := range patternMatrix(flat) {
-				want := flat.Scan(p)
+				want := refSelect(flat.Facts(), p)
 				if got := q.Lookup(p); !factsEqual(got, want) {
 					t.Errorf("Lookup(%+v):\n got: %+v\nwant: %+v", p, got, want)
 				}

@@ -336,17 +336,3 @@ func (s *Sharded) Triples(entity, attr string) []Fact {
 	}
 	return Lookup(s, Pattern{Entity: entity, Attr: attr})
 }
-
-// Scan answers a pattern by brute force over every fact. It is the
-// reference semantics of Select: tests assert equivalence against it and
-// TestIndexReadsATenthOfTheStore counts the index's work against its.
-func (s *Sharded) Scan(p Pattern) []Fact {
-	var out []Fact
-	facts := s.Facts()
-	for i := range facts {
-		if f := &facts[i]; matches(f, &p) {
-			out = append(out, *f)
-		}
-	}
-	return out
-}

@@ -530,19 +530,3 @@ func (c *shardCursor) count() int {
 	}
 	return n
 }
-
-func matches(f *Fact, q *Pattern) bool {
-	if q.Entity != "" && f.Entity != q.Entity {
-		return false
-	}
-	if q.Attr != "" && f.Attr != q.Attr {
-		return false
-	}
-	if q.Class != "" && f.Class != q.Class {
-		return false
-	}
-	if q.Value != "" && f.Value != q.Value && (q.Exact || !slices.Contains(f.Ancestors, q.Value)) {
-		return false
-	}
-	return true
-}

@@ -160,11 +160,10 @@ type Sharded struct {
 
 // New builds a one-shard store over the facts. The input is copied, sorted
 // into the canonical (entity, attr, value, class) order and deduplicated,
-// so every read — indexed or scanned — returns facts in the same
-// deterministic order. Of facts that share a key, the one compareFacts
-// puts first is kept. A NaN or infinite confidence, or a negative source
-// count, cannot be served or written: New panics with an error that names
-// the fact.
+// so every read returns facts in the same deterministic order. Of facts
+// that share a key, the one compareFacts puts first is kept. A NaN or
+// infinite confidence, or a negative source count, cannot be served or
+// written: New panics with an error that names the fact.
 func New(facts []Fact) *Sharded { return NewSharded(facts, 1) }
 
 // NewSharded partitions a copy of facts by entity hash into n shards
@@ -342,7 +341,7 @@ func (s *Sharded) Classes() []string { return s.classes }
 
 // Facts returns every fact in canonical order, in a fresh slice, never nil;
 // the facts' Ancestors are windows of the store's, which the caller must not
-// write through. It is for re-sharding, Scan and tests, not the serving
+// write through. It is for re-sharding and tests, not the serving
 // path: every fact is made from the columns.
 func (s *Sharded) Facts() []Fact {
 	out := make([]Fact, 0, s.nFacts)
