@@ -90,7 +90,7 @@ func cmdPipeline(args []string) error {
 	}
 	rep := experiments.Summarize(res)
 	if *snapPath != "" {
-		st := store.NewSharded(store.ResultFacts(res), 0)
+		st := store.NewSharded(res.Facts(), 0)
 		if err := st.WriteBinarySnapshotFile(*snapPath); err != nil {
 			return fmt.Errorf("write snapshot: %w", err)
 		}

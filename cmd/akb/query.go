@@ -97,7 +97,7 @@ func queryLocal(q datalog.Query, snapPath string, shards int, seed int64, parall
 		if err != nil {
 			return nil, fmt.Errorf("pipeline: %w", err)
 		}
-		src = store.NewSharded(store.ResultFacts(res), max(shards, 1))
+		src = store.NewSharded(res.Facts(), max(shards, 1))
 	}
 
 	var plan *datalog.Plan

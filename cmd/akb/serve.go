@@ -101,7 +101,7 @@ func cmdServe(args []string) error {
 		if err != nil {
 			return fmt.Errorf("pipeline: %w", err)
 		}
-		st = store.NewSharded(store.ResultFacts(res), *shards)
+		st = store.NewSharded(res.Facts(), *shards)
 		fmt.Fprintf(os.Stderr, "pipeline done: serving %d facts, %d entities in %d shard(s) (no snapshot: hot reload disabled)\n",
 			st.Len(), st.EntityCount(), st.ShardCount())
 	}

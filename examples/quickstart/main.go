@@ -80,7 +80,7 @@ func main() {
 	// Show a handful of fused facts about one entity.
 	entity := res.World.EntityNames("Film")[0]
 	fmt.Printf("\n== Sample: fused knowledge about %q ==\n", entity)
-	facts := store.New(store.ResultFacts(res)).Select(store.Pattern{Entity: entity})
+	facts := store.New(res.Facts()).Select(store.Pattern{Entity: entity})
 	for i := 0; i < 8; i++ {
 		if !facts.Next() {
 			return

@@ -24,10 +24,10 @@ func buildOnce(tb testing.TB, seed int64, scale int, opts ...core.Option) []stor
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return store.ResultFacts(res)
+	return res.Facts()
 }
 
-// BenchmarkPipelineBuild times a build plus store.ResultFacts — `default`
+// BenchmarkPipelineBuild times a build plus Result.Facts — `default`
 // the default pipeline at scale 4, what bench/ reports as build_s on the
 // datalog workload's corpus, and `all-stages` every optional stage at scale
 // 2, serve-wide's build — and reports the fastest build as best-ms, bench/'s
@@ -63,7 +63,7 @@ func BenchmarkPipelineBuild(b *testing.B) {
 
 // TestPipelineAllocations counts the allocations and the bytes allocated
 // (runtime.MemStats.TotalAlloc) of a seed-1 scale-1 build plus
-// store.ResultFacts, default and with every optional stage, so that an
+// Result.Facts, default and with every optional stage, so that an
 // allocation regression on the build journey fails here and not only in
 // bench/. The default build makes 136 345 allocations of 14.58 MB (156 804
 // of 15.91 MB while an entity's values and a KB fact's sub-fields were

@@ -40,7 +40,7 @@ func factsSHA(facts []store.Fact) string {
 }
 
 func digestOf(res *core.Result) kbDigest {
-	facts := store.ResultFacts(res)
+	facts := res.Facts()
 	h := sha256.New()
 	for _, s := range res.Statements {
 		fmt.Fprintf(h, "%s %q %v\n", s.Triple, s.Provenance.Key(), s.Confidence)

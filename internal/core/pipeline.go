@@ -43,12 +43,14 @@ import (
 	"akb/internal/extract/qsx"
 	"akb/internal/extract/textx"
 	"akb/internal/fusion"
+	"akb/internal/hierarchy"
 	"akb/internal/kb"
 	"akb/internal/obs"
 	"akb/internal/querystream"
 	"akb/internal/rdf"
 	"akb/internal/resilience"
 	"akb/internal/sched"
+	"akb/internal/store"
 	"akb/internal/temporalx"
 	"akb/internal/webgen"
 )
@@ -251,6 +253,52 @@ type Result struct {
 // per-value beliefs for every data item. It is the read surface the
 // serving layer (internal/store) snapshots.
 func (r *Result) Fused() *fusion.Result { return r.fused }
+
+// Facts extracts the fused facts of a pipeline result — one fact per
+// accepted truth of every fusion decision, annotated with the entity's
+// class and the value's hierarchy ancestors from the result's world —
+// without building indexes: store.New(res.Facts()) snapshots a run. The facts
+// come in the decisions' order (item-key order) and, within a decision, in
+// its truths': the same slice for the same result, though not the store's
+// canonical order. Items of one subject are neighbours there, so the entity
+// name and class are resolved once per subject.
+func (r *Result) Facts() []store.Fact {
+	fused := r.Fused()
+	if fused == nil {
+		return nil
+	}
+	facts := make([]store.Fact, 0, fused.NumTruths())
+	attrs := extract.Names{}
+	var hier *hierarchy.Forest
+	if r.World != nil {
+		hier = r.World.Hier
+	}
+	var subject rdf.Term
+	var entity, class string
+	for i := range fused.Decisions {
+		d := &fused.Decisions[i]
+		if i == 0 || d.Item.Subject != subject {
+			subject = d.Item.Subject
+			entity, class = extract.AttrFromIRI(subject), ""
+			if r.World != nil {
+				if e, ok := r.World.Entity(entity); ok {
+					class = e.Class
+				}
+			}
+		}
+		attr := attrs.Of(d.Item.Predicate)
+		for _, tr := range d.Truths {
+			belief, sources, _ := d.Support(tr)
+			var anc []string
+			if hier != nil {
+				anc = hier.Ancestors(tr.Value)
+			}
+			facts = append(facts, store.Fact{Entity: entity, Class: class, Attr: attr, Value: tr.Value,
+				Confidence: belief, Sources: sources, Ancestors: anc})
+		}
+	}
+	return facts
+}
 
 // Health returns the supervised outcome of every stage, including stages
 // that emit no statement statistics; degraded optional stages appear with
@@ -769,7 +817,7 @@ func (p *pipelineRun) fuse(ctx context.Context) error {
 
 // augment reports the augmented KB: every accepted truth is one triple
 // attached to the Freebase stand-in. The triples themselves are read from
-// the fused decisions (store.ResultFacts for serving, `akb export` for
+// the fused decisions (Result.Facts for serving, `akb export` for
 // N-Triples), so the stage only counts them.
 func (p *pipelineRun) augment(ctx context.Context) error {
 	accepted := p.res.fused.NumTruths()

@@ -1,18 +1,21 @@
-package store
+package core_test
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"reflect"
-	"sort"
+	"slices"
+	"strings"
 	"testing"
 
 	"akb/internal/core"
 	"akb/internal/extract"
 	"akb/internal/fusion"
+	"akb/internal/store"
 )
 
-// keyedDecision is a fusion decision as ResultFacts used to be handed it:
+// keyedDecision is a fusion decision as Result.Facts used to be handed it:
 // under its item's key in a map, its beliefs in a map by value key — the
 // claimed values' first, an implied truth's written over them.
 type keyedDecision struct {
@@ -42,14 +45,14 @@ func keyedDecisions(fused *fusion.Result) map[string]*keyedDecision {
 	return out
 }
 
-// referenceResultFacts is ResultFacts as it was: the decisions walked in map
+// referenceResultFacts is Result.Facts as it was: the decisions walked in map
 // order, entity and class resolved for every one of them, the belief read
 // back under the truth's built key, the support looked up among the values
 // of the item the decision was made over (so an implied generalisation the
 // fold gave to a descendant is served with no source), the slice grown from
 // nil.
-func referenceResultFacts(res *core.Result) []Fact {
-	var facts []Fact
+func referenceResultFacts(res *core.Result) []store.Fact {
+	var facts []store.Fact
 	names := extract.Names{}
 	for _, d := range keyedDecisions(res.Fused()) {
 		entity := names.Of(d.item.Subject)
@@ -65,7 +68,7 @@ func referenceResultFacts(res *core.Result) []Fact {
 					sources = vc.SupportCount()
 				}
 			}
-			facts = append(facts, Fact{
+			facts = append(facts, store.Fact{
 				Entity:     entity,
 				Class:      class,
 				Attr:       attr,
@@ -95,8 +98,13 @@ func pipelineRuns(t *testing.T, each func(label string, res *core.Result)) {
 	}
 }
 
-func sortFacts(fs []Fact) {
-	sort.Slice(fs, func(i, j int) bool { return compareKeys(&fs[i], &fs[j]) < 0 })
+// sortFacts puts facts in the store's canonical order: by entity,
+// attribute, value and class.
+func sortFacts(fs []store.Fact) {
+	slices.SortFunc(fs, func(a, b store.Fact) int {
+		return cmp.Or(strings.Compare(a.Entity, b.Entity), strings.Compare(a.Attr, b.Attr),
+			strings.Compare(a.Value, b.Value), strings.Compare(a.Class, b.Class))
+	})
 }
 
 // TestResultFactsMatchReference: read off by position, the facts are the
@@ -108,11 +116,11 @@ func sortFacts(fs []Fact) {
 // claimed it. Every fact of these KBs has a source.
 func TestResultFactsMatchReference(t *testing.T) {
 	pipelineRuns(t, func(label string, res *core.Result) {
-		got := ResultFacts(res)
+		got := res.Facts()
 		if len(got) != res.Fused().NumTruths() || cap(got) != len(got) {
 			t.Errorf("%s: %d facts in a slice of %d for %d truths", label, len(got), cap(got), res.Fused().NumTruths())
 		}
-		if again := ResultFacts(res); !reflect.DeepEqual(got, again) {
+		if again := res.Facts(); !reflect.DeepEqual(got, again) {
 			t.Errorf("%s: a second call returns other facts or another order", label)
 		}
 		// The facts come in the decisions' order, a decision's in its truths'.
@@ -128,7 +136,7 @@ func TestResultFactsMatchReference(t *testing.T) {
 		}
 		want := referenceResultFacts(res)
 		sortFacts(want)
-		sorted := append([]Fact(nil), got...)
+		sorted := append([]store.Fact(nil), got...)
 		sortFacts(sorted)
 		if len(sorted) != len(want) {
 			t.Fatalf("%s: %d facts, want %d", label, len(sorted), len(want))

@@ -32,7 +32,7 @@ func BenchmarkRunPlanMix(b *testing.B) {
 		b.Fatal(err)
 	}
 	var snap bytes.Buffer
-	if err := store.NewSharded(store.ResultFacts(res), store.DefaultShards).WriteBinarySnapshot(&snap); err != nil {
+	if err := store.NewSharded(res.Facts(), store.DefaultShards).WriteBinarySnapshot(&snap); err != nil {
 		b.Fatal(err)
 	}
 	st, err := store.ReadBinarySnapshot(&snap)

@@ -25,7 +25,7 @@ var pipelineFacts = sync.OnceValue(func() []store.Fact {
 	if err != nil {
 		panic(err)
 	}
-	return store.New(store.ResultFacts(res)).Facts()
+	return store.New(res.Facts()).Facts()
 })
 
 // layouts returns every store layout the engine must answer identically

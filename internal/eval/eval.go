@@ -129,7 +129,7 @@ func (sc *Scorer) ScoreFusion(res *fusion.Result) Metrics {
 			continue
 		}
 		attr := names.Of(d.Item.Predicate)
-		trueLeaves := sc.World.TrueLeafValues(e, attr)
+		trueLeaves := e.TrueValues(attr)
 		covered = slices.Grow(covered[:0], len(trueLeaves))[:len(trueLeaves)]
 		clear(covered)
 		for _, t := range d.Truths {

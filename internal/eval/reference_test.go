@@ -31,7 +31,7 @@ func referenceScoreFusion(w *kb.World, res *fusion.Result) eval.Metrics {
 			m.FP += len(d.Truths)
 			continue
 		}
-		trueLeaves := w.TrueLeafValues(e, attr)
+		trueLeaves := e.TrueValues(attr)
 		covered := make([]bool, len(trueLeaves))
 		for _, t := range d.Truths {
 			v := t.Value

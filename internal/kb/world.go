@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	"akb/internal/hierarchy"
+	"akb/internal/store"
 )
 
 // ClassSpec parameterises one of the paper's five representative classes:
@@ -325,7 +326,22 @@ func (w *World) IsTrue(e *Entity, attr, value string) bool {
 	return false
 }
 
-// TrueLeafValues returns the most specific true values for (entity, attr).
-func (w *World) TrueLeafValues(e *Entity, attr string) []string {
-	return e.TrueValues(attr)
+// Facts materialises a ground-truth world as store facts: one fact
+// per true (entity, attribute, value) with full confidence and the
+// value's hierarchy ancestors. It bypasses extraction and fusion, so
+// benchmarks and load tests can build KB-scale stores in milliseconds —
+// a store of *true* facts, shaped exactly like a fused one.
+func (w *World) Facts() []store.Fact {
+	var facts []store.Fact
+	for _, class := range w.Ontology.ClassNames() {
+		for _, e := range w.EntitiesOf(class) {
+			for _, row := range e.Values {
+				for _, v := range row.Values {
+					facts = append(facts, store.Fact{Entity: e.Name, Class: class, Attr: row.Attr, Value: v,
+						Confidence: 1, Sources: 1, Ancestors: w.Hier.Ancestors(v)})
+				}
+			}
+		}
+	}
+	return facts
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"net/http"
@@ -18,6 +19,9 @@ const maxDatalogBody = 1 << 20
 // maxDatalogParallelism bounds the per-request worker count a client may
 // ask for. Results are identical at any value; only resource use varies.
 const maxDatalogParallelism = 16
+
+// statusClientClosedRequest is nginx's 499: the client has gone, no server error.
+const statusClientClosedRequest = 499
 
 // datalogRequest is the POST /v1/datalog body. Exactly one of Query
 // (the full surface grammar, clauses separated by '.' or newlines) and
@@ -96,6 +100,9 @@ func (s *Server) handleDatalog(g *generation, r *http.Request) routeResult {
 	if err != nil {
 		span.RecordError(err)
 		if errors.Is(err, ctx.Err()) {
+			if !errors.Is(context.Cause(ctx), errTimedOut) { // cancelled, but not by its deadline
+				return errRes(statusClientClosedRequest, "query cancelled: %v", err)
+			}
 			return errRes(http.StatusServiceUnavailable, "query cancelled: %v", err)
 		}
 		return errRes(http.StatusBadRequest, "%v", err)

@@ -212,7 +212,7 @@ func goldenCases(t *testing.T) []goldenCase {
 			if err != nil {
 				t.Fatalf("seed=%d scale=%d: %v", seed, scale, err)
 			}
-			facts := store.New(store.ResultFacts(res)).Facts()
+			facts := store.New(res.Facts()).Facts()
 			queries, dl := goldenRequests(facts)
 			for _, shards := range []int{1, 8} {
 				cases = append(cases, goldenCase{

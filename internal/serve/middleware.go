@@ -4,6 +4,7 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
+	"errors"
 	"io"
 	"log/slog"
 	"net/http"
@@ -125,6 +126,9 @@ func (s *Server) observe(next http.Handler) http.Handler {
 // before its handler has answered.
 const timeoutBody = `{"error":"request timed out","status":503}`
 
+// errTimedOut is the cause deadline cancels a request's context with.
+var errTimedOut = errors.New("request timed out")
+
 // deadline bounds one request's handling time without leaving the
 // connection's goroutine: the handler runs where net/http called it, under
 // a context that a timer cancels at Config.RequestTimeout. At the deadline
@@ -136,12 +140,12 @@ const timeoutBody = `{"error":"request timed out","status":503}`
 // until it does the connection (and the in-flight slot) stay occupied.
 func (s *Server) deadline(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		ctx, cancel := context.WithCancel(r.Context())
+		ctx, cancel := context.WithCancelCause(r.Context())
 		dw := &deadlineWriter{w: w}
 		dw.expiring.Add(1)
 		timer := time.AfterFunc(s.cfg.RequestTimeout, func() {
 			defer dw.expiring.Done()
-			cancel()
+			cancel(errTimedOut)
 			dw.expire()
 		})
 		defer func() {
@@ -151,7 +155,7 @@ func (s *Server) deadline(next http.Handler) http.Handler {
 			if !timer.Stop() {
 				dw.expiring.Wait()
 			}
-			cancel()
+			cancel(nil)
 		}()
 		next.ServeHTTP(dw, r.WithContext(ctx))
 	})

@@ -278,8 +278,11 @@ type call struct {
 	want func(facts []store.Fact, gen uint64) answer
 	// reads: the route reads the store, so an injected fault may fail it.
 	reads bool
-	// datalog: a cancelled request's executor may answer 503.
+	// datalog: a request whose client has gone may answer 499.
 	datalog bool
+	// serial: a datalog query on one worker, whose executor may finish a
+	// small read without seeing its cancelled context.
+	serial bool
 
 	inbound     string // X-Request-ID sent, if any
 	poison      bool   // sent with a poisonedCtx
@@ -329,8 +332,12 @@ type modelRun struct {
 	chaos   bool
 	ids     map[string]bool
 	logged  []loggedResponse
-	// The counts the metrics must equal.
+	// The counts the metrics must equal. errs counts the 5xx answers the
+	// routes made; unseen, the requests answered at a deadline whose route's
+	// own answer nobody saw: those not held past it, and serial queries that
+	// were.
 	panics, chaosPanics, sheds, reloads, failures int
+	errs, unseen                                  int
 	// cover counts what the stream reached, for the seeded test's floor.
 	cover map[string]int
 }
@@ -482,9 +489,17 @@ func (m *modelRun) judge(c *call, st modelState, res response) {
 		return
 	}
 	// The deadline: a 503 with the timeout envelope, only once it passed.
+	// Behind it, a held datalog query's route answers 503 too, when its
+	// executor sees the deadline.
 	if res.status == http.StatusServiceUnavailable && string(res.body) == timeoutBody {
 		if res.elapsed < modelTimeout {
 			m.errorf(where, "timed out after %v, before the %v deadline", res.elapsed, modelTimeout)
+		}
+		switch {
+		case !c.mustTimeout || c.serial:
+			m.unseen++
+		case c.datalog:
+			m.errs++
 		}
 		m.cover["timeout"]++
 		return
@@ -508,10 +523,12 @@ func (m *modelRun) judge(c *call, st modelState, res response) {
 		}
 		m.panics++
 		m.chaosPanics++
+		m.errs++
 		m.cover["chaos"]++
 		return
 	}
-	if c.cancel && c.datalog && res.status == http.StatusServiceUnavailable {
+	// A query whose client has gone is no server error.
+	if c.cancel && c.datalog && res.status == statusClientClosedRequest {
 		if _, ok := envelope(res.body, res.status); !ok {
 			m.errorf(where, "cancelled query answered %d %q", res.status, res.body)
 		}
@@ -546,7 +563,11 @@ func (m *modelRun) judge(c *call, st modelState, res response) {
 			m.errorf(where, "%d %q, want the exposition at generation %d", res.status, res.body, st.gen)
 		}
 	case kindReload, kindFixed:
-		m.judgeAnswer(where, c.want(nil, 0), res, 0)
+		want := c.want(nil, 0)
+		if want.status >= http.StatusInternalServerError {
+			m.errs++
+		}
+		m.judgeAnswer(where, want, res, 0)
 	}
 }
 
@@ -576,6 +597,11 @@ func (m *modelRun) judgeData(where string, c *call, st modelState, res response)
 			m.errorf(where, "%d %q without a generation", res.status, res.body)
 		} else if _, ok := envelope(res.body, http.StatusServiceUnavailable); res.status != http.StatusServiceUnavailable || !ok {
 			m.errorf(where, "before the first store: %d %q, want the 503 envelope", res.status, res.body)
+		}
+		// The datalog route answers it itself; the others' is written
+		// before their route runs, and is not counted.
+		if c.datalog {
+			m.errs++
 		}
 		m.cover["starting"]++
 		return
@@ -611,6 +637,7 @@ func (m *modelRun) judgeHealth(where string, c *call, st modelState, res respons
 	want := http.StatusOK
 	if c.kind == kindReadyz && !st.health.ready() {
 		want = http.StatusServiceUnavailable
+		m.errs++
 	}
 	var body healthzBody
 	if res.status != want || json.Unmarshal(res.body, &body) != nil {
@@ -631,8 +658,13 @@ func (m *modelRun) judgeHealth(where string, c *call, st modelState, res respons
 	}
 }
 
-// checkMetrics compares the metrics with the model's counts.
+// checkMetrics compares the metrics with the model's counts. The error
+// count is exact unless a request was answered at a deadline it was not
+// held past: each of those may add one.
 func (m *modelRun) checkMetrics(where string, got map[string]float64, inflight int) {
+	if e := got["akb_serve_errors_total"]; e < float64(m.errs) || e > float64(m.errs+m.unseen) {
+		m.errorf(where, "akb_serve_errors_total = %v, the model says %d (%d more unseen)", e, m.errs, m.unseen)
+	}
 	for name, want := range map[string]float64{
 		"akb_serve_inflight":              float64(inflight),
 		"akb_serve_store_generation":      float64(m.gen),
@@ -989,7 +1021,7 @@ func (m *modelRun) run() {
 		case k < 9:
 			m.send(datalogCall(m.ops))
 		case k < 11:
-			m.startHold(m.ops.Intn(2) == 0)
+			m.startHold(m.ops.Intn(holdRoutes))
 		case k == 11:
 			m.releaseHold()
 		case k == 12:
@@ -1021,14 +1053,30 @@ func (m *modelRun) run() {
 	}
 }
 
-// holdCall is a read of a hold name, on the entity route or as a query.
-func holdCall(name string, viaDatalog bool) *call {
-	if !viaDatalog {
+// The routes a hold reads through: the entity route, or a query run
+// serially or on two workers. The two-worker executor reports a cancelled
+// context however small the KB, so such a held query always sees its
+// deadline or its gone client; a serial one may not.
+const (
+	holdEntity = iota
+	holdSerialQuery
+	holdParallelQuery
+	holdRoutes
+)
+
+// holdCall is a read of a hold name through one of the hold routes.
+func holdCall(name string, route int) *call {
+	if route == holdEntity {
 		return entityCall(name)
 	}
 	q := datalog.Query{Clauses: []datalog.Clause{{Entity: datalog.C(name), Attr: datalog.V("a"), Value: datalog.V("v")}}}
-	raw, _ := json.Marshal(datalogRequest{Query: q.String()})
-	return &call{method: http.MethodPost, target: "/v1/datalog", body: string(raw), kind: kindData, reads: true, datalog: true,
+	req := datalogRequest{Query: q.String()}
+	if route == holdParallelQuery {
+		req.Parallelism = 2
+	}
+	raw, _ := json.Marshal(req)
+	return &call{method: http.MethodPost, target: "/v1/datalog", body: string(raw), kind: kindData, reads: true,
+		datalog: true, serial: req.Parallelism == 0,
 		want: func(facts []store.Fact, _ uint64) answer {
 			return answer{status: http.StatusOK, check: func(body []byte, gen uint64) string {
 				return checkDatalog(facts, q, datalogRequest{}, body, gen)
@@ -1039,11 +1087,11 @@ func holdCall(name string, viaDatalog bool) *call {
 // park sends a read of a fresh hold name and waits until it is parked at
 // the gate, holding a slot. It returns nil when the request was answered
 // without reaching the gate (judged, then).
-func (m *modelRun) park(viaDatalog bool, serve func(h *hold, req *http.Request)) *hold {
+func (m *modelRun) park(route int, serve func(h *hold, req *http.Request)) *hold {
 	m.holds++
 	h := &hold{name: fmt.Sprintf("%s%d", holdPrefix, m.holds), rec: newModelRecorder(), st: m.state(),
 		arrived: make(chan struct{}), release: make(chan struct{}), done: make(chan struct{})}
-	h.c = holdCall(h.name, viaDatalog)
+	h.c = holdCall(h.name, route)
 	m.gate.mu.Lock()
 	m.gate.holds[h.name] = h
 	m.gate.mu.Unlock()
@@ -1069,12 +1117,12 @@ func (m *modelRun) park(viaDatalog bool, serve func(h *hold, req *http.Request))
 
 // startHold parks a request past its deadline. With every slot held, or
 // before the first store, a request cannot park: it is sent as a plain one.
-func (m *modelRun) startHold(viaDatalog bool) {
+func (m *modelRun) startHold(route int) {
 	if len(m.held) >= modelMaxInFlight || m.gen == 0 {
-		m.send(holdCall("absent", viaDatalog))
+		m.send(holdCall("absent", route))
 		return
 	}
-	h := m.park(viaDatalog, func(h *hold, req *http.Request) { m.h.ServeHTTP(h.rec, req) })
+	h := m.park(route, func(h *hold, req *http.Request) { m.h.ServeHTTP(h.rec, req) })
 	if h != nil {
 		h.c.mustTimeout = true
 		m.held = append(m.held, h)
@@ -1106,7 +1154,7 @@ func (m *modelRun) cancelMidRead() {
 	if len(m.held) >= modelMaxInFlight || m.gen == 0 {
 		return
 	}
-	h := m.park(m.ops.Intn(2) == 0, func(h *hold, req *http.Request) { m.h.ServeHTTP(h.rec, req) })
+	h := m.park(m.ops.Intn(holdRoutes), func(h *hold, req *http.Request) { m.h.ServeHTTP(h.rec, req) })
 	if h == nil {
 		return
 	}
@@ -1340,7 +1388,7 @@ func (m *modelRun) finish() {
 	for _, name := range []string{"akb_serve_inflight", "akb_serve_store_generation", "akb_serve_health_state"} {
 		got[name] = m.reg.Gauge(name).Value()
 	}
-	for _, name := range []string{"akb_serve_panics", "akb_serve_shed_total", "akb_serve_reloads_total", "akb_serve_reload_failures_total"} {
+	for _, name := range []string{"akb_serve_panics", "akb_serve_shed_total", "akb_serve_reloads_total", "akb_serve_reload_failures_total", "akb_serve_errors_total"} {
 		got[name] = float64(m.reg.Counter(name).Value())
 	}
 	m.mu.Lock()
@@ -1399,7 +1447,7 @@ func (m *modelRun) serveAndDrain() {
 	// while their handlers are still parked.
 	var parked []*hold
 	for len(parked) < modelMaxInFlight-1 {
-		h := m.park(false, func(h *hold, req *http.Request) {
+		h := m.park(holdEntity, func(h *hold, req *http.Request) {
 			out, err := http.NewRequest(req.Method, base+req.URL.RequestURI(), nil)
 			if err != nil {
 				m.t.Error(err)
@@ -1503,7 +1551,7 @@ func TestServerMatchesModel(t *testing.T) {
 		})
 	}
 	t.Logf("reached: %v", cover)
-	for _, k := range []string{"shed", "timeout", "chaos", "poison", "cancelled mid-read", "reload", "reload failed",
+	for _, k := range []string{"shed", "timeout", "chaos", "poison", "cancelled mid-read", "cancelled", "reload", "reload failed",
 		"reload under load", "starting", "draining"} {
 		if cover[k] == 0 {
 			t.Errorf("no seed reached %q: %v", k, cover)

@@ -2,10 +2,8 @@ package store
 
 import (
 	"bytes"
-	"context"
 	"crypto/sha256"
 	"encoding/binary"
-	"fmt"
 	"io"
 	"math"
 	"os"
@@ -14,53 +12,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
-
-	"akb/internal/core"
-	"akb/internal/kb"
 )
-
-// binTestSharded builds the live-pipeline store most binary-codec tests
-// round-trip.
-func binTestSharded(t *testing.T) *Sharded {
-	t.Helper()
-	res, err := smallPipeline()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return NewSharded(ResultFacts(res), 4)
-}
-
-// TestBinarySnapshotRoundTrip pins the codec's determinism both ways:
-// write → read rebuilds an equivalent store, and re-writing that store
-// reproduces the original bytes exactly.
-func TestBinarySnapshotRoundTrip(t *testing.T) {
-	sh := binTestSharded(t)
-	var buf bytes.Buffer
-	if err := sh.WriteBinarySnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
-
-	got, err := ReadBinarySnapshot(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.ShardCount() != sh.ShardCount() || got.Len() != sh.Len() || got.EntityCount() != sh.EntityCount() {
-		t.Fatalf("reloaded store shape: shards %d/%d facts %d/%d entities %d/%d",
-			got.ShardCount(), sh.ShardCount(), got.Len(), sh.Len(), got.EntityCount(), sh.EntityCount())
-	}
-	if !reflect.DeepEqual(got.Facts(), sh.Facts()) {
-		t.Fatal("reloaded facts differ from source")
-	}
-
-	var again bytes.Buffer
-	if err := got.WriteBinarySnapshot(&again); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(raw, again.Bytes()) {
-		t.Fatalf("write→read→write not byte-identical: %d vs %d bytes", len(raw), again.Len())
-	}
-}
 
 // TestBinarySnapshotEmptyAndTiny covers degenerate stores: zero facts,
 // one fact, empty-string class.
@@ -87,57 +39,6 @@ func TestBinarySnapshotEmptyAndTiny(t *testing.T) {
 			}
 		})
 	}
-}
-
-// TestBinarySnapshotRejectsCorruption is the acceptance criterion's
-// corruption suite: bit flips anywhere and torn prefixes of any length
-// must be rejected, never silently misread.
-func TestBinarySnapshotRejectsCorruption(t *testing.T) {
-	sh := binTestSharded(t)
-	var buf bytes.Buffer
-	if err := sh.WriteBinarySnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
-
-	t.Run("bit flips", func(t *testing.T) {
-		// Flip a bit in every region: magic, header counts, string table,
-		// keys, confidences, varint columns, trailer.
-		offsets := []int{
-			0, 9, binHeaderLen - 1, binHeaderLen + 3,
-			len(raw) / 4, len(raw) / 2, 3 * len(raw) / 4,
-			len(raw) - binTrailerLen - 1, len(raw) - 1,
-		}
-		for _, off := range offsets {
-			mut := append([]byte(nil), raw...)
-			mut[off] ^= 0x10
-			if _, err := ReadBinarySnapshot(bytes.NewReader(mut)); err == nil {
-				t.Errorf("bit flip at offset %d/%d accepted", off, len(raw))
-			}
-		}
-	})
-
-	t.Run("torn prefixes", func(t *testing.T) {
-		for _, n := range []int{0, 1, len(binMagic), binHeaderLen,
-			binHeaderLen + binTrailerLen, len(raw) / 3, len(raw) - 1} {
-			if _, err := ReadBinarySnapshot(bytes.NewReader(raw[:n])); err == nil {
-				t.Errorf("torn prefix of %d/%d bytes accepted", n, len(raw))
-			}
-		}
-	})
-
-	t.Run("trailing garbage", func(t *testing.T) {
-		mut := append(append([]byte(nil), raw...), 0xFF)
-		if _, err := ReadBinarySnapshot(bytes.NewReader(mut)); err == nil {
-			t.Error("trailing byte accepted")
-		}
-	})
-
-	t.Run("wrong magic", func(t *testing.T) {
-		if _, err := ReadBinarySnapshot(strings.NewReader("notasnap" + string(raw[8:]))); err == nil {
-			t.Error("wrong magic accepted")
-		}
-	})
 }
 
 // signed appends the sha256 trailer a version-3 file ends with: what
@@ -374,37 +275,6 @@ func TestSnapshotRefusesNonFiniteConfidence(t *testing.T) {
 	}
 }
 
-// TestWriteBinarySnapshotAllocationBound pins what writing costs the
-// allocator: the buffer, sized once, however many facts — on a store
-// NewSharded built and on one decoded from a file alike. The store holds its
-// string table, so a write numbers nothing: numbering the strings in the
-// writer made 7 allocations, and hashing every string into one map 69.
-func TestWriteBinarySnapshotAllocationBound(t *testing.T) {
-	for _, perClass := range []int{10, 100} {
-		w := kb.NewWorld(kb.WorldConfig{Seed: 1, EntitiesPerClass: perClass, AttrsPerEntity: 6})
-		built := NewSharded(WorldFacts(w), DefaultShards)
-		var buf bytes.Buffer
-		if err := built.WriteBinarySnapshot(&buf); err != nil {
-			t.Fatal(err)
-		}
-		decoded, err := ReadBinarySnapshot(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for name, sh := range map[string]*Sharded{"built": built, "decoded": decoded} {
-			allocs := testing.AllocsPerRun(5, func() {
-				if err := sh.WriteBinarySnapshot(io.Discard); err != nil {
-					t.Fatal(err)
-				}
-			})
-			t.Logf("%s, %d facts: %.0f allocations", name, sh.Len(), allocs)
-			if allocs > 1 {
-				t.Errorf("WriteBinarySnapshot of %d facts, %s, allocates %.0f times, want 1", sh.Len(), name, allocs)
-			}
-		}
-	}
-}
-
 // TestSnapshotFileHasCreateMode: the published snapshot has the mode
 // os.Create gives a file under the process's umask — it had os.CreateTemp's
 // 0600, which a server under another account cannot open — and a write that
@@ -451,54 +321,6 @@ func TestSnapshotFileHasCreateMode(t *testing.T) {
 	}
 }
 
-// TestReadBinarySnapshotAllocationBound pins what loading costs the
-// allocator, in allocations and in bytes. The hash-map store allocated 4.2
-// times per fact (a postings slice per key, two key strings per fact, a
-// string per table entry); the reader now cuts strings, columns, ancestors
-// and postings from a few arrays per shard. The bytes ceiling sits just above a
-// load with one name table and integer-keyed indexes, so a string-keyed map
-// per list would break it.
-func TestReadBinarySnapshotAllocationBound(t *testing.T) {
-	w := kb.NewWorld(kb.WorldConfig{Seed: 1, EntitiesPerClass: 100, AttrsPerEntity: 6})
-	sh := NewSharded(WorldFacts(w), DefaultShards)
-	var buf bytes.Buffer
-	if err := sh.WriteBinarySnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(5, func() {
-		if _, err := ReadBinarySnapshot(bytes.NewReader(buf.Bytes())); err != nil {
-			t.Fatal(err)
-		}
-	})
-	// The bytes are the decode's, from the file in memory: how a buffer
-	// grows while the file is read is the bytes package's (it grows once more
-	// under the race detector).
-	const decodes = 5
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < decodes; i++ {
-		if _, err := decodeBinarySnapshot(buf.Bytes()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	runtime.ReadMemStats(&after)
-	bytesPerFact := float64(after.TotalAlloc-before.TotalAlloc) / decodes / float64(sh.Len())
-	perFact := allocs / float64(sh.Len())
-	t.Logf("%d facts: %.0f allocations, %.3f per fact; %.0f bytes per fact", sh.Len(), allocs, perFact, bytesPerFact)
-	if perFact > 0.5 {
-		t.Errorf("ReadBinarySnapshot allocates %.2f times per fact, want <= 0.5", perFact)
-	}
-	if bytesPerFact > readBytesPerFact {
-		t.Errorf("ReadBinarySnapshot allocates %.0f bytes per fact, want <= %d", bytesPerFact, readBytesPerFact)
-	}
-}
-
-// readBytesPerFact is TestReadBinarySnapshotAllocationBound's bytes ceiling:
-// its KB decodes in 174 bytes a fact into columns. It decoded in 263 while
-// every fact was also a 104-byte Fact (259 before the 4-byte valueID column),
-// and in 268 when every list was a string-keyed map entry.
-const readBytesPerFact = 178
-
 // FuzzReadBinarySnapshot fuzzes the version-3 reader behind a correct
 // checksum: the input is a payload, the harness signs it. Whatever the
 // bytes, the reader returns (never panics), allocates no more than a small
@@ -542,129 +364,4 @@ func FuzzReadBinarySnapshot(f *testing.F) {
 			t.Errorf("accepted file re-encodes to different bytes:\n in: %x\nout: %x", file, again.Bytes())
 		}
 	})
-}
-
-// TestBinarySnapshotFileAndOpen exercises the file-level paths: atomic
-// write, layout selection in OpenSnapshotFile and the VerifySnapshotFile
-// description.
-func TestBinarySnapshotFileAndOpen(t *testing.T) {
-	sh := binTestSharded(t)
-	dir := t.TempDir()
-	path := filepath.Join(dir, "kb.akb3")
-	if err := sh.WriteBinarySnapshotFile(path); err != nil {
-		t.Fatal(err)
-	}
-
-	info, err := VerifySnapshotFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Version != BinarySnapshotVersion || info.Facts != sh.Len() || info.Shards != sh.ShardCount() {
-		t.Errorf("VerifySnapshotFile info = %+v", info)
-	}
-
-	// OpenSnapshotFile layout knob: 0 keeps segments, 1 flattens, N
-	// re-shards — the same facts every time.
-	for _, tc := range []struct{ shards, wantCount int }{
-		{0, sh.ShardCount()},
-		{1, 1},
-		{6, 6},
-	} {
-		q, _, err := OpenSnapshotFile(path, tc.shards)
-		if err != nil {
-			t.Fatalf("OpenSnapshotFile(shards=%d): %v", tc.shards, err)
-		}
-		got := q.(*Sharded)
-		if got.ShardCount() != tc.wantCount {
-			t.Errorf("OpenSnapshotFile(shards=%d) has %d shards, want %d", tc.shards, got.ShardCount(), tc.wantCount)
-		}
-		if !reflect.DeepEqual(got.Facts(), sh.Facts()) {
-			t.Errorf("OpenSnapshotFile(shards=%d) differs from source facts", tc.shards)
-		}
-	}
-}
-
-type countingWriter int64
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	*c += countingWriter(len(p))
-	return len(p), nil
-}
-
-// BenchmarkBinarySnapshot times the codec's two directions on two KBs: a
-// ground-truth world (no discovered attributes, 400 entities a class) and
-// the KB the bench harness's serve-wide and datalog workloads write and
-// cold-start — a scale-16 pipeline run on 8 shards, read back from its own
-// snapshot as the harness's fixture is. shard is NewSharded of the KB's
-// facts on 8 shards: sorting, indexing and numbering the strings, the one
-// place a store's strings are numbered. read decodes from memory; open is
-// OpenSnapshotFile of the file written — read, verify, decode, index — the
-// store's share of what the harness times as cold_start_ms. Profile from
-// open (PERF.md §3).
-func BenchmarkBinarySnapshot(b *testing.B) {
-	world := func(b *testing.B) []Fact {
-		return WorldFacts(kb.NewWorld(kb.WorldConfig{Seed: 1, EntitiesPerClass: 400, AttrsPerEntity: 6}))
-	}
-	pipeline := func(b *testing.B) []Fact {
-		res, err := core.New(core.WithSeed(3), core.WithScale(16)).Run(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		return ResultFacts(res)
-	}
-	for _, kb := range []struct {
-		name  string
-		facts func(*testing.B) []Fact
-	}{{"world", world}, {"pipeline16", pipeline}} {
-		b.Run(kb.name, func(b *testing.B) {
-			var buf bytes.Buffer
-			if err := NewSharded(kb.facts(b), DefaultShards).WriteBinarySnapshot(&buf); err != nil {
-				b.Fatal(err)
-			}
-			raw := buf.Bytes()
-			sh, err := ReadBinarySnapshot(bytes.NewReader(raw))
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Run(fmt.Sprintf("write/facts=%d", sh.Len()), func(b *testing.B) {
-				b.ReportAllocs()
-				b.SetBytes(int64(len(raw)))
-				for i := 0; i < b.N; i++ {
-					var c countingWriter
-					if err := sh.WriteBinarySnapshot(&c); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-			facts := sh.Facts()
-			b.Run(fmt.Sprintf("shard/facts=%d", sh.Len()), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					NewSharded(facts, DefaultShards)
-				}
-			})
-			b.Run(fmt.Sprintf("read/facts=%d", sh.Len()), func(b *testing.B) {
-				b.ReportAllocs()
-				b.SetBytes(int64(len(raw)))
-				for i := 0; i < b.N; i++ {
-					if _, err := ReadBinarySnapshot(bytes.NewReader(raw)); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-			path := filepath.Join(b.TempDir(), "kb.akb")
-			if err := os.WriteFile(path, raw, 0o644); err != nil {
-				b.Fatal(err)
-			}
-			b.Run(fmt.Sprintf("open/facts=%d", sh.Len()), func(b *testing.B) {
-				b.ReportAllocs()
-				b.SetBytes(int64(len(raw)))
-				for i := 0; i < b.N; i++ {
-					if _, _, err := OpenSnapshotFile(path, 0); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		})
-	}
 }

@@ -1,4 +1,4 @@
-package store
+package store_test
 
 import (
 	"bytes"
@@ -6,12 +6,16 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"os"
 	"testing"
 
 	"akb/internal/core"
+	"akb/internal/store"
 )
+
+var update = flag.Bool("update", false, "rewrite golden files")
 
 const goldenSnapshotsPath = "testdata/golden_snapshots.json"
 
@@ -50,11 +54,11 @@ func TestGoldenSnapshotDigest(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed=%d scale=%d: %v", seed, scale, err)
 			}
-			facts := ResultFacts(res)
+			facts := res.Facts()
 			for _, shards := range []int{1, 8} {
 				key := fmt.Sprintf("seed=%d/scale=%d/shards=%d", seed, scale, shards)
 				var buf bytes.Buffer
-				if err := NewSharded(facts, shards).WriteBinarySnapshot(&buf); err != nil {
+				if err := store.NewSharded(facts, shards).WriteBinarySnapshot(&buf); err != nil {
 					t.Fatalf("%s: %v", key, err)
 				}
 				sum := sha256.Sum256(buf.Bytes())

@@ -8,8 +8,6 @@ import (
 	"io"
 	"math"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"reflect"
 	"runtime"
 	"slices"
@@ -303,87 +301,6 @@ func checkDecoder(t testing.TB, where string, file []byte) *Sharded {
 		}
 	}
 	return got
-}
-
-// TestStoreHoldsTheFactsStrings: however a store came to be — built by
-// NewSharded on 1, 3 or 8 shards, decoded from a file, or re-sharded on the
-// way in by OpenSnapshotFile — it holds exactly the sorted distinct strings
-// of its facts, and its rank columns and index ids lead to their own.
-func TestStoreHoldsTheFactsStrings(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "kb.akb")
-	check := func(where string, s *Sharded) {
-		checkStrings(t, where, s)
-		var buf bytes.Buffer
-		if err := s.WriteBinarySnapshot(&buf); err != nil {
-			t.Fatalf("%s: %v", where, err)
-		}
-		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		k := 1 + s.ShardCount()%8 // another count: 1 → 2, 3 → 4, 8 → 1
-		q, _, err := OpenSnapshotFile(path, k)
-		if err != nil {
-			t.Fatalf("%s: %v", where, err)
-		}
-		checkStrings(t, fmt.Sprintf("%s, re-sharded to %d", where, k), q.(*Sharded))
-	}
-	orderKBs(t, check)
-	check("pipeline KB", binTestSharded(t))
-}
-
-func TestWriterMatchesReference(t *testing.T) {
-	orderKBs(t, func(where string, s *Sharded) { checkWriter(t, where, s) })
-	checkWriter(t, "pipeline KB", binTestSharded(t))
-}
-
-func TestDecoderAssemblesWhatBuildBuilds(t *testing.T) {
-	orderKBs(t, func(where string, s *Sharded) {
-		var buf bytes.Buffer
-		if err := s.WriteBinarySnapshot(&buf); err != nil {
-			t.Fatalf("%s: %v", where, err)
-		}
-		checkDecoder(t, where, buf.Bytes())
-	})
-	var buf bytes.Buffer
-	if err := binTestSharded(t).WriteBinarySnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	checkDecoder(t, "pipeline KB", buf.Bytes())
-}
-
-// TestDecodeIsTheSameAtAnyGOMAXPROCS decodes one file with one, two and four
-// processors under the assembling goroutine: the stores are deeply equal.
-// (CI runs the package under -race.)
-func TestDecodeIsTheSameAtAnyGOMAXPROCS(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	var files [][]byte
-	for seed := int64(0); seed < 20; seed++ {
-		var buf bytes.Buffer
-		if err := NewSharded(orderFacts(rand.New(rand.NewSource(seed))), 1+int(seed)%8).WriteBinarySnapshot(&buf); err != nil {
-			t.Fatal(err)
-		}
-		files = append(files, buf.Bytes())
-	}
-	var buf bytes.Buffer
-	if err := binTestSharded(t).WriteBinarySnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	files = append(files, buf.Bytes())
-	var first []*Sharded
-	for _, procs := range []int{1, 2, 4} {
-		runtime.GOMAXPROCS(procs)
-		for i, file := range files {
-			got, err := decodeBinarySnapshot(file)
-			if err != nil {
-				t.Fatalf("GOMAXPROCS %d, file %d: %v", procs, i, err)
-			}
-			if procs == 1 {
-				first = append(first, got)
-			} else if !reflect.DeepEqual(got, first[i]) {
-				t.Errorf("file %d: the store decoded at GOMAXPROCS %d differs from the one decoded at 1", i, procs)
-			}
-		}
-	}
 }
 
 // TestRejectedSnapshotLeavesNoGoroutine rejects files at every stage of the

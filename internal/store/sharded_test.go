@@ -3,7 +3,6 @@ package store
 import (
 	"fmt"
 	"reflect"
-	"sync"
 	"testing"
 )
 
@@ -52,26 +51,6 @@ func TestShardedMatchesStore(t *testing.T) {
 	}
 }
 
-// TestShardedMatchesStoreLivePipeline runs the same equivalence on real
-// fused-pipeline output, where value hierarchies, multi-truth attributes
-// and class skew all occur naturally.
-func TestShardedMatchesStoreLivePipeline(t *testing.T) {
-	res, err := smallPipeline()
-	if err != nil {
-		t.Fatal(err)
-	}
-	flat := New(ResultFacts(res))
-	if flat.Len() == 0 {
-		t.Fatal("empty store from live pipeline")
-	}
-	for _, n := range []int{1, 2, 8} {
-		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
-			sh := NewSharded(ResultFacts(res), n)
-			assertShardedEqual(t, flat, sh)
-		})
-	}
-}
-
 // assertShardedEqual checks every read and summary against the flat
 // reference store.
 func assertShardedEqual(t *testing.T, flat, sh *Sharded) {
@@ -112,43 +91,6 @@ func assertShardedEqual(t *testing.T, flat, sh *Sharded) {
 			t.Errorf("Triples(%q, %q) differs", f.Entity, f.Attr)
 		}
 	}
-}
-
-// TestShardedConcurrentReaders hammers the scatter-gather path from many
-// goroutines under -race: the sharded store is immutable after
-// construction, so concurrent merged reads must be data-race free and
-// deterministic.
-func TestShardedConcurrentReaders(t *testing.T) {
-	res, err := smallPipeline()
-	if err != nil {
-		t.Fatal(err)
-	}
-	flat := New(ResultFacts(res))
-	sh := NewSharded(ResultFacts(res), 8)
-	queries := shardedQueries(flat)
-	want := make([][]Fact, len(queries))
-	for i, q := range queries {
-		want[i] = flat.Lookup(q)
-	}
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				qi := (g + i) % len(queries)
-				if got := sh.Lookup(queries[qi]); !reflect.DeepEqual(got, want[qi]) {
-					t.Errorf("goroutine %d: concurrent Lookup(%+v) diverged", g, queries[qi])
-					return
-				}
-				if facts, total := sh.LookupN(queries[qi], 3); total != len(want[qi]) || len(facts) > 3 {
-					t.Errorf("goroutine %d: concurrent LookupN total %d want %d", g, total, len(want[qi]))
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
 }
 
 // TestShardedEmptyAndDegenerate covers the edges: empty store, empty

@@ -5,7 +5,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
-	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -14,8 +13,6 @@ import (
 	"strings"
 	"testing"
 )
-
-var update = flag.Bool("update", false, "rewrite golden files")
 
 // TestSnapshotRoundTrip pins the codec's determinism on the hand-made
 // fixture: write → read rebuilds the same facts, and re-serialising the

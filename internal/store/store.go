@@ -5,10 +5,10 @@
 // The pipeline (internal/core) ends where the paper's Figure 1 ends — an
 // augmented KB in process memory — but the ROADMAP's north star is a
 // system that answers queries long after the fusion run finished. The
-// store is the bridge: it is built once from the facts of a *core.Result
-// (or loaded from a snapshot written earlier), never mutated afterwards,
-// and therefore safe for lock-free concurrent reads from any number of
-// server goroutines.
+// store is the bridge: it is built once from facts the build side makes
+// (core.Result.Facts; kb.World.Facts for a ground-truth world) or loaded
+// from a snapshot written earlier, never mutated afterwards, and therefore
+// safe for lock-free concurrent reads from any number of server goroutines.
 //
 // There is one store type, Sharded: the facts partitioned by entity hash
 // into n independently indexed shards, read through one primitive — Select
@@ -59,12 +59,7 @@ import (
 	"sort"
 	"strings"
 
-	"akb/internal/core"
-	"akb/internal/extract"
-	"akb/internal/hierarchy"
-	"akb/internal/kb"
 	"akb/internal/mapreduce"
-	"akb/internal/rdf"
 )
 
 // Fact is one accepted (entity, attribute, value) triple of the fused KB,
@@ -246,85 +241,17 @@ func newSharded(shards []*shard, names *nameTable) *Sharded {
 	return s
 }
 
-// ResultFacts extracts the fused facts of a pipeline result — one fact per
-// accepted truth of every fusion decision, annotated with the entity's
-// class and the value's hierarchy ancestors from the result's world —
-// without building indexes: New(ResultFacts(res)) snapshots a run. The facts
-// come in the decisions' order (item-key order) and, within a decision, in
-// its truths': the same slice for the same result, though not the store's
-// canonical order. Items of one subject are neighbours there, so the entity
-// name and class are resolved once per subject.
-func ResultFacts(res *core.Result) []Fact {
-	fused := res.Fused()
-	if fused == nil {
-		return nil
-	}
-	facts := make([]Fact, 0, fused.NumTruths())
-	attrs := extract.Names{}
-	var hier *hierarchy.Forest
-	if res.World != nil {
-		hier = res.World.Hier
-	}
-	var subject rdf.Term
-	var entity, class string
-	for i := range fused.Decisions {
-		d := &fused.Decisions[i]
-		if i == 0 || d.Item.Subject != subject {
-			subject = d.Item.Subject
-			entity, class = extract.AttrFromIRI(subject), ""
-			if res.World != nil {
-				if e, ok := res.World.Entity(entity); ok {
-					class = e.Class
-				}
-			}
-		}
-		attr := attrs.Of(d.Item.Predicate)
-		for _, tr := range d.Truths {
-			belief, sources, _ := d.Support(tr)
-			var anc []string
-			if hier != nil {
-				anc = hier.Ancestors(tr.Value)
-			}
-			facts = append(facts, Fact{
-				Entity:     entity,
-				Class:      class,
-				Attr:       attr,
-				Value:      tr.Value,
-				Confidence: belief,
-				Sources:    sources,
-				Ancestors:  anc,
-			})
-		}
-	}
-	return facts
-}
+// ResultFacts returns res.Facts(), the facts of a pipeline result
+// (core.Result.Facts).
+//
+// Deprecated: call res.Facts(); kept for bench/ until ROADMAP item 4(e).
+func ResultFacts(res interface{ Facts() []Fact }) []Fact { return res.Facts() }
 
-// WorldFacts materialises a ground-truth world as store facts: one fact
-// per true (entity, attribute, value) with full confidence and the
-// value's hierarchy ancestors. It bypasses extraction and fusion, so
-// benchmarks and load tests can build KB-scale stores in milliseconds —
-// a store of *true* facts, shaped exactly like a fused one.
-func WorldFacts(w *kb.World) []Fact {
-	var facts []Fact
-	for _, class := range w.Ontology.ClassNames() {
-		for _, e := range w.EntitiesOf(class) {
-			for _, row := range e.Values {
-				for _, v := range row.Values {
-					facts = append(facts, Fact{
-						Entity:     e.Name,
-						Class:      class,
-						Attr:       row.Attr,
-						Value:      v,
-						Confidence: 1,
-						Sources:    1,
-						Ancestors:  w.Hier.Ancestors(v),
-					})
-				}
-			}
-		}
-	}
-	return facts
-}
+// WorldFacts returns w.Facts(), the true facts of a ground-truth world
+// (kb.World.Facts).
+//
+// Deprecated: call w.Facts(); kept for bench/ until ROADMAP item 4(e).
+func WorldFacts(w interface{ Facts() []Fact }) []Fact { return w.Facts() }
 
 // ShardCount returns the number of shards.
 func (s *Sharded) ShardCount() int { return len(s.shards) }

@@ -1,17 +1,12 @@
 package store
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"reflect"
-	"slices"
 	"strings"
 	"sync"
 	"testing"
-
-	"akb/internal/core"
-	"akb/internal/kb"
 )
 
 // testFacts is a small hand-built KB exercising every index dimension:
@@ -166,61 +161,6 @@ func TestLookupN(t *testing.T) {
 	}
 }
 
-// smallPipeline runs a scaled-down end-to-end pipeline for integration
-// tests; the result is cached per test binary since multiple tests want it.
-var smallPipeline = sync.OnceValues(func() (*core.Result, error) {
-	cfg := core.DefaultConfig()
-	cfg.World = kb.WorldConfig{Seed: 1, EntitiesPerClass: 10, AttrsPerEntity: 8}
-	cfg.Stream.TotalRecords = 3000
-	cfg.Sites.SitesPerClass = 2
-	cfg.Sites.PagesPerSite = 5
-	cfg.Corpus.DocsPerClass = 5
-	return core.New(core.WithConfig(cfg)).Run(context.Background())
-})
-
-// TestFromResultAgainstFusion cross-checks the snapshot against the live
-// fusion result it came from: every accepted truth appears exactly once
-// with its belief, and the indexed store answers the same as a scan.
-func TestFromResultAgainstFusion(t *testing.T) {
-	res, err := smallPipeline()
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := New(ResultFacts(res))
-	if s.Len() == 0 {
-		t.Fatal("empty store from live pipeline")
-	}
-	truths := 0
-	for _, d := range res.Fused().Decisions {
-		truths += len(d.Truths)
-	}
-	if s.Len() != truths {
-		t.Errorf("store has %d facts, fusion accepted %d truths", s.Len(), truths)
-	}
-	// Every fact must carry the entity's real class and a confidence.
-	for _, f := range s.Facts() {
-		if f.Class == "" {
-			t.Errorf("fact without class: %+v", f)
-		}
-		if f.Confidence <= 0 {
-			t.Errorf("fact without belief: %+v", f)
-		}
-	}
-	// Index answers must equal the oracle's on live data too.
-	for _, class := range s.Classes() {
-		q := Pattern{Class: class}
-		if !reflect.DeepEqual(s.Lookup(q), refSelect(s.Facts(), q)) {
-			t.Errorf("Lookup != the oracle for class %q", class)
-		}
-	}
-	ent := s.Facts()[0].Entity
-	for _, q := range []Pattern{{Entity: ent}, {Entity: ent, Attr: s.Facts()[0].Attr}} {
-		if !reflect.DeepEqual(s.Lookup(q), refSelect(s.Facts(), q)) {
-			t.Errorf("Lookup != the oracle for %+v", q)
-		}
-	}
-}
-
 // TestConcurrentReaders hammers a shared store from many goroutines; run
 // under -race it proves the lock-free read path is actually lock-free
 // safe (nothing is written after New).
@@ -251,46 +191,6 @@ func TestConcurrentReaders(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-}
-
-// TestIndexReadsATenthOfTheStore is the index-vs-scan criterion in counted
-// work: on the default seed-1 pipeline KB held in one shard, every query of
-// a representative mix — point lookups, a per-class sweep, a value match
-// and a hierarchy-ancestor match — walks a candidate list at most a tenth
-// of the store (CountEstimate is the length of the list the cursor walks,
-// TestCursorWalksShortestList) and answers exactly what the brute-force
-// oracle does.
-func TestIndexReadsATenthOfTheStore(t *testing.T) {
-	if testing.Short() {
-		t.Skip("pipeline run in -short")
-	}
-	res, err := core.New().Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := New(ResultFacts(res))
-	facts := s.Facts()
-	anc := slices.IndexFunc(facts, func(f Fact) bool { return len(f.Ancestors) > 0 })
-	if anc < 0 {
-		t.Fatal("no fact with hierarchy ancestors in the default KB")
-	}
-	ent, attr := facts[0].Entity, facts[0].Attr
-	for _, p := range []Pattern{
-		{Entity: ent},
-		{Entity: ent, Attr: attr},
-		{Class: s.Classes()[0], Attr: attr},
-		{Attr: attr, Value: facts[0].Value},
-		{Value: facts[anc].Ancestors[len(facts[anc].Ancestors)-1]},
-	} {
-		got, want, est := s.Lookup(p), refSelect(facts, p), s.CountEstimate(p)
-		if len(got) == 0 || len(got) != len(want) {
-			t.Errorf("%+v: Lookup returned %d facts, the oracle %d", p, len(got), len(want))
-		}
-		if est < len(got) || est*10 > s.Len() {
-			t.Errorf("%+v: index walks %d candidates for %d matches in a store of %d, want at most a tenth",
-				p, est, len(got), s.Len())
-		}
-	}
 }
 
 func BenchmarkLookupVsScanSmall(b *testing.B) {
