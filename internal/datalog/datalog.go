@@ -36,7 +36,7 @@
 //     value postings are hierarchy-inflated supersets) and clauses
 //     disconnected from the bound prefix — fall back to a hash join that
 //     builds the clause's base relation once, keyed by value ID (one key
-//     map, one offset slice, one arena), and probes it per binding.
+//     table, one offset slice, one arena), and probes it per binding.
 //
 // Results always arrive in left-deep nested-loop order (first clause in
 // canonical fact order, probe results in canonical order per binding), at
@@ -46,7 +46,10 @@
 // (store.Cursor.Unordered), so a scatter stops merging, and a suffix of
 // steps that reads no variable bound inside it is not enumerated at all —
 // its matches are the product of each step's count (a narrowed run, a
-// bucket's length, a read counted where it lies). The parallel path
+// bucket's length, a read counted where it lies). When that suffix is a star
+// on the entity a cursor's step binds, what the cursor has left is counted
+// by one merge of the store's sorted lists beside it
+// (store.Cursor.CountProducts), not a read a binding. The parallel path
 // partitions the first clause's stream into fixed-size batches — each
 // match with its run — whose decomposition does not depend on the worker
 // count, and never releases the order: a batch cannot know whether the
@@ -232,11 +235,14 @@ type Result struct {
 	Total int
 	// Truncated reports Total > len(Rows).
 	Truncated bool
-	// Probes counts the index reads the executor made — the first clause's
-	// scan, each hash relation's build, and one read a step a binding,
-	// whether it enumerates the step's matches or, in a counted suffix, only
-	// counts them. It is the executor's work metric, exposed for tests,
-	// explain output and the akb_datalog_probes_total counter.
+	// Probes counts the executor's index reads — the first clause's scan,
+	// each hash relation's build, and one read a step a binding, whether it
+	// enumerates the step's matches or, in a counted suffix, only counts
+	// them, stopping at a zero product. A star's tail counted by one merge
+	// of the store's lists (store.Cursor.CountProducts) is charged as that
+	// read a binding would be, so the number is the same however a count is
+	// made. It is the executor's work metric, exposed for tests, explain
+	// output and the akb_datalog_probes_total counter.
 	Probes int64
 }
 

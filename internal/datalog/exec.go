@@ -130,6 +130,11 @@ type execStep struct {
 	// variable bound by one of them, so once the page is full their matches
 	// are a product of counts, not a loop.
 	counted bool
+	// product: the step streams a cursor, checks nothing, and every later
+	// step is counted and reads inside the run of the entity it binds, by
+	// constants alone — so once the page is full what the cursor has left is
+	// counted by one store.Cursor.CountProducts.
+	product bool
 	// keySlot is the binding slot whose value keys the hash relation;
 	// -1 on a cross-product hash step (one bucket).
 	keySlot int
@@ -143,63 +148,91 @@ type match struct{ entity, attr, value uint32 }
 
 // relation is a hash step's build side: the clause's base relation grouped
 // by value ID, in canonical order within each bucket so probing emits
-// nested-loop order. Like the store's postings it is one key map, one offset
-// slice and one arena however many keys it holds; a cross product is the
-// arena alone, one bucket.
+// nested-loop order. Like the store's postings it is one open-addressed
+// table of bucket numbers, one offset slice and one arena however many keys
+// it holds, each made once at its final size; a cross product is the arena
+// alone, one bucket.
 type relation struct {
-	list  map[uint32]int32 // value ID → bucket number; nil on a cross product
-	off   []int32          // bucket i is arena[off[i]:off[i+1]]
+	slot  []bucketSlot // value ID → bucket number; nil on a cross product
+	off   []int32      // bucket i is arena[off[i]:off[i+1]]
 	arena []match
 }
 
+// bucketSlot is one slot of a relation's table: a value ID and its bucket
+// number + 1; 0 is an empty slot.
+type bucketSlot struct {
+	key uint32
+	no  int32
+}
+
+// findBucket returns the slot of the key, or the empty slot where it would
+// go. The keys are spread over the slots by Fibonacci hashing.
+func findBucket(slot []bucketSlot, key uint32) (int, bool) {
+	mask := len(slot) - 1
+	for h := int(uint64(key)*0x9E3779B97F4A7C15>>32) & mask; ; h = (h + 1) & mask {
+		switch s := slot[h]; {
+		case s.no == 0:
+			return h, false
+		case s.key == key:
+			return h, true
+		}
+	}
+}
+
 func (r *relation) bucket(key uint32) []match {
-	if r.list == nil {
+	if r.slot == nil {
 		return r.arena
 	}
-	i, ok := r.list[key]
+	h, ok := findBucket(r.slot, key)
 	if !ok {
 		return nil
 	}
+	i := r.slot[h].no - 1
 	return r.arena[r.off[i]:r.off[i+1]]
 }
 
 // buildRelation reads the base pattern once and lays the relation out
-// count → prefix sum → fill; keyed is false on a cross product.
+// count → prefix sum → fill; keyed is false on a cross product. The table
+// is sized once the stream is read: a power of two at least twice the
+// matches, so at most half full, and never grown.
 func buildRelation(ctx context.Context, src store.Querier, base store.Pattern, keyed bool) (relation, error) {
-	// The stream and each fact's bucket number, at their final size at once:
-	// the estimate is an upper bound on the matches.
-	est := src.CountEstimate(base)
-	facts := make([]match, 0, est)
-	var num []int32
-	var rel relation
-	if keyed {
-		num = make([]int32, 0, est)
-		rel.list = make(map[uint32]int32)
-	}
+	// The stream at its final size at once: the estimate is an upper bound
+	// on the matches.
+	facts := make([]match, 0, src.CountEstimate(base))
 	c := src.Select(base)
 	for c.Next() {
 		e, a, v := c.IDs()
 		facts = append(facts, match{e, a, v})
-		if keyed {
-			i, ok := rel.list[v]
-			if !ok {
-				i = int32(len(rel.list))
-				rel.list[v] = i
-			}
-			num = append(num, i)
-		}
 		if len(facts)&1023 == 0 && ctx.Err() != nil {
 			return relation{}, ctx.Err()
 		}
 	}
+	var rel relation
 	if !keyed {
 		rel.arena = facts
 		return rel, nil
 	}
+	size := 8
+	for size < 2*len(facts) {
+		size <<= 1
+	}
+	rel.slot = make([]bucketSlot, size)
+	// Each fact's bucket number, buckets numbered as their values first
+	// occur.
+	num := make([]int32, len(facts))
+	buckets := int32(0)
+	for j, m := range facts {
+		h, ok := findBucket(rel.slot, m.value)
+		if !ok {
+			buckets++
+			rel.slot[h] = bucketSlot{m.value, buckets}
+		}
+		num[j] = rel.slot[h].no - 1
+	}
 	// Bucket i is counted two places up, so that the prefix sum leaves its
 	// start at off[i+1] and the fill, advancing that to its end, leaves its
 	// start — the previous bucket's end — at off[i].
-	off := make([]int32, len(rel.list)+2)
+	off := make([]int32, buckets+2)
 	for _, i := range num {
 		off[i+2]++
 	}
@@ -287,6 +320,9 @@ func compile(ctx context.Context, src store.Querier, q Query, plan *Plan) (*shar
 	for d := range sh.steps {
 		sh.steps[d].counted = independent(sh.steps[d:], d, boundAt)
 	}
+	for d := range sh.steps {
+		sh.steps[d].product = sh.productTail(d)
+	}
 
 	vars := q.Vars()
 	sel := q.Select
@@ -342,6 +378,25 @@ func (sh *shared) scan() store.Cursor {
 	return c
 }
 
+// productTail reports whether the steps after d are a counted star on the
+// entity step d binds: each reads inside its run by its constants alone,
+// substituting nothing else. Step d itself must check nothing, for every
+// match its cursor has left to count. A step whose constant the store's
+// table lacks (none) needs no exception: it matches nothing, so no page
+// fills ahead of it.
+func (sh *shared) productTail(d int) bool {
+	st := &sh.steps[d]
+	if d+1 == len(sh.steps) || !sh.steps[d+1].counted || st.checks != [3]int{-1, -1, -1} {
+		return false
+	}
+	for i := range sh.steps[d+1:] {
+		if later := &sh.steps[d+1+i]; !later.inRun || later.subs != [3]int{st.binds[0], -1, -1} {
+			return false
+		}
+	}
+	return true
+}
+
 // runner is the mutable side of one execution stream: the single reusable
 // binding row of string IDs and the output accumulator. The serial path
 // uses one runner over the whole first-clause stream; each parallel worker
@@ -361,7 +416,8 @@ type runner struct {
 // pollEvery is how many matches reach a step — the last one's are the rows
 // — between two polls of the context: the unit of work cancellation is
 // bounded in, whatever the shape of the query. A counted suffix hands no
-// match to its steps, and is a handful of reads a binding.
+// match to its steps, and is a handful of reads a binding; a star's tail
+// counted by store.Cursor.CountProducts is polled there, at the same unit.
 const pollEvery = 1024
 
 // The bounds of a chunk of kept rows, in rows; see room.
@@ -435,12 +491,14 @@ func (r *runner) stream(c *store.Cursor, d int) bool {
 			return false
 		}
 		if r.full() {
-			if st.counted {
+			switch {
+			case st.counted:
 				return r.count(d+1, c.Count())
-			}
-			// What the first clause has left is only counted, and a count
-			// needs no merge order.
-			if d == 0 {
+			case st.product:
+				return r.countProducts(c, d)
+			case d == 0:
+				// What the first clause has left is only counted, and a
+				// count needs no merge order.
 				c.Unordered()
 			}
 		}
@@ -512,6 +570,33 @@ func (r *runner) count(from, n int) bool {
 	}
 	r.total += n
 	return true
+}
+
+// countProducts adds what the cursor of step d has left to the total, each
+// match counted as count(d+1, 1) would count it — the product of the later
+// steps' reads inside its run — by one merge of the store's sorted lists
+// (store.Cursor.CountProducts), charged the probes count would charge.
+func (r *runner) countProducts(c *store.Cursor, d int) bool {
+	var buf [MaxClauses]store.RunRead
+	reads := buf[:0]
+	for i := d + 1; i < len(r.sh.steps); i++ {
+		st := &r.sh.steps[i]
+		reads = append(reads, store.RunRead{Attr: st.attr, Class: st.class, Value: st.value})
+	}
+	p, err := c.CountProducts(r.sh.ctx, reads)
+	r.probes += p.Reads
+	switch {
+	case errors.Is(err, store.ErrCountOverflow):
+		r.err = ErrTotalOverflow
+	case err != nil:
+		r.err = err
+	case p.Total > math.MaxInt-r.total:
+		r.err = ErrTotalOverflow
+	default:
+		r.total += p.Total
+		return true
+	}
+	return false
 }
 
 // size is the number of matches of step d under the current bindings.

@@ -150,6 +150,11 @@ func FuzzRunMatchesBruteForce(f *testing.F) {
 		{0, 2, 3, 1, 4, 2},          // ?x a ?v . ?y c ?z: a product, counted
 		{4, 0, 3, 1, 2, 2},          // ?y:K1 ?p ?v . ?y a ?z: n00's class changes inside its run
 		{0, 2, 3, 1, 4, 2, 0, 3, 4}, // ?x a ?v . ?y c ?z . ?x b ?p: a product, then a join on the run
+		// Stars whose page fills before the first clause ends, so that what
+		// it has left is counted by one merge of the store's lists:
+		{0, 0, 3, 3, 2, 6},          // ?x ?p ?v . ?x:K0 a top: a class and a value through the hierarchy on the counted step, over n00's three matches, whose class changes
+		{0, 0, 1, 0, 2, 5},          // ?x ?p ?y . ?x a v1: a constant value, verbatim on n00 and through v2's ancestor on n02
+		{0, 2, 1, 3, 2, 6, 0, 3, 2}, // ?x a ?y . ?x:K0 a top . ?x b ?z: two counted steps, the second empty where the first is not
 	} {
 		f.Add(append(slices.Clone(fuzzSeedKB), query...))
 	}
@@ -189,9 +194,7 @@ func FuzzRunMatchesBruteForce(f *testing.F) {
 			for kind, plan := range plansOf(t, q, src) {
 				want := bruteForce(canonical, plan, q)
 				for limit := 0; limit <= len(want)+1; limit++ {
-					for _, par := range []int{1, 3} {
-						checkAgainstBruteForce(t, fmt.Sprintf("%q on %v, %s, %s plan", text, facts, layout, kind), src, q, plan, want, limit, par)
-					}
+					checkAgainstBruteForce(t, fmt.Sprintf("%q on %v, %s, %s plan", text, facts, layout, kind), src, q, plan, want, limit)
 				}
 			}
 		}

@@ -40,13 +40,6 @@ type datalogRequest struct {
 // reads, so results are consistent with /v1/query under hot reload and
 // identical across flat and sharded layouts.
 func (s *Server) handleDatalog(g *generation, r *http.Request) routeResult {
-	// The route is registered non-cacheable (URL-keyed caching would be
-	// wrong for POST bodies), so jsonRoute's g==nil 503 does not cover
-	// it; guard here so a pre-first-snapshot query gets the same 503
-	// envelope every other data route returns instead of a panic-500.
-	if g == nil {
-		return errRes(http.StatusServiceUnavailable, "no store loaded yet (state %s)", s.Health())
-	}
 	var req datalogRequest
 	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, maxDatalogBody))
 	dec.DisallowUnknownFields()

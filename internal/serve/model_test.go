@@ -598,11 +598,7 @@ func (m *modelRun) judgeData(where string, c *call, st modelState, res response)
 		} else if _, ok := envelope(res.body, http.StatusServiceUnavailable); res.status != http.StatusServiceUnavailable || !ok {
 			m.errorf(where, "before the first store: %d %q, want the 503 envelope", res.status, res.body)
 		}
-		// The datalog route answers it itself; the others' is written
-		// before their route runs, and is not counted.
-		if c.datalog {
-			m.errs++
-		}
+		m.errs++
 		m.cover["starting"]++
 		return
 	}

@@ -272,8 +272,8 @@ func TestStartingState(t *testing.T) {
 	if status != http.StatusServiceUnavailable || body["status"] != float64(503) {
 		t.Errorf("query while starting: %d %v", status, body)
 	}
-	// The POST route bypasses jsonRoute's cacheable-path nil guard, so
-	// handleDatalog carries its own: same 503 envelope, no panic-500.
+	// The POST route is a data route too: the same 503 envelope, no
+	// panic-500.
 	status, body = postDatalog(t, ts.URL, `{"query": "?e ?a ?v"}`)
 	if status != http.StatusServiceUnavailable || body["status"] != float64(503) {
 		t.Errorf("datalog while starting: %d %v", status, body)

@@ -419,14 +419,14 @@ func (s *Server) buildHandler() http.Handler {
 	// a text/plain 405, and every /v1 response — errors included — must
 	// wear the JSON envelope.
 	mux := http.NewServeMux()
-	mux.HandleFunc("/healthz", methodGuard(http.MethodGet, s.jsonRoute(s.handleHealthz, false)))
-	mux.HandleFunc("/readyz", methodGuard(http.MethodGet, s.jsonRoute(s.handleReadyz, false)))
-	mux.HandleFunc("/metrics", methodGuard(http.MethodGet, s.handleMetricsNegotiated(s.jsonRoute(s.handleMetrics, false))))
-	mux.HandleFunc("/v1/entity/{id}", methodGuard(http.MethodGet, s.jsonRoute(s.handleEntity, true)))
-	mux.HandleFunc("/v1/triples/{entity}/{attr}", methodGuard(http.MethodGet, s.jsonRoute(s.handleTriples, true)))
-	mux.HandleFunc("/v1/query", methodGuard(http.MethodGet, s.jsonRoute(s.handleQuery, true)))
-	mux.HandleFunc("/v1/datalog", methodGuard(http.MethodPost, s.jsonRoute(s.handleDatalog, false)))
-	mux.HandleFunc("/v1/admin/reload", methodGuard(http.MethodPost, s.jsonRoute(s.handleReload, false)))
+	mux.HandleFunc("/healthz", methodGuard(http.MethodGet, s.jsonRoute(s.handleHealthz, controlRoute)))
+	mux.HandleFunc("/readyz", methodGuard(http.MethodGet, s.jsonRoute(s.handleReadyz, controlRoute)))
+	mux.HandleFunc("/metrics", methodGuard(http.MethodGet, s.handleMetricsNegotiated(s.jsonRoute(s.handleMetrics, controlRoute))))
+	mux.HandleFunc("/v1/entity/{id}", methodGuard(http.MethodGet, s.jsonRoute(s.handleEntity, cachedRoute)))
+	mux.HandleFunc("/v1/triples/{entity}/{attr}", methodGuard(http.MethodGet, s.jsonRoute(s.handleTriples, cachedRoute)))
+	mux.HandleFunc("/v1/query", methodGuard(http.MethodGet, s.jsonRoute(s.handleQuery, cachedRoute)))
+	mux.HandleFunc("/v1/datalog", methodGuard(http.MethodPost, s.jsonRoute(s.handleDatalog, dataRoute)))
+	mux.HandleFunc("/v1/admin/reload", methodGuard(http.MethodPost, s.jsonRoute(s.handleReload, controlRoute)))
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusNotFound, errBody(http.StatusNotFound, "unknown route"))
 	})
@@ -591,25 +591,32 @@ func dataRes(body []byte, err error) routeResult {
 // encodeFailed answers for a response that could not be encoded.
 var encodeFailed = routeResult{http.StatusInternalServerError, []byte(`{"error":"encode response","status":500}` + "\n")}
 
+// routeKind is what a route reads of the store: nothing a missing store
+// stops (health, metrics, reload), a generation, or a generation through
+// its response cache.
+type routeKind uint8
+
+const (
+	controlRoute routeKind = iota
+	dataRoute
+	cachedRoute // a data route keyed by its URL: a GET
+)
+
 // jsonRoute adapts a typed handler into an http.HandlerFunc. The handler
 // reads exactly one store generation (loaded once, up front) and
 // successful cacheable responses go through that generation's cache, so
 // a hot swap mid-request can neither tear a response nor serve a stale
-// cached body under the new generation. A panicking handler yields a
-// JSON 500 and an akb_serve_panics increment.
-func (s *Server) jsonRoute(h func(*generation, *http.Request) routeResult, cacheable bool) http.HandlerFunc {
+// cached body under the new generation. Before the first store a data
+// route is answered 503 without running, counted like any other 5xx. A
+// panicking handler yields a JSON 500 and an akb_serve_panics increment.
+func (s *Server) jsonRoute(h func(*generation, *http.Request) routeResult, kind routeKind) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		g := s.cur.Load()
 		if g != nil {
 			w.Header().Set("X-Akb-Generation", strconv.FormatUint(g.num, 10))
 		}
-		if cacheable && g == nil {
-			writeJSON(w, http.StatusServiceUnavailable,
-				errBody(http.StatusServiceUnavailable, "no store loaded yet (state %s)", s.Health()))
-			return
-		}
 		var key string
-		if cacheable {
+		if kind == cachedRoute && g != nil {
 			key = r.URL.RequestURI()
 			if status, body, ok := g.cache.get(key); ok {
 				s.m.cacheHits.Inc()
@@ -618,14 +625,19 @@ func (s *Server) jsonRoute(h func(*generation, *http.Request) routeResult, cache
 			}
 			s.m.cacheMisses.Inc()
 		}
-		res, panicked := s.callRoute(h, g, r)
-		if panicked {
-			s.m.panics.Inc()
+		var res routeResult
+		if kind != controlRoute && g == nil {
+			res = errRes(http.StatusServiceUnavailable, "no store loaded yet (state %s)", s.Health())
+		} else {
+			var panicked bool
+			if res, panicked = s.callRoute(h, g, r); panicked {
+				s.m.panics.Inc()
+			}
 		}
 		if res.status >= http.StatusInternalServerError {
 			s.m.errors.Inc()
 		}
-		if cacheable && res.status == http.StatusOK {
+		if key != "" && res.status == http.StatusOK {
 			g.cache.put(key, res.status, res.body)
 		}
 		writeRaw(w, res.status, res.body)

@@ -47,7 +47,9 @@ var _ Querier = (*Sharded)(nil)
 // Querier — what a join on the entity needs. It also knows the fact by
 // number: IDs reads its entity, attribute and value IDs off the store's
 // columns, and Names is the table they index — what a reader that joins on
-// numbers needs instead of the fact's strings.
+// numbers needs instead of the fact's strings. A consumer that only counts
+// a join on the entity has CountProducts read every remaining match's run
+// at once, beside the cursor, instead of a Where a match.
 //
 // Cursors are single-consumer and not safe for concurrent use: open one
 // per consumer — the store underneath is shared. The zero Cursor is empty.
@@ -60,7 +62,9 @@ type Cursor struct {
 }
 
 // head is one shard's stream in a scatter, stopped at its next match: the
-// fact at position at, whose entity has the rank kept beside it.
+// fact at position at, whose entity has the rank kept beside it — while the
+// cursor is ordered; once it is not, a head that has a match holds some
+// rank other than noRank, not its match's.
 type head struct {
 	shardCursor
 	rank uint32 // noRank: the shard is exhausted
@@ -70,11 +74,15 @@ type head struct {
 // table holds fewer than noRank strings (sortedUnion, binVerify).
 const noRank = NoID
 
-// advance moves the head to the shard's next match.
-func (h *head) advance() {
+// advance moves the head to the shard's next match and, when ranked, reads
+// that match's rank.
+func (h *head) advance(ranked bool) {
 	h.rank = noRank
 	if h.next() {
-		h.rank = h.sh.rank[h.sh.runOf[h.at]]
+		h.rank = 0
+		if ranked {
+			h.rank = h.sh.rank[h.sh.runOf[h.at]]
+		}
 	}
 }
 
@@ -104,7 +112,7 @@ func (s *Sharded) Select(p Pattern) Cursor {
 	for i, sh := range s.shards {
 		h := &heads[i]
 		h.shardCursor = sh.cursor(p, k)
-		h.advance()
+		h.advance(true)
 	}
 	return Cursor{heads: heads}
 }
@@ -128,7 +136,7 @@ func (c *Cursor) Next() bool {
 	}
 	h := &c.heads[best]
 	c.sh, c.at = h.sh, h.at
-	h.advance()
+	h.advance(!c.unordered)
 	return true
 }
 
@@ -141,9 +149,9 @@ func (c *Cursor) Fact() Fact { return c.sh.fact(c.at) }
 // Unordered releases the canonical order: the consumer has the ordered
 // prefix it needed and wants the rest only as a bag. What is left of a
 // scatter then comes shard by shard — each shard's matches still in their
-// own order, no head compared with another, exactly how Count drains —
-// and is the same multiset the ordered tail would have been. A cursor over
-// one shard has nothing to release.
+// own order, no head compared with another or ranked, exactly how Count
+// drains — and is the same multiset the ordered tail would have been. A
+// cursor over one shard has nothing to release.
 func (c *Cursor) Unordered() { c.unordered = true }
 
 // Run returns the run of the entity whose fact Next last stepped to. It is

@@ -478,11 +478,15 @@ func (s *shard) runCursor(run span, q Pattern, k patternIDs) shardCursor {
 // filtering.
 func (c *shardCursor) size() int { return int(c.end - c.pos) }
 
+// unchecked reports whether the cursor checks nothing: every position, or
+// every posting of its list, it has left matches.
+func (c *shardCursor) unchecked() bool {
+	return c.attr == 0 && c.class == 0 && c.mode == anyValue
+}
+
 // isRun reports whether what is left of the cursor is one run of fact
 // positions, [pos, end), with nothing to check: every one of them matches.
-func (c *shardCursor) isRun() bool {
-	return c.cand == nil && c.attr == 0 && c.class == 0 && c.mode == anyValue
-}
+func (c *shardCursor) isRun() bool { return c.cand == nil && c.unchecked() }
 
 // next steps to the next matching fact, at, and reports whether there was
 // one.
@@ -519,7 +523,7 @@ func (c *shardCursor) specialises(i int32) bool {
 
 // count drains the cursor and returns how many matches it had left.
 func (c *shardCursor) count() int {
-	if c.isRun() {
+	if c.unchecked() {
 		n := c.size()
 		c.pos = c.end
 		return n
