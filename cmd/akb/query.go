@@ -68,26 +68,35 @@ func cmdQuery(args []string) error {
 	}
 	q.Limit = *limit
 
-	var res *datalog.Result
+	var ans answer
 	if *server != "" {
-		res, err = queryServer(*server, q, *parallel, *explain)
+		ans, err = queryServer(*server, q, *parallel, *explain)
 	} else {
-		res, err = queryLocal(q, *snapPath, *shards, *seed, *parallel, *naive, *explain)
+		ans, err = queryLocal(q, *snapPath, *shards, *seed, *parallel, *naive, *explain)
 	}
 	if err != nil {
 		return err
 	}
-	return printAnswer(q.String(), res, *jsonOut)
+	return printAnswer(q.String(), ans, *jsonOut)
+}
+
+// answer is a query's answer as the command prints it, whichever backend
+// gave it: the bindings spelled, row[i] the value of vars[i].
+type answer struct {
+	vars      []string
+	rows      [][]string
+	total     int
+	truncated bool
 }
 
 // queryLocal runs the query against a snapshot, or an inline pipeline run.
-func queryLocal(q datalog.Query, snapPath string, shards int, seed int64, parallel int, naive, explain bool) (*datalog.Result, error) {
+func queryLocal(q datalog.Query, snapPath string, shards int, seed int64, parallel int, naive, explain bool) (answer, error) {
 	var src *store.Sharded
 	if snapPath != "" {
 		var info store.SnapshotInfo
 		var err error
 		if src, info, err = openSnapshot(snapPath, shards); err != nil {
-			return nil, err
+			return answer{}, err
 		}
 		fmt.Fprintf(os.Stderr, "loaded snapshot %s (%s), querying %d shard(s)\n",
 			snapPath, info, src.ShardCount())
@@ -95,7 +104,7 @@ func queryLocal(q datalog.Query, snapPath string, shards int, seed int64, parall
 		fmt.Fprintf(os.Stderr, "no -snapshot given; running pipeline (seed %d) ...\n", seed)
 		res, err := core.New(core.WithSeed(seed)).Run(context.Background())
 		if err != nil {
-			return nil, fmt.Errorf("pipeline: %w", err)
+			return answer{}, fmt.Errorf("pipeline: %w", err)
 		}
 		src = store.NewSharded(res.Facts(), max(shards, 1))
 	}
@@ -108,38 +117,38 @@ func queryLocal(q datalog.Query, snapPath string, shards int, seed int64, parall
 		plan, err = datalog.PlanQuery(q, src)
 	}
 	if err != nil {
-		return nil, err
+		return answer{}, err
 	}
 	if explain {
 		fmt.Fprintf(os.Stderr, "plan for %s:\n%s", q, plan)
 	}
 	res, err := datalog.RunPlan(context.Background(), src, q, plan, datalog.Options{Parallelism: parallel})
 	if err != nil {
-		return nil, err
+		return answer{}, err
 	}
 	if explain {
 		fmt.Fprintf(os.Stderr, "%d index probes\n", res.Probes)
 	}
-	return res, nil
+	return answer{res.Vars, res.Rows(), res.Total, res.Truncated}, nil
 }
 
 // printAnswer prints a result as a table or as JSON, the same bytes
 // whichever backend answered.
-func printAnswer(query string, res *datalog.Result, jsonOut bool) error {
-	rows := res.Rows
+func printAnswer(query string, ans answer, jsonOut bool) error {
+	rows := ans.rows
 	if rows == nil {
 		rows = [][]string{} // an empty answer prints [], as /v1/datalog's bindings do
 	}
 	if jsonOut {
 		return printJSON(map[string]any{
-			"query": query, "vars": res.Vars, "count": len(rows),
-			"total": res.Total, "truncated": res.Truncated, "rows": rows,
+			"query": query, "vars": ans.vars, "count": len(rows),
+			"total": ans.total, "truncated": ans.truncated, "rows": rows,
 		})
 	}
-	printRows(varHeaders(res.Vars), rows)
+	printRows(varHeaders(ans.vars), rows)
 	fmt.Printf("%d rows", len(rows))
-	if res.Truncated {
-		fmt.Printf(" (of %d total, truncated)", res.Total)
+	if ans.truncated {
+		fmt.Printf(" (of %d total, truncated)", ans.total)
 	}
 	fmt.Println()
 	return nil
@@ -168,8 +177,8 @@ func buildQuery(patternMode bool, entity, attr, value, class, text string) (data
 }
 
 // queryServer sends the query to POST /v1/datalog and reads the answer
-// back into the result the local executor returns.
-func queryServer(base string, q datalog.Query, parallel int, explain bool) (*datalog.Result, error) {
+// back into the one the local executor gives.
+func queryServer(base string, q datalog.Query, parallel int, explain bool) (answer, error) {
 	payload, err := json.Marshal(struct {
 		Query       string   `json:"query"`
 		Select      []string `json:"select,omitempty"`
@@ -178,7 +187,7 @@ func queryServer(base string, q datalog.Query, parallel int, explain bool) (*dat
 		Explain     bool     `json:"explain,omitempty"`
 	}{q.String(), q.Select, q.Limit, parallel, explain})
 	if err != nil {
-		return nil, err
+		return answer{}, err
 	}
 	var body struct {
 		Plan      []string            `json:"plan"`
@@ -188,7 +197,7 @@ func queryServer(base string, q datalog.Query, parallel int, explain bool) (*dat
 		Bindings  []map[string]string `json:"bindings"`
 	}
 	if err := postJSON(strings.TrimRight(base, "/")+"/v1/datalog", payload, &body); err != nil {
-		return nil, err
+		return answer{}, err
 	}
 	if explain {
 		fmt.Fprintf(os.Stderr, "plan for %s:\n", q)
@@ -196,15 +205,15 @@ func queryServer(base string, q datalog.Query, parallel int, explain bool) (*dat
 			fmt.Fprintln(os.Stderr, step)
 		}
 	}
-	res := &datalog.Result{Vars: body.Vars, Total: body.Total, Truncated: body.Truncated}
+	ans := answer{vars: body.Vars, total: body.Total, truncated: body.Truncated}
 	for _, b := range body.Bindings {
 		row := make([]string, len(body.Vars))
 		for i, v := range body.Vars {
 			row[i] = b[v]
 		}
-		res.Rows = append(res.Rows, row)
+		ans.rows = append(ans.rows, row)
 	}
-	return res, nil
+	return ans, nil
 }
 
 // postJSON posts one API call and decodes the JSON answer into out,

@@ -131,9 +131,9 @@ func checkAgainstBruteForce(t testing.TB, where string, src store.Querier, q dat
 		if err != nil {
 			t.Fatalf("%s limit=%d par=%d: %v", where, limit, par, err)
 		}
-		if res.Total != len(want) || res.Truncated != (len(page) < len(want)) || !rowsEqual(res.Rows, page) {
+		if res.Total != len(want) || res.Truncated != (len(page) < len(want)) || !rowsEqual(res.Rows(), page) {
 			t.Errorf("%s limit=%d par=%d: total=%d truncated=%v rows=%v\nwant total=%d rows=%v\nplan:\n%s",
-				where, limit, par, res.Total, res.Truncated, res.Rows, len(want), page, plan)
+				where, limit, par, res.Total, res.Truncated, res.Rows(), len(want), page, plan)
 		}
 		probes[i] = res.Probes
 	}

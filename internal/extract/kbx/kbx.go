@@ -126,9 +126,12 @@ func expandProperties(class string, src *kb.SourceKB, props []kb.Property) extra
 // statements for the fusion phase, counted but not yet made:
 // AppendStatements makes them into a list its caller sized with Len.
 type Statements struct {
-	kbs  []*kb.SourceKB
-	conf float64
-	n    int
+	kbs []*kb.SourceKB
+	// classes[i] is kbs[i]'s class names in sorted order, the order walk
+	// visits them in: ordered once a KB, not once a walk.
+	classes [][]string
+	conf    float64
+	n       int
 	// predicates holds the predicate IRI of each (class, surface name) the
 	// count met; the zero Term stands for a name with no canonical form.
 	predicates map[surface]rdf.Term
@@ -141,13 +144,19 @@ type surface struct{ class, name string }
 // counted: the predicate IRI (and the canonical name under it) per (class,
 // surface name).
 func ExtractStatements(ctx context.Context, crit *confidence.Criterion, kbs ...*kb.SourceKB) *Statements {
-	s := &Statements{kbs: kbs, conf: confidence.MaxConfidence, predicates: make(map[surface]rdf.Term)}
+	s := &Statements{kbs: kbs, classes: make([][]string, len(kbs)), conf: confidence.MaxConfidence, predicates: make(map[surface]rdf.Term)}
 	if crit != nil {
 		// KB facts are single-source claims with full extractor support.
 		s.conf = crit.Score(extract.ExtractorKB, 3, 1)
 	}
-	for _, src := range kbs {
-		s.walk(src, func(_ *kb.Fact, _ rdf.Term, values []string) { s.n += len(values) })
+	for i, src := range kbs {
+		classes := make([]string, 0, len(src.Facts))
+		for c := range src.Facts {
+			classes = append(classes, c)
+		}
+		sort.Strings(classes)
+		s.classes[i] = classes
+		s.walk(i, func(_ *kb.Fact, _ rdf.Term, values []string) { s.n += len(values) })
 	}
 	obs.Reg(ctx).Counter("akb_kbx_statements_total").Add(int64(s.n))
 	return s
@@ -162,11 +171,11 @@ func (s *Statements) Len() int { return s.n }
 // subject IRI is made once a fact, the provenance once a KB.
 func (s *Statements) AppendStatements(dst []rdf.Statement) []rdf.Statement {
 	dst = slices.Grow(dst, s.n)
-	for _, src := range s.kbs {
+	for i, src := range s.kbs {
 		prov := rdf.Provenance{Source: strings.ToLower(src.Name), Extractor: extract.ExtractorKB}
 		var of *kb.Fact
 		var subject rdf.Term
-		s.walk(src, func(fact *kb.Fact, predicate rdf.Term, values []string) {
+		s.walk(i, func(fact *kb.Fact, predicate rdf.Term, values []string) {
 			if fact != of {
 				of, subject = fact, extract.EntityIRI(fact.Entity)
 			}
@@ -189,16 +198,12 @@ func (s *Statements) predicate(class, name string) rdf.Term {
 	return p
 }
 
-// walk calls emit for every (fact, sub-field) of src that has a predicate,
-// classes in sorted order and a fact's sub-fields in its rows' name order.
-func (s *Statements) walk(src *kb.SourceKB, emit func(fact *kb.Fact, predicate rdf.Term, values []string)) {
-	classes := make([]string, 0, len(src.Facts))
-	for c := range src.Facts {
-		classes = append(classes, c)
-	}
-	sort.Strings(classes)
-	for _, class := range classes {
-		facts := src.Facts[class]
+// walk calls emit for every (fact, sub-field) of the k-th KB that has a
+// predicate, classes in sorted order and a fact's sub-fields in its rows'
+// name order.
+func (s *Statements) walk(k int, emit func(fact *kb.Fact, predicate rdf.Term, values []string)) {
+	for _, class := range s.classes[k] {
+		facts := s.kbs[k].Facts[class]
 		for i := range facts {
 			fact := &facts[i]
 			for _, row := range fact.FieldValues {

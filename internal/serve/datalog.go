@@ -107,16 +107,11 @@ func (s *Server) handleDatalog(g *generation, r *http.Request) routeResult {
 
 	// The answer mirrors /v1/query's envelope: generation, count/total/
 	// truncated semantics, plus the variable bindings as one object per row.
-	out := datalogAnswer{
-		generation: g.num,
-		query:      rendered,
-		vars:       res.Vars,
-		rows:       res.Rows,
-		total:      res.Total,
-		truncated:  res.Truncated,
-	}
+	out := datalogAnswer{generation: g.num, query: rendered, res: res}
 	if req.Explain {
 		out.plan = strings.Split(strings.TrimSuffix(plan.String(), "\n"), "\n")
 	}
-	return routeResult{http.StatusOK, encodeDatalog(out)}
+	buf := bodies.Get().(*bodyBuf)
+	buf.b = encodeDatalog(buf.b, out)
+	return routeResult{status: http.StatusOK, body: buf.b, buf: buf}
 }

@@ -10,6 +10,7 @@ import (
 	"reflect"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -441,5 +442,103 @@ func TestDatalogThroughChaosWrapper(t *testing.T) {
 	}
 	if triples.Panics() != 0 {
 		t.Errorf("%d (entity, attr) reads were opened and faulted by an entity join", triples.Panics())
+	}
+}
+
+// TestReusedBodiesStayTheirOwn drives /v1/datalog answers of many sizes and
+// cached GETs through one Handler from eight goroutines (run it under
+// -race): every body must equal the one a lone request got, and once the
+// traffic is over every cached body must still be the one its first request
+// got — a datalog buffer handed back and written again while the cache, or
+// a response, still held it would show here. Then a cached route whose
+// handler answers out of a reusable buffer is asked once: the buffer must
+// stay the cache's, never in the free list.
+func TestReusedBodiesStayTheirOwn(t *testing.T) {
+	var facts []store.Fact
+	for i := 0; i < 300; i++ {
+		e := fmt.Sprintf("e%03d", i)
+		facts = append(facts,
+			store.Fact{Entity: e, Class: "K", Attr: "a", Value: fmt.Sprintf("v%d", i%7), Confidence: 0.5, Sources: 1},
+			store.Fact{Entity: e, Class: "K", Attr: "b", Value: strings.Repeat("w", i%40), Confidence: 0.25})
+	}
+	s := New(store.NewSharded(facts, 4), obs.NewRegistry(), DefaultConfig())
+	h := s.Handler()
+
+	type req struct{ method, target, body string }
+	var reqs []req
+	for _, limit := range []int{1, 3, 17, 100, 250} {
+		for _, par := range []int{0, 3} {
+			for _, q := range []string{"?e a ?v", "?e a ?v . ?e b ?w", "?e:K a ?v . ?f a ?v"} {
+				body, _ := json.Marshal(map[string]any{"query": q, "limit": limit, "parallelism": par})
+				reqs = append(reqs, req{http.MethodPost, "/v1/datalog", string(body)})
+			}
+		}
+	}
+	for i := 0; i < 300; i += 29 {
+		reqs = append(reqs,
+			req{http.MethodGet, fmt.Sprintf("/v1/entity/e%03d", i), ""},
+			req{http.MethodGet, fmt.Sprintf("/v1/triples/e%03d/b", i), ""},
+			req{http.MethodGet, fmt.Sprintf("/v1/query?attr=a&limit=%d", i+1), ""})
+	}
+	do := func(r req) (int, string) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(r.method, r.target, strings.NewReader(r.body)))
+		return rec.Code, rec.Body.String()
+	}
+	want := make([]string, len(reqs))
+	for i, r := range reqs {
+		code, body := do(r)
+		if code != http.StatusOK {
+			t.Fatalf("%s %s %s: %d %s", r.method, r.target, r.body, code, body)
+		}
+		want[i] = body
+	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for n := 0; n < 150; n++ {
+				i := (g*37 + n*11) % len(reqs)
+				if code, body := do(reqs[i]); code != http.StatusOK || body != want[i] {
+					t.Errorf("%s %s %s: %d\n got %s\nwant %s", reqs[i].method, reqs[i].target, reqs[i].body, code, body, want[i])
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+
+	cache := s.cur.Load().cache
+	for i, r := range reqs {
+		if r.method != http.MethodGet {
+			continue
+		}
+		if _, body, ok := cache.get(r.target); !ok || string(body) != want[i] {
+			t.Errorf("cached %s (held: %v):\n got %s\nwant %s", r.target, ok, body, want[i])
+		}
+	}
+
+	// A cached route answering out of a reusable buffer: the body enters the
+	// cache, so its buffer must not enter the free list.
+	pooled := s.jsonRoute(func(*generation, *http.Request) routeResult {
+		buf := bodies.Get().(*bodyBuf)
+		buf.b = append(buf.b[:0], "{\"pooled\":true}\n"...)
+		return routeResult{status: http.StatusOK, body: buf.b, buf: buf}
+	}, cachedRoute)
+	pooled(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/pooled", nil))
+	_, held, ok := cache.get("/pooled")
+	if !ok {
+		t.Fatal("the pooled route's body was not cached")
+	}
+	for {
+		buf := bodies.Get().(*bodyBuf)
+		if cap(buf.b) == 0 {
+			break // the free list is drained: New made this one
+		}
+		if &buf.b[:1][0] == &held[:1][0] {
+			t.Fatal("a cached body's buffer was handed back to the free list")
+		}
 	}
 }

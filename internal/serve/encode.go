@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"unicode/utf8"
 
+	"akb/internal/datalog"
 	"akb/internal/store"
 )
 
@@ -26,12 +27,18 @@ var errNotFinite = errors.New("serve: non-finite confidence")
 
 const hexDigits = "0123456789abcdef"
 
-// jsonSafe marks the ASCII bytes a JSON string carries verbatim under
-// encoding/json's HTML-safe escaping: everything printable except the
-// quote, the backslash and <, >, &.
-var jsonSafe = func() (t [utf8.RuneSelf]bool) {
-	for b := byte(0x20); b < utf8.RuneSelf; b++ {
-		t[b] = b != '"' && b != '\\' && b != '<' && b != '>' && b != '&'
+// escapeExtra is how many bytes an ASCII byte adds to a JSON string under
+// encoding/json's HTML-safe escaping: none to a printable byte other than the
+// quote, the backslash and <, >, & (carried verbatim), one to a byte with a
+// short escape (\n, \"), five to one spelled \u00XX.
+var escapeExtra = func() (t [utf8.RuneSelf]uint8) {
+	for b := range t {
+		switch {
+		case b == '\\', b == '"', b == '\b', b == '\f', b == '\n', b == '\r', b == '\t':
+			t[b] = 1
+		case b < 0x20, b == '<', b == '>', b == '&':
+			t[b] = 5
+		}
 	}
 	return t
 }()
@@ -42,7 +49,7 @@ func appendString(dst []byte, s string) []byte {
 	start := 0
 	for i := 0; i < len(s); {
 		if b := s[i]; b < utf8.RuneSelf {
-			if jsonSafe[b] {
+			if escapeExtra[b] == 0 {
 				i++
 				continue
 			}
@@ -267,61 +274,88 @@ func encodeQuery(generation uint64, total int, facts []store.Fact) ([]byte, erro
 }
 
 // datalogAnswer is what the /v1/datalog body is encoded from: the query as
-// parsed, the explain lines when asked for, and the engine's result — one
-// row per binding, row[i] the value of vars[i].
+// parsed, the explain lines when asked for, and the engine's result, whose
+// page is rows of string IDs (datalog.Result.IDs) that its Names spells.
 type datalogAnswer struct {
 	generation uint64
 	query      string
 	plan       []string
-	vars       []string
-	rows       [][]string
-	total      int
-	truncated  bool
+	res        *datalog.Result
 }
 
-// encodeDatalog is the /v1/datalog body. Each binding is an object keyed by
-// variable name, keys sorted, a name selected twice appearing once.
-func encodeDatalog(a datalogAnswer) []byte {
+// encodeDatalog appends the /v1/datalog body to dst[:0], and makes a buffer
+// of the body's exact size first when dst has less room: the body is sized
+// in one pass over the page, and the buffer never grows. Each binding is an
+// object keyed by variable name, keys sorted, a name selected twice
+// appearing once; its values are the page's IDs spelled through the
+// store's names, straight into the body.
+func encodeDatalog(dst []byte, a datalogAnswer) []byte {
+	res := a.res
+	vars, w := res.Vars, len(res.Vars)
 	// cols is the bindings' key order: the positions into vars sorted by
 	// name, one per distinct name (a repeated name is the same variable, so
 	// the same value in every row), each with where its `"name":` ends in
 	// keys — written once, copied into every row.
 	type column struct{ idx, end int }
-	cols := make([]column, 0, len(a.vars))
-	for i, v := range a.vars {
+	var colBuf [3 * datalog.MaxClauses]column
+	cols := colBuf[:0]
+	for i, v := range vars {
 		at := len(cols)
-		for at > 0 && a.vars[cols[at-1].idx] > v {
+		for at > 0 && vars[cols[at-1].idx] > v {
 			at--
 		}
-		if at > 0 && a.vars[cols[at-1].idx] == v {
+		if at > 0 && vars[cols[at-1].idx] == v {
 			continue
 		}
 		cols = append(cols, column{})
 		copy(cols[at+1:], cols[at:])
 		cols[at].idx = i
 	}
-	size, keyBytes := 160+len(a.query), 0
-	for _, s := range a.plan {
-		size += len(s) + 3
-	}
-	for _, v := range a.vars {
-		keyBytes += len(v) + 3
-	}
-	size += keyBytes
-	keys := make([]byte, 0, keyBytes)
+	var keyBuf [256]byte
+	keys := keyBuf[:0]
 	for i := range cols {
-		keys = append(appendString(keys, a.vars[cols[i].idx]), ':')
+		keys = append(appendString(keys, vars[cols[i].idx]), ':')
 		cols[i].end = len(keys)
 	}
-	for _, row := range a.rows {
-		size += 3 + len(keys) + 3*len(cols)
-		for _, c := range cols {
-			size += len(row[c.idx])
+
+	// plain marks, of the page's first 4096 values, those that need no
+	// escape: the write copies them between their quotes instead of scanning
+	// them again.
+	var plain [64]uint64
+	var num [20]byte
+	size := len(`{"generation":`) + len(strconv.AppendUint(num[:0], a.generation, 10)) +
+		len(`,"query":`) + quotedLen(a.query) +
+		len(`,"vars":`) + arrayLen(vars) +
+		len(`,"count":`) + len(strconv.AppendInt(num[:0], int64(res.Count), 10)) +
+		len(`,"total":`) + len(strconv.AppendInt(num[:0], int64(res.Total), 10)) +
+		len(`,"bindings":[`) + len("]}\n")
+	if len(a.plan) > 0 {
+		size += len(`,"plan":`) + arrayLen(a.plan)
+	}
+	if res.Truncated {
+		size += len(`,"truncated":true`)
+	}
+	if res.Count > 0 {
+		// A row is {, its keys, a comma between two values and }; a comma
+		// between two rows.
+		size += res.Count*(2+len(keys)+max(len(cols)-1, 0)) + res.Count - 1
+		for i := 0; i < res.Count; i++ {
+			row := res.IDs[i*w : (i+1)*w]
+			for j, c := range cols {
+				s := res.Names.Name(row[c.idx])
+				q := quotedLen(s)
+				size += q
+				if k := i*len(cols) + j; q == len(s)+2 && k < 64*len(plain) {
+					plain[k/64] |= 1 << (k % 64)
+				}
+			}
 		}
 	}
 
-	dst := make([]byte, 0, size)
-	dst = append(dst, `{"generation":`...)
+	if cap(dst) < size {
+		dst = make([]byte, 0, size)
+	}
+	dst = append(dst[:0], `{"generation":`...)
 	dst = strconv.AppendUint(dst, a.generation, 10)
 	dst = append(dst, `,"query":`...)
 	dst = appendString(dst, a.query)
@@ -330,30 +364,65 @@ func encodeDatalog(a datalogAnswer) []byte {
 		dst = appendStrings(dst, a.plan)
 	}
 	dst = append(dst, `,"vars":`...)
-	dst = appendStrings(dst, a.vars)
+	dst = appendStrings(dst, vars)
 	dst = append(dst, `,"count":`...)
-	dst = strconv.AppendInt(dst, int64(len(a.rows)), 10)
+	dst = strconv.AppendInt(dst, int64(res.Count), 10)
 	dst = append(dst, `,"total":`...)
-	dst = strconv.AppendInt(dst, int64(a.total), 10)
-	if a.truncated {
+	dst = strconv.AppendInt(dst, int64(res.Total), 10)
+	if res.Truncated {
 		dst = append(dst, `,"truncated":true`...)
 	}
 	dst = append(dst, `,"bindings":[`...)
-	for i, row := range a.rows {
+	for i := 0; i < res.Count; i++ {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
 		dst = append(dst, '{')
+		row := res.IDs[i*w : (i+1)*w]
 		start := 0
 		for j, c := range cols {
 			if j > 0 {
 				dst = append(dst, ',')
 			}
 			dst = append(dst, keys[start:c.end]...)
-			dst = appendString(dst, row[c.idx])
+			if s, k := res.Names.Name(row[c.idx]), i*len(cols)+j; k < 64*len(plain) && plain[k/64]&(1<<(k%64)) != 0 {
+				dst = append(append(append(dst, '"'), s...), '"')
+			} else {
+				dst = appendString(dst, s)
+			}
 			start = c.end
 		}
 		dst = append(dst, '}')
 	}
 	return append(dst, "]}\n"...)
+}
+
+// quotedLen is len(appendString(nil, s)), counted without writing it.
+func quotedLen(s string) int {
+	n := 2 + len(s)
+	for i := 0; i < len(s); {
+		if b := s[i]; b < utf8.RuneSelf {
+			n += int(escapeExtra[b])
+			i++
+			continue
+		}
+		c, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case c == utf8.RuneError && size == 1: // \ufffd
+			n += 5
+		case c == '\u2028' || c == '\u2029': // \u202X
+			n += 3
+		}
+		i += size
+	}
+	return n
+}
+
+// arrayLen is len(appendStrings(nil, ss)).
+func arrayLen(ss []string) int {
+	n := 2 + max(len(ss)-1, 0)
+	for _, s := range ss {
+		n += quotedLen(s)
+	}
+	return n
 }

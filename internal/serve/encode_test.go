@@ -16,6 +16,7 @@ import (
 	"strings"
 	"testing"
 
+	"akb/internal/datalog"
 	"akb/internal/obs"
 	"akb/internal/store"
 )
@@ -75,6 +76,7 @@ func refQuery(generation uint64, total int, facts []store.Fact) ([]byte, error) 
 }
 
 func refDatalog(a datalogAnswer) ([]byte, error) {
+	rows := a.res.Rows()
 	out := struct {
 		Generation uint64              `json:"generation"`
 		Query      string              `json:"query"`
@@ -84,18 +86,43 @@ func refDatalog(a datalogAnswer) ([]byte, error) {
 		Total      int                 `json:"total"`
 		Truncated  bool                `json:"truncated,omitempty"`
 		Bindings   []map[string]string `json:"bindings"`
-	}{a.generation, a.query, a.plan, a.vars, len(a.rows), a.total, a.truncated, make([]map[string]string, 0, len(a.rows))}
+	}{a.generation, a.query, a.plan, a.res.Vars, len(rows), a.res.Total, a.res.Truncated, make([]map[string]string, 0, len(rows))}
 	if out.Vars == nil {
 		out.Vars = []string{}
 	}
-	for _, row := range a.rows {
-		b := make(map[string]string, len(a.vars))
-		for i, v := range a.vars {
+	for _, row := range rows {
+		b := make(map[string]string, len(a.res.Vars))
+		for i, v := range a.res.Vars {
 			b[v] = row[i]
 		}
 		out.Bindings = append(out.Bindings, b)
 	}
 	return json.Marshal(out)
+}
+
+// pageOf is the executor's result of the rows as the server is handed it: a
+// store is built of the rows' strings, and the page holds them as that
+// store's string IDs, spelled through its Names.
+func pageOf(t testing.TB, vars []string, rows [][]string, total int, truncated bool) *datalog.Result {
+	t.Helper()
+	var facts []store.Fact
+	for _, row := range rows {
+		for _, s := range row {
+			facts = append(facts, store.Fact{Entity: "e", Attr: "a", Value: s})
+		}
+	}
+	c := store.New(facts).Select(store.Pattern{})
+	res := &datalog.Result{Vars: vars, Count: len(rows), Names: c.Names(), Total: total, Truncated: truncated}
+	for _, row := range rows {
+		for _, s := range row {
+			id, ok := res.Names.ID(s)
+			if !ok {
+				t.Fatalf("the store of the page's strings lacks %q", s)
+			}
+			res.IDs = append(res.IDs, id)
+		}
+	}
+	return res
 }
 
 // encodeNames is the differential test's name pool: the adversarial names
@@ -137,12 +164,10 @@ func encodeFacts(r *rand.Rand) []store.Fact {
 	return facts
 }
 
-func encodeAnswer(r *rand.Rand) datalogAnswer {
+func encodeAnswer(t testing.TB, r *rand.Rand) datalogAnswer {
 	name := func() string { return encodeNames[r.Intn(len(encodeNames))] }
-	a := datalogAnswer{generation: uint64(r.Intn(3)) * math.MaxUint32, query: name() + " . " + name(), total: r.Intn(1000)}
-	if r.Intn(2) == 0 {
-		a.truncated = true
-	}
+	a := datalogAnswer{generation: uint64(r.Intn(3)) * math.MaxUint32, query: name() + " . " + name()}
+	total, truncated := r.Intn(1000), r.Intn(2) == 0
 	for n := r.Intn(3); n > 0; n-- {
 		a.plan = append(a.plan, name())
 	}
@@ -150,24 +175,27 @@ func encodeAnswer(r *rand.Rand) datalogAnswer {
 	// select list may repeat them (the same variable, so the same value).
 	pool := []string{"x", "y", "f", "v1", "v10", "v2", "_", "A", "a_b"}
 	value := map[string]int{}
+	var vars []string
 	for n := r.Intn(6); n > 0; n-- {
 		v := pool[r.Intn(len(pool))]
 		if _, ok := value[v]; !ok {
 			value[v] = len(value)
 		}
-		a.vars = append(a.vars, v)
+		vars = append(vars, v)
 	}
+	var rows [][]string
 	for n := r.Intn(8); n > 0; n-- {
 		slots := make([]string, len(value))
 		for i := range slots {
 			slots[i] = name()
 		}
-		row := make([]string, len(a.vars))
-		for i, v := range a.vars {
+		row := make([]string, len(vars))
+		for i, v := range vars {
 			row[i] = slots[value[v]]
 		}
-		a.rows = append(a.rows, row)
+		rows = append(rows, row)
 	}
+	a.res = pageOf(t, vars, rows, total, truncated)
 	return a
 }
 
@@ -197,7 +225,14 @@ func checkEncoders(t *testing.T, where string, facts []store.Fact, a datalogAnsw
 	same("query", got, gotErr, want, wantErr)
 
 	want, wantErr = refDatalog(a)
-	same("datalog", encodeDatalog(a), nil, want, wantErr)
+	body := encodeDatalog(nil, a)
+	same("datalog", body, nil, want, wantErr)
+	if len(body) != cap(body) {
+		t.Fatalf("%s datalog: a body of %d bytes in a buffer of %d: the size is not exact", where, len(body), cap(body))
+	}
+	// A reused buffer: larger than the body, and holding another's bytes.
+	used := bytes.Repeat([]byte{'#'}, 2*len(body)+64)
+	same("datalog into a used buffer", encodeDatalog(used, a), nil, want, wantErr)
 }
 
 // TestEncodersMatchEncodingJSON is the differential test of the four
@@ -221,16 +256,23 @@ func TestEncodersMatchEncodingJSON(t *testing.T) {
 		if seed%97 == 0 {
 			facts = nil
 		}
-		checkEncoders(t, fmt.Sprintf("seed %d", seed), facts, encodeAnswer(r),
+		checkEncoders(t, fmt.Sprintf("seed %d", seed), facts, encodeAnswer(t, r),
 			encodeNames[r.Intn(len(encodeNames))], encodeNames[r.Intn(len(encodeNames))], r.Intn(2)*r.Intn(50))
 	}
 	// The shapes' own corners: no rows at all, nil against empty vars, a
-	// ground query (no variables, one empty binding per match).
+	// ground query (no variables, one empty binding per match), and a page of
+	// more values than the encoder marks as needing no escape.
+	var long [][]string
+	for i := 0; i < 1500; i++ {
+		n := func(k int) string { return encodeNames[(i+k)%len(encodeNames)] }
+		long = append(long, []string{n(0), n(7), n(13)})
+	}
 	for i, a := range []datalogAnswer{
-		{},
-		{vars: []string{}, rows: [][]string{}},
-		{query: "a b c", rows: [][]string{{}, {}}, total: 2},
-		{vars: []string{"v", "e", "v"}, rows: [][]string{{"1", "2", "1"}}, total: 1, plan: []string{"1. [scan, est 1] <&>"}},
+		{res: pageOf(t, []string{"a", "b", "c"}, long, 2000, true)},
+		{res: &datalog.Result{}},
+		{res: pageOf(t, []string{}, [][]string{}, 0, false)},
+		{query: "a b c", res: pageOf(t, nil, [][]string{{}, {}}, 2, false)},
+		{res: pageOf(t, []string{"v", "e", "v"}, [][]string{{"1", "2", "1"}}, 1, false), plan: []string{"1. [scan, est 1] <&>"}},
 	} {
 		checkEncoders(t, fmt.Sprintf("corner %d", i), nil, a, "", "", 0)
 	}
@@ -253,14 +295,15 @@ func FuzzAppendJSONMatchesEncodingJSON(f *testing.F) {
 			{Entity: entity, Attr: attr + "x", Value: attr, Confidence: -conf},
 			{Entity: entity, Attr: attr, Value: entity, Confidence: conf * 1e-7, Ancestors: []string{}},
 		}
-		a := datalogAnswer{
-			query: value, plan: []string{attr, entity}, vars: []string{"b", "a", "b"},
-			rows: [][]string{{entity, attr, entity}, {value, value, value}}, total: len(value),
-		}
+		a := datalogAnswer{query: value, plan: []string{attr, entity}, res: pageOf(t, []string{"b", "a", "b"},
+			[][]string{{entity, attr, entity}, {value, value, value}}, len(value), len(value)%2 == 1)}
 		checkEncoders(t, "fuzz", facts, a, entity, attr, len(entity)%3)
 
 		if got, want := appendString(nil, value), mustMarshal(t, value); !bytes.Equal(got, want) {
 			t.Fatalf("appendString(%q) = %s, encoding/json writes %s", value, got, want)
+		}
+		if got, want := quotedLen(value), len(mustMarshal(t, value)); got != want {
+			t.Fatalf("quotedLen(%q) = %d, encoding/json writes %d bytes", value, got, want)
 		}
 		got, gotErr := appendFloat(nil, conf)
 		want, wantErr := json.Marshal(conf)
@@ -280,7 +323,9 @@ func mustMarshal(t *testing.T, v any) []byte {
 }
 
 // TestEncoderAllocations bounds the heap cost of a body: the buffer and
-// nothing that grows with the rows.
+// nothing that grows with the rows. A datalog body is sized exactly before it
+// is written, so it costs its buffer alone (8 allocations when its rows were
+// strings), and nothing in a buffer that has room, as a reused one has.
 func TestEncoderAllocations(t *testing.T) {
 	for _, rows := range []int{1, 50, 1000} {
 		facts := make([]store.Fact, rows)
@@ -288,10 +333,13 @@ func TestEncoderAllocations(t *testing.T) {
 			facts[i] = store.Fact{Entity: "Film 12", Class: "Film", Attr: fmt.Sprintf("attr %04d", i/2), Value: "Adelaide",
 				Confidence: 0.875, Sources: 3, Ancestors: []string{"South Australia", "Australia"}}
 		}
-		a := datalogAnswer{query: `?f:Film director ?d . ?f "release year" ?y`, vars: []string{"f", "d", "y"}, total: rows}
+		var page [][]string
 		for i := 0; i < rows; i++ {
-			a.rows = append(a.rows, []string{"Film 12", "Michael Curtiz", "1942"})
+			page = append(page, []string{"Film 12", "Michael Curtiz", "1942"})
 		}
+		a := datalogAnswer{query: `?f:Film director ?d . ?f "release year" ?y`,
+			res: pageOf(t, []string{"f", "d", "y"}, page, rows, false)}
+		reused := encodeDatalog(nil, a)
 		for _, tc := range []struct {
 			shape string
 			max   float64
@@ -300,7 +348,8 @@ func TestEncoderAllocations(t *testing.T) {
 			{"entity", 3, func() { encodeEntity("Film 12", facts) }},
 			{"triples", 3, func() { encodeTriples("Film 12", "attr 0000", facts) }},
 			{"query", 3, func() { encodeQuery(1, rows, facts) }},
-			{"datalog", 8, func() { encodeDatalog(a) }},
+			{"datalog", 1, func() { encodeDatalog(nil, a) }},
+			{"datalog into a reused buffer", 0, func() { reused = encodeDatalog(reused, a) }},
 		} {
 			if got := testing.AllocsPerRun(20, tc.run); got > tc.max {
 				t.Errorf("%s body of %d rows: %.0f allocations, want at most %.0f", tc.shape, rows, got, tc.max)

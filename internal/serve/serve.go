@@ -549,10 +549,31 @@ func (s *Server) recoverPanic(h http.Handler) http.Handler {
 }
 
 // routeResult is a handler's outcome: the status and the encoded body,
-// newline included.
+// newline included, and the reusable buffer the body lives in, if it does.
 type routeResult struct {
 	status int
 	body   []byte
+	buf    *bodyBuf
+}
+
+// bodyBuf is a body's buffer that outlives its request: jsonRoute hands it
+// back to bodies once the body is written, and the next request encodes
+// into it, so a body of the same size costs no allocation. A body that
+// entered the response cache is the cache's and is never handed back.
+type bodyBuf struct{ b []byte }
+
+// bodies is the free list of body buffers.
+var bodies = sync.Pool{New: func() any { return new(bodyBuf) }}
+
+// maxReusedBody bounds the buffer kept for reuse: one answer far larger
+// than the rest must not pin its buffer.
+const maxReusedBody = 64 << 10
+
+// release hands the buffer back to bodies, unless it is too large to keep.
+func (b *bodyBuf) release() {
+	if cap(b.b) <= maxReusedBody {
+		bodies.Put(b)
+	}
 }
 
 // errorBody is the uniform error envelope every non-2xx response uses.
@@ -576,7 +597,7 @@ func jsonRes(status int, body any) routeResult {
 	if err != nil {
 		return encodeFailed
 	}
-	return routeResult{status, append(raw, '\n')}
+	return routeResult{status: status, body: append(raw, '\n')}
 }
 
 // dataRes wraps a data route's hand-encoded body; the encoders fail only on
@@ -585,11 +606,11 @@ func dataRes(body []byte, err error) routeResult {
 	if err != nil {
 		return encodeFailed
 	}
-	return routeResult{http.StatusOK, body}
+	return routeResult{status: http.StatusOK, body: body}
 }
 
 // encodeFailed answers for a response that could not be encoded.
-var encodeFailed = routeResult{http.StatusInternalServerError, []byte(`{"error":"encode response","status":500}` + "\n")}
+var encodeFailed = routeResult{status: http.StatusInternalServerError, body: []byte(`{"error":"encode response","status":500}` + "\n")}
 
 // routeKind is what a route reads of the store: nothing a missing store
 // stops (health, metrics, reload), a generation, or a generation through
@@ -637,10 +658,16 @@ func (s *Server) jsonRoute(h func(*generation, *http.Request) routeResult, kind 
 		if res.status >= http.StatusInternalServerError {
 			s.m.errors.Inc()
 		}
-		if key != "" && res.status == http.StatusOK {
+		cached := key != "" && res.status == http.StatusOK
+		if cached {
 			g.cache.put(key, res.status, res.body)
 		}
 		writeRaw(w, res.status, res.body)
+		// The connection has copied the body: its buffer is free again,
+		// unless the cache holds the body.
+		if res.buf != nil && !cached {
+			res.buf.release()
+		}
 	}
 }
 
