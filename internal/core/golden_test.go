@@ -9,10 +9,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"testing"
 
 	"akb/internal/core"
+	"akb/internal/extract"
 	"akb/internal/store"
 )
 
@@ -133,6 +135,55 @@ func TestGoldenKBDigest(t *testing.T) {
 		}
 		if err := os.WriteFile(goldenKBPath, append(raw, '\n'), 0o644); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// TestResultFactsFollowTheDecisions holds Result.Facts to its doc comment
+// on seeds 1–3 of the default pipeline and of the one with every optional
+// stage: one fact per truth, in the decisions' order and within a decision
+// in its truths', in a slice of exactly that size and the same when asked
+// twice; each the truth's value under its item's entity and attribute,
+// believed and sourced as the decision supports it, with the entity's class
+// and the value's ancestors in the world. Every fact has a source, implied
+// generalisations too, and every run has some.
+func TestResultFactsFollowTheDecisions(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		for name, opts := range map[string][]core.Option{"default": nil, "every stage": allStages} {
+			label := fmt.Sprintf("seed %d %s", seed, name)
+			res, err := core.New(append([]core.Option{core.WithSeed(seed)}, opts...)...).Run(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, fused := res.Facts(), res.Fused()
+			if len(got) != fused.NumTruths() || cap(got) != len(got) {
+				t.Fatalf("%s: %d facts in a slice of %d for %d truths", label, len(got), cap(got), fused.NumTruths())
+			}
+			if again := res.Facts(); !reflect.DeepEqual(got, again) {
+				t.Errorf("%s: a second call returns other facts or another order", label)
+			}
+			k, implied := 0, 0
+			for i := range fused.Decisions {
+				d := &fused.Decisions[i]
+				entity := extract.AttrFromIRI(d.Item.Subject)
+				class := ""
+				if e, ok := res.World.Entity(entity); ok {
+					class = e.Class
+				}
+				implied += len(d.Implied)
+				for _, tr := range d.Truths {
+					belief, sources, _ := d.Support(tr)
+					want := store.Fact{Entity: entity, Class: class, Attr: extract.AttrFromIRI(d.Item.Predicate), Value: tr.Value,
+						Confidence: belief, Sources: sources, Ancestors: res.World.Hier.Ancestors(tr.Value)}
+					if !reflect.DeepEqual(got[k], want) || sources < 1 {
+						t.Fatalf("%s: fact %d is %+v, want %+v with a source", label, k, got[k], want)
+					}
+					k++
+				}
+			}
+			if implied == 0 {
+				t.Errorf("%s: no implied generalisation among %d facts", label, len(got))
+			}
 		}
 	}
 }

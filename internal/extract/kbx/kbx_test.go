@@ -2,6 +2,7 @@ package kbx
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"akb/internal/confidence"
@@ -170,5 +171,55 @@ func TestExtractAttributesSingleKB(t *testing.T) {
 	}
 	if _, ok := cr.Expanded["Freebase"]; ok {
 		t.Error("Freebase present without input")
+	}
+}
+
+// TestStatementsOfSeveralKBs: the statements of two KBs in one call are the
+// first KB's alone followed by the second's, as many as were counted, each at
+// the criterion's confidence (the maximum without one) under its KB's name
+// in lower case — with corrupted values, and where a surface name has no
+// canonical form, whose values make no statement. No KB makes none.
+func TestStatementsOfSeveralKBs(t *testing.T) {
+	ctx := context.Background()
+	for _, seed := range []int64{1, 6, 9} {
+		w := kb.NewWorld(kb.WorldConfig{Seed: seed, EntitiesPerClass: 15, AttrsPerEntity: 14})
+		db := kb.GenerateDBpedia(w, kb.KBGenConfig{Seed: seed, Coverage: 0.6, ErrorRate: 0.2})
+		fb := kb.GenerateFreebase(w, kb.KBGenConfig{Seed: seed, Coverage: 0.8})
+		// A property whose name is all separators canonicalises to "", and a
+		// composite with one nameless and one such sub-field.
+		fb.Facts["Film"] = append(fb.Facts["Film"],
+			kb.Fact{Entity: "Nobody 1", Property: "__", FieldValues: []kb.AttrValues{{Attr: "", Values: []string{"x"}}}},
+			kb.Fact{Entity: "Nobody 2", Property: "film_cut", FieldValues: []kb.AttrValues{{Attr: "", Values: []string{"a", "b"}}, {Attr: "-", Values: []string{"c"}}, {Attr: "run_time", Values: []string{"d"}}}},
+		)
+		for _, crit := range []*confidence.Criterion{nil, confidence.Default()} {
+			conf := confidence.MaxConfidence
+			if crit != nil {
+				conf = crit.Score(extract.ExtractorKB, 3, 1)
+			}
+			counted := ExtractStatements(ctx, crit, db, fb)
+			got := counted.AppendStatements(nil)
+			first := ExtractStatements(ctx, crit, db).AppendStatements(nil)
+			if want := ExtractStatements(ctx, crit, fb).AppendStatements(first); counted.Len() != len(got) || !slices.Equal(got, want) {
+				t.Fatalf("seed %d: %d statements counted, %d appended, %d from one KB a call", seed, counted.Len(), len(got), len(want))
+			}
+			nobody := 0
+			for i, s := range got {
+				if source := []string{"dbpedia", "freebase"}[min(i/len(first), 1)]; s.Provenance.Source != source || s.Confidence != conf {
+					t.Fatalf("seed %d: statement %d is %v, want one of %s at %v", seed, i, s, source, conf)
+				}
+				switch subject := extract.AttrFromIRI(s.Subject); {
+				case subject == "Nobody 1", subject == "Nobody 2" && s.Object.Value == "c":
+					t.Fatalf("seed %d: %v is under a name with no canonical form", seed, s)
+				case subject == "Nobody 2":
+					nobody++
+				}
+			}
+			if nobody == 0 {
+				t.Errorf("seed %d: Nobody 2's named sub-fields make no statement", seed)
+			}
+		}
+	}
+	if got := ExtractStatements(ctx, nil).AppendStatements(nil); len(got) != 0 {
+		t.Errorf("no KB gives %d statements", len(got))
 	}
 }

@@ -18,7 +18,7 @@ const (
 	// beliefs, claim belief = sum of its sources' trusts.
 	KindSums FactFinderKind = iota
 	// KindAverageLog tempers Sums with log-scaled claim counts:
-	// trust = log(|claims|) * avg belief.
+	// trust = ln(|claims| + 1) * avg belief.
 	KindAverageLog
 	// KindTruthFinder is Yin et al.'s probabilistic model: belief is one
 	// minus the product of source error probabilities.

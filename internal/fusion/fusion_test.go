@@ -418,45 +418,6 @@ func TestFullMethodComposes(t *testing.T) {
 	}
 }
 
-func TestAllMethodsInvariants(t *testing.T) {
-	forest := hierarchy.NewForest()
-	forest.MustAddChain("leaf", "mid", "root")
-	srcAcc := map[string]float64{"a": 0.9, "b": 0.7, "c": 0.5, "d": 0.3}
-	stmts, _ := synthWorld(t, 5, 40, srcAcc)
-	c := BuildClaims(stmts, BySource)
-	for _, m := range AllMethods(forest) {
-		res := m.Fuse(c)
-		if len(res.Decisions) != len(c.Items) {
-			t.Errorf("%s: %d decisions for %d items", m.Name(), len(res.Decisions), len(c.Items))
-		}
-		for i, d := range res.Decisions {
-			if d.Item != c.Items[i] && d.Item.Key() != c.Items[i].Key() {
-				t.Errorf("%s: decision %d is about %s, item %d is %s", m.Name(), i, d.Item.Key(), i, c.Items[i].Key())
-			}
-			if len(d.Truths) == 0 {
-				t.Errorf("%s: no truth for %s", m.Name(), d.Item.Key())
-			}
-			if len(d.Belief) != len(d.Item.Values) {
-				t.Errorf("%s: %d beliefs for the %d values of %s", m.Name(), len(d.Belief), len(d.Item.Values), d.Item.Key())
-			}
-			for k, b := range d.Belief {
-				if b < 0 || b > 1.0000001 {
-					t.Errorf("%s: belief %g out of range for %v", m.Name(), b, d.Item.Values[k].Value)
-				}
-			}
-			// Every accepted value must have been claimed.
-			for _, tr := range d.Truths {
-				if d.Item.Value(tr) == nil {
-					// Hierarchy expansion may add claimed ancestors, which
-					// exist in the original item; here items are flat so
-					// everything must be claimed.
-					t.Errorf("%s: accepted unclaimed value %v", m.Name(), tr)
-				}
-			}
-		}
-	}
-}
-
 func TestMethodNames(t *testing.T) {
 	forest := hierarchy.NewForest()
 	names := map[string]bool{}

@@ -43,7 +43,7 @@ func fusionDigest(c *fusion.Claims, res *fusion.Result, ffmt string) string {
 			fmt.Fprintf(h, " %q", v.Key())
 		}
 		// The digests were recorded over beliefs kept by value key.
-		belief := fusion.BeliefsByKey(d)
+		belief := beliefsByKey(d)
 		for _, k := range sortedKeys(belief) {
 			fmt.Fprintf(h, " %q="+ffmt, k, belief[k])
 		}
@@ -53,6 +53,21 @@ func fusionDigest(c *fusion.Claims, res *fusion.Result, ffmt string) string {
 		fmt.Fprintf(h, "quality %q="+ffmt+"\n", c.SourceNames[n], q)
 	}
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// beliefsByKey is a decision's beliefs as the digests were recorded over
+// them: each claimed value's under its key, then each implied truth's under
+// its own — written over the belief of a candidate the base method
+// rejected, as the map was.
+func beliefsByKey(d *fusion.Decision) map[string]float64 {
+	m := make(map[string]float64, len(d.Belief)+len(d.Implied))
+	for k, vc := range d.Item.Values {
+		m[vc.Value.Key()] = d.Belief[k]
+	}
+	for _, imp := range d.Implied {
+		m[imp.Value.Key()] = imp.Belief
+	}
+	return m
 }
 
 func sortedKeys(m map[string]float64) []string {

@@ -29,8 +29,8 @@ type MultiTruth struct {
 	// AcceptThreshold is the posterior needed to accept a value
 	// (default 0.5).
 	AcceptThreshold float64
-	// Weighted exponentiates each source's likelihood ratio by its claim
-	// confidence, softening the influence of low-confidence extractions.
+	// Weighted exponentiates each claimant's likelihood ratio by 0.5 +
+	// confidence/2, softening the influence of low-confidence extractions.
 	Weighted bool
 	// Discount optionally down-weights correlated sources.
 	Discount *Correlations

@@ -14,6 +14,7 @@ import (
 	"akb/internal/core"
 	"akb/internal/experiments"
 	"akb/internal/fusion"
+	"akb/internal/hierarchy"
 	"akb/internal/rdf"
 )
 
@@ -46,43 +47,6 @@ func pipelineStatementSets(t testing.TB) map[string][]rdf.Statement {
 	}
 }
 
-// sameResult compares two fusion results to the last bit: the decisions in
-// their order, truths, beliefs and implied truths, and the source qualities.
-func sameResult(t *testing.T, label string, got, want *fusion.Result) {
-	t.Helper()
-	if len(got.Decisions) != len(want.Decisions) {
-		t.Fatalf("%s: %d decisions, want %d", label, len(got.Decisions), len(want.Decisions))
-	}
-	for i := range want.Decisions {
-		g, w := &got.Decisions[i], &want.Decisions[i]
-		if g.Item.Key() != w.Item.Key() {
-			t.Fatalf("%s: decision %d is about %s, want %s", label, i, g.Item.Key(), w.Item.Key())
-		}
-		if !reflect.DeepEqual(g.Truths, w.Truths) {
-			t.Errorf("%s: %s truths %v, want %v", label, g.Item.Key(), g.Truths, w.Truths)
-		}
-		if !reflect.DeepEqual(g.Implied, w.Implied) {
-			t.Errorf("%s: %s implied %v, want %v", label, g.Item.Key(), g.Implied, w.Implied)
-		}
-		if len(g.Belief) != len(w.Belief) {
-			t.Fatalf("%s: %s has %d beliefs, want %d", label, g.Item.Key(), len(g.Belief), len(w.Belief))
-		}
-		for k := range w.Belief {
-			if math.Float64bits(g.Belief[k]) != math.Float64bits(w.Belief[k]) {
-				t.Errorf("%s: %s belief in %v is %v, want %v", label, g.Item.Key(), g.Item.Values[k].Value, g.Belief[k], w.Belief[k])
-			}
-		}
-	}
-	if len(got.SourceQuality) != len(want.SourceQuality) {
-		t.Fatalf("%s: %d source qualities, want %d", label, len(got.SourceQuality), len(want.SourceQuality))
-	}
-	for n, w := range want.SourceQuality {
-		if g := got.SourceQuality[n]; math.Float64bits(g) != math.Float64bits(w) {
-			t.Errorf("%s: quality of source %d is %v, want %v", label, n, g, w)
-		}
-	}
-}
-
 // TestPipelineClaimsMatchReference: on a run's statements, BuildClaims at
 // every granularity and DetectCorrelations are the references' answers.
 func TestPipelineClaimsMatchReference(t *testing.T) {
@@ -104,26 +68,51 @@ func TestPipelineClaimsMatchReference(t *testing.T) {
 	}
 }
 
-// TestMultiTruthBitIdentical: hoisting the two logarithms of a source out
-// of the cells and the claim weights out of the loop changes no bit of any
-// belief or source quality, with and without confidences and the
-// correlation discount, at 1 and 4 workers. (TestGoldenFusionDigest stores
-// six digits.)
-func TestMultiTruthBitIdentical(t *testing.T) {
-	for name, stmts := range pipelineStatementSets(t) {
-		c := fusion.BuildClaims(stmts, fusion.BySourceExtractor)
-		corr := fusion.DetectCorrelations(c, fusion.CorrelationConfig{})
-		for _, weighted := range []bool{false, true} {
-			for _, discount := range []*fusion.Correlations{nil, corr} {
-				want := fusion.ReferenceFuse(&fusion.MultiTruth{Weighted: weighted, Discount: discount, Workers: 1}, c)
-				for _, workers := range []int{1, 4} {
-					m := &fusion.MultiTruth{Weighted: weighted, Discount: discount, Workers: workers}
-					if err := fusion.DiffReference(c, m.Fuse(c), want); err != nil {
-						t.Errorf("%s %s workers %d: %v", name, m.Name(), workers, err)
+// TestMethodsFollowTheirRules holds every method of fusion.RuleMethods to
+// the rules it states (fusion.CheckRules): on nasty claims at every
+// granularity, on a synthetic world of four sources of set accuracies, and
+// on E6's two workloads — a pipeline run's claims and the same with two
+// copiers injected. The nasty claims must meet the cases the hierarchy
+// tells apart: implied truths folded away and implied truths the base
+// method rejected as candidates, and items of one value.
+func TestMethodsFollowTheirRules(t *testing.T) {
+	check := func(label string, c *fusion.Claims, forest *hierarchy.Forest) {
+		t.Helper()
+		for _, m := range fusion.RuleMethods(forest) {
+			if err := fusion.CheckRules(c, m); err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+		}
+	}
+	forest := fusion.NastyForest()
+	var implied, impliedRejected, oneValue int
+	r := rand.New(rand.NewSource(25))
+	for round := 0; round < 24; round++ {
+		stmts := fusion.NastyStatements(r)
+		for _, g := range []fusion.Granularity{fusion.BySource, fusion.BySourceExtractor, fusion.ByExtractor} {
+			c := fusion.BuildClaims(stmts, g)
+			check(fmt.Sprintf("round %d granularity %d", round, g), c, forest)
+			for _, d := range (&fusion.Full{Forest: forest}).Fuse(c).Decisions {
+				if len(d.Item.Values) == 1 {
+					oneValue++
+				}
+				for _, imp := range d.Implied {
+					implied++
+					if d.Item.Value(imp.Value) != nil {
+						impliedRejected++
 					}
 				}
 			}
 		}
+	}
+	t.Logf("%d implied truths, %d of them candidates the base method rejected, %d one-value decisions", implied, impliedRejected, oneValue)
+	if implied == 0 || impliedRejected == 0 || implied == impliedRejected || oneValue == 0 {
+		t.Error("the claims miss a case: want implied truths both folded away and rejected as candidates, and one-value items")
+	}
+	stmts, _ := fusion.SynthWorld(t, 5, 40, map[string]float64{"a": 0.9, "b": 0.7, "c": 0.5, "d": 0.3})
+	check("synthetic world", fusion.BuildClaims(stmts, fusion.BySource), forest)
+	for name, stmts := range pipelineStatementSets(t) {
+		check(name, fusion.BuildClaims(stmts, fusion.BySourceExtractor), pipelineRun(t).World.Hier)
 	}
 }
 
@@ -142,7 +131,9 @@ func TestFullInvariantUnderStatementPermutation(t *testing.T) {
 		for round := 0; round < 2; round++ {
 			shuffled := append([]rdf.Statement(nil), stmts...)
 			r.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
-			sameResult(t, fmt.Sprintf("%s shuffle %d", name, round), fuse(shuffled), want)
+			if err := fusion.DiffResults(fuse(shuffled), want); err != nil {
+				t.Errorf("%s shuffle %d: %v", name, round, err)
+			}
 		}
 	}
 }

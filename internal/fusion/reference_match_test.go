@@ -371,10 +371,11 @@ func TestDetectCorrelationsAllocationBound(t *testing.T) {
 }
 
 // TestDegenerateConfidences: whatever confidences the statements carry,
-// every method's beliefs and source qualities are finite and in [0, 1]. A
-// confidence above 1 used to reach ADAPTIVE's ACCU as a vote weight and
-// come back as NaN beliefs — through the source's accuracy, on items the
-// statement was not about.
+// BuildClaims hands every method confidences in (0, 1], and every method
+// keeps its rules (checkRules) — its beliefs and source qualities finite and
+// in [0, 1] among them. A confidence above 1 used to reach ADAPTIVE's ACCU as
+// a vote weight and come back as NaN beliefs — through the source's
+// accuracy, on items the statement was not about.
 func TestDegenerateConfidences(t *testing.T) {
 	forest := hierarchy.NewForest()
 	forest.MustAddChain("leaf", "mid", "root")
@@ -409,14 +410,6 @@ func TestDegenerateConfidences(t *testing.T) {
 	}
 	sets["mixed"] = mixed
 
-	methods := func() []Method {
-		ms := append(AllMethods(forest), FactFinders()...)
-		for _, kind := range []FactFinderKind{KindSums, KindAverageLog} {
-			ms = append(ms, &FactFinder{Kind: kind, Weighted: true})
-		}
-		return append(ms, &Adaptive{}, &Vote{Weighted: true}, &Accu{Weighted: true})
-	}
-	unit := func(x float64) bool { return x >= 0 && x <= 1 } // false for NaN
 	for name, stmts := range sets {
 		for _, g := range []Granularity{BySource, BySourceExtractor} {
 			c := BuildClaims(stmts, g)
@@ -429,27 +422,9 @@ func TestDegenerateConfidences(t *testing.T) {
 					}
 				}
 			}
-			for _, m := range methods() {
-				res := m.Fuse(c)
-				if len(res.Decisions) != len(c.Items) {
-					t.Errorf("%s %s: %d decisions for %d items", name, m.Name(), len(res.Decisions), len(c.Items))
-				}
-				for _, d := range res.Decisions {
-					for k, b := range d.Belief {
-						if !unit(b) {
-							t.Errorf("%s %s: belief %v for %v of %s", name, m.Name(), b, d.Item.Values[k].Value, d.Item.Key())
-						}
-					}
-					for _, imp := range d.Implied {
-						if !unit(imp.Belief) {
-							t.Errorf("%s %s: implied belief %v for %v of %s", name, m.Name(), imp.Belief, imp.Value, d.Item.Key())
-						}
-					}
-				}
-				for n, q := range res.SourceQuality {
-					if !unit(q) {
-						t.Errorf("%s %s: quality %v for source %s", name, m.Name(), q, c.SourceNames[n])
-					}
+			for _, m := range ruleMethods(forest) {
+				if err := checkRules(c, m); err != nil {
+					t.Errorf("%s granularity %d: %v", name, g, err)
 				}
 			}
 		}

@@ -4,40 +4,14 @@ import (
 	"math"
 	"sort"
 
-	"akb/internal/mapreduce"
 	"akb/internal/rdf"
 )
 
-// The references: BuildClaims, DetectCorrelations and MultiTruth.Fuse as
-// they were before they came off per-statement strings, pairwise walks and
-// per-cell logarithms, and every method's decisions as they were built when
-// a result was a map of decisions by item key and a decision's beliefs a map
-// by value key. They define the output; the tests in reference_match_test.go
-// and decisions_match_test.go hold the live code to them exactly.
-
-// refDecision and refResult are Decision and Result in their string-keyed
-// form.
-type refDecision struct {
-	Item   *Item
-	Truths []rdf.Term
-	// Belief maps value keys to the method's belief the value is true.
-	Belief map[string]float64
-}
-
-func (d *refDecision) accepted(v rdf.Term) bool {
-	for _, t := range d.Truths {
-		if t == v {
-			return true
-		}
-	}
-	return false
-}
-
-type refResult struct {
-	Method        string
-	Decisions     map[string]*refDecision
-	SourceQuality map[string]float64
-}
+// The oracles of claim grouping and copy detection: BuildClaims and
+// DetectCorrelations stated in their plainest form, by built key strings in
+// maps and by a walk over every pair of sources. They define the output; the
+// tests in reference_match_test.go hold the live code to them exactly. The
+// methods answer to their own rules instead (rules_test.go).
 
 // valueKey identifies one claimed value of one item while claims are built.
 type valueKey struct {
@@ -262,207 +236,4 @@ func sameValueSet(a, b map[string]struct{}) bool {
 		}
 	}
 	return true
-}
-
-// refValue and refItem are the claim matrix as the reference keeps it: the
-// raw confidences, one slice per row.
-type refValue struct {
-	claimed []bool
-	conf    []float64
-}
-
-type refItem struct {
-	covering []int
-	values   []refValue
-	probs    []float64
-}
-
-// referenceMultiTruthFuse takes two logarithms per (item, value, covering
-// source) cell per iteration.
-func referenceMultiTruthFuse(m *MultiTruth, c *Claims) *refResult {
-	prior := m.Prior
-	if prior <= 0 || prior >= 1 {
-		prior = 0.5
-	}
-	thresh := m.AcceptThreshold
-	if thresh <= 0 {
-		thresh = 0.5
-	}
-	iters := m.Iterations
-	if iters <= 0 {
-		iters = 15
-	}
-	nsrc := len(c.SourceNames)
-	srcIdx := make(map[string]int, nsrc)
-	for i, s := range c.SourceNames {
-		srcIdx[s] = i
-	}
-	stats := make([]sourceStats, nsrc)
-	for i := range stats {
-		stats[i] = sourceStats{sens: 0.8, spec: 0.9}
-	}
-	var discount []float64
-	if m.Discount != nil {
-		discount = make([]float64, nsrc)
-		for i := range c.SourceNames {
-			discount[i] = m.Discount.Weight(i)
-		}
-	}
-
-	// Precompute every item's covering list and claim matrix once.
-	items := make([]refItem, len(c.Items))
-	seen := make([]bool, nsrc)
-	pos := make([]int, nsrc) // covering position of each source index
-	for i, it := range c.Items {
-		mi := &items[i]
-		for _, vc := range it.Values {
-			for _, sc := range vc.Sources {
-				if si := srcIdx[c.SourceNames[sc.Source]]; !seen[si] {
-					seen[si] = true
-					mi.covering = append(mi.covering, si)
-				}
-			}
-		}
-		sort.Ints(mi.covering)
-		for ci, si := range mi.covering {
-			seen[si] = false
-			pos[si] = ci
-		}
-		nc := len(mi.covering)
-		mi.values = make([]refValue, len(it.Values))
-		mi.probs = make([]float64, len(it.Values))
-		for vi, vc := range it.Values {
-			v := &mi.values[vi]
-			v.claimed = make([]bool, nc)
-			v.conf = make([]float64, nc)
-			for _, sc := range vc.Sources {
-				ci := pos[srcIdx[c.SourceNames[sc.Source]]]
-				v.claimed[ci] = true
-				v.conf[ci] = sc.Confidence
-			}
-		}
-	}
-
-	cfg := mapreduce.Config{Workers: m.Workers, Obs: m.Obs}
-	logPrior := math.Log(prior / (1 - prior))
-	type acc struct{ tpSens, totSens, tnSpec, totSpec float64 }
-	accs := make([]acc, nsrc)
-	for iter := 0; iter < iters; iter++ {
-		// E-step: items are independent, so per-item posteriors can be
-		// computed in parallel into their preallocated buffers.
-		mapreduce.ForEach(cfg, len(items), func(i int) {
-			mi := &items[i]
-			for vi := range mi.values {
-				v := &mi.values[vi]
-				logOdds := logPrior
-				for ci, si := range mi.covering {
-					st := stats[si]
-					var ratio float64
-					conf := 1.0
-					claims := v.claimed[ci]
-					if claims {
-						ratio = st.sens / (1 - st.spec)
-						conf = v.conf[ci]
-					} else {
-						ratio = (1 - st.sens) / st.spec
-					}
-					w := 1.0
-					if m.Weighted && claims {
-						if conf <= 0 {
-							conf = 0.5
-						}
-						// Map confidence into [0.5, 1]: low-confidence claims
-						// are dampened but not annihilated. Using raw
-						// confidence as the exponent would bias fusion toward
-						// rejection, because assertions would count less than
-						// the full-weight silent negatives of non-claiming
-						// sources.
-						w = 0.5 + conf/2
-					}
-					if discount != nil {
-						w *= discount[si]
-					}
-					logOdds += w * math.Log(ratio)
-				}
-				mi.probs[vi] = 1 / (1 + math.Exp(-logOdds))
-			}
-		})
-
-		// M-step: serial, in item order then covering order then value
-		// order — the same accumulation order at any parallelism.
-		for i := range accs {
-			accs[i] = acc{}
-		}
-		for i := range items {
-			mi := &items[i]
-			for ci, si := range mi.covering {
-				a := &accs[si]
-				for vi := range mi.values {
-					p := mi.probs[vi]
-					claims := mi.values[vi].claimed[ci]
-					// Sensitivity: of true values, how many does src assert?
-					a.totSens += p
-					if claims {
-						a.tpSens += p
-					}
-					// Specificity: of false values, how many does src skip?
-					a.totSpec += 1 - p
-					if !claims {
-						a.tnSpec += 1 - p
-					}
-				}
-			}
-		}
-		for si := range accs {
-			a := &accs[si]
-			st := &stats[si]
-			if a.totSens > 0 {
-				st.sens = clampRate(a.tpSens / a.totSens)
-			}
-			if a.totSpec > 0 {
-				st.spec = clampRate(a.tnSpec / a.totSpec)
-			}
-		}
-	}
-
-	res := &refResult{
-		Method:        m.Name(),
-		Decisions:     make(map[string]*refDecision, len(c.Items)),
-		SourceQuality: make(map[string]float64, nsrc),
-	}
-	for si, s := range c.SourceNames {
-		res.SourceQuality[s] = stats[si].sens
-	}
-	for i, it := range c.Items {
-		mi := &items[i]
-		belief := make(map[string]float64, len(it.Values))
-		d := &refDecision{Item: it, Belief: belief}
-		for vi, vc := range it.Values {
-			p := mi.probs[vi]
-			belief[vc.Value.Key()] = p
-			if p >= thresh {
-				d.Truths = append(d.Truths, vc.Value)
-			}
-		}
-		// Guarantee at least one truth per claimed item: take the argmax
-		// when nothing clears the threshold.
-		if len(d.Truths) == 0 && len(it.Values) > 0 {
-			var best rdf.Term
-			bestP := -1.0
-			for vi, vc := range it.Values {
-				if p := mi.probs[vi]; p > bestP || (p == bestP && vc.Value.Compare(best) < 0) {
-					best, bestP = vc.Value, p
-				}
-			}
-			d.Truths = []rdf.Term{best}
-		}
-		d.Truths = referenceSortedTruths(d.Truths)
-		res.Decisions[it.Key()] = d
-	}
-	return res
-}
-
-func referenceSortedTruths(ts []rdf.Term) []rdf.Term {
-	sort.Slice(ts, func(i, j int) bool { return ts[i].Compare(ts[j]) < 0 })
-	return ts
 }

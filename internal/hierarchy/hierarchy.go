@@ -114,21 +114,6 @@ func (f *Forest) Compatible(a, b string) bool {
 	return a == b || f.IsAncestor(a, b) || f.IsAncestor(b, a)
 }
 
-// MostSpecific returns, among compatible values, the one deepest in the
-// hierarchy; if the values are incompatible it returns "", false.
-func (f *Forest) MostSpecific(a, b string) (string, bool) {
-	switch {
-	case a == b:
-		return a, true
-	case f.IsAncestor(a, b):
-		return b, true
-	case f.IsAncestor(b, a):
-		return a, true
-	default:
-		return "", false
-	}
-}
-
 // Depth returns the distance of v from its root (root has depth 0). Unknown
 // values have depth 0.
 func (f *Forest) Depth(v string) int {
@@ -154,24 +139,6 @@ func (f *Forest) Root(v string) string {
 		}
 		cur = p
 	}
-}
-
-// LowestCommonAncestor returns the deepest value that generalises both a and
-// b (possibly one of them), or "", false if they are in different trees.
-func (f *Forest) LowestCommonAncestor(a, b string) (string, bool) {
-	onPathA := map[string]struct{}{a: {}}
-	for _, anc := range f.Ancestors(a) {
-		onPathA[anc] = struct{}{}
-	}
-	if _, ok := onPathA[b]; ok {
-		return b, true
-	}
-	for cur, ok := b, true; ok; cur, ok = f.parent[cur] {
-		if _, hit := onPathA[cur]; hit {
-			return cur, true
-		}
-	}
-	return "", false
 }
 
 // ClusterCompatible partitions values into groups of pairwise-compatible

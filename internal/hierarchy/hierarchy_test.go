@@ -85,22 +85,6 @@ func TestIsAncestorAndCompatible(t *testing.T) {
 	}
 }
 
-func TestMostSpecific(t *testing.T) {
-	f := locationForest()
-	if v, ok := f.MostSpecific("Wuhan", "China"); !ok || v != "Wuhan" {
-		t.Errorf("MostSpecific(Wuhan, China) = %q, %v", v, ok)
-	}
-	if v, ok := f.MostSpecific("China", "Wuhan"); !ok || v != "Wuhan" {
-		t.Errorf("MostSpecific(China, Wuhan) = %q, %v", v, ok)
-	}
-	if _, ok := f.MostSpecific("Wuhan", "Adelaide"); ok {
-		t.Error("incompatible values reported specific")
-	}
-	if v, ok := f.MostSpecific("X", "X"); !ok || v != "X" {
-		t.Error("equal unknown values must be compatible")
-	}
-}
-
 func TestDepthAndRoot(t *testing.T) {
 	f := locationForest()
 	cases := []struct {
@@ -135,22 +119,6 @@ func TestDepthAndRoot(t *testing.T) {
 	}
 }
 
-func TestLowestCommonAncestor(t *testing.T) {
-	f := locationForest()
-	if lca, ok := f.LowestCommonAncestor("Adelaide", "Melbourne"); !ok || lca != "Australia" {
-		t.Errorf("LCA(Adelaide, Melbourne) = %q, %v", lca, ok)
-	}
-	if lca, ok := f.LowestCommonAncestor("Adelaide", "South Australia"); !ok || lca != "South Australia" {
-		t.Errorf("LCA(Adelaide, South Australia) = %q, %v", lca, ok)
-	}
-	if lca, ok := f.LowestCommonAncestor("Adelaide", "Adelaide"); !ok || lca != "Adelaide" {
-		t.Errorf("LCA self = %q, %v", lca, ok)
-	}
-	if _, ok := f.LowestCommonAncestor("Adelaide", "Wuhan"); ok {
-		t.Error("cross-tree LCA must not exist")
-	}
-}
-
 func TestClusterCompatible(t *testing.T) {
 	f := locationForest()
 	groups := f.ClusterCompatible([]string{"Wuhan", "Adelaide", "China", "Australia", "South Australia", "Wuhan"})
@@ -166,6 +134,11 @@ func TestClusterCompatible(t *testing.T) {
 	}
 	if len(groups[1]) != 2 { // China, Wuhan (dedup)
 		t.Errorf("China group = %v, want [China Wuhan]", groups[1])
+	}
+	// Siblings meet in one group through the ancestor that joined it before
+	// the second, though it is not compatible with the group's first value.
+	if g := f.ClusterCompatible([]string{"Adelaide", "Australia", "Melbourne"}); len(g) != 1 || len(g[0]) != 3 || g[0][0] != "Australia" {
+		t.Errorf("ClusterCompatible(Adelaide, Australia, Melbourne) = %v, want one group headed by Australia", g)
 	}
 }
 
@@ -202,8 +175,7 @@ func TestChildren(t *testing.T) {
 	}
 }
 
-// Property: in a randomly built forest, Compatible is symmetric, and for
-// compatible pairs MostSpecific returns the deeper of the two.
+// Property: in a randomly built forest, Compatible is symmetric.
 func TestCompatibleSymmetryProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -217,15 +189,6 @@ func TestCompatibleSymmetryProperty(t *testing.T) {
 			x, y := names[r.Intn(len(names))], names[r.Intn(len(names))]
 			if fo.Compatible(x, y) != fo.Compatible(y, x) {
 				return false
-			}
-			if fo.Compatible(x, y) {
-				ms, ok := fo.MostSpecific(x, y)
-				if !ok {
-					return false
-				}
-				if fo.Depth(ms) < fo.Depth(x) || fo.Depth(ms) < fo.Depth(y) {
-					return false
-				}
 			}
 		}
 		return true

@@ -10,7 +10,7 @@ var (
 	OrderFacts           = orderFacts
 	OrderKBs             = orderKBs
 	CheckStrings         = checkStrings
-	CheckWriter          = checkWriter
+	CheckRoundTrip       = checkRoundTrip
 	CheckDecoder         = checkDecoder
 )
 

@@ -501,9 +501,12 @@ func TestStoreHoldsTheFactsStrings(t *testing.T) {
 	check("pipeline KB", binTestSharded(t))
 }
 
-func TestWriterMatchesReference(t *testing.T) {
-	store.OrderKBs(t, func(where string, s *store.Sharded) { store.CheckWriter(t, where, s) })
-	store.CheckWriter(t, "pipeline KB", binTestSharded(t))
+// TestCodecRoundTrip: encode∘decode is the identity on facts, on every
+// store the codec's tests build or decode and on the pipeline KB.
+func TestCodecRoundTrip(t *testing.T) {
+	check := func(where string, s *store.Sharded) { store.CheckRoundTrip(t, where, s) }
+	store.OrderKBs(t, check)
+	check("pipeline KB", binTestSharded(t))
 }
 
 func TestDecoderAssemblesWhatBuildBuilds(t *testing.T) {

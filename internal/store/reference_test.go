@@ -2,11 +2,7 @@ package store
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/binary"
 	"fmt"
-	"io"
-	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -17,10 +13,10 @@ import (
 )
 
 // The snapshot codec's oracles. The table every store holds is checked
-// against brute force: the sorted distinct strings of its facts. The writer
-// is held to the form it had while every string was hashed — a probe of a
-// map over that table per field per fact — and every shard the decoder
-// assembles to the one NewSharded builds from the same facts.
+// against brute force: the sorted distinct strings of its facts. Every shard
+// the decoder assembles is held to the one NewSharded builds from the same
+// facts, and encode∘decode to the identity on facts. The bytes themselves
+// are pinned by TestGoldenSnapshotDigest.
 
 // bruteStrings is every string the facts hold in any field, the empty class
 // included, sorted and each once: what a store's string table must be.
@@ -31,63 +27,6 @@ func bruteStrings(facts []Fact) []string {
 	}
 	sort.Strings(strs)
 	return slices.Compact(strs)
-}
-
-// refWriteBinarySnapshot is WriteBinarySnapshot as it was: the columns
-// encoded from the facts' strings through a map over bruteStrings' table.
-func refWriteBinarySnapshot(s *Sharded, w io.Writer) error {
-	strs := bruteStrings(s.Facts())
-	ids := make(map[string]uint32, len(strs))
-	for i, str := range strs {
-		ids[str] = uint32(i)
-	}
-	be := binary.BigEndian
-	var buf []byte
-	buf = append(buf, binMagic...)
-	buf = be.AppendUint32(buf, BinarySnapshotVersion)
-	buf = be.AppendUint32(buf, uint32(len(s.shards)))
-	buf = be.AppendUint64(buf, uint64(s.Len()))
-	buf = be.AppendUint64(buf, uint64(len(strs)))
-	for _, str := range strs {
-		buf = binary.AppendUvarint(buf, uint64(len(str)))
-		buf = append(buf, str...)
-	}
-	for _, sh := range s.shards {
-		facts := shardFacts(sh)
-		buf = be.AppendUint64(buf, uint64(len(facts)))
-		var entity, class uint32
-		for i := range facts {
-			f := &facts[i]
-			if i == 0 || f.Entity != facts[i-1].Entity {
-				entity = ids[f.Entity]
-			}
-			if i == 0 || f.Class != facts[i-1].Class {
-				class = ids[f.Class]
-			}
-			buf = be.AppendUint32(buf, entity)
-			buf = be.AppendUint32(buf, ids[f.Attr])
-			buf = be.AppendUint32(buf, ids[f.Value])
-			buf = be.AppendUint32(buf, class)
-		}
-		for i := range facts {
-			buf = be.AppendUint64(buf, math.Float64bits(facts[i].Confidence))
-		}
-		for i := range facts {
-			if facts[i].Sources < 0 {
-				return fmt.Errorf("store: negative source count %d for %q", facts[i].Sources, facts[i].Entity)
-			}
-			buf = binary.AppendUvarint(buf, uint64(facts[i].Sources))
-		}
-		for i := range facts {
-			buf = binary.AppendUvarint(buf, uint64(len(facts[i].Ancestors)))
-			for _, anc := range facts[i].Ancestors {
-				buf = binary.AppendUvarint(buf, uint64(ids[anc]))
-			}
-		}
-	}
-	sum := sha256.Sum256(buf)
-	_, err := w.Write(append(buf, sum[:]...))
-	return err
 }
 
 // orderNames is what sorting by an eight-byte prefix can get wrong, added to
@@ -130,10 +69,10 @@ func orderFacts(r *rand.Rand) []Fact {
 	return facts
 }
 
-// orderKBs calls check with every store the reference tests run on: the
-// 150 nasty KBs (30 under -short), extended by orderFacts, on 1, 3 and 8
+// orderKBs calls check with every store the codec's tests run on: the 150
+// nasty KBs (30 under -short), extended by orderFacts, on 1, 3 and 8
 // shards, each as NewSharded builds it and as the decoder assembles it from
-// the reference writer's bytes.
+// the bytes it writes.
 func orderKBs(t *testing.T, check func(where string, s *Sharded)) {
 	t.Helper()
 	kbs := 150
@@ -146,7 +85,7 @@ func orderKBs(t *testing.T, check func(where string, s *Sharded)) {
 			s := NewSharded(facts, n)
 			check(fmt.Sprintf("seed %d, %d shards, built", seed, n), s)
 			var buf bytes.Buffer
-			if err := refWriteBinarySnapshot(s, &buf); err != nil {
+			if err := s.WriteBinarySnapshot(&buf); err != nil {
 				t.Fatalf("seed %d, %d shards: %v", seed, n, err)
 			}
 			back, err := ReadBinarySnapshot(&buf)
@@ -164,7 +103,8 @@ func orderKBs(t *testing.T, check func(where string, s *Sharded)) {
 // string: each run's rank is its entity's ID, and each index's lists are its
 // keys in the order the facts first post them, each found by its ID. Every
 // other ID of the table, the names this shard's index does not list, finds
-// no list.
+// no list. The valueNo column has one entry a value posting — the fact's
+// value, then each ancestor — each byValue's list of that name.
 func checkStrings(t testing.TB, where string, s *Sharded) {
 	t.Helper()
 	strs := s.names.strs
@@ -231,27 +171,8 @@ func checkStrings(t testing.TB, where string, s *Sharded) {
 				t.Errorf("%s shard %d: %s finds NoID at list %d", where, si, index, no)
 			}
 		}
-	}
-}
-
-// checkWriter holds WriteBinarySnapshot to the reference's bytes, and the
-// valueNo column it reads to the strings: one entry a posting, byValue's
-// list number of the fact's value, then of each ancestor.
-func checkWriter(t testing.TB, where string, s *Sharded) []byte {
-	t.Helper()
-	var got, want bytes.Buffer
-	if err := s.WriteBinarySnapshot(&got); err != nil {
-		t.Fatalf("%s: %v", where, err)
-	}
-	if err := refWriteBinarySnapshot(s, &want); err != nil {
-		t.Fatalf("%s: %v", where, err)
-	}
-	if !bytes.Equal(got.Bytes(), want.Bytes()) {
-		t.Fatalf("%s: snapshot bytes\n got: %x\nwant: %x", where, got.Bytes(), want.Bytes())
-	}
-	for si, sh := range s.shards {
 		var names []string
-		for _, f := range shardFacts(sh) {
+		for _, f := range facts {
 			names = append(append(names, f.Value), f.Ancestors...)
 		}
 		if len(sh.valueNo) != len(names) {
@@ -263,7 +184,25 @@ func checkWriter(t testing.TB, where string, s *Sharded) []byte {
 			}
 		}
 	}
-	return got.Bytes()
+}
+
+// checkRoundTrip holds encode∘decode to the identity on facts: the store
+// decoded from what s writes holds s's facts, deeply equal. It returns the
+// file and the decoded store.
+func checkRoundTrip(t testing.TB, where string, s *Sharded) ([]byte, *Sharded) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := s.WriteBinarySnapshot(&buf); err != nil {
+		t.Fatalf("%s: %v", where, err)
+	}
+	back, err := ReadBinarySnapshot(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatalf("%s: %v", where, err)
+	}
+	if got, want := back.Facts(), s.Facts(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: the decoded store holds\n%+v\nthe written one\n%+v", where, got, want)
+	}
+	return buf.Bytes(), back
 }
 
 // checkDecoder holds the store the decoder assembles from file to the one
@@ -271,7 +210,7 @@ func checkWriter(t testing.TB, where string, s *Sharded) []byte {
 // and name table, and every shard deeply equal — postings tables, offsets,
 // arenas and ids, attrNo, classNo, valueNo, first, valueID, conf, sources,
 // anc, runs, runOf, rank.
-func checkDecoder(t testing.TB, where string, file []byte) *Sharded {
+func checkDecoder(t testing.TB, where string, file []byte) {
 	t.Helper()
 	got, err := ReadBinarySnapshot(bytes.NewReader(file))
 	if err != nil {
@@ -300,7 +239,6 @@ func checkDecoder(t testing.TB, where string, file []byte) *Sharded {
 			}
 		}
 	}
-	return got
 }
 
 // TestRejectedSnapshotLeavesNoGoroutine rejects files at every stage of the
@@ -376,12 +314,11 @@ func factsFromBytes(data []byte) (facts []Fact, shards int) {
 	return facts, shards
 }
 
-// FuzzWriterAndDecoderMatchReference holds both directions of the codec to
-// their oracles on KBs spelt from the fuzzer's bytes: the built and the
-// decoded store each hold the brute-force table, the file is the reference
-// writer's, the store decoded from it is NewSharded's of its facts, and it
-// writes the same file again.
-func FuzzWriterAndDecoderMatchReference(f *testing.F) {
+// FuzzCodecRoundTrip holds both directions of the codec to their oracles
+// on KBs spelt from the fuzzer's bytes: the built and the decoded store each
+// hold the brute-force table, the decoded store holds the built one's facts
+// and is NewSharded's of them, and it writes the same file again.
+func FuzzCodecRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 1, 1, 'E', 1, 'a', 1, 'v', 1, 'C'})
 	f.Add([]byte{8, 7, 8, 'F', 'i', 'l', 'm', ' ', '1', '2', '3', 9, 'F', 'i', 'l', 'm', ' ', '1', '2', '3', '4', 0, 1, 0xff, 2, 0, 0, 0,
@@ -391,10 +328,10 @@ func FuzzWriterAndDecoderMatchReference(f *testing.F) {
 		facts, shards := factsFromBytes(data)
 		s := NewSharded(facts, shards)
 		checkStrings(t, "built", s)
-		file := checkWriter(t, "built", s)
-		back := checkDecoder(t, "decoded", file)
+		file, back := checkRoundTrip(t, "built", s)
+		checkDecoder(t, "decoded", file)
 		checkStrings(t, "decoded", back)
-		if again := checkWriter(t, "decoded", back); !bytes.Equal(again, file) {
+		if again, _ := checkRoundTrip(t, "decoded", back); !bytes.Equal(again, file) {
 			t.Errorf("the decoded store writes a different file:\n got: %x\nwant: %x", again, file)
 		}
 	})
