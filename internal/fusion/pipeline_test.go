@@ -68,22 +68,25 @@ func TestPipelineClaimsMatchReference(t *testing.T) {
 	}
 }
 
-// TestMethodsFollowTheirRules holds every method of fusion.RuleMethods to
-// the rules it states (fusion.CheckRules): on nasty claims at every
-// granularity, on a synthetic world of four sources of set accuracies, and
-// on E6's two workloads — a pipeline run's claims and the same with two
+// checkMethodRules holds every method of fusion.RuleMethods(forest) to the
+// rules it states (fusion.CheckRules) on c.
+func checkMethodRules(t *testing.T, label string, c *fusion.Claims, forest *hierarchy.Forest) {
+	t.Helper()
+	for _, m := range fusion.RuleMethods(forest) {
+		if err := fusion.CheckRules(c, m); err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+	}
+}
+
+// TestDecisionsMatchReference holds every method's decisions to the
+// reference each method's doc comment states — its rules, as
+// fusion.CheckRules spells them — on nasty claims at every granularity and
+// on E6's two workloads: a pipeline run's claims and the same with two
 // copiers injected. The nasty claims must meet the cases the hierarchy
 // tells apart: implied truths folded away and implied truths the base
 // method rejected as candidates, and items of one value.
-func TestMethodsFollowTheirRules(t *testing.T) {
-	check := func(label string, c *fusion.Claims, forest *hierarchy.Forest) {
-		t.Helper()
-		for _, m := range fusion.RuleMethods(forest) {
-			if err := fusion.CheckRules(c, m); err != nil {
-				t.Fatalf("%s: %v", label, err)
-			}
-		}
-	}
+func TestDecisionsMatchReference(t *testing.T) {
 	forest := fusion.NastyForest()
 	var implied, impliedRejected, oneValue int
 	r := rand.New(rand.NewSource(25))
@@ -91,7 +94,7 @@ func TestMethodsFollowTheirRules(t *testing.T) {
 		stmts := fusion.NastyStatements(r)
 		for _, g := range []fusion.Granularity{fusion.BySource, fusion.BySourceExtractor, fusion.ByExtractor} {
 			c := fusion.BuildClaims(stmts, g)
-			check(fmt.Sprintf("round %d granularity %d", round, g), c, forest)
+			checkMethodRules(t, fmt.Sprintf("round %d granularity %d", round, g), c, forest)
 			for _, d := range (&fusion.Full{Forest: forest}).Fuse(c).Decisions {
 				if len(d.Item.Values) == 1 {
 					oneValue++
@@ -109,11 +112,16 @@ func TestMethodsFollowTheirRules(t *testing.T) {
 	if implied == 0 || impliedRejected == 0 || implied == impliedRejected || oneValue == 0 {
 		t.Error("the claims miss a case: want implied truths both folded away and rejected as candidates, and one-value items")
 	}
-	stmts, _ := fusion.SynthWorld(t, 5, 40, map[string]float64{"a": 0.9, "b": 0.7, "c": 0.5, "d": 0.3})
-	check("synthetic world", fusion.BuildClaims(stmts, fusion.BySource), forest)
 	for name, stmts := range pipelineStatementSets(t) {
-		check(name, fusion.BuildClaims(stmts, fusion.BySourceExtractor), pipelineRun(t).World.Hier)
+		checkMethodRules(t, name, fusion.BuildClaims(stmts, fusion.BySourceExtractor), pipelineRun(t).World.Hier)
 	}
+}
+
+// TestAllMethodsInvariants runs the same rules on a synthetic world of four
+// sources of set accuracies, where every method has something to learn.
+func TestAllMethodsInvariants(t *testing.T) {
+	stmts, _ := fusion.SynthWorld(t, 5, 40, map[string]float64{"a": 0.9, "b": 0.7, "c": 0.5, "d": 0.3})
+	checkMethodRules(t, "synthetic world", fusion.BuildClaims(stmts, fusion.BySource), fusion.NastyForest())
 }
 
 // TestFullInvariantUnderStatementPermutation: the default path end to end —
