@@ -114,6 +114,16 @@ func (s *scanner) next() bool {
 				return s.text(src[i:])
 			}
 			s.pos = i + idx
+			// An end tag the input ends inside — "</style" with no '>'
+			// after it — is dropped with the rest of the input. Kept as
+			// text, it would render inside the element,
+			// before the end tag the renderer closes it with, and a re-parse
+			// would read it as that end tag: "<style>0</style" would render
+			// as "<style>0</style</style>", which parses as
+			// "<style>0</style>".
+			if strings.IndexByte(src[s.pos:], '>') < 0 {
+				s.pos = len(src)
+			}
 			if idx > 0 {
 				s.tok = Token{Kind: TokenText, Data: src[i : i+idx]}
 				return true

@@ -3,11 +3,14 @@ package serve
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"io"
 	"log/slog"
+	"math"
 	"math/rand"
 	"net"
 	"net/http"
@@ -1174,12 +1177,13 @@ func (m *modelRun) wait(ch <-chan struct{}, what string) {
 
 // prepareReload sets what the reloader returns next and says whether the
 // reload succeeds, with the facts it installs: a good store in memory or
-// through a snapshot file, a corrupt snapshot file, an empty store, or a
-// loader error.
+// through a snapshot file, a corrupt snapshot file, a snapshot file whose
+// trailer verifies but whose decode refuses it, an empty store, or a loader
+// error.
 func (m *modelRun) prepareReload() (ok bool, facts []store.Fact) {
 	path := filepath.Join(m.dir, fmt.Sprintf("kb-%d.akb", m.step))
-	switch kind := m.ops.Intn(6); kind {
-	case 0, 1, 2:
+	switch kind := m.ops.Intn(7); kind {
+	case 0, 1, 2, 3:
 		facts = m.goodFacts()
 		st := store.NewSharded(facts, m.shards)
 		if kind == 0 {
@@ -1189,12 +1193,17 @@ func (m *modelRun) prepareReload() (ok bool, facts []store.Fact) {
 		if err := st.WriteBinarySnapshotFile(path); err != nil {
 			m.t.Fatal(err)
 		}
-		if kind == 2 {
+		if kind >= 2 {
 			raw, err := os.ReadFile(path)
 			if err != nil {
 				m.t.Fatal(err)
 			}
-			raw[len(raw)/2] ^= 1
+			if kind == 2 {
+				raw[len(raw)/2] ^= 1
+			} else {
+				resignNaN(m.t, raw)
+				m.cover["re-signed NaN"]++
+			}
 			if err := os.WriteFile(path, raw, 0o644); err != nil {
 				m.t.Fatal(err)
 			}
@@ -1205,12 +1214,33 @@ func (m *modelRun) prepareReload() (ok bool, facts []store.Fact) {
 			return q, err
 		}
 		return kind == 1, facts
-	case 3:
+	case 4:
 		m.next = func() (store.Querier, error) { return store.New(nil), nil }
 	default:
 		m.next = func() (store.Querier, error) { return nil, fmt.Errorf("loader failed at step %d", m.step) }
 	}
 	return false, nil
+}
+
+// resignNaN turns the stamp fact's confidence, 1, into a NaN in the
+// snapshot file raw and signs the file again: its trailer verifies, and the
+// decoder refuses the confidence. No other run of the file's bytes spells
+// 1.0: a model KB has a few dozen strings, so every ID, count and length
+// is a small number, and no name holds those bytes.
+func resignNaN(t testing.TB, raw []byte) {
+	at := bytes.Index(raw, binary.BigEndian.AppendUint64(nil, math.Float64bits(1)))
+	if at < 0 {
+		t.Fatal("no confidence of 1 in the snapshot")
+	}
+	binary.BigEndian.PutUint64(raw[at:], math.Float64bits(math.NaN()))
+	payload := raw[:len(raw)-sha256.Size]
+	sum := sha256.Sum256(payload)
+	copy(raw[len(payload):], sum[:])
+	// A wrong trailer wins over every format error: this one names the
+	// confidence only if the trailer verified.
+	if _, err := store.ReadBinarySnapshot(bytes.NewReader(raw)); err == nil || !strings.Contains(err.Error(), "non-finite confidence") {
+		t.Fatalf("the re-signed snapshot is not refused for its confidence: %v", err)
+	}
 }
 
 // applyReload moves the model: a good store is the next generation and
@@ -1548,7 +1578,7 @@ func TestServerMatchesModel(t *testing.T) {
 	}
 	t.Logf("reached: %v", cover)
 	for _, k := range []string{"shed", "timeout", "chaos", "poison", "cancelled mid-read", "cancelled", "reload", "reload failed",
-		"reload under load", "starting", "draining"} {
+		"re-signed NaN", "reload under load", "starting", "draining"} {
 		if cover[k] == 0 {
 			t.Errorf("no seed reached %q: %v", k, cover)
 		}

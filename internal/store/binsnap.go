@@ -56,7 +56,10 @@ import (
 // NewSharded numbers its strings once, at construction. Writing is therefore
 // the header, the held table and the columns read by number — rank, valueID,
 // attrNo, classNo and valueNo through each index's ids, conf and sources —
-// with no sort.
+// with no sort. As the checksum is computed beside the decode, it is computed
+// beside the encode: a helper goroutine encodes the shard segments and hands
+// each to the writer, while the caller encodes the string table and then
+// hashes each segment as it arrives (WriteBinarySnapshot).
 //
 // Facts are segmented per shard by entity hash (ShardOf), so a loader
 // can reconstruct the sharded store without re-partitioning and a future
@@ -80,68 +83,146 @@ const (
 
 // WriteBinarySnapshot serialises the sharded store in the version-3
 // binary layout. The encoding is deterministic: equal stores produce
-// byte-identical snapshots. The file is encoded in memory, hashed once
-// and handed to w in a single Write. No fact is made and no string looked
-// up: the store holds its string table, and every column is a number that
-// leads into it (rank, valueID, and attrNo, classNo and valueNo through their
-// index's ids) or is what the file holds (conf, sources).
+// byte-identical snapshots. No fact is made and no string looked up: the
+// store holds its string table, and every column is a number that leads into
+// it (rank, valueID, and attrNo, classNo and valueNo through their index's
+// ids) or is what the file holds (conf, sources).
+//
+// The file is written the way the decoder reads it, on two goroutines: this
+// one encodes the header and the string table while a helper encodes the
+// shard segments in file order. The helper hands w the head, then each
+// segment as soon as it is encoded, one Write a part, and hands the same
+// segment to this goroutine, which runs SHA-256 over each part in file order
+// as it arrives and ends the file with the trailer. A store holding a
+// non-finite confidence or a negative source count is refused before
+// anything reaches w. A failed Write is returned; on every return the helper
+// has been waited for, and a panic on it is raised again on the caller's
+// goroutine as a *mapreduce.Panic.
 func (s *Sharded) WriteBinarySnapshot(w io.Writer) error {
+	if err := s.checkColumns(); err != nil {
+		return err
+	}
 	strs := s.names.strs
-	// Sized for one-byte source counts and three-byte ancestor IDs; a
-	// store outside that still encodes, by growing the buffer.
-	size := binHeaderLen + binTrailerLen
+	// Sized for two-byte string lengths, one-byte source counts and
+	// three-byte ancestor IDs; a part that outgrows its share of its buffer
+	// still encodes, by growing out of it.
+	size := binHeaderLen
 	for _, str := range strs {
 		size += len(str) + 2
 	}
-	for _, sh := range s.shards {
-		size += 8 + sh.len()*binMinFactLen + 3*len(sh.anc)
-	}
+	hdr := make([]byte, 0, size)
+	// No part changes once it is handed over: the helper writes what this
+	// goroutine hashes. head holds the one head and segs every segment, so
+	// the helper waits for nothing but the head, and this goroutine for the
+	// next segment.
+	head := make(chan []byte, 1)
+	segs := make(chan []byte, len(s.shards))
+	var werr error
+	var caught *mapreduce.Panic
+	go func() {
+		defer close(segs)
+		caught = catch(func() {
+			n := 0
+			for _, sh := range s.shards {
+				n += sh.segmentSize()
+			}
+			buf := make([]byte, n)
+			if _, werr = w.Write(<-head); werr != nil {
+				return
+			}
+			off := 0
+			for _, sh := range s.shards {
+				end := off + sh.segmentSize()
+				seg := sh.appendSegment(buf[off:off:end])
+				off = end
+				segs <- seg
+				if _, werr = w.Write(seg); werr != nil {
+					return
+				}
+			}
+		})
+	}()
 	be := binary.BigEndian
-	buf := make([]byte, 0, size)
-	buf = append(buf, binMagic...)
-	buf = be.AppendUint32(buf, BinarySnapshotVersion)
-	buf = be.AppendUint32(buf, uint32(len(s.shards)))
-	buf = be.AppendUint64(buf, uint64(s.Len()))
-	buf = be.AppendUint64(buf, uint64(len(strs)))
+	hdr = append(hdr, binMagic...)
+	hdr = be.AppendUint32(hdr, BinarySnapshotVersion)
+	hdr = be.AppendUint32(hdr, uint32(len(s.shards)))
+	hdr = be.AppendUint64(hdr, uint64(s.Len()))
+	hdr = be.AppendUint64(hdr, uint64(len(strs)))
 	for _, str := range strs {
-		buf = binary.AppendUvarint(buf, uint64(len(str)))
-		buf = append(buf, str...)
+		hdr = binary.AppendUvarint(hdr, uint64(len(str)))
+		hdr = append(hdr, str...)
 	}
+	head <- hdr
+	sum := sha256.New()
+	sum.Write(hdr)
+	for seg := range segs { // until the helper has closed it: waited for
+		sum.Write(seg)
+	}
+	if caught != nil {
+		panic(caught) // on the caller's goroutine, where it can be recovered
+	}
+	if werr == nil {
+		_, werr = w.Write(sum.Sum(hdr[:0])) // w has let go of hdr
+	}
+	if werr != nil {
+		return fmt.Errorf("store: write binary snapshot: %w", werr)
+	}
+	return nil
+}
+
+// checkColumns refuses a store no snapshot may hold: a non-finite
+// confidence, which neither side of the codec lets through, or a negative
+// source count, which a uvarint cannot spell. New refuses both; a store's
+// columns can still be given them after it was built.
+func (s *Sharded) checkColumns() error {
 	for _, sh := range s.shards {
-		attrID, classID, listID := sh.byAttr.ids, sh.byClass.ids, sh.byValue.ids
-		buf = be.AppendUint64(buf, uint64(sh.len()))
-		for i := range sh.valueID {
-			buf = be.AppendUint32(buf, sh.rank[sh.runOf[i]])
-			buf = be.AppendUint32(buf, attrID[sh.attrNo[i]])
-			buf = be.AppendUint32(buf, sh.valueID[i])
-			buf = be.AppendUint32(buf, classID[sh.classNo[i]])
-		}
 		for i, conf := range sh.conf {
-			bits := math.Float64bits(conf)
-			if bits&binConfExponent == binConfExponent {
+			if math.Float64bits(conf)&binConfExponent == binConfExponent {
 				return fmt.Errorf("store: non-finite confidence %v for %q", conf, sh.entity(int32(i)))
 			}
-			buf = be.AppendUint64(buf, bits)
 		}
 		for i, n := range sh.sources {
 			if n < 0 {
 				return fmt.Errorf("store: negative source count %d for %q", n, sh.entity(int32(i)))
 			}
-			buf = binary.AppendUvarint(buf, uint64(n))
 		}
-		for i := range sh.valueID {
-			anc := sh.valueNo[sh.first[i]+1 : sh.first[i+1]]
-			buf = binary.AppendUvarint(buf, uint64(len(anc)))
-			for _, no := range anc {
-				buf = binary.AppendUvarint(buf, uint64(listID[no]))
-			}
-		}
-	}
-	sum := sha256.Sum256(buf)
-	if _, err := w.Write(append(buf, sum[:]...)); err != nil {
-		return fmt.Errorf("store: write binary snapshot: %w", err)
 	}
 	return nil
+}
+
+// segmentSize is what the shard's segment takes in the file with one-byte
+// source counts and three-byte ancestor IDs.
+func (sh *shard) segmentSize() int {
+	return 8 + sh.len()*binMinFactLen + 3*len(sh.anc)
+}
+
+// appendSegment appends the shard's segment of the file to buf — its fact
+// count, then its columns — and returns the extended buffer. The columns
+// have passed checkColumns.
+func (sh *shard) appendSegment(buf []byte) []byte {
+	be := binary.BigEndian
+	attrID, classID, listID := sh.byAttr.ids, sh.byClass.ids, sh.byValue.ids
+	buf = be.AppendUint64(buf, uint64(sh.len()))
+	for i := range sh.valueID {
+		buf = be.AppendUint32(buf, sh.rank[sh.runOf[i]])
+		buf = be.AppendUint32(buf, attrID[sh.attrNo[i]])
+		buf = be.AppendUint32(buf, sh.valueID[i])
+		buf = be.AppendUint32(buf, classID[sh.classNo[i]])
+	}
+	for _, conf := range sh.conf {
+		buf = be.AppendUint64(buf, math.Float64bits(conf))
+	}
+	for _, n := range sh.sources {
+		buf = binary.AppendUvarint(buf, uint64(n))
+	}
+	for i := range sh.valueID {
+		anc := sh.valueNo[sh.first[i]+1 : sh.first[i+1]]
+		buf = binary.AppendUvarint(buf, uint64(len(anc)))
+		for _, no := range anc {
+			buf = binary.AppendUvarint(buf, uint64(listID[no]))
+		}
+	}
+	return buf
 }
 
 // binKey stands for one index key while the table is sorted: the key's
@@ -309,17 +390,52 @@ type binHeader struct {
 var errNotV3 = errors.New(`store: not a v3 snapshot (the file does not start with "` + binMagic +
 	`"; JSON snapshots are no longer read): regenerate it with "akb pipeline -snapshot <file>"`)
 
-// binVerify checks magic, checksum and version of a whole snapshot and
-// parses the fixed header: the verify path, which decodes nothing else.
-func binVerify(data []byte) (binHeader, *binReader, error) {
-	payload, trailer, err := binFrame(data)
-	if err == nil {
-		err = binChecksum(payload, trailer)
+// binVerify checks magic, checksum and version of a whole snapshot read from
+// rd and parses its fixed header: the verify path, which decodes nothing
+// else. The file streams through SHA-256 in reads of one fixed buffer, the
+// last binTrailerLen bytes read held back as the trailer, so a file of any
+// size is verified in the same memory, with the verdicts binFrame,
+// binChecksum and binParseHeader give on the file in memory. It returns the
+// trailer.
+func binVerify(rd io.Reader) (binHeader, []byte, error) {
+	const held = binTrailerLen
+	// buf[held-kept:held] is what was read and not yet hashed, the next
+	// read lands at buf[held:].
+	buf := make([]byte, held+64<<10)
+	var head [binHeaderLen]byte
+	sum := sha256.New()
+	size, kept := 0, 0
+	for {
+		n, err := io.ReadFull(rd, buf[held:])
+		if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
+			return binHeader{}, nil, err
+		}
+		if size < binHeaderLen {
+			copy(head[size:], buf[held:held+n])
+			if !bytes.HasPrefix(head[:min(size+n, binHeaderLen)], []byte(binMagic)) {
+				return binHeader{}, nil, errNotV3
+			}
+		}
+		size += n
+		read := buf[held-kept : held+n]
+		if cut := len(read) - held; cut > 0 {
+			sum.Write(read[:cut])
+			read = read[cut:]
+		}
+		kept = copy(buf[held-len(read):held], read)
+		if err != nil {
+			break
+		}
 	}
-	if err != nil {
+	if size < binHeaderLen+binTrailerLen {
+		return binHeader{}, nil, fmt.Errorf("store: binary snapshot truncated: %d bytes, need at least %d", size, binHeaderLen+binTrailerLen)
+	}
+	trailer := buf[:held]
+	if err := binMatch(sum.Sum(nil), trailer); err != nil {
 		return binHeader{}, nil, err
 	}
-	return binParseHeader(payload)
+	hdr, err := binParseHeader(head[:], size-binTrailerLen)
+	return hdr, trailer, err
 }
 
 // binFrame refuses what cannot be a version-3 snapshot at all — no magic, or
@@ -338,37 +454,41 @@ func binFrame(data []byte) (payload, trailer []byte, err error) {
 // binChecksum holds the trailer to the payload's SHA-256.
 func binChecksum(payload, trailer []byte) error {
 	sum := sha256.Sum256(payload)
-	if !bytes.Equal(sum[:], trailer) {
+	return binMatch(sum[:], trailer)
+}
+
+// binMatch holds the trailer to the payload's SHA-256, sum.
+func binMatch(sum, trailer []byte) error {
+	if !bytes.Equal(sum, trailer) {
 		return fmt.Errorf("store: binary snapshot checksum mismatch: trailer %s, payload %s — file is corrupt",
-			hex.EncodeToString(trailer), hex.EncodeToString(sum[:]))
+			hex.EncodeToString(trailer), hex.EncodeToString(sum))
 	}
 	return nil
 }
 
-// binParseHeader checks the version of a framed payload and parses its fixed
-// header.
-func binParseHeader(payload []byte) (binHeader, *binReader, error) {
+// binParseHeader checks the version in head, the fixed header that opens a
+// framed payload of n bytes, and parses it.
+func binParseHeader(head []byte, n int) (binHeader, error) {
 	var hdr binHeader
-	r := &binReader{data: payload, off: len(binMagic)}
 	be := binary.BigEndian
-	b, _ := r.take(4 + 4 + 8 + 8)
+	b := head[len(binMagic):binHeaderLen]
 	version := be.Uint32(b[0:4])
 	if version != BinarySnapshotVersion {
-		return hdr, nil, fmt.Errorf("store: unsupported binary snapshot version %d (this build reads %d)", version, BinarySnapshotVersion)
+		return hdr, fmt.Errorf("store: unsupported binary snapshot version %d (this build reads %d)", version, BinarySnapshotVersion)
 	}
 	shards, facts, strs := uint64(be.Uint32(b[4:8])), be.Uint64(b[8:16]), be.Uint64(b[16:24])
 	if shards == 0 {
-		return hdr, nil, fmt.Errorf("store: binary snapshot declares 0 shards")
+		return hdr, fmt.Errorf("store: binary snapshot declares 0 shards")
 	}
 	// A shard occupies at least its 8-byte count, a fact binMinFactLen
 	// bytes, a string its length byte: a header that declares more than
 	// the file can hold is refused here, before the counts size anything.
 	// String IDs are entity ranks (see shard), which stay below noRank.
-	if left := uint64(r.left()); shards > left/8 || facts > left/binMinFactLen || strs > left || strs > noRank {
-		return hdr, nil, fmt.Errorf("store: binary snapshot header declares %d shards, %d facts, %d strings in %d bytes", shards, facts, strs, left)
+	if left := uint64(n - binHeaderLen); shards > left/8 || facts > left/binMinFactLen || strs > left || strs > noRank {
+		return hdr, fmt.Errorf("store: binary snapshot header declares %d shards, %d facts, %d strings in %d bytes", shards, facts, strs, left)
 	}
 	hdr.shards, hdr.facts, hdr.strings = int(shards), int(facts), int(strs)
-	return hdr, r, nil
+	return hdr, nil
 }
 
 // ReadBinarySnapshot loads a version-3 snapshot written by
@@ -402,10 +522,11 @@ func decodeBinarySnapshot(data []byte) (s *Sharded, err error) {
 			s, err = nil, cerr
 		}
 	}()
-	hdr, d, err := binParseHeader(payload)
+	hdr, err := binParseHeader(payload, len(payload))
 	if err != nil {
 		return nil, err
 	}
+	d := &binReader{data: payload, off: binHeaderLen}
 	if err := d.stringTable(hdr.strings); err != nil {
 		return nil, err
 	}

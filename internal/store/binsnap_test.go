@@ -4,14 +4,20 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
+	"errors"
+	"fmt"
 	"io"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
 	"strings"
 	"testing"
+	"testing/iotest"
+
+	"akb/internal/mapreduce"
 )
 
 // TestBinarySnapshotEmptyAndTiny covers degenerate stores: zero facts,
@@ -95,7 +101,7 @@ func TestBinarySnapshotRejectsCraftedCounts(t *testing.T) {
 			if name == "2^61 shard size" || name == "2^40 ancestors" {
 				return // past the header, which is all the verifier parses
 			}
-			if _, _, err := binVerify(file); err == nil {
+			if _, _, err := binVerify(bytes.NewReader(file)); err == nil {
 				t.Error("binVerify accepted it")
 			}
 		})
@@ -318,6 +324,210 @@ func TestSnapshotFileHasCreateMode(t *testing.T) {
 	}
 	if _, err := openFlat(path); err != nil {
 		t.Errorf("failed write damaged the published snapshot: %v", err)
+	}
+}
+
+// flakyWriter passes what it is given to w until its k-th Write, which
+// fails with err, as does every Write after it.
+type flakyWriter struct {
+	w      io.Writer
+	k      int
+	err    error
+	writes int
+}
+
+func (f *flakyWriter) Write(p []byte) (int, error) {
+	if f.writes++; f.writes >= f.k {
+		return 0, f.err
+	}
+	return f.w.Write(p)
+}
+
+// TestWriteFailureLeavesNoGoroutine fails the writer's k-th Write for every
+// k a write makes — the header and the string table, a segment a shard, the
+// trailer — and one more: the error comes back, no Write follows the failed
+// one, what reached the writer before it is a prefix of the file, and no
+// goroutine is left running once the calls have returned.
+func TestWriteFailureLeavesNoGoroutine(t *testing.T) {
+	s := NewSharded(orderFacts(rand.New(rand.NewSource(1))), 4)
+	var file bytes.Buffer
+	if err := s.WriteBinarySnapshot(&file); err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	writes := s.ShardCount() + 2
+	for k := 1; k <= writes+1; k++ {
+		var got bytes.Buffer
+		fw := &flakyWriter{w: &got, k: k, err: fmt.Errorf("write %d refused", k)}
+		err := s.WriteBinarySnapshot(fw)
+		if k > writes {
+			if err != nil || fw.writes != writes || !bytes.Equal(got.Bytes(), file.Bytes()) {
+				t.Errorf("a writer that fails no Write: err %v after %d Writes of %d bytes, want the %d-byte file in %d", err, fw.writes, got.Len(), file.Len(), writes)
+			}
+			continue
+		}
+		if !errors.Is(err, fw.err) {
+			t.Errorf("Write %d of %d failed: err = %v", k, writes, err)
+		}
+		if fw.writes != k {
+			t.Errorf("Write %d of %d failed and %d more were made", k, writes, fw.writes-k)
+		}
+		if !bytes.HasPrefix(file.Bytes(), got.Bytes()) || k > 1 && got.Len() == 0 {
+			t.Errorf("Write %d of %d failed after %d bytes that do not begin the file", k, writes, got.Len())
+		}
+	}
+	checkGoroutines(t, before, fmt.Sprintf("%d failed writes", writes))
+}
+
+// TestRefusedStoreWritesNothing: a store holding a non-finite confidence or
+// a negative source count in the last fact of its last shard — where an
+// encoder that checked as it went would have written the rest of the file
+// first — is refused before its first Write.
+func TestRefusedStoreWritesNothing(t *testing.T) {
+	for name, spoil := range map[string]func(sh *shard){
+		"NaN confidence":        func(sh *shard) { sh.conf[sh.len()-1] = math.NaN() },
+		"infinite confidence":   func(sh *shard) { sh.conf[sh.len()-1] = math.Inf(-1) },
+		"negative source count": func(sh *shard) { sh.sources[sh.len()-1] = -1 },
+	} {
+		s := NewSharded(orderFacts(rand.New(rand.NewSource(2))), 4)
+		last := len(s.shards) - 1
+		for s.shards[last].len() == 0 {
+			last--
+		}
+		spoil(s.shards[last])
+		var got bytes.Buffer
+		fw := &flakyWriter{w: &got, k: math.MaxInt}
+		if err := s.WriteBinarySnapshot(fw); err == nil {
+			t.Errorf("%s: written", name)
+		}
+		if fw.writes != 0 || got.Len() != 0 {
+			t.Errorf("%s: refused after %d Writes of %d bytes", name, fw.writes, got.Len())
+		}
+	}
+}
+
+// TestFailedFileWriteLeavesNoTempFile fails the snapshot file's stream at
+// each of its Writes after the first — with the header and some segments in
+// the temp file — through atomicWriteFile, which WriteBinarySnapshotFile is:
+// no temp file is left, and the published snapshot is the one before.
+func TestFailedFileWriteLeavesNoTempFile(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "kb.akb")
+	if err := New(testFacts()).WriteBinarySnapshotFile(path); err != nil {
+		t.Fatal(err)
+	}
+	published, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewSharded(orderFacts(rand.New(rand.NewSource(3))), 4)
+	for k := 2; k <= s.ShardCount()+2; k++ {
+		refused := fmt.Errorf("write %d refused", k)
+		err := atomicWriteFile(path, func(w io.Writer) error {
+			return s.WriteBinarySnapshot(&flakyWriter{w: w, k: k, err: refused})
+		})
+		if !errors.Is(err, refused) {
+			t.Errorf("Write %d failed: err = %v", k, err)
+		}
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(entries) != 1 {
+			t.Errorf("Write %d failed and left %v", k, entries)
+		}
+		if now, err := os.ReadFile(path); err != nil || !bytes.Equal(now, published) {
+			t.Errorf("Write %d failed and the published snapshot changed (%v)", k, err)
+		}
+	}
+}
+
+// TestWriterPanicReachesTheCaller: a panic while the helper encodes a
+// segment — here a shard whose first fact names a run it does not have — is
+// raised on the goroutine that called WriteBinarySnapshot, as a
+// *mapreduce.Panic, and leaves no goroutine behind.
+func TestWriterPanicReachesTheCaller(t *testing.T) {
+	s := NewSharded(orderFacts(rand.New(rand.NewSource(4))), 4)
+	last := len(s.shards) - 1
+	for s.shards[last].len() == 0 {
+		last--
+	}
+	s.shards[last].runOf[0] = int32(len(s.shards[last].rank))
+	before := runtime.NumGoroutine()
+	func() {
+		defer func() {
+			if p, ok := recover().(*mapreduce.Panic); !ok {
+				t.Errorf("recovered %v, want a *mapreduce.Panic", p)
+			}
+		}()
+		s.WriteBinarySnapshot(io.Discard)
+	}()
+	checkGoroutines(t, before, "a panicking write")
+}
+
+// TestVerifyStreamsTheFileInMemoryVerdicts holds binVerify, which streams a
+// file through the checksum in fixed reads, to the verdicts of the same
+// checks on the whole file in memory (binFrame, binChecksum,
+// binParseHeader): the same header or the same error, for every torn prefix
+// near either end and around the read size, bit flips, a trailing byte,
+// another magic and crafted headers behind a right trailer — read whole and
+// in short reads.
+func TestVerifyStreamsTheFileInMemoryVerdicts(t *testing.T) {
+	inMemory := func(data []byte) (binHeader, error) {
+		payload, trailer, err := binFrame(data)
+		if err == nil {
+			err = binChecksum(payload, trailer)
+		}
+		if err != nil {
+			return binHeader{}, err
+		}
+		return binParseHeader(payload, len(payload))
+	}
+	var facts []Fact
+	for i := 0; i < 4000; i++ {
+		facts = append(facts, Fact{Entity: fmt.Sprintf("entity %05d", i), Attr: "attr", Value: fmt.Sprintf("value %d", i%300), Confidence: 0.5})
+	}
+	var buf bytes.Buffer
+	if err := NewSharded(facts, 3).WriteBinarySnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+	const read = 64 << 10
+	if len(raw) < 2*read {
+		t.Fatalf("a %d-byte file is read in one or two reads", len(raw))
+	}
+	files := map[string][]byte{
+		"whole":      raw,
+		"trailing":   append(raw[:len(raw):len(raw)], 0),
+		"magic":      append([]byte("notasnap"), raw[8:]...),
+		"0 shards":   signed(append(binary.BigEndian.AppendUint32([]byte(binMagic), BinarySnapshotVersion), make([]byte, 20)...)),
+		"v2":         signed(append(binary.BigEndian.AppendUint32([]byte(binMagic), 2), raw[12:binHeaderLen]...)),
+		"huge count": signed(binary.BigEndian.AppendUint64(append([]byte(binMagic), raw[8:24]...), 1<<40)),
+	}
+	for _, off := range []int{0, 9, binHeaderLen + 1, read - 1, read, read + 40, len(raw) / 2, len(raw) - binTrailerLen - 1, len(raw) - 1} {
+		flipped := append([]byte(nil), raw...)
+		flipped[off] ^= 0x10
+		files[fmt.Sprintf("flip %d", off)] = flipped
+	}
+	for n := 0; n <= len(raw); n++ {
+		if n < 80 || n > len(raw)-80 || n%997 == 0 || n%read < 80 || n%read > read-80 {
+			files[fmt.Sprintf("prefix %d", n)] = raw[:n]
+		}
+	}
+	for name, file := range files {
+		want, wantErr := inMemory(file)
+		for _, rd := range []io.Reader{bytes.NewReader(file), iotest.HalfReader(bytes.NewReader(file))} {
+			got, trailer, err := binVerify(rd)
+			if fmt.Sprint(err) != fmt.Sprint(wantErr) || got != want {
+				t.Fatalf("%s (%d bytes): streamed %+v, %v; in memory %+v, %v", name, len(file), got, err, want, wantErr)
+			}
+			if err == nil && !bytes.Equal(trailer, file[len(file)-binTrailerLen:]) {
+				t.Fatalf("%s: streamed trailer %x", name, trailer)
+			}
+		}
+		if name == "whole" && wantErr != nil {
+			t.Fatalf("the file is refused: %v", wantErr)
+		}
 	}
 }
 

@@ -71,7 +71,7 @@ type head struct {
 }
 
 // noRank is above every entity's rank: ranks are string IDs, and a string
-// table holds fewer than noRank strings (sortedUnion, binVerify).
+// table holds fewer than noRank strings (sortedUnion, binParseHeader).
 const noRank = NoID
 
 // advance moves the head to the shard's next match and, when ranked, reads

@@ -268,15 +268,21 @@ func TestRejectedSnapshotLeavesNoGoroutine(t *testing.T) {
 	if rejected == 0 {
 		t.Fatal("no file was rejected")
 	}
-	// The assembler and the checksum's goroutine send as the last thing they
-	// do, and one that has sent still has to be scheduled to exit, which on
-	// a loaded machine can take a while: wait for the count to come back,
-	// up to a deadline. One that never exits is still counted at the end.
+	checkGoroutines(t, before, fmt.Sprintf("%d rejected files", rejected))
+}
+
+// checkGoroutines fails t if more goroutines run than the before counted
+// ahead of what. A goroutine of the codec sends or closes a channel as the
+// last thing it does, and one that has still has to be scheduled to exit,
+// which on a loaded machine can take a while: the count is given up to a
+// deadline to come back. One that never exits is still counted at the end.
+func checkGoroutines(t *testing.T, before int, what string) {
+	t.Helper()
 	for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > before && time.Now().Before(deadline); {
 		time.Sleep(time.Millisecond)
 	}
 	if after := runtime.NumGoroutine(); after > before {
-		t.Errorf("%d goroutines before %d rejected files, %d after", before, rejected, after)
+		t.Errorf("%d goroutines before %s, %d after", before, what, after)
 	}
 }
 

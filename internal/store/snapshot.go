@@ -29,11 +29,11 @@ func (i SnapshotInfo) String() string {
 	return fmt.Sprintf("version=%d facts=%d shards=%d", i.Version, i.Facts, i.Shards)
 }
 
-// describe is the info of a verified snapshot file.
-func describe(path string, data []byte, facts, shards int) SnapshotInfo {
+// describe is the info of a verified snapshot file, given its trailer.
+func describe(path string, trailer []byte, facts, shards int) SnapshotInfo {
 	return SnapshotInfo{
 		Path: path, Version: BinarySnapshotVersion, Facts: facts, Shards: shards,
-		Checksum: "sha256:" + hex.EncodeToString(data[len(data)-binTrailerLen:]),
+		Checksum: "sha256:" + hex.EncodeToString(trailer),
 	}
 }
 
@@ -69,7 +69,7 @@ func OpenSnapshotFile(path string, shards int) (Querier, SnapshotInfo, error) {
 	if err != nil {
 		return nil, SnapshotInfo{Path: path}, fmt.Errorf("%s: %w", path, err)
 	}
-	info := describe(path, data, sh.Len(), sh.ShardCount())
+	info := describe(path, data[len(data)-binTrailerLen:], sh.Len(), sh.ShardCount())
 	if shards > 0 && shards != sh.ShardCount() {
 		sh = NewSharded(sh.Facts(), shards)
 	}
@@ -79,15 +79,18 @@ func OpenSnapshotFile(path string, shards int) (Querier, SnapshotInfo, error) {
 // VerifySnapshotFile checks a snapshot's integrity — the checksum over
 // the whole file plus the fixed header — without building stores. The
 // checksum covers every payload byte, so a deeper structural walk cannot
-// find corruption the trailer missed. It backs `akb snapshot verify|info`.
+// find corruption the trailer missed. The file is streamed through the
+// checksum in reads of a fixed buffer, so verifying a snapshot of any size
+// holds the same memory. It backs `akb snapshot verify|info`.
 func VerifySnapshotFile(path string) (SnapshotInfo, error) {
-	data, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return SnapshotInfo{Path: path}, err
 	}
-	hdr, _, err := binVerify(data)
+	defer f.Close()
+	hdr, trailer, err := binVerify(f)
 	if err != nil {
 		return SnapshotInfo{Path: path}, fmt.Errorf("%s: %w", path, err)
 	}
-	return describe(path, data, hdr.facts, hdr.shards), nil
+	return describe(path, trailer, hdr.facts, hdr.shards), nil
 }
