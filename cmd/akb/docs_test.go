@@ -20,7 +20,31 @@ var (
 	docMetric     = regexp.MustCompile(`^(?:([a-z]+)\.)?[a-z0-9]+(?:_[a-z0-9]+)*$`)
 	docMetricUnit = regexp.MustCompile(`_(?:s|ms|us|mb|share)$`)
 	docFileName   = regexp.MustCompile(`\.(?:go|json|jsonl|md|pprof|test|akb)$`)
+	// A test, fuzz target or benchmark named in a backticked span, and one
+	// declared in a _test.go file.
+	docTestName = regexp.MustCompile(`\b(?:Test|Fuzz|Benchmark)[A-Za-z0-9_]+`)
+	testFunc    = regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Benchmark)[A-Za-z0-9_]+)\(`)
 )
+
+// testFuncs reads the names of the tests, fuzz targets and benchmarks every
+// _test.go file under root declares.
+func testFuncs(t *testing.T, root string) map[string]bool {
+	names := map[string]bool{}
+	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		src, err := os.ReadFile(path)
+		for _, m := range testFunc.FindAllStringSubmatch(string(src), -1) {
+			names[m[1]] = true
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return names
+}
 
 // benchmarkMetrics reads the names BENCHMARK.json declares, end to end and
 // per layer, and the layers the per-layer ones are prefixed with.
@@ -64,7 +88,8 @@ func metricShaped(span string, layers map[string]bool) bool {
 
 // TestDocsNameLiveCode keeps the documents from naming code that is gone:
 // every backticked internal/, cmd/, bench/ or examples/ path in them
-// exists, every `akb <word>` inside a fenced block is a registered
+// exists, every backticked Test…, Fuzz… or Benchmark… name is declared in a
+// _test.go file, every `akb <word>` inside a fenced block is a registered
 // command, and every `akb exp <word>` a row of experimentTable. PERF.md, the
 // one place numbers are stated, names only metrics the benchmark reports:
 // every backticked span in it with the shape of a metric name is one of
@@ -72,6 +97,7 @@ func metricShaped(span string, layers map[string]bool) bool {
 func TestDocsNameLiveCode(t *testing.T) {
 	root := filepath.Join("..", "..")
 	metrics, layers := benchmarkMetrics(t, root)
+	tests := testFuncs(t, root)
 	cmds := map[string]bool{}
 	for _, c := range commands() {
 		cmds[c.name] = true
@@ -80,7 +106,7 @@ func TestDocsNameLiveCode(t *testing.T) {
 	for _, e := range experimentTable {
 		exps[e.name] = true
 	}
-	for _, doc := range []string{"DESIGN.md", "README.md", "API.md", "PERF.md", "EXPERIMENTS.md"} {
+	for _, doc := range []string{"DESIGN.md", "README.md", "API.md", "PERF.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"} {
 		raw, err := os.ReadFile(filepath.Join(root, doc))
 		if err != nil {
 			t.Fatal(err)
@@ -102,10 +128,13 @@ func TestDocsNameLiveCode(t *testing.T) {
 				}
 				continue
 			}
-			if doc == "PERF.md" {
-				for _, m := range docTick.FindAllStringSubmatch(line, -1) {
-					if metricShaped(m[1], layers) && !metrics[m[1]] {
-						t.Errorf("%s:%d: `%s` is not a metric of BENCHMARK.json", doc, n+1, m[1])
+			for _, m := range docTick.FindAllStringSubmatch(line, -1) {
+				if doc == "PERF.md" && metricShaped(m[1], layers) && !metrics[m[1]] {
+					t.Errorf("%s:%d: `%s` is not a metric of BENCHMARK.json", doc, n+1, m[1])
+				}
+				for _, name := range docTestName.FindAllString(m[1], -1) {
+					if !tests[name] {
+						t.Errorf("%s:%d: `%s` is no test, fuzz target or benchmark", doc, n+1, name)
 					}
 				}
 			}

@@ -61,8 +61,8 @@ func tokenSignature(attr string) string {
 	return strings.Join(kept, " ")
 }
 
-// DetectSynonyms finds attribute names that denote the same attribute.
-// Two signals are combined:
+// detectSynonyms finds attribute names that denote the same attribute,
+// recovering names through the caller's n. Two signals are combined:
 //
 //  1. equal token signatures ("release date" ~ "date of release");
 //  2. different signatures but (nearly) always equal values on shared
@@ -70,15 +70,9 @@ func tokenSignature(attr string) string {
 //
 // The returned map sends every non-canonical variant to the canonical name
 // (the variant with the most supporting statements, ties to the shorter
-// then lexicographically smaller name).
-func DetectSynonyms(stmts []rdf.Statement) map[string]string {
-	syn, _, _ := detectSynonyms(stmts, extract.Names{})
-	return syn
-}
-
-// detectSynonyms is DetectSynonyms recovering names through the caller's n.
-// It also returns the attribute names, numbered in order of first sight
-// (the numbering changes no cluster), and each statement's attribute.
+// then lexicographically smaller name). It also returns the attribute
+// names, numbered in order of first sight (the numbering changes no
+// cluster), and each statement's attribute.
 func detectSynonyms(stmts []rdf.Statement, n extract.Names) (syn map[string]string, names []string, of []int) {
 	of = make([]int, len(stmts))
 	number := map[string]int{}
@@ -268,18 +262,6 @@ func DetectSubAttributes(attrs []string) map[string]string {
 		}
 	}
 	return out
-}
-
-// CorrectMisspellings folds, within each (entity, attribute) item,
-// low-support values lying within a small edit distance of a much better
-// supported value. It returns rewritten statements and the fold count.
-func CorrectMisspellings(stmts []rdf.Statement) ([]rdf.Statement, int) {
-	out := slices.Clone(stmts)
-	f := planFolds(out, nil, nil)
-	for i := range out {
-		f.rewrite(&out[i], i)
-	}
-	return out, f.folded
 }
 
 // folds is a plan of misspelling folds: each statement's value and the

@@ -33,7 +33,7 @@ func TestDetectSynonymsBySignature(t *testing.T) {
 		st("e1", "date of release", "1942", "s2"),
 		st("e3", "director", "Jane", "s1"),
 	}
-	syn := DetectSynonyms(stmts)
+	syn := synonyms(stmts)
 	if syn["date of release"] != "release date" {
 		t.Errorf("synonyms = %v, want date of release -> release date", syn)
 	}
@@ -54,7 +54,7 @@ func TestDetectSynonymsByValueAgreement(t *testing.T) {
 		)
 	}
 	stmts = append(stmts, st("a", "runtime", "102", "s3")) // runtime better supported
-	syn := DetectSynonyms(stmts)
+	syn := synonyms(stmts)
 	if syn["length"] != "runtime" {
 		t.Errorf("synonyms = %v, want length -> runtime", syn)
 	}
@@ -83,7 +83,7 @@ func TestDetectSynonymsRespectsDisagreement(t *testing.T) {
 			}
 			stmts = append(stmts, st(e, "runtime", v, "s1"), st(e, "length", other, "s2"))
 		}
-		if got := len(DetectSynonyms(stmts)) == 1; got != c.want {
+		if got := len(synonyms(stmts)) == 1; got != c.want {
 			t.Errorf("%d of %d shared entities agree: merged = %v, want %v", c.agree, c.shared, got, c.want)
 		}
 	}
@@ -114,8 +114,8 @@ func TestCorrectMisspellings(t *testing.T) {
 		st("e", "director", "Michael Curtis", "s4"), // typo, support 1
 		st("e", "director", "Woody Allen", "s5"),    // distinct, not a typo
 	}
-	out, folded := CorrectMisspellings(stmts)
-	if folded != 1 {
+	out, rep := Normalize(stmts)
+	if folded := rep.CorrectedValues; folded != 1 {
 		t.Fatalf("folded = %d, want 1", folded)
 	}
 	count := 0
@@ -151,8 +151,8 @@ func TestCorrectMisspellingsRequiresSupportRatio(t *testing.T) {
 		for i := 0; i < c.low; i++ {
 			stmts = append(stmts, st("e", "director", "Jane Do", "s"))
 		}
-		if _, folded := CorrectMisspellings(stmts); folded != c.want {
-			t.Errorf("support %d vs %d: folded %d, want %d", c.high, c.low, folded, c.want)
+		if _, rep := Normalize(stmts); rep.CorrectedValues != c.want {
+			t.Errorf("support %d vs %d: folded %d, want %d", c.high, c.low, rep.CorrectedValues, c.want)
 		}
 	}
 }
@@ -161,16 +161,16 @@ func TestCorrectMisspellingsMaxDistance(t *testing.T) {
 	// "Michael Curtiz" is two edits from "Michael Kurtis" and three from
 	// "Mikhael Kurtis": only the first is within misspellMaxDistance.
 	for typo, want := range map[string]int{"Michael Kurtis": 1, "Mikhael Kurtis": 0} {
-		if d := refEditDistance(typo, "Michael Curtiz"); (d <= misspellMaxDistance) != (want == 1) {
-			t.Fatalf("%q is %d edits away; the case needs another spelling", typo, d)
+		if extract.WithinDistance(typo, "Michael Curtiz", misspellMaxDistance) != (want == 1) {
+			t.Fatalf("%q is not where the case needs it; it needs another spelling", typo)
 		}
 		stmts := []rdf.Statement{
 			st("e", "director", "Michael Curtiz", "s1"),
 			st("e", "director", "Michael Curtiz", "s2"),
 			st("e", "director", typo, "s3"),
 		}
-		if _, folded := CorrectMisspellings(stmts); folded != want {
-			t.Errorf("%q: folded %d, want %d", typo, folded, want)
+		if _, rep := Normalize(stmts); rep.CorrectedValues != want {
+			t.Errorf("%q: folded %d, want %d", typo, rep.CorrectedValues, want)
 		}
 	}
 }

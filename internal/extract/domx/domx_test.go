@@ -173,14 +173,13 @@ func TestSeedGrowthTransfersAcrossSites(t *testing.T) {
 }
 
 func TestValueAfter(t *testing.T) {
-	doc := htmldom.Parse(`<div><p>Director:</p><p>Jane Doe</p><p>Genre:</p><p></p></div>`)
-	texts := doc.TextNodes()
+	var p htmldom.Parser
+	texts := p.Parse(`<div><p>Director:</p><p>Jane Doe</p><p>Genre:</p><p></p></div>`).Texts
 	if got := valueAfter(texts, 0); got != "Jane Doe" {
 		t.Errorf("valueAfter label = %q, want Jane Doe", got)
 	}
 	// The node after "Genre:" is missing; adjacent labels yield nothing.
-	doc2 := htmldom.Parse(`<div><p>Director:</p><p>Genre:</p><p>Drama</p></div>`)
-	texts2 := doc2.TextNodes()
+	texts2 := p.Parse(`<div><p>Director:</p><p>Genre:</p><p>Drama</p></div>`).Texts
 	if got := valueAfter(texts2, 0); got != "" {
 		t.Errorf("adjacent-label valueAfter = %q, want empty", got)
 	}

@@ -11,8 +11,14 @@ func (p *Parser) Intern(tag, class string) Step {
 // DocStep is the step of a document node.
 const DocStep = docStep
 
+// DepthOf is the depth the parser recorded for n.
+func DepthOf(n *Node) int { return int(n.depth) }
+
+// StepOf is the path step the parser numbered n with.
+func StepOf(n *Node) Step { return n.step }
+
 // FuzzSeeds are the documents every parser fuzzer starts from, and the
-// reference tests run on: implied ends, void elements, stray end tags,
+// rules tests run on: implied ends, void elements, stray end tags,
 // raw-text elements, entities, comments, the two raw-text bodies whose
 // lower-cased form has another length than they have, and two whose end tag
 // the input ends inside (dropped: see scanner.next).

@@ -1,21 +1,29 @@
-package htmldom
+package htmldom_test
 
 import (
 	"testing"
+
+	"akb/internal/htmldom"
 )
 
-// FuzzParse asserts the parser never panics and that re-parsing the render
-// of a parse is structurally stable (parse ∘ render is idempotent after one
+// FuzzParse asserts the parser never panics, that its tree keeps the
+// invariants and lists its body texts (checkParse), that its paths are the
+// walks up Parent links (checkPaths), and that re-parsing the render of a
+// parse is structurally stable (parse ∘ render is idempotent after one
 // round).
 func FuzzParse(f *testing.F) {
-	for _, s := range FuzzSeeds {
+	for _, s := range htmldom.FuzzSeeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
-		doc := Parse(src)
-		r1 := doc.Render()
-		doc2 := Parse(r1)
-		r2 := doc2.Render()
+		var p htmldom.Parser
+		p.Parse(`<p class="x">a page before</p>`) // the parser is not new
+		doc := checkParse(t, &p, src, "fuzz input")
+		if len(src) <= 400 { // pairs of texts: quadratic
+			checkPaths(t, &p, doc, "fuzz input")
+		}
+		r1 := doc.Root.Render()
+		r2 := htmldom.Parse(r1).Render()
 		if r1 != r2 {
 			t.Fatalf("render not stable:\n1: %q\n2: %q", r1, r2)
 		}
@@ -28,12 +36,12 @@ func FuzzTokenize(f *testing.F) {
 	f.Add("<p class='x'>text</p>")
 	f.Add("<!doctype html><!-- x -->")
 	f.Add("a < b > c & d")
-	for _, s := range FuzzSeeds {
+	for _, s := range htmldom.FuzzSeeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
-		for _, tok := range Tokenize(src) {
-			if tok.Kind > TokenDoctype {
+		for _, tok := range htmldom.Tokenize(src) {
+			if tok.Kind > htmldom.TokenDoctype {
 				t.Fatalf("invalid token kind %d", tok.Kind)
 			}
 		}

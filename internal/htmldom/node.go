@@ -50,8 +50,8 @@ func (n *Node) Attr(key string) (string, bool) {
 	return "", false
 }
 
-// AppendChild attaches child as the last child of n.
-func (n *Node) AppendChild(child *Node) {
+// appendChild attaches the new leaf child as the last child of n.
+func (n *Node) appendChild(child *Node) {
 	child.Parent = n
 	if n.LastChild == nil {
 		n.FirstChild = child
@@ -59,16 +59,7 @@ func (n *Node) AppendChild(child *Node) {
 		n.LastChild.NextSibling = child
 	}
 	n.LastChild = child
-	child.setDepth(n.depth + 1)
-}
-
-// setDepth records the depth of n and, for a subtree assembled before it was
-// attached, of everything under it.
-func (n *Node) setDepth(d int32) {
-	n.depth = d
-	for c := n.FirstChild; c != nil; c = c.NextSibling {
-		c.setDepth(d + 1)
-	}
+	child.depth = n.depth + 1
 }
 
 // InnerText concatenates all descendant text with single-space normalisation.
@@ -159,19 +150,6 @@ func (n *Node) Walk(fn func(*Node) bool) {
 	}
 }
 
-// TextNodes returns every descendant text node with non-empty normalised
-// content, in document order.
-func (n *Node) TextNodes() []*Node {
-	var out []*Node
-	n.Walk(func(c *Node) bool {
-		if c.Kind == TextNode && NormalizeSpace(c.Text) != "" {
-			out = append(out, c)
-		}
-		return true
-	})
-	return out
-}
-
 // Find returns the first descendant element with the given tag, or nil.
 func (n *Node) Find(tag string) *Node {
 	var found *Node
@@ -195,20 +173,6 @@ func (n *Node) FindAll(tag string) []*Node {
 	n.Walk(func(c *Node) bool {
 		if c.Kind == ElementNode && c.Tag == tag {
 			out = append(out, c)
-		}
-		return true
-	})
-	return out
-}
-
-// FindByAttr returns every descendant element whose attribute key equals val.
-func (n *Node) FindByAttr(key, val string) []*Node {
-	var out []*Node
-	n.Walk(func(c *Node) bool {
-		if c.Kind == ElementNode {
-			if v, ok := c.Attr(key); ok && v == val {
-				out = append(out, c)
-			}
 		}
 		return true
 	})
@@ -264,36 +228,4 @@ func (n *Node) renderChildren(b *strings.Builder) {
 	for c := n.FirstChild; c != nil; c = c.NextSibling {
 		c.render(b)
 	}
-}
-
-// NewElement builds an element node with optional attributes given as
-// key, value pairs. Only a Parser numbers path steps: a hand-built tree
-// renders and searches like a parsed one, but has no tag paths.
-func NewElement(tag string, kv ...string) *Node {
-	n := &Node{Kind: ElementNode, Tag: tag}
-	for i := 0; i+1 < len(kv); i += 2 {
-		n.Attrs = append(n.Attrs, Attr{Key: kv[i], Val: kv[i+1]})
-	}
-	return n
-}
-
-// NewText builds a text node.
-func NewText(text string) *Node { return &Node{Kind: TextNode, Text: text} }
-
-// Depth returns the number of ancestors of n.
-func (n *Node) Depth() int {
-	d := 0
-	for cur := n.Parent; cur != nil; cur = cur.Parent {
-		d++
-	}
-	return d
-}
-
-// Root returns the topmost ancestor of n.
-func (n *Node) Root() *Node {
-	cur := n
-	for cur.Parent != nil {
-		cur = cur.Parent
-	}
-	return cur
 }

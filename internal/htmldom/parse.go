@@ -118,18 +118,18 @@ func (p *Parser) Parse(src string) Doc {
 			}
 			n := p.newNode()
 			n.Kind, n.Text = TextNode, tok.Data
-			top.node.AppendChild(n)
+			top.node.appendChild(n)
 			if !top.inHead {
 				p.texts = append(p.texts, n)
 			}
 		case TokenComment:
 			n := p.newNode()
 			n.Kind, n.Text = CommentNode, tok.Data
-			top.node.AppendChild(n)
+			top.node.appendChild(n)
 		case TokenDoctype:
 			// Dropped: the tree does not model doctypes.
 		case TokenSelfClosing:
-			top.node.AppendChild(p.newElement(tok))
+			top.node.appendChild(p.newElement(tok))
 		case TokenStartTag:
 			// Apply implied-end rules: e.g. a new <li> closes an open <li>.
 			for len(stack) > 1 && impliedEnd(top.node.Tag, tok.Data) {
@@ -137,7 +137,7 @@ func (p *Parser) Parse(src string) Doc {
 				top = stack[len(stack)-1]
 			}
 			el := p.newElement(tok)
-			top.node.AppendChild(el)
+			top.node.appendChild(el)
 			if !isVoid(tok.Data) {
 				stack = append(stack, openElement{node: el, inHead: top.inHead || tok.Data == "head"})
 			}

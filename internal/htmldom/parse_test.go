@@ -130,20 +130,9 @@ func TestRenderRoundTrip(t *testing.T) {
 	}
 }
 
-func TestFindByAttr(t *testing.T) {
-	doc := Parse(samplePage)
-	got := doc.FindByAttr("class", "infobox")
-	if len(got) != 1 || got[0].Tag != "table" {
-		t.Fatalf("FindByAttr = %v", got)
-	}
-	if len(doc.FindByAttr("class", "nope")) != 0 {
-		t.Error("found nonexistent attr value")
-	}
-}
-
 func TestTextNodes(t *testing.T) {
-	doc := Parse(`<div> <p>alpha</p> <p> </p> <p>beta</p> </div>`)
-	tn := doc.TextNodes()
+	var p Parser
+	tn := p.Parse(`<head><title>T</title></head><div> <p>alpha</p> <p> </p> <p>beta</p> </div>`).Texts
 	if len(tn) != 2 {
 		t.Fatalf("got %d text nodes, want 2", len(tn))
 	}
@@ -154,31 +143,12 @@ func TestTextNodes(t *testing.T) {
 
 func TestNodeHelpers(t *testing.T) {
 	doc := Parse(samplePage)
-	td := doc.FindAll("td")[0]
-	if td.Depth() == 0 {
-		t.Error("td depth should be > 0")
-	}
-	if td.Root() != doc {
-		t.Error("Root should return the document")
-	}
 	h1 := doc.Find("h1")
 	if v, ok := h1.Attr("class"); !ok || v != "entity" {
 		t.Errorf("h1 class = %q, %v", v, ok)
 	}
 	if _, ok := h1.Attr("id"); ok {
 		t.Error("h1 has no id")
-	}
-}
-
-func TestNewElementAndText(t *testing.T) {
-	el := NewElement("div", "id", "x", "class", "y")
-	el.AppendChild(NewText("hello"))
-	if el.Render() != `<div id="x" class="y">hello</div>` {
-		t.Errorf("Render = %q", el.Render())
-	}
-	el.AppendChild(NewElement("br"))
-	if el.FirstChild.Parent != el || el.FirstChild.NextSibling != el.LastChild || el.LastChild.Depth() != 1 {
-		t.Error("AppendChild bookkeeping wrong")
 	}
 }
 

@@ -1,41 +1,44 @@
 package htmldom_test
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"akb/internal/htmldom"
 )
 
+// noisyTags are the presentational tags a path's normal form leaves out of
+// its legs when they carry no class (noisyTags).
+var noisyTags = []string{"b", "i", "em", "strong", "u", "span", "small", "font", "abbr", "sub", "sup", "mark"}
+
+// normalSteps is a path's normal form as Path.Normalize states it: the
+// steps of its two legs whose name is a bare presentational tag are left
+// out, the apex is kept.
+func normalSteps(p *htmldom.Parser, path htmldom.Path) (steps []htmldom.Step, apex int) {
+	for i, s := range path.Steps {
+		if i == path.Apex {
+			apex = len(steps)
+		} else if slices.Contains(noisyTags, p.StepName(s)) {
+			continue
+		}
+		steps = append(steps, s)
+	}
+	return steps, apex
+}
+
 // refSimilarity is the pairwise similarity PatternSet replaced, kept as the
-// reference the prepared set is checked against: both paths normalised and
-// flattened per call, two fresh rows per edit distance.
-func refSimilarity(p, q TagPath) float64 {
-	a, b := refSteps(p.Normalize()), refSteps(q.Normalize())
-	maxLen := len(a)
-	if len(b) > maxLen {
-		maxLen = len(b)
-	}
-	if maxLen == 0 {
-		return 1
-	}
-	return 1 - float64(refEditDistance(a, b))/float64(maxLen)
+// reference the prepared set is checked against: both paths normalised per
+// call, two fresh rows per edit distance.
+func refSimilarity(p *htmldom.Parser, x, y htmldom.Path) float64 {
+	a, _ := normalSteps(p, x)
+	b, _ := normalSteps(p, y)
+	return 1 - float64(refEditDistance(a, b))/float64(max(len(a), len(b)))
 }
 
-// refSteps flattens a path into one step sequence: up tags, apex, down tags.
-func refSteps(p TagPath) []string {
-	steps := append([]string{}, p.Up...)
-	steps = append(steps, p.Apex)
-	return append(steps, p.Down...)
-}
-
-func refEditDistance(a, b []string) int {
-	if len(a) == 0 {
-		return len(b)
-	}
-	if len(b) == 0 {
-		return len(a)
-	}
+func refEditDistance(a, b []htmldom.Step) int {
 	prev := make([]int, len(b)+1)
 	cur := make([]int, len(b)+1)
 	for j := range prev {
@@ -56,23 +59,42 @@ func refEditDistance(a, b []string) int {
 }
 
 // refBestSimilarity is domx's former bestSimilarity.
-func refBestSimilarity(p TagPath, patterns []TagPath) float64 {
+func refBestSimilarity(p *htmldom.Parser, path htmldom.Path, patterns []htmldom.Path) float64 {
 	best := 0.0
 	for _, q := range patterns {
-		if s := refSimilarity(p, q); s > best {
+		if s := refSimilarity(p, path, q); s > best {
 			best = s
 		}
 	}
 	return best
 }
 
+// step numbers a step by its name, "#doc", "td" or "span.k".
+func step(p *htmldom.Parser, name string) htmldom.Step {
+	if name == "#doc" {
+		return htmldom.DocStep
+	}
+	tag, class, _ := strings.Cut(name, ".")
+	return p.Intern(tag, class)
+}
+
+// pathOf writes a path by its step names, the apex the one at index apex.
+func pathOf(p *htmldom.Parser, apex int, names ...string) htmldom.Path {
+	path := htmldom.Path{Apex: apex}
+	for _, name := range names {
+		path.Steps = append(path.Steps, step(p, name))
+	}
+	return path
+}
+
 // genPath draws paths biased to the cases where normalisation and the edit
 // distance are easiest to get wrong: legs of only noisy tags, empty legs,
 // class-qualified steps that look noisy ("span.k"), and lengths 0..n.
-func genPath(r *rand.Rand) TagPath {
+func genPath(r *rand.Rand, p *htmldom.Parser) htmldom.Path {
 	structural := []string{"td", "tr", "table", "div", "li", "ul", "a", "span.k", "span.v", "div.row", "b.x"}
 	noisy := []string{"b", "i", "em", "span", "strong", "font"}
-	leg := func() []string {
+	var path htmldom.Path
+	leg := func() {
 		var n int
 		switch r.Intn(5) {
 		case 0:
@@ -83,21 +105,23 @@ func genPath(r *rand.Rand) TagPath {
 			n = r.Intn(7)
 		}
 		onlyNoisy := r.Intn(6) == 0
-		out := make([]string, n)
-		for i := range out {
+		for range n {
+			name := structural[r.Intn(len(structural))]
 			if onlyNoisy || r.Intn(3) == 0 {
-				out[i] = noisy[r.Intn(len(noisy))]
-			} else {
-				out[i] = structural[r.Intn(len(structural))]
+				name = noisy[r.Intn(len(noisy))]
 			}
+			path.Steps = append(path.Steps, step(p, name))
 		}
-		return out
 	}
+	leg()
+	path.Apex = len(path.Steps)
 	apex := structural[r.Intn(len(structural))]
 	if r.Intn(10) == 0 {
 		apex = "#doc"
 	}
-	return TagPath{Up: leg(), Apex: apex, Down: leg()}
+	path.Steps = append(path.Steps, step(p, apex))
+	leg()
+	return path
 }
 
 func TestPatternSetMatchesReference(t *testing.T) {
@@ -105,32 +129,32 @@ func TestPatternSetMatchesReference(t *testing.T) {
 	var parser htmldom.Parser
 	var ps htmldom.PatternSet // reused across rounds, as a domx shard reuses it
 	for round := 0; round < 2000; round++ {
-		patterns := make([]TagPath, r.Intn(8))
+		patterns := make([]htmldom.Path, r.Intn(8))
 		for i := range patterns {
 			if i > 0 && r.Intn(3) == 0 {
 				patterns[i] = patterns[r.Intn(i)] // duplicates, as infobox rows produce
 			} else {
-				patterns[i] = genPath(r)
+				patterns[i] = genPath(r, &parser)
 			}
 		}
 		ps.Reset()
 		distinct := map[string]bool{}
 		for _, q := range patterns {
-			added := ps.Add(numbered(&parser, q))
-			if key := q.Normalize().String(); added == distinct[key] {
-				t.Fatalf("round %d: Add(%v) = %v, pattern seen before: %v", round, q, added, distinct[key])
+			added := ps.Add(q)
+			if steps, apex := normalSteps(&parser, q); added == distinct[fmt.Sprint(steps, apex)] {
+				t.Fatalf("round %d: Add(%q) = %v, pattern seen before: %v", round, parser.PathString(q), added, !added)
 			} else {
-				distinct[key] = true
+				distinct[fmt.Sprint(steps, apex)] = true
 			}
 		}
 		for k := 0; k < 8; k++ {
-			p := genPath(r)
+			p := genPath(r, &parser)
 			if k == 0 && len(patterns) > 0 {
 				p = patterns[r.Intn(len(patterns))] // an exact hit: the early return
 			}
-			got, want := ps.BestSimilarity(numbered(&parser, p)), refBestSimilarity(p, patterns)
+			got, want := ps.BestSimilarity(p), refBestSimilarity(&parser, p, patterns)
 			if got != want {
-				t.Fatalf("round %d: BestSimilarity(%v) over %v = %v, reference %v", round, p, patterns, got, want)
+				t.Fatalf("round %d: BestSimilarity(%q) over %d patterns = %v, reference %v", round, parser.PathString(p), len(patterns), got, want)
 			}
 		}
 	}
@@ -139,29 +163,29 @@ func TestPatternSetMatchesReference(t *testing.T) {
 func TestPatternSetEdgeCases(t *testing.T) {
 	var parser htmldom.Parser
 	var ps htmldom.PatternSet
-	num := func(p TagPath) htmldom.Path { return numbered(&parser, p) }
-	p := TagPath{Up: []string{"td"}, Apex: "tr", Down: []string{"td"}}
-	if s := ps.BestSimilarity(num(p)); s != 0 {
+	p := pathOf(&parser, 1, "td", "tr", "td")
+	if s := ps.BestSimilarity(p); s != 0 {
 		t.Errorf("empty set: similarity = %v, want 0", s)
 	}
 	// Paths that differ only in noisy tags are one pattern.
-	ps.Add(num(p))
-	ps.Add(num(TagPath{Up: []string{"b", "td"}, Apex: "tr", Down: []string{"td", "span"}}))
+	ps.Add(p)
+	ps.Add(pathOf(&parser, 2, "b", "td", "tr", "td", "span"))
 	if ps.Len() != 1 {
 		t.Errorf("Len = %d after adding a noisy variant, want 1", ps.Len())
 	}
 	// A class-qualified span is structural.
-	ps.Add(num(TagPath{Up: []string{"td"}, Apex: "tr", Down: []string{"td", "span.k"}}))
+	qualified := pathOf(&parser, 1, "td", "tr", "td", "span.k")
+	ps.Add(qualified)
 	if ps.Len() != 2 {
 		t.Errorf("Len = %d after adding a qualified step, want 2", ps.Len())
 	}
 	// Length 1 (bare apex, every leg noisy) against length n.
-	bare := TagPath{Up: []string{"b", "i"}, Apex: "tr", Down: []string{"em"}}
-	if got, want := ps.BestSimilarity(num(bare)), refBestSimilarity(bare, []TagPath{p, {Up: []string{"td"}, Apex: "tr", Down: []string{"td", "span.k"}}}); got != want {
+	bare := pathOf(&parser, 2, "b", "i", "tr", "em")
+	if got, want := ps.BestSimilarity(bare), refBestSimilarity(&parser, bare, []htmldom.Path{p, qualified}); got != want {
 		t.Errorf("bare apex: similarity = %v, reference %v", got, want)
 	}
 	ps.Reset()
-	if ps.Len() != 0 || ps.BestSimilarity(num(p)) != 0 {
+	if ps.Len() != 0 || ps.BestSimilarity(p) != 0 {
 		t.Errorf("Reset left patterns behind")
 	}
 }
@@ -174,11 +198,11 @@ func TestPatternSetAllocationFree(t *testing.T) {
 	var parser htmldom.Parser
 	patterns := make([]htmldom.Path, 12)
 	for i := range patterns {
-		patterns[i] = numbered(&parser, genPath(r))
+		patterns[i] = genPath(r, &parser)
 	}
 	queries := make([]htmldom.Path, 32)
 	for i := range queries {
-		queries[i] = numbered(&parser, genPath(r))
+		queries[i] = genPath(r, &parser)
 	}
 	var ps htmldom.PatternSet
 	pass := func() {

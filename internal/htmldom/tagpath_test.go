@@ -72,14 +72,15 @@ func TestPathBetweenTextNodes(t *testing.T) {
 	parser, doc := infobox()
 	// Find the text nodes for "Director" and "Michael Curtiz".
 	var dir, curtiz *htmldom.Node
-	for _, tn := range doc.TextNodes() {
-		switch htmldom.NormalizeSpace(tn.Text) {
+	doc.Walk(func(n *htmldom.Node) bool {
+		switch htmldom.NormalizeSpace(n.Text) {
 		case "Director":
-			dir = tn
+			dir = n
 		case "Michael Curtiz":
-			curtiz = tn
+			curtiz = n
 		}
-	}
+		return true
+	})
 	if dir == nil || curtiz == nil {
 		t.Fatal("text nodes not found")
 	}
@@ -90,12 +91,13 @@ func TestPathBetweenTextNodes(t *testing.T) {
 }
 
 func TestPathBetweenDifferentTrees(t *testing.T) {
-	a := htmldom.Parse(`<p>one</p>`).Find("p")
+	doc := htmldom.Parse(`<p>one</p>`)
+	a := doc.Find("p")
 	b := htmldom.Parse(`<p>two</p>`).Find("p")
 	if _, ok := htmldom.PathBetween(a, b, nil); ok {
 		t.Error("path found across distinct trees")
 	}
-	if _, ok := htmldom.PathBetween(a.Root(), a, nil); ok {
+	if _, ok := htmldom.PathBetween(doc, a, nil); ok {
 		t.Error("path found from a document node, which is no element's text")
 	}
 }
@@ -130,13 +132,13 @@ func TestPathBetweenReusesBuffer(t *testing.T) {
 
 func TestNormalizeRemovesNoisyTags(t *testing.T) {
 	var parser htmldom.Parser
-	p := numbered(&parser, TagPath{Up: []string{"b", "td"}, Apex: "tr", Down: []string{"span", "td", "i", "span.k"}})
+	p := pathOf(&parser, 2, "b", "td", "tr", "span", "td", "i", "span.k")
 	n := p.Normalize(nil)
 	if got := parser.PathString(n); got != "td^tr(td/span.k)" {
 		t.Errorf("normalised = %q, want td^tr(td/span.k)", got)
 	}
 	// A noisy apex stays: it is where the legs meet.
-	if got := parser.PathString(numbered(&parser, TagPath{Up: []string{"i"}, Apex: "b", Down: nil}).Normalize(nil)); got != "b" {
+	if got := parser.PathString(pathOf(&parser, 1, "i", "b").Normalize(nil)); got != "b" {
 		t.Errorf("normalised noisy apex = %q, want b", got)
 	}
 	// In place.
@@ -147,15 +149,15 @@ func TestNormalizeRemovesNoisyTags(t *testing.T) {
 
 func TestSimilarityBounds(t *testing.T) {
 	var parser htmldom.Parser
-	a := numbered(&parser, TagPath{Up: []string{"td"}, Apex: "tr", Down: []string{"td"}})
-	b := numbered(&parser, TagPath{Up: []string{"li"}, Apex: "ul", Down: []string{"li"}})
+	a := pathOf(&parser, 1, "td", "tr", "td")
+	b := pathOf(&parser, 1, "li", "ul", "li")
 	if s := similarity(a, a); s != 1 {
 		t.Errorf("self similarity = %g", s)
 	}
 	if s := similarity(a, b); s != 0 {
 		t.Errorf("disjoint similarity = %g, want 0", s)
 	}
-	c := numbered(&parser, TagPath{Up: []string{"td"}, Apex: "tr", Down: []string{"th"}})
+	c := pathOf(&parser, 1, "td", "tr", "th")
 	s := similarity(a, c)
 	if s <= 0 || s >= 1 {
 		t.Errorf("one-step-different similarity = %g, want in (0,1)", s)
@@ -166,15 +168,12 @@ func TestSimilarityPropertyBounds(t *testing.T) {
 	tags := []string{"div", "td", "tr", "table", "ul", "li", "p", "b"}
 	var parser htmldom.Parser
 	gen := func(r *rand.Rand) htmldom.Path {
-		mk := func() []string {
-			n := r.Intn(4)
-			out := make([]string, n)
-			for i := range out {
-				out[i] = tags[r.Intn(len(tags))]
-			}
-			return out
+		up, down := r.Intn(4), r.Intn(4)
+		names := make([]string, up+1+down)
+		for i := range names {
+			names[i] = tags[r.Intn(len(tags))]
 		}
-		return numbered(&parser, TagPath{Up: mk(), Apex: tags[r.Intn(len(tags))], Down: mk()})
+		return pathOf(&parser, up, names...)
 	}
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))

@@ -1,6 +1,7 @@
 package webgen
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -93,7 +94,10 @@ func TestSiteStylesDiffer(t *testing.T) {
 				t.Errorf("%s: ul style lacks li", s.Host)
 			}
 		case "divgrid":
-			if len(doc.FindByAttr("class", "row")) == 0 {
+			if !slices.ContainsFunc(doc.FindAll("div"), func(d *htmldom.Node) bool {
+				class, _ := d.Attr("class")
+				return class == "row"
+			}) {
 				t.Errorf("%s: divgrid style lacks rows", s.Host)
 			}
 		}
