@@ -4,16 +4,11 @@
 # target whose final "execs" does not exceed its "total" replayed its seeds
 # and cached inputs and explored nothing.
 #
-#   bash .github/scripts/fuzz-smoke.sh TARGET PACKAGE [--no-guard]
-#
-# --no-guard runs the target without the check.
+#   bash .github/scripts/fuzz-smoke.sh TARGET PACKAGE
 set -euo pipefail
-target=$1 pkg=$2 guard=${3:-}
+target=$1 pkg=$2
 log=$(mktemp)
 go test -run '^$' -fuzz "$target" -fuzztime 10s "$pkg" 2>&1 | tee "$log"
-if [ "$guard" = --no-guard ]; then
-  exit 0
-fi
 last=$(grep -E 'execs: [0-9]+' "$log" | tail -n 1 || true)
 execs=$(sed -nE 's/.*execs: ([0-9]+).*/\1/p' <<<"$last")
 total=$(sed -nE 's/.*\(total: ([0-9]+)\).*/\1/p' <<<"$last")

@@ -93,7 +93,8 @@ func metricShaped(span string, layers map[string]bool) bool {
 // command, and every `akb exp <word>` a row of experimentTable. PERF.md, the
 // one place numbers are stated, names only metrics the benchmark reports:
 // every backticked span in it with the shape of a metric name is one of
-// BENCHMARK.json's.
+// BENCHMARK.json's. The CI workflow may name a test, fuzz target or
+// benchmark anywhere, in a command or a comment: each one is declared too.
 func TestDocsNameLiveCode(t *testing.T) {
 	root := filepath.Join("..", "..")
 	metrics, layers := benchmarkMetrics(t, root)
@@ -144,6 +145,18 @@ func TestDocsNameLiveCode(t *testing.T) {
 				if hits, _ := filepath.Glob(filepath.Join(root, path)); len(hits) == 0 {
 					t.Errorf("%s:%d: `%s` does not exist", doc, n+1, path)
 				}
+			}
+		}
+	}
+	ci := filepath.Join(".github", "workflows", "ci.yml")
+	raw, err := os.ReadFile(filepath.Join(root, ci))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n, line := range strings.Split(string(raw), "\n") {
+		for _, name := range docTestName.FindAllString(line, -1) {
+			if !tests[name] {
+				t.Errorf("%s:%d: %s is no test, fuzz target or benchmark", ci, n+1, name)
 			}
 		}
 	}

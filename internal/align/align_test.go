@@ -9,7 +9,8 @@ import (
 )
 
 func st(entity, attr, value, source string) rdf.Statement {
-	return extract.NewStatement(entity, attr, value, source, "x", "", 0.8)
+	return rdf.S(rdf.T(extract.EntityIRI(entity), extract.AttrIRI(attr), rdf.Literal(value)),
+		rdf.Provenance{Source: source, Extractor: "x"}, 0.8)
 }
 
 func TestTokenSignature(t *testing.T) {

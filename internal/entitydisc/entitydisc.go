@@ -250,19 +250,23 @@ func valueRows(pairs [][2]string) []kb.AttrValues {
 }
 
 // linker resolves a mention to itself if it is a known name, and otherwise
-// to the first known name, in sorted order, that is within linkDistance
+// to the first non-empty known name, in sorted order, that is within linkDistance
 // edits of it or carries it as a word-boundary prefix or suffix: a partial
 // mention of four bytes or more, like "Enel 24" for "University of Enel 24",
 // also links.
 type linker struct {
 	idx     *extract.EntityIndex
-	known   []string       // the known names in sorted order, then "" for no match
+	known   []string       // the non-empty known names in sorted order, then "" for no match
 	byRunes [][]int        // rune count -> positions in known with that count, ascending
 	affix   map[string]int // word-boundary prefix or suffix of four bytes or more -> first position carrying it
 }
 
 func newLinker(idx *extract.EntityIndex) *linker {
 	known := idx.Names()
+	if len(known) > 0 && known[0] == "" {
+		// An empty name is no entity to link to: "" stands for no match.
+		known = known[1:]
+	}
 	l := &linker{idx: idx, known: append(known, ""), affix: map[string]int{}}
 	for i, k := range known {
 		n := utf8.RuneCountInString(k)

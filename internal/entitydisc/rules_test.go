@@ -18,14 +18,17 @@ import (
 // what an entity and its statements carry.
 
 // linkTarget is the known name a mention links to: itself if it is known,
-// else the first known name in sorted order within linkDistance edits of it
-// or carrying it, four bytes or more, as a word-boundary prefix or suffix;
-// "" for none.
+// else the first non-empty known name in sorted order within linkDistance
+// edits of it or carrying it, four bytes or more, as a word-boundary prefix
+// or suffix; "" for none.
 func linkTarget(name string, known []string) string {
 	if slices.Contains(known, name) {
 		return name
 	}
 	for _, k := range known {
+		if k == "" {
+			continue
+		}
 		affix := len(name) >= 4 && (strings.HasPrefix(k, name+" ") || strings.HasSuffix(k, " "+name))
 		if affix || extract.WithinDistance(name, k, linkDistance) {
 			return k
@@ -63,8 +66,9 @@ func components(names []string) [][]string {
 //
 //   - any order of the facts gives the same result;
 //   - every trimmed, non-empty mention links to its linkTarget, or stays
-//     unlinked when it has none (an empty known name is no entity: a
-//     mention it is the first target of stays unlinked too);
+//     unlinked when it has none; an empty known name is no link target, so
+//     a mention within reach of it and of another known name links to the
+//     other;
 //   - the unlinked mentions fall into the connected components of
 //     nearDuplicate; each component is named by its most-mentioned name,
 //     ties to the smaller, and becomes an entity when it has minSupport
@@ -159,7 +163,8 @@ func checkDiscover(t testing.TB, r *rand.Rand, facts []extract.EntityFact, idx *
 		for _, row := range e.Values {
 			for _, v := range row.Values {
 				for _, src := range e.Sources {
-					stmts = append(stmts, extract.NewStatement(e.Name, row.Attr, v, src, "entitydisc", "", 0.6))
+					stmts = append(stmts, rdf.S(rdf.T(extract.EntityIRI(e.Name), extract.AttrIRI(row.Attr), rdf.Literal(v)),
+						rdf.Provenance{Source: src, Extractor: "entitydisc"}, 0.6))
 				}
 			}
 		}
@@ -283,6 +288,8 @@ func FuzzDiscoverFollowsItsRules(f *testing.F) {
 	f.Add([]byte("Jean-Luc Picard\x00University of Enel 24\x00Jean–Luc Picard\x00Enel 24\x00 Enel 24 \x00Zanzibar Nights\x00Zanzibar Night\x00Zanzibar Nights 2"), uint8(2))
 	f.Add([]byte("Ab\x00Ab Cd\x00Ab\x00Cd\x00Ōsaka\x00Osaka\x00\x00Ab Cd Ef"), uint8(3))
 	f.Add([]byte("\x00x\x00xy\x00y"), uint8(1))
+	// Known {"", "y"}: the two "x" facts link to "y", not to the empty name.
+	f.Add([]byte("\x00y\x00x\x00x"), uint8(2))
 	f.Fuzz(func(t *testing.T, data []byte, nKnown uint8) {
 		fields := strings.Split(string(data), "\x00")
 		k := min(int(nKnown)%8, len(fields))

@@ -49,13 +49,19 @@ func testWorldAndEntity(t *testing.T) (*kb.World, *kb.Entity, string, string) {
 	return nil, nil, "", ""
 }
 
+// claim is one extractor's statement of (entity, attr, value) by source.
+func claim(entity, attr, value, source string, conf float64) rdf.Statement {
+	return rdf.S(rdf.T(extract.EntityIRI(entity), extract.AttrIRI(attr), rdf.Literal(value)),
+		rdf.Provenance{Source: source, Extractor: "x"}, conf)
+}
+
 func TestScoreStatements(t *testing.T) {
 	w, e, attr, val := testWorldAndEntity(t)
 	sc := &Scorer{World: w}
 	stmts := []rdf.Statement{
-		extract.NewStatement(e.Name, attr, val, "src", "x", "", 0.9),                // correct
-		extract.NewStatement(e.Name, attr, "definitely wrong", "src", "x", "", 0.9), // wrong
-		extract.NewStatement("Ghost Entity", attr, val, "src", "x", "", 0.9),        // unknown entity
+		claim(e.Name, attr, val, "src", 0.9),                // correct
+		claim(e.Name, attr, "definitely wrong", "src", 0.9), // wrong
+		claim("Ghost Entity", attr, val, "src", 0.9),        // unknown entity
 	}
 	m := sc.ScoreStatements(stmts)
 	if m.TP != 1 || m.FP != 2 {
@@ -79,7 +85,7 @@ func TestScoreStatementsHierarchyAware(t *testing.T) {
 				continue
 			}
 			m := sc.ScoreStatements([]rdf.Statement{
-				extract.NewStatement(e.Name, attr, ancs[len(ancs)-1], "src", "x", "", 0.9),
+				claim(e.Name, attr, ancs[len(ancs)-1], "src", 0.9),
 			})
 			if m.TP != 1 {
 				t.Errorf("generalisation scored wrong: %+v", m)
@@ -94,9 +100,9 @@ func TestScoreFusion(t *testing.T) {
 	w, e, attr, val := testWorldAndEntity(t)
 	sc := &Scorer{World: w}
 	stmts := []rdf.Statement{
-		extract.NewStatement(e.Name, attr, val, "s1", "x", "", 0.9),
-		extract.NewStatement(e.Name, attr, val, "s2", "x", "", 0.9),
-		extract.NewStatement(e.Name, attr, "wrong", "s3", "x", "", 0.9),
+		claim(e.Name, attr, val, "s1", 0.9),
+		claim(e.Name, attr, val, "s2", 0.9),
+		claim(e.Name, attr, "wrong", "s3", 0.9),
 	}
 	claims := fusion.BuildClaims(stmts, fusion.BySource)
 	res := (&fusion.Vote{}).Fuse(claims)
@@ -117,8 +123,8 @@ func TestScoreFusionCountsMissingTruths(t *testing.T) {
 				continue
 			}
 			stmts := []rdf.Statement{
-				extract.NewStatement(e.Name, attr, vals[0], "s1", "x", "", 0.9),
-				extract.NewStatement(e.Name, attr, vals[1], "s2", "x", "", 0.9),
+				claim(e.Name, attr, vals[0], "s1", 0.9),
+				claim(e.Name, attr, vals[1], "s2", 0.9),
 			}
 			claims := fusion.BuildClaims(stmts, fusion.BySource)
 			res := (&fusion.Vote{}).Fuse(claims) // single truth: misses one
@@ -136,8 +142,8 @@ func TestCompareFusionMethods(t *testing.T) {
 	w, e, attr, val := testWorldAndEntity(t)
 	sc := &Scorer{World: w}
 	stmts := []rdf.Statement{
-		extract.NewStatement(e.Name, attr, val, "s1", "x", "", 0.9),
-		extract.NewStatement(e.Name, attr, "wrong", "s2", "x", "", 0.4),
+		claim(e.Name, attr, val, "s1", 0.9),
+		claim(e.Name, attr, "wrong", "s2", 0.4),
 	}
 	scores := sc.CompareFusionMethods(stmts, []fusion.Method{&fusion.Vote{}, &fusion.Accu{}}, fusion.BySource)
 	if len(scores) != 2 {

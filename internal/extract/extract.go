@@ -272,13 +272,3 @@ func (n Names) Of(t rdf.Term) string {
 	}
 	return name
 }
-
-// NewStatement builds a confidence-annotated statement for an extracted
-// (entity, attribute, value) triple.
-func NewStatement(entity, attr, value, source, extractor, doc string, conf float64) rdf.Statement {
-	return rdf.S(
-		rdf.T(EntityIRI(entity), AttrIRI(attr), rdf.Literal(value)),
-		rdf.Provenance{Source: source, Extractor: extractor, Document: doc},
-		conf,
-	)
-}

@@ -240,19 +240,3 @@ func TestAttrIRIRoundTrip(t *testing.T) {
 		}
 	}
 }
-
-func TestNewStatement(t *testing.T) {
-	s := NewStatement("Casablanca", "director", "Michael Curtiz", "imdb.example", ExtractorDOM, "page1", 0.8)
-	if err := s.Valid(); err != nil {
-		t.Fatalf("statement invalid: %v", err)
-	}
-	if s.Object != rdf.Literal("Michael Curtiz") {
-		t.Errorf("object = %v", s.Object)
-	}
-	if s.Provenance.Source != "imdb.example" || s.Provenance.Extractor != ExtractorDOM {
-		t.Errorf("provenance = %+v", s.Provenance)
-	}
-	if AttrFromIRI(s.Predicate) != "director" {
-		t.Errorf("predicate attr = %q", AttrFromIRI(s.Predicate))
-	}
-}

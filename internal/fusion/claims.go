@@ -118,12 +118,6 @@ type Claims struct {
 	SourceNames []string
 }
 
-// SourceNumber returns the number of the source of that name; ok is false
-// when no source has it.
-func (c *Claims) SourceNumber(name string) (n int, ok bool) {
-	return slices.BinarySearch(c.SourceNames, name)
-}
-
 // checkSources panics unless every claim's source is one of SourceNames: a
 // number out of range would otherwise fail, or be counted for another
 // source, deep inside a method's loop.

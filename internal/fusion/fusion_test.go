@@ -3,6 +3,7 @@ package fusion
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -21,7 +22,7 @@ func beliefIn(d *Decision, value string) float64 {
 // numberOf is the number the claims give the source of that name.
 func numberOf(t *testing.T, c *Claims, source string) int {
 	t.Helper()
-	n, ok := c.SourceNumber(source)
+	n, ok := slices.BinarySearch(c.SourceNames, source)
 	if !ok {
 		t.Fatalf("no source %q among %v", source, c.SourceNames)
 	}
@@ -121,12 +122,6 @@ func TestBuildClaimsGrouping(t *testing.T) {
 	}
 	if len(c.SourceNames) != 3 {
 		t.Errorf("sources = %v", c.SourceNames)
-	}
-	if n, ok := c.SourceNumber("s2"); !ok || n != 1 {
-		t.Errorf("SourceNumber(s2) = %d, %v, want 1", n, ok)
-	}
-	if _, ok := c.SourceNumber("s0"); ok {
-		t.Error("SourceNumber knows a source nobody named")
 	}
 	if size := unsafe.Sizeof(SourceClaim{}); size != 16 {
 		t.Errorf("a SourceClaim is %d bytes, want 16", size)

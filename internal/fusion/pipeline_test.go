@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -154,7 +155,7 @@ func renameSources(t *testing.T, stmts []rdf.Statement, c *fusion.Claims, to []i
 	out := append([]rdf.Statement(nil), stmts...)
 	for i := range out {
 		p := &out[i].Provenance
-		if n, ok := c.SourceNumber(p.Source + "+" + p.Extractor); ok {
+		if n, ok := slices.BinarySearch(c.SourceNames, p.Source+"+"+p.Extractor); ok {
 			p.Source = fmt.Sprintf("r%04d", to[n])
 		}
 	}
@@ -204,9 +205,9 @@ func TestSourceRenamingAndPermutation(t *testing.T) {
 		// the copy discount's own dependence on names (ROADMAP item 3).
 		perm := rand.New(rand.NewSource(27)).Perm(len(identity))
 		for _, cluster := range wantClusters {
-			rep, _ := c.SourceNumber(cluster[0])
+			rep, _ := slices.BinarySearch(c.SourceNames, cluster[0])
 			for _, s := range cluster[1:] {
-				if n, _ := c.SourceNumber(s); perm[n] < perm[rep] {
+				if n, _ := slices.BinarySearch(c.SourceNames, s); perm[n] < perm[rep] {
 					perm[n], perm[rep] = perm[rep], perm[n]
 				}
 			}
@@ -260,7 +261,7 @@ func TestSourceRenamingAndPermutation(t *testing.T) {
 			for _, cluster := range wantClusters {
 				var members []string
 				for _, s := range cluster {
-					n, _ := c.SourceNumber(s)
+					n, _ := slices.BinarySearch(c.SourceNames, s)
 					members = append(members, renamed.SourceNames[rn.to[n]])
 				}
 				sort.Strings(members)

@@ -207,10 +207,10 @@ func TestGenerateSourceKBsMatchTable2RawCounts(t *testing.T) {
 	db := GenerateDBpedia(w, KBGenConfig{Seed: 3, Coverage: 0.7})
 	fb := GenerateFreebase(w, KBGenConfig{Seed: 3, Coverage: 0.9})
 	for _, spec := range FiveClasses() {
-		if got := db.RawPropertyCount(spec.Name); got != spec.DBpediaRaw {
+		if got := len(db.Properties[spec.Name]); got != spec.DBpediaRaw {
 			t.Errorf("DBpedia %s raw = %d, want %d", spec.Name, got, spec.DBpediaRaw)
 		}
-		if got := fb.RawPropertyCount(spec.Name); got != spec.FreebaseRaw {
+		if got := len(fb.Properties[spec.Name]); got != spec.FreebaseRaw {
 			t.Errorf("Freebase %s raw = %d, want %d", spec.Name, got, spec.FreebaseRaw)
 		}
 	}

@@ -69,10 +69,6 @@ type SourceKB struct {
 	CoveredEntities map[string][]string
 }
 
-// RawPropertyCount returns the number of raw properties for a class —
-// the "DBpedia"/"Freebase" columns of Table 2.
-func (k *SourceKB) RawPropertyCount(class string) int { return len(k.Properties[class]) }
-
 // KBGenConfig controls source-KB generation.
 type KBGenConfig struct {
 	Seed int64

@@ -101,7 +101,7 @@ func TestTimelinesExcludedFromExtraAttrs(t *testing.T) {
 				if !ok || !a.Temporal {
 					t.Errorf("%s/%s: timeline on non-temporal attribute", e.Name, attr)
 				}
-				if !e.HasAttr(attr) {
+				if len(e.TrueValues(attr)) == 0 {
 					t.Errorf("%s/%s: timeline without current value", e.Name, attr)
 				}
 			}

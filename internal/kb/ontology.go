@@ -239,9 +239,6 @@ func (e *Entity) Value(attr string) string {
 	return vs[0]
 }
 
-// HasAttr reports whether the entity has any value for the attribute.
-func (e *Entity) HasAttr(attr string) bool { return len(e.TrueValues(attr)) > 0 }
-
 // CanonicalAttributeName normalises a KB-specific property name (camelCase
 // DBpedia style, snake_case Freebase style, slash-qualified paths) into the
 // canonical lower-case space-separated form. Class-name prefixes are

@@ -25,16 +25,19 @@ func TestEntityRowsAreSorted(t *testing.T) {
 					if len(row.Values) == 0 {
 						t.Fatalf("seed %d %s/%s: empty value row", cfg.Seed, e.Name, row.Attr)
 					}
-					if got := e.TrueValues(row.Attr); !slices.Equal(got, row.Values) {
-						t.Fatalf("seed %d %s/%s: TrueValues = %q, row holds %q", cfg.Seed, e.Name, row.Attr, got, row.Values)
+					if got := e.TrueValues(row.Attr); !slices.Equal(got, row.Values) || e.Value(row.Attr) != row.Values[0] {
+						t.Fatalf("seed %d %s/%s: TrueValues = %q, Value = %q, row holds %q", cfg.Seed, e.Name, row.Attr, got, e.Value(row.Attr), row.Values)
 					}
+				}
+				if v := e.Value("no such attribute"); v != "" {
+					t.Fatalf("seed %d %s: Value of an attribute it lacks = %q", cfg.Seed, e.Name, v)
 				}
 				for i, tl := range e.Timelines {
 					if i > 0 && e.Timelines[i-1].Attr >= tl.Attr {
 						t.Fatalf("seed %d %s: timeline rows %q then %q", cfg.Seed, e.Name, e.Timelines[i-1].Attr, tl.Attr)
 					}
-					if len(tl.Spans) == 0 || !e.HasAttr(tl.Attr) {
-						t.Fatalf("seed %d %s/%s: %d spans, value row %v", cfg.Seed, e.Name, tl.Attr, len(tl.Spans), e.HasAttr(tl.Attr))
+					if len(tl.Spans) == 0 || len(e.TrueValues(tl.Attr)) == 0 {
+						t.Fatalf("seed %d %s/%s: %d spans, %d values", cfg.Seed, e.Name, tl.Attr, len(tl.Spans), len(e.TrueValues(tl.Attr)))
 					}
 					if got := e.Timeline(tl.Attr); !slices.Equal(got, tl.Spans) {
 						t.Fatalf("seed %d %s/%s: Timeline = %v, row holds %v", cfg.Seed, e.Name, tl.Attr, got, tl.Spans)
@@ -95,7 +98,7 @@ func TestErrorFreeFactsAreTheWorld(t *testing.T) {
 			for _, name := range src.CoveredEntities[cls] {
 				e, _ := w.Entity(name)
 				for _, p := range src.Properties[cls] {
-					has := slices.ContainsFunc(p.Fields, func(f Field) bool { return e.HasAttr(f.Canonical) })
+					has := slices.ContainsFunc(p.Fields, func(f Field) bool { return len(e.TrueValues(f.Canonical)) > 0 })
 					if has != seen[key{name, p.Name}] {
 						t.Fatalf("%s/%s: entity %s has a value for %s: %v, has a fact: %v", src.Name, cls, name, p.Name, has, !has)
 					}
@@ -114,7 +117,7 @@ func TestSameNamedFieldsKeepTheLastWithValues(t *testing.T) {
 	e := w.EntitiesOf("Film")[0]
 	var missing string // an attribute of the class the entity has no value for
 	for _, a := range cls.Attributes {
-		if !e.HasAttr(a.Canonical) {
+		if len(e.TrueValues(a.Canonical)) == 0 {
 			missing = a.Canonical
 			break
 		}

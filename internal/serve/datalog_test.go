@@ -321,9 +321,10 @@ func TestQueryRouteByteEquivalence(t *testing.T) {
 // TestDatalogThroughChaosWrapper drives /v1/datalog over a chaos-wrapped
 // store. A wrapper is just another Querier, so with injection off the
 // answers — every strategy, serial and parallel, plan included — are byte
-// for byte the unwrapped server's; with it on, a read that panics inside
-// the executor (on the handler's goroutine or on a worker's) comes back as
-// the 500 envelope: no crash, no hang, and clean service again afterwards.
+// for byte the unwrapped server's, and the wrapper counts no call; a read
+// that panics inside a probe (on the handler's goroutine or on a worker's)
+// comes back as the 500 envelope. (Injection switched on and off again
+// under every route is the server model's.)
 func TestDatalogThroughChaosWrapper(t *testing.T) {
 	ctl := store.NewChaosController(&resilience.FaultPlan{
 		Seed:    5,
@@ -371,27 +372,6 @@ func TestDatalogThroughChaosWrapper(t *testing.T) {
 	}
 	if ctl.Calls() != 0 {
 		t.Errorf("disabled chaos counted %d calls", ctl.Calls())
-	}
-
-	ctl.SetEnabled(true)
-	for _, body := range bodies {
-		status, got := post(wrapped.URL, body)
-		var env map[string]any
-		if err := json.Unmarshal([]byte(got), &env); err != nil || status != http.StatusInternalServerError ||
-			env["status"] != float64(500) || !strings.Contains(env["error"].(string), "injected") {
-			t.Errorf("%s under injection: %d %s, want the 500 envelope of an injected fault", body, status, got)
-		}
-	}
-	if ctl.Panics() < int64(len(bodies)) {
-		t.Errorf("%d injected panics for %d faulted queries", ctl.Panics(), len(bodies))
-	}
-
-	ctl.SetEnabled(false)
-	for _, body := range bodies {
-		_, want := post(plain.URL, body)
-		if status, got := post(wrapped.URL, body); status != http.StatusOK || got != want {
-			t.Errorf("%s after injection stopped: %d %s", body, status, got)
-		}
 	}
 
 	// Faults are injected where a read is opened, so failing a probe takes a

@@ -5,12 +5,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"log/slog"
 	"net/http"
 	"net/http/httptest"
-	"net/http/httptrace"
 	"runtime"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -56,167 +53,6 @@ func (b *syncBuffer) String() string {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.buf.String()
-}
-
-// oneConnClient talks to the server over a single keep-alive connection, so
-// a second request proves what state the first left the connection in.
-func oneConnClient() *http.Client {
-	return &http.Client{Transport: &http.Transport{MaxConnsPerHost: 1, MaxIdleConnsPerHost: 1}}
-}
-
-// TestRequestTimeout503 drives the deadline over the real chain and a real
-// loopback listener: a read that stalls far past the request timeout is
-// answered 503 — the timeout envelope with its Content-Length and the
-// request's ID — within twice the timeout, although the handler returns
-// much later; what the handler writes then is dropped, and the connection
-// serves the next request as if nothing had happened. The access log and
-// the request span record the 503 the client saw.
-func TestRequestTimeout503(t *testing.T) {
-	const timeout, stall = 100 * time.Millisecond, 800 * time.Millisecond
-	var logs syncBuffer
-	run := obs.NewRun()
-	cfg := DefaultConfig()
-	cfg.RequestTimeout = timeout
-	cfg.AccessLog = slog.New(slog.NewJSONHandler(&logs, nil))
-	cfg.Obs = run
-	s := New(testStore(), run.Registry(), stallEntity(cfg, func() { time.Sleep(stall) }))
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	client := oneConnClient()
-
-	start := time.Now()
-	resp, err := client.Get(ts.URL + "/v1/entity/Casablanca")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	took := time.Since(start)
-	if err != nil {
-		t.Fatalf("reading the 503: %v", err)
-	}
-	if resp.StatusCode != http.StatusServiceUnavailable || string(body) != timeoutBody {
-		t.Fatalf("stalled request: %d %q, want 503 %s", resp.StatusCode, body, timeoutBody)
-	}
-	if took >= 2*timeout {
-		t.Errorf("the 503 took %v, want it at the %v deadline (the handler stalls for %v)", took, timeout, stall)
-	}
-	id := resp.Header.Get(RequestIDHeader)
-	if id == "" {
-		t.Error("timeout response carries no X-Request-ID")
-	}
-	if got := resp.Header.Get("Content-Length"); got != strconv.Itoa(len(timeoutBody)) {
-		t.Errorf("Content-Length = %q, want %d", got, len(timeoutBody))
-	}
-	if got := resp.Header.Get("Content-Type"); got != "application/json" {
-		t.Errorf("Content-Type = %q", got)
-	}
-
-	// Same connection, next request: it waits for the stalled handler to
-	// return, whose late 200 must not reach the wire.
-	reused := false
-	req, _ := http.NewRequest("GET", ts.URL+"/healthz", nil)
-	req = req.WithContext(httptrace.WithClientTrace(req.Context(), &httptrace.ClientTrace{
-		GotConn: func(info httptrace.GotConnInfo) { reused = info.Reused },
-	}))
-	resp, err = client.Do(req)
-	if err != nil {
-		t.Fatalf("next request on the connection: %v", err)
-	}
-	body, _ = io.ReadAll(resp.Body)
-	resp.Body.Close()
-	var health healthzBody
-	if err := json.Unmarshal(body, &health); err != nil || resp.StatusCode != http.StatusOK || health.Status != "serving" {
-		t.Errorf("next request: %d %q (%v), want a clean /healthz", resp.StatusCode, body, err)
-	}
-	if !reused {
-		t.Error("the next request did not reuse the timed-out request's connection")
-	}
-	if time.Since(start) < stall {
-		t.Errorf("the connection was free again after %v, before the stalled handler (%v) returned", time.Since(start), stall)
-	}
-	if got := s.m.inflight.Value(); got != 0 {
-		t.Errorf("akb_serve_inflight = %v after both requests", got)
-	}
-
-	lines := strings.Split(strings.TrimSpace(logs.String()), "\n")
-	var line map[string]any
-	if err := json.Unmarshal([]byte(lines[0]), &line); err != nil {
-		t.Fatalf("access log line %q: %v", lines[0], err)
-	}
-	if line["id"] != id || line["status"] != float64(503) || line["bytes"] != float64(len(timeoutBody)) {
-		t.Errorf("access log for the timed-out request: %v", line)
-	}
-	if us, _ := line["dur_us"].(float64); time.Duration(us)*time.Microsecond < stall {
-		t.Errorf("access log duration %vµs: the line must cover the handler's whole run", us)
-	}
-	var span *obs.SpanReport
-	for _, sp := range run.Trace().Snapshot() {
-		if sp.Attr("request_id") == id {
-			sp := sp
-			span = &sp
-		}
-	}
-	if span == nil || span.Attr("status") != "503" {
-		t.Errorf("request span for %s: %+v, want status 503", id, span)
-	}
-}
-
-// TestDeadlineAtTheBoundary makes the handler finish as the timer fires:
-// a 10 ms read (the route's one read of the entity, spinning so the end is
-// sharp) under timeouts from 8.5 to 10.5 ms in 100 µs steps (a
-// timer fires a little late, so the two meet below 10 ms).
-// Whoever wins, the client gets exactly one well-formed response — the
-// entity or the timeout envelope, with a matching Content-Length — and the
-// connection carries on. Run under -race this is the test of the writer's
-// locking.
-func TestDeadlineAtTheBoundary(t *testing.T) {
-	want, err := encodeEntity("Casablanca", testStore().Entity("Casablanca"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rounds := 6
-	if testing.Short() {
-		rounds = 2
-	}
-	spin := func() {
-		for start := time.Now(); time.Since(start) < 10*time.Millisecond; {
-		}
-	}
-	var outcomes []string
-	for timeout := 8500 * time.Microsecond; timeout <= 10500*time.Microsecond; timeout += 100 * time.Microsecond {
-		cfg := DefaultConfig()
-		cfg.RequestTimeout = timeout
-		cfg.CacheSize = 0 // every request reads, so every request stalls
-		s := New(testStore(), obs.NewRegistry(), stallEntity(cfg, spin))
-		ts := httptest.NewServer(s.Handler())
-		client := oneConnClient()
-		timedOut := 0
-		for i := 0; i < rounds; i++ {
-			resp, err := client.Get(ts.URL + "/v1/entity/Casablanca")
-			if err != nil {
-				t.Fatalf("timeout %v round %d: %v", timeout, i, err)
-			}
-			body, err := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			if err != nil {
-				t.Fatalf("timeout %v round %d: torn body: %v", timeout, i, err)
-			}
-			switch {
-			case resp.StatusCode == http.StatusOK && bytes.Equal(body, want):
-			case resp.StatusCode == http.StatusServiceUnavailable && string(body) == timeoutBody:
-				timedOut++
-			default:
-				t.Fatalf("timeout %v round %d: %d %q is neither the entity nor the timeout envelope", timeout, i, resp.StatusCode, body)
-			}
-			if resp.Header.Get(RequestIDHeader) == "" {
-				t.Fatalf("timeout %v round %d: no X-Request-ID", timeout, i)
-			}
-		}
-		ts.Close()
-		outcomes = append(outcomes, fmt.Sprintf("%v:%d/%d", timeout, timedOut, rounds))
-	}
-	t.Logf("timed out, by timeout: %s", strings.Join(outcomes, " "))
 }
 
 // chain wraps a handler in the server's own middleware, deadline included,

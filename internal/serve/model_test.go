@@ -15,6 +15,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httptrace"
 	"net/url"
 	"os"
 	"path/filepath"
@@ -41,9 +42,11 @@ import (
 // flight. The model knows every generation's facts, and a 200 must be the
 // brute-force answer over the facts of the generation its X-Akb-Generation
 // header names; any other status must be one the model allows at that
-// point. Every response carries its own X-Request-ID and is logged once,
-// under it, with its status; at the end the server's metrics equal the
-// model's counts.
+// point. Every response carries its own X-Request-ID and a JSON
+// Content-Type (the Prometheus exposition its own), and is logged once
+// under that ID, with its status, its size and a duration that covers its
+// handler's run (and traced once with its status, on a traced server); at
+// the end the server's metrics equal the model's counts.
 
 const (
 	// modelMaxInFlight is small, so the stream can hold every slot.
@@ -167,9 +170,12 @@ type hold struct {
 	start   time.Time
 	cancel  context.CancelFunc
 	arrived chan struct{} // closed when the read reaches the gate
-	release chan struct{} // closed by the test
-	done    chan struct{} // closed when the request has returned
-	once    sync.Once
+	// arrivedAt is when the test saw the read at the gate: not before the
+	// server began the request.
+	arrivedAt time.Time
+	release   chan struct{} // closed by the test
+	done      chan struct{} // closed when the request has returned
+	once      sync.Once
 }
 
 // gate holds the reads of hold names; every other read goes through the
@@ -291,6 +297,9 @@ type call struct {
 	poison      bool   // sent with a poisonedCtx
 	cancel      bool   // its context is cancelled before it returns
 	mustTimeout bool   // held past its deadline
+	// minDur is a time the handler surely ran for: from its arrival at the
+	// gate to its release.
+	minDur time.Duration
 }
 
 // modelState is what the model knows when a request is sent.
@@ -304,17 +313,18 @@ type modelState struct {
 
 // modelRun is one server under one operation stream, and the model of it.
 type modelRun struct {
-	t    testing.TB
-	ops  opSource
-	kb   *rand.Rand
-	s    *Server
-	h    http.Handler
-	reg  *obs.Registry
-	ctl  *store.ChaosController
-	gate *gate
-	log  *syncBuffer
-	dir  string
-	step int
+	t     testing.TB
+	ops   opSource
+	kb    *rand.Rand
+	s     *Server
+	h     http.Handler
+	reg   *obs.Registry
+	trace *obs.Trace
+	ctl   *store.ChaosController
+	gate  *gate
+	log   *syncBuffer
+	dir   string
+	step  int
 
 	shards int
 	next   func() (store.Querier, error) // what the reloader returns next
@@ -348,6 +358,8 @@ type modelRun struct {
 type loggedResponse struct {
 	id     string
 	status int
+	bytes  int
+	minDur time.Duration
 	where  string
 }
 
@@ -359,9 +371,10 @@ func (m *modelRun) errorf(where, format string, args ...any) {
 // newModelRun starts a server: one or three shards, no cache, a small one
 // or a large one, and either a first store or none (the starting state).
 func newModelRun(t testing.TB, seed int64, ops opSource) *modelRun {
+	run := obs.NewRun()
 	m := &modelRun{
 		t: t, ops: ops, kb: rand.New(rand.NewSource(seed)),
-		reg: obs.NewRegistry(), gate: &gate{holds: map[string]*hold{}}, log: &syncBuffer{}, dir: t.TempDir(),
+		reg: run.Registry(), trace: run.Trace(), gate: &gate{holds: map[string]*hold{}}, log: &syncBuffer{}, dir: t.TempDir(),
 		shards: []int{1, 3}[ops.Intn(2)],
 		gens:   map[uint64][]store.Fact{}, ids: map[string]bool{}, cover: map[string]int{},
 	}
@@ -384,6 +397,14 @@ func newModelRun(t testing.TB, seed int64, ops opSource) *modelRun {
 		return gateQuerier{m.ctl.Wrap(q), m.gate, q}
 	}
 	cfg.AccessLog = slog.New(slog.NewJSONHandler(m.log, nil))
+	// Every request and every reload of a traced server takes the trace's
+	// lock, which orders them for the race detector: half the runs go
+	// untraced, so a race between a reload and a request still shows.
+	if seed%2 == 0 {
+		cfg.Obs = run
+	} else {
+		m.trace = nil
+	}
 	var first store.Querier
 	if ops.Intn(4) > 0 {
 		facts := m.goodFacts()
@@ -474,6 +495,9 @@ func (m *modelRun) judge(c *call, st modelState, res response) {
 	defer m.mu.Unlock()
 	where := c.method + " " + c.target
 	m.checkID(where, c, res)
+	if ct := res.header.Get("Content-Type"); c.kind != kindProm && ct != "application/json" {
+		m.errorf(where, "%d with Content-Type %q", res.status, ct)
+	}
 
 	// Overload: with every slot held, the request is shed before anything
 	// else sees it; below that, never.
@@ -495,8 +519,11 @@ func (m *modelRun) judge(c *call, st modelState, res response) {
 	// Behind it, a held datalog query's route answers 503 too, when its
 	// executor sees the deadline.
 	if res.status == http.StatusServiceUnavailable && string(res.body) == timeoutBody {
-		if res.elapsed < modelTimeout {
-			m.errorf(where, "timed out after %v, before the %v deadline", res.elapsed, modelTimeout)
+		if res.elapsed < modelTimeout || res.elapsed > 4*modelTimeout {
+			m.errorf(where, "timed out after %v, not at the %v deadline", res.elapsed, modelTimeout)
+		}
+		if cl := res.header.Get("Content-Length"); cl != strconv.Itoa(len(timeoutBody)) {
+			m.errorf(where, "timed out with Content-Length %q, want %d", cl, len(timeoutBody))
 		}
 		switch {
 		case !c.mustTimeout || c.serial:
@@ -587,7 +614,7 @@ func (m *modelRun) checkID(where string, c *call, res response) {
 		m.errorf(where, "X-Request-ID %q answered twice", id)
 	}
 	m.ids[id] = true
-	m.logged = append(m.logged, loggedResponse{id, res.status, where})
+	m.logged = append(m.logged, loggedResponse{id, res.status, len(res.body), c.minDur, where})
 }
 
 // judgeData holds a data route's response to the generation it names.
@@ -633,8 +660,10 @@ func (m *modelRun) judgeAnswer(where string, want answer, res response, gen uint
 }
 
 func (m *modelRun) judgeHealth(where string, c *call, st modelState, res response) {
+	// Ready: serving, or degraded by a failed reload with the old store.
+	ready := st.health == HealthServing || st.health == HealthDegraded
 	want := http.StatusOK
-	if c.kind == kindReadyz && !st.health.ready() {
+	if c.kind == kindReadyz && !ready {
 		want = http.StatusServiceUnavailable
 		m.errs++
 	}
@@ -644,7 +673,7 @@ func (m *modelRun) judgeHealth(where string, c *call, st modelState, res respons
 		return
 	}
 	facts := m.gens[st.gen]
-	if body.Status != st.health.String() || body.Ready != st.health.ready() || body.Generation != st.gen ||
+	if body.Status != st.health.String() || body.Ready != ready || body.Generation != st.gen ||
 		body.Facts != len(facts) || body.Entities != entityCount(facts) || (body.LastReloadError != "") != m.lastErr {
 		m.errorf(where, "%+v, want state %s at generation %d (%d facts, %d entities), last reload failed: %v",
 			body, st.health, st.gen, len(facts), entityCount(facts), m.lastErr)
@@ -1024,7 +1053,11 @@ func (m *modelRun) run() {
 		case k == 11:
 			m.releaseHold()
 		case k == 12:
-			m.cancelMidRead()
+			if m.ops.Intn(8) > 0 {
+				m.cancelMidRead()
+			} else {
+				m.releaseAtDeadline()
+			}
 		case k == 13:
 			c := dataCall(m.ops)
 			c.cancel = true
@@ -1032,7 +1065,11 @@ func (m *modelRun) run() {
 		case k < 16:
 			m.reload(m.ops.Intn(2) == 0)
 		case k == 16:
-			m.reloadUnderLoad()
+			if m.ops.Intn(2) == 0 {
+				m.reloadUnderLoad()
+			} else {
+				m.reloadMidRead()
+			}
 		case k == 17:
 			m.mu.Lock()
 			m.chaos = !m.chaos
@@ -1104,6 +1141,7 @@ func (m *modelRun) park(route int, serve func(h *hold, req *http.Request)) *hold
 	}()
 	select {
 	case <-h.arrived:
+		h.arrivedAt = time.Now()
 		return h
 	case <-h.done:
 		cancel()
@@ -1164,6 +1202,36 @@ func (m *modelRun) cancelMidRead() {
 	m.judge(h.c, h.st, h.rec.response(h.start))
 	m.mu.Lock()
 	m.cover["cancelled mid-read"]++
+	m.mu.Unlock()
+}
+
+// releaseAtDeadline parks an entity read and lets it go as its deadline
+// fires, up to two milliseconds either side: the handler's answer and the
+// timer's race for the response, and exactly one of them must reach it,
+// whole. Nothing but the deadline writer's lock orders the two, so under
+// -race this is the check of that lock.
+func (m *modelRun) releaseAtDeadline() {
+	if len(m.held) >= modelMaxInFlight || m.gen == 0 {
+		return
+	}
+	at := modelTimeout - 2*time.Millisecond + time.Duration(m.ops.Intn(17))*250*time.Microsecond
+	h := m.park(holdEntity, func(h *hold, req *http.Request) { m.h.ServeHTTP(h.rec, req) })
+	if h == nil {
+		return
+	}
+	time.Sleep(time.Until(h.start.Add(at)))
+	m.letGo(h, "released at the deadline")
+}
+
+// letGo releases a parked request, waits for it to return and judges its
+// answer.
+func (m *modelRun) letGo(h *hold, reached string) {
+	close(h.release)
+	m.wait(h.done, h.name+" returned")
+	h.cancel()
+	m.judge(h.c, h.st, h.rec.response(h.start))
+	m.mu.Lock()
+	m.cover[reached]++
 	m.mu.Unlock()
 }
 
@@ -1342,20 +1410,25 @@ func (m *modelRun) reloadUnderLoad() {
 		}()
 	}
 	started.Wait()
-	// While the reload prepares the new store, each reader is answered
-	// once more: until the swap, from the old generation, whole.
-	m.onWrap = func() {
-		want, deadline := served.Load()+int64(readers), time.Now().Add(modelWait)
+	// answered waits for n more answers to the readers.
+	answered := func(n int, while string) {
+		want, deadline := served.Load()+int64(n), time.Now().Add(modelWait)
 		for served.Load() < want {
 			if time.Now().After(deadline) {
-				m.errorf("Reload under load", "readers stalled while the new store was prepared")
+				m.errorf("Reload under load", "readers stalled %s", while)
 				return
 			}
 			time.Sleep(50 * time.Microsecond)
 		}
 	}
+	// While the reload prepares the new store, each reader is answered
+	// once more: until the swap, from the old generation, whole.
+	m.onWrap = func() { answered(readers, "while the new store was prepared") }
 	_, err := m.s.Reload()
 	m.onWrap = nil
+	// Then twice as many answers again, so at least one reader has sent a
+	// request after the swap: one read of the new generation beside it.
+	answered(2*readers, "after the swap")
 	close(stop)
 	wg.Wait()
 	if (err == nil) != ok {
@@ -1369,10 +1442,25 @@ func (m *modelRun) reloadUnderLoad() {
 	}
 }
 
+// reloadMidRead parks a query at the gate, swaps in the next store while
+// it waits there, then lets it go: its answer must be that of the
+// generation it began on, which its header and its body both name.
+func (m *modelRun) reloadMidRead() {
+	if len(m.held) >= modelMaxInFlight || m.gen == 0 {
+		return
+	}
+	h := m.park(holdSerialQuery+m.ops.Intn(2), func(h *hold, req *http.Request) { m.h.ServeHTTP(h.rec, req) })
+	if h == nil {
+		return
+	}
+	m.reload(false)
+	m.letGo(h, "reload mid-read")
+}
+
 // finish ends the stream: every hold released, injection off, a sweep of
-// clean reads, then Serve on a loopback listener, shut down with requests
-// in flight; then the metrics and the access log.
-func (m *modelRun) finish() {
+// clean reads, then, with drain, Serve on a loopback listener, shut down
+// with requests in flight; then the metrics and the access log.
+func (m *modelRun) finish(drain bool) {
 	m.step++
 	for len(m.held) > 0 {
 		m.releaseHold()
@@ -1407,7 +1495,9 @@ func (m *modelRun) finish() {
 	}
 	m.send(&call{method: http.MethodGet, target: "/metrics", kind: kindMetrics})
 
-	m.serveAndDrain()
+	if drain {
+		m.serveAndDrain()
+	}
 
 	// At rest: nothing in flight, and every count the model's.
 	got := map[string]float64{}
@@ -1426,10 +1516,13 @@ func (m *modelRun) finish() {
 	m.checkAccessLog()
 }
 
-// serveAndDrain runs Serve on a loopback listener: reads over a real
-// connection, then requests parked past their deadline while Serve shuts
-// down. Serve must wait for them, /readyz must say draining, and it must
-// return cleanly once they finish.
+// serveAndDrain runs Serve on a loopback listener, over one connection:
+// reads over it; a request held past its deadline, answered 503 there while
+// its handler is parked, after which the next request waits on the same
+// connection for the handler to return and gets its own answer, whole;
+// then a request held as Serve shuts down. Serve must say draining, deliver
+// the held request's answer at its deadline, wait for its handler, return
+// cleanly once it finishes, and accept no connection after.
 func (m *modelRun) serveAndDrain() {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -1439,7 +1532,7 @@ func (m *modelRun) serveAndDrain() {
 	defer cancel()
 	served := make(chan error, 1)
 	go func() { served <- m.s.Serve(ctx, ln) }()
-	tr := &http.Transport{}
+	tr := &http.Transport{MaxConnsPerHost: 1}
 	defer tr.CloseIdleConnections()
 	client := &http.Client{Transport: tr, Timeout: modelWait}
 	base := "http://" + ln.Addr().String()
@@ -1457,29 +1550,26 @@ func (m *modelRun) serveAndDrain() {
 		}
 		return response{status: resp.StatusCode, header: resp.Header, body: body, elapsed: time.Since(start)}
 	}
-	over := func(c *call) {
+	request := func(c *call) *http.Request {
 		req, err := http.NewRequest(c.method, base+c.target, strings.NewReader(c.body))
 		if err != nil {
 			m.t.Fatal(err)
 		}
+		return req
+	}
+	over := func(c *call) {
 		st := m.state()
-		m.judge(c, st, roundTrip(c, req))
+		m.judge(c, st, roundTrip(c, request(c)))
 	}
 	over(&call{method: http.MethodGet, target: "/healthz", kind: kindHealthz})
 	over(entityCall(stampEntity))
 	over(datalogCall(&seededOps{Rand: rand.New(rand.NewSource(int64(m.step)))}))
 
-	// modelMaxInFlight-1 requests in flight, answered 503 at their deadline
-	// while their handlers are still parked.
-	var parked []*hold
-	for len(parked) < modelMaxInFlight-1 {
+	// holdOver parks a request over the listener and waits for its answer at
+	// its deadline.
+	holdOver := func() *hold {
 		h := m.park(holdEntity, func(h *hold, req *http.Request) {
-			out, err := http.NewRequest(req.Method, base+req.URL.RequestURI(), nil)
-			if err != nil {
-				m.t.Error(err)
-				return
-			}
-			res := roundTrip(h.c, out)
+			res := roundTrip(h.c, request(h.c))
 			h.rec.mu.Lock()
 			h.rec.status, h.rec.sent, h.rec.wroteAt = res.status, res.header, h.start.Add(res.elapsed)
 			h.rec.body.Write(res.body)
@@ -1489,13 +1579,45 @@ func (m *modelRun) serveAndDrain() {
 			m.t.Fatal("a request over the listener did not reach the store")
 		}
 		h.c.mustTimeout = true
-		parked = append(parked, h)
+		return h
 	}
-	for _, h := range parked {
-		m.wait(h.done, h.name+" answered at its deadline")
-		m.judge(h.c, h.st, h.rec.response(h.start))
+	release := func(h *hold) {
+		h.c.minDur = time.Since(h.arrivedAt)
+		close(h.release)
+		h.cancel()
 	}
 
+	h := holdOver()
+	m.wait(h.done, h.name+" answered at its deadline")
+	next := &call{method: http.MethodGet, target: "/healthz", kind: kindHealthz}
+	st := m.state()
+	var reused bool
+	var answered time.Time
+	nextDone := make(chan response, 1)
+	go func() {
+		req := request(next)
+		req = req.WithContext(httptrace.WithClientTrace(req.Context(), &httptrace.ClientTrace{
+			GotConn: func(info httptrace.GotConnInfo) { reused = info.Reused },
+		}))
+		res := roundTrip(next, req)
+		answered = time.Now()
+		nextDone <- res
+	}()
+	time.Sleep(5 * time.Millisecond)
+	released := time.Now()
+	release(h)
+	m.judge(h.c, h.st, h.rec.response(h.start))
+	select {
+	case res := <-nextDone:
+		m.judge(next, st, res)
+		if !reused || answered.Before(released) {
+			m.errorf(next.target, "after a timeout: connection reused %v, answered %v before its handler was released", reused, released.Sub(answered))
+		}
+	case <-time.After(modelWait):
+		m.t.Fatal("the request after a timeout was not answered")
+	}
+
+	h = holdOver()
 	cancel()
 	for deadline := time.Now().Add(modelWait); m.s.Health() != HealthDraining; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
@@ -1504,20 +1626,19 @@ func (m *modelRun) serveAndDrain() {
 	}
 	m.mu.Lock()
 	m.health = HealthDraining
-	m.held = parked
+	m.held = []*hold{h}
 	m.mu.Unlock()
 	m.send(&call{method: http.MethodGet, target: "/readyz", kind: kindReadyz})
 	m.send(&call{method: http.MethodGet, target: "/healthz", kind: kindHealthz})
+	m.wait(h.done, h.name+" answered at its deadline while draining")
 	select {
 	case err := <-served:
-		m.errorf("Serve", "returned %v with %d requests in flight", err, len(parked))
+		m.errorf("Serve", "returned %v with a request in flight", err)
 		return
-	case <-time.After(20 * time.Millisecond):
+	default:
 	}
-	for _, h := range parked {
-		close(h.release)
-		h.cancel()
-	}
+	release(h)
+	m.judge(h.c, h.st, h.rec.response(h.start))
 	m.held = nil
 	select {
 	case err := <-served:
@@ -1527,27 +1648,48 @@ func (m *modelRun) serveAndDrain() {
 	case <-time.After(2 * modelWait):
 		m.t.Fatal("Serve did not return once its requests finished")
 	}
+	if conn, err := net.DialTimeout("tcp", ln.Addr().String(), modelWait); err == nil {
+		conn.Close()
+		m.errorf("Serve", "the listener accepts connections after the drain")
+	}
 }
 
 // checkAccessLog: every response was logged once, under its request ID,
-// with the status the client saw.
+// with the status the client saw, the bytes of its body and a duration no
+// shorter than its handler surely ran; and, on a traced server, traced once
+// under the same ID with that status.
 func (m *modelRun) checkAccessLog() {
-	records := map[string][]int{}
+	type record struct{ status, bytes, durUS int }
+	records := map[string][]record{}
 	lines := strings.Split(strings.TrimSpace(m.log.String()), "\n")
 	for _, line := range lines {
 		var rec struct {
 			ID     string `json:"id"`
 			Status int    `json:"status"`
+			Bytes  int    `json:"bytes"`
+			DurUS  int    `json:"dur_us"`
 		}
 		if err := json.Unmarshal([]byte(line), &rec); err != nil {
 			m.errorf("access log", "%q: %v", line, err)
 			continue
 		}
-		records[rec.ID] = append(records[rec.ID], rec.Status)
+		records[rec.ID] = append(records[rec.ID], record{rec.Status, rec.Bytes, rec.DurUS})
+	}
+	var spans map[string][]string
+	if m.trace != nil {
+		spans = map[string][]string{}
+		for _, sp := range m.trace.Snapshot() {
+			spans[sp.Attr("request_id")] = append(spans[sp.Attr("request_id")], sp.Attr("status"))
+		}
 	}
 	for _, r := range m.logged {
-		if got := records[r.id]; len(got) != 1 || got[0] != r.status {
-			m.errorf(r.where, "answered %d under X-Request-ID %q, logged under it as %v", r.status, r.id, got)
+		if got := records[r.id]; len(got) != 1 || got[0].status != r.status || got[0].bytes != r.bytes ||
+			time.Duration(got[0].durUS+1)*time.Microsecond < r.minDur {
+			m.errorf(r.where, "answered %d with %d bytes under X-Request-ID %q, its handler running %v or more; logged under it as %v",
+				r.status, r.bytes, r.id, r.minDur, got)
+		}
+		if got := spans[r.id]; spans != nil && (len(got) != 1 || got[0] != strconv.Itoa(r.status)) {
+			m.errorf(r.where, "answered %d under X-Request-ID %q, traced under it as %q", r.status, r.id, got)
 		}
 	}
 	if len(lines) != len(m.logged) {
@@ -1555,30 +1697,32 @@ func (m *modelRun) checkAccessLog() {
 	}
 }
 
-// runModel runs one stream to its end and returns what it reached.
-func runModel(t testing.TB, seed int64, ops opSource) map[string]int {
+// runModel runs one stream to its end, with or without the drain, and
+// returns what it reached.
+func runModel(t testing.TB, seed int64, ops opSource, drain bool) map[string]int {
 	m := newModelRun(t, seed, ops)
 	m.run()
-	m.finish()
+	m.finish(drain)
 	return m.cover
 }
 
 // TestServerMatchesModel runs seeded streams under the model. Together
 // they must reach every behaviour the model rules on: sheds, deadlines,
 // injected and poisoned panics, cancelled reads, reloads good and failed
-// (under load too), the starting state and the drain.
+// (under load and under a parked read too), the starting state and the
+// drain.
 func TestServerMatchesModel(t *testing.T) {
 	cover := map[string]int{}
 	for seed := int64(1); seed <= 4; seed++ {
 		t.Run(fmt.Sprint("seed=", seed), func(t *testing.T) {
-			for k, n := range runModel(t, seed, &seededOps{Rand: rand.New(rand.NewSource(seed)), left: 300}) {
+			for k, n := range runModel(t, seed, &seededOps{Rand: rand.New(rand.NewSource(seed)), left: 300}, true) {
 				cover[k] += n
 			}
 		})
 	}
 	t.Logf("reached: %v", cover)
-	for _, k := range []string{"shed", "timeout", "chaos", "poison", "cancelled mid-read", "cancelled", "reload", "reload failed",
-		"re-signed NaN", "reload under load", "starting", "draining"} {
+	for _, k := range []string{"shed", "timeout", "chaos", "poison", "cancelled mid-read", "released at the deadline", "cancelled",
+		"reload", "reload failed", "re-signed NaN", "reload under load", "reload mid-read", "starting", "draining"} {
 		if cover[k] == 0 {
 			t.Errorf("no seed reached %q: %v", k, cover)
 		}
@@ -1588,7 +1732,8 @@ func TestServerMatchesModel(t *testing.T) {
 // FuzzServerMatchesModel lets the fuzzer's bytes choose the server's
 // configuration and every operation of the stream; the KB comes from a
 // hash of them. An input starts at most modelMaxInFlight goroutines of its
-// own beside Serve's.
+// own. It runs no drain: a real listener costs an input most of its time,
+// and TestServerMatchesModel's streams end in one.
 func FuzzServerMatchesModel(f *testing.F) {
 	for _, seed := range [][]byte{
 		{0, 0, 1},
@@ -1603,6 +1748,6 @@ func FuzzServerMatchesModel(f *testing.F) {
 		}
 		h := fnv.New64a()
 		h.Write(data)
-		runModel(t, int64(h.Sum64()), &byteOps{data: data})
+		runModel(t, int64(h.Sum64()), &byteOps{data: data}, false)
 	})
 }

@@ -14,8 +14,6 @@ import (
 	"time"
 
 	"akb/internal/obs"
-	"akb/internal/resilience"
-	"akb/internal/store"
 )
 
 // TestMetricsContentNegotiation is the format matrix for /metrics: JSON
@@ -117,96 +115,6 @@ func TestPromExpositionContent(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Errorf("exposition missing %q:\n%s", want, body)
 		}
-	}
-}
-
-// TestRequestIDEchoedEverywhere asserts the X-Request-ID contract: a
-// generated ID on every response class the server can produce — 200,
-// 400, 404, shed 429, panic 500 — and adoption of a client-sent ID.
-func TestRequestIDEchoedEverywhere(t *testing.T) {
-	ctl := store.NewChaosController(&resilience.FaultPlan{
-		Seed:    3,
-		Default: resilience.StageFault{FailProb: 1, Transient: true},
-	})
-	ctl.SetEnabled(false)
-	cfg := DefaultConfig()
-	cfg.MaxInFlight = 4
-	cfg.WrapQuerier = ctl.Wrap
-	s := New(testStore(), obs.NewRegistry(), cfg)
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	check := func(name, url string, wantStatus int) string {
-		t.Helper()
-		resp, err := http.Get(ts.URL + url)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		io.Copy(io.Discard, resp.Body)
-		if resp.StatusCode != wantStatus {
-			t.Errorf("%s: status = %d, want %d", name, resp.StatusCode, wantStatus)
-		}
-		id := resp.Header.Get(RequestIDHeader)
-		if id == "" {
-			t.Errorf("%s: response without %s", name, RequestIDHeader)
-		}
-		return id
-	}
-
-	seen := map[string]bool{}
-	for _, tc := range []struct {
-		name, url string
-		status    int
-	}{
-		{"ok", "/v1/entity/Casablanca", http.StatusOK},
-		{"bad request", "/v1/query?bogus=1", http.StatusBadRequest},
-		{"not found", "/v1/entity/Nobody", http.StatusNotFound},
-		{"unknown route", "/v2/x", http.StatusNotFound},
-		{"healthz", "/healthz", http.StatusOK},
-	} {
-		id := check(tc.name, tc.url, tc.status)
-		if seen[id] {
-			t.Errorf("%s: duplicate request ID %q", tc.name, id)
-		}
-		seen[id] = true
-	}
-
-	// Panic path: chaos on, the recovered 500 still carries an ID.
-	ctl.SetEnabled(true)
-	check("panic 500", "/v1/query?class=Film&limit=7", http.StatusInternalServerError)
-	ctl.SetEnabled(false)
-
-	// Shed path: with every in-flight slot held, the 429 carries an ID.
-	for i := 0; i < cfg.MaxInFlight; i++ {
-		s.inflight <- struct{}{}
-	}
-	check("shed 429", "/v1/query?class=Film", http.StatusTooManyRequests)
-	for i := 0; i < cfg.MaxInFlight; i++ {
-		<-s.inflight
-	}
-
-	// A client-supplied ID is adopted verbatim...
-	req, _ := http.NewRequest("GET", ts.URL+"/healthz", nil)
-	req.Header.Set(RequestIDHeader, "gateway-abc-123")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if got := resp.Header.Get(RequestIDHeader); got != "gateway-abc-123" {
-		t.Errorf("client ID not adopted: %q", got)
-	}
-	// ...unless it is abusive (oversized), which gets replaced.
-	req, _ = http.NewRequest("GET", ts.URL+"/healthz", nil)
-	req.Header.Set(RequestIDHeader, strings.Repeat("x", 4096))
-	resp, err = http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if got := resp.Header.Get(RequestIDHeader); got == "" || strings.HasPrefix(got, "xxxx") {
-		t.Errorf("oversized client ID not replaced: %.40q", got)
 	}
 }
 

@@ -252,8 +252,9 @@ func TestReadsMatchScanOnNastyKBs(t *testing.T) {
 			layouts[fmt.Sprintf("v3-flattened-%d", n)] = NewSharded(back.Facts(), 1)
 		}
 		patterns := make([]Pattern, 40)
+		strs := bruteStrings(facts)
 		for i := range patterns {
-			patterns[i] = nastyPattern(r, bruteStrings(facts))
+			patterns[i] = nastyPattern(r, strs)
 		}
 		for name, q := range layouts {
 			if got := q.Facts(); !factsEqual(got, all) {

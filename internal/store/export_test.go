@@ -5,7 +5,7 @@ package store
 var (
 	RefSelect            = refSelect
 	ShardedQueries       = shardedQueries
-	AssertShardedEqual   = assertShardedEqual
+	CheckLayout          = checkLayout
 	DecodeBinarySnapshot = decodeBinarySnapshot
 	OrderFacts           = orderFacts
 	OrderKBs             = orderKBs

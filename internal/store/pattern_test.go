@@ -3,6 +3,7 @@ package store
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -151,14 +152,12 @@ func TestCountEstimateUsesPostings(t *testing.T) {
 	}
 }
 
+// factsEqual compares facts, every field of Fact; a fact's ancestors are nil or
+// not on both sides, as reflect.DeepEqual has them.
 func factsEqual(a, b []Fact) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if !reflect.DeepEqual(a[i], b[i]) {
-			return false
-		}
-	}
-	return true
+	return slices.EqualFunc(a, b, func(x, y Fact) bool {
+		return x.Entity == y.Entity && x.Attr == y.Attr && x.Value == y.Value && x.Class == y.Class &&
+			x.Confidence == y.Confidence && x.Sources == y.Sources &&
+			(x.Ancestors == nil) == (y.Ancestors == nil) && slices.Equal(x.Ancestors, y.Ancestors)
+	})
 }

@@ -432,7 +432,7 @@ func BenchmarkBinarySnapshot(b *testing.B) {
 	}
 }
 
-// TestShardedMatchesStoreLivePipeline runs the same equivalence on real
+// TestShardedMatchesStoreLivePipeline runs the same oracle on real
 // fused-pipeline output, where value hierarchies, multi-truth attributes
 // and class skew all occur naturally.
 func TestShardedMatchesStoreLivePipeline(t *testing.T) {
@@ -447,7 +447,7 @@ func TestShardedMatchesStoreLivePipeline(t *testing.T) {
 	for _, n := range []int{1, 2, 8} {
 		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
 			sh := store.NewSharded(res.Facts(), n)
-			store.AssertShardedEqual(t, flat, sh)
+			store.CheckLayout(t, res.Facts(), sh)
 		})
 	}
 }

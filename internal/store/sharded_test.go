@@ -2,7 +2,7 @@ package store
 
 import (
 	"fmt"
-	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -34,62 +34,50 @@ func shardedQueries(s *Sharded) []Pattern {
 	return qs
 }
 
-// TestShardedMatchesStore is the layout invariant: for any shard count,
-// every read answers byte-identically to the one-shard store — facts,
+// TestShardedMatchesStore is the layout invariant on the hand-built KB:
+// for any shard count, every read answers what the oracle selects — facts,
 // ordering, annotations, everything.
 func TestShardedMatchesStore(t *testing.T) {
 	facts := testFacts()
-	flat := New(facts)
 	for _, n := range []int{1, 2, 3, 8, 16} {
 		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
 			sh := NewSharded(facts, n)
 			if sh.ShardCount() != n {
 				t.Fatalf("ShardCount = %d, want %d", sh.ShardCount(), n)
 			}
-			assertShardedEqual(t, flat, sh)
+			checkLayout(t, facts, sh)
 		})
 	}
 }
 
-// assertShardedEqual checks every read and summary against the flat
-// reference store.
-func assertShardedEqual(t *testing.T, flat, sh *Sharded) {
+// checkLayout holds a store built from facts to the oracles: it holds
+// their canonical copy, counts its facts, entities and classes, and every
+// read of every pattern of its matrix is what refSelect selects of that
+// copy (checkReads).
+func checkLayout(t *testing.T, facts []Fact, sh *Sharded) {
 	t.Helper()
-	if sh.Len() != flat.Len() {
-		t.Errorf("Len = %d, want %d", sh.Len(), flat.Len())
+	all := canonicalCopy(facts)
+	if got := sh.Facts(); !factsEqual(got, all) {
+		t.Errorf("%d shards: Facts\n got: %+v\nwant: %+v", sh.ShardCount(), got, all)
 	}
-	if sh.EntityCount() != flat.EntityCount() {
-		t.Errorf("EntityCount = %d, want %d", sh.EntityCount(), flat.EntityCount())
+	entities, classes := map[string]bool{}, map[string]bool{}
+	for _, f := range all {
+		entities[f.Entity] = true
+		classes[f.Class] = f.Class != ""
 	}
-	if !reflect.DeepEqual(sh.Classes(), flat.Classes()) {
-		t.Errorf("Classes = %v, want %v", sh.Classes(), flat.Classes())
-	}
-	if !reflect.DeepEqual(sh.Facts(), flat.Facts()) {
-		t.Error("global Facts() merge differs from flat store")
-	}
-	for _, q := range shardedQueries(flat) {
-		if got, want := sh.Lookup(q), flat.Lookup(q); !reflect.DeepEqual(got, want) {
-			t.Errorf("Lookup(%+v):\n got %+v\nwant %+v", q, got, want)
-		}
-		if got, want := sh.Lookup(q), refSelect(flat.Facts(), q); !reflect.DeepEqual(got, want) {
-			t.Errorf("Lookup(%+v) differs from the oracle", q)
-		}
-		for _, limit := range []int{0, 1, 2, 5, 1 << 20} {
-			gotF, gotN := sh.LookupN(q, limit)
-			wantF, wantN := flat.LookupN(q, limit)
-			if gotN != wantN || !reflect.DeepEqual(gotF, wantF) {
-				t.Errorf("LookupN(%+v, %d) = (%d facts, total %d), want (%d facts, total %d)",
-					q, limit, len(gotF), gotN, len(wantF), wantN)
-			}
+	var want []string
+	for c, ok := range classes {
+		if ok {
+			want = append(want, c)
 		}
 	}
-	for _, f := range flat.Facts() {
-		if got, want := sh.Entity(f.Entity), flat.Entity(f.Entity); !reflect.DeepEqual(got, want) {
-			t.Errorf("Entity(%q) differs", f.Entity)
-		}
-		if got, want := sh.Triples(f.Entity, f.Attr), flat.Triples(f.Entity, f.Attr); !reflect.DeepEqual(got, want) {
-			t.Errorf("Triples(%q, %q) differs", f.Entity, f.Attr)
-		}
+	slices.Sort(want)
+	if sh.Len() != len(all) || sh.EntityCount() != len(entities) || !slices.Equal(sh.Classes(), want) {
+		t.Errorf("%d shards: %d facts, %d entities, classes %q; want %d, %d, %q",
+			sh.ShardCount(), sh.Len(), sh.EntityCount(), sh.Classes(), len(all), len(entities), want)
+	}
+	for i, p := range patternMatrix(sh) {
+		checkReads(t, fmt.Sprintf("%d shards %#v", sh.ShardCount(), p), sh, all, p, 1+i%5)
 	}
 }
 
@@ -124,92 +112,5 @@ func TestShardedEmptyAndDegenerate(t *testing.T) {
 	}
 	if facts, total := one.LookupN(Pattern{}, 1); len(facts) != 1 || total != 2 {
 		t.Errorf("single-shard LookupN = %d facts, total %d", len(facts), total)
-	}
-}
-
-// TestShardedValueHierarchyAcrossShards pins the hierarchy-aware value
-// index under sharding: facts whose ancestor chains share a value but
-// whose entities hash to different shards must all surface, merged in
-// canonical order.
-func TestShardedValueHierarchyAcrossShards(t *testing.T) {
-	facts := []Fact{
-		{Entity: "Alice", Class: "Person", Attr: "born", Value: "Wuhan", Confidence: 1,
-			Ancestors: []string{"Hubei", "China"}},
-		{Entity: "Bob", Class: "Person", Attr: "born", Value: "Chengdu", Confidence: 1,
-			Ancestors: []string{"Sichuan", "China"}},
-		{Entity: "Carol", Class: "Person", Attr: "born", Value: "Paris", Confidence: 1,
-			Ancestors: []string{"France"}},
-	}
-	// Pick a shard count where Alice and Bob actually separate, so the
-	// ancestor query must merge across shards.
-	n := 2
-	for ; n <= 64; n++ {
-		if ShardOf("Alice", n) != ShardOf("Bob", n) {
-			break
-		}
-	}
-	sh := NewSharded(facts, n)
-	flat := New(facts)
-	got := sh.Lookup(Pattern{Value: "China"})
-	if !reflect.DeepEqual(got, flat.Lookup(Pattern{Value: "China"})) {
-		t.Fatalf("ancestor query across shards = %+v", got)
-	}
-	if len(got) != 2 || got[0].Entity != "Alice" || got[1].Entity != "Bob" {
-		t.Errorf("ancestor merge order wrong: %+v", got)
-	}
-}
-
-// TestShardedDedupWithinShard pins that duplicate facts — and distinct
-// entities that collide into the same shard — dedup exactly as the flat
-// store does: per-shard dedup is globally sufficient because identical
-// fact keys always share a shard.
-func TestShardedDedupWithinShard(t *testing.T) {
-	// Find two distinct entities that collide in a 2-shard layout.
-	a := "Entity A"
-	b := ""
-	for i := 0; i < 1000; i++ {
-		cand := fmt.Sprintf("Entity B%d", i)
-		if ShardOf(cand, 2) == ShardOf(a, 2) {
-			b = cand
-			break
-		}
-	}
-	if b == "" {
-		t.Fatal("no colliding entity found")
-	}
-	facts := []Fact{
-		{Entity: a, Class: "C", Attr: "x", Value: "1", Confidence: 0.9},
-		{Entity: a, Class: "C", Attr: "x", Value: "1", Confidence: 0.9}, // duplicate
-		{Entity: b, Class: "C", Attr: "x", Value: "1", Confidence: 0.8}, // same key fields, different entity
-	}
-	sh := NewSharded(facts, 2)
-	flat := New(facts)
-	if sh.Len() != flat.Len() {
-		t.Fatalf("sharded Len %d != flat %d", sh.Len(), flat.Len())
-	}
-	if sh.Len() != 2 {
-		t.Errorf("dedup kept %d facts, want 2 (one per entity)", sh.Len())
-	}
-	if !reflect.DeepEqual(sh.Lookup(Pattern{Attr: "x"}), flat.Lookup(Pattern{Attr: "x"})) {
-		t.Error("colliding-entity lookup differs from flat store")
-	}
-}
-
-// TestShardOfStable pins the hash assignment: a change here would
-// silently invalidate every existing binary snapshot's segment layout.
-func TestShardOfStable(t *testing.T) {
-	cases := map[string]int{
-		"Casablanca": ShardOf("Casablanca", 8),
-		"Moby Dick":  ShardOf("Moby Dick", 8),
-	}
-	for entity, want := range cases {
-		for i := 0; i < 3; i++ {
-			if got := ShardOf(entity, 8); got != want {
-				t.Fatalf("ShardOf(%q) unstable: %d then %d", entity, want, got)
-			}
-		}
-	}
-	if ShardOf("anything", 1) != 0 {
-		t.Error("single shard must absorb everything")
 	}
 }

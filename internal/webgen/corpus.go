@@ -64,11 +64,6 @@ type TextConfig struct {
 	TemporalFacts int
 }
 
-// DefaultTextConfig returns a moderate corpus configuration.
-func DefaultTextConfig() TextConfig {
-	return TextConfig{Seed: 1, DocsPerClass: 10, FactsPerDoc: 12, ValueErrorRate: 0.12, DistractorShare: 0.8, GeneralizeProb: 0.2}
-}
-
 // sentencePatterns are the regular lexical patterns factual sentences
 // instantiate; the text extractor learns these surface shapes from seed
 // attributes and applies them to find new ones (paper §3.1).

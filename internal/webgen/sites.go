@@ -86,14 +86,6 @@ type SiteConfig struct {
 	HeterogeneousSites bool
 }
 
-// DefaultSiteConfig returns a moderate configuration for tests and examples.
-func DefaultSiteConfig() SiteConfig {
-	return SiteConfig{
-		Seed: 1, SitesPerClass: 4, PagesPerSite: 12, AttrsPerPage: 10,
-		ValueErrorRate: 0.1, NoiseNodes: 6, JitterProb: 0.25, GeneralizeProb: 0.2,
-	}
-}
-
 // layoutStyles are the site template families. Each renders an attribute
 // row as (label node, value node) under a distinct DOM shape, so tag-path
 // patterns induced on one site do not transfer to another.

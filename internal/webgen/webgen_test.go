@@ -40,9 +40,13 @@ func TestGenerateSitesShape(t *testing.T) {
 	}
 }
 
+// testSiteConfig is a moderate site configuration: the generator's
+// default counts, 4 sites a class of 12 pages with 10 rows.
+var testSiteConfig = SiteConfig{Seed: 1, ValueErrorRate: 0.1, NoiseNodes: 6, JitterProb: 0.25, GeneralizeProb: 0.2}
+
 func TestGeneratedPagesParse(t *testing.T) {
 	w := testWorld()
-	sites := GenerateSites(w, DefaultSiteConfig())
+	sites := GenerateSites(w, testSiteConfig)
 	for _, s := range sites[:4] {
 		for _, p := range s.Pages {
 			doc := htmldom.Parse(p.HTML)
@@ -155,7 +159,7 @@ func TestWrongValuesAreActuallyWrong(t *testing.T) {
 }
 
 func TestGenerateSitesDeterministic(t *testing.T) {
-	cfg := DefaultSiteConfig()
+	cfg := testSiteConfig
 	a := GenerateSites(testWorld(), cfg)
 	b := GenerateSites(testWorld(), cfg)
 	if len(a) != len(b) {
@@ -218,7 +222,8 @@ func TestCorpusFactSentencesMatchPatterns(t *testing.T) {
 }
 
 func TestCorpusDeterministic(t *testing.T) {
-	cfg := DefaultTextConfig()
+	// The default counts: 10 documents a class of 12 facts.
+	cfg := TextConfig{Seed: 1, ValueErrorRate: 0.12, DistractorShare: 0.8, GeneralizeProb: 0.2}
 	a := GenerateCorpus(testWorld(), cfg)
 	b := GenerateCorpus(testWorld(), cfg)
 	if len(a) != len(b) {
@@ -248,7 +253,7 @@ func TestLabelText(t *testing.T) {
 // 25%.
 func TestGenerateSitesAllocationBound(t *testing.T) {
 	w := kb.NewWorld(kb.WorldConfig{Seed: 5, EntitiesPerClass: 25, AttrsPerEntity: 14})
-	cfg := DefaultSiteConfig()
+	cfg := testSiteConfig
 	pages := 0
 	for _, s := range GenerateSites(w, cfg) {
 		pages += len(s.Pages)
