@@ -818,8 +818,8 @@ func datalogName(r opSource) string {
 
 // datalogCall draws a conjunctive query of one to three clauses — entity
 // joins, value joins, attribute variables, constants matched through the
-// hierarchy, class restrictions — with or without a select list, a limit
-// and explain; or a body the route must refuse.
+// hierarchy, class restrictions — with or without a select list, a limit,
+// explain and three workers; or a body the route must refuse.
 func datalogCall(r opSource) *call {
 	c := &call{method: http.MethodPost, target: "/v1/datalog", kind: kindData, reads: true, datalog: true}
 	if r.Intn(6) == 0 {
@@ -860,7 +860,7 @@ func datalogCall(r opSource) *call {
 		}
 		q.Clauses = append(q.Clauses, cl)
 	}
-	req := datalogRequest{Limit: []int{0, 1, 2, 50}[r.Intn(4)], Explain: r.Intn(2) == 0}
+	req := datalogRequest{Limit: []int{0, 1, 2, 50}[r.Intn(4)], Explain: r.Intn(2) == 0, Parallelism: []int{0, 0, 3}[r.Intn(3)]}
 	if vars := q.Vars(); len(vars) > 1 && r.Intn(3) == 0 {
 		for _, i := range rand.New(rand.NewSource(int64(r.Intn(1 << 16)))).Perm(len(vars))[:1+r.Intn(len(vars)-1)] {
 			req.Select = append(req.Select, vars[i])
