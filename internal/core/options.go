@@ -117,7 +117,7 @@ func WithEntityDiscovery() Option {
 }
 
 // WithListPages enables multi-record list-page generation
-// (webgen.DefaultListConfig) and extraction.
+// (webgen.GenerateListPages) and extraction.
 func WithListPages() Option {
 	return func(c *Config) { c.ListPages = true }
 }

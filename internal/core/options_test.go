@@ -28,8 +28,7 @@ func TestOptionsApplyInOrder(t *testing.T) {
 	base := DefaultConfig()
 	base.Parallelism = 2
 	base.Granularity = fusion.ByExtractor
-	base.StageTimeout = 3 * time.Second
-	base.Retry = resilience.RetryPolicy{MaxAttempts: 2}
+	base.Retry = resilience.RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond}
 	plan := &resilience.FaultPlan{}
 	var hooked []string
 	p := New(
@@ -62,11 +61,8 @@ func TestOptionsApplyInOrder(t *testing.T) {
 	if !cfg.Align || !cfg.DiscoverEntities || !cfg.ListPages || !cfg.Temporal {
 		t.Errorf("feature switches not all on: %+v", cfg)
 	}
-	if cfg.StageTimeout != 3*time.Second {
-		t.Errorf("StageTimeout = %v", cfg.StageTimeout)
-	}
-	if cfg.Retry.MaxAttempts != 2 {
-		t.Errorf("Retry = %+v", cfg.Retry)
+	if cfg.Retry != base.Retry {
+		t.Errorf("Retry = %+v, want WithConfig's %+v", cfg.Retry, base.Retry)
 	}
 }
 

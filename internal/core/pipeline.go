@@ -31,7 +31,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
 
 	"akb/internal/align"
 	"akb/internal/confidence"
@@ -154,9 +153,6 @@ type Config struct {
 	// Retry overrides the backoff policy for retryable stages; the zero
 	// value uses resilience.DefaultRetry().
 	Retry resilience.RetryPolicy
-	// StageTimeout bounds each supervised stage attempt; 0 disables
-	// per-stage deadlines.
-	StageTimeout time.Duration
 	// StageHook, when set, observes every supervised stage start. Used for
 	// logging and by tests to cancel mid-pipeline. With Parallelism > 1
 	// hooks fire from concurrent stage goroutines and must be safe for
@@ -399,7 +395,7 @@ func (p *pipelineRun) stages() []sched.Stage {
 	st := func(name string, soft bool, after []string, body func(context.Context) error) sched.Stage {
 		return sched.Stage{
 			Name: name, After: after, Optional: soft,
-			Retry: retry, Timeout: p.cfg.StageTimeout, Run: body,
+			Retry: retry, Run: body,
 		}
 	}
 	stages := []sched.Stage{
@@ -626,7 +622,7 @@ func (p *pipelineRun) extractDOM(ctx context.Context) error {
 // unlabeled records.
 func (p *pipelineRun) extractLists(ctx context.Context) error {
 	res := p.res
-	lists := webgen.GenerateListPages(res.World, p.cfg.Sites.SitesPerClass, webgen.DefaultListConfig())
+	lists := webgen.GenerateListPages(res.World, p.cfg.Sites.SitesPerClass)
 	classOf := hostClassResolver(res.World)
 	known, unknown := splitHostsByClass(lists, classOf)
 	listRes := domx.ExtractLists(ctx, domx.ListsFromWebgen(known, classOf), p.entIdx, p.crit)

@@ -61,10 +61,6 @@ type Config struct {
 	// SimilarityThreshold is the minimum tag-path similarity to an induced
 	// pattern for a text node to be recognised as an attribute label.
 	SimilarityThreshold float64
-	// SeedCap stops traversing a site once the class's attribute set
-	// reaches this size ("the algorithm turns to another Website when the
-	// number of attributes reaches a certain threshold"). Zero disables it.
-	SeedCap int
 	// MaxPasses bounds the per-site fixpoint iteration.
 	MaxPasses int
 	// DiscoverEntities harvests candidate new entities from pages whose
@@ -225,9 +221,6 @@ func runShard(sh shard, idx *extract.EntityIndex, seeds map[string]extract.AttrS
 	}
 	facts := make([][]EntityFact, len(sh.sites))
 	for i, site := range sh.sites {
-		if cfg.SeedCap > 0 && run.cr.All.Len() >= cfg.SeedCap {
-			continue
-		}
 		facts[i] = run.extractSite(site)
 	}
 	run.cr.InducedPatterns = run.patterns.Len()
@@ -358,9 +351,6 @@ func (r *shardRun) extractSite(site Site) []EntityFact {
 	for pass := 0; pass < r.cfg.MaxPasses; pass++ {
 		grew := false
 		for i := range r.pages {
-			if r.cfg.SeedCap > 0 && r.cr.All.Len() >= r.cfg.SeedCap {
-				return nil
-			}
 			if r.extractPage(site, &r.pages[i]) {
 				grew = true
 			}

@@ -130,19 +130,6 @@ func TestSimilarityThresholdAblation(t *testing.T) {
 	}
 }
 
-func TestSeedCapStopsGrowth(t *testing.T) {
-	_, sites, idx, seeds := setup(t)
-	cap := seeds["Film"].Len() + 2
-	res := Extract(context.Background(), sites, idx, seeds, Config{SimilarityThreshold: 0.9, MaxPasses: 3, SeedCap: cap}, nil)
-	if got := res.PerClass["Film"].All.Len(); got > cap+8 {
-		t.Errorf("Film attribute set = %d, want near cap %d", got, cap)
-	}
-	uncapped := Extract(context.Background(), sites, idx, seeds, DefaultConfig(), nil)
-	if uncapped.PerClass["Film"].All.Len() <= res.PerClass["Film"].All.Len() {
-		t.Error("seed cap did not reduce discovery")
-	}
-}
-
 func TestNoSeedsNoDiscovery(t *testing.T) {
 	_, sites, idx, _ := setup(t)
 	empty := map[string]extract.AttrSet{}

@@ -15,9 +15,7 @@ import (
 func listSetup(t *testing.T) (*kb.World, []ListSite, *extract.EntityIndex) {
 	t.Helper()
 	w := kb.NewWorld(kb.WorldConfig{Seed: 12, EntitiesPerClass: 20, AttrsPerEntity: 12})
-	pages := webgen.GenerateListPages(w, 2, webgen.ListConfig{
-		PagesPerSite: 2, RowsPerPage: 8, Columns: 4, ValueErrorRate: 0.1,
-	})
+	pages := webgen.GenerateListPages(w, 2)
 	classOf := func(host string) string {
 		name := strings.SplitN(host, "-", 2)[0]
 		for _, c := range w.Ontology.ClassNames() {
@@ -120,7 +118,7 @@ func TestExtractListsSkipsHeaderlessTables(t *testing.T) {
 
 func TestGeneratedListPagesParse(t *testing.T) {
 	w := kb.NewWorld(kb.WorldConfig{Seed: 12, EntitiesPerClass: 10, AttrsPerEntity: 10})
-	pages := webgen.GenerateListPages(w, 1, webgen.DefaultListConfig())
+	pages := webgen.GenerateListPages(w, 1)
 	if len(pages) != 5 {
 		t.Fatalf("hosts = %d, want 5", len(pages))
 	}

@@ -30,9 +30,6 @@ type Accu struct {
 	Discount *Correlations
 	// Iterations bounds the EM loop (default 20).
 	Iterations int
-	// InitialAccuracy seeds source accuracy (default 0.8, as in the
-	// literature when no gold standard is available).
-	InitialAccuracy float64
 	// Workers bounds the per-item fan-out (0 = GOMAXPROCS).
 	Workers int
 	// Obs optionally records executor telemetry into the registry.
@@ -57,6 +54,9 @@ func (a *Accu) Name() string {
 const (
 	minAccuracy = 0.01
 	maxAccuracy = 0.99
+	// initialAccuracy seeds every source's accuracy, as in the literature
+	// when no gold standard is available.
+	initialAccuracy = 0.8
 )
 
 // Fuse implements Method.
@@ -65,14 +65,10 @@ func (a *Accu) Fuse(c *Claims) *Result {
 	if iters <= 0 {
 		iters = 20
 	}
-	init := a.InitialAccuracy
-	if init <= 0 || init >= 1 {
-		init = 0.8
-	}
 	a.Discount.check(c)
 	acc := make([]float64, len(c.SourceNames))
 	for s := range acc {
-		acc[s] = init
+		acc[s] = initialAccuracy
 	}
 	sum := make([]float64, len(acc))
 	cnt := make([]float64, len(acc))

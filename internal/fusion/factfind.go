@@ -33,10 +33,10 @@ type FactFinder struct {
 	Weighted bool
 	// Iterations bounds the fixpoint loop (default 20).
 	Iterations int
-	// Dampening is TruthFinder's γ factor guarding against source
-	// correlation (default 0.3).
-	Dampening float64
 }
+
+// dampening is TruthFinder's γ factor guarding against source correlation.
+const dampening = 0.3
 
 // Name implements Method.
 func (f *FactFinder) Name() string {
@@ -60,10 +60,6 @@ func (f *FactFinder) Fuse(c *Claims) *Result {
 	iters := f.Iterations
 	if iters <= 0 {
 		iters = 20
-	}
-	damp := f.Dampening
-	if damp <= 0 {
-		damp = 0.3
 	}
 
 	decisions := newDecisions(c)
@@ -113,7 +109,7 @@ func (f *FactFinder) Fuse(c *Claims) *Result {
 					}
 					sum += -math.Log(1-t) * e.w
 				}
-				belief[id] = 1 - math.Exp(-damp*sum)
+				belief[id] = 1 - math.Exp(-dampening*sum)
 			default:
 				b := 0.0
 				for _, e := range edges {

@@ -105,7 +105,7 @@ func TestEstimateFunctionality(t *testing.T) {
 		}
 	}
 	c := BuildClaims(stmts, BySource)
-	fn := EstimateFunctionality(c, 2)
+	fn := EstimateFunctionality(c)
 	dirKey := rdf.AKB.IRI("attr/director").Key()
 	prodKey := rdf.AKB.IRI("attr/producer").Key()
 	if d := fn.Degree(dirKey); d != 1 {

@@ -17,15 +17,16 @@ import (
 // 1 means strictly functional (one true value per entity).
 type Functionality map[string]float64
 
+// corroboration is the number of sources that make a claimed value count
+// in EstimateFunctionality.
+const corroboration = 2
+
 // EstimateFunctionality measures, for every predicate, the reciprocal of
 // the average number of *corroborated* distinct values per item (values
-// asserted by at least minSupport sources). Corroboration filters the
-// one-off extraction errors that would otherwise make every attribute look
+// asserted by at least two sources). Corroboration filters the one-off
+// extraction errors that would otherwise make every attribute look
 // non-functional.
-func EstimateFunctionality(c *Claims, minSupport int) Functionality {
-	if minSupport <= 0 {
-		minSupport = 2
-	}
+func EstimateFunctionality(c *Claims) Functionality {
 	type agg struct {
 		items  int
 		values int
@@ -40,7 +41,7 @@ func EstimateFunctionality(c *Claims, minSupport int) Functionality {
 		}
 		corroborated := 0
 		for _, vc := range it.Values {
-			if len(vc.Sources) >= minSupport {
+			if len(vc.Sources) >= corroboration {
 				corroborated++
 			}
 		}
@@ -71,37 +72,21 @@ func (f Functionality) Degree(predicateKey string) float64 {
 }
 
 // Adaptive routes each item to a single-truth or multi-truth fuser based on
-// its predicate's estimated functionality degree.
-type Adaptive struct {
-	// Threshold is the functionality degree at or above which a predicate
-	// is treated as functional (default 0.8).
-	Threshold float64
-	// MinSupport configures corroboration during estimation (default 2).
-	MinSupport int
-	// Single fuses functional predicates (default ACCU+conf).
-	Single Method
-	// Multi fuses non-functional predicates (default MULTI+conf).
-	Multi Method
-}
+// its predicate's estimated functionality degree: ACCU+conf fuses the items
+// of a predicate whose degree is functionalDegree or above, MULTI+conf the
+// others.
+type Adaptive struct{}
+
+// functionalDegree is the functionality degree at or above which Adaptive
+// treats a predicate as functional.
+const functionalDegree = 0.8
 
 // Name implements Method.
 func (a *Adaptive) Name() string { return "ADAPTIVE(func-degree)" }
 
 // Fuse implements Method.
 func (a *Adaptive) Fuse(c *Claims) *Result {
-	thresh := a.Threshold
-	if thresh <= 0 {
-		thresh = 0.8
-	}
-	single := a.Single
-	if single == nil {
-		single = &Accu{Weighted: true}
-	}
-	multi := a.Multi
-	if multi == nil {
-		multi = &MultiTruth{Weighted: true}
-	}
-	fn := EstimateFunctionality(c, a.MinSupport)
+	fn := EstimateFunctionality(c)
 
 	// The split remembers where it took each half's items from, and each
 	// half's decisions — in its own item order — go back to those places.
@@ -109,7 +94,7 @@ func (a *Adaptive) Fuse(c *Claims) *Result {
 	nc := &Claims{SourceNames: c.SourceNames}
 	var fpos, npos []int
 	for i, it := range c.Items {
-		if fn.Degree(it.Predicate.Key()) >= thresh {
+		if fn.Degree(it.Predicate.Key()) >= functionalDegree {
 			fc.Items = append(fc.Items, it)
 			fpos = append(fpos, i)
 		} else {
@@ -150,8 +135,8 @@ func (a *Adaptive) Fuse(c *Claims) *Result {
 			}
 		}
 	}
-	merge(single, fc, fpos)
-	merge(multi, nc, npos)
+	merge(&Accu{Weighted: true}, fc, fpos)
+	merge(&MultiTruth{Weighted: true}, nc, npos)
 	return res
 }
 

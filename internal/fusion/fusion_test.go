@@ -548,15 +548,10 @@ func TestMisnumberedSourcesAreRefused(t *testing.T) {
 			t.Errorf("%s with its own claims' discount: panic %q", m.Name(), msg)
 		}
 	}
-	// The fold and ADAPTIVE's split pass the source names through, so a
-	// discount detected on the whole claims serves every part of them.
-	corr := DetectCorrelations(c, CorrelationConfig{})
-	for _, m := range []Method{
-		&Hierarchical{Base: &MultiTruth{Discount: corr}, Forest: forest},
-		&Adaptive{Single: &Accu{Discount: corr}, Multi: &MultiTruth{Discount: corr}},
-	} {
-		if msg := panicOf(func() { m.Fuse(c) }); msg != "" {
-			t.Errorf("%s: panic %q", m.Name(), msg)
-		}
+	// The fold passes the source names through, so a discount detected on
+	// the claims serves the folded claims.
+	hier := &Hierarchical{Base: &MultiTruth{Discount: DetectCorrelations(c, CorrelationConfig{})}, Forest: forest}
+	if msg := panicOf(func() { hier.Fuse(c) }); msg != "" {
+		t.Errorf("%s: panic %q", hier.Name(), msg)
 	}
 }

@@ -12,7 +12,7 @@ import (
 // on a generalisation path (Wuhan ⊂ Hubei ⊂ China) are not conflicting:
 //
 //   - every claim on a strict generalisation also supports each claimed
-//     most-specific descendant (at AncestorWeight discount, since "China"
+//     most-specific descendant (at ancestorWeight discount, since "China"
 //     is genuinely ambiguous between Chinese cities);
 //   - pure-generalisation values do not compete as candidates themselves —
 //     their truth is implied by whichever specific value wins;
@@ -27,10 +27,11 @@ type Hierarchical struct {
 	Base Method
 	// Forest is the value hierarchy.
 	Forest *hierarchy.Forest
-	// AncestorWeight discounts the confidence of ancestor claims folded
-	// into a descendant candidate (default 0.7).
-	AncestorWeight float64
 }
+
+// ancestorWeight discounts the confidence of ancestor claims folded into a
+// descendant candidate.
+const ancestorWeight = 0.7
 
 // Name implements Method.
 func (h *Hierarchical) Name() string { return h.Base.Name() + "+hier" }
@@ -85,14 +86,10 @@ func (h *Hierarchical) Fuse(c *Claims) *Result {
 
 // fold rewrites each item's hierarchical values: maximal-specific claimed
 // values become the only candidates, each absorbing its claimed ancestors'
-// sources at AncestorWeight. It returns the folded claims — item i of them
+// sources at ancestorWeight. It returns the folded claims — item i of them
 // is item i of c, folded or as it was — plus, at the same index, the item's
 // claimed generalisations for post-fusion expansion.
 func (h *Hierarchical) fold(c *Claims) (*Claims, [][]string) {
-	aw := h.AncestorWeight
-	if aw <= 0 || aw > 1 {
-		aw = 0.7
-	}
 	out := &Claims{SourceNames: c.SourceNames, Items: make([]*Item, 0, len(c.Items))}
 	expansions := make([][]string, len(c.Items))
 	var hierVals []string
@@ -147,7 +144,7 @@ func (h *Hierarchical) fold(c *Claims) (*Claims, [][]string) {
 			merged := &ValueClaims{Value: rdf.Literal(rep), Sources: byValue[rep].Sources}
 			for _, a := range cluster {
 				if a != rep {
-					merged.Sources = absorb(merged.Sources, byValue[a].Sources, aw)
+					merged.Sources = absorb(merged.Sources, byValue[a].Sources)
 				}
 			}
 			newItem.Values = append(newItem.Values, merged)
@@ -183,10 +180,10 @@ func isChain(f *hierarchy.Forest, cluster []string) bool {
 	return true
 }
 
-// absorb merges an ancestor's claims, at weight aw, into a candidate's: both
-// lists and the result are in source-number order, and a source in both
-// keeps the larger of its two confidences.
-func absorb(own, ancestor []SourceClaim, aw float64) []SourceClaim {
+// absorb merges an ancestor's claims, at ancestorWeight, into a candidate's:
+// both lists and the result are in source-number order, and a source in
+// both keeps the larger of its two confidences.
+func absorb(own, ancestor []SourceClaim) []SourceClaim {
 	out := make([]SourceClaim, 0, len(own)+len(ancestor))
 	for len(own) > 0 || len(ancestor) > 0 {
 		switch {
@@ -194,10 +191,10 @@ func absorb(own, ancestor []SourceClaim, aw float64) []SourceClaim {
 			out = append(out, own[0])
 			own = own[1:]
 		case len(own) == 0 || ancestor[0].Source < own[0].Source:
-			out = append(out, SourceClaim{Source: ancestor[0].Source, Confidence: ancestor[0].Confidence * aw})
+			out = append(out, SourceClaim{Source: ancestor[0].Source, Confidence: ancestor[0].Confidence * ancestorWeight})
 			ancestor = ancestor[1:]
 		default:
-			out = append(out, SourceClaim{Source: own[0].Source, Confidence: max(own[0].Confidence, ancestor[0].Confidence*aw)})
+			out = append(out, SourceClaim{Source: own[0].Source, Confidence: max(own[0].Confidence, ancestor[0].Confidence*ancestorWeight)})
 			own, ancestor = own[1:], ancestor[1:]
 		}
 	}

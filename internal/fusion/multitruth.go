@@ -24,11 +24,6 @@ import (
 // (value × covering-source) claim matrix is precomputed once, and posteriors
 // are written into the decisions' beliefs, reused across iterations.
 type MultiTruth struct {
-	// Prior is the prior probability a claimed value is true (default 0.5).
-	Prior float64
-	// AcceptThreshold is the posterior needed to accept a value
-	// (default 0.5).
-	AcceptThreshold float64
 	// Weighted exponentiates each claimant's likelihood ratio by 0.5 +
 	// confidence/2, softening the influence of low-confidence extractions.
 	Weighted bool
@@ -53,6 +48,13 @@ func (m *MultiTruth) Name() string {
 	}
 	return name
 }
+
+const (
+	// truthPrior is the prior probability that a claimed value is true.
+	truthPrior = 0.5
+	// acceptPosterior is the posterior at which a value is accepted.
+	acceptPosterior = 0.5
+)
 
 type sourceStats struct {
 	sens float64
@@ -79,14 +81,6 @@ type mtItem struct {
 
 // Fuse implements Method.
 func (m *MultiTruth) Fuse(c *Claims) *Result {
-	prior := m.Prior
-	if prior <= 0 || prior >= 1 {
-		prior = 0.5
-	}
-	thresh := m.AcceptThreshold
-	if thresh <= 0 {
-		thresh = 0.5
-	}
 	iters := m.Iterations
 	if iters <= 0 {
 		iters = 15
@@ -161,7 +155,7 @@ func (m *MultiTruth) Fuse(c *Claims) *Result {
 	}
 
 	cfg := mapreduce.Config{Workers: m.Workers, Obs: m.Obs}
-	logPrior := math.Log(prior / (1 - prior))
+	logPrior := math.Log(truthPrior / (1 - truthPrior))
 	// A source's two log likelihood ratios: what its claiming a value and
 	// what its silence on one say about the value being true.
 	logClaim := make([]float64, nsrc)
@@ -237,7 +231,7 @@ func (m *MultiTruth) Fuse(c *Claims) *Result {
 		d := &res.Decisions[i]
 		first := len(truths)
 		for vi, vc := range it.Values {
-			if d.Belief[vi] >= thresh {
+			if d.Belief[vi] >= acceptPosterior {
 				truths = append(truths, vc.Value)
 			}
 		}

@@ -1,7 +1,6 @@
 package fusion
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -106,13 +105,6 @@ func withWorkers(m Method, w int) Method {
 		m.Workers = w
 	case *Hierarchical:
 		withWorkers(m.Base, w)
-	case *Adaptive:
-		if m.Single != nil {
-			withWorkers(m.Single, w)
-		}
-		if m.Multi != nil {
-			withWorkers(m.Multi, w)
-		}
 	}
 	return m
 }
@@ -126,13 +118,12 @@ func ruleMethods(forest *hierarchy.Forest) []Method {
 		ms = append(ms, &FactFinder{Kind: kind, Weighted: true})
 	}
 	return append(ms,
-		&Vote{Weighted: true}, &MultiTruth{AcceptThreshold: 0.9},
+		&Vote{Weighted: true},
 		&Accu{Weighted: true}, &Accu{Popularity: true, Weighted: true},
 		&Hierarchical{Base: &Vote{}, Forest: forest},
 		&Hierarchical{Base: &Accu{}, Forest: forest},
 		&Full{Forest: forest, CorrCfg: CorrelationConfig{AgreementThreshold: 0.5, MinCommonItems: 1}},
 		&Adaptive{},
-		&Adaptive{Threshold: 0.6, Single: &Hierarchical{Base: &Accu{}, Forest: forest}, Multi: &Full{Forest: forest}},
 	)
 }
 
@@ -169,7 +160,7 @@ func checkRules(c *Claims, m Method) error {
 				err = checkRules(c, hier)
 			}
 		case *Adaptive:
-			err = checkAdaptive(c, m, res)
+			err = checkAdaptive(c, res)
 		}
 	}
 	if err != nil {
@@ -260,24 +251,20 @@ func checkEM(res *Result, r emRules) error {
 
 // accuRules: the truth is the most believed value. A source's accuracy is
 // the mean belief of the values it claims, clamped to [0.01, 0.99], or the
-// initial accuracy where it claims none. A value's belief is the softmax
+// initial accuracy, 0.8, where it claims none. A value's belief is the softmax
 // over the item's values of C(v) = Σ w·ln(A / ((1 − A)·f)) over v's claims:
 // w the claim's weight, A the claimant's clamped accuracy and f the chance
 // of a false value — 1/n for the item's n other values (at least 1), or
 // POPACCU's (v's claims + 1) / (the item's claims + values). EM stops once
 // no accuracy moves by more than 1e-6.
 func accuRules(c *Claims, a *Accu) emRules {
-	init := a.InitialAccuracy
-	if init <= 0 || init >= 1 {
-		init = 0.8
-	}
 	return emRules{
 		truths: singleTruth,
 		quality: func(res *Result) []float64 {
 			sum, n := claimedBeliefs(c, res)
 			for s := range sum {
 				if sum[s] = clamp(sum[s]/n[s], 0.01, 0.99); n[s] == 0 {
-					sum[s] = init
+					sum[s] = 0.8
 				}
 			}
 			return sum
@@ -308,20 +295,17 @@ func accuRules(c *Claims, a *Accu) emRules {
 	}
 }
 
-// multiTruthRules: the truths are the values believed at AcceptThreshold or
-// above, the most believed one where none is. Over the items a source
-// covers, its sensitivity — its quality — is the belief in the values it
-// claims over the belief in all of them, and its specificity the disbelief
-// in the values it does not claim over the disbelief in all, each clamped
-// to [0.05, 0.95]. A value's belief is σ(ln(prior/(1 − prior)) + Σ w·ln r)
-// over the item's covering sources: r is sens/(1 − spec) for a claimant and
-// (1 − sens)/spec for a silent source, w the copy discount, for a claimant
-// times 0.5 + confidence/2 where Weighted.
+// multiTruthRules: the truths are the values believed at 0.5 or above, the
+// most believed one where none is. Over the items a source covers, its
+// sensitivity — its quality — is the belief in the values it claims over
+// the belief in all of them, and its specificity the disbelief in the
+// values it does not claim over the disbelief in all, each clamped to
+// [0.05, 0.95]. A value's belief is σ(ln(prior/(1 − prior)) + Σ w·ln r),
+// prior 0.5, over the item's covering sources: r is sens/(1 − spec) for a
+// claimant and (1 − sens)/spec for a silent source, w the copy discount,
+// for a claimant times 0.5 + confidence/2 where Weighted.
 func multiTruthRules(c *Claims, m *MultiTruth) emRules {
-	thresh, prior := cmp.Or(m.AcceptThreshold, 0.5), m.Prior
-	if prior <= 0 || prior >= 1 {
-		prior = 0.5
-	}
+	const thresh, prior = 0.5, 0.5
 	// rates re-estimates the sources' sensitivities and specificities.
 	rates := func(res *Result) (sens, spec []float64) {
 		n := len(c.SourceNames)
@@ -392,9 +376,9 @@ func multiTruthRules(c *Claims, m *MultiTruth) emRules {
 // belief, each scaled by the highest trust; for TRUTHFINDER, their mean
 // belief. A fact's belief is, for SUMS and AVGLOG, the weighted sum of its
 // sources' trusts scaled by the highest belief; for TRUTHFINDER,
-// 1 − ∏ (1 − t)^(γ·w), t capped below 1.
+// 1 − ∏ (1 − t)^(γ·w), γ = 0.3 and t capped below 1.
 func factFinderRules(c *Claims, f *FactFinder) emRules {
-	tf, damp := f.Kind == KindTruthFinder, cmp.Or(f.Dampening, 0.3)
+	tf, damp := f.Kind == KindTruthFinder, 0.3
 	return emRules{
 		truths: singleTruth,
 		quality: func(res *Result) []float64 {
@@ -502,23 +486,17 @@ func checkHierarchical(c *Claims, h *Hierarchical, res *Result) error {
 }
 
 // checkAdaptive holds ADAPTIVE to its routing: an item whose predicate's
-// estimated functionality reaches Threshold is decided by Single over those
-// items, any other by Multi over the rest; a source's quality is the higher
-// of the halves' estimates among the halves it claims in, nil where neither
-// half estimates one.
-func checkAdaptive(c *Claims, a *Adaptive, res *Result) error {
-	methods := []Method{a.Single, a.Multi}
-	if methods[0] == nil {
-		methods[0] = &Accu{Weighted: true}
-	}
-	if methods[1] == nil {
-		methods[1] = &MultiTruth{Weighted: true}
-	}
-	fn := EstimateFunctionality(c, a.MinSupport)
+// estimated functionality reaches 0.8 is decided by ACCU+conf over those
+// items, any other by MULTI+conf over the rest; a source's quality is the
+// higher of the halves' estimates among the halves it claims in, nil where
+// neither half estimates one.
+func checkAdaptive(c *Claims, res *Result) error {
+	methods := []Method{&Accu{Weighted: true}, &MultiTruth{Weighted: true}}
+	fn := EstimateFunctionality(c)
 	halves, pos := []*Claims{{SourceNames: c.SourceNames}, {SourceNames: c.SourceNames}}, make([][]int, 2)
 	for i, it := range c.Items {
 		h := 1
-		if fn.Degree(it.Predicate.Key()) >= cmp.Or(a.Threshold, 0.8) {
+		if fn.Degree(it.Predicate.Key()) >= 0.8 {
 			h = 0
 		}
 		halves[h].Items, pos[h] = append(halves[h].Items, it), append(pos[h], i)

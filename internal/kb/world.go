@@ -55,15 +55,13 @@ type WorldConfig struct {
 	// AttrsPerEntity caps how many attributes of the universe each entity
 	// has values for (the curated core is always included).
 	AttrsPerEntity int
-	// ExtraAttrsPerClass extends each class's attribute universe beyond the
-	// ClassSpec's KB-covered span: attributes that exist in the world (and
-	// appear on websites, in texts and in queries) but that no existing KB
-	// records. They are what the open-Web extractors can genuinely
-	// discover. Negative disables; zero uses the default of 15.
-	ExtraAttrsPerClass int
-	// Classes defaults to FiveClasses().
-	Classes []ClassSpec
 }
+
+// extraAttrsPerClass extends each class's attribute universe beyond the
+// ClassSpec's KB-covered span: attributes that exist in the world (and
+// appear on websites, in texts and in queries) but that no existing KB
+// records. They are what the open-Web extractors can genuinely discover.
+const extraAttrsPerClass = 15
 
 // DefaultWorldConfig returns a moderate-size world suitable for tests and
 // examples.
@@ -90,21 +88,13 @@ type World struct {
 
 type placeChain struct{ city, region, country string }
 
-// NewWorld generates a world from the configuration.
+// NewWorld generates a world of FiveClasses from the configuration.
 func NewWorld(cfg WorldConfig) *World {
-	if cfg.Classes == nil {
-		cfg.Classes = FiveClasses()
-	}
 	if cfg.EntitiesPerClass <= 0 {
 		cfg.EntitiesPerClass = 60
 	}
 	if cfg.AttrsPerEntity <= 0 {
 		cfg.AttrsPerEntity = 24
-	}
-	if cfg.ExtraAttrsPerClass == 0 {
-		cfg.ExtraAttrsPerClass = 15
-	} else if cfg.ExtraAttrsPerClass < 0 {
-		cfg.ExtraAttrsPerClass = 0
 	}
 	w := &World{
 		Config:   cfg,
@@ -117,9 +107,9 @@ func NewWorld(cfg WorldConfig) *World {
 	}
 	r := rand.New(rand.NewSource(cfg.Seed))
 	w.buildPlaces(r)
-	for _, spec := range cfg.Classes {
+	for _, spec := range FiveClasses() {
 		w.specs[spec.Name] = spec
-		cls := &Class{Name: spec.Name, Attributes: AttributeUniverse(spec.Name, spec.Combined+cfg.ExtraAttrsPerClass)}
+		cls := &Class{Name: spec.Name, Attributes: AttributeUniverse(spec.Name, spec.Combined+extraAttrsPerClass)}
 		w.Ontology.AddClass(cls)
 		w.populateClass(cls, r)
 	}

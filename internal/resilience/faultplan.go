@@ -22,8 +22,7 @@ type StageFault struct {
 	// re-roll the failure on the next attempt; permanent injected errors
 	// abort retrying immediately.
 	Transient bool
-	// Latency is injected before each attempt's body runs (and counts
-	// against the stage's per-attempt deadline).
+	// Latency is injected before each attempt's body runs.
 	Latency time.Duration
 }
 

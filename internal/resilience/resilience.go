@@ -2,9 +2,9 @@
 // fusion as MapReduce jobs precisely because extraction at Web scale must
 // tolerate partial failure; this package brings the same discipline to the
 // in-process Figure-1 pipeline. A Supervisor executes named stages with
-// panic recovery, per-attempt deadlines, retry with capped exponential
-// backoff and deterministic seeded jitter, and an optional fault-injection
-// plan so chaos runs are reproducible bit for bit.
+// panic recovery, retry with capped exponential backoff and deterministic
+// seeded jitter, and an optional fault-injection plan so chaos runs are
+// reproducible bit for bit.
 //
 // Everything stochastic (jitter, injected faults) is derived by hashing
 // (seed, stage, attempt), never from a shared RNG, so outcomes do not
@@ -134,28 +134,28 @@ func IsTransient(err error) bool {
 	return errors.As(err, &t) && t.Transient()
 }
 
-// RetryPolicy is a capped exponential backoff schedule. The zero value
-// disables retries (a single attempt, no sleeping).
+// RetryPolicy is a capped exponential backoff schedule: the delay doubles
+// after every failed attempt up to maxBackoff, and each delay is scaled by a
+// deterministic factor drawn from [1-backoffJitter, 1+backoffJitter]. The
+// zero value disables retries (a single attempt, no sleeping).
 type RetryPolicy struct {
 	// MaxAttempts is the total attempt budget; values below 1 mean one
 	// attempt.
 	MaxAttempts int
-	// BaseDelay is the backoff before the second attempt.
+	// BaseDelay is the backoff before the second attempt; 0 retries
+	// without sleeping.
 	BaseDelay time.Duration
-	// MaxDelay caps the grown backoff; 0 means uncapped.
-	MaxDelay time.Duration
-	// Multiplier grows the delay between attempts; values below 1 default
-	// to 2.
-	Multiplier float64
-	// Jitter in [0,1) scales each delay by a deterministic factor drawn
-	// from [1-Jitter, 1+Jitter].
-	Jitter float64
 }
 
+const (
+	maxBackoff    = 250 * time.Millisecond
+	backoffJitter = 0.5
+)
+
 // DefaultRetry is the policy used for retryable pipeline stages: three
-// attempts, 25ms base delay doubling to a 250ms cap, 50% jitter.
+// attempts, 25ms base delay doubling to the 250ms cap, 50% jitter.
 func DefaultRetry() RetryPolicy {
-	return RetryPolicy{MaxAttempts: 3, BaseDelay: 25 * time.Millisecond, MaxDelay: 250 * time.Millisecond, Multiplier: 2, Jitter: 0.5}
+	return RetryPolicy{MaxAttempts: 3, BaseDelay: 25 * time.Millisecond}
 }
 
 func (p RetryPolicy) attempts() int {
@@ -172,25 +172,13 @@ func (p RetryPolicy) Delay(seed int64, stage string, attempt int) time.Duration 
 	if p.BaseDelay <= 0 {
 		return 0
 	}
-	mult := p.Multiplier
-	if mult < 1 {
-		mult = 2
-	}
 	d := float64(p.BaseDelay)
-	for i := 1; i < attempt; i++ {
-		d *= mult
-		if p.MaxDelay > 0 && d > float64(p.MaxDelay) {
-			d = float64(p.MaxDelay)
-			break
-		}
+	for i := 1; i < attempt && d < float64(maxBackoff); i++ {
+		d *= 2
 	}
-	if p.MaxDelay > 0 && d > float64(p.MaxDelay) {
-		d = float64(p.MaxDelay)
-	}
-	if p.Jitter > 0 {
-		u := unit(seed, stage, attempt, saltJitter) // [0,1)
-		d *= 1 + p.Jitter*(2*u-1)
-	}
+	d = min(d, float64(maxBackoff))
+	u := unit(seed, stage, attempt, saltJitter) // [0,1)
+	d *= 1 + backoffJitter*(2*u-1)
 	return time.Duration(d)
 }
 
@@ -203,10 +191,9 @@ type Stage struct {
 	Optional bool
 	// Retry is the backoff schedule; the zero value runs one attempt.
 	Retry RetryPolicy
-	// Timeout bounds each attempt; 0 means no per-attempt deadline.
-	Timeout time.Duration
 	// Run is the stage body. It must be safe to call again after an error
-	// (attempts re-run it from scratch).
+	// (attempts re-run it from scratch). An attempt has no deadline of its
+	// own: the caller's context is what cancels it.
 	Run func(ctx context.Context) error
 }
 
@@ -302,8 +289,7 @@ func (s *Supervisor) Run(ctx context.Context, st Stage) Report {
 		if ctx.Err() != nil {
 			break // the run's context died; retrying cannot help
 		}
-		retryable := IsTransient(err) || errors.Is(err, context.DeadlineExceeded)
-		if !retryable || attempt == max {
+		if !IsTransient(err) || attempt == max {
 			break
 		}
 		backoff := st.Retry.Delay(s.Seed, st.Name, attempt)
@@ -329,10 +315,10 @@ func (s *Supervisor) Run(ctx context.Context, st Stage) Report {
 	return rep
 }
 
-// attempt runs one attempt: per-attempt deadline, fault injection, panic
-// recovery. It returns the attempt error and, for panics, the recovered
-// value. The attempt runs under its own child span (nested inside the
-// stage span), so the stage body's instrumentation nests under it.
+// attempt runs one attempt: fault injection, panic recovery. It returns the
+// attempt error and, for panics, the recovered value. The attempt runs under
+// its own child span (nested inside the stage span), so the stage body's
+// instrumentation nests under it.
 func (s *Supervisor) attempt(ctx context.Context, st Stage, attempt int) (err error, panicValue any) {
 	actx, aspan := obs.StartSpan(ctx, st.Name+"/attempt")
 	aspan.AnnotateInt("attempt", int64(attempt))
@@ -342,11 +328,6 @@ func (s *Supervisor) attempt(ctx context.Context, st Stage, attempt int) (err er
 		aspan.RecordError(err)
 		aspan.End()
 	}()
-	if st.Timeout > 0 {
-		var cancel context.CancelFunc
-		actx, cancel = context.WithTimeout(actx, st.Timeout)
-		defer cancel()
-	}
 	if s.Faults != nil {
 		latency, ferr := s.Faults.Inject(st.Name, attempt)
 		if latency > 0 {

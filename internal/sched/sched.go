@@ -18,8 +18,8 @@
 //     cancellation) cancels in-flight work, stops dispatching, and fails
 //     the run with that stage's error.
 //   - Each stage runs under the caller's resilience.Supervisor, so panic
-//     recovery, retries, per-attempt deadlines and deterministic fault
-//     injection apply per stage exactly as in the serial pipeline.
+//     recovery, retries and deterministic fault injection apply per stage
+//     exactly as in the serial pipeline.
 //
 // With Parallelism <= 1 the scheduler runs stages on the caller's
 // goroutine in topological order: no scheduler span, no goroutines, hooks
@@ -32,7 +32,6 @@ package sched
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"akb/internal/obs"
 	"akb/internal/resilience"
@@ -63,8 +62,6 @@ type Stage struct {
 	Optional bool
 	// Retry is the per-stage backoff schedule (zero value: one attempt).
 	Retry resilience.RetryPolicy
-	// Timeout bounds each attempt; 0 disables per-attempt deadlines.
-	Timeout time.Duration
 	// Run is the stage body. Bodies of stages with no path between them
 	// may execute concurrently and must not share mutable state.
 	Run func(ctx context.Context) error
@@ -177,7 +174,6 @@ func supervised(st Stage) resilience.Stage {
 		Name:     st.Name,
 		Optional: st.Optional,
 		Retry:    st.Retry,
-		Timeout:  st.Timeout,
 		Run:      st.Run,
 	}
 }

@@ -91,6 +91,32 @@ func TestDeadlineLeavesAStartedResponseAlone(t *testing.T) {
 	}
 }
 
+// TestDeadlineLeavesAnImplicitlyStartedResponseAlone: a handler whose first
+// Write starts its response (no WriteHeader before it) owns the response as
+// one that called WriteHeader does. The timer, firing while the handler
+// waits on its context, reads what that Write set; run under -race, the
+// test fails if Write sets it outside the writer's lock.
+func TestDeadlineLeavesAnImplicitlyStartedResponseAlone(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.RequestTimeout = 20 * time.Millisecond
+	s := New(testStore(), obs.NewRegistry(), cfg)
+	ts := httptest.NewServer(chain(s, func(w http.ResponseWriter, r *http.Request) {
+		done := r.Context().Done()
+		io.WriteString(w, "implicit 200")
+		<-done // the timer has cancelled the context and is answering now
+	}))
+	defer ts.Close()
+	resp, err := http.Get(ts.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK || string(body) != "implicit 200" {
+		t.Errorf("implicitly started response: %d %q (%v), want the handler's own 200", resp.StatusCode, body, err)
+	}
+}
+
 // TestFlushThroughTheChain: http.ResponseController reaches the connection
 // from behind observe (statusRecorder unwraps) and behind deadline (which
 // flushes under its lock), so the first bytes arrive while the handler is

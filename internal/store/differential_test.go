@@ -277,15 +277,19 @@ func checkReads(t *testing.T, where string, q *Sharded, all []Fact, p Pattern, l
 	if pulled := drain(q.Select(p)); !factsEqual(pulled, want) {
 		t.Errorf("%s: Select\n got: %+v\nwant: %+v", where, pulled, want)
 	}
-	if cur := q.Select(p); cur.Count() != len(want) {
-		t.Errorf("%s: Count of a fresh cursor, want %d", where, len(want))
+	if cur := q.Select(p); cur.Count() != len(want) || cur.Next() {
+		t.Errorf("%s: Count of a fresh cursor, want %d and nothing more to yield", where, len(want))
+	}
+	page := want // a limit of 0 or less is no limit
+	if limit > 0 {
+		page = want[:min(limit, len(want))]
 	}
 	for name, q := range map[string]Querier{"store": q, "delegate": delegate{q}} {
 		if got := Lookup(q, p); !factsEqual(got, want) {
 			t.Errorf("%s: %s Lookup\n got: %+v\nwant: %+v", where, name, got, want)
 		}
 		got, total := LookupN(q, p, limit)
-		if total != len(want) || !factsEqual(got, want[:min(limit, len(want))]) {
+		if total != len(want) || !factsEqual(got, page) {
 			t.Errorf("%s: %s LookupN(%d) = %+v, total %d\nwant the first of %+v", where, name, limit, got, total, want)
 		}
 		if got, want := q.CountEstimate(p), bruteEstimate(all, p); got != want {
@@ -499,8 +503,8 @@ func checkUnordered(t *testing.T, where string, q *Sharded, all []Fact, p Patter
 		c.Unordered()
 		return c
 	}
-	if c := open(); c.Count() != len(want)-ordered {
-		t.Errorf("%s: Count after %d facts and Unordered, want %d", where, ordered, len(want)-ordered)
+	if c := open(); c.Count() != len(want)-ordered || c.Next() {
+		t.Errorf("%s: Count after %d facts and Unordered, want %d and nothing more to yield", where, ordered, len(want)-ordered)
 	}
 	var tail []Fact
 	c := open()

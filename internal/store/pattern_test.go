@@ -1,7 +1,6 @@
 package store
 
 import (
-	"fmt"
 	"reflect"
 	"slices"
 	"testing"
@@ -59,68 +58,6 @@ func TestExactValueMatching(t *testing.T) {
 	for _, q := range patternMatrix(s) {
 		if got, want := s.Lookup(q), refSelect(s.Facts(), q); !reflect.DeepEqual(got, want) {
 			t.Errorf("Lookup(%+v) != the oracle:\n got: %+v\nwant: %+v", q, got, want)
-		}
-	}
-}
-
-// TestIterateAndSelectMatchLookup proves the cursor is the same relation
-// Lookup materialises — same facts, same canonical order — on the flat
-// store and on every sharded layout, and that Count, taken after any number
-// of Nexts, is exactly what was left.
-func TestIterateAndSelectMatchLookup(t *testing.T) {
-	facts := testFacts()
-	flat := New(facts)
-	layouts := map[string]*Sharded{"flat": flat}
-	for _, n := range []int{1, 3, 8} {
-		layouts[fmt.Sprintf("sharded-%d", n)] = NewSharded(facts, n)
-	}
-	for name, q := range layouts {
-		t.Run(name, func(t *testing.T) {
-			for _, p := range patternMatrix(flat) {
-				want := refSelect(flat.Facts(), p)
-				if got := q.Lookup(p); !factsEqual(got, want) {
-					t.Errorf("Lookup(%+v):\n got: %+v\nwant: %+v", p, got, want)
-				}
-				for taken := 0; taken <= len(want)+1; taken++ {
-					var pulled []Fact
-					cur := q.Select(p)
-					for len(pulled) < taken && cur.Next() {
-						pulled = append(pulled, cur.Fact())
-					}
-					if !factsEqual(pulled, want[:min(taken, len(want))]) {
-						t.Errorf("Select(%+v), %d Nexts:\n got: %+v\nwant the first of: %+v", p, taken, pulled, want)
-					}
-					if left := cur.Count(); left != len(want)-len(pulled) {
-						t.Errorf("Select(%+v): Count after %d of %d = %d", p, len(pulled), len(want), left)
-					}
-					if cur.Next() || cur.Count() != 0 {
-						t.Errorf("Select(%+v): a counted cursor still yields", p)
-					}
-				}
-
-				// The estimate is a free upper bound: never below the true
-				// cardinality, never above the store size.
-				if est := q.CountEstimate(p); est < len(want) || est > flat.Len() {
-					t.Errorf("CountEstimate(%+v) = %d outside [%d, %d]", p, est, len(want), flat.Len())
-				}
-			}
-		})
-	}
-}
-
-// TestCursorCountsWhatItHasNotReturned pins the early-stop contract: a
-// consumer may stop pulling at any point, and Count then reports the rest
-// without returning it.
-func TestCursorCountsWhatItHasNotReturned(t *testing.T) {
-	for _, s := range []*Sharded{New(testFacts()), NewSharded(testFacts(), 3)} {
-		cur := s.Select(Pattern{})
-		for i := 0; i < 3; i++ {
-			if !cur.Next() {
-				t.Fatalf("%d shards: stream ended after %d facts", s.ShardCount(), i)
-			}
-		}
-		if left := cur.Count(); left != s.Len()-3 {
-			t.Fatalf("%d shards: Count after 3 of %d = %d", s.ShardCount(), s.Len(), left)
 		}
 	}
 }

@@ -53,7 +53,7 @@ func TestShardedMatchesStore(t *testing.T) {
 // checkLayout holds a store built from facts to the oracles: it holds
 // their canonical copy, counts its facts, entities and classes, and every
 // read of every pattern of its matrix is what refSelect selects of that
-// copy (checkReads).
+// copy (checkReads), at limits from −1 (none) to 4.
 func checkLayout(t *testing.T, facts []Fact, sh *Sharded) {
 	t.Helper()
 	all := canonicalCopy(facts)
@@ -77,7 +77,7 @@ func checkLayout(t *testing.T, facts []Fact, sh *Sharded) {
 			sh.ShardCount(), sh.Len(), sh.EntityCount(), sh.Classes(), len(all), len(entities), want)
 	}
 	for i, p := range patternMatrix(sh) {
-		checkReads(t, fmt.Sprintf("%d shards %#v", sh.ShardCount(), p), sh, all, p, 1+i%5)
+		checkReads(t, fmt.Sprintf("%d shards %#v", sh.ShardCount(), p), sh, all, p, i%6-1)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"math"
 	"reflect"
 	"strings"
-	"sync"
 	"testing"
 )
 
@@ -27,47 +26,6 @@ func testFacts() []Fact {
 	}
 }
 
-func TestLookupMatchesScan(t *testing.T) {
-	s := New(testFacts())
-	queries := []Pattern{
-		{},
-		{Entity: "Casablanca"},
-		{Entity: "Casablanca", Attr: "language"},
-		{Entity: "missing"},
-		{Entity: "Casablanca", Attr: "missing"},
-		{Class: "Film"},
-		{Class: "Book", Attr: "author"},
-		{Attr: "language"},
-		{Attr: "language", Value: "French"},
-		{Value: "China"},     // hierarchy: matches Wuhan via ancestors
-		{Value: "Australia"}, // hierarchy: matches Adelaide
-		{Value: "Adelaide"},  // exact leaf
-		{Value: "missing"},
-		{Class: "Film", Value: "English"},
-		{Class: "University", Attr: "location", Value: "Australia"},
-	}
-	for _, q := range queries {
-		got, want := s.Lookup(q), refSelect(s.Facts(), q)
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("Lookup(%+v) != the oracle:\n got: %+v\nwant: %+v", q, got, want)
-		}
-	}
-}
-
-func TestMultiTruthTriples(t *testing.T) {
-	s := New(testFacts())
-	vals := s.Triples("Casablanca", "language")
-	if len(vals) != 2 {
-		t.Fatalf("Triples = %+v, want both accepted languages", vals)
-	}
-	if vals[0].Value != "English" || vals[1].Value != "French" {
-		t.Errorf("values out of canonical order: %+v", vals)
-	}
-	if vals[0].Confidence != 0.92 || vals[0].Sources != 4 {
-		t.Errorf("annotations lost: %+v", vals[0])
-	}
-}
-
 func TestEntityAndCounts(t *testing.T) {
 	s := New(testFacts())
 	if s.Len() != 7 {
@@ -84,20 +42,6 @@ func TestEntityAndCounts(t *testing.T) {
 	}
 	if facts := s.Entity("nobody"); facts != nil {
 		t.Errorf("unknown entity returned %+v", facts)
-	}
-}
-
-func TestNewDeduplicatesAndSorts(t *testing.T) {
-	dup := append(testFacts(), testFacts()...)
-	s := New(dup)
-	if s.Len() != 7 {
-		t.Fatalf("dedup failed: %d facts", s.Len())
-	}
-	facts := s.Facts()
-	for i := 1; i < len(facts); i++ {
-		if compareKeys(&facts[i], &facts[i-1]) <= 0 {
-			t.Fatalf("facts out of order at %d: %+v before %+v", i, facts[i-1], facts[i])
-		}
 	}
 }
 
@@ -132,65 +76,6 @@ func TestNewRefusesUnservableFacts(t *testing.T) {
 			}()
 		}
 	}
-}
-
-// TestLookupN pins the capped-lookup contract on the flat store: the
-// returned facts are the first `limit` of Lookup's answer, the total is
-// the full match count, and non-positive limits mean unlimited.
-func TestLookupN(t *testing.T) {
-	s := New(testFacts())
-	queries := []Pattern{
-		{}, {Entity: "Casablanca"}, {Class: "Film"}, {Attr: "language"},
-		{Value: "China"}, {Entity: "missing"},
-	}
-	for _, q := range queries {
-		full := s.Lookup(q)
-		for _, limit := range []int{-1, 0, 1, 2, len(full), len(full) + 10} {
-			got, total := s.LookupN(q, limit)
-			if total != len(full) {
-				t.Errorf("LookupN(%+v, %d) total = %d, want %d", q, limit, total, len(full))
-			}
-			want := full
-			if limit > 0 && limit < len(full) {
-				want = full[:limit]
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("LookupN(%+v, %d) = %+v, want %+v", q, limit, got, want)
-			}
-		}
-	}
-}
-
-// TestConcurrentReaders hammers a shared store from many goroutines; run
-// under -race it proves the lock-free read path is actually lock-free
-// safe (nothing is written after New).
-func TestConcurrentReaders(t *testing.T) {
-	s := New(testFacts())
-	queries := []Pattern{
-		{Entity: "Casablanca"},
-		{Class: "Film"},
-		{Value: "Australia"},
-		{Attr: "language"},
-		{},
-	}
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				q := queries[(g+i)%len(queries)]
-				if got, want := s.Lookup(q), refSelect(s.Facts(), q); len(got) != len(want) {
-					t.Errorf("goroutine %d: Lookup/%d oracle/%d for %+v", g, len(got), len(want), q)
-					return
-				}
-				s.Entity("Moby Dick")
-				s.Triples("Casablanca", "language")
-				s.Classes()
-			}
-		}(g)
-	}
-	wg.Wait()
 }
 
 func BenchmarkLookupVsScanSmall(b *testing.B) {

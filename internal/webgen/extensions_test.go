@@ -121,28 +121,25 @@ func TestCorpusTemporalFacts(t *testing.T) {
 
 func TestGenerateListPagesShape(t *testing.T) {
 	w := kb.NewWorld(kb.WorldConfig{Seed: 4, EntitiesPerClass: 12, AttrsPerEntity: 10})
-	pages := GenerateListPages(w, 2, ListConfig{PagesPerSite: 3, RowsPerPage: 6, Columns: 3, ValueErrorRate: 0.2})
+	pages := GenerateListPages(w, 2)
 	if len(pages) != 10 { // 5 classes x 2 sites
 		t.Fatalf("hosts = %d, want 10", len(pages))
 	}
 	for host, ps := range pages {
-		if len(ps) != 3 {
-			t.Errorf("%s: %d pages, want 3", host, len(ps))
+		if len(ps) != 2 {
+			t.Errorf("%s: %d pages, want 2", host, len(ps))
 		}
 		for _, p := range ps {
-			if len(p.Attrs) != 3 {
-				t.Errorf("%s%s: %d columns", host, p.URL, len(p.Attrs))
+			if len(p.Attrs) != 4 {
+				t.Errorf("%s%s: %d columns, want 4", host, p.URL, len(p.Attrs))
 			}
-			if len(p.Rows) != 6 {
-				t.Errorf("%s%s: %d rows", host, p.URL, len(p.Rows))
+			if len(p.Rows) != 8 {
+				t.Errorf("%s%s: %d rows, want 8", host, p.URL, len(p.Rows))
 			}
 			if !strings.Contains(p.HTML, `class="listing"`) {
 				t.Errorf("%s%s: no listing table", host, p.URL)
 			}
 		}
-	}
-	if dc := DefaultListConfig(); dc.RowsPerPage <= 0 || dc.Columns <= 0 {
-		t.Error("bad default list config")
 	}
 }
 

@@ -25,48 +25,32 @@ type ListPage struct {
 	Rows  []ListRow
 }
 
-// ListConfig controls list-page generation.
-type ListConfig struct {
-	// PagesPerSite is the number of list pages per site.
-	PagesPerSite int
-	// RowsPerPage is the number of entity rows per list page.
-	RowsPerPage int
-	// Columns is the number of attribute columns (besides the name).
-	Columns int
-	// ValueErrorRate corrupts cell values.
-	ValueErrorRate float64
-}
-
-// DefaultListConfig returns a moderate configuration.
-func DefaultListConfig() ListConfig {
-	return ListConfig{PagesPerSite: 2, RowsPerPage: 8, Columns: 4, ValueErrorRate: 0.1}
-}
+// The shape of the list pages: pages per site, entity rows per page,
+// attribute columns besides the name, and the share of cell values that
+// are corrupted.
+const (
+	listPagesPerSite   = 2
+	listRowsPerPage    = 8
+	listColumns        = 4
+	listValueErrorRate = 0.1
+)
 
 // GenerateListPages builds list pages for every class, one batch per
 // (class, site index). Column attributes are drawn from the class's curated
 // core so most listed entities have values.
-func GenerateListPages(w *kb.World, sitesPerClass int, cfg ListConfig) map[string][]*ListPage {
-	if cfg.PagesPerSite <= 0 {
-		cfg.PagesPerSite = 2
-	}
-	if cfg.RowsPerPage <= 0 {
-		cfg.RowsPerPage = 8
-	}
-	if cfg.Columns <= 0 {
-		cfg.Columns = 4
-	}
+func GenerateListPages(w *kb.World, sitesPerClass int) map[string][]*ListPage {
 	r := rand.New(rand.NewSource(77))
 	out := map[string][]*ListPage{}
 	for _, class := range w.Ontology.ClassNames() {
 		entities := w.EntitiesOf(class)
 		attrs := w.Ontology.Class(class).AttributeNames()
-		if cfg.Columns < len(attrs) {
-			attrs = attrs[:cfg.Columns]
+		if listColumns < len(attrs) {
+			attrs = attrs[:listColumns]
 		}
 		for si := 0; si < sitesPerClass; si++ {
 			host := fmt.Sprintf("%s-%d.example.com", strings.ToLower(class), si)
-			for pi := 0; pi < cfg.PagesPerSite; pi++ {
-				page := renderListPage(w, entities, attrs, si, pi, cfg, r)
+			for pi := 0; pi < listPagesPerSite; pi++ {
+				page := renderListPage(w, entities, attrs, si, pi, r)
 				out[host] = append(out[host], page)
 			}
 		}
@@ -74,7 +58,7 @@ func GenerateListPages(w *kb.World, sitesPerClass int, cfg ListConfig) map[strin
 	return out
 }
 
-func renderListPage(w *kb.World, entities []*kb.Entity, attrs []string, si, pi int, cfg ListConfig, r *rand.Rand) *ListPage {
+func renderListPage(w *kb.World, entities []*kb.Entity, attrs []string, si, pi int, r *rand.Rand) *ListPage {
 	page := &ListPage{
 		URL:   fmt.Sprintf("/list-%d", pi),
 		Attrs: append([]string(nil), attrs...),
@@ -87,8 +71,8 @@ func renderListPage(w *kb.World, entities []*kb.Entity, attrs []string, si, pi i
 		b.WriteString("<th>" + esc(labelText(a)) + "</th>")
 	}
 	b.WriteString("</tr>\n")
-	start := (si*cfg.PagesPerSite + pi) * cfg.RowsPerPage / 2
-	for i := 0; i < cfg.RowsPerPage && i < len(entities); i++ {
+	start := (si*listPagesPerSite + pi) * listRowsPerPage / 2
+	for i := 0; i < listRowsPerPage && i < len(entities); i++ {
 		e := entities[(start+i)%len(entities)]
 		row := ListRow{Entity: e.Name}
 		b.WriteString("<tr><td>" + esc(e.Name) + "</td>")
@@ -99,7 +83,7 @@ func renderListPage(w *kb.World, entities []*kb.Entity, attrs []string, si, pi i
 				b.WriteString("<td>-</td>")
 				continue
 			}
-			if r.Float64() < cfg.ValueErrorRate {
+			if r.Float64() < listValueErrorRate {
 				val = wrongValue(w, e, a, r)
 				correct = false
 			}
